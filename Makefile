@@ -9,9 +9,10 @@ check: lint build test race difftest-short fuzz-smoke
 
 # Bounded runs of the differential suites (the full sweeps run under plain
 # `go test`; this re-runs the bounded variants with a fresh binary so `make
-# check` exercises the flag path too): the encoding-aware compressed suite,
-# the planner-on/off single-table suite over indexed tables, and the
-# hash-join suite against the nested-loop reference.
+# check` exercises the flag path too): the encoding-aware compressed suite
+# and the single-table suite over indexed tables, both against the
+# row-serial reference, and the hash-join suite against the nested-loop
+# reference.
 .PHONY: difftest-short
 difftest-short:
 	$(GO) test -count=1 \
@@ -52,6 +53,8 @@ test:
 # scheduler, the yarn resource manager, the simulated network, the fault
 # injector, the intra-node parallel execution engine (worker pool, parallel
 # scans, chunked aggregation, parallel IRLS, blocked matrix multiply), the
+# planner (plan.Build runs on every peer-side query beside concurrent COPY,
+# over the segments' memoized statistics), the
 # pooled scoring/splitting paths (models, udf writers, darray fill,
 # catalog splitter), and the durability plane (wal group commit, txn MVCC
 # snapshots, the vertica commit/checkpoint protocol).
@@ -59,7 +62,8 @@ test:
 race:
 	$(GO) test -race ./internal/telemetry/... ./internal/vft/... ./internal/dr/... \
 		./internal/yarn/... ./internal/simnet/... ./internal/faults/... \
-		./internal/parallel/... ./internal/colstore/... ./internal/sqlexec/... \
+		./internal/parallel/... ./internal/colstore/... ./internal/plan/... \
+		./internal/sqlexec/... \
 		./internal/algos/... ./internal/linalg/... ./internal/models/... \
 		./internal/udf/... ./internal/darray/... ./internal/catalog/... \
 		./internal/server/... ./internal/core/... \
@@ -112,23 +116,6 @@ serve-bench:
 .PHONY: wal-bench
 wal-bench:
 	$(GO) run ./cmd/vdr-walbench -out BENCH_PR7.json
-
-# Compressed-execution benchmark: serial scans, run-aware aggregation, and
-# PREDICT over RLE/dictionary/incompressible fixtures, each run with
-# compressed execution on and off; writes BENCH_PR8.json (committed alongside
-# EXPERIMENTS.md). Fails if compressed execution loses on compressible data
-# or regresses more than 10% on incompressible data.
-.PHONY: scan-bench
-scan-bench:
-	$(GO) run ./cmd/vdr-scanbench -out BENCH_PR8.json
-
-# Planner benchmark: B-tree index point/range scans vs. the legacy full
-# scan (gate: >= 10x), planner-vs-legacy parity on full-scan/aggregate/
-# PREDICT shapes (gate: within 10%), hash-join and sharded-PREDICT
-# throughput; writes BENCH_PR9.json (committed alongside EXPERIMENTS.md).
-.PHONY: plan-bench
-plan-bench:
-	$(GO) run ./cmd/vdr-planbench -out BENCH_PR9.json
 
 # Cluster benchmark: routed vs single-process SELECT/PREDICT throughput at
 # 1/2/3 peers over real loopback TCP, replica-kill failover latency, and

@@ -6,12 +6,16 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"verticadr/internal/colstore"
 	"verticadr/internal/server"
 	"verticadr/internal/sqlexec"
+	"verticadr/internal/sqlexec/difftest"
+	"verticadr/internal/telemetry"
 	"verticadr/internal/verr"
 )
 
@@ -288,5 +292,162 @@ func TestDiscoverHealth(t *testing.T) {
 	hs := DiscoverHealth(ctx, []string{dead}, 200*time.Millisecond)
 	if len(hs) != 1 || hs[0].Up {
 		t.Fatalf("dead-only discovery = %+v", hs)
+	}
+}
+
+// TestSelectErrorsLocalAndRouted pins the error a bad SELECT surfaces, on a
+// single node and routed through peers (row, aggregate-partial and gather
+// paths): the message class and, where a sentinel exists, errors.Is identity
+// across the wire. Every statement fails in plan.Build or in the plan walker
+// — there is no second executor to re-derive a "richer" error.
+func TestSelectErrorsLocalAndRouted(t *testing.T) {
+	tc := startCluster(t, 3, 3, 2)
+	base := startBaseline(t, 3)
+	ctx := context.Background()
+	ddl := fmt.Sprintf(testDDL, "t", "HASH(id)")
+	if err := base.Exec(ddl); err != nil {
+		t.Fatal(err)
+	}
+	tc.exec(ddl)
+	ins := `INSERT INTO t VALUES (1, 2, 3, 1.5, -2.5, 'red', true), (2, -4, 5, 0.5, 7.5, 'blue', false), (3, 0, 1, 2.5, 0.5, 'red', true)`
+	if err := base.Exec(ins); err != nil {
+		t.Fatal(err)
+	}
+	tc.exec(ins)
+
+	cases := []struct {
+		name, sql string
+		is        error  // nil: no sentinel, message class only
+		contains  string // substring of the message on both paths
+	}{
+		{"missing table", `SELECT id FROM nosuch`, verr.ErrTableNotFound, "nosuch"},
+		{"missing table, aggregate", `SELECT count(*) FROM nosuch`, verr.ErrTableNotFound, "nosuch"},
+		{"missing table, join", `SELECT t.id FROM t JOIN nosuch ON t.id = nosuch.id`, verr.ErrTableNotFound, "nosuch"},
+		{"unknown column in SELECT", `SELECT nosuch FROM t`, verr.ErrUnknownColumn, "nosuch"},
+		{"unknown column in WHERE", `SELECT id FROM t WHERE nosuch = 1`, verr.ErrUnknownColumn, "nosuch"},
+		{"unknown column in aggregate WHERE", `SELECT count(*) FROM t WHERE nosuch = 1`, verr.ErrUnknownColumn, "nosuch"},
+		{"unknown column in GROUP BY", `SELECT nosuch, count(*) FROM t GROUP BY nosuch`, verr.ErrUnknownColumn, "nosuch"},
+		{"unknown column in aggregate argument", `SELECT min(nosuch) FROM t`, verr.ErrUnknownColumn, "nosuch"},
+		{"unknown column in ORDER BY", `SELECT id FROM t ORDER BY nosuch`, nil, `ORDER BY column "nosuch" not in output`},
+		{"unbound placeholder", `SELECT id FROM t WHERE id > ?`, nil, "unbound placeholder(s) (prepare and execute with arguments)"},
+		{"unbound placeholder, aggregate", `SELECT count(*) FROM t WHERE id > ?`, nil, "unbound placeholder(s) (prepare and execute with arguments)"},
+		{"star with aggregation", `SELECT *, count(*) FROM t`, nil, "SELECT * not allowed with aggregation"},
+		{"non-boolean WHERE", `SELECT id FROM t WHERE id`, nil, "WHERE clause is not boolean"},
+		{"non-boolean WHERE, aggregate", `SELECT count(*) FROM t WHERE id + 1`, nil, "WHERE clause is not boolean"},
+	}
+	for _, c := range cases {
+		_, localErr := base.QueryContext(ctx, c.sql)
+		_, routedErr := tc.router(0).Query(ctx, c.sql)
+		for path, err := range map[string]error{"local": localErr, "routed": routedErr} {
+			if err == nil {
+				t.Fatalf("%s (%s): %q succeeded", c.name, path, c.sql)
+			}
+			if c.is != nil && !errors.Is(err, c.is) {
+				t.Fatalf("%s (%s): error %q is not %v", c.name, path, err, c.is)
+			}
+			if !strings.Contains(err.Error(), c.contains) {
+				t.Fatalf("%s (%s): error %q lacks %q", c.name, path, err, c.contains)
+			}
+		}
+	}
+}
+
+// opScanAttrs runs one aggregate through a peer's serveAgg for every shard
+// under a trace and returns the summed numeric attributes of the op:scan
+// spans the shard executions recorded.
+func opScanAttrs(t *testing.T, tc *testCluster, sql string) map[string]int64 {
+	t.Helper()
+	log := telemetry.NewSpanLog(nil)
+	root := log.StartSpan("test")
+	ctx := telemetry.ContextWithSpan(context.Background(), root)
+	for shard := 0; shard < tc.topo.Shards; shard++ {
+		peer := tc.nodes[tc.topo.Owners(shard)[0]].peer
+		if _, err := peer.serveAgg(ctx, aggRequest{SQL: sql, Shards: []int{shard}}); err != nil {
+			t.Fatalf("serveAgg shard %d %q: %v", shard, sql, err)
+		}
+	}
+	root.End()
+	sums := map[string]int64{}
+	for _, sp := range log.Export() {
+		if !sp.Ended {
+			t.Fatalf("%q: peer-side span %s was never ended", sql, sp.Name)
+		}
+		if sp.Name != "op:scan" {
+			continue
+		}
+		sums["scans"]++
+		for _, a := range sp.Attrs {
+			if v, err := strconv.ParseInt(a.Value, 10, 64); err == nil {
+				sums[a.Key] += v
+			}
+		}
+	}
+	return sums
+}
+
+// TestPeersExecuteTheShardPlan pins that the tree a routed EXPLAIN prints is
+// the tree peers run for a routed aggregate: an index probe decodes only the
+// probed block, and a WHERE-less aggregate over run-encoded columns folds
+// encoded runs — not a full decode-first scan with one pushed conjunct.
+func TestPeersExecuteTheShardPlan(t *testing.T) {
+	tc := startCluster(t, 3, 3, 2)
+	base := startBaseline(t, 3)
+	ctx := context.Background()
+	ddl := fmt.Sprintf(testDDL, "t", "ROUND ROBIN")
+	if err := base.Exec(ddl); err != nil {
+		t.Fatal(err)
+	}
+	tc.exec(ddl)
+	// 512 rows = 8 sealed 64-row blocks per shard. a is a unique key
+	// scattered over every block (zone maps cannot prune it); s holds one
+	// value per block and y is constant (both RLE).
+	const n = 3 * 512
+	rows := make([][]any, n)
+	for i := range rows {
+		j := i / 3 // the row's position within its shard
+		rows[i] = []any{int64(i), int64(i*7919) % n, int64(i % 5), float64(i%8) / 4, 0.5,
+			[]string{"red", "blue", "green"}[(j/64)%3], i%2 == 0}
+	}
+	loadBoth(t, base, tc, "t", difftest.TableSchema(), rows)
+	const idx = `CREATE INDEX idx_a ON t (a)`
+	if err := base.Exec(idx); err != nil {
+		t.Fatal(err)
+	}
+	tc.exec(idx)
+
+	probe := `SELECT s, count(*) FROM t WHERE a = 7 GROUP BY s`
+	exp, err := tc.router(1).Query(ctx, "EXPLAIN "+probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := fmt.Sprint(exp.Rows()); !strings.Contains(text, "IndexScan on t [index(a)") {
+		t.Fatalf("routed EXPLAIN does not probe the index:\n%s", text)
+	}
+	if got := opScanAttrs(t, tc, probe); got["scans"] != 3 || got["blocks"] != 1 || got["rows"] != 1 {
+		t.Fatalf("index probe through serveAgg: op:scan totals %v, want 3 scans decoding 1 block for 1 row", got)
+	}
+
+	fold := `SELECT s, count(*), sum(y) FROM t GROUP BY s`
+	exp, err = tc.router(2).Query(ctx, "EXPLAIN "+fold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := fmt.Sprint(exp.Rows()); !strings.Contains(text, "run-aware") {
+		t.Fatalf("routed EXPLAIN does not plan the run-aware aggregate:\n%s", text)
+	}
+	if got := opScanAttrs(t, tc, fold); got["blocks"] != 24 || got["blocks_compressed"] != 24 || got["rows"] != n {
+		t.Fatalf("run-aware aggregate through serveAgg: op:scan totals %v, want 24 blocks all folded compressed, %d rows", got, n)
+	}
+
+	for _, sql := range []string{probe, fold} {
+		ref, err := base.QueryContext(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tc.router(0).Query(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, sql, ref, got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
+	"verticadr/internal/plan"
 	"verticadr/internal/server"
 	"verticadr/internal/sqlexec"
 	"verticadr/internal/sqlparse"
@@ -443,15 +444,15 @@ func shardSQL(sel *sqlparse.Select) string {
 }
 
 func (r *Router) routeSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexec.Result, error) {
-	switch {
-	case len(sel.Joins) > 0:
+	switch plan.KindOf(sel) {
+	case plan.KindJoin:
 		mRouterRouted("gather").Inc()
 		return r.gatherSelect(ctx, sel)
-	case sel.From == "":
+	case plan.KindConst:
 		// Constant SELECT: no table, evaluated at the router.
 		mRouterRouted("const").Inc()
 		return sqlexec.RunSelectCtx(ctx, nil, sel)
-	case sqlexec.IsAggregateSelect(sel):
+	case plan.KindAggregate:
 		mRouterRouted("aggregate").Inc()
 		return r.aggSelect(ctx, sel)
 	default:

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"verticadr/internal/verr"
 )
@@ -28,22 +27,6 @@ import (
 // performed here too, with the same error for the same corruption, even when
 // the corruption lies outside the selected rows. The difftest and fuzz
 // harnesses pin that equivalence.
-
-// compressedEvalOff disables compressed execution when set; the zero value
-// means enabled. The negative sense keeps the default on without an init.
-var compressedEvalOff atomic.Bool
-
-// SetCompressedEval toggles compressed execution (predicate evaluation on
-// encoded blocks + late materialization) and returns the previous setting.
-// It exists for the differential harness and benchmarks, which compare the
-// compressed path against the decode-first path on identical data.
-func SetCompressedEval(on bool) (prev bool) {
-	return !compressedEvalOff.Swap(!on)
-}
-
-// CompressedEvalEnabled reports whether scans evaluate predicates on the
-// encoded block form (the default).
-func CompressedEvalEnabled() bool { return !compressedEvalOff.Load() }
 
 // splitBlockHeader parses the [type][encoding][uvarint rows] block header.
 // ok=false means the header is unusable for compressed evaluation; callers

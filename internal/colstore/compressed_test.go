@@ -365,38 +365,29 @@ func TestScanStatsDistinguishSkippedAndCompressed(t *testing.T) {
 	if st.BlocksScanned != 1 || st.BlocksSkipped != 9 || st.BlocksCompressed != 1 {
 		t.Fatalf("stats = %+v, want 1 scanned / 9 skipped / 1 compressed", st)
 	}
-	// Toggled off: same rows, same skips, but nothing evaluates compressed.
-	prev := SetCompressedEval(false)
-	defer SetCompressedEval(prev)
-	var off ScanStats
+	// A DELTA column has no compressed evaluation: same zone-map skips, but
+	// the surviving block decodes first and is not counted compressed.
+	seqs := make([]int64, 1000)
+	for i := range seqs {
+		seqs[i] = int64(i)
+	}
+	dseg := NewSegment(schema, 100)
+	if err := dseg.Append(&Batch{Schema: schema, Cols: []*Vector{IntVector(seqs)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dseg.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	var dec ScanStats
 	rows = 0
-	err = seg.ScanWithStats([]string{"x"}, &Pred{Col: "x", Op: OpEQ, Val: int64(5)}, &off, func(b *Batch) error {
+	err = dseg.ScanWithStats([]string{"x"}, &Pred{Col: "x", Op: OpGE, Val: int64(900)}, &dec, func(b *Batch) error {
 		rows += b.Len()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows != 100 || off.BlocksScanned != 1 || off.BlocksSkipped != 9 || off.BlocksCompressed != 0 {
-		t.Fatalf("toggled off: rows=%d stats=%+v, want 100 rows, 1/9/0", rows, off)
-	}
-}
-
-// TestSetCompressedEval pins the toggle's swap semantics.
-func TestSetCompressedEval(t *testing.T) {
-	if !CompressedEvalEnabled() {
-		t.Fatal("compressed eval should default on")
-	}
-	if prev := SetCompressedEval(false); !prev {
-		t.Fatal("first toggle should report previous=true")
-	}
-	if CompressedEvalEnabled() {
-		t.Fatal("toggle off did not stick")
-	}
-	if prev := SetCompressedEval(true); prev {
-		t.Fatal("second toggle should report previous=false")
-	}
-	if !CompressedEvalEnabled() {
-		t.Fatal("toggle back on did not stick")
+	if rows != 100 || dec.BlocksScanned != 1 || dec.BlocksSkipped != 9 || dec.BlocksCompressed != 0 {
+		t.Fatalf("delta column: rows=%d stats=%+v, want 100 rows, 1/9/0", rows, dec)
 	}
 }

@@ -720,23 +720,19 @@ func (s *Segment) decodeBlockRow(bi int, plan *scanPlan, pred *Pred, st *ScanSta
 		return reuse, nil
 	}
 	var matchIdx []int
-	compressed := false
 	if pred != nil {
 		data := s.sealed[plan.predIdx][bi].data
 		st.BytesRead += len(data)
-		compressed = CompressedEvalEnabled()
-		handled := false
-		if compressed {
-			var err error
-			matchIdx, handled, err = MatchBlockCompressed(data, pred, *scratch)
-			if err != nil {
-				return nil, err
-			}
-			if handled {
-				st.BlocksCompressed++
-			}
+		var handled bool
+		var err error
+		matchIdx, handled, err = MatchBlockCompressed(data, pred, *scratch)
+		if err != nil {
+			return nil, err
 		}
-		if !handled {
+		if handled {
+			st.BlocksCompressed++
+		} else {
+			// PLAIN/DELTA blocks have no compressed evaluation: decode first.
 			pv, err := DecodeBlock(data)
 			if err != nil {
 				return nil, err
@@ -756,7 +752,7 @@ func (s *Segment) decodeBlockRow(bi int, plan *scanPlan, pred *Pred, st *ScanSta
 	// whole payload sequentially. The per-row selective decode loses its
 	// edge well before half the block survives, so the strategy flips at a
 	// quarter. Both produce identical bytes.
-	lateMat := compressed && pred != nil && len(matchIdx)*4 < s.sealed[plan.predIdx][bi].rows
+	lateMat := pred != nil && len(matchIdx)*4 < s.sealed[plan.predIdx][bi].rows
 	out := &Batch{Schema: plan.outSchema, Cols: make([]*Vector, len(plan.colIdx))}
 	for i, ci := range plan.colIdx {
 		st.BytesRead += len(s.sealed[ci][bi].data)

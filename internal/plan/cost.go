@@ -97,9 +97,9 @@ func (ts *tableStats) indexed(col string) bool {
 	return true
 }
 
-// predFromExpr converts `col OP literal` (or mirrored) into a storage
-// predicate. Identical to the executor's pushdown extraction; qualifiers
-// must already be stripped.
+// predFromExpr converts `col OP literal` (or `literal OP col`, mirrored)
+// into a storage predicate; any other shape returns nil and stays a residual
+// filter. Qualifiers must already be stripped.
 func predFromExpr(e sqlparse.Expr) *colstore.Pred {
 	bin, ok := e.(*sqlparse.Binary)
 	if !ok {
@@ -371,23 +371,6 @@ func chooseAccess(conjs []conj, ts *tableStats, noIndex bool) (*Access, float64)
 	}
 	acc.Residual = residualExcept(prim)
 	return acc, combined
-}
-
-// ScanAccess chooses the access path for one table's WHERE clause without
-// building a full plan. The executor's UDTF input path uses it to push every
-// pushable conjunct (primary exact + zone pruning) instead of just the first.
-// noIndex forces a sequential scan.
-func ScanAccess(src Source, table string, where sqlparse.Expr, noIndex bool) (*Access, error) {
-	def, err := src.TableDef(table)
-	if err != nil {
-		return nil, err
-	}
-	ts, err := gatherStats(src, table, def)
-	if err != nil {
-		return nil, err
-	}
-	acc, _ := chooseAccess(analyzeConjuncts(where, ts), ts, noIndex)
-	return acc, nil
 }
 
 // estimateRows converts a selectivity into an output-row estimate, never

@@ -58,30 +58,39 @@ func (p *Plan) postorder() []*Node {
 // MatchActuals aligns executed operator measurements with plan nodes: nodes
 // execute in post-order and each stage emits one profile entry, so a single
 // forward sweep matching profile labels recovers each node's actual row
-// count. Stages the executor elides at run time (a LIMIT above fewer rows
-// than its bound) inherit their child's actual — rows passed through
-// unchanged. Returns node ID → actual rows.
-func (p *Plan) MatchActuals(ops []OpStat) map[int]int64 {
-	out := map[int]int64{}
+// count. A scan or join with a residual also owns the "filter" entry right
+// after its own. Stages the executor elides at run time (a LIMIT above fewer
+// rows than its bound) inherit their child's actual — rows passed through
+// unchanged. Returns node ID → actual rows, plus the entries no node
+// accounts for: empty whenever the executor ran this tree and nothing else.
+func (p *Plan) MatchActuals(ops []OpStat) (actuals map[int]int64, unmatched []OpStat) {
+	actuals = map[int]int64{}
 	oi := 0
 	for _, n := range p.postorder() {
 		want := ProfOp(n.Op)
 		found := false
 		for j := oi; j < len(ops); j++ {
-			if ops[j].Op == want {
-				out[n.ID] = ops[j].Rows
-				oi = j + 1
-				found = true
-				break
+			if ops[j].Op != want {
+				continue
 			}
+			actuals[n.ID] = ops[j].Rows
+			unmatched = append(unmatched, ops[oi:j]...)
+			oi = j + 1
+			found = true
+			break
 		}
-		if !found && len(n.Children) > 0 {
-			if v, ok := out[n.Children[len(n.Children)-1].ID]; ok {
-				out[n.ID] = v
+		if found {
+			residual := n.Residual != nil || (n.Access != nil && n.Access.Residual != nil)
+			if residual && oi < len(ops) && ops[oi].Op == "filter" {
+				oi++
+			}
+		} else if len(n.Children) > 0 {
+			if v, ok := actuals[n.Children[len(n.Children)-1].ID]; ok {
+				actuals[n.ID] = v
 			}
 		}
 	}
-	return out
+	return actuals, append(unmatched, ops[oi:]...)
 }
 
 func nodeLabel(n *Node) string {

@@ -6,10 +6,11 @@
 // scan (O(log n + k) for selective point/range predicates), hash join for
 // equi-joins, and a dot-product join for PREDICT over sharded models.
 //
-// The planner never executes anything: internal/sqlexec walks the tree. The
-// split keeps the estimate/choose logic testable against fake sources and
-// lets EXPLAIN render the same tree the executor runs, with estimated rows
-// next to actuals.
+// The planner never executes anything: internal/sqlexec walks the tree, and
+// the tree is the only thing it walks — every SELECT, on the local node and
+// on cluster peers, runs the plan Build returns. The split keeps the
+// estimate/choose logic testable against fake sources, and EXPLAIN renders
+// the tree the executor runs, with estimated rows next to actuals.
 package plan
 
 import (
@@ -69,8 +70,8 @@ type Access struct {
 	// IndexCol non-empty selects the B-tree index scan on that column;
 	// Primary is then the index probe predicate. Primary2, when set, is the
 	// upper bound of a bounded index range probe (Primary the lower bound);
-	// its conjunct also stays in Residual so a segment without the index
-	// still filters exactly after the pushdown fallback scan.
+	// its conjunct also stays in Residual so a segment missing the index
+	// (mid-DDL, mid-recovery) still filters exactly after its pushdown scan.
 	Primary2 *colstore.Pred
 	IndexCol string
 }
@@ -115,19 +116,47 @@ func (b *builder) node(op string) *Node {
 	return n
 }
 
-// Build plans a SELECT. Errors mean the statement is outside the planner's
-// reach (the caller falls back to the fixed pipeline) or genuinely invalid;
-// join statements have no fallback, so their errors surface to the user.
+// Statement kinds: the pipeline a SELECT's plan roots in. The executor's
+// sqlexec_queries_total{kind} label and the cluster router's fan-out choice
+// both read the classification from KindOf.
+const (
+	KindConst      = "const"
+	KindJoin       = "join"
+	KindUDTF       = "udtf"
+	KindAggregate  = "aggregate"
+	KindProjection = "projection"
+)
+
+// KindOf classifies a SELECT from its syntax alone, in Build's dispatch
+// order.
+func KindOf(sel *sqlparse.Select) string {
+	switch {
+	case sel.From == "":
+		return KindConst
+	case len(sel.Joins) > 0:
+		return KindJoin
+	case udtfCall(sel) != nil:
+		return KindUDTF
+	case isAggregate(sel):
+		return KindAggregate
+	}
+	return KindProjection
+}
+
+// Build plans a SELECT. There is no other way to execute one, so every
+// error is the user's: an invalid statement, a missing table, or a prepared
+// template that was never bound.
 func Build(sel *sqlparse.Select, src Source) (*Plan, error) {
 	if sel == nil {
 		return nil, fmt.Errorf("plan: nil statement")
 	}
 	if sel.NumParams > 0 {
-		return nil, fmt.Errorf("plan: statement has unbound parameters")
+		return nil, fmt.Errorf("plan: %d unbound placeholder(s) (prepare and execute with arguments)", sel.NumParams)
 	}
 	sel = cloneSelect(sel)
 	b := &builder{src: src}
-	if sel.From == "" {
+	switch KindOf(sel) {
+	case KindConst:
 		if len(sel.Joins) > 0 {
 			return nil, fmt.Errorf("plan: JOIN requires a FROM table")
 		}
@@ -135,15 +164,14 @@ func Build(sel *sqlparse.Select, src Source) (*Plan, error) {
 		n.EstRows = 1
 		n.Detail = "table-less SELECT"
 		return &Plan{Root: n, Sel: sel}, nil
-	}
-	if len(sel.Joins) > 0 {
+	case KindJoin:
 		return b.buildJoin(sel)
 	}
 	return b.buildSingle(sel)
 }
 
-// udtfCall mirrors the executor's dispatch: a single projection that is a
-// function call with an OVER clause.
+// udtfCall returns the transform-function call of a UDTF statement: a single
+// projection that is a function call with an OVER clause.
 func udtfCall(sel *sqlparse.Select) *sqlparse.FuncCall {
 	if len(sel.Items) != 1 || sel.Items[0].Star {
 		return nil
@@ -155,7 +183,8 @@ func udtfCall(sel *sqlparse.Select) *sqlparse.FuncCall {
 	return fc
 }
 
-func isAggregateName(name string) bool {
+// IsAggregateFunc reports whether name is one of the aggregate functions.
+func IsAggregateFunc(name string) bool {
 	switch name {
 	case "COUNT", "SUM", "AVG", "MIN", "MAX":
 		return true
@@ -166,7 +195,7 @@ func isAggregateName(name string) bool {
 func hasAggregate(e sqlparse.Expr) bool {
 	switch x := e.(type) {
 	case *sqlparse.FuncCall:
-		if isAggregateName(x.Name) {
+		if IsAggregateFunc(x.Name) {
 			return true
 		}
 		for _, a := range x.Args {
@@ -178,6 +207,20 @@ func hasAggregate(e sqlparse.Expr) bool {
 		return hasAggregate(x.L) || hasAggregate(x.R)
 	case *sqlparse.Unary:
 		return hasAggregate(x.X)
+	}
+	return false
+}
+
+// isAggregate reports whether the statement aggregates: it has a GROUP BY or
+// an aggregate call in its projection.
+func isAggregate(sel *sqlparse.Select) bool {
+	if len(sel.GroupBy) > 0 {
+		return true
+	}
+	for _, item := range sel.Items {
+		if !item.Star && hasAggregate(item.Expr) {
+			return true
+		}
 	}
 	return false
 }
@@ -252,14 +295,8 @@ func (b *builder) scanNode(table, alias string, def *catalog.TableDef, ts *table
 // limit) over the input node, mirroring the executor's pipeline order.
 // ndv resolves a group-by column name (dotted under a join) to its NDV.
 func (b *builder) shapeAbove(in *Node, sel *sqlparse.Select, ndv func(col string) int, runsOK bool) (*Node, error) {
-	agg := len(sel.GroupBy) > 0
-	for _, item := range sel.Items {
-		if !item.Star && hasAggregate(item.Expr) {
-			agg = true
-		}
-	}
 	cur := in
-	if agg {
+	if isAggregate(sel) {
 		n := b.node(OpAggregate)
 		n.Children = []*Node{cur}
 		n.EstRows = estimateGroups(sel.GroupBy, ndv, cur.EstRows)
@@ -304,14 +341,11 @@ func (b *builder) shapeAbove(in *Node, sel *sqlparse.Select, ndv func(col string
 	return cur, nil
 }
 
-// runsEligible mirrors the executor's run-aware aggregation preconditions
-// (beyond "no WHERE", which the caller checks): every aggregate argument is
-// a bare column, and star only under COUNT. The executor re-verifies at run
-// time — the flag is advisory, for EXPLAIN and operator choice.
+// runsEligible decides the run-aware aggregation path (beyond "no WHERE",
+// which the caller checks): every aggregate argument is a bare column, and
+// star only under COUNT. The executor takes the path exactly when the
+// Aggregate node says Runs.
 func runsEligible(sel *sqlparse.Select) bool {
-	if !colstore.CompressedEvalEnabled() {
-		return false
-	}
 	for _, item := range sel.Items {
 		if item.Star {
 			return false
@@ -320,7 +354,7 @@ func runsEligible(sel *sqlparse.Select) bool {
 		if !ok {
 			continue
 		}
-		if !isAggregateName(fc.Name) {
+		if !IsAggregateFunc(fc.Name) {
 			return false
 		}
 		if fc.Star {

@@ -213,12 +213,15 @@ func TestExplainRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	actuals := p.MatchActuals([]OpStat{
+	actuals, unmatched := p.MatchActuals([]OpStat{
 		{Op: "scan", Rows: 200},
 		{Op: "aggregate", Rows: 50},
 		{Op: "sort", Rows: 50},
 		{Op: "limit", Rows: 5},
 	})
+	if len(unmatched) != 0 {
+		t.Fatalf("unmatched ops: %v", unmatched)
+	}
 	lines := p.Text(actuals)
 	if len(lines) != 4 {
 		t.Fatalf("text lines: %v", lines)
@@ -239,13 +242,100 @@ func TestExplainRendering(t *testing.T) {
 		}
 	}
 	// Elided limit stage inherits its child's actual.
-	actuals = p.MatchActuals([]OpStat{
+	actuals, unmatched = p.MatchActuals([]OpStat{
 		{Op: "scan", Rows: 200},
 		{Op: "aggregate", Rows: 3},
 		{Op: "sort", Rows: 3},
 	})
-	if actuals[p.Root.ID] != 3 {
-		t.Fatalf("elided limit actual = %d", actuals[p.Root.ID])
+	if actuals[p.Root.ID] != 3 || len(unmatched) != 0 {
+		t.Fatalf("elided limit actual = %d, unmatched %v", actuals[p.Root.ID], unmatched)
+	}
+	// An operator the tree has no node for is reported, not absorbed; a
+	// residual's filter entry belongs to its scan.
+	p, err = Build(parseSel(t, "SELECT a FROM t WHERE id < 100 AND a + 1 > 2"), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, unmatched = p.MatchActuals([]OpStat{
+		{Op: "scan", Rows: 200},
+		{Op: "filter", Rows: 90},
+		{Op: "join", Rows: 90},
+		{Op: "project", Rows: 90},
+		{Op: "sort", Rows: 90},
+	})
+	if len(unmatched) != 2 || unmatched[0].Op != "join" || unmatched[1].Op != "sort" {
+		t.Fatalf("unmatched = %v, want [join sort]", unmatched)
+	}
+}
+
+func parseExpr(t *testing.T, s string) sqlparse.Expr {
+	t.Helper()
+	return parseSel(t, "SELECT a FROM t WHERE "+s).Where
+}
+
+func TestPredFromExpr(t *testing.T) {
+	cases := map[string]*colstore.Pred{
+		"i > 5":     {Col: "i", Op: colstore.OpGT, Val: int64(5)},
+		"5 > i":     {Col: "i", Op: colstore.OpLT, Val: int64(5)},
+		"f <= 1.5":  {Col: "f", Op: colstore.OpLE, Val: 1.5},
+		"f >= -1.5": {Col: "f", Op: colstore.OpGE, Val: -1.5},
+		"s = 'x'":   {Col: "s", Op: colstore.OpEQ, Val: "x"},
+		"b <> TRUE": {Col: "b", Op: colstore.OpNE, Val: true},
+	}
+	for s, want := range cases {
+		got := predFromExpr(parseExpr(t, s))
+		if got == nil || got.Col != want.Col || got.Op != want.Op || got.Val != want.Val {
+			t.Fatalf("pushdown %q = %+v, want %+v", s, got, want)
+		}
+	}
+	for _, s := range []string{"i + 1 > 5", "i > f", "i > 5 AND f < 2", "NOT b", "t.i > 5"} {
+		if got := predFromExpr(parseExpr(t, s)); got != nil {
+			t.Fatalf("%q should not push down, got %+v", s, got)
+		}
+	}
+}
+
+// TestChooseAccessConjuncts pins how a WHERE clause splits into the exact
+// primary predicate and the residual, wherever the pushable conjunct sits.
+func TestChooseAccessConjuncts(t *testing.T) {
+	ts := &tableStats{cache: map[string]colstore.ColumnStats{}}
+	access := func(where string) *Access {
+		var e sqlparse.Expr
+		if where != "" {
+			e = parseExpr(t, where)
+		}
+		acc, _ := chooseAccess(analyzeConjuncts(e, ts), ts, false)
+		return acc
+	}
+	// Whole clause pushable: no residual.
+	if acc := access("i > 5"); acc.Primary == nil || acc.Residual != nil {
+		t.Fatalf("single comparison: %+v", acc)
+	}
+	// Without statistics to rank them the first pushable conjunct is the
+	// primary; the other prunes by zone map and stays in the residual with
+	// the unpushable one.
+	acc := access("i > 5 AND f < 2.0 AND b")
+	if acc.Primary == nil || acc.Primary.Col != "i" || acc.Primary.Op != colstore.OpGT {
+		t.Fatalf("AND chain pushdown = %+v", acc.Primary)
+	}
+	if len(acc.Zone) != 1 || acc.Zone[0].Col != "f" {
+		t.Fatalf("zone = %+v, want the f < 2.0 conjunct", acc.Zone)
+	}
+	if acc.Residual == nil || !strings.Contains(acc.Residual.String(), "f") || !strings.Contains(acc.Residual.String(), "b") ||
+		strings.Contains(acc.Residual.String(), "i") {
+		t.Fatalf("residual = %v, want the remaining conjuncts", acc.Residual)
+	}
+	// Pushable conjunct in the middle.
+	acc = access("b AND i = 3 AND NOT b")
+	if acc.Primary == nil || acc.Primary.Col != "i" || acc.Residual == nil {
+		t.Fatalf("middle conjunct: %+v", acc)
+	}
+	// Nothing pushable: WHERE passes through whole.
+	if acc = access("b OR i > 5"); acc.Primary != nil || acc.Residual == nil || !strings.Contains(acc.Residual.String(), "OR") {
+		t.Fatalf("OR clause: %+v", acc)
+	}
+	if acc = access(""); acc.Primary != nil || acc.Residual != nil || acc.Zone != nil {
+		t.Fatalf("no WHERE: %+v", acc)
 	}
 }
 

@@ -5,47 +5,35 @@ import (
 	"fmt"
 	"strings"
 
-	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
 	"verticadr/internal/sqlparse"
 )
 
-// runAggregateRuns is the run-aware aggregation fast path: when the query has
-// no WHERE clause and every aggregate argument is a bare column, the engine
-// aggregates directly over the encoded runs colstore.ScanRuns streams — one
-// aggState.addRun per (run, aggregate) instead of one add per row, so RLE and
-// dictionary segments aggregate in O(runs). Group keys (including group-by on
-// dict columns) are probed once per run.
+// aggregateRuns is the run-aware aggregation kernel: when the plan's
+// Aggregate node says Runs (no WHERE clause, every aggregate argument a bare
+// column, star only under COUNT), the engine aggregates directly over the
+// encoded runs colstore.ScanRuns streams — one aggState.addRun per (run,
+// aggregate) instead of one add per row, so RLE and dictionary segments
+// aggregate in O(runs). Group keys (including group-by on dict columns) are
+// probed once per run.
 //
-// handled=false declines to the decode-first path (which also runs when
-// compressed execution is toggled off); the two paths are bit-identical for
-// the values the engine stores: runs arrive in row order, groups keep
+// The decode-first kernel (aggregateChunks over a scan) is bit-identical to
+// it for the values the engine stores: runs arrive in row order, groups keep
 // first-appearance order, key formatting is shared, and addRun documents why
 // folding a run equals iterating it.
-func runAggregateRuns(ctx context.Context, db Database, sel *sqlparse.Select, def *catalog.TableDef, plans []aggItemPlan, prof *Profile) (res *Result, handled bool, err error) {
-	if !colstore.CompressedEvalEnabled() || sel.Where != nil {
-		return nil, false, nil
-	}
-	for _, p := range plans {
-		if p.isGroupCol {
-			continue
-		}
-		if p.fn.Star {
-			if p.fn.Name != "COUNT" {
-				return nil, false, nil // MIN(*)/... : row path reports the error
-			}
-			continue
-		}
-		if _, ok := p.fn.Args[0].(*sqlparse.ColRef); !ok {
-			return nil, false, nil // expression argument: row-at-a-time eval
-		}
-	}
-	segs, err := db.Segments(sel.From)
+func aggregateRuns(ctx context.Context, db Database, table string, sel *sqlparse.Select, plans []aggItemPlan, prof *Profile) (*aggPartialAcc, error) {
+	def, err := db.TableDef(table)
 	if err != nil {
-		return nil, true, err
+		return nil, err
+	}
+	if _, err := collectCols(sel, def.Schema); err != nil {
+		return nil, err
+	}
+	segs, err := db.Segments(table)
+	if err != nil {
+		return nil, err
 	}
 	// Scan columns: group-by columns then aggregate arguments, deduped.
-	// collectCols has already validated every referenced column exists.
 	var cols []string
 	colPos := map[string]int{}
 	addCol := func(n string) int {
@@ -61,36 +49,24 @@ func runAggregateRuns(ctx context.Context, db Database, sel *sqlparse.Select, de
 		groupPos[i] = addCol(g)
 	}
 	argPos := make([]int, len(plans))
-	outTypes := make([]colstore.Type, len(plans))
+	argTypes := make([]colstore.Type, len(plans))
 	for pi, p := range plans {
 		argPos[pi] = -1
-		if p.isGroupCol {
-			outTypes[pi] = def.Schema[def.Schema.ColIndex(p.colName)].Type
-			continue
-		}
-		switch p.fn.Name {
-		case "COUNT":
-			outTypes[pi] = colstore.TypeInt64
-		case "SUM", "AVG":
-			outTypes[pi] = colstore.TypeFloat64
-		}
-		if !p.fn.Star {
-			cr := p.fn.Args[0].(*sqlparse.ColRef)
-			argPos[pi] = addCol(cr.Name)
-			if p.fn.Name == "MIN" || p.fn.Name == "MAX" {
-				outTypes[pi] = def.Schema[def.Schema.ColIndex(cr.Name)].Type
-			}
+		if p.fn != nil && !p.fn.Star {
+			name := p.fn.Args[0].(*sqlparse.ColRef).Name
+			argPos[pi] = addCol(name)
+			argTypes[pi] = def.Schema[def.Schema.ColIndex(name)].Type
 		}
 	}
-	if len(cols) == 0 {
-		// COUNT(*) with no referenced columns still needs row counts.
-		cols = []string{def.Schema[0].Name}
+	outTypes, err := aggOutputTypes(plans, def.Schema, argTypes)
+	if err != nil {
+		return nil, err
 	}
+	cols = scanColumns(cols, def.Schema)
 
 	scanDone := startOp(ctx, prof, "scan")
 	var st colstore.ScanStats
-	groups := map[string]*aggGroup{}
-	var order []string
+	part := &aggPartialAcc{plans: plans, outTypes: outTypes, groups: map[string]*aggGroup{}}
 	var kb strings.Builder
 	nruns := 0
 	// Segments scan serially in segment order — the same concatenation order
@@ -103,23 +79,12 @@ func runAggregateRuns(ctx context.Context, db Database, sel *sqlparse.Select, de
 			for _, gp := range groupPos {
 				fmt.Fprintf(&kb, "%v\x00", vals[gp])
 			}
-			key := kb.String()
-			g, ok := groups[key]
-			if !ok {
-				keyVals := make([]any, len(groupPos))
+			g, fresh := part.group(kb.String())
+			if fresh {
+				g.keyVals = make([]any, len(groupPos))
 				for i, gp := range groupPos {
-					keyVals[i] = vals[gp]
+					g.keyVals[i] = vals[gp]
 				}
-				g = &aggGroup{keyVals: keyVals}
-				for _, p := range plans {
-					if p.fn != nil {
-						g.states = append(g.states, &aggState{fn: p.fn.Name})
-					} else {
-						g.states = append(g.states, nil)
-					}
-				}
-				groups[key] = g
-				order = append(order, key)
 			}
 			for pi, p := range plans {
 				if p.fn == nil {
@@ -136,7 +101,7 @@ func runAggregateRuns(ctx context.Context, db Database, sel *sqlparse.Select, de
 			return nil
 		})
 		if err != nil {
-			return nil, true, err
+			return nil, err
 		}
 	}
 	detail := fmt.Sprintf("%d segments, %d blocks scanned, %d evaluated compressed, %d KB, run-aware",
@@ -144,18 +109,10 @@ func runAggregateRuns(ctx context.Context, db Database, sel *sqlparse.Select, de
 	if st.TailRows > 0 {
 		detail += fmt.Sprintf(", %d tail rows", st.TailRows)
 	}
-	scanDone.Blocks = int64(st.BlocksScanned)
-	scanDone.BlocksCompressed = int64(st.BlocksCompressed)
-	scanDone.Bytes = int64(st.BytesRead)
 	scanDone.Parallel = 1 // run streaming is serial by construction
-	scanDone.Done(int64(st.RowsOut), detail)
+	scanDone.doneScan(st, int64(st.RowsOut), detail)
 
-	aggDone := startOp(ctx, prof, "aggregate")
-	out, err := buildAggOutput(sel, plans, outTypes, groups, order)
-	if err != nil {
-		return nil, true, err
-	}
-	aggDone.Done(int64(out.Len()), fmt.Sprintf("%d groups, %d aggregates, %d runs (run-aware)", out.Len(), len(plans), nruns))
-	res, err = finishSelect(ctx, out, sel, prof)
-	return res, true, err
+	part.op = startOp(ctx, prof, "aggregate")
+	part.how = fmt.Sprintf("%d runs (run-aware)", nruns)
+	return part, nil
 }

@@ -1,12 +1,15 @@
 package sqlexec
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
+	"verticadr/internal/plan"
+	"verticadr/internal/sqlparse"
 	"verticadr/internal/udf"
 )
 
@@ -78,10 +81,30 @@ func resultsIdentical(t *testing.T, label string, a, b *Result) {
 	}
 }
 
+// runDecodeFirst executes sel with the plan's compressed-execution choices
+// stripped: nothing is pushed to storage (the whole WHERE runs as a residual
+// over decoded batches, so no block is matched on its encoded form) and the
+// aggregate folds decoded rows in chunks instead of encoded runs. It is the
+// kernel-vs-kernel baseline for single-table statements.
+func runDecodeFirst(db Database, sel *sqlparse.Select) (*Result, error) {
+	p, err := plan.Build(sel, db)
+	if err != nil {
+		return nil, err
+	}
+	for n := p.Root; ; n = n.Children[0] {
+		n.Runs = false
+		if n.Access != nil {
+			n.Op, n.Access = plan.OpSeqScan, &plan.Access{Residual: p.Sel.Where}
+			break
+		}
+	}
+	return execPlan(context.Background(), db, p, nil)
+}
+
 // TestCompressedExecOnOffBitIdentical runs representative queries — scans
 // with dict/RLE pushdown, dictionary-absent probes, run-aware aggregates
-// over NaN and signed-zero runs — with compressed execution on and off, and
-// requires bit-identical results.
+// over NaN and signed-zero runs — through the engine's plan and through the
+// decode-first kernels, and requires bit-identical results.
 func TestCompressedExecOnOffBitIdentical(t *testing.T) {
 	db := newCompressibleDB(t, 400)
 	queries := []string{
@@ -95,11 +118,8 @@ func TestCompressedExecOnOffBitIdentical(t *testing.T) {
 		"SELECT count(*) FROM t WHERE g <> 'red' AND r < 2",
 	}
 	for _, q := range queries {
-		colstore.SetCompressedEval(true)
 		on, errOn := RunSelect(db, selStmt(t, q))
-		colstore.SetCompressedEval(false)
-		off, errOff := RunSelect(db, selStmt(t, q))
-		colstore.SetCompressedEval(true)
+		off, errOff := runDecodeFirst(db, selStmt(t, q))
 		if (errOn != nil) != (errOff != nil) {
 			t.Fatalf("%s: compressed err %v, decoded err %v", q, errOn, errOff)
 		}
@@ -144,14 +164,11 @@ func TestRunAggregateNaNOverflowMatchesRowPath(t *testing.T) {
 		"SELECT sum(w), avg(w), min(w), max(w), count(w) FROM t",
 		"SELECT k, sum(w), min(w), max(w) FROM t GROUP BY k ORDER BY k",
 	} {
-		colstore.SetCompressedEval(true)
 		on, err := RunSelect(db, selStmt(t, q))
 		if err != nil {
 			t.Fatalf("%s (compressed): %v", q, err)
 		}
-		colstore.SetCompressedEval(false)
-		off, err := RunSelect(db, selStmt(t, q))
-		colstore.SetCompressedEval(true)
+		off, err := runDecodeFirst(db, selStmt(t, q))
 		if err != nil {
 			t.Fatalf("%s (decoded): %v", q, err)
 		}

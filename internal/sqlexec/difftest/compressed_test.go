@@ -4,7 +4,6 @@ import (
 	"flag"
 	"testing"
 
-	"verticadr/internal/colstore"
 	"verticadr/internal/parallel"
 	"verticadr/internal/sqlexec"
 	"verticadr/internal/sqlparse"
@@ -19,12 +18,12 @@ var shortRun = flag.Bool("difftest.short", false, "run a bounded compressed-exec
 // harness: generated queries over encoding-adversarial tables (long RLE runs
 // with NaN and ±0.0, low-cardinality dictionary strings with absent-value
 // probes, run boundaries straddling block edges, all-skipped zone-map
-// blocks), executed three ways — the row-serial reference, the engine with
-// compressed execution, and the engine decoding first — at parallel degrees
-// 1/2/4. All three must agree to the float bit, or all must error.
+// blocks), executed by the row-serial reference and by the engine — which
+// matches predicates on encoded blocks and folds encoded runs wherever its
+// plan says so — at parallel degrees 1/2/4. Both must agree to the float
+// bit, or both must error.
 func TestCompressedDifferentialAdversarial(t *testing.T) {
 	defer parallel.SetDefaultDegree(0)
-	defer colstore.SetCompressedEval(true)
 	gen := NewGen(8088)
 	// Sizes stay within one aggregation chunk (4096) so chunked MIN/MAX and
 	// run-folded MIN/MAX see the same NaN merge order; 96/701 are chosen to
@@ -58,28 +57,24 @@ func TestCompressedDifferentialAdversarial(t *testing.T) {
 		ref, refErr := db.RunReference(sel)
 		for _, deg := range diffDegrees {
 			parallel.SetDefaultDegree(deg)
-			for _, compressed := range []bool{true, false} {
-				colstore.SetCompressedEval(compressed)
-				res, engErr := sqlexec.RunSelect(db, sel)
-				if (refErr != nil) != (engErr != nil) {
-					t.Fatalf("query %d %q degree %d compressed=%v: error mismatch\n  reference: %v\n  engine:    %v",
-						q, sql, deg, compressed, refErr, engErr)
-				}
-				if refErr != nil {
-					errBoth++
-					continue
-				}
-				compareResults(t, q, sql, deg, ref, res)
-				if compressed && deg == 1 && len(ref.Rows) > 0 {
-					nonEmpty++
-				}
+			res, engErr := sqlexec.RunSelect(db, sel)
+			if (refErr != nil) != (engErr != nil) {
+				t.Fatalf("query %d %q degree %d: error mismatch\n  reference: %v\n  engine:    %v",
+					q, sql, deg, refErr, engErr)
+			}
+			if refErr != nil {
+				errBoth++
+				continue
+			}
+			compareResults(t, q, sql, deg, ref, res)
+			if deg == 1 && len(ref.Rows) > 0 {
+				nonEmpty++
 			}
 		}
-		colstore.SetCompressedEval(true)
 	}
 	if nonEmpty == 0 {
 		t.Fatal("no adversarial query produced rows; generator is broken")
 	}
-	t.Logf("ran %d queries x %d degrees x {compressed,decoded}: %d error-agreement cases, %d non-empty results",
+	t.Logf("ran %d queries x %d degrees: %d error-agreement cases, %d non-empty results",
 		nQueries, len(diffDegrees), errBoth, nonEmpty)
 }

@@ -2,9 +2,11 @@ package difftest
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"verticadr/internal/parallel"
+	"verticadr/internal/plan"
 	"verticadr/internal/sqlexec"
 	"verticadr/internal/sqlparse"
 )
@@ -16,14 +18,13 @@ var diffDegrees = []int{1, 2, 4}
 
 // TestDifferentialEngineVsReference is the harness acceptance test: 600
 // generated queries, each rendered to SQL, re-parsed, executed by the naive
-// reference and by the engine — cost-based planner on AND off, at several
-// parallel degrees — and compared exactly: schema, row order, and float
-// bits. Every other table carries B-tree indexes, so the planner's
-// index-scan path runs against the same queries the legacy pipeline serves
-// with full scans.
+// reference and by the engine at several parallel degrees, and compared
+// exactly: schema, row order, and float bits. Every other table carries
+// B-tree indexes, so the same queries run through index scans and through
+// sequential scans. Each query is also profiled against its own plan:
+// every operator that executed must be a node of the tree EXPLAIN prints.
 func TestDifferentialEngineVsReference(t *testing.T) {
 	defer parallel.SetDefaultDegree(0)
-	defer sqlexec.SetPlanner(true)
 	gen := NewGen(2026)
 	sizes := []int{0, 1, 7, 60, 200, 400}
 	const perTable = 50
@@ -58,29 +59,53 @@ func TestDifferentialEngineVsReference(t *testing.T) {
 		ref, refErr := db.RunReference(sel)
 		for _, deg := range diffDegrees {
 			parallel.SetDefaultDegree(deg)
-			for _, planner := range []bool{true, false} {
-				sqlexec.SetPlanner(planner)
-				res, engErr := sqlexec.RunSelect(db, sel)
-				if (refErr != nil) != (engErr != nil) {
-					t.Fatalf("query %d %q degree %d planner=%v: error mismatch\n  reference: %v\n  engine:    %v",
-						q, sql, deg, planner, refErr, engErr)
-				}
-				if refErr != nil {
-					errBoth++
-					continue
-				}
-				compareResults(t, q, sql, deg, ref, res)
-				if ref != nil && len(ref.Rows) > 0 {
-					nonEmpty++
-				}
+			res, engErr := sqlexec.RunSelect(db, sel)
+			if (refErr != nil) != (engErr != nil) {
+				t.Fatalf("query %d %q degree %d: error mismatch\n  reference: %v\n  engine:    %v",
+					q, sql, deg, refErr, engErr)
 			}
+			if refErr != nil {
+				errBoth++
+				continue
+			}
+			compareResults(t, q, sql, deg, ref, res)
+			if ref != nil && len(ref.Rows) > 0 {
+				nonEmpty++
+			}
+		}
+		if refErr == nil {
+			assertProfileIsPlan(t, db, sel)
 		}
 	}
 	if nonEmpty == 0 {
 		t.Fatal("no generated query produced rows; generator is broken")
 	}
-	t.Logf("ran %d queries x %d degrees x planner on/off: %d error-agreement cases, %d non-empty results",
+	t.Logf("ran %d queries x %d degrees: %d error-agreement cases, %d non-empty results",
 		nQueries, len(diffDegrees), errBoth, nonEmpty)
+}
+
+// assertProfileIsPlan executes sel under PROFILE and matches the operators
+// that ran against the statement's plan: one left over means something
+// executed outside the tree EXPLAIN renders.
+func assertProfileIsPlan(t *testing.T, db sqlexec.Database, sel *sqlparse.Select) {
+	t.Helper()
+	p, err := plan.Build(sel, db)
+	if err != nil {
+		t.Fatalf("%q: plan: %v", sel.String(), err)
+	}
+	profiled := *sel
+	profiled.Profile = true
+	res, err := sqlexec.RunSelect(db, &profiled)
+	if err != nil {
+		t.Fatalf("%q: profiled run: %v", sel.String(), err)
+	}
+	var ops []plan.OpStat
+	for _, op := range res.Profile.Ops() {
+		ops = append(ops, plan.OpStat{Op: op.Op, Rows: op.Rows})
+	}
+	if _, unmatched := p.MatchActuals(ops); len(unmatched) > 0 {
+		t.Fatalf("%q: operators %v ran outside the plan\n%s", sel.String(), unmatched, strings.Join(p.Text(nil), "\n"))
+	}
 }
 
 // TestDifferentialJoinVsReference pins the hash-join path against a nested
@@ -152,6 +177,9 @@ func TestDifferentialJoinVsReference(t *testing.T) {
 			if len(ref.Rows) > 0 {
 				nonEmpty++
 			}
+		}
+		if refErr == nil {
+			assertProfileIsPlan(t, db, engStmt.(*sqlparse.Select))
 		}
 	}
 	if nonEmpty == 0 {

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"verticadr/internal/colstore"
+	"verticadr/internal/plan"
 	"verticadr/internal/sqlparse"
 	"verticadr/internal/verr"
 )
@@ -219,7 +220,7 @@ func evalScalarFunc(x *sqlparse.FuncCall, b *colstore.Batch) (*colstore.Vector, 
 	if x.Over != nil {
 		return nil, fmt.Errorf("sqlexec: analytic function %s not allowed in this context", x.Name)
 	}
-	if isAggregate(x.Name) {
+	if plan.IsAggregateFunc(x.Name) {
 		return nil, fmt.Errorf("sqlexec: aggregate %s not allowed in this context", x.Name)
 	}
 	switch x.Name {
@@ -295,114 +296,6 @@ func exprName(e sqlparse.Expr, pos int) string {
 	default:
 		return fmt.Sprintf("col%d", pos)
 	}
-}
-
-func isAggregate(name string) bool {
-	switch name {
-	case "COUNT", "SUM", "AVG", "MIN", "MAX":
-		return true
-	}
-	return false
-}
-
-// hasAggregate reports whether the expression tree contains an aggregate call.
-func hasAggregate(e sqlparse.Expr) bool {
-	switch x := e.(type) {
-	case *sqlparse.FuncCall:
-		if isAggregate(x.Name) {
-			return true
-		}
-		for _, a := range x.Args {
-			if hasAggregate(a) {
-				return true
-			}
-		}
-	case *sqlparse.Binary:
-		return hasAggregate(x.L) || hasAggregate(x.R)
-	case *sqlparse.Unary:
-		return hasAggregate(x.X)
-	}
-	return false
-}
-
-// extractPushdown converts a WHERE clause of the shape `col OP literal` (or
-// `literal OP col`, mirrored) into a storage predicate for zone-map skipping;
-// any other shape returns nil and the filter is applied post-scan.
-func extractPushdown(e sqlparse.Expr) *colstore.Pred {
-	bin, ok := e.(*sqlparse.Binary)
-	if !ok {
-		return nil
-	}
-	opMap := map[string]colstore.CompareOp{
-		"=": colstore.OpEQ, "<>": colstore.OpNE,
-		"<": colstore.OpLT, "<=": colstore.OpLE,
-		">": colstore.OpGT, ">=": colstore.OpGE,
-	}
-	mirror := map[colstore.CompareOp]colstore.CompareOp{
-		colstore.OpEQ: colstore.OpEQ, colstore.OpNE: colstore.OpNE,
-		colstore.OpLT: colstore.OpGT, colstore.OpLE: colstore.OpGE,
-		colstore.OpGT: colstore.OpLT, colstore.OpGE: colstore.OpLE,
-	}
-	op, ok := opMap[bin.Op]
-	if !ok {
-		return nil
-	}
-	if col, okc := bin.L.(*sqlparse.ColRef); okc {
-		if v, okl := literalValue(bin.R); okl {
-			return &colstore.Pred{Col: col.Name, Op: op, Val: v}
-		}
-	}
-	if col, okc := bin.R.(*sqlparse.ColRef); okc {
-		if v, okl := literalValue(bin.L); okl {
-			return &colstore.Pred{Col: col.Name, Op: mirror[op], Val: v}
-		}
-	}
-	return nil
-}
-
-// extractPushdownConj splits a WHERE clause into a storage predicate plus a
-// residual filter. Beyond the single-comparison case, it walks top-level AND
-// chains and pushes down the first pushable conjunct — so zone maps still
-// skip blocks for e.g. `x >= 500 AND y = 3` — keeping the remaining
-// conjuncts as the residual. With no WHERE, or nothing pushable, it returns
-// (nil, where).
-func extractPushdownConj(where sqlparse.Expr) (*colstore.Pred, sqlparse.Expr) {
-	if where == nil {
-		return nil, nil
-	}
-	if p := extractPushdown(where); p != nil {
-		return p, nil
-	}
-	bin, ok := where.(*sqlparse.Binary)
-	if !ok || bin.Op != "AND" {
-		return nil, where
-	}
-	// Flatten the AND chain, push the first pushable conjunct, and rebuild
-	// the rest left-associated.
-	var conjs []sqlparse.Expr
-	var flatten func(e sqlparse.Expr)
-	flatten = func(e sqlparse.Expr) {
-		if b, ok := e.(*sqlparse.Binary); ok && b.Op == "AND" {
-			flatten(b.L)
-			flatten(b.R)
-			return
-		}
-		conjs = append(conjs, e)
-	}
-	flatten(where)
-	for i, c := range conjs {
-		p := extractPushdown(c)
-		if p == nil {
-			continue
-		}
-		rest := append(append([]sqlparse.Expr{}, conjs[:i]...), conjs[i+1:]...)
-		residual := rest[0]
-		for _, r := range rest[1:] {
-			residual = &sqlparse.Binary{Op: "AND", L: residual, R: r}
-		}
-		return p, residual
-	}
-	return nil, where
 }
 
 // Literal evaluates a constant expression: plain literals plus unary minus

@@ -155,28 +155,6 @@ func TestEvalErrors(t *testing.T) {
 	}
 }
 
-func TestExtractPushdown(t *testing.T) {
-	cases := map[string]*colstore.Pred{
-		"i > 5":     {Col: "i", Op: colstore.OpGT, Val: int64(5)},
-		"5 > i":     {Col: "i", Op: colstore.OpLT, Val: int64(5)},
-		"f <= 1.5":  {Col: "f", Op: colstore.OpLE, Val: 1.5},
-		"s = 'x'":   {Col: "s", Op: colstore.OpEQ, Val: "x"},
-		"b <> TRUE": {Col: "b", Op: colstore.OpNE, Val: true},
-	}
-	for s, want := range cases {
-		got := extractPushdown(expr(t, s))
-		if got == nil || got.Col != want.Col || got.Op != want.Op || got.Val != want.Val {
-			t.Fatalf("pushdown %q = %+v, want %+v", s, got, want)
-		}
-	}
-	// Not pushdownable shapes.
-	for _, s := range []string{"i + 1 > 5", "i > f", "i > 5 AND f < 2", "NOT b"} {
-		if got := extractPushdown(expr(t, s)); got != nil {
-			t.Fatalf("%q should not push down, got %+v", s, got)
-		}
-	}
-}
-
 func TestLiteral(t *testing.T) {
 	if v, ok := Literal(expr(t, "42")); !ok || v != int64(42) {
 		t.Fatal("int literal")

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
@@ -83,64 +82,19 @@ func RunSelectCtx(ctx context.Context, db Database, sel *sqlparse.Select) (*Resu
 	return res, nil
 }
 
+// runSelect plans the statement and walks the plan: there is no other
+// executor. Planning errors (missing table, unbound placeholders, invalid
+// joins) surface to the user as they are.
 func runSelect(ctx context.Context, db Database, sel *sqlparse.Select, prof *Profile) (*Result, error) {
-	kind := "projection"
-	defer func() {
-		telemetry.Default().Counter("sqlexec_queries_total", telemetry.L("kind", kind)).Inc()
-	}()
+	telemetry.Default().Counter("sqlexec_queries_total", telemetry.L("kind", plan.KindOf(sel))).Inc()
 	if err := verr.Canceled(ctx.Err()); err != nil {
 		return nil, err
 	}
-	// Joins only execute through the planner (hash-join path); planning
-	// errors for them surface to the user.
-	if len(sel.Joins) > 0 {
-		kind = "join"
-		p, err := plan.Build(sel, db)
-		if err != nil {
-			return nil, err
-		}
-		return execPlan(ctx, db, p, prof)
+	p, err := plan.Build(sel, db)
+	if err != nil {
+		return nil, err
 	}
-	// UDTF query: exactly one projection which is a function call with OVER.
-	if fc := udtfCall(sel); fc != nil {
-		kind = "udtf"
-		return runUDTF(ctx, db, sel, fc, prof)
-	}
-	if sel.From == "" {
-		kind = "const"
-		return runConstSelect(ctx, sel, prof)
-	}
-	agg := len(sel.GroupBy) > 0
-	for _, item := range sel.Items {
-		if !item.Star && hasAggregate(item.Expr) {
-			agg = true
-		}
-	}
-	if agg {
-		kind = "aggregate"
-	}
-	if PlannerEnabled() {
-		if p, err := plan.Build(sel, db); err == nil {
-			return execPlan(ctx, db, p, prof)
-		}
-		// Planning failed: fall back to the fixed pipeline, which re-derives
-		// the statement and reports its richer validation errors.
-	}
-	if agg {
-		return runAggregate(ctx, db, sel, prof)
-	}
-	return runProjection(ctx, db, sel, prof)
-}
-
-func udtfCall(sel *sqlparse.Select) *sqlparse.FuncCall {
-	if len(sel.Items) != 1 || sel.Items[0].Star {
-		return nil
-	}
-	fc, ok := sel.Items[0].Expr.(*sqlparse.FuncCall)
-	if !ok || fc.Over == nil {
-		return nil
-	}
-	return fc
+	return execPlan(ctx, db, p, prof)
 }
 
 func runConstSelect(ctx context.Context, sel *sqlparse.Select, prof *Profile) (*Result, error) {
@@ -224,149 +178,6 @@ func collectCols(sel *sqlparse.Select, schema colstore.Schema) ([]string, error)
 	return names, nil
 }
 
-// scanTable scans all segments of a table in parallel, applying the WHERE
-// clause (pushing down one single-column comparison — including the first
-// pushable conjunct of an AND chain — for zone-map skipping), and returns
-// the concatenated surviving rows projected to `cols`.
-func scanTable(ctx context.Context, db Database, table string, cols []string, where sqlparse.Expr, prof *Profile) (*colstore.Batch, error) {
-	pushed, residual := extractPushdownConj(where)
-	return scanTableAccess(ctx, db, table, cols, pushed, nil, residual, prof)
-}
-
-// scanTableAccess is the scan engine under both pipelines: the fixed
-// pipeline passes one pushed predicate and no zone predicates; the planner
-// additionally passes every other pushable conjunct as a zone-map pruning
-// predicate (their conjuncts stay in residual — zone predicates only skip
-// whole blocks, never filter rows).
-func scanTableAccess(ctx context.Context, db Database, table string, cols []string, pushed *colstore.Pred, zone []colstore.Pred, residual sqlparse.Expr, prof *Profile) (*colstore.Batch, error) {
-	def, err := db.TableDef(table)
-	if err != nil {
-		return nil, err
-	}
-	segs, err := db.Segments(table)
-	if err != nil {
-		return nil, err
-	}
-	if len(cols) == 0 {
-		// COUNT(*) with no column references still needs row counts; scan
-		// one column rather than (nil = all) against an empty projection.
-		cols = []string{def.Schema[0].Name}
-	}
-	outSchema, err := def.Schema.Project(cols)
-	if err != nil {
-		return nil, err
-	}
-	scanDone := startOp(ctx, prof, "scan")
-	// Each segment scans on its own goroutine (the per-node parallelism the
-	// executor always had); within a segment, blocks decode on a worker pool
-	// whose degree divides the process-wide degree across segments, so total
-	// concurrency tracks -j regardless of segment count.
-	deg := parallel.Default().Degree()
-	segDeg := (deg + len(segs) - 1) / max(len(segs), 1)
-	pool := parallel.NewPool(segDeg)
-	results := make([]*colstore.Batch, len(segs))
-	errs := make([]error, len(segs))
-	stats := make([]colstore.ScanStats, len(segs))
-	var scanRows, filterRows int64
-	var wg sync.WaitGroup
-	for i, seg := range segs {
-		wg.Add(1)
-		go func(i int, seg *colstore.Segment) {
-			defer wg.Done()
-			// Scan needed + residual-filter columns, filter, then project.
-			scanCols := cols
-			if residual != nil {
-				// Residual filters may need columns outside the projection.
-				extra, err := collectCols(&sqlparse.Select{Where: residual}, def.Schema)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				scanCols = union(cols, extra)
-			}
-			local := colstore.NewBatch(mustProject(def.Schema, scanCols))
-			var idx []int // residual-filter scratch, reused across batches
-			err := seg.ParScanZoneWithStatsCtx(ctx, scanCols, pushed, zone, pool, &stats[i], func(b *colstore.Batch) error {
-				if residual != nil {
-					keep, err := evalExpr(residual, b)
-					if err != nil {
-						return err
-					}
-					if keep.Type != colstore.TypeBool {
-						return fmt.Errorf("sqlexec: WHERE clause is not boolean")
-					}
-					idx = idx[:0]
-					for r, k := range keep.Bools {
-						if k {
-							idx = append(idx, r)
-						}
-					}
-					// Gather straight into the accumulator: no intermediate
-					// batch materializes the rejected rows.
-					return local.AppendGather(b, idx)
-				}
-				return local.AppendBatch(b)
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			pb, err := local.Project(cols)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = pb
-		}(i, seg)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	var merged colstore.ScanStats
-	for i := range stats {
-		merged.Add(stats[i])
-		scanRows += int64(stats[i].RowsOut)
-	}
-	detail := fmt.Sprintf("%d segments, degree %d, %d blocks scanned, %d skipped by zone maps, %d KB",
-		len(segs), segDeg, merged.BlocksScanned, merged.BlocksSkipped, merged.BytesRead/1024)
-	if merged.BlocksCompressed > 0 {
-		detail += fmt.Sprintf(", %d evaluated compressed", merged.BlocksCompressed)
-	}
-	if merged.TailRows > 0 {
-		detail += fmt.Sprintf(", %d tail rows", merged.TailRows)
-	}
-	if pushed != nil {
-		detail += fmt.Sprintf(", pushdown %s %s %v", pushed.Col, pushed.Op, pushed.Val)
-	}
-	if len(zone) > 0 {
-		detail += fmt.Sprintf(", %d zone predicates", len(zone))
-	}
-	scanDone.Blocks = int64(merged.BlocksScanned)
-	scanDone.BlocksSkipped = int64(merged.BlocksSkipped)
-	scanDone.BlocksCompressed = int64(merged.BlocksCompressed)
-	scanDone.Bytes = int64(merged.BytesRead)
-	scanDone.Parallel = segDeg * max(len(segs), 1)
-	scanDone.Done(scanRows, detail)
-	filterDone := startOp(ctx, prof, "filter")
-	out := colstore.NewBatch(outSchema)
-	for _, b := range results {
-		if b == nil {
-			continue
-		}
-		filterRows += int64(b.Len())
-		if err := out.AppendBatch(b); err != nil {
-			return nil, err
-		}
-	}
-	if residual != nil {
-		filterDone.Done(filterRows, fmt.Sprintf("residual WHERE %s", residual.String()))
-	}
-	return out, nil
-}
-
 func union(a, b []string) []string {
 	seen := map[string]bool{}
 	var out []string
@@ -387,25 +198,9 @@ func mustProject(s colstore.Schema, cols []string) colstore.Schema {
 	return p
 }
 
-func runProjection(ctx context.Context, db Database, sel *sqlparse.Select, prof *Profile) (*Result, error) {
-	def, err := db.TableDef(sel.From)
-	if err != nil {
-		return nil, err
-	}
-	cols, err := collectCols(sel, def.Schema)
-	if err != nil {
-		return nil, err
-	}
-	data, err := scanTable(ctx, db, sel.From, cols, sel.Where, prof)
-	if err != nil {
-		return nil, err
-	}
-	return projectBatch(ctx, sel, def.Schema, data, prof)
-}
-
 // projectBatch evaluates the projection items over scanned (or joined) rows.
-// starSchema is the schema `SELECT *` expands against — the table definition
-// under the fixed pipeline, the join output under the planner.
+// starSchema is the schema `SELECT *` expands against: the table definition
+// for a single-table scan, the join output otherwise.
 func projectBatch(ctx context.Context, sel *sqlparse.Select, starSchema colstore.Schema, data *colstore.Batch, prof *Profile) (*Result, error) {
 	projDone := startOp(ctx, prof, "project")
 	out := &colstore.Batch{}
@@ -673,7 +468,7 @@ func aggItemPlans(sel *sqlparse.Select) ([]aggItemPlan, error) {
 			}
 			plans = append(plans, aggItemPlan{isGroupCol: true, colName: x.Name, outName: name})
 		case *sqlparse.FuncCall:
-			if !isAggregate(x.Name) {
+			if !plan.IsAggregateFunc(x.Name) {
 				return nil, fmt.Errorf("sqlexec: %s is not an aggregate", x.Name)
 			}
 			if !x.Star && len(x.Args) != 1 {
@@ -687,75 +482,91 @@ func aggItemPlans(sel *sqlparse.Select) ([]aggItemPlan, error) {
 	return plans, nil
 }
 
-func runAggregate(ctx context.Context, db Database, sel *sqlparse.Select, prof *Profile) (*Result, error) {
-	def, err := db.TableDef(sel.From)
-	if err != nil {
-		return nil, err
+// aggPartialAcc is an Aggregate node's accumulated, not yet finalized state:
+// groups keyed by their rendered group key, the keys in first-appearance
+// order, and the resolved output types. Local execution finalizes it
+// (buildAggOutput); a cluster peer ships it to the router as an AggPartial.
+type aggPartialAcc struct {
+	plans    []aggItemPlan
+	outTypes []colstore.Type
+	groups   map[string]*aggGroup
+	order    []string
+
+	op  *opTimer // the open "aggregate" operator; done ends it
+	how string   // what was folded: "N chunks" or "N runs (run-aware)"
+}
+
+// done ends the aggregate operator, reporting rows output rows.
+func (p *aggPartialAcc) done(rows int) {
+	p.op.Done(int64(rows), fmt.Sprintf("%d groups, %d aggregates, %s", rows, len(p.plans), p.how))
+}
+
+// group returns the accumulator for key. A key seen for the first time gets
+// empty states and its first appearance recorded; fresh tells the caller to
+// fill in the group's key values.
+func (p *aggPartialAcc) group(key string) (g *aggGroup, fresh bool) {
+	if g, ok := p.groups[key]; ok {
+		return g, false
 	}
-	cols, err := collectCols(sel, def.Schema)
-	if err != nil {
-		return nil, err
+	g = &aggGroup{states: make([]*aggState, len(p.plans))}
+	for pi, pl := range p.plans {
+		if pl.fn != nil {
+			g.states[pi] = &aggState{fn: pl.fn.Name}
+		}
 	}
+	p.groups[key] = g
+	p.order = append(p.order, key)
+	return g, true
+}
+
+// aggregatePartial executes an Aggregate plan node up to, not including,
+// finalization — the one partial-producing kernel under local execution and
+// cluster peers alike. When the plan says Runs it folds encoded runs straight
+// off the segments; otherwise it materializes the node's input through the
+// plan's access path and folds fixed-size row chunks. The "aggregate"
+// operator is left open for the caller to end with its output row count.
+func aggregatePartial(ctx context.Context, db Database, agg *plan.Node, sel *sqlparse.Select, prof *Profile) (*aggPartialAcc, error) {
 	plans, err := aggItemPlans(sel)
 	if err != nil {
 		return nil, err
 	}
-	// Run-aware fast path: with no WHERE and bare-column arguments, aggregate
-	// directly over encoded runs instead of materializing every row.
-	if res, handled, err := runAggregateRuns(ctx, db, sel, def, plans, prof); handled {
-		return res, err
+	in := agg.Children[0]
+	if agg.Runs {
+		return aggregateRuns(ctx, db, in.Table, sel, plans, prof)
 	}
-	data, err := scanTable(ctx, db, sel.From, cols, sel.Where, prof)
+	data, err := execData(ctx, db, in, sel, prof)
 	if err != nil {
 		return nil, err
 	}
-	return aggregateBatch(ctx, sel, plans, data, prof)
-}
-
-// aggregateBatch runs the deterministic chunked partial aggregation over
-// already-scanned (or joined) rows. Chunk boundaries depend only on the row
-// count, so results are bitwise identical at every parallel degree.
-func aggregateBatch(ctx context.Context, sel *sqlparse.Select, plans []aggItemPlan, data *colstore.Batch, prof *Profile) (*Result, error) {
 	aggDone := startOp(ctx, prof, "aggregate")
-	part, argVecs, nchunks, err := aggregateChunks(ctx, sel, plans, data)
-	if err != nil {
-		return nil, err
-	}
-	outTypes, err := aggOutputTypes(plans, data, argVecs)
-	if err != nil {
-		return nil, err
-	}
-	out, err := buildAggOutput(sel, plans, outTypes, part.groups, part.order)
-	if err != nil {
-		return nil, err
-	}
 	aggDone.Parallel = parallel.Default().Degree()
-	aggDone.Done(int64(out.Len()), fmt.Sprintf("%d groups, %d aggregates, %d chunks", out.Len(), len(plans), nchunks))
-	return finishSelect(ctx, out, sel, prof)
-}
-
-// aggPartialAcc is the accumulated partial-aggregation state: groups keyed
-// by their rendered group key, plus the keys in first-appearance order.
-type aggPartialAcc struct {
-	groups map[string]*aggGroup
-	order  []string
+	part, err := aggregateChunks(ctx, sel, plans, data)
+	if err != nil {
+		return nil, err
+	}
+	part.op = aggDone
+	return part, nil
 }
 
 // aggregateChunks runs the deterministic chunked partial aggregation over
-// data and returns the folded partial (plus the evaluated aggregate argument
-// vectors, for output typing). Shared by the local finalizing path and the
-// cluster's per-shard partial path.
-func aggregateChunks(ctx context.Context, sel *sqlparse.Select, plans []aggItemPlan, data *colstore.Batch) (*aggPartialAcc, []*colstore.Vector, int, error) {
+// already-scanned (or joined) rows. Chunk boundaries depend only on the row
+// count, so results are bitwise identical at every parallel degree.
+func aggregateChunks(ctx context.Context, sel *sqlparse.Select, plans []aggItemPlan, data *colstore.Batch) (*aggPartialAcc, error) {
 	// Evaluate aggregate argument vectors once.
 	argVecs := make([]*colstore.Vector, len(plans))
+	argTypes := make([]colstore.Type, len(plans))
 	for pi, p := range plans {
 		if p.fn != nil && !p.fn.Star {
 			v, err := evalExpr(p.fn.Args[0], data)
 			if err != nil {
-				return nil, nil, 0, err
+				return nil, err
 			}
-			argVecs[pi] = v
+			argVecs[pi], argTypes[pi] = v, v.Type
 		}
+	}
+	outTypes, err := aggOutputTypes(plans, data.Schema, argTypes)
+	if err != nil {
+		return nil, err
 	}
 	groupIdx := make([]int, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
@@ -767,11 +578,10 @@ func aggregateChunks(ctx context.Context, sel *sqlparse.Select, plans []aggItemP
 	// deterministic tree. Merging adjacent chunks' first-appearance orders
 	// yields exactly the serial first-appearance order, and float sums are
 	// bitwise reproducible at every degree.
-	type aggPartial = aggPartialAcc
 	n := data.Len()
 	nchunks := (n + aggChunkRows - 1) / aggChunkRows
 	part, err := parallel.Reduce(parallel.Default(), nchunks,
-		func(ci int) (*aggPartial, error) {
+		func(ci int) (*aggPartialAcc, error) {
 			// Cancellation is honored per 4096-row chunk.
 			if err := verr.Canceled(ctx.Err()); err != nil {
 				return nil, err
@@ -780,7 +590,7 @@ func aggregateChunks(ctx context.Context, sel *sqlparse.Select, plans []aggItemP
 			if hi > n {
 				hi = n
 			}
-			p := &aggPartial{groups: map[string]*aggGroup{}}
+			p := &aggPartialAcc{plans: plans, groups: map[string]*aggGroup{}}
 			for r := lo; r < hi; r++ {
 				var kb strings.Builder
 				keyVals := make([]any, len(groupIdx))
@@ -789,19 +599,9 @@ func aggregateChunks(ctx context.Context, sel *sqlparse.Select, plans []aggItemP
 					keyVals[i] = v
 					fmt.Fprintf(&kb, "%v\x00", v)
 				}
-				key := kb.String()
-				g, ok := p.groups[key]
-				if !ok {
-					g = &aggGroup{keyVals: keyVals}
-					for _, pl := range plans {
-						if pl.fn != nil {
-							g.states = append(g.states, &aggState{fn: pl.fn.Name})
-						} else {
-							g.states = append(g.states, nil)
-						}
-					}
-					p.groups[key] = g
-					p.order = append(p.order, key)
+				g, fresh := p.group(kb.String())
+				if fresh {
+					g.keyVals = keyVals
 				}
 				for pi, pl := range plans {
 					if pl.fn == nil {
@@ -818,7 +618,7 @@ func aggregateChunks(ctx context.Context, sel *sqlparse.Select, plans []aggItemP
 			}
 			return p, nil
 		},
-		func(a, b *aggPartial) (*aggPartial, error) {
+		func(a, b *aggPartialAcc) (*aggPartialAcc, error) {
 			for _, key := range b.order {
 				bg := b.groups[key]
 				ag, ok := a.groups[key]
@@ -839,22 +639,25 @@ func aggregateChunks(ctx context.Context, sel *sqlparse.Select, plans []aggItemP
 			return a, nil
 		})
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
 	if part == nil { // zero rows scanned: no chunks ran
-		part = &aggPartial{groups: map[string]*aggGroup{}}
+		part = &aggPartialAcc{plans: plans, groups: map[string]*aggGroup{}}
 	}
-	return part, argVecs, nchunks, nil
+	part.outTypes = outTypes
+	part.how = fmt.Sprintf("%d chunks", nchunks)
+	return part, nil
 }
 
-// aggOutputTypes resolves output column types (MIN/MAX keep their input
-// type). Deterministic in the table schema and statement alone, so every
-// shard of a distributed aggregate resolves the same types.
-func aggOutputTypes(plans []aggItemPlan, data *colstore.Batch, argVecs []*colstore.Vector) ([]colstore.Type, error) {
+// aggOutputTypes resolves output column types (MIN/MAX keep their argument's
+// type) from the input schema and the aggregate argument types.
+// Deterministic in the table schema and statement alone, so every shard of a
+// distributed aggregate resolves the same types.
+func aggOutputTypes(plans []aggItemPlan, schema colstore.Schema, argTypes []colstore.Type) ([]colstore.Type, error) {
 	outTypes := make([]colstore.Type, len(plans))
 	for pi, p := range plans {
 		if p.isGroupCol {
-			outTypes[pi] = data.Schema[data.Schema.ColIndex(p.colName)].Type
+			outTypes[pi] = schema[schema.ColIndex(p.colName)].Type
 			continue
 		}
 		switch p.fn.Name {
@@ -866,7 +669,7 @@ func aggOutputTypes(plans []aggItemPlan, data *colstore.Batch, argVecs []*colsto
 			if p.fn.Star {
 				return nil, fmt.Errorf("sqlexec: %s(*) not supported", p.fn.Name)
 			}
-			outTypes[pi] = argVecs[pi].Type
+			outTypes[pi] = argTypes[pi]
 		}
 	}
 	return outTypes, nil
@@ -875,24 +678,19 @@ func aggOutputTypes(plans []aggItemPlan, data *colstore.Batch, argVecs []*colsto
 // buildAggOutput materializes the grouped aggregate states into the output
 // batch in group first-appearance order. A global aggregate over zero rows
 // still yields one row (COUNT 0, SUM +0.0; MIN/MAX error).
-func buildAggOutput(sel *sqlparse.Select, plans []aggItemPlan, outTypes []colstore.Type, groups map[string]*aggGroup, order []string) (*colstore.Batch, error) {
-	if len(sel.GroupBy) == 0 && len(order) == 0 {
-		g := &aggGroup{}
-		for _, p := range plans {
-			g.states = append(g.states, &aggState{fn: p.fn.Name})
-		}
-		groups[""] = g
-		order = append(order, "")
+func buildAggOutput(sel *sqlparse.Select, part *aggPartialAcc) (*colstore.Batch, error) {
+	if len(sel.GroupBy) == 0 && len(part.order) == 0 {
+		part.group("")
 	}
 	out := &colstore.Batch{}
-	for pi, p := range plans {
-		out.Schema = append(out.Schema, colstore.ColumnSchema{Name: p.outName, Type: outTypes[pi]})
-		out.Cols = append(out.Cols, colstore.NewVector(outTypes[pi], len(order)))
+	for pi, p := range part.plans {
+		out.Schema = append(out.Schema, colstore.ColumnSchema{Name: p.outName, Type: part.outTypes[pi]})
+		out.Cols = append(out.Cols, colstore.NewVector(part.outTypes[pi], len(part.order)))
 	}
-	for _, key := range order {
-		g := groups[key]
+	for _, key := range part.order {
+		g := part.groups[key]
 		gi := 0
-		for pi, p := range plans {
+		for pi, p := range part.plans {
 			var v any
 			if p.isGroupCol {
 				for i, name := range sel.GroupBy {

@@ -1,12 +1,14 @@
 package sqlexec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
 	"verticadr/internal/sqlparse"
+	"verticadr/internal/telemetry"
 	"verticadr/internal/udf"
 )
 
@@ -152,36 +154,32 @@ func TestConjunctionPushdownSkipsBlocks(t *testing.T) {
 	}
 }
 
-func TestExtractPushdownConj(t *testing.T) {
-	// Whole clause pushable: no residual.
-	p, res := extractPushdownConj(expr(t, "i > 5"))
-	if p == nil || res != nil {
-		t.Fatalf("single comparison: p=%v res=%v", p, res)
-	}
-	// First conjunct pushable.
-	p, res = extractPushdownConj(expr(t, "i > 5 AND f < 2.0 AND b"))
-	if p == nil || p.Col != "i" || p.Op != colstore.OpGT {
-		t.Fatalf("AND chain pushdown = %+v", p)
-	}
-	if res == nil || !strings.Contains(res.String(), "f") || !strings.Contains(res.String(), "b") {
-		t.Fatalf("residual = %v, want remaining conjuncts", res)
-	}
-	// Pushable conjunct in the middle.
-	p, res = extractPushdownConj(expr(t, "b AND i = 3 AND NOT b"))
-	if p == nil || p.Col != "i" || p.Op != colstore.OpEQ {
-		t.Fatalf("middle conjunct pushdown = %+v", p)
-	}
-	if res == nil {
-		t.Fatal("residual should keep the non-pushable conjuncts")
-	}
-	// Nothing pushable: WHERE passes through untouched.
-	e := expr(t, "b OR i > 5")
-	p, res = extractPushdownConj(e)
-	if p != nil || res != e {
-		t.Fatalf("OR clause: p=%v res=%v", p, res)
-	}
-	if p, res = extractPushdownConj(nil); p != nil || res != nil {
-		t.Fatal("nil WHERE")
+// Every operator span a traced query opens is ended — with a residual (the
+// filter operator runs) and without one (it must not be opened at all).
+func TestTracedSelectEndsEverySpan(t *testing.T) {
+	db := newFakeDB(t, 1000)
+	for sql, wantFilter := range map[string]bool{
+		"SELECT x FROM t WHERE x >= 900":           false,
+		"SELECT x FROM t WHERE x >= 900 AND y = 3": true,
+		"SELECT y, count(*) FROM t GROUP BY y":     false,
+	} {
+		log := telemetry.NewSpanLog(nil)
+		root := log.StartSpan("query")
+		ctx := telemetry.ContextWithSpan(context.Background(), root)
+		if _, err := RunSelectCtx(ctx, db, selStmt(t, sql)); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		root.End()
+		sawFilter := false
+		for _, sp := range log.Export() {
+			if !sp.Ended {
+				t.Fatalf("%s: span %s was never ended", sql, sp.Name)
+			}
+			sawFilter = sawFilter || sp.Name == "op:filter"
+		}
+		if sawFilter != wantFilter {
+			t.Fatalf("%s: op:filter span present = %v, want %v", sql, sawFilter, wantFilter)
+		}
 	}
 }
 

@@ -83,8 +83,8 @@ func fuzzAggDB(t *testing.T, brSel uint8, seal bool, data []byte) *fakeDB {
 // FuzzCompressedAggregateEquivalence pins the run-aware aggregate path (and
 // the compressed WHERE matcher feeding row aggregation) bit-identical to the
 // decode-first row path: the same query over the same fuzz-shaped table must
-// produce the same result with compressed execution on and off, or fail on
-// both sides.
+// produce the same result through the engine's plan and through
+// runDecodeFirst, or fail on both sides.
 func FuzzCompressedAggregateEquivalence(f *testing.F) {
 	// One seed per query shape over run-heavy data, plus NaN/Inf-dense and
 	// empty-table seeds.
@@ -97,14 +97,11 @@ func FuzzCompressedAggregateEquivalence(f *testing.F) {
 	f.Add(uint8(4), uint8(255), false, []byte{0x01, 0xff, 0x3c, 0x99})     // unsealed tail only
 
 	f.Fuzz(func(t *testing.T, qSel, brSel uint8, seal bool, data []byte) {
-		defer colstore.SetCompressedEval(true)
 		db := fuzzAggDB(t, brSel, seal, data)
 		sel := selStmt(t, fuzzAggQueries[int(qSel)%len(fuzzAggQueries)])
 
-		colstore.SetCompressedEval(true)
 		onRes, onErr := RunSelect(db, sel)
-		colstore.SetCompressedEval(false)
-		offRes, offErr := RunSelect(db, sel)
+		offRes, offErr := runDecodeFirst(db, sel)
 		if (onErr != nil) != (offErr != nil) {
 			t.Fatalf("error disagreement\n  compressed: %v\n  decoded:    %v", onErr, offErr)
 		}

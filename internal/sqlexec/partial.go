@@ -1,11 +1,11 @@
 package sqlexec
 
 import (
+	"context"
 	"fmt"
 
-	"context"
-
 	"verticadr/internal/colstore"
+	"verticadr/internal/plan"
 	"verticadr/internal/sqlparse"
 )
 
@@ -51,55 +51,27 @@ type AggPartialState struct {
 	Max   any
 }
 
-// IsAggregateSelect reports whether sel executes through the aggregation
-// pipeline: it has a GROUP BY or an aggregate projection item, and is not a
-// UDTF invocation (which is classified first, as in the executor).
-func IsAggregateSelect(sel *sqlparse.Select) bool {
-	if udtfCall(sel) != nil {
-		return false
-	}
-	if len(sel.GroupBy) > 0 {
-		return true
-	}
-	for _, item := range sel.Items {
-		if !item.Star && hasAggregate(item.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-// RunPartialAggregate executes the scan and chunked partial aggregation of
-// an aggregate SELECT over db — typically a single-shard view — without
-// finalizing: ORDER BY, LIMIT and AVG's division are left to the merging
-// side. The group order in the result is the shard's first-appearance
-// order.
+// RunPartialAggregate executes an aggregate SELECT over db — typically a
+// single-shard view — without finalizing: the statement's plan runs up to
+// and including the Aggregate node's accumulation (the same access path and
+// kernel local execution uses), and ORDER BY, LIMIT and AVG's division are
+// left to the merging side. The group order in the result is the shard's
+// first-appearance order.
 func RunPartialAggregate(ctx context.Context, db Database, sel *sqlparse.Select) (*AggPartial, error) {
-	def, err := db.TableDef(sel.From)
+	p, err := plan.Build(sel, db)
 	if err != nil {
 		return nil, err
 	}
-	cols, err := collectCols(sel, def.Schema)
+	agg := coreNode(p)
+	if agg.Op != plan.OpAggregate {
+		return nil, fmt.Errorf("sqlexec: partial aggregation of a non-aggregate statement (plan root %s)", agg.Op)
+	}
+	part, err := aggregatePartial(ctx, db, agg, p.Sel, nil)
 	if err != nil {
 		return nil, err
 	}
-	plans, err := aggItemPlans(sel)
-	if err != nil {
-		return nil, err
-	}
-	data, err := scanTable(ctx, db, sel.From, cols, sel.Where, nil)
-	if err != nil {
-		return nil, err
-	}
-	part, argVecs, _, err := aggregateChunks(ctx, sel, plans, data)
-	if err != nil {
-		return nil, err
-	}
-	outTypes, err := aggOutputTypes(plans, data, argVecs)
-	if err != nil {
-		return nil, err
-	}
-	out := &AggPartial{OutTypes: outTypes}
+	part.done(len(part.order))
+	out := &AggPartial{OutTypes: part.outTypes}
 	for _, key := range part.order {
 		g := part.groups[key]
 		pg := AggPartialGroup{Key: key, KeyVals: g.keyVals}
@@ -126,23 +98,21 @@ func MergeAggPartials(ctx context.Context, sel *sqlparse.Select, parts []*AggPar
 	if err != nil {
 		return nil, err
 	}
-	groups := map[string]*aggGroup{}
-	var order []string
-	var outTypes []colstore.Type
+	acc := &aggPartialAcc{plans: plans, groups: map[string]*aggGroup{}}
 	for _, p := range parts {
 		if p == nil {
 			continue
 		}
-		if outTypes == nil {
-			outTypes = p.OutTypes
-		} else if len(p.OutTypes) != len(outTypes) {
-			return nil, fmt.Errorf("sqlexec: shard partial has %d output types, want %d", len(p.OutTypes), len(outTypes))
+		if acc.outTypes == nil {
+			acc.outTypes = p.OutTypes
+		} else if len(p.OutTypes) != len(acc.outTypes) {
+			return nil, fmt.Errorf("sqlexec: shard partial has %d output types, want %d", len(p.OutTypes), len(acc.outTypes))
 		}
 		for _, pg := range p.Groups {
 			if len(pg.States) != len(plans) {
 				return nil, fmt.Errorf("sqlexec: shard partial group has %d states, want %d", len(pg.States), len(plans))
 			}
-			g, ok := groups[pg.Key]
+			g, ok := acc.groups[pg.Key]
 			if !ok {
 				g = &aggGroup{keyVals: pg.KeyVals}
 				for _, st := range pg.States {
@@ -154,8 +124,8 @@ func MergeAggPartials(ctx context.Context, sel *sqlparse.Select, parts []*AggPar
 						})
 					}
 				}
-				groups[pg.Key] = g
-				order = append(order, pg.Key)
+				acc.groups[pg.Key] = g
+				acc.order = append(acc.order, pg.Key)
 				continue
 			}
 			for si, st := range pg.States {
@@ -170,10 +140,10 @@ func MergeAggPartials(ctx context.Context, sel *sqlparse.Select, parts []*AggPar
 			}
 		}
 	}
-	if outTypes == nil {
+	if acc.outTypes == nil {
 		return nil, fmt.Errorf("sqlexec: no shard partials to merge")
 	}
-	out, err := buildAggOutput(sel, plans, outTypes, groups, order)
+	out, err := buildAggOutput(sel, acc)
 	if err != nil {
 		return nil, err
 	}

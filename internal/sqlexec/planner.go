@@ -4,49 +4,19 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
+	"sync"
 
 	"verticadr/internal/colstore"
+	"verticadr/internal/parallel"
 	"verticadr/internal/plan"
 	"verticadr/internal/sqlparse"
 	"verticadr/internal/verr"
 )
 
-// The planner path: runSelect lowers a statement through internal/plan and
-// this file walks the resulting physical tree, reusing the fixed pipeline's
-// scan, aggregation, projection, sort, and limit kernels so planner-on and
-// planner-off results are bitwise identical. Joins and EXPLAIN always go
-// through the planner; plain single-table statements fall back to the fixed
-// pipeline when planning fails (or the planner is disabled).
-
-var plannerOn atomic.Bool
-
-func init() { plannerOn.Store(true) }
-
-// SetPlanner toggles the cost-based planner for single-table statements
-// (joins always plan). Off means the fixed first-pushable-conjunct pipeline
-// — the difftest uses the toggle to pin planner-on against planner-off.
-func SetPlanner(on bool) { plannerOn.Store(on) }
-
-// PlannerEnabled reports whether the cost-based planner is active.
-func PlannerEnabled() bool { return plannerOn.Load() }
-
-// RunPlanCtx executes an already-built plan (the server's plan cache keeps
-// physical plans, keyed by catalog epoch). Equivalent to RunSelectCtx over
-// p.Sel minus the planning step.
-func RunPlanCtx(ctx context.Context, db Database, p *plan.Plan) (*Result, error) {
-	var prof *Profile
-	if p.Sel.Profile {
-		prof = NewProfile("")
-	}
-	res, err := execPlan(ctx, db, p, prof)
-	if err != nil {
-		return nil, err
-	}
-	prof.finish()
-	res.Profile = prof
-	return res, nil
-}
+// The plan walker: runSelect, RunExplainCtx and RunPartialAggregate lower a
+// statement through internal/plan and this file executes the resulting
+// physical tree — scans through the plan's access path, joins, and (in
+// exec.go) the aggregation, projection, sort and limit kernels above them.
 
 // RunExplainCtx plans the statement, executes it under a profile, and
 // renders the plan tree with estimated next to actual row counts — one text
@@ -65,7 +35,7 @@ func RunExplainCtx(ctx context.Context, db Database, ex *sqlparse.Explain) (*Res
 	for _, op := range prof.Ops() {
 		ops = append(ops, plan.OpStat{Op: op.Op, Rows: op.Rows})
 	}
-	actuals := p.MatchActuals(ops)
+	actuals, _ := p.MatchActuals(ops)
 	out := &colstore.Batch{
 		Schema: colstore.Schema{{Name: "QUERY PLAN", Type: colstore.TypeString}},
 		Cols:   []*colstore.Vector{colstore.NewVector(colstore.TypeString, 0)},
@@ -88,42 +58,37 @@ func RunExplainCtx(ctx context.Context, db Database, ex *sqlparse.Explain) (*Res
 	return &Result{Batch: out}, nil
 }
 
-// execPlan walks a physical plan. Sort and Limit nodes are not walked —
-// finishSelect applies them from the statement, exactly as the fixed
-// pipeline does — so the walker dispatches on the core operator under them.
+// coreNode returns the operator under the plan's Sort and Limit nodes. Those
+// two are not walked: finishSelect applies them from the statement.
+func coreNode(p *plan.Plan) *plan.Node {
+	n := p.Root
+	for n.Op == plan.OpSort || n.Op == plan.OpLimit {
+		n = n.Children[0]
+	}
+	return n
+}
+
+// execPlan walks a physical plan to a finished result, dispatching on the
+// core operator.
 func execPlan(ctx context.Context, db Database, p *plan.Plan, prof *Profile) (*Result, error) {
 	sel := p.Sel
-	core := p.Root
-	for core.Op == plan.OpSort || core.Op == plan.OpLimit {
-		core = core.Children[0]
-	}
+	core := coreNode(p)
 	switch core.Op {
 	case plan.OpConst:
 		return runConstSelect(ctx, sel, prof)
 	case plan.OpUDTF, plan.OpDotProductJoin:
-		return runUDTF(ctx, db, sel, udtfCall(sel), prof)
+		return runUDTF(ctx, db, sel, core, prof)
 	case plan.OpAggregate:
-		plans, err := aggItemPlans(sel)
+		part, err := aggregatePartial(ctx, db, core, sel, prof)
 		if err != nil {
 			return nil, err
 		}
-		in := core.Children[0]
-		// Run-aware fast path: the plan's Runs flag is advisory; the
-		// executor re-verifies and declines gracefully.
-		if core.Runs && in.Op == plan.OpSeqScan {
-			def, err := db.TableDef(in.Table)
-			if err != nil {
-				return nil, err
-			}
-			if res, handled, err := runAggregateRuns(ctx, db, sel, def, plans, prof); handled {
-				return res, err
-			}
-		}
-		data, err := execData(ctx, db, in, sel, prof)
+		out, err := buildAggOutput(sel, part)
 		if err != nil {
 			return nil, err
 		}
-		return aggregateBatch(ctx, sel, plans, data, prof)
+		part.done(out.Len())
+		return finishSelect(ctx, out, sel, prof)
 	case plan.OpProject:
 		in := core.Children[0]
 		data, err := execData(ctx, db, in, sel, prof)
@@ -150,31 +115,7 @@ func execPlan(ctx context.Context, db Database, p *plan.Plan, prof *Profile) (*R
 func execData(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Select, prof *Profile) (*colstore.Batch, error) {
 	switch n.Op {
 	case plan.OpSeqScan, plan.OpIndexScan:
-		cols := n.Cols
-		if cols == nil {
-			def, err := db.TableDef(n.Table)
-			if err != nil {
-				return nil, err
-			}
-			cols, err = collectCols(sel, def.Schema)
-			if err != nil {
-				return nil, err
-			}
-		}
-		var data *colstore.Batch
-		var err error
-		if n.Op == plan.OpIndexScan {
-			data, err = scanTableIndex(ctx, db, n.Table, cols, n.Access, prof)
-		} else {
-			data, err = scanTableAccess(ctx, db, n.Table, cols, n.Access.Primary, n.Access.Zone, n.Access.Residual, prof)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if n.Alias != "" {
-			data = qualifySchema(data, n.Alias)
-		}
-		return data, nil
+		return execScan(ctx, db, n, sel, prof)
 	case plan.OpHashJoin:
 		l, err := execData(ctx, db, n.Children[0], sel, prof)
 		if err != nil {
@@ -189,6 +130,183 @@ func execData(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Sele
 	return nil, fmt.Errorf("sqlexec: unexpected plan input operator %s", n.Op)
 }
 
+// execScan runs a scan node: the node's columns (or, for a single-table
+// statement, every column the statement references) through the plan's
+// access path — sequential or index — with the residual applied.
+func execScan(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Select, prof *Profile) (*colstore.Batch, error) {
+	def, err := db.TableDef(n.Table)
+	if err != nil {
+		return nil, err
+	}
+	segs, err := db.Segments(n.Table)
+	if err != nil {
+		return nil, err
+	}
+	cols := n.Cols
+	if cols == nil {
+		if cols, err = collectCols(sel, def.Schema); err != nil {
+			return nil, err
+		}
+	}
+	cols = scanColumns(cols, def.Schema)
+	// The residual filter may need columns outside the projection.
+	scanCols := cols
+	if n.Access.Residual != nil {
+		extra, err := collectCols(&sqlparse.Select{Where: n.Access.Residual}, def.Schema)
+		if err != nil {
+			return nil, err
+		}
+		scanCols = union(cols, extra)
+	}
+	scanSchema, err := def.Schema.Project(scanCols)
+	if err != nil {
+		return nil, err
+	}
+	scan := scanSeq
+	if n.Op == plan.OpIndexScan {
+		scan = scanIndex
+	}
+	data, err := scan(ctx, segs, scanSchema, scanCols, cols, n.Access, prof)
+	if err != nil {
+		return nil, err
+	}
+	if n.Alias != "" {
+		data = qualifySchema(data, n.Alias)
+	}
+	return data, nil
+}
+
+// scanColumns is the column list a scan reads: cols, or the table's first
+// column when the statement references none — COUNT(*) and argument-less
+// UDTFs still need row counts, and nil would mean every column.
+func scanColumns(cols []string, schema colstore.Schema) []string {
+	if len(cols) == 0 {
+		return []string{schema[0].Name}
+	}
+	return cols
+}
+
+// filterRows evaluates a boolean filter over b and returns the indexes of
+// the rows it keeps, appended to idx[:0].
+func filterRows(where sqlparse.Expr, b *colstore.Batch, idx []int) ([]int, error) {
+	keep, err := evalExpr(where, b)
+	if err != nil {
+		return nil, err
+	}
+	if keep.Type != colstore.TypeBool {
+		return nil, fmt.Errorf("sqlexec: WHERE clause is not boolean")
+	}
+	idx = idx[:0]
+	for r, k := range keep.Bools {
+		if k {
+			idx = append(idx, r)
+		}
+	}
+	return idx, nil
+}
+
+// scanSegment streams one segment through the access path's exact and
+// zone-map predicates (blocks decoding on pool; nil means serially) and
+// returns the rows that also pass the residual.
+func scanSegment(ctx context.Context, seg *colstore.Segment, schema colstore.Schema, cols []string, acc *plan.Access, pool *parallel.Pool, st *colstore.ScanStats) (*colstore.Batch, error) {
+	out := colstore.NewBatch(schema)
+	var idx []int // residual-filter scratch, reused across batches
+	err := seg.ParScanZoneWithStatsCtx(ctx, cols, acc.Primary, acc.Zone, pool, st, func(b *colstore.Batch) error {
+		if acc.Residual == nil {
+			return out.AppendBatch(b)
+		}
+		var err error
+		if idx, err = filterRows(acc.Residual, b, idx); err != nil {
+			return err
+		}
+		// Gather straight into the accumulator: no intermediate batch
+		// materializes the rejected rows.
+		return out.AppendGather(b, idx)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// scanSeq scans all segments of a table in parallel: the primary predicate
+// is filtered exactly by the storage layer, zone predicates skip whole
+// blocks (their conjuncts stay in the residual), and the residual filters
+// each scanned batch. cols (of schema) are read, outCols of them returned.
+func scanSeq(ctx context.Context, segs []*colstore.Segment, schema colstore.Schema, cols, outCols []string, acc *plan.Access, prof *Profile) (*colstore.Batch, error) {
+	scanDone := startOp(ctx, prof, "scan")
+	// Each segment scans on its own goroutine (the per-node parallelism the
+	// executor always had); within a segment, blocks decode on a worker pool
+	// whose degree divides the process-wide degree across segments, so total
+	// concurrency tracks -j regardless of segment count.
+	deg := parallel.Default().Degree()
+	segDeg := (deg + len(segs) - 1) / max(len(segs), 1)
+	pool := parallel.NewPool(segDeg)
+	results := make([]*colstore.Batch, len(segs))
+	errs := make([]error, len(segs))
+	stats := make([]colstore.ScanStats, len(segs))
+	var wg sync.WaitGroup
+	for i, seg := range segs {
+		wg.Add(1)
+		go func(i int, seg *colstore.Segment) {
+			defer wg.Done()
+			b, err := scanSegment(ctx, seg, schema, cols, acc, pool, &stats[i])
+			if err == nil {
+				b, err = b.Project(outCols)
+			}
+			results[i], errs[i] = b, err
+		}(i, seg)
+	}
+	wg.Wait()
+	for _, e := range errs {
+		if e != nil {
+			return nil, e
+		}
+	}
+	var merged colstore.ScanStats
+	for i := range stats {
+		merged.Add(stats[i])
+	}
+	detail := fmt.Sprintf("%d segments, degree %d, %d blocks scanned, %d skipped by zone maps, %d KB",
+		len(segs), segDeg, merged.BlocksScanned, merged.BlocksSkipped, merged.BytesRead/1024)
+	if merged.BlocksCompressed > 0 {
+		detail += fmt.Sprintf(", %d evaluated compressed", merged.BlocksCompressed)
+	}
+	if merged.TailRows > 0 {
+		detail += fmt.Sprintf(", %d tail rows", merged.TailRows)
+	}
+	scanDone.Parallel = segDeg * max(len(segs), 1)
+	scanDone.doneScan(merged, int64(merged.RowsOut), detail+accessDetail(acc))
+	// The residual ran inside the scan, batch by batch; the filter operator
+	// reports what it kept.
+	var filterDone *opTimer
+	if acc.Residual != nil {
+		filterDone = startOp(ctx, prof, "filter")
+	}
+	out := colstore.NewBatch(mustProject(schema, outCols))
+	for _, b := range results {
+		if err := out.AppendBatch(b); err != nil {
+			return nil, err
+		}
+	}
+	if filterDone != nil {
+		filterDone.Done(int64(out.Len()), fmt.Sprintf("residual WHERE %s", acc.Residual.String()))
+	}
+	return out, nil
+}
+
+// accessDetail names the predicates a sequential scan pushed to storage.
+func accessDetail(acc *plan.Access) string {
+	var detail string
+	if p := acc.Primary; p != nil {
+		detail += fmt.Sprintf(", pushdown %s %s %v", p.Col, p.Op, p.Val)
+	}
+	if len(acc.Zone) > 0 {
+		detail += fmt.Sprintf(", %d zone predicates", len(acc.Zone))
+	}
+	return detail
+}
+
 // qualifySchema renames a scan's columns to their canonical "alias.column"
 // form for join execution. Vectors are shared, not copied.
 func qualifySchema(b *colstore.Batch, alias string) *colstore.Batch {
@@ -200,37 +318,16 @@ func qualifySchema(b *colstore.Batch, alias string) *colstore.Batch {
 	return out
 }
 
-// scanTableIndex serves a table scan through a B-tree secondary index:
-// per segment, Lookup yields matching row positions in scan order and
-// GatherRows decodes only the blocks holding them — O(log n + k) against
-// the full scan's O(n). Segments missing the index (possible mid-DDL or
-// mid-recovery) fall back to a full pushdown scan; row order per segment is
-// identical either way, so results match the sequential path bitwise.
-func scanTableIndex(ctx context.Context, db Database, table string, cols []string, acc *plan.Access, prof *Profile) (*colstore.Batch, error) {
-	def, err := db.TableDef(table)
-	if err != nil {
-		return nil, err
-	}
-	segs, err := db.Segments(table)
-	if err != nil {
-		return nil, err
-	}
-	if len(cols) == 0 {
-		cols = []string{def.Schema[0].Name}
-	}
-	if _, err := def.Schema.Project(cols); err != nil {
-		return nil, err
-	}
-	scanCols := cols
-	if acc.Residual != nil {
-		extra, err := collectCols(&sqlparse.Select{Where: acc.Residual}, def.Schema)
-		if err != nil {
-			return nil, err
-		}
-		scanCols = union(cols, extra)
-	}
+// scanIndex serves a table scan through a B-tree secondary index: per
+// segment, Lookup yields matching row positions in scan order and GatherRows
+// decodes only the blocks holding them — O(log n + k) against the full
+// scan's O(n). Segments missing the index (possible mid-DDL or mid-recovery)
+// fall back to a full pushdown scan; row order per segment is identical
+// either way, so results match the sequential path bitwise. cols (of schema)
+// are read, outCols of them returned.
+func scanIndex(ctx context.Context, segs []*colstore.Segment, schema colstore.Schema, cols, outCols []string, acc *plan.Access, prof *Profile) (*colstore.Batch, error) {
 	scanDone := startOp(ctx, prof, "scan")
-	gathered := colstore.NewBatch(mustProject(def.Schema, scanCols))
+	gathered := colstore.NewBatch(schema)
 	var merged colstore.ScanStats
 	fellBack := 0
 	for _, seg := range segs {
@@ -253,14 +350,14 @@ func scanTableIndex(ctx context.Context, db Database, table string, cols []strin
 				// Residual keeps the rows exact.
 				zone = []colstore.Pred{*acc.Primary2}
 			}
-			err := seg.ScanZoneWithStatsCtx(ctx, scanCols, acc.Primary, zone, &st, gathered.AppendBatch)
+			err := seg.ScanZoneWithStatsCtx(ctx, cols, acc.Primary, zone, &st, gathered.AppendBatch)
 			if err != nil {
 				return nil, err
 			}
 			merged.Add(st)
 			continue
 		}
-		b, err := seg.GatherRows(scanCols, rowids, &st)
+		b, err := seg.GatherRows(cols, rowids, &st)
 		if err != nil {
 			return nil, err
 		}
@@ -282,34 +379,22 @@ func scanTableIndex(ctx context.Context, db Database, table string, cols []strin
 	if fellBack > 0 {
 		detail += fmt.Sprintf(", %d segments without index scanned", fellBack)
 	}
-	scanDone.Blocks = int64(merged.BlocksScanned)
-	scanDone.BlocksSkipped = int64(merged.BlocksSkipped)
-	scanDone.Bytes = int64(merged.BytesRead)
 	scanDone.Parallel = 1
-	scanDone.Done(int64(gathered.Len()), detail)
+	scanDone.doneScan(merged, int64(gathered.Len()), detail)
 	out := gathered
 	if acc.Residual != nil {
 		filterDone := startOp(ctx, prof, "filter")
-		keep, err := evalExpr(acc.Residual, gathered)
+		idx, err := filterRows(acc.Residual, gathered, nil)
 		if err != nil {
 			return nil, err
 		}
-		if keep.Type != colstore.TypeBool {
-			return nil, fmt.Errorf("sqlexec: WHERE clause is not boolean")
-		}
-		var idx []int
-		for r, k := range keep.Bools {
-			if k {
-				idx = append(idx, r)
-			}
-		}
-		out = colstore.NewBatch(gathered.Schema)
+		out = colstore.NewBatch(schema)
 		if err := out.AppendGather(gathered, idx); err != nil {
 			return nil, err
 		}
 		filterDone.Done(int64(out.Len()), fmt.Sprintf("residual WHERE %s", acc.Residual.String()))
 	}
-	return out.Project(cols)
+	return out.Project(outCols)
 }
 
 // hashJoin joins two materialized sides on single equality keys, emitting
@@ -385,18 +470,9 @@ func hashJoin(ctx context.Context, left, right *colstore.Batch, n *plan.Node, pr
 	joinDone.Done(int64(out.Len()), fmt.Sprintf("%s = %s, %d build rows", n.LeftKey, n.RightKey, right.Len()))
 	if n.Residual != nil {
 		filterDone := startOp(ctx, prof, "filter")
-		keep, err := evalExpr(n.Residual, out)
+		idx, err := filterRows(n.Residual, out, nil)
 		if err != nil {
 			return nil, err
-		}
-		if keep.Type != colstore.TypeBool {
-			return nil, fmt.Errorf("sqlexec: WHERE clause is not boolean")
-		}
-		var idx []int
-		for r, k := range keep.Bools {
-			if k {
-				idx = append(idx, r)
-			}
 		}
 		out = out.Gather(idx)
 		filterDone.Done(int64(out.Len()), fmt.Sprintf("join filter %s", n.Residual.String()))

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"verticadr/internal/colstore"
 	"verticadr/internal/telemetry"
 )
 
@@ -120,6 +121,15 @@ func (t *opTimer) Done(rows int64, detail string) {
 		Parallel: t.Parallel, Detail: detail,
 	})
 	t.p.mu.Unlock()
+}
+
+// doneScan ends a scan operator with the storage layer's block accounting.
+func (t *opTimer) doneScan(st colstore.ScanStats, rows int64, detail string) {
+	t.Blocks = int64(st.BlocksScanned)
+	t.BlocksSkipped = int64(st.BlocksSkipped)
+	t.BlocksCompressed = int64(st.BlocksCompressed)
+	t.Bytes = int64(st.BytesRead)
+	t.Done(rows, detail)
 }
 
 // finish stamps the total. Nil-safe.

@@ -21,13 +21,13 @@ import (
 // node's local segment is split into UDFInstancesPerNode chunks processed
 // locally (the paper's locality-friendly mode, §3.1); with PARTITION BY, rows
 // are grouped by the key columns and each group is one partition.
-func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, fc *sqlparse.FuncCall, prof *Profile) (*Result, error) {
-	if sel.From == "" {
-		return nil, fmt.Errorf("sqlexec: UDTF query requires a FROM clause")
-	}
-	if len(sel.GroupBy) > 0 {
-		return nil, fmt.Errorf("sqlexec: UDTF queries do not support GROUP BY")
-	}
+//
+// n is the plan's UDTF (or dot-product join) node; its child is the input
+// scan, always sequential: the input streams segment by segment.
+func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Node, prof *Profile) (*Result, error) {
+	// The plan roots in a UDTF node exactly when the statement's one
+	// projection is a function call with OVER.
+	fc := sel.Items[0].Expr.(*sqlparse.FuncCall)
 	factory, err := db.UDFs().Lookup(fc.Name)
 	if err != nil {
 		return nil, err
@@ -63,23 +63,19 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, fc *sqlpars
 	if err != nil {
 		return nil, err
 	}
-	// WHERE filters the UDTF's input rows before partitioning: the planner's
-	// access chooser pushes the most selective pushable conjunct down to the
-	// storage scan exactly (zone-map skipping + compressed evaluation) and
-	// every other pushable conjunct as a zone-map-only pruning predicate;
-	// the rest evaluates as a residual over the scanned batch.
-	acc, err := plan.ScanAccess(db, sel.From, sel.Where, true)
-	if err != nil {
-		return nil, err
-	}
-	pushed, zone, residual := acc.Primary, acc.Zone, acc.Residual
+	// WHERE filters the UDTF's input rows before partitioning, through the
+	// input scan's access path: the most selective pushable conjunct exactly
+	// at the storage scan (zone-map skipping + compressed evaluation), every
+	// other pushable conjunct as a zone-map-only pruning predicate, the rest
+	// as a residual over the scanned batch.
+	acc := n.Children[0].Access
 	if sel.Where != nil {
 		if _, err := collectCols(&sqlparse.Select{Where: sel.Where}, def.Schema); err != nil {
 			return nil, err
 		}
 	}
-	if residual != nil {
-		extra, err := collectCols(&sqlparse.Select{Where: residual}, def.Schema)
+	if acc.Residual != nil {
+		extra, err := collectCols(&sqlparse.Select{Where: acc.Residual}, def.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -99,12 +95,15 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, fc *sqlpars
 		node int
 		data *colstore.Batch // already projected to inSchema
 	}
+	// A UDTF with no arguments still needs the row count.
+	need = scanColumns(need, def.Schema)
+	needSchema := mustProject(def.Schema, need)
 	scanDone := startOp(ctx, prof, "scan")
 	var scanStats colstore.ScanStats
 	var scanRows int64
 	var parts []partition
 	for node, seg := range segs {
-		raw, err := readSegment(ctx, seg, need, def.Schema, pushed, zone, residual, &scanStats)
+		raw, err := scanSegment(ctx, seg, needSchema, need, acc, nil, &scanStats)
 		if err != nil {
 			return nil, err
 		}
@@ -169,22 +168,12 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, fc *sqlpars
 		}
 	}
 
-	scanDone.Blocks = int64(scanStats.BlocksScanned)
-	scanDone.BlocksSkipped = int64(scanStats.BlocksSkipped)
-	scanDone.BlocksCompressed = int64(scanStats.BlocksCompressed)
-	scanDone.Bytes = int64(scanStats.BytesRead)
 	scanDetail := fmt.Sprintf("%d segments, %d blocks scanned, %d skipped by zone maps, %d KB",
 		len(segs), scanStats.BlocksScanned, scanStats.BlocksSkipped, scanStats.BytesRead/1024)
 	if scanStats.BlocksCompressed > 0 {
 		scanDetail += fmt.Sprintf(", %d evaluated compressed", scanStats.BlocksCompressed)
 	}
-	if pushed != nil {
-		scanDetail += fmt.Sprintf(", pushdown %s %s %v", pushed.Col, pushed.Op, pushed.Val)
-	}
-	if len(zone) > 0 {
-		scanDetail += fmt.Sprintf(", %d zone predicates", len(zone))
-	}
-	scanDone.Done(scanRows, scanDetail)
+	scanDone.doneScan(scanStats, scanRows, scanDetail+accessDetail(acc))
 
 	// Run all partitions in parallel (bounded). Each partition writes into
 	// its own AppendWriter — UDFs that score into pooled batches get the
@@ -288,38 +277,6 @@ func (r *viewReader) Next() (*colstore.Batch, error) {
 	}
 	r.off = hi
 	return &r.view, nil
-}
-
-func readSegment(ctx context.Context, seg *colstore.Segment, cols []string, schema colstore.Schema, pushed *colstore.Pred, zone []colstore.Pred, residual sqlparse.Expr, st *colstore.ScanStats) (*colstore.Batch, error) {
-	if len(cols) == 0 {
-		// UDTF with no arguments still needs the row count; scan one column.
-		cols = []string{schema[0].Name}
-	}
-	out := colstore.NewBatch(mustProject(schema, cols))
-	var idx []int // residual-filter scratch, reused across batches
-	err := seg.ScanZoneWithStatsCtx(ctx, cols, pushed, zone, st, func(b *colstore.Batch) error {
-		if residual != nil {
-			keep, err := evalExpr(residual, b)
-			if err != nil {
-				return err
-			}
-			if keep.Type != colstore.TypeBool {
-				return fmt.Errorf("sqlexec: WHERE clause is not boolean")
-			}
-			idx = idx[:0]
-			for r, k := range keep.Bools {
-				if k {
-					idx = append(idx, r)
-				}
-			}
-			return out.AppendGather(b, idx)
-		}
-		return out.AppendBatch(b)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ctxReader wraps a BatchReader with a per-batch context check, so UDTF
