@@ -70,11 +70,14 @@ race:
 		./internal/wal/... ./internal/txn/... ./internal/vertica/... \
 		./internal/cluster/...
 
-# Microbenchmarks for the pooled transfer + vectorized prediction paths;
-# writes BENCH_PR4.json (committed alongside EXPERIMENTS.md).
+# The one performance harness (benchmark/README.md): one fixed-seed run of
+# every workload BENCHMARK.json names, at the run length it declares.
 .PHONY: bench
 bench:
-	$(GO) run ./cmd/vdr-microbench -out BENCH_PR4.json
+	@set -e; secs=$$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json); \
+	for w in $$(sed -n '/"workloads"/,/\]/s/.*"name": *"\([a-z_]*\)".*/\1/p' BENCHMARK.json); do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds $$secs --trace 0; \
+	done
 
 # Paper-figure benchmark series (Figs. 12-20 shapes).
 .PHONY: bench-figures
@@ -100,31 +103,6 @@ recover:
 		./internal/wal/... ./internal/txn/... ./internal/vertica/... \
 		./internal/cluster/... ./internal/models/... \
 		./internal/colstore/... ./internal/core/...
-
-# Serving-layer benchmark: closed-loop load generator against the concurrent
-# query server (unprepared vs. prepared+cached PREDICT, then an overload
-# phase); writes BENCH_PR5.json (committed alongside EXPERIMENTS.md). Fails
-# if the cached path is below 2x or admission control never sheds.
-.PHONY: serve-bench
-serve-bench:
-	$(GO) run ./cmd/vdr-serve -bench -out BENCH_PR5.json
-
-# Durability benchmark: COPY commit throughput at client concurrency 1/8/64
-# against a durable database (the group-commit effect) plus the recovery
-# replay rate; writes BENCH_PR7.json (committed alongside EXPERIMENTS.md).
-# Fails if concurrent committers are slower than the serial stream.
-.PHONY: wal-bench
-wal-bench:
-	$(GO) run ./cmd/vdr-walbench -out BENCH_PR7.json
-
-# Cluster benchmark: routed vs single-process SELECT/PREDICT throughput at
-# 1/2/3 peers over real loopback TCP, replica-kill failover latency, and
-# the calibrated own-CPU-per-node simulation; writes BENCH_PR10.json
-# (committed alongside EXPERIMENTS.md). Fails if simulated 1->3-node
-# PREDICT scaling drops below 1.6x or routed results diverge.
-.PHONY: cluster-bench
-cluster-bench:
-	$(GO) run ./cmd/vdr-clusterbench -out BENCH_PR10.json
 
 # Fuzz smoke: run each fuzz target briefly (Go keeps regression inputs in
 # testdata/fuzz, which plain `go test` replays on every run). Raise FUZZTIME

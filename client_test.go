@@ -256,9 +256,9 @@ func TestWriteDoesNotFailOverAfterSend(t *testing.T) {
 	}
 }
 
-// TestDialServerCompat pins the migration contract: DialServer still
-// answers with a working client against a single plain server.
-func TestDialServerCompat(t *testing.T) {
+// TestDialPlainServer: Dial with one address answers with a working client
+// against a single plain (router-less) server, the vdr-serve default.
+func TestDialPlainServer(t *testing.T) {
 	sess, err := core.Start(core.Config{DBNodes: 2, DRWorkers: 2, InstancesPerWorker: 1, BlockRows: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -285,12 +285,12 @@ func TestDialServerCompat(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = tcp.Close() })
 
-	cl, err := DialServer(addr)
+	ctx := context.Background()
+	cl, err := Dial(ctx, ClusterConfig{Addrs: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		if err := cl.Exec(ctx, fmt.Sprintf(`INSERT INTO kv VALUES (%d, %d.5)`, i, i)); err != nil {
 			t.Fatal(err)

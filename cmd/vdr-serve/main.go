@@ -4,14 +4,14 @@
 // once — exposed on a TCP line protocol that shares the transfer plane's
 // frame layout.
 //
-// Serve mode (default) listens on -addr; with -demo it first creates the
-// serving fixture (table serve_pts, model serve_glm) so clients can issue
-// prediction queries immediately.
+// It listens on -addr over a database of -nodes segments; with -demo it first
+// creates the serving fixture (table serve_pts, models serve_glm and
+// serve_rf) so clients can issue prediction queries immediately.
 //
 // With -data DIR the server is durable: ingest is write-ahead-logged and
 // fsync-acknowledged, startup recovers the previous run's state (checkpoint
 // image + log replay), and a graceful shutdown writes a fresh checkpoint.
-// The -demo fixture is seeded only into a fresh directory.
+// -demo then creates only the fixture pieces the directory does not hold yet.
 //
 // Cluster mode: -cluster-peers lists every node's address (comma-separated)
 // and -cluster-node says which entry this process is. The node opens its
@@ -24,11 +24,6 @@
 //	vdr-serve -addr :5001 -cluster-peers :5001,:5002,:5003 -cluster-node 0 &
 //	vdr-serve -addr :5002 -cluster-peers :5001,:5002,:5003 -cluster-node 1 &
 //	vdr-serve -addr :5003 -cluster-peers :5001,:5002,:5003 -cluster-node 2 &
-//
-// Bench mode (-bench) runs the closed-loop load generator instead: the
-// unprepared single-shot path vs. the prepared+cached path at -concurrency,
-// then an overload phase against a deliberately tiny server, and writes the
-// figures to -out (BENCH_PR5.json, `make serve-bench`).
 package main
 
 import (
@@ -42,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"verticadr/internal/bench"
 	"verticadr/internal/cliflags"
 	"verticadr/internal/cluster"
 	"verticadr/internal/core"
@@ -60,36 +54,24 @@ type clusterOpts struct {
 
 func main() {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:5433", "serve mode: listen address")
-		dataDir     = cliflags.DataDir(flag.CommandLine)
-		adminAddr   = flag.String("admin", "", "serve mode: admin HTTP listen address for /metrics, /statements, /traces/recent, /healthz and pprof (empty = disabled)")
-		drainWait   = flag.Duration("drain", 10*time.Second, "serve mode: graceful-shutdown drain deadline for in-flight queries")
-		demo        = flag.Bool("demo", true, "serve mode: preload the serve_pts table and serve_glm model")
-		nodes       = cliflags.Nodes(flag.CommandLine, 4)
-		clPeers     = flag.String("cluster-peers", "", "cluster mode: comma-separated addresses of every node (this one included)")
-		clNode      = flag.Int("cluster-node", 0, "cluster mode: this node's index into -cluster-peers")
-		clShards    = flag.Int("cluster-shards", 0, "cluster mode: table segments across the cluster (0 = one per peer)")
-		clReplicas  = flag.Int("cluster-replicas", 0, "cluster mode: copies of each shard (0 = min(2, peers))")
-		workers     = flag.Int("workers", 4, "Distributed R workers")
-		maxConc     = flag.Int("max-concurrent", 8, "admission control: queries executing at once")
-		maxQueue    = flag.Int("max-queue", 64, "admission control: bounded wait queue length")
-		queueWait   = flag.Duration("queue-wait", 2*time.Second, "admission control: max slot wait before shedding")
-		queryLimit  = flag.Duration("query-timeout", 0, "per-query execution deadline (0 = none)")
-		runBench    = flag.Bool("bench", false, "run the serving load generator and exit")
-		benchOut    = flag.String("out", "BENCH_PR5.json", "bench mode: output file")
-		benchRows   = flag.Int("rows", 2048, "bench mode: prediction table rows")
-		benchConc   = flag.Int("concurrency", 8, "bench mode: closed-loop client streams")
-		benchWindow = flag.Duration("duration", 2*time.Second, "bench mode: per-phase window")
+		addr       = flag.String("addr", "127.0.0.1:5433", "listen address")
+		dataDir    = cliflags.DataDir(flag.CommandLine)
+		adminAddr  = flag.String("admin", "", "admin HTTP listen address for /metrics, /statements, /traces/recent, /healthz and pprof (empty = disabled)")
+		drainWait  = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight queries")
+		demo       = flag.Bool("demo", true, "preload the serve_pts table and the serve_glm and serve_rf models")
+		nodes      = cliflags.Nodes(flag.CommandLine, 4)
+		clPeers    = flag.String("cluster-peers", "", "cluster mode: comma-separated addresses of every node (this one included)")
+		clNode     = flag.Int("cluster-node", 0, "cluster mode: this node's index into -cluster-peers")
+		clShards   = flag.Int("cluster-shards", 0, "cluster mode: table segments across the cluster (0 = one per peer)")
+		clReplicas = flag.Int("cluster-replicas", 0, "cluster mode: copies of each shard (0 = min(2, peers))")
+		workers    = flag.Int("workers", 4, "Distributed R workers")
+		maxConc    = flag.Int("max-concurrent", 8, "admission control: queries executing at once")
+		maxQueue   = flag.Int("max-queue", 64, "admission control: bounded wait queue length")
+		queueWait  = flag.Duration("queue-wait", 2*time.Second, "admission control: max slot wait before shedding")
+		queryLimit = flag.Duration("query-timeout", 0, "per-query execution deadline (0 = none)")
 	)
 	flag.Parse()
 
-	if *runBench {
-		if err := runServeBench(*benchOut, *benchRows, *benchConc, *benchWindow); err != nil {
-			fmt.Fprintln(os.Stderr, "vdr-serve:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	cl := clusterOpts{Peers: *clPeers, Node: *clNode, Shards: *clShards, Replicas: *clReplicas}
 	if err := serve(*addr, *adminAddr, *dataDir, *drainWait, *demo, *nodes, *workers, cl, server.Config{
 		MaxConcurrent: *maxConc,
@@ -103,13 +85,10 @@ func main() {
 }
 
 func serve(addr, adminAddr, dataDir string, drainWait time.Duration, demo bool, nodes, workers int, cl clusterOpts, cfg server.Config) error {
-	var (
-		sess *core.Session
-		err  error
-	)
 	var topo cluster.Topology
 	clustered := cl.Peers != ""
 	if clustered {
+		var err error
 		topo, err = cluster.Topology{
 			Addrs:    strings.Split(cl.Peers, ","),
 			Shards:   cl.Shards,
@@ -126,36 +105,7 @@ func serve(addr, adminAddr, dataDir string, drainWait time.Duration, demo bool, 
 		nodes = topo.Shards
 		demo = false // fixtures are loaded through the router, not per node
 	}
-	switch {
-	case dataDir != "":
-		// Durable mode: recover whatever a previous run committed, then serve.
-		// The demo fixture is only seeded into a fresh directory.
-		sess, err = core.Start(core.Config{DBNodes: nodes, DRWorkers: workers, DataDir: dataDir, Durable: true})
-		if err != nil {
-			return err
-		}
-		if info := sess.DB.RecoveryInfo(); info != nil {
-			fmt.Printf("vdr-serve: recovery: checkpoint lsn %d, replayed %d records / %d bytes in %v\n",
-				info.CheckpointLSN, info.Replay.Records, info.Replay.Bytes, info.Replay.Elapsed)
-			if info.Replay.Torn {
-				fmt.Println("vdr-serve: recovery: torn final record discarded (crash mid-append)")
-			}
-		}
-		if demo {
-			if _, derr := sess.DB.TableDef(bench.ServeTable); derr != nil {
-				if err := bench.SeedServeFixture(sess, 20000); err != nil {
-					sess.Close()
-					return err
-				}
-			} else {
-				fmt.Println("vdr-serve: serving fixture recovered from previous run")
-			}
-		}
-	case demo:
-		sess, err = bench.ServeFixture(20000)
-	default:
-		sess, err = core.Start(core.Config{DBNodes: nodes, DRWorkers: workers})
-	}
+	sess, err := openSession(dataDir, demo, nodes, workers)
 	if err != nil {
 		return err
 	}
@@ -208,7 +158,8 @@ func serve(addr, adminAddr, dataDir string, drainWait time.Duration, demo bool, 
 			tcp.Addr(), cfg.MaxConcurrent, cfg.MaxQueue)
 	}
 	if demo {
-		fmt.Printf("vdr-serve: try: %s\n", bench.ServePredictSQL)
+		fmt.Printf("vdr-serve: try: %s\n", servePredictSQL)
+		fmt.Printf("vdr-serve: try: %s\n", serveGlmPredictSQL)
 	}
 
 	var admin *http.Server
@@ -257,35 +208,32 @@ func serve(addr, adminAddr, dataDir string, drainWait time.Duration, demo bool, 
 	return nil
 }
 
-func runServeBench(out string, rows, concurrency int, window time.Duration) error {
-	res, err := bench.RunServeBench(bench.ServeBenchConfig{
-		Rows:        rows,
-		Concurrency: concurrency,
-		Duration:    window,
-	})
+// openSession starts the session the server fronts: durable (recovering
+// whatever a previous run committed) when dataDir is set, and with the demo
+// fixture completed when asked for.
+func openSession(dataDir string, demo bool, nodes, workers int) (*core.Session, error) {
+	sess, err := core.Start(core.Config{DBNodes: nodes, DRWorkers: workers, DataDir: dataDir, Durable: dataDir != ""})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
+	if info := sess.DB.RecoveryInfo(); info != nil {
+		fmt.Printf("vdr-serve: recovery: checkpoint lsn %d, replayed %d records / %d bytes in %v\n",
+			info.CheckpointLSN, info.Replay.Records, info.Replay.Bytes, info.Replay.Elapsed)
+		if info.Replay.Torn {
+			fmt.Println("vdr-serve: recovery: torn final record discarded (crash mid-append)")
+		}
 	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
+	if demo {
+		created, err := seedFixture(sess)
+		if err != nil {
+			sess.Close()
+			return nil, err
+		}
+		if len(created) == 0 {
+			fmt.Println("vdr-serve: serving fixture recovered from previous run")
+		} else {
+			fmt.Printf("vdr-serve: serving fixture: created %s\n", strings.Join(created, ", "))
+		}
 	}
-	fmt.Printf("serve-bench: unprepared %.0f q/s, prepared+cached %.0f q/s (%.2fx) at concurrency %d\n",
-		res.UnpreparedQPS, res.PreparedCachedQPS, res.Speedup, res.Concurrency)
-	fmt.Printf("serve-bench: overload %d streams vs max-concurrent %d: ok=%d overloaded=%d other=%d\n",
-		res.Overload.Streams, res.Overload.MaxConcurrent, res.Overload.OK, res.Overload.Overloaded, res.Overload.OtherErrors)
-	fmt.Printf("serve-bench: wrote %s\n", out)
-	if res.Speedup < 2 {
-		return fmt.Errorf("prepared+cached speedup %.2fx below the 2x acceptance bar", res.Speedup)
-	}
-	if res.Overload.Overloaded == 0 {
-		return fmt.Errorf("overload phase shed nothing — admission control did not engage")
-	}
-	if res.Overload.OtherErrors > 0 {
-		return fmt.Errorf("overload phase saw %d non-overload errors", res.Overload.OtherErrors)
-	}
-	return nil
+	return sess, nil
 }

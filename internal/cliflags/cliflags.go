@@ -75,11 +75,6 @@ func DataDir(fs *flag.FlagSet) *string {
 		"durable mode: persist under this directory (write-ahead log + checkpoints); reopening recovers the previous state")
 }
 
-// BenchOut registers -out: where a bench binary writes its JSON figures.
-func BenchOut(fs *flag.FlagSet, def string) *string {
-	return fs.String("out", def, "output JSON path")
-}
-
 // Rows registers -rows with a tool-specific meaning.
 func Rows(fs *flag.FlagSet, def int, usage string) *int {
 	return fs.Int("rows", def, usage)

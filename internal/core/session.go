@@ -44,7 +44,8 @@ type Config struct {
 	Replication int
 	// BlockRows overrides the storage block size (tests use small blocks).
 	BlockRows int
-	// DataDir enables on-disk persistence when set.
+	// DataDir is where Durable persists. Without Durable only DFS model
+	// blobs spill there; tables and catalog stay in memory.
 	DataDir string
 	// Durable enables the ingest write-ahead log under DataDir: commits are
 	// fsync-durable before they are acknowledged, and Start recovers the

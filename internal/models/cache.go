@@ -78,8 +78,8 @@ func (c *modelCache) invalidate(name string) {
 	mInvalidation.Inc()
 }
 
-// setEnabled toggles caching; disabling clears all entries (benchmarks use
-// this to measure the uncached path).
+// setEnabled toggles caching; disabling clears all entries (the chaos tests
+// use this to make every query reach the model-load fault site).
 func (c *modelCache) setEnabled(on bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -244,7 +244,7 @@ func (m *Manager) Redeploy(name, owner string, model any) error {
 
 // SetCacheEnabled toggles the deserialized-model cache (default on).
 // Disabling it restores the one-deserialization-per-UDF-instance behaviour,
-// which the serving benchmark measures as its baseline.
+// so every query reads the blob from DFS.
 func (m *Manager) SetCacheEnabled(on bool) { m.cache.setEnabled(on) }
 
 func sqlEscape(s string) string {

@@ -17,7 +17,6 @@ package vertica
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -46,12 +45,14 @@ type Config struct {
 	// BlockRows overrides the storage block size (default
 	// colstore.DefaultBlockRows).
 	BlockRows int
-	// DataDir, when set, persists segments and DFS blobs under this
-	// directory.
+	// DataDir is the directory Durable persists under. Set without Durable
+	// it only spills DFS model blobs there: tables, catalog and indexes stay
+	// in memory and are gone on Close.
 	DataDir string
-	// Durable enables write-ahead logging under DataDir: every commit is
-	// fsync-durable before it is acknowledged or visible, and Open recovers
-	// the pre-crash state from checkpoint + log replay.
+	// Durable enables write-ahead logging and checkpoints under DataDir —
+	// the only on-disk format for tables: every commit is fsync-durable
+	// before it is acknowledged or visible, and Open recovers the pre-crash
+	// state from checkpoint + log replay.
 	Durable bool
 	// WALSegmentBytes overrides the log segment rotation size (default 64 MB).
 	WALSegmentBytes int64
@@ -622,38 +623,6 @@ func InsertBatch(def *catalog.TableDef, s *sqlparse.Insert) (*colstore.Batch, er
 		}
 	}
 	return b, nil
-}
-
-// Persist seals and writes every segment of every table under DataDir,
-// along with the catalog manifest, so Restore can reopen the database.
-// (Legacy full-dump path; durable databases use Checkpoint instead.)
-func (db *DB) Persist() error {
-	if db.cfg.DataDir == "" {
-		return fmt.Errorf("vertica: no DataDir configured")
-	}
-	if err := db.persistCatalog(); err != nil {
-		return err
-	}
-	snap := db.store.Snapshot()
-	defer snap.Release()
-	for _, table := range snap.Tables() {
-		segs, ok := snap.Segments(table)
-		if !ok {
-			continue
-		}
-		dir := filepath.Join(db.cfg.DataDir, "tables", table)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		for node, seg := range segs {
-			path := filepath.Join(dir, fmt.Sprintf("node%d.vseg", node))
-			// Persist seals, which mutates; published versions stay untouched.
-			if err := seg.Clone().Persist(path); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 var _ sqlexec.Database = (*DB)(nil)

@@ -285,30 +285,6 @@ func TestLoadColumns(t *testing.T) {
 	}
 }
 
-func TestPersist(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(Config{Nodes: 2, DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustQuery(t, db, `CREATE TABLE t (a INTEGER)`)
-	mustQuery(t, db, `INSERT INTO t VALUES (1), (2)`)
-	if err := db.Persist(); err != nil {
-		t.Fatal(err)
-	}
-	seg, err := colstore.OpenSegment(dir + "/tables/t/node0.vseg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seg.Rows()+1 < 1 { // just verify it opened
-		t.Fatal("unreachable")
-	}
-	db2 := openTestDB(t, 1)
-	if err := db2.Persist(); err == nil {
-		t.Fatal("persist without DataDir should fail")
-	}
-}
-
 func TestCreateTableHashSegmentation(t *testing.T) {
 	db := openTestDB(t, 4)
 	mustQuery(t, db, `CREATE TABLE h (k VARCHAR, v INTEGER) SEGMENTED BY HASH(k)`)

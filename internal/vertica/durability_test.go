@@ -176,6 +176,21 @@ func TestCheckpointReplayAndLogTruncation(t *testing.T) {
 	}
 }
 
+// Segments are per node, so a checkpoint image only reopens at the cluster
+// size that wrote it.
+func TestCheckpointReopenRejectsClusterSizeMismatch(t *testing.T) {
+	dir := t.TempDir()
+	db := durableDB(t, dir)
+	createDTable(t, db, "m")
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	if _, err := Open(Config{Nodes: 5, Durable: true, DataDir: dir}); err == nil {
+		t.Fatal("reopening a 3-node checkpoint with 5 nodes should fail")
+	}
+}
+
 func TestInjectedCrashMidCopyRecoversEveryAcknowledgedCommit(t *testing.T) {
 	for _, site := range []string{faults.SiteWALAppend, faults.SiteWALFsync} {
 		t.Run(site, func(t *testing.T) {

@@ -1,7 +1,9 @@
 package vertica
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -171,7 +173,12 @@ func (db *DB) persistIndexes(dir, table string, segs []*colstore.Segment, idxs [
 				// CREATE INDEX); recovery will rebuild from the log instead.
 				continue
 			}
-			if err := atomicfile.WriteFile(filepath.Join(dir, vidxFile(node, d.Column)), tree.Encode(), 0o644); err != nil {
+			// The tree encoding carries no checksum of its own; the CRC32
+			// trailer lets restoreIndexes tell a damaged file from a tree
+			// that merely decodes.
+			data := tree.Encode()
+			data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(data))
+			if err := atomicfile.WriteFile(filepath.Join(dir, vidxFile(node, d.Column)), data, 0o644); err != nil {
 				return err
 			}
 		}
@@ -179,29 +186,41 @@ func (db *DB) persistIndexes(dir, table string, segs []*colstore.Segment, idxs [
 	return nil
 }
 
+// loadTree reads one checkpointed tree; nil when the file is absent, fails
+// its checksum or does not decode.
+func loadTree(path string) *index.Tree {
+	data, err := os.ReadFile(path)
+	if err != nil || len(data) < 4 {
+		return nil
+	}
+	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
+	if crc32.ChecksumIEEE(body) != sum {
+		return nil
+	}
+	tree, err := index.DecodeTree(body)
+	if err != nil {
+		return nil
+	}
+	return tree
+}
+
 // restoreIndexes reattaches checkpointed trees to a just-loaded table's
-// segments and registers the catalog entries. A missing, corrupt, or
-// row-count-mismatched .vidx falls back to rebuilding the tree from the
-// segment — the index catalog entry is authoritative, the tree bytes are a
-// cache.
+// segments and registers the catalog entries. A missing, checksum-failing,
+// undecodable or row-count-mismatched .vidx falls back to rebuilding the tree
+// from the segment — the index catalog entry is authoritative, the tree bytes
+// are a cache.
 func (db *DB) restoreIndexes(dir string, idxs []persistedIndex, table string, segs []*colstore.Segment) error {
 	for _, pi := range idxs {
 		if pi.Table != table {
 			continue
 		}
 		for node, seg := range segs {
-			attached := false
-			if data, err := os.ReadFile(filepath.Join(dir, vidxFile(node, pi.Column))); err == nil {
-				if tree, err := index.DecodeTree(data); err == nil {
-					if err := seg.SetIndex(pi.Column, tree); err == nil {
-						attached = true
-					}
-				}
+			tree := loadTree(filepath.Join(dir, vidxFile(node, pi.Column)))
+			if tree != nil && seg.SetIndex(pi.Column, tree) == nil {
+				continue
 			}
-			if !attached {
-				if err := seg.BuildIndex(pi.Column); err != nil {
-					return fmt.Errorf("vertica: rebuild index %q on %s(%s) node %d: %w", pi.Name, pi.Table, pi.Column, node, err)
-				}
+			if err := seg.BuildIndex(pi.Column); err != nil {
+				return fmt.Errorf("vertica: rebuild index %q on %s(%s) node %d: %w", pi.Name, pi.Table, pi.Column, node, err)
 			}
 		}
 		db.mu.Lock()

@@ -240,25 +240,72 @@ func TestCheckpointPersistsIndexTrees(t *testing.T) {
 		t.Fatalf("post-checkpoint query %v != %v", got, want)
 	}
 	re.Close()
+}
 
-	// Corrupt one tree file: recovery must rebuild that node's tree from the
-	// segment instead of failing or serving a broken index.
-	if err := os.WriteFile(chks[0], []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
+// TestCheckpointRestoreRebuildsDamagedIndexTrees: the index catalog entry in
+// the checkpoint manifest is authoritative and the .vidx bytes are a cache.
+// A tree file that is missing, or damaged anywhere, must be rebuilt from the
+// segment on restart instead of failing recovery or serving a wrong index.
+func TestCheckpointRestoreRebuildsDamagedIndexTrees(t *testing.T) {
+	damage := map[string]func(path string) error{
+		"deleted": os.Remove,
+		"bit-flipped": func(path string) error {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			data[len(data)/2] ^= 0x10
+			return os.WriteFile(path, data, 0o644)
+		},
 	}
-	re2 := durableDB(t, dir)
-	defer re2.Close()
-	if n := indexedNodes(t, re2, "m", "id"); n != 3 {
-		t.Fatalf("rebuild fallback attached index on %d/3 nodes", n)
-	}
-	segs, _ := re2.Segments("m")
-	for node, seg := range segs {
-		if tree := seg.Index("id"); tree.Rows() != seg.Rows() {
-			t.Fatalf("node %d fallback index covers %d rows, segment has %d", node, tree.Rows(), seg.Rows())
-		}
-	}
-	if got := pointRows(t, re2, "SELECT id, x FROM m WHERE id = 88 ORDER BY id"); !equalStrings(got, want) {
-		t.Fatalf("fallback query %v != %v", got, want)
+	for name, hurt := range damage {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			db := durableDB(t, dir)
+			createDTable(t, db, "m")
+			if err := db.Load("m", dBatch(t, 0, 120)); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Exec("CREATE INDEX m_id ON m (id)"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			const q = "SELECT id, x FROM m WHERE id = %d ORDER BY id"
+			want := make([][]string, 120)
+			for id := range want {
+				want[id] = pointRows(t, db, fmt.Sprintf(q, id))
+			}
+			db.Close()
+
+			trees, err := filepath.Glob(filepath.Join(dir, "chk-*", "tables", "m", "node*.id.vidx"))
+			if err != nil || len(trees) != 3 {
+				t.Fatalf("checkpoint .vidx files = %v (%v)", trees, err)
+			}
+			if err := hurt(trees[0]); err != nil {
+				t.Fatal(err)
+			}
+
+			re := durableDB(t, dir)
+			defer re.Close()
+			if n := indexedNodes(t, re, "m", "id"); n != 3 {
+				t.Fatalf("index attached on %d/3 nodes", n)
+			}
+			segs, _ := re.Segments("m")
+			for node, seg := range segs {
+				if tree := seg.Index("id"); tree.Rows() != seg.Rows() {
+					t.Fatalf("node %d index covers %d rows, segment has %d", node, tree.Rows(), seg.Rows())
+				}
+			}
+			// Every key, so a tree that decoded but holds one wrong key or
+			// row id cannot pass.
+			for id := range want {
+				if got := pointRows(t, re, fmt.Sprintf(q, id)); !equalStrings(got, want[id]) {
+					t.Fatalf("id %d: restored query %v != %v", id, got, want[id])
+				}
+			}
+		})
 	}
 }
 
@@ -324,39 +371,5 @@ func TestInjectedCrashMidIndexDDL(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestLegacyPersistRestoreRebuildsIndexes pins the non-WAL dump path: the
-// manifest records the index catalog and Restore rebuilds the trees.
-func TestLegacyPersistRestoreRebuildsIndexes(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(Config{Nodes: 2, DataDir: dir, BlockRows: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	createDTable(t, db, "m")
-	if err := db.Load("m", dBatch(t, 0, 80)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Exec("CREATE INDEX m_id ON m (id)"); err != nil {
-		t.Fatal(err)
-	}
-	want := pointRows(t, db, "SELECT id, x FROM m WHERE id = 44 ORDER BY id")
-	if err := db.Persist(); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-
-	re, err := Restore(Config{DataDir: dir, BlockRows: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if n := indexedNodes(t, re, "m", "id"); n != 2 {
-		t.Fatalf("restored index attached on %d/2 nodes", n)
-	}
-	if got := pointRows(t, re, "SELECT id, x FROM m WHERE id = 44 ORDER BY id"); !equalStrings(got, want) {
-		t.Fatalf("restored query %v != %v", got, want)
 	}
 }

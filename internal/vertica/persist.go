@@ -3,16 +3,13 @@ package vertica
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
-	"verticadr/internal/atomicfile"
 	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
 )
 
-// catalogFile is the on-disk catalog manifest written next to the segment
-// files by Persist (and inside checkpoint images) and read back by Restore.
+// catalogFile is the catalog manifest inside a checkpoint image, written
+// next to the segment files by Checkpoint and read back by recovery.
 const catalogFile = "catalog.json"
 
 type persistedColumn struct {
@@ -40,7 +37,7 @@ type persistedCatalog struct {
 }
 
 // tableManifest renders one table definition into its manifest form (shared
-// by the catalog manifest, checkpoint images, and WAL create-table records).
+// by checkpoint images and WAL create-table records).
 func tableManifest(def *catalog.TableDef) persistedTable {
 	pt := persistedTable{Name: def.Name}
 	for _, c := range def.Schema {
@@ -92,76 +89,4 @@ func parseCatalogManifest(data []byte) (*persistedCatalog, error) {
 		return nil, fmt.Errorf("vertica: parse catalog manifest: %w", err)
 	}
 	return &pc, nil
-}
-
-// persistCatalog writes the catalog manifest under DataDir crash-atomically.
-func (db *DB) persistCatalog() error {
-	defs := make([]*catalog.TableDef, 0)
-	for _, name := range db.cat.List() {
-		def, err := db.cat.Get(name)
-		if err != nil {
-			return err
-		}
-		defs = append(defs, def)
-	}
-	data, err := encodeCatalogManifest(db.cfg.Nodes, defs, db.Indexes())
-	if err != nil {
-		return err
-	}
-	return atomicfile.WriteFile(filepath.Join(db.cfg.DataDir, catalogFile), data, 0o644)
-}
-
-// Restore reopens every table persisted under cfg.DataDir into a fresh
-// cluster: catalog manifest plus per-node segment files. The cluster size
-// must match the one that persisted the data (segments are per node).
-func Restore(cfg Config) (*DB, error) {
-	if cfg.DataDir == "" {
-		return nil, fmt.Errorf("vertica: Restore requires DataDir")
-	}
-	data, err := os.ReadFile(filepath.Join(cfg.DataDir, catalogFile))
-	if err != nil {
-		return nil, fmt.Errorf("vertica: read catalog manifest: %w", err)
-	}
-	pc, err := parseCatalogManifest(data)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Nodes == 0 {
-		cfg.Nodes = pc.Nodes
-	}
-	if cfg.Nodes != pc.Nodes {
-		return nil, fmt.Errorf("vertica: cluster size %d does not match persisted %d", cfg.Nodes, pc.Nodes)
-	}
-	db, err := Open(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, pt := range pc.Tables {
-		def, err := manifestTableDef(pt)
-		if err != nil {
-			return nil, err
-		}
-		if err := db.CreateTable(def); err != nil {
-			return nil, err
-		}
-		segs := make([]*colstore.Segment, cfg.Nodes)
-		for node := 0; node < cfg.Nodes; node++ {
-			path := filepath.Join(cfg.DataDir, "tables", pt.Name, fmt.Sprintf("node%d.vseg", node))
-			seg, err := colstore.OpenSegment(path)
-			if err != nil {
-				return nil, fmt.Errorf("vertica: reopen %q node %d: %w", pt.Name, node, err)
-			}
-			if !seg.Schema().Equal(def.Schema) {
-				return nil, fmt.Errorf("vertica: segment schema drift in %q node %d", pt.Name, node)
-			}
-			segs[node] = seg
-		}
-		// Legacy dumps carry no .vidx files; rebuild manifest indexes from
-		// the segment data (restoreIndexes falls back to BuildIndex).
-		if err := db.restoreIndexes(filepath.Join(cfg.DataDir, "tables", pt.Name), pc.Indexes, pt.Name, segs); err != nil {
-			return nil, err
-		}
-		db.store.Put(pt.Name, segs)
-	}
-	return db, nil
 }

@@ -12,17 +12,11 @@ import (
 )
 
 // DB is the slice of the database that VFT needs: metadata plus the ability
-// to run the export query. internal/vertica.DB satisfies it.
+// to run the export query under a context, so cancellation reaches the
+// query's scan. internal/vertica.DB satisfies it.
 type DB interface {
 	TableDef(name string) (*catalog.TableDef, error)
 	NumNodes() int
-	Exec(sql string) error
-}
-
-// ctxExecer is implemented by databases whose Exec accepts a context
-// (internal/vertica.DB does); LoadContext uses it so cancellation reaches
-// the export query's scan, rather than only the boundaries around it.
-type ctxExecer interface {
 	ExecContext(ctx context.Context, sql string) error
 }
 
@@ -121,16 +115,7 @@ func LoadContext(ctx context.Context, db DB, c *dr.Cluster, hub *Hub, table stri
 		"SELECT %s(%s USING PARAMETERS session='%s', policy='%s', psize=%d, workers=%d) OVER (PARTITION BEST) FROM %s",
 		FuncName, strings.Join(cols, ", "), sessionID, policy, psize, workers, table)
 	exp := sp.StartChild("vft.export")
-	execErr := func() error {
-		if ce, ok := db.(ctxExecer); ok {
-			return ce.ExecContext(ctx, q)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return db.Exec(q)
-	}()
-	if err := execErr; err != nil {
+	if err := db.ExecContext(ctx, q); err != nil {
 		sp.End()
 		// Release the staged chunks: without the abort, a failed export
 		// leaked the session (and its staging memory) forever.

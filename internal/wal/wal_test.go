@@ -61,12 +61,19 @@ func TestAppendCommitReplayRoundTrip(t *testing.T) {
 
 func TestGroupCommitManyWaitersOneLog(t *testing.T) {
 	dir := t.TempDir()
+	// Every fsync stalls, as on a real disk, so committers pile up behind
+	// the one in flight and the batching below is deterministic.
+	in := faults.New(1)
+	in.MustArm(faults.Rule{Site: faults.SiteWALFsync, Kind: faults.Delay, Delay: 2 * time.Millisecond, EveryN: 1})
+	faults.Install(in)
+	defer faults.Install(nil)
 	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	const n = 64
+	fsyncs := mFsyncs.Value()
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
@@ -81,6 +88,11 @@ func TestGroupCommitManyWaitersOneLog(t *testing.T) {
 		if err != nil {
 			t.Fatalf("commit %d: %v", i, err)
 		}
+	}
+	// Group commit: concurrent committers share fsyncs instead of paying
+	// one each (serial cost would be n).
+	if got := mFsyncs.Value() - fsyncs; got > n/4 {
+		t.Fatalf("%d concurrent commits took %d fsyncs; group commit did not batch", n, got)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

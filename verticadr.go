@@ -77,32 +77,6 @@
 //	cl.Load(ctx, "pts", rows)                       // COPY, split across shards
 //	res, _ := cl.Predict(ctx, "rModel", "pts", "a", "b")
 //	if errors.Is(err, verticadr.ErrNodeDown) { /* every replica of a shard is gone */ }
-//
-// # Migration from the pre-context / single-node API
-//
-// Old signature                         → new signature
-//
-//	s.Query(sql)                       → s.QueryContext(ctx, sql)
-//	s.Exec(sql)                        → s.ExecContext(ctx, sql)
-//	s.DB2DArray(table, cols, policy)   → s.DB2DArrayContext(ctx, ...)
-//	s.DB2DFrame(table, cols, policy)   → s.DB2DFrameContext(ctx, ...)
-//	s.LoadODBC(table, cols, conns)     → s.LoadODBCContext(ctx, ...)
-//	s.DB2RDD(sc, table, cols, policy)  → s.DB2RDDContext(ctx, sc, ...)
-//
-// and from the single-connection client to the topology-aware one:
-//
-//	DialServer(addr) *ServerClient     → Dial(ctx, ClusterConfig{Addrs: []string{addr}}) *Client
-//	sc.Query(ctx, sql)                 → cl.Query(ctx, sql)        (routed + failover)
-//	sc.Prepare(ctx, name, sql)         → cl.Prepare(ctx, name, sql) (replayed on failover)
-//	sc.Execute(ctx, name, args...)     → cl.Execute(ctx, name, ...)
-//	manual GlmPredict SQL              → cl.Predict(ctx, model, table, cols...)
-//	(no COPY over the wire)            → cl.Load(ctx, table, rows)
-//
-// DialServer remains as a one-address convenience wrapper returning the
-// unified Client; ServerClient stays available for raw single-connection
-// protocol access via internal/server.Dial semantics (ping, extension
-// calls). The old names still compile and behave identically; new code
-// should pass a real context and a ClusterConfig.
 package verticadr
 
 import (
@@ -159,16 +133,9 @@ func ListenAndServe(srv *Server, addr string) (*server.TCPServer, error) {
 	return server.Listen(srv, addr)
 }
 
-// DialServer connects to a single vdr-serve endpoint: the one-address
-// convenience wrapper over Dial. For clusters — or to control dial
-// timeouts and failover — use Dial with a ClusterConfig directly.
-func DialServer(addr string) (*Client, error) {
-	return Dial(context.Background(), ClusterConfig{Addrs: []string{addr}})
-}
-
-// RawDial opens one protocol connection without routing or failover (the
-// pre-cluster DialServer behavior), for callers that need the bare wire:
-// extension ops, or benchmarking a specific node.
+// RawDial opens one protocol connection without routing or failover, for
+// callers that need the bare wire: extension ops, or benchmarking a
+// specific node.
 func RawDial(addr string) (*ServerClient, error) { return server.Dial(addr) }
 
 // Observability: traces, statement statistics and the admin HTTP surface.
