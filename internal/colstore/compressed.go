@@ -368,23 +368,9 @@ func decodeDictSel(v *Vector, rest []byte, n int, sel []int) error {
 	if v.Type != TypeString {
 		return fmt.Errorf("colstore: DICT block with type %v", v.Type)
 	}
-	dn, m := binary.Uvarint(rest)
-	if m <= 0 {
-		return fmt.Errorf("colstore: truncated dict header")
-	}
-	rest = rest[m:]
-	if dn > uint64(len(rest)) {
-		return fmt.Errorf("colstore: dict claims %d entries in %d bytes", dn, len(rest))
-	}
-	dict := make([]string, 0, dn)
-	for i := uint64(0); i < dn; i++ {
-		l, m := binary.Uvarint(rest)
-		if m <= 0 || uint64(len(rest)-m) < l {
-			return fmt.Errorf("colstore: truncated dict entry")
-		}
-		rest = rest[m:]
-		dict = append(dict, string(rest[:l]))
-		rest = rest[l:]
+	dict, rest, err := readDict(nil, rest)
+	if err != nil {
+		return err
 	}
 	si := 0
 	for i := 0; i < n; i++ {
@@ -404,159 +390,249 @@ func decodeDictSel(v *Vector, rest []byte, n int, sel []int) error {
 	return nil
 }
 
-// runCursor streams one column's block as (value, run-length) pairs. RLE
-// blocks stream their native runs straight off the encoded bytes; DICT blocks
-// coalesce consecutive equal codes into runs sharing one dictionary string;
-// PLAIN and DELTA blocks fall back to a full decode delivering unit runs.
-type runCursor struct {
-	mode    uint8 // one of curRLE, curDict, curVec
-	typ     Type
-	rest    []byte // remaining encoded payload (RLE runs or DICT codes)
-	rows    int    // header row count
-	emitted int    // rows handed out so far
-	runLeft int    // rows remaining in the loaded run
-	val     any    // the loaded run's value
-
-	dict []string // DICT: decoded dictionary
-	read int      // DICT: codes consumed from rest
-
-	vec *Vector // curVec: eagerly decoded column
+// BlockCol is one column of a Block: one typed value per entry in Vals, or —
+// for a dictionary-encoded block — one code per entry in Codes, indexing the
+// block's dictionary in Vals.
+type BlockCol struct {
+	Vals  *Vector
+	Codes []uint32
 }
 
-const (
-	curRLE uint8 = iota
-	curDict
-	curVec
-)
+// Block is what ScanBlocks delivers: the projected columns of one sealed
+// block (or of the unsealed tail) as typed entries. Entry i stands for
+// Runs[i] consecutive rows in which every column is constant; a nil Runs
+// means one row per entry.
+type Block struct {
+	Rows int
+	Runs []int32
+	Cols []BlockCol
+}
 
-// newRunCursor opens a cursor over one encoded block. compressed reports
-// whether the block streams off its encoded form (RLE/DICT) rather than
-// through an eager decode.
-func newRunCursor(data []byte) (*runCursor, bool, error) {
-	typ, enc, n, rest, ok := splitBlockHeader(data)
-	if ok {
+// Len returns the number of entries.
+func (b *Block) Len() int {
+	if b.Runs != nil {
+		return len(b.Runs)
+	}
+	return b.Rows
+}
+
+// colRuns is one RLE or dictionary column of a block decoded to its native
+// runs: lens[i] rows hold vals[i] (RLE) or dictionary entry codes[i].
+type colRuns struct {
+	vals  *Vector
+	codes []uint32 // nil unless the block is dictionary encoded
+	lens  []int32
+	sel   []int    // as a cut column: the source run each entry comes from
+	buf   []uint32 // backs codes from block to block
+}
+
+// blockReader decodes sealed blocks into one Block, reusing every buffer
+// from block to block.
+type blockReader struct {
+	schema Schema
+	blk    Block
+	cols   []colRuns // per-column decode
+	out    []colRuns // run mode, several columns: each cut at the merged run boundaries
+	runs   []int32   // the merged run lengths
+	pos    []int     // intersect: each column's current run
+	left   []int32   // intersect: rows left in it
+}
+
+func newBlockReader(schema Schema) *blockReader {
+	r := &blockReader{
+		schema: schema,
+		cols:   make([]colRuns, len(schema)),
+		out:    make([]colRuns, len(schema)),
+		pos:    make([]int, len(schema)),
+		left:   make([]int32, len(schema)),
+	}
+	r.blk.Cols = make([]BlockCol, len(schema))
+	for i, c := range schema {
+		r.cols[i].vals = NewVector(c.Type, 0)
+		r.out[i].vals = NewVector(c.Type, 0)
+	}
+	return r
+}
+
+// decodeRLERuns appends an RLE payload's values to v and their run lengths
+// to lens, with decodeRLE's validation and errors.
+func decodeRLERuns(v *Vector, lens []int32, rest []byte, n int) ([]int32, error) {
+	total := 0
+	for total < n {
+		run, m := binary.Uvarint(rest)
+		if m <= 0 {
+			return nil, fmt.Errorf("colstore: truncated RLE block")
+		}
+		if run == 0 || run > uint64(n-total) {
+			return nil, fmt.Errorf("colstore: RLE run %d exceeds remaining %d rows", run, n-total)
+		}
+		var err error
+		if rest, err = decodeOneRepeated(v, rest[m:], 1); err != nil {
+			return nil, err
+		}
+		lens = append(lens, int32(run))
+		total += int(run)
+	}
+	return lens, nil
+}
+
+// decodeDictCodes appends a dictionary payload's entries to dict and its n
+// row codes to codes, with decodeDict's validation and errors.
+func decodeDictCodes(dict *Vector, codes []uint32, rest []byte, n int) ([]uint32, error) {
+	var err error
+	if dict.Strs, rest, err = readDict(dict.Strs, rest); err != nil {
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		c, m := binary.Uvarint(rest)
+		if m <= 0 {
+			return nil, fmt.Errorf("colstore: truncated dict codes")
+		}
+		rest = rest[m:]
+		if c >= uint64(len(dict.Strs)) {
+			return nil, fmt.Errorf("colstore: dict code %d out of range %d", c, len(dict.Strs))
+		}
+		codes = append(codes, uint32(c))
+	}
+	return codes, nil
+}
+
+// read decodes block bi of the plan's columns. When every column is RLE or
+// dictionary encoded the block stays in runs (compressed = true): the runs
+// are the intersection of the columns' own, with equal neighbouring
+// dictionary codes coalesced, so an entry is constant in every column. One
+// column of any other encoding makes every entry a row: dictionary columns
+// still arrive as codes, the rest through the eager decoder. Validation and
+// error strings are the eager decoder's on both routes.
+func (r *blockReader) read(s *Segment, plan *scanPlan, bi int, st *ScanStats) (blk *Block, compressed bool, err error) {
+	rows := -1
+	compressed = true
+	for i, ci := range plan.colIdx {
+		data := s.sealed[ci][bi].data
+		st.BytesRead += len(data)
+		_, enc, n, _, ok := splitBlockHeader(data)
+		if !ok {
+			// Unusable header: the eager decoder reports the canonical error.
+			_, err := DecodeBlock(data)
+			if err == nil {
+				err = fmt.Errorf("colstore: corrupt block header")
+			}
+			return nil, false, err
+		}
+		if rows >= 0 && n != rows {
+			return nil, false, fmt.Errorf("colstore: block %d column %s holds %d rows, want %d", bi, r.schema[i].Name, n, rows)
+		}
+		rows = n
+		if enc != EncRLE && enc != EncDict {
+			compressed = false
+		}
+	}
+	for i, ci := range plan.colIdx {
+		data := s.sealed[ci][bi].data
+		typ, enc, n, rest, _ := splitBlockHeader(data)
+		c := &r.cols[i]
+		c.vals.Reset()
+		c.codes, c.lens = nil, c.lens[:0]
 		switch {
-		case enc == EncRLE:
-			return &runCursor{mode: curRLE, typ: typ, rest: rest, rows: n}, true, nil
-		case enc == EncDict && typ == TypeString:
-			c := &runCursor{mode: curDict, typ: typ, rows: n}
-			dn, m := binary.Uvarint(rest)
-			if m <= 0 {
-				return nil, false, fmt.Errorf("colstore: truncated dict header")
+		case typ != c.vals.Type:
+			return nil, false, fmt.Errorf("colstore: decode %v block into %v vector", typ, c.vals.Type)
+		case enc == EncDict:
+			if typ != TypeString {
+				return nil, false, fmt.Errorf("colstore: DICT block with type %v", typ)
 			}
-			rest = rest[m:]
-			if dn > uint64(len(rest)) {
-				return nil, false, fmt.Errorf("colstore: dict claims %d entries in %d bytes", dn, len(rest))
-			}
-			for i := uint64(0); i < dn; i++ {
-				l, m := binary.Uvarint(rest)
-				if m <= 0 || uint64(len(rest)-m) < l {
-					return nil, false, fmt.Errorf("colstore: truncated dict entry")
-				}
-				rest = rest[m:]
-				c.dict = append(c.dict, string(rest[:l]))
-				rest = rest[l:]
-			}
-			c.rest = rest
-			return c, true, nil
+			c.buf, err = decodeDictCodes(c.vals, c.buf[:0], rest, n)
+			c.codes = c.buf
+		case enc == EncRLE && compressed:
+			c.lens, err = decodeRLERuns(c.vals, c.lens, rest, n)
+		default:
+			err = DecodeBlockInto(c.vals, data)
 		}
+		if err != nil {
+			return nil, false, err
+		}
+		if compressed && enc == EncDict {
+			c.coalesce()
+		}
+		r.blk.Cols[i] = BlockCol{Vals: c.vals, Codes: c.codes}
 	}
-	v, err := DecodeBlock(data)
-	if err != nil {
-		return nil, false, err
+	r.blk.Rows, r.blk.Runs = rows, nil
+	if !compressed {
+		return &r.blk, false, nil
 	}
-	return &runCursor{mode: curVec, typ: v.Type, rows: v.Len(), vec: v}, false, nil
+	if len(r.cols) == 1 {
+		r.blk.Runs = r.cols[0].lens
+		return &r.blk, true, nil
+	}
+	r.intersect(rows)
+	return &r.blk, true, nil
 }
 
-// load ensures the cursor has a current run (runLeft > 0), reading the next
-// one when drained. Validation mirrors the eager decoders.
-func (c *runCursor) load() error {
-	if c.runLeft > 0 {
-		return nil
+// coalesce folds per-row dictionary codes into runs of equal codes.
+func (c *colRuns) coalesce() {
+	k := 0
+	for i, code := range c.codes {
+		if i > 0 && code == c.codes[k-1] {
+			c.lens[k-1]++
+			continue
+		}
+		c.codes[k] = code
+		c.lens = append(c.lens, 1)
+		k++
 	}
-	switch c.mode {
-	case curVec:
-		c.val = c.vec.Value(c.emitted)
-		c.runLeft = 1
-	case curRLE:
-		run, m := binary.Uvarint(c.rest)
-		if m <= 0 {
-			return fmt.Errorf("colstore: truncated RLE block")
-		}
-		if run == 0 || run > uint64(c.rows-c.emitted) {
-			return fmt.Errorf("colstore: RLE run %d exceeds remaining %d rows", run, c.rows-c.emitted)
-		}
-		c.rest = c.rest[m:]
-		switch c.typ {
-		case TypeInt64, TypeFloat64:
-			if len(c.rest) < 8 {
-				return fmt.Errorf("colstore: truncated RLE value")
-			}
-			u := binary.LittleEndian.Uint64(c.rest)
-			c.rest = c.rest[8:]
-			if c.typ == TypeInt64 {
-				c.val = int64(u)
-			} else {
-				c.val = math.Float64frombits(u)
-			}
-		case TypeString:
-			l, m := binary.Uvarint(c.rest)
-			if m <= 0 || uint64(len(c.rest)-m) < l {
-				return fmt.Errorf("colstore: truncated RLE string")
-			}
-			c.rest = c.rest[m:]
-			c.val = string(c.rest[:l])
-			c.rest = c.rest[l:]
-		case TypeBool:
-			if len(c.rest) < 1 {
-				return fmt.Errorf("colstore: truncated RLE bool")
-			}
-			c.val = c.rest[0] != 0
-			c.rest = c.rest[1:]
-		}
-		c.runLeft = int(run)
-	case curDict:
-		code, m := binary.Uvarint(c.rest)
-		if m <= 0 {
-			return fmt.Errorf("colstore: truncated dict codes")
-		}
-		if code >= uint64(len(c.dict)) {
-			return fmt.Errorf("colstore: dict code %d out of range %d", code, len(c.dict))
-		}
-		c.rest = c.rest[m:]
-		c.read++
-		c.runLeft = 1
-		c.val = c.dict[code]
-		// Coalesce consecutive equal codes into one run of the same string.
-		for c.read < c.rows {
-			next, m := binary.Uvarint(c.rest)
-			if m <= 0 || next != code {
-				break
-			}
-			c.rest = c.rest[m:]
-			c.read++
-			c.runLeft++
-		}
-	}
-	return nil
+	c.codes = c.codes[:k]
 }
 
-// advance consumes n rows of the current run.
-func (c *runCursor) advance(n int) {
-	c.runLeft -= n
-	c.emitted += n
+// intersect cuts every column at the union of all columns' run boundaries
+// and publishes the cut columns as the block.
+func (r *blockReader) intersect(rows int) {
+	for i := range r.cols {
+		r.pos[i], r.left[i] = 0, 0
+		if rows > 0 {
+			r.left[i] = r.cols[i].lens[0]
+		}
+		r.out[i].sel = r.out[i].sel[:0]
+	}
+	runs := r.runs[:0]
+	for done := 0; done < rows; {
+		run := r.left[0]
+		for _, l := range r.left[1:] {
+			run = min(run, l)
+		}
+		runs = append(runs, run)
+		done += int(run)
+		for i := range r.cols {
+			r.out[i].sel = append(r.out[i].sel, r.pos[i])
+			if r.left[i] -= run; r.left[i] == 0 && done < rows {
+				r.pos[i]++
+				r.left[i] = r.cols[i].lens[r.pos[i]]
+			}
+		}
+	}
+	r.runs, r.blk.Runs = runs, runs
+	for i := range r.cols {
+		c, o := &r.cols[i], &r.out[i]
+		if c.codes != nil {
+			o.buf = o.buf[:0]
+			for _, p := range o.sel {
+				o.buf = append(o.buf, c.codes[p])
+			}
+			r.blk.Cols[i] = BlockCol{Vals: c.vals, Codes: o.buf}
+			continue
+		}
+		o.vals.Reset()
+		_ = o.vals.AppendGather(c.vals, o.sel) // same type by construction
+		r.blk.Cols[i] = BlockCol{Vals: o.vals}
+	}
 }
 
-// ScanRuns streams the named columns (nil = all) through fn as runs: vals[i]
-// holds cols[i]'s value, constant for the next n rows. RLE and dictionary
-// blocks deliver their runs without decoding to vectors, so run-aware
-// consumers (aggregates that multiply by run length) do O(runs) work; other
-// encodings and the unsealed tail deliver unit runs. Run boundaries are the
-// intersection of the per-column runs, so a delivered run is constant in
-// every projected column. vals is reused across calls — fn must not retain
-// it. Stats: BlocksCompressed counts blocks where every projected column
-// streamed off its encoded form.
-func (s *Segment) ScanRuns(ctx context.Context, cols []string, st *ScanStats, fn func(vals []any, n int) error) error {
+// ScanBlocks streams the named columns (nil = all) through fn one sealed
+// block at a time, then the unsealed tail, as typed entries (see Block and
+// blockReader.read): blocks whose projected columns are all RLE or
+// dictionary encoded arrive as runs without being expanded, so run-aware
+// consumers (aggregates that multiply by run length) do O(runs) work. The
+// Block and everything it points to is reused — fn must not retain it.
+// Stats: BlocksCompressed counts the blocks delivered as runs.
+func (s *Segment) ScanBlocks(ctx context.Context, cols []string, st *ScanStats, fn func(*Block) error) error {
 	var local ScanStats
 	if st == nil {
 		st = &local
@@ -566,69 +642,36 @@ func (s *Segment) ScanRuns(ctx context.Context, cols []string, st *ScanStats, fn
 	if err != nil {
 		return err
 	}
-	nc := len(plan.colIdx)
-	vals := make([]any, nc)
-	cursors := make([]*runCursor, nc)
+	r := newBlockReader(plan.outSchema)
 	for bi := 0; bi < plan.nblocks; bi++ {
 		if err := verr.Canceled(ctx.Err()); err != nil {
 			return err
 		}
 		st.BlocksScanned++
-		rows := 0
-		allCompressed := true
-		for i, ci := range plan.colIdx {
-			ref := s.sealed[ci][bi]
-			st.BytesRead += len(ref.data)
-			cur, compressed, err := newRunCursor(ref.data)
-			if err != nil {
-				return err
-			}
-			cursors[i] = cur
-			if !compressed {
-				allCompressed = false
-			}
-			rows = cur.rows
+		blk, compressed, err := r.read(s, plan, bi, st)
+		if err != nil {
+			return err
 		}
-		if allCompressed && nc > 0 {
+		if compressed {
 			st.BlocksCompressed++
 		}
-		pos := 0
-		for pos < rows {
-			run := rows - pos
-			for i, cur := range cursors {
-				if err := cur.load(); err != nil {
-					return err
-				}
-				if cur.runLeft < run {
-					run = cur.runLeft
-				}
-				vals[i] = cur.val
-			}
-			st.RowsOut += run
-			if err := fn(vals, run); err != nil {
-				return err
-			}
-			for _, cur := range cursors {
-				cur.advance(run)
-			}
-			pos += run
+		st.RowsOut += blk.Rows
+		if err := fn(blk); err != nil {
+			return err
 		}
 	}
 	if err := verr.Canceled(ctx.Err()); err != nil {
 		return err
 	}
-	// Unsealed tail: deliver unit runs straight from the in-memory batch.
-	if s.tail.Len() > 0 {
-		st.TailRows += s.tail.Len()
-		for r := 0; r < s.tail.Len(); r++ {
-			for i, ci := range plan.colIdx {
-				vals[i] = s.tail.Cols[ci].Value(r)
-			}
-			st.RowsOut++
-			if err := fn(vals, 1); err != nil {
-				return err
-			}
+	// Unsealed tail: views of the in-memory batch, one row per entry.
+	if n := s.tail.Len(); n > 0 {
+		st.TailRows += n
+		st.RowsOut += n
+		blk := &Block{Rows: n, Cols: make([]BlockCol, len(plan.colIdx))}
+		for i, ci := range plan.colIdx {
+			blk.Cols[i].Vals = s.tail.Cols[ci].Slice(0, n)
 		}
+		return fn(blk)
 	}
 	return nil
 }

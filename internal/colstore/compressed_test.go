@@ -245,17 +245,48 @@ func TestCompressedErrorParity(t *testing.T) {
 	}
 }
 
-// TestScanRunsMatchesScan: streaming a segment as runs reconstructs exactly
-// the rows a full decode scan delivers, across mixed encodings, block
-// boundaries straddled by runs, and the unsealed tail — and BlocksCompressed
-// counts only blocks where every projected column streamed off its encoding.
-func TestScanRunsMatchesScan(t *testing.T) {
+// expandBlock appends every row a Block stands for to dst.
+func expandBlock(t *testing.T, dst *Batch, b *Block) {
+	t.Helper()
+	total := 0
+	for e := 0; e < b.Len(); e++ {
+		n := 1
+		if b.Runs != nil {
+			n = int(b.Runs[e])
+		}
+		total += n
+		for c, col := range b.Cols {
+			var v any
+			if col.Codes != nil {
+				v = col.Vals.Strs[col.Codes[e]]
+			} else {
+				v = col.Vals.Value(e)
+			}
+			for k := 0; k < n; k++ {
+				if err := dst.Cols[c].AppendValue(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if total != b.Rows {
+		t.Fatalf("block entries cover %d rows, header says %d", total, b.Rows)
+	}
+}
+
+// TestScanBlocksMatchesScan: the typed block views reconstruct exactly the
+// rows a full decode scan delivers, across mixed encodings, block boundaries
+// straddled by runs, and the unsealed tail — blocks whose projected columns
+// are all RLE/DICT arrive as runs (and count as BlocksCompressed), dictionary
+// columns as codes, anything else one row per entry.
+func TestScanBlocksMatchesScan(t *testing.T) {
 	schema := Schema{
 		{Name: "i", Type: TypeInt64},
 		{Name: "f", Type: TypeFloat64},
 		{Name: "s", Type: TypeString},
 		{Name: "b", Type: TypeBool},
 		{Name: "d", Type: TypeInt64},
+		{Name: "m", Type: TypeString},
 	}
 	seg := NewSegment(schema, 8)
 	const n = 30 // 3 sealed 8-row blocks + 6-row tail
@@ -264,14 +295,20 @@ func TestScanRunsMatchesScan(t *testing.T) {
 		// Runs of 6 straddle the 8-row block boundary while keeping every
 		// block at ≤2 runs so RLE wins BestEncoding; f runs include NaN and
 		// -0.0; s alternates two values so DICT wins over RLE; d is
-		// sequential (DELTA) to force a non-compressed cursor.
+		// sequential (DELTA) to force a row-per-entry block; m changes
+		// encoding from block to block (DICT, then one-run RLE).
 		fPalette := []float64{1.5, math.NaN(), math.Copysign(0, -1), 2.5}
+		m := "z"
+		if r < 8 {
+			m = []string{"p", "q"}[r%2]
+		}
 		vals := []any{
 			int64(r / 6),
 			fPalette[(r/6)%len(fPalette)],
 			[]string{"a", "b"}[r%2],
 			r/6%2 == 0,
 			int64(r),
+			m,
 		}
 		for c := range vals {
 			if err := b.Cols[c].AppendValue(vals[c]); err != nil {
@@ -286,21 +323,32 @@ func TestScanRunsMatchesScan(t *testing.T) {
 	for _, tc := range []struct {
 		cols           []string
 		wantCompressed int
+		wantEntries    int // over the sealed blocks
 	}{
-		{[]string{"i", "f", "s", "b"}, 3}, // all projected columns RLE/DICT
-		{[]string{"i", "d"}, 0},           // d decodes eagerly (DELTA)
-		{[]string{"s"}, 3},
+		{[]string{"i", "f", "s", "b"}, 3, 24}, // all RLE/DICT, but s alternates: unit runs
+		{[]string{"i", "f", "b"}, 3, 6},       // 2 runs per block
+		{[]string{"i", "d"}, 0, 24},           // d decodes eagerly (DELTA)
+		{[]string{"s", "d"}, 0, 24},
+		{[]string{"s"}, 3, 24},
+		{[]string{"b"}, 3, 6},
+		{[]string{"m", "i"}, 3, 12}, // m is DICT in block 0 only
 	} {
 		var st ScanStats
 		got := NewBatch(mustProjectSchema(t, schema, tc.cols))
-		err := seg.ScanRuns(context.Background(), tc.cols, &st, func(vals []any, n int) error {
-			for k := 0; k < n; k++ {
-				for c := range vals {
-					if err := got.Cols[c].AppendValue(vals[c]); err != nil {
-						return err
+		entries := 0
+		err := seg.ScanBlocks(context.Background(), tc.cols, &st, func(blk *Block) error {
+			if blk.Rows == 8 {
+				entries += blk.Len()
+				if (blk.Runs != nil) != (tc.wantCompressed > 0) {
+					t.Fatalf("cols %v: sealed block runs=%v, want compressed=%v", tc.cols, blk.Runs, tc.wantCompressed > 0)
+				}
+				for c, name := range tc.cols {
+					if dict := name == "s" || name == "m" && st.BlocksScanned == 1; (blk.Cols[c].Codes != nil) != dict {
+						t.Fatalf("cols %v: column %s codes=%v", tc.cols, name, blk.Cols[c].Codes)
 					}
 				}
 			}
+			expandBlock(t, got, blk)
 			return nil
 		})
 		if err != nil {
@@ -318,8 +366,61 @@ func TestScanRunsMatchesScan(t *testing.T) {
 				t.Fatalf("cols %v: column %s differs from decode scan", tc.cols, want.Schema[c].Name)
 			}
 		}
-		if st.BlocksScanned != 3 || st.BlocksCompressed != tc.wantCompressed || st.TailRows != 6 {
-			t.Fatalf("cols %v: stats %+v, want 3 scanned / %d compressed / 6 tail", tc.cols, st, tc.wantCompressed)
+		if st.BlocksScanned != 3 || st.BlocksCompressed != tc.wantCompressed || st.TailRows != 6 || st.RowsOut != n {
+			t.Fatalf("cols %v: stats %+v, want 3 scanned / %d compressed / 6 tail / %d rows", tc.cols, st, tc.wantCompressed, n)
+		}
+		if entries != tc.wantEntries {
+			t.Fatalf("cols %v: %d entries over the sealed blocks, want %d", tc.cols, entries, tc.wantEntries)
+		}
+	}
+}
+
+// TestScanBlocksErrorParity: a corrupt block fails ScanBlocks with the eager
+// decoder's error, whichever route (runs, codes, eager) the block takes.
+func TestScanBlocksErrorParity(t *testing.T) {
+	schema := Schema{{Name: "s", Type: TypeString}, {Name: "d", Type: TypeInt64}}
+	enc := func(v *Vector, e Encoding) []byte {
+		data, err := EncodeBlock(v, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	rle := enc(IntVector([]int64{5, 5, 9, 9}), EncRLE)
+	dict := enc(StringVector([]string{"x", "y", "x", "y"}), EncDict)
+	badCode := append([]byte{}, dict...)
+	badCode[len(badCode)-1] = 7
+	delta := enc(IntVector([]int64{1, 2, 3, 4}), EncDelta)
+	plain := enc(StringVector([]string{"p", "q", "r", "s"}), EncPlain)
+	for i, tc := range []struct {
+		col  int
+		data []byte
+	}{
+		{1, rle[:len(rle)-3]},   // truncated RLE value
+		{1, rle[:4]},            // truncated mid-run
+		{0, dict[:len(dict)-1]}, // truncated dict codes
+		{0, dict[:5]},           // truncated dict entries
+		{0, badCode},            // code past the dictionary
+		{1, delta[:len(delta)-1]},
+		{0, plain[:len(plain)-1]},
+		{0, rle}, // INTEGER block under a VARCHAR column
+	} {
+		wantErr := DecodeBlockInto(NewVector(schema[tc.col].Type, 0), tc.data)
+		if wantErr == nil {
+			t.Fatalf("corrupt[%d]: eager decode accepted it", i)
+		}
+		for _, cols := range [][]string{{schema[tc.col].Name}, {"s", "d"}} {
+			seg := NewSegment(schema, 4)
+			rows := &Batch{Schema: schema, Cols: []*Vector{
+				StringVector([]string{"a", "a", "a", "a"}), IntVector([]int64{7, 7, 7, 7})}}
+			if err := seg.Append(rows); err != nil {
+				t.Fatal(err)
+			}
+			seg.sealed[tc.col][0].data = tc.data
+			err := seg.ScanBlocks(context.Background(), cols, nil, func(*Block) error { return nil })
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("corrupt[%d] cols %v: ScanBlocks err %v, want %v", i, cols, err, wantErr)
+			}
 		}
 	}
 }

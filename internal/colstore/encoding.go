@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Encoding enumerates the physical block encodings. Vertica's storage applies
@@ -442,29 +443,39 @@ func decodeDelta(v *Vector, rest []byte, n int) (*Vector, error) {
 	return v, nil
 }
 
-func decodeDict(v *Vector, rest []byte, n int) (*Vector, error) {
-	if v.Type != TypeString {
-		return nil, fmt.Errorf("colstore: DICT block with type %v", v.Type)
-	}
+// readDict appends a dictionary payload's entries to dict and returns the
+// bytes that follow them (the row codes).
+func readDict(dict []string, rest []byte) ([]string, []byte, error) {
 	dn, m := binary.Uvarint(rest)
 	if m <= 0 {
-		return nil, fmt.Errorf("colstore: truncated dict header")
+		return nil, nil, fmt.Errorf("colstore: truncated dict header")
 	}
 	rest = rest[m:]
 	// Every dictionary entry needs at least one header byte, so the entry
 	// count cannot exceed the remaining payload.
 	if dn > uint64(len(rest)) {
-		return nil, fmt.Errorf("colstore: dict claims %d entries in %d bytes", dn, len(rest))
+		return nil, nil, fmt.Errorf("colstore: dict claims %d entries in %d bytes", dn, len(rest))
 	}
-	dict := make([]string, 0, dn)
+	dict = slices.Grow(dict, int(dn))
 	for i := uint64(0); i < dn; i++ {
 		l, m := binary.Uvarint(rest)
 		if m <= 0 || uint64(len(rest)-m) < l {
-			return nil, fmt.Errorf("colstore: truncated dict entry")
+			return nil, nil, fmt.Errorf("colstore: truncated dict entry")
 		}
 		rest = rest[m:]
 		dict = append(dict, string(rest[:l]))
 		rest = rest[l:]
+	}
+	return dict, rest, nil
+}
+
+func decodeDict(v *Vector, rest []byte, n int) (*Vector, error) {
+	if v.Type != TypeString {
+		return nil, fmt.Errorf("colstore: DICT block with type %v", v.Type)
+	}
+	dict, rest, err := readDict(nil, rest)
+	if err != nil {
+		return nil, err
 	}
 	for i := 0; i < n; i++ {
 		c, m := binary.Uvarint(rest)

@@ -3,24 +3,23 @@ package sqlexec
 import (
 	"context"
 	"fmt"
-	"strings"
+	"time"
 
 	"verticadr/internal/colstore"
 	"verticadr/internal/sqlparse"
 )
 
-// aggregateRuns is the run-aware aggregation kernel: when the plan's
-// Aggregate node says Runs (no WHERE clause, every aggregate argument a bare
-// column, star only under COUNT), the engine aggregates directly over the
-// encoded runs colstore.ScanRuns streams — one aggState.addRun per (run,
-// aggregate) instead of one add per row, so RLE and dictionary segments
-// aggregate in O(runs). Group keys (including group-by on dict columns) are
-// probed once per run.
+// aggregateRuns is the run-aware feeder of the aggregation kernel: when the
+// plan's Aggregate node says Runs (no WHERE clause, every aggregate argument
+// a bare column, star only under COUNT), the engine folds the typed block
+// views colstore.ScanBlocks streams — encoded runs where every scanned
+// column is RLE or dictionary encoded, so such segments aggregate in
+// O(runs); dictionary codes or decoded rows otherwise.
 //
-// The decode-first kernel (aggregateChunks over a scan) is bit-identical to
-// it for the values the engine stores: runs arrive in row order, groups keep
-// first-appearance order, key formatting is shared, and addRun documents why
-// folding a run equals iterating it.
+// The decode-first feeder (aggregateChunks over a scan) is bit-identical to
+// it for the values the engine stores: blocks arrive in row order, groups
+// keep first-appearance order, and foldSum documents why folding a run
+// equals iterating it.
 func aggregateRuns(ctx context.Context, db Database, table string, sel *sqlparse.Select, plans []aggItemPlan, prof *Profile) (*aggPartialAcc, error) {
 	def, err := db.TableDef(table)
 	if err != nil {
@@ -66,39 +65,31 @@ func aggregateRuns(ctx context.Context, db Database, table string, sel *sqlparse
 
 	scanDone := startOp(ctx, prof, "scan")
 	var st colstore.ScanStats
-	part := &aggPartialAcc{plans: plans, outTypes: outTypes, groups: map[string]*aggGroup{}}
-	var kb strings.Builder
+	part := newAggPartialAcc(plans, outTypes)
+	in := &aggBlock{keys: make([]colstore.BlockCol, len(groupPos)), args: make([]colstore.BlockCol, len(plans))}
 	nruns := 0
+	// The fold runs inside the scan callback; its time is booked under the
+	// aggregate operator, not the scan's.
+	var fold time.Duration
 	// Segments scan serially in segment order — the same concatenation order
 	// the decode-first path produces — so first-appearance group order and
 	// float accumulation order match it exactly.
 	for _, seg := range segs {
-		err := seg.ScanRuns(ctx, cols, &st, func(vals []any, n int) error {
-			nruns++
-			kb.Reset()
-			for _, gp := range groupPos {
-				fmt.Fprintf(&kb, "%v\x00", vals[gp])
+		err := seg.ScanBlocks(ctx, cols, &st, func(blk *colstore.Block) error {
+			t0 := prof.now()
+			in.n, in.runs = blk.Len(), blk.Runs
+			nruns += in.n
+			for i, gp := range groupPos {
+				in.keys[i] = blk.Cols[gp]
 			}
-			g, fresh := part.group(kb.String())
-			if fresh {
-				g.keyVals = make([]any, len(groupPos))
-				for i, gp := range groupPos {
-					g.keyVals[i] = vals[gp]
-				}
-			}
-			for pi, p := range plans {
-				if p.fn == nil {
-					continue
-				}
-				var v any = int64(1) // COUNT(*)
-				if argPos[pi] >= 0 {
-					v = vals[argPos[pi]]
-				}
-				if err := g.states[pi].addRun(v, n); err != nil {
-					return err
+			for pi, ap := range argPos {
+				if ap >= 0 {
+					in.args[pi] = blk.Cols[ap]
 				}
 			}
-			return nil
+			err := part.fold(in)
+			fold += prof.now() - t0
+			return err
 		})
 		if err != nil {
 			return nil, err
@@ -109,10 +100,12 @@ func aggregateRuns(ctx context.Context, db Database, table string, sel *sqlparse
 	if st.TailRows > 0 {
 		detail += fmt.Sprintf(", %d tail rows", st.TailRows)
 	}
-	scanDone.Parallel = 1 // run streaming is serial by construction
+	scanDone.Parallel = 1 // block streaming is serial by construction
+	scanDone.extra = -fold
 	scanDone.doneScan(st, int64(st.RowsOut), detail)
 
 	part.op = startOp(ctx, prof, "aggregate")
+	part.op.extra = fold
 	part.how = fmt.Sprintf("%d runs (run-aware)", nruns)
 	return part, nil
 }

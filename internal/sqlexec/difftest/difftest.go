@@ -200,7 +200,7 @@ func refProject(schema colstore.Schema, rows [][]any, sel *sqlparse.Select) (*Re
 	return out, nil
 }
 
-// refAgg mirrors sqlexec's aggState.
+// refAgg is one aggregate function over one group, a boxed value at a time.
 type refAgg struct {
 	fn    string
 	count int64
@@ -354,7 +354,9 @@ func refAggregate(schema colstore.Schema, rows [][]any, sel *sqlparse.Select) (*
 				return nil, fmt.Errorf("difftest: unknown column %q", gc)
 			}
 			kv[gc] = r[ci]
-			fmt.Fprintf(&kb, "%v\x00", r[ci])
+			// Length-prefixed, so no value can run into its neighbour's.
+			part := fmt.Sprint(r[ci])
+			fmt.Fprintf(&kb, "%d:%s", len(part), part)
 		}
 		key := kb.String()
 		g, ok := groups[key]

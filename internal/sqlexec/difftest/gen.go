@@ -293,7 +293,10 @@ func (g *Gen) Query(nrows int) *sqlparse.Select {
 	var orderable []string
 	if g.rng.Intn(2) == 0 {
 		// Aggregate query.
-		groupPool := []string{"a", "b", "s", "flag"}
+		// x and y put float keys in play: over the NaN/-0.0/+0.0 palettes of
+		// JoinTable and AdversarialTable every NaN is one group and the two
+		// zeros are two.
+		groupPool := []string{"a", "b", "s", "flag", "x", "y"}
 		ngroup := g.rng.Intn(3)
 		g.rng.Shuffle(len(groupPool), func(i, j int) { groupPool[i], groupPool[j] = groupPool[j], groupPool[i] })
 		for _, gc := range groupPool[:ngroup] {
@@ -398,7 +401,7 @@ func (g *Gen) JoinQuery(lrows, rrows int) *sqlparse.Select {
 	switch {
 	case g.rng.Intn(2) == 0:
 		// Aggregate over the join.
-		groupPool := []string{lq + ".a", lq + ".s", uq + ".b", uq + ".flag", uq + ".s"}
+		groupPool := []string{lq + ".a", lq + ".s", uq + ".b", uq + ".flag", uq + ".s", lq + ".x", uq + ".y"}
 		g.rng.Shuffle(len(groupPool), func(i, j int) { groupPool[i], groupPool[j] = groupPool[j], groupPool[i] })
 		for _, gc := range groupPool[:g.rng.Intn(3)] {
 			sel.GroupBy = append(sel.GroupBy, gc)

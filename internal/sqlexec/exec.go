@@ -3,9 +3,7 @@ package sqlexec
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
-	"strings"
 
 	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
@@ -280,151 +278,6 @@ func finishSelect(ctx context.Context, out *colstore.Batch, sel *sqlparse.Select
 // is what makes aggregate results bitwise identical at every degree.
 const aggChunkRows = 4096
 
-// aggState accumulates one aggregate function over a group.
-type aggState struct {
-	fn    string
-	count int64
-	sum   float64
-	min   any
-	max   any
-}
-
-func (a *aggState) add(v any) error {
-	a.count++
-	switch a.fn {
-	case "SUM", "AVG":
-		switch x := v.(type) {
-		case int64:
-			a.sum += float64(x)
-		case float64:
-			a.sum += x
-		default:
-			return fmt.Errorf("sqlexec: %s over non-numeric value %T", a.fn, v)
-		}
-	case "MIN":
-		if a.min == nil {
-			a.min = v
-		} else if c, err := colstore.CompareValues(v, a.min); err != nil {
-			return err
-		} else if c < 0 {
-			a.min = v
-		}
-	case "MAX":
-		if a.max == nil {
-			a.max = v
-		} else if c, err := colstore.CompareValues(v, a.max); err != nil {
-			return err
-		} else if c > 0 {
-			a.max = v
-		}
-	}
-	return nil
-}
-
-// addRun folds a run of n identical values in O(1). For the values the
-// engine stores this is exactly what n add(v) calls produce: COUNT is pure
-// arithmetic; MIN/MAX compare once (n-1 of the n comparisons are v vs v,
-// which never replace); SUM/AVG multiply by the run length, which matches
-// iterated addition bitwise for values exact in float64 (the contract in
-// DESIGN.md §12 — NaN and signed-zero runs propagate identically either
-// way: x*n is NaN iff x is, and ±0.0 accumulation keeps the IEEE sign
-// rules of repeated addition since the accumulator starts at +0.0).
-//
-// The one place the fold is NOT equivalent is when x is finite but x*n
-// overflows to ±Inf: iterated addition may never overflow (a negative
-// accumulator can absorb the run, or an already-infinite accumulator stays
-// put where acc+Inf would go NaN), so that case falls back to n real adds.
-// An infinite x folds safely — acc+Inf repeated n times equals one add.
-func (a *aggState) addRun(v any, n int) error {
-	if n <= 0 {
-		return nil
-	}
-	a.count += int64(n)
-	switch a.fn {
-	case "SUM", "AVG":
-		var x float64
-		switch t := v.(type) {
-		case int64:
-			x = float64(t)
-		case float64:
-			x = t
-		default:
-			return fmt.Errorf("sqlexec: %s over non-numeric value %T", a.fn, v)
-		}
-		prod := x * float64(n)
-		if math.IsInf(prod, 0) && !math.IsInf(x, 0) {
-			for j := 0; j < n; j++ {
-				a.sum += x
-			}
-		} else {
-			a.sum += prod
-		}
-	case "MIN":
-		if a.min == nil {
-			a.min = v
-		} else if c, err := colstore.CompareValues(v, a.min); err != nil {
-			return err
-		} else if c < 0 {
-			a.min = v
-		}
-	case "MAX":
-		if a.max == nil {
-			a.max = v
-		} else if c, err := colstore.CompareValues(v, a.max); err != nil {
-			return err
-		} else if c > 0 {
-			a.max = v
-		}
-	}
-	return nil
-}
-
-// merge folds another partial state for the same (group, aggregate) into a.
-// Addition order is fixed by the reduction tree, so float sums are
-// reproducible at any degree.
-func (a *aggState) merge(b *aggState) error {
-	a.count += b.count
-	a.sum += b.sum
-	if b.min != nil {
-		if a.min == nil {
-			a.min = b.min
-		} else if c, err := colstore.CompareValues(b.min, a.min); err != nil {
-			return err
-		} else if c < 0 {
-			a.min = b.min
-		}
-	}
-	if b.max != nil {
-		if a.max == nil {
-			a.max = b.max
-		} else if c, err := colstore.CompareValues(b.max, a.max); err != nil {
-			return err
-		} else if c > 0 {
-			a.max = b.max
-		}
-	}
-	return nil
-}
-
-func (a *aggState) result() any {
-	switch a.fn {
-	case "COUNT":
-		return a.count
-	case "SUM":
-		return a.sum
-	case "AVG":
-		if a.count == 0 {
-			return 0.0
-		}
-		return a.sum / float64(a.count)
-	case "MIN":
-		return a.min
-	case "MAX":
-		return a.max
-	}
-	return nil
-}
-
 // aggItemPlan is one validated aggregate projection item: either a group-by
 // column passthrough or an aggregate function call.
 type aggItemPlan struct {
@@ -432,13 +285,6 @@ type aggItemPlan struct {
 	colName    string
 	fn         *sqlparse.FuncCall
 	outName    string
-}
-
-// aggGroup is one group's accumulated state: the group-key values as first
-// seen, plus one aggState per projection item (nil for group columns).
-type aggGroup struct {
-	keyVals []any
-	states  []*aggState
 }
 
 // aggItemPlans validates the projection shape of an aggregate statement:
@@ -480,43 +326,6 @@ func aggItemPlans(sel *sqlparse.Select) ([]aggItemPlan, error) {
 		}
 	}
 	return plans, nil
-}
-
-// aggPartialAcc is an Aggregate node's accumulated, not yet finalized state:
-// groups keyed by their rendered group key, the keys in first-appearance
-// order, and the resolved output types. Local execution finalizes it
-// (buildAggOutput); a cluster peer ships it to the router as an AggPartial.
-type aggPartialAcc struct {
-	plans    []aggItemPlan
-	outTypes []colstore.Type
-	groups   map[string]*aggGroup
-	order    []string
-
-	op  *opTimer // the open "aggregate" operator; done ends it
-	how string   // what was folded: "N chunks" or "N runs (run-aware)"
-}
-
-// done ends the aggregate operator, reporting rows output rows.
-func (p *aggPartialAcc) done(rows int) {
-	p.op.Done(int64(rows), fmt.Sprintf("%d groups, %d aggregates, %s", rows, len(p.plans), p.how))
-}
-
-// group returns the accumulator for key. A key seen for the first time gets
-// empty states and its first appearance recorded; fresh tells the caller to
-// fill in the group's key values.
-func (p *aggPartialAcc) group(key string) (g *aggGroup, fresh bool) {
-	if g, ok := p.groups[key]; ok {
-		return g, false
-	}
-	g = &aggGroup{states: make([]*aggState, len(p.plans))}
-	for pi, pl := range p.plans {
-		if pl.fn != nil {
-			g.states[pi] = &aggState{fn: pl.fn.Name}
-		}
-	}
-	p.groups[key] = g
-	p.order = append(p.order, key)
-	return g, true
 }
 
 // aggregatePartial executes an Aggregate plan node up to, not including,
@@ -568,13 +377,13 @@ func aggregateChunks(ctx context.Context, sel *sqlparse.Select, plans []aggItemP
 	if err != nil {
 		return nil, err
 	}
-	groupIdx := make([]int, len(sel.GroupBy))
+	keyVecs := make([]*colstore.Vector, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
-		groupIdx[i] = data.Schema.ColIndex(g)
+		keyVecs[i] = data.Cols[data.Schema.ColIndex(g)]
 	}
 	// Partial aggregation: the scanned rows split into fixed-size contiguous
 	// chunks (a function of data size only, never of degree), each chunk
-	// builds its own hash table, and partials fold via parallel.Reduce's
+	// folds into its own partial, and partials merge via parallel.Reduce's
 	// deterministic tree. Merging adjacent chunks' first-appearance orders
 	// yields exactly the serial first-appearance order, and float sums are
 	// bitwise reproducible at every degree.
@@ -586,65 +395,31 @@ func aggregateChunks(ctx context.Context, sel *sqlparse.Select, plans []aggItemP
 			if err := verr.Canceled(ctx.Err()); err != nil {
 				return nil, err
 			}
-			lo, hi := ci*aggChunkRows, (ci+1)*aggChunkRows
-			if hi > n {
-				hi = n
+			lo, hi := ci*aggChunkRows, min((ci+1)*aggChunkRows, n)
+			// One header per column: a [lo, hi) view of its vector.
+			views := make([]colstore.Vector, len(keyVecs)+len(argVecs))
+			b := &aggBlock{n: hi - lo, keys: make([]colstore.BlockCol, len(keyVecs)), args: make([]colstore.BlockCol, len(argVecs))}
+			for i, v := range keyVecs {
+				v.SliceInto(&views[i], lo, hi)
+				b.keys[i].Vals = &views[i]
 			}
-			p := &aggPartialAcc{plans: plans, groups: map[string]*aggGroup{}}
-			for r := lo; r < hi; r++ {
-				var kb strings.Builder
-				keyVals := make([]any, len(groupIdx))
-				for i, gi := range groupIdx {
-					v := data.Cols[gi].Value(r)
-					keyVals[i] = v
-					fmt.Fprintf(&kb, "%v\x00", v)
-				}
-				g, fresh := p.group(kb.String())
-				if fresh {
-					g.keyVals = keyVals
-				}
-				for pi, pl := range plans {
-					if pl.fn == nil {
-						continue
-					}
-					var v any = int64(1) // COUNT(*)
-					if !pl.fn.Star {
-						v = argVecs[pi].Value(r)
-					}
-					if err := g.states[pi].add(v); err != nil {
-						return nil, err
-					}
+			for pi, v := range argVecs {
+				if v != nil {
+					view := &views[len(keyVecs)+pi]
+					v.SliceInto(view, lo, hi)
+					b.args[pi].Vals = view
 				}
 			}
-			return p, nil
+			p := newAggPartialAcc(plans, outTypes)
+			return p, p.fold(b)
 		},
-		func(a, b *aggPartialAcc) (*aggPartialAcc, error) {
-			for _, key := range b.order {
-				bg := b.groups[key]
-				ag, ok := a.groups[key]
-				if !ok {
-					a.groups[key] = bg
-					a.order = append(a.order, key)
-					continue
-				}
-				for si, s := range ag.states {
-					if s == nil {
-						continue
-					}
-					if err := s.merge(bg.states[si]); err != nil {
-						return nil, err
-					}
-				}
-			}
-			return a, nil
-		})
+		func(a, b *aggPartialAcc) (*aggPartialAcc, error) { return a, a.merge(b, nil) })
 	if err != nil {
 		return nil, err
 	}
 	if part == nil { // zero rows scanned: no chunks ran
-		part = &aggPartialAcc{plans: plans, groups: map[string]*aggGroup{}}
+		part = newAggPartialAcc(plans, outTypes)
 	}
-	part.outTypes = outTypes
 	part.how = fmt.Sprintf("%d chunks", nchunks)
 	return part, nil
 }
@@ -677,38 +452,50 @@ func aggOutputTypes(plans []aggItemPlan, schema colstore.Schema, argTypes []cols
 
 // buildAggOutput materializes the grouped aggregate states into the output
 // batch in group first-appearance order. A global aggregate over zero rows
-// still yields one row (COUNT 0, SUM +0.0; MIN/MAX error).
+// still yields one row (COUNT 0, SUM and AVG +0.0; MIN/MAX error).
 func buildAggOutput(sel *sqlparse.Select, part *aggPartialAcc) (*colstore.Batch, error) {
-	if len(sel.GroupBy) == 0 && len(part.order) == 0 {
-		part.group("")
-	}
+	n := len(part.count)
 	out := &colstore.Batch{}
 	for pi, p := range part.plans {
-		out.Schema = append(out.Schema, colstore.ColumnSchema{Name: p.outName, Type: part.outTypes[pi]})
-		out.Cols = append(out.Cols, colstore.NewVector(part.outTypes[pi], len(part.order)))
-	}
-	for _, key := range part.order {
-		g := part.groups[key]
-		gi := 0
-		for pi, p := range part.plans {
-			var v any
-			if p.isGroupCol {
-				for i, name := range sel.GroupBy {
-					if name == p.colName {
-						gi = i
-					}
-				}
-				v = g.keyVals[gi]
-			} else {
-				v = g.states[pi].result()
-				if v == nil { // MIN/MAX over empty input
-					return nil, fmt.Errorf("sqlexec: %s over empty input", p.fn.Name)
-				}
+		it := &part.items[pi]
+		var col *colstore.Vector
+		switch {
+		case n == 0:
+			col = colstore.NewVector(part.outTypes[pi], 1)
+			if len(sel.GroupBy) > 0 {
+				break
 			}
-			if err := out.Cols[pi].AppendValue(v); err != nil {
+			if it.fn == "MIN" || it.fn == "MAX" {
+				return nil, fmt.Errorf("sqlexec: %s over empty input", it.fn)
+			}
+			if err := col.AppendValue(int64(0)); err != nil { // widens to +0.0 for SUM and AVG
 				return nil, err
 			}
+		case p.isGroupCol:
+			gi := 0
+			for i, name := range sel.GroupBy {
+				if name == p.colName {
+					gi = i
+				}
+			}
+			col = part.keys[gi].Slice(0, n) // a view: two items may name one column
+		case it.fn == "COUNT":
+			col = colstore.IntVector(append([]int64(nil), part.count...))
+		case it.fn == "SUM":
+			col = colstore.FloatVector(it.sum)
+		case it.fn == "AVG":
+			avg := make([]float64, n)
+			for g, s := range it.sum {
+				if part.count[g] > 0 { // a shard may ship an empty state
+					avg[g] = s / float64(part.count[g])
+				}
+			}
+			col = colstore.FloatVector(avg)
+		default: // MIN, MAX
+			col = it.ext
 		}
+		out.Schema = append(out.Schema, colstore.ColumnSchema{Name: p.outName, Type: part.outTypes[pi]})
+		out.Cols = append(out.Cols, col)
 	}
 	return out, nil
 }

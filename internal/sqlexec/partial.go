@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"verticadr/internal/colstore"
 	"verticadr/internal/plan"
@@ -12,10 +13,10 @@ import (
 // Distributed aggregation support: a shard executes the scan + chunked
 // partial aggregation locally and ships back per-group partial states
 // (count, sum, min, max) instead of finalized values; the router folds the
-// shard partials in shard order and finalizes once. Because the fold reuses
-// aggState.merge — the same merge the intra-node chunk tree uses — and
-// group first-appearance order composes across shards exactly as it does
-// across chunks, the merged result is bitwise identical to running the
+// shard partials in shard order and finalizes once. Because the fold is
+// aggPartialAcc.merge — the same merge the intra-node chunk tree uses —
+// and group first-appearance order composes across shards exactly as it
+// does across chunks, the merged result is bitwise identical to running the
 // query over the concatenated segments in one process (given the float
 // exactness discipline of DESIGN.md §12; AVG divides only at the router).
 
@@ -31,7 +32,8 @@ type AggPartial struct {
 
 // AggPartialGroup is one group's key and per-item partial states.
 type AggPartialGroup struct {
-	// Key is the rendered group key (the engine's internal map key).
+	// Key is the group's identity, rendered injectively from the key values
+	// (renderKey): what the merging side matches groups on.
 	Key string
 	// KeyVals are the group-by column values as first seen.
 	KeyVals []any
@@ -70,23 +72,116 @@ func RunPartialAggregate(ctx context.Context, db Database, sel *sqlparse.Select)
 	if err != nil {
 		return nil, err
 	}
-	part.done(len(part.order))
-	out := &AggPartial{OutTypes: part.outTypes}
-	for _, key := range part.order {
-		g := part.groups[key]
-		pg := AggPartialGroup{Key: key, KeyVals: g.keyVals}
-		for _, st := range g.states {
-			if st == nil {
-				pg.States = append(pg.States, nil)
+	part.done(len(part.count))
+	return part.export(), nil
+}
+
+// export renders the accumulated state as the wire partial: once per group,
+// not per row.
+func (p *aggPartialAcc) export() *AggPartial {
+	out := &AggPartial{OutTypes: p.outTypes, Groups: make([]AggPartialGroup, len(p.count))}
+	var key []byte
+	for g := range out.Groups {
+		key = renderKey(key[:0], p.keys, g)
+		pg := AggPartialGroup{Key: string(key), KeyVals: make([]any, len(p.keys)), States: make([]*AggPartialState, len(p.items))}
+		for i, k := range p.keys {
+			pg.KeyVals[i] = k.Value(g)
+		}
+		for pi := range p.items {
+			it := &p.items[pi]
+			if it.fn == "" {
 				continue
 			}
-			pg.States = append(pg.States, &AggPartialState{
-				Fn: st.fn, Count: st.count, Sum: st.sum, Min: st.min, Max: st.max,
-			})
+			st := &AggPartialState{Fn: it.fn, Count: p.count[g]}
+			switch it.fn {
+			case "SUM", "AVG":
+				st.Sum = it.sum[g]
+			case "MIN":
+				st.Min = it.ext.Value(g)
+			case "MAX":
+				st.Max = it.ext.Value(g)
+			}
+			pg.States[pi] = st
 		}
-		out.Groups = append(out.Groups, pg)
+		out.Groups[g] = pg
 	}
-	return out, nil
+	return out
+}
+
+// importAggPartial rebuilds a shard's wire partial as dense typed state,
+// together with its groups' rendered keys as the one identity column the
+// merge admits them under. A shard's values come off the wire: anything that
+// does not fit the statement is an error.
+func importAggPartial(plans []aggItemPlan, p *AggPartial) (*aggPartialAcc, []colstore.BlockCol, error) {
+	acc := newAggPartialAcc(plans, p.OutTypes)
+	keys := colstore.NewVector(colstore.TypeString, len(p.Groups))
+	for _, pg := range p.Groups {
+		if len(pg.States) != len(plans) {
+			return nil, nil, fmt.Errorf("sqlexec: shard partial group has %d states, want %d", len(pg.States), len(plans))
+		}
+		if acc.keys == nil {
+			acc.keys = make([]*colstore.Vector, len(pg.KeyVals))
+			for i, v := range pg.KeyVals {
+				t, err := valueType(v)
+				if err != nil {
+					return nil, nil, err
+				}
+				acc.keys[i] = colstore.NewVector(t, len(p.Groups))
+			}
+		}
+		if len(pg.KeyVals) != len(acc.keys) {
+			return nil, nil, fmt.Errorf("sqlexec: shard partial group has %d key values, want %d", len(pg.KeyVals), len(acc.keys))
+		}
+		keys.Strs = append(keys.Strs, pg.Key)
+		for i, v := range pg.KeyVals {
+			if err := acc.keys[i].AppendValue(v); err != nil {
+				return nil, nil, err
+			}
+		}
+		var count int64
+		for pi, st := range pg.States {
+			it := &acc.items[pi]
+			if (st == nil) != (it.fn == "") {
+				return nil, nil, fmt.Errorf("sqlexec: shard partial state %d does not match the statement", pi)
+			}
+			if st == nil {
+				continue
+			}
+			count = st.Count
+			ext := st.Min
+			switch it.fn {
+			case "SUM", "AVG":
+				it.sum = append(it.sum, st.Sum)
+				continue
+			case "COUNT":
+				continue
+			case "MAX":
+				ext = st.Max
+			}
+			if it.ext == nil {
+				it.ext = colstore.NewVector(p.OutTypes[pi], len(p.Groups))
+			}
+			if err := it.ext.AppendValue(ext); err != nil {
+				return nil, nil, fmt.Errorf("sqlexec: shard partial %s state: %w", it.fn, err)
+			}
+		}
+		acc.count = append(acc.count, count)
+	}
+	return acc, []colstore.BlockCol{{Vals: keys}}, nil
+}
+
+func valueType(v any) (colstore.Type, error) {
+	switch v.(type) {
+	case int64:
+		return colstore.TypeInt64, nil
+	case float64:
+		return colstore.TypeFloat64, nil
+	case string:
+		return colstore.TypeString, nil
+	case bool:
+		return colstore.TypeBool, nil
+	}
+	return 0, fmt.Errorf("sqlexec: shard partial group key of type %T", v)
 }
 
 // MergeAggPartials folds shard partials — in the order given, which must be
@@ -98,49 +193,29 @@ func MergeAggPartials(ctx context.Context, sel *sqlparse.Select, parts []*AggPar
 	if err != nil {
 		return nil, err
 	}
-	acc := &aggPartialAcc{plans: plans, groups: map[string]*aggGroup{}}
+	var acc *aggPartialAcc
 	for _, p := range parts {
 		if p == nil {
 			continue
 		}
-		if acc.outTypes == nil {
-			acc.outTypes = p.OutTypes
-		} else if len(p.OutTypes) != len(acc.outTypes) {
-			return nil, fmt.Errorf("sqlexec: shard partial has %d output types, want %d", len(p.OutTypes), len(acc.outTypes))
+		if len(p.OutTypes) != len(plans) {
+			return nil, fmt.Errorf("sqlexec: shard partial has %d output types, want %d", len(p.OutTypes), len(plans))
 		}
-		for _, pg := range p.Groups {
-			if len(pg.States) != len(plans) {
-				return nil, fmt.Errorf("sqlexec: shard partial group has %d states, want %d", len(pg.States), len(plans))
-			}
-			g, ok := acc.groups[pg.Key]
-			if !ok {
-				g = &aggGroup{keyVals: pg.KeyVals}
-				for _, st := range pg.States {
-					if st == nil {
-						g.states = append(g.states, nil)
-					} else {
-						g.states = append(g.states, &aggState{
-							fn: st.Fn, count: st.Count, sum: st.Sum, min: st.Min, max: st.Max,
-						})
-					}
-				}
-				acc.groups[pg.Key] = g
-				acc.order = append(acc.order, pg.Key)
-				continue
-			}
-			for si, st := range pg.States {
-				if st == nil || g.states[si] == nil {
-					continue
-				}
-				if err := g.states[si].merge(&aggState{
-					fn: st.Fn, count: st.Count, sum: st.Sum, min: st.Min, max: st.Max,
-				}); err != nil {
-					return nil, err
-				}
-			}
+		if acc == nil {
+			acc = newAggPartialAcc(plans, p.OutTypes)
+		}
+		if !slices.Equal(p.OutTypes, acc.outTypes) {
+			return nil, fmt.Errorf("sqlexec: shard partials disagree on output types: %v, %v", p.OutTypes, acc.outTypes)
+		}
+		shard, keys, err := importAggPartial(plans, p)
+		if err != nil {
+			return nil, err
+		}
+		if err := acc.merge(shard, keys); err != nil {
+			return nil, err
 		}
 	}
-	if acc.outTypes == nil {
+	if acc == nil {
 		return nil, fmt.Errorf("sqlexec: no shard partials to merge")
 	}
 	out, err := buildAggOutput(sel, acc)

@@ -3,7 +3,6 @@ package sqlexec
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"verticadr/internal/colstore"
@@ -402,8 +401,10 @@ func scanIndex(ctx context.Context, segs []*colstore.Segment, schema colstore.Sc
 // nested-loop join over the same inputs produces, so results are
 // deterministic and reference-checkable. Key equality follows the engine's
 // CompareValues semantics: ints compare exactly, mixed int/float widens to
-// float64, ±0.0 coincide, and NaN compares equal to everything — NaN rows go
-// to side lists that match all rows of the other side.
+// float64, ±0.0 coincide, and NaN compares equal to everything — NaN build
+// rows go to a side list that matches every probe row, and a NaN probe row
+// matches every build row. The build table is typed (keyInterner): dense key
+// IDs heading int32 row chains.
 func hashJoin(ctx context.Context, left, right *colstore.Batch, n *plan.Node, prof *Profile) (*colstore.Batch, error) {
 	joinDone := startOp(ctx, prof, "join")
 	li := left.Schema.ColIndex(n.LeftKey)
@@ -412,52 +413,73 @@ func hashJoin(ctx context.Context, left, right *colstore.Batch, n *plan.Node, pr
 		return nil, fmt.Errorf("sqlexec: join keys %s, %s not in scan output", n.LeftKey, n.RightKey)
 	}
 	lv, rv := left.Cols[li], right.Cols[ri]
-	norm, err := joinKeyNormalizer(lv.Type, rv.Type, n.LeftKey, n.RightKey)
-	if err != nil {
-		return nil, err
+	numeric := func(t colstore.Type) bool { return t == colstore.TypeInt64 || t == colstore.TypeFloat64 }
+	if lv.Type != rv.Type && !(numeric(lv.Type) && numeric(rv.Type)) {
+		return nil, fmt.Errorf("sqlexec: join keys %s (%v) and %s (%v) are not comparable", n.LeftKey, lv.Type, n.RightKey, rv.Type)
 	}
-	ht := make(map[any][]int, right.Len())
+	// Two INTEGER keys compare exactly; any FLOAT side compares as float64.
+	keys := keyInterner{join: lv.Type == colstore.TypeFloat64 || rv.Type == colstore.TypeFloat64}
+	// Build: each build row gets its key's dense ID; head[id] starts the chain
+	// of that key's rows through next. Chaining the rows in descending order
+	// leaves every chain ascending.
+	nl, nr := left.Len(), right.Len()
+	ids := make([]int32, max(nr, aggChunkRows))
+	keys.ids(colstore.BlockCol{Vals: rv}, ids[:nr], true)
+	head, next := make([]int32, keys.len()), make([]int32, nr)
+	for i := range head {
+		head[i] = -1
+	}
 	var nanBuild []int
-	for j, nr := 0, right.Len(); j < nr; j++ {
-		k, isNaN := norm(rv.Value(j))
-		if isNaN {
-			nanBuild = append(nanBuild, j)
-			continue
+	for j := nr - 1; j >= 0; j-- {
+		if id := ids[j]; id != idNaN {
+			next[j], head[id] = head[id], int32(j)
 		}
-		ht[k] = append(ht[k], j)
 	}
-	var lIdx, rIdx []int
-	emit := func(i, j int) { lIdx = append(lIdx, i); rIdx = append(rIdx, j) }
-	for i, nl := 0, left.Len(); i < nl; i++ {
-		if i%4096 == 0 {
-			if err := verr.Canceled(ctx.Err()); err != nil {
-				return nil, err
-			}
+	for j, id := range ids[:nr] {
+		if id == idNaN {
+			nanBuild = append(nanBuild, j)
 		}
-		k, isNaN := norm(lv.Value(i))
-		if isNaN {
-			for j, nr := 0, right.Len(); j < nr; j++ {
-				emit(i, j)
-			}
-			continue
+	}
+	// Probe a chunk of keys at a time: a typed pass resolves the chunk's IDs,
+	// then the matches are emitted.
+	lIdx, rIdx := make([]int, 0, nl), make([]int, 0, nl)
+	var chunk colstore.Vector
+	for lo := 0; lo < nl; lo += aggChunkRows {
+		if err := verr.Canceled(ctx.Err()); err != nil {
+			return nil, err
 		}
-		matches := ht[k]
-		if len(nanBuild) == 0 {
-			for _, j := range matches {
-				emit(i, j)
+		hi := min(lo+aggChunkRows, nl)
+		lv.SliceInto(&chunk, lo, hi)
+		keys.ids(colstore.BlockCol{Vals: &chunk}, ids[:hi-lo], false)
+		for i := lo; i < hi; i++ {
+			id := ids[i-lo]
+			if id == idNaN {
+				// NaN equals every build row: a probe chunk of NaNs emits
+				// chunk x build rows, so cancellation is checked in here too.
+				for j := 0; j < nr; j++ {
+					if j%aggChunkRows == aggChunkRows-1 {
+						if err := verr.Canceled(ctx.Err()); err != nil {
+							return nil, err
+						}
+					}
+					lIdx, rIdx = append(lIdx, i), append(rIdx, j)
+				}
+				continue
 			}
-			continue
-		}
-		// Merge equal-key rows with the match-everything NaN rows, keeping
-		// ascending build order.
-		a, b := 0, 0
-		for a < len(matches) || b < len(nanBuild) {
-			if a == len(matches) || (b < len(nanBuild) && nanBuild[b] < matches[a]) {
-				emit(i, nanBuild[b])
-				b++
-			} else {
-				emit(i, matches[a])
-				a++
+			// Merge the key's chain with the match-everything NaN build rows,
+			// keeping ascending build order.
+			j, b := int32(-1), 0
+			if id >= 0 {
+				j = head[id]
+			}
+			for j >= 0 || b < len(nanBuild) {
+				if j < 0 || (b < len(nanBuild) && nanBuild[b] < int(j)) {
+					lIdx, rIdx = append(lIdx, i), append(rIdx, nanBuild[b])
+					b++
+				} else {
+					lIdx, rIdx = append(lIdx, i), append(rIdx, int(j))
+					j = next[j]
+				}
 			}
 		}
 	}
@@ -478,36 +500,4 @@ func hashJoin(ctx context.Context, left, right *colstore.Batch, n *plan.Node, pr
 		filterDone.Done(int64(out.Len()), fmt.Sprintf("join filter %s", n.Residual.String()))
 	}
 	return out, nil
-}
-
-// joinKeyNormalizer returns a function mapping a key value to a hashable map
-// key such that two values normalize identically iff CompareValues reports
-// them equal — NaN excepted, which is reported separately (it "equals"
-// every value under the engine's ordering).
-func joinKeyNormalizer(lt, rt colstore.Type, lk, rk string) (func(any) (any, bool), error) {
-	numeric := func(t colstore.Type) bool { return t == colstore.TypeInt64 || t == colstore.TypeFloat64 }
-	switch {
-	case lt == colstore.TypeInt64 && rt == colstore.TypeInt64:
-		return func(v any) (any, bool) { return v, false }, nil
-	case numeric(lt) && numeric(rt):
-		return func(v any) (any, bool) {
-			var f float64
-			switch x := v.(type) {
-			case int64:
-				f = float64(x)
-			case float64:
-				f = x
-			}
-			if math.IsNaN(f) {
-				return nil, true
-			}
-			if f == 0 {
-				f = 0 // collapse -0.0 into +0.0
-			}
-			return f, false
-		}, nil
-	case lt == rt: // string = string, bool = bool
-		return func(v any) (any, bool) { return v, false }, nil
-	}
-	return nil, fmt.Errorf("sqlexec: join keys %s (%v) and %s (%v) are not comparable", lk, lt, rk, rt)
 }

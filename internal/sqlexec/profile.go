@@ -69,6 +69,10 @@ type opTimer struct {
 	op   string
 	t0   time.Duration
 	span *telemetry.Span
+	// extra is added to the measured wall time: an operator whose work ran
+	// inside another's interval (the run-aware fold inside the scan callback)
+	// takes that time from it.
+	extra time.Duration
 
 	Blocks           int64
 	BlocksSkipped    int64
@@ -111,7 +115,7 @@ func (t *opTimer) Done(rows int64, detail string) {
 	if t.p == nil {
 		return
 	}
-	elapsed := t.p.clock.Now() - t.t0
+	elapsed := t.p.clock.Now() - t.t0 + t.extra
 	telemetry.Default().Counter("sqlexec_op_nanos_total", telemetry.L("op", t.op)).AddDuration(elapsed)
 	t.p.mu.Lock()
 	t.p.ops = append(t.p.ops, OpProfile{
@@ -130,6 +134,14 @@ func (t *opTimer) doneScan(st colstore.ScanStats, rows int64, detail string) {
 	t.BlocksCompressed = int64(st.BlocksCompressed)
 	t.Bytes = int64(st.BytesRead)
 	t.Done(rows, detail)
+}
+
+// now reads the profile's clock; a nil profile reads 0 at no cost.
+func (p *Profile) now() time.Duration {
+	if p == nil {
+		return 0
+	}
+	return p.clock.Now()
 }
 
 // finish stamps the total. Nil-safe.
