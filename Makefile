@@ -2,8 +2,9 @@ GO ?= go
 
 # Tier-1 verify (referenced from ROADMAP.md): everything must build, every
 # test must pass, the tree must be lint-clean, the bounded compressed-
-# execution difftest must agree bitwise, and the equivalence fuzz targets
-# get a short smoke so the harness runs on every pass.
+# execution difftest must agree bitwise, and the five fuzz-smoke targets
+# (parser, three equivalence targets, shard-partial import) get a short run
+# so the harness runs on every pass.
 .PHONY: check
 check: lint build test race difftest-short fuzz-smoke
 
@@ -20,14 +21,16 @@ difftest-short:
 		./internal/sqlexec/difftest/ -difftest.short
 
 # Short fuzz smoke: the compressed-execution and hash-join equivalence
-# targets plus the SQL parser (the planner consumes whatever the parser
-# yields, so parse robustness is tier-1); enough to replay each corpus and
-# explore a little.
+# targets, the SQL parser (the planner consumes whatever the parser yields,
+# so parse robustness is tier-1) and the router's import of shard partials
+# (bytes off a peer connection); enough to replay each corpus and explore a
+# little.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSelect -fuzztime=10s ./internal/sqlparse/
 	$(GO) test -run='^$$' -fuzz=FuzzCompressedScanEquivalence -fuzztime=10s ./internal/colstore/
 	$(GO) test -run='^$$' -fuzz=FuzzCompressedAggregateEquivalence -fuzztime=10s ./internal/sqlexec/
+	$(GO) test -run='^$$' -fuzz=FuzzMergeAggPartials -fuzztime=10s ./internal/sqlexec/
 	$(GO) test -run='^$$' -fuzz=FuzzHashJoinEquivalence -fuzztime=10s ./internal/sqlexec/difftest/
 
 # Lint: go vet plus gofmt enforcement (gofmt -l output fails the build).
@@ -117,6 +120,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME) ./internal/colstore/
 	$(GO) test -run='^$$' -fuzz=FuzzCompressedScanEquivalence -fuzztime=$(FUZZTIME) ./internal/colstore/
 	$(GO) test -run='^$$' -fuzz=FuzzCompressedAggregateEquivalence -fuzztime=$(FUZZTIME) ./internal/sqlexec/
+	$(GO) test -run='^$$' -fuzz=FuzzMergeAggPartials -fuzztime=$(FUZZTIME) ./internal/sqlexec/
 	$(GO) test -run='^$$' -fuzz=FuzzHashJoinEquivalence -fuzztime=$(FUZZTIME) ./internal/sqlexec/difftest/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeChunk -fuzztime=$(FUZZTIME) ./internal/vft/
 	$(GO) test -run='^$$' -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./internal/wal/

@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"verticadr/internal/colstore"
 	"verticadr/internal/server"
 	"verticadr/internal/sqlexec"
 	"verticadr/internal/sqlexec/difftest"
@@ -57,96 +57,146 @@ func TestTopologyPlacement(t *testing.T) {
 	}
 }
 
-func TestWireValueRoundTripExact(t *testing.T) {
-	nanPayload := math.Float64frombits(0x7ff8deadbeef0001)
-	vals := []any{
-		nil, int64(-42), int64(0), "azul", "", true, false,
-		0.0, math.Copysign(0, -1), 2.5, math.Inf(1), math.Inf(-1),
-		math.NaN(), nanPayload,
+// TestRoutedPartialsCrossExactly drives aggregate partials through a real
+// peer → router hop and requires the merged result Float64bits-equal to the
+// single-node session: VARCHAR keys with NUL bytes and the empty string, a
+// BOOLEAN key, a FLOAT key with NaN, -0.0 and +0.0, sums reaching +Inf, -Inf
+// and NaN, a payload-carrying NaN as FLOAT extreme, VARCHAR extremes and
+// INTEGER extremes at both ends of int64. Table t spreads the rows round-robin
+// so every group straddles shards; in table e every row hashes to one shard,
+// so two shards answer with zero-row partials.
+func TestRoutedPartialsCrossExactly(t *testing.T) {
+	tc := startCluster(t, 3, 3, 2)
+	base := startBaseline(t, 3)
+	ctx := context.Background()
+	for name, seg := range map[string]string{"t": "ROUND ROBIN", "e": "HASH(b)"} {
+		ddl := fmt.Sprintf(testDDL, name, seg)
+		if err := base.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+		tc.exec(ddl)
 	}
-	for i, v := range vals {
-		w, err := encodeValue(v)
+	const payloadBits = 0x7ff8deadbeef0001
+	payload := math.Float64frombits(payloadBits)
+	negZero := math.Copysign(0, -1)
+	// Every NaN in y sits in the s = "\x00" group, which row 0 opens: NaN
+	// neither replaces nor is replaced as an extreme, so MIN/MAX is only
+	// associative when a group's NaN is its first value.
+	rows := [][]any{
+		// id, a, b, x, y, s, flag
+		{int64(0), int64(math.MinInt64), int64(7), payload, payload, "\x00", true},
+		{int64(1), int64(5), int64(7), negZero, math.MaxFloat64, "a", true},
+		{int64(2), int64(-5), int64(7), 0.0, -math.MaxFloat64, "a\x00", true},
+		{int64(3), int64(math.MaxInt64), int64(7), math.NaN(), payload, "\x00", true},
+		{int64(4), int64(0), int64(7), 1.5, math.MaxFloat64, "a", true},
+		{int64(5), int64(1), int64(7), negZero, -math.MaxFloat64, "a\x00", true},
+		{int64(6), int64(2), int64(7), 0.0, math.Inf(1), "", true},
+		{int64(7), int64(3), int64(7), 1.5, math.Inf(-1), "", true},
+		{int64(8), int64(math.MaxInt64), int64(7), negZero, 0.25, "a", false},
+		{int64(9), int64(math.MinInt64), int64(7), 0.0, -0.5, "", false},
+		{int64(10), int64(4), int64(7), 1.5, 2.0, "a\x00", false},
+		{int64(11), int64(6), int64(7), 0.0, negZero, "", false},
+	}
+	for _, name := range []string{"t", "e"} {
+		loadBoth(t, base, tc, name, difftest.TableSchema(), rows)
+	}
+
+	query := func(sql string) *sqlexec.Result {
+		t.Helper()
+		ref, err := base.QueryContext(ctx, sql)
 		if err != nil {
-			t.Fatalf("value %d (%#v): %v", i, v, err)
+			t.Fatalf("%q on a single node: %v", sql, err)
 		}
-		got, err := w.decode()
+		got, err := tc.router(1).Query(ctx, sql)
 		if err != nil {
-			t.Fatalf("value %d (%#v): %v", i, v, err)
+			t.Fatalf("%q routed: %v", sql, err)
 		}
-		if !bitIdentical(v, got) {
-			t.Fatalf("value %d: %#v round-tripped to %#v", i, v, got)
+		sameResult(t, sql, ref, got)
+		return got
+	}
+	for _, table := range []string{"t", "e"} {
+		for _, q := range []string{
+			"SELECT flag, count(*), sum(y), avg(y), min(s), max(s), min(a), max(a) FROM %s GROUP BY flag",
+			"SELECT s, flag, x, count(*), max(y), min(a) FROM %s GROUP BY s, flag, x",
+			"SELECT count(*), sum(y), avg(y), min(y), max(y), min(s), max(s), min(a), max(a), min(flag) FROM %s",
+			"SELECT s, count(*) FROM %s WHERE id < 0 GROUP BY s",
+			"SELECT count(*), sum(y) FROM %s WHERE id < 0",
+		} {
+			query(fmt.Sprintf(q, table))
 		}
-	}
-	// The NaN payload itself must survive, not just NaN-ness.
-	w, _ := encodeValue(nanPayload)
-	got, _ := w.decode()
-	if math.Float64bits(got.(float64)) != 0x7ff8deadbeef0001 {
-		t.Fatalf("NaN payload lost: %x", math.Float64bits(got.(float64)))
-	}
-	if _, err := encodeValue(int32(1)); err == nil {
-		t.Fatal("unboxable type encoded")
+
+		byS := query(fmt.Sprintf("SELECT s, count(*), sum(y), min(y), max(y), min(a), max(a) FROM %s GROUP BY s", table)).Rows()
+		want := []struct {
+			s          string
+			n          int64
+			sum        float64
+			minA, maxA int64
+		}{
+			{"\x00", 2, payload, math.MinInt64, math.MaxInt64},
+			{"a", 3, math.Inf(1), 0, math.MaxInt64},
+			{"a\x00", 3, math.Inf(-1), -5, 4},
+			{"", 4, math.NaN(), math.MinInt64, 6},
+		}
+		if len(byS) != len(want) {
+			t.Fatalf("%s: %d groups by s, want %d: %q", table, len(byS), len(want), byS)
+		}
+		for _, row := range byS { // group order follows the placement; find each by key
+			for _, w := range want {
+				sum := row[2].(float64)
+				if row[0] == w.s && (row[1] != w.n || row[5] != w.minA || row[6] != w.maxA ||
+					(sum != w.sum && !(math.IsNaN(sum) && math.IsNaN(w.sum)))) {
+					t.Fatalf("%s: group by s is %v, want %+v", table, row, w)
+				}
+			}
+			if row[0] != "\x00" {
+				continue
+			}
+			for _, c := range []int{2, 3, 4} { // sum, min and max of the all-payload group
+				if bits := math.Float64bits(row[c].(float64)); bits != payloadBits {
+					t.Fatalf("%s: NaN payload lost in column %d: %x", table, c, bits)
+				}
+			}
+		}
+
+		// The FLOAT key: every NaN is one group (shown as first seen), the two
+		// zeros are two groups.
+		byX := query(fmt.Sprintf("SELECT x, count(*), min(a), max(a) FROM %s GROUP BY x", table)).Rows()
+		var keys []uint64
+		for _, row := range byX {
+			keys = append(keys, math.Float64bits(row[0].(float64)))
+		}
+		slices.Sort(keys)
+		if !slices.Equal(keys, []uint64{0, math.Float64bits(1.5), payloadBits, math.Float64bits(negZero)}) {
+			t.Fatalf("%s: FLOAT keys %x", table, keys)
+		}
 	}
 }
 
-func TestAggPartialRoundTrip(t *testing.T) {
-	p := &sqlexec.AggPartial{
-		OutTypes: []colstore.Type{colstore.TypeInt64, colstore.TypeFloat64},
-		Groups: []sqlexec.AggPartialGroup{
-			{
-				Key:     "red\x00true",
-				KeyVals: []any{"red", true},
-				States: []*sqlexec.AggPartialState{
-					nil, // group-column passthrough
-					{Fn: "sum", Count: 7, Sum: 3.5, Min: math.Copysign(0, -1), Max: math.NaN()},
-				},
-			},
-			{
-				Key:     "blue\x00false",
-				KeyVals: []any{"blue", false},
-				States: []*sqlexec.AggPartialState{
-					nil,
-					{Fn: "count", Count: 0, Sum: 0, Min: nil, Max: nil},
-				},
-			},
-		},
+// TestPeerShardRowsCountEveryChunk: cluster_peer_shard_rows_total counts the
+// rows of every chunk a peer ships — a routed aggregate's groups as much as a
+// routed projection's rows.
+func TestPeerShardRowsCountEveryChunk(t *testing.T) {
+	tc := startCluster(t, 3, 3, 2)
+	tc.exec(fmt.Sprintf(testDDL, "t", "ROUND ROBIN"))
+	var vals []string
+	for i := 0; i < 12; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, 0, 0, 0.5, 0.5, 'red', %v)", i, i%2 == 0))
 	}
-	w, err := encodeAggPartial(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeAggPartial(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.OutTypes, p.OutTypes) {
-		t.Fatalf("out types %v != %v", got.OutTypes, p.OutTypes)
-	}
-	if len(got.Groups) != len(p.Groups) {
-		t.Fatalf("%d groups, want %d", len(got.Groups), len(p.Groups))
-	}
-	for gi := range p.Groups {
-		pg, gg := p.Groups[gi], got.Groups[gi]
-		if gg.Key != pg.Key {
-			t.Fatalf("group %d key %q != %q (NUL separator must survive)", gi, gg.Key, pg.Key)
+	tc.exec("INSERT INTO t VALUES " + strings.Join(vals, ", "))
+	for _, c := range []struct {
+		sql  string
+		want int64
+	}{
+		{"SELECT id FROM t WHERE id < 7", 7},
+		{"SELECT flag, count(*) FROM t GROUP BY flag", 6}, // 2 groups on each of 3 shards
+		{"SELECT count(*) FROM t WHERE id < 0", 0},        // no shard opens a group
+	} {
+		before := mPeerShardRows.Value()
+		if _, err := tc.router(0).Query(context.Background(), c.sql); err != nil {
+			t.Fatal(err)
 		}
-		for vi := range pg.KeyVals {
-			if !bitIdentical(pg.KeyVals[vi], gg.KeyVals[vi]) {
-				t.Fatalf("group %d keyval %d: %#v != %#v", gi, vi, gg.KeyVals[vi], pg.KeyVals[vi])
-			}
-		}
-		for si := range pg.States {
-			ps, gs := pg.States[si], gg.States[si]
-			if (ps == nil) != (gs == nil) {
-				t.Fatalf("group %d state %d nil-ness differs", gi, si)
-			}
-			if ps == nil {
-				continue
-			}
-			if gs.Fn != ps.Fn || gs.Count != ps.Count ||
-				math.Float64bits(gs.Sum) != math.Float64bits(ps.Sum) ||
-				!bitIdentical(ps.Min, gs.Min) || !bitIdentical(ps.Max, gs.Max) {
-				t.Fatalf("group %d state %d: %+v != %+v", gi, si, gs, ps)
-			}
+		if got := mPeerShardRows.Value() - before; got != c.want {
+			t.Fatalf("%q: peers shipped %d rows, want %d", c.sql, got, c.want)
 		}
 	}
 }
@@ -352,7 +402,7 @@ func TestSelectErrorsLocalAndRouted(t *testing.T) {
 	}
 }
 
-// opScanAttrs runs one aggregate through a peer's serveAgg for every shard
+// opScanAttrs runs one aggregate through a peer's cl.agg handler for every shard
 // under a trace and returns the summed numeric attributes of the op:scan
 // spans the shard executions recorded.
 func opScanAttrs(t *testing.T, tc *testCluster, sql string) map[string]int64 {
@@ -362,8 +412,8 @@ func opScanAttrs(t *testing.T, tc *testCluster, sql string) map[string]int64 {
 	ctx := telemetry.ContextWithSpan(context.Background(), root)
 	for shard := 0; shard < tc.topo.Shards; shard++ {
 		peer := tc.nodes[tc.topo.Owners(shard)[0]].peer
-		if _, err := peer.serveAgg(ctx, aggRequest{SQL: sql, Shards: []int{shard}}); err != nil {
-			t.Fatalf("serveAgg shard %d %q: %v", shard, sql, err)
+		if _, err := peer.serveShards(ctx, opAgg, shardRequest{SQL: sql, Shards: []int{shard}}); err != nil {
+			t.Fatalf("cl.agg shard %d %q: %v", shard, sql, err)
 		}
 	}
 	root.End()
@@ -424,7 +474,7 @@ func TestPeersExecuteTheShardPlan(t *testing.T) {
 		t.Fatalf("routed EXPLAIN does not probe the index:\n%s", text)
 	}
 	if got := opScanAttrs(t, tc, probe); got["scans"] != 3 || got["blocks"] != 1 || got["rows"] != 1 {
-		t.Fatalf("index probe through serveAgg: op:scan totals %v, want 3 scans decoding 1 block for 1 row", got)
+		t.Fatalf("index probe through cl.agg: op:scan totals %v, want 3 scans decoding 1 block for 1 row", got)
 	}
 
 	fold := `SELECT s, count(*), sum(y) FROM t GROUP BY s`
@@ -436,7 +486,7 @@ func TestPeersExecuteTheShardPlan(t *testing.T) {
 		t.Fatalf("routed EXPLAIN does not plan the run-aware aggregate:\n%s", text)
 	}
 	if got := opScanAttrs(t, tc, fold); got["blocks"] != 24 || got["blocks_compressed"] != 24 || got["rows"] != n {
-		t.Fatalf("run-aware aggregate through serveAgg: op:scan totals %v, want 24 blocks all folded compressed, %d rows", got, n)
+		t.Fatalf("run-aware aggregate through cl.agg: op:scan totals %v, want 24 blocks all folded compressed, %d rows", got, n)
 	}
 
 	for _, sql := range []string{probe, fold} {

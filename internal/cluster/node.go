@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 
 	"verticadr/internal/server"
 	"verticadr/internal/vft"
@@ -31,8 +30,8 @@ func (n *nodeExt) ServeExt(ctx context.Context, op string, payload json.RawMessa
 		return n.peer.ServeExt(ctx, op, payload)
 	}
 	var req loadRequest
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return nil, fmt.Errorf("cluster: bad %s request: %w", op, err)
+	if err := decodeRequest(op, payload, &req); err != nil {
+		return nil, err
 	}
 	mPeerOps(op).Inc()
 	if req.Shard != -1 {

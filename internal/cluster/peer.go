@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"verticadr/internal/colstore"
 	"verticadr/internal/server"
 	"verticadr/internal/sqlexec"
 	"verticadr/internal/sqlparse"
@@ -52,40 +53,28 @@ var _ server.Extension = (*Peer)(nil)
 func (p *Peer) ServeExt(ctx context.Context, op string, payload json.RawMessage) (any, error) {
 	mPeerOps(op).Inc()
 	switch op {
-	case opSelect:
-		var req selectRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("cluster: bad %s request: %w", op, err)
+	case opSelect, opAgg:
+		var req shardRequest
+		if err := decodeRequest(op, payload, &req); err != nil {
+			return nil, err
 		}
-		return p.serveSelect(ctx, req)
-	case opAgg:
-		var req aggRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("cluster: bad %s request: %w", op, err)
-		}
-		return p.serveAgg(ctx, req)
-	case opExplain:
-		var req explainRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("cluster: bad %s request: %w", op, err)
-		}
-		return p.serveExplain(ctx, req)
+		return p.serveShards(ctx, op, req)
 	case opLoad:
 		var req loadRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("cluster: bad %s request: %w", op, err)
+		if err := decodeRequest(op, payload, &req); err != nil {
+			return nil, err
 		}
 		return p.serveLoad(ctx, req)
 	case opExec:
 		var req execRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("cluster: bad %s request: %w", op, err)
+		if err := decodeRequest(op, payload, &req); err != nil {
+			return nil, err
 		}
 		return p.serveExec(ctx, req)
 	case opTableDef:
 		var req tableDefRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("cluster: bad %s request: %w", op, err)
+		if err := decodeRequest(op, payload, &req); err != nil {
+			return nil, err
 		}
 		return p.db.TableDef(req.Table)
 	case opHealth:
@@ -132,88 +121,36 @@ func parseSelect(sql string) (*sqlparse.Select, error) {
 	return sel, nil
 }
 
-// serveSelect runs the SELECT once per requested shard over a restricted
-// snapshot view and returns each shard's finished rows as a vft chunk.
-// Each shard view pins its own snapshot; the shards of one request may
-// observe different commit timestamps, exactly as separate nodes of a real
-// cluster answer from their own commit horizons.
-func (p *Peer) serveSelect(ctx context.Context, req selectRequest) (*selectReply, error) {
-	if err := p.checkShards(req.Shards); err != nil {
-		return nil, err
-	}
-	sel, err := parseSelect(req.SQL)
-	if err != nil {
-		return nil, err
-	}
-	reply := &selectReply{}
-	_, err = p.srv.Admit(ctx, req.SQL, func(ctx context.Context) (*sqlexec.Result, error) {
-		for _, s := range req.Shards {
-			view, release := p.db.ShardView([]int{s})
-			res, err := sqlexec.RunSelectCtx(ctx, view, sel)
-			release()
-			if err != nil {
-				return nil, err
-			}
-			chunk, err := vft.EncodeChunk(res.Batch)
-			if err != nil {
-				return nil, err
-			}
-			if reply.Cols == nil {
-				for _, c := range res.Batch.Schema {
-					reply.Cols = append(reply.Cols, c.Name)
-					reply.Types = append(reply.Types, c.Type)
-				}
-				if reply.Cols == nil {
-					reply.Cols = []string{}
-				}
-			}
-			reply.Chunks = append(reply.Chunks, chunk)
-			mPeerShardRows.Add(int64(res.Batch.Len()))
+// runShards is what a read op runs over the shard view, down to the batch
+// the peer ships back: a SELECT to its finished rows — or, under cl.agg, to
+// its partial aggregation state — and an EXPLAIN to its plan lines.
+func runShards(ctx context.Context, op string, view sqlexec.Database, stmt sqlparse.Statement) (*colstore.Batch, error) {
+	var res *sqlexec.Result
+	var err error
+	switch s := stmt.(type) {
+	case *sqlparse.Select:
+		if op == opAgg {
+			return sqlexec.RunPartialAggregate(ctx, view, s)
 		}
-		return nil, nil
-	})
+		res, err = sqlexec.RunSelectCtx(ctx, view, s)
+	case *sqlparse.Explain:
+		res, err = sqlexec.RunExplainCtx(ctx, view, s)
+	default:
+		err = fmt.Errorf("cluster: %s of a %T", op, stmt)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return reply, nil
+	return res.Batch, nil
 }
 
-// serveAgg computes one aggregate partial per requested shard.
-func (p *Peer) serveAgg(ctx context.Context, req aggRequest) (*aggReply, error) {
-	if err := p.checkShards(req.Shards); err != nil {
-		return nil, err
-	}
-	sel, err := parseSelect(req.SQL)
-	if err != nil {
-		return nil, err
-	}
-	reply := &aggReply{}
-	_, err = p.srv.Admit(ctx, req.SQL, func(ctx context.Context) (*sqlexec.Result, error) {
-		for _, s := range req.Shards {
-			view, release := p.db.ShardView([]int{s})
-			part, err := sqlexec.RunPartialAggregate(ctx, view, sel)
-			release()
-			if err != nil {
-				return nil, err
-			}
-			wp, err := encodeAggPartial(part)
-			if err != nil {
-				return nil, err
-			}
-			reply.Partials = append(reply.Partials, wp)
-		}
-		return nil, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return reply, nil
-}
-
-// serveExplain plans the statement against a view restricted to the
-// requested shards (the peer's own shards, typically) and returns the plan
-// rows as text.
-func (p *Peer) serveExplain(ctx context.Context, req explainRequest) (*explainReply, error) {
+// serveShards answers the read ops: the statement runs under admission
+// control over one snapshot view restricted to the requested shards, and
+// its batch ships as one vft chunk. The view pins its own snapshot; the
+// shards of one routed query are separate requests and may observe
+// different commit timestamps, exactly as separate nodes of a real cluster
+// answer from their own commit horizons.
+func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*shardReply, error) {
 	if err := p.checkShards(req.Shards); err != nil {
 		return nil, err
 	}
@@ -221,26 +158,23 @@ func (p *Peer) serveExplain(ctx context.Context, req explainRequest) (*explainRe
 	if err != nil {
 		return nil, err
 	}
-	ex, ok := stmt.(*sqlparse.Explain)
-	if !ok {
-		return nil, fmt.Errorf("cluster: expected EXPLAIN, got %T", stmt)
-	}
-	view, release := p.db.ShardView(req.Shards)
-	defer release()
-	res, err := sqlexec.RunExplainCtx(ctx, view, ex)
+	reply := &shardReply{}
+	_, err = p.srv.Admit(ctx, req.SQL, func(ctx context.Context) (*sqlexec.Result, error) {
+		view, release := p.db.ShardView(req.Shards)
+		defer release()
+		b, err := runShards(ctx, op, view, stmt)
+		if err != nil {
+			return nil, err
+		}
+		reply.Schema = b.Schema
+		if reply.Chunk, err = vft.EncodeChunk(b); err != nil {
+			return nil, err
+		}
+		mPeerShardRows.Add(int64(b.Len()))
+		return nil, nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	reply := &explainReply{}
-	for _, c := range res.Schema() {
-		reply.Cols = append(reply.Cols, c.Name)
-	}
-	for _, row := range res.Rows() {
-		out := make([]string, len(row))
-		for i, v := range row {
-			out[i] = fmt.Sprint(v)
-		}
-		reply.Rows = append(reply.Rows, out)
 	}
 	return reply, nil
 }

@@ -363,6 +363,31 @@ func (r *Router) fanOut(ctx context.Context, fn func(shard int) error) error {
 	return errors.Join(errs...)
 }
 
+// batch decodes the reply's chunk under the schema it carries.
+func (rep *shardReply) batch() (*colstore.Batch, error) {
+	return vft.DecodeChunk(rep.Chunk, rep.Schema)
+}
+
+// fetch runs sql under op on every shard concurrently — each shard on the
+// first of its replicas that answers — and returns the shards' batches in
+// shard order.
+func (r *Router) fetch(ctx context.Context, op, sql string) ([]*colstore.Batch, error) {
+	batches := make([]*colstore.Batch, r.topo.Shards)
+	err := r.fanOut(ctx, func(shard int) error {
+		var rep shardReply
+		if err := r.shardCall(ctx, shard, op, shardRequest{SQL: sql, Shards: []int{shard}}, &rep); err != nil {
+			return err
+		}
+		b, err := rep.batch()
+		if err != nil {
+			return fmt.Errorf("cluster: shard %d %s reply: %w", shard, op, err)
+		}
+		batches[shard] = b
+		return nil
+	})
+	return batches, err
+}
+
 func verrCanceled(ctx context.Context) error { return verr.Canceled(ctx.Err()) }
 
 func emptyResult() *sqlexec.Result {
@@ -469,57 +494,21 @@ func (r *Router) routeSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexe
 func (r *Router) rowsSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexec.Result, error) {
 	ctx, span := telemetry.StartChildCtx(ctx, "router.rows")
 	defer span.End()
-	sql := shardSQL(sel)
-	batches := make([]*colstore.Batch, r.topo.Shards)
-	err := r.fanOut(ctx, func(shard int) error {
-		var rep selectReply
-		if err := r.shardCall(ctx, shard, opSelect, selectRequest{SQL: sql, Shards: []int{shard}}, &rep); err != nil {
-			return err
-		}
-		if len(rep.Chunks) != 1 || len(rep.Cols) != len(rep.Types) {
-			return fmt.Errorf("cluster: malformed shard %d select reply", shard)
-		}
-		schema := make(colstore.Schema, len(rep.Cols))
-		for i := range rep.Cols {
-			schema[i] = colstore.ColumnSchema{Name: rep.Cols[i], Type: rep.Types[i]}
-		}
-		b, err := vft.DecodeChunk(rep.Chunks[0], schema)
-		if err != nil {
-			return err
-		}
-		batches[shard] = b
-		return nil
-	})
+	batches, err := r.fetch(ctx, opSelect, shardSQL(sel))
 	if err != nil {
 		return nil, err
 	}
 	return sqlexec.MergeShardRows(ctx, sel, batches)
 }
 
-// aggSelect fans an aggregate out per shard, collecting partial states,
+// aggSelect fans an aggregate out per shard, collecting partial batches,
 // and folds them in shard order — the distributed continuation of the
 // engine's chunk-merge tree, finalized (AVG division, ORDER BY, LIMIT)
 // once at the router.
 func (r *Router) aggSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexec.Result, error) {
 	ctx, span := telemetry.StartChildCtx(ctx, "router.aggregate")
 	defer span.End()
-	sql := shardSQL(sel)
-	parts := make([]*sqlexec.AggPartial, r.topo.Shards)
-	err := r.fanOut(ctx, func(shard int) error {
-		var rep aggReply
-		if err := r.shardCall(ctx, shard, opAgg, aggRequest{SQL: sql, Shards: []int{shard}}, &rep); err != nil {
-			return err
-		}
-		if len(rep.Partials) != 1 {
-			return fmt.Errorf("cluster: malformed shard %d agg reply", shard)
-		}
-		p, err := decodeAggPartial(rep.Partials[0])
-		if err != nil {
-			return err
-		}
-		parts[shard] = p
-		return nil
-	})
+	parts, err := r.fetch(ctx, opAgg, shardSQL(sel))
 	if err != nil {
 		return nil, err
 	}
@@ -581,26 +570,14 @@ func (r *Router) gatherSelect(ctx context.Context, sel *sqlparse.Select) (*sqlex
 		if err != nil {
 			return nil, err
 		}
-		segs := make([]*colstore.Segment, r.topo.Shards)
-		sql := "SELECT * FROM " + name
+		batches, err := r.fetch(ctx, opSelect, "SELECT * FROM "+name)
+		if err != nil {
+			return nil, err
+		}
+		segs := make([]*colstore.Segment, len(batches))
 		err = r.fanOut(ctx, func(shard int) error {
-			var rep selectReply
-			if err := r.shardCall(ctx, shard, opSelect, selectRequest{SQL: sql, Shards: []int{shard}}, &rep); err != nil {
-				return err
-			}
-			if len(rep.Chunks) != 1 {
-				return fmt.Errorf("cluster: malformed shard %d gather reply", shard)
-			}
-			b, err := vft.DecodeChunk(rep.Chunks[0], rt.def.Schema)
-			if err != nil {
-				return err
-			}
-			seg := colstore.NewSegment(rt.def.Schema, 0)
-			if err := seg.Append(b); err != nil {
-				return err
-			}
-			segs[shard] = seg
-			return nil
+			segs[shard] = colstore.NewSegment(rt.def.Schema, 0)
+			return segs[shard].Append(batches[shard])
 		})
 		if err != nil {
 			return nil, err
@@ -616,7 +593,7 @@ func (r *Router) gatherSelect(ctx context.Context, sel *sqlparse.Select) (*sqlex
 // distributed plan is "route to every shard" above whatever per-shard plan
 // the peer's planner picks.
 func (r *Router) routeExplain(ctx context.Context, sql string) (*sqlexec.Result, error) {
-	var rep explainReply
+	var rep shardReply
 	var peerUsed int
 	var lastErr error
 	done := false
@@ -628,7 +605,7 @@ func (r *Router) routeExplain(ctx context.Context, sql string) (*sqlexec.Result,
 		if len(shards) == 0 {
 			continue
 		}
-		err := r.peerCall(ctx, peer, opExplain, true, explainRequest{SQL: sql, Shards: shards}, &rep)
+		err := r.peerCall(ctx, peer, opSelect, true, shardRequest{SQL: sql, Shards: shards}, &rep)
 		if err == nil {
 			peerUsed, done = peer, true
 			break
@@ -643,28 +620,21 @@ func (r *Router) routeExplain(ctx context.Context, sql string) (*sqlexec.Result,
 	if !done {
 		return nil, fmt.Errorf("cluster: explain: %w: %v", verr.ErrNodeDown, lastErr)
 	}
-	out := &colstore.Batch{
-		Schema: colstore.Schema{{Name: "QUERY PLAN", Type: colstore.TypeString}},
-		Cols:   []*colstore.Vector{colstore.NewVector(colstore.TypeString, 0)},
+	out, err := rep.batch()
+	if err != nil {
+		return nil, err
 	}
-	header := []string{
+	if len(out.Cols) != 1 || out.Cols[0].Type != colstore.TypeString {
+		return nil, fmt.Errorf("cluster: malformed explain reply from node %d", peerUsed)
+	}
+	lines := []string{
 		fmt.Sprintf("Cluster Route  (shards=%d peers=%d replicas=%d)", r.topo.Shards, len(r.topo.Addrs), r.topo.Replicas),
 		fmt.Sprintf("  per-shard plan from node %d (shards %v):", peerUsed, r.topo.OwnedShards(peerUsed)),
 	}
-	for _, line := range header {
-		if err := out.Cols[0].AppendValue(line); err != nil {
-			return nil, err
-		}
+	for _, line := range out.Cols[0].Strs {
+		lines = append(lines, "  "+line)
 	}
-	for _, row := range rep.Rows {
-		line := ""
-		if len(row) > 0 {
-			line = "  " + row[0]
-		}
-		if err := out.Cols[0].AppendValue(line); err != nil {
-			return nil, err
-		}
-	}
+	out.Cols[0] = colstore.StringVector(lines)
 	return &sqlexec.Result{Batch: out}, nil
 }
 

@@ -1,56 +1,52 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
-	"math"
-	"strconv"
 
 	"verticadr/internal/colstore"
-	"verticadr/internal/sqlexec"
 )
 
 // The peer protocol rides the serving protocol's extension hook: one JSON
 // request frame, one JSON response frame, over the same connection and
 // framing (vft u32 frames) as ordinary queries, with errors carried as verr
-// wire codes. Row data crosses as vft chunk encodings ([]byte fields,
-// base64 inside the JSON envelope), so float bits — including NaN payloads
-// JSON numbers cannot carry — survive the hop exactly. Scalar values in
-// aggregate partials cross as typed wire values with hex float bits for
-// the same reason.
+// wire codes. Data crosses as vft chunk encodings ([]byte fields, base64
+// inside the JSON envelope) — rows, aggregate partials and plan text alike —
+// so float bits, including NaN payloads JSON numbers cannot carry, survive
+// the hop exactly.
 
 // Extension op names.
 const (
 	opSelect   = "cl.select"
 	opAgg      = "cl.agg"
-	opExplain  = "cl.explain"
 	opLoad     = "cl.load"
 	opExec     = "cl.exec"
 	opTableDef = "cl.tabledef"
 	opHealth   = "cl.health"
 )
 
-// selectRequest asks a peer to run a SELECT over the listed shards, one
-// restricted snapshot view per shard, returning each shard's finished rows.
-type selectRequest struct {
+// shardRequest asks a peer to run one read statement over a snapshot view
+// restricted to the listed shards, all of which it must own: cl.select runs
+// a SELECT to its finished rows or an EXPLAIN to its plan lines, cl.agg an
+// aggregate SELECT to its partial batch (sqlexec.RunPartialAggregate).
+type shardRequest struct {
 	SQL    string `json:"sql"`
 	Shards []int  `json:"shards"`
 }
 
-// selectReply carries per-shard result chunks plus the shared schema.
-type selectReply struct {
-	Cols   []string        `json:"cols"`
-	Types  []colstore.Type `json:"types"`
-	Chunks [][]byte        `json:"chunks"` // one vft chunk per requested shard
+// shardReply is the answer to every shardRequest: one batch as a vft chunk,
+// with the schema to decode it under.
+type shardReply struct {
+	Schema colstore.Schema `json:"schema"`
+	Chunk  []byte          `json:"chunk"`
 }
 
-// aggRequest asks a peer for per-shard aggregate partials.
-type aggRequest struct {
-	SQL    string `json:"sql"`
-	Shards []int  `json:"shards"`
-}
-
-type aggReply struct {
-	Partials []wireAggPartial `json:"partials"` // one per requested shard
+// decodeRequest unmarshals an op's request payload.
+func decodeRequest(op string, payload json.RawMessage, req any) error {
+	if err := json.Unmarshal(payload, req); err != nil {
+		return fmt.Errorf("cluster: bad %s request: %w", op, err)
+	}
+	return nil
 }
 
 // loadRequest appends a pre-split batch to one shard's segment (COPY). A
@@ -77,17 +73,6 @@ type tableDefRequest struct {
 	Table string `json:"table"`
 }
 
-// explainRequest runs EXPLAIN over the peer's restricted shard view.
-type explainRequest struct {
-	SQL    string `json:"sql"`
-	Shards []int  `json:"shards"`
-}
-
-type explainReply struct {
-	Cols []string   `json:"cols"`
-	Rows [][]string `json:"rows"`
-}
-
 // healthReply is a peer's self-report for the router's health surface. Peers
 // carries the full cluster address list so a client dialed at one node can
 // discover the rest (DiscoverHealth).
@@ -99,171 +84,4 @@ type healthReply struct {
 	Inflight  int      `json:"inflight"`
 	Queued    int      `json:"queued"`
 	Saturated bool     `json:"saturated"`
-}
-
-// wireValue is one exactly-encoded scalar: integers and bools natively,
-// floats as hex bit patterns, nil as type "n".
-type wireValue struct {
-	T string `json:"t"`
-	I int64  `json:"i,omitempty"`
-	F string `json:"f,omitempty"`
-	S string `json:"s,omitempty"`
-	B bool   `json:"b,omitempty"`
-}
-
-func encodeValue(v any) (wireValue, error) {
-	switch x := v.(type) {
-	case nil:
-		return wireValue{T: "n"}, nil
-	case int64:
-		return wireValue{T: "i", I: x}, nil
-	case float64:
-		return wireValue{T: "f", F: strconv.FormatUint(math.Float64bits(x), 16)}, nil
-	case string:
-		return wireValue{T: "s", S: x}, nil
-	case bool:
-		return wireValue{T: "b", B: x}, nil
-	}
-	return wireValue{}, fmt.Errorf("cluster: unencodable value %T", v)
-}
-
-func (w wireValue) decode() (any, error) {
-	switch w.T {
-	case "n":
-		return nil, nil
-	case "i":
-		return w.I, nil
-	case "f":
-		bits, err := strconv.ParseUint(w.F, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: bad float bits %q", w.F)
-		}
-		return math.Float64frombits(bits), nil
-	case "s":
-		return w.S, nil
-	case "b":
-		return w.B, nil
-	}
-	return nil, fmt.Errorf("cluster: unknown wire value type %q", w.T)
-}
-
-func encodeValues(vs []any) ([]wireValue, error) {
-	out := make([]wireValue, len(vs))
-	for i, v := range vs {
-		w, err := encodeValue(v)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = w
-	}
-	return out, nil
-}
-
-func decodeValues(ws []wireValue) ([]any, error) {
-	out := make([]any, len(ws))
-	for i, w := range ws {
-		v, err := w.decode()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// wireAggState mirrors sqlexec.AggPartialState with exact encodings.
-type wireAggState struct {
-	Fn    string     `json:"fn"`
-	Count int64      `json:"count"`
-	Sum   string     `json:"sum"` // hex Float64bits
-	Min   *wireValue `json:"min,omitempty"`
-	Max   *wireValue `json:"max,omitempty"`
-}
-
-// wireAggGroup is one group: the rendered key (base64 via []byte — it
-// embeds NUL separators), the key values, and per-item states (nil for
-// group-column passthrough items).
-type wireAggGroup struct {
-	Key     []byte          `json:"key"`
-	KeyVals []wireValue     `json:"key_vals,omitempty"`
-	States  []*wireAggState `json:"states"`
-}
-
-type wireAggPartial struct {
-	OutTypes []colstore.Type `json:"out_types"`
-	Groups   []wireAggGroup  `json:"groups"`
-}
-
-func encodeAggPartial(p *sqlexec.AggPartial) (wireAggPartial, error) {
-	out := wireAggPartial{OutTypes: p.OutTypes}
-	for _, g := range p.Groups {
-		kv, err := encodeValues(g.KeyVals)
-		if err != nil {
-			return out, err
-		}
-		wg := wireAggGroup{Key: []byte(g.Key), KeyVals: kv}
-		for _, st := range g.States {
-			if st == nil {
-				wg.States = append(wg.States, nil)
-				continue
-			}
-			ws := &wireAggState{
-				Fn:    st.Fn,
-				Count: st.Count,
-				Sum:   strconv.FormatUint(math.Float64bits(st.Sum), 16),
-			}
-			if st.Min != nil {
-				v, err := encodeValue(st.Min)
-				if err != nil {
-					return out, err
-				}
-				ws.Min = &v
-			}
-			if st.Max != nil {
-				v, err := encodeValue(st.Max)
-				if err != nil {
-					return out, err
-				}
-				ws.Max = &v
-			}
-			wg.States = append(wg.States, ws)
-		}
-		out.Groups = append(out.Groups, wg)
-	}
-	return out, nil
-}
-
-func decodeAggPartial(w wireAggPartial) (*sqlexec.AggPartial, error) {
-	out := &sqlexec.AggPartial{OutTypes: w.OutTypes}
-	for _, wg := range w.Groups {
-		kv, err := decodeValues(wg.KeyVals)
-		if err != nil {
-			return nil, err
-		}
-		g := sqlexec.AggPartialGroup{Key: string(wg.Key), KeyVals: kv}
-		for _, ws := range wg.States {
-			if ws == nil {
-				g.States = append(g.States, nil)
-				continue
-			}
-			bits, err := strconv.ParseUint(ws.Sum, 16, 64)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: bad sum bits %q", ws.Sum)
-			}
-			st := &sqlexec.AggPartialState{Fn: ws.Fn, Count: ws.Count, Sum: math.Float64frombits(bits)}
-			if ws.Min != nil {
-				if st.Min, err = ws.Min.decode(); err != nil {
-					return nil, err
-				}
-			}
-			if ws.Max != nil {
-				if st.Max, err = ws.Max.decode(); err != nil {
-					return nil, err
-				}
-			}
-			g.States = append(g.States, st)
-		}
-		out.Groups = append(out.Groups, g)
-	}
-	return out, nil
 }

@@ -31,7 +31,7 @@ func TestScanCancelStopsWithinOneBlock(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	delivered := 0
-	err := seg.ScanWithStatsCtx(ctx, []string{"x"}, nil, nil, func(batch *Batch) error {
+	err := seg.ScanZoneWithStatsCtx(ctx, []string{"x"}, nil, nil, nil, func(batch *Batch) error {
 		delivered++
 		cancel() // cancel during the first delivery
 		return nil
@@ -71,7 +71,7 @@ func TestParScanCancelReturnsTypedError(t *testing.T) {
 	defer cancel()
 	var deliveredAfterCancel int
 	canceled := false
-	err := seg.ParScanWithStatsCtx(ctx, []string{"x"}, nil, pool, nil, func(batch *Batch) error {
+	err := seg.ParScanZoneWithStatsCtx(ctx, []string{"x"}, nil, nil, pool, nil, func(batch *Batch) error {
 		if canceled {
 			deliveredAfterCancel++
 		}

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -58,7 +59,7 @@ func collectScan(t testing.TB, seg *Segment, cols []string, pred *Pred, pool *pa
 	if pool == nil {
 		err = seg.ScanWithStats(cols, pred, &st, consume)
 	} else {
-		err = seg.ParScanWithStats(cols, pred, pool, &st, consume)
+		err = seg.ParScanZoneWithStatsCtx(context.Background(), cols, pred, nil, pool, &st, consume)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +159,7 @@ func TestParScanOrderedDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := int64(0)
-	err := seg.ParScanWithStats(nil, nil, parallel.NewPool(8), nil, func(b *Batch) error {
+	err := seg.ParScanZoneWithStatsCtx(context.Background(), nil, nil, nil, parallel.NewPool(8), nil, func(b *Batch) error {
 		for _, id := range b.Cols[0].Ints {
 			if id != next {
 				return fmt.Errorf("got id %d, want %d", id, next)
@@ -179,7 +180,7 @@ func TestParScanConsumerError(t *testing.T) {
 	seg := randomSegment(t, 3, 2000, 32)
 	halt := errors.New("halt")
 	calls := 0
-	err := seg.ParScanWithStats(nil, nil, parallel.NewPool(4), nil, func(b *Batch) error {
+	err := seg.ParScanZoneWithStatsCtx(context.Background(), nil, nil, nil, parallel.NewPool(4), nil, func(b *Batch) error {
 		calls++
 		if calls == 3 {
 			return halt
@@ -193,7 +194,7 @@ func TestParScanConsumerError(t *testing.T) {
 
 func TestParScanUnknownPredColumn(t *testing.T) {
 	seg := randomSegment(t, 4, 100, 32)
-	err := seg.ParScanWithStats(nil, &Pred{Col: "nope", Op: OpEQ, Val: int64(1)}, parallel.NewPool(4), nil, func(*Batch) error { return nil })
+	err := seg.ParScanZoneWithStatsCtx(context.Background(), nil, &Pred{Col: "nope", Op: OpEQ, Val: int64(1)}, nil, parallel.NewPool(4), nil, func(*Batch) error { return nil })
 	if err == nil {
 		t.Fatal("expected error for unknown predicate column")
 	}
@@ -240,7 +241,7 @@ func TestChaosParScanErrorInjection(t *testing.T) {
 	in.MustArm(faults.Rule{Site: parallel.SiteTask, Kind: faults.Error, EveryN: 10})
 	faults.Install(in)
 	defer faults.Install(nil)
-	err := seg.ParScanWithStats(nil, nil, parallel.NewPool(4), nil, func(*Batch) error { return nil })
+	err := seg.ParScanZoneWithStatsCtx(context.Background(), nil, nil, nil, parallel.NewPool(4), nil, func(*Batch) error { return nil })
 	if !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("err %v, want injected", err)
 	}

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -68,7 +69,7 @@ func BenchmarkSegmentParScan(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rows := 0
-				err := seg.ParScanWithStats([]string{"id", "v"}, pred, pool, nil, func(batch *Batch) error {
+				err := seg.ParScanZoneWithStatsCtx(context.Background(), []string{"id", "v"}, pred, nil, pool, nil, func(batch *Batch) error {
 					rows += batch.Len()
 					return nil
 				})

@@ -517,17 +517,11 @@ func (s *Segment) Scan(cols []string, pred *Pred, fn func(*Batch) error) error {
 
 // ScanWithStats is Scan with per-scan observability: when st is non-nil it
 // is filled with what the scan touched. Global telemetry counters are
-// recorded either way. This is the serial reference path; ParScanWithStats
-// is the block-parallel equivalent and produces identical output.
+// recorded either way. This is the serial reference path;
+// ParScanZoneWithStatsCtx is the block-parallel equivalent and produces
+// identical output.
 func (s *Segment) ScanWithStats(cols []string, pred *Pred, st *ScanStats, fn func(*Batch) error) error {
-	return s.ScanWithStatsCtx(context.Background(), cols, pred, st, fn)
-}
-
-// ScanWithStatsCtx is ScanWithStats under a context: cancellation is checked
-// before every block decode (and before the tail), so a canceled query stops
-// within one storage block. The error wraps verr.ErrCanceled.
-func (s *Segment) ScanWithStatsCtx(ctx context.Context, cols []string, pred *Pred, st *ScanStats, fn func(*Batch) error) error {
-	return s.ScanZoneWithStatsCtx(ctx, cols, pred, nil, st, fn)
+	return s.ScanZoneWithStatsCtx(context.Background(), cols, pred, nil, st, fn)
 }
 
 // resolveZone binds auxiliary zone predicates to column indexes.
@@ -542,12 +536,15 @@ func (s *Segment) resolveZone(plan *scanPlan, zone []Pred) error {
 	return nil
 }
 
-// ScanZoneWithStatsCtx is ScanWithStatsCtx with auxiliary zone-map-only
-// predicates: each zone pred may exclude sealed blocks via min/max stats but
-// never filters surviving rows — callers keep those conjuncts as residual
-// filters, so passing them here only prunes I/O (the multi-conjunct WHERE
-// pushdown). Output is row-identical to the same scan without zone preds,
-// minus the rows of excluded blocks, all of which fail the zone predicates.
+// ScanZoneWithStatsCtx is ScanWithStats under a context and with auxiliary
+// zone-map-only predicates. Cancellation is checked before every block
+// decode (and before the tail), so a canceled query stops within one storage
+// block; the error wraps verr.ErrCanceled. Each zone pred may exclude sealed
+// blocks via min/max stats but never filters surviving rows — callers keep
+// those conjuncts as residual filters, so passing them here only prunes I/O
+// (the multi-conjunct WHERE pushdown). Output is row-identical to the same
+// scan without zone preds, minus the rows of excluded blocks, all of which
+// fail the zone predicates.
 func (s *Segment) ScanZoneWithStatsCtx(ctx context.Context, cols []string, pred *Pred, zone []Pred, st *ScanStats, fn func(*Batch) error) error {
 	var local ScanStats
 	if st == nil {
@@ -616,27 +613,16 @@ func (s *Segment) scanTail(plan *scanPlan, pred *Pred, st *ScanStats, scratch *[
 	return nil
 }
 
-// ParScanWithStats is ScanWithStats with block-level parallelism: sealed
-// blocks are decoded and filtered concurrently on the pool, while batches are
-// delivered to fn strictly in block order — byte-for-byte the serial scan's
-// output, including the merged ScanStats. A run-ahead window bounds decoded-
-// but-undelivered blocks, so memory stays O(degree), not O(segment). With a
-// nil pool or degree 1 it is exactly the serial path.
-func (s *Segment) ParScanWithStats(cols []string, pred *Pred, pool *parallel.Pool, st *ScanStats, fn func(*Batch) error) error {
-	return s.ParScanWithStatsCtx(context.Background(), cols, pred, pool, st, fn)
-}
-
-// ParScanWithStatsCtx is ParScanWithStats under a context. Cancellation is
-// checked before each block is scheduled for decode and again at each
-// in-order delivery, so a canceled scan stops issuing work within one block
-// (the run-ahead window may still decode a few already-scheduled blocks,
-// but none of them are delivered). The error wraps verr.ErrCanceled.
-func (s *Segment) ParScanWithStatsCtx(ctx context.Context, cols []string, pred *Pred, pool *parallel.Pool, st *ScanStats, fn func(*Batch) error) error {
-	return s.ParScanZoneWithStatsCtx(ctx, cols, pred, nil, pool, st, fn)
-}
-
-// ParScanZoneWithStatsCtx is ParScanWithStatsCtx with auxiliary zone-map
-// predicates (see ScanZoneWithStatsCtx).
+// ParScanZoneWithStatsCtx is ScanZoneWithStatsCtx with block-level
+// parallelism: sealed blocks are decoded and filtered concurrently on the
+// pool, while batches are delivered to fn strictly in block order —
+// byte-for-byte the serial scan's output, including the merged ScanStats. A
+// run-ahead window bounds decoded-but-undelivered blocks, so memory stays
+// O(degree), not O(segment). With a nil pool or degree 1 it is exactly the
+// serial path. Cancellation is checked before each block is scheduled for
+// decode and again at each in-order delivery, so a canceled scan stops
+// issuing work within one block (the run-ahead window may still decode a few
+// already-scheduled blocks, but none of them are delivered).
 func (s *Segment) ParScanZoneWithStatsCtx(ctx context.Context, cols []string, pred *Pred, zone []Pred, pool *parallel.Pool, st *ScanStats, fn func(*Batch) error) error {
 	if pool.Degree() <= 1 {
 		return s.ScanZoneWithStatsCtx(ctx, cols, pred, zone, st, fn)

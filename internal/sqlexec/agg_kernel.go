@@ -1,7 +1,6 @@
 package sqlexec
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -276,7 +275,7 @@ type aggItemAcc struct {
 // count[g] (every aggregate over the group counted the same rows) and item
 // pi's state is items[pi].sum[g] or items[pi].ext[g]. IDs follow first
 // appearance, so index order is output order. Local execution finalizes it
-// (buildAggOutput); a cluster peer ships it to the router as an AggPartial.
+// (buildAggOutput); a cluster peer ships it to the router as a batch.
 type aggPartialAcc struct {
 	plans    []aggItemPlan
 	outTypes []colstore.Type
@@ -290,11 +289,25 @@ type aggPartialAcc struct {
 	how string   // what was folded: "N chunks" or "N runs (run-aware)"
 }
 
-func newAggPartialAcc(plans []aggItemPlan, outTypes []colstore.Type) *aggPartialAcc {
-	p := &aggPartialAcc{plans: plans, outTypes: outTypes, items: make([]aggItemAcc, len(plans))}
+// newAggPartialAcc returns the state of zero groups: empty key columns of
+// keyTypes and, for MIN and MAX, an empty extreme column of the item's type.
+func newAggPartialAcc(plans []aggItemPlan, keyTypes, outTypes []colstore.Type) *aggPartialAcc {
+	p := &aggPartialAcc{
+		plans:    plans,
+		outTypes: outTypes,
+		keys:     make([]*colstore.Vector, len(keyTypes)),
+		items:    make([]aggItemAcc, len(plans)),
+	}
+	for i, t := range keyTypes {
+		p.keys[i] = colstore.NewVector(t, 0)
+	}
 	for pi, pl := range plans {
-		if pl.fn != nil {
-			p.items[pi].fn = pl.fn.Name
+		if pl.fn == nil {
+			continue
+		}
+		p.items[pi].fn = pl.fn.Name
+		if pl.fn.Name == "MIN" || pl.fn.Name == "MAX" {
+			p.items[pi].ext = colstore.NewVector(outTypes[pi], 0)
 		}
 	}
 	return p
@@ -328,15 +341,15 @@ func appendEntries(dst *colstore.Vector, col colstore.BlockCol, entries []int) e
 	return nil
 }
 
-// admit returns the group ID of each of n > 0 entries, identified by the
-// ident columns. A group met for the first time gets the next ID and its
-// dense state: keys' values at the entry that opened it, a zero count and
-// zero sums, and first[pi]'s value at that entry as each MIN/MAX item's
-// extreme — so the extreme loops need no "first value" case: comparing that
-// entry with itself replaces nothing.
-func (p *aggPartialAcc) admit(n int, ident, keys, first []colstore.BlockCol, sc *aggScratch) ([]int32, error) {
+// admit returns the group ID of each of n > 0 entries, identified by the key
+// columns. A group met for the first time gets the next ID and its dense
+// state: the keys' values at the entry that opened it, a zero count and zero
+// sums, and first[pi]'s value at that entry as each MIN/MAX item's extreme —
+// so the extreme loops need no "first value" case: comparing that entry with
+// itself replaces nothing.
+func (p *aggPartialAcc) admit(n int, keys, first []colstore.BlockCol, sc *aggScratch) ([]int32, error) {
 	base := len(p.count)
-	gid := p.table.assign(ident, n, sc)
+	gid := p.table.assign(keys, n, sc)
 	if p.table.n == base {
 		return gid, nil
 	}
@@ -351,12 +364,6 @@ func (p *aggPartialAcc) admit(n int, ident, keys, first []colstore.BlockCol, sc 
 		}
 	}
 	sc.fresh = fresh
-	if p.keys == nil {
-		p.keys = make([]*colstore.Vector, len(keys))
-		for i, k := range keys {
-			p.keys[i] = colstore.NewVector(k.Vals.Type, len(fresh))
-		}
-	}
 	for i, k := range keys {
 		if err := appendEntries(p.keys[i], k, fresh); err != nil {
 			return nil, err
@@ -369,9 +376,6 @@ func (p *aggPartialAcc) admit(n int, ident, keys, first []colstore.BlockCol, sc 
 		case "SUM", "AVG":
 			it.sum = append(it.sum, make([]float64, len(fresh))...)
 		case "MIN", "MAX":
-			if it.ext == nil {
-				it.ext = colstore.NewVector(first[pi].Vals.Type, len(fresh))
-			}
 			if err := appendEntries(it.ext, first[pi], fresh); err != nil {
 				return nil, err
 			}
@@ -399,7 +403,7 @@ func (p *aggPartialAcc) fold(b *aggBlock) error {
 	}
 	sc := aggScratchPool.Get().(*aggScratch)
 	defer aggScratchPool.Put(sc)
-	gid, err := p.admit(b.n, b.keys, b.keys, b.args, sc)
+	gid, err := p.admit(b.n, b.keys, b.args, sc)
 	if err != nil {
 		return err
 	}
@@ -433,12 +437,12 @@ func (p *aggPartialAcc) fold(b *aggBlock) error {
 }
 
 // merge folds b's groups into p: b's per-group state is a block whose
-// entries are its groups, admitted under the ident columns (b's own key
-// columns when nil) and added with the loops fold uses. Entries arrive in
-// b's group order, so merging partials in order composes their
-// first-appearance orders into the serial one, and each group's sums add in
-// merge order.
-func (p *aggPartialAcc) merge(b *aggPartialAcc, ident []colstore.BlockCol) error {
+// entries are its groups, admitted under its key columns and added with the
+// loops fold uses — between the chunks of one node and between the shards of
+// a cluster alike. Entries arrive in b's group order, so merging partials in
+// order composes their first-appearance orders into the serial one, and each
+// group's sums add in merge order.
+func (p *aggPartialAcc) merge(b *aggPartialAcc) error {
 	n := len(b.count)
 	if n == 0 {
 		return nil
@@ -451,12 +455,9 @@ func (p *aggPartialAcc) merge(b *aggPartialAcc, ident []colstore.BlockCol) error
 	for pi := range b.items {
 		first[pi].Vals = b.items[pi].ext
 	}
-	if ident == nil {
-		ident = keys
-	}
 	sc := aggScratchPool.Get().(*aggScratch)
 	defer aggScratchPool.Put(sc)
-	gid, err := p.admit(n, ident, keys, first, sc)
+	gid, err := p.admit(n, keys, first, sc)
 	if err != nil {
 		return err
 	}
@@ -565,33 +566,4 @@ func foldOrdered[T int64 | float64 | string](ext []T, gid []int32, xs []T, max b
 			ext[g] = xs[i]
 		}
 	}
-}
-
-// renderKey appends group g's identity to buf: each key part at a fixed
-// width (8-byte INTEGER or FLOAT bits with every NaN as one pattern, one
-// BOOLEAN byte) or length-prefixed (VARCHAR), so two groups render alike
-// exactly when they are one group under groupTable.
-func renderKey(buf []byte, keys []*colstore.Vector, g int) []byte {
-	for _, k := range keys {
-		switch k.Type {
-		case colstore.TypeInt64:
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(k.Ints[g]))
-		case colstore.TypeFloat64:
-			w := math.Float64bits(k.Floats[g])
-			if k.Floats[g] != k.Floats[g] {
-				w = nanKey
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, w)
-		case colstore.TypeString:
-			buf = binary.AppendUvarint(buf, uint64(len(k.Strs[g])))
-			buf = append(buf, k.Strs[g]...)
-		case colstore.TypeBool:
-			if k.Bools[g] {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
-		}
-	}
-	return buf
 }

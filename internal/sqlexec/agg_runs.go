@@ -44,8 +44,10 @@ func aggregateRuns(ctx context.Context, db Database, table string, sel *sqlparse
 		return len(cols) - 1
 	}
 	groupPos := make([]int, len(sel.GroupBy))
+	keyTypes := make([]colstore.Type, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
 		groupPos[i] = addCol(g)
+		keyTypes[i] = def.Schema[def.Schema.ColIndex(g)].Type
 	}
 	argPos := make([]int, len(plans))
 	argTypes := make([]colstore.Type, len(plans))
@@ -65,7 +67,7 @@ func aggregateRuns(ctx context.Context, db Database, table string, sel *sqlparse
 
 	scanDone := startOp(ctx, prof, "scan")
 	var st colstore.ScanStats
-	part := newAggPartialAcc(plans, outTypes)
+	part := newAggPartialAcc(plans, keyTypes, outTypes)
 	in := &aggBlock{keys: make([]colstore.BlockCol, len(groupPos)), args: make([]colstore.BlockCol, len(plans))}
 	nruns := 0
 	// The fold runs inside the scan callback; its time is booked under the

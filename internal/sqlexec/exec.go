@@ -378,8 +378,10 @@ func aggregateChunks(ctx context.Context, sel *sqlparse.Select, plans []aggItemP
 		return nil, err
 	}
 	keyVecs := make([]*colstore.Vector, len(sel.GroupBy))
+	keyTypes := make([]colstore.Type, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
 		keyVecs[i] = data.Cols[data.Schema.ColIndex(g)]
+		keyTypes[i] = keyVecs[i].Type
 	}
 	// Partial aggregation: the scanned rows split into fixed-size contiguous
 	// chunks (a function of data size only, never of degree), each chunk
@@ -410,15 +412,15 @@ func aggregateChunks(ctx context.Context, sel *sqlparse.Select, plans []aggItemP
 					b.args[pi].Vals = view
 				}
 			}
-			p := newAggPartialAcc(plans, outTypes)
+			p := newAggPartialAcc(plans, keyTypes, outTypes)
 			return p, p.fold(b)
 		},
-		func(a, b *aggPartialAcc) (*aggPartialAcc, error) { return a, a.merge(b, nil) })
+		func(a, b *aggPartialAcc) (*aggPartialAcc, error) { return a, a.merge(b) })
 	if err != nil {
 		return nil, err
 	}
 	if part == nil { // zero rows scanned: no chunks ran
-		part = newAggPartialAcc(plans, outTypes)
+		part = newAggPartialAcc(plans, keyTypes, outTypes)
 	}
 	part.how = fmt.Sprintf("%d chunks", nchunks)
 	return part, nil

@@ -57,7 +57,7 @@ func newFakeDB(t *testing.T, n int) *fakeDB {
 	}
 }
 
-func selStmt(t *testing.T, sql string) *sqlparse.Select {
+func selStmt(t testing.TB, sql string) *sqlparse.Select {
 	t.Helper()
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {

@@ -39,7 +39,7 @@ var fuzzFloatPalette = []float64{
 // fuzzer controls run boundaries, block straddling, and palette mixes.
 // Rows are capped at one aggregation chunk (4096) so chunked and run-folded
 // MIN/MAX see the same NaN merge order.
-func fuzzAggDB(t *testing.T, brSel uint8, seal bool, data []byte) *fakeDB {
+func fuzzAggDB(t testing.TB, brSel uint8, seal bool, data []byte) *fakeDB {
 	t.Helper()
 	schema := colstore.Schema{
 		{Name: "g", Type: colstore.TypeString},

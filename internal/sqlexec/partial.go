@@ -11,55 +11,30 @@ import (
 )
 
 // Distributed aggregation support: a shard executes the scan + chunked
-// partial aggregation locally and ships back per-group partial states
-// (count, sum, min, max) instead of finalized values; the router folds the
-// shard partials in shard order and finalizes once. Because the fold is
-// aggPartialAcc.merge — the same merge the intra-node chunk tree uses —
-// and group first-appearance order composes across shards exactly as it
-// does across chunks, the merged result is bitwise identical to running the
-// query over the concatenated segments in one process (given the float
-// exactness discipline of DESIGN.md §12; AVG divides only at the router).
-
-// AggPartial is one shard's serializable partial-aggregation state.
-type AggPartial struct {
-	// OutTypes are the resolved output column types; every shard of the
-	// same statement resolves identical types (they depend only on the
-	// table schema and the statement).
-	OutTypes []colstore.Type
-	// Groups lists the shard's groups in first-appearance order.
-	Groups []AggPartialGroup
-}
-
-// AggPartialGroup is one group's key and per-item partial states.
-type AggPartialGroup struct {
-	// Key is the group's identity, rendered injectively from the key values
-	// (renderKey): what the merging side matches groups on.
-	Key string
-	// KeyVals are the group-by column values as first seen.
-	KeyVals []any
-	// States holds one partial state per projection item; nil entries mark
-	// group-column passthrough items.
-	States []*AggPartialState
-}
-
-// AggPartialState is the partial accumulation of one aggregate function
-// over one group: COUNT/SUM ride Count/Sum, MIN/MAX ride the boxed
-// extremes (nil only for states synthesized over zero rows).
-type AggPartialState struct {
-	Fn    string
-	Count int64
-	Sum   float64
-	Min   any
-	Max   any
-}
+// partial aggregation locally and ships back its per-group partial state
+// instead of finalized values; the router folds the shard partials in shard
+// order and finalizes once. Because the fold is aggPartialAcc.merge — the
+// same merge the intra-node chunk tree uses — and group first-appearance
+// order composes across shards exactly as it does across chunks, the merged
+// result is bitwise identical to running the query over the concatenated
+// segments in one process (given the float exactness discipline of DESIGN.md
+// §12; AVG divides only at the router).
+//
+// A partial is one batch, rows = groups in first-appearance order (none for
+// a shard that scanned no row): the GROUP BY key columns in their own types,
+// one INTEGER "count" column — every aggregate over a group counted the same
+// rows — then one column per projection item that keeps more than the count:
+// SUM and AVG their FLOAT sum, MIN and MAX the extreme so far in the
+// argument's type. Typed columns cross a wire as a vft chunk, exact to the
+// bit.
 
 // RunPartialAggregate executes an aggregate SELECT over db — typically a
 // single-shard view — without finalizing: the statement's plan runs up to
 // and including the Aggregate node's accumulation (the same access path and
 // kernel local execution uses), and ORDER BY, LIMIT and AVG's division are
-// left to the merging side. The group order in the result is the shard's
-// first-appearance order.
-func RunPartialAggregate(ctx context.Context, db Database, sel *sqlparse.Select) (*AggPartial, error) {
+// left to the merging side. The result is the partial batch; its columns are
+// the accumulator's own vectors.
+func RunPartialAggregate(ctx context.Context, db Database, sel *sqlparse.Select) (*colstore.Batch, error) {
 	p, err := plan.Build(sel, db)
 	if err != nil {
 		return nil, err
@@ -73,150 +48,117 @@ func RunPartialAggregate(ctx context.Context, db Database, sel *sqlparse.Select)
 		return nil, err
 	}
 	part.done(len(part.count))
-	return part.export(), nil
-}
-
-// export renders the accumulated state as the wire partial: once per group,
-// not per row.
-func (p *aggPartialAcc) export() *AggPartial {
-	out := &AggPartial{OutTypes: p.outTypes, Groups: make([]AggPartialGroup, len(p.count))}
-	var key []byte
-	for g := range out.Groups {
-		key = renderKey(key[:0], p.keys, g)
-		pg := AggPartialGroup{Key: string(key), KeyVals: make([]any, len(p.keys)), States: make([]*AggPartialState, len(p.items))}
-		for i, k := range p.keys {
-			pg.KeyVals[i] = k.Value(g)
-		}
-		for pi := range p.items {
-			it := &p.items[pi]
-			if it.fn == "" {
-				continue
-			}
-			st := &AggPartialState{Fn: it.fn, Count: p.count[g]}
-			switch it.fn {
-			case "SUM", "AVG":
-				st.Sum = it.sum[g]
-			case "MIN":
-				st.Min = it.ext.Value(g)
-			case "MAX":
-				st.Max = it.ext.Value(g)
-			}
-			pg.States[pi] = st
-		}
-		out.Groups[g] = pg
+	out := &colstore.Batch{}
+	add := func(name string, v *colstore.Vector) {
+		out.Schema = append(out.Schema, colstore.ColumnSchema{Name: name, Type: v.Type})
+		out.Cols = append(out.Cols, v)
 	}
-	return out
-}
-
-// importAggPartial rebuilds a shard's wire partial as dense typed state,
-// together with its groups' rendered keys as the one identity column the
-// merge admits them under. A shard's values come off the wire: anything that
-// does not fit the statement is an error.
-func importAggPartial(plans []aggItemPlan, p *AggPartial) (*aggPartialAcc, []colstore.BlockCol, error) {
-	acc := newAggPartialAcc(plans, p.OutTypes)
-	keys := colstore.NewVector(colstore.TypeString, len(p.Groups))
-	for _, pg := range p.Groups {
-		if len(pg.States) != len(plans) {
-			return nil, nil, fmt.Errorf("sqlexec: shard partial group has %d states, want %d", len(pg.States), len(plans))
-		}
-		if acc.keys == nil {
-			acc.keys = make([]*colstore.Vector, len(pg.KeyVals))
-			for i, v := range pg.KeyVals {
-				t, err := valueType(v)
-				if err != nil {
-					return nil, nil, err
-				}
-				acc.keys[i] = colstore.NewVector(t, len(p.Groups))
-			}
-		}
-		if len(pg.KeyVals) != len(acc.keys) {
-			return nil, nil, fmt.Errorf("sqlexec: shard partial group has %d key values, want %d", len(pg.KeyVals), len(acc.keys))
-		}
-		keys.Strs = append(keys.Strs, pg.Key)
-		for i, v := range pg.KeyVals {
-			if err := acc.keys[i].AppendValue(v); err != nil {
-				return nil, nil, err
-			}
-		}
-		var count int64
-		for pi, st := range pg.States {
-			it := &acc.items[pi]
-			if (st == nil) != (it.fn == "") {
-				return nil, nil, fmt.Errorf("sqlexec: shard partial state %d does not match the statement", pi)
-			}
-			if st == nil {
-				continue
-			}
-			count = st.Count
-			ext := st.Min
-			switch it.fn {
-			case "SUM", "AVG":
-				it.sum = append(it.sum, st.Sum)
-				continue
-			case "COUNT":
-				continue
-			case "MAX":
-				ext = st.Max
-			}
-			if it.ext == nil {
-				it.ext = colstore.NewVector(p.OutTypes[pi], len(p.Groups))
-			}
-			if err := it.ext.AppendValue(ext); err != nil {
-				return nil, nil, fmt.Errorf("sqlexec: shard partial %s state: %w", it.fn, err)
-			}
-		}
-		acc.count = append(acc.count, count)
+	for i, k := range part.keys {
+		add(p.Sel.GroupBy[i], k)
 	}
-	return acc, []colstore.BlockCol{{Vals: keys}}, nil
-}
-
-func valueType(v any) (colstore.Type, error) {
-	switch v.(type) {
-	case int64:
-		return colstore.TypeInt64, nil
-	case float64:
-		return colstore.TypeFloat64, nil
-	case string:
-		return colstore.TypeString, nil
-	case bool:
-		return colstore.TypeBool, nil
+	add("count", colstore.IntVector(part.count))
+	for pi := range part.items {
+		switch it := &part.items[pi]; it.fn {
+		case "SUM", "AVG":
+			add(part.plans[pi].outName, colstore.FloatVector(it.sum))
+		case "MIN", "MAX":
+			add(part.plans[pi].outName, it.ext)
+		}
 	}
-	return 0, fmt.Errorf("sqlexec: shard partial group key of type %T", v)
+	return out, nil
 }
 
-// MergeAggPartials folds shard partials — in the order given, which must be
-// shard order for determinism — and finalizes the aggregate: output built
-// in merged first-appearance order, then ORDER BY and LIMIT from sel.
-// parts must hold at least one non-nil partial.
-func MergeAggPartials(ctx context.Context, sel *sqlparse.Select, parts []*AggPartial) (*Result, error) {
+// partialOfBatch reads a shard's partial batch as accumulator state, its
+// vectors shared with b. The batch came off a wire: anything that does not
+// fit the statement is an error.
+func partialOfBatch(sel *sqlparse.Select, plans []aggItemPlan, b *colstore.Batch) (*aggPartialAcc, error) {
+	if b == nil {
+		return nil, fmt.Errorf("sqlexec: missing shard partial")
+	}
+	if err := b.Validate(); err != nil {
+		return nil, fmt.Errorf("sqlexec: shard partial: %w", err)
+	}
+	nkeys := len(sel.GroupBy)
+	want := nkeys + 1
+	for _, pl := range plans {
+		if pl.fn != nil && pl.fn.Name != "COUNT" {
+			want++
+		}
+	}
+	if len(b.Cols) != want {
+		return nil, fmt.Errorf("sqlexec: shard partial has %d columns, the statement needs %d", len(b.Cols), want)
+	}
+	count := b.Cols[nkeys]
+	if count.Type != colstore.TypeInt64 {
+		return nil, fmt.Errorf("sqlexec: shard partial count column is %v", count.Type)
+	}
+	if nkeys == 0 && count.Len() > 1 {
+		return nil, fmt.Errorf("sqlexec: shard partial of an ungrouped aggregate has %d groups", count.Len())
+	}
+	for _, c := range count.Ints {
+		if c < 0 {
+			return nil, fmt.Errorf("sqlexec: shard partial counts %d rows in a group", c)
+		}
+	}
+	acc := &aggPartialAcc{
+		plans:    plans,
+		outTypes: make([]colstore.Type, len(plans)),
+		keys:     b.Cols[:nkeys],
+		count:    count.Ints,
+		items:    make([]aggItemAcc, len(plans)),
+	}
+	state := b.Cols[nkeys+1:]
+	for pi, pl := range plans {
+		if pl.isGroupCol {
+			acc.outTypes[pi] = b.Schema[slices.Index(sel.GroupBy, pl.colName)].Type
+			continue
+		}
+		it := &acc.items[pi]
+		it.fn = pl.fn.Name
+		switch it.fn {
+		case "COUNT":
+			acc.outTypes[pi] = colstore.TypeInt64
+		case "SUM", "AVG":
+			if state[0].Type != colstore.TypeFloat64 {
+				return nil, fmt.Errorf("sqlexec: shard partial %s column is %v", it.fn, state[0].Type)
+			}
+			acc.outTypes[pi], it.sum, state = colstore.TypeFloat64, state[0].Floats, state[1:]
+		default: // MIN, MAX
+			acc.outTypes[pi], it.ext, state = state[0].Type, state[0], state[1:]
+		}
+	}
+	return acc, nil
+}
+
+// MergeAggPartials folds shard partial batches — in the order given, which
+// must be shard order for determinism — and finalizes the aggregate: output
+// built in merged first-appearance order, then ORDER BY and LIMIT from sel.
+func MergeAggPartials(ctx context.Context, sel *sqlparse.Select, parts []*colstore.Batch) (*Result, error) {
 	plans, err := aggItemPlans(sel)
 	if err != nil {
 		return nil, err
 	}
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("sqlexec: no shard partials to merge")
+	}
 	var acc *aggPartialAcc
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if len(p.OutTypes) != len(plans) {
-			return nil, fmt.Errorf("sqlexec: shard partial has %d output types, want %d", len(p.OutTypes), len(plans))
-		}
-		if acc == nil {
-			acc = newAggPartialAcc(plans, p.OutTypes)
-		}
-		if !slices.Equal(p.OutTypes, acc.outTypes) {
-			return nil, fmt.Errorf("sqlexec: shard partials disagree on output types: %v, %v", p.OutTypes, acc.outTypes)
-		}
-		shard, keys, err := importAggPartial(plans, p)
+	for i, b := range parts {
+		shard, err := partialOfBatch(sel, plans, b)
 		if err != nil {
 			return nil, err
 		}
-		if err := acc.merge(shard, keys); err != nil {
+		if i == 0 {
+			keyTypes := make([]colstore.Type, len(shard.keys))
+			for k, v := range shard.keys {
+				keyTypes[k] = v.Type
+			}
+			acc = newAggPartialAcc(plans, keyTypes, shard.outTypes)
+		} else if !b.Schema.Equal(parts[0].Schema) {
+			return nil, fmt.Errorf("sqlexec: shard %d partial schema mismatch", i)
+		}
+		if err := acc.merge(shard); err != nil {
 			return nil, err
 		}
-	}
-	if acc == nil {
-		return nil, fmt.Errorf("sqlexec: no shard partials to merge")
 	}
 	out, err := buildAggOutput(sel, acc)
 	if err != nil {
