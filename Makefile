@@ -1,10 +1,12 @@
 GO ?= go
 
 # Tier-1 verify (referenced from ROADMAP.md): everything must build, every
-# test must pass, the tree must be lint-clean, the bounded compressed-
-# execution difftest must agree bitwise, and the five fuzz-smoke targets
-# (parser, three equivalence targets, shard-partial import) get a short run
-# so the harness runs on every pass.
+# test must pass — the root package's TestNoContextTwins among them, which
+# fails when any package declares X beside XContext/XCtx on one receiver —
+# the tree must be lint-clean, the bounded compressed-execution difftest
+# must agree bitwise, and the five fuzz-smoke targets (parser, three
+# equivalence targets, shard-partial import) get a short run so the harness
+# runs on every pass.
 .PHONY: check
 check: lint build test race difftest-short fuzz-smoke
 

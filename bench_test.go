@@ -7,6 +7,7 @@
 package verticadr_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -32,7 +33,7 @@ func newEnv(b *testing.B, dbNodes, workers, instances int) *bench.Env {
 
 func mustLoad(b *testing.B, e *bench.Env, table string, rows, feats int) {
 	b.Helper()
-	if err := e.LoadFeatureTable(table, rows, feats, 1); err != nil {
+	if err := e.LoadFeatureTable(context.Background(), table, rows, feats, 1); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -44,7 +45,7 @@ func BenchmarkFig1ODBCBaseline(b *testing.B) {
 	mustLoad(b, e, "t", 20000, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame, err := e.S.LoadODBC("t", nil, 1)
+		frame, err := e.S.LoadODBCContext(context.Background(), "t", nil, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func BenchmarkFig12TransferSmall(b *testing.B) {
 	mustLoad(b, e, "t", 40000, 5)
 	b.Run("ODBC", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			frame, err := e.S.LoadODBC("t", nil, 16)
+			frame, err := e.S.LoadODBCContext(context.Background(), "t", nil, 16)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -74,7 +75,7 @@ func BenchmarkFig12TransferSmall(b *testing.B) {
 	})
 	b.Run("VFT", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			frame, _, err := e.S.DB2DFrame("t", nil, verticadr.PolicyLocality)
+			frame, _, err := e.S.DB2DFrameContext(context.Background(), "t", nil, verticadr.PolicyLocality)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -118,7 +119,7 @@ func benchPredict(b *testing.B, query string, deploy func(e *bench.Env) error) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.S.Query(query)
+		res, err := e.S.QueryContext(context.Background(), query)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -309,7 +310,7 @@ func BenchmarkFig21EndToEnd(b *testing.B) {
 		mustLoad(b, e, "pts", 20000, 8)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			x, _, err := e.S.DB2DArray("pts", []string{"x0", "x1", "x2", "x3", "x4", "x5", "x6", "x7"}, "")
+			x, _, err := e.S.DB2DArrayContext(context.Background(), "pts", []string{"x0", "x1", "x2", "x3", "x4", "x5", "x6", "x7"}, "")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -380,7 +381,7 @@ func BenchmarkAblationTransferPolicy(b *testing.B) {
 			mustLoad(b, e, "t", 40000, 4)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				frame, _, err := e.S.DB2DFrame("t", nil, policy)
+				frame, _, err := e.S.DB2DFrameContext(context.Background(), "t", nil, policy)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -403,7 +404,7 @@ func BenchmarkAblationBufferSize(b *testing.B) {
 		psize := psize
 		b.Run(fmt.Sprintf("psize-%d", psize), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _, err := vft.Load(e.S.DB, e.S.DR, e.S.Hub, "t", nil, vft.PolicyLocality, psize)
+				_, _, err := vft.LoadContext(context.Background(), e.S.DB, e.S.DR, e.S.Hub, "t", nil, vft.PolicyLocality, psize)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -419,7 +420,7 @@ func BenchmarkAblationConnections(b *testing.B) {
 		conns := conns
 		b.Run(fmt.Sprintf("conns-%d", conns), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := e.S.LoadODBC("t", nil, conns); err != nil {
+				if _, err := e.S.LoadODBCContext(context.Background(), "t", nil, conns); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -444,7 +445,7 @@ func BenchmarkAblationPredictParallel(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := e.S.Query(`SELECT GlmPredict(x0, x1, x2, x3 USING PARAMETERS model='lm') OVER (PARTITION BEST) FROM pts`)
+				res, err := e.S.QueryContext(context.Background(), `SELECT GlmPredict(x0, x1, x2, x3 USING PARAMETERS model='lm') OVER (PARTITION BEST) FROM pts`)
 				if err != nil {
 					b.Fatal(err)
 				}

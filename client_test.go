@@ -264,7 +264,7 @@ func TestDialPlainServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(sess.Close)
-	if err := sess.Exec(`CREATE TABLE kv (k INTEGER, v FLOAT) SEGMENTED BY HASH(k)`); err != nil {
+	if err := sess.ExecContext(context.Background(), `CREATE TABLE kv (k INTEGER, v FLOAT) SEGMENTED BY HASH(k)`); err != nil {
 		t.Fatal(err)
 	}
 	srv := server.New(sess, server.Config{})

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -33,6 +34,7 @@ func main() {
 
 	cliflags.ApplyParallelism(*par)
 	chaos.Arm()
+	ctx := context.Background()
 
 	c := bench.DefaultCalib()
 	figs := bench.AllFigures(c)
@@ -47,7 +49,7 @@ func main() {
 			fmt.Println(f)
 		}
 	case *experiment == "tab1" || *experiment == "fig10":
-		runChecks(*experiment)
+		runChecks(ctx, *experiment)
 	default:
 		f, ok := byID[*experiment]
 		if !ok {
@@ -58,7 +60,7 @@ func main() {
 	}
 
 	if *real {
-		runReal()
+		runReal(ctx)
 	}
 
 	if rep := chaos.Report(); rep != "" {
@@ -77,7 +79,7 @@ func main() {
 	}
 }
 
-func runChecks(which string) {
+func runChecks(ctx context.Context, which string) {
 	env, err := bench.NewEnv(3, 3, 2)
 	if err != nil {
 		log.Fatal(err)
@@ -90,14 +92,14 @@ func runChecks(which string) {
 		}
 		fmt.Println("Table 1 constructs verified: darray/dframe/dlist(npartitions=), partitionsize, clone")
 	case "fig10":
-		if err := env.Fig10Check(); err != nil {
+		if err := env.Fig10Check(ctx); err != nil {
 			log.Fatalf("Fig 10 check FAILED: %v", err)
 		}
 		fmt.Println("Fig 10 verified: R_Models catalog matches (model | owner | type | size | description)")
 	}
 }
 
-func runReal() {
+func runReal(ctx context.Context) {
 	fmt.Println("== real-engine measurements (reduced scale, this machine) ==")
 	env, err := bench.NewEnv(4, 4, 2)
 	if err != nil {
@@ -105,17 +107,17 @@ func runReal() {
 	}
 	defer env.Close()
 
-	if err := env.LoadFeatureTable("bench_t", 60000, 6, 1); err != nil {
+	if err := env.LoadFeatureTable(ctx, "bench_t", 60000, 6, 1); err != nil {
 		log.Fatal(err)
 	}
-	tr, err := env.RealTransferComparison("bench_t", 16)
+	tr, err := env.RealTransferComparison(ctx, "bench_t", 16)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("transfer %d rows: ODBC %v, VFT %v (%.1fx)\n",
 		tr.Rows, tr.ODBC, tr.VFT, tr.ODBC.Seconds()/tr.VFT.Seconds())
 
-	ch, err := env.RunChaosTransfer("bench_t", 42)
+	ch, err := env.RunChaosTransfer(ctx, "bench_t", 42)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func runReal() {
 	fmt.Printf("solvers (20k x 6): Newton-Raphson %v vs QR %v, max coefficient diff %.2e\n",
 		sc.NRTime, sc.QRTime, sc.MaxCoefDiff)
 
-	ab, err := env.RunTransferPolicyAblation(40000)
+	ab, err := env.RunTransferPolicyAblation(ctx, 40000)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func runReal() {
 	if err := env.Table1Check(); err != nil {
 		log.Fatalf("Table 1 check FAILED: %v", err)
 	}
-	if err := env.Fig10Check(); err != nil {
+	if err := env.Fig10Check(ctx); err != nil {
 		log.Fatalf("Fig 10 check FAILED: %v", err)
 	}
 	fmt.Println("Table 1 and Fig 10 checks passed")

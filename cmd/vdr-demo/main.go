@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -37,12 +38,13 @@ func main() {
 		log.Fatal(err)
 	}
 	defer s.Close()
+	ctx := context.Background()
 	u := s.RM.Usage()
 	fmt.Printf("  yarn: db queue holds %d cores, analytics queue holds %d cores\n",
 		u.QueueCores["db"], u.QueueCores["analytics"])
 
 	// ETL: the enterprise loads operational data into the database first.
-	if err := s.Exec(`CREATE TABLE mytable (a FLOAT, b FLOAT, y FLOAT) SEGMENTED BY ROUND ROBIN`); err != nil {
+	if err := s.ExecContext(ctx, `CREATE TABLE mytable (a FLOAT, b FLOAT, y FLOAT) SEGMENTED BY ROUND ROBIN`); err != nil {
 		log.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(42))
@@ -60,11 +62,11 @@ func main() {
 	fmt.Printf("  ETL loaded %d rows; segment sizes per node: %v\n", n, sizes)
 
 	step(5, `data <- db2darray("mytable", ...) — Vertica Fast Transfer`)
-	x, stats, err := s.DB2DArray("mytable", []string{"a", "b"}, "")
+	x, stats, err := s.DB2DArrayContext(ctx, "mytable", []string{"a", "b"}, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	y, _, err := s.DB2DArray("mytable", []string{"y"}, "")
+	y, _, err := s.DB2DArrayContext(ctx, "mytable", []string{"y"}, "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,18 +96,18 @@ func main() {
 	if err := s.DeployModel("rModel", "demo", "forecasting", model); err != nil {
 		log.Fatal(err)
 	}
-	cat, _ := s.Query(`SELECT * FROM R_Models`)
+	cat, _ := s.QueryContext(ctx, `SELECT * FROM R_Models`)
 	fmt.Printf("  R_Models: %v\n", cat.Rows())
 
 	step(10, "SELECT glmPredict(a, b USING PARAMETERS model='rModel') OVER (PARTITION BEST) FROM mytable2")
-	if err := s.Exec(`CREATE TABLE mytable2 (a FLOAT, b FLOAT)`); err != nil {
+	if err := s.ExecContext(ctx, `CREATE TABLE mytable2 (a FLOAT, b FLOAT)`); err != nil {
 		log.Fatal(err)
 	}
-	if err := s.Exec(`INSERT INTO mytable2 VALUES (1.0, 1.0), (-1.0, 0.5), (0.0, 0.0)`); err != nil {
+	if err := s.ExecContext(ctx, `INSERT INTO mytable2 VALUES (1.0, 1.0), (-1.0, 0.5), (0.0, 0.0)`); err != nil {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	res, err := s.Query(`SELECT glmPredict(a, b USING PARAMETERS model='rModel') OVER (PARTITION BEST) FROM mytable2`)
+	res, err := s.QueryContext(ctx, `SELECT glmPredict(a, b USING PARAMETERS model='rModel') OVER (PARTITION BEST) FROM mytable2`)
 	if err != nil {
 		log.Fatal(err)
 	}

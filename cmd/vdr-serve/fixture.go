@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"math/rand"
 
 	"verticadr/internal/algos"
@@ -55,10 +56,10 @@ func syntheticForest(trees, depth int) *algos.ForestModel {
 // fixture was recovered whole. Each piece is checked on its own because a
 // durable directory can hold any prefix of them: every step below is one
 // commit, and a crash can fall between any two.
-func seedFixture(s *core.Session) ([]string, error) {
+func seedFixture(ctx context.Context, s *core.Session) ([]string, error) {
 	var created []string
 	if _, err := s.DB.TableDef(serveTable); err != nil { // only ever "not found"
-		if err := s.Exec(serveTableDDL); err != nil {
+		if err := s.ExecContext(ctx, serveTableDDL); err != nil {
 			return nil, err
 		}
 		created = append(created, serveTable)
@@ -80,7 +81,7 @@ func seedFixture(s *core.Session) ([]string, error) {
 	}
 	// R_Models is what Deploy itself consults, and its row is written after
 	// the blob, so a listed model is whole and an unlisted one deploys clean.
-	listed, err := s.Models.List()
+	listed, err := s.Models.List(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -14,7 +15,7 @@ func scores(t *testing.T, s *core.Session) [][]uint64 {
 	t.Helper()
 	var out [][]uint64
 	for _, sql := range []string{servePredictSQL, serveGlmPredictSQL} {
-		res, err := s.Query(sql)
+		res, err := s.QueryContext(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
@@ -33,7 +34,7 @@ func scores(t *testing.T, s *core.Session) [][]uint64 {
 // -demo used to build its own 4-node, 4-worker session whatever the flags
 // said, while the listener advertised -nodes shards.
 func TestDemoSessionFollowsNodesAndWorkers(t *testing.T) {
-	s, err := openSession("", true, 2, 3)
+	s, err := openSession(context.Background(), "", true, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,19 +50,19 @@ func TestDemoSessionFollowsNodesAndWorkers(t *testing.T) {
 
 func TestDurableFixtureRecoveredAndScoresIdentically(t *testing.T) {
 	dir := t.TempDir()
-	s, err := openSession(dir, true, 3, 2)
+	s, err := openSession(context.Background(), dir, true, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := scores(t, s)
 	s.Close()
 
-	re, err := openSession(dir, false, 3, 2)
+	re, err := openSession(context.Background(), dir, false, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	created, err := seedFixture(re)
+	created, err := seedFixture(context.Background(), re)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,21 +78,21 @@ func TestDurableFixtureRecoveredAndScoresIdentically(t *testing.T) {
 // next start must complete it rather than print statements that fail.
 func TestHalfSeededFixtureCompleted(t *testing.T) {
 	dir := t.TempDir()
-	s, err := openSession(dir, false, 2, 2)
+	s, err := openSession(context.Background(), dir, false, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Exec(serveTableDDL); err != nil {
+	if err := s.ExecContext(context.Background(), serveTableDDL); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 
-	re, err := openSession(dir, false, 2, 2)
+	re, err := openSession(context.Background(), dir, false, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	created, err := seedFixture(re)
+	created, err := seedFixture(context.Background(), re)
 	if err != nil {
 		t.Fatal(err)
 	}

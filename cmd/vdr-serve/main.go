@@ -27,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -73,7 +74,7 @@ func main() {
 	flag.Parse()
 
 	cl := clusterOpts{Peers: *clPeers, Node: *clNode, Shards: *clShards, Replicas: *clReplicas}
-	if err := serve(*addr, *adminAddr, *dataDir, *drainWait, *demo, *nodes, *workers, cl, server.Config{
+	if err := serve(context.Background(), *addr, *adminAddr, *dataDir, *drainWait, *demo, *nodes, *workers, cl, server.Config{
 		MaxConcurrent: *maxConc,
 		MaxQueue:      *maxQueue,
 		QueueWait:     *queueWait,
@@ -84,7 +85,7 @@ func main() {
 	}
 }
 
-func serve(addr, adminAddr, dataDir string, drainWait time.Duration, demo bool, nodes, workers int, cl clusterOpts, cfg server.Config) error {
+func serve(ctx context.Context, addr, adminAddr, dataDir string, drainWait time.Duration, demo bool, nodes, workers int, cl clusterOpts, cfg server.Config) error {
 	var topo cluster.Topology
 	clustered := cl.Peers != ""
 	if clustered {
@@ -105,7 +106,7 @@ func serve(addr, adminAddr, dataDir string, drainWait time.Duration, demo bool, 
 		nodes = topo.Shards
 		demo = false // fixtures are loaded through the router, not per node
 	}
-	sess, err := openSession(dataDir, demo, nodes, workers)
+	sess, err := openSession(ctx, dataDir, demo, nodes, workers)
 	if err != nil {
 		return err
 	}
@@ -211,7 +212,7 @@ func serve(addr, adminAddr, dataDir string, drainWait time.Duration, demo bool, 
 // openSession starts the session the server fronts: durable (recovering
 // whatever a previous run committed) when dataDir is set, and with the demo
 // fixture completed when asked for.
-func openSession(dataDir string, demo bool, nodes, workers int) (*core.Session, error) {
+func openSession(ctx context.Context, dataDir string, demo bool, nodes, workers int) (*core.Session, error) {
 	sess, err := core.Start(core.Config{DBNodes: nodes, DRWorkers: workers, DataDir: dataDir, Durable: dataDir != ""})
 	if err != nil {
 		return nil, err
@@ -224,7 +225,7 @@ func openSession(dataDir string, demo bool, nodes, workers int) (*core.Session, 
 		}
 	}
 	if demo {
-		created, err := seedFixture(sess)
+		created, err := seedFixture(ctx, sess)
 		if err != nil {
 			sess.Close()
 			return nil, err

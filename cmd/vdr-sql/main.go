@@ -57,8 +57,9 @@ func main() {
 		fmt.Println("\\metrics shows faults_injected_total")
 	}
 
+	ctx := context.Background()
 	if *connect != "" {
-		if err := remoteShell(*connect); err != nil {
+		if err := remoteShell(ctx, *connect); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -76,7 +77,7 @@ func main() {
 
 	if *demo {
 		if _, err := s.DB.TableDef("demo"); err != nil {
-			seedDemo(s)
+			seedDemo(ctx, s)
 		} else {
 			fmt.Println(`demo table "demo" recovered from previous run`)
 		}
@@ -86,7 +87,6 @@ func main() {
 	// cache and per-statement statistics for free.
 	srv := verticadr.NewServer(s, verticadr.ServerConfig{})
 	defer srv.Close()
-	ctx := context.Background()
 
 	profileAll := false
 	explainAll := false
@@ -198,8 +198,8 @@ func printRecovery(s *verticadr.Session) {
 	}
 }
 
-func seedDemo(s *verticadr.Session) {
-	if err := s.Exec(`CREATE TABLE demo (a FLOAT, b FLOAT, y FLOAT)`); err != nil {
+func seedDemo(ctx context.Context, s *verticadr.Session) {
+	if err := s.ExecContext(ctx, `CREATE TABLE demo (a FLOAT, b FLOAT, y FLOAT)`); err != nil {
 		log.Fatal(err)
 	}
 	const n = 5000
@@ -213,11 +213,11 @@ func seedDemo(s *verticadr.Session) {
 	if err := s.DB.LoadColumns("demo", cols); err != nil {
 		log.Fatal(err)
 	}
-	x, _, err := s.DB2DArray("demo", []string{"a", "b"}, "")
+	x, _, err := s.DB2DArrayContext(ctx, "demo", []string{"a", "b"}, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	y, _, err := s.DB2DArray("demo", []string{"y"}, "")
+	y, _, err := s.DB2DArrayContext(ctx, "demo", []string{"y"}, "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -237,8 +237,7 @@ func seedDemo(s *verticadr.Session) {
 // remoteShell runs the shell against running vdr-serve nodes instead of an
 // in-process session: statements route through the unified cluster client,
 // which fails idempotent reads over to another node when one dies.
-func remoteShell(addrs string) error {
-	ctx := context.Background()
+func remoteShell(ctx context.Context, addrs string) error {
 	cfg := verticadr.ClusterConfig{Addrs: strings.Split(addrs, ",")}
 	cl, err := verticadr.Dial(ctx, cfg)
 	if err != nil {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -52,10 +53,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer s.Close()
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
 
 	// --- Offline: historical impressions with click outcomes. ---
-	if err := s.Exec(`CREATE TABLE impressions (site_affinity FLOAT, income FLOAT, ads_seen FLOAT, clicked FLOAT)`); err != nil {
+	if err := s.ExecContext(ctx, `CREATE TABLE impressions (site_affinity FLOAT, income FLOAT, ads_seen FLOAT, clicked FLOAT)`); err != nil {
 		log.Fatal(err)
 	}
 	if err := s.DB.LoadColumns("impressions", genAuctionCols(rng, 40000, true)); err != nil {
@@ -63,11 +65,11 @@ func main() {
 	}
 
 	// Train a logistic model in Distributed R.
-	x, _, err := s.DB2DArray("impressions", []string{"site_affinity", "income", "ads_seen"}, "")
+	x, _, err := s.DB2DArrayContext(ctx, "impressions", []string{"site_affinity", "income", "ads_seen"}, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	y, _, err := s.DB2DArray("impressions", []string{"clicked"}, "")
+	y, _, err := s.DB2DArrayContext(ctx, "impressions", []string{"clicked"}, "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,14 +84,14 @@ func main() {
 	}
 
 	// --- Online: auctions stream into the database; score them in-place. ---
-	if err := s.Exec(`CREATE TABLE auctions (site_affinity FLOAT, income FLOAT, ads_seen FLOAT)`); err != nil {
+	if err := s.ExecContext(ctx, `CREATE TABLE auctions (site_affinity FLOAT, income FLOAT, ads_seen FLOAT)`); err != nil {
 		log.Fatal(err)
 	}
 	if err := s.DB.LoadColumns("auctions", genAuctionCols(rng, 100000, false)); err != nil {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	res, err := s.Query(`SELECT GlmPredict(site_affinity, income, ads_seen USING PARAMETERS model='ctr') OVER (PARTITION BEST) FROM auctions`)
+	res, err := s.QueryContext(ctx, `SELECT GlmPredict(site_affinity, income, ads_seen USING PARAMETERS model='ctr') OVER (PARTITION BEST) FROM auctions`)
 	if err != nil {
 		log.Fatal(err)
 	}

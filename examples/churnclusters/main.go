@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -19,6 +20,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer s.Close()
+	ctx := context.Background()
 
 	// Customers come in three behavioural archetypes.
 	type archetype struct{ spend, tenure, tickets float64 }
@@ -27,7 +29,7 @@ func main() {
 		{spend: 80, tenure: 6, tickets: 1}, // loyal big spenders
 		{spend: 45, tenure: 3, tickets: 3}, // steady middle
 	}
-	if err := s.Exec(`CREATE TABLE customers (spend FLOAT, tenure FLOAT, tickets FLOAT)`); err != nil {
+	if err := s.ExecContext(ctx, `CREATE TABLE customers (spend FLOAT, tenure FLOAT, tickets FLOAT)`); err != nil {
 		log.Fatal(err)
 	}
 	const n = 9000
@@ -44,7 +46,7 @@ func main() {
 	}
 
 	// Cluster in Distributed R.
-	x, _, err := s.DB2DArray("customers", nil, "")
+	x, _, err := s.DB2DArrayContext(ctx, "customers", nil, "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func main() {
 	if err := s.DeployModel("segments", "crm", "customer clustering", km); err != nil {
 		log.Fatal(err)
 	}
-	res, err := s.Query(`SELECT KmeansPredict(spend, tenure, tickets USING PARAMETERS model='segments') OVER (PARTITION BEST) FROM customers`)
+	res, err := s.QueryContext(ctx, `SELECT KmeansPredict(spend, tenure, tickets USING PARAMETERS model='segments') OVER (PARTITION BEST) FROM customers`)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func main() {
 	for k := int64(0); k < 3; k++ {
 		fmt.Printf("  segment %d: %d customers\n", k, counts[k])
 	}
-	stats, err := s.Query(`SELECT count(*) AS n, avg(spend) AS avg_spend, avg(tickets) AS avg_tickets FROM customers WHERE tickets > 5`)
+	stats, err := s.QueryContext(ctx, `SELECT count(*) AS n, avg(spend) AS avg_spend, avg(tickets) AS avg_tickets FROM customers WHERE tickets > 5`)
 	if err != nil {
 		log.Fatal(err)
 	}

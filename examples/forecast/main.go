@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -20,10 +21,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer s.Close()
+	ctx := context.Background()
 
 	// Sales respond linearly to ad spend and store traffic, plus a
 	// non-linear seasonal kink the forest can catch but the line cannot.
-	if err := s.Exec(`CREATE TABLE sales (ad_spend FLOAT, traffic FLOAT, season FLOAT, revenue FLOAT)`); err != nil {
+	if err := s.ExecContext(ctx, `CREATE TABLE sales (ad_spend FLOAT, traffic FLOAT, season FLOAT, revenue FLOAT)`); err != nil {
 		log.Fatal(err)
 	}
 	const n = 24000
@@ -41,11 +43,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	x, _, err := s.DB2DArray("sales", []string{"ad_spend", "traffic", "season"}, "")
+	x, _, err := s.DB2DArrayContext(ctx, "sales", []string{"ad_spend", "traffic", "season"}, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	y, _, err := s.DB2DArray("sales", []string{"revenue"}, "")
+	y, _, err := s.DB2DArrayContext(ctx, "sales", []string{"revenue"}, "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,17 +92,17 @@ func main() {
 	if err := s.DeployModel("rev_rf", "finance", "forest forecast", rf); err != nil {
 		log.Fatal(err)
 	}
-	if err := s.Exec(`CREATE TABLE plan (ad_spend FLOAT, traffic FLOAT, season FLOAT)`); err != nil {
+	if err := s.ExecContext(ctx, `CREATE TABLE plan (ad_spend FLOAT, traffic FLOAT, season FLOAT)`); err != nil {
 		log.Fatal(err)
 	}
-	if err := s.Exec(`INSERT INTO plan VALUES (8.0, 4.0, 0.9), (2.0, 1.0, 0.2), (5.0, 2.5, 0.8)`); err != nil {
+	if err := s.ExecContext(ctx, `INSERT INTO plan VALUES (8.0, 4.0, 0.9), (2.0, 1.0, 0.2), (5.0, 2.5, 0.8)`); err != nil {
 		log.Fatal(err)
 	}
-	lmPred, err := s.Query(`SELECT GlmPredict(ad_spend, traffic, season USING PARAMETERS model='rev_lm') OVER (PARTITION BEST) FROM plan`)
+	lmPred, err := s.QueryContext(ctx, `SELECT GlmPredict(ad_spend, traffic, season USING PARAMETERS model='rev_lm') OVER (PARTITION BEST) FROM plan`)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rfPred, err := s.Query(`SELECT RfPredict(ad_spend, traffic, season USING PARAMETERS model='rev_rf') OVER (PARTITION BEST) FROM plan`)
+	rfPred, err := s.QueryContext(ctx, `SELECT RfPredict(ad_spend, traffic, season USING PARAMETERS model='rev_rf') OVER (PARTITION BEST) FROM plan`)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func main() {
 		fmt.Printf("  scenario %d: %.1f | %.1f\n", i,
 			lmPred.Batch.Cols[0].Floats[i], rfPred.Batch.Cols[0].Floats[i])
 	}
-	models, err := s.Query(`SELECT model, type, size FROM R_Models ORDER BY model`)
+	models, err := s.QueryContext(ctx, `SELECT model, type, size FROM R_Models ORDER BY model`)
 	if err != nil {
 		log.Fatal(err)
 	}

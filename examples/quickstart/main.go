@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -20,9 +21,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer s.Close()
+	ctx := context.Background()
 
 	// Prepare a table: y = 3 + 2*a - b + noise.
-	if err := s.Exec(`CREATE TABLE mytable (a FLOAT, b FLOAT, y FLOAT) SEGMENTED BY ROUND ROBIN`); err != nil {
+	if err := s.ExecContext(ctx, `CREATE TABLE mytable (a FLOAT, b FLOAT, y FLOAT) SEGMENTED BY ROUND ROBIN`); err != nil {
 		log.Fatal(err)
 	}
 	const n = 20000
@@ -38,11 +40,11 @@ func main() {
 	}
 
 	// Line 5: data <- db2darray("mytable", ...).
-	x, stats, err := s.DB2DArray("mytable", []string{"a", "b"}, "")
+	x, stats, err := s.DB2DArrayContext(ctx, "mytable", []string{"a", "b"}, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	y, _, err := s.DB2DArray("mytable", []string{"y"}, "")
+	y, _, err := s.DB2DArrayContext(ctx, "mytable", []string{"y"}, "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,20 +72,20 @@ func main() {
 	if err := s.DeployModel("rModel", "quickstart", "forecasting", model); err != nil {
 		log.Fatal(err)
 	}
-	catalog, err := s.Query(`SELECT model, owner, type, size FROM R_Models`)
+	catalog, err := s.QueryContext(ctx, `SELECT model, owner, type, size FROM R_Models`)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("R_Models:", catalog.Rows())
 
 	// Lines 10-11: in-database prediction over new data.
-	if err := s.Exec(`CREATE TABLE mytable2 (a FLOAT, b FLOAT)`); err != nil {
+	if err := s.ExecContext(ctx, `CREATE TABLE mytable2 (a FLOAT, b FLOAT)`); err != nil {
 		log.Fatal(err)
 	}
-	if err := s.Exec(`INSERT INTO mytable2 VALUES (1.0, 0.0), (0.0, 1.0), (2.0, 2.0)`); err != nil {
+	if err := s.ExecContext(ctx, `INSERT INTO mytable2 VALUES (1.0, 0.0), (0.0, 1.0), (2.0, 2.0)`); err != nil {
 		log.Fatal(err)
 	}
-	res, err := s.Query(`SELECT glmPredict(a, b USING PARAMETERS model='rModel') OVER (PARTITION BEST) FROM mytable2`)
+	res, err := s.QueryContext(ctx, `SELECT glmPredict(a, b USING PARAMETERS model='rModel') OVER (PARTITION BEST) FROM mytable2`)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -42,7 +43,7 @@ func (e *Env) Close() { e.S.Close() }
 
 // LoadFeatureTable materializes a synthetic float table named `name` with
 // feats feature columns x0..x{n-1} and a response column y.
-func (e *Env) LoadFeatureTable(name string, rows, feats int, seed int64) error {
+func (e *Env) LoadFeatureTable(ctx context.Context, name string, rows, feats int, seed int64) error {
 	ddl := "CREATE TABLE " + name + " ("
 	featCols := make([]string, feats)
 	for i := range featCols {
@@ -50,7 +51,7 @@ func (e *Env) LoadFeatureTable(name string, rows, feats int, seed int64) error {
 		ddl += featCols[i] + " FLOAT, "
 	}
 	ddl += "y FLOAT)"
-	if err := e.S.Exec(ddl); err != nil {
+	if err := e.S.ExecContext(ctx, ddl); err != nil {
 		return err
 	}
 	spec := workload.TableSpec{Name: name, FeatCols: featCols, RespCol: "y", Rows: rows, Seed: seed}
@@ -67,9 +68,9 @@ type RealTransferResult struct {
 
 // RealTransferComparison measures actual ODBC vs actual VFT end to end on
 // the real engines (the measured counterpart of Figs. 12–13).
-func (e *Env) RealTransferComparison(table string, connections int) (*RealTransferResult, error) {
+func (e *Env) RealTransferComparison(ctx context.Context, table string, connections int) (*RealTransferResult, error) {
 	start := time.Now()
-	frame, err := e.S.LoadODBC(table, nil, connections)
+	frame, err := e.S.LoadODBCContext(ctx, table, nil, connections)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +78,7 @@ func (e *Env) RealTransferComparison(table string, connections int) (*RealTransf
 	rows := frame.Rows()
 
 	start = time.Now()
-	vframe, _, err := e.S.DB2DFrame(table, nil, "")
+	vframe, _, err := e.S.DB2DFrameContext(ctx, table, nil, "")
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +106,7 @@ type ChaosTransferResult struct {
 // injection site often enough for the profile's every-20th-send drop to
 // actually fire. The caller's process-wide injector is saved and restored
 // around the run.
-func (e *Env) RunChaosTransfer(table string, seed int64) (*ChaosTransferResult, error) {
+func (e *Env) RunChaosTransfer(ctx context.Context, table string, seed int64) (*ChaosTransferResult, error) {
 	rows, err := e.S.DB.TableRows(table)
 	if err != nil {
 		return nil, err
@@ -119,7 +120,7 @@ func (e *Env) RunChaosTransfer(table string, seed int64) (*ChaosTransferResult, 
 		policy = vft.PolicyLocality
 	}
 	load := func() (*darray.DFrame, error) {
-		f, _, err := vft.Load(e.S.DB, e.S.DR, e.S.Hub, table, nil, policy, psize)
+		f, _, err := vft.LoadContext(ctx, e.S.DB, e.S.DR, e.S.Hub, table, nil, policy, psize)
 		return f, err
 	}
 
@@ -213,7 +214,7 @@ func (e *Env) Table1Check() error {
 
 // Fig10Check deploys two models and verifies the R_Models catalog matches
 // the shape of Figure 10 (model | owner | type | size | description).
-func (e *Env) Fig10Check() error {
+func (e *Env) Fig10Check(ctx context.Context) error {
 	km := &algos.KmeansModel{K: 2, Centers: [][]float64{{0}, {1}}}
 	lm := &algos.GLMModel{Family: algos.Gaussian, Coefficients: []float64{1, 2}}
 	if err := e.S.DeployModel("model1", "X", "clustering", km); err != nil {
@@ -222,7 +223,7 @@ func (e *Env) Fig10Check() error {
 	if err := e.S.DeployModel("model2", "Y", "forecasting", lm); err != nil {
 		return err
 	}
-	res, err := e.S.Query(`SELECT model, owner, type, size, description FROM R_Models ORDER BY model`)
+	res, err := e.S.QueryContext(ctx, `SELECT model, owner, type, size, description FROM R_Models ORDER BY model`)
 	if err != nil {
 		return err
 	}
@@ -360,8 +361,8 @@ type TransferPolicyAblation struct {
 }
 
 // RunTransferPolicyAblation puts all rows on one node, then loads both ways.
-func (e *Env) RunTransferPolicyAblation(rows int) (*TransferPolicyAblation, error) {
-	if err := e.S.Exec(`CREATE TABLE skewed (a FLOAT, b FLOAT)`); err != nil {
+func (e *Env) RunTransferPolicyAblation(ctx context.Context, rows int) (*TransferPolicyAblation, error) {
+	if err := e.S.ExecContext(ctx, `CREATE TABLE skewed (a FLOAT, b FLOAT)`); err != nil {
 		return nil, err
 	}
 	spec := workload.TableSpec{Name: "skewed", FeatCols: []string{"a", "b"}, Rows: rows, Seed: 7}
@@ -374,11 +375,11 @@ func (e *Env) RunTransferPolicyAblation(rows int) (*TransferPolicyAblation, erro
 	if err := e.S.DB.LoadAt("skewed", 0, b); err != nil {
 		return nil, err
 	}
-	_, locStats, err := e.S.DB2DFrame("skewed", nil, vft.PolicyLocality)
+	_, locStats, err := e.S.DB2DFrameContext(ctx, "skewed", nil, vft.PolicyLocality)
 	if err != nil {
 		return nil, err
 	}
-	_, uniStats, err := e.S.DB2DFrame("skewed", nil, vft.PolicyUniform)
+	_, uniStats, err := e.S.DB2DFrameContext(ctx, "skewed", nil, vft.PolicyUniform)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 )
 
@@ -16,10 +17,10 @@ func newEnv(t *testing.T) *Env {
 
 func TestRealTransferComparison(t *testing.T) {
 	e := newEnv(t)
-	if err := e.LoadFeatureTable("t", 5000, 4, 1); err != nil {
+	if err := e.LoadFeatureTable(context.Background(), "t", 5000, 4, 1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RealTransferComparison("t", 6)
+	res, err := e.RealTransferComparison(context.Background(), "t", 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestTable1AndFig10(t *testing.T) {
 	if err := e.Table1Check(); err != nil {
 		t.Fatalf("Table 1 construct failed: %v", err)
 	}
-	if err := e.Fig10Check(); err != nil {
+	if err := e.Fig10Check(context.Background()); err != nil {
 		t.Fatalf("Fig 10 R_Models check failed: %v", err)
 	}
 }
@@ -74,7 +75,7 @@ func TestSolverComparisonAgrees(t *testing.T) {
 
 func TestTransferPolicyAblation(t *testing.T) {
 	e := newEnv(t)
-	res, err := e.RunTransferPolicyAblation(900)
+	res, err := e.RunTransferPolicyAblation(context.Background(), 900)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +99,10 @@ func TestTransferPolicyAblation(t *testing.T) {
 
 func TestRunChaosTransfer(t *testing.T) {
 	e := newEnv(t)
-	if err := e.LoadFeatureTable("ct", 8000, 3, 2); err != nil {
+	if err := e.LoadFeatureTable(context.Background(), "ct", 8000, 3, 2); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunChaosTransfer("ct", 42)
+	res, err := e.RunChaosTransfer(context.Background(), "ct", 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestClusterSurvivesReplicaKill(t *testing.T) {
 	schema := difftest.TableSchema()
 
 	ddl := fmt.Sprintf(testDDL, "t", "HASH(id)")
-	if err := base.Exec(ddl); err != nil {
+	if err := base.ExecContext(ctx, ddl); err != nil {
 		t.Fatal(err)
 	}
 	tc.exec(ddl)

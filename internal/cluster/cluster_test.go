@@ -71,7 +71,7 @@ func TestRoutedPartialsCrossExactly(t *testing.T) {
 	ctx := context.Background()
 	for name, seg := range map[string]string{"t": "ROUND ROBIN", "e": "HASH(b)"} {
 		ddl := fmt.Sprintf(testDDL, name, seg)
-		if err := base.Exec(ddl); err != nil {
+		if err := base.ExecContext(ctx, ddl); err != nil {
 			t.Fatal(err)
 		}
 		tc.exec(ddl)
@@ -355,12 +355,12 @@ func TestSelectErrorsLocalAndRouted(t *testing.T) {
 	base := startBaseline(t, 3)
 	ctx := context.Background()
 	ddl := fmt.Sprintf(testDDL, "t", "HASH(id)")
-	if err := base.Exec(ddl); err != nil {
+	if err := base.ExecContext(ctx, ddl); err != nil {
 		t.Fatal(err)
 	}
 	tc.exec(ddl)
 	ins := `INSERT INTO t VALUES (1, 2, 3, 1.5, -2.5, 'red', true), (2, -4, 5, 0.5, 7.5, 'blue', false), (3, 0, 1, 2.5, 0.5, 'red', true)`
-	if err := base.Exec(ins); err != nil {
+	if err := base.ExecContext(ctx, ins); err != nil {
 		t.Fatal(err)
 	}
 	tc.exec(ins)
@@ -399,6 +399,34 @@ func TestSelectErrorsLocalAndRouted(t *testing.T) {
 				t.Fatalf("%s (%s): error %q lacks %q", c.name, path, err, c.contains)
 			}
 		}
+	}
+
+	// Success leg: table-qualified columns. The router merges against the
+	// normalized statement the peers ran, so what one node accepts the
+	// cluster accepts, with the same bits.
+	for _, sql := range []string{
+		`SELECT t.flag, count(*) FROM t GROUP BY t.flag`,
+		`SELECT q.s, sum(q.x) AS sx, min(q.a) FROM t q WHERE q.id > 0 GROUP BY q.s ORDER BY q.s`,
+		`SELECT max(t.x), avg(t.y) FROM t WHERE t.flag = true`,
+		`SELECT t.id, t.x FROM t WHERE t.id > 1 ORDER BY t.id DESC`,
+		`SELECT q.id, q.s FROM t q ORDER BY q.s, q.id LIMIT 2`,
+	} {
+		ref, err := base.QueryContext(ctx, sql)
+		if err != nil {
+			t.Fatalf("local %q: %v", sql, err)
+		}
+		got, err := tc.router(1).Query(ctx, sql)
+		if err != nil {
+			t.Fatalf("routed %q: %v", sql, err)
+		}
+		sameResult(t, sql, ref, got)
+	}
+	// A qualifier that names no table in scope fails the same way on both.
+	const stray = `SELECT u.id FROM t`
+	_, localErr := base.QueryContext(ctx, stray)
+	_, routedErr := tc.router(0).Query(ctx, stray)
+	if localErr == nil || routedErr == nil || localErr.Error() != routedErr.Error() {
+		t.Fatalf("%q: local error %v, routed error %v", stray, localErr, routedErr)
 	}
 }
 
@@ -444,7 +472,7 @@ func TestPeersExecuteTheShardPlan(t *testing.T) {
 	base := startBaseline(t, 3)
 	ctx := context.Background()
 	ddl := fmt.Sprintf(testDDL, "t", "ROUND ROBIN")
-	if err := base.Exec(ddl); err != nil {
+	if err := base.ExecContext(ctx, ddl); err != nil {
 		t.Fatal(err)
 	}
 	tc.exec(ddl)
@@ -460,7 +488,7 @@ func TestPeersExecuteTheShardPlan(t *testing.T) {
 	}
 	loadBoth(t, base, tc, "t", difftest.TableSchema(), rows)
 	const idx = `CREATE INDEX idx_a ON t (a)`
-	if err := base.Exec(idx); err != nil {
+	if err := base.ExecContext(ctx, idx); err != nil {
 		t.Fatal(err)
 	}
 	tc.exec(idx)

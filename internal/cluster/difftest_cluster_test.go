@@ -37,7 +37,7 @@ func TestClusterDifftestRoutedMatchesSingleNode(t *testing.T) {
 			gen := difftest.NewGen(0x5eed + int64(len(seg)))
 			schema := difftest.TableSchema()
 			ddl := fmt.Sprintf(testDDL, "t", seg)
-			if err := base.Exec(ddl); err != nil {
+			if err := base.ExecContext(ctx, ddl); err != nil {
 				t.Fatal(err)
 			}
 			tc.exec(ddl)
@@ -92,7 +92,7 @@ func TestClusterDifftestJoins(t *testing.T) {
 
 	for _, name := range []string{"t", "u"} {
 		ddl := fmt.Sprintf(testDDL, name, "HASH(id)")
-		if err := base.Exec(ddl); err != nil {
+		if err := base.ExecContext(ctx, ddl); err != nil {
 			t.Fatal(err)
 		}
 		tc.exec(ddl)
@@ -133,7 +133,7 @@ func TestClusterPredictMatchesSingleNode(t *testing.T) {
 	schema := difftest.TableSchema()
 
 	ddl := fmt.Sprintf(testDDL, "t", "HASH(id)")
-	if err := base.Exec(ddl); err != nil {
+	if err := base.ExecContext(ctx, ddl); err != nil {
 		t.Fatal(err)
 	}
 	tc.exec(ddl)
@@ -183,13 +183,13 @@ func TestClusterInsertAndExplain(t *testing.T) {
 	ctx := context.Background()
 
 	ddl := fmt.Sprintf(testDDL, "t", "ROUND ROBIN")
-	if err := base.Exec(ddl); err != nil {
+	if err := base.ExecContext(ctx, ddl); err != nil {
 		t.Fatal(err)
 	}
 	tc.exec(ddl)
 
 	ins := `INSERT INTO t VALUES (1, 2, 3, 1.5, -2.5, 'red', true), (2, -4, 5, 0.5, 7.5, 'blue', false)`
-	if err := base.Exec(ins); err != nil {
+	if err := base.ExecContext(ctx, ins); err != nil {
 		t.Fatal(err)
 	}
 	tc.exec(ins)

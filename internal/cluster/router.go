@@ -469,7 +469,8 @@ func shardSQL(sel *sqlparse.Select) string {
 }
 
 func (r *Router) routeSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexec.Result, error) {
-	switch plan.KindOf(sel) {
+	kind := plan.KindOf(sel)
+	switch kind {
 	case plan.KindJoin:
 		mRouterRouted("gather").Inc()
 		return r.gatherSelect(ctx, sel)
@@ -477,13 +478,19 @@ func (r *Router) routeSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexe
 		// Constant SELECT: no table, evaluated at the router.
 		mRouterRouted("const").Inc()
 		return sqlexec.RunSelectCtx(ctx, nil, sel)
-	case plan.KindAggregate:
+	}
+	// A single-table statement is merged against what the peers executed:
+	// normalized once here, shipped in that form.
+	sel, err := plan.Normalize(sel)
+	if err != nil {
+		return nil, err
+	}
+	if kind == plan.KindAggregate {
 		mRouterRouted("aggregate").Inc()
 		return r.aggSelect(ctx, sel)
-	default:
-		mRouterRouted("rows").Inc()
-		return r.rowsSelect(ctx, sel)
 	}
+	mRouterRouted("rows").Inc()
+	return r.rowsSelect(ctx, sel)
 }
 
 // rowsSelect fans a projection / UDTF statement out per shard and merges:

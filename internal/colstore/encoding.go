@@ -257,22 +257,7 @@ func DecodeBlock(data []byte) (*Vector, error) {
 	if len(data) < 3 {
 		return nil, fmt.Errorf("colstore: block too short (%d bytes)", len(data))
 	}
-	typ := Type(data[0])
-	switch typ {
-	case TypeInt64, TypeFloat64, TypeString, TypeBool:
-	default:
-		return nil, fmt.Errorf("colstore: unknown type byte %d", data[0])
-	}
-	// Clamp the capacity hint: appends grow as needed, and a header may not
-	// commit the decoder to a huge allocation before payload validation.
-	hint := 0
-	if count, m := binary.Uvarint(data[2:]); m > 0 && count <= MaxBlockRows {
-		hint = int(count)
-		if hint > DefaultBlockRows {
-			hint = DefaultBlockRows
-		}
-	}
-	v := NewVector(typ, hint)
+	v := &Vector{Type: Type(data[0])} // an unknown type byte fails below
 	if err := DecodeBlockInto(v, data); err != nil {
 		return nil, err
 	}
@@ -308,6 +293,10 @@ func DecodeBlockInto(v *Vector, data []byte) error {
 	}
 	rest = rest[m:]
 	n := int(count)
+	// Reserve what the header promises, clamped: appends grow as needed, and
+	// a header may not commit the decoder to a huge allocation before its
+	// payload is validated.
+	v.reserve(min(n, DefaultBlockRows))
 	var err error
 	switch enc {
 	case EncPlain:

@@ -141,6 +141,29 @@ func (v *Vector) Reset() {
 	v.Bools = v.Bools[:0]
 }
 
+// reserve makes room for n more values without changing the length.
+func (v *Vector) reserve(n int) {
+	switch v.Type {
+	case TypeInt64:
+		v.Ints = grown(v.Ints, n)
+	case TypeFloat64:
+		v.Floats = grown(v.Floats, n)
+	case TypeString:
+		v.Strs = grown(v.Strs, n)
+	case TypeBool:
+		v.Bools = grown(v.Bools, n)
+	}
+}
+
+// grown returns s with room for n more elements: one allocation when it is
+// short, at least doubling so that repeated calls stay amortized.
+func grown[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, max(2*cap(s), len(s)+n)), s...)
+}
+
 // FloatVector wraps a float64 slice as a vector without copying.
 func FloatVector(vals []float64) *Vector { return &Vector{Type: TypeFloat64, Floats: vals} }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"verticadr/internal/colstore"
@@ -18,7 +19,7 @@ func TestDurableSessionRecoversAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Exec(`CREATE TABLE pts (id INTEGER, x FLOAT) SEGMENTED BY HASH(id)`); err != nil {
+	if err := s.ExecContext(context.Background(), `CREATE TABLE pts (id INTEGER, x FLOAT) SEGMENTED BY HASH(id)`); err != nil {
 		t.Fatal(err)
 	}
 	schema := colstore.Schema{
@@ -37,7 +38,7 @@ func TestDurableSessionRecoversAcrossRestart(t *testing.T) {
 	if _, err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Exec(`INSERT INTO pts VALUES (100, 50.5)`); err != nil {
+	if err := s.ExecContext(context.Background(), `INSERT INTO pts VALUES (100, 50.5)`); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -50,7 +51,7 @@ func TestDurableSessionRecoversAcrossRestart(t *testing.T) {
 	if info := s2.DB.RecoveryInfo(); info == nil || info.CheckpointLSN == 0 {
 		t.Fatalf("expected recovery from a checkpoint, got %+v", info)
 	}
-	res, err := s2.Query(`SELECT count(*) AS n, sum(x) AS s FROM pts`)
+	res, err := s2.QueryContext(context.Background(), `SELECT count(*) AS n, sum(x) AS s FROM pts`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestDurableSessionRecoversAcrossRestart(t *testing.T) {
 		t.Fatalf("recovered sum %v, want 2525.5", got)
 	}
 	// The recovered session keeps full write/read service.
-	if err := s2.Exec(`INSERT INTO pts VALUES (101, 1.0)`); err != nil {
+	if err := s2.ExecContext(context.Background(), `INSERT INTO pts VALUES (101, 1.0)`); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -48,7 +49,7 @@ func TestQuickLoaderEquivalence(t *testing.T) {
 			seg = "SEGMENTED BY HASH(id)"
 		}
 		table := fmt.Sprintf("t%d", iter)
-		if err := s.Exec(fmt.Sprintf(`CREATE TABLE %s (id INTEGER, v FLOAT) %s`, table, seg)); err != nil {
+		if err := s.ExecContext(context.Background(), fmt.Sprintf(`CREATE TABLE %s (id INTEGER, v FLOAT) %s`, table, seg)); err != nil {
 			return false
 		}
 		schema := colstore.Schema{
@@ -83,17 +84,17 @@ func TestQuickLoaderEquivalence(t *testing.T) {
 		}
 
 		// Parallel ODBC.
-		of, err := s.LoadODBC(table, nil, conns)
+		of, err := s.LoadODBCContext(context.Background(), table, nil, conns)
 		if err != nil || !check(of) {
 			return false
 		}
 		// VFT locality over TCP (session was started with UseTCPTransfer).
-		lf, _, err := s.DB2DFrame(table, nil, vft.PolicyLocality)
+		lf, _, err := s.DB2DFrameContext(context.Background(), table, nil, vft.PolicyLocality)
 		if err != nil || !check(lf) {
 			return false
 		}
 		// VFT uniform over TCP.
-		uf, _, err := s.DB2DFrame(table, nil, vft.PolicyUniform)
+		uf, _, err := s.DB2DFrameContext(context.Background(), table, nil, vft.PolicyUniform)
 		if err != nil || !check(uf) {
 			return false
 		}

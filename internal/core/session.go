@@ -188,7 +188,9 @@ func Start(cfg Config) (*Session, error) {
 	if err := vft.Register(db, hub); err != nil {
 		return nil, err
 	}
-	mgr, err := models.NewManager(db)
+	// Start owns the session's lifetime; operations after it run under the
+	// lifecycle context begin hands out.
+	mgr, err := models.NewManager(context.Background(), db)
 	if err != nil {
 		return nil, err
 	}
@@ -299,15 +301,10 @@ func (s *Session) Checkpoint() (uint64, error) {
 	return s.DB.Checkpoint()
 }
 
-// Query runs SQL against the database (Fig. 3 lines 10–11 use this for
-// in-database prediction).
-func (s *Session) Query(sql string) (*sqlexec.Result, error) {
-	return s.QueryContext(context.Background(), sql)
-}
-
-// QueryContext runs SQL under a context. Cancellation (from ctx or from
-// Close) is honored at scan-block and aggregation-chunk boundaries; the
-// returned error then wraps verr.ErrCanceled.
+// QueryContext runs SQL against the database (Fig. 3 lines 10–11 use this
+// for in-database prediction). Cancellation (from ctx or from Close) is
+// honored at scan-block and aggregation-chunk boundaries; the returned error
+// then wraps verr.ErrCanceled.
 func (s *Session) QueryContext(ctx context.Context, sql string) (*sqlexec.Result, error) {
 	opCtx, done, err := s.begin(ctx)
 	if err != nil {
@@ -329,26 +326,16 @@ func (s *Session) RunStatementContext(ctx context.Context, stmt sqlparse.Stateme
 	return s.DB.RunStatement(opCtx, stmt, sql)
 }
 
-// Exec runs SQL discarding results.
-func (s *Session) Exec(sql string) error {
-	return s.ExecContext(context.Background(), sql)
-}
-
-// ExecContext runs SQL under a context, discarding results.
+// ExecContext runs SQL discarding results.
 func (s *Session) ExecContext(ctx context.Context, sql string) error {
 	_, err := s.QueryContext(ctx, sql)
 	return err
 }
 
-// DB2DFrame loads table columns into a distributed data frame via Vertica
-// Fast Transfer (§3). Policy is vft.PolicyLocality or vft.PolicyUniform;
-// empty selects locality when node counts match, else uniform.
-func (s *Session) DB2DFrame(table string, cols []string, policy string) (*darray.DFrame, *vft.Stats, error) {
-	return s.DB2DFrameContext(context.Background(), table, cols, policy)
-}
-
-// DB2DFrameContext is DB2DFrame under a context: cancellation propagates
-// into the export query's scan.
+// DB2DFrameContext loads table columns into a distributed data frame via
+// Vertica Fast Transfer (§3). Policy is vft.PolicyLocality or
+// vft.PolicyUniform; empty selects locality when node counts match, else
+// uniform. Cancellation propagates into the export query's scan.
 func (s *Session) DB2DFrameContext(ctx context.Context, table string, cols []string, policy string) (*darray.DFrame, *vft.Stats, error) {
 	opCtx, done, err := s.begin(ctx)
 	if err != nil {
@@ -374,13 +361,8 @@ func (s *Session) DB2DFrameContext(ctx context.Context, table string, cols []str
 	return vft.LoadContext(opCtx, s.DB, s.DR, s.Hub, table, cols, policy, psize)
 }
 
-// DB2DArray is Fig. 3 line 5: load numeric feature columns from a table
-// into a distributed array.
-func (s *Session) DB2DArray(table string, cols []string, policy string) (*darray.DArray, *vft.Stats, error) {
-	return s.DB2DArrayContext(context.Background(), table, cols, policy)
-}
-
-// DB2DArrayContext is DB2DArray under a context.
+// DB2DArrayContext is Fig. 3 line 5: load numeric feature columns from a
+// table into a distributed array.
 func (s *Session) DB2DArrayContext(ctx context.Context, table string, cols []string, policy string) (*darray.DArray, *vft.Stats, error) {
 	frame, stats, err := s.DB2DFrameContext(ctx, table, cols, policy)
 	if err != nil {
@@ -393,14 +375,9 @@ func (s *Session) DB2DArrayContext(ctx context.Context, table string, cols []str
 	return arr, stats, nil
 }
 
-// LoadODBC is the baseline loader: `connections` parallel ODBC sessions
-// each fetching an ordered slice of the table.
-func (s *Session) LoadODBC(table string, cols []string, connections int) (*darray.DFrame, error) {
-	return s.LoadODBCContext(context.Background(), table, cols, connections)
-}
-
-// LoadODBCContext is LoadODBC under a context; cancellation is observed per
-// connection between reconnect attempts.
+// LoadODBCContext is the baseline loader: `connections` parallel ODBC
+// sessions each fetching an ordered slice of the table. Cancellation is
+// observed per connection between reconnect attempts.
 func (s *Session) LoadODBCContext(ctx context.Context, table string, cols []string, connections int) (*darray.DFrame, error) {
 	opCtx, done, err := s.begin(ctx)
 	if err != nil {
@@ -413,7 +390,12 @@ func (s *Session) LoadODBCContext(ctx context.Context, table string, cols []stri
 // DeployModel is Fig. 3 line 9: serialize a model created in Distributed R
 // and store it in the database (DFS blob + R_Models row).
 func (s *Session) DeployModel(name, owner, description string, model any) error {
-	return s.Models.Deploy(name, owner, description, model)
+	opCtx, done, err := s.begin(context.Background())
+	if err != nil {
+		return err
+	}
+	defer done()
+	return s.Models.Deploy(opCtx, name, owner, description, model)
 }
 
 // RedeployModel overwrites a deployed model's blob in place (the model
@@ -421,19 +403,19 @@ func (s *Session) DeployModel(name, owner, description string, model any) error 
 // deserialized copies are invalidated so no later prediction sees the old
 // parameters.
 func (s *Session) RedeployModel(name, owner string, model any) error {
-	return s.Models.Redeploy(name, owner, model)
+	opCtx, done, err := s.begin(context.Background())
+	if err != nil {
+		return err
+	}
+	defer done()
+	return s.Models.Redeploy(opCtx, name, owner, model)
 }
 
-// DB2RDD loads table columns through Vertica Fast Transfer and exposes them
-// to the Spark comparator as an RDD — the §8 extension showing the transfer
-// mechanism is engine-agnostic. The returned RDD shares the session's
-// worker data (one RDD partition per frame partition).
-func (s *Session) DB2RDD(ctx *spark.Context, table string, cols []string, policy string) (*spark.RDD, *vft.Stats, error) {
-	return s.DB2RDDContext(context.Background(), ctx, table, cols, policy)
-}
-
-// DB2RDDContext is DB2RDD under a (cancellation) context; the *spark.Context
-// remains the RDD's owner.
+// DB2RDDContext loads table columns through Vertica Fast Transfer and
+// exposes them to the Spark comparator as an RDD — the §8 extension showing
+// the transfer mechanism is engine-agnostic. The returned RDD shares the
+// session's worker data (one RDD partition per frame partition); ctx only
+// cancels the transfer, the *spark.Context remains the RDD's owner.
 func (s *Session) DB2RDDContext(ctx context.Context, sc *spark.Context, table string, cols []string, policy string) (*spark.RDD, *vft.Stats, error) {
 	frame, stats, err := s.DB2DFrameContext(ctx, table, cols, policy)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -32,7 +33,7 @@ func loadRegressionTable(t *testing.T, s *Session, name string, rows, feats int,
 		ddl += featCols[i] + " FLOAT, "
 	}
 	ddl += "y FLOAT)"
-	if err := s.Exec(ddl); err != nil {
+	if err := s.ExecContext(context.Background(), ddl); err != nil {
 		t.Fatal(err)
 	}
 	spec := workload.TableSpec{Name: name, FeatCols: featCols, RespCol: "y", Rows: rows, Seed: seed}
@@ -57,14 +58,14 @@ func TestFigure3Workflow(t *testing.T) {
 	beta := loadRegressionTable(t, s, "mytable", 3000, 3, 11)
 
 	// Line 5: data <- db2darray("mytable", ...).
-	x, stats, err := s.DB2DArray("mytable", []string{"x0", "x1", "x2"}, "")
+	x, stats, err := s.DB2DArrayContext(context.Background(), "mytable", []string{"x0", "x1", "x2"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Policy != vft.PolicyLocality {
 		t.Fatalf("equal node counts should default to locality, got %q", stats.Policy)
 	}
-	yArr, _, err := s.DB2DArray("mytable", []string{"y"}, "")
+	yArr, _, err := s.DB2DArrayContext(context.Background(), "mytable", []string{"y"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestFigure3Workflow(t *testing.T) {
 
 	// Lines 10-11: in-database prediction over a second table.
 	loadRegressionTable(t, s, "mytable2", 500, 3, 11) // same seed = same beta
-	res, err := s.Query(`SELECT GlmPredict(x0, x1, x2 USING PARAMETERS model='rModel') OVER (PARTITION BEST) FROM mytable2`)
+	res, err := s.QueryContext(context.Background(), `SELECT GlmPredict(x0, x1, x2 USING PARAMETERS model='rModel') OVER (PARTITION BEST) FROM mytable2`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestFigure3Workflow(t *testing.T) {
 		t.Fatalf("predicted %d rows", res.Len())
 	}
 	// Predictions should be close to the stored y (noise 0.1).
-	ys, err := s.Query(`SELECT y FROM mytable2`)
+	ys, err := s.QueryContext(context.Background(), `SELECT y FROM mytable2`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestFigure3Workflow(t *testing.T) {
 
 func TestKmeansWorkflowWithUniformPolicy(t *testing.T) {
 	s := startTest(t, Config{DBNodes: 2, DRWorkers: 4, InstancesPerWorker: 2})
-	if err := s.Exec(`CREATE TABLE pts (a FLOAT, b FLOAT)`); err != nil {
+	if err := s.ExecContext(context.Background(), `CREATE TABLE pts (a FLOAT, b FLOAT)`); err != nil {
 		t.Fatal(err)
 	}
 	data := workload.GenKmeans(5, 1000, 2, 3, 0.2)
@@ -135,7 +136,7 @@ func TestKmeansWorkflowWithUniformPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unequal node counts: default policy must be uniform.
-	x, stats, err := s.DB2DArray("pts", nil, "")
+	x, stats, err := s.DB2DArrayContext(context.Background(), "pts", nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestKmeansWorkflowWithUniformPolicy(t *testing.T) {
 	if err := s.DeployModel("km", "tester", "clustering", km); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Query(`SELECT KmeansPredict(a, b USING PARAMETERS model='km') OVER (PARTITION BEST) FROM pts`)
+	res, err := s.QueryContext(context.Background(), `SELECT KmeansPredict(a, b USING PARAMETERS model='km') OVER (PARTITION BEST) FROM pts`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestKmeansWorkflowWithUniformPolicy(t *testing.T) {
 func TestODBCBaselineLoad(t *testing.T) {
 	s := startTest(t, Config{DBNodes: 2, DRWorkers: 2, InstancesPerWorker: 2})
 	loadRegressionTable(t, s, "t", 400, 2, 3)
-	frame, err := s.LoadODBC("t", nil, 8)
+	frame, err := s.LoadODBCContext(context.Background(), "t", nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +207,11 @@ func TestYARNRefusesOversizedSession(t *testing.T) {
 
 func TestDB2DArrayErrors(t *testing.T) {
 	s := startTest(t, Config{DBNodes: 2, DRWorkers: 2})
-	if _, _, err := s.DB2DArray("missing", nil, ""); err == nil {
+	if _, _, err := s.DB2DArrayContext(context.Background(), "missing", nil, ""); err == nil {
 		t.Fatal("missing table should fail")
 	}
 	loadRegressionTable(t, s, "t", 50, 1, 1)
-	if _, _, err := s.DB2DArray("t", nil, "bogus"); err == nil {
+	if _, _, err := s.DB2DArrayContext(context.Background(), "t", nil, "bogus"); err == nil {
 		t.Fatal("bad policy should fail")
 	}
 }

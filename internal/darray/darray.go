@@ -8,6 +8,7 @@
 package darray
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -262,7 +263,9 @@ func (a *DArray) Foreach(fn func(part int, m *Mat) error) error {
 		})
 	}
 	a.mu.RUnlock()
-	return a.c.RunAll(tasks)
+	// The fit loops that call Foreach carry no context; a dead or shut-down
+	// worker still rejects its tasks.
+	return a.c.RunAllCtx(context.TODO(), tasks)
 }
 
 // Zip runs fn for every partition pair (a[i], b[i]) on the owning worker;

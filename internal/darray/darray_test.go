@@ -303,20 +303,6 @@ func TestDFrameBasics(t *testing.T) {
 	if err := f.Fill(0, other); err == nil {
 		t.Fatal("schema mismatch should fail")
 	}
-	// Foreach.
-	var mu sync.Mutex
-	total := 0
-	if err := f.Foreach(func(p int, b *colstore.Batch) error {
-		mu.Lock()
-		total += b.Len()
-		mu.Unlock()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if total != 3 {
-		t.Fatalf("foreach total = %d", total)
-	}
 }
 
 func TestDFrameAsDArray(t *testing.T) {

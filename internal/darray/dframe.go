@@ -146,29 +146,6 @@ func (f *DFrame) Part(i int) (*colstore.Batch, error) {
 	return v.(*colstore.Batch), nil
 }
 
-// Foreach runs fn on every partition on its owning worker, in parallel.
-func (f *DFrame) Foreach(fn func(part int, b *colstore.Batch) error) error {
-	tasks := map[int][]dr.Task{}
-	f.mu.RLock()
-	for i := range f.part {
-		i := i
-		meta := f.part[i]
-		if !meta.filled {
-			f.mu.RUnlock()
-			return fmt.Errorf("darray: foreach over unfilled partition %d", i)
-		}
-		tasks[meta.worker] = append(tasks[meta.worker], func(w *dr.Worker) error {
-			v, ok := w.Get(meta.key)
-			if !ok {
-				return fmt.Errorf("darray: partition %d missing on worker %d", i, w.ID())
-			}
-			return fn(i, v.(*colstore.Batch))
-		})
-	}
-	f.mu.RUnlock()
-	return f.c.RunAll(tasks)
-}
-
 // AsDArray converts numeric columns (in schema order, or the named subset)
 // into a co-located distributed array; this is the bridge db2darray uses to
 // hand loaded frames to the math algorithms.

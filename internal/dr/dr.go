@@ -13,9 +13,9 @@
 // Failure handling mirrors Distributed R's "re-execute failed tasks on
 // surviving workers": FailWorker (or an injected faults.ErrCrash from a
 // running task) marks a worker's executor dead, after which queued and new
-// submissions are rejected with ErrWorkerDead and RunAllSpecs re-targets the
-// dead worker's tasks to survivors, invoking each task's Rebuild hook so the
-// caller can re-fetch lost partitions first. Non-fatal task errors are
+// submissions are rejected with ErrWorkerDead and RunAllSpecsCtx re-targets
+// the dead worker's tasks to survivors, invoking each task's Rebuild hook so
+// the caller can re-fetch lost partitions first. Non-fatal task errors are
 // retried in place up to a configurable cap.
 package dr
 
@@ -50,9 +50,9 @@ var (
 	gDeadWorkers    = telemetry.Default().Gauge("dr_workers_dead")
 )
 
-// ErrWorkerDead marks task rejections caused by a failed worker; RunAllSpecs
-// treats it (and faults.ErrCrash) as worker death and fails the task over to
-// a survivor instead of retrying in place.
+// ErrWorkerDead marks task rejections caused by a failed worker;
+// RunAllSpecsCtx treats it (and faults.ErrCrash) as worker death and fails
+// the task over to a survivor instead of retrying in place.
 var ErrWorkerDead = errors.New("dr: worker dead")
 
 // Config configures a Distributed R session.
@@ -63,7 +63,7 @@ type Config struct {
 	// R instances started on each node (default 4; the paper uses 24).
 	InstancesPerWorker int
 	// TaskRetries caps in-place re-executions of a task that failed with a
-	// non-fatal error in RunAll (0 = fail fast, the pre-recovery behaviour).
+	// non-fatal error in RunAllCtx (0 = fail fast, the pre-recovery behaviour).
 	// Worker-death failover is independent of this cap and always on.
 	TaskRetries int
 }
@@ -123,7 +123,7 @@ func (c *Cluster) Worker(i int) (*Worker, error) {
 
 // FailWorker marks worker i's executor dead — the crash mode used by fault
 // injection and chaos tests. Queued and future submissions are rejected with
-// ErrWorkerDead; RunAllSpecs re-executes the worker's tasks on survivors.
+// ErrWorkerDead; RunAllSpecsCtx re-executes the worker's tasks on survivors.
 // The worker's partition store stays readable: an executor crash models a
 // wedged R process, while the data survives the way Vertica's k-safe buddy
 // projections keep segments available through node loss.
@@ -174,7 +174,7 @@ func (c *Cluster) GenName(prefix string) string {
 type Task func(w *Worker) error
 
 // TaskSpec pairs a task with an optional failover hook. When the task's
-// assigned worker dies, RunAllSpecs re-targets the task to a surviving
+// assigned worker dies, RunAllSpecsCtx re-targets the task to a surviving
 // worker after calling Rebuild with it — the caller's chance to re-fetch
 // lost partitions or re-point distributed-object metadata (the paper's
 // partition re-fetch on task re-execution). A nil Rebuild means the task is
@@ -184,23 +184,15 @@ type TaskSpec struct {
 	Rebuild func(replacement *Worker) error
 }
 
-// RunOpts tunes RunAllSpecs recovery.
+// RunOpts tunes RunAllSpecsCtx recovery.
 type RunOpts struct {
 	// Retries caps in-place re-executions after non-fatal task errors.
 	Retries int
 }
 
-// Run submits one task to worker i and waits for it.
+// Run submits one task to worker i and waits for it (a running task is not
+// interrupted — tasks are the unit of cancellation, see RunAllSpecsCtx).
 func (c *Cluster) Run(i int, t Task) error {
-	return c.RunCtx(context.Background(), i, t)
-}
-
-// RunCtx is Run under a context: submission is refused once ctx is done (a
-// running task is not interrupted — tasks are the unit of cancellation).
-func (c *Cluster) RunCtx(ctx context.Context, i int, t Task) error {
-	if err := verr.Canceled(ctx.Err()); err != nil {
-		return err
-	}
 	w, err := c.Worker(i)
 	if err != nil {
 		return err
@@ -226,16 +218,12 @@ func runOnce(w *Worker, t Task) error {
 	return <-errCh
 }
 
-// RunAll executes, for each worker, a list of tasks. Tasks assigned to the
-// same worker share that worker's bounded executor (at most
+// RunAllCtx executes, for each worker, a list of tasks. Tasks assigned to
+// the same worker share that worker's bounded executor (at most
 // InstancesPerWorker run concurrently); different workers run fully in
 // parallel. Failed tasks are retried up to the cluster's TaskRetries cap and
 // failed over on worker death; the first unrecovered error is returned.
-func (c *Cluster) RunAll(tasks map[int][]Task) error {
-	return c.RunAllCtx(context.Background(), tasks)
-}
-
-// RunAllCtx is RunAll under a context; see RunAllSpecsCtx.
+// Cancellation is as in RunAllSpecsCtx.
 func (c *Cluster) RunAllCtx(ctx context.Context, tasks map[int][]Task) error {
 	specs := make(map[int][]TaskSpec, len(tasks))
 	for wid, list := range tasks {
@@ -246,15 +234,10 @@ func (c *Cluster) RunAllCtx(ctx context.Context, tasks map[int][]Task) error {
 	return c.RunAllSpecsCtx(ctx, specs, RunOpts{Retries: c.cfg.TaskRetries})
 }
 
-// RunAllSpecs is RunAll with explicit per-task failover hooks and recovery
-// options.
-func (c *Cluster) RunAllSpecs(tasks map[int][]TaskSpec, opts RunOpts) error {
-	return c.RunAllSpecsCtx(context.Background(), tasks, opts)
-}
-
-// RunAllSpecsCtx is RunAllSpecs under a context. Cancellation is observed at
-// task boundaries: tasks not yet submitted are refused, and retries/failovers
-// of already-failed tasks stop. In-flight task bodies run to completion.
+// RunAllSpecsCtx is RunAllCtx with explicit per-task failover hooks and
+// recovery options. Cancellation is observed at task boundaries: tasks not
+// yet submitted are refused, and retries/failovers of already-failed tasks
+// stop. In-flight task bodies run to completion.
 func (c *Cluster) RunAllSpecsCtx(ctx context.Context, tasks map[int][]TaskSpec, opts RunOpts) error {
 	for wid := range tasks {
 		if _, err := c.Worker(wid); err != nil {

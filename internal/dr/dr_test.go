@@ -1,6 +1,7 @@
 package dr
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -95,7 +96,7 @@ func TestRunAllParallelAcrossWorkers(t *testing.T) {
 			})
 		}
 	}
-	if err := c.RunAll(tasks); err != nil {
+	if err := c.RunAllCtx(context.Background(), tasks); err != nil {
 		t.Fatal(err)
 	}
 	if count.Load() != 12 {
@@ -122,7 +123,7 @@ func TestRunAllBoundsPerWorkerConcurrency(t *testing.T) {
 			return nil
 		})
 	}
-	if err := c.RunAll(tasks); err != nil {
+	if err := c.RunAllCtx(context.Background(), tasks); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > 2 {
@@ -138,11 +139,11 @@ func TestRunAllFirstError(t *testing.T) {
 		0: {func(*Worker) error { return nil }, func(*Worker) error { return boom }},
 		1: {func(*Worker) error { return nil }},
 	}
-	if err := c.RunAll(tasks); !errors.Is(err, boom) {
+	if err := c.RunAllCtx(context.Background(), tasks); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	// Bad worker id in the map fails fast.
-	if err := c.RunAll(map[int][]Task{7: {func(*Worker) error { return nil }}}); err == nil {
+	if err := c.RunAllCtx(context.Background(), map[int][]Task{7: {func(*Worker) error { return nil }}}); err == nil {
 		t.Fatal("bad worker id should fail")
 	}
 }
@@ -213,7 +214,7 @@ func TestFailWorkerRejectsAndFailsOver(t *testing.T) {
 		t.Fatalf("run on dead worker = %v", err)
 	}
 
-	// RunAllSpecs moves the dead worker's task to a survivor, calling the
+	// RunAllSpecsCtx moves the dead worker's task to a survivor, calling the
 	// rebuild hook with the replacement first.
 	var rebuiltOn, ranOn atomic.Int32
 	rebuiltOn.Store(-1)
@@ -230,7 +231,7 @@ func TestFailWorkerRejectsAndFailsOver(t *testing.T) {
 			},
 		}},
 	}
-	if err := c.RunAllSpecs(specs, RunOpts{}); err != nil {
+	if err := c.RunAllSpecsCtx(context.Background(), specs, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if rebuiltOn.Load() != 2 || ranOn.Load() != 2 {
@@ -248,7 +249,7 @@ func TestRunAllRetriesTransientErrors(t *testing.T) {
 		}
 		return nil
 	}}}
-	if err := c.RunAll(tasks); err != nil {
+	if err := c.RunAllCtx(context.Background(), tasks); err != nil {
 		t.Fatal(err)
 	}
 	if tries.Load() != 3 {
@@ -257,7 +258,7 @@ func TestRunAllRetriesTransientErrors(t *testing.T) {
 
 	// The cap is real: a task that always fails exhausts its retries.
 	tries.Store(0)
-	err := c.RunAll(map[int][]Task{0: {func(*Worker) error {
+	err := c.RunAllCtx(context.Background(), map[int][]Task{0: {func(*Worker) error {
 		tries.Add(1)
 		return errors.New("permanent")
 	}}})
@@ -279,7 +280,7 @@ func TestInjectedCrashKillsWorker(t *testing.T) {
 	defer c.Shutdown()
 	var ranOn atomic.Int32
 	ranOn.Store(-1)
-	err := c.RunAllSpecs(map[int][]TaskSpec{0: {{Run: func(w *Worker) error {
+	err := c.RunAllSpecsCtx(context.Background(), map[int][]TaskSpec{0: {{Run: func(w *Worker) error {
 		ranOn.Store(int32(w.ID()))
 		return nil
 	}}}}, RunOpts{})
@@ -301,7 +302,7 @@ func TestNoSurvivorsErrors(t *testing.T) {
 	if err := c.FailWorker(0); err != nil {
 		t.Fatal(err)
 	}
-	err := c.RunAll(map[int][]Task{0: {func(*Worker) error { return nil }}})
+	err := c.RunAllCtx(context.Background(), map[int][]Task{0: {func(*Worker) error { return nil }}})
 	if !errors.Is(err, ErrWorkerDead) {
 		t.Fatalf("err = %v, want ErrWorkerDead", err)
 	}

@@ -2,6 +2,7 @@ package faults_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"verticadr/internal/colstore"
@@ -30,7 +31,7 @@ func chaosLoad(t *testing.T, overTCP bool) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Exec(`CREATE TABLE chaos (id INTEGER, a FLOAT, b FLOAT) SEGMENTED BY HASH(id)`); err != nil {
+	if err := db.ExecContext(context.Background(), `CREATE TABLE chaos (id INTEGER, a FLOAT, b FLOAT) SEGMENTED BY HASH(id)`); err != nil {
 		t.Fatal(err)
 	}
 	schema := colstore.Schema{
@@ -65,12 +66,12 @@ func chaosLoad(t *testing.T, overTCP bool) [][]byte {
 			t.Fatal(err)
 		}
 		defer svc.Close()
-		frame, _, err = vft.LoadTCP(db, c, hub, svc, "chaos", nil, vft.PolicyLocality, chaosPsize)
+		frame, _, err = vft.LoadTCPContext(context.Background(), db, c, hub, svc, "chaos", nil, vft.PolicyLocality, chaosPsize)
 		if err != nil {
 			t.Fatalf("chaotic load did not recover: %v", err)
 		}
 	} else {
-		frame, _, err = vft.Load(db, c, hub, "chaos", nil, vft.PolicyLocality, chaosPsize)
+		frame, _, err = vft.LoadContext(context.Background(), db, c, hub, "chaos", nil, vft.PolicyLocality, chaosPsize)
 		if err != nil {
 			t.Fatalf("chaotic load did not recover: %v", err)
 		}

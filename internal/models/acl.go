@@ -1,6 +1,7 @@
 package models
 
 import (
+	"context"
 	"fmt"
 	"sync"
 )
@@ -104,8 +105,8 @@ func (a *acl) allowed(model, user string, p Permission) bool {
 
 // Grant gives user the permission on a deployed model. Only the owner (or
 // an administrative caller with empty granter) may grant.
-func (m *Manager) Grant(model, granter, user string, p Permission) error {
-	if exists, err := m.exists(model); err != nil || !exists {
+func (m *Manager) Grant(ctx context.Context, model, granter, user string, p Permission) error {
+	if exists, err := m.exists(ctx, model); err != nil || !exists {
 		if err != nil {
 			return err
 		}
@@ -152,9 +153,9 @@ func (m *Manager) LoadAs(name string, node int, user string) (any, string, error
 }
 
 // DropAs drops a model enforcing modify permission for user.
-func (m *Manager) DropAs(name, user string) error {
+func (m *Manager) DropAs(ctx context.Context, name, user string) error {
 	if !m.acl.allowed(name, user, PermModify) {
 		return fmt.Errorf("models: user %q lacks MODIFY on model %q", user, name)
 	}
-	return m.Drop(name)
+	return m.Drop(ctx, name)
 }

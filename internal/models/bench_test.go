@@ -1,6 +1,7 @@
 package models
 
 import (
+	"context"
 	"testing"
 
 	"verticadr/internal/algos"
@@ -14,11 +15,11 @@ func benchPredictDB(b *testing.B, rows int) (*vertica.DB, *Manager) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mgr, err := NewManager(db)
+	mgr, err := NewManager(context.Background(), db)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := db.Exec(`CREATE TABLE bp (a FLOAT, b FLOAT)`); err != nil {
+	if err := db.ExecContext(context.Background(), `CREATE TABLE bp (a FLOAT, b FLOAT)`); err != nil {
 		b.Fatal(err)
 	}
 	schema := colstore.Schema{
@@ -41,7 +42,7 @@ func benchPredictDB(b *testing.B, rows int) (*vertica.DB, *Manager) {
 func BenchmarkGlmPredictSQL(b *testing.B) {
 	const rows = 100_000
 	db, mgr := benchPredictDB(b, rows)
-	if err := mgr.Deploy("m", "bench", "", &algos.GLMModel{
+	if err := mgr.Deploy(context.Background(), "m", "bench", "", &algos.GLMModel{
 		Family: algos.Gaussian, Coefficients: []float64{1, 2, -0.5},
 	}); err != nil {
 		b.Fatal(err)
@@ -50,7 +51,7 @@ func BenchmarkGlmPredictSQL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Query(q)
+		res, err := db.QueryContext(context.Background(), q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func BenchmarkGlmPredictSQL(b *testing.B) {
 func BenchmarkKmeansPredictSQL(b *testing.B) {
 	const rows = 100_000
 	db, mgr := benchPredictDB(b, rows)
-	if err := mgr.Deploy("km", "bench", "", &algos.KmeansModel{
+	if err := mgr.Deploy(context.Background(), "km", "bench", "", &algos.KmeansModel{
 		K: 2, Centers: [][]float64{{0, 0}, {500, -1000}},
 	}); err != nil {
 		b.Fatal(err)
@@ -75,7 +76,7 @@ func BenchmarkKmeansPredictSQL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Query(q)
+		res, err := db.QueryContext(context.Background(), q)
 		if err != nil {
 			b.Fatal(err)
 		}

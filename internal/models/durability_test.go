@@ -1,6 +1,7 @@
 package models
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -15,7 +16,7 @@ func durableCluster(t *testing.T, dir string) (*vertica.DB, *Manager) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(db)
+	m, err := NewManager(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +36,10 @@ func km(center float64) *algos.KmeansModel {
 func TestRedeployDurableAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	db, m := durableCluster(t, dir)
-	if err := m.Deploy("demo", "alice", "v1", km(1)); err != nil {
+	if err := m.Deploy(context.Background(), "demo", "alice", "v1", km(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Redeploy("demo", "alice", km(2)); err != nil {
+	if err := m.Redeploy(context.Background(), "demo", "alice", km(2)); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()
@@ -56,10 +57,10 @@ func TestRedeployDurableAcrossRestart(t *testing.T) {
 		t.Fatalf("recovered model serves center %v, want the redeployed 2", c)
 	}
 	// Adoption: the surviving metadata row still enforces ownership.
-	if err := m2.Redeploy("demo", "mallory", km(3)); err == nil {
+	if err := m2.Redeploy(context.Background(), "demo", "mallory", km(3)); err == nil {
 		t.Fatal("recovered ACL did not block non-owner redeploy")
 	}
-	if err := m2.Redeploy("demo", "alice", km(3)); err != nil {
+	if err := m2.Redeploy(context.Background(), "demo", "alice", km(3)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -70,13 +71,13 @@ func TestRedeployDurableAcrossRestart(t *testing.T) {
 func TestRedeployCrashKeepsOldVersion(t *testing.T) {
 	dir := t.TempDir()
 	db, m := durableCluster(t, dir)
-	if err := m.Deploy("demo", "alice", "v1", km(1)); err != nil {
+	if err := m.Deploy(context.Background(), "demo", "alice", "v1", km(1)); err != nil {
 		t.Fatal(err)
 	}
 	in := faults.New(1)
 	in.MustArm(faults.Rule{Site: faults.SiteWALAppend, Kind: faults.Crash, EveryN: 1})
 	faults.Install(in)
-	err := m.Redeploy("demo", "alice", km(2))
+	err := m.Redeploy(context.Background(), "demo", "alice", km(2))
 	faults.Install(nil)
 	if err == nil || !errors.Is(err, faults.ErrCrash) {
 		t.Fatalf("redeploy past a crashed WAL append: %v", err)
@@ -99,13 +100,13 @@ func TestRedeployCrashKeepsOldVersion(t *testing.T) {
 func TestDeployedModelSurvivesCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	db, m := durableCluster(t, dir)
-	if err := m.Deploy("demo", "alice", "v1", km(4)); err != nil {
+	if err := m.Deploy(context.Background(), "demo", "alice", "v1", km(4)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Redeploy("demo", "alice", km(5)); err != nil {
+	if err := m.Redeploy(context.Background(), "demo", "alice", km(5)); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()
@@ -119,7 +120,7 @@ func TestDeployedModelSurvivesCheckpoint(t *testing.T) {
 	if c := got.(*algos.KmeansModel).Centers[0][0]; c != 5 {
 		t.Fatalf("post-checkpoint redeploy lost: center %v", c)
 	}
-	list, err := m2.List()
+	list, err := m2.List(context.Background())
 	if err != nil || len(list) != 1 || list[0][0].(string) != "demo" {
 		t.Fatalf("metadata not recovered: %v %v", list, err)
 	}

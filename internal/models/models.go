@@ -12,6 +12,7 @@ package models
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"regexp"
@@ -97,11 +98,16 @@ func Deserialize(data []byte) (any, string, error) {
 // Database is the database surface the manager needs; internal/vertica.DB
 // satisfies it.
 type Database interface {
-	Exec(sql string) error
-	Query(sql string) (*sqlexec.Result, error)
+	ExecContext(ctx context.Context, sql string) error
+	QueryContext(ctx context.Context, sql string) (*sqlexec.Result, error)
 	UDFs() *udf.Registry
 	RegisterService(name string, svc any)
 	DFS() *dfs.DFS
+	// Blob mutations go through the database's commit path: on a durable
+	// database they are redo-logged and fsynced before the DFS namespace
+	// changes, making deploy/redeploy/drop crash-atomic.
+	JournalBlobPut(path string, data []byte) error
+	JournalBlobDelete(path string) error
 }
 
 var nameRE = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_.-]*$`)
@@ -118,14 +124,14 @@ type Manager struct {
 // durable database the metadata table (and the model blobs it describes)
 // already exist: the manager adopts the surviving rows instead of failing,
 // rebuilding its in-memory ACL from the persisted owner column.
-func NewManager(db Database) (*Manager, error) {
+func NewManager(ctx context.Context, db Database) (*Manager, error) {
 	m := &Manager{db: db, acl: newACL(), cache: newModelCache()}
-	if res, err := db.Query(`SELECT model, owner FROM ` + MetaTable); err == nil {
+	if res, err := db.QueryContext(ctx, `SELECT model, owner FROM `+MetaTable); err == nil {
 		for _, r := range res.Rows() {
 			m.acl.register(r[0].(string), r[1].(string))
 		}
 	} else {
-		err := db.Exec(`CREATE TABLE ` + MetaTable + ` (model VARCHAR, owner VARCHAR, type VARCHAR, size INTEGER, description VARCHAR)`)
+		err := db.ExecContext(ctx, `CREATE TABLE `+MetaTable+` (model VARCHAR, owner VARCHAR, type VARCHAR, size INTEGER, description VARCHAR)`)
 		if err != nil {
 			return nil, fmt.Errorf("models: create metadata table: %w", err)
 		}
@@ -145,40 +151,13 @@ func NewManager(db Database) (*Manager, error) {
 
 func blobPath(name string) string { return "models/" + name }
 
-// blobJournal is the durable write-ahead surface a database may expose:
-// blob mutations routed through it are redo-logged and fsynced before the
-// DFS namespace changes, making deploy/redeploy/drop crash-atomic.
-// internal/vertica.DB implements it in durable mode.
-type blobJournal interface {
-	JournalBlobPut(path string, data []byte) error
-	JournalBlobDelete(path string) error
-}
-
-// blobPut writes a model blob through the database's write-ahead journal
-// when it has one, falling back to a direct DFS write.
-func (m *Manager) blobPut(path string, data []byte) error {
-	if j, ok := m.db.(blobJournal); ok {
-		return j.JournalBlobPut(path, data)
-	}
-	return m.db.DFS().Write(path, data)
-}
-
-// blobDelete removes a model blob through the write-ahead journal when the
-// database has one.
-func (m *Manager) blobDelete(path string) error {
-	if j, ok := m.db.(blobJournal); ok {
-		return j.JournalBlobDelete(path)
-	}
-	return m.db.DFS().Delete(path)
-}
-
 // Deploy serializes a model, stores the blob in DFS (replicated) and records
 // metadata in R_Models — the server half of deploy.model (Fig. 3 line 9).
-func (m *Manager) Deploy(name, owner, description string, model any) error {
+func (m *Manager) Deploy(ctx context.Context, name, owner, description string, model any) error {
 	if !nameRE.MatchString(name) {
 		return fmt.Errorf("models: invalid model name %q", name)
 	}
-	if exists, err := m.exists(name); err != nil {
+	if exists, err := m.exists(ctx, name); err != nil {
 		return err
 	} else if exists {
 		return fmt.Errorf("models: model %q already exists", name)
@@ -191,16 +170,16 @@ func (m *Manager) Deploy(name, owner, description string, model any) error {
 	// layout transparently: same name, same prediction results, multiple
 	// blobs under the message budget.
 	if glm, ok := model.(*algos.GLMModel); ok && len(data) > MaxBlobBytes {
-		return m.DeployGLMSharded(name, owner, description, glm, MaxBlobBytes)
+		return m.DeployGLMSharded(ctx, name, owner, description, glm, MaxBlobBytes)
 	}
-	if err := m.blobPut(blobPath(name), data); err != nil {
+	if err := m.db.JournalBlobPut(blobPath(name), data); err != nil {
 		return err
 	}
 	ins := fmt.Sprintf(`INSERT INTO %s VALUES ('%s', '%s', '%s', %d, '%s')`,
 		MetaTable, name, sqlEscape(owner), kind, len(data), sqlEscape(description))
-	if err := m.db.Exec(ins); err != nil {
+	if err := m.db.ExecContext(ctx, ins); err != nil {
 		// Roll back the blob so namespace and metadata stay consistent.
-		_ = m.blobDelete(blobPath(name))
+		_ = m.db.JournalBlobDelete(blobPath(name))
 		return err
 	}
 	m.acl.register(name, owner)
@@ -216,8 +195,8 @@ func (m *Manager) Deploy(name, owner, description string, model any) error {
 // metadata row (type, size) is rewritten and cached deserialized copies are
 // invalidated, so after Redeploy returns no prediction can score with the
 // old parameters.
-func (m *Manager) Redeploy(name, owner string, model any) error {
-	if exists, err := m.exists(name); err != nil {
+func (m *Manager) Redeploy(ctx context.Context, name, owner string, model any) error {
+	if exists, err := m.exists(ctx, name); err != nil {
 		return err
 	} else if !exists {
 		return fmt.Errorf("models: %w: %q", verr.ErrModelNotFound, name)
@@ -235,7 +214,7 @@ func (m *Manager) Redeploy(name, owner string, model any) error {
 	// and restart). Invalidate after the write so a load racing the redeploy
 	// either reads the new bytes or is orphaned by the version bump and
 	// cannot install its stale copy.
-	if err := m.blobPut(blobPath(name), data); err != nil {
+	if err := m.db.JournalBlobPut(blobPath(name), data); err != nil {
 		return err
 	}
 	m.cache.invalidate(name)
@@ -258,8 +237,8 @@ func sqlEscape(s string) string {
 	return string(out)
 }
 
-func (m *Manager) exists(name string) (bool, error) {
-	res, err := m.db.Query(fmt.Sprintf(`SELECT count(*) AS n FROM %s WHERE model = '%s'`, MetaTable, sqlEscape(name)))
+func (m *Manager) exists(ctx context.Context, name string) (bool, error) {
+	res, err := m.db.QueryContext(ctx, fmt.Sprintf(`SELECT count(*) AS n FROM %s WHERE model = '%s'`, MetaTable, sqlEscape(name)))
 	if err != nil {
 		return false, err
 	}
@@ -308,8 +287,8 @@ func (m *Manager) Load(name string, node int) (any, string, error) {
 }
 
 // Drop removes a model's blob and metadata.
-func (m *Manager) Drop(name string) error {
-	exists, err := m.exists(name)
+func (m *Manager) Drop(ctx context.Context, name string) error {
+	exists, err := m.exists(ctx, name)
 	if err != nil {
 		return err
 	}
@@ -326,24 +305,26 @@ func (m *Manager) Drop(name string) error {
 			}
 		}
 	}
-	if err := m.blobDelete(blobPath(name)); err != nil {
-		return err
-	}
-	for k := 0; k < shards; k++ {
-		_ = m.blobDelete(shardPath(name, k))
-	}
-	m.acl.forget(name)
-	m.cache.invalidate(name)
 	// The SQL subset has no DELETE; rebuild the metadata table without the
-	// dropped row (metadata is tiny — Fig. 10 scale).
-	rows, err := m.db.Query(`SELECT model, owner, type, size, description FROM ` + MetaTable)
+	// dropped row (metadata is tiny — Fig. 10 scale). The read comes first:
+	// it is the last step ctx can cancel, so a canceled Drop has changed
+	// nothing.
+	rows, err := m.db.QueryContext(ctx, `SELECT model, owner, type, size, description FROM `+MetaTable)
 	if err != nil {
 		return err
 	}
-	if err := m.db.Exec(`DROP TABLE ` + MetaTable); err != nil {
+	if err := m.db.JournalBlobDelete(blobPath(name)); err != nil {
 		return err
 	}
-	if err := m.db.Exec(`CREATE TABLE ` + MetaTable + ` (model VARCHAR, owner VARCHAR, type VARCHAR, size INTEGER, description VARCHAR)`); err != nil {
+	for k := 0; k < shards; k++ {
+		_ = m.db.JournalBlobDelete(shardPath(name, k))
+	}
+	m.acl.forget(name)
+	m.cache.invalidate(name)
+	if err := m.db.ExecContext(ctx, `DROP TABLE `+MetaTable); err != nil {
+		return err
+	}
+	if err := m.db.ExecContext(ctx, `CREATE TABLE `+MetaTable+` (model VARCHAR, owner VARCHAR, type VARCHAR, size INTEGER, description VARCHAR)`); err != nil {
 		return err
 	}
 	for _, r := range rows.Rows() {
@@ -352,7 +333,7 @@ func (m *Manager) Drop(name string) error {
 		}
 		ins := fmt.Sprintf(`INSERT INTO %s VALUES ('%s', '%s', '%s', %d, '%s')`,
 			MetaTable, sqlEscape(r[0].(string)), sqlEscape(r[1].(string)), r[2].(string), r[3].(int64), sqlEscape(r[4].(string)))
-		if err := m.db.Exec(ins); err != nil {
+		if err := m.db.ExecContext(ctx, ins); err != nil {
 			return err
 		}
 	}
@@ -360,8 +341,8 @@ func (m *Manager) Drop(name string) error {
 }
 
 // List returns the R_Models rows (model, owner, type, size, description).
-func (m *Manager) List() ([][]any, error) {
-	res, err := m.db.Query(`SELECT model, owner, type, size, description FROM ` + MetaTable + ` ORDER BY model`)
+func (m *Manager) List(ctx context.Context) ([][]any, error) {
+	res, err := m.db.QueryContext(ctx, `SELECT model, owner, type, size, description FROM `+MetaTable+` ORDER BY model`)
 	if err != nil {
 		return nil, err
 	}

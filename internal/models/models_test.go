@@ -1,6 +1,7 @@
 package models
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func setup(t *testing.T, nodes int) (*vertica.DB, *Manager) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := NewManager(db)
+	mgr, err := NewManager(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +83,13 @@ func TestSerializeRoundTrip(t *testing.T) {
 
 func TestDeployListDrop(t *testing.T) {
 	_, mgr := setup(t, 3)
-	if err := mgr.Deploy("model1", "X", "clustering", kmeansModel()); err != nil {
+	if err := mgr.Deploy(context.Background(), "model1", "X", "clustering", kmeansModel()); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Deploy("model2", "Y", "forecasting", glmModel()); err != nil {
+	if err := mgr.Deploy(context.Background(), "model2", "Y", "forecasting", glmModel()); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := mgr.List()
+	rows, err := mgr.List(context.Background())
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("list = %v %v", rows, err)
 	}
@@ -103,7 +104,7 @@ func TestDeployListDrop(t *testing.T) {
 		t.Fatal("size should be positive")
 	}
 	// Duplicate deploy fails.
-	if err := mgr.Deploy("model1", "X", "", kmeansModel()); err == nil {
+	if err := mgr.Deploy(context.Background(), "model1", "X", "", kmeansModel()); err == nil {
 		t.Fatal("duplicate deploy should fail")
 	}
 	// Load round trip.
@@ -115,35 +116,35 @@ func TestDeployListDrop(t *testing.T) {
 		t.Fatal("loaded model corrupted")
 	}
 	// Drop.
-	if err := mgr.Drop("model1"); err != nil {
+	if err := mgr.Drop(context.Background(), "model1"); err != nil {
 		t.Fatal(err)
 	}
-	rows, _ = mgr.List()
+	rows, _ = mgr.List(context.Background())
 	if len(rows) != 1 || rows[0][0] != "model2" {
 		t.Fatalf("after drop list = %v", rows)
 	}
 	if _, _, err := mgr.Load("model1", -1); err == nil {
 		t.Fatal("load after drop should fail")
 	}
-	if err := mgr.Drop("model1"); err == nil {
+	if err := mgr.Drop(context.Background(), "model1"); err == nil {
 		t.Fatal("double drop should fail")
 	}
 }
 
 func TestDeployValidation(t *testing.T) {
 	_, mgr := setup(t, 2)
-	if err := mgr.Deploy("bad name!", "X", "", kmeansModel()); err == nil {
+	if err := mgr.Deploy(context.Background(), "bad name!", "X", "", kmeansModel()); err == nil {
 		t.Fatal("invalid name should fail")
 	}
-	if err := mgr.Deploy("m", "X", "", 42); err == nil {
+	if err := mgr.Deploy(context.Background(), "m", "X", "", 42); err == nil {
 		t.Fatal("unsupported model should fail")
 	}
 }
 
 func TestRModelsQueryableViaSQL(t *testing.T) {
 	db, mgr := setup(t, 2)
-	_ = mgr.Deploy("m1", "alice", "it's a model", kmeansModel())
-	res, err := db.Query(`SELECT model, owner, description FROM R_Models`)
+	_ = mgr.Deploy(context.Background(), "m1", "alice", "it's a model", kmeansModel())
+	res, err := db.QueryContext(context.Background(), `SELECT model, owner, description FROM R_Models`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestRModelsQueryableViaSQL(t *testing.T) {
 
 func loadPointsTable(t *testing.T, db *vertica.DB, n int) {
 	t.Helper()
-	if err := db.Exec(`CREATE TABLE pts (a FLOAT, b FLOAT)`); err != nil {
+	if err := db.ExecContext(context.Background(), `CREATE TABLE pts (a FLOAT, b FLOAT)`); err != nil {
 		t.Fatal(err)
 	}
 	schema := colstore.Schema{
@@ -179,10 +180,10 @@ func loadPointsTable(t *testing.T, db *vertica.DB, n int) {
 func TestKmeansPredictSQL(t *testing.T) {
 	db, mgr := setup(t, 3)
 	loadPointsTable(t, db, 600)
-	if err := mgr.Deploy("km", "x", "", kmeansModel()); err != nil {
+	if err := mgr.Deploy(context.Background(), "km", "x", "", kmeansModel()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query(`SELECT KmeansPredict(a, b USING PARAMETERS model='km') OVER (PARTITION BEST) FROM pts`)
+	res, err := db.QueryContext(context.Background(), `SELECT KmeansPredict(a, b USING PARAMETERS model='km') OVER (PARTITION BEST) FROM pts`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +210,10 @@ func TestGlmPredictSQLMatchesInEngine(t *testing.T) {
 	db, mgr := setup(t, 2)
 	loadPointsTable(t, db, 100)
 	model := glmModel()
-	if err := mgr.Deploy("reg", "x", "", model); err != nil {
+	if err := mgr.Deploy(context.Background(), "reg", "x", "", model); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query(`SELECT GlmPredict(a, b USING PARAMETERS model='reg') OVER (PARTITION BEST) FROM pts`)
+	res, err := db.QueryContext(context.Background(), `SELECT GlmPredict(a, b USING PARAMETERS model='reg') OVER (PARTITION BEST) FROM pts`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestGlmPredictSQLMatchesInEngine(t *testing.T) {
 	}
 	// Row-for-row equality against in-engine predictions: read the table
 	// back and compare multisets of (prediction).
-	raw, _ := db.Query(`SELECT a, b FROM pts`)
+	raw, _ := db.QueryContext(context.Background(), `SELECT a, b FROM pts`)
 	want := map[float64]int{}
 	for _, r := range raw.Rows() {
 		want[model.Predict([]float64{r[0].(float64), r[1].(float64)})]++
@@ -242,14 +243,14 @@ func TestGlmPredictSQLMatchesInEngine(t *testing.T) {
 
 func TestGlmPredictLogisticProbabilities(t *testing.T) {
 	db, mgr := setup(t, 2)
-	if err := db.Exec(`CREATE TABLE lx (x FLOAT)`); err != nil {
+	if err := db.ExecContext(context.Background(), `CREATE TABLE lx (x FLOAT)`); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Exec(`INSERT INTO lx VALUES (-10.0), (0.0), (10.0)`); err != nil {
+	if err := db.ExecContext(context.Background(), `INSERT INTO lx VALUES (-10.0), (0.0), (10.0)`); err != nil {
 		t.Fatal(err)
 	}
-	_ = mgr.Deploy("logit", "x", "", logisticModel())
-	res, err := db.Query(`SELECT GlmPredict(x USING PARAMETERS model='logit') OVER (PARTITION BEST) FROM lx`)
+	_ = mgr.Deploy(context.Background(), "logit", "x", "", logisticModel())
+	res, err := db.QueryContext(context.Background(), `SELECT GlmPredict(x USING PARAMETERS model='logit') OVER (PARTITION BEST) FROM lx`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +282,8 @@ func TestRfPredictSQL(t *testing.T) {
 		}}},
 		Features: 2,
 	}
-	_ = mgr.Deploy("rf", "x", "", forest)
-	res, err := db.Query(`SELECT RfPredict(a, b USING PARAMETERS model='rf') OVER (PARTITION BEST) FROM pts`)
+	_ = mgr.Deploy(context.Background(), "rf", "x", "", forest)
+	res, err := db.QueryContext(context.Background(), `SELECT RfPredict(a, b USING PARAMETERS model='rf') OVER (PARTITION BEST) FROM pts`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +303,8 @@ func TestRfPredictSQL(t *testing.T) {
 func TestPredictErrors(t *testing.T) {
 	db, mgr := setup(t, 2)
 	loadPointsTable(t, db, 10)
-	_ = mgr.Deploy("km", "x", "", kmeansModel())
-	_ = mgr.Deploy("reg", "x", "", glmModel())
+	_ = mgr.Deploy(context.Background(), "km", "x", "", kmeansModel())
+	_ = mgr.Deploy(context.Background(), "reg", "x", "", glmModel())
 	cases := []string{
 		`SELECT KmeansPredict(a, b USING PARAMETERS model='missing') OVER (PARTITION BEST) FROM pts`,
 		`SELECT KmeansPredict(a, b) OVER (PARTITION BEST) FROM pts`,                          // no model param
@@ -312,7 +313,7 @@ func TestPredictErrors(t *testing.T) {
 		`SELECT KmeansPredict(USING PARAMETERS model='km') OVER (PARTITION BEST) FROM pts`,   // no features
 	}
 	for _, q := range cases {
-		if _, err := db.Query(q); err == nil {
+		if _, err := db.QueryContext(context.Background(), q); err == nil {
 			t.Fatalf("expected error for %q", q)
 		}
 	}
@@ -321,14 +322,14 @@ func TestPredictErrors(t *testing.T) {
 func TestPredictPartitionByColumn(t *testing.T) {
 	// PARTITION BY also works: prediction grouped by a key column.
 	db, mgr := setup(t, 2)
-	if err := db.Exec(`CREATE TABLE g (k INTEGER, a FLOAT, b FLOAT)`); err != nil {
+	if err := db.ExecContext(context.Background(), `CREATE TABLE g (k INTEGER, a FLOAT, b FLOAT)`); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Exec(`INSERT INTO g VALUES (1, 0.0, 0.0), (1, 0.1, 0.1), (2, 10.0, 10.0)`); err != nil {
+	if err := db.ExecContext(context.Background(), `INSERT INTO g VALUES (1, 0.0, 0.0), (1, 0.1, 0.1), (2, 10.0, 10.0)`); err != nil {
 		t.Fatal(err)
 	}
-	_ = mgr.Deploy("km", "x", "", kmeansModel())
-	res, err := db.Query(`SELECT KmeansPredict(a, b USING PARAMETERS model='km') OVER (PARTITION BY k) FROM g`)
+	_ = mgr.Deploy(context.Background(), "km", "x", "", kmeansModel())
+	res, err := db.QueryContext(context.Background(), `SELECT KmeansPredict(a, b USING PARAMETERS model='km') OVER (PARTITION BY k) FROM g`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,7 @@ func TestPredictPartitionByColumn(t *testing.T) {
 func TestModelSurvivesNodeFailure(t *testing.T) {
 	db, mgr := setup(t, 3)
 	loadPointsTable(t, db, 60)
-	_ = mgr.Deploy("km", "x", "", kmeansModel())
+	_ = mgr.Deploy(context.Background(), "km", "x", "", kmeansModel())
 	info, err := db.DFS().Stat("models/km")
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +350,7 @@ func TestModelSurvivesNodeFailure(t *testing.T) {
 	if err := db.DFS().SetNodeDown(info.Replicas[0], true); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query(`SELECT KmeansPredict(a, b USING PARAMETERS model='km') OVER (PARTITION BEST) FROM pts`)
+	res, err := db.QueryContext(context.Background(), `SELECT KmeansPredict(a, b USING PARAMETERS model='km') OVER (PARTITION BEST) FROM pts`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +362,10 @@ func TestModelSurvivesNodeFailure(t *testing.T) {
 func TestSQLEscapeInDescriptions(t *testing.T) {
 	_, mgr := setup(t, 2)
 	desc := "it's; DROP TABLE R_Models"
-	if err := mgr.Deploy("m", "o'brien", desc, kmeansModel()); err != nil {
+	if err := mgr.Deploy(context.Background(), "m", "o'brien", desc, kmeansModel()); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := mgr.List()
+	rows, err := mgr.List(context.Background())
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("list after tricky desc: %v %v", rows, err)
 	}
@@ -383,7 +384,7 @@ func TestSQLEscapeInDescriptions(t *testing.T) {
 // multiset of result bit patterns.
 func referenceRows(t *testing.T, db *vertica.DB, query string, score func(row []float64) float64) map[uint64]int {
 	t.Helper()
-	raw, err := db.Query(query)
+	raw, err := db.QueryContext(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +422,7 @@ func diffMultisets(t *testing.T, got, want map[uint64]int, label string) {
 // magnitudes and signs, spanning several 2048-row scoring blocks.
 func loadMixedTable(t *testing.T, db *vertica.DB, n int) {
 	t.Helper()
-	if err := db.Exec(`CREATE TABLE mixed (xi INTEGER, yf FLOAT)`); err != nil {
+	if err := db.ExecContext(context.Background(), `CREATE TABLE mixed (xi INTEGER, yf FLOAT)`); err != nil {
 		t.Fatal(err)
 	}
 	schema := colstore.Schema{
@@ -442,10 +443,10 @@ func TestGlmPredictBitsMatchRowPath(t *testing.T) {
 	loadMixedTable(t, db, 5000)
 	lm := glmModel() // Gaussian: the LM case
 	logit := &algos.GLMModel{Family: algos.Binomial, Coefficients: []float64{0.1, 0.02, -0.3}}
-	_ = mgr.Deploy("lm", "x", "", lm)
-	_ = mgr.Deploy("logit", "x", "", logit)
+	_ = mgr.Deploy(context.Background(), "lm", "x", "", lm)
+	_ = mgr.Deploy(context.Background(), "logit", "x", "", logit)
 	for name, m := range map[string]*algos.GLMModel{"lm": lm, "logit": logit} {
-		res, err := db.Query(`SELECT GlmPredict(xi, yf USING PARAMETERS model='` + name + `') OVER (PARTITION BEST) FROM mixed`)
+		res, err := db.QueryContext(context.Background(), `SELECT GlmPredict(xi, yf USING PARAMETERS model='`+name+`') OVER (PARTITION BEST) FROM mixed`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,8 +462,8 @@ func TestKmeansPredictBitsMatchRowPath(t *testing.T) {
 	db, mgr := setup(t, 3)
 	loadMixedTable(t, db, 4100)
 	m := &algos.KmeansModel{K: 3, Centers: [][]float64{{0, 0}, {-20, 300}, {40, 900}}}
-	_ = mgr.Deploy("km", "x", "", m)
-	res, err := db.Query(`SELECT KmeansPredict(xi, yf USING PARAMETERS model='km') OVER (PARTITION BEST) FROM mixed`)
+	_ = mgr.Deploy(context.Background(), "km", "x", "", m)
+	res, err := db.QueryContext(context.Background(), `SELECT KmeansPredict(xi, yf USING PARAMETERS model='km') OVER (PARTITION BEST) FROM mixed`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,10 +496,10 @@ func TestRfPredictBitsMatchRowPath(t *testing.T) {
 		Classify: true,
 		Features: 2,
 	}
-	_ = mgr.Deploy("rfreg", "x", "", reg)
-	_ = mgr.Deploy("rfclf", "x", "", clf)
+	_ = mgr.Deploy(context.Background(), "rfreg", "x", "", reg)
+	_ = mgr.Deploy(context.Background(), "rfclf", "x", "", clf)
 	for name, m := range map[string]*algos.ForestModel{"rfreg": reg, "rfclf": clf} {
-		res, err := db.Query(`SELECT RfPredict(xi, yf USING PARAMETERS model='` + name + `') OVER (PARTITION BEST) FROM mixed`)
+		res, err := db.QueryContext(context.Background(), `SELECT RfPredict(xi, yf USING PARAMETERS model='`+name+`') OVER (PARTITION BEST) FROM mixed`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -512,7 +513,7 @@ func TestRfPredictBitsMatchRowPath(t *testing.T) {
 // prediction bit must still match the row-at-a-time reference.
 func TestPredictPartitionByBitsMatchRowPath(t *testing.T) {
 	db, mgr := setup(t, 2)
-	if err := db.Exec(`CREATE TABLE gm (k INTEGER, xi INTEGER, yf FLOAT)`); err != nil {
+	if err := db.ExecContext(context.Background(), `CREATE TABLE gm (k INTEGER, xi INTEGER, yf FLOAT)`); err != nil {
 		t.Fatal(err)
 	}
 	schema := colstore.Schema{
@@ -529,10 +530,10 @@ func TestPredictPartitionByBitsMatchRowPath(t *testing.T) {
 	}
 	m := glmModel()
 	km := &algos.KmeansModel{K: 2, Centers: [][]float64{{0, 0}, {100, 700}}}
-	_ = mgr.Deploy("reg", "x", "", m)
-	_ = mgr.Deploy("km", "x", "", km)
+	_ = mgr.Deploy(context.Background(), "reg", "x", "", m)
+	_ = mgr.Deploy(context.Background(), "km", "x", "", km)
 
-	res, err := db.Query(`SELECT GlmPredict(xi, yf USING PARAMETERS model='reg') OVER (PARTITION BY k) FROM gm`)
+	res, err := db.QueryContext(context.Background(), `SELECT GlmPredict(xi, yf USING PARAMETERS model='reg') OVER (PARTITION BY k) FROM gm`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +543,7 @@ func TestPredictPartitionByBitsMatchRowPath(t *testing.T) {
 	want := referenceRows(t, db, `SELECT xi, yf FROM gm`, m.Predict)
 	diffMultisets(t, floatBitsMultiset(res.Batch.Cols[0].Floats), want, "glm partition-by")
 
-	kres, err := db.Query(`SELECT KmeansPredict(xi, yf USING PARAMETERS model='km') OVER (PARTITION BY k) FROM gm`)
+	kres, err := db.QueryContext(context.Background(), `SELECT KmeansPredict(xi, yf USING PARAMETERS model='km') OVER (PARTITION BY k) FROM gm`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@ const predictBlockRows = 2048
 //
 // Scoring is vectorized: rows are processed in column-major blocks through
 // the algos block scorers (bit-identical to the row-at-a-time scorers), and
-// when the writer supports the ReusableWriter contract the output batch and
-// its prediction slice are reused across blocks, making the steady-state
+// the output batch and its prediction slice are reused across blocks (a
+// BatchWriter never retains what it is handed), making the steady-state
 // scoring loop allocation-free.
 type predictUDF struct {
 	want string
@@ -42,10 +42,14 @@ func (p predictUDF) OutputSchema(in colstore.Schema, params udf.Params) (colstor
 	if _, err := params.String("model"); err != nil {
 		return nil, err
 	}
+	return p.outSchema(), nil
+}
+
+func (p predictUDF) outSchema() colstore.Schema {
 	if p.want == TypeKmeans {
-		return colstore.Schema{{Name: "cluster", Type: colstore.TypeInt64}}, nil
+		return colstore.Schema{{Name: "cluster", Type: colstore.TypeInt64}}
 	}
-	return colstore.Schema{{Name: "prediction", Type: colstore.TypeFloat64}}, nil
+	return colstore.Schema{{Name: "prediction", Type: colstore.TypeFloat64}}
 }
 
 func (p predictUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.BatchWriter) error {
@@ -76,26 +80,15 @@ func (p predictUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.B
 	}
 
 	kmeans := p.want == TypeKmeans
-	var outSchema colstore.Schema
-	if kmeans {
-		outSchema = colstore.Schema{{Name: "cluster", Type: colstore.TypeInt64}}
-	} else {
-		outSchema = colstore.Schema{{Name: "prediction", Type: colstore.TypeFloat64}}
-	}
-	// Pooled output: when the writer consumes rows synchronously (the
-	// ReusableWriter contract), one output batch and one prediction slice
-	// serve every block. A retaining writer gets fresh slices instead.
-	_, reusable := out.(udf.ReusableWriter)
-	var reuseBatch *colstore.Batch
+	// One output batch and one prediction slice serve every block.
+	outSchema := p.outSchema()
+	ob := &colstore.Batch{Schema: outSchema, Cols: []*colstore.Vector{{Type: outSchema[0].Type}}}
 	var fscratch []float64
 	var iscratch []int64
-	if reusable {
-		reuseBatch = &colstore.Batch{Schema: outSchema, Cols: []*colstore.Vector{{Type: outSchema[0].Type}}}
-		if kmeans {
-			iscratch = make([]int64, predictBlockRows)
-		} else {
-			fscratch = make([]float64, predictBlockRows)
-		}
+	if kmeans {
+		iscratch = make([]int64, predictBlockRows)
+	} else {
+		fscratch = make([]float64, predictBlockRows)
 	}
 
 	feat := make([][]float64, 0, 8) // column views for the current block
@@ -140,35 +133,14 @@ func (p predictUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.B
 					feat = append(feat, dst)
 				}
 			}
-			var ob *colstore.Batch
 			if kmeans {
-				preds := iscratch
-				if !reusable {
-					preds = make([]int64, rows)
-				}
-				preds = preds[:rows]
-				assign(feat, preds)
-				if reusable {
-					reuseBatch.Cols[0].Ints = preds
-					ob = reuseBatch
-				} else {
-					ob = &colstore.Batch{Schema: outSchema, Cols: []*colstore.Vector{colstore.IntVector(preds)}}
-				}
+				ob.Cols[0].Ints = iscratch[:rows]
+				assign(feat, ob.Cols[0].Ints)
 			} else {
-				preds := fscratch
-				if !reusable {
-					preds = make([]float64, rows)
-				}
-				preds = preds[:rows]
-				score(feat, preds)
-				if reusable {
-					reuseBatch.Cols[0].Floats = preds
-					ob = reuseBatch
-				} else {
-					ob = &colstore.Batch{Schema: outSchema, Cols: []*colstore.Vector{colstore.FloatVector(preds)}}
-				}
+				ob.Cols[0].Floats = fscratch[:rows]
+				score(feat, ob.Cols[0].Floats)
 			}
-			if _, err := udf.WriteMaybeReuse(out, ob); err != nil {
+			if err := out.Write(ob); err != nil {
 				return err
 			}
 		}

@@ -2,6 +2,7 @@ package models
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"math"
@@ -94,11 +95,11 @@ func decodeShard(data []byte) ([]float64, error) {
 // at most maxShardBytes each (MaxBlobBytes when <= 0), then the metadata
 // blob, then the R_Models row. The write order means a reader that can see
 // the metadata blob always finds every shard it references.
-func (m *Manager) DeployGLMSharded(name, owner, description string, model *algos.GLMModel, maxShardBytes int) error {
+func (m *Manager) DeployGLMSharded(ctx context.Context, name, owner, description string, model *algos.GLMModel, maxShardBytes int) error {
 	if !nameRE.MatchString(name) {
 		return fmt.Errorf("models: invalid model name %q", name)
 	}
-	if exists, err := m.exists(name); err != nil {
+	if exists, err := m.exists(ctx, name); err != nil {
 		return err
 	} else if exists {
 		return fmt.Errorf("models: model %q already exists", name)
@@ -131,7 +132,7 @@ func (m *Manager) DeployGLMSharded(name, owner, description string, model *algos
 	total := 0
 	cleanup := func(upto int) {
 		for k := 0; k < upto; k++ {
-			_ = m.blobDelete(shardPath(name, k))
+			_ = m.db.JournalBlobDelete(shardPath(name, k))
 		}
 	}
 	for k := 0; k < shards; k++ {
@@ -145,7 +146,7 @@ func (m *Manager) DeployGLMSharded(name, owner, description string, model *algos
 			cleanup(k)
 			return err
 		}
-		if err := m.blobPut(shardPath(name, k), data); err != nil {
+		if err := m.db.JournalBlobPut(shardPath(name, k), data); err != nil {
 			cleanup(k)
 			return err
 		}
@@ -156,15 +157,15 @@ func (m *Manager) DeployGLMSharded(name, owner, description string, model *algos
 		cleanup(shards)
 		return fmt.Errorf("models: serialize sharded meta: %w", err)
 	}
-	if err := m.blobPut(blobPath(name), buf.Bytes()); err != nil {
+	if err := m.db.JournalBlobPut(blobPath(name), buf.Bytes()); err != nil {
 		cleanup(shards)
 		return err
 	}
 	total += buf.Len()
 	ins := fmt.Sprintf(`INSERT INTO %s VALUES ('%s', '%s', '%s', %d, '%s')`,
 		MetaTable, name, sqlEscape(owner), TypeGLMSharded, total, sqlEscape(description))
-	if err := m.db.Exec(ins); err != nil {
-		_ = m.blobDelete(blobPath(name))
+	if err := m.db.ExecContext(ctx, ins); err != nil {
+		_ = m.db.JournalBlobDelete(blobPath(name))
 		cleanup(shards)
 		return err
 	}

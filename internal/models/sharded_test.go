@@ -1,6 +1,7 @@
 package models
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -67,7 +68,7 @@ func TestShardedDeployLoadShardInfo(t *testing.T) {
 	db, mgr := setup(t, 3)
 	model := wideGLM(10, algos.Gaussian)
 	// 3 coefficients per shard: 10 features -> 4 shards.
-	if err := mgr.DeployGLMSharded("wide", "x", "sharded", model, 3*10); err != nil {
+	if err := mgr.DeployGLMSharded(context.Background(), "wide", "x", "sharded", model, 3*10); err != nil {
 		t.Fatal(err)
 	}
 	if shards, ok := mgr.ShardInfo("wide"); !ok || shards != 4 {
@@ -91,13 +92,13 @@ func TestShardedDeployLoadShardInfo(t *testing.T) {
 		t.Fatalf("meta = %+v, tail shard %d coefs", sh.Meta, len(sh.Coef[3]))
 	}
 	// R_Models row carries the sharded type tag and total byte size.
-	rows, err := mgr.List()
+	rows, err := mgr.List(context.Background())
 	if err != nil || len(rows) != 1 || rows[0][2] != TypeGLMSharded {
 		t.Fatalf("list = %v %v", rows, err)
 	}
 
 	// Dense models and unknown names are not sharded.
-	if err := mgr.Deploy("dense", "x", "", glmModel()); err != nil {
+	if err := mgr.Deploy(context.Background(), "dense", "x", "", glmModel()); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := mgr.ShardInfo("dense"); ok {
@@ -108,7 +109,7 @@ func TestShardedDeployLoadShardInfo(t *testing.T) {
 	}
 
 	// Drop removes every shard blob, not just the metadata blob.
-	if err := mgr.Drop("wide"); err != nil {
+	if err := mgr.Drop(context.Background(), "wide"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.DFS().Read(blobPath("wide")); err == nil {
@@ -128,7 +129,7 @@ func TestDeployAutoShardsOversizedGLM(t *testing.T) {
 	db, mgr := setup(t, 2)
 	dims := MaxBlobBytes/8 + 5000 // serialized form comfortably over budget
 	model := wideGLM(dims, algos.Gaussian)
-	if err := mgr.Deploy("big", "x", "oversized", model); err != nil {
+	if err := mgr.Deploy(context.Background(), "big", "x", "oversized", model); err != nil {
 		t.Fatal(err)
 	}
 	shards, ok := mgr.ShardInfo("big")
@@ -170,7 +171,7 @@ func TestDeployAutoShardsOversizedGLM(t *testing.T) {
 // model, bit for bit.
 func TestShardedGlmPredictSQLBitIdentical(t *testing.T) {
 	db, mgr := setup(t, 2)
-	if err := db.Exec(`CREATE TABLE f5 (c0 FLOAT, c1 FLOAT, c2 FLOAT, c3 FLOAT, c4 FLOAT)`); err != nil {
+	if err := db.ExecContext(context.Background(), `CREATE TABLE f5 (c0 FLOAT, c1 FLOAT, c2 FLOAT, c3 FLOAT, c4 FLOAT)`); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
@@ -178,23 +179,23 @@ func TestShardedGlmPredictSQLBitIdentical(t *testing.T) {
 		for j := range vals {
 			vals[j] = fmt.Sprintf("%g", math.Sin(float64(i*5+j))*3)
 		}
-		if err := db.Exec(fmt.Sprintf(`INSERT INTO f5 VALUES (%s)`, strings.Join(vals, ", "))); err != nil {
+		if err := db.ExecContext(context.Background(), fmt.Sprintf(`INSERT INTO f5 VALUES (%s)`, strings.Join(vals, ", "))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	model := wideGLM(5, algos.Binomial)
-	if err := mgr.Deploy("d5", "x", "", model); err != nil {
+	if err := mgr.Deploy(context.Background(), "d5", "x", "", model); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.DeployGLMSharded("s5", "x", "", model, 2*10); err != nil { // 2 coefs/shard -> 3 shards
+	if err := mgr.DeployGLMSharded(context.Background(), "s5", "x", "", model, 2*10); err != nil { // 2 coefs/shard -> 3 shards
 		t.Fatal(err)
 	}
 	q := `SELECT GlmPredict(c0, c1, c2, c3, c4 USING PARAMETERS model='%s') OVER (PARTITION BEST) FROM f5`
-	dres, err := db.Query(fmt.Sprintf(q, "d5"))
+	dres, err := db.QueryContext(context.Background(), fmt.Sprintf(q, "d5"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := db.Query(fmt.Sprintf(q, "s5"))
+	sres, err := db.QueryContext(context.Background(), fmt.Sprintf(q, "s5"))
 	if err != nil {
 		t.Fatal(err)
 	}

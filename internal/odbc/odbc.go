@@ -305,17 +305,13 @@ func splitFields(line string) []string {
 	return out
 }
 
-// Load is the parallel-ODBC loader the paper benchmarks (Fig. 1, 12, 13):
-// connections clients open simultaneous sessions, client i requesting the
-// i-th ordered 1/connections slice of the table. Each connection's result
-// becomes one partition of a distributed frame, round-robin across workers.
-func Load(db DB, srv *Server, c *dr.Cluster, table string, cols []string, connections int) (*darray.DFrame, error) {
-	return LoadContext(context.Background(), db, srv, c, table, cols, connections)
-}
-
-// LoadContext is Load under a context: cancellation is observed per
-// connection, between reconnect attempts — each range query is the unit of
-// work, matching how a real ODBC client would abandon a load.
+// LoadContext is the parallel-ODBC loader the paper benchmarks (Fig. 1, 12,
+// 13): connections clients open simultaneous sessions, client i requesting
+// the i-th ordered 1/connections slice of the table. Each connection's
+// result becomes one partition of a distributed frame, round-robin across
+// workers. Cancellation is observed per connection, between reconnect
+// attempts — each range query is the unit of work, matching how a real ODBC
+// client would abandon a load.
 func LoadContext(ctx context.Context, db DB, srv *Server, c *dr.Cluster, table string, cols []string, connections int) (*darray.DFrame, error) {
 	if connections <= 0 {
 		connections = c.NumWorkers() * c.InstancesPerWorker()

@@ -1,6 +1,7 @@
 package odbc
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"sync"
@@ -18,7 +19,7 @@ func setup(t *testing.T, nodes int, rows int) (*vertica.DB, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Exec(`CREATE TABLE t (id INTEGER, x FLOAT, s VARCHAR, ok BOOLEAN) SEGMENTED BY HASH(id)`); err != nil {
+	if err := db.ExecContext(context.Background(), `CREATE TABLE t (id INTEGER, x FLOAT, s VARCHAR, ok BOOLEAN) SEGMENTED BY HASH(id)`); err != nil {
 		t.Fatal(err)
 	}
 	schema := colstore.Schema{
@@ -149,7 +150,7 @@ func TestLoadIntoDistributedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	frame, err := Load(db, srv, c, "t", []string{"id", "x"}, 12)
+	frame, err := LoadContext(context.Background(), db, srv, c, "t", []string{"id", "x"}, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestLoadDefaultConnections(t *testing.T) {
 	db, srv := setup(t, 2, 240)
 	c, _ := dr.Start(dr.Config{Workers: 2, InstancesPerWorker: 3})
 	defer c.Shutdown()
-	frame, err := Load(db, srv, c, "t", []string{"id"}, 0)
+	frame, err := LoadContext(context.Background(), db, srv, c, "t", []string{"id"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestLoadErrors(t *testing.T) {
 	db, srv := setup(t, 2, 10)
 	c, _ := dr.Start(dr.Config{Workers: 2})
 	defer c.Shutdown()
-	if _, err := Load(db, srv, c, "missing", nil, 2); err == nil {
+	if _, err := LoadContext(context.Background(), db, srv, c, "missing", nil, 2); err == nil {
 		t.Fatal("missing table should fail")
 	}
 }
@@ -219,7 +220,7 @@ func TestLoadRetriesInjectedQueryFaults(t *testing.T) {
 	}
 	defer c.Shutdown()
 	retries0 := mRetries.Value()
-	frame, err := Load(db, srv, c, "t", []string{"id"}, 6)
+	frame, err := LoadContext(context.Background(), db, srv, c, "t", []string{"id"}, 6)
 	if err != nil {
 		t.Fatalf("load under query faults should recover: %v", err)
 	}
@@ -259,7 +260,7 @@ func TestLoadGivesUpAfterRetryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	if _, err := Load(db, srv, c, "t", nil, 2); !errors.Is(err, faults.ErrInjected) {
+	if _, err := LoadContext(context.Background(), db, srv, c, "t", nil, 2); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("err = %v, want injected failure after retries exhausted", err)
 	}
 }

@@ -107,9 +107,21 @@ func walkColRefs(e sqlparse.Expr, f func(*sqlparse.ColRef) error) error {
 	return nil
 }
 
+// Normalize returns a single-table statement as Build hands it to the
+// executor: a deep copy with its table qualifiers stripped. That needs no
+// catalog, so a cluster router normalizes once, ships the result to its
+// peers and merges their answers against the statement they ran.
+func Normalize(sel *sqlparse.Select) (*sqlparse.Select, error) {
+	sel = cloneSelect(sel)
+	if err := normalizeSingle(sel); err != nil {
+		return nil, err
+	}
+	return sel, nil
+}
+
 // normalizeSingle strips table qualifiers from a single-table statement,
 // rejecting qualifiers that name anything but the FROM table (or its alias).
-func normalizeSingle(sel *sqlparse.Select, def *catalog.TableDef) error {
+func normalizeSingle(sel *sqlparse.Select) error {
 	quals := map[string]bool{sel.From: true}
 	if sel.FromAlias != "" {
 		quals[sel.FromAlias] = true

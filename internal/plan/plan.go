@@ -230,7 +230,7 @@ func (b *builder) buildSingle(sel *sqlparse.Select) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := normalizeSingle(sel, def); err != nil {
+	if err := normalizeSingle(sel); err != nil {
 		return nil, err
 	}
 	ts, err := gatherStats(b.src, sel.From, def)

@@ -28,7 +28,7 @@ func TestWireTraceSingleTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tcp.Close()
-	cli, err := Dial(tcp.Addr())
+	cli, err := DialTimeout(tcp.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestProfileOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tcp.Close()
-	cli, err := Dial(tcp.Addr())
+	cli, err := DialTimeout(tcp.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := Dial(tcp.Addr())
+	cli, err := DialTimeout(tcp.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	if _, err := cli.Query(context.Background(), `SELECT count(*) FROM px`); err == nil {
 		t.Fatal("query succeeded on a drained connection")
 	}
-	if c2, err := Dial(tcp.Addr()); err == nil {
+	if c2, err := DialTimeout(tcp.Addr(), 0); err == nil {
 		defer c2.Close()
 		if err := c2.Ping(context.Background()); err == nil {
 			t.Fatal("new connection served after shutdown")
@@ -418,7 +418,7 @@ func TestShutdownClosesIdleConns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := Dial(tcp.Addr())
+	cli, err := DialTimeout(tcp.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -368,17 +368,8 @@ type Client struct {
 	buf  []byte
 }
 
-// Dial connects to a TCPServer.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{conn: conn}, nil
-}
-
-// DialTimeout connects to a TCPServer with a dial deadline. Failures wrap
-// verr.ErrNodeDown so routing layers can classify them.
+// DialTimeout connects to a TCPServer with a dial deadline (none when d is
+// zero). Failures wrap verr.ErrNodeDown so routing layers can classify them.
 func DialTimeout(addr string, d time.Duration) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, d)
 	if err != nil {

@@ -21,7 +21,7 @@ func TestProtoEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tcp.Close()
-	c, err := Dial(tcp.Addr())
+	c, err := DialTimeout(tcp.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestProtoOverloadedAndCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tcp.Close()
-	c, err := Dial(tcp.Addr())
+	c, err := DialTimeout(tcp.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestProtoConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(tcp.Addr())
+			c, err := DialTimeout(tcp.Addr(), 0)
 			if err != nil {
 				errs <- err
 				return

@@ -28,7 +28,7 @@ func testSession(t *testing.T, rows int, intercept float64) *core.Session {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	if err := s.Exec(`CREATE TABLE px (x FLOAT) SEGMENTED BY ROUND ROBIN`); err != nil {
+	if err := s.ExecContext(context.Background(), `CREATE TABLE px (x FLOAT) SEGMENTED BY ROUND ROBIN`); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.DB.LoadColumns("px", [][]float64{make([]float64, rows)}); err != nil {
@@ -341,7 +341,7 @@ func TestSessionCloseDrainsInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Exec(`CREATE TABLE big (x FLOAT) SEGMENTED BY ROUND ROBIN`); err != nil {
+	if err := s.ExecContext(context.Background(), `CREATE TABLE big (x FLOAT) SEGMENTED BY ROUND ROBIN`); err != nil {
 		t.Fatal(err)
 	}
 	vals := make([]float64, 50000)

@@ -79,7 +79,7 @@ func TestRunAwareMatchesChunkedAcrossChunks(t *testing.T) {
 		"SELECT k, f, s, count(*), sum(seq) FROM t GROUP BY k, f, s",
 		"SELECT count(*) FROM t GROUP BY f, k",
 	} {
-		on, err := RunSelect(db, selStmt(t, q))
+		on, err := RunSelectCtx(context.Background(), db, selStmt(t, q))
 		if err != nil {
 			t.Fatalf("%s (run-aware): %v", q, err)
 		}
@@ -139,7 +139,7 @@ func TestGroupByTwoColumnMixedKeysPerEncoding(t *testing.T) {
 			}
 			check := func(q string, want []*tally, keyOfRow func(row []any) string) {
 				t.Helper()
-				on, err := RunSelect(db, selStmt(t, q))
+				on, err := RunSelectCtx(context.Background(), db, selStmt(t, q))
 				if err != nil {
 					t.Fatalf("%s: %v", q, err)
 				}
@@ -202,7 +202,7 @@ func TestGroupKeysWithSeparatorBytesStayDistinct(t *testing.T) {
 	}
 
 	db := &fakeDB{def: def, seg: newSeg([]string{"a\x00", "a"}, []string{"b", "\x00b"})}
-	res, err := RunSelect(db, selStmt(t, q))
+	res, err := RunSelectCtx(context.Background(), db, selStmt(t, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestRunAwareProfileBooksFoldUnderAggregate(t *testing.T) {
 	defer telemetry.Default().SetClock(nil)
 
 	db := newFakeDB(t, 1000) // 10 sealed 100-row blocks
-	res, err := RunSelect(db, selStmt(t, "PROFILE SELECT y, count(*), sum(x) FROM t GROUP BY y"))
+	res, err := RunSelectCtx(context.Background(), db, selStmt(t, "PROFILE SELECT y, count(*), sum(x) FROM t GROUP BY y"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func queryAllocs(t *testing.T, db Database, sql string) float64 {
 	t.Helper()
 	sel := selStmt(t, sql)
 	return testing.AllocsPerRun(3, func() {
-		if _, err := RunSelect(db, sel); err != nil {
+		if _, err := RunSelectCtx(context.Background(), db, sel); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -436,7 +436,7 @@ func benchQuery(b *testing.B, sql string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunSelect(db, stmt.(*sqlparse.Select)); err != nil {
+		if _, err := RunSelectCtx(context.Background(), db, stmt.(*sqlparse.Select)); err != nil {
 			b.Fatal(err)
 		}
 	}

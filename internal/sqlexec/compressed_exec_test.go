@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestCompressedExecOnOffBitIdentical(t *testing.T) {
 		"SELECT count(*) FROM t WHERE g <> 'red' AND r < 2",
 	}
 	for _, q := range queries {
-		on, errOn := RunSelect(db, selStmt(t, q))
+		on, errOn := RunSelectCtx(context.Background(), db, selStmt(t, q))
 		off, errOff := runDecodeFirst(db, selStmt(t, q))
 		if (errOn != nil) != (errOff != nil) {
 			t.Fatalf("%s: compressed err %v, decoded err %v", q, errOn, errOff)
@@ -164,7 +165,7 @@ func TestRunAggregateNaNOverflowMatchesRowPath(t *testing.T) {
 		"SELECT sum(w), avg(w), min(w), max(w), count(w) FROM t",
 		"SELECT k, sum(w), min(w), max(w) FROM t GROUP BY k ORDER BY k",
 	} {
-		on, err := RunSelect(db, selStmt(t, q))
+		on, err := RunSelectCtx(context.Background(), db, selStmt(t, q))
 		if err != nil {
 			t.Fatalf("%s (compressed): %v", q, err)
 		}
@@ -194,7 +195,7 @@ func TestProfileDistinguishesSkippedAndCompressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := &fakeDB{def: &catalog.TableDef{Name: "t", Schema: schema}, seg: seg}
-	res, err := RunSelect(db, selStmt(t, "PROFILE SELECT x FROM t WHERE x = 5"))
+	res, err := RunSelectCtx(context.Background(), db, selStmt(t, "PROFILE SELECT x FROM t WHERE x = 5"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestProfileDistinguishesSkippedAndCompressed(t *testing.T) {
 	}
 
 	// The run-aware aggregate path reports its own scan/aggregate pair.
-	res, err = RunSelect(db, selStmt(t, "PROFILE SELECT count(*), sum(x), min(x), max(x) FROM t"))
+	res, err = RunSelectCtx(context.Background(), db, selStmt(t, "PROFILE SELECT count(*), sum(x), min(x), max(x) FROM t"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestUDTFWhere(t *testing.T) {
 		fakeDB: fakeDB{def: &catalog.TableDef{Name: "t", Schema: schema}, seg: seg},
 		reg:    reg,
 	}
-	res, err := RunSelect(db, selStmt(t, "PROFILE SELECT PartSum(w) OVER (PARTITION BEST) FROM t WHERE x >= 900 AND w < 5"))
+	res, err := RunSelectCtx(context.Background(), db, selStmt(t, "PROFILE SELECT PartSum(w) OVER (PARTITION BEST) FROM t WHERE x >= 900 AND w < 5"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,67 @@ func TestUDTFWhere(t *testing.T) {
 	}
 
 	// GROUP BY stays rejected.
-	if _, err := RunSelect(db, selStmt(t, "SELECT PartSum(w) OVER (PARTITION BEST) FROM t GROUP BY x")); err == nil {
+	if _, err := RunSelectCtx(context.Background(), db, selStmt(t, "SELECT PartSum(w) OVER (PARTITION BEST) FROM t GROUP BY x")); err == nil {
 		t.Fatal("UDTF with GROUP BY should error")
+	}
+}
+
+// TestUDTFPartitionByTypedKeys: PARTITION BY groups by the typed key tuple,
+// as GROUP BY does — a rendered key ran ("a\x00","b") and ("a","\x00b") as
+// one partition. sumTransform emits one row per partition, in
+// first-appearance order.
+func TestUDTFPartitionByTypedKeys(t *testing.T) {
+	schema := colstore.Schema{
+		{Name: "p", Type: colstore.TypeString},
+		{Name: "q", Type: colstore.TypeString},
+		{Name: "ok", Type: colstore.TypeBool},
+		{Name: "f", Type: colstore.TypeFloat64},
+		{Name: "w", Type: colstore.TypeFloat64},
+	}
+	nan1 := math.NaN()
+	nan2 := math.Float64frombits(math.Float64bits(nan1) ^ 1) // a second payload
+	rows := [][]any{
+		{"a\x00", "b", true, nan1, 1.0},
+		{"a", "\x00b", true, 0.0, 2.0},
+		{"a\x00", "b", false, nan2, 4.0},
+		{"a", "\x00b", true, math.Copysign(0, -1), 8.0},
+		{"a\x00", "b", true, 0.0, 16.0},
+	}
+	b := colstore.NewBatch(schema)
+	for _, r := range rows {
+		if err := b.AppendRow(r...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg := colstore.NewSegment(schema, 100)
+	if err := seg.Append(b); err != nil {
+		t.Fatal(err)
+	}
+	reg := udf.NewRegistry()
+	if err := reg.Register("PartSum", func() udf.Transform { return sumTransform{} }); err != nil {
+		t.Fatal(err)
+	}
+	db := &udtfFakeDB{
+		fakeDB: fakeDB{def: &catalog.TableDef{Name: "t", Schema: schema}, seg: seg},
+		reg:    reg,
+	}
+	for _, c := range []struct {
+		by   string
+		want []float64 // partition sums of w, in first-appearance order
+	}{
+		{"p, q", []float64{1 + 4 + 16, 2 + 8}},    // separator bytes keep the tuples apart
+		{"ok", []float64{1 + 2 + 8 + 16, 4}},      // BOOLEAN key
+		{"f", []float64{1 + 4, 2 + 16, 8}},        // every NaN is one key; -0.0 and +0.0 are two
+		{"p, q, ok", []float64{1 + 16, 2 + 8, 4}}, // a third column splits a pair
+		{"ok, f", []float64{1, 2 + 16, 4, 8}},
+	} {
+		res, err := RunSelectCtx(context.Background(), db, selStmt(t, "SELECT PartSum(w) OVER (PARTITION BY "+c.by+") FROM t"))
+		if err != nil {
+			t.Fatalf("PARTITION BY %s: %v", c.by, err)
+		}
+		got := res.Batch.Cols[0].Floats
+		if !slices.Equal(got, c.want) {
+			t.Fatalf("PARTITION BY %s: partition sums %v, want %v", c.by, got, c.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"flag"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestCompressedDifferentialAdversarial(t *testing.T) {
 		ref, refErr := db.RunReference(sel)
 		for _, deg := range diffDegrees {
 			parallel.SetDefaultDegree(deg)
-			res, engErr := sqlexec.RunSelect(db, sel)
+			res, engErr := sqlexec.RunSelectCtx(context.Background(), db, sel)
 			if (refErr != nil) != (engErr != nil) {
 				t.Fatalf("query %d %q degree %d: error mismatch\n  reference: %v\n  engine:    %v",
 					q, sql, deg, refErr, engErr)

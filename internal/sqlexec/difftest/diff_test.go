@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -59,7 +60,7 @@ func TestDifferentialEngineVsReference(t *testing.T) {
 		ref, refErr := db.RunReference(sel)
 		for _, deg := range diffDegrees {
 			parallel.SetDefaultDegree(deg)
-			res, engErr := sqlexec.RunSelect(db, sel)
+			res, engErr := sqlexec.RunSelectCtx(context.Background(), db, sel)
 			if (refErr != nil) != (engErr != nil) {
 				t.Fatalf("query %d %q degree %d: error mismatch\n  reference: %v\n  engine:    %v",
 					q, sql, deg, refErr, engErr)
@@ -95,7 +96,7 @@ func assertProfileIsPlan(t *testing.T, db sqlexec.Database, sel *sqlparse.Select
 	}
 	profiled := *sel
 	profiled.Profile = true
-	res, err := sqlexec.RunSelect(db, &profiled)
+	res, err := sqlexec.RunSelectCtx(context.Background(), db, &profiled)
 	if err != nil {
 		t.Fatalf("%q: profiled run: %v", sel.String(), err)
 	}
@@ -164,7 +165,7 @@ func TestDifferentialJoinVsReference(t *testing.T) {
 		ref, refErr := db.RunReference(refStmt.(*sqlparse.Select))
 		for _, deg := range diffDegrees {
 			parallel.SetDefaultDegree(deg)
-			res, engErr := sqlexec.RunSelect(db, engStmt.(*sqlparse.Select))
+			res, engErr := sqlexec.RunSelectCtx(context.Background(), db, engStmt.(*sqlparse.Select))
 			if (refErr != nil) != (engErr != nil) {
 				t.Fatalf("query %d %q degree %d: error mismatch\n  reference: %v\n  engine:    %v",
 					q, sql, deg, refErr, engErr)

@@ -207,7 +207,9 @@ func (stubPredict) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.Ba
 func TestExplainGoldenDotProductJoin(t *testing.T) {
 	db := goldenTable(t)
 	db.Svcs = map[string]any{"models": shardStub{shards: 4}}
-	db.UDFs().MustRegister("GlmPredict", func() udf.Transform { return stubPredict{} })
+	if err := db.UDFs().Register("GlmPredict", func() udf.Transform { return stubPredict{} }); err != nil {
+		t.Fatal(err)
+	}
 	got := runExplain(t, db,
 		"EXPLAIN (FORMAT JSON) SELECT GlmPredict(x USING PARAMETERS model='m') OVER (PARTITION BEST) FROM t")
 	want := `{

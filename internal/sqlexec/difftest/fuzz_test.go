@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -82,7 +83,7 @@ func FuzzHashJoinEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		ref, refErr := db.RunReference(refStmt.(*sqlparse.Select))
-		res, engErr := sqlexec.RunSelect(db, engStmt.(*sqlparse.Select))
+		res, engErr := sqlexec.RunSelectCtx(context.Background(), db, engStmt.(*sqlparse.Select))
 		if (refErr != nil) != (engErr != nil) {
 			t.Fatalf("%q: error mismatch\n  reference: %v\n  engine:    %v", sql, refErr, engErr)
 		}

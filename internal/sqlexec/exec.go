@@ -56,16 +56,11 @@ func (r *Result) Rows() [][]any {
 	return out
 }
 
-// RunSelect executes a SELECT statement. When sel.Profile is set (PROFILE
+// RunSelectCtx executes a SELECT statement. When sel.Profile is set (PROFILE
 // SELECT ...) the result carries per-operator row counts and timings.
-func RunSelect(db Database, sel *sqlparse.Select) (*Result, error) {
-	return RunSelectCtx(context.Background(), db, sel)
-}
-
-// RunSelectCtx is RunSelect under a context: cancellation is honored at
-// scan-block and aggregation-chunk boundaries (and between UDTF input
-// batches), so a canceled query stops doing work within one block. The
-// returned error wraps verr.ErrCanceled.
+// Cancellation is honored at scan-block and aggregation-chunk boundaries (and
+// between UDTF input batches), so a canceled query stops doing work within
+// one block; the returned error then wraps verr.ErrCanceled.
 func RunSelectCtx(ctx context.Context, db Database, sel *sqlparse.Select) (*Result, error) {
 	var prof *Profile
 	if sel.Profile {

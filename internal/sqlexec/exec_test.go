@@ -68,7 +68,7 @@ func selStmt(t testing.TB, sql string) *sqlparse.Select {
 
 func TestProfileSelectRecordsOperators(t *testing.T) {
 	db := newFakeDB(t, 1000)
-	res, err := RunSelect(db, selStmt(t, "PROFILE SELECT x, y FROM t WHERE x >= 900 ORDER BY x DESC LIMIT 5"))
+	res, err := RunSelectCtx(context.Background(), db, selStmt(t, "PROFILE SELECT x, y FROM t WHERE x >= 900 ORDER BY x DESC LIMIT 5"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestProfileSelectRecordsOperators(t *testing.T) {
 
 func TestProfileNotCollectedWithoutKeyword(t *testing.T) {
 	db := newFakeDB(t, 100)
-	res, err := RunSelect(db, selStmt(t, "SELECT x FROM t"))
+	res, err := RunSelectCtx(context.Background(), db, selStmt(t, "SELECT x FROM t"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestProfileNotCollectedWithoutKeyword(t *testing.T) {
 // stats for its pushable conjunct, and the residual conjunct is applied.
 func TestConjunctionPushdownSkipsBlocks(t *testing.T) {
 	db := newFakeDB(t, 1000)
-	res, err := RunSelect(db, selStmt(t, "PROFILE SELECT x FROM t WHERE x >= 900 AND y = 3"))
+	res, err := RunSelectCtx(context.Background(), db, selStmt(t, "PROFILE SELECT x FROM t WHERE x >= 900 AND y = 3"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestTracedSelectEndsEverySpan(t *testing.T) {
 // against an empty projection schema and fail with a batch-append mismatch.
 func TestCountStarNoWhere(t *testing.T) {
 	db := newFakeDB(t, 100)
-	res, err := RunSelect(db, selStmt(t, "SELECT count(*) FROM t"))
+	res, err := RunSelectCtx(context.Background(), db, selStmt(t, "SELECT count(*) FROM t"))
 	if err != nil {
 		t.Fatal(err)
 	}

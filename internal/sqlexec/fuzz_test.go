@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -100,7 +101,7 @@ func FuzzCompressedAggregateEquivalence(f *testing.F) {
 		db := fuzzAggDB(t, brSel, seal, data)
 		sel := selStmt(t, fuzzAggQueries[int(qSel)%len(fuzzAggQueries)])
 
-		onRes, onErr := RunSelect(db, sel)
+		onRes, onErr := RunSelectCtx(context.Background(), db, sel)
 		offRes, offErr := runDecodeFirst(db, sel)
 		if (onErr != nil) != (offErr != nil) {
 			t.Fatalf("error disagreement\n  compressed: %v\n  decoded:    %v", onErr, offErr)

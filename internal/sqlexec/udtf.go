@@ -3,7 +3,6 @@ package sqlexec
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 
 	"verticadr/internal/colstore"
@@ -145,25 +144,25 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 				parts = append(parts, partition{node: node, data: &views[i]})
 			}
 		default: // PARTITION BY
-			groups := map[string][]int{}
-			var order []string
-			keyIdx := make([]int, len(over.PartitionBy))
+			if raw.Len() == 0 {
+				continue
+			}
+			// One partition per distinct key tuple, in first-appearance
+			// order: the typed group table of GROUP BY is the identity.
+			keys := make([]colstore.BlockCol, len(over.PartitionBy))
 			for i, c := range over.PartitionBy {
-				keyIdx[i] = raw.Schema.ColIndex(c)
+				keys[i] = colstore.BlockCol{Vals: raw.Cols[raw.Schema.ColIndex(c)]}
 			}
-			for r := 0; r < raw.Len(); r++ {
-				var kb strings.Builder
-				for _, ki := range keyIdx {
-					fmt.Fprintf(&kb, "%v\x00", raw.Cols[ki].Value(r))
-				}
-				key := kb.String()
-				if _, ok := groups[key]; !ok {
-					order = append(order, key)
-				}
-				groups[key] = append(groups[key], r)
+			var table groupTable
+			sc := aggScratchPool.Get().(*aggScratch)
+			gid := table.assign(keys, raw.Len(), sc)
+			groups := make([][]int, table.n)
+			for r, g := range gid {
+				groups[g] = append(groups[g], r)
 			}
-			for _, key := range order {
-				parts = append(parts, partition{node: node, data: argBatch.Gather(groups[key])})
+			aggScratchPool.Put(sc)
+			for _, rows := range groups {
+				parts = append(parts, partition{node: node, data: argBatch.Gather(rows)})
 			}
 		}
 	}
@@ -176,10 +175,9 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 	scanDone.doneScan(scanStats, scanRows, scanDetail+accessDetail(acc))
 
 	// Run all partitions in parallel (bounded). Each partition writes into
-	// its own AppendWriter — UDFs that score into pooled batches get the
-	// copy-on-write ReusableWriter path without cross-partition locking —
-	// and the results merge in partition order below, so UDTF output order
-	// is deterministic regardless of goroutine interleaving.
+	// its own AppendWriter — no cross-partition locking — and the results
+	// merge in partition order below, so UDTF output order is deterministic
+	// regardless of goroutine interleaving.
 	udtfDone := startOp(ctx, prof, "udtf")
 	writers := make([]*udf.AppendWriter, len(parts))
 	sem := make(chan struct{}, maxParallel(len(parts)))

@@ -98,29 +98,12 @@ type BatchReader interface {
 	Next() (*colstore.Batch, error)
 }
 
-// BatchWriter receives the UDF's output rows. Write retains the batch: the
-// caller must hand over ownership and not modify it afterwards.
+// BatchWriter receives the UDF's output rows. Write must not retain b past
+// the call — the mirror of BatchReader's contract: the writer copies what it
+// keeps, so the UDF may reset and reuse the batch and its backing arrays for
+// its next block.
 type BatchWriter interface {
-	Write(*colstore.Batch) error
-}
-
-// ReusableWriter is an optional BatchWriter extension for pooled output
-// batches: WriteReusable consumes the rows synchronously (copying what it
-// keeps), so when it returns the caller may reset and reuse the batch and
-// its backing arrays. Writers that retain batches (CollectWriter) must not
-// implement it.
-type ReusableWriter interface {
-	WriteReusable(*colstore.Batch) error
-}
-
-// WriteMaybeReuse writes b through w, preferring the reusable path. The
-// returned bool reports whether the caller still owns b (true: reuse away;
-// false: w retained it and the caller must allocate a fresh batch).
-func WriteMaybeReuse(w BatchWriter, b *colstore.Batch) (bool, error) {
-	if rw, ok := w.(ReusableWriter); ok {
-		return true, rw.WriteReusable(b)
-	}
-	return false, w.Write(b)
+	Write(b *colstore.Batch) error
 }
 
 // Transform is a user-defined transform function (Vertica UDTF).
@@ -157,13 +140,6 @@ func (r *Registry) Register(name string, f Factory) error {
 	}
 	r.funcs[key] = f
 	return nil
-}
-
-// MustRegister registers or panics; for init-time wiring.
-func (r *Registry) MustRegister(name string, f Factory) {
-	if err := r.Register(name, f); err != nil {
-		panic(err)
-	}
 }
 
 // Lookup finds a factory by case-insensitive name.
@@ -210,41 +186,9 @@ func (s *SliceReader) Next() (*colstore.Batch, error) {
 	return b, nil
 }
 
-// CollectWriter accumulates written batches in memory.
-type CollectWriter struct {
-	mu      sync.Mutex
-	Batches []*colstore.Batch
-}
-
-// Write implements BatchWriter.
-func (c *CollectWriter) Write(b *colstore.Batch) error {
-	if err := b.Validate(); err != nil {
-		return fmt.Errorf("udf: output batch invalid: %w", err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.Batches = append(c.Batches, b)
-	return nil
-}
-
-// Result merges everything written into one batch (empty batch if none).
-func (c *CollectWriter) Result(schema colstore.Schema) (*colstore.Batch, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := colstore.NewBatch(schema)
-	for _, b := range c.Batches {
-		if err := out.AppendBatch(b); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// AppendWriter accumulates written rows by value into one owned batch. It
-// implements ReusableWriter (every write copies), making it the natural
-// sink for UDFs that score into pooled batches. Not safe for concurrent
-// use: give each partition its own AppendWriter and merge the results in
-// partition order for deterministic output.
+// AppendWriter accumulates written rows by value into one owned batch. Not
+// safe for concurrent use: give each partition its own AppendWriter and
+// merge the results in partition order for deterministic output.
 type AppendWriter struct {
 	Out *colstore.Batch
 }
@@ -262,13 +206,3 @@ func (a *AppendWriter) Write(b *colstore.Batch) error {
 	}
 	return a.Out.AppendBatch(b)
 }
-
-// WriteReusable implements ReusableWriter: identical to Write, because Write
-// already copies.
-func (a *AppendWriter) WriteReusable(b *colstore.Batch) error { return a.Write(b) }
-
-// FuncWriter adapts a function to a BatchWriter.
-type FuncWriter func(*colstore.Batch) error
-
-// Write implements BatchWriter.
-func (f FuncWriter) Write(b *colstore.Batch) error { return f(b) }

@@ -60,17 +60,6 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestMustRegisterPanics(t *testing.T) {
-	r := NewRegistry()
-	r.MustRegister("f", func() Transform { return doubler{} })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate MustRegister")
-		}
-	}()
-	r.MustRegister("f", func() Transform { return doubler{} })
-}
-
 func TestTransformEndToEnd(t *testing.T) {
 	schema := colstore.Schema{{Name: "x", Type: colstore.TypeFloat64}}
 	b1 := &colstore.Batch{Schema: schema, Cols: []*colstore.Vector{colstore.FloatVector([]float64{1, 2})}}
@@ -80,14 +69,11 @@ func TestTransformEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &CollectWriter{}
+	w := NewAppendWriter(outSchema)
 	if err := d.ProcessPartition(&Ctx{}, NewSliceReader(b1, b2), w); err != nil {
 		t.Fatal(err)
 	}
-	res, err := w.Result(outSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := w.Out
 	want := []float64{2, 4, 6}
 	if res.Len() != 3 {
 		t.Fatalf("got %d rows", res.Len())
@@ -145,27 +131,6 @@ func TestCtxService(t *testing.T) {
 	}
 }
 
-func TestCollectWriterValidates(t *testing.T) {
-	w := &CollectWriter{}
-	bad := &colstore.Batch{
-		Schema: colstore.Schema{{Name: "x", Type: colstore.TypeFloat64}},
-		Cols:   []*colstore.Vector{colstore.IntVector([]int64{1})},
-	}
-	if err := w.Write(bad); err == nil {
-		t.Fatal("invalid batch should be rejected")
-	}
-}
-
-func TestFuncWriter(t *testing.T) {
-	var got int
-	w := FuncWriter(func(b *colstore.Batch) error { got += b.Len(); return nil })
-	schema := colstore.Schema{{Name: "x", Type: colstore.TypeFloat64}}
-	b := &colstore.Batch{Schema: schema, Cols: []*colstore.Vector{colstore.FloatVector([]float64{1, 2})}}
-	if err := w.Write(b); err != nil || got != 2 {
-		t.Fatalf("funcwriter: %v %d", err, got)
-	}
-}
-
 func TestSliceReaderExhaustion(t *testing.T) {
 	r := NewSliceReader()
 	b, err := r.Next()
@@ -180,17 +145,13 @@ func TestAppendWriterCopiesAndReuses(t *testing.T) {
 	preds := []float64{1.5, 2.5}
 	b := &colstore.Batch{Schema: schema, Cols: []*colstore.Vector{colstore.FloatVector(preds)}}
 
-	reused, err := WriteMaybeReuse(w, b)
-	if err != nil {
+	if err := w.Write(b); err != nil {
 		t.Fatal(err)
-	}
-	if !reused {
-		t.Fatal("AppendWriter implements ReusableWriter; caller should keep ownership")
 	}
 	// Caller reuses the same backing array for the next block — the writer
 	// must have copied, not retained.
 	preds[0], preds[1] = -7, -8
-	if _, err := WriteMaybeReuse(w, b); err != nil {
+	if err := w.Write(b); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{1.5, 2.5, -7, -8}
@@ -202,25 +163,9 @@ func TestAppendWriterCopiesAndReuses(t *testing.T) {
 			t.Fatalf("row %d = %v, want %v", i, w.Out.Cols[0].Floats[i], v)
 		}
 	}
-	// Invalid batches are rejected on both paths.
+	// Invalid batches are rejected.
 	bad := &colstore.Batch{Schema: schema, Cols: []*colstore.Vector{colstore.IntVector([]int64{1})}}
 	if err := w.Write(bad); err == nil {
 		t.Fatal("mistyped batch should fail validation")
-	}
-}
-
-func TestWriteMaybeReuseRetainingWriter(t *testing.T) {
-	schema := colstore.Schema{{Name: "p", Type: colstore.TypeFloat64}}
-	c := &CollectWriter{}
-	b := &colstore.Batch{Schema: schema, Cols: []*colstore.Vector{colstore.FloatVector([]float64{1})}}
-	reused, err := WriteMaybeReuse(c, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reused {
-		t.Fatal("CollectWriter retains batches; caller must not reuse")
-	}
-	if len(c.Batches) != 1 || c.Batches[0] != b {
-		t.Fatal("batch was not retained as written")
 	}
 }

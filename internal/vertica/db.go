@@ -390,26 +390,16 @@ func (db *DB) SegmentSizes(table string) ([]int, error) {
 	return out, nil
 }
 
-// Exec runs a statement, discarding any result rows.
-func (db *DB) Exec(sql string) error {
-	return db.ExecContext(context.Background(), sql)
-}
-
-// ExecContext runs a statement under a context, discarding any result rows.
+// ExecContext runs a statement, discarding any result rows.
 func (db *DB) ExecContext(ctx context.Context, sql string) error {
 	_, err := db.QueryContext(ctx, sql)
 	return err
 }
 
-// Query parses and executes a single SQL statement. DDL and INSERT return an
-// empty result.
-func (db *DB) Query(sql string) (*sqlexec.Result, error) {
-	return db.QueryContext(context.Background(), sql)
-}
-
-// QueryContext parses and executes a single SQL statement under a context.
-// SELECT execution honors cancellation at scan-block and aggregation-chunk
-// boundaries; the returned error then wraps verr.ErrCanceled.
+// QueryContext parses and executes a single SQL statement. DDL and INSERT
+// return an empty result. SELECT execution honors cancellation at scan-block
+// and aggregation-chunk boundaries; the returned error then wraps
+// verr.ErrCanceled.
 func (db *DB) QueryContext(ctx context.Context, sql string) (*sqlexec.Result, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {

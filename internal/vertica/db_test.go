@@ -1,6 +1,7 @@
 package vertica
 
 import (
+	"context"
 	"testing"
 
 	"verticadr/internal/catalog"
@@ -18,7 +19,7 @@ func openTestDB(t *testing.T, nodes int) *DB {
 
 func mustQuery(t *testing.T, db *DB, sql string) [][]any {
 	t.Helper()
-	res, err := db.Query(sql)
+	res, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatalf("query %q: %v", sql, err)
 	}
@@ -33,10 +34,10 @@ func TestOpenValidation(t *testing.T) {
 
 func TestCreateInsertSelect(t *testing.T) {
 	db := openTestDB(t, 3)
-	if _, err := db.Query(`CREATE TABLE t (id INTEGER, x FLOAT, name VARCHAR) SEGMENTED BY HASH(id)`); err != nil {
+	if _, err := db.QueryContext(context.Background(), `CREATE TABLE t (id INTEGER, x FLOAT, name VARCHAR) SEGMENTED BY HASH(id)`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query(`INSERT INTO t VALUES (1, 1.5, 'a'), (2, 2.5, 'b'), (3, 3.5, 'c')`); err != nil {
+	if _, err := db.QueryContext(context.Background(), `INSERT INTO t VALUES (1, 1.5, 'a'), (2, 2.5, 'b'), (3, 3.5, 'c')`); err != nil {
 		t.Fatal(err)
 	}
 	rows := mustQuery(t, db, `SELECT id, x, name FROM t ORDER BY id`)
@@ -79,7 +80,7 @@ func TestInsertErrors(t *testing.T) {
 		`INSERT INTO t VALUES (1 + 1, 2.0)`,
 		`INSERT INTO t VALUES ('str', 2.0)`,
 	} {
-		if _, err := db.Query(q); err == nil {
+		if _, err := db.QueryContext(context.Background(), q); err == nil {
 			t.Fatalf("expected error for %q", q)
 		}
 	}
@@ -141,7 +142,7 @@ func TestAggregateEmptyTable(t *testing.T) {
 	if rows[0][0] != int64(0) || rows[0][1] != 0.0 {
 		t.Fatalf("empty agg = %v", rows)
 	}
-	if _, err := db.Query(`SELECT min(x) FROM e`); err == nil {
+	if _, err := db.QueryContext(context.Background(), `SELECT min(x) FROM e`); err == nil {
 		t.Fatal("MIN over empty input should error")
 	}
 }
@@ -158,7 +159,7 @@ func TestAggregateErrors(t *testing.T) {
 		`SELECT sum(a, a) FROM t`,           // arity
 		`SELECT min(*) FROM t`,              // MIN(*)
 	} {
-		if _, err := db.Query(q); err == nil {
+		if _, err := db.QueryContext(context.Background(), q); err == nil {
 			t.Fatalf("expected error for %q", q)
 		}
 	}
@@ -181,7 +182,7 @@ func TestConstSelect(t *testing.T) {
 	if rows[0][0] != int64(3) || rows[0][1] != "x" || rows[0][2] != true {
 		t.Fatalf("const select = %v", rows)
 	}
-	if _, err := db.Query(`SELECT *`); err == nil {
+	if _, err := db.QueryContext(context.Background(), `SELECT *`); err == nil {
 		t.Fatal("star without FROM should fail")
 	}
 }
@@ -203,7 +204,7 @@ func TestSelectStar(t *testing.T) {
 	db := openTestDB(t, 2)
 	mustQuery(t, db, `CREATE TABLE t (a INTEGER, b VARCHAR)`)
 	mustQuery(t, db, `INSERT INTO t VALUES (1, 'x')`)
-	res, err := db.Query(`SELECT * FROM t`)
+	res, err := db.QueryContext(context.Background(), `SELECT * FROM t`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,10 +217,10 @@ func TestDropTable(t *testing.T) {
 	db := openTestDB(t, 2)
 	mustQuery(t, db, `CREATE TABLE t (a INTEGER)`)
 	mustQuery(t, db, `DROP TABLE t`)
-	if _, err := db.Query(`SELECT a FROM t`); err == nil {
+	if _, err := db.QueryContext(context.Background(), `SELECT a FROM t`); err == nil {
 		t.Fatal("query on dropped table should fail")
 	}
-	if _, err := db.Query(`DROP TABLE t`); err == nil {
+	if _, err := db.QueryContext(context.Background(), `DROP TABLE t`); err == nil {
 		t.Fatal("double drop should fail")
 	}
 }
@@ -314,7 +315,7 @@ func TestCreateTableHashSegmentation(t *testing.T) {
 
 func TestQueryParseError(t *testing.T) {
 	db := openTestDB(t, 1)
-	if _, err := db.Query(`SELEKT 1`); err == nil {
+	if _, err := db.QueryContext(context.Background(), `SELEKT 1`); err == nil {
 		t.Fatal("parse error should propagate")
 	}
 }

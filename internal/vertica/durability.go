@@ -189,8 +189,8 @@ func (db *DB) commit(stream string, prepare func(st *streamState, durable bool) 
 // JournalBlobPut writes a DFS blob through the write-ahead log: the record
 // is durable before the namespace mutates, which closes the redeploy torn
 // window — a crash can no longer leave a model version acknowledged but
-// unrecoverable. The model manager discovers this method by interface
-// assertion and falls back to direct DFS writes on non-durable databases.
+// unrecoverable. On a non-durable database the same commit path applies the
+// write with no log record.
 func (db *DB) JournalBlobPut(path string, data []byte) error {
 	return db.commit(blobStream,
 		func(st *streamState, durable bool) (byte, []byte, error) {

@@ -1,6 +1,7 @@
 package vertica
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -100,7 +101,7 @@ func TestDurableRecoverWithoutCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Exec(`INSERT INTO m VALUES (9999, 0.5)`); err != nil {
+	if err := db.ExecContext(context.Background(), `INSERT INTO m VALUES (9999, 0.5)`); err != nil {
 		t.Fatal(err)
 	}
 	want := tableImage(t, db, "m")
@@ -315,7 +316,7 @@ func TestSnapshotIsolationUnderConcurrentIngest(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				res, err := db.Query(`SELECT id, count(*) AS n FROM m GROUP BY id ORDER BY id`)
+				res, err := db.QueryContext(context.Background(), `SELECT id, count(*) AS n FROM m GROUP BY id ORDER BY id`)
 				if err != nil {
 					t.Error(err)
 					return

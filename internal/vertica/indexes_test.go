@@ -1,6 +1,7 @@
 package vertica
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,7 +31,7 @@ func indexedNodes(t *testing.T, db *DB, table, col string) int {
 // rendered as strings (engine-agnostic equivalence check).
 func pointRows(t *testing.T, db *DB, sql string) []string {
 	t.Helper()
-	res, err := db.Query(sql)
+	res, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestCreateDropIndexRoundTrip(t *testing.T) {
 	before := pointRows(t, db, "SELECT id, x FROM m WHERE id = 137 ORDER BY id")
 	epoch0 := db.CatalogEpoch()
 
-	if err := db.Exec("CREATE INDEX m_id ON m (id)"); err != nil {
+	if err := db.ExecContext(context.Background(), "CREATE INDEX m_id ON m (id)"); err != nil {
 		t.Fatal(err)
 	}
 	if db.CatalogEpoch() <= epoch0 {
@@ -71,20 +72,20 @@ func TestCreateDropIndexRoundTrip(t *testing.T) {
 	}
 
 	// Error paths validate against the log-end catalog view.
-	if err := db.Exec("CREATE INDEX m_id ON m (x)"); err == nil || !strings.Contains(err.Error(), "already exists") {
+	if err := db.ExecContext(context.Background(), "CREATE INDEX m_id ON m (x)"); err == nil || !strings.Contains(err.Error(), "already exists") {
 		t.Fatalf("duplicate name on different column: %v", err)
 	}
-	if err := db.Exec("CREATE INDEX m_id ON m (id)"); err != nil {
+	if err := db.ExecContext(context.Background(), "CREATE INDEX m_id ON m (id)"); err != nil {
 		t.Fatalf("identical re-create should be tolerated: %v", err)
 	}
-	if err := db.Exec("CREATE INDEX nope ON m (missing)"); err == nil {
+	if err := db.ExecContext(context.Background(), "CREATE INDEX nope ON m (missing)"); err == nil {
 		t.Fatal("index on unknown column accepted")
 	}
-	if err := db.Exec("CREATE INDEX nope ON absent (id)"); err == nil {
+	if err := db.ExecContext(context.Background(), "CREATE INDEX nope ON absent (id)"); err == nil {
 		t.Fatal("index on unknown table accepted")
 	}
 
-	if err := db.Exec("DROP INDEX m_id"); err != nil {
+	if err := db.ExecContext(context.Background(), "DROP INDEX m_id"); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.Indexes(); len(got) != 0 {
@@ -93,7 +94,7 @@ func TestCreateDropIndexRoundTrip(t *testing.T) {
 	if n := indexedNodes(t, db, "m", "id"); n != 0 {
 		t.Fatalf("index still attached on %d nodes after drop", n)
 	}
-	if err := db.Exec("DROP INDEX m_id"); err == nil {
+	if err := db.ExecContext(context.Background(), "DROP INDEX m_id"); err == nil {
 		t.Fatal("dropping a missing index accepted")
 	}
 	if got := pointRows(t, db, "SELECT id, x FROM m WHERE id = 137 ORDER BY id"); !equalStrings(got, before) {
@@ -123,7 +124,7 @@ func TestIndexMaintainedAcrossLoadsAndDroppedWithTable(t *testing.T) {
 	if err := db.Load("m", dBatch(t, 0, 50)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Exec("CREATE INDEX m_id ON m (id)"); err != nil {
+	if err := db.ExecContext(context.Background(), "CREATE INDEX m_id ON m (id)"); err != nil {
 		t.Fatal(err)
 	}
 	// Loads after CREATE INDEX must keep the tree covering every row.
@@ -151,7 +152,7 @@ func TestIndexMaintainedAcrossLoadsAndDroppedWithTable(t *testing.T) {
 	}
 
 	// DROP TABLE clears the table's index catalog entries too.
-	if err := db.Exec("DROP TABLE m"); err != nil {
+	if err := db.ExecContext(context.Background(), "DROP TABLE m"); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.Indexes(); len(got) != 0 {
@@ -169,13 +170,13 @@ func TestDurableIndexReplayRebuild(t *testing.T) {
 	if err := db.Load("m", dBatch(t, 0, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Exec("CREATE INDEX m_id ON m (id)"); err != nil {
+	if err := db.ExecContext(context.Background(), "CREATE INDEX m_id ON m (id)"); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Exec("CREATE INDEX m_x ON m (x)"); err != nil {
+	if err := db.ExecContext(context.Background(), "CREATE INDEX m_x ON m (x)"); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Exec("DROP INDEX m_x"); err != nil {
+	if err := db.ExecContext(context.Background(), "DROP INDEX m_x"); err != nil {
 		t.Fatal(err)
 	}
 	// Rows loaded after the DDL exercise replay ordering (create, then load).
@@ -217,7 +218,7 @@ func TestCheckpointPersistsIndexTrees(t *testing.T) {
 	if err := db.Load("m", dBatch(t, 0, 120)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Exec("CREATE INDEX m_id ON m (id)"); err != nil {
+	if err := db.ExecContext(context.Background(), "CREATE INDEX m_id ON m (id)"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Checkpoint(); err != nil {
@@ -266,7 +267,7 @@ func TestCheckpointRestoreRebuildsDamagedIndexTrees(t *testing.T) {
 			if err := db.Load("m", dBatch(t, 0, 120)); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.Exec("CREATE INDEX m_id ON m (id)"); err != nil {
+			if err := db.ExecContext(context.Background(), "CREATE INDEX m_id ON m (id)"); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := db.Checkpoint(); err != nil {
@@ -330,11 +331,11 @@ func TestInjectedCrashMidIndexDDL(t *testing.T) {
 				var err error
 				switch i % 3 {
 				case 0:
-					err = db.Exec(fmt.Sprintf("CREATE INDEX ix%d ON m (id)", i))
+					err = db.ExecContext(context.Background(), fmt.Sprintf("CREATE INDEX ix%d ON m (id)", i))
 				case 1:
 					err = db.Load("m", dBatch(t, (i+1)*1000, 10))
 				default:
-					err = db.Exec(fmt.Sprintf("DROP INDEX ix%d", i-2))
+					err = db.ExecContext(context.Background(), fmt.Sprintf("DROP INDEX ix%d", i-2))
 				}
 				if err != nil {
 					break // the crash: everything after this is the dead process

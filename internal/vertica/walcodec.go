@@ -52,26 +52,22 @@ func decodeCreateTable(body []byte) (*catalog.TableDef, error) {
 // --- load ------------------------------------------------------------------
 
 // encodeLoad frames per-node batches: uvarint len(table), table, uvarint
-// nodes, then per node uvarint ncols (0 = no rows for that node) followed by
-// length-prefixed encoded column blocks in schema order.
+// nodes, then per node either a zero byte (no rows for that node) or the
+// batch as a chunk — uvarint ncols, then length-prefixed column blocks in
+// schema order (colstore.AppendChunk, the layout vft ships).
 func encodeLoad(table string, parts []*colstore.Batch) ([]byte, error) {
-	var buf []byte
-	buf = appendUvarint(buf, uint64(len(table)))
+	var buf, scratch []byte
+	var err error
+	buf = binary.AppendUvarint(buf, uint64(len(table)))
 	buf = append(buf, table...)
-	buf = appendUvarint(buf, uint64(len(parts)))
+	buf = binary.AppendUvarint(buf, uint64(len(parts)))
 	for _, part := range parts {
 		if part == nil || part.Len() == 0 {
-			buf = appendUvarint(buf, 0)
+			buf = binary.AppendUvarint(buf, 0)
 			continue
 		}
-		buf = appendUvarint(buf, uint64(len(part.Cols)))
-		for _, col := range part.Cols {
-			data, err := colstore.EncodeBlock(col, colstore.BestEncoding(col))
-			if err != nil {
-				return nil, err
-			}
-			buf = appendUvarint(buf, uint64(len(data)))
-			buf = append(buf, data...)
+		if buf, scratch, err = colstore.AppendChunk(buf, scratch, part); err != nil {
+			return nil, err
 		}
 	}
 	return buf, nil
@@ -90,35 +86,18 @@ func decodeLoad(body []byte, schemaOf func(table string) (colstore.Schema, error
 	if err != nil {
 		return "", nil, fmt.Errorf("vertica: wal load record: %w", err)
 	}
+	if nodes > uint64(len(rest)) { // every node takes at least its zero byte
+		return "", nil, fmt.Errorf("vertica: wal load record: %d nodes in %d bytes", nodes, len(rest))
+	}
 	parts := make([]*colstore.Batch, nodes)
 	for n := range parts {
-		var ncols uint64
-		ncols, rest, err = cutUvarint(rest)
-		if err != nil {
-			return "", nil, fmt.Errorf("vertica: wal load record: %w", err)
-		}
-		if ncols == 0 {
+		if len(rest) > 0 && rest[0] == 0 {
+			rest = rest[1:]
 			continue
 		}
-		if int(ncols) != len(schema) {
-			return "", nil, fmt.Errorf("vertica: wal load record: %d columns for table %q with %d", ncols, table, len(schema))
-		}
-		b := &colstore.Batch{Schema: schema, Cols: make([]*colstore.Vector, ncols)}
-		for c := range b.Cols {
-			var blen uint64
-			blen, rest, err = cutUvarint(rest)
-			if err != nil {
-				return "", nil, fmt.Errorf("vertica: wal load record: %w", err)
-			}
-			if blen > uint64(len(rest)) {
-				return "", nil, fmt.Errorf("vertica: wal load record truncated column block")
-			}
-			v, err := colstore.DecodeBlock(rest[:blen])
-			if err != nil {
-				return "", nil, fmt.Errorf("vertica: wal load record: %w", err)
-			}
-			b.Cols[c] = v
-			rest = rest[blen:]
+		b := colstore.NewBatch(schema)
+		if rest, err = colstore.DecodeChunkInto(b, rest); err != nil {
+			return "", nil, fmt.Errorf("vertica: wal load record for %q: %w", table, err)
 		}
 		parts[n] = b
 	}
@@ -132,7 +111,7 @@ func decodeLoad(body []byte, schemaOf func(table string) (colstore.Schema, error
 func encodeIndexDDL(name, table, column string) []byte {
 	var buf []byte
 	for _, s := range []string{name, table, column} {
-		buf = appendUvarint(buf, uint64(len(s)))
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
 		buf = append(buf, s...)
 	}
 	return buf
@@ -152,7 +131,7 @@ func decodeIndexDDL(body []byte) (name, table, column string, err error) {
 
 func encodeBlobPut(path string, data []byte) []byte {
 	var buf []byte
-	buf = appendUvarint(buf, uint64(len(path)))
+	buf = binary.AppendUvarint(buf, uint64(len(path)))
 	buf = append(buf, path...)
 	buf = append(buf, data...)
 	return buf
@@ -167,12 +146,6 @@ func decodeBlobPut(body []byte) (string, []byte, error) {
 }
 
 // --- varint helpers --------------------------------------------------------
-
-func appendUvarint(buf []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(buf, tmp[:n]...)
-}
 
 func cutUvarint(buf []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(buf)

@@ -1,6 +1,7 @@
 package vft
 
 import (
+	"context"
 	"testing"
 
 	"verticadr/internal/colstore"
@@ -25,7 +26,7 @@ func benchSetup(b *testing.B, rows int) (*vertica.DB, *dr.Cluster, *Hub) {
 	if err := Register(db, hub); err != nil {
 		b.Fatal(err)
 	}
-	if err := db.Exec(`CREATE TABLE bt (id INTEGER, a FLOAT, b FLOAT) SEGMENTED BY HASH(id)`); err != nil {
+	if err := db.ExecContext(context.Background(), `CREATE TABLE bt (id INTEGER, a FLOAT, b FLOAT) SEGMENTED BY HASH(id)`); err != nil {
 		b.Fatal(err)
 	}
 	schema := colstore.Schema{
@@ -52,7 +53,7 @@ func BenchmarkLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame, _, err := Load(db, c, hub, "bt", []string{"id", "a", "b"}, PolicyLocality, 2048)
+		frame, _, err := LoadContext(context.Background(), db, c, hub, "bt", []string{"id", "a", "b"}, PolicyLocality, 2048)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -74,14 +74,19 @@ func (exportUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.Batc
 	if err != nil {
 		return err
 	}
-	sink, ok := svc.(ChunkSink)
+	hub, ok := svc.(*Hub)
 	if !ok {
-		return fmt.Errorf("vft: service %q is %T, not a ChunkSink", ServiceName, svc)
+		return fmt.Errorf("vft: service %q is %T, not the transfer hub", ServiceName, svc)
 	}
 	sessionID, err := ctx.Params.String("session")
 	if err != nil {
 		return err
 	}
+	sess, err := hub.get(sessionID)
+	if err != nil {
+		return err
+	}
+	sink := sess.sink
 	policy := ctx.Params.StringOr("policy", PolicyLocality)
 	workers := int(ctx.Params.IntOr("workers", 1))
 	bufRows := int(ctx.Params.IntOr("psize", 4096))

@@ -20,31 +20,20 @@ type DB interface {
 	ExecContext(ctx context.Context, sql string) error
 }
 
-// ServiceDB additionally lets callers swap the chunk sink the export UDF
-// uses (in-proc hub vs TCP client). internal/vertica.DB satisfies it.
-type ServiceDB interface {
-	DB
-	RegisterService(name string, svc any)
-}
-
-// LoadTCP runs a fast transfer whose data plane crosses real TCP sockets:
-// worker listeners (svc) receive framed chunks from the database-side UDF
-// instances, exactly as when the database and Distributed R run on
-// different machines. Control flow is otherwise identical to Load.
-func LoadTCP(db ServiceDB, c *dr.Cluster, hub *Hub, svc *TCPService, table string, cols []string, policy string, psize int) (*darray.DFrame, *Stats, error) {
-	return LoadTCPContext(context.Background(), db, c, hub, svc, table, cols, policy, psize)
-}
-
-// LoadTCPContext is LoadTCP under a context; see LoadContext.
-func LoadTCPContext(ctx context.Context, db ServiceDB, c *dr.Cluster, hub *Hub, svc *TCPService, table string, cols []string, policy string, psize int) (*darray.DFrame, *Stats, error) {
+// LoadTCPContext is LoadContext with a data plane that crosses real TCP
+// sockets: worker listeners (svc) receive framed chunks from the
+// database-side UDF instances, exactly as when the database and Distributed
+// R run on different machines. The TCP sender belongs to this transfer
+// alone, so concurrent loads never share (or close) each other's
+// connections.
+func LoadTCPContext(ctx context.Context, db DB, c *dr.Cluster, hub *Hub, svc *TCPService, table string, cols []string, policy string, psize int) (*darray.DFrame, *Stats, error) {
 	client := NewTCPClient(svc.Addrs())
 	defer client.Close()
-	db.RegisterService(ServiceName, client)
-	defer db.RegisterService(ServiceName, hub)
-	return LoadContext(ctx, db, c, hub, table, cols, policy, psize)
+	return load(ctx, db, c, hub, client, table, cols, policy, psize)
 }
 
-// Load performs one complete fast transfer (the db2darray internals of §3):
+// LoadContext performs one complete fast transfer (the db2darray internals
+// of §3):
 //
 //  1. Declare an empty distributed data frame — partitions sized later.
 //  2. Workers stand by (their staging areas live in the Hub).
@@ -55,15 +44,15 @@ func LoadTCPContext(ctx context.Context, db ServiceDB, c *dr.Cluster, hub *Hub, 
 //
 // With PolicyLocality the frame has one partition per database node,
 // co-numbered with workers (requires equal counts); with PolicyUniform one
-// partition per worker with near-even sizes.
-func Load(db DB, c *dr.Cluster, hub *Hub, table string, cols []string, policy string, psize int) (*darray.DFrame, *Stats, error) {
-	return LoadContext(context.Background(), db, c, hub, table, cols, policy, psize)
+// partition per worker with near-even sizes. Cancellation propagates into
+// the export query's scan and is observed at finalize's task boundaries.
+func LoadContext(ctx context.Context, db DB, c *dr.Cluster, hub *Hub, table string, cols []string, policy string, psize int) (*darray.DFrame, *Stats, error) {
+	return load(ctx, db, c, hub, hub, table, cols, policy, psize)
 }
 
-// LoadContext is Load under a context. When the database implements
-// ExecContext (internal/vertica.DB does), cancellation propagates into the
-// export query's scan; otherwise it is checked at the transfer boundaries.
-func LoadContext(ctx context.Context, db DB, c *dr.Cluster, hub *Hub, table string, cols []string, policy string, psize int) (*darray.DFrame, *Stats, error) {
+// load runs one transfer whose export instances push chunks to sink (the
+// hub itself in-process, a TCPClient over sockets).
+func load(ctx context.Context, db DB, c *dr.Cluster, hub *Hub, sink ChunkSink, table string, cols []string, policy string, psize int) (*darray.DFrame, *Stats, error) {
 	def, err := db.TableDef(table)
 	if err != nil {
 		return nil, nil, err
@@ -104,7 +93,7 @@ func LoadContext(ctx context.Context, db DB, c *dr.Cluster, hub *Hub, table stri
 			return nil, nil, err
 		}
 	}
-	sessionID := hub.open(frame, schema, policy)
+	sessionID := hub.open(frame, schema, policy, sink)
 	// Spans and the total use the telemetry clock, so a simulation-driven
 	// clock makes the whole load report virtual time.
 	clock := telemetry.Default().Clock()
@@ -124,7 +113,7 @@ func LoadContext(ctx context.Context, db DB, c *dr.Cluster, hub *Hub, table stri
 	}
 	exp.End()
 	fin := sp.StartChild("vft.finalize")
-	stats, err := hub.finalize(sessionID, c)
+	stats, err := hub.finalize(ctx, sessionID, c)
 	fin.End()
 	sp.End()
 	if err != nil {

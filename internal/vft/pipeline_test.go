@@ -1,6 +1,7 @@
 package vft
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestChaosPooledTransferByteExact(t *testing.T) {
 	loadTestTable(t, db, 2000)
 	cols := []string{"id", "a", "b"}
 
-	clean, _, err := Load(db, c, hub, "mytable", cols, PolicyLocality, 64)
+	clean, _, err := LoadContext(context.Background(), db, c, hub, "mytable", cols, PolicyLocality, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestChaosPooledTransferByteExact(t *testing.T) {
 	defer faults.Install(nil)
 
 	retrans0 := mRetransmits.Value()
-	chaos, _, err := Load(db, c, hub, "mytable", cols, PolicyLocality, 64)
+	chaos, _, err := LoadContext(context.Background(), db, c, hub, "mytable", cols, PolicyLocality, 64)
 	if err != nil {
 		t.Fatalf("load under 5%% send faults should recover: %v", err)
 	}
@@ -126,7 +127,7 @@ func TestSendDoesNotRetainMsg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := hub.open(frame, idSchema(), PolicyLocality)
+	id := hub.open(frame, idSchema(), PolicyLocality, hub)
 	msg := encodeIDs(t, 10, 20, 30)
 	if err := hub.Send(id, 0, OrderKey(0, 0, 0), msg, 3, 0); err != nil {
 		t.Fatal(err)
@@ -137,7 +138,7 @@ func TestSendDoesNotRetainMsg(t *testing.T) {
 	if err := hub.Send(id, 1, OrderKey(1, 0, 0), encodeIDs(t, 40), 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hub.finalize(id, c); err != nil {
+	if _, err := hub.finalize(context.Background(), id, c); err != nil {
 		t.Fatal(err)
 	}
 	b, err := frame.Part(0)
@@ -157,11 +158,11 @@ func TestSendDoesNotRetainMsg(t *testing.T) {
 func TestPoolHitTelemetry(t *testing.T) {
 	db, c, hub := setup(t, 2, 2)
 	loadTestTable(t, db, 600)
-	if _, _, err := Load(db, c, hub, "mytable", []string{"id"}, PolicyLocality, 64); err != nil {
+	if _, _, err := LoadContext(context.Background(), db, c, hub, "mytable", []string{"id"}, PolicyLocality, 64); err != nil {
 		t.Fatal(err)
 	}
 	hits0 := mPoolHit.Value()
-	if _, _, err := Load(db, c, hub, "mytable", []string{"id"}, PolicyLocality, 64); err != nil {
+	if _, _, err := LoadContext(context.Background(), db, c, hub, "mytable", []string{"id"}, PolicyLocality, 64); err != nil {
 		t.Fatal(err)
 	}
 	if mPoolHit.Value() == hits0 {

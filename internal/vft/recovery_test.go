@@ -1,6 +1,7 @@
 package vft
 
 import (
+	"context"
 	"errors"
 	"net"
 	"testing"
@@ -36,7 +37,7 @@ func TestHubSendIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := hub.open(frame, idSchema(), PolicyLocality)
+	id := hub.open(frame, idSchema(), PolicyLocality, hub)
 	msg := encodeIDs(t, 1, 2, 3)
 	seq := OrderKey(0, 0, 0)
 
@@ -54,7 +55,7 @@ func TestHubSendIdempotent(t *testing.T) {
 	if got := mDupChunks.Value() - dups0; got != 2 {
 		t.Fatalf("dup chunks = %d, want 2", got)
 	}
-	stats, err := hub.finalize(id, c)
+	stats, err := hub.finalize(context.Background(), id, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestHubSendIdempotent(t *testing.T) {
 func TestAbortReleasesSession(t *testing.T) {
 	_, c, hub := setup(t, 2, 2)
 	frame, _ := newFrameForTest(c, 2)
-	id := hub.open(frame, idSchema(), PolicyLocality)
+	id := hub.open(frame, idSchema(), PolicyLocality, hub)
 	if err := hub.Send(id, 0, 0, encodeIDs(t, 1), 1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestAbortReleasesSession(t *testing.T) {
 func TestCorruptChunkRejectedAtSend(t *testing.T) {
 	_, c, hub := setup(t, 2, 2)
 	frame, _ := newFrameForTest(c, 2)
-	id := hub.open(frame, idSchema(), PolicyLocality)
+	id := hub.open(frame, idSchema(), PolicyLocality, hub)
 	// Chunks decode at arrival now, so garbage is rejected by Send itself
 	// (the sender sees the error and can retransmit or fail the export)
 	// instead of poisoning the session until finalize.
@@ -117,7 +118,7 @@ func TestCorruptChunkRejectedAtSend(t *testing.T) {
 	if err := hub.Send(id, 1, OrderKey(1, 0, 0), encodeIDs(t, 8), 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hub.finalize(id, c); err != nil {
+	if _, err := hub.finalize(context.Background(), id, c); err != nil {
 		t.Fatal(err)
 	}
 	if hub.Sessions() != 0 {
@@ -138,11 +139,11 @@ func TestFinalizeErrorRemovesSession(t *testing.T) {
 	if err := frame.Fill(1, pre); err != nil {
 		t.Fatal(err)
 	}
-	id := hub.open(frame, idSchema(), PolicyLocality)
+	id := hub.open(frame, idSchema(), PolicyLocality, hub)
 	if err := hub.Send(id, 0, 0, encodeIDs(t, 1), 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hub.finalize(id, c); err == nil {
+	if _, err := hub.finalize(context.Background(), id, c); err == nil {
 		t.Fatal("finalize into a pre-filled partition should fail")
 	}
 	if hub.Sessions() != 0 {
@@ -157,7 +158,7 @@ func TestLoadAbortsSessionOnExportFailure(t *testing.T) {
 	// export query fails mid-transfer.
 	db.RegisterService(ServiceName, "not a sink")
 	defer db.RegisterService(ServiceName, hub)
-	if _, _, err := Load(db, c, hub, "mytable", nil, PolicyLocality, 0); err == nil {
+	if _, _, err := LoadContext(context.Background(), db, c, hub, "mytable", nil, PolicyLocality, 0); err == nil {
 		t.Fatal("export through a bogus sink should fail")
 	}
 	if hub.Sessions() != 0 {
@@ -168,8 +169,8 @@ func TestLoadAbortsSessionOnExportFailure(t *testing.T) {
 func TestReapIdle(t *testing.T) {
 	_, c, hub := setup(t, 2, 2)
 	frame, _ := newFrameForTest(c, 2)
-	idOld := hub.open(frame, idSchema(), PolicyLocality)
-	idFresh := hub.open(frame, idSchema(), PolicyLocality)
+	idOld := hub.open(frame, idSchema(), PolicyLocality, hub)
+	idFresh := hub.open(frame, idSchema(), PolicyLocality, hub)
 	// Backdate the first session past the idle horizon.
 	s, err := hub.get(idOld)
 	if err != nil {
@@ -193,7 +194,7 @@ func TestReapIdle(t *testing.T) {
 func TestStartReaper(t *testing.T) {
 	_, c, hub := setup(t, 2, 2)
 	frame, _ := newFrameForTest(c, 2)
-	id := hub.open(frame, idSchema(), PolicyLocality)
+	id := hub.open(frame, idSchema(), PolicyLocality, hub)
 	s, _ := hub.get(id)
 	s.lastTouch.Store(time.Now().Add(-time.Hour).UnixNano())
 
@@ -224,7 +225,7 @@ func TestInjectedSendFaultRecovered(t *testing.T) {
 	loadTestTable(t, db, 1000)
 	dups0 := mDupChunks.Value()
 	retrans0 := mRetransmits.Value()
-	frame, stats, err := Load(db, c, hub, "mytable", []string{"id"}, PolicyLocality, 64)
+	frame, stats, err := LoadContext(context.Background(), db, c, hub, "mytable", []string{"id"}, PolicyLocality, 64)
 	if err != nil {
 		t.Fatalf("load under send faults should recover: %v", err)
 	}
@@ -269,7 +270,7 @@ func TestLoadTCPRecoversFromSendFaults(t *testing.T) {
 	}
 	defer svc.Close()
 	retrans0 := mRetransmits.Value()
-	frame, _, err := LoadTCP(db, c, hub, svc, "mytable", []string{"id"}, PolicyLocality, 64)
+	frame, _, err := LoadTCPContext(context.Background(), db, c, hub, svc, "mytable", []string{"id"}, PolicyLocality, 64)
 	if err != nil {
 		t.Fatalf("TCP load under send faults should recover: %v", err)
 	}
@@ -382,7 +383,7 @@ func TestTCPSendRetriesCountTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	frame, stats, err := LoadTCP(db, c, hub, svc, "mytable", nil, PolicyLocality, 64)
+	frame, stats, err := LoadTCPContext(context.Background(), db, c, hub, svc, "mytable", nil, PolicyLocality, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

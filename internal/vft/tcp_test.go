@@ -1,6 +1,7 @@
 package vft
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ func TestLoadOverTCPLocality(t *testing.T) {
 	if len(svc.Addrs()) != 3 {
 		t.Fatalf("addrs = %v", svc.Addrs())
 	}
-	frame, stats, err := LoadTCP(db, c, hub, svc, "mytable", nil, PolicyLocality, 128)
+	frame, stats, err := LoadTCPContext(context.Background(), db, c, hub, svc, "mytable", nil, PolicyLocality, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestLoadOverTCPUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	frame, stats, err := LoadTCP(db, c, hub, svc, "mytable", nil, PolicyUniform, 50)
+	frame, stats, err := LoadTCPContext(context.Background(), db, c, hub, svc, "mytable", nil, PolicyUniform, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestTCPConnectionReuse(t *testing.T) {
 	// Two consecutive loads through the same service: pool reuse must not
 	// corrupt framing.
 	for i := 0; i < 2; i++ {
-		frame, _, err := LoadTCP(db, c, hub, svc, "mytable", nil, PolicyLocality, 64)
+		frame, _, err := LoadTCPContext(context.Background(), db, c, hub, svc, "mytable", nil, PolicyLocality, 64)
 		if err != nil {
 			t.Fatalf("load %d: %v", i, err)
 		}

@@ -11,7 +11,7 @@
 package vft
 
 import (
-	"encoding/binary"
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -115,6 +115,9 @@ type session struct {
 	frame  *darray.DFrame
 	schema colstore.Schema
 	policy string
+	// sink is where this transfer's export instances push chunks: the hub
+	// itself, or the TCP sender LoadTCPContext opened for this transfer.
+	sink ChunkSink
 
 	mu     sync.Mutex
 	staged map[int][]chunkMsg
@@ -149,7 +152,7 @@ type Hub struct {
 func NewHub() *Hub { return &Hub{sessions: make(map[string]*session)} }
 
 // open registers a new transfer session and returns its id.
-func (h *Hub) open(frame *darray.DFrame, schema colstore.Schema, policy string) string {
+func (h *Hub) open(frame *darray.DFrame, schema colstore.Schema, policy string, sink ChunkSink) string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.next++
@@ -158,6 +161,7 @@ func (h *Hub) open(frame *darray.DFrame, schema colstore.Schema, policy string) 
 		frame:       frame,
 		schema:      schema,
 		policy:      policy,
+		sink:        sink,
 		staged:      make(map[int][]chunkMsg),
 		seen:        make(map[chunkKey]struct{}),
 		rows:        telemetry.NewCounter(),
@@ -366,7 +370,7 @@ func (h *Hub) addNet(sessionID string, d time.Duration) {
 // loop. Staged pooled batches are recycled only after every task has
 // succeeded, so a task re-run on a recovered worker never reads a recycled
 // batch.
-func (h *Hub) finalize(id string, c *dr.Cluster) (st *Stats, err error) {
+func (h *Hub) finalize(ctx context.Context, id string, c *dr.Cluster) (st *Stats, err error) {
 	s, err := h.get(id)
 	if err != nil {
 		return nil, err
@@ -432,7 +436,7 @@ func (h *Hub) finalize(id string, c *dr.Cluster) (st *Stats, err error) {
 			},
 		})
 	}
-	if err := c.RunAllSpecs(tasks, dr.RunOpts{Retries: c.TaskRetries()}); err != nil {
+	if err := c.RunAllSpecsCtx(ctx, tasks, dr.RunOpts{Retries: c.TaskRetries()}); err != nil {
 		return nil, err
 	}
 	// All partitions assembled; the staged pooled batches are dead now (no
@@ -479,24 +483,12 @@ func EncodeChunk(b *colstore.Batch) ([]byte, error) {
 
 // EncodeChunkInto appends the chunk encoding of b to dst and returns the
 // extended slice. With a dst of sufficient capacity (e.g. from the vft
-// buffer pool) the steady-state encode allocates nothing.
+// buffer pool) the steady-state encode allocates nothing: the per-block
+// scratch is pooled too.
 func EncodeChunkInto(dst []byte, b *colstore.Batch) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(b.Cols)))
-	// Blocks are length-prefixed with a uvarint, so each block is encoded
-	// into a pooled scratch buffer first and then appended behind its
-	// length.
-	scratch := getBuf()
-	defer func() { putBuf(scratch) }()
-	for _, col := range b.Cols {
-		blk, err := colstore.AppendBlock(scratch[:0], col, colstore.BestEncoding(col))
-		if err != nil {
-			return nil, err
-		}
-		scratch = blk
-		dst = binary.AppendUvarint(dst, uint64(len(blk)))
-		dst = append(dst, blk...)
-	}
-	return dst, nil
+	dst, scratch, err := colstore.AppendChunk(dst, getBuf(), b)
+	putBuf(scratch)
+	return dst, err
 }
 
 // DecodeChunk reverses EncodeChunk against the expected schema.
@@ -510,33 +502,9 @@ func DecodeChunk(msg []byte, schema colstore.Schema) (*colstore.Batch, error) {
 
 // DecodeChunkInto decodes a chunk into dst, appending to dst's columns
 // (callers reusing a pooled batch Reset it first). dst's schema is the
-// expected schema; a chunk that disagrees — column count, block types, row
-// counts, or any corruption the block decoder detects — returns an error,
-// never a panic, and never reads past msg.
+// expected schema; a chunk that disagrees with it, or is corrupt, returns an
+// error, never a panic (colstore.DecodeChunkInto).
 func DecodeChunkInto(dst *colstore.Batch, msg []byte) error {
-	schema := dst.Schema
-	ncols, n := binary.Uvarint(msg)
-	if n <= 0 {
-		return fmt.Errorf("vft: corrupt chunk header")
-	}
-	if int(ncols) != len(schema) {
-		return fmt.Errorf("vft: chunk has %d columns, schema has %d", ncols, len(schema))
-	}
-	msg = msg[n:]
-	for i := range schema {
-		l, n := binary.Uvarint(msg)
-		if n <= 0 || uint64(len(msg)-n) < l {
-			return fmt.Errorf("vft: truncated chunk column %d", i)
-		}
-		msg = msg[n:]
-		blk := msg[:l]
-		if len(blk) > 0 && colstore.Type(blk[0]) != schema[i].Type {
-			return fmt.Errorf("vft: chunk column %d is %v, want %v", i, colstore.Type(blk[0]), schema[i].Type)
-		}
-		if err := colstore.DecodeBlockInto(dst.Cols[i], blk); err != nil {
-			return err
-		}
-		msg = msg[l:]
-	}
-	return dst.Validate()
+	_, err := colstore.DecodeChunkInto(dst, msg)
+	return err
 }

@@ -1,6 +1,7 @@
 package vft
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func setup(t *testing.T, nodes, workers int) (*vertica.DB, *dr.Cluster, *Hub) {
 
 func loadTestTable(t *testing.T, db *vertica.DB, rows int) {
 	t.Helper()
-	if err := db.Exec(`CREATE TABLE mytable (id INTEGER, a FLOAT, b FLOAT) SEGMENTED BY HASH(id)`); err != nil {
+	if err := db.ExecContext(context.Background(), `CREATE TABLE mytable (id INTEGER, a FLOAT, b FLOAT) SEGMENTED BY HASH(id)`); err != nil {
 		t.Fatal(err)
 	}
 	schema := colstore.Schema{
@@ -140,7 +141,7 @@ func TestQuickChunkRoundTrip(t *testing.T) {
 func TestLoadLocalityPreservesSegments(t *testing.T) {
 	db, c, hub := setup(t, 4, 4)
 	loadTestTable(t, db, 2000)
-	frame, stats, err := Load(db, c, hub, "mytable", []string{"id", "a", "b"}, PolicyLocality, 256)
+	frame, stats, err := LoadContext(context.Background(), db, c, hub, "mytable", []string{"id", "a", "b"}, PolicyLocality, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestLoadLocalityPreservesSegments(t *testing.T) {
 func TestLoadUniformBalances(t *testing.T) {
 	db, c, hub := setup(t, 2, 4)
 	// Build a skewed table: everything on node 1.
-	if err := db.Exec(`CREATE TABLE sk (id INTEGER, v FLOAT)`); err != nil {
+	if err := db.ExecContext(context.Background(), `CREATE TABLE sk (id INTEGER, v FLOAT)`); err != nil {
 		t.Fatal(err)
 	}
 	schema := colstore.Schema{
@@ -196,7 +197,7 @@ func TestLoadUniformBalances(t *testing.T) {
 	if err := db.LoadAt("sk", 1, b); err != nil {
 		t.Fatal(err)
 	}
-	frame, stats, err := Load(db, c, hub, "sk", nil, PolicyUniform, 50)
+	frame, stats, err := LoadContext(context.Background(), db, c, hub, "sk", nil, PolicyUniform, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +230,11 @@ func TestLoadUniformBalances(t *testing.T) {
 func TestLoadLocalityRequiresEqualCounts(t *testing.T) {
 	db, c, hub := setup(t, 2, 3)
 	loadTestTable(t, db, 100)
-	if _, _, err := Load(db, c, hub, "mytable", nil, PolicyLocality, 0); err == nil {
+	if _, _, err := LoadContext(context.Background(), db, c, hub, "mytable", nil, PolicyLocality, 0); err == nil {
 		t.Fatal("locality with unequal counts must fail")
 	}
 	// Uniform works regardless of relative counts (§3.2).
-	frame, _, err := Load(db, c, hub, "mytable", nil, PolicyUniform, 0)
+	frame, _, err := LoadContext(context.Background(), db, c, hub, "mytable", nil, PolicyUniform, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,14 +245,14 @@ func TestLoadLocalityRequiresEqualCounts(t *testing.T) {
 
 func TestLoadErrors(t *testing.T) {
 	db, c, hub := setup(t, 2, 2)
-	if _, _, err := Load(db, c, hub, "missing", nil, PolicyLocality, 0); err == nil {
+	if _, _, err := LoadContext(context.Background(), db, c, hub, "missing", nil, PolicyLocality, 0); err == nil {
 		t.Fatal("missing table should fail")
 	}
 	loadTestTable(t, db, 10)
-	if _, _, err := Load(db, c, hub, "mytable", []string{"zz"}, PolicyLocality, 0); err == nil {
+	if _, _, err := LoadContext(context.Background(), db, c, hub, "mytable", []string{"zz"}, PolicyLocality, 0); err == nil {
 		t.Fatal("bad column should fail")
 	}
-	if _, _, err := Load(db, c, hub, "mytable", nil, "magic", 0); err == nil {
+	if _, _, err := LoadContext(context.Background(), db, c, hub, "mytable", nil, "magic", 0); err == nil {
 		t.Fatal("bad policy should fail")
 	}
 }
@@ -275,8 +276,8 @@ func TestExportUDFViaSQLDirect(t *testing.T) {
 	}
 	def, _ := db.TableDef("mytable")
 	schema, _ := def.Schema.Project([]string{"a", "b"})
-	id := hub.open(frame, schema, PolicyLocality)
-	res, err := db.Query(`SELECT ExportToDistributedR(a, b USING PARAMETERS session='` + id + `', policy='locality', psize=64, workers=2) OVER (PARTITION BEST) FROM mytable`)
+	id := hub.open(frame, schema, PolicyLocality, hub)
+	res, err := db.QueryContext(context.Background(), `SELECT ExportToDistributedR(a, b USING PARAMETERS session='`+id+`', policy='locality', psize=64, workers=2) OVER (PARTITION BEST) FROM mytable`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestExportUDFViaSQLDirect(t *testing.T) {
 	if res.Len() == 0 {
 		t.Fatal("export returned no summary rows")
 	}
-	stats, err := hub.finalize(id, c)
+	stats, err := hub.finalize(context.Background(), id, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestExportUDFParamValidation(t *testing.T) {
 		`SELECT ExportToDistributedR(a USING PARAMETERS session='s', policy='locality') OVER (PARTITION BEST) FROM mytable`,       // no workers
 		`SELECT ExportToDistributedR(USING PARAMETERS session='s', workers=1) OVER (PARTITION BEST) FROM mytable`,                 // no columns
 	} {
-		if _, err := db.Query(q); err == nil {
+		if _, err := db.QueryContext(context.Background(), q); err == nil {
 			t.Fatalf("expected error for %q", q)
 		}
 	}
@@ -315,11 +316,11 @@ func TestLoadDeterministicOrder(t *testing.T) {
 	// pattern of loading features and response in separate calls.
 	db, c, hub := setup(t, 3, 3)
 	loadTestTable(t, db, 3000)
-	f1, _, err := Load(db, c, hub, "mytable", []string{"id"}, PolicyLocality, 97)
+	f1, _, err := LoadContext(context.Background(), db, c, hub, "mytable", []string{"id"}, PolicyLocality, 97)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, _, err := Load(db, c, hub, "mytable", []string{"id"}, PolicyLocality, 97)
+	f2, _, err := LoadContext(context.Background(), db, c, hub, "mytable", []string{"id"}, PolicyLocality, 97)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +342,7 @@ func TestLoadDeterministicOrder(t *testing.T) {
 func TestStatsStringAndCounters(t *testing.T) {
 	db, c, hub := setup(t, 2, 2)
 	loadTestTable(t, db, 500)
-	_, stats, err := Load(db, c, hub, "mytable", nil, PolicyLocality, 100)
+	_, stats, err := LoadContext(context.Background(), db, c, hub, "mytable", nil, PolicyLocality, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

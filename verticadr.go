@@ -19,14 +19,15 @@
 //
 // # Context-first API
 //
-// Every operation that does real work takes a context.Context in its
-// *Context form — QueryContext, ExecContext, DB2DArrayContext,
-// DB2DFrameContext, LoadODBCContext, DB2RDDContext. Cancellation and
-// deadlines are honored inside the engine at scan-block and
-// aggregation-chunk boundaries, so a canceled query stops within one
-// storage block rather than running to completion. The short names (Query,
-// Exec, DB2DArray, ...) remain as thin wrappers that delegate with
-// context.Background().
+// Every operation that does real work takes a context.Context first —
+// QueryContext, ExecContext, DB2DArrayContext, DB2DFrameContext,
+// LoadODBCContext, DB2RDDContext — and that is its only spelling: there are
+// no context-less wrappers. Cancellation and deadlines are honored inside
+// the engine at scan-block and aggregation-chunk boundaries, so a canceled
+// query stops within one storage block rather than running to completion.
+// Load, Checkpoint, DeployModel and RedeployModel take no context; they run
+// under the session's lifecycle (Close drains them, and after Close they
+// fail with ErrClosed).
 //
 // Failures at the public boundaries are typed: errors.Is(err,
 // verticadr.ErrTableNotFound / ErrUnknownColumn / ErrModelNotFound /
@@ -135,8 +136,9 @@ func ListenAndServe(srv *Server, addr string) (*server.TCPServer, error) {
 
 // RawDial opens one protocol connection without routing or failover, for
 // callers that need the bare wire: extension ops, or benchmarking a
-// specific node.
-func RawDial(addr string) (*ServerClient, error) { return server.Dial(addr) }
+// specific node. The dial has no deadline; a failure satisfies
+// errors.Is(err, ErrNodeDown).
+func RawDial(addr string) (*ServerClient, error) { return server.DialTimeout(addr, 0) }
 
 // Observability: traces, statement statistics and the admin HTTP surface.
 type (
@@ -186,7 +188,7 @@ type Session = core.Session
 // Start launches a session (distributedR_start(), Fig. 3 lines 1–3).
 func Start(cfg Config) (*Session, error) { return core.Start(cfg) }
 
-// Transfer policies for DB2DArray / DB2DFrame (§3.2).
+// Transfer policies for DB2DArrayContext / DB2DFrameContext (§3.2).
 const (
 	// PolicyLocality preserves table-segment locality (Fig. 5); requires
 	// equal database-node and worker counts.

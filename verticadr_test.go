@@ -1,6 +1,7 @@
 package verticadr_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestPublicAPIWorkflow(t *testing.T) {
 	}
 	defer s.Close()
 
-	if err := s.Exec(`CREATE TABLE t (a FLOAT, y FLOAT)`); err != nil {
+	if err := s.ExecContext(context.Background(), `CREATE TABLE t (a FLOAT, y FLOAT)`); err != nil {
 		t.Fatal(err)
 	}
 	const n = 2000
@@ -31,11 +32,11 @@ func TestPublicAPIWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	x, _, err := s.DB2DArray("t", []string{"a"}, verticadr.PolicyLocality)
+	x, _, err := s.DB2DArrayContext(context.Background(), "t", []string{"a"}, verticadr.PolicyLocality)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, _, err := s.DB2DArray("t", []string{"y"}, verticadr.PolicyLocality)
+	y, _, err := s.DB2DArrayContext(context.Background(), "t", []string{"y"}, verticadr.PolicyLocality)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestPublicAPIWorkflow(t *testing.T) {
 	if err := s.DeployModel("m", "test", "noiseless line", model); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Query(`SELECT GlmPredict(a USING PARAMETERS model='m') OVER (PARTITION BEST) FROM t`)
+	res, err := s.QueryContext(context.Background(), `SELECT GlmPredict(a USING PARAMETERS model='m') OVER (PARTITION BEST) FROM t`)
 	if err != nil || res.Len() != n {
 		t.Fatalf("predict: %d rows, %v", res.Len(), err)
 	}
