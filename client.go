@@ -28,6 +28,11 @@ type NodeHealth = cluster.NodeHealth
 // was unreachable. Idempotent reads fail over before this surfaces.
 var ErrNodeDown = verr.ErrNodeDown
 
+// ErrJoinTooLarge: a routed join had to broadcast a joined table larger than
+// the router's fixed limit (the table is not segmented by hash of its join
+// key like the FROM table is). Nothing ran.
+var ErrJoinTooLarge = verr.ErrJoinTooLarge
+
 // Client is the unified, topology-aware client for vdr-serve — one or
 // many nodes behind the same API. It holds one active connection; when a
 // transport failure marks that node unreachable, idempotent calls —

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 
+	"verticadr/internal/colstore"
 	"verticadr/internal/server"
 	"verticadr/internal/vft"
 )
@@ -37,11 +38,11 @@ func (n *nodeExt) ServeExt(ctx context.Context, op string, payload json.RawMessa
 	if req.Shard != -1 {
 		return n.peer.serveLoad(ctx, req)
 	}
-	rt, err := n.router.table(ctx, req.Table)
-	if err != nil {
-		return nil, err
-	}
-	b, err := vft.DecodeChunk(req.Chunk, rt.def.Schema)
+	var b *colstore.Batch
+	err := n.router.withTable(ctx, req.Table, func(rt *routedTable) (err error) {
+		b, err = vft.DecodeChunk(req.Chunk, rt.def.Schema)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

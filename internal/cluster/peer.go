@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
 	"verticadr/internal/server"
 	"verticadr/internal/sqlexec"
 	"verticadr/internal/sqlparse"
 	"verticadr/internal/telemetry"
+	"verticadr/internal/verr"
 	"verticadr/internal/vertica"
 	"verticadr/internal/vft"
 )
@@ -76,7 +78,13 @@ func (p *Peer) ServeExt(ctx context.Context, op string, payload json.RawMessage)
 		if err := decodeRequest(op, payload, &req); err != nil {
 			return nil, err
 		}
-		return p.db.TableDef(req.Table)
+		rep := &tableDefReply{Epoch: p.db.CatalogEpoch()}
+		def, err := p.db.TableDef(req.Table)
+		if err != nil {
+			return nil, err
+		}
+		rep.TableDef = *def
+		return rep, nil
 	case opHealth:
 		h := p.srv.Health()
 		return healthReply{
@@ -145,11 +153,11 @@ func runShards(ctx context.Context, op string, view sqlexec.Database, stmt sqlpa
 }
 
 // serveShards answers the read ops: the statement runs under admission
-// control over one snapshot view restricted to the requested shards, and
-// its batch ships as one vft chunk. The view pins its own snapshot; the
-// shards of one routed query are separate requests and may observe
-// different commit timestamps, exactly as separate nodes of a real cluster
-// answer from their own commit horizons.
+// control over one snapshot view restricted to the requested shards — with
+// a join's broadcast build sides overlaid — and its batch ships as one vft
+// chunk. The view pins its own snapshot; the shards of one routed query are
+// separate requests and may observe different commit timestamps, exactly as
+// separate nodes of a real cluster answer from their own commit horizons.
 func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*shardReply, error) {
 	if err := p.checkShards(req.Shards); err != nil {
 		return nil, err
@@ -158,10 +166,17 @@ func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*s
 	if err != nil {
 		return nil, err
 	}
-	reply := &shardReply{}
+	builds, err := overlayBuilds(stmt, req.Builds)
+	if err != nil {
+		return nil, err
+	}
+	reply := &shardReply{Epoch: p.db.CatalogEpoch()}
 	_, err = p.srv.Admit(ctx, req.SQL, func(ctx context.Context) (*sqlexec.Result, error) {
 		view, release := p.db.ShardView(req.Shards)
 		defer release()
+		if builds != nil {
+			view = &overlayView{Database: view, tables: builds}
+		}
 		b, err := runShards(ctx, op, view, stmt)
 		if err != nil {
 			return nil, err
@@ -169,6 +184,10 @@ func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*s
 		reply.Schema = b.Schema
 		if reply.Chunk, err = vft.EncodeChunk(b); err != nil {
 			return nil, err
+		}
+		if req.BuildLimit > 0 && len(reply.Chunk) > req.BuildLimit {
+			return nil, fmt.Errorf("cluster: %w: shards %v alone hold %d rows, %d KB (limit %d KB)",
+				verr.ErrJoinTooLarge, req.Shards, b.Len(), len(reply.Chunk)>>10, req.BuildLimit>>10)
 		}
 		mPeerShardRows.Add(int64(b.Len()))
 		return nil, nil
@@ -179,12 +198,117 @@ func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*s
 	return reply, nil
 }
 
+// maxJoinBuildBytes bounds a join's broadcast build side, as the chunk bytes
+// a router ships to every shard: what a router holds for one join is this
+// much per joined table, never a function of the probe table's size.
+const maxJoinBuildBytes = 64 << 20
+
+// overlayTable is a broadcast build side as the executor reads it: a
+// definition (the shipped columns) over one in-memory segment.
+type overlayTable struct {
+	def *catalog.TableDef
+	seg *colstore.Segment
+}
+
+// overlayView answers for the overlaid tables and defers to the shard view
+// for everything else.
+type overlayView struct {
+	sqlexec.Database
+	tables map[string]overlayTable
+}
+
+func (v *overlayView) TableDef(name string) (*catalog.TableDef, error) {
+	if t, ok := v.tables[name]; ok {
+		return t.def, nil
+	}
+	return v.Database.TableDef(name)
+}
+
+func (v *overlayView) Segments(name string) ([]*colstore.Segment, error) {
+	if t, ok := v.tables[name]; ok {
+		return []*colstore.Segment{t.seg}, nil
+	}
+	return v.Database.Segments(name)
+}
+
+var _ sqlexec.Database = (*overlayView)(nil)
+
+// overlayBuilds decodes a request's broadcast build sides and points the
+// statement's JOINs at them: the table at JOIN position i is renamed
+// "table#i" — distinct per position, so a self-join's two sides stay apart —
+// keeping its alias, which is all the rest of the statement refers to.
+// Everything here came off a wire: any mismatch is an error. No builds, no
+// overlay.
+func overlayBuilds(stmt sqlparse.Statement, builds []buildTable) (map[string]overlayTable, error) {
+	if len(builds) == 0 {
+		return nil, nil
+	}
+	sel, _ := stmt.(*sqlparse.Select)
+	if ex, ok := stmt.(*sqlparse.Explain); ok {
+		sel = ex.Stmt
+	}
+	if sel == nil {
+		return nil, fmt.Errorf("cluster: build tables shipped with a %T", stmt)
+	}
+	// The names the statement itself spells: an overlay may shadow none.
+	stored := map[string]bool{sel.From: true}
+	for _, j := range sel.Joins {
+		stored[j.Table] = true
+	}
+	tables := make(map[string]overlayTable, len(builds))
+	seen := make([]bool, len(sel.Joins))
+	for _, b := range builds {
+		if b.Join < 0 || b.Join >= len(sel.Joins) {
+			return nil, fmt.Errorf("cluster: build table for JOIN %d of a statement with %d", b.Join, len(sel.Joins))
+		}
+		if seen[b.Join] {
+			return nil, fmt.Errorf("cluster: two build tables for JOIN %d", b.Join)
+		}
+		seen[b.Join] = true
+		j := &sel.Joins[b.Join]
+		name := fmt.Sprintf("%s#%d", j.Table, b.Join)
+		if stored[name] {
+			return nil, fmt.Errorf("cluster: build table name %q is taken by the statement", name)
+		}
+		if len(b.Chunk) > maxJoinBuildBytes {
+			return nil, fmt.Errorf("cluster: %w: build table %q is %d KB (limit %d KB)",
+				verr.ErrJoinTooLarge, j.Table, len(b.Chunk)>>10, maxJoinBuildBytes>>10)
+		}
+		def := &catalog.TableDef{Name: name, Schema: b.Schema}
+		if err := catalog.ValidateShape(def); err != nil {
+			return nil, err
+		}
+		for _, c := range b.Schema {
+			if c.Type < colstore.TypeInt64 || c.Type > colstore.TypeBool {
+				return nil, fmt.Errorf("cluster: build table %q column %q has %v", j.Table, c.Name, c.Type)
+			}
+		}
+		rows, err := vft.DecodeChunk(b.Chunk, b.Schema)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: build table %q: %w", j.Table, err)
+		}
+		// One unsealed block: sealing would encode rows the join decodes
+		// straight back.
+		seg := colstore.NewSegment(b.Schema, rows.Len()+1)
+		if err := seg.Append(rows); err != nil {
+			return nil, err
+		}
+		tables[name] = overlayTable{def: def, seg: seg}
+		if j.Alias == "" {
+			j.Alias = j.Table
+		}
+		j.Table = name
+	}
+	return tables, nil
+}
+
 // serveLoad appends a router-split batch to one shard (or, with Shard ==
 // -1, through the peer's own segmentation — the single-node passthrough).
 func (p *Peer) serveLoad(ctx context.Context, req loadRequest) (*loadReply, error) {
 	if err := verrCanceled(ctx); err != nil {
 		return nil, err
 	}
+	epoch := p.db.CatalogEpoch()
 	def, err := p.db.TableDef(req.Table)
 	if err != nil {
 		return nil, err
@@ -199,13 +323,16 @@ func (p *Peer) serveLoad(ctx context.Context, req loadRequest) (*loadReply, erro
 		if err := p.checkShards([]int{req.Shard}); err != nil {
 			return nil, err
 		}
+		if req.HashCol != hashCol(def) {
+			return &loadReply{Refused: true, Epoch: epoch}, nil
+		}
 		err = p.db.LoadAt(req.Table, req.Shard, b)
 	}
 	if err != nil {
 		return nil, err
 	}
 	mPeerLoadRows.Add(int64(b.Len()))
-	return &loadReply{Rows: b.Len()}, nil
+	return &loadReply{Rows: b.Len(), Epoch: epoch}, nil
 }
 
 // serveExec runs a broadcast DDL statement locally. INSERT and SELECT are
@@ -223,5 +350,5 @@ func (p *Peer) serveExec(ctx context.Context, req execRequest) (*execReply, erro
 	if _, err := p.db.RunStatement(ctx, stmt, req.SQL); err != nil {
 		return nil, err
 	}
-	return &execReply{}, nil
+	return &execReply{Epoch: p.db.CatalogEpoch()}, nil
 }

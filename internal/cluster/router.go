@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"verticadr/internal/catalog"
@@ -14,7 +15,6 @@ import (
 	"verticadr/internal/sqlexec"
 	"verticadr/internal/sqlparse"
 	"verticadr/internal/telemetry"
-	"verticadr/internal/udf"
 	"verticadr/internal/verr"
 	"verticadr/internal/vertica"
 	"verticadr/internal/vft"
@@ -30,6 +30,9 @@ var (
 	mRouterLoads  = telemetry.Default().Counter("cluster_router_load_rows_total")
 	mRouterRouted = func(kind string) *telemetry.Counter {
 		return telemetry.Default().Counter("cluster_routed_queries_total", telemetry.L("kind", kind))
+	}
+	mJoins = func(strategy string) *telemetry.Counter {
+		return telemetry.Default().Counter("cluster_join_total", telemetry.L("strategy", strategy))
 	}
 )
 
@@ -66,12 +69,22 @@ type Router struct {
 	cfg   Config
 	pools []*pool
 
-	mu       sync.Mutex
-	down     []bool
-	stale    [][]bool // [peer][shard]: true after a missed write
-	tables   map[string]*routedTable
-	prepared map[string]*sqlparse.Select
-	closed   bool
+	// buildLimit is maxJoinBuildBytes (a field so tests can lower it).
+	buildLimit int
+
+	mu    sync.Mutex
+	down  []bool
+	stale [][]bool // [peer][shard]: true after a missed write
+	// tables caches definitions (and splitters) under the catalog epochs
+	// last seen per peer (-1: not heard from since it was last down). A
+	// reply carrying a newer epoch means DDL ran through another node's
+	// router: the cache is dropped and tablesGen moves, which tells a join
+	// resolved against the cache to resolve again.
+	tables    map[string]*routedTable
+	epochs    []int64
+	tablesGen uint64
+	prepared  map[string]*sqlparse.Select
+	closed    bool
 
 	probeWG   sync.WaitGroup
 	probeStop chan struct{}
@@ -100,17 +113,20 @@ func NewRouter(cfg Config) (*Router, error) {
 		cfg.DialTimeout = 2 * time.Second
 	}
 	r := &Router{
-		topo:      topo,
-		cfg:       cfg,
-		down:      make([]bool, len(topo.Addrs)),
-		stale:     make([][]bool, len(topo.Addrs)),
-		tables:    map[string]*routedTable{},
-		prepared:  map[string]*sqlparse.Select{},
-		probeStop: make(chan struct{}),
+		topo:       topo,
+		cfg:        cfg,
+		buildLimit: maxJoinBuildBytes,
+		down:       make([]bool, len(topo.Addrs)),
+		stale:      make([][]bool, len(topo.Addrs)),
+		tables:     map[string]*routedTable{},
+		epochs:     make([]int64, len(topo.Addrs)),
+		prepared:   map[string]*sqlparse.Select{},
+		probeStop:  make(chan struct{}),
 	}
 	for i, addr := range topo.Addrs {
 		r.pools = append(r.pools, &pool{addr: addr, dialTimeout: cfg.DialTimeout})
 		r.stale[i] = make([]bool, topo.Shards)
+		r.epochs[i] = -1
 		gPeerUp(i).Set(1)
 	}
 	if cfg.ProbeInterval > 0 {
@@ -175,6 +191,7 @@ func (r *Router) markDown(peer int) {
 	r.mu.Lock()
 	was := r.down[peer]
 	r.down[peer] = true
+	r.epochs[peer] = -1 // a restarted peer counts its epochs afresh
 	r.mu.Unlock()
 	if !was {
 		// Idle connections to a dead peer are dead too; drop them so the
@@ -281,6 +298,7 @@ func (r *Router) peerCall(ctx context.Context, peer int, op string, idempotent b
 	err = c.Call(ctx, op, payload, reply)
 	if err == nil {
 		r.pools[peer].put(c)
+		r.sawReply(peer, reply)
 		return nil
 	}
 	_ = c.Close()
@@ -295,9 +313,52 @@ func (r *Router) peerCall(ctx context.Context, peer int, op string, idempotent b
 			return err2
 		}
 		r.pools[peer].put(c2)
+		r.sawReply(peer, reply)
 		return nil
 	}
 	return err
+}
+
+// sawReply records the catalog epoch a peer's reply carries. One newer than
+// the last seen from that peer means the catalog changed under the cached
+// definitions — DDL through another node's router — so they are dropped.
+func (r *Router) sawReply(peer int, reply any) {
+	er, ok := reply.(epochReply)
+	if !ok {
+		return
+	}
+	epoch := int64(er.catalogEpoch())
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	prev := r.epochs[peer]
+	if epoch <= prev {
+		return
+	}
+	r.epochs[peer] = epoch
+	if prev >= 0 {
+		r.dropTablesLocked()
+	}
+}
+
+func (r *Router) dropTablesLocked() {
+	r.tables = map[string]*routedTable{}
+	r.tablesGen++
+}
+
+// forget drops the named tables' cached definitions, for a caller that found
+// them wanting before any reply could reveal DDL through another router.
+func (r *Router) forget(names ...string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, name := range names {
+		delete(r.tables, name)
+	}
+}
+
+func (r *Router) tableGen() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.tablesGen
 }
 
 // shardCall runs an idempotent read against shard's replicas in ring
@@ -368,16 +429,25 @@ func (rep *shardReply) batch() (*colstore.Batch, error) {
 	return vft.DecodeChunk(rep.Chunk, rep.Schema)
 }
 
-// fetch runs sql under op on every shard concurrently — each shard on the
-// first of its replicas that answers — and returns the shards' batches in
-// shard order.
-func (r *Router) fetch(ctx context.Context, op, sql string) ([]*colstore.Batch, error) {
-	batches := make([]*colstore.Batch, r.topo.Shards)
-	err := r.fanOut(ctx, func(shard int) error {
+// eachShard runs req under op on every shard concurrently — each shard on
+// the first of its replicas that answers — and hands each reply to fn on the
+// shard's own goroutine, so the shards' chunks decode side by side.
+func (r *Router) eachShard(ctx context.Context, op string, req shardRequest, fn func(shard int, rep *shardReply) error) error {
+	return r.fanOut(ctx, func(shard int) error {
+		req := req
+		req.Shards = []int{shard}
 		var rep shardReply
-		if err := r.shardCall(ctx, shard, op, shardRequest{SQL: sql, Shards: []int{shard}}, &rep); err != nil {
+		if err := r.shardCall(ctx, shard, op, req, &rep); err != nil {
 			return err
 		}
+		return fn(shard, &rep)
+	})
+}
+
+// fetch is eachShard decoded: the shards' batches in shard order.
+func (r *Router) fetch(ctx context.Context, op string, req shardRequest) ([]*colstore.Batch, error) {
+	batches := make([]*colstore.Batch, r.topo.Shards)
+	err := r.eachShard(ctx, op, req, func(shard int, rep *shardReply) error {
 		b, err := rep.batch()
 		if err != nil {
 			return fmt.Errorf("cluster: shard %d %s reply: %w", shard, op, err)
@@ -413,7 +483,7 @@ func (r *Router) Query(ctx context.Context, sql string) (*sqlexec.Result, error)
 	case *sqlparse.Select:
 		return r.routeSelect(ctx, s)
 	case *sqlparse.Explain:
-		return r.routeExplain(ctx, sql)
+		return r.routeExplain(ctx, sql, s)
 	case *sqlparse.Insert:
 		if err := r.routeInsert(ctx, s); err != nil {
 			return nil, err
@@ -472,8 +542,12 @@ func (r *Router) routeSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexe
 	kind := plan.KindOf(sel)
 	switch kind {
 	case plan.KindJoin:
+		// Still counted under "gather", the label joins have always had: the
+		// frozen benchmark/stats.go reads that series for
+		// cluster.shard_calls_per_query. cluster_join_total{strategy} says
+		// how each joined table actually met the probe side.
 		mRouterRouted("gather").Inc()
-		return r.gatherSelect(ctx, sel)
+		return r.joinSelect(ctx, sel)
 	case plan.KindConst:
 		// Constant SELECT: no table, evaluated at the router.
 		mRouterRouted("const").Inc()
@@ -485,121 +559,61 @@ func (r *Router) routeSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexe
 	if err != nil {
 		return nil, err
 	}
-	if kind == plan.KindAggregate {
-		mRouterRouted("aggregate").Inc()
-		return r.aggSelect(ctx, sel)
+	agg, name := kind == plan.KindAggregate, "rows"
+	if agg {
+		name = "aggregate"
 	}
-	mRouterRouted("rows").Inc()
-	return r.rowsSelect(ctx, sel)
+	mRouterRouted(name).Inc()
+	ctx, span := telemetry.StartChildCtx(ctx, "router."+name)
+	defer span.End()
+	return r.scatter(ctx, sel, agg, nil)
 }
 
-// rowsSelect fans a projection / UDTF statement out per shard and merges:
-// every shard runs the statement (including its ORDER BY and LIMIT, which
-// are sound to apply per shard and are re-applied globally), then shard
-// outputs concatenate in shard order — or k-way merge when ordered, which
-// is bitwise the stable sort of the concatenation.
-func (r *Router) rowsSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexec.Result, error) {
-	ctx, span := telemetry.StartChildCtx(ctx, "router.rows")
-	defer span.End()
-	batches, err := r.fetch(ctx, opSelect, shardSQL(sel))
+// scatter runs a normalized statement on every shard — a join's broadcast
+// build sides riding along — and merges the answers deterministically.
+//
+// A projection / UDTF statement runs whole on each shard (including its
+// ORDER BY and LIMIT, which are sound to apply per shard and are re-applied
+// globally), then shard outputs concatenate in shard order — or k-way merge
+// when ordered, which is bitwise the stable sort of the concatenation. An
+// aggregate stops at its partial batch on each shard; the router folds the
+// partials in shard order — the distributed continuation of the engine's
+// chunk-merge tree — and finalizes (AVG division, ORDER BY, LIMIT) once.
+func (r *Router) scatter(ctx context.Context, sel *sqlparse.Select, agg bool, builds []buildTable) (*sqlexec.Result, error) {
+	req := shardRequest{SQL: shardSQL(sel), Builds: builds}
+	if agg {
+		parts, err := r.fetch(ctx, opAgg, req)
+		if err != nil {
+			return nil, err
+		}
+		return sqlexec.MergeAggPartials(ctx, sel, parts)
+	}
+	batches, err := r.fetch(ctx, opSelect, req)
 	if err != nil {
 		return nil, err
 	}
 	return sqlexec.MergeShardRows(ctx, sel, batches)
 }
 
-// aggSelect fans an aggregate out per shard, collecting partial batches,
-// and folds them in shard order — the distributed continuation of the
-// engine's chunk-merge tree, finalized (AVG division, ORDER BY, LIMIT)
-// once at the router.
-func (r *Router) aggSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexec.Result, error) {
-	ctx, span := telemetry.StartChildCtx(ctx, "router.aggregate")
-	defer span.End()
-	parts, err := r.fetch(ctx, opAgg, shardSQL(sel))
-	if err != nil {
-		return nil, err
-	}
-	return sqlexec.MergeAggPartials(ctx, sel, parts)
-}
-
-// gatherDB is the router-side fallback database for statements without a
-// distributed execution (joins): whole tables gathered shard by shard and
-// rebuilt as one local segment per shard, in shard order, which reproduces
-// the row order — and therefore the bitwise results — of the single-
-// process engine.
-type gatherDB struct {
-	defs map[string]*catalog.TableDef
-	segs map[string][]*colstore.Segment
-	udfs *udf.Registry
-}
-
-func (g *gatherDB) TableDef(name string) (*catalog.TableDef, error) {
-	def, ok := g.defs[name]
-	if !ok {
-		return nil, fmt.Errorf("cluster: %w: %q", verr.ErrTableNotFound, name)
-	}
-	return def, nil
-}
-
-func (g *gatherDB) Segments(name string) ([]*colstore.Segment, error) {
-	segs, ok := g.segs[name]
-	if !ok {
-		return nil, fmt.Errorf("cluster: %w: %q", verr.ErrTableNotFound, name)
-	}
-	return segs, nil
-}
-
-func (g *gatherDB) UDFs() *udf.Registry      { return g.udfs }
-func (g *gatherDB) UDFInstancesPerNode() int { return 4 }
-func (g *gatherDB) Services() map[string]any { return nil }
-
-var _ sqlexec.Database = (*gatherDB)(nil)
-
-// gatherSelect executes a join at the router over gathered tables. The
-// shard fetches are the same failover-capable reads as any SELECT.
-func (r *Router) gatherSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexec.Result, error) {
-	ctx, span := telemetry.StartChildCtx(ctx, "router.gather")
-	defer span.End()
-	names := []string{sel.From}
-	for _, j := range sel.Joins {
-		names = append(names, j.Table)
-	}
-	g := &gatherDB{
-		defs: map[string]*catalog.TableDef{},
-		segs: map[string][]*colstore.Segment{},
-		udfs: udf.NewRegistry(),
-	}
-	for _, name := range names {
-		if _, ok := g.defs[name]; ok {
-			continue
-		}
-		rt, err := r.table(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		batches, err := r.fetch(ctx, opSelect, "SELECT * FROM "+name)
-		if err != nil {
-			return nil, err
-		}
-		segs := make([]*colstore.Segment, len(batches))
-		err = r.fanOut(ctx, func(shard int) error {
-			segs[shard] = colstore.NewSegment(rt.def.Schema, 0)
-			return segs[shard].Append(batches[shard])
-		})
-		if err != nil {
-			return nil, err
-		}
-		g.defs[name] = rt.def
-		g.segs[name] = segs
-	}
-	return sqlexec.RunSelectCtx(ctx, g, sel)
-}
-
 // routeExplain forwards the EXPLAIN to the first healthy peer, restricted
 // to that peer's shards, and prefixes the cluster fan-out header: the
 // distributed plan is "route to every shard" above whatever per-shard plan
-// the peer's planner picks.
-func (r *Router) routeExplain(ctx context.Context, sql string) (*sqlexec.Result, error) {
+// the peer's planner picks. A join is resolved exactly as if it ran — build
+// sides fetched and shipped with the statement — and the header names how
+// each joined table meets the probe side.
+func (r *Router) routeExplain(ctx context.Context, sql string, ex *sqlparse.Explain) (*sqlexec.Result, error) {
+	req := shardRequest{SQL: sql}
+	var joins []string
+	if plan.KindOf(ex.Stmt) == plan.KindJoin {
+		var span *telemetry.Span
+		ctx, span = telemetry.StartChildCtx(ctx, "router.join")
+		defer span.End()
+		jp, err := r.prepareJoin(ctx, ex.Stmt)
+		if err != nil {
+			return nil, err
+		}
+		req.Builds, joins = jp.builds, jp.notes
+	}
 	var rep shardReply
 	var peerUsed int
 	var lastErr error
@@ -608,11 +622,10 @@ func (r *Router) routeExplain(ctx context.Context, sql string) (*sqlexec.Result,
 		if r.isDown(peer) {
 			continue
 		}
-		shards := r.topo.OwnedShards(peer)
-		if len(shards) == 0 {
+		if req.Shards = r.topo.OwnedShards(peer); len(req.Shards) == 0 {
 			continue
 		}
-		err := r.peerCall(ctx, peer, opSelect, true, shardRequest{SQL: sql, Shards: shards}, &rep)
+		err := r.peerCall(ctx, peer, opSelect, true, req, &rep)
 		if err == nil {
 			peerUsed, done = peer, true
 			break
@@ -634,10 +647,11 @@ func (r *Router) routeExplain(ctx context.Context, sql string) (*sqlexec.Result,
 	if len(out.Cols) != 1 || out.Cols[0].Type != colstore.TypeString {
 		return nil, fmt.Errorf("cluster: malformed explain reply from node %d", peerUsed)
 	}
-	lines := []string{
-		fmt.Sprintf("Cluster Route  (shards=%d peers=%d replicas=%d)", r.topo.Shards, len(r.topo.Addrs), r.topo.Replicas),
-		fmt.Sprintf("  per-shard plan from node %d (shards %v):", peerUsed, r.topo.OwnedShards(peerUsed)),
+	lines := []string{fmt.Sprintf("Cluster Route  (shards=%d peers=%d replicas=%d)", r.topo.Shards, len(r.topo.Addrs), r.topo.Replicas)}
+	for _, j := range joins {
+		lines = append(lines, "  "+j)
 	}
+	lines = append(lines, fmt.Sprintf("  per-shard plan from node %d (shards %v):", peerUsed, req.Shards))
 	for _, line := range out.Cols[0].Strs {
 		lines = append(lines, "  "+line)
 	}
@@ -657,17 +671,16 @@ func (r *Router) table(ctx context.Context, name string) (*routedTable, error) {
 	if rt != nil {
 		return rt, nil
 	}
-	var def *catalog.TableDef
+	var rep tableDefReply
 	var lastErr error
-	found := false
+	from := -1
 	for peer := range r.pools {
 		if r.isDown(peer) {
 			continue
 		}
-		var d catalog.TableDef
-		err := r.peerCall(ctx, peer, opTableDef, true, tableDefRequest{Table: name}, &d)
+		err := r.peerCall(ctx, peer, opTableDef, true, tableDefRequest{Table: name}, &rep)
 		if err == nil {
-			def, found = &d, true
+			from = peer
 			break
 		}
 		lastErr = err
@@ -677,9 +690,10 @@ func (r *Router) table(ctx context.Context, name string) (*routedTable, error) {
 		}
 		return nil, err
 	}
-	if !found {
+	if from < 0 {
 		return nil, fmt.Errorf("cluster: tabledef %q: %w: %v", name, verr.ErrNodeDown, lastErr)
 	}
+	def := &rep.TableDef
 	split, err := catalog.NewSplitter(def.Seg, def.Schema, r.topo.Shards)
 	if err != nil {
 		return nil, err
@@ -688,33 +702,76 @@ func (r *Router) table(ctx context.Context, name string) (*routedTable, error) {
 	r.mu.Lock()
 	if cached := r.tables[name]; cached != nil {
 		rt = cached // lost a race; keep the first splitter (cursor state)
-	} else {
+	} else if r.epochs[from] == int64(rep.Epoch) {
+		// Cached only while no reply has shown the peer past the epoch the
+		// definition was read at.
 		r.tables[name] = rt
 	}
 	r.mu.Unlock()
 	return rt, nil
 }
 
+// withTable runs f on the table's cached definition and, when f fails, once
+// more on a freshly fetched one: the cache may predate DDL that ran through
+// another node's router and that no reply has revealed yet. f must have no
+// effect when it fails.
+func (r *Router) withTable(ctx context.Context, name string, f func(*routedTable) error) error {
+	rt, err := r.table(ctx, name)
+	if err != nil {
+		return err
+	}
+	if err = f(rt); err == nil {
+		return nil
+	}
+	r.forget(name)
+	if rt, ferr := r.table(ctx, name); ferr == nil {
+		err = f(rt)
+	}
+	return err
+}
+
+// errRefused is a replica's refusal of a load split under a segmentation
+// that is no longer the table's.
+var errRefused = errors.New("split under a stale segmentation")
+
 // Load splits a COPY batch by the table's segmentation — with the same
 // stateful splitter the single-process engine uses, so row placement is
 // identical — and writes each shard part to every replica. A replica that
 // misses its write is marked stale; the load succeeds as long as every
 // shard keeps at least one current replica.
+//
+// Placement is load-bearing — a co-located join reads a key's rows only on
+// the shard its hash names — so every write carries the hash column it was
+// split by, and a peer whose table is segmented otherwise (the router's
+// definition is stale) refuses it. A load that nobody applied and somebody
+// refused is split again under fresh definitions, once.
 func (r *Router) Load(ctx context.Context, table string, b *colstore.Batch) error {
 	ctx, span := telemetry.StartChildCtx(ctx, "router.load")
 	defer span.End()
+	mRouterLoads.Add(int64(b.Len()))
+	applied, refused, err := r.loadOnce(ctx, table, b)
+	if applied == 0 && refused > 0 {
+		r.forget(table)
+		_, _, err = r.loadOnce(ctx, table, b)
+	}
+	return err
+}
+
+// loadOnce is one attempt of Load; it also reports how many replica writes
+// were applied and how many refused.
+func (r *Router) loadOnce(ctx context.Context, table string, b *colstore.Batch) (applied, refused int64, err error) {
 	rt, err := r.table(ctx, table)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	r.mu.Lock()
 	parts, err := rt.split.SplitOwned(b)
 	r.mu.Unlock()
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
-	mRouterLoads.Add(int64(b.Len()))
-	return r.fanOut(ctx, func(shard int) error {
+	var nApplied, nRefused atomic.Int64
+	err = r.fanOut(ctx, func(shard int) error {
 		part := parts[shard]
 		if part == nil || part.Len() == 0 {
 			return nil
@@ -723,7 +780,7 @@ func (r *Router) Load(ctx context.Context, table string, b *colstore.Batch) erro
 		if err != nil {
 			return err
 		}
-		req := loadRequest{Table: table, Shard: shard, Chunk: chunk}
+		req := loadRequest{Table: table, Shard: shard, HashCol: hashCol(rt.def), Chunk: chunk}
 		owners := r.topo.Owners(shard)
 		okCount := 0
 		var lastErr error
@@ -739,6 +796,10 @@ func (r *Router) Load(ctx context.Context, table string, b *colstore.Batch) erro
 				defer wg.Done()
 				var rep loadReply
 				results[i] = r.peerCall(ctx, peer, opLoad, false, req, &rep)
+				if results[i] == nil && rep.Refused {
+					results[i] = errRefused
+					nRefused.Add(1)
+				}
 			}(i, peer)
 		}
 		wg.Wait()
@@ -747,6 +808,7 @@ func (r *Router) Load(ctx context.Context, table string, b *colstore.Batch) erro
 				okCount++
 			}
 		}
+		nApplied.Add(int64(okCount))
 		for i, peer := range owners {
 			err := results[i]
 			if err == nil || r.isStale(peer, shard) {
@@ -781,15 +843,16 @@ func (r *Router) Load(ctx context.Context, table string, b *colstore.Batch) erro
 		}
 		return nil
 	})
+	return nApplied.Load(), nRefused.Load(), err
 }
 
 // routeInsert splits INSERT rows exactly like Load.
 func (r *Router) routeInsert(ctx context.Context, ins *sqlparse.Insert) error {
-	rt, err := r.table(ctx, ins.Table)
-	if err != nil {
+	var b *colstore.Batch
+	err := r.withTable(ctx, ins.Table, func(rt *routedTable) (err error) {
+		b, err = vertica.InsertBatch(rt.def, ins)
 		return err
-	}
-	b, err := vertica.InsertBatch(rt.def, ins)
+	})
 	if err != nil {
 		return err
 	}
@@ -818,7 +881,7 @@ func (r *Router) broadcastExec(ctx context.Context, sql string, stmt sqlparse.St
 	wg.Wait()
 	// DDL invalidates cached definitions and splitters.
 	r.mu.Lock()
-	r.tables = map[string]*routedTable{}
+	r.dropTablesLocked()
 	r.mu.Unlock()
 	for peer, err := range errs {
 		if err != nil && connFailure(err) {

@@ -377,17 +377,33 @@ func CompareValues(a, b any) (int, error) {
 		}
 	case bool:
 		if y, ok := b.(bool); ok {
-			xi, yi := 0, 0
-			if x {
-				xi = 1
-			}
-			if y {
-				yi = 1
-			}
-			return cmpOrdered(xi, yi), nil
+			return cmpOrdered(boolInt(x), boolInt(y)), nil
 		}
 	}
 	return 0, fmt.Errorf("colstore: cannot compare %T with %T", a, b)
+}
+
+// CompareAt compares v[i] with o[j] — two vectors of one type — in
+// CompareValues' order, without boxing either value.
+func (v *Vector) CompareAt(i int, o *Vector, j int) int {
+	switch v.Type {
+	case TypeInt64:
+		return cmpOrdered(v.Ints[i], o.Ints[j])
+	case TypeFloat64:
+		return cmpOrdered(v.Floats[i], o.Floats[j])
+	case TypeString:
+		return cmpOrdered(v.Strs[i], o.Strs[j])
+	case TypeBool:
+		return cmpOrdered(boolInt(v.Bools[i]), boolInt(o.Bools[j]))
+	}
+	return 0
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func cmpOrdered[T int | int64 | float64 | string](a, b T) int {

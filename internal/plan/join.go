@@ -4,55 +4,66 @@ import (
 	"fmt"
 	"math"
 
+	"verticadr/internal/catalog"
 	"verticadr/internal/sqlparse"
 )
 
-// buildJoin plans a multi-table statement as a left-deep chain of hash
-// joins: the base table is the probe side, each joined table builds a hash
-// table on its equi-join key. Single-table WHERE conjuncts push down into
-// the owning table's scan (index or sequential, chosen by cost); conjuncts
-// spanning tables stay as a residual filter on the topmost join.
-func (b *builder) buildJoin(sel *sqlparse.Select) (*Plan, error) {
-	if udtfCall(sel) != nil {
-		return nil, fmt.Errorf("plan: UDTF over a join is not supported")
+// NormalizeJoin returns a join statement as Build hands it to the executor —
+// a deep copy with every column reference rewritten to its canonical
+// "alias.column" form — together with its inputs: per table the columns the
+// statement needs, the WHERE conjuncts that filter it alone, and its join
+// keys. It reads table definitions only, so a cluster router resolves a join
+// from its catalog cache, ships the normalized statement to its peers and
+// merges their answers against the statement they ran.
+func NormalizeJoin(sel *sqlparse.Select, tableDef func(name string) (*catalog.TableDef, error)) (*sqlparse.Select, []JoinInput, error) {
+	sel = cloneSelect(sel)
+	inputs, _, err := resolveJoin(sel, tableDef)
+	if err != nil {
+		return nil, nil, err
 	}
-	refs := make([]tableRef, 0, len(sel.Joins)+1)
-	addRef := func(table, alias string) error {
+	return sel, inputs, nil
+}
+
+// resolveJoin normalizes sel in place against the catalog and splits it by
+// table: every input's needed columns, pushed-down conjuncts and join keys,
+// plus the conjuncts spanning tables, which stay as a residual filter on the
+// topmost join.
+func resolveJoin(sel *sqlparse.Select, tableDef func(name string) (*catalog.TableDef, error)) (inputs []JoinInput, residual []sqlparse.Expr, err error) {
+	if udtfCall(sel) != nil {
+		return nil, nil, fmt.Errorf("plan: UDTF over a join is not supported")
+	}
+	inputs = make([]JoinInput, 0, len(sel.Joins)+1)
+	addInput := func(table, alias string) error {
 		if alias == "" {
 			alias = table
 		}
-		for _, r := range refs {
-			if r.alias == alias {
+		for _, r := range inputs {
+			if r.Alias == alias {
 				return fmt.Errorf("plan: duplicate table alias %q", alias)
 			}
 		}
-		def, err := b.src.TableDef(table)
+		def, err := tableDef(table)
 		if err != nil {
 			return err
 		}
-		ts, err := gatherStats(b.src, table, def)
-		if err != nil {
-			return err
-		}
-		refs = append(refs, tableRef{alias: alias, table: table, def: def, ts: ts})
+		inputs = append(inputs, JoinInput{Alias: alias, Table: table, Def: def})
 		return nil
 	}
-	if err := addRef(sel.From, sel.FromAlias); err != nil {
-		return nil, err
+	if err := addInput(sel.From, sel.FromAlias); err != nil {
+		return nil, nil, err
 	}
 	for _, j := range sel.Joins {
-		if err := addRef(j.Table, j.Alias); err != nil {
-			return nil, err
+		if err := addInput(j.Table, j.Alias); err != nil {
+			return nil, nil, err
 		}
 	}
-	if err := normalizeJoin(sel, refs); err != nil {
-		return nil, err
+	if err := normalizeJoin(sel, inputs); err != nil {
+		return nil, nil, err
 	}
 
 	// Classify WHERE conjuncts: single-table ones push into that table's
 	// scan (rewritten to bare column names), the rest filter the join output.
 	perTable := map[string][]sqlparse.Expr{}
-	var topResidual []sqlparse.Expr
 	for _, c := range flattenAnd(sel.Where) {
 		als := exprAliases(c)
 		if len(als) == 1 {
@@ -62,27 +73,60 @@ func (b *builder) buildJoin(sel *sqlparse.Select) (*Plan, error) {
 			}
 			perTable[a] = append(perTable[a], stripAliasExpr(c, a))
 		} else {
-			topResidual = append(topResidual, c)
+			residual = append(residual, c)
 		}
 	}
-
-	needed := neededCols(sel, refs)
-	scans := make([]*Node, len(refs))
-	for i, r := range refs {
-		scans[i] = b.scanNode(r.table, r.alias, r.def, r.ts, rebuildAnd(perTable[r.alias]), false)
-		scans[i].Cols = needed[r.alias]
+	needed := neededCols(sel, inputs)
+	for i := range inputs {
+		in := &inputs[i]
+		in.Cols = needed[in.Alias]
+		in.Where = rebuildAnd(perTable[in.Alias])
+		if i > 0 {
+			in.ProbeKey, in.BuildKey, err = joinKeys(sel.Joins[i-1].On, inputs[:i], *in)
+			if err != nil {
+				return nil, nil, err
+			}
+		}
 	}
-	cur := scans[0]
-	for i := range sel.Joins {
-		lk, rk, err := joinKeys(sel.Joins[i].On, refs[:i+1], refs[i+1])
+	return inputs, residual, nil
+}
+
+// buildJoin plans a multi-table statement as a left-deep chain of hash
+// joins: the base table is the probe side, each joined table builds a hash
+// table on its equi-join key. Single-table WHERE conjuncts push down into
+// the owning table's scan (index or sequential, chosen by cost); conjuncts
+// spanning tables stay as a residual filter on the topmost join.
+func (b *builder) buildJoin(sel *sqlparse.Select) (*Plan, error) {
+	inputs, topResidual, err := resolveJoin(sel, b.src.TableDef)
+	if err != nil {
+		return nil, err
+	}
+	stats := map[string]*tableStats{}
+	scans := make([]*Node, len(inputs))
+	for i, in := range inputs {
+		ts, err := gatherStats(b.src, in.Table, in.Def)
 		if err != nil {
 			return nil, err
 		}
+		stats[in.Alias] = ts
+		scans[i] = b.scanNode(in.Table, in.Alias, in.Def, ts, in.Where, false)
+		scans[i].Cols = in.Cols
+	}
+	// ndv resolves a canonical "alias.column" name to its column NDV.
+	ndv := func(name string) int {
+		a := aliasPrefix(name)
+		if ts := stats[a]; ts != nil {
+			return ts.colStats(name[len(a)+1:]).NDV
+		}
+		return 0
+	}
+	cur := scans[0]
+	for i, in := range inputs[1:] {
 		n := b.node(OpHashJoin)
 		n.Children = []*Node{cur, scans[i+1]}
-		n.LeftKey, n.RightKey = lk, rk
-		n.EstRows = estimateJoin(cur.EstRows, scans[i+1].EstRows, b.keyNDV(refs, lk), b.keyNDV(refs, rk))
-		n.Detail = lk + " = " + rk
+		n.LeftKey, n.RightKey = in.ProbeKey, in.BuildKey
+		n.EstRows = estimateJoin(cur.EstRows, scans[i+1].EstRows, ndv(in.ProbeKey), ndv(in.BuildKey))
+		n.Detail = in.ProbeKey + " = " + in.BuildKey
 		cur = n
 	}
 	if len(topResidual) > 0 {
@@ -90,7 +134,6 @@ func (b *builder) buildJoin(sel *sqlparse.Select) (*Plan, error) {
 		cur.EstRows = estimateRows(int(cur.EstRows), math.Pow(defaultSel, float64(len(topResidual))))
 		cur.Detail += ", filter " + cur.Residual.String()
 	}
-	ndv := func(col string) int { return b.keyNDV(refs, col) }
 	root, err := b.shapeAbove(cur, sel, ndv, false)
 	if err != nil {
 		return nil, err
@@ -98,21 +141,10 @@ func (b *builder) buildJoin(sel *sqlparse.Select) (*Plan, error) {
 	return &Plan{Root: root, Sel: sel}, nil
 }
 
-// keyNDV resolves a canonical "alias.column" name to its column NDV.
-func (b *builder) keyNDV(refs []tableRef, name string) int {
-	a := aliasPrefix(name)
-	for _, r := range refs {
-		if r.alias == a {
-			return r.ts.colStats(name[len(a)+1:]).NDV
-		}
-	}
-	return 0
-}
-
 // joinKeys validates an ON clause as `alias.col = alias.col` with one side
 // in the left scope and the other naming the newly joined table, returning
 // (probe key, build key) in canonical form.
-func joinKeys(on sqlparse.Expr, left []tableRef, right tableRef) (string, string, error) {
+func joinKeys(on sqlparse.Expr, left []JoinInput, right JoinInput) (string, string, error) {
 	bin, ok := on.(*sqlparse.Binary)
 	if !ok || bin.Op != "=" {
 		return "", "", fmt.Errorf("plan: unsupported join condition %s (need col = col)", on.String())
@@ -125,7 +157,7 @@ func joinKeys(on sqlparse.Expr, left []tableRef, right tableRef) (string, string
 	inLeft := func(name string) bool {
 		a := aliasPrefix(name)
 		for _, r := range left {
-			if r.alias == a {
+			if r.Alias == a {
 				return true
 			}
 		}
@@ -133,9 +165,9 @@ func joinKeys(on sqlparse.Expr, left []tableRef, right tableRef) (string, string
 	}
 	la, ra := aliasPrefix(lc.Name), aliasPrefix(rc.Name)
 	switch {
-	case inLeft(lc.Name) && ra == right.alias:
+	case inLeft(lc.Name) && ra == right.Alias:
 		return lc.Name, rc.Name, nil
-	case inLeft(rc.Name) && la == right.alias:
+	case inLeft(rc.Name) && la == right.Alias:
 		return rc.Name, lc.Name, nil
 	}
 	return "", "", fmt.Errorf("plan: join condition %s must reference both sides", on.String())
@@ -156,10 +188,10 @@ func exprAliases(e sqlparse.Expr) map[string]bool {
 // neededCols computes, per table, the columns any part of the statement
 // references, in table-schema order (deterministic regardless of expression
 // order). SELECT * needs every column of every table.
-func neededCols(sel *sqlparse.Select, refs []tableRef) map[string][]string {
+func neededCols(sel *sqlparse.Select, refs []JoinInput) map[string][]string {
 	want := map[string]map[string]bool{}
 	for _, r := range refs {
-		want[r.alias] = map[string]bool{}
+		want[r.Alias] = map[string]bool{}
 	}
 	star := false
 	add := func(c *sqlparse.ColRef) error {
@@ -197,12 +229,12 @@ func neededCols(sel *sqlparse.Select, refs []tableRef) map[string][]string {
 	out := map[string][]string{}
 	for _, r := range refs {
 		var cols []string
-		for _, cs := range r.def.Schema {
-			if star || want[r.alias][cs.Name] {
+		for _, cs := range r.Def.Schema {
+			if star || want[r.Alias][cs.Name] {
 				cols = append(cols, cs.Name)
 			}
 		}
-		out[r.alias] = cols
+		out[r.Alias] = cols
 	}
 	return out
 }

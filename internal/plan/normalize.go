@@ -164,24 +164,38 @@ func normalizeSingle(sel *sqlparse.Select) error {
 	return nil
 }
 
-// tableRef is one table in a join's scope.
-type tableRef struct {
-	alias string
-	table string
-	def   *catalog.TableDef
-	ts    *tableStats
+// JoinInput is one table of a join statement as the statement uses it:
+// inputs[0] is the FROM table (the probe side), every later input a joined
+// table (a build side). Everything here is a function of the statement and
+// the table definitions alone — no statistics — so a cluster router resolves
+// a join from its cached catalog exactly as a peer's planner will.
+type JoinInput struct {
+	Alias string
+	Table string
+	Def   *catalog.TableDef
+	// Cols are the columns any part of the statement references, in
+	// table-schema order.
+	Cols []string
+	// Where is the AND of the WHERE conjuncts that name only this table,
+	// over bare column names (nil when there is none): the filter its scan
+	// applies before the join.
+	Where sqlparse.Expr
+	// ProbeKey and BuildKey are a joined table's equi-join keys in canonical
+	// "alias.column" form: ProbeKey names a table already in scope, BuildKey
+	// this one. Both are empty on inputs[0].
+	ProbeKey, BuildKey string
 }
 
 // resolveRef rewrites one column reference to its canonical "alias.column"
 // name against the given scope.
-func resolveRef(c *sqlparse.ColRef, scope []tableRef) error {
+func resolveRef(c *sqlparse.ColRef, scope []JoinInput) error {
 	if c.Table != "" {
 		for _, r := range scope {
-			if r.alias == c.Table {
-				if r.def.Schema.ColIndex(c.Name) < 0 {
-					return fmt.Errorf("plan: unknown column %q in table %q", c.Name, r.alias)
+			if r.Alias == c.Table {
+				if r.Def.Schema.ColIndex(c.Name) < 0 {
+					return fmt.Errorf("plan: unknown column %q in table %q", c.Name, r.Alias)
 				}
-				c.Name = r.alias + "." + c.Name
+				c.Name = r.Alias + "." + c.Name
 				c.Table = ""
 				return nil
 			}
@@ -194,9 +208,9 @@ func resolveRef(c *sqlparse.ColRef, scope []tableRef) error {
 	}
 	found := -1
 	for i, r := range scope {
-		if r.def.Schema.ColIndex(c.Name) >= 0 {
+		if r.Def.Schema.ColIndex(c.Name) >= 0 {
 			if found >= 0 {
-				return fmt.Errorf("plan: ambiguous column %q (in %q and %q)", c.Name, scope[found].alias, r.alias)
+				return fmt.Errorf("plan: ambiguous column %q (in %q and %q)", c.Name, scope[found].Alias, r.Alias)
 			}
 			found = i
 		}
@@ -204,19 +218,19 @@ func resolveRef(c *sqlparse.ColRef, scope []tableRef) error {
 	if found < 0 {
 		return fmt.Errorf("plan: unknown column %q", c.Name)
 	}
-	c.Name = scope[found].alias + "." + c.Name
+	c.Name = scope[found].Alias + "." + c.Name
 	return nil
 }
 
 // resolveName canonicalizes a GROUP BY / ORDER BY name the same way.
 // Unresolvable ORDER BY names may be output aliases, so the caller decides
 // whether an error is fatal.
-func resolveName(s string, scope []tableRef) (string, error) {
+func resolveName(s string, scope []JoinInput) (string, error) {
 	if i := strings.IndexByte(s, '.'); i > 0 {
 		for _, r := range scope {
-			if r.alias == s[:i] {
-				if r.def.Schema.ColIndex(s[i+1:]) < 0 {
-					return "", fmt.Errorf("plan: unknown column %q in table %q", s[i+1:], r.alias)
+			if r.Alias == s[:i] {
+				if r.Def.Schema.ColIndex(s[i+1:]) < 0 {
+					return "", fmt.Errorf("plan: unknown column %q in table %q", s[i+1:], r.Alias)
 				}
 				return s, nil
 			}
@@ -234,7 +248,7 @@ func resolveName(s string, scope []tableRef) (string, error) {
 // canonical "alias.column" form. ON clauses resolve against the tables in
 // scope at that join (the base table plus all earlier joins, plus the joined
 // table itself).
-func normalizeJoin(sel *sqlparse.Select, refs []tableRef) error {
+func normalizeJoin(sel *sqlparse.Select, refs []JoinInput) error {
 	full := func(c *sqlparse.ColRef) error { return resolveRef(c, refs) }
 	for _, it := range sel.Items {
 		if it.Star {

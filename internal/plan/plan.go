@@ -137,7 +137,7 @@ func KindOf(sel *sqlparse.Select) string {
 		return KindJoin
 	case udtfCall(sel) != nil:
 		return KindUDTF
-	case isAggregate(sel):
+	case IsAggregate(sel):
 		return KindAggregate
 	}
 	return KindProjection
@@ -211,9 +211,9 @@ func hasAggregate(e sqlparse.Expr) bool {
 	return false
 }
 
-// isAggregate reports whether the statement aggregates: it has a GROUP BY or
+// IsAggregate reports whether the statement aggregates: it has a GROUP BY or
 // an aggregate call in its projection.
-func isAggregate(sel *sqlparse.Select) bool {
+func IsAggregate(sel *sqlparse.Select) bool {
 	if len(sel.GroupBy) > 0 {
 		return true
 	}
@@ -296,7 +296,7 @@ func (b *builder) scanNode(table, alias string, def *catalog.TableDef, ts *table
 // ndv resolves a group-by column name (dotted under a join) to its NDV.
 func (b *builder) shapeAbove(in *Node, sel *sqlparse.Select, ndv func(col string) int, runsOK bool) (*Node, error) {
 	cur := in
-	if isAggregate(sel) {
+	if IsAggregate(sel) {
 		n := b.node(OpAggregate)
 		n.Children = []*Node{cur}
 		n.EstRows = estimateGroups(sel.GroupBy, ndv, cur.EstRows)

@@ -58,61 +58,50 @@ func MergeShardRows(ctx context.Context, sel *sqlparse.Select, batches []*colsto
 		}
 		keys[i] = ci
 	}
-	// less reports whether shard a's head row sorts strictly before shard
-	// b's; on equal keys neither does, and the scan below prefers the
-	// lowest shard index, which is the stable tie-break.
-	less := func(a *colstore.Batch, ra int, b *colstore.Batch, rb int) (bool, error) {
-		for k, ci := range keys {
-			c, err := colstore.CompareValues(a.Cols[ci].Value(ra), b.Cols[ci].Value(rb))
-			if err != nil {
-				return false, err
-			}
-			if c != 0 {
-				if sel.OrderBy[k].Desc {
-					return c > 0, nil
-				}
-				return c < 0, nil
-			}
-		}
-		return false, nil
-	}
-	out := colstore.NewBatch(schema)
 	heads := make([]int, len(batches))
-	total := 0
-	for _, b := range batches {
-		total += b.Len()
-	}
-	for out.Len() < total {
-		if limit >= 0 && out.Len() >= limit {
-			break
+	// less reports whether shard a's head row sorts strictly before shard
+	// b's, comparing the typed key columns; on equal keys neither does, and
+	// the scan below prefers the lowest shard index, which is the stable
+	// tie-break.
+	less := func(a, b int) bool {
+		for k, ci := range keys {
+			if c := batches[a].Cols[ci].CompareAt(heads[a], batches[b].Cols[ci], heads[b]); c != 0 {
+				return (c < 0) != sel.OrderBy[k].Desc
+			}
 		}
+		return false
+	}
+	// Consecutive picks from one shard are consecutive rows of it, so the
+	// output is emitted a run at a time — rows [lo, heads[run]) of shard run
+	// are picked and not yet appended — column by column, never row by row.
+	out := colstore.NewBatch(schema)
+	run, lo := -1, 0
+	flush := func() error {
+		if run < 0 {
+			return nil
+		}
+		return out.AppendRange(batches[run], lo, heads[run])
+	}
+	for n := 0; limit < 0 || n < limit; n++ {
 		best := -1
 		for si, b := range batches {
-			if heads[si] >= b.Len() {
-				continue
-			}
-			if best < 0 {
-				best = si
-				continue
-			}
-			lt, err := less(b, heads[si], batches[best], heads[best])
-			if err != nil {
-				return nil, err
-			}
-			if lt {
+			if heads[si] < b.Len() && (best < 0 || less(si, best)) {
 				best = si
 			}
 		}
 		if best < 0 {
 			break
 		}
-		if err := out.AppendRow(batches[best].Row(heads[best])...); err != nil {
-			return nil, err
+		if best != run {
+			if err := flush(); err != nil {
+				return nil, err
+			}
+			run, lo = best, heads[best]
 		}
 		heads[best]++
 	}
-	if limit >= 0 && out.Len() > limit {
-		out = out.Slice(0, limit)
+	if err := flush(); err != nil {
+		return nil, err
 	}
 	return &Result{Batch: out}, nil
 }

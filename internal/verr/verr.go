@@ -41,6 +41,11 @@ var (
 	// shard was), so a routed operation could not complete. The router
 	// retries idempotent reads on surviving replicas before surfacing this.
 	ErrNodeDown = errors.New("node down")
+	// ErrJoinTooLarge: a routed join's build side — a joined table that is
+	// not co-located with the probe side, so the router must broadcast it —
+	// exceeded the router's fixed byte limit. Nothing ran; segmenting both
+	// tables by hash of their join keys makes the join co-located.
+	ErrJoinTooLarge = errors.New("join build side too large")
 )
 
 // canceledError attaches the concrete context cause (context.Canceled or
@@ -73,6 +78,7 @@ const (
 	CodeCanceled      = "canceled"
 	CodeClosed        = "closed"
 	CodeNodeDown      = "node_down"
+	CodeJoinTooLarge  = "join_too_large"
 	CodeInternal      = "internal"
 )
 
@@ -86,6 +92,7 @@ var codeOf = []struct {
 	{ErrCanceled, CodeCanceled},
 	{ErrClosed, CodeClosed},
 	{ErrNodeDown, CodeNodeDown},
+	{ErrJoinTooLarge, CodeJoinTooLarge},
 	{ErrTableNotFound, CodeTableNotFound},
 	{ErrUnknownColumn, CodeUnknownColumn},
 	{ErrModelNotFound, CodeModelNotFound},

@@ -33,6 +33,7 @@ func TestCodeRoundTrip(t *testing.T) {
 		{fmt.Errorf("server: %w", ErrOverloaded), CodeOverloaded},
 		{Canceled(context.Canceled), CodeCanceled},
 		{fmt.Errorf("server: %w", ErrClosed), CodeClosed},
+		{fmt.Errorf("cluster: join build side %q: %w", "d", ErrJoinTooLarge), CodeJoinTooLarge},
 		{errors.New("boom"), CodeInternal},
 	}
 	for _, c := range cases {
