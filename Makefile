@@ -4,9 +4,9 @@ GO ?= go
 # test must pass — the root package's TestNoContextTwins among them, which
 # fails when any package declares X beside XContext/XCtx on one receiver —
 # the tree must be lint-clean, the bounded compressed-execution difftest
-# must agree bitwise, and the six fuzz-smoke targets (parser, three
-# equivalence targets, shard-partial import, broadcast-build decode) get a
-# short run so the harness runs on every pass.
+# must agree bitwise, and the seven fuzz-smoke targets (parser, three
+# equivalence targets, shard-partial import, broadcast-build decode, serving
+# frame decode) get a short run so the harness runs on every pass.
 .PHONY: check
 check: lint build test race difftest-short fuzz-smoke
 
@@ -24,9 +24,10 @@ difftest-short:
 
 # Short fuzz smoke: the compressed-execution and hash-join equivalence
 # targets, the SQL parser (the planner consumes whatever the parser yields,
-# so parse robustness is tier-1), the router's import of shard partials and
-# the peer's decode of a join's broadcast build tables (bytes off a peer
-# connection, both); enough to replay each corpus and explore a little.
+# so parse robustness is tier-1), the router's import of shard partials, the
+# peer's decode of a join's broadcast build tables and the serving frame
+# decoder on both ends of a connection (bytes off a socket, all three);
+# enough to replay each corpus and explore a little.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSelect -fuzztime=10s ./internal/sqlparse/
@@ -35,6 +36,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzMergeAggPartials -fuzztime=10s ./internal/sqlexec/
 	$(GO) test -run='^$$' -fuzz=FuzzHashJoinEquivalence -fuzztime=10s ./internal/sqlexec/difftest/
 	$(GO) test -run='^$$' -fuzz=FuzzShardRequestBuilds -fuzztime=10s ./internal/cluster/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/server/
 
 # Lint: go vet plus gofmt enforcement (gofmt -l output fails the build).
 .PHONY: lint
@@ -126,6 +128,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMergeAggPartials -fuzztime=$(FUZZTIME) ./internal/sqlexec/
 	$(GO) test -run='^$$' -fuzz=FuzzHashJoinEquivalence -fuzztime=$(FUZZTIME) ./internal/sqlexec/difftest/
 	$(GO) test -run='^$$' -fuzz=FuzzShardRequestBuilds -fuzztime=$(FUZZTIME) ./internal/cluster/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeChunk -fuzztime=$(FUZZTIME) ./internal/vft/
 	$(GO) test -run='^$$' -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzWALRecordStream -fuzztime=$(FUZZTIME) ./internal/wal/

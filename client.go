@@ -180,7 +180,9 @@ func idempotentSQL(sql string) bool {
 }
 
 // Query runs one-shot SQL. Against a cluster the node routes it over the
-// shards and merges, so the result is identical from any node. Only reads
+// shards and merges, so the result is identical from any node. The rows
+// cross as a columnar chunk, never as text, so every value arrives with the
+// bits and bytes the node computed (see Rows). Only reads
 // (SELECT, EXPLAIN) fail over once in flight; an INSERT or DDL statement
 // whose outcome is unknown surfaces the transport error instead.
 func (c *Client) Query(ctx context.Context, sql string) (*Rows, error) {

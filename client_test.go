@@ -2,6 +2,7 @@ package verticadr
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -190,14 +191,16 @@ func startReplyLossNode(t *testing.T) string {
 						return
 					}
 					buf = frame
+					// A serving frame: u32 header length, the JSON header, no
+					// bodies on anything this node answers.
 					var req struct {
 						Op string `json:"op"`
 					}
-					if json.Unmarshal(frame, &req) == nil && req.Op == "query" {
+					if json.Unmarshal(frame[4:4+binary.LittleEndian.Uint32(frame)], &req) == nil && req.Op == "query" {
 						return // drop the connection: outcome unknown
 					}
 					resp, _ := json.Marshal(map[string]string{"code": "ok"})
-					if vft.WriteFrame(conn, resp) != nil {
+					if vft.WriteFrame(conn, binary.LittleEndian.AppendUint32(nil, uint32(len(resp))), resp) != nil {
 						return
 					}
 				}

@@ -6,7 +6,6 @@ import (
 	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
 	"verticadr/internal/server"
-	"verticadr/internal/vft"
 )
 
 // Client-side wrappers over the cl.* ops, for the unified verticadr.Client:
@@ -17,7 +16,7 @@ import (
 // ClientTableDef fetches a table's definition over an open connection.
 func ClientTableDef(ctx context.Context, c *server.Client, table string) (*catalog.TableDef, error) {
 	var def catalog.TableDef
-	if err := c.Call(ctx, opTableDef, tableDefRequest{Table: table}, &def); err != nil {
+	if _, err := c.Call(ctx, opTableDef, tableDefRequest{Table: table}, nil, &def); err != nil {
 		return nil, err
 	}
 	return &def, nil
@@ -25,12 +24,13 @@ func ClientTableDef(ctx context.Context, c *server.Client, table string) (*catal
 
 // ClientLoad COPYs a batch through a connection's front door (cl.load with
 // Shard == -1: "ingest as if COPY'd at this node"). The batch crosses as a
-// vft chunk, so float bits survive exactly.
+// vft chunk behind the request, so float bits survive exactly.
 func ClientLoad(ctx context.Context, c *server.Client, table string, b *colstore.Batch) error {
-	chunk, err := vft.EncodeChunk(b)
+	chunk, err := encodeChunk(ctx, b)
 	if err != nil {
 		return err
 	}
 	var rep loadReply
-	return c.Call(ctx, opLoad, loadRequest{Table: table, Shard: -1, Chunk: chunk}, &rep)
+	_, err = c.Call(ctx, opLoad, loadRequest{Table: table, Shard: -1}, [][]byte{chunk}, &rep)
+	return err
 }

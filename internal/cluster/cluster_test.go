@@ -440,7 +440,7 @@ func opScanAttrs(t *testing.T, tc *testCluster, sql string) map[string]int64 {
 	ctx := telemetry.ContextWithSpan(context.Background(), root)
 	for shard := 0; shard < tc.topo.Shards; shard++ {
 		peer := tc.nodes[tc.topo.Owners(shard)[0]].peer
-		if _, err := peer.serveShards(ctx, opAgg, shardRequest{SQL: sql, Shards: []int{shard}}); err != nil {
+		if _, _, err := peer.serveShards(ctx, opAgg, shardRequest{SQL: sql, Shards: []int{shard}}); err != nil {
 			t.Fatalf("cl.agg shard %d %q: %v", shard, sql, err)
 		}
 	}

@@ -1,6 +1,10 @@
 package cluster
 
-import "testing"
+import (
+	"testing"
+
+	"verticadr/internal/core"
+)
 
 // The external test package (cluster_test) drives a cluster through the
 // public verticadr.Client, which this package cannot import. These are its
@@ -19,3 +23,7 @@ func StartTestCluster(t *testing.T, peers, shards, replicas int) (addrs []string
 
 // SetBuildLimit lowers r's broadcast limit from maxJoinBuildBytes.
 func (r *Router) SetBuildLimit(bytes int) { r.buildLimit = bytes }
+
+// StartTestBaseline is startBaseline: the single-process session a cluster
+// of that many shards must match bit for bit.
+func StartTestBaseline(t *testing.T, shards int) *core.Session { return startBaseline(t, shards) }

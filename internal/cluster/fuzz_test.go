@@ -71,24 +71,32 @@ func FuzzShardRequestBuilds(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, sql string, join1 int8, sel1 uint8, chunk1 []byte, join2 int8, sel2 uint8, chunk2 []byte) {
 		req := shardRequest{SQL: sql, Shards: []int{0}}
-		req.Builds = append(req.Builds, buildTable{Join: int(join1), Schema: schemas[int(sel1)%len(schemas)], Chunk: chunk1})
+		req.Builds = append(req.Builds, buildTable{Join: int(join1), Schema: schemas[int(sel1)%len(schemas)], chunk: chunk1})
 		if len(chunk2) > 0 {
-			req.Builds = append(req.Builds, buildTable{Join: int(join2), Schema: schemas[int(sel2)%len(schemas)], Chunk: chunk2})
+			req.Builds = append(req.Builds, buildTable{Join: int(join2), Schema: schemas[int(sel2)%len(schemas)], chunk: chunk2})
 		}
-		// Through the wire form, as the peer receives it.
+		// Through the wire form, as the peer receives it: the payload as
+		// JSON, the chunks as the frame's bodies.
 		payload, err := json.Marshal(req)
 		if err != nil {
 			t.Skip()
 		}
+		bodies := req.bodies()
 		var got shardRequest
 		if err := decodeRequest(opSelect, payload, &got); err != nil {
 			t.Fatalf("a marshaled request does not decode: %v", err)
+		}
+		if got.setBodies(opSelect, bodies[1:]) == nil || got.setBodies(opSelect, append(bodies, nil)) == nil {
+			t.Fatal("a frame with a body too few or too many was accepted")
+		}
+		if err := got.setBodies(opSelect, bodies); err != nil {
+			t.Fatal(err)
 		}
 		stmt, err := sqlparse.Parse(got.SQL)
 		if err != nil {
 			return
 		}
-		tables, err := overlayBuilds(stmt, got.Builds)
+		tables, err := overlayBuilds(ctx, stmt, got.Builds)
 		if err != nil {
 			return
 		}

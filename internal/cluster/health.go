@@ -20,7 +20,7 @@ func ProbeHealth(ctx context.Context, addrs []string, dialTimeout time.Duration)
 			continue
 		}
 		var rep healthReply
-		if err := c.Call(ctx, opHealth, struct{}{}, &rep); err == nil {
+		if _, err := c.Call(ctx, opHealth, struct{}{}, nil, &rep); err == nil {
 			out[i].Up = true
 			out[i].Shards = rep.Shards
 		}
@@ -42,7 +42,7 @@ func DiscoverHealth(ctx context.Context, addrs []string, dialTimeout time.Durati
 			continue
 		}
 		var rep healthReply
-		err = c.Call(ctx, opHealth, struct{}{}, &rep)
+		_, err = c.Call(ctx, opHealth, struct{}{}, nil, &rep)
 		_ = c.Close()
 		if err == nil && len(rep.Peers) > 0 {
 			return ProbeHealth(ctx, rep.Peers, dialTimeout)

@@ -139,7 +139,7 @@ func (r *Router) fetchBuilds(ctx context.Context, jp *joinPlan) error {
 			return err
 		}
 		jp.builds = append(jp.builds, *b)
-		jp.notes = append(jp.notes, fmt.Sprintf("join %s: %s %d rows, %d KB", in.Alias, strategyBroadcast, rows, len(b.Chunk)>>10))
+		jp.notes = append(jp.notes, fmt.Sprintf("join %s: %s %d rows, %d KB", in.Alias, strategyBroadcast, rows, len(b.chunk)>>10))
 	}
 	return nil
 }
@@ -154,17 +154,21 @@ func (r *Router) fetchBuild(ctx context.Context, join int, in plan.JoinInput) (*
 		return fmt.Errorf("cluster: %w: join %s is not co-located and %q is %d KB (limit %d KB)",
 			verr.ErrJoinTooLarge, in.Alias, in.Table, bytes>>10, r.buildLimit>>10)
 	}
-	// The raw replies, not their batches: the shards' sum is checked before
-	// anything decodes, and the chunks then decode into one batch.
+	// The shards' raw chunks, copied off their connections: their sum is
+	// checked before anything decodes, and they then decode into one batch.
 	replies := make([]*shardReply, r.topo.Shards)
+	chunks := make([][]byte, r.topo.Shards)
 	err := r.eachShard(ctx, opSelect, shardRequest{SQL: buildSQL(in), BuildLimit: r.buildLimit},
-		func(shard int, rep *shardReply) error { replies[shard] = rep; return nil })
+		func(shard int, rep *shardReply, chunk []byte) error {
+			replies[shard], chunks[shard] = rep, append([]byte(nil), chunk...)
+			return nil
+		})
 	if err != nil {
 		return nil, 0, err
 	}
 	bytes := 0
-	for _, rep := range replies {
-		bytes += len(rep.Chunk)
+	for _, chunk := range chunks {
+		bytes += len(chunk)
 	}
 	if bytes > r.buildLimit {
 		return nil, 0, tooLarge(bytes)
@@ -178,11 +182,11 @@ func (r *Router) fetchBuild(ctx context.Context, join int, in plan.JoinInput) (*
 		if !rep.Schema.Equal(schema) {
 			return nil, 0, fmt.Errorf("cluster: shard %d answered for %q with columns %v, the catalog has %v", shard, in.Table, rep.Schema, schema)
 		}
-		if err := vft.DecodeChunkInto(rows, rep.Chunk); err != nil {
+		if err := vft.DecodeChunkInto(rows, chunks[shard]); err != nil {
 			return nil, 0, fmt.Errorf("cluster: shard %d build reply: %w", shard, err)
 		}
 	}
-	chunk, err := vft.EncodeChunk(rows)
+	chunk, err := encodeChunk(ctx, rows)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -191,7 +195,7 @@ func (r *Router) fetchBuild(ctx context.Context, join int, in plan.JoinInput) (*
 	}
 	span.SetAttr("rows", strconv.Itoa(rows.Len()))
 	span.SetAttr("bytes", strconv.Itoa(len(chunk)))
-	return &buildTable{Join: join, Schema: schema, Chunk: chunk}, rows.Len(), nil
+	return &buildTable{Join: join, Schema: schema, chunk: chunk}, rows.Len(), nil
 }
 
 // prepareJoin resolves a join and fetches what it must ship.

@@ -297,7 +297,7 @@ func TestOverlayBuildsRejectsMalformedRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok := buildTable{Join: 0, Schema: schema, Chunk: chunk}
+	ok := buildTable{Join: 0, Schema: schema, chunk: chunk}
 	const sql = `SELECT t.id, u.x FROM t JOIN t u ON t.id = u.id`
 	with := func(f func(*buildTable)) buildTable {
 		b := ok
@@ -319,15 +319,15 @@ func TestOverlayBuildsRejectsMalformedRequests(t *testing.T) {
 		"duplicate column": {sql, []buildTable{with(func(b *buildTable) { b.Schema = colstore.Schema{schema[0], schema[0]} })}, nil},
 		"invalid type":     {sql, []buildTable{with(func(b *buildTable) { b.Schema = colstore.Schema{{Name: "id", Type: 9}} })}, nil},
 		"no schema":        {sql, []buildTable{with(func(b *buildTable) { b.Schema = nil })}, nil},
-		"truncated":        {sql, []buildTable{with(func(b *buildTable) { b.Chunk = chunk[:len(chunk)-3] })}, nil},
-		"oversized":        {sql, []buildTable{with(func(b *buildTable) { b.Chunk = make([]byte, maxJoinBuildBytes+1) })}, verr.ErrJoinTooLarge},
+		"truncated":        {sql, []buildTable{with(func(b *buildTable) { b.chunk = chunk[:len(chunk)-3] })}, nil},
+		"oversized":        {sql, []buildTable{with(func(b *buildTable) { b.chunk = make([]byte, maxJoinBuildBytes+1) })}, verr.ErrJoinTooLarge},
 		"name taken":       {`SELECT a.id FROM "t#0" a JOIN t u ON a.id = u.id`, []buildTable{ok}, nil},
 	} {
 		stmt, err := sqlparse.Parse(c.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		_, err = overlayBuilds(stmt, c.builds)
+		_, err = overlayBuilds(context.Background(), stmt, c.builds)
 		if err == nil || (c.is != nil && !errors.Is(err, c.is)) {
 			t.Fatalf("%s: overlayBuilds error %v, want %v", name, err, c.is)
 		}
@@ -335,7 +335,7 @@ func TestOverlayBuildsRejectsMalformedRequests(t *testing.T) {
 	// The well-formed request, and a self-join at that: FROM t stays the
 	// stored table, JOIN t u reads the shipped rows.
 	stmt, _ := sqlparse.Parse(sql)
-	tables, err := overlayBuilds(stmt, []buildTable{ok})
+	tables, err := overlayBuilds(context.Background(), stmt, []buildTable{ok})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"verticadr/internal/colstore"
 	"verticadr/internal/server"
-	"verticadr/internal/vft"
 )
 
 // nodeExt is the protocol extension a clustered vdr-serve registers: the
@@ -26,28 +25,32 @@ type nodeExt struct {
 // a clustered node.
 func NodeExtension(p *Peer, r *Router) server.Extension { return &nodeExt{peer: p, router: r} }
 
-func (n *nodeExt) ServeExt(ctx context.Context, op string, payload json.RawMessage) (any, error) {
+func (n *nodeExt) ServeExt(ctx context.Context, op string, payload json.RawMessage, bodies [][]byte) (any, [][]byte, error) {
 	if op != opLoad {
-		return n.peer.ServeExt(ctx, op, payload)
+		return n.peer.ServeExt(ctx, op, payload, bodies)
 	}
 	var req loadRequest
 	if err := decodeRequest(op, payload, &req); err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if err := wantBodies(op, bodies, 1); err != nil {
+		return nil, nil, err
 	}
 	mPeerOps(op).Inc()
 	if req.Shard != -1 {
-		return n.peer.serveLoad(ctx, req)
+		rep, err := n.peer.serveLoad(ctx, req, bodies[0])
+		return rep, nil, err
 	}
 	var b *colstore.Batch
 	err := n.router.withTable(ctx, req.Table, func(rt *routedTable) (err error) {
-		b, err = vft.DecodeChunk(req.Chunk, rt.def.Schema)
+		b, err = decodeChunk(ctx, bodies[0], rt.def.Schema)
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := n.router.Load(ctx, req.Table, b); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &loadReply{Rows: b.Len()}, nil
+	return &loadReply{Rows: b.Len()}, nil, nil
 }

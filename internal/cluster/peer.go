@@ -13,7 +13,6 @@ import (
 	"verticadr/internal/telemetry"
 	"verticadr/internal/verr"
 	"verticadr/internal/vertica"
-	"verticadr/internal/vft"
 )
 
 var (
@@ -52,39 +51,48 @@ func NewPeer(srv *server.Server, topo Topology, node int) *Peer {
 var _ server.Extension = (*Peer)(nil)
 
 // ServeExt dispatches one cluster op.
-func (p *Peer) ServeExt(ctx context.Context, op string, payload json.RawMessage) (any, error) {
+func (p *Peer) ServeExt(ctx context.Context, op string, payload json.RawMessage, bodies [][]byte) (any, [][]byte, error) {
 	mPeerOps(op).Inc()
 	switch op {
 	case opSelect, opAgg:
 		var req shardRequest
 		if err := decodeRequest(op, payload, &req); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return p.serveShards(ctx, op, req)
+		if err := req.setBodies(op, bodies); err != nil {
+			return nil, nil, err
+		}
+		rep, chunk, err := p.serveShards(ctx, op, req)
+		return rep, [][]byte{chunk}, err
 	case opLoad:
 		var req loadRequest
 		if err := decodeRequest(op, payload, &req); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return p.serveLoad(ctx, req)
+		if err := wantBodies(op, bodies, 1); err != nil {
+			return nil, nil, err
+		}
+		rep, err := p.serveLoad(ctx, req, bodies[0])
+		return rep, nil, err
 	case opExec:
 		var req execRequest
 		if err := decodeRequest(op, payload, &req); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return p.serveExec(ctx, req)
+		rep, err := p.serveExec(ctx, req)
+		return rep, nil, err
 	case opTableDef:
 		var req tableDefRequest
 		if err := decodeRequest(op, payload, &req); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rep := &tableDefReply{Epoch: p.db.CatalogEpoch()}
 		def, err := p.db.TableDef(req.Table)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rep.TableDef = *def
-		return rep, nil
+		return rep, nil, nil
 	case opHealth:
 		h := p.srv.Health()
 		return healthReply{
@@ -95,9 +103,9 @@ func (p *Peer) ServeExt(ctx context.Context, op string, payload json.RawMessage)
 			Inflight:  int(h.Inflight),
 			Queued:    int(h.Queued),
 			Saturated: h.Saturated,
-		}, nil
+		}, nil, nil
 	}
-	return nil, fmt.Errorf("cluster: unknown op %q", op)
+	return nil, nil, fmt.Errorf("cluster: unknown op %q", op)
 }
 
 // checkShards validates a requested shard list against this peer's
@@ -158,19 +166,20 @@ func runShards(ctx context.Context, op string, view sqlexec.Database, stmt sqlpa
 // chunk. The view pins its own snapshot; the shards of one routed query are
 // separate requests and may observe different commit timestamps, exactly as
 // separate nodes of a real cluster answer from their own commit horizons.
-func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*shardReply, error) {
+func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*shardReply, []byte, error) {
 	if err := p.checkShards(req.Shards); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	stmt, err := sqlparse.Parse(req.SQL)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	builds, err := overlayBuilds(stmt, req.Builds)
+	builds, err := overlayBuilds(ctx, stmt, req.Builds)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	reply := &shardReply{Epoch: p.db.CatalogEpoch()}
+	var chunk []byte
 	_, err = p.srv.Admit(ctx, req.SQL, func(ctx context.Context) (*sqlexec.Result, error) {
 		view, release := p.db.ShardView(req.Shards)
 		defer release()
@@ -182,20 +191,20 @@ func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*s
 			return nil, err
 		}
 		reply.Schema = b.Schema
-		if reply.Chunk, err = vft.EncodeChunk(b); err != nil {
+		if chunk, err = encodeChunk(ctx, b); err != nil {
 			return nil, err
 		}
-		if req.BuildLimit > 0 && len(reply.Chunk) > req.BuildLimit {
+		if req.BuildLimit > 0 && len(chunk) > req.BuildLimit {
 			return nil, fmt.Errorf("cluster: %w: shards %v alone hold %d rows, %d KB (limit %d KB)",
-				verr.ErrJoinTooLarge, req.Shards, b.Len(), len(reply.Chunk)>>10, req.BuildLimit>>10)
+				verr.ErrJoinTooLarge, req.Shards, b.Len(), len(chunk)>>10, req.BuildLimit>>10)
 		}
 		mPeerShardRows.Add(int64(b.Len()))
 		return nil, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return reply, nil
+	return reply, chunk, nil
 }
 
 // maxJoinBuildBytes bounds a join's broadcast build side, as the chunk bytes
@@ -239,7 +248,7 @@ var _ sqlexec.Database = (*overlayView)(nil)
 // keeping its alias, which is all the rest of the statement refers to.
 // Everything here came off a wire: any mismatch is an error. No builds, no
 // overlay.
-func overlayBuilds(stmt sqlparse.Statement, builds []buildTable) (map[string]overlayTable, error) {
+func overlayBuilds(ctx context.Context, stmt sqlparse.Statement, builds []buildTable) (map[string]overlayTable, error) {
 	if len(builds) == 0 {
 		return nil, nil
 	}
@@ -270,20 +279,15 @@ func overlayBuilds(stmt sqlparse.Statement, builds []buildTable) (map[string]ove
 		if stored[name] {
 			return nil, fmt.Errorf("cluster: build table name %q is taken by the statement", name)
 		}
-		if len(b.Chunk) > maxJoinBuildBytes {
+		if len(b.chunk) > maxJoinBuildBytes {
 			return nil, fmt.Errorf("cluster: %w: build table %q is %d KB (limit %d KB)",
-				verr.ErrJoinTooLarge, j.Table, len(b.Chunk)>>10, maxJoinBuildBytes>>10)
+				verr.ErrJoinTooLarge, j.Table, len(b.chunk)>>10, maxJoinBuildBytes>>10)
 		}
 		def := &catalog.TableDef{Name: name, Schema: b.Schema}
 		if err := catalog.ValidateShape(def); err != nil {
 			return nil, err
 		}
-		for _, c := range b.Schema {
-			if c.Type < colstore.TypeInt64 || c.Type > colstore.TypeBool {
-				return nil, fmt.Errorf("cluster: build table %q column %q has %v", j.Table, c.Name, c.Type)
-			}
-		}
-		rows, err := vft.DecodeChunk(b.Chunk, b.Schema)
+		rows, err := decodeChunk(ctx, b.chunk, b.Schema)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: build table %q: %w", j.Table, err)
 		}
@@ -304,7 +308,7 @@ func overlayBuilds(stmt sqlparse.Statement, builds []buildTable) (map[string]ove
 
 // serveLoad appends a router-split batch to one shard (or, with Shard ==
 // -1, through the peer's own segmentation — the single-node passthrough).
-func (p *Peer) serveLoad(ctx context.Context, req loadRequest) (*loadReply, error) {
+func (p *Peer) serveLoad(ctx context.Context, req loadRequest, chunk []byte) (*loadReply, error) {
 	if err := verrCanceled(ctx); err != nil {
 		return nil, err
 	}
@@ -313,7 +317,7 @@ func (p *Peer) serveLoad(ctx context.Context, req loadRequest) (*loadReply, erro
 	if err != nil {
 		return nil, err
 	}
-	b, err := vft.DecodeChunk(req.Chunk, def.Schema)
+	b, err := decodeChunk(ctx, chunk, def.Schema)
 	if err != nil {
 		return nil, err
 	}

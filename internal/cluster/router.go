@@ -17,7 +17,6 @@ import (
 	"verticadr/internal/telemetry"
 	"verticadr/internal/verr"
 	"verticadr/internal/vertica"
-	"verticadr/internal/vft"
 )
 
 var (
@@ -280,8 +279,30 @@ func connFailure(err error) bool {
 	return errors.Is(err, verr.ErrNodeDown) || errors.Is(err, verr.ErrClosed)
 }
 
-// peerCall round-trips one extension op on one peer over a pooled
-// connection. A failed connection is dropped, not reused.
+// rpc is one extension round trip with a peer: the op, its request payload
+// and the bodies behind it, where the reply payload decodes, and recv, which
+// takes the reply's bodies. Those alias the connection's read buffer, so recv
+// runs — decodes or copies them — before the connection goes back to the
+// pool.
+type rpc struct {
+	op         string
+	idempotent bool
+	payload    any
+	bodies     [][]byte
+	reply      any
+	recv       func(bodies [][]byte) error
+}
+
+func (call *rpc) on(ctx context.Context, c *server.Client) error {
+	out, err := c.Call(ctx, call.op, call.payload, call.bodies, call.reply)
+	if err == nil && call.recv != nil {
+		err = call.recv(out)
+	}
+	return err
+}
+
+// peerCall makes one round trip with one peer over a pooled connection. A
+// failed connection is dropped, not reused.
 //
 // A pooled connection can be long dead — the peer restarted since it went
 // idle — and failing the call on it would misclassify a healthy peer as
@@ -290,33 +311,29 @@ func connFailure(err error) bool {
 // same restart): always when the request provably never reached the peer
 // (server.RequestNotSent), and on any connection-level failure when the op
 // is idempotent. Only the fresh connection's verdict classifies the peer.
-func (r *Router) peerCall(ctx context.Context, peer int, op string, idempotent bool, payload, reply any) error {
+func (r *Router) peerCall(ctx context.Context, peer int, call rpc) error {
 	c, pooled, err := r.pools[peer].get()
 	if err != nil {
 		return err
 	}
-	err = c.Call(ctx, op, payload, reply)
-	if err == nil {
-		r.pools[peer].put(c)
-		r.sawReply(peer, reply)
-		return nil
-	}
-	_ = c.Close()
-	if pooled && (server.RequestNotSent(err) || (idempotent && connFailure(err))) {
+	err = call.on(ctx, c)
+	if err != nil {
+		_ = c.Close()
+		if !pooled || !(server.RequestNotSent(err) || (call.idempotent && connFailure(err))) {
+			return err
+		}
 		r.pools[peer].flush()
-		c2, err2 := r.pools[peer].dial()
-		if err2 != nil {
-			return err2
+		if c, err = r.pools[peer].dial(); err != nil {
+			return err
 		}
-		if err2 := c2.Call(ctx, op, payload, reply); err2 != nil {
-			_ = c2.Close()
-			return err2
+		if err = call.on(ctx, c); err != nil {
+			_ = c.Close()
+			return err
 		}
-		r.pools[peer].put(c2)
-		r.sawReply(peer, reply)
-		return nil
 	}
-	return err
+	r.pools[peer].put(c)
+	r.sawReply(peer, call.reply)
+	return nil
 }
 
 // sawReply records the catalog epoch a peer's reply carries. One newer than
@@ -364,7 +381,8 @@ func (r *Router) tableGen() uint64 {
 // shardCall runs an idempotent read against shard's replicas in ring
 // order, failing over on retryable errors. Peers marked down or stale for
 // this shard are skipped up front.
-func (r *Router) shardCall(ctx context.Context, shard int, op string, payload, reply any) error {
+func (r *Router) shardCall(ctx context.Context, shard int, call rpc) error {
+	call.idempotent = true
 	var lastErr error
 	tried, sawConnFailure := 0, false
 	for _, peer := range r.topo.Owners(shard) {
@@ -378,7 +396,7 @@ func (r *Router) shardCall(ctx context.Context, shard int, op string, payload, r
 			mRetries.Inc()
 		}
 		tried++
-		err := r.peerCall(ctx, peer, op, true, payload, reply)
+		err := r.peerCall(ctx, peer, call)
 		if err == nil {
 			mShardCalls("ok").Inc()
 			return nil
@@ -424,31 +442,31 @@ func (r *Router) fanOut(ctx context.Context, fn func(shard int) error) error {
 	return errors.Join(errs...)
 }
 
-// batch decodes the reply's chunk under the schema it carries.
-func (rep *shardReply) batch() (*colstore.Batch, error) {
-	return vft.DecodeChunk(rep.Chunk, rep.Schema)
-}
-
 // eachShard runs req under op on every shard concurrently — each shard on
-// the first of its replicas that answers — and hands each reply to fn on the
-// shard's own goroutine, so the shards' chunks decode side by side.
-func (r *Router) eachShard(ctx context.Context, op string, req shardRequest, fn func(shard int, rep *shardReply) error) error {
+// the first of its replicas that answers — and hands each reply and its chunk
+// to fn on the shard's own goroutine, so the shards' chunks decode side by
+// side. The chunk is the connection's: fn decodes or copies it.
+func (r *Router) eachShard(ctx context.Context, op string, req shardRequest, fn func(shard int, rep *shardReply, chunk []byte) error) error {
+	bodies := req.bodies()
 	return r.fanOut(ctx, func(shard int) error {
 		req := req
 		req.Shards = []int{shard}
 		var rep shardReply
-		if err := r.shardCall(ctx, shard, op, req, &rep); err != nil {
-			return err
-		}
-		return fn(shard, &rep)
+		return r.shardCall(ctx, shard, rpc{op: op, payload: req, bodies: bodies, reply: &rep,
+			recv: func(out [][]byte) error {
+				if err := wantBodies(op, out, 1); err != nil {
+					return err
+				}
+				return fn(shard, &rep, out[0])
+			}})
 	})
 }
 
 // fetch is eachShard decoded: the shards' batches in shard order.
 func (r *Router) fetch(ctx context.Context, op string, req shardRequest) ([]*colstore.Batch, error) {
 	batches := make([]*colstore.Batch, r.topo.Shards)
-	err := r.eachShard(ctx, op, req, func(shard int, rep *shardReply) error {
-		b, err := rep.batch()
+	err := r.eachShard(ctx, op, req, func(shard int, rep *shardReply, chunk []byte) error {
+		b, err := decodeChunk(ctx, chunk, rep.Schema)
 		if err != nil {
 			return fmt.Errorf("cluster: shard %d %s reply: %w", shard, op, err)
 		}
@@ -615,9 +633,9 @@ func (r *Router) routeExplain(ctx context.Context, sql string, ex *sqlparse.Expl
 		req.Builds, joins = jp.builds, jp.notes
 	}
 	var rep shardReply
-	var peerUsed int
+	var out *colstore.Batch
+	peerUsed := -1
 	var lastErr error
-	done := false
 	for peer := range r.pools {
 		if r.isDown(peer) {
 			continue
@@ -625,9 +643,15 @@ func (r *Router) routeExplain(ctx context.Context, sql string, ex *sqlparse.Expl
 		if req.Shards = r.topo.OwnedShards(peer); len(req.Shards) == 0 {
 			continue
 		}
-		err := r.peerCall(ctx, peer, opSelect, true, req, &rep)
+		err := r.peerCall(ctx, peer, rpc{op: opSelect, idempotent: true, payload: req, bodies: req.bodies(), reply: &rep,
+			recv: func(bodies [][]byte) (err error) {
+				if err = wantBodies(opSelect, bodies, 1); err == nil {
+					out, err = decodeChunk(ctx, bodies[0], rep.Schema)
+				}
+				return err
+			}})
 		if err == nil {
-			peerUsed, done = peer, true
+			peerUsed = peer
 			break
 		}
 		lastErr = err
@@ -637,12 +661,8 @@ func (r *Router) routeExplain(ctx context.Context, sql string, ex *sqlparse.Expl
 		}
 		return nil, err
 	}
-	if !done {
+	if peerUsed < 0 {
 		return nil, fmt.Errorf("cluster: explain: %w: %v", verr.ErrNodeDown, lastErr)
-	}
-	out, err := rep.batch()
-	if err != nil {
-		return nil, err
 	}
 	if len(out.Cols) != 1 || out.Cols[0].Type != colstore.TypeString {
 		return nil, fmt.Errorf("cluster: malformed explain reply from node %d", peerUsed)
@@ -678,7 +698,7 @@ func (r *Router) table(ctx context.Context, name string) (*routedTable, error) {
 		if r.isDown(peer) {
 			continue
 		}
-		err := r.peerCall(ctx, peer, opTableDef, true, tableDefRequest{Table: name}, &rep)
+		err := r.peerCall(ctx, peer, rpc{op: opTableDef, idempotent: true, payload: tableDefRequest{Table: name}, reply: &rep})
 		if err == nil {
 			from = peer
 			break
@@ -776,11 +796,11 @@ func (r *Router) loadOnce(ctx context.Context, table string, b *colstore.Batch) 
 		if part == nil || part.Len() == 0 {
 			return nil
 		}
-		chunk, err := vft.EncodeChunk(part)
+		chunk, err := encodeChunk(ctx, part)
 		if err != nil {
 			return err
 		}
-		req := loadRequest{Table: table, Shard: shard, HashCol: hashCol(rt.def), Chunk: chunk}
+		req := loadRequest{Table: table, Shard: shard, HashCol: hashCol(rt.def)}
 		owners := r.topo.Owners(shard)
 		okCount := 0
 		var lastErr error
@@ -795,7 +815,7 @@ func (r *Router) loadOnce(ctx context.Context, table string, b *colstore.Batch) 
 			go func(i, peer int) {
 				defer wg.Done()
 				var rep loadReply
-				results[i] = r.peerCall(ctx, peer, opLoad, false, req, &rep)
+				results[i] = r.peerCall(ctx, peer, rpc{op: opLoad, payload: req, bodies: [][]byte{chunk}, reply: &rep})
 				if results[i] == nil && rep.Refused {
 					results[i] = errRefused
 					nRefused.Add(1)
@@ -875,7 +895,7 @@ func (r *Router) broadcastExec(ctx context.Context, sql string, stmt sqlparse.St
 		go func(peer int) {
 			defer wg.Done()
 			var rep execReply
-			errs[peer] = r.peerCall(ctx, peer, opExec, false, execRequest{SQL: sql}, &rep)
+			errs[peer] = r.peerCall(ctx, peer, rpc{op: opExec, payload: execRequest{SQL: sql}, reply: &rep})
 		}(peer)
 	}
 	wg.Wait()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -165,7 +166,7 @@ func startSheddingPeer(t *testing.T) string {
 					resp, _ := json.Marshal(map[string]string{
 						"code": verr.CodeOverloaded, "msg": "admission shed",
 					})
-					if vft.WriteFrame(conn, resp) != nil {
+					if vft.WriteFrame(conn, binary.LittleEndian.AppendUint32(nil, uint32(len(resp))), resp) != nil {
 						return
 					}
 				}

@@ -1,20 +1,26 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
+	"verticadr/internal/telemetry"
+	"verticadr/internal/vft"
 )
 
-// The peer protocol rides the serving protocol's extension hook: one JSON
-// request frame, one JSON response frame, over the same connection and
-// framing (vft u32 frames) as ordinary queries, with errors carried as verr
-// wire codes. Data crosses as vft chunk encodings ([]byte fields, base64
-// inside the JSON envelope) — rows, aggregate partials and plan text alike —
-// so float bits, including NaN payloads JSON numbers cannot carry, survive
-// the hop exactly.
+// The peer protocol rides the serving protocol's extension hook: one request
+// frame, one response frame, over the same connection and framing as
+// ordinary queries, with errors carried as verr wire codes. The structs below
+// are the small JSON payloads; every batch — rows, aggregate partials, plan
+// text, COPY parts, a join's build sides — crosses as a frame body holding
+// its vft chunk, raw, so float bits, NaN payloads included, survive the hop
+// exactly and nothing is base64. A body aliases the connection's read buffer:
+// whoever receives one decodes (or copies) it before the connection's next
+// frame.
 
 // Extension op names.
 const (
@@ -44,11 +50,32 @@ type shardRequest struct {
 // buildTable is one broadcast build side: the rows of the table at JOIN
 // position Join (0-based, so `t JOIN t u` can ship u without touching t) —
 // the columns the statement needs, already filtered, all shards concatenated
-// in shard order — as a vft chunk with the schema to decode it under.
+// in shard order — as a vft chunk with the schema to decode it under. The
+// chunk of Builds[i] is the request's body i.
 type buildTable struct {
 	Join   int             `json:"join"`
 	Schema colstore.Schema `json:"schema"`
-	Chunk  []byte          `json:"chunk"`
+	chunk  []byte
+}
+
+// bodies are the request's frame bodies: its build tables' chunks, in order.
+func (req *shardRequest) bodies() [][]byte {
+	var out [][]byte
+	for _, b := range req.Builds {
+		out = append(out, b.chunk)
+	}
+	return out
+}
+
+// setBodies is bodies reversed, on the receiving side.
+func (req *shardRequest) setBodies(op string, bodies [][]byte) error {
+	if err := wantBodies(op, bodies, len(req.Builds)); err != nil {
+		return err
+	}
+	for i := range req.Builds {
+		req.Builds[i].chunk = bodies[i]
+	}
+	return nil
 }
 
 // Every reply a router caches catalog state beside carries the peer's
@@ -56,11 +83,10 @@ type buildTable struct {
 // the router cached under means DDL went through another node's router.
 type epochReply interface{ catalogEpoch() uint64 }
 
-// shardReply is the answer to every shardRequest: one batch as a vft chunk,
-// with the schema to decode it under.
+// shardReply is the answer to every shardRequest: the schema to decode the
+// reply's one body under, a batch as a vft chunk.
 type shardReply struct {
 	Schema colstore.Schema `json:"schema"`
-	Chunk  []byte          `json:"chunk"`
 	Epoch  uint64          `json:"epoch"`
 }
 
@@ -74,16 +100,52 @@ func decodeRequest(op string, payload json.RawMessage, req any) error {
 	return nil
 }
 
-// loadRequest appends a pre-split batch to one shard's segment (COPY). A
-// Shard of -1 loads through the peer's own segmentation instead (the
-// single-node passthrough path).
+// encodeChunk is vft.EncodeChunk, and decodeChunk vft.DecodeChunk, under a
+// wire.encode / wire.decode span of the caller's trace: every batch the
+// cluster puts on a socket or takes off one passes through one of them.
+func encodeChunk(ctx context.Context, b *colstore.Batch) ([]byte, error) {
+	span := telemetry.SpanFromContext(ctx).StartChild("wire.encode")
+	chunk, err := vft.EncodeChunk(b)
+	endWireSpan(span, b, len(chunk))
+	return chunk, err
+}
+
+func decodeChunk(ctx context.Context, chunk []byte, schema colstore.Schema) (*colstore.Batch, error) {
+	span := telemetry.SpanFromContext(ctx).StartChild("wire.decode")
+	b, err := vft.DecodeChunk(chunk, schema)
+	endWireSpan(span, b, len(chunk))
+	return b, err
+}
+
+func endWireSpan(span *telemetry.Span, b *colstore.Batch, bytes int) {
+	if span == nil {
+		return
+	}
+	if b != nil {
+		span.SetAttr("rows", strconv.Itoa(b.Len()))
+	}
+	span.SetAttr("bytes", strconv.Itoa(bytes))
+	span.End()
+}
+
+// wantBodies checks that a frame brought the n bodies its payload speaks of.
+func wantBodies(op string, bodies [][]byte, n int) error {
+	if len(bodies) != n {
+		return fmt.Errorf("cluster: bad %s frame: %d bodies, want %d", op, len(bodies), n)
+	}
+	return nil
+}
+
+// loadRequest appends a pre-split batch — the request's one body, a vft
+// chunk under the table's schema — to one shard's segment (COPY). A Shard of
+// -1 loads through the peer's own segmentation instead (the single-node
+// passthrough path).
 type loadRequest struct {
 	Table string `json:"table"`
 	Shard int    `json:"shard"`
 	// HashCol is hashCol of the definition a router split the batch under;
 	// unused with Shard == -1.
-	HashCol int    `json:"hash_col"`
-	Chunk   []byte `json:"chunk"`
+	HashCol int `json:"hash_col"`
 }
 
 // hashCol is what a table's row placement turns on: the index of the column

@@ -91,6 +91,39 @@ func TestWireTraceSingleTree(t *testing.T) {
 		t.Fatalf("server.query span lacks plan_cache attr: %v", attrs)
 	}
 
+	// Where the frame is built and taken apart, on both ends: the request
+	// encoded under client.query, the result chunk and response head encoded
+	// under server.query, the response decoded into rows under client.query —
+	// each saying how many bytes, and the result sides how many rows.
+	wire := map[string]map[string]string{} // "parent>name" -> attrs
+	for _, r := range recs {
+		if r.Name != "wire.encode" && r.Name != "wire.decode" {
+			continue
+		}
+		if !r.Ended {
+			t.Fatalf("span %q never ended", r.Name)
+		}
+		attrs := map[string]string{}
+		for _, a := range r.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		wire[byID[r.Parent].Name+">"+r.Name] = attrs
+	}
+	for key, wantRows := range map[string]string{
+		"client.query>wire.encode": "", "server.query>wire.encode": "1", "client.query>wire.decode": "1",
+	} {
+		attrs, ok := wire[key]
+		if !ok || attrs["bytes"] == "" || attrs["bytes"] == "0" || attrs["rows"] != wantRows {
+			t.Fatalf("span %s: present %v, attrs %v, want bytes and rows=%q:\n%s", key, ok, attrs, wantRows, log.String())
+		}
+	}
+	if len(wire) != 3 {
+		t.Fatalf("wire spans of one query: %v", wire)
+	}
+	if wire["server.query>wire.encode"]["bytes"] != wire["client.query>wire.decode"]["bytes"] {
+		t.Fatalf("the server encoded %s bytes, the client decoded %s", wire["server.query>wire.encode"]["bytes"], wire["client.query>wire.decode"]["bytes"])
+	}
+
 	// An untraced query must not panic and must not start a new trace.
 	log.Reset()
 	if _, err := cli.Query(context.Background(), `SELECT count(*) FROM px`); err != nil {
@@ -98,6 +131,14 @@ func TestWireTraceSingleTree(t *testing.T) {
 	}
 	if got := len(log.Export()); got != 0 {
 		t.Fatalf("untraced query recorded %d spans, want 0", got)
+	}
+	in, out := telemetry.Default().Counter("server_wire_bytes_total", telemetry.L("dir", "in")), telemetry.Default().Counter("server_wire_bytes_total", telemetry.L("dir", "out"))
+	inBefore, outBefore := in.Value(), out.Value()
+	if err := cli.Ping(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if in.Value() <= inBefore || out.Value() <= outBefore {
+		t.Fatalf("a ping moved server_wire_bytes_total by in %d, out %d", in.Value()-inBefore, out.Value()-outBefore)
 	}
 }
 

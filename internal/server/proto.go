@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
+	"verticadr/internal/colstore"
 	"verticadr/internal/sqlexec"
 	"verticadr/internal/telemetry"
 	"verticadr/internal/verr"
@@ -17,18 +19,22 @@ import (
 )
 
 // The wire protocol: one request frame, one response frame, repeated until
-// the client hangs up. Frames are the same u32-length-prefixed layout the
-// transfer data plane uses (vft.WriteFrame/ReadFrame); payloads are JSON. A
-// connection processes its requests sequentially — concurrency comes from
-// connections, exactly like a database session — while admission control in
-// the Server bounds how many of them execute at once.
+// the client hangs up. Both are serving frames (frame.go): a small JSON
+// header, then the batches as raw vft chunks. A connection processes its
+// requests sequentially — concurrency comes from connections, exactly like a
+// database session — while admission control in the Server bounds how many
+// of them execute at once.
 //
 // Errors cross the wire as (code, message) pairs from the verr vocabulary,
 // so a client-side errors.Is(err, verr.ErrOverloaded) works end to end.
 
 var (
-	gConns    = telemetry.Default().Gauge("server_conns")
-	mRequests = telemetry.Default().Counter("server_proto_requests_total")
+	gConns     = telemetry.Default().Gauge("server_conns")
+	mRequests  = telemetry.Default().Counter("server_proto_requests_total")
+	mWireBytes = func(dir string) *telemetry.Counter {
+		return telemetry.Default().Counter("server_wire_bytes_total", telemetry.L("dir", dir))
+	}
+	mWireIn, mWireOut = mWireBytes("in"), mWireBytes("out")
 )
 
 type protoRequest struct {
@@ -43,21 +49,24 @@ type protoRequest struct {
 	// trace across both processes.
 	Trace string `json:"trace,omitempty"`
 	Span  string `json:"span,omitempty"`
-	// Ext carries the op-specific payload of a protocol-extension request
-	// (ops outside the built-in set, dispatched to the listener's
-	// Extension). Binary batch data rides inside as base64 []byte fields,
-	// so float bits survive the JSON envelope untouched.
-	Ext json.RawMessage `json:"ext,omitempty"`
+	// Ext carries the small op-specific payload of a protocol-extension
+	// request (ops outside the built-in set, dispatched to the listener's
+	// Extension); the batches it speaks of ride behind the header as bodies.
+	Ext    json.RawMessage `json:"ext,omitempty"`
+	Bodies []int           `json:"bodies,omitempty"`
 }
 
+// protoResponse heads every response. A query or execute that produced a
+// result with columns names them in Schema and ships the rows as the one
+// body, a vft chunk under that schema.
 type protoResponse struct {
 	Code    string                 `json:"code"`
 	Msg     string                 `json:"msg,omitempty"`
-	Cols    []string               `json:"cols,omitempty"`
-	Rows    [][]any                `json:"rows,omitempty"`
+	Schema  colstore.Schema        `json:"schema,omitempty"`
 	Profile *sqlexec.ProfileExport `json:"profile,omitempty"`
 	// Ext is the extension op's reply payload.
-	Ext json.RawMessage `json:"ext,omitempty"`
+	Ext    json.RawMessage `json:"ext,omitempty"`
+	Bodies []int           `json:"bodies,omitempty"`
 }
 
 // Frontend serves the protocol's SQL ops. A plain server fronts its own
@@ -71,11 +80,14 @@ type Frontend interface {
 }
 
 // Extension handles protocol ops outside the built-in set ("query",
-// "prepare", "execute", "ping"). It returns the op's reply payload, which
-// is marshaled into the response's Ext field; errors map to wire codes like
-// any other op. The cluster peer protocol is an Extension.
+// "prepare", "execute", "ping"). It gets the request's small JSON payload and
+// the bodies behind it, and returns the op's reply payload — marshaled into
+// the response's Ext field — with the bodies to ship behind that; errors map
+// to wire codes like any other op. The request bodies alias the connection's
+// read buffer: they are valid until ServeExt returns. The cluster peer
+// protocol is an Extension.
 type Extension interface {
-	ServeExt(ctx context.Context, op string, payload json.RawMessage) (any, error)
+	ServeExt(ctx context.Context, op string, payload json.RawMessage, bodies [][]byte) (reply any, out [][]byte, err error)
 }
 
 // TCPServer exposes a Server over a TCP listener.
@@ -84,6 +96,8 @@ type TCPServer struct {
 	front Frontend
 	ext   Extension
 	lis   net.Listener
+	// maxFrame is vft.MaxFrameBytes (a field so tests can lower it).
+	maxFrame int
 
 	mu       sync.Mutex
 	conns    map[net.Conn]bool // conn -> currently serving a request
@@ -107,7 +121,7 @@ func Listen(srv *Server, addr string, opts ...ListenOption) (*TCPServer, error) 
 	if err != nil {
 		return nil, err
 	}
-	t := &TCPServer{srv: srv, front: srv, lis: lis, conns: map[net.Conn]bool{}}
+	t := &TCPServer{srv: srv, front: srv, lis: lis, maxFrame: vft.MaxFrameBytes, conns: map[net.Conn]bool{}}
 	for _, o := range opts {
 		o(t)
 	}
@@ -219,13 +233,13 @@ func (t *TCPServer) handle(conn net.Conn) {
 		gConns.Add(-1)
 	}()
 	gConns.Add(1)
-	var buf []byte
+	var in []byte
+	var out response
 	for {
-		frame, err := vft.ReadFrame(conn, buf)
+		frame, err := vft.ReadFrame(conn, in)
 		if err != nil {
 			return // EOF (client done) or connection torn down
 		}
-		buf = frame
 		t.mu.Lock()
 		if t.closed {
 			t.mu.Unlock()
@@ -234,12 +248,11 @@ func (t *TCPServer) handle(conn net.Conn) {
 		t.conns[conn] = true // busy: a drain lets this request finish
 		t.mu.Unlock()
 		mRequests.Inc()
-		resp := t.serve(frame)
-		payload, err := json.Marshal(resp)
-		if err != nil {
-			payload, _ = json.Marshal(protoResponse{Code: verr.CodeInternal, Msg: err.Error()})
-		}
-		werr := vft.WriteFrame(conn, payload)
+		mWireIn.Add(int64(len(frame)))
+		t.serve(frame, &out)
+		mWireOut.Add(int64(out.size()))
+		werr := out.writeTo(conn)
+		in, out.chunk = kept(frame), kept(out.chunk)
 		t.mu.Lock()
 		t.conns[conn] = false
 		draining := t.draining
@@ -250,17 +263,47 @@ func (t *TCPServer) handle(conn net.Conn) {
 	}
 }
 
-// serve dispatches one request frame and builds its response.
-func (t *TCPServer) serve(frame []byte) protoResponse {
+// response is one connection's outgoing frame and the buffer a result's
+// chunk is encoded into, both reused by the connection's next response.
+type response struct {
+	outFrame
+	chunk []byte
+}
+
+// respond frames h and bodies as the response. What cannot be framed — a
+// reply that does not marshal, a frame over the limit — becomes the error
+// frame saying so: the connection stays in step, and the client gets a coded
+// error instead of a dead socket, which it would answer by re-running the
+// statement on every other node.
+func (r *response) respond(maxFrame int, h protoResponse, bodies [][]byte) {
+	err := r.set(&h, &h.Bodies, bodies)
+	if size := r.size(); err == nil && size > maxFrame {
+		err = fmt.Errorf("server: response of %d bytes exceeds the %d-byte frame limit", size, maxFrame)
+	}
+	if err != nil {
+		h = errResponse(err)
+		_ = r.set(&h, &h.Bodies, nil) // a code and a message always marshal
+	}
+}
+
+func errResponse(err error) protoResponse {
+	return protoResponse{Code: verr.Code(err), Msg: err.Error()}
+}
+
+// serve dispatches one request frame and frames its response into out.
+func (t *TCPServer) serve(frame []byte, out *response) {
 	var req protoRequest
-	if err := json.Unmarshal(frame, &req); err != nil {
-		return protoResponse{Code: verr.CodeInternal, Msg: fmt.Sprintf("bad request: %v", err)}
+	bodies, err := decodeFrame(frame, &req, &req.Bodies)
+	if err != nil {
+		out.respond(t.maxFrame, errResponse(fmt.Errorf("bad request: %v", err)), nil)
+		return
 	}
 	ctx := context.Background()
+	var span *telemetry.Span
 	if trace := telemetry.ParseID(req.Trace); trace != 0 {
 		// Continue the client's trace: the server-side span adopts the
 		// request span as its (remote) parent.
-		span := telemetry.Default().Spans().StartSpanRemote(
+		span = telemetry.Default().Spans().StartSpanRemote(
 			"server."+req.Op, trace, telemetry.ParseID(req.Span))
 		defer span.End()
 		ctx = telemetry.ContextWithSpan(ctx, span)
@@ -270,61 +313,52 @@ func (t *TCPServer) serve(frame []byte) protoResponse {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
+	res, reply, bodies, err := t.dispatch(ctx, &req, bodies)
+
+	enc := span.StartChild("wire.encode")
+	resp := protoResponse{Code: verr.CodeOK}
+	if err == nil && reply != nil {
+		resp.Ext, err = json.Marshal(reply)
+	}
+	if err == nil && res != nil && res.Batch != nil && len(res.Batch.Schema) > 0 {
+		resp.Schema, resp.Profile = res.Batch.Schema, res.Profile.Export()
+		out.chunk, err = vft.EncodeChunkInto(out.chunk[:0], res.Batch)
+		bodies = [][]byte{out.chunk}
+		if enc != nil {
+			enc.SetAttr("rows", strconv.Itoa(res.Batch.Len()))
+		}
+	}
+	if err != nil {
+		resp, bodies = errResponse(err), nil
+	}
+	out.respond(t.maxFrame, resp, bodies)
+	if enc != nil {
+		enc.SetAttr("bytes", strconv.Itoa(out.size()))
+		enc.End()
+	}
+}
+
+// dispatch runs one decoded request to what its response carries: the result
+// of a SQL op, or an extension op's reply payload and bodies.
+func (t *TCPServer) dispatch(ctx context.Context, req *protoRequest, bodies [][]byte) (res *sqlexec.Result, reply any, out [][]byte, err error) {
 	switch req.Op {
 	case "ping":
-		return protoResponse{Code: verr.CodeOK}
 	case "prepare":
-		if err := t.front.Prepare(req.Name, req.SQL); err != nil {
-			return errResponse(err)
-		}
-		return protoResponse{Code: verr.CodeOK}
+		err = t.front.Prepare(req.Name, req.SQL)
 	case "execute":
-		args, err := decodeArgs(req.Args)
-		if err != nil {
-			return protoResponse{Code: verr.CodeInternal, Msg: err.Error()}
+		var args []any
+		if args, err = decodeArgs(req.Args); err == nil {
+			res, err = t.front.Execute(ctx, req.Name, args...)
 		}
-		res, err := t.front.Execute(ctx, req.Name, args...)
-		if err != nil {
-			return errResponse(err)
-		}
-		return okResponse(res)
 	case "query":
-		res, err := t.front.Query(ctx, req.SQL)
-		if err != nil {
-			return errResponse(err)
-		}
-		return okResponse(res)
+		res, err = t.front.Query(ctx, req.SQL)
 	default:
-		if t.ext != nil {
-			reply, err := t.ext.ServeExt(ctx, req.Op, req.Ext)
-			if err != nil {
-				return errResponse(err)
-			}
-			raw, err := json.Marshal(reply)
-			if err != nil {
-				return protoResponse{Code: verr.CodeInternal, Msg: err.Error()}
-			}
-			return protoResponse{Code: verr.CodeOK, Ext: raw}
+		if t.ext == nil {
+			return nil, nil, nil, fmt.Errorf("unknown op %q", req.Op)
 		}
-		return protoResponse{Code: verr.CodeInternal, Msg: fmt.Sprintf("unknown op %q", req.Op)}
+		reply, out, err = t.ext.ServeExt(ctx, req.Op, req.Ext, bodies)
 	}
-}
-
-func errResponse(err error) protoResponse {
-	return protoResponse{Code: verr.Code(err), Msg: err.Error()}
-}
-
-func okResponse(res *sqlexec.Result) protoResponse {
-	out := protoResponse{Code: verr.CodeOK}
-	if res == nil || res.Batch == nil {
-		return out
-	}
-	for _, c := range res.Schema() {
-		out.Cols = append(out.Cols, c.Name)
-	}
-	out.Rows = res.Rows()
-	out.Profile = res.Profile.Export()
-	return out
+	return res, reply, out, err
 }
 
 // decodeArgs converts JSON argument values into the Go types BindSelect
@@ -365,7 +399,8 @@ func decodeArgs(raw []json.RawMessage) ([]any, error) {
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
-	buf  []byte
+	in   []byte // the last response frame: reply bodies alias it
+	out  outFrame
 }
 
 // DialTimeout connects to a TCPServer with a dial deadline (none when d is
@@ -393,11 +428,13 @@ var errNotSent = errors.New("request not sent")
 // executed the request and lost only the reply.
 func RequestNotSent(err error) bool { return errors.Is(err, errNotSent) }
 
-// roundTrip sends one request and decodes one response, mapping protocol
-// error codes back to the verr vocabulary.
-func (c *Client) roundTrip(ctx context.Context, req protoRequest) (*protoResponse, error) {
+// roundTrip sends one request with its bodies and decodes one response,
+// mapping protocol error codes back to the verr vocabulary. recv, when not
+// nil, takes what the response carries: the bodies it is handed alias the
+// connection's read buffer and are valid until the next call on c.
+func (c *Client) roundTrip(ctx context.Context, req protoRequest, bodies [][]byte, recv func(resp *protoResponse, bodies [][]byte, span *telemetry.Span) error) error {
 	if err := verr.Canceled(ctx.Err()); err != nil {
-		return nil, err
+		return err
 	}
 	// A traced context gets a client-side request span whose IDs ride the
 	// wire, letting the server attach its spans to the same trace.
@@ -414,60 +451,146 @@ func (c *Client) roundTrip(ctx context.Context, req protoRequest) (*protoRespons
 		}
 		req.TimeoutMS = ms
 	}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	enc := span.StartChild("wire.encode")
+	err := c.out.set(&req, &req.Bodies, bodies)
+	if enc != nil {
+		enc.SetAttr("bytes", strconv.Itoa(c.out.size()))
+		enc.End()
+	}
+	if err != nil {
+		return err
+	}
 	// Transport failures — the peer is unreachable or tore the connection
 	// down mid-exchange — wrap verr.ErrNodeDown: the remote never produced
 	// a (coded) reply, which is exactly the condition a cluster router
 	// retries on a replica.
-	if err := vft.WriteFrame(c.conn, payload); err != nil {
-		return nil, fmt.Errorf("server: %w: %w: %v", verr.ErrNodeDown, errNotSent, err)
+	if err := c.out.writeTo(c.conn); err != nil {
+		return fmt.Errorf("server: %w: %w: %v", verr.ErrNodeDown, errNotSent, err)
 	}
-	frame, err := vft.ReadFrame(c.conn, c.buf)
+	frame, err := vft.ReadFrame(c.conn, c.in)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("server: connection closed: %w", verr.ErrClosed)
+			return fmt.Errorf("server: connection closed: %w", verr.ErrClosed)
 		}
-		return nil, fmt.Errorf("server: %w: recv: %v", verr.ErrNodeDown, err)
+		return fmt.Errorf("server: %w: recv: %v", verr.ErrNodeDown, err)
 	}
-	c.buf = frame
+	c.in = kept(frame)
+	dec := span.StartChild("wire.decode")
+	defer dec.End()
+	if dec != nil {
+		dec.SetAttr("bytes", strconv.Itoa(len(frame)))
+	}
 	var resp protoResponse
-	if err := json.Unmarshal(frame, &resp); err != nil {
-		return nil, fmt.Errorf("server: bad response: %w", err)
+	if bodies, err = decodeFrame(frame, &resp, &resp.Bodies); err != nil {
+		return fmt.Errorf("server: bad response: %w", err)
 	}
 	if resp.Code != verr.CodeOK {
-		return nil, verr.FromCode(resp.Code, resp.Msg)
+		return verr.FromCode(resp.Code, resp.Msg)
 	}
-	return &resp, nil
+	if recv == nil {
+		return nil
+	}
+	return recv(&resp, bodies, dec)
 }
 
 // Rows is a protocol-level result set. Profile is non-nil for PROFILE
 // statements: the server ships its per-operator measurements back with the
 // rows.
+//
+// Values arrive typed by their column: FLOAT as float64, bit-exact (NaN
+// payloads, ±Inf and -0.0 included), VARCHAR as string, byte-exact, BOOLEAN
+// as bool — and INTEGER as float64 too, exact only to 2^53: the form clients
+// have always been handed, kept until the benchmark's checks stop reading
+// counts as float64.
 type Rows struct {
 	Cols    []string
 	Rows    [][]any
 	Profile *sqlexec.ProfileExport
 }
 
-// Query runs one-shot SQL on the server. A ctx deadline is forwarded so the
-// server's engine observes it at block boundaries.
-func (c *Client) Query(ctx context.Context, sql string) (*Rows, error) {
-	resp, err := c.roundTrip(ctx, protoRequest{Op: "query", SQL: sql})
+// result runs a request that answers with a result set.
+func (c *Client) result(ctx context.Context, req protoRequest) (*Rows, error) {
+	rows := &Rows{}
+	err := c.roundTrip(ctx, req, nil, func(resp *protoResponse, bodies [][]byte, span *telemetry.Span) error {
+		b, err := resp.batch(bodies)
+		if err != nil {
+			return fmt.Errorf("server: bad response: %w", err)
+		}
+		rows.Profile = resp.Profile
+		if b != nil {
+			rows.Cols, rows.Rows = boxRows(b)
+		}
+		if span != nil {
+			span.SetAttr("rows", strconv.Itoa(len(rows.Rows)))
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Rows{Cols: resp.Cols, Rows: resp.Rows, Profile: resp.Profile}, nil
+	return rows, nil
+}
+
+// batch decodes the result a response carries: the one body, a chunk under
+// the header's schema — or nil when the statement had no result (DDL, INSERT):
+// no schema, no body.
+func (resp *protoResponse) batch(bodies [][]byte) (*colstore.Batch, error) {
+	if len(resp.Schema) == 0 && len(bodies) == 0 {
+		return nil, nil
+	}
+	if len(bodies) != 1 {
+		return nil, fmt.Errorf("result of %d columns in %d bodies", len(resp.Schema), len(bodies))
+	}
+	return vft.DecodeChunk(bodies[0], resp.Schema)
+}
+
+// boxRows turns a result batch into boxed rows a column at a time: one typed
+// loop per column, every row a window of one slab.
+func boxRows(b *colstore.Batch) (cols []string, rows [][]any) {
+	n, w := b.Len(), len(b.Cols)
+	cols = make([]string, w)
+	slab := make([]any, n*w)
+	for j, col := range b.Cols {
+		cols[j] = b.Schema[j].Name
+		switch col.Type {
+		case colstore.TypeInt64:
+			for i, v := range col.Ints {
+				slab[i*w+j] = float64(v)
+			}
+		case colstore.TypeFloat64:
+			for i, v := range col.Floats {
+				slab[i*w+j] = v
+			}
+		case colstore.TypeString:
+			for i, v := range col.Strs {
+				slab[i*w+j] = v
+			}
+		case colstore.TypeBool:
+			for i, v := range col.Bools {
+				slab[i*w+j] = v
+			}
+		}
+	}
+	if n > 0 {
+		rows = make([][]any, n)
+		for i := range rows {
+			rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+		}
+	}
+	return cols, rows
+}
+
+// Query runs one-shot SQL on the server. A ctx deadline is forwarded so the
+// server's engine observes it at block boundaries.
+func (c *Client) Query(ctx context.Context, sql string) (*Rows, error) {
+	return c.result(ctx, protoRequest{Op: "query", SQL: sql})
 }
 
 // Prepare registers a named prepared statement on the server.
 func (c *Client) Prepare(ctx context.Context, name, sql string) error {
-	_, err := c.roundTrip(ctx, protoRequest{Op: "prepare", Name: name, SQL: sql})
-	return err
+	return c.roundTrip(ctx, protoRequest{Op: "prepare", Name: name, SQL: sql}, nil, nil)
 }
 
 // Execute binds args to a previously prepared statement and runs it.
@@ -480,41 +603,36 @@ func (c *Client) Execute(ctx context.Context, name string, args ...any) (*Rows, 
 		}
 		raw[i] = b
 	}
-	resp, err := c.roundTrip(ctx, protoRequest{Op: "execute", Name: name, Args: raw})
-	if err != nil {
-		return nil, err
-	}
-	return &Rows{Cols: resp.Cols, Rows: resp.Rows, Profile: resp.Profile}, nil
+	return c.result(ctx, protoRequest{Op: "execute", Name: name, Args: raw})
 }
 
 // Ping round-trips an empty request.
 func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.roundTrip(ctx, protoRequest{Op: "ping"})
-	return err
+	return c.roundTrip(ctx, protoRequest{Op: "ping"}, nil, nil)
 }
 
 // Call round-trips a protocol-extension op: payload marshals into the
-// request's Ext field, the server's Extension handles it, and the reply's
-// Ext unmarshals into reply (skipped when reply is nil). Errors carry verr
-// identity like every other op.
-func (c *Client) Call(ctx context.Context, op string, payload, reply any) error {
-	var raw json.RawMessage
+// request's Ext field and bodies ride behind it, the server's Extension
+// handles them, the reply's Ext unmarshals into reply (skipped when reply is
+// nil) and the reply's bodies are returned — aliasing the connection's read
+// buffer: decode them before the next call on c. Errors carry verr identity
+// like every other op.
+func (c *Client) Call(ctx context.Context, op string, payload any, bodies [][]byte, reply any) (out [][]byte, err error) {
+	req := protoRequest{Op: op}
 	if payload != nil {
-		b, err := json.Marshal(payload)
-		if err != nil {
-			return fmt.Errorf("server: %s payload: %w", op, err)
+		if req.Ext, err = json.Marshal(payload); err != nil {
+			return nil, fmt.Errorf("server: %s payload: %w", op, err)
 		}
-		raw = b
 	}
-	resp, err := c.roundTrip(ctx, protoRequest{Op: op, Ext: raw})
-	if err != nil {
-		return err
-	}
-	if reply == nil {
-		return nil
-	}
-	if len(resp.Ext) == 0 {
-		return fmt.Errorf("server: %s: empty extension reply", op)
-	}
-	return json.Unmarshal(resp.Ext, reply)
+	err = c.roundTrip(ctx, req, bodies, func(resp *protoResponse, bodies [][]byte, _ *telemetry.Span) error {
+		out = bodies
+		if reply == nil {
+			return nil
+		}
+		if len(resp.Ext) == 0 {
+			return fmt.Errorf("server: %s: empty extension reply", op)
+		}
+		return json.Unmarshal(resp.Ext, reply)
+	})
+	return out, err
 }

@@ -112,18 +112,16 @@ func (s *TCPService) handle(conn net.Conn) {
 			writeReply(conn, fmt.Errorf("vft: frame too large (%d bytes)", n))
 			return
 		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
 		// Time the payload read only: the length-prefix read blocks waiting
 		// for the next frame, which is sender idle time, not transfer time.
 		start := time.Now()
-		if _, err := io.ReadFull(conn, payload); err != nil {
+		frame, err := readPayload(conn, int(n), payload)
+		if err != nil {
 			return
 		}
+		payload = frame
 		netTime := time.Since(start)
-		err := s.dispatch(payload, netTime)
+		err = s.dispatch(payload, netTime)
 		if writeReply(conn, err) != nil {
 			return
 		}

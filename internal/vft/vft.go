@@ -491,8 +491,15 @@ func EncodeChunkInto(dst []byte, b *colstore.Batch) ([]byte, error) {
 	return dst, err
 }
 
-// DecodeChunk reverses EncodeChunk against the expected schema.
+// DecodeChunk reverses EncodeChunk against the expected schema. The schema
+// may have come off the wire beside the chunk: a column of no storable type
+// is an error like any other disagreement.
 func DecodeChunk(msg []byte, schema colstore.Schema) (*colstore.Batch, error) {
+	for _, c := range schema {
+		if c.Type < colstore.TypeInt64 || c.Type > colstore.TypeBool {
+			return nil, fmt.Errorf("vft: column %q has %v", c.Name, c.Type)
+		}
+	}
 	out := colstore.NewBatch(schema)
 	if err := DecodeChunkInto(out, msg); err != nil {
 		return nil, err

@@ -121,7 +121,10 @@ type (
 	// ServerClient is the TCP line-protocol client for cmd/vdr-serve.
 	ServerClient = server.Client
 	// Rows is a protocol-level result set (columns, row values, optional
-	// profile), as returned by Client and ServerClient queries.
+	// profile), as returned by Client and ServerClient queries. Values are
+	// typed by their column and arrive bit-exact — FLOAT float64 (NaN
+	// payloads and ±Inf included), VARCHAR string, BOOLEAN bool — except
+	// that INTEGER arrives as float64 too, exact only to 2^53.
 	Rows = server.Rows
 )
 
