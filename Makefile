@@ -3,10 +3,15 @@ GO ?= go
 # Tier-1 verify (referenced from ROADMAP.md): everything must build, every
 # test must pass — the root package's TestNoContextTwins among them, which
 # fails when any package declares X beside XContext/XCtx on one receiver —
-# the tree must be lint-clean, the bounded compressed-execution difftest
-# must agree bitwise, and the seven fuzz-smoke targets (parser, three
-# equivalence targets, shard-partial import, broadcast-build decode, serving
-# frame decode) get a short run so the harness runs on every pass.
+# the tree must be lint-clean, the bounded differential suites (compressed
+# execution, single-table, hash join, streamed UDTF) must agree bitwise, and
+# the seven fuzz-smoke targets (parser, three equivalence targets,
+# shard-partial import, broadcast-build decode, serving frame decode) get a
+# short run so the harness runs on every pass.
+#
+# Targets: check (= lint build test race difftest-short fuzz-smoke), vet,
+# bench (benchmark/run.sh over the BENCHMARK.json workloads), bench-figures,
+# chaos, recover, fuzz.
 .PHONY: check
 check: lint build test race difftest-short fuzz-smoke
 
@@ -14,12 +19,13 @@ check: lint build test race difftest-short fuzz-smoke
 # `go test`; this re-runs the bounded variants with a fresh binary so `make
 # check` exercises the flag path too): the encoding-aware compressed suite
 # and the single-table suite over indexed tables, both against the
-# row-serial reference, and the hash-join suite against the nested-loop
-# reference.
+# row-serial reference, the hash-join suite against the nested-loop
+# reference, and the streamed-UDTF leg (PARTITION BEST block ranges against
+# a read-everything, row-at-a-time reference).
 .PHONY: difftest-short
 difftest-short:
 	$(GO) test -count=1 \
-		-run='TestCompressedDifferentialAdversarial|TestDifferentialEngineVsReference|TestDifferentialJoinVsReference' \
+		-run='TestCompressedDifferentialAdversarial|TestDifferentialEngineVsReference|TestDifferentialJoinVsReference|TestDifferentialUDTFStream' \
 		./internal/sqlexec/difftest/ -difftest.short
 
 # Short fuzz smoke: the compressed-execution and hash-join equivalence

@@ -270,6 +270,70 @@ func TestClusterPredictMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestClusterPredictErrorsDoNotDependOnData: through the router — every
+// shard's peer running its own function instances — an unknown model, a
+// user without READ and a call of the wrong arity fail whether the table is
+// empty, filtered out entirely, or populated, exactly as on one node; the
+// sound statement answers with the matching rows.
+func TestClusterPredictErrorsDoNotDependOnData(t *testing.T) {
+	tc := startCluster(t, 3, 3, 2)
+	base := startBaseline(t, 3)
+	ctx := context.Background()
+	schema := difftest.TableSchema()
+	for _, table := range []string{"none", "t"} {
+		ddl := fmt.Sprintf(testDDL, table, "HASH(id)")
+		if err := base.ExecContext(ctx, ddl); err != nil {
+			t.Fatal(err)
+		}
+		tc.exec(ddl)
+	}
+	fdb, err := difftest.NewGen(0x23).Table(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadBoth(t, base, tc, "t", schema, fdb.SrcRows)
+	model := &algos.GLMModel{Family: algos.Gaussian, Coefficients: []float64{0.25, 1.5, -2.25}, Converged: true}
+	sessions := []*core.Session{base}
+	for _, n := range tc.nodes {
+		sessions = append(sessions, n.sess)
+	}
+	for _, s := range sessions {
+		if err := s.DeployModel("m", "alice", "", model); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Models.Restrict("m", "alice"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := 0
+	for _, from := range []string{"none", "t WHERE id > 1000000", "t WHERE x + y > 1000000", "t", "t WHERE a > 0"} {
+		for _, c := range []struct{ call, want string }{
+			{`GlmPredict(x, y USING PARAMETERS model='nosuch')`, "nosuch"},
+			{`GlmPredict(x, y USING PARAMETERS model='m', user='mallory')`, "READ"},
+			{`GlmPredict(x USING PARAMETERS model='m')`, "expects 2 features"},
+		} {
+			sql := "SELECT " + c.call + " OVER (PARTITION BEST) FROM " + from
+			if _, err := base.QueryContext(ctx, sql); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("single node, %s: err = %v, want one naming %q", sql, err, c.want)
+			}
+			q++
+			if _, err := tc.router(q).Query(ctx, sql); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("routed, %s: err = %v, want one naming %q", sql, err, c.want)
+			}
+		}
+		sql := "SELECT GlmPredict(x, y USING PARAMETERS model='m', user='alice') OVER (PARTITION BEST) FROM " + from
+		ref, err := base.QueryContext(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tc.router(q).Query(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, sql, ref, got)
+	}
+}
+
 // TestClusterInsertAndExplain covers the remaining routed statement kinds:
 // INSERT splits like COPY, EXPLAIN routes to one peer under the cluster
 // fan-out header.

@@ -86,3 +86,29 @@ func TestParScanCancelReturnsTypedError(t *testing.T) {
 		t.Fatalf("%d batches delivered after cancel, want 0", deliveredAfterCancel)
 	}
 }
+
+// A canceled cursor stops within one block: the Next after cancel() decodes
+// nothing and returns the typed error.
+func TestCursorCancelStopsWithinOneBlock(t *testing.T) {
+	seg := randomSegment(t, 11, 64*40, 64)
+	curs, err := seg.ScanCursors([]string{"v"}, nil, nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c := curs[1] // the range that also holds the tail
+	defer c.Close()
+	if b, err := c.Next(ctx); err != nil || b == nil {
+		t.Fatalf("first block: batch %v, err %v", b, err)
+	}
+	before := c.Stats()
+	cancel()
+	b, err := c.Next(ctx)
+	if b != nil || !errors.Is(err, verr.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("after cancel: batch %v, err %v, want verr.ErrCanceled", b, err)
+	}
+	if c.Stats() != before {
+		t.Fatalf("a canceled Next still read: stats %+v, before %+v", c.Stats(), before)
+	}
+}

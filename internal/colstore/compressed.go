@@ -638,7 +638,7 @@ func (s *Segment) ScanBlocks(ctx context.Context, cols []string, st *ScanStats, 
 		st = &local
 	}
 	defer recordScanTelemetry(st)
-	plan, err := s.planScan(cols, nil)
+	plan, err := s.planScan(cols, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -1,0 +1,203 @@
+package colstore
+
+import (
+	"context"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// drainCursors concatenates the cursors' outputs in order and sums their
+// stats.
+func drainCursors(t testing.TB, schema Schema, curs []*ScanCursor) (*Batch, ScanStats) {
+	t.Helper()
+	out := NewBatch(schema)
+	var st ScanStats
+	for _, c := range curs {
+		bound := c.MaxRows()
+		rows := 0
+		for {
+			b, err := c.Next(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			rows += b.Len()
+			if err := out.AppendBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rows > bound || (c.pred == nil && rows != bound) {
+			t.Fatalf("cursor delivered %d rows, MaxRows said %d (pred %v)", rows, bound, c.pred)
+		}
+		if c.MaxRows() != 0 {
+			t.Fatalf("a drained cursor still bounds %d rows", c.MaxRows())
+		}
+		st.Add(c.Stats())
+		c.Close()
+	}
+	return out, st
+}
+
+var cursorPreds = []*Pred{
+	nil,
+	{Col: "id", Op: OpLT, Val: int64(200)},
+	{Col: "v", Op: OpGE, Val: float64(250)},
+	{Col: "tag", Op: OpEQ, Val: "t3"},
+	{Col: "ok", Op: OpEQ, Val: true},
+	{Col: "id", Op: OpGT, Val: int64(5000)}, // every block zone-map skipped
+}
+
+// Any split of [0, nblocks) into cursors — the last one taking the tail —
+// concatenated, is the serial scan: same rows, same bits, and the summed
+// ScanStats equal the single scan's.
+func TestCursorSplitsMatchScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, shape := range []struct{ rows, blockRows int }{
+		{5000, 64}, // many blocks and a tail
+		{4096, 64}, // sealed only
+		{40, 64},   // tail only
+		{0, 64},    // empty
+	} {
+		seg := randomSegment(t, int64(shape.rows)+1, shape.rows, shape.blockRows)
+		zone := []Pred{{Col: "v", Op: OpLT, Val: float64(400)}}
+		for pi, pred := range cursorPreds {
+			for _, cols := range [][]string{nil, {"v", "tag"}} {
+				var want *Batch
+				var wantStats ScanStats
+				err := seg.ScanZoneWithStatsCtx(context.Background(), cols, pred, zone, &wantStats, func(b *Batch) error {
+					if want == nil {
+						want = NewBatch(b.Schema)
+					}
+					return want.AppendBatch(b)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan, err := seg.planScan(cols, pred, zone)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = NewBatch(plan.outSchema)
+				}
+				for trial := 0; trial < 8; trial++ {
+					// Random cut points, duplicates (empty ranges) allowed.
+					cuts := []int{0, plan.nblocks}
+					for n := rng.Intn(6); n > 0; n-- {
+						cuts = append(cuts, rng.Intn(plan.nblocks+1))
+					}
+					sort.Ints(cuts)
+					var curs []*ScanCursor
+					for i := 0; i+1 < len(cuts); i++ {
+						curs = append(curs, seg.newCursor(plan, pred, cuts[i], cuts[i+1], i+2 == len(cuts)))
+					}
+					got, gotStats := drainCursors(t, plan.outSchema, curs)
+					if err := batchesEqual(want, got); err != nil {
+						t.Fatalf("rows %d pred %d cuts %v: %v", shape.rows, pi, cuts, err)
+					}
+					if gotStats != wantStats {
+						t.Fatalf("rows %d pred %d cuts %v: stats %+v, scan %+v", shape.rows, pi, cuts, gotStats, wantStats)
+					}
+				}
+				// The planner's own cut: k ranges over the surviving blocks.
+				for _, k := range []int{1, 2, 4, 7, 1000} {
+					curs, err := seg.ScanCursors(cols, pred, zone, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					survivors := wantStats.BlocksScanned
+					if n := max(1, min(k, survivors)); len(curs) != n {
+						t.Fatalf("rows %d pred %d k %d: %d cursors over %d surviving blocks, want %d", shape.rows, pi, k, len(curs), survivors, n)
+					}
+					got, gotStats := drainCursors(t, plan.outSchema, curs)
+					if err := batchesEqual(want, got); err != nil {
+						t.Fatalf("rows %d pred %d k %d: %v", shape.rows, pi, k, err)
+					}
+					if gotStats != wantStats {
+						t.Fatalf("rows %d pred %d k %d: stats %+v, scan %+v", shape.rows, pi, k, gotStats, wantStats)
+					}
+				}
+			}
+		}
+	}
+}
+
+// ScanCursors balances surviving blocks, not block positions: with a zone
+// map pruning the first half of the segment, every range still gets work.
+func TestScanCursorsBalanceSurvivors(t *testing.T) {
+	schema := Schema{{Name: "x", Type: TypeInt64}}
+	seg := NewSegment(schema, 10)
+	b := NewBatch(schema)
+	for i := 0; i < 400; i++ {
+		if err := b.AppendRow(int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seg.Append(b); err != nil {
+		t.Fatal(err)
+	}
+	curs, err := seg.ScanCursors(nil, &Pred{Col: "x", Op: OpGE, Val: int64(200)}, nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(curs) != 4 {
+		t.Fatalf("%d cursors, want 4", len(curs))
+	}
+	for i, c := range curs {
+		if got := c.MaxRows(); got != 50 {
+			t.Fatalf("cursor %d bounds %d rows, want 50 (5 of the 20 surviving blocks)", i, got)
+		}
+	}
+}
+
+// Concurrent cursors over disjoint ranges of one segment share nothing
+// mutable (run under -race).
+func TestCursorsConcurrent(t *testing.T) {
+	seg := randomSegment(t, 9, 6000, 64)
+	want, wantStats := collectScan(t, seg, nil, nil, nil)
+	curs, err := seg.ScanCursors(nil, nil, nil, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := make([]*Batch, len(curs))
+	errs := make(chan error, len(curs))
+	for i, c := range curs {
+		outs[i] = NewBatch(seg.Schema())
+		go func(c *ScanCursor, out *Batch) {
+			defer c.Close()
+			for {
+				b, err := c.Next(context.Background())
+				if err != nil || b == nil {
+					errs <- err
+					return
+				}
+				if err := out.AppendBatch(b); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(c, outs[i])
+	}
+	for range curs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := NewBatch(seg.Schema())
+	var gotStats ScanStats
+	for i, o := range outs {
+		if err := got.AppendBatch(o); err != nil {
+			t.Fatal(err)
+		}
+		gotStats.Add(curs[i].Stats())
+	}
+	if err := batchesEqual(want, got); err != nil {
+		t.Fatal(err)
+	}
+	if gotStats != wantStats {
+		t.Fatalf("stats %+v, scan %+v", gotStats, wantStats)
+	}
+}

@@ -143,7 +143,7 @@ func (s *Segment) GatherRows(cols []string, rowids []uint32, st *ScanStats) (*Ba
 		st = &local
 	}
 	defer recordScanTelemetry(st)
-	plan, err := s.planScan(cols, nil)
+	plan, err := s.planScan(cols, nil, nil)
 	if err != nil {
 		return nil, err
 	}

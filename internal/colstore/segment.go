@@ -483,7 +483,7 @@ func (p *scanPlan) blockSkipped(s *Segment, pred *Pred, bi int) bool {
 	return false
 }
 
-func (s *Segment) planScan(cols []string, pred *Pred) (*scanPlan, error) {
+func (s *Segment) planScan(cols []string, pred *Pred, zone []Pred) (*scanPlan, error) {
 	if cols == nil {
 		cols = make([]string, len(s.schema))
 		for i, c := range s.schema {
@@ -510,7 +510,15 @@ func (s *Segment) planScan(cols []string, pred *Pred) (*scanPlan, error) {
 	if len(s.sealed) > 0 {
 		nblocks = len(s.sealed[0])
 	}
-	return &scanPlan{colIdx: colIdx, outSchema: outSchema, predIdx: predIdx, nblocks: nblocks}, nil
+	plan := &scanPlan{colIdx: colIdx, outSchema: outSchema, predIdx: predIdx, nblocks: nblocks}
+	for _, zp := range zone {
+		ci := s.schema.ColIndex(zp.Col)
+		if ci < 0 {
+			return nil, fmt.Errorf("colstore: zone predicate on unknown column %q", zp.Col)
+		}
+		plan.zone = append(plan.zone, zonePred{pred: zp, colIdx: ci})
+	}
+	return plan, nil
 }
 
 // recordScanTelemetry flushes one scan's stats into the global counters.
@@ -531,8 +539,8 @@ func (s *Segment) Scan(cols []string, pred *Pred, fn func(*Batch) error) error {
 	return s.ScanWithStats(cols, pred, nil, fn)
 }
 
-// ScanWithStats is Scan with per-scan observability: when st is non-nil it
-// is filled with what the scan touched. Global telemetry counters are
+// ScanWithStats is Scan with per-scan observability: when st is non-nil,
+// what the scan touched is added to it. Global telemetry counters are
 // recorded either way. This is the serial reference path;
 // ParScanZoneWithStatsCtx is the block-parallel equivalent and produces
 // identical output.
@@ -540,16 +548,134 @@ func (s *Segment) ScanWithStats(cols []string, pred *Pred, st *ScanStats, fn fun
 	return s.ScanZoneWithStatsCtx(context.Background(), cols, pred, nil, st, fn)
 }
 
-// resolveZone binds auxiliary zone predicates to column indexes.
-func (s *Segment) resolveZone(plan *scanPlan, zone []Pred) error {
-	for _, zp := range zone {
-		ci := s.schema.ColIndex(zp.Col)
-		if ci < 0 {
-			return fmt.Errorf("colstore: zone predicate on unknown column %q", zp.Col)
-		}
-		plan.zone = append(plan.zone, zonePred{pred: zp, colIdx: ci})
+// ScanCursor is the pull form of a scan: it walks a contiguous range of a
+// segment's sealed blocks — and, for the range that ends the segment, the
+// unsealed tail — one Next at a time. The push scans are this walk with a
+// callback: ScanZoneWithStatsCtx drains one cursor over every block, so the
+// skip, decode and tail logic exists once. A cursor is owned by one
+// goroutine; cursors over disjoint ranges of one segment may run
+// concurrently (sealed blocks are immutable, decode state is per cursor).
+type ScanCursor struct {
+	s       *Segment
+	plan    *scanPlan
+	pred    *Pred
+	bi, hi  int  // next sealed block, end of the range
+	tail    bool // the tail is still to be delivered after the blocks
+	scratch *[]int
+	reuse   *Batch
+	st      ScanStats
+}
+
+func (s *Segment) newCursor(plan *scanPlan, pred *Pred, lo, hi int, tail bool) *ScanCursor {
+	return &ScanCursor{s: s, plan: plan, pred: pred, bi: lo, hi: hi, tail: tail}
+}
+
+// ScanCursors plans one scan — the named columns (nil = all), the optional
+// exact predicate and the auxiliary zone-map-only predicates of
+// ScanZoneWithStatsCtx — and cuts it into cursors whose outputs, concatenated
+// in order, are exactly that scan's output. A header-only zone-map pass
+// (serial, deterministic) finds the surviving blocks; they are divided into
+// min(k, survivors) contiguous runs of near-equal block count, each cursor
+// taking the block range that holds its run, the last one the tail as well.
+// There is always at least one cursor, so the skipped-block accounting of a
+// fully pruned segment is not lost.
+func (s *Segment) ScanCursors(cols []string, pred *Pred, zone []Pred, k int) ([]*ScanCursor, error) {
+	plan, err := s.planScan(cols, pred, zone)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	survivors := make([]int, 0, plan.nblocks)
+	for bi := 0; bi < plan.nblocks; bi++ {
+		if !plan.blockSkipped(s, pred, bi) {
+			survivors = append(survivors, bi)
+		}
+	}
+	n := max(1, min(k, len(survivors)))
+	out := make([]*ScanCursor, n)
+	lo := 0
+	for i := range out {
+		hi := plan.nblocks
+		if i < n-1 {
+			hi = survivors[(i+1)*len(survivors)/n]
+		}
+		out[i] = s.newCursor(plan, pred, lo, hi, i == n-1)
+		lo = hi
+	}
+	return out, nil
+}
+
+// MaxRows bounds the rows the cursor has yet to deliver: the rows of its
+// remaining blocks that survive the zone maps, plus the tail's. Without an
+// exact predicate the bound is the count.
+func (c *ScanCursor) MaxRows() int {
+	n := 0
+	for bi := c.bi; bi < c.hi; bi++ {
+		if !c.plan.blockSkipped(c.s, c.pred, bi) {
+			n += c.s.sealed[0][bi].rows
+		}
+	}
+	if c.tail {
+		n += c.s.tail.Len()
+	}
+	return n
+}
+
+// Next returns the next non-empty batch of the range, or nil at its end.
+// The batch is valid until the next call: decode buffers are reused across
+// blocks, and a tail batch is a view of segment storage. Cancellation is
+// checked before every block decode (and before the tail), so a canceled
+// query stops within one storage block; the error wraps verr.ErrCanceled.
+func (c *ScanCursor) Next(ctx context.Context) (*Batch, error) {
+	if c.scratch == nil {
+		c.scratch = idxScratch.Get().(*[]int)
+		// Without a predicate every block decodes whole, so one scratch
+		// batch serves all blocks.
+		if c.pred == nil {
+			c.reuse = NewBatch(c.plan.outSchema)
+		}
+	}
+	for c.bi < c.hi {
+		if err := verr.Canceled(ctx.Err()); err != nil {
+			return nil, err
+		}
+		bi := c.bi
+		c.bi++
+		if c.plan.blockSkipped(c.s, c.pred, bi) {
+			c.st.BlocksSkipped++ // zone-map skip
+			continue
+		}
+		c.st.BlocksScanned++
+		batch, err := c.s.decodeBlockRow(bi, c.plan, c.pred, &c.st, c.scratch, c.reuse)
+		if err != nil {
+			return nil, err
+		}
+		if batch.Len() == 0 {
+			continue
+		}
+		c.st.RowsOut += batch.Len()
+		return batch, nil
+	}
+	if !c.tail {
+		return nil, nil
+	}
+	c.tail = false
+	if err := verr.Canceled(ctx.Err()); err != nil {
+		return nil, err
+	}
+	return c.s.scanTail(c.plan, c.pred, &c.st, c.scratch)
+}
+
+// Stats reports what the cursor has touched so far.
+func (c *ScanCursor) Stats() ScanStats { return c.st }
+
+// Close flushes the cursor's stats into the global scan counters and
+// releases its scratch. Call it once, when the cursor is done with.
+func (c *ScanCursor) Close() {
+	recordScanTelemetry(&c.st)
+	if c.scratch != nil {
+		idxScratch.Put(c.scratch)
+		c.scratch = nil
+	}
 }
 
 // ScanZoneWithStatsCtx is ScanWithStats under a context and with auxiliary
@@ -562,71 +688,42 @@ func (s *Segment) resolveZone(plan *scanPlan, zone []Pred) error {
 // scan without zone preds, minus the rows of excluded blocks, all of which
 // fail the zone predicates.
 func (s *Segment) ScanZoneWithStatsCtx(ctx context.Context, cols []string, pred *Pred, zone []Pred, st *ScanStats, fn func(*Batch) error) error {
-	var local ScanStats
-	if st == nil {
-		st = &local
-	}
-	defer recordScanTelemetry(st)
-	plan, err := s.planScan(cols, pred)
+	plan, err := s.planScan(cols, pred, zone)
 	if err != nil {
 		return err
 	}
-	if err := s.resolveZone(plan, zone); err != nil {
-		return err
-	}
-	scratch := idxScratch.Get().(*[]int)
-	defer idxScratch.Put(scratch)
-	// Without a predicate every block decodes whole, so one scratch batch
-	// serves all blocks: fn must not retain delivered batches (see Scan).
-	var reuse *Batch
-	if pred == nil {
-		reuse = NewBatch(plan.outSchema)
-	}
-	for bi := 0; bi < plan.nblocks; bi++ {
-		if err := verr.Canceled(ctx.Err()); err != nil {
+	c := s.newCursor(plan, pred, 0, plan.nblocks, true)
+	defer func() {
+		c.Close()
+		if st != nil {
+			st.Add(c.st)
+		}
+	}()
+	for {
+		batch, err := c.Next(ctx)
+		if err != nil || batch == nil {
 			return err
 		}
-		if plan.blockSkipped(s, pred, bi) {
-			st.BlocksSkipped++ // zone-map skip
-			continue
-		}
-		st.BlocksScanned++
-		batch, err := s.decodeBlockRow(bi, plan, pred, st, scratch, reuse)
-		if err != nil {
-			return err
-		}
-		if batch.Len() == 0 {
-			continue
-		}
-		st.RowsOut += batch.Len()
 		if err := fn(batch); err != nil {
 			return err
 		}
 	}
-	if err := verr.Canceled(ctx.Err()); err != nil {
-		return err
-	}
-	return s.scanTail(plan, pred, st, scratch, fn)
 }
 
-// scanTail delivers the unsealed tail rows (shared by both scan paths; the
-// tail is a single in-memory batch, so it is always processed serially).
-func (s *Segment) scanTail(plan *scanPlan, pred *Pred, st *ScanStats, scratch *[]int, fn func(*Batch) error) error {
+// scanTail filters and projects the unsealed tail rows (shared by both scan
+// paths; the tail is a single in-memory batch, so it is always processed
+// serially). It returns nil when no tail row survives.
+func (s *Segment) scanTail(plan *scanPlan, pred *Pred, st *ScanStats, scratch *[]int) (*Batch, error) {
 	if s.tail.Len() == 0 {
-		return nil
+		return nil, nil
 	}
 	st.TailRows += s.tail.Len()
 	batch, err := filterProject(s.tail, plan.colIdx, plan.outSchema, plan.predIdx, pred, scratch)
-	if err != nil {
-		return err
+	if err != nil || batch.Len() == 0 {
+		return nil, err
 	}
-	if batch.Len() > 0 {
-		st.RowsOut += batch.Len()
-		if err := fn(batch); err != nil {
-			return err
-		}
-	}
-	return nil
+	st.RowsOut += batch.Len()
+	return batch, nil
 }
 
 // ParScanZoneWithStatsCtx is ScanZoneWithStatsCtx with block-level
@@ -643,16 +740,15 @@ func (s *Segment) ParScanZoneWithStatsCtx(ctx context.Context, cols []string, pr
 	if pool.Degree() <= 1 {
 		return s.ScanZoneWithStatsCtx(ctx, cols, pred, zone, st, fn)
 	}
-	var local ScanStats
-	if st == nil {
-		st = &local
-	}
-	defer recordScanTelemetry(st)
-	plan, err := s.planScan(cols, pred)
+	var own ScanStats
+	defer func() {
+		recordScanTelemetry(&own)
+		if st != nil {
+			st.Add(own)
+		}
+	}()
+	plan, err := s.planScan(cols, pred, zone)
 	if err != nil {
-		return err
-	}
-	if err := s.resolveZone(plan, zone); err != nil {
 		return err
 	}
 	// Zone-map pass first: skipping consults only block headers, so it stays
@@ -660,7 +756,7 @@ func (s *Segment) ParScanZoneWithStatsCtx(ctx context.Context, cols []string, pr
 	scan := make([]int, 0, plan.nblocks)
 	for bi := 0; bi < plan.nblocks; bi++ {
 		if plan.blockSkipped(s, pred, bi) {
-			st.BlocksSkipped++
+			own.BlocksSkipped++
 			continue
 		}
 		scan = append(scan, bi)
@@ -691,7 +787,7 @@ func (s *Segment) ParScanZoneWithStatsCtx(ctx context.Context, cols []string, pr
 			if err := verr.Canceled(ctx.Err()); err != nil {
 				return err
 			}
-			st.Add(out.stats)
+			own.Add(out.stats)
 			if out.batch.Len() == 0 {
 				return nil
 			}
@@ -705,7 +801,11 @@ func (s *Segment) ParScanZoneWithStatsCtx(ctx context.Context, cols []string, pr
 	}
 	scratch := idxScratch.Get().(*[]int)
 	defer idxScratch.Put(scratch)
-	return s.scanTail(plan, pred, st, scratch, fn)
+	batch, err := s.scanTail(plan, pred, &own, scratch)
+	if err != nil || batch == nil {
+		return err
+	}
+	return fn(batch)
 }
 
 func (s *Segment) decodeBlockRow(bi int, plan *scanPlan, pred *Pred, st *ScanStats, scratch *[]int, reuse *Batch) (*Batch, error) {

@@ -78,6 +78,11 @@ func (p predictUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.B
 	if err != nil {
 		return err
 	}
+	// Checked against the call, not the first batch: an empty partition
+	// fails the same way a populated one does.
+	if dims > 0 && len(ctx.InSchema) != dims {
+		return fmt.Errorf("models: model %q expects %d features, query passed %d", name, dims, len(ctx.InSchema))
+	}
 
 	kmeans := p.want == TypeKmeans
 	// One output batch and one prediction slice serve every block.
@@ -100,9 +105,6 @@ func (p predictUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.B
 		}
 		if b == nil {
 			return nil
-		}
-		if dims > 0 && len(b.Cols) != dims {
-			return fmt.Errorf("models: model %q expects %d features, query passed %d", name, dims, len(b.Cols))
 		}
 		if conv == nil {
 			conv = make([][]float64, len(b.Cols))

@@ -30,6 +30,8 @@ type FakeDB struct {
 	// Svcs, when set, is exposed to the planner via Services — tests use it
 	// to hand a ShardInfoProvider stub to the dot-product-join path.
 	Svcs map[string]any
+	// Instances is the PARTITION BEST parallelism per node (0 means 2).
+	Instances int
 }
 
 // NewFakeDB splits rows into nsegs contiguous segments with small blocks
@@ -90,7 +92,12 @@ func (db *FakeDB) Segments(name string) ([]*colstore.Segment, error) {
 func (db *FakeDB) UDFs() *udf.Registry { return db.reg }
 
 // UDFInstancesPerNode implements sqlexec.Database.
-func (db *FakeDB) UDFInstancesPerNode() int { return 2 }
+func (db *FakeDB) UDFInstancesPerNode() int {
+	if db.Instances > 0 {
+		return db.Instances
+	}
+	return 2
+}
 
 // Services implements sqlexec.Database.
 func (db *FakeDB) Services() map[string]any { return db.Svcs }

@@ -128,6 +128,14 @@ func (g *Gen) genRows(nrows int) [][]any {
 // order.
 func (g *Gen) AdversarialTable(nrows int) (*FakeDB, error) {
 	blockRows := []int{16, 32, 48}[g.rng.Intn(3)]
+	rows := g.adversarialRows(nrows, blockRows)
+	nsegs := 1 + g.rng.Intn(3)
+	return NewFakeDB("t", TableSchema(), rows, nsegs, blockRows)
+}
+
+// adversarialRows generates AdversarialTable's rows for a given block size
+// (y steps once per blockRows rows, so its zone maps prune block by block).
+func (g *Gen) adversarialRows(nrows, blockRows int) [][]any {
 	rl := []int{7, 19, 37}[g.rng.Intn(3)] // run length, straddles every blockRows choice
 	xPalette := []float64{math.NaN(), math.Copysign(0, -1), 0.0, 2.5, -7.5, 3}
 	sub := append([]string{}, genStrings[:2+g.rng.Intn(2)]...)
@@ -151,8 +159,7 @@ func (g *Gen) AdversarialTable(nrows int) (*FakeDB, error) {
 			(i/rl)%2 == 0,
 		}
 	}
-	nsegs := 1 + g.rng.Intn(3)
-	return NewFakeDB("t", TableSchema(), rows, nsegs, blockRows)
+	return rows
 }
 
 var numericCols = []string{"id", "a", "b", "x", "y"}

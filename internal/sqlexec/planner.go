@@ -208,7 +208,18 @@ func filterRows(where sqlparse.Expr, b *colstore.Batch, idx []int) ([]int, error
 // zone-map predicates (blocks decoding on pool; nil means serially) and
 // returns the rows that also pass the residual.
 func scanSegment(ctx context.Context, seg *colstore.Segment, schema colstore.Schema, cols []string, acc *plan.Access, pool *parallel.Pool, st *colstore.ScanStats) (*colstore.Batch, error) {
-	out := colstore.NewBatch(schema)
+	// With no exact predicate and no residual the zone maps alone decide what
+	// is delivered: the row count is known from the block headers, so the
+	// accumulator is reserved once instead of doubling its way up.
+	reserve := 0
+	if acc.Primary == nil && acc.Residual == nil {
+		curs, err := seg.ScanCursors(cols, nil, acc.Zone, 1)
+		if err != nil {
+			return nil, err
+		}
+		reserve = curs[0].MaxRows()
+	}
+	out := colstore.NewBatchCap(schema, reserve)
 	var idx []int // residual-filter scratch, reused across batches
 	err := seg.ParScanZoneWithStatsCtx(ctx, cols, acc.Primary, acc.Zone, pool, st, func(b *colstore.Batch) error {
 		if acc.Residual == nil {
@@ -282,10 +293,21 @@ func scanSeq(ctx context.Context, segs []*colstore.Segment, schema colstore.Sche
 	if acc.Residual != nil {
 		filterDone = startOp(ctx, prof, "filter")
 	}
-	out := colstore.NewBatch(mustProject(schema, outCols))
-	for _, b := range results {
-		if err := out.AppendBatch(b); err != nil {
-			return nil, err
+	// One segment's batch is the answer; several concatenate in segment
+	// order into a batch reserved for all of them.
+	var out *colstore.Batch
+	if len(results) == 1 {
+		out = results[0]
+	} else {
+		rows := 0
+		for _, b := range results {
+			rows += b.Len()
+		}
+		out = colstore.NewBatchCap(mustProject(schema, outCols), rows)
+		for _, b := range results {
+			if err := out.AppendBatch(b); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if filterDone != nil {

@@ -29,6 +29,7 @@ type OpProfile struct {
 	BlocksCompressed int64  `json:"blocks_compressed,omitempty"`
 	Bytes            int64  `json:"bytes,omitempty"`
 	Parallel         int    `json:"parallel,omitempty"`
+	Partitions       int    `json:"partitions,omitempty"` // function instances a udtf operator ran
 	Detail           string `json:"detail,omitempty"`
 }
 
@@ -70,15 +71,22 @@ type opTimer struct {
 	t0   time.Duration
 	span *telemetry.Span
 	// extra is added to the measured wall time: an operator whose work ran
-	// inside another's interval (the run-aware fold inside the scan callback)
-	// takes that time from it.
+	// inside another's interval (the run-aware fold inside the scan callback,
+	// a streamed UDTF's scan inside the function instances) takes that time
+	// from it.
 	extra time.Duration
+	// end, when stopped is set, is where the operator's own interval ended:
+	// Done measures to it instead of reading the clock (an operator reported
+	// only after the one that follows it has run).
+	end     time.Duration
+	stopped bool
 
 	Blocks           int64
 	BlocksSkipped    int64
 	BlocksCompressed int64
 	Bytes            int64
 	Parallel         int
+	Partitions       int
 }
 
 // startOp begins timing one operator. Nil-safe on prof: with a nil *Profile
@@ -110,19 +118,26 @@ func (t *opTimer) Done(rows int64, detail string) {
 		if t.Parallel > 0 {
 			t.span.SetAttr("parallel", strconv.Itoa(t.Parallel))
 		}
+		if t.Partitions > 0 {
+			t.span.SetAttr("partitions", strconv.Itoa(t.Partitions))
+		}
 		t.span.End()
 	}
 	if t.p == nil {
 		return
 	}
-	elapsed := t.p.clock.Now() - t.t0 + t.extra
+	end := t.end
+	if !t.stopped {
+		end = t.p.clock.Now()
+	}
+	elapsed := end - t.t0 + t.extra
 	telemetry.Default().Counter("sqlexec_op_nanos_total", telemetry.L("op", t.op)).AddDuration(elapsed)
 	t.p.mu.Lock()
 	t.p.ops = append(t.p.ops, OpProfile{
 		Op: t.op, Rows: rows, Elapsed: elapsed,
 		Blocks: t.Blocks, BlocksSkipped: t.BlocksSkipped,
 		BlocksCompressed: t.BlocksCompressed, Bytes: t.Bytes,
-		Parallel: t.Parallel, Detail: detail,
+		Parallel: t.Parallel, Partitions: t.Partitions, Detail: detail,
 	})
 	t.p.mu.Unlock()
 }

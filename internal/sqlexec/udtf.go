@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"verticadr/internal/colstore"
 	"verticadr/internal/plan"
@@ -16,13 +17,17 @@ import (
 //
 //	SELECT f(args... USING PARAMETERS ...) OVER (PARTITION BEST | PARTITION BY cols) FROM t
 //
-// The planner spawns parallel function instances: with PARTITION BEST, each
-// node's local segment is split into UDFInstancesPerNode chunks processed
-// locally (the paper's locality-friendly mode, §3.1); with PARTITION BY, rows
-// are grouped by the key columns and each group is one partition.
+// The planner spawns parallel function instances (§3.1). With PARTITION BEST
+// a function's input is a stream: each node's surviving blocks are cut into
+// up to UDFInstancesPerNode contiguous block ranges, and every instance
+// pulls its own range — decode, residual filter, argument evaluation, block
+// by block, on the instance's goroutine — so no intermediate is larger than
+// a block. With PARTITION BY rows are grouped by the key columns and each
+// group is one partition; grouping needs every key before any partition can
+// run, so that mode materializes each segment first.
 //
 // n is the plan's UDTF (or dot-product join) node; its child is the input
-// scan, always sequential: the input streams segment by segment.
+// scan, always sequential within a block range.
 func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Node, prof *Profile) (*Result, error) {
 	// The plan roots in a UDTF node exactly when the statement's one
 	// projection is a function call with OVER.
@@ -66,7 +71,7 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 	// input scan's access path: the most selective pushable conjunct exactly
 	// at the storage scan (zone-map skipping + compressed evaluation), every
 	// other pushable conjunct as a zone-map-only pruning predicate, the rest
-	// as a residual over the scanned batch.
+	// as a residual over each scanned batch.
 	acc := n.Children[0].Access
 	if sel.Where != nil {
 		if _, err := collectCols(&sqlparse.Select{Where: sel.Where}, def.Schema); err != nil {
@@ -81,7 +86,8 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 		need = union(need, extra)
 	}
 	over := fc.Over
-	if !over.PartitionBest && len(over.PartitionBy) > 0 {
+	best := over.PartitionBest || len(over.PartitionBy) == 0
+	if !best {
 		for _, c := range over.PartitionBy {
 			if def.Schema.ColIndex(c) < 0 {
 				return nil, fmt.Errorf("sqlexec: PARTITION BY column %q unknown", c)
@@ -89,90 +95,82 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 		}
 		need = union(need, over.PartitionBy)
 	}
-
-	type partition struct {
-		node int
-		data *colstore.Batch // already projected to inSchema
-	}
 	// A UDTF with no arguments still needs the row count.
 	need = scanColumns(need, def.Schema)
 	needSchema := mustProject(def.Schema, need)
-	scanDone := startOp(ctx, prof, "scan")
-	var scanStats colstore.ScanStats
-	var scanRows int64
-	var parts []partition
-	for node, seg := range segs {
-		raw, err := scanSegment(ctx, seg, needSchema, need, acc, nil, &scanStats)
-		if err != nil {
+	// Evaluate the arguments and the residual over no rows first: an
+	// expression the engine cannot evaluate fails the statement whatever the
+	// table holds.
+	empty := colstore.NewBatch(needSchema)
+	if _, err := evalArgs(fc.Args, empty, inSchema); err != nil {
+		return nil, err
+	}
+	if acc.Residual != nil {
+		if _, err := filterRows(acc.Residual, empty, nil); err != nil {
 			return nil, err
-		}
-		scanRows += int64(raw.Len())
-		argBatch, err := evalArgs(fc.Args, raw, inSchema)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case over.PartitionBest || len(over.PartitionBy) == 0:
-			k := db.UDFInstancesPerNode()
-			if k <= 0 {
-				k = 1
-			}
-			n := argBatch.Len()
-			if n == 0 {
-				continue
-			}
-			if k > n {
-				k = n
-			}
-			// Slab-allocate the k partition views (instead of k Batch.Slice
-			// calls): three allocations per node regardless of instance count.
-			nc := len(argBatch.Cols)
-			vecs := make([]colstore.Vector, k*nc)
-			ptrs := make([]*colstore.Vector, k*nc)
-			views := make([]colstore.Batch, k)
-			for i := 0; i < k; i++ {
-				lo, hi := i*n/k, (i+1)*n/k
-				if lo == hi {
-					continue
-				}
-				cols := ptrs[i*nc : (i+1)*nc : (i+1)*nc]
-				for c, src := range argBatch.Cols {
-					src.SliceInto(&vecs[i*nc+c], lo, hi)
-					cols[c] = &vecs[i*nc+c]
-				}
-				views[i] = colstore.Batch{Schema: argBatch.Schema, Cols: cols}
-				parts = append(parts, partition{node: node, data: &views[i]})
-			}
-		default: // PARTITION BY
-			if raw.Len() == 0 {
-				continue
-			}
-			// One partition per distinct key tuple, in first-appearance
-			// order: the typed group table of GROUP BY is the identity.
-			keys := make([]colstore.BlockCol, len(over.PartitionBy))
-			for i, c := range over.PartitionBy {
-				keys[i] = colstore.BlockCol{Vals: raw.Cols[raw.Schema.ColIndex(c)]}
-			}
-			var table groupTable
-			sc := aggScratchPool.Get().(*aggScratch)
-			gid := table.assign(keys, raw.Len(), sc)
-			groups := make([][]int, table.n)
-			for r, g := range gid {
-				groups[g] = append(groups[g], r)
-			}
-			aggScratchPool.Put(sc)
-			for _, rows := range groups {
-				parts = append(parts, partition{node: node, data: argBatch.Gather(rows)})
-			}
 		}
 	}
 
-	scanDetail := fmt.Sprintf("%d segments, %d blocks scanned, %d skipped by zone maps, %d KB",
-		len(segs), scanStats.BlocksScanned, scanStats.BlocksSkipped, scanStats.BytesRead/1024)
-	if scanStats.BlocksCompressed > 0 {
-		scanDetail += fmt.Sprintf(", %d evaluated compressed", scanStats.BlocksCompressed)
+	scanDone := startOp(ctx, prof, "scan")
+	finishScan := func(st colstore.ScanStats, rows int64) {
+		detail := fmt.Sprintf("%d segments, %d blocks scanned, %d skipped by zone maps, %d KB",
+			len(segs), st.BlocksScanned, st.BlocksSkipped, st.BytesRead/1024)
+		if st.BlocksCompressed > 0 {
+			detail += fmt.Sprintf(", %d evaluated compressed", st.BlocksCompressed)
+		}
+		scanDone.doneScan(st, rows, detail+accessDetail(acc))
 	}
-	scanDone.doneScan(scanStats, scanRows, scanDetail+accessDetail(acc))
+	var parts []partition
+	var streams []*blockStream // PARTITION BEST: every cursor, partition or not
+	if best {
+		defer func() {
+			for _, s := range streams {
+				s.cur.Close()
+			}
+		}()
+		k := max(db.UDFInstancesPerNode(), 1)
+		for node, seg := range segs {
+			curs, err := seg.ScanCursors(need, acc.Primary, acc.Zone, k)
+			if err != nil {
+				return nil, err
+			}
+			for _, cur := range curs {
+				s := &blockStream{ctx: ctx, cur: cur, residual: acc.Residual, args: fc.Args, inSchema: inSchema, prof: prof}
+				streams = append(streams, s)
+				if cur.MaxRows() > 0 {
+					parts = append(parts, partition{node: node, in: s})
+				} else if _, err := s.Next(); err != nil {
+					// Nothing to read: the walk above only counts the
+					// range's zone-map skips.
+					return nil, err
+				}
+			}
+		}
+	} else {
+		var st colstore.ScanStats
+		var rows int64
+		for node, seg := range segs {
+			raw, err := scanSegment(ctx, seg, needSchema, need, acc, nil, &st)
+			if err != nil {
+				return nil, err
+			}
+			rows += int64(raw.Len())
+			keyed, err := keyPartitions(raw, over.PartitionBy, fc.Args, inSchema)
+			if err != nil {
+				return nil, err
+			}
+			for _, b := range keyed {
+				parts = append(parts, partition{node: node, in: udf.NewSliceReader(b)})
+			}
+		}
+		finishScan(st, rows)
+	}
+	// A function's errors must not depend on what the table holds — and
+	// under PARTITION BEST on what its zone maps prune: a statement left
+	// without a partition still runs one instance, over an empty stream.
+	if len(parts) == 0 {
+		parts = append(parts, partition{in: udf.NewSliceReader()})
+	}
 
 	// Run all partitions in parallel (bounded). Each partition writes into
 	// its own AppendWriter — no cross-partition locking — and the results
@@ -182,6 +180,7 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 	writers := make([]*udf.AppendWriter, len(parts))
 	sem := make(chan struct{}, maxParallel(len(parts)))
 	errs := make([]error, len(parts))
+	ran := make([]time.Duration, len(parts))
 	var wg sync.WaitGroup
 	instanceOnNode := map[int]int{}
 	services := db.Services() // snapshot once; instances only read it
@@ -196,6 +195,7 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 			defer func() { <-sem }()
 			uctx := &udf.Ctx{
 				Params:   params,
+				InSchema: inSchema,
 				NodeID:   p.node,
 				NumNodes: len(segs),
 				Instance: inst,
@@ -204,8 +204,10 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 			tf := factory()
 			// The input reader re-checks the query context between batches,
 			// so a canceled query stops feeding the UDF within one block.
-			in := &ctxReader{ctx: ctx, inner: streamReader(p.data)}
+			in := &ctxReader{ctx: ctx, inner: p.in}
+			start := prof.now()
 			errs[i] = tf.ProcessPartition(uctx, in, writers[i])
+			ran[i] = prof.now() - start
 		}(i, p, inst)
 	}
 	wg.Wait()
@@ -213,6 +215,32 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 		if e != nil {
 			return nil, e
 		}
+	}
+	if best {
+		// The scan ran inside the instances. Its own interval ended where
+		// the function's began; from there it takes the share of the
+		// instances' wall time their cursors were busy — read, filter,
+		// argument evaluation — and the function's operator gives it up, so
+		// the two still sum to the statement.
+		var st colstore.ScanStats
+		var rows int64
+		var busy, total time.Duration
+		for _, s := range streams {
+			st.Add(s.cur.Stats())
+			rows += s.rows
+			busy += s.busy
+		}
+		for _, d := range ran {
+			total += d
+		}
+		var share time.Duration
+		if total > 0 {
+			share = time.Duration(float64(prof.now()-udtfDone.t0) * float64(busy) / float64(total))
+		}
+		scanDone.Parallel = maxParallel(len(parts))
+		scanDone.end, scanDone.stopped = udtfDone.t0, true
+		scanDone.extra, udtfDone.extra = share, -share
+		finishScan(st, rows)
 	}
 	rows := 0
 	for _, w := range writers {
@@ -225,8 +253,20 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 		}
 	}
 	udtfDone.Parallel = maxParallel(len(parts))
-	udtfDone.Done(int64(merged.Len()), fmt.Sprintf("%s over %d partitions", fc.Name, len(parts)))
+	udtfDone.Partitions = len(parts)
+	unit := "partitions"
+	if best {
+		unit = "block ranges"
+	}
+	udtfDone.Done(int64(merged.Len()), fmt.Sprintf("%s over %d %s", fc.Name, len(parts), unit))
 	return finishSelect(ctx, merged, sel, prof)
+}
+
+// partition is one function instance's input: the node it runs on and the
+// rows it reads.
+type partition struct {
+	node int
+	in   udf.BatchReader
 }
 
 func maxParallel(n int) int {
@@ -239,42 +279,83 @@ func maxParallel(n int) int {
 	return n
 }
 
-// streamReader feeds a batch to the UDF in storage-sized chunks so transforms
-// see a stream rather than one giant batch. One view batch (and its column
-// headers) is reused across Next calls — allowed by the BatchReader contract,
-// which only guarantees a batch until the next call.
-func streamReader(b *colstore.Batch) udf.BatchReader {
-	return &viewReader{src: b}
+// blockStream is a PARTITION BEST instance's input: a cursor over the
+// instance's own block range, the residual filter and the argument
+// expressions, applied one block at a time. The batch Next returns is valid
+// until the next call — the cursor's decode buffers and the filter's batch
+// are reused. A stream belongs to the instance's goroutine; rows and busy
+// are read once it has finished.
+type blockStream struct {
+	ctx      context.Context
+	cur      *colstore.ScanCursor
+	residual sqlparse.Expr
+	args     []sqlparse.Expr
+	inSchema colstore.Schema
+	prof     *Profile
+
+	idx  []int           // residual scratch
+	kept *colstore.Batch // the rows the residual keeps of the current block
+	rows int64           // rows delivered, past the residual
+	busy time.Duration   // time spent in Next
 }
 
-type viewReader struct {
-	src  *colstore.Batch
-	off  int
-	hdrs []colstore.Vector
-	view colstore.Batch
+func (s *blockStream) Next() (*colstore.Batch, error) {
+	t0 := s.prof.now()
+	defer func() { s.busy += s.prof.now() - t0 }()
+	for {
+		b, err := s.cur.Next(s.ctx)
+		if err != nil || b == nil {
+			return nil, err
+		}
+		if s.residual != nil {
+			if s.idx, err = filterRows(s.residual, b, s.idx); err != nil {
+				return nil, err
+			}
+			if len(s.idx) == 0 {
+				continue
+			}
+			if s.kept == nil {
+				s.kept = colstore.NewBatch(b.Schema)
+			}
+			s.kept.Reset()
+			if err := s.kept.AppendGather(b, s.idx); err != nil {
+				return nil, err
+			}
+			b = s.kept
+		}
+		s.rows += int64(b.Len())
+		return evalArgs(s.args, b, s.inSchema)
+	}
 }
 
-func (r *viewReader) Next() (*colstore.Batch, error) {
-	if r.off >= r.src.Len() {
+// keyPartitions cuts one segment's rows into PARTITION BY partitions: one
+// per distinct key tuple, in first-appearance order (the typed group table
+// of GROUP BY is the identity), each projected to the function's arguments.
+func keyPartitions(raw *colstore.Batch, by []string, args []sqlparse.Expr, inSchema colstore.Schema) ([]*colstore.Batch, error) {
+	if raw.Len() == 0 {
 		return nil, nil
 	}
-	hi := r.off + colstore.DefaultBlockRows
-	if hi > r.src.Len() {
-		hi = r.src.Len()
+	argBatch, err := evalArgs(args, raw, inSchema)
+	if err != nil {
+		return nil, err
 	}
-	if r.hdrs == nil {
-		r.hdrs = make([]colstore.Vector, len(r.src.Cols))
-		cols := make([]*colstore.Vector, len(r.src.Cols))
-		for i := range r.hdrs {
-			cols[i] = &r.hdrs[i]
-		}
-		r.view = colstore.Batch{Schema: r.src.Schema, Cols: cols}
+	keys := make([]colstore.BlockCol, len(by))
+	for i, c := range by {
+		keys[i] = colstore.BlockCol{Vals: raw.Cols[raw.Schema.ColIndex(c)]}
 	}
-	for i, c := range r.src.Cols {
-		c.SliceInto(&r.hdrs[i], r.off, hi)
+	var table groupTable
+	sc := aggScratchPool.Get().(*aggScratch)
+	gid := table.assign(keys, raw.Len(), sc)
+	groups := make([][]int, table.n)
+	for r, g := range gid {
+		groups[g] = append(groups[g], r)
 	}
-	r.off = hi
-	return &r.view, nil
+	aggScratchPool.Put(sc)
+	out := make([]*colstore.Batch, len(groups))
+	for i, rows := range groups {
+		out[i] = argBatch.Gather(rows)
+	}
+	return out, nil
 }
 
 // ctxReader wraps a BatchReader with a per-batch context check, so UDTF

@@ -68,7 +68,11 @@ func (p Params) IntOr(key string, def int64) int64 {
 
 // Ctx is the execution context handed to each transform-function instance.
 type Ctx struct {
-	Params   Params
+	Params Params
+	// InSchema is the resolved argument schema — the columns every input
+	// batch will carry, in call order — known before the first batch, so a
+	// function can reject a call whatever its partition holds.
+	InSchema colstore.Schema
 	NodeID   int // database node this instance runs on
 	NumNodes int
 	Instance int // instance index within the node (0-based)

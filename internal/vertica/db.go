@@ -310,20 +310,35 @@ func (db *DB) loadParts(table string, parts []*colstore.Batch) error {
 			body, err := encodeLoad(table, parts)
 			return recLoad, body, err
 		},
-		func() error { return db.applyLoad(table, parts) })
+		func() error { return db.applyLoad(table, parts, false) })
 }
 
 // applyLoad publishes a new table version holding the loaded rows: segments
 // receiving rows are cloned (copy-on-write), appended, and swapped into a
 // fresh per-node list. Published versions are never mutated, which is what
 // lets snapshots and in-flight scans proceed without locks.
-func (db *DB) applyLoad(table string, parts []*colstore.Batch) error {
+//
+// redo is set only by recovery's log replay: no snapshot can exist before
+// Open returns, so there the rows append to the head version's segments in
+// place — no clone of the tail and the index map per record, no new version.
+func (db *DB) applyLoad(table string, parts []*colstore.Batch, redo bool) error {
 	cur, ok := db.store.Latest(table)
 	if !ok {
 		return fmt.Errorf("vertica: table %q does not exist", table)
 	}
 	if len(parts) != len(cur) {
 		return fmt.Errorf("vertica: load parts for %d nodes, table %q has %d", len(parts), table, len(cur))
+	}
+	if redo {
+		for node, part := range parts {
+			if part == nil || part.Len() == 0 {
+				continue
+			}
+			if err := cur[node].Append(part); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	next := make([]*colstore.Segment, len(cur))
 	copy(next, cur)

@@ -282,7 +282,8 @@ func (db *DB) recoverState() error {
 }
 
 // applyWALRecord is the redo interpreter: it applies one log record to
-// in-memory state exactly as the original commit's apply step did.
+// in-memory state as the original commit's apply step did — except that a
+// load appends in place (see applyLoad): recovery has no readers to isolate.
 func (db *DB) applyWALRecord(lsn uint64, typ byte, body []byte) error {
 	switch typ {
 	case recCreateTable:
@@ -304,7 +305,7 @@ func (db *DB) applyWALRecord(lsn uint64, typ byte, body []byte) error {
 		if err != nil {
 			return err
 		}
-		return db.applyLoad(table, parts)
+		return db.applyLoad(table, parts, true)
 	case recCreateIndex:
 		name, table, column, err := decodeIndexDDL(body)
 		if err != nil {
