@@ -3,11 +3,13 @@ GO ?= go
 # Tier-1 verify (referenced from ROADMAP.md): everything must build, every
 # test must pass — the root package's TestNoContextTwins among them, which
 # fails when any package declares X beside XContext/XCtx on one receiver —
-# the tree must be lint-clean, the bounded differential suites (compressed
-# execution, single-table, hash join, streamed UDTF) must agree bitwise, and
-# the seven fuzz-smoke targets (parser, three equivalence targets,
-# shard-partial import, broadcast-build decode, serving frame decode) get a
-# short run so the harness runs on every pass.
+# the tree must be lint-clean (the block codec for a big-endian host too: its
+# PLAIN fallback compiles nowhere else), the bounded differential suites
+# (compressed execution, single-table, hash join, streamed UDTF) must agree
+# bitwise, and the nine fuzz-smoke targets (parser, three equivalence targets,
+# shard-partial import, broadcast-build decode, serving frame decode, block
+# decode, transfer message decode) get a short run so the harness runs on
+# every pass.
 #
 # Targets: check (= lint build test race difftest-short fuzz-smoke), vet,
 # bench (benchmark/run.sh over the BENCHMARK.json workloads), bench-figures,
@@ -31,8 +33,9 @@ difftest-short:
 # Short fuzz smoke: the compressed-execution and hash-join equivalence
 # targets, the SQL parser (the planner consumes whatever the parser yields,
 # so parse robustness is tier-1), the router's import of shard partials, the
-# peer's decode of a join's broadcast build tables and the serving frame
-# decoder on both ends of a connection (bytes off a socket, all three);
+# peer's decode of a join's broadcast build tables, the serving frame
+# decoder on both ends of a connection, the block decoder and the transfer
+# hub's decode of a message, a run of chunks (bytes off a socket, all five);
 # enough to replay each corpus and explore a little.
 .PHONY: fuzz-smoke
 fuzz-smoke:
@@ -43,6 +46,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzHashJoinEquivalence -fuzztime=10s ./internal/sqlexec/difftest/
 	$(GO) test -run='^$$' -fuzz=FuzzShardRequestBuilds -fuzztime=10s ./internal/cluster/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/colstore/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeChunk -fuzztime=10s ./internal/vft/
 
 # Lint: go vet plus gofmt enforcement (gofmt -l output fails the build).
 .PHONY: lint
@@ -52,9 +57,13 @@ lint: vet
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
+# The second line type-checks the block codec for a big-endian host (s390x):
+# the per-value PLAIN loops it falls back to are never taken on any host we
+# run on. Offline — the toolchain carries its own standard library source.
 .PHONY: vet
 vet:
 	$(GO) vet ./...
+	GOARCH=s390x $(GO) vet ./internal/colstore
 
 .PHONY: build
 build:

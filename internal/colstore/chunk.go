@@ -27,6 +27,19 @@ func AppendChunk(dst, scratch []byte, b *Batch) (chunk, grown []byte, err error)
 	return dst, scratch, nil
 }
 
+// AppendStoredChunk appends to dst the chunk whose columns are the given
+// blocks, already encoded (a sealed block row, as ScanCursor.NextStored hands
+// it out): what AppendChunk writes, without the encoding. The blocks are only
+// read.
+func AppendStoredChunk(dst []byte, blocks [][]byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(blocks)))
+	for _, blk := range blocks {
+		dst = binary.AppendUvarint(dst, uint64(len(blk)))
+		dst = append(dst, blk...)
+	}
+	return dst
+}
+
 // DecodeChunkInto decodes the chunk at the head of msg into dst, appending
 // to dst's columns (callers reusing a pooled batch Reset it first), and
 // returns the bytes after it. dst's schema is the expected schema; a chunk

@@ -8,21 +8,41 @@ import (
 )
 
 // drainCursors concatenates the cursors' outputs in order and sums their
-// stats.
+// stats. It reads through NextStored with a room that varies call by call —
+// none, a row short of the tests' 64-row blocks, exactly a block, plenty — so
+// block rows arrive stored or decoded by turns; either way they are the same
+// rows and cost the same stats.
 func drainCursors(t testing.TB, schema Schema, curs []*ScanCursor) (*Batch, ScanStats) {
 	t.Helper()
 	out := NewBatch(schema)
 	var st ScanStats
+	call := 0
 	for _, c := range curs {
 		bound := c.MaxRows()
 		rows := 0
 		for {
-			b, err := c.Next(context.Background())
+			room := []int{0, 63, 64, 1 << 30}[call%4]
+			call++
+			blocks, n, b, err := c.NextStored(context.Background(), room)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if b == nil {
+			if blocks == nil && b == nil {
 				break
+			}
+			if blocks != nil {
+				if b != nil || c.pred != nil || n > room || len(blocks) != len(schema) {
+					t.Fatalf("NextStored(%d) handed out %d stored blocks of %d rows beside batch %v (pred %v)", room, len(blocks), n, b, c.pred)
+				}
+				b = NewBatch(schema)
+				for j, blk := range blocks {
+					if err := DecodeBlockInto(b.Cols[j], blk); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if b.Len() != n {
+					t.Fatalf("stored blocks hold %d rows, NextStored said %d", b.Len(), n)
+				}
 			}
 			rows += b.Len()
 			if err := out.AppendBatch(b); err != nil {

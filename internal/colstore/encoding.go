@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // Encoding enumerates the physical block encodings. Vertica's storage applies
@@ -109,15 +110,39 @@ func BestEncoding(v *Vector) Encoding {
 	return EncPlain
 }
 
+// countRuns counts the maximal runs of equal adjacent values; it runs over
+// every column at every seal and every re-encoded chunk, hence one typed loop
+// per type.
 func countRuns(v *Vector) int {
-	n := v.Len()
-	if n == 0 {
+	if v.Len() == 0 {
 		return 0
 	}
 	runs := 1
-	for i := 1; i < n; i++ {
-		if !valueEq(v, i, i-1) {
-			runs++
+	switch v.Type {
+	case TypeInt64:
+		for i, x := range v.Ints[1:] {
+			if x != v.Ints[i] {
+				runs++
+			}
+		}
+	case TypeFloat64:
+		// By bits, like valueEq: NaN payloads and -0.0 each end a run.
+		for i, x := range v.Floats[1:] {
+			if math.Float64bits(x) != math.Float64bits(v.Floats[i]) {
+				runs++
+			}
+		}
+	case TypeString:
+		for i, x := range v.Strs[1:] {
+			if x != v.Strs[i] {
+				runs++
+			}
+		}
+	case TypeBool:
+		for i, x := range v.Bools[1:] {
+			if x != v.Bools[i] {
+				runs++
+			}
 		}
 	}
 	return runs
@@ -138,13 +163,31 @@ func valueEq(v *Vector, i, j int) bool {
 	return false
 }
 
+// hostLittleEndian reports whether an int64 or float64 in memory already is
+// its PLAIN encoding, so a PLAIN numeric payload moves with one copy.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wordBytes views a numeric slice as its bytes. The view always goes this
+// way — typed memory read or written as bytes, never payload bytes read as
+// words — so it needs no alignment and no length a checked pointer
+// conversion could reject.
+func wordBytes[T int64 | float64](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 8*len(s))
+}
+
 func encodePlain(buf []byte, v *Vector) ([]byte, error) {
 	switch v.Type {
 	case TypeInt64:
+		if hostLittleEndian {
+			return append(buf, wordBytes(v.Ints)...), nil
+		}
 		for _, x := range v.Ints {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
 		}
 	case TypeFloat64:
+		if hostLittleEndian {
+			return append(buf, wordBytes(v.Floats)...), nil
+		}
 		for _, x := range v.Floats {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
 		}
@@ -315,17 +358,31 @@ func DecodeBlockInto(v *Vector, data []byte) error {
 
 func decodePlain(v *Vector, rest []byte, n int) (*Vector, error) {
 	switch v.Type {
-	case TypeInt64, TypeFloat64:
+	case TypeInt64:
 		if len(rest) < 8*n {
 			return nil, fmt.Errorf("colstore: truncated plain block")
 		}
-		for i := 0; i < n; i++ {
-			u := binary.LittleEndian.Uint64(rest[i*8:])
-			if v.Type == TypeInt64 {
-				v.Ints = append(v.Ints, int64(u))
-			} else {
-				v.Floats = append(v.Floats, math.Float64frombits(u))
-			}
+		v.Ints = grown(v.Ints, n)[:len(v.Ints)+n]
+		dst := v.Ints[len(v.Ints)-n:]
+		if hostLittleEndian {
+			copy(wordBytes(dst), rest)
+			break
+		}
+		for i := range dst {
+			dst[i] = int64(binary.LittleEndian.Uint64(rest[i*8:]))
+		}
+	case TypeFloat64:
+		if len(rest) < 8*n {
+			return nil, fmt.Errorf("colstore: truncated plain block")
+		}
+		v.Floats = grown(v.Floats, n)[:len(v.Floats)+n]
+		dst := v.Floats[len(v.Floats)-n:]
+		if hostLittleEndian {
+			copy(wordBytes(dst), rest)
+			break
+		}
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[i*8:]))
 		}
 	case TypeString:
 		for i := 0; i < n; i++ {

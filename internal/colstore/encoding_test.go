@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -126,6 +127,95 @@ func TestDecodeCorrupt(t *testing.T) {
 	good, _ := EncodeBlock(IntVector([]int64{1, 2, 3}), EncPlain)
 	if _, err := DecodeBlock(good[:len(good)-4]); err == nil {
 		t.Fatal("truncated payload should fail")
+	}
+}
+
+// A PLAIN numeric payload is the values' little-endian words, moved as
+// bytes: every bit pattern crosses — NaN payloads, both zeros, both
+// infinities, the int64 extremes — the bytes are what the per-value loop
+// wrote, decoding appends after whatever the vector holds, and a payload
+// short by any number of bytes is an error, never a shorter vector. The
+// per-value loops a big-endian host falls back to are held to the same.
+func TestPlainNumericBlocksMoveAsBytes(t *testing.T) {
+	t.Run("host", testPlainNumericBlocks)
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	hostLittleEndian = false
+	t.Run("portable", testPlainNumericBlocks)
+}
+
+func testPlainNumericBlocks(t *testing.T) {
+	floats := []float64{
+		math.Float64frombits(0x7ff8deadbeef0001), math.Float64frombits(0xfff0000000000001), math.NaN(),
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64, -1.5,
+	}
+	ints := []int64{math.MinInt64, math.MaxInt64, 0, -1, 1, 1 << 53, -(1 << 53)}
+	for name, v := range map[string]*Vector{
+		"floats": FloatVector(floats), "ints": IntVector(ints),
+		"no floats": NewVector(TypeFloat64, 0), "no ints": NewVector(TypeInt64, 0),
+	} {
+		data, err := EncodeBlock(v, EncPlain)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		n := v.Len()
+		header := len(data) - 8*n
+		if header != 3 {
+			t.Fatalf("%s: %d payload bytes for %d values", name, len(data)-3, n)
+		}
+		for i := 0; i < n; i++ {
+			want := uint64(0)
+			if v.Type == TypeFloat64 {
+				want = math.Float64bits(v.Floats[i])
+			} else {
+				want = uint64(v.Ints[i])
+			}
+			if got := binary.LittleEndian.Uint64(data[header+8*i:]); got != want {
+				t.Fatalf("%s: value %d is on the wire as %#x, want %#x", name, i, got, want)
+			}
+		}
+		// Decode behind rows the vector already holds, as a chunk run does.
+		into := NewVector(v.Type, 0)
+		for rep := 0; rep < 2; rep++ {
+			if err := DecodeBlockInto(into, data); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if into.Len() != 2*n || !vectorsEqual(into.Slice(0, n), v) || !vectorsEqual(into.Slice(n, 2*n), v) {
+			t.Fatalf("%s: decoding twice into one vector did not append the values twice", name)
+		}
+		for cut := 1; cut <= 8*n; cut++ {
+			short := NewVector(v.Type, 0)
+			if err := DecodeBlockInto(short, data[:len(data)-cut]); err == nil {
+				t.Fatalf("%s: a payload short by %d bytes decoded", name, cut)
+			}
+			if short.Len() != 0 {
+				t.Fatalf("%s: a payload short by %d bytes left %d rows behind", name, cut, short.Len())
+			}
+		}
+	}
+}
+
+// countRuns has a loop per type; RLE's encoder still compares through
+// valueEq, and the two must agree on what a run is.
+func TestCountRunsAgreesWithValueEq(t *testing.T) {
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	for name, v := range map[string]*Vector{
+		"ints":    IntVector([]int64{1, 1, 2, 2, 2, 1, math.MinInt64, math.MinInt64}),
+		"floats":  FloatVector([]float64{0, math.Copysign(0, -1), nan1, nan1, nan2, 1, 1}),
+		"strings": StringVector([]string{"", "", "a", "a", "b", ""}),
+		"bools":   BoolVector([]bool{true, true, false, true, true}),
+		"one":     IntVector([]int64{7}),
+		"none":    NewVector(TypeFloat64, 0),
+	} {
+		want := 0
+		for i := 0; i < v.Len(); i++ {
+			if i == 0 || !valueEq(v, i, i-1) {
+				want++
+			}
+		}
+		if got := countRuns(v); got != want {
+			t.Fatalf("%s: countRuns = %d, valueEq counts %d", name, got, want)
+		}
 	}
 }
 

@@ -563,6 +563,7 @@ type ScanCursor struct {
 	tail    bool // the tail is still to be delivered after the blocks
 	scratch *[]int
 	reuse   *Batch
+	stored  [][]byte // NextStored's reused result slice
 	st      ScanStats
 }
 
@@ -626,6 +627,20 @@ func (c *ScanCursor) MaxRows() int {
 // checked before every block decode (and before the tail), so a canceled
 // query stops within one storage block; the error wraps verr.ErrCanceled.
 func (c *ScanCursor) Next(ctx context.Context) (*Batch, error) {
+	_, _, b, err := c.NextStored(ctx, 0)
+	return b, err
+}
+
+// NextStored is Next for a consumer that can take a block row as stored: when
+// the cursor filters no rows and the next surviving block row holds at most
+// maxRows rows, it returns that row's encoded blocks, one per scanned column,
+// and their row count, undecoded; otherwise the batch Next would return. Both
+// are nil at the end of the range. The blocks are the segment's own storage:
+// immutable, so they stay valid for as long as the segment is referenced, but
+// read-only — they must never be written to or handed to a pool; the slice
+// holding them is reused by the next call. A block row handed out stored is
+// counted in the cursor's stats as scanned, its bytes as read.
+func (c *ScanCursor) NextStored(ctx context.Context, maxRows int) (blocks [][]byte, rows int, b *Batch, err error) {
 	if c.scratch == nil {
 		c.scratch = idxScratch.Get().(*[]int)
 		// Without a predicate every block decodes whole, so one scratch
@@ -636,7 +651,7 @@ func (c *ScanCursor) Next(ctx context.Context) (*Batch, error) {
 	}
 	for c.bi < c.hi {
 		if err := verr.Canceled(ctx.Err()); err != nil {
-			return nil, err
+			return nil, 0, nil, err
 		}
 		bi := c.bi
 		c.bi++
@@ -645,24 +660,35 @@ func (c *ScanCursor) Next(ctx context.Context) (*Batch, error) {
 			continue
 		}
 		c.st.BlocksScanned++
+		if n := c.s.sealed[0][bi].rows; c.pred == nil && n <= maxRows {
+			c.stored = c.stored[:0]
+			for _, ci := range c.plan.colIdx {
+				data := c.s.sealed[ci][bi].data
+				c.st.BytesRead += len(data)
+				c.stored = append(c.stored, data)
+			}
+			c.st.RowsOut += n
+			return c.stored, n, nil, nil
+		}
 		batch, err := c.s.decodeBlockRow(bi, c.plan, c.pred, &c.st, c.scratch, c.reuse)
 		if err != nil {
-			return nil, err
+			return nil, 0, nil, err
 		}
 		if batch.Len() == 0 {
 			continue
 		}
 		c.st.RowsOut += batch.Len()
-		return batch, nil
+		return nil, 0, batch, nil
 	}
 	if !c.tail {
-		return nil, nil
+		return nil, 0, nil, nil
 	}
 	c.tail = false
 	if err := verr.Canceled(ctx.Err()); err != nil {
-		return nil, err
+		return nil, 0, nil, err
 	}
-	return c.s.scanTail(c.plan, c.pred, &c.st, c.scratch)
+	b, err = c.s.scanTail(c.plan, c.pred, &c.st, c.scratch)
+	return nil, 0, b, err
 }
 
 // Stats reports what the cursor has touched so far.

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
 	"verticadr/internal/algos"
+	"verticadr/internal/darray"
 	"verticadr/internal/vft"
 )
 
@@ -89,4 +91,84 @@ func TestStreamedReadsBesideCopyLoop(t *testing.T) {
 	if want := seedRows + batches*batchRows; res.Len() != want {
 		t.Fatalf("after the loop PREDICT saw %d rows, want %d", res.Len(), want)
 	}
+}
+
+// Several transfers of one table at once, beside a COPY loop committing into
+// it: every export instance forwards its snapshot's sealed blocks — shared,
+// immutable — and reads its snapshot's own tail, so each frame is the seed
+// plus a whole number of batches, bit for bit (run under -race: `make race`).
+func TestConcurrentTransfersBesideCopyLoop(t *testing.T) {
+	const seedRows, batchRows, batches, loaders = 3000, 500, 12, 3
+	s := startTest(t, Config{DBNodes: 3, DRWorkers: 3, InstancesPerWorker: 1, BlockRows: 64})
+	loadRegressionTable(t, s, "t", seedRows, 2, 5)
+	cols := make([][]float64, 3)
+	var batchBits uint64
+	for j := range cols {
+		cols[j] = make([]float64, batchRows)
+		for i := range cols[j] {
+			cols[j][i] = float64(i%19)/8 - float64(j)
+			if j != 1 {
+				batchBits += math.Float64bits(cols[j][i])
+			}
+		}
+	}
+	ctx := context.Background()
+	bitsOf := func(frame *darray.DFrame) (bits uint64) {
+		for p := 0; p < frame.NPartitions(); p++ {
+			b, err := frame.Part(p)
+			if err != nil {
+				t.Error(err)
+				return 0
+			}
+			for _, col := range b.Cols {
+				for _, v := range col.Floats {
+					bits += math.Float64bits(v)
+				}
+			}
+		}
+		return bits
+	}
+	seed, _, err := s.DB2DFrameContext(ctx, "t", []string{"x0", "y"}, vft.PolicyLocality)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedBits := bitsOf(seed)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for l := 0; l < loaders; l++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := 0
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				frame, stats, err := s.DB2DFrameContext(ctx, "t", []string{"x0", "y"}, vft.PolicyLocality)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				k := (stats.Rows - seedRows) / batchRows
+				if stats.Rows < last || frame.Rows() != stats.Rows || k < 0 || k > batches || stats.Rows != seedRows+k*batchRows {
+					t.Errorf("a transfer moved %d rows (frame %d) after %d: not the seed plus whole batches", stats.Rows, frame.Rows(), last)
+					return
+				}
+				if got, want := bitsOf(frame), seedBits+uint64(k)*batchBits; got != want {
+					t.Errorf("a transfer of the seed plus %d batches sums to %x, want %x", k, got, want)
+					return
+				}
+				last = stats.Rows
+			}
+		}()
+	}
+	for b := 0; b < batches; b++ {
+		if err := s.DB.LoadColumns("t", cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

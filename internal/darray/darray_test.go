@@ -1,6 +1,7 @@
 package darray
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -339,6 +340,102 @@ func TestDFrameAsDArray(t *testing.T) {
 	empty, _ := NewFrame(c, 1)
 	if _, err := empty.AsDArray(nil); err == nil {
 		t.Fatal("empty frame should fail")
+	}
+}
+
+// The tiled, partition-parallel conversion lays out exactly what writing one
+// whole column after another did — floats by bits, integers converted — on
+// ragged partitions, an empty one, tiles that end mid-partition, and a
+// reordered, repeated column subset; and a column that cannot convert fails
+// the call before any partition is filled.
+func TestAsDArrayMatchesColumnAtATime(t *testing.T) {
+	c := cluster(t, 3)
+	schema := colstore.Schema{
+		{Name: "x", Type: colstore.TypeFloat64},
+		{Name: "n", Type: colstore.TypeInt64},
+		{Name: "s", Type: colstore.TypeString},
+		{Name: "y", Type: colstore.TypeFloat64},
+	}
+	sizes := []int{5000, 0, 1, 4097, 31}
+	f, err := NewFrame(c, len(sizes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := uint64(1)
+	for p, rows := range sizes {
+		b := colstore.NewBatch(schema)
+		for i := 0; i < rows; i++ {
+			next = next*6364136223846793005 + 1442695040888963407
+			x := math.Float64frombits(next) // every kind of float, NaNs included
+			if err := b.AppendRow(x, int64(next>>7)-1<<55, "s", -x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Fill(p, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cols := range [][]string{nil, {"x", "n", "y"}, {"y"}, {"n"}, {"y", "n", "x", "n"}} {
+		if cols == nil {
+			// All columns: s is in the way.
+			if _, err := f.AsDArray(nil); err == nil {
+				t.Fatal("a frame with a VARCHAR column converted whole")
+			}
+			continue
+		}
+		a, err := f.AsDArray(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p, rows := range sizes {
+			b, err := f.Part(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := NewMat(rows, len(cols))
+			for j, name := range cols {
+				col := b.Cols[schema.ColIndex(name)]
+				for r := 0; r < rows; r++ {
+					if col.Type == colstore.TypeFloat64 {
+						want.Data[r*len(cols)+j] = col.Floats[r]
+					} else {
+						want.Data[r*len(cols)+j] = float64(col.Ints[r])
+					}
+				}
+			}
+			got, err := a.Part(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Rows != rows || got.Cols != len(cols) || a.WorkerOf(p) != f.WorkerOf(p) {
+				t.Fatalf("%v partition %d: %dx%d on worker %d, want %dx%d on %d", cols, p, got.Rows, got.Cols, a.WorkerOf(p), rows, len(cols), f.WorkerOf(p))
+			}
+			for i, w := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+					t.Fatalf("%v partition %d: element %d is %x, want %x", cols, p, i, math.Float64bits(got.Data[i]), math.Float64bits(w))
+				}
+			}
+		}
+	}
+	held := func() int {
+		n := 0
+		for i := 0; i < c.NumWorkers(); i++ {
+			w, err := c.Worker(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += len(w.Keys())
+		}
+		return n
+	}
+	before := held()
+	for _, cols := range [][]string{{"x", "s"}, {"x", "nosuch"}} {
+		if _, err := f.AsDArray(cols); err == nil {
+			t.Fatalf("AsDArray(%v) converted", cols)
+		}
+	}
+	if after := held(); after != before {
+		t.Fatalf("failed conversions left %d partitions behind on the workers", after-before)
 	}
 }
 

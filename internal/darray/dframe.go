@@ -6,6 +6,7 @@ import (
 
 	"verticadr/internal/colstore"
 	"verticadr/internal/dr"
+	"verticadr/internal/parallel"
 )
 
 // DFrame is a distributed data frame: partitions are typed column batches
@@ -148,7 +149,8 @@ func (f *DFrame) Part(i int) (*colstore.Batch, error) {
 
 // AsDArray converts numeric columns (in schema order, or the named subset)
 // into a co-located distributed array; this is the bridge db2darray uses to
-// hand loaded frames to the math algorithms.
+// hand loaded frames to the math algorithms. The columns are checked once,
+// before anything is filled; the partitions then convert concurrently.
 func (f *DFrame) AsDArray(cols []string) (*DArray, error) {
 	sch := f.Schema()
 	if sch == nil {
@@ -157,6 +159,16 @@ func (f *DFrame) AsDArray(cols []string) (*DArray, error) {
 	if cols == nil {
 		for _, c := range sch {
 			cols = append(cols, c.Name)
+		}
+	}
+	idx := make([]int, len(cols))
+	for j, name := range cols {
+		idx[j] = sch.ColIndex(name)
+		if idx[j] < 0 {
+			return nil, fmt.Errorf("darray: frame has no column %q", name)
+		}
+		if t := sch[idx[j]].Type; t != colstore.TypeFloat64 && t != colstore.TypeInt64 {
+			return nil, fmt.Errorf("darray: column %q is %v, not numeric", name, t)
 		}
 	}
 	a, err := New(f.c, f.NPartitions())
@@ -168,39 +180,44 @@ func (f *DFrame) AsDArray(cols []string) (*DArray, error) {
 			return nil, err
 		}
 	}
-	for i := 0; i < f.NPartitions(); i++ {
+	err = parallel.Default().ForEach(f.NPartitions(), func(i int) error {
 		b, err := f.Part(i)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		p, err := b.Project(cols)
-		if err != nil {
-			return nil, err
-		}
-		m := NewMat(p.Len(), len(cols))
-		// Column-major source into row-major matrix: write through the raw
-		// data slice with an explicit stride, which keeps the inner loop
-		// free of per-element bounds recomputation.
-		stride := m.Cols
-		for j, col := range p.Cols {
-			switch col.Type {
-			case colstore.TypeFloat64:
-				for r, v := range col.Floats {
-					m.Data[r*stride+j] = v
-				}
-			case colstore.TypeInt64:
-				for r, v := range col.Ints {
-					m.Data[r*stride+j] = float64(v)
-				}
-			default:
-				return nil, fmt.Errorf("darray: column %q is %v, not numeric", cols[j], col.Type)
-			}
-		}
-		if err := a.Fill(i, m); err != nil {
-			return nil, err
-		}
+		return a.Fill(i, rowMajor(b, idx))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return a, nil
+}
+
+// rowMajor lays the numeric columns idx of b out as a row-major matrix. The
+// sources are column-major, so a whole column at a time would touch every
+// cache line of the matrix once per column; instead the rows go in tiles
+// small enough that a tile of the matrix stays in cache while each column in
+// turn is written into it.
+func rowMajor(b *colstore.Batch, idx []int) *Mat {
+	m := NewMat(b.Len(), len(idx))
+	stride := len(idx)
+	tile := max(32, 4096/max(stride, 1)) // about 32 KiB of matrix
+	for lo := 0; lo < m.Rows; lo += tile {
+		hi := min(lo+tile, m.Rows)
+		for j, ci := range idx {
+			dst := m.Data[lo*stride+j:]
+			if col := b.Cols[ci]; col.Type == colstore.TypeFloat64 {
+				for r, v := range col.Floats[lo:hi] {
+					dst[r*stride] = v
+				}
+			} else {
+				for r, v := range col.Ints[lo:hi] {
+					dst[r*stride] = float64(v)
+				}
+			}
+		}
+	}
+	return m
 }
 
 // DList is a distributed list: each partition holds an arbitrary []any

@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -128,6 +129,12 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 				s.cur.Close()
 			}
 		}()
+		// Arguments that are bare columns over rows nothing filters can reach
+		// the function as stored blocks (udf.StoredReader).
+		var argCol []int
+		if acc.Residual == nil {
+			argCol = bareColumns(fc.Args, need)
+		}
 		k := max(db.UDFInstancesPerNode(), 1)
 		for node, seg := range segs {
 			curs, err := seg.ScanCursors(need, acc.Primary, acc.Zone, k)
@@ -135,7 +142,7 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 				return nil, err
 			}
 			for _, cur := range curs {
-				s := &blockStream{ctx: ctx, cur: cur, residual: acc.Residual, args: fc.Args, inSchema: inSchema, prof: prof}
+				s := &blockStream{ctx: ctx, cur: cur, residual: acc.Residual, args: fc.Args, argCol: argCol, inSchema: inSchema, prof: prof}
 				streams = append(streams, s)
 				if cur.MaxRows() > 0 {
 					parts = append(parts, partition{node: node, in: s})
@@ -160,7 +167,7 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 				return nil, err
 			}
 			for _, b := range keyed {
-				parts = append(parts, partition{node: node, in: udf.NewSliceReader(b)})
+				parts = append(parts, partition{node: node, in: &ctxReader{ctx: ctx, inner: udf.NewSliceReader(b)}})
 			}
 		}
 		finishScan(st, rows)
@@ -169,7 +176,7 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 	// under PARTITION BEST on what its zone maps prune: a statement left
 	// without a partition still runs one instance, over an empty stream.
 	if len(parts) == 0 {
-		parts = append(parts, partition{in: udf.NewSliceReader()})
+		parts = append(parts, partition{in: &ctxReader{ctx: ctx, inner: udf.NewSliceReader()}})
 	}
 
 	// Run all partitions in parallel (bounded). Each partition writes into
@@ -177,6 +184,7 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 	// merge in partition order below, so UDTF output order is deterministic
 	// regardless of goroutine interleaving.
 	udtfDone := startOp(ctx, prof, "udtf")
+	var stored, decoded int // what instances that asked for stored blocks were handed
 	writers := make([]*udf.AppendWriter, len(parts))
 	sem := make(chan struct{}, maxParallel(len(parts)))
 	errs := make([]error, len(parts))
@@ -202,11 +210,8 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 				Services: services,
 			}
 			tf := factory()
-			// The input reader re-checks the query context between batches,
-			// so a canceled query stops feeding the UDF within one block.
-			in := &ctxReader{ctx: ctx, inner: p.in}
 			start := prof.now()
-			errs[i] = tf.ProcessPartition(uctx, in, writers[i])
+			errs[i] = tf.ProcessPartition(uctx, p.in, writers[i])
 			ran[i] = prof.now() - start
 		}(i, p, inst)
 	}
@@ -229,6 +234,8 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 			st.Add(s.cur.Stats())
 			rows += s.rows
 			busy += s.busy
+			stored += s.stored
+			decoded += s.decoded
 		}
 		for _, d := range ran {
 			total += d
@@ -258,12 +265,18 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 	if best {
 		unit = "block ranges"
 	}
-	udtfDone.Done(int64(merged.Len()), fmt.Sprintf("%s over %d %s", fc.Name, len(parts), unit))
+	detail := fmt.Sprintf("%s over %d %s", fc.Name, len(parts), unit)
+	if stored+decoded > 0 {
+		detail += fmt.Sprintf(", %d block rows forwarded stored, %d batches decoded", stored, decoded)
+	}
+	udtfDone.Done(int64(merged.Len()), detail)
 	return finishSelect(ctx, merged, sel, prof)
 }
 
 // partition is one function instance's input: the node it runs on and the
-// rows it reads.
+// rows it reads. The reader stops at a canceled query within one block: a
+// blockStream's cursor checks the context itself, anything else is wrapped in
+// a ctxReader.
 type partition struct {
 	node int
 	in   udf.BatchReader
@@ -279,37 +292,97 @@ func maxParallel(n int) int {
 	return n
 }
 
+// bareColumns maps each argument to the position of the column it names in
+// cols, or returns nil when there is no argument or one is not a bare column.
+func bareColumns(args []sqlparse.Expr, cols []string) []int {
+	if len(args) == 0 {
+		return nil
+	}
+	out := make([]int, len(args))
+	for i, a := range args {
+		ref, ok := a.(*sqlparse.ColRef)
+		if !ok {
+			return nil
+		}
+		out[i] = slices.Index(cols, ref.Name)
+		if out[i] < 0 {
+			return nil
+		}
+	}
+	return out
+}
+
 // blockStream is a PARTITION BEST instance's input: a cursor over the
 // instance's own block range, the residual filter and the argument
 // expressions, applied one block at a time. The batch Next returns is valid
 // until the next call — the cursor's decode buffers and the filter's batch
-// are reused. A stream belongs to the instance's goroutine; rows and busy
-// are read once it has finished.
+// are reused. A stream belongs to the instance's goroutine; its counts and
+// busy are read once it has finished.
+//
+// It is the one udf.StoredReader: with argCol set — every argument a bare
+// column of the scan, no residual — a block row the cursor can hand over as
+// stored (no exact predicate either, and small enough for the caller) goes to
+// the function as the arguments' encoded blocks, undecoded.
 type blockStream struct {
 	ctx      context.Context
 	cur      *colstore.ScanCursor
 	residual sqlparse.Expr
 	args     []sqlparse.Expr
+	argCol   []int // per argument, its column in the cursor's scan; nil = always decode
 	inSchema colstore.Schema
 	prof     *Profile
 
-	idx  []int           // residual scratch
-	kept *colstore.Batch // the rows the residual keeps of the current block
-	rows int64           // rows delivered, past the residual
-	busy time.Duration   // time spent in Next
+	idx    []int           // residual scratch
+	kept   *colstore.Batch // the rows the residual keeps of the current block
+	blocks [][]byte        // NextStored's reused result slice
+	rows   int64           // rows delivered, past the residual
+	busy   time.Duration   // time spent in Next and NextStored
+	// Through NextStored: block rows handed over stored, batches decoded.
+	stored, decoded int
 }
 
 func (s *blockStream) Next() (*colstore.Batch, error) {
+	_, _, b, err := s.next(0)
+	return b, err
+}
+
+func (s *blockStream) MaxRows() int { return s.cur.MaxRows() }
+
+func (s *blockStream) NextStored(maxRows int) ([][]byte, int, *colstore.Batch, error) {
+	if s.argCol == nil {
+		maxRows = 0
+	}
+	blocks, rows, b, err := s.next(maxRows)
+	if blocks != nil {
+		s.stored++
+	} else if b != nil {
+		s.decoded++
+	}
+	return blocks, rows, b, err
+}
+
+// next is the cursor's NextStored followed by whatever stands between the
+// scan and the function: nothing for stored blocks but the arguments' order,
+// the residual and the argument expressions for a batch.
+func (s *blockStream) next(maxRows int) ([][]byte, int, *colstore.Batch, error) {
 	t0 := s.prof.now()
 	defer func() { s.busy += s.prof.now() - t0 }()
 	for {
-		b, err := s.cur.Next(s.ctx)
-		if err != nil || b == nil {
-			return nil, err
+		blocks, rows, b, err := s.cur.NextStored(s.ctx, maxRows)
+		if err != nil || (blocks == nil && b == nil) {
+			return nil, 0, nil, err
+		}
+		if blocks != nil {
+			s.blocks = s.blocks[:0]
+			for _, ci := range s.argCol {
+				s.blocks = append(s.blocks, blocks[ci])
+			}
+			s.rows += int64(rows)
+			return s.blocks, rows, nil, nil
 		}
 		if s.residual != nil {
 			if s.idx, err = filterRows(s.residual, b, s.idx); err != nil {
-				return nil, err
+				return nil, 0, nil, err
 			}
 			if len(s.idx) == 0 {
 				continue
@@ -319,12 +392,13 @@ func (s *blockStream) Next() (*colstore.Batch, error) {
 			}
 			s.kept.Reset()
 			if err := s.kept.AppendGather(b, s.idx); err != nil {
-				return nil, err
+				return nil, 0, nil, err
 			}
 			b = s.kept
 		}
 		s.rows += int64(b.Len())
-		return evalArgs(s.args, b, s.inSchema)
+		b, err = evalArgs(s.args, b, s.inSchema)
+		return nil, 0, b, err
 	}
 }
 
@@ -358,8 +432,8 @@ func keyPartitions(raw *colstore.Batch, by []string, args []sqlparse.Expr, inSch
 	return out, nil
 }
 
-// ctxReader wraps a BatchReader with a per-batch context check, so UDTF
-// instances observe cancellation between input blocks.
+// ctxReader wraps a materialized partition's reader with a per-batch context
+// check, so its instance observes cancellation between batches.
 type ctxReader struct {
 	ctx   context.Context
 	inner udf.BatchReader

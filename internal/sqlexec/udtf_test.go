@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -202,6 +203,101 @@ func TestUDTFStreamProfile(t *testing.T) {
 	for _, op := range res.Profile.Ops() {
 		if op.Op == "udtf" && (op.Partitions != 20 || op.Detail != "PARTSUM over 20 partitions") {
 			t.Fatalf("PARTITION BY udtf profile %+v, want 20 partitions (10 keys x 2 nodes)", op)
+		}
+	}
+}
+
+// storedSumTransform sums its last argument like sumTransform, but takes its
+// input as stored blocks wherever the reader offers them.
+type storedSumTransform struct{ sumTransform }
+
+func (storedSumTransform) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.BatchWriter) error {
+	sr, ok := in.(udf.StoredReader)
+	if !ok {
+		return errors.New("a PARTITION BEST reader is no udf.StoredReader")
+	}
+	last := len(ctx.InSchema) - 1
+	left, total := sr.MaxRows(), 0.0
+	for {
+		blocks, rows, b, err := sr.NextStored(150)
+		if err != nil {
+			return err
+		}
+		if blocks == nil && b == nil {
+			break
+		}
+		if blocks != nil {
+			if len(blocks) != len(ctx.InSchema) || rows > 150 {
+				return errors.New("NextStored(150) handed out the wrong blocks")
+			}
+			b = colstore.NewBatch(ctx.InSchema)
+			for j, blk := range blocks {
+				if err := colstore.DecodeBlockInto(b.Cols[j], blk); err != nil {
+					return err
+				}
+			}
+		}
+		left -= b.Len()
+		for _, x := range b.Cols[last].Floats {
+			total += x
+		}
+	}
+	if left < 0 {
+		return errors.New("the reader delivered more rows than MaxRows bounded")
+	}
+	return out.Write(&colstore.Batch{
+		Schema: colstore.Schema{{Name: "total", Type: colstore.TypeFloat64}},
+		Cols:   []*colstore.Vector{colstore.FloatVector([]float64{total})},
+	})
+}
+
+// A function that asks for stored blocks gets every sealed block row it may
+// have that way — bare columns, repeated or reordered, nothing filtered, no
+// larger than it has room for — and batches otherwise, with the same answer;
+// op:udtf says how many of each and op:scan counts them all.
+func TestUDTFStoredReader(t *testing.T) {
+	for _, c := range []struct {
+		blockRows       int
+		args, where     string
+		stored, decoded int
+		blocks          int64 // scanned
+		total           float64
+	}{
+		{100, "w", "", 18, 2, 18, 8550},          // 2 nodes x (9 blocks + a 50-row tail)
+		{100, "x, w, x, w", "", 18, 2, 18, 8550}, //
+		{200, "w", "", 0, 10, 8, 8550},           // 4 blocks + a 150-row tail a node, all over 150 rows
+		{100, "w + 0", "", 0, 20, 18, 8550},      // a computed argument
+		// Node 1's 9 blocks and its tail, behind an exact predicate (node 0's
+		// blocks are pruned) and behind a residual (they are read and emptied).
+		{100, "w", " WHERE x >= 950", 0, 10, 9, 4275},
+		{100, "w", " WHERE x + 0 >= 950", 0, 10, 18, 4275},
+	} {
+		db := newStreamDB(t, []int{950, 950}, c.blockRows, 3)
+		if err := db.reg.Register("StoredSum", func() udf.Transform { return storedSumTransform{} }); err != nil {
+			t.Fatal(err)
+		}
+		q := "PROFILE SELECT StoredSum(" + c.args + ") OVER (PARTITION BEST) FROM t" + c.where
+		res, err := RunSelectCtx(context.Background(), db, selStmt(t, q))
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		total := 0.0
+		for _, v := range res.Batch.Cols[0].Floats {
+			total += v
+		}
+		if total != c.total {
+			t.Fatalf("%s: sums total %v, want %v", q, total, c.total)
+		}
+		ops := map[string]OpProfile{}
+		for _, op := range res.Profile.Ops() {
+			ops[op.Op] = op
+		}
+		want := fmt.Sprintf("STOREDSUM over %d block ranges, %d block rows forwarded stored, %d batches decoded", res.Len(), c.stored, c.decoded)
+		if got := ops["udtf"].Detail; got != want {
+			t.Fatalf("%s: udtf detail %q, want %q", q, got, want)
+		}
+		if scan := ops["scan"]; scan.Blocks != c.blocks || scan.Bytes == 0 || scan.Rows != int64(c.total/4.5) {
+			t.Fatalf("%s: scan profile %+v, want %d blocks and %d rows", q, scan, c.blocks, int64(c.total/4.5))
 		}
 	}
 }

@@ -102,6 +102,26 @@ type BatchReader interface {
 	Next() (*colstore.Batch, error)
 }
 
+// StoredReader is the one optional capability of a BatchReader: a reader
+// whose rows sit in sealed storage blocks can hand a block row over as
+// stored. It is for a function that moves its input on without looking at
+// the values (the transfer export); a function that computes on values calls
+// Next.
+type StoredReader interface {
+	BatchReader
+	// MaxRows bounds the rows the reader has yet to deliver.
+	MaxRows() int
+	// NextStored returns the partition's next rows in one of two forms. When
+	// they are a sealed block row of at most maxRows rows that reaches the
+	// function unfiltered, and every argument is a bare column, it returns
+	// one encoded block per argument (colstore.DecodeBlockInto reads them)
+	// and their row count. Otherwise it returns the batch Next would. All
+	// nil is the end of the partition. The blocks are storage itself —
+	// read-only, never to be recycled into a pool — and the slice holding
+	// them is valid until the next call, like a batch.
+	NextStored(maxRows int) (blocks [][]byte, rows int, b *colstore.Batch, err error)
+}
+
 // BatchWriter receives the UDF's output rows. Write must not retain b past
 // the call — the mirror of BatchReader's contract: the writer copies what it
 // keeps, so the UDF may reset and reuse the batch and its backing arrays for

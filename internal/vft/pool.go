@@ -8,16 +8,18 @@ import (
 )
 
 // Buffer and batch pools for the zero-steady-state-allocation transfer path.
-// Encode buffers, TCP frame buffers and decoded staging batches all cycle
+// Message buffers, TCP receive buffers and decoded staging batches all cycle
 // through here; the hit/miss counters make reuse observable (a healthy
 // steady-state transfer shows hits dominating misses after warm-up).
 //
 // Ownership contract: whoever takes a buffer or batch from the pool owns it
 // until the explicit return point. ChunkSink.Send implementations must not
-// retain msg past the call (the hub decodes eagerly, the TCP client copies
-// into its own frame), which is what lets senders recycle encode buffers the
+// retain msg past the call (the hub decodes eagerly, the TCP client has
+// written it out), which is what lets senders recycle message buffers the
 // moment Send returns — retransmissions inside Send reuse the still-owned
-// buffer and can never observe a recycled one.
+// buffer and can never observe a recycled one. Only buffers that came from
+// getBuf/getBufCap go back: a stored block a message was copied from belongs
+// to its segment and is never pooled.
 var (
 	mPoolHit  = telemetry.Default().Counter("vft_pool_hit_total")
 	mPoolMiss = telemetry.Default().Counter("vft_pool_miss_total")
@@ -34,13 +36,21 @@ const initialBufCap = 64 << 10
 var bufPool sync.Pool // stores *[]byte
 
 // getBuf returns an empty byte buffer from the pool (or a fresh one).
-func getBuf() []byte {
+func getBuf() []byte { return getBufCap(0) }
+
+// getBufCap returns an empty byte buffer of at least n bytes' capacity, for a
+// caller that knows how much it is about to append. A pooled buffer that is
+// too small goes straight back: it still fits someone else.
+func getBufCap(n int) []byte {
 	if p, ok := bufPool.Get().(*[]byte); ok {
-		mPoolHit.Inc()
-		return (*p)[:0]
+		if cap(*p) >= n {
+			mPoolHit.Inc()
+			return (*p)[:0]
+		}
+		bufPool.Put(p)
 	}
 	mPoolMiss.Inc()
-	return make([]byte, 0, initialBufCap)
+	return make([]byte, 0, max(n, initialBufCap))
 }
 
 // putBuf returns a buffer to the pool. The caller must not use b afterwards.
@@ -57,15 +67,16 @@ var batchPool sync.Pool // stores *colstore.Batch
 // getBatch returns an empty batch with the given schema, reusing pooled
 // column storage when the pooled batch's schema matches (the common case:
 // one table shape per transfer). A schema mismatch falls back to a fresh
-// allocation rather than rebuilding columns in place.
-func getBatch(schema colstore.Schema) *colstore.Batch {
+// allocation — with room for rows rows, so filling it does not regrow it —
+// rather than rebuilding columns in place.
+func getBatch(schema colstore.Schema, rows int) *colstore.Batch {
 	if b, ok := batchPool.Get().(*colstore.Batch); ok && b.Schema.Equal(schema) {
 		mPoolHit.Inc()
 		b.Reset()
 		return b
 	}
 	mPoolMiss.Inc()
-	return colstore.NewBatch(schema)
+	return colstore.NewBatchCap(schema, rows)
 }
 
 // putBatch returns a batch to the pool. The caller must not use b afterwards.

@@ -126,6 +126,64 @@ func TestCorruptChunkRejectedAtSend(t *testing.T) {
 	}
 }
 
+// A message is a run of chunks and carries its sender's row count, which
+// Stats.Rows trusts: a run that decodes to another count, or stops inside a
+// chunk, is refused at arrival — in process and over a socket — with nothing
+// staged or counted, and the session and the listener carry on.
+func TestMiscountedMessageRejectedAtSend(t *testing.T) {
+	_, c, hub := setup(t, 2, 2)
+	frame, _ := newFrameForTest(c, 2)
+	id := hub.open(frame, idSchema(), PolicyLocality, hub)
+	svc, err := ServeTCP(hub, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	client := NewTCPClient(svc.Addrs())
+	client.Attempts = 1
+	defer client.Close()
+
+	run := append(encodeIDs(t, 1, 2), encodeIDs(t, 3)...) // two chunks, three rows
+	for name, bad := range map[string]struct {
+		msg  []byte
+		rows int
+	}{
+		"declares a row too many":  {run, 4},
+		"declares a row too few":   {run, 2},
+		"ends inside a chunk":      {run[:len(run)-1], 3},
+		"a stray byte after a run": {append(append([]byte(nil), run...), 1), 3},
+		"no chunk at all":          {nil, 0},
+	} {
+		for _, sink := range []ChunkSink{hub, client} {
+			if err := sink.Send(id, 0, OrderKey(0, 0, 0), bad.msg, bad.rows, 0); err == nil {
+				t.Fatalf("%s: %T accepted the message", name, sink)
+			}
+		}
+	}
+	// Nothing of the refused messages was staged under their (part, seq), and
+	// the connection pool's next dial finds the listener serving.
+	if err := client.Send(id, 0, OrderKey(0, 0, 0), run, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.Send(id, 1, OrderKey(1, 0, 0), encodeIDs(t, 8), 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := hub.finalize(context.Background(), id, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Rows != 4 || stats.Chunks != 2 {
+		t.Fatalf("stats = %d rows / %d messages, want 4 / 2", stats.Rows, stats.Chunks)
+	}
+	b, err := frame.Part(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Cols[0].Ints; len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("partition 0 holds %v, want [1 2 3]", got)
+	}
+}
+
 func TestFinalizeErrorRemovesSession(t *testing.T) {
 	_, c, hub := setup(t, 2, 2)
 	frame, _ := newFrameForTest(c, 2)

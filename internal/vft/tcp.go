@@ -16,9 +16,10 @@ import (
 // (the paper: "The new transfer mechanism works irrespective of whether R
 // instances are on the same or different nodes as the database").
 //
-// Implementations must not retain msg past the call: the sender owns the
-// buffer and recycles it once Send returns (the pooled-buffer contract; the
-// Hub decodes eagerly, TCPClient copies msg into its own pooled frame).
+// msg is a run of one or more chunks (colstore.AppendChunk) holding rows rows
+// in all. Implementations must not retain msg past the call: the sender owns
+// the buffer and recycles it once Send returns (the pooled-buffer contract;
+// the Hub decodes eagerly, TCPClient has written it to the socket).
 type ChunkSink interface {
 	Send(sessionID string, part int, seq uint64, msg []byte, rows int, dbTime time.Duration) error
 }
@@ -29,7 +30,7 @@ var _ ChunkSink = (*Hub)(nil)
 //
 //	u32 payload length, then payload:
 //	  uvarint len(session) | session | uvarint part | uvarint seq |
-//	  uvarint rows | uvarint dbTimeNanos | chunk bytes (rest of payload)
+//	  uvarint rows | uvarint dbTimeNanos | chunks (rest of payload)
 //	reply: 1 status byte (0 ok) | on error: u16 length + message
 
 // TCPService runs one listener per Distributed R worker; received frames
@@ -260,28 +261,24 @@ func (c *TCPClient) putConn(addr string, conn net.Conn) {
 // (part, seq) dedup makes retransmission idempotent, a chunk whose ack was
 // lost in flight is simply sent again.
 //
-// The whole frame — length prefix included — is assembled once into a
-// pooled buffer and written with a single syscall; every retransmission
-// reuses that same frame (Send still owns it), and it returns to the pool
-// only when Send is done with all attempts. msg itself is only read while
-// building the frame, honoring the ChunkSink contract.
+// The frame goes out through WriteFrame — one vectored write (writev on a TCP
+// connection) of the length prefix, a small header (session, part, seq, rows,
+// time) built once, and msg itself, uncopied. Every retransmission reuses the
+// same two slices (Send still owns both), and msg is only read, honoring the
+// ChunkSink contract.
 func (c *TCPClient) Send(sessionID string, part int, seq uint64, msg []byte, rows int, dbTime time.Duration) error {
 	if part < 0 || part >= len(c.addrs) {
 		return fmt.Errorf("vft: no listener for partition %d", part)
 	}
 	addr := c.addrs[part]
 
-	frame := getBuf()
-	defer func() { putBuf(frame) }()
-	frame = append(frame, 0, 0, 0, 0) // u32 payload length, patched below
-	frame = binary.AppendUvarint(frame, uint64(len(sessionID)))
-	frame = append(frame, sessionID...)
-	frame = binary.AppendUvarint(frame, uint64(part))
-	frame = binary.AppendUvarint(frame, seq)
-	frame = binary.AppendUvarint(frame, uint64(rows))
-	frame = binary.AppendUvarint(frame, uint64(dbTime.Nanoseconds()))
-	frame = append(frame, msg...)
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+	hdr := make([]byte, 0, 5*binary.MaxVarintLen64+len(sessionID))
+	hdr = binary.AppendUvarint(hdr, uint64(len(sessionID)))
+	hdr = append(hdr, sessionID...)
+	hdr = binary.AppendUvarint(hdr, uint64(part))
+	hdr = binary.AppendUvarint(hdr, seq)
+	hdr = binary.AppendUvarint(hdr, uint64(rows))
+	hdr = binary.AppendUvarint(hdr, uint64(dbTime.Nanoseconds()))
 
 	var err error
 	backoff := c.backoff()
@@ -291,7 +288,7 @@ func (c *TCPClient) Send(sessionID string, part int, seq uint64, msg []byte, row
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		if err = c.sendOnce(addr, frame); err == nil {
+		if err = c.sendOnce(addr, hdr, msg); err == nil {
 			return nil
 		}
 	}
@@ -301,7 +298,7 @@ func (c *TCPClient) Send(sessionID string, part int, seq uint64, msg []byte, row
 // sendOnce runs one framed request/ack exchange under the per-attempt
 // deadline. The connection is pooled only after a fully clean exchange;
 // any error closes it so a later Send cannot inherit a poisoned stream.
-func (c *TCPClient) sendOnce(addr string, frame []byte) error {
+func (c *TCPClient) sendOnce(addr string, hdr, msg []byte) error {
 	conn, err := c.getConn(addr)
 	if err != nil {
 		return fmt.Errorf("vft: dial %s: %w", addr, err)
@@ -318,7 +315,7 @@ func (c *TCPClient) sendOnce(addr string, frame []byte) error {
 		return fmt.Errorf("vft: set deadline: %w", err)
 	}
 
-	if _, err := conn.Write(frame); err != nil {
+	if err := WriteFrame(conn, hdr, msg); err != nil {
 		return fmt.Errorf("vft: send frame: %w", err)
 	}
 	var status [1]byte

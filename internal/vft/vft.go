@@ -50,6 +50,10 @@ var (
 	mRetransmits = telemetry.Default().Counter("vft_retransmits_total")
 	mDupChunks   = telemetry.Default().Counter("vft_dup_chunks_total")
 	mAborted     = telemetry.Default().Counter("vft_sessions_aborted_total")
+	// Chunks the export instances built, by how: a sealed block row's stored
+	// blocks copied as they are, or a decoded batch encoded anew.
+	mBlocksStored  = telemetry.Default().Counter("vft_blocks_total", telemetry.L("form", "stored"))
+	mBlocksEncoded = telemetry.Default().Counter("vft_blocks_total", telemetry.L("form", "encoded"))
 )
 
 // Transfer policies.
@@ -273,18 +277,21 @@ func OrderKey(node, instance, localSeq int) uint64 {
 	return uint64(node)<<44 | uint64(instance)<<28 | uint64(localSeq)
 }
 
-// Send delivers one encoded chunk to a target partition's staging area. It
-// is called by database-side UDF instances ("Vertica processes" connecting
-// to worker listeners). seq is the chunk's OrderKey.
+// Send delivers one message — a run of one or more chunks holding rows rows
+// in all — to a target partition's staging area. It is called by
+// database-side UDF instances ("Vertica processes" connecting to worker
+// listeners). seq is the message's OrderKey.
 //
-// Send is idempotent: a chunk already staged under the same (part, seq) is
+// Send is idempotent: a message already staged under the same (part, seq) is
 // acknowledged without being staged again, so senders may retransmit after
 // a failed or lost acknowledgement without corrupting the partition.
 //
-// msg is only read for the duration of the call: the chunk is decoded into a
-// pooled batch before Send returns, so the sender may recycle or overwrite
-// the buffer immediately afterwards. A corrupt chunk is rejected here, at
-// arrival, rather than poisoning the session at finalize time.
+// msg is only read for the duration of the call: its chunks are decoded into
+// one pooled batch before Send returns, so the sender may recycle or
+// overwrite the buffer immediately afterwards. A message that is corrupt,
+// ends inside a chunk, or decodes to another row count than the sender
+// declared is rejected here, at arrival, with nothing staged or counted,
+// rather than poisoning the session at finalize time.
 func (h *Hub) Send(sessionID string, part int, seq uint64, msg []byte, rows int, dbTime time.Duration) error {
 	s, err := h.get(sessionID)
 	if err != nil {
@@ -307,8 +314,10 @@ func (h *Hub) Send(sessionID string, part int, seq uint64, msg []byte, rows int,
 	// chunks — the R-side leg of the transfer pipeline runs during the
 	// transfer, not after it.
 	start := time.Now()
-	batch := getBatch(s.schema)
-	if err := DecodeChunkInto(batch, msg); err != nil {
+	// A fresh batch is sized for the rows the sender declares, as far as the
+	// bytes it actually delivered vouch for them: at most a word a byte.
+	batch := getBatch(s.schema, max(0, min(rows, len(msg)/8)))
+	if err := decodeRun(batch, msg, rows); err != nil {
 		putBatch(batch)
 		return err
 	}
@@ -505,6 +514,27 @@ func DecodeChunk(msg []byte, schema colstore.Schema) (*colstore.Batch, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// decodeRun decodes a message — a run of one or more chunks, nothing else —
+// into the empty batch dst and checks it held the rows its sender declared.
+// It stops at the first chunk that takes the run past that count, so what a
+// hostile run of small, highly compressed chunks can make the hub allocate is
+// bounded by one chunk beyond what its sender owned up to.
+func decodeRun(dst *colstore.Batch, msg []byte, rows int) error {
+	for {
+		rest, err := colstore.DecodeChunkInto(dst, msg)
+		if err != nil {
+			return err
+		}
+		if got := dst.Len(); got > rows || (len(rest) == 0 && got != rows) {
+			return fmt.Errorf("vft: message declares %d rows, its chunks hold %d", rows, got)
+		}
+		if len(rest) == 0 {
+			return nil
+		}
+		msg = rest
+	}
 }
 
 // DecodeChunkInto decodes a chunk into dst, appending to dst's columns

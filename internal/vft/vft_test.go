@@ -182,21 +182,7 @@ func TestLoadLocalityPreservesSegments(t *testing.T) {
 
 func TestLoadUniformBalances(t *testing.T) {
 	db, c, hub := setup(t, 2, 4)
-	// Build a skewed table: everything on node 1.
-	if err := db.ExecContext(context.Background(), `CREATE TABLE sk (id INTEGER, v FLOAT)`); err != nil {
-		t.Fatal(err)
-	}
-	schema := colstore.Schema{
-		{Name: "id", Type: colstore.TypeInt64},
-		{Name: "v", Type: colstore.TypeFloat64},
-	}
-	b := colstore.NewBatch(schema)
-	for i := 0; i < 1200; i++ {
-		_ = b.AppendRow(int64(i), float64(i))
-	}
-	if err := db.LoadAt("sk", 1, b); err != nil {
-		t.Fatal(err)
-	}
+	loadSkewTable(t, db, 1200) // everything on node 1
 	frame, stats, err := LoadContext(context.Background(), db, c, hub, "sk", nil, PolicyUniform, 50)
 	if err != nil {
 		t.Fatal(err)
