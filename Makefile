@@ -6,10 +6,11 @@ GO ?= go
 # the tree must be lint-clean (the block codec for a big-endian host too: its
 # PLAIN fallback compiles nowhere else), the bounded differential suites
 # (compressed execution, single-table, hash join, streamed UDTF) must agree
-# bitwise, and the nine fuzz-smoke targets (parser, three equivalence targets,
+# bitwise, and the ten fuzz-smoke targets (parser, three equivalence targets,
 # shard-partial import, broadcast-build decode, serving frame decode, block
-# decode, transfer message decode) get a short run so the harness runs on
-# every pass.
+# decode, transfer message decode, the IRLS and Lloyd kernels against their
+# row-at-a-time references) get a short run so the harness runs on every
+# pass.
 #
 # Targets: check (= lint build test race difftest-short fuzz-smoke), vet,
 # bench (benchmark/run.sh over the BENCHMARK.json workloads), bench-figures,
@@ -35,8 +36,9 @@ difftest-short:
 # so parse robustness is tier-1), the router's import of shard partials, the
 # peer's decode of a join's broadcast build tables, the serving frame
 # decoder on both ends of a connection, the block decoder and the transfer
-# hub's decode of a message, a run of chunks (bytes off a socket, all five);
-# enough to replay each corpus and explore a little.
+# hub's decode of a message, a run of chunks (bytes off a socket, all five),
+# and the fit kernels bitwise against the row loops they replaced; enough to
+# replay each corpus and explore a little.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSelect -fuzztime=10s ./internal/sqlparse/
@@ -48,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/colstore/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeChunk -fuzztime=10s ./internal/vft/
+	$(GO) test -run='^$$' -fuzz=FuzzFitKernels -fuzztime=10s ./internal/algos/
 
 # Lint: go vet plus gofmt enforcement (gofmt -l output fails the build).
 .PHONY: lint
@@ -145,5 +148,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzShardRequestBuilds -fuzztime=$(FUZZTIME) ./internal/cluster/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeChunk -fuzztime=$(FUZZTIME) ./internal/vft/
+	$(GO) test -run='^$$' -fuzz=FuzzFitKernels -fuzztime=$(FUZZTIME) ./internal/algos/
 	$(GO) test -run='^$$' -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzWALRecordStream -fuzztime=$(FUZZTIME) ./internal/wal/

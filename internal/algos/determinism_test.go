@@ -2,6 +2,7 @@ package algos
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"verticadr/internal/parallel"
@@ -130,5 +131,86 @@ func TestCrossValidateDeterministicAcrossDegrees(t *testing.T) {
 		if math.Float64bits(want.MeanDeviance) != math.Float64bits(got.MeanDeviance) {
 			t.Fatalf("degree %d mean deviance: %v vs %v", deg, want.MeanDeviance, got.MeanDeviance)
 		}
+	}
+}
+
+func kmeansBitIdentical(t *testing.T, deg int, a, b *KmeansModel) {
+	t.Helper()
+	if math.Float64bits(a.Objective) != math.Float64bits(b.Objective) {
+		t.Fatalf("degree %d: objective bits differ: %x vs %x", deg, math.Float64bits(a.Objective), math.Float64bits(b.Objective))
+	}
+	if a.Iterations != b.Iterations || a.Converged != b.Converged {
+		t.Fatalf("degree %d: convergence differs: %d/%v vs %d/%v", deg, a.Iterations, a.Converged, b.Iterations, b.Converged)
+	}
+	for k := range a.Centers {
+		for j := range a.Centers[k] {
+			if math.Float64bits(a.Centers[k][j]) != math.Float64bits(b.Centers[k][j]) {
+				t.Fatalf("degree %d: center %d[%d] bits differ: %x vs %x", deg, k, j, math.Float64bits(a.Centers[k][j]), math.Float64bits(b.Centers[k][j]))
+			}
+		}
+	}
+}
+
+// TestKmeansBitIdenticalAcrossDegrees is the GLM property for K-means: its
+// partials fold through the same fixed tree over the same fixed chunks, so
+// the centers, the objective and the convergence are the same bits at every
+// degree and on every run — with random and k-means++ initialization.
+func TestKmeansBitIdenticalAcrossDegrees(t *testing.T) {
+	c := cluster(t, 3)
+	data := workload.GenKmeans(23, 20000, 5, 6, 3.0)
+	x := toDArray(t, c, data.Points, 6) // 6 partitions of two chunks each
+	for _, plus := range []bool{false, true} {
+		fit := func(deg int) *KmeansModel {
+			parallel.SetDefaultDegree(deg)
+			defer parallel.SetDefaultDegree(0)
+			m, err := Kmeans(x, KmeansOpts{K: 6, Seed: 8, InitPlus: plus, MaxIter: 12, Tol: 1e-300})
+			if err != nil {
+				t.Fatalf("degree %d: %v", deg, err)
+			}
+			return m
+		}
+		want := fit(1)
+		for _, deg := range []int{1, 2, 3, 4, 8} {
+			for rep := 0; rep < 2; rep++ {
+				kmeansBitIdentical(t, deg, want, fit(deg))
+			}
+		}
+	}
+}
+
+// TestConcurrentFitsBitIdentical runs GLM and K-means fits side by side —
+// their partial slabs and IRLS row scratch come from process-wide pools — and
+// requires each to reproduce its sequential bits.
+func TestConcurrentFitsBitIdentical(t *testing.T) {
+	c := cluster(t, 2)
+	logit := workload.GenLogistic(61, 6000, 3)
+	gx, gy := toDArray(t, c, logit.X, 3), vecToDArray(t, c, logit.Y, 3)
+	pts := workload.GenKmeans(62, 6000, 4, 5, 2.0)
+	kx := toDArray(t, c, pts.Points, 3)
+	glm := func() (*GLMModel, error) { return GLM(gx, gy, GLMOpts{Family: Binomial}) }
+	km := func() (*KmeansModel, error) { return Kmeans(kx, KmeansOpts{K: 5, Seed: 2, MaxIter: 8}) }
+	wantG, err := glm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantK, err := km()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	gots, gotk, errs := make([]*GLMModel, n), make([]*KmeansModel, n), make([]error, 2*n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(2)
+		go func(i int) { defer wg.Done(); gots[i], errs[2*i] = glm() }(i)
+		go func(i int) { defer wg.Done(); gotk[i], errs[2*i+1] = km() }(i)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[2*i] != nil || errs[2*i+1] != nil {
+			t.Fatalf("fit %d: %v / %v", i, errs[2*i], errs[2*i+1])
+		}
+		modelsBitIdentical(t, 0, wantG, gots[i])
+		kmeansBitIdentical(t, 0, wantK, gotk[i])
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"verticadr/internal/darray"
 	"verticadr/internal/linalg"
-	"verticadr/internal/parallel"
 )
 
 // Family selects the GLM response distribution and link, mirroring R's
@@ -27,7 +26,9 @@ type GLMModel struct {
 	Coefficients []float64
 	Iterations   int
 	Converged    bool
-	Deviance     float64
+	// Deviance is the training deviance at the coefficients the final
+	// iteration started from — one solve behind Coefficients.
+	Deviance float64
 }
 
 // GLMOpts configures the Newton–Raphson solver.
@@ -67,54 +68,40 @@ func GLM(x, y *darray.DArray, opts GLMOpts) (*GLMModel, error) {
 		opts.Tol = 1e-8
 	}
 	p := x.Cols() + 1 // intercept
-	chunks, err := glmChunks(x, y)
+	_, chunks, err := fitChunks(x, y)
 	if err != nil {
 		return nil, err
 	}
-	pool := parallel.Default()
+	parts := fitPartialsPool.Get().(*fitPartials)
+	defer fitPartialsPool.Put(parts)
 	beta := make([]float64, p)
 	model := &GLMModel{Family: opts.Family}
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		// Every chunk computes its local XᵀWX (upper triangle), XᵀWz, and
-		// deviance against the broadcast beta; partials fold through the
-		// deterministic reduction tree, so the accumulation order — and hence
-		// every float bit of the solve — is fixed regardless of degree.
-		part, err := parallel.Reduce(pool, len(chunks),
-			func(ci int) (*irlsPartial, error) {
-				c := chunks[ci]
-				lp := newIRLSPartial(p)
-				xi := make([]float64, p)
-				xi[0] = 1
-				for r := c.lo; r < c.hi; r++ {
-					copy(xi[1:], c.mx.Row(r))
-					eta := linalg.Dot(xi, beta)
-					yv := c.my.At(r, 0)
-					_, w, z, d := irlsTerms(opts.Family, eta, yv)
-					lp.dev += d
-					for a := 0; a < p; a++ {
-						wxa := w * xi[a]
-						lp.xtwz[a] += wxa * z
-						rowA := lp.xtwx.Row(a)
-						for b := a; b < p; b++ {
-							rowA[b] += wxa * xi[b]
-						}
-					}
-				}
-				return lp, nil
-			},
-			mergeIRLSPartials)
+		// Every chunk computes its local XᵀWX (upper triangle) and XᵀWz
+		// against the broadcast beta — plus the deviance on the last
+		// iteration MaxIter allows — and the partials fold through the
+		// deterministic reduction tree (fit.go).
+		last := iter == opts.MaxIter-1
+		part, err := parts.fold(len(chunks), irlsStride(p), func(i int, out []float64) {
+			c := chunks[i]
+			irlsChunk(opts.Family, c.rows(c.x), c.rows(c.y), beta, last, out)
+		})
 		if err != nil {
 			return nil, err
 		}
-		if part == nil { // zero training rows
-			part = newIRLSPartial(p)
-		}
-		xtwx, xtwz, dev := part.xtwx, part.xtwz, part.dev
-		// Mirror the upper triangle and solve.
+		// Unpack the augmented upper triangle, mirrored, and solve.
+		xtwx, xtwz := linalg.NewMatrix(p, p), make([]float64, p)
 		for a := 0; a < p; a++ {
-			for b := a + 1; b < p; b++ {
-				xtwx.Set(b, a, xtwx.At(a, b))
+			row := part[:p+1-a]
+			for b := a; b < p; b++ {
+				xtwx.Set(a, b, row[b-a])
+				xtwx.Set(b, a, row[b-a])
 			}
+			xtwz[a] = row[p-a]
+			part = part[p+1-a:]
+		}
+		if last {
+			model.Deviance = part[0]
 		}
 		if opts.Ridge > 0 {
 			xtwx.AddRidge(opts.Ridge)
@@ -133,124 +120,28 @@ func GLM(x, y *darray.DArray, opts GLMOpts) (*GLMModel, error) {
 			change += (newBeta[i] - beta[i]) * (newBeta[i] - beta[i])
 			scale += newBeta[i] * newBeta[i]
 		}
+		prev := beta
 		beta = newBeta
 		model.Iterations = iter + 1
-		model.Deviance = dev
 		if change <= opts.Tol*(scale+1e-12) {
 			model.Converged = true
+			if !last {
+				// The one deviance-only pass: at the coefficients this
+				// final iteration started from, folded by the same tree.
+				dev, err := parts.fold(len(chunks), 1, func(i int, out []float64) {
+					c := chunks[i]
+					out[0] = rowsDeviance(opts.Family, c.rows(c.x), c.rows(c.y), prev)
+				})
+				if err != nil {
+					return nil, err
+				}
+				model.Deviance = dev[0]
+			}
 			break
 		}
 	}
 	model.Coefficients = beta
 	return model, nil
-}
-
-// glmChunkRows is the fixed IRLS accumulation chunk size. Chunk boundaries
-// are a function of the partition layout alone — never the parallel degree —
-// so coefficient bits are reproducible at every degree.
-const glmChunkRows = 2048
-
-// glmChunk is one contiguous row range of one co-partitioned (X, Y) part.
-type glmChunk struct {
-	mx, my *darray.Mat
-	lo, hi int
-}
-
-// glmChunks materializes the co-partitioned parts once (in partition order)
-// and slices each into fixed-size row chunks.
-func glmChunks(x, y *darray.DArray) ([]glmChunk, error) {
-	type pair struct{ mx, my *darray.Mat }
-	parts := make([]pair, x.NPartitions())
-	err := darray.Zip(x, y, func(i int, mx, my *darray.Mat) error {
-		parts[i] = pair{mx, my}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var chunks []glmChunk
-	for _, pt := range parts {
-		if pt.mx == nil {
-			continue
-		}
-		for lo := 0; lo < pt.mx.Rows; lo += glmChunkRows {
-			hi := lo + glmChunkRows
-			if hi > pt.mx.Rows {
-				hi = pt.mx.Rows
-			}
-			chunks = append(chunks, glmChunk{mx: pt.mx, my: pt.my, lo: lo, hi: hi})
-		}
-	}
-	return chunks, nil
-}
-
-// irlsPartial is one chunk's contribution to the normal equations: the upper
-// triangle of XᵀWX, the XᵀWz vector, and the deviance.
-type irlsPartial struct {
-	xtwx *linalg.Matrix
-	xtwz []float64
-	dev  float64
-}
-
-func newIRLSPartial(p int) *irlsPartial {
-	return &irlsPartial{xtwx: linalg.NewMatrix(p, p), xtwz: make([]float64, p)}
-}
-
-func mergeIRLSPartials(a, b *irlsPartial) (*irlsPartial, error) {
-	a.dev += b.dev
-	p := len(a.xtwz)
-	for i := 0; i < p; i++ {
-		a.xtwz[i] += b.xtwz[i]
-		ra, rb := a.xtwx.Row(i), b.xtwx.Row(i)
-		for j := i; j < p; j++ {
-			ra[j] += rb[j]
-		}
-	}
-	return a, nil
-}
-
-// irlsTerms returns (mean, weight, working response contribution, deviance
-// contribution) for one observation at linear predictor eta. The working
-// response is folded into z = w*eta + (y-mu)*dmu_deta ... here we return the
-// value z' such that XᵀW z' accumulates correctly: z' = eta + (y-mu)/mu'(eta)
-// and the caller multiplies by w.
-func irlsTerms(f Family, eta, y float64) (mu, w, z, dev float64) {
-	switch f {
-	case Gaussian:
-		mu = eta
-		w = 1
-		z = y // working response equals y; solving gives OLS directly
-		dev = (y - mu) * (y - mu)
-	case Binomial:
-		// Clamp eta to avoid overflow; mu in (0,1).
-		e := eta
-		if e > 30 {
-			e = 30
-		} else if e < -30 {
-			e = -30
-		}
-		mu = 1 / (1 + math.Exp(-e))
-		v := mu * (1 - mu)
-		if v < 1e-10 {
-			v = 1e-10
-		}
-		w = v
-		z = eta + (y-mu)/v
-		dev += binDev(y, mu)
-	case Poisson:
-		e := eta
-		if e > 30 {
-			e = 30
-		}
-		mu = math.Exp(e)
-		if mu < 1e-10 {
-			mu = 1e-10
-		}
-		w = mu
-		z = eta + (y-mu)/mu
-		dev += poisDev(y, mu)
-	}
-	return mu, w, z, dev
 }
 
 func binDev(y, mu float64) float64 {
@@ -327,17 +218,7 @@ func CrossValidate(x, y *darray.DArray, opts GLMOpts, folds int) (*CVResult, err
 		// partition order, keeping the score deterministic under concurrency.
 		partDev := make([]float64, testX.NPartitions())
 		err = darray.Zip(testX, testY, func(i int, mx, my *darray.Mat) error {
-			var local float64
-			for r := 0; r < mx.Rows; r++ {
-				eta := model.Coefficients[0]
-				row := mx.Row(r)
-				for j, v := range row {
-					eta += model.Coefficients[j+1] * v
-				}
-				_, _, _, d := irlsTerms(model.Family, eta, my.At(r, 0))
-				local += d
-			}
-			partDev[i] = local
+			partDev[i] = rowsDeviance(model.Family, mx.Data, my.Data, model.Coefficients)
 			return nil
 		})
 		if err != nil {

@@ -14,10 +14,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
+	"slices"
 
 	"verticadr/internal/darray"
 	"verticadr/internal/linalg"
+	"verticadr/internal/parallel"
 )
 
 // KmeansModel is a fitted clustering model: the final centers (what the
@@ -40,10 +41,13 @@ type KmeansOpts struct {
 }
 
 // Kmeans runs distributed Lloyd's iterations over a row-partitioned array.
-// Per iteration every partition computes, on its worker, partial sums and
+// Per iteration every chunk of every partition computes partial sums and
 // counts per center against a broadcast copy of the centers; the master
-// reduces partials and recomputes centers — one logical round trip per
+// folds the partials and recomputes centers — one logical round trip per
 // iteration, exactly the communication structure of the paper's hpdkmeans.
+// The partials fold through the deterministic tree GLM uses (fit.go), so
+// centers, objective and iteration count are bit-identical at every
+// parallel degree and on every run.
 func Kmeans(x *darray.DArray, opts KmeansOpts) (*KmeansModel, error) {
 	if opts.K <= 0 {
 		return nil, fmt.Errorf("algos: kmeans needs K >= 1")
@@ -59,66 +63,37 @@ func Kmeans(x *darray.DArray, opts KmeansOpts) (*KmeansModel, error) {
 	if n < opts.K {
 		return nil, fmt.Errorf("algos: kmeans with %d rows < K=%d", n, opts.K)
 	}
-	centers, err := initCenters(x, opts)
+	xs, chunks, err := fitChunks(x, nil)
 	if err != nil {
 		return nil, err
 	}
+	centers, err := initCenters(xs, n, opts)
+	if err != nil {
+		return nil, err
+	}
+	parts := fitPartialsPool.Get().(*fitPartials)
+	defer fitPartialsPool.Put(parts)
 	model := &KmeansModel{K: opts.K}
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		sums := make([][]float64, opts.K)
-		counts := make([]int, opts.K)
-		var objective float64
-		var mu sync.Mutex
-		for k := range sums {
-			sums[k] = make([]float64, d)
-		}
-		err := x.Foreach(func(_ int, m *darray.Mat) error {
-			localSums := make([][]float64, opts.K)
-			for k := range localSums {
-				localSums[k] = make([]float64, d)
-			}
-			localCounts := make([]int, opts.K)
-			var localObj float64
-			for r := 0; r < m.Rows; r++ {
-				row := m.Row(r)
-				best, bestD := 0, math.Inf(1)
-				for k, c := range centers {
-					dd := linalg.SqDist(row, c)
-					if dd < bestD {
-						best, bestD = k, dd
-					}
-				}
-				localCounts[best]++
-				localObj += bestD
-				s := localSums[best]
-				for j, v := range row {
-					s[j] += v
-				}
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			objective += localObj
-			for k := range sums {
-				counts[k] += localCounts[k]
-				for j := range sums[k] {
-					sums[k][j] += localSums[k][j]
-				}
-			}
-			return nil
+		part, err := parts.fold(len(chunks), kmeansStride(opts.K, d), func(i int, out []float64) {
+			c := chunks[i]
+			lloydChunk(c.rows(c.x), c.hi-c.lo, d, centers, out)
 		})
 		if err != nil {
 			return nil, err
 		}
+		sums, counts := part[:opts.K*d], part[opts.K*d:opts.K*d+opts.K]
 		// Recompute centers; empty clusters keep their previous center.
 		var moved float64
+		flat := make([]float64, opts.K*d)
 		newCenters := make([][]float64, opts.K)
 		for k := range newCenters {
-			nc := make([]float64, d)
+			nc := flat[k*d : (k+1)*d : (k+1)*d]
 			if counts[k] == 0 {
 				copy(nc, centers[k])
 			} else {
 				for j := range nc {
-					nc[j] = sums[k][j] / float64(counts[k])
+					nc[j] = sums[k*d+j] / counts[k]
 				}
 			}
 			moved += linalg.SqDist(nc, centers[k])
@@ -126,7 +101,7 @@ func Kmeans(x *darray.DArray, opts KmeansOpts) (*KmeansModel, error) {
 		}
 		centers = newCenters
 		model.Iterations = iter + 1
-		model.Objective = objective
+		model.Objective = part[len(part)-1]
 		if math.Sqrt(moved) < opts.Tol {
 			model.Converged = true
 			break
@@ -136,38 +111,21 @@ func Kmeans(x *darray.DArray, opts KmeansOpts) (*KmeansModel, error) {
 	return model, nil
 }
 
-// initCenters picks initial centers: random distinct rows, or k-means++
-// (sampling proportional to squared distance from chosen centers).
-func initCenters(x *darray.DArray, opts KmeansOpts) ([][]float64, error) {
+// initCenters picks initial centers from the fit's partitions xs (n rows in
+// all): random distinct rows, or k-means++ (sampling proportional to squared
+// distance from chosen centers).
+func initCenters(xs []*darray.Mat, n int, opts KmeansOpts) ([][]float64, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
-	sizes := x.PartitionSizes()
-	// Global row index -> (partition, local row).
-	locate := func(g int) (int, int) {
-		for p, s := range sizes {
-			if g < s[0] {
-				return p, g
-			}
-			g -= s[0]
+	// Global row index -> a copy of that row.
+	fetchRow := func(g int) []float64 {
+		p := 0
+		for ; p < len(xs)-1 && g >= xs[p].Rows; p++ {
+			g -= xs[p].Rows
 		}
-		return len(sizes) - 1, sizes[len(sizes)-1][0] - 1
+		return slices.Clone(xs[p].Row(g))
 	}
-	fetchRow := func(g int) ([]float64, error) {
-		p, r := locate(g)
-		m, err := x.Part(p)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, m.Cols)
-		copy(out, m.Row(r))
-		return out, nil
-	}
-	n := x.Rows()
 	centers := make([][]float64, 0, opts.K)
-	first, err := fetchRow(rng.Intn(n))
-	if err != nil {
-		return nil, err
-	}
-	centers = append(centers, first)
+	centers = append(centers, fetchRow(rng.Intn(n)))
 	if !opts.InitPlus {
 		seen := map[int]bool{}
 		for len(centers) < opts.K {
@@ -176,39 +134,27 @@ func initCenters(x *darray.DArray, opts KmeansOpts) ([][]float64, error) {
 				continue
 			}
 			seen[g] = true
-			row, err := fetchRow(g)
-			if err != nil {
-				return nil, err
-			}
-			centers = append(centers, row)
+			centers = append(centers, fetchRow(g))
 		}
 		return centers, nil
 	}
-	// k-means++: weights computed distributedly per candidate round.
+	// k-means++: D²(x) for every row, partitions in parallel, then one row
+	// sampled with probability proportional to D².
+	partWeights := make([]float64, len(xs))
+	partDists := make([][]float64, len(xs))
+	for p, m := range xs {
+		partDists[p] = make([]float64, m.Rows)
+	}
 	for len(centers) < opts.K {
-		// Compute D²(x) for every row (distributed), then sample one row
-		// with probability proportional to D².
-		var mu sync.Mutex
-		partWeights := make([]float64, len(sizes))
-		partDists := make([][]float64, len(sizes))
-		err := x.Foreach(func(p int, m *darray.Mat) error {
-			ds := make([]float64, m.Rows)
+		err := parallel.Default().ForEach(len(xs), func(p int) error {
+			m, ds := xs[p], partDists[p]
 			var total float64
-			for r := 0; r < m.Rows; r++ {
-				row := m.Row(r)
-				best := math.Inf(1)
-				for _, c := range centers {
-					if dd := linalg.SqDist(row, c); dd < best {
-						best = dd
-					}
-				}
+			for r := range ds {
+				_, best := nearest(m.Row(r), centers)
 				ds[r] = best
 				total += best
 			}
-			mu.Lock()
 			partWeights[p] = total
-			partDists[p] = ds
-			mu.Unlock()
 			return nil
 		})
 		if err != nil {
@@ -220,15 +166,11 @@ func initCenters(x *darray.DArray, opts KmeansOpts) ([][]float64, error) {
 		}
 		if grand == 0 {
 			// All points coincide with centers; fall back to random rows.
-			row, err := fetchRow(rng.Intn(n))
-			if err != nil {
-				return nil, err
-			}
-			centers = append(centers, row)
+			centers = append(centers, fetchRow(rng.Intn(n)))
 			continue
 		}
 		target := rng.Float64() * grand
-		chosenPart, chosenRow := len(sizes)-1, 0
+		chosenPart, chosenRow := len(xs)-1, 0
 		for p, w := range partWeights {
 			if target < w {
 				chosenPart = p
@@ -244,24 +186,13 @@ func initCenters(x *darray.DArray, opts KmeansOpts) ([][]float64, error) {
 			}
 			target -= w
 		}
-		m, err := x.Part(chosenPart)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, m.Cols)
-		copy(row, m.Row(chosenRow))
-		centers = append(centers, row)
+		centers = append(centers, slices.Clone(xs[chosenPart].Row(chosenRow)))
 	}
 	return centers, nil
 }
 
 // Assign returns the nearest-center index for a single point.
 func (m *KmeansModel) Assign(row []float64) int {
-	best, bestD := 0, math.Inf(1)
-	for k, c := range m.Centers {
-		if dd := linalg.SqDist(row, c); dd < bestD {
-			best, bestD = k, dd
-		}
-	}
-	return best
+	k, _ := nearest(row, m.Centers)
+	return k
 }

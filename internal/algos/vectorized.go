@@ -61,7 +61,7 @@ func (m *KmeansModel) AssignBlock(cols [][]float64, out []int64, sc *AssignScrat
 	}
 	for k, c := range m.Centers {
 		// Squared distance accumulated in feature order — the same addition
-		// sequence as linalg.SqDist inside Assign.
+		// sequence as nearest, Assign's row kernel.
 		for i := range dd {
 			dd[i] = 0
 		}

@@ -133,7 +133,20 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 	start := int64(clock.Now())
 	var next atomic.Int64
 	var failed atomic.Bool
-	errs := make([]error, n)
+	var first struct { // the lowest-index failure so far
+		sync.Mutex
+		i   int
+		err error
+	}
+	first.i = n
+	fail := func(i int, err error) {
+		first.Lock()
+		if i < first.i {
+			first.i, first.err = i, err
+		}
+		first.Unlock()
+		failed.Store(true)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < deg; w++ {
 		wg.Add(1)
@@ -145,25 +158,18 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 					return
 				}
 				if err := taskGate(clock, start); err != nil {
-					errs[i] = err
-					failed.Store(true)
+					fail(i, err)
 					return
 				}
 				if err := fn(i); err != nil {
-					errs[i] = err
-					failed.Store(true)
+					fail(i, err)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
+	return first.err
 }
 
 // Ordered runs produce(i) for i in [0, n) concurrently and feeds the results
@@ -297,20 +303,17 @@ func Reduce[T any](p *Pool, n int, produce func(i int) (T, error), merge func(a,
 	}
 	clock := telemetry.Default().Clock()
 	t0 := clock.Now()
-	for len(partials) > 1 {
-		next := make([]T, 0, (len(partials)+1)/2)
-		for i := 0; i < len(partials); i += 2 {
-			if i+1 == len(partials) {
-				next = append(next, partials[i])
-				continue
-			}
-			m, err := merge(partials[i], partials[i+1])
+	// Level by level, in place: at each level the partials sit step apart,
+	// and each pairs with its right neighbour; an odd last one waits for the
+	// next level.
+	for step := 1; step < n; step *= 2 {
+		for i := 0; i+step < n; i += 2 * step {
+			m, err := merge(partials[i], partials[i+step])
 			if err != nil {
 				return zero, err
 			}
-			next = append(next, m)
+			partials[i] = m
 		}
-		partials = next
 	}
 	mMergeTime.AddDuration(clock.Now() - t0)
 	return partials[0], nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -183,6 +184,38 @@ func TestReduceDeterministicAcrossDegrees(t *testing.T) {
 		for rep := 0; rep < 3; rep++ {
 			if got := run(deg); got != want {
 				t.Fatalf("degree %d rep %d: %x != %x", deg, rep, got, want)
+			}
+		}
+	}
+}
+
+// TestReduceTreeShape pins the merge tree itself — the thing every
+// bit-identical fold (aggregation, IRLS, Lloyd) rests on — against the
+// level-by-level construction: pair neighbours, carry an odd last partial up
+// a level, repeat.
+func TestReduceTreeShape(t *testing.T) {
+	for n := 1; n <= 70; n++ {
+		level := make([]string, n)
+		for i := range level {
+			level[i] = strconv.Itoa(i)
+		}
+		for len(level) > 1 {
+			var next []string
+			for i := 0; i < len(level); i += 2 {
+				if i+1 == len(level) {
+					next = append(next, level[i])
+				} else {
+					next = append(next, "("+level[i]+" "+level[i+1]+")")
+				}
+			}
+			level = next
+		}
+		for _, deg := range []int{1, 3} {
+			got, err := Reduce(NewPool(deg), n,
+				func(i int) (string, error) { return strconv.Itoa(i), nil },
+				func(a, b string) (string, error) { return "(" + a + " " + b + ")", nil })
+			if err != nil || got != level[0] {
+				t.Fatalf("n=%d degree %d: tree %s (%v), want %s", n, deg, got, err, level[0])
 			}
 		}
 	}
