@@ -6,11 +6,11 @@ GO ?= go
 # the tree must be lint-clean (the block codec for a big-endian host too: its
 # PLAIN fallback compiles nowhere else), the bounded differential suites
 # (compressed execution, single-table, hash join, streamed UDTF) must agree
-# bitwise, and the ten fuzz-smoke targets (parser, three equivalence targets,
-# shard-partial import, broadcast-build decode, serving frame decode, block
-# decode, transfer message decode, the IRLS and Lloyd kernels against their
-# row-at-a-time references) get a short run so the harness runs on every
-# pass.
+# bitwise, and the eleven fuzz-smoke targets (parser, four equivalence
+# targets, shard-partial import, broadcast-build decode, serving frame
+# decode, block decode, transfer message decode, the IRLS and Lloyd kernels
+# against their row-at-a-time references) get a short run so the harness
+# runs on every pass.
 #
 # Targets: check (= lint build test race difftest-short fuzz-smoke), vet,
 # bench (benchmark/run.sh over the BENCHMARK.json workloads), bench-figures,
@@ -31,8 +31,10 @@ difftest-short:
 		-run='TestCompressedDifferentialAdversarial|TestDifferentialEngineVsReference|TestDifferentialJoinVsReference|TestDifferentialUDTFStream' \
 		./internal/sqlexec/difftest/ -difftest.short
 
-# Short fuzz smoke: the compressed-execution and hash-join equivalence
-# targets, the SQL parser (the planner consumes whatever the parser yields,
+# Short fuzz smoke: the compressed-execution, hash-join and streamed-walker
+# equivalence targets (the last holds the pipelined scan/probe/aggregate to
+# the materializing walk it replaced, bit for bit, over fuzz-shaped tables),
+# the SQL parser (the planner consumes whatever the parser yields,
 # so parse robustness is tier-1), the router's import of shard partials, the
 # peer's decode of a join's broadcast build tables, the serving frame
 # decoder on both ends of a connection, the block decoder and the transfer
@@ -45,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCompressedScanEquivalence -fuzztime=10s ./internal/colstore/
 	$(GO) test -run='^$$' -fuzz=FuzzCompressedAggregateEquivalence -fuzztime=10s ./internal/sqlexec/
 	$(GO) test -run='^$$' -fuzz=FuzzMergeAggPartials -fuzztime=10s ./internal/sqlexec/
+	$(GO) test -run='^$$' -fuzz=FuzzStreamedAggregate -fuzztime=10s ./internal/sqlexec/
 	$(GO) test -run='^$$' -fuzz=FuzzHashJoinEquivalence -fuzztime=10s ./internal/sqlexec/difftest/
 	$(GO) test -run='^$$' -fuzz=FuzzShardRequestBuilds -fuzztime=10s ./internal/cluster/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/server/
@@ -79,8 +82,9 @@ test:
 # Race-check the packages with real shared-state concurrency: the
 # telemetry registry, the vft staging hub + pooled export pipeline, the dr
 # scheduler, the yarn resource manager, the simulated network, the fault
-# injector, the intra-node parallel execution engine (worker pool, parallel
-# scans, chunked aggregation, parallel IRLS, blocked matrix multiply), the
+# injector, the intra-node parallel execution engine (worker pool, cursor
+# ranges walked as pool tasks with their in-order hand-off, chunked
+# aggregation, parallel IRLS, blocked matrix multiply), the
 # planner (plan.Build runs on every peer-side query beside concurrent COPY,
 # over the segments' memoized statistics), the
 # pooled scoring/splitting paths (models, udf writers, darray fill,
@@ -113,14 +117,15 @@ bench-figures:
 	$(GO) run ./cmd/vdr-bench -metrics bench-metrics.json
 
 # Chaos suite: the recovery-path tests (fault injection, retransmission,
-# dedup, worker failover, session reaping) under the race detector. Seeds
-# are fixed inside the tests, so failures reproduce exactly.
+# dedup, worker failover, session reaping, stalled and failing cursor-range
+# tasks of a streamed query) under the race detector. Seeds are fixed inside
+# the tests, so failures reproduce exactly.
 .PHONY: chaos
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Recover|Injected|Fault|Retr|Abort|Reap|FailWorker|Idempotent|Timeout|Survives|Failover' \
 		./internal/faults/... ./internal/vft/... ./internal/dr/... ./internal/yarn/... ./internal/odbc/... \
-		./internal/parallel/... ./internal/colstore/... ./internal/models/... ./internal/udf/... \
-		./internal/server/... ./internal/wal/... ./internal/vertica/... ./internal/cluster/...
+		./internal/parallel/... ./internal/colstore/... ./internal/sqlexec/... ./internal/models/... \
+		./internal/udf/... ./internal/server/... ./internal/wal/... ./internal/vertica/... ./internal/cluster/...
 
 # Crash-recovery suite: injected crashes at the WAL append/fsync/checkpoint
 # boundaries, torn-tail handling, checkpoint replay, MVCC snapshot isolation
@@ -144,6 +149,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCompressedScanEquivalence -fuzztime=$(FUZZTIME) ./internal/colstore/
 	$(GO) test -run='^$$' -fuzz=FuzzCompressedAggregateEquivalence -fuzztime=$(FUZZTIME) ./internal/sqlexec/
 	$(GO) test -run='^$$' -fuzz=FuzzMergeAggPartials -fuzztime=$(FUZZTIME) ./internal/sqlexec/
+	$(GO) test -run='^$$' -fuzz=FuzzStreamedAggregate -fuzztime=$(FUZZTIME) ./internal/sqlexec/
 	$(GO) test -run='^$$' -fuzz=FuzzHashJoinEquivalence -fuzztime=$(FUZZTIME) ./internal/sqlexec/difftest/
 	$(GO) test -run='^$$' -fuzz=FuzzShardRequestBuilds -fuzztime=$(FUZZTIME) ./internal/cluster/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/server/

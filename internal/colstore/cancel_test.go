@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"verticadr/internal/parallel"
 	"verticadr/internal/verr"
 )
 
@@ -47,9 +46,9 @@ func TestScanCancelStopsWithinOneBlock(t *testing.T) {
 	}
 }
 
-// The parallel scan also observes cancellation: already-scheduled blocks may
-// finish decoding, but in-order delivery stops and the scan returns the
-// typed error.
+// Concurrent cursor ranges also observe cancellation: ranges already running
+// may finish decoding their current block, but in-order delivery stops and the
+// scan returns the typed error.
 func TestParScanCancelReturnsTypedError(t *testing.T) {
 	const blockRows, blocks = 64, 40
 	seg := NewSegment(Schema{{Name: "x", Type: TypeFloat64}}, blockRows)
@@ -66,12 +65,11 @@ func TestParScanCancelReturnsTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool := parallel.NewPool(4)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var deliveredAfterCancel int
 	canceled := false
-	err := seg.ParScanZoneWithStatsCtx(ctx, []string{"x"}, nil, nil, pool, nil, func(batch *Batch) error {
+	err := parScan(ctx, seg, []string{"x"}, nil, 4, nil, func(batch *Batch) error {
 		if canceled {
 			deliveredAfterCancel++
 		}

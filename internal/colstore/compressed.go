@@ -637,7 +637,7 @@ func (s *Segment) ScanBlocks(ctx context.Context, cols []string, st *ScanStats, 
 	if st == nil {
 		st = &local
 	}
-	defer recordScanTelemetry(st)
+	defer recordScanSince(st, *st)
 	plan, err := s.planScan(cols, nil, nil)
 	if err != nil {
 		return err

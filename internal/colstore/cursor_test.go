@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -177,7 +178,7 @@ func TestScanCursorsBalanceSurvivors(t *testing.T) {
 // mutable (run under -race).
 func TestCursorsConcurrent(t *testing.T) {
 	seg := randomSegment(t, 9, 6000, 64)
-	want, wantStats := collectScan(t, seg, nil, nil, nil)
+	want, wantStats := collectScan(t, seg, nil, nil, 0)
 	curs, err := seg.ScanCursors(nil, nil, nil, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -219,5 +220,176 @@ func TestCursorsConcurrent(t *testing.T) {
 	}
 	if gotStats != wantStats {
 		t.Fatalf("stats %+v, scan %+v", gotStats, wantStats)
+	}
+}
+
+// drainRows reads every cursor of a scan, copying the rows out.
+func drainRows(t testing.TB, seg *Segment, cols []string, pred *Pred, k int) *Batch {
+	t.Helper()
+	curs, err := seg.ScanCursors(cols, pred, nil, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := NewBatch(curs[0].plan.outSchema)
+	for _, c := range curs {
+		for {
+			b, err := c.Next(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			if err := out.AppendBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+	}
+	return out
+}
+
+// TestCursorPredicateDecodeMatchesReference: under an exact predicate a
+// block decodes one of three ways — whole when every row matches, only the
+// matching rows when under a quarter do, whole into scratch and gathered
+// otherwise — into buffers reused block over block. Each must deliver what
+// decoding everything and filtering row by row delivers, and what the push
+// scan delivers.
+func TestCursorPredicateDecodeMatchesReference(t *testing.T) {
+	seg := NewSegment(Schema{{Name: "id", Type: TypeInt64}, {Name: "v", Type: TypeFloat64}, {Name: "tag", Type: TypeString}}, 64)
+	b := NewBatch(seg.Schema())
+	for i := 0; i < 64*20+17; i++ {
+		if err := b.AppendRow(int64(i), float64(i%7)-3, fmt.Sprintf("t%d", i%5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seg.Append(b); err != nil {
+		t.Fatal(err)
+	}
+	all, err := seg.ReadAll(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pred := range []*Pred{
+		{Col: "id", Op: OpLT, Val: int64(900)},    // whole blocks pass, then none
+		{Col: "v", Op: OpGT, Val: float64(2)},     // a seventh of each block
+		{Col: "v", Op: OpNE, Val: int64(0)},       // six sevenths
+		{Col: "tag", Op: OpEQ, Val: "t3"},         // a fifth, dictionary matched
+		{Col: "id", Op: OpGE, Val: int64(10_000)}, // nothing
+	} {
+		match, err := pred.matchRows(all.Cols[all.Schema.ColIndex(pred.Col)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := all.Gather(match).Project([]string{"tag", "v"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 3} {
+			if err := batchesEqual(want, drainRows(t, seg, []string{"tag", "v"}, pred, k)); err != nil {
+				t.Fatalf("%+v over %d cursors: %v", pred, k, err)
+			}
+		}
+		push := NewBatch(want.Schema)
+		if err := seg.ScanZoneWithStatsCtx(context.Background(), []string{"tag", "v"}, pred, nil, nil, push.AppendBatch); err != nil {
+			t.Fatal(err)
+		}
+		if err := batchesEqual(want, push); err != nil {
+			t.Fatalf("%+v, push scan: %v", pred, err)
+		}
+	}
+}
+
+// TestCursorPredicateReusesBuffers: a cursor under a predicate decodes into
+// buffers it keeps block over block, and a block whose rows all match is
+// handed over without a gathered copy — so reading four times the blocks
+// allocates nothing more, whichever way the blocks decode.
+func TestCursorPredicateReusesBuffers(t *testing.T) {
+	if raceDetector {
+		t.Skip("under -race sync.Pool drops a quarter of what is put back")
+	}
+	segOf := func(blocks int) *Segment {
+		seg := NewSegment(Schema{{Name: "id", Type: TypeInt64}, {Name: "v", Type: TypeFloat64}}, 256)
+		b := NewBatch(seg.Schema())
+		for i := 0; i < 256*blocks; i++ {
+			if err := b.AppendRow(int64(i), float64(i%8)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := seg.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		return seg
+	}
+	small, large := segOf(8), segOf(32)
+	for _, pred := range []*Pred{
+		{Col: "id", Op: OpGE, Val: int64(0)},  // every row
+		{Col: "v", Op: OpLT, Val: float64(1)}, // an eighth: selective decode
+		{Col: "v", Op: OpLT, Val: float64(6)}, // three quarters: decode and gather
+	} {
+		allocs := func(seg *Segment) float64 {
+			return testing.AllocsPerRun(5, func() {
+				curs, err := seg.ScanCursors([]string{"id", "v"}, pred, nil, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for {
+					b, err := curs[0].Next(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if b == nil {
+						break
+					}
+				}
+				curs[0].Close()
+			})
+		}
+		if a, b := allocs(small), allocs(large); b > a {
+			t.Errorf("%+v: %.0f allocations over 8 blocks, %.0f over 32", pred, a, b)
+		}
+	}
+}
+
+// TestCursorPassHandsOverBuffers: cursors over the ranges of one scan, read
+// one after another, decode into one set of buffers when each passes its own
+// to the next — the same rows, and fewer allocations than a set per cursor.
+func TestCursorPassHandsOverBuffers(t *testing.T) {
+	seg := randomSegment(t, 13, 64*24, 64)
+	pred := &Pred{Col: "v", Op: OpLT, Val: float64(300)}
+	want := drainRows(t, seg, []string{"id", "tag"}, pred, 1)
+	read := func(pass bool) *Batch {
+		curs, err := seg.ScanCursors([]string{"id", "tag"}, pred, nil, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := NewBatch(curs[0].plan.outSchema)
+		for i, c := range curs {
+			if pass && i > 0 {
+				curs[i-1].Pass(c)
+			}
+			for {
+				b, err := c.Next(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+				if err := out.AppendBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Close()
+		}
+		return out
+	}
+	if err := batchesEqual(want, read(true)); err != nil {
+		t.Fatal(err)
+	}
+	with := testing.AllocsPerRun(3, func() { read(true) })
+	without := testing.AllocsPerRun(3, func() { read(false) })
+	if with >= without {
+		t.Fatalf("%.0f allocations passing buffers on, %.0f without", with, without)
 	}
 }

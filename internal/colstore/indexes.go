@@ -142,7 +142,7 @@ func (s *Segment) GatherRows(cols []string, rowids []uint32, st *ScanStats) (*Ba
 	if st == nil {
 		st = &local
 	}
-	defer recordScanTelemetry(st)
+	defer recordScanSince(st, *st)
 	plan, err := s.planScan(cols, nil, nil)
 	if err != nil {
 		return nil, err

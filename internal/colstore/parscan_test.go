@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"verticadr/internal/faults"
 	"verticadr/internal/parallel"
+	"verticadr/internal/verr"
 )
 
 // randomSegment builds a segment with all four column types, many small
@@ -44,8 +46,58 @@ func randomSegment(t testing.TB, seed int64, rows, blockRows int) *Segment {
 	return seg
 }
 
-// collectScan materializes a scan into one batch plus its stats.
-func collectScan(t testing.TB, seg *Segment, cols []string, pred *Pred, pool *parallel.Pool) (*Batch, ScanStats) {
+// parScan is a scan the way the executor runs one in parallel: the
+// segment's cursor ranges (one per two blocks) drained as tasks on a pool of
+// the given degree, each range's rows held until every range before it was
+// delivered, then handed to fn in range order — checking for cancellation
+// before each delivery. Stats sum the cursors'.
+func parScan(ctx context.Context, seg *Segment, cols []string, pred *Pred, deg int, st *ScanStats, fn func(*Batch) error) error {
+	curs, err := seg.ScanCursors(cols, pred, nil, max(1, seg.Blocks()/2))
+	if err != nil {
+		return err
+	}
+	outs := make([]*Batch, len(curs))
+	var mu sync.Mutex
+	next := 0
+	return parallel.NewPool(deg).Window(len(curs), 2*deg, func(i int) error {
+		c := curs[i]
+		defer c.Close()
+		out := NewBatch(c.plan.outSchema)
+		for {
+			b, err := c.Next(ctx)
+			if err != nil {
+				return err
+			}
+			if b == nil {
+				break
+			}
+			if err := out.AppendBatch(b); err != nil {
+				return err
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if st != nil {
+			st.Add(c.Stats())
+		}
+		for outs[i] = out; next < len(outs) && outs[next] != nil; next++ {
+			if err := verr.Canceled(ctx.Err()); err != nil {
+				return err
+			}
+			if outs[next].Len() > 0 {
+				if err := fn(outs[next]); err != nil {
+					return err
+				}
+			}
+			outs[next] = nil
+		}
+		return nil
+	})
+}
+
+// collectScan materializes a scan into one batch plus its stats: the serial
+// scan at degree 0, parScan otherwise.
+func collectScan(t testing.TB, seg *Segment, cols []string, pred *Pred, deg int) (*Batch, ScanStats) {
 	t.Helper()
 	var st ScanStats
 	var out *Batch
@@ -56,10 +108,10 @@ func collectScan(t testing.TB, seg *Segment, cols []string, pred *Pred, pool *pa
 		return out.AppendBatch(b)
 	}
 	var err error
-	if pool == nil {
+	if deg == 0 {
 		err = seg.ScanWithStats(cols, pred, &st, consume)
 	} else {
-		err = seg.ParScanZoneWithStatsCtx(context.Background(), cols, pred, nil, pool, &st, consume)
+		err = parScan(context.Background(), seg, cols, pred, deg, &st, consume)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -117,9 +169,9 @@ func TestParScanMatchesSerial(t *testing.T) {
 	projections := [][]string{nil, {"id"}, {"v", "tag"}, {"tag", "id", "ok"}}
 	for pi, pred := range preds {
 		for ci, cols := range projections {
-			want, wantStats := collectScan(t, seg, cols, pred, nil)
+			want, wantStats := collectScan(t, seg, cols, pred, 0)
 			for _, deg := range []int{1, 2, 4, 8} {
-				got, gotStats := collectScan(t, seg, cols, pred, parallel.NewPool(deg))
+				got, gotStats := collectScan(t, seg, cols, pred, deg)
 				if err := batchesEqual(want, got); err != nil {
 					t.Fatalf("pred %d cols %d degree %d: %v", pi, ci, deg, err)
 				}
@@ -136,8 +188,8 @@ func TestParScanSealedOnly(t *testing.T) {
 	if seg.tail.Len() != 0 {
 		t.Fatalf("expected empty tail, got %d rows", seg.tail.Len())
 	}
-	want, _ := collectScan(t, seg, nil, nil, nil)
-	got, _ := collectScan(t, seg, nil, nil, parallel.NewPool(4))
+	want, _ := collectScan(t, seg, nil, nil, 0)
+	got, _ := collectScan(t, seg, nil, nil, 4)
 	if err := batchesEqual(want, got); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +197,7 @@ func TestParScanSealedOnly(t *testing.T) {
 
 func TestParScanOrderedDelivery(t *testing.T) {
 	// Sequential ids: with no predicate the delivered stream must be exactly
-	// 0..n-1 in order, proving block order survives parallel decode.
+	// 0..n-1 in order, proving block order survives concurrent ranges.
 	schema := Schema{{Name: "id", Type: TypeInt64}}
 	seg := NewSegment(schema, 32)
 	batch := NewBatch(schema)
@@ -159,7 +211,7 @@ func TestParScanOrderedDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := int64(0)
-	err := seg.ParScanZoneWithStatsCtx(context.Background(), nil, nil, nil, parallel.NewPool(8), nil, func(b *Batch) error {
+	err := parScan(context.Background(), seg, nil, nil, 8, nil, func(b *Batch) error {
 		for _, id := range b.Cols[0].Ints {
 			if id != next {
 				return fmt.Errorf("got id %d, want %d", id, next)
@@ -180,7 +232,7 @@ func TestParScanConsumerError(t *testing.T) {
 	seg := randomSegment(t, 3, 2000, 32)
 	halt := errors.New("halt")
 	calls := 0
-	err := seg.ParScanZoneWithStatsCtx(context.Background(), nil, nil, nil, parallel.NewPool(4), nil, func(b *Batch) error {
+	err := parScan(context.Background(), seg, nil, nil, 4, nil, func(b *Batch) error {
 		calls++
 		if calls == 3 {
 			return halt
@@ -194,19 +246,19 @@ func TestParScanConsumerError(t *testing.T) {
 
 func TestParScanUnknownPredColumn(t *testing.T) {
 	seg := randomSegment(t, 4, 100, 32)
-	err := seg.ParScanZoneWithStatsCtx(context.Background(), nil, &Pred{Col: "nope", Op: OpEQ, Val: int64(1)}, nil, parallel.NewPool(4), nil, func(*Batch) error { return nil })
+	err := parScan(context.Background(), seg, nil, &Pred{Col: "nope", Op: OpEQ, Val: int64(1)}, 4, nil, func(*Batch) error { return nil })
 	if err == nil {
 		t.Fatal("expected error for unknown predicate column")
 	}
 }
 
-// TestChaosParScanDelayInjection stalls random parallel tasks via the fault
-// injector and asserts the parallel scan still produces byte-identical
+// TestChaosParScanDelayInjection stalls random cursor-range tasks via the
+// fault injector and asserts the parallel scan still produces byte-identical
 // results and stats: stragglers must not reorder or drop blocks.
 func TestChaosParScanDelayInjection(t *testing.T) {
 	seg := randomSegment(t, 5, 4000, 64)
 	pred := &Pred{Col: "v", Op: OpLT, Val: float64(300)}
-	want, wantStats := collectScan(t, seg, []string{"id", "v", "tag"}, pred, nil)
+	want, wantStats := collectScan(t, seg, []string{"id", "v", "tag"}, pred, 0)
 
 	in := faults.New(42)
 	in.MustArm(faults.Rule{Site: parallel.SiteTask, Kind: faults.Delay, Prob: 0.25, Delay: 300 * time.Microsecond})
@@ -214,7 +266,7 @@ func TestChaosParScanDelayInjection(t *testing.T) {
 	defer faults.Install(nil)
 
 	for _, deg := range []int{2, 4, 8} {
-		got, gotStats := collectScan(t, seg, []string{"id", "v", "tag"}, pred, parallel.NewPool(deg))
+		got, gotStats := collectScan(t, seg, []string{"id", "v", "tag"}, pred, deg)
 		if err := batchesEqual(want, got); err != nil {
 			t.Fatalf("degree %d under delay injection: %v", deg, err)
 		}
@@ -241,7 +293,7 @@ func TestChaosParScanErrorInjection(t *testing.T) {
 	in.MustArm(faults.Rule{Site: parallel.SiteTask, Kind: faults.Error, EveryN: 10})
 	faults.Install(in)
 	defer faults.Install(nil)
-	err := seg.ParScanZoneWithStatsCtx(context.Background(), nil, nil, nil, parallel.NewPool(4), nil, func(*Batch) error { return nil })
+	err := parScan(context.Background(), seg, nil, nil, 4, nil, func(*Batch) error { return nil })
 	if !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("err %v, want injected", err)
 	}

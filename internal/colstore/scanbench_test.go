@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-
-	"verticadr/internal/parallel"
 )
 
 // benchSegment builds a sealed segment with numeric and string columns sized
@@ -56,20 +54,19 @@ func BenchmarkSegmentScan(b *testing.B) {
 	}
 }
 
-// BenchmarkSegmentParScan measures the block-parallel scan at fixed degrees.
-// Degree 1 is the serial fallback; higher degrees decode blocks concurrently
-// and deliver them in order.
+// BenchmarkSegmentParScan measures the scan over concurrent cursor ranges at
+// fixed degrees (parScan). Degree 1 is the serial loop; higher degrees drain
+// ranges concurrently and deliver them in order.
 func BenchmarkSegmentParScan(b *testing.B) {
 	seg := benchSegment(b, 200_000, DefaultBlockRows)
 	pred := &Pred{Col: "v", Op: OpLT, Val: float64(500)}
 	for _, deg := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("degree=%d", deg), func(b *testing.B) {
-			pool := parallel.NewPool(deg)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rows := 0
-				err := seg.ParScanZoneWithStatsCtx(context.Background(), []string{"id", "v"}, pred, nil, pool, nil, func(batch *Batch) error {
+				err := parScan(context.Background(), seg, []string{"id", "v"}, pred, deg, nil, func(batch *Batch) error {
 					rows += batch.Len()
 					return nil
 				})

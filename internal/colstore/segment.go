@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 
-	"verticadr/internal/parallel"
 	"verticadr/internal/telemetry"
 	"verticadr/internal/verr"
 )
@@ -522,12 +521,34 @@ func (s *Segment) planScan(cols []string, pred *Pred, zone []Pred) (*scanPlan, e
 }
 
 // recordScanTelemetry flushes one scan's stats into the global counters.
+// Callers that accumulate into a caller's ScanStats flush only their own
+// delta (recordScanSince), never the running total.
 func recordScanTelemetry(st *ScanStats) {
 	mScanRows.Add(int64(st.RowsOut))
 	mScanBytes.Add(int64(st.BytesRead))
 	mBlocksScanned.Add(int64(st.BlocksScanned))
 	mBlocksSkipped.Add(int64(st.BlocksSkipped))
 	mBlocksCompressed.Add(int64(st.BlocksCompressed))
+}
+
+// recordScanSince flushes what st gained over base: the part one call added
+// to a caller's running total.
+func recordScanSince(st *ScanStats, base ScanStats) {
+	recordScanTelemetry(&ScanStats{
+		BlocksScanned:    st.BlocksScanned - base.BlocksScanned,
+		BlocksSkipped:    st.BlocksSkipped - base.BlocksSkipped,
+		BlocksCompressed: st.BlocksCompressed - base.BlocksCompressed,
+		RowsOut:          st.RowsOut - base.RowsOut,
+		BytesRead:        st.BytesRead - base.BytesRead,
+	})
+}
+
+// Blocks returns the number of sealed block rows.
+func (s *Segment) Blocks() int {
+	if len(s.sealed) == 0 {
+		return 0
+	}
+	return len(s.sealed[0])
 }
 
 // Scan streams the named columns (nil = all) through fn in batches, applying
@@ -541,9 +562,7 @@ func (s *Segment) Scan(cols []string, pred *Pred, fn func(*Batch) error) error {
 
 // ScanWithStats is Scan with per-scan observability: when st is non-nil,
 // what the scan touched is added to it. Global telemetry counters are
-// recorded either way. This is the serial reference path;
-// ParScanZoneWithStatsCtx is the block-parallel equivalent and produces
-// identical output.
+// recorded either way.
 func (s *Segment) ScanWithStats(cols []string, pred *Pred, st *ScanStats, fn func(*Batch) error) error {
 	return s.ScanZoneWithStatsCtx(context.Background(), cols, pred, nil, st, fn)
 }
@@ -562,9 +581,25 @@ type ScanCursor struct {
 	bi, hi  int  // next sealed block, end of the range
 	tail    bool // the tail is still to be delivered after the blocks
 	scratch *[]int
-	reuse   *Batch
+	bufs    *decodeBufs
 	stored  [][]byte // NextStored's reused result slice
 	st      ScanStats
+}
+
+// decodeBufs are a cursor's decode buffers, reused block over block: the
+// batch it delivers and the predicate column.
+type decodeBufs struct {
+	out  *Batch
+	pred *Vector
+}
+
+// Pass hands c's decode buffers to next, a cursor over another range of the
+// same scan that has not started: ranges read one after another decode into
+// one set of buffers. c's last batch is invalid from here on.
+func (c *ScanCursor) Pass(next *ScanCursor) {
+	if c.bufs != nil && next.bufs == nil && c.plan.outSchema.Equal(next.plan.outSchema) {
+		next.bufs, c.bufs = c.bufs, nil
+	}
 }
 
 func (s *Segment) newCursor(plan *scanPlan, pred *Pred, lo, hi int, tail bool) *ScanCursor {
@@ -643,10 +678,8 @@ func (c *ScanCursor) Next(ctx context.Context) (*Batch, error) {
 func (c *ScanCursor) NextStored(ctx context.Context, maxRows int) (blocks [][]byte, rows int, b *Batch, err error) {
 	if c.scratch == nil {
 		c.scratch = idxScratch.Get().(*[]int)
-		// Without a predicate every block decodes whole, so one scratch
-		// batch serves all blocks.
-		if c.pred == nil {
-			c.reuse = NewBatch(c.plan.outSchema)
+		if c.bufs == nil {
+			c.bufs = &decodeBufs{out: NewBatch(c.plan.outSchema)}
 		}
 	}
 	for c.bi < c.hi {
@@ -670,7 +703,7 @@ func (c *ScanCursor) NextStored(ctx context.Context, maxRows int) (blocks [][]by
 			c.st.RowsOut += n
 			return c.stored, n, nil, nil
 		}
-		batch, err := c.s.decodeBlockRow(bi, c.plan, c.pred, &c.st, c.scratch, c.reuse)
+		batch, err := c.decode(bi)
 		if err != nil {
 			return nil, 0, nil, err
 		}
@@ -752,108 +785,25 @@ func (s *Segment) scanTail(plan *scanPlan, pred *Pred, st *ScanStats, scratch *[
 	return batch, nil
 }
 
-// ParScanZoneWithStatsCtx is ScanZoneWithStatsCtx with block-level
-// parallelism: sealed blocks are decoded and filtered concurrently on the
-// pool, while batches are delivered to fn strictly in block order —
-// byte-for-byte the serial scan's output, including the merged ScanStats. A
-// run-ahead window bounds decoded-but-undelivered blocks, so memory stays
-// O(degree), not O(segment). With a nil pool or degree 1 it is exactly the
-// serial path. Cancellation is checked before each block is scheduled for
-// decode and again at each in-order delivery, so a canceled scan stops
-// issuing work within one block (the run-ahead window may still decode a few
-// already-scheduled blocks, but none of them are delivered).
-func (s *Segment) ParScanZoneWithStatsCtx(ctx context.Context, cols []string, pred *Pred, zone []Pred, pool *parallel.Pool, st *ScanStats, fn func(*Batch) error) error {
-	if pool.Degree() <= 1 {
-		return s.ScanZoneWithStatsCtx(ctx, cols, pred, zone, st, fn)
-	}
-	var own ScanStats
-	defer func() {
-		recordScanTelemetry(&own)
-		if st != nil {
-			st.Add(own)
-		}
-	}()
-	plan, err := s.planScan(cols, pred, zone)
-	if err != nil {
-		return err
-	}
-	// Zone-map pass first: skipping consults only block headers, so it stays
-	// serial and the scheduled block list is deterministic.
-	scan := make([]int, 0, plan.nblocks)
-	for bi := 0; bi < plan.nblocks; bi++ {
-		if plan.blockSkipped(s, pred, bi) {
-			own.BlocksSkipped++
-			continue
-		}
-		scan = append(scan, bi)
-	}
-	type blockOut struct {
-		batch *Batch
-		stats ScanStats
-	}
-	err = parallel.Ordered(pool, len(scan),
-		func(i int) (blockOut, error) {
-			if err := verr.Canceled(ctx.Err()); err != nil {
-				return blockOut{}, err
-			}
-			var bs ScanStats
-			bs.BlocksScanned = 1
-			scratch := idxScratch.Get().(*[]int)
-			// Parallel decode: blocks are delivered out of goroutine, so no
-			// scratch-batch reuse here — each block owns its vectors.
-			batch, err := s.decodeBlockRow(scan[i], plan, pred, &bs, scratch, nil)
-			idxScratch.Put(scratch)
-			if err != nil {
-				return blockOut{}, err
-			}
-			bs.RowsOut = batch.Len()
-			return blockOut{batch: batch, stats: bs}, nil
-		},
-		func(i int, out blockOut) error {
-			if err := verr.Canceled(ctx.Err()); err != nil {
-				return err
-			}
-			own.Add(out.stats)
-			if out.batch.Len() == 0 {
-				return nil
-			}
-			return fn(out.batch)
-		})
-	if err != nil {
-		return err
-	}
-	if err := verr.Canceled(ctx.Err()); err != nil {
-		return err
-	}
-	scratch := idxScratch.Get().(*[]int)
-	defer idxScratch.Put(scratch)
-	batch, err := s.scanTail(plan, pred, &own, scratch)
-	if err != nil || batch == nil {
-		return err
-	}
-	return fn(batch)
-}
-
-func (s *Segment) decodeBlockRow(bi int, plan *scanPlan, pred *Pred, st *ScanStats, scratch *[]int, reuse *Batch) (*Batch, error) {
-	if pred == nil && reuse != nil {
-		// Hot path: decode every projected column into the caller's scratch
-		// batch, reused block over block.
-		reuse.Reset()
-		for i, ci := range plan.colIdx {
-			st.BytesRead += len(s.sealed[ci][bi].data)
-			if err := DecodeBlockInto(reuse.Cols[i], s.sealed[ci][bi].data); err != nil {
-				return nil, err
-			}
-		}
-		return reuse, nil
-	}
-	var matchIdx []int
-	if pred != nil {
+// decode reads sealed block row bi into the cursor's batch, reused block
+// over block: every projected column whole, or under the exact predicate the
+// matching rows. A block whose rows all match decodes as if there were no
+// predicate; one where few do decodes only those rows (late
+// materialization: DecodeBlockSel touches only the selected rows, where the
+// bulk decoder streams the whole payload, and its edge is gone well before
+// half the block survives, so the strategy flips at a quarter); the rest
+// decode whole and keep the matching rows in place. All three produce
+// identical bytes.
+func (c *ScanCursor) decode(bi int) (*Batch, error) {
+	s, plan, st, bufs := c.s, c.plan, &c.st, c.bufs
+	out := bufs.out
+	out.Reset()
+	rows := s.sealed[0][bi].rows
+	var match []int
+	if c.pred != nil {
 		data := s.sealed[plan.predIdx][bi].data
 		st.BytesRead += len(data)
-		var handled bool
-		var err error
-		matchIdx, handled, err = MatchBlockCompressed(data, pred, *scratch)
+		m, handled, err := MatchBlockCompressed(data, c.pred, *c.scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -861,48 +811,43 @@ func (s *Segment) decodeBlockRow(bi int, plan *scanPlan, pred *Pred, st *ScanSta
 			st.BlocksCompressed++
 		} else {
 			// PLAIN/DELTA blocks have no compressed evaluation: decode first.
-			pv, err := DecodeBlock(data)
-			if err != nil {
+			if typ := s.schema[plan.predIdx].Type; bufs.pred == nil || bufs.pred.Type != typ {
+				bufs.pred = NewVector(typ, 0)
+			}
+			bufs.pred.Reset()
+			if err := DecodeBlockInto(bufs.pred, data); err != nil {
 				return nil, err
 			}
-			matchIdx, err = pred.matchRowsInto(pv, *scratch)
-			if err != nil {
+			if m, err = c.pred.matchRowsInto(bufs.pred, *c.scratch); err != nil {
 				return nil, err
 			}
 		}
-		*scratch = matchIdx // keep any growth for the next block
-		if len(matchIdx) == 0 {
-			return &Batch{Schema: plan.outSchema, Cols: emptyCols(plan.outSchema)}, nil
+		*c.scratch = m // keep any growth for the next block
+		if len(m) == 0 {
+			return out, nil
+		}
+		if len(m) < rows {
+			match = m
 		}
 	}
-	// Late materialization pays off when few rows survive: DecodeBlockSel
-	// touches only the selected rows, where the bulk decoder streams the
-	// whole payload sequentially. The per-row selective decode loses its
-	// edge well before half the block survives, so the strategy flips at a
-	// quarter. Both produce identical bytes.
-	lateMat := pred != nil && len(matchIdx)*4 < s.sealed[plan.predIdx][bi].rows
-	out := &Batch{Schema: plan.outSchema, Cols: make([]*Vector, len(plan.colIdx))}
 	for i, ci := range plan.colIdx {
-		st.BytesRead += len(s.sealed[ci][bi].data)
-		if lateMat {
-			// Only the surviving rows decode (the predicate column included —
-			// it was matched on its encoded form, or discarded right after
-			// the eager match above).
-			v := NewVector(plan.outSchema[i].Type, len(matchIdx))
-			if err := DecodeBlockSel(v, s.sealed[ci][bi].data, matchIdx); err != nil {
-				return nil, err
+		data := s.sealed[ci][bi].data
+		st.BytesRead += len(data)
+		var err error
+		switch {
+		case match == nil:
+			err = DecodeBlockInto(out.Cols[i], data)
+		case len(match)*4 < rows:
+			out.Cols[i].reserve(len(match))
+			err = DecodeBlockSel(out.Cols[i], data, match)
+		default:
+			if err = DecodeBlockInto(out.Cols[i], data); err == nil {
+				out.Cols[i].keep(match)
 			}
-			out.Cols[i] = v
-			continue
 		}
-		v, err := DecodeBlock(s.sealed[ci][bi].data)
 		if err != nil {
 			return nil, err
 		}
-		if matchIdx != nil {
-			v = v.Gather(matchIdx)
-		}
-		out.Cols[i] = v
 	}
 	return out, nil
 }
@@ -932,14 +877,6 @@ func filterProject(b *Batch, colIdx []int, outSchema Schema, predIdx int, pred *
 		out.Cols[i] = v
 	}
 	return out, nil
-}
-
-func emptyCols(schema Schema) []*Vector {
-	out := make([]*Vector, len(schema))
-	for i, c := range schema {
-		out[i] = NewVector(c.Type, 0)
-	}
-	return out
 }
 
 // ReadAll materializes the whole segment (projection cols, nil = all) into

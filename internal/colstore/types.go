@@ -352,6 +352,28 @@ func (v *Vector) AppendGather(src *Vector, idx []int) error {
 	return nil
 }
 
+// keep compacts v, in place, to the rows idx selects. idx must ascend, so
+// that no row is overwritten before it is read.
+func (v *Vector) keep(idx []int) {
+	switch v.Type {
+	case TypeInt64:
+		v.Ints = keepRows(v.Ints, idx)
+	case TypeFloat64:
+		v.Floats = keepRows(v.Floats, idx)
+	case TypeString:
+		v.Strs = keepRows(v.Strs, idx)
+	case TypeBool:
+		v.Bools = keepRows(v.Bools, idx)
+	}
+}
+
+func keepRows[T any](s []T, idx []int) []T {
+	for k, i := range idx {
+		s[k] = s[i]
+	}
+	return s[:len(idx)]
+}
+
 // Batch is a set of equal-length column vectors with their schema: the unit
 // of data flow through the executor, transfer paths and UDFs.
 type Batch struct {

@@ -7,15 +7,17 @@
 // process-wide (config / the -j flag on the cmds), and degenerates to the
 // plain serial loop at degree 1.
 //
-// Three combinators cover the repo's parallel shapes:
+// Three combinators and one fold cover the repo's parallel shapes:
 //
 //   - ForEach: independent tasks, results written to caller-owned slots;
-//   - Ordered: concurrent producers with strictly in-order consumption and a
-//     bounded run-ahead window (block-parallel segment scans that must
-//     deliver batches in block order without buffering the whole segment);
+//   - Window: ForEach with a bounded run-ahead, for tasks whose outputs are
+//     consumed in index order (a streamed query's cursor ranges), so what
+//     waits for its turn stays a constant number of tasks' worth;
 //   - Reduce: per-chunk partials merged by a deterministic pairwise tree, so
 //     floating-point results are a function of the chunking alone — the same
-//     bits at every degree, reproducible run to run.
+//     bits at every degree, reproducible run to run;
+//   - Tree: that same tree built incrementally from partials pushed in order,
+//     for folds that do not know their partial count up front.
 //
 // Every task passes through the faults site SiteTask ("parallel.task"), so
 // chaos suites can stall or fail individual tasks, and the pool records
@@ -110,15 +112,15 @@ func taskGate(started telemetry.Clock, t0 int64) error {
 // failure with the lowest index among those that ran — deterministic given a
 // deterministic fn. At degree 1 it is the plain serial loop (stopping, like
 // a serial loop, at the first failure).
-func (p *Pool) ForEach(n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	deg := p.Degree()
-	if deg > n {
-		deg = n
-	}
-	if deg <= 1 {
+func (p *Pool) ForEach(n int, fn func(i int) error) error { return p.Window(n, n, fn) }
+
+// Window is ForEach with a bounded run-ahead: index i is claimed only once
+// every index below i-ahead has finished, so however unevenly tasks run, no
+// more than ahead of them lie past the oldest one still running. A caller
+// that consumes task outputs in index order holds at most that many waiting
+// for their turn. Indexes are claimed in order.
+func (p *Pool) Window(n, ahead int, fn func(i int) error) error {
+	if deg := min(p.Degree(), n, max(ahead, 1)); deg <= 1 {
 		for i := 0; i < n; i++ {
 			if err := taskGate(nil, -1); err != nil {
 				return err
@@ -131,152 +133,56 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 	}
 	clock := telemetry.Default().Clock()
 	start := int64(clock.Now())
-	var next atomic.Int64
-	var failed atomic.Bool
-	var first struct { // the lowest-index failure so far
-		sync.Mutex
-		i   int
-		err error
-	}
-	first.i = n
-	fail := func(i int, err error) {
-		first.Lock()
-		if i < first.i {
-			first.i, first.err = i, err
-		}
-		first.Unlock()
-		failed.Store(true)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < deg; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := taskGate(clock, start); err != nil {
-					fail(i, err)
-					return
-				}
-				if err := fn(i); err != nil {
-					fail(i, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first.err
-}
-
-// Ordered runs produce(i) for i in [0, n) concurrently and feeds the results
-// to consume strictly in index order. Producers run at most window = 2×degree
-// indexes ahead of the consumer, bounding memory to a constant number of
-// in-flight results regardless of n. consume runs with full happens-before
-// ordering against the producer of its value, but on varying goroutines; it
-// must not be called concurrently with itself, and is not. On a produce or
-// consume error, the lowest-index error is returned and later indexes are
-// abandoned. Degree 1 interleaves produce/consume serially — zero buffering,
-// exactly the classic scan loop.
-func Ordered[T any](p *Pool, n int, produce func(i int) (T, error), consume func(i int, v T) error) error {
-	if n <= 0 {
-		return nil
-	}
-	deg := p.Degree()
-	if deg > n {
-		deg = n
-	}
-	if deg <= 1 {
-		for i := 0; i < n; i++ {
-			if err := taskGate(nil, -1); err != nil {
-				return err
-			}
-			v, err := produce(i)
-			if err != nil {
-				return err
-			}
-			if err := consume(i, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	clock := telemetry.Default().Clock()
-	start := int64(clock.Now())
-	window := 2 * deg
 	var (
-		mu        sync.Mutex
-		cond      = sync.NewCond(&mu)
-		vals      = make([]T, n)
-		ready     = make([]bool, n)
-		taskErr   = make([]error, n)
-		nextClaim int
-		consumed  int
-		stop      bool
+		mu       sync.Mutex
+		turn     = sync.NewCond(&mu)
+		finished []bool // tracked only when the bound can bind
+		next     int    // the next index to claim
+		low      int    // every index below low has finished
+		failed   = n    // the lowest failed index
+		failure  error
+		wg       sync.WaitGroup
 	)
-	var wg sync.WaitGroup
-	for w := 0; w < deg; w++ {
+	if ahead < n {
+		finished = make([]bool, n)
+	}
+	for w := min(p.Degree(), n, ahead); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				mu.Lock()
-				for !stop && nextClaim < n && nextClaim >= consumed+window {
-					cond.Wait()
+				for next < n && failed == n && next >= low+ahead {
+					turn.Wait()
 				}
-				if stop || nextClaim >= n {
+				if next >= n || failed < n {
 					mu.Unlock()
 					return
 				}
-				i := nextClaim
-				nextClaim++
+				i := next
+				next++
 				mu.Unlock()
 				err := taskGate(clock, start)
-				var v T
 				if err == nil {
-					v, err = produce(i)
+					err = fn(i)
 				}
 				mu.Lock()
-				vals[i], taskErr[i], ready[i] = v, err, true
-				if err != nil {
-					stop = true
+				if err != nil && i < failed {
+					failed, failure = i, err
 				}
-				cond.Broadcast()
+				if finished != nil {
+					finished[i] = true
+					for low < n && finished[low] {
+						low++
+					}
+					turn.Broadcast()
+				}
 				mu.Unlock()
 			}
 		}()
 	}
-	var firstErr error
-	mu.Lock()
-	for consumed < n {
-		for !ready[consumed] {
-			cond.Wait()
-		}
-		i := consumed
-		if taskErr[i] != nil {
-			firstErr = taskErr[i]
-			break
-		}
-		v := vals[i]
-		vals[i] = *new(T) // release the reference while the window advances
-		mu.Unlock()
-		err := consume(i, v)
-		mu.Lock()
-		consumed++
-		if err != nil {
-			firstErr = err
-			break
-		}
-		cond.Broadcast()
-	}
-	stop = true
-	cond.Broadcast()
-	mu.Unlock()
 	wg.Wait()
-	return firstErr
+	return failure
 }
 
 // Reduce computes n partials concurrently and folds them with a
@@ -301,20 +207,68 @@ func Reduce[T any](p *Pool, n int, produce func(i int) (T, error), merge func(a,
 	if err != nil {
 		return zero, err
 	}
-	clock := telemetry.Default().Clock()
-	t0 := clock.Now()
-	// Level by level, in place: at each level the partials sit step apart,
-	// and each pairs with its right neighbour; an odd last one waits for the
-	// next level.
-	for step := 1; step < n; step *= 2 {
-		for i := 0; i+step < n; i += 2 * step {
-			m, err := merge(partials[i], partials[i+step])
-			if err != nil {
-				return zero, err
-			}
-			partials[i] = m
+	t := Tree[T]{Merge: merge}
+	for _, v := range partials {
+		if err := t.Push(v); err != nil {
+			return zero, err
 		}
 	}
-	mMergeTime.AddDuration(clock.Now() - t0)
-	return partials[0], nil
+	return t.Result()
+}
+
+// Tree folds partials pushed in index order into Reduce's tree. Reduce
+// merges neighbours level by level, an odd last partial waiting a level; for
+// every n that is the tree whose subtrees are the aligned power-of-two runs
+// of n's binary digits, folded right to left. Push keeps those runs as a
+// binary counter — a run merges with its left neighbour the moment they are
+// the same size — and Result folds what is left, so a fold that learns its
+// partials one at a time, without knowing how many there will be, keeps
+// Reduce's bits. The zero Tree with Merge set is empty.
+type Tree[T any] struct {
+	// Merge combines two adjacent subtrees, the earlier first; it may mutate
+	// and return its first argument.
+	Merge func(a, b T) (T, error)
+	vals  [64]T   // the pending runs, oldest first
+	sizes [64]int // their leaf counts: powers of two, decreasing
+	n     int
+}
+
+// Push adds the next partial.
+func (t *Tree[T]) Push(v T) error {
+	size := 1
+	for t.n > 0 && t.sizes[t.n-1] == size {
+		m, err := t.merge(t.vals[t.n-1], v)
+		if err != nil {
+			return err
+		}
+		t.n--
+		t.vals[t.n] = *new(T)
+		v, size = m, 2*size
+	}
+	t.vals[t.n], t.sizes[t.n] = v, size
+	t.n++
+	return nil
+}
+
+// Result is the tree's root: the pending runs folded right to left. With
+// nothing pushed it is the zero T.
+func (t *Tree[T]) Result() (T, error) {
+	if t.n == 0 {
+		return *new(T), nil
+	}
+	v := t.vals[t.n-1]
+	for i := t.n - 2; i >= 0; i-- {
+		var err error
+		if v, err = t.merge(t.vals[i], v); err != nil {
+			return v, err
+		}
+	}
+	return v, nil
+}
+
+func (t *Tree[T]) merge(a, b T) (T, error) {
+	clock := telemetry.Default().Clock()
+	t0 := clock.Now()
+	defer func() { mMergeTime.AddDuration(clock.Now() - t0) }()
+	return t.Merge(a, b)
 }

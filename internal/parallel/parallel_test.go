@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -79,11 +80,37 @@ func TestForEachLowestIndexError(t *testing.T) {
 	}
 }
 
+// inOrder is the in-order consumption Window exists for: produce runs as a
+// task per index, and each result waits for every earlier one to be
+// consumed — consume runs under one lock, strictly in index order, by
+// whichever task completes the prefix.
+func inOrder(p *Pool, n int, produce func(i int) (int, error), consume func(i, v int) error) error {
+	var mu sync.Mutex
+	done := make([]bool, n)
+	vals := make([]int, n)
+	next := 0
+	return p.Window(n, 2*p.Degree(), func(i int) error {
+		v, err := produce(i)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		done[i], vals[i] = true, v
+		for ; next < n && done[next]; next++ {
+			if err := consume(next, vals[next]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 func TestOrderedDeliversInOrder(t *testing.T) {
 	for _, deg := range []int{1, 2, 4, 16} {
 		for _, n := range []int{0, 1, 5, 257} {
 			var got []int
-			err := Ordered(NewPool(deg), n,
+			err := inOrder(NewPool(deg), n,
 				func(i int) (int, error) {
 					time.Sleep(time.Duration(rand.Intn(200)) * time.Microsecond)
 					return i * i, nil
@@ -114,7 +141,7 @@ func TestOrderedFirstErrorWins(t *testing.T) {
 	boom := errors.New("boom")
 	for _, deg := range []int{1, 4} {
 		var consumed []int
-		err := Ordered(NewPool(deg), 50,
+		err := inOrder(NewPool(deg), 50,
 			func(i int) (int, error) {
 				if i == 7 {
 					return 0, boom
@@ -143,7 +170,7 @@ func TestOrderedFirstErrorWins(t *testing.T) {
 
 func TestOrderedConsumeError(t *testing.T) {
 	halt := errors.New("halt")
-	err := Ordered(NewPool(4), 100,
+	err := inOrder(NewPool(4), 100,
 		func(i int) (int, error) { return i, nil },
 		func(i, v int) error {
 			if i == 10 {
@@ -210,13 +237,22 @@ func TestReduceTreeShape(t *testing.T) {
 			}
 			level = next
 		}
+		merge := func(a, b string) (string, error) { return "(" + a + " " + b + ")", nil }
 		for _, deg := range []int{1, 3} {
-			got, err := Reduce(NewPool(deg), n,
-				func(i int) (string, error) { return strconv.Itoa(i), nil },
-				func(a, b string) (string, error) { return "(" + a + " " + b + ")", nil })
+			got, err := Reduce(NewPool(deg), n, func(i int) (string, error) { return strconv.Itoa(i), nil }, merge)
 			if err != nil || got != level[0] {
 				t.Fatalf("n=%d degree %d: tree %s (%v), want %s", n, deg, got, err, level[0])
 			}
+		}
+		// The same tree from partials pushed one at a time.
+		tree := Tree[string]{Merge: merge}
+		for i := 0; i < n; i++ {
+			if err := tree.Push(strconv.Itoa(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := tree.Result(); err != nil || got != level[0] {
+			t.Fatalf("n=%d pushed: tree %s (%v), want %s", n, got, err, level[0])
 		}
 	}
 }
@@ -241,6 +277,60 @@ func TestTaskFaultInjection(t *testing.T) {
 	}
 }
 
+// TestWindowBoundsRunAhead: a task starts only once every index more than
+// ahead below it has finished, and every index runs exactly once.
+func TestWindowBoundsRunAhead(t *testing.T) {
+	for _, deg := range []int{1, 2, 4, 8} {
+		for _, ahead := range []int{1, 3, 16} {
+			var mu sync.Mutex
+			finished := make([]bool, 200)
+			err := NewPool(deg).Window(len(finished), ahead, func(i int) error {
+				mu.Lock()
+				for j := 0; j < i-ahead; j++ {
+					if !finished[j] {
+						mu.Unlock()
+						return fmt.Errorf("index %d started before index %d finished", i, j)
+					}
+				}
+				mu.Unlock()
+				time.Sleep(time.Duration(rand.Intn(50)) * time.Microsecond)
+				mu.Lock()
+				defer mu.Unlock()
+				if finished[i] {
+					return fmt.Errorf("index %d ran twice", i)
+				}
+				finished[i] = true
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("degree %d ahead %d: %v", deg, ahead, err)
+			}
+			for i, f := range finished {
+				if !f {
+					t.Fatalf("degree %d ahead %d: index %d never ran", deg, ahead, i)
+				}
+			}
+		}
+	}
+}
+
+// TestWindowFailureReleasesWaiters: a task failing at the fault site never
+// runs, so nothing ahead of it could ever be claimed; the workers waiting
+// for it must give up instead of waiting forever.
+func TestWindowFailureReleasesWaiters(t *testing.T) {
+	in := faults.New(3)
+	in.MustArm(faults.Rule{Site: SiteTask, Kind: faults.Error, EveryN: 4})
+	faults.Install(in)
+	defer faults.Install(nil)
+	err := NewPool(4).Window(100, 2, func(i int) error {
+		time.Sleep(100 * time.Microsecond)
+		return nil
+	})
+	if !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("err %v, want injected fault", err)
+	}
+}
+
 // TestChaosDelayInjectionKeepsResults arms delay-only rules at parallel.task
 // and checks every combinator still produces exactly the serial result —
 // stragglers must never reorder or corrupt output.
@@ -251,7 +341,7 @@ func TestChaosDelayInjectionKeepsResults(t *testing.T) {
 	defer faults.Install(nil)
 
 	var order []int
-	err := Ordered(NewPool(8), 64,
+	err := inOrder(NewPool(8), 64,
 		func(i int) (int, error) { return i * 3, nil },
 		func(i, v int) error {
 			if v != i*3 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -260,22 +261,24 @@ func TestRunAwareProfileBooksFoldUnderAggregate(t *testing.T) {
 	}
 }
 
-// errAfterCtx reports cancellation from its n-th Err call on.
+// errAfterCtx reports cancellation after its first n Err calls, from
+// whichever goroutines make them.
 type errAfterCtx struct {
 	context.Context
-	n int
+	n     int
+	calls atomic.Int64
 }
 
 func (c *errAfterCtx) Err() error {
-	if c.n--; c.n < 0 {
+	if c.calls.Add(1) > int64(c.n) {
 		return context.Canceled
 	}
 	return nil
 }
 
 // TestHashJoinCancelsInsideNaNCrossProduct: a NaN probe key matches every
-// build row, so one probe chunk can emit chunk x build rows; the join must
-// notice cancellation inside that loop, not only between probe chunks.
+// build row, so one probe batch can emit batch x build rows; the probe must
+// notice cancellation inside that loop, not only between probe batches.
 func TestHashJoinCancelsInsideNaNCrossProduct(t *testing.T) {
 	left := &colstore.Batch{
 		Schema: colstore.Schema{{Name: "l.k", Type: colstore.TypeFloat64}},
@@ -287,14 +290,19 @@ func TestHashJoinCancelsInsideNaNCrossProduct(t *testing.T) {
 		Cols:   []*colstore.Vector{colstore.FloatVector(build)},
 	}
 	node := &plan.Node{LeftKey: "l.k", RightKey: "r.k"}
-	out, err := hashJoin(context.Background(), left, right, node, nil)
-	if err != nil || out.Len() != len(build) {
-		t.Fatalf("uncancelled join: %d rows, err %v", out.Len(), err)
+	j, err := newJoinTable(node, left.Schema, right, map[string]bool{"r.k": true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The first check precedes the probe chunk; the next ones can only come
+	probe := func(ctx context.Context) (int, error) {
+		return j.probe(ctx, left, nil, colstore.NewBatch(j.out), &rangeBuf{})
+	}
+	if n, err := probe(context.Background()); err != nil || n != len(build) {
+		t.Fatalf("uncancelled join: %d rows, err %v", n, err)
+	}
+	// The first check precedes the probe batch; the next ones can only come
 	// from inside the single probe row's cross product.
-	_, err = hashJoin(&errAfterCtx{Context: context.Background(), n: 2}, left, right, node, nil)
-	if !errors.Is(err, verr.ErrCanceled) {
+	if _, err := probe(&errAfterCtx{Context: context.Background(), n: 2}); !errors.Is(err, verr.ErrCanceled) {
 		t.Fatalf("join cancelled inside the cross product returned %v", err)
 	}
 }

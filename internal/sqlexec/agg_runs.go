@@ -16,10 +16,10 @@ import (
 // column is RLE or dictionary encoded, so such segments aggregate in
 // O(runs); dictionary codes or decoded rows otherwise.
 //
-// The decode-first feeder (aggregateChunks over a scan) is bit-identical to
-// it for the values the engine stores: blocks arrive in row order, groups
-// keep first-appearance order, and foldSum documents why folding a run
-// equals iterating it.
+// The decode-first feeder (the streamed chunk fold, walk.go) is
+// bit-identical to it for the values the engine stores: blocks arrive in row
+// order, groups keep first-appearance order, and foldSum documents why
+// folding a run equals iterating it.
 func aggregateRuns(ctx context.Context, db Database, table string, sel *sqlparse.Select, plans []aggItemPlan, prof *Profile) (*aggPartialAcc, error) {
 	def, err := db.TableDef(table)
 	if err != nil {

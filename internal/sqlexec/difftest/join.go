@@ -197,7 +197,7 @@ func (m *MultiDB) RunReference(sel *sqlparse.Select) (*RefResult, error) {
 }
 
 // qualifyRefSchema renames a table's columns to their canonical
-// "alias.column" join form, matching the engine's qualifySchema.
+// "alias.column" join form, matching the engine's qualify.
 func qualifyRefSchema(s colstore.Schema, alias string) colstore.Schema {
 	out := make(colstore.Schema, len(s))
 	for i, c := range s {

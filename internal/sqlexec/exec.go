@@ -126,20 +126,9 @@ func collectCols(sel *sqlparse.Select, schema colstore.Schema) ([]string, error)
 			names = append(names, n)
 		}
 	}
-	var walk func(e sqlparse.Expr)
-	walk = func(e sqlparse.Expr) {
-		switch x := e.(type) {
-		case *sqlparse.ColRef:
-			add(x.Name)
-		case *sqlparse.Binary:
-			walk(x.L)
-			walk(x.R)
-		case *sqlparse.Unary:
-			walk(x.X)
-		case *sqlparse.FuncCall:
-			for _, a := range x.Args {
-				walk(a)
-			}
+	walk := func(e sqlparse.Expr) {
+		for _, n := range colRefs(e, nil) {
+			add(n)
 		}
 	}
 	for _, item := range sel.Items {
@@ -171,6 +160,23 @@ func collectCols(sel *sqlparse.Select, schema colstore.Schema) ([]string, error)
 	return names, nil
 }
 
+// colRefs appends the names of the columns e references to names.
+func colRefs(e sqlparse.Expr, names []string) []string {
+	switch x := e.(type) {
+	case *sqlparse.ColRef:
+		names = append(names, x.Name)
+	case *sqlparse.Binary:
+		names = colRefs(x.R, colRefs(x.L, names))
+	case *sqlparse.Unary:
+		names = colRefs(x.X, names)
+	case *sqlparse.FuncCall:
+		for _, a := range x.Args {
+			names = colRefs(a, names)
+		}
+	}
+	return names
+}
+
 func union(a, b []string) []string {
 	seen := map[string]bool{}
 	var out []string
@@ -191,11 +197,48 @@ func mustProject(s colstore.Schema, cols []string) colstore.Schema {
 	return p
 }
 
-// projectBatch evaluates the projection items over scanned (or joined) rows.
-// starSchema is the schema `SELECT *` expands against: the table definition
-// for a single-table scan, the join output otherwise.
-func projectBatch(ctx context.Context, sel *sqlparse.Select, starSchema colstore.Schema, data *colstore.Batch, prof *Profile) (*Result, error) {
+// runProject evaluates a Project over its input as the input streams: each
+// range's rows are projected beside the other ranges', and the outputs append
+// to the result in range order — reserved up front when the zone maps bound
+// a scan's rows.
+func runProject(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Select, prof *Profile) (*Result, error) {
+	in, err := openInput(ctx, db, n.Children[0], sel, prof)
+	if err != nil {
+		return nil, err
+	}
+	in.eval = func(rows *colstore.Batch) (*colstore.Batch, error) { return projectItems(sel, in.star, rows) }
+	c := &collector{in: in}
+	if in.pending == nil {
+		// Over no rows first: the result's schema, and an item the engine
+		// cannot evaluate fails the statement whatever the input holds.
+		if empty, err := in.eval(colstore.NewBatch(in.out)); err != nil {
+			in.fail(in.consumeStage(), err)
+		} else {
+			reserve := 0
+			if len(in.joins) == 0 && in.residual == nil {
+				for _, cur := range in.ranges {
+					reserve += cur.MaxRows()
+				}
+			}
+			c.out = colstore.NewBatchCap(empty.Schema, reserve)
+		}
+	}
+	if err := in.walk(c); err != nil {
+		return nil, err
+	}
+	if in.pending != nil {
+		return nil, in.pending
+	}
 	projDone := startOp(ctx, prof, "project")
+	projDone.extra = in.finishOps()
+	projDone.Done(int64(c.out.Len()), fmt.Sprintf("%d output columns", len(c.out.Schema)))
+	return finishSelect(ctx, c.out, sel, prof)
+}
+
+// projectItems evaluates the projection items over rows. starSchema is the
+// schema `SELECT *` expands against: the table definition for a single-table
+// scan, the join output otherwise.
+func projectItems(sel *sqlparse.Select, starSchema colstore.Schema, data *colstore.Batch) (*colstore.Batch, error) {
 	out := &colstore.Batch{}
 	for i, item := range sel.Items {
 		if item.Star {
@@ -217,8 +260,7 @@ func projectBatch(ctx context.Context, sel *sqlparse.Select, starSchema colstore
 		out.Schema = append(out.Schema, colstore.ColumnSchema{Name: name, Type: v.Type})
 		out.Cols = append(out.Cols, v)
 	}
-	projDone.Done(int64(out.Len()), fmt.Sprintf("%d output columns", len(out.Schema)))
-	return finishSelect(ctx, out, sel, prof)
+	return out, nil
 }
 
 // finishSelect applies ORDER BY and LIMIT to the projected output.
@@ -326,9 +368,9 @@ func aggItemPlans(sel *sqlparse.Select) ([]aggItemPlan, error) {
 // aggregatePartial executes an Aggregate plan node up to, not including,
 // finalization — the one partial-producing kernel under local execution and
 // cluster peers alike. When the plan says Runs it folds encoded runs straight
-// off the segments; otherwise it materializes the node's input through the
-// plan's access path and folds fixed-size row chunks. The "aggregate"
-// operator is left open for the caller to end with its output row count.
+// off the segments; otherwise it folds fixed-size row chunks of the node's
+// input as the input streams (walk.go). The "aggregate" operator is left open
+// for the caller to end with its output row count.
 func aggregatePartial(ctx context.Context, db Database, agg *plan.Node, sel *sqlparse.Select, prof *Profile) (*aggPartialAcc, error) {
 	plans, err := aggItemPlans(sel)
 	if err != nil {
@@ -338,86 +380,21 @@ func aggregatePartial(ctx context.Context, db Database, agg *plan.Node, sel *sql
 	if agg.Runs {
 		return aggregateRuns(ctx, db, in.Table, sel, plans, prof)
 	}
-	data, err := execData(ctx, db, in, sel, prof)
+	input, err := openInput(ctx, db, in, sel, prof)
 	if err != nil {
 		return nil, err
 	}
-	aggDone := startOp(ctx, prof, "aggregate")
-	aggDone.Parallel = parallel.Default().Degree()
-	part, err := aggregateChunks(ctx, sel, plans, data)
-	if err != nil {
+	f := newAggFold(input, sel, plans)
+	if err := input.walk(f); err != nil {
 		return nil, err
 	}
-	part.op = aggDone
-	return part, nil
-}
-
-// aggregateChunks runs the deterministic chunked partial aggregation over
-// already-scanned (or joined) rows. Chunk boundaries depend only on the row
-// count, so results are bitwise identical at every parallel degree.
-func aggregateChunks(ctx context.Context, sel *sqlparse.Select, plans []aggItemPlan, data *colstore.Batch) (*aggPartialAcc, error) {
-	// Evaluate aggregate argument vectors once.
-	argVecs := make([]*colstore.Vector, len(plans))
-	argTypes := make([]colstore.Type, len(plans))
-	for pi, p := range plans {
-		if p.fn != nil && !p.fn.Star {
-			v, err := evalExpr(p.fn.Args[0], data)
-			if err != nil {
-				return nil, err
-			}
-			argVecs[pi], argTypes[pi] = v, v.Type
-		}
+	if input.pending != nil {
+		return nil, input.pending
 	}
-	outTypes, err := aggOutputTypes(plans, data.Schema, argTypes)
-	if err != nil {
-		return nil, err
-	}
-	keyVecs := make([]*colstore.Vector, len(sel.GroupBy))
-	keyTypes := make([]colstore.Type, len(sel.GroupBy))
-	for i, g := range sel.GroupBy {
-		keyVecs[i] = data.Cols[data.Schema.ColIndex(g)]
-		keyTypes[i] = keyVecs[i].Type
-	}
-	// Partial aggregation: the scanned rows split into fixed-size contiguous
-	// chunks (a function of data size only, never of degree), each chunk
-	// folds into its own partial, and partials merge via parallel.Reduce's
-	// deterministic tree. Merging adjacent chunks' first-appearance orders
-	// yields exactly the serial first-appearance order, and float sums are
-	// bitwise reproducible at every degree.
-	n := data.Len()
-	nchunks := (n + aggChunkRows - 1) / aggChunkRows
-	part, err := parallel.Reduce(parallel.Default(), nchunks,
-		func(ci int) (*aggPartialAcc, error) {
-			// Cancellation is honored per 4096-row chunk.
-			if err := verr.Canceled(ctx.Err()); err != nil {
-				return nil, err
-			}
-			lo, hi := ci*aggChunkRows, min((ci+1)*aggChunkRows, n)
-			// One header per column: a [lo, hi) view of its vector.
-			views := make([]colstore.Vector, len(keyVecs)+len(argVecs))
-			b := &aggBlock{n: hi - lo, keys: make([]colstore.BlockCol, len(keyVecs)), args: make([]colstore.BlockCol, len(argVecs))}
-			for i, v := range keyVecs {
-				v.SliceInto(&views[i], lo, hi)
-				b.keys[i].Vals = &views[i]
-			}
-			for pi, v := range argVecs {
-				if v != nil {
-					view := &views[len(keyVecs)+pi]
-					v.SliceInto(view, lo, hi)
-					b.args[pi].Vals = view
-				}
-			}
-			p := newAggPartialAcc(plans, keyTypes, outTypes)
-			return p, p.fold(b)
-		},
-		func(a, b *aggPartialAcc) (*aggPartialAcc, error) { return a, a.merge(b) })
-	if err != nil {
-		return nil, err
-	}
-	if part == nil { // zero rows scanned: no chunks ran
-		part = newAggPartialAcc(plans, keyTypes, outTypes)
-	}
-	part.how = fmt.Sprintf("%d chunks", nchunks)
+	part := f.part
+	part.op = startOp(ctx, prof, "aggregate")
+	part.op.Parallel = parallel.Default().Degree()
+	part.op.extra = input.finishOps()
 	return part, nil
 }
 

@@ -3,19 +3,18 @@ package sqlexec
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"verticadr/internal/colstore"
-	"verticadr/internal/parallel"
 	"verticadr/internal/plan"
 	"verticadr/internal/sqlparse"
 	"verticadr/internal/verr"
 )
 
 // The plan walker: runSelect, RunExplainCtx and RunPartialAggregate lower a
-// statement through internal/plan and this file executes the resulting
-// physical tree — scans through the plan's access path, joins, and (in
-// exec.go) the aggregation, projection, sort and limit kernels above them.
+// statement through internal/plan and this file dispatches the resulting
+// physical tree: an Aggregate's or Project's input streams through walk.go
+// (scans through the plan's access path, joins), and exec.go holds the
+// aggregation, projection, sort and limit kernels above it.
 
 // RunExplainCtx plans the statement, executes it under a profile, and
 // renders the plan tree with estimated next to actual row counts — one text
@@ -89,90 +88,9 @@ func execPlan(ctx context.Context, db Database, p *plan.Plan, prof *Profile) (*R
 		part.done(out.Len())
 		return finishSelect(ctx, out, sel, prof)
 	case plan.OpProject:
-		in := core.Children[0]
-		data, err := execData(ctx, db, in, sel, prof)
-		if err != nil {
-			return nil, err
-		}
-		// SELECT * expands against the table definition for single-table
-		// scans (schema order, not reference order) and against the join
-		// output otherwise.
-		star := data.Schema
-		if in.Op != plan.OpHashJoin && in.Alias == "" {
-			def, err := db.TableDef(in.Table)
-			if err != nil {
-				return nil, err
-			}
-			star = def.Schema
-		}
-		return projectBatch(ctx, sel, star, data, prof)
+		return runProject(ctx, db, core, sel, prof)
 	}
 	return nil, fmt.Errorf("sqlexec: unexpected plan operator %s", core.Op)
-}
-
-// execData materializes the rows a scan or join subtree produces.
-func execData(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Select, prof *Profile) (*colstore.Batch, error) {
-	switch n.Op {
-	case plan.OpSeqScan, plan.OpIndexScan:
-		return execScan(ctx, db, n, sel, prof)
-	case plan.OpHashJoin:
-		l, err := execData(ctx, db, n.Children[0], sel, prof)
-		if err != nil {
-			return nil, err
-		}
-		r, err := execData(ctx, db, n.Children[1], sel, prof)
-		if err != nil {
-			return nil, err
-		}
-		return hashJoin(ctx, l, r, n, prof)
-	}
-	return nil, fmt.Errorf("sqlexec: unexpected plan input operator %s", n.Op)
-}
-
-// execScan runs a scan node: the node's columns (or, for a single-table
-// statement, every column the statement references) through the plan's
-// access path — sequential or index — with the residual applied.
-func execScan(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Select, prof *Profile) (*colstore.Batch, error) {
-	def, err := db.TableDef(n.Table)
-	if err != nil {
-		return nil, err
-	}
-	segs, err := db.Segments(n.Table)
-	if err != nil {
-		return nil, err
-	}
-	cols := n.Cols
-	if cols == nil {
-		if cols, err = collectCols(sel, def.Schema); err != nil {
-			return nil, err
-		}
-	}
-	cols = scanColumns(cols, def.Schema)
-	// The residual filter may need columns outside the projection.
-	scanCols := cols
-	if n.Access.Residual != nil {
-		extra, err := collectCols(&sqlparse.Select{Where: n.Access.Residual}, def.Schema)
-		if err != nil {
-			return nil, err
-		}
-		scanCols = union(cols, extra)
-	}
-	scanSchema, err := def.Schema.Project(scanCols)
-	if err != nil {
-		return nil, err
-	}
-	scan := scanSeq
-	if n.Op == plan.OpIndexScan {
-		scan = scanIndex
-	}
-	data, err := scan(ctx, segs, scanSchema, scanCols, cols, n.Access, prof)
-	if err != nil {
-		return nil, err
-	}
-	if n.Alias != "" {
-		data = qualifySchema(data, n.Alias)
-	}
-	return data, nil
 }
 
 // scanColumns is the column list a scan reads: cols, or the table's first
@@ -204,116 +122,18 @@ func filterRows(where sqlparse.Expr, b *colstore.Batch, idx []int) ([]int, error
 	return idx, nil
 }
 
-// scanSegment streams one segment through the access path's exact and
-// zone-map predicates (blocks decoding on pool; nil means serially) and
-// returns the rows that also pass the residual.
-func scanSegment(ctx context.Context, seg *colstore.Segment, schema colstore.Schema, cols []string, acc *plan.Access, pool *parallel.Pool, st *colstore.ScanStats) (*colstore.Batch, error) {
-	// With no exact predicate and no residual the zone maps alone decide what
-	// is delivered: the row count is known from the block headers, so the
-	// accumulator is reserved once instead of doubling its way up.
-	reserve := 0
-	if acc.Primary == nil && acc.Residual == nil {
-		curs, err := seg.ScanCursors(cols, nil, acc.Zone, 1)
-		if err != nil {
-			return nil, err
-		}
-		reserve = curs[0].MaxRows()
+// scanDetail describes a sequential scan for its operator: what it read and
+// what it pushed to storage.
+func scanDetail(segs int, st colstore.ScanStats, acc *plan.Access) string {
+	detail := fmt.Sprintf("%d segments, %d blocks scanned, %d skipped by zone maps, %d KB",
+		segs, st.BlocksScanned, st.BlocksSkipped, st.BytesRead/1024)
+	if st.BlocksCompressed > 0 {
+		detail += fmt.Sprintf(", %d evaluated compressed", st.BlocksCompressed)
 	}
-	out := colstore.NewBatchCap(schema, reserve)
-	var idx []int // residual-filter scratch, reused across batches
-	err := seg.ParScanZoneWithStatsCtx(ctx, cols, acc.Primary, acc.Zone, pool, st, func(b *colstore.Batch) error {
-		if acc.Residual == nil {
-			return out.AppendBatch(b)
-		}
-		var err error
-		if idx, err = filterRows(acc.Residual, b, idx); err != nil {
-			return err
-		}
-		// Gather straight into the accumulator: no intermediate batch
-		// materializes the rejected rows.
-		return out.AppendGather(b, idx)
-	})
-	if err != nil {
-		return nil, err
+	if st.TailRows > 0 {
+		detail += fmt.Sprintf(", %d tail rows", st.TailRows)
 	}
-	return out, nil
-}
-
-// scanSeq scans all segments of a table in parallel: the primary predicate
-// is filtered exactly by the storage layer, zone predicates skip whole
-// blocks (their conjuncts stay in the residual), and the residual filters
-// each scanned batch. cols (of schema) are read, outCols of them returned.
-func scanSeq(ctx context.Context, segs []*colstore.Segment, schema colstore.Schema, cols, outCols []string, acc *plan.Access, prof *Profile) (*colstore.Batch, error) {
-	scanDone := startOp(ctx, prof, "scan")
-	// Each segment scans on its own goroutine (the per-node parallelism the
-	// executor always had); within a segment, blocks decode on a worker pool
-	// whose degree divides the process-wide degree across segments, so total
-	// concurrency tracks -j regardless of segment count.
-	deg := parallel.Default().Degree()
-	segDeg := (deg + len(segs) - 1) / max(len(segs), 1)
-	pool := parallel.NewPool(segDeg)
-	results := make([]*colstore.Batch, len(segs))
-	errs := make([]error, len(segs))
-	stats := make([]colstore.ScanStats, len(segs))
-	var wg sync.WaitGroup
-	for i, seg := range segs {
-		wg.Add(1)
-		go func(i int, seg *colstore.Segment) {
-			defer wg.Done()
-			b, err := scanSegment(ctx, seg, schema, cols, acc, pool, &stats[i])
-			if err == nil {
-				b, err = b.Project(outCols)
-			}
-			results[i], errs[i] = b, err
-		}(i, seg)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	var merged colstore.ScanStats
-	for i := range stats {
-		merged.Add(stats[i])
-	}
-	detail := fmt.Sprintf("%d segments, degree %d, %d blocks scanned, %d skipped by zone maps, %d KB",
-		len(segs), segDeg, merged.BlocksScanned, merged.BlocksSkipped, merged.BytesRead/1024)
-	if merged.BlocksCompressed > 0 {
-		detail += fmt.Sprintf(", %d evaluated compressed", merged.BlocksCompressed)
-	}
-	if merged.TailRows > 0 {
-		detail += fmt.Sprintf(", %d tail rows", merged.TailRows)
-	}
-	scanDone.Parallel = segDeg * max(len(segs), 1)
-	scanDone.doneScan(merged, int64(merged.RowsOut), detail+accessDetail(acc))
-	// The residual ran inside the scan, batch by batch; the filter operator
-	// reports what it kept.
-	var filterDone *opTimer
-	if acc.Residual != nil {
-		filterDone = startOp(ctx, prof, "filter")
-	}
-	// One segment's batch is the answer; several concatenate in segment
-	// order into a batch reserved for all of them.
-	var out *colstore.Batch
-	if len(results) == 1 {
-		out = results[0]
-	} else {
-		rows := 0
-		for _, b := range results {
-			rows += b.Len()
-		}
-		out = colstore.NewBatchCap(mustProject(schema, outCols), rows)
-		for _, b := range results {
-			if err := out.AppendBatch(b); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if filterDone != nil {
-		filterDone.Done(int64(out.Len()), fmt.Sprintf("residual WHERE %s", acc.Residual.String()))
-	}
-	return out, nil
+	return detail + accessDetail(acc)
 }
 
 // accessDetail names the predicates a sequential scan pushed to storage.
@@ -326,17 +146,6 @@ func accessDetail(acc *plan.Access) string {
 		detail += fmt.Sprintf(", %d zone predicates", len(acc.Zone))
 	}
 	return detail
-}
-
-// qualifySchema renames a scan's columns to their canonical "alias.column"
-// form for join execution. Vectors are shared, not copied.
-func qualifySchema(b *colstore.Batch, alias string) *colstore.Batch {
-	out := &colstore.Batch{Cols: b.Cols}
-	out.Schema = make(colstore.Schema, len(b.Schema))
-	for i, c := range b.Schema {
-		out.Schema[i] = colstore.ColumnSchema{Name: alias + "." + c.Name, Type: c.Type}
-	}
-	return out
 }
 
 // scanIndex serves a table scan through a B-tree secondary index: per
@@ -416,110 +225,4 @@ func scanIndex(ctx context.Context, segs []*colstore.Segment, schema colstore.Sc
 		filterDone.Done(int64(out.Len()), fmt.Sprintf("residual WHERE %s", acc.Residual.String()))
 	}
 	return out.Project(outCols)
-}
-
-// hashJoin joins two materialized sides on single equality keys, emitting
-// matches in probe-row-major, build-row-ascending order — exactly what a
-// nested-loop join over the same inputs produces, so results are
-// deterministic and reference-checkable. Key equality follows the engine's
-// CompareValues semantics: ints compare exactly, mixed int/float widens to
-// float64, ±0.0 coincide, and NaN compares equal to everything — NaN build
-// rows go to a side list that matches every probe row, and a NaN probe row
-// matches every build row. The build table is typed (keyInterner): dense key
-// IDs heading int32 row chains.
-func hashJoin(ctx context.Context, left, right *colstore.Batch, n *plan.Node, prof *Profile) (*colstore.Batch, error) {
-	joinDone := startOp(ctx, prof, "join")
-	li := left.Schema.ColIndex(n.LeftKey)
-	ri := right.Schema.ColIndex(n.RightKey)
-	if li < 0 || ri < 0 {
-		return nil, fmt.Errorf("sqlexec: join keys %s, %s not in scan output", n.LeftKey, n.RightKey)
-	}
-	lv, rv := left.Cols[li], right.Cols[ri]
-	numeric := func(t colstore.Type) bool { return t == colstore.TypeInt64 || t == colstore.TypeFloat64 }
-	if lv.Type != rv.Type && !(numeric(lv.Type) && numeric(rv.Type)) {
-		return nil, fmt.Errorf("sqlexec: join keys %s (%v) and %s (%v) are not comparable", n.LeftKey, lv.Type, n.RightKey, rv.Type)
-	}
-	// Two INTEGER keys compare exactly; any FLOAT side compares as float64.
-	keys := keyInterner{join: lv.Type == colstore.TypeFloat64 || rv.Type == colstore.TypeFloat64}
-	// Build: each build row gets its key's dense ID; head[id] starts the chain
-	// of that key's rows through next. Chaining the rows in descending order
-	// leaves every chain ascending.
-	nl, nr := left.Len(), right.Len()
-	ids := make([]int32, max(nr, aggChunkRows))
-	keys.ids(colstore.BlockCol{Vals: rv}, ids[:nr], true)
-	head, next := make([]int32, keys.len()), make([]int32, nr)
-	for i := range head {
-		head[i] = -1
-	}
-	var nanBuild []int
-	for j := nr - 1; j >= 0; j-- {
-		if id := ids[j]; id != idNaN {
-			next[j], head[id] = head[id], int32(j)
-		}
-	}
-	for j, id := range ids[:nr] {
-		if id == idNaN {
-			nanBuild = append(nanBuild, j)
-		}
-	}
-	// Probe a chunk of keys at a time: a typed pass resolves the chunk's IDs,
-	// then the matches are emitted.
-	lIdx, rIdx := make([]int, 0, nl), make([]int, 0, nl)
-	var chunk colstore.Vector
-	for lo := 0; lo < nl; lo += aggChunkRows {
-		if err := verr.Canceled(ctx.Err()); err != nil {
-			return nil, err
-		}
-		hi := min(lo+aggChunkRows, nl)
-		lv.SliceInto(&chunk, lo, hi)
-		keys.ids(colstore.BlockCol{Vals: &chunk}, ids[:hi-lo], false)
-		for i := lo; i < hi; i++ {
-			id := ids[i-lo]
-			if id == idNaN {
-				// NaN equals every build row: a probe chunk of NaNs emits
-				// chunk x build rows, so cancellation is checked in here too.
-				for j := 0; j < nr; j++ {
-					if j%aggChunkRows == aggChunkRows-1 {
-						if err := verr.Canceled(ctx.Err()); err != nil {
-							return nil, err
-						}
-					}
-					lIdx, rIdx = append(lIdx, i), append(rIdx, j)
-				}
-				continue
-			}
-			// Merge the key's chain with the match-everything NaN build rows,
-			// keeping ascending build order.
-			j, b := int32(-1), 0
-			if id >= 0 {
-				j = head[id]
-			}
-			for j >= 0 || b < len(nanBuild) {
-				if j < 0 || (b < len(nanBuild) && nanBuild[b] < int(j)) {
-					lIdx, rIdx = append(lIdx, i), append(rIdx, nanBuild[b])
-					b++
-				} else {
-					lIdx, rIdx = append(lIdx, i), append(rIdx, int(j))
-					j = next[j]
-				}
-			}
-		}
-	}
-	lg := left.Gather(lIdx)
-	rg := right.Gather(rIdx)
-	out := &colstore.Batch{
-		Schema: append(append(colstore.Schema{}, lg.Schema...), rg.Schema...),
-		Cols:   append(append([]*colstore.Vector{}, lg.Cols...), rg.Cols...),
-	}
-	joinDone.Done(int64(out.Len()), fmt.Sprintf("%s = %s, %d build rows", n.LeftKey, n.RightKey, right.Len()))
-	if n.Residual != nil {
-		filterDone := startOp(ctx, prof, "filter")
-		idx, err := filterRows(n.Residual, out, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = out.Gather(idx)
-		filterDone.Done(int64(out.Len()), fmt.Sprintf("join filter %s", n.Residual.String()))
-	}
-	return out, nil
 }

@@ -34,7 +34,7 @@ type OpProfile struct {
 }
 
 // Profile is a per-query execution profile: per-operator row counts and
-// timings in execution order, plus the query's total time. It is collected
+// timings in the order the operators started, plus the query's total time. It is collected
 // when the statement is PROFILE SELECT ... (or the caller opts in) and
 // attached to the Result. Time comes from the telemetry Default clock, so
 // profiles report virtual time under a simulation-driven clock.
@@ -43,7 +43,7 @@ type Profile struct {
 	Total time.Duration
 
 	mu    sync.Mutex
-	ops   []OpProfile
+	ops   []*OpProfile // by start order; nil while the operator runs
 	clock telemetry.Clock
 	start time.Duration
 }
@@ -54,11 +54,20 @@ func NewProfile(query string) *Profile {
 	return &Profile{Query: query, clock: c, start: c.Now()}
 }
 
-// Ops returns the recorded operators in completion order.
+// Ops returns the finished operators in the order they started. Operators
+// run one after another start and finish in the same order; the fused
+// operators of a streamed input (walk.go) start in plan post-order before
+// any of them runs and finish together.
 func (p *Profile) Ops() []OpProfile {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]OpProfile(nil), p.ops...)
+	var out []OpProfile
+	for _, op := range p.ops {
+		if op != nil {
+			out = append(out, *op)
+		}
+	}
+	return out
 }
 
 // opTimer times one operator. Exec stages set the structured fields (Blocks,
@@ -68,12 +77,13 @@ func (p *Profile) Ops() []OpProfile {
 type opTimer struct {
 	p    *Profile
 	op   string
+	slot int // the operator's place in p.ops
 	t0   time.Duration
 	span *telemetry.Span
 	// extra is added to the measured wall time: an operator whose work ran
 	// inside another's interval (the run-aware fold inside the scan callback,
 	// a streamed UDTF's scan inside the function instances) takes that time
-	// from it.
+	// from it, and a fused operator's time is all extra (charge).
 	extra time.Duration
 	// end, when stopped is set, is where the operator's own interval ended:
 	// Done measures to it instead of reading the clock (an operator reported
@@ -96,6 +106,10 @@ func startOp(ctx context.Context, p *Profile, op string) *opTimer {
 	t := &opTimer{p: p, op: op}
 	if p != nil {
 		t.t0 = p.clock.Now()
+		p.mu.Lock()
+		t.slot = len(p.ops)
+		p.ops = append(p.ops, nil)
+		p.mu.Unlock()
 	}
 	t.span = telemetry.SpanFromContext(ctx).StartChild("op:" + op)
 	return t
@@ -133,13 +147,20 @@ func (t *opTimer) Done(rows int64, detail string) {
 	elapsed := end - t.t0 + t.extra
 	telemetry.Default().Counter("sqlexec_op_nanos_total", telemetry.L("op", t.op)).AddDuration(elapsed)
 	t.p.mu.Lock()
-	t.p.ops = append(t.p.ops, OpProfile{
+	t.p.ops[t.slot] = &OpProfile{
 		Op: t.op, Rows: rows, Elapsed: elapsed,
 		Blocks: t.Blocks, BlocksSkipped: t.BlocksSkipped,
 		BlocksCompressed: t.BlocksCompressed, Bytes: t.Bytes,
 		Parallel: t.Parallel, Partitions: t.Partitions, Detail: detail,
-	})
+	}
 	t.p.mu.Unlock()
+}
+
+// charge books d to an operator fused into a loop with others: its time is
+// what it is charged, not the interval since it started.
+func (t *opTimer) charge(d time.Duration) {
+	t.end, t.stopped = t.t0, true
+	t.extra += d
 }
 
 // doneScan ends a scan operator with the storage layer's block accounting.
@@ -198,9 +219,7 @@ func (p *Profile) JSON() ([]byte, error) {
 //	...
 //	total                  1.2ms
 func (p *Profile) String() string {
-	p.mu.Lock()
-	ops := append([]OpProfile(nil), p.ops...)
-	p.mu.Unlock()
+	ops := p.Ops()
 	var sb strings.Builder
 	if p.Query != "" {
 		fmt.Fprintf(&sb, "%s\n", p.Query)

@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -113,14 +114,7 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 	}
 
 	scanDone := startOp(ctx, prof, "scan")
-	finishScan := func(st colstore.ScanStats, rows int64) {
-		detail := fmt.Sprintf("%d segments, %d blocks scanned, %d skipped by zone maps, %d KB",
-			len(segs), st.BlocksScanned, st.BlocksSkipped, st.BytesRead/1024)
-		if st.BlocksCompressed > 0 {
-			detail += fmt.Sprintf(", %d evaluated compressed", st.BlocksCompressed)
-		}
-		scanDone.doneScan(st, rows, detail+accessDetail(acc))
-	}
+	finishScan := func(st colstore.ScanStats, rows int64) { scanDone.doneScan(st, rows, scanDetail(len(segs), st, acc)) }
 	var parts []partition
 	var streams []*blockStream // PARTITION BEST: every cursor, partition or not
 	if best {
@@ -157,10 +151,15 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 		var st colstore.ScanStats
 		var rows int64
 		for node, seg := range segs {
-			raw, err := scanSegment(ctx, seg, needSchema, need, acc, nil, &st)
+			in := &input{ctx: ctx, limit: math.MaxInt}
+			if err := in.openLeaf(def, []*colstore.Segment{seg}, n.Children[0], need); err != nil {
+				return nil, err
+			}
+			raw, err := in.collect()
 			if err != nil {
 				return nil, err
 			}
+			st.Add(in.stats())
 			rows += int64(raw.Len())
 			keyed, err := keyPartitions(raw, over.PartitionBy, fc.Args, inSchema)
 			if err != nil {
