@@ -30,7 +30,7 @@ func TestScanCancelStopsWithinOneBlock(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	delivered := 0
-	err := seg.ScanZoneWithStatsCtx(ctx, []string{"x"}, nil, nil, nil, func(batch *Batch) error {
+	err := pushScan(ctx, seg, []string{"x"}, nil, nil, nil, func(batch *Batch) error {
 		delivered++
 		cancel() // cancel during the first delivery
 		return nil

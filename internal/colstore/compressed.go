@@ -398,7 +398,7 @@ type BlockCol struct {
 	Codes []uint32
 }
 
-// Block is what ScanBlocks delivers: the projected columns of one sealed
+// Block is what NextBlock delivers: the projected columns of one sealed
 // block (or of the unsealed tail) as typed entries. Entry i stands for
 // Runs[i] consecutive rows in which every column is constant; a nil Runs
 // means one row per entry.
@@ -503,10 +503,11 @@ func decodeDictCodes(dict *Vector, codes []uint32, rest []byte, n int) ([]uint32
 // dictionary codes coalesced, so an entry is constant in every column. One
 // column of any other encoding makes every entry a row: dictionary columns
 // still arrive as codes, the rest through the eager decoder. Validation and
-// error strings are the eager decoder's on both routes.
-func (r *blockReader) read(s *Segment, plan *scanPlan, bi int, st *ScanStats) (blk *Block, compressed bool, err error) {
-	rows := -1
-	compressed = true
+// error strings are the eager decoder's on both routes. st counts the block
+// as scanned, and as compressed when it stays in runs.
+func (r *blockReader) read(s *Segment, plan *scanPlan, bi int, st *ScanStats) (*Block, error) {
+	st.BlocksScanned++
+	rows, compressed := -1, true
 	for i, ci := range plan.colIdx {
 		data := s.sealed[ci][bi].data
 		st.BytesRead += len(data)
@@ -517,10 +518,10 @@ func (r *blockReader) read(s *Segment, plan *scanPlan, bi int, st *ScanStats) (b
 			if err == nil {
 				err = fmt.Errorf("colstore: corrupt block header")
 			}
-			return nil, false, err
+			return nil, err
 		}
 		if rows >= 0 && n != rows {
-			return nil, false, fmt.Errorf("colstore: block %d column %s holds %d rows, want %d", bi, r.schema[i].Name, n, rows)
+			return nil, fmt.Errorf("colstore: block %d column %s holds %d rows, want %d", bi, r.schema[i].Name, n, rows)
 		}
 		rows = n
 		if enc != EncRLE && enc != EncDict {
@@ -533,12 +534,13 @@ func (r *blockReader) read(s *Segment, plan *scanPlan, bi int, st *ScanStats) (b
 		c := &r.cols[i]
 		c.vals.Reset()
 		c.codes, c.lens = nil, c.lens[:0]
+		var err error
 		switch {
 		case typ != c.vals.Type:
-			return nil, false, fmt.Errorf("colstore: decode %v block into %v vector", typ, c.vals.Type)
+			return nil, fmt.Errorf("colstore: decode %v block into %v vector", typ, c.vals.Type)
 		case enc == EncDict:
 			if typ != TypeString {
-				return nil, false, fmt.Errorf("colstore: DICT block with type %v", typ)
+				return nil, fmt.Errorf("colstore: DICT block with type %v", typ)
 			}
 			c.buf, err = decodeDictCodes(c.vals, c.buf[:0], rest, n)
 			c.codes = c.buf
@@ -548,7 +550,7 @@ func (r *blockReader) read(s *Segment, plan *scanPlan, bi int, st *ScanStats) (b
 			err = DecodeBlockInto(c.vals, data)
 		}
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if compressed && enc == EncDict {
 			c.coalesce()
@@ -556,15 +558,17 @@ func (r *blockReader) read(s *Segment, plan *scanPlan, bi int, st *ScanStats) (b
 		r.blk.Cols[i] = BlockCol{Vals: c.vals, Codes: c.codes}
 	}
 	r.blk.Rows, r.blk.Runs = rows, nil
-	if !compressed {
-		return &r.blk, false, nil
-	}
-	if len(r.cols) == 1 {
+	st.RowsOut += rows
+	switch {
+	case !compressed:
+	case len(r.cols) == 1:
+		st.BlocksCompressed++
 		r.blk.Runs = r.cols[0].lens
-		return &r.blk, true, nil
+	default:
+		st.BlocksCompressed++
+		r.intersect(rows)
 	}
-	r.intersect(rows)
-	return &r.blk, true, nil
+	return &r.blk, nil
 }
 
 // coalesce folds per-row dictionary codes into runs of equal codes.
@@ -625,53 +629,36 @@ func (r *blockReader) intersect(rows int) {
 	}
 }
 
-// ScanBlocks streams the named columns (nil = all) through fn one sealed
-// block at a time, then the unsealed tail, as typed entries (see Block and
-// blockReader.read): blocks whose projected columns are all RLE or
-// dictionary encoded arrive as runs without being expanded, so run-aware
-// consumers (aggregates that multiply by run length) do O(runs) work. The
-// Block and everything it points to is reused — fn must not retain it.
+// NextBlock is Next for a run-aware consumer of a cursor without predicates:
+// it returns the range's next sealed block, then the unsealed tail, as typed
+// entries (see Block and blockReader.read), or nil at the end of the range.
+// Blocks whose projected columns are all RLE or dictionary encoded arrive as
+// runs without being expanded, so consumers that multiply by run length
+// (aggregates) do O(runs) work; the tail arrives as views, one row per entry.
+// The Block and everything it points to is valid until the next call.
 // Stats: BlocksCompressed counts the blocks delivered as runs.
-func (s *Segment) ScanBlocks(ctx context.Context, cols []string, st *ScanStats, fn func(*Block) error) error {
-	var local ScanStats
-	if st == nil {
-		st = &local
-	}
-	defer recordScanSince(st, *st)
-	plan, err := s.planScan(cols, nil, nil)
-	if err != nil {
-		return err
-	}
-	r := newBlockReader(plan.outSchema)
-	for bi := 0; bi < plan.nblocks; bi++ {
-		if err := verr.Canceled(ctx.Err()); err != nil {
-			return err
-		}
-		st.BlocksScanned++
-		blk, compressed, err := r.read(s, plan, bi, st)
-		if err != nil {
-			return err
-		}
-		if compressed {
-			st.BlocksCompressed++
-		}
-		st.RowsOut += blk.Rows
-		if err := fn(blk); err != nil {
-			return err
-		}
-	}
+func (c *ScanCursor) NextBlock(ctx context.Context) (*Block, error) {
 	if err := verr.Canceled(ctx.Err()); err != nil {
-		return err
+		return nil, err
 	}
-	// Unsealed tail: views of the in-memory batch, one row per entry.
-	if n := s.tail.Len(); n > 0 {
-		st.TailRows += n
-		st.RowsOut += n
-		blk := &Block{Rows: n, Cols: make([]BlockCol, len(plan.colIdx))}
-		for i, ci := range plan.colIdx {
-			blk.Cols[i].Vals = s.tail.Cols[ci].Slice(0, n)
-		}
-		return fn(blk)
+	if c.bufs == nil {
+		c.bufs = &decodeBufs{blocks: newBlockReader(c.plan.outSchema)}
 	}
-	return nil
+	if c.bi < c.hi {
+		c.bi++
+		return c.bufs.blocks.read(c.s, c.plan, c.bi-1, &c.st)
+	}
+	if !c.tail {
+		return nil, nil
+	}
+	c.tail = false
+	b, err := c.scanTail()
+	if b == nil {
+		return nil, err
+	}
+	blk := &Block{Rows: b.Len(), Cols: make([]BlockCol, len(b.Cols))}
+	for i, v := range b.Cols {
+		blk.Cols[i].Vals = v
+	}
+	return blk, nil
 }

@@ -274,11 +274,34 @@ func expandBlock(t *testing.T, dst *Batch, b *Block) {
 	}
 }
 
-// TestScanBlocksMatchesScan: the typed block views reconstruct exactly the
-// rows a full decode scan delivers, across mixed encodings, block boundaries
-// straddled by runs, and the unsealed tail — blocks whose projected columns
-// are all RLE/DICT arrive as runs (and count as BlocksCompressed), dictionary
-// columns as codes, anything else one row per entry.
+// scanBlocks drains cols of seg through the NextBlock of k cursors, one after
+// another, handing fn each block and the stats so far.
+func scanBlocks(seg *Segment, cols []string, k int, fn func(*Block, ScanStats)) (ScanStats, error) {
+	curs, err := seg.ScanCursors(cols, nil, nil, k)
+	var st ScanStats
+	for i := 0; err == nil && i < len(curs); i++ {
+		c := curs[i]
+		if i > 0 {
+			curs[i-1].Pass(c)
+		}
+		var blk *Block
+		for blk, err = c.NextBlock(context.Background()); err == nil && blk != nil; blk, err = c.NextBlock(context.Background()) {
+			now := st
+			now.Add(c.Stats())
+			fn(blk, now)
+		}
+		c.Close()
+		st.Add(c.Stats())
+	}
+	return st, err
+}
+
+// TestScanBlocksMatchesScan: the typed block views cursors deliver through
+// NextBlock reconstruct exactly the rows a full decode scan delivers, across
+// mixed encodings, block boundaries straddled by runs, cursor ranges and the
+// unsealed tail — blocks whose projected columns are all RLE/DICT arrive as
+// runs (and count as BlocksCompressed), dictionary columns as codes, anything
+// else one row per entry.
 func TestScanBlocksMatchesScan(t *testing.T) {
 	schema := Schema{
 		{Name: "i", Type: TypeInt64},
@@ -333,10 +356,9 @@ func TestScanBlocksMatchesScan(t *testing.T) {
 		{[]string{"b"}, 3, 6},
 		{[]string{"m", "i"}, 3, 12}, // m is DICT in block 0 only
 	} {
-		var st ScanStats
 		got := NewBatch(mustProjectSchema(t, schema, tc.cols))
 		entries := 0
-		err := seg.ScanBlocks(context.Background(), tc.cols, &st, func(blk *Block) error {
+		st, err := scanBlocks(seg, tc.cols, 2, func(blk *Block, st ScanStats) {
 			if blk.Rows == 8 {
 				entries += blk.Len()
 				if (blk.Runs != nil) != (tc.wantCompressed > 0) {
@@ -349,7 +371,6 @@ func TestScanBlocksMatchesScan(t *testing.T) {
 				}
 			}
 			expandBlock(t, got, blk)
-			return nil
 		})
 		if err != nil {
 			t.Fatalf("cols %v: %v", tc.cols, err)
@@ -375,7 +396,7 @@ func TestScanBlocksMatchesScan(t *testing.T) {
 	}
 }
 
-// TestScanBlocksErrorParity: a corrupt block fails ScanBlocks with the eager
+// TestScanBlocksErrorParity: a corrupt block fails NextBlock with the eager
 // decoder's error, whichever route (runs, codes, eager) the block takes.
 func TestScanBlocksErrorParity(t *testing.T) {
 	schema := Schema{{Name: "s", Type: TypeString}, {Name: "d", Type: TypeInt64}}
@@ -417,9 +438,9 @@ func TestScanBlocksErrorParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			seg.sealed[tc.col][0].data = tc.data
-			err := seg.ScanBlocks(context.Background(), cols, nil, func(*Block) error { return nil })
+			_, err := scanBlocks(seg, cols, 1, func(*Block, ScanStats) {})
 			if err == nil || err.Error() != wantErr.Error() {
-				t.Fatalf("corrupt[%d] cols %v: ScanBlocks err %v, want %v", i, cols, err, wantErr)
+				t.Fatalf("corrupt[%d] cols %v: NextBlock err %v, want %v", i, cols, err, wantErr)
 			}
 		}
 	}

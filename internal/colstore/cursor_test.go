@@ -62,6 +62,32 @@ func drainCursors(t testing.TB, schema Schema, curs []*ScanCursor) (*Batch, Scan
 	return out, st
 }
 
+// pushScan drains one cursor over the whole scan through fn, adding what it
+// read to st when st is non-nil: the push scan with a context and zone
+// predicates.
+func pushScan(ctx context.Context, seg *Segment, cols []string, pred *Pred, zone []Pred, st *ScanStats, fn func(*Batch) error) error {
+	curs, err := seg.ScanCursors(cols, pred, zone, 1)
+	if err != nil {
+		return err
+	}
+	c := curs[0]
+	defer func() {
+		c.Close()
+		if st != nil {
+			st.Add(c.Stats())
+		}
+	}()
+	for {
+		b, err := c.Next(ctx)
+		if err != nil || b == nil {
+			return err
+		}
+		if err := fn(b); err != nil {
+			return err
+		}
+	}
+}
+
 var cursorPreds = []*Pred{
 	nil,
 	{Col: "id", Op: OpLT, Val: int64(200)},
@@ -88,7 +114,7 @@ func TestCursorSplitsMatchScan(t *testing.T) {
 			for _, cols := range [][]string{nil, {"v", "tag"}} {
 				var want *Batch
 				var wantStats ScanStats
-				err := seg.ScanZoneWithStatsCtx(context.Background(), cols, pred, zone, &wantStats, func(b *Batch) error {
+				err := pushScan(context.Background(), seg, cols, pred, zone, &wantStats, func(b *Batch) error {
 					if want == nil {
 						want = NewBatch(b.Schema)
 					}
@@ -291,7 +317,7 @@ func TestCursorPredicateDecodeMatchesReference(t *testing.T) {
 			}
 		}
 		push := NewBatch(want.Schema)
-		if err := seg.ScanZoneWithStatsCtx(context.Background(), []string{"tag", "v"}, pred, nil, nil, push.AppendBatch); err != nil {
+		if err := seg.ScanWithStats([]string{"tag", "v"}, pred, nil, push.AppendBatch); err != nil {
 			t.Fatal(err)
 		}
 		if err := batchesEqual(want, push); err != nil {

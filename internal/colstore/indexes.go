@@ -11,8 +11,8 @@ import (
 // This file attaches secondary B-tree indexes (internal/colstore/index) to
 // segments and exposes the per-column statistics the cost-based planner
 // feeds on. Row positions are append order — exactly the order Scan
-// delivers rows — so Lookup + GatherRows reproduces a filtered scan byte
-// for byte.
+// delivers rows — so an IndexCursor reproduces a filtered scan byte for
+// byte.
 
 // indexTree aliases the tree type so segment.go stays free of the subpackage
 // import.
@@ -132,73 +132,35 @@ func (s *Segment) IndexLookupRange(lo, hi *Pred) (rows []uint32, handled bool) {
 	return tree.LookupRange(index.Op(lo.Op), lo.Val, index.Op(hi.Op), hi.Val)
 }
 
-// GatherRows materializes the projected columns of the given row positions
-// (ascending, as IndexLookup returns them) into one owned batch, decoding
-// only the blocks that hold selected rows — the O(log n + k) access path.
-// Stats accounting mirrors a scan: untouched sealed blocks count as
-// skipped, touched ones as scanned.
-func (s *Segment) GatherRows(cols []string, rowids []uint32, st *ScanStats) (*Batch, error) {
-	var local ScanStats
-	if st == nil {
-		st = &local
+// IndexCursor serves the predicate lo — with hi, the bounded range lo AND hi
+// over one column — from that column's index: a cursor over the named
+// columns (nil = all) of exactly the rows, in exactly the order, a scan under
+// the predicates delivers. It decodes only the selected rows of the sealed
+// blocks that hold any — the O(log n + k) access path — and gathers the
+// selected tail rows; untouched blocks count as skipped, touched ones as
+// scanned. A segment without a match yields a cursor with nothing to deliver
+// whose blocks all count as skipped already. handled is false when
+// IndexLookup (IndexLookupRange) cannot serve the predicates.
+func (s *Segment) IndexCursor(cols []string, lo, hi *Pred) (c *ScanCursor, handled bool, err error) {
+	var rowids []uint32
+	if hi != nil {
+		rowids, handled = s.IndexLookupRange(lo, hi)
+	} else {
+		rowids, handled = s.IndexLookup(lo)
 	}
-	defer recordScanSince(st, *st)
+	if !handled {
+		return nil, false, nil
+	}
 	plan, err := s.planScan(cols, nil, nil)
 	if err != nil {
-		return nil, err
+		return nil, true, err
 	}
-	out := &Batch{Schema: plan.outSchema, Cols: make([]*Vector, len(plan.colIdx))}
-	for i := range out.Cols {
-		out.Cols[i] = NewVector(plan.outSchema[i].Type, len(rowids))
+	c = s.newCursor(plan, nil, 0, plan.nblocks, true)
+	c.index, c.rowids = true, rowids
+	if len(rowids) == 0 {
+		c.bi, c.tail, c.st.BlocksSkipped = c.hi, false, c.hi
 	}
-	if len(plan.colIdx) == 0 {
-		return out, nil
-	}
-	scratch := idxScratch.Get().(*[]int)
-	defer idxScratch.Put(scratch)
-	sel := (*scratch)[:0]
-	pos, start := 0, 0
-	for bi := 0; bi < plan.nblocks; bi++ {
-		rowsInBlock := s.sealed[plan.colIdx[0]][bi].rows
-		end := start + rowsInBlock
-		sel = sel[:0]
-		for pos < len(rowids) && int(rowids[pos]) < end {
-			if int(rowids[pos]) < start {
-				return nil, fmt.Errorf("colstore: gather rowids not ascending")
-			}
-			sel = append(sel, int(rowids[pos])-start)
-			pos++
-		}
-		if len(sel) == 0 {
-			st.BlocksSkipped++
-			start = end
-			continue
-		}
-		st.BlocksScanned++
-		for i, ci := range plan.colIdx {
-			st.BytesRead += len(s.sealed[ci][bi].data)
-			if err := DecodeBlockSel(out.Cols[i], s.sealed[ci][bi].data, sel); err != nil {
-				return nil, err
-			}
-		}
-		start = end
-	}
-	*scratch = sel
-	// Remaining positions land in the unsealed tail.
-	for ; pos < len(rowids); pos++ {
-		ti := int(rowids[pos]) - start
-		if ti < 0 || ti >= s.tail.Len() {
-			return nil, fmt.Errorf("colstore: gather row %d out of range (%d rows)", rowids[pos], s.rows)
-		}
-		st.TailRows++
-		for i, ci := range plan.colIdx {
-			if err := out.Cols[i].AppendRange(s.tail.Cols[ci], ti, ti+1); err != nil {
-				return nil, err
-			}
-		}
-	}
-	st.RowsOut += len(rowids)
-	return out, nil
+	return c, true, nil
 }
 
 // ColumnStats summarizes one column for cardinality estimation.

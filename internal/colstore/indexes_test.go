@@ -54,9 +54,33 @@ func scanFiltered(t *testing.T, seg *Segment, cols []string, pred *Pred) *Batch 
 	return out
 }
 
-// TestIndexLookupMatchesScan pins the core equivalence: IndexLookup +
-// GatherRows delivers the same rows in the same order as a filtered scan,
-// for every operator, on every column type, NaN rows included.
+// indexScan drains an index cursor over cols under pred into one batch.
+func indexScan(t *testing.T, seg *Segment, cols []string, pred *Pred) (*Batch, ScanStats) {
+	t.Helper()
+	c, handled, err := seg.IndexCursor(cols, pred, nil)
+	if err != nil || !handled {
+		t.Fatalf("pred %+v: handled %v, err %v", *pred, handled, err)
+	}
+	defer c.Close()
+	out := NewBatch(c.plan.outSchema)
+	for {
+		b, err := c.Next(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			return out, c.Stats()
+		}
+		if err := out.AppendBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestIndexLookupMatchesScan pins the core equivalence: an IndexCursor
+// delivers the same rows in the same order as a filtered scan, for every
+// operator, on every column type, NaN rows included, and counts as touched
+// exactly the blocks that hold a match.
 func TestIndexLookupMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	seg := indexTestSegment(t, rng, 10000, 512)
@@ -94,17 +118,22 @@ func TestIndexLookupMatchesScan(t *testing.T) {
 		if !handled {
 			t.Fatalf("pred %+v not handled", p)
 		}
-		var st ScanStats
-		got, err := seg.GatherRows(cols, rows, &st)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, st := indexScan(t, seg, cols, &p)
 		want := scanFiltered(t, seg, cols, &p)
 		if !gatherBatchesEqual(got, want) {
 			t.Fatalf("pred %+v: index path diverges (got %d rows, want %d)", p, got.Len(), want.Len())
 		}
-		if st.RowsOut != want.Len() {
-			t.Fatalf("stats rows %d want %d", st.RowsOut, want.Len())
+		touched := map[int]bool{}
+		tail := 0
+		for _, r := range rows {
+			if bi := int(r) / 512; bi < seg.Blocks() {
+				touched[bi] = true
+			} else {
+				tail++
+			}
+		}
+		if st.RowsOut != want.Len() || st.BlocksScanned != len(touched) || st.BlocksSkipped != seg.Blocks()-len(touched) || st.TailRows != tail {
+			t.Fatalf("pred %+v: stats %+v, want %d rows, %d blocks touched, %d tail rows", p, st, want.Len(), len(touched), tail)
 		}
 	}
 	// NE is never index-served.
@@ -169,10 +198,7 @@ func TestIndexSurvivesAppendAndClone(t *testing.T) {
 	if len(rows) != len(snapRows)+700 {
 		t.Fatalf("appended rows missing from index: %d vs %d+700", len(rows), len(snapRows))
 	}
-	got, err := seg.GatherRows([]string{"id", "x"}, rows, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := indexScan(t, seg, []string{"id", "x"}, &p)
 	if !gatherBatchesEqual(got, scanFiltered(t, seg, []string{"id", "x"}, &p)) {
 		t.Fatal("index path diverges after append")
 	}
@@ -209,7 +235,7 @@ func TestZonePredScansEquivalent(t *testing.T) {
 	zone := []Pred{{Col: "b", Op: OpEQ, Val: int64(2)}}
 	var zst ScanStats
 	var got []int64
-	err := seg.ScanZoneWithStatsCtx(context.Background(), []string{"a", "b"}, pred, zone, &zst, func(batch *Batch) error {
+	err := pushScan(context.Background(), seg, []string{"a", "b"}, pred, zone, &zst, func(batch *Batch) error {
 		for i := 0; i < batch.Len(); i++ {
 			if batch.Cols[1].Ints[i] == 2 {
 				got = append(got, batch.Cols[0].Ints[i])

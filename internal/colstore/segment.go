@@ -520,29 +520,6 @@ func (s *Segment) planScan(cols []string, pred *Pred, zone []Pred) (*scanPlan, e
 	return plan, nil
 }
 
-// recordScanTelemetry flushes one scan's stats into the global counters.
-// Callers that accumulate into a caller's ScanStats flush only their own
-// delta (recordScanSince), never the running total.
-func recordScanTelemetry(st *ScanStats) {
-	mScanRows.Add(int64(st.RowsOut))
-	mScanBytes.Add(int64(st.BytesRead))
-	mBlocksScanned.Add(int64(st.BlocksScanned))
-	mBlocksSkipped.Add(int64(st.BlocksSkipped))
-	mBlocksCompressed.Add(int64(st.BlocksCompressed))
-}
-
-// recordScanSince flushes what st gained over base: the part one call added
-// to a caller's running total.
-func recordScanSince(st *ScanStats, base ScanStats) {
-	recordScanTelemetry(&ScanStats{
-		BlocksScanned:    st.BlocksScanned - base.BlocksScanned,
-		BlocksSkipped:    st.BlocksSkipped - base.BlocksSkipped,
-		BlocksCompressed: st.BlocksCompressed - base.BlocksCompressed,
-		RowsOut:          st.RowsOut - base.RowsOut,
-		BytesRead:        st.BytesRead - base.BytesRead,
-	})
-}
-
 // Blocks returns the number of sealed block rows.
 func (s *Segment) Blocks() int {
 	if len(s.sealed) == 0 {
@@ -562,18 +539,38 @@ func (s *Segment) Scan(cols []string, pred *Pred, fn func(*Batch) error) error {
 
 // ScanWithStats is Scan with per-scan observability: when st is non-nil,
 // what the scan touched is added to it. Global telemetry counters are
-// recorded either way.
+// recorded either way. It drains one cursor over every block.
 func (s *Segment) ScanWithStats(cols []string, pred *Pred, st *ScanStats, fn func(*Batch) error) error {
-	return s.ScanZoneWithStatsCtx(context.Background(), cols, pred, nil, st, fn)
+	plan, err := s.planScan(cols, pred, nil)
+	if err != nil {
+		return err
+	}
+	c := s.newCursor(plan, pred, 0, plan.nblocks, true)
+	defer func() {
+		c.Close()
+		if st != nil {
+			st.Add(c.st)
+		}
+	}()
+	for {
+		batch, err := c.Next(context.Background())
+		if err != nil || batch == nil {
+			return err
+		}
+		if err := fn(batch); err != nil {
+			return err
+		}
+	}
 }
 
-// ScanCursor is the pull form of a scan: it walks a contiguous range of a
-// segment's sealed blocks — and, for the range that ends the segment, the
-// unsealed tail — one Next at a time. The push scans are this walk with a
-// callback: ScanZoneWithStatsCtx drains one cursor over every block, so the
-// skip, decode and tail logic exists once. A cursor is owned by one
-// goroutine; cursors over disjoint ranges of one segment may run
-// concurrently (sealed blocks are immutable, decode state is per cursor).
+// ScanCursor is the only walk over a segment's sealed blocks: it covers a
+// contiguous range of them — and, for the range that ends the segment, the
+// unsealed tail — one call at a time, as batches (Next), as stored blocks
+// (NextStored) or as typed entries (NextBlock). The push scans are this walk
+// with a callback: ScanWithStats drains one cursor over every block.
+// A cursor is owned by one goroutine; cursors over disjoint ranges of one
+// segment may run concurrently (sealed blocks are immutable, decode state is
+// per cursor).
 type ScanCursor struct {
 	s       *Segment
 	plan    *scanPlan
@@ -584,13 +581,19 @@ type ScanCursor struct {
 	bufs    *decodeBufs
 	stored  [][]byte // NextStored's reused result slice
 	st      ScanStats
+	// An index cursor (IndexCursor) delivers the rows at rowids, the selected
+	// positions still ahead of it; at is the segment row block bi starts at.
+	index  bool
+	rowids []uint32
+	at     int
 }
 
 // decodeBufs are a cursor's decode buffers, reused block over block: the
-// batch it delivers and the predicate column.
+// batch it delivers, the predicate column and NextBlock's reader.
 type decodeBufs struct {
-	out  *Batch
-	pred *Vector
+	out    *Batch
+	pred   *Vector
+	blocks *blockReader
 }
 
 // Pass hands c's decode buffers to next, a cursor over another range of the
@@ -607,9 +610,11 @@ func (s *Segment) newCursor(plan *scanPlan, pred *Pred, lo, hi int, tail bool) *
 }
 
 // ScanCursors plans one scan — the named columns (nil = all), the optional
-// exact predicate and the auxiliary zone-map-only predicates of
-// ScanZoneWithStatsCtx — and cuts it into cursors whose outputs, concatenated
-// in order, are exactly that scan's output. A header-only zone-map pass
+// exact predicate and auxiliary zone-map-only predicates — and cuts it into
+// cursors whose outputs, concatenated in order, are exactly that scan's
+// output. A zone predicate may exclude sealed blocks via min/max stats but
+// never filters surviving rows: callers keep those conjuncts as residual
+// filters, so passing them here only prunes I/O. A header-only zone-map pass
 // (serial, deterministic) finds the surviving blocks; they are divided into
 // min(k, survivors) contiguous runs of near-equal block count, each cursor
 // taking the block range that holds its run, the last one the tail as well.
@@ -642,8 +647,11 @@ func (s *Segment) ScanCursors(cols []string, pred *Pred, zone []Pred, k int) ([]
 
 // MaxRows bounds the rows the cursor has yet to deliver: the rows of its
 // remaining blocks that survive the zone maps, plus the tail's. Without an
-// exact predicate the bound is the count.
+// exact predicate the bound is the count, and so it is under an index.
 func (c *ScanCursor) MaxRows() int {
+	if c.index {
+		return len(c.rowids)
+	}
 	n := 0
 	for bi := c.bi; bi < c.hi; bi++ {
 		if !c.plan.blockSkipped(c.s, c.pred, bi) {
@@ -688,12 +696,12 @@ func (c *ScanCursor) NextStored(ctx context.Context, maxRows int) (blocks [][]by
 		}
 		bi := c.bi
 		c.bi++
-		if c.plan.blockSkipped(c.s, c.pred, bi) {
-			c.st.BlocksSkipped++ // zone-map skip
+		if c.untouched(bi) {
+			c.st.BlocksSkipped++
 			continue
 		}
 		c.st.BlocksScanned++
-		if n := c.s.sealed[0][bi].rows; c.pred == nil && n <= maxRows {
+		if n := c.s.sealed[0][bi].rows; c.pred == nil && !c.index && n <= maxRows {
 			c.stored = c.stored[:0]
 			for _, ci := range c.plan.colIdx {
 				data := c.s.sealed[ci][bi].data
@@ -720,8 +728,29 @@ func (c *ScanCursor) NextStored(ctx context.Context, maxRows int) (blocks [][]by
 	if err := verr.Canceled(ctx.Err()); err != nil {
 		return nil, 0, nil, err
 	}
-	b, err = c.s.scanTail(c.plan, c.pred, &c.st, c.scratch)
+	b, err = c.scanTail()
 	return nil, 0, b, err
+}
+
+// untouched reports whether the cursor leaves sealed block bi undecoded: a
+// zone map excludes it or, under an index, it holds no selected row.
+func (c *ScanCursor) untouched(bi int) bool {
+	if c.index {
+		return len(c.cut(c.at+c.s.sealed[0][bi].rows)) == 0
+	}
+	return c.plan.blockSkipped(c.s, c.pred, bi)
+}
+
+// cut moves an index cursor's selected rows below segment row end off rowids
+// into the scratch, as offsets from at, and advances at to end.
+func (c *ScanCursor) cut(end int) []int {
+	sel := (*c.scratch)[:0]
+	for len(c.rowids) > 0 && int(c.rowids[0]) < end {
+		sel = append(sel, int(c.rowids[0])-c.at)
+		c.rowids = c.rowids[1:]
+	}
+	c.at, *c.scratch = end, sel
+	return sel
 }
 
 // Stats reports what the cursor has touched so far.
@@ -730,69 +759,72 @@ func (c *ScanCursor) Stats() ScanStats { return c.st }
 // Close flushes the cursor's stats into the global scan counters and
 // releases its scratch. Call it once, when the cursor is done with.
 func (c *ScanCursor) Close() {
-	recordScanTelemetry(&c.st)
+	mScanRows.Add(int64(c.st.RowsOut))
+	mScanBytes.Add(int64(c.st.BytesRead))
+	mBlocksScanned.Add(int64(c.st.BlocksScanned))
+	mBlocksSkipped.Add(int64(c.st.BlocksSkipped))
+	mBlocksCompressed.Add(int64(c.st.BlocksCompressed))
 	if c.scratch != nil {
 		idxScratch.Put(c.scratch)
 		c.scratch = nil
 	}
 }
 
-// ScanZoneWithStatsCtx is ScanWithStats under a context and with auxiliary
-// zone-map-only predicates. Cancellation is checked before every block
-// decode (and before the tail), so a canceled query stops within one storage
-// block; the error wraps verr.ErrCanceled. Each zone pred may exclude sealed
-// blocks via min/max stats but never filters surviving rows — callers keep
-// those conjuncts as residual filters, so passing them here only prunes I/O
-// (the multi-conjunct WHERE pushdown). Output is row-identical to the same
-// scan without zone preds, minus the rows of excluded blocks, all of which
-// fail the zone predicates.
-func (s *Segment) ScanZoneWithStatsCtx(ctx context.Context, cols []string, pred *Pred, zone []Pred, st *ScanStats, fn func(*Batch) error) error {
-	plan, err := s.planScan(cols, pred, zone)
-	if err != nil {
-		return err
-	}
-	c := s.newCursor(plan, pred, 0, plan.nblocks, true)
-	defer func() {
-		c.Close()
-		if st != nil {
-			st.Add(c.st)
+// scanTail projects the unsealed tail rows the cursor selects — those
+// matching its exact predicate, those its index names, or, as views of the
+// tail, all of them — gathered into a fresh batch. It returns nil when no tail
+// row survives. Under an index only the selected tail rows count as
+// examined.
+func (c *ScanCursor) scanTail() (*Batch, error) {
+	tail := c.s.tail
+	var match []int // nil: every row
+	if c.index {
+		if match = c.cut(c.at + tail.Len()); len(c.rowids) > 0 {
+			return nil, fmt.Errorf("colstore: index row %d out of range (%d rows)", c.rowids[0], c.s.rows)
 		}
-	}()
-	for {
-		batch, err := c.Next(ctx)
-		if err != nil || batch == nil {
-			return err
-		}
-		if err := fn(batch); err != nil {
-			return err
+		c.st.TailRows += len(match)
+	} else if tail.Len() > 0 {
+		c.st.TailRows += tail.Len()
+		if c.pred != nil {
+			m, err := c.pred.matchRowsInto(tail.Cols[c.plan.predIdx], *c.scratch)
+			if err != nil {
+				return nil, err
+			}
+			match, *c.scratch = m, m
 		}
 	}
-}
-
-// scanTail filters and projects the unsealed tail rows (shared by both scan
-// paths; the tail is a single in-memory batch, so it is always processed
-// serially). It returns nil when no tail row survives.
-func (s *Segment) scanTail(plan *scanPlan, pred *Pred, st *ScanStats, scratch *[]int) (*Batch, error) {
-	if s.tail.Len() == 0 {
+	n := tail.Len()
+	if match != nil {
+		n = len(match)
+	}
+	if n == 0 {
 		return nil, nil
 	}
-	st.TailRows += s.tail.Len()
-	batch, err := filterProject(s.tail, plan.colIdx, plan.outSchema, plan.predIdx, pred, scratch)
-	if err != nil || batch.Len() == 0 {
-		return nil, err
+	out := &Batch{Schema: c.plan.outSchema, Cols: make([]*Vector, len(c.plan.colIdx))}
+	for i, ci := range c.plan.colIdx {
+		v := tail.Cols[ci]
+		if match != nil {
+			v = v.Gather(match)
+		} else {
+			// A [0, len) view: tail storage is append-only (new rows land
+			// past the view), and scan consumers never mutate delivered
+			// batches, so the view stays stable without a copy per scan.
+			v = v.Slice(0, n)
+		}
+		out.Cols[i] = v
 	}
-	st.RowsOut += batch.Len()
-	return batch, nil
+	c.st.RowsOut += n
+	return out, nil
 }
 
 // decode reads sealed block row bi into the cursor's batch, reused block
-// over block: every projected column whole, or under the exact predicate the
-// matching rows. A block whose rows all match decodes as if there were no
-// predicate; one where few do decodes only those rows (late
-// materialization: DecodeBlockSel touches only the selected rows, where the
-// bulk decoder streams the whole payload, and its edge is gone well before
-// half the block survives, so the strategy flips at a quarter); the rest
-// decode whole and keep the matching rows in place. All three produce
+// over block: every projected column whole, or the rows the exact predicate
+// matches or the index selects. A block whose rows are all selected decodes
+// as if there were no selection; one where few are decodes only those rows
+// (late materialization: DecodeBlockSel touches only the selected rows,
+// where the bulk decoder streams the whole payload, and its edge is gone well
+// before half the block survives, so the strategy flips at a quarter); the
+// rest decode whole and keep the selected rows in place. All three produce
 // identical bytes.
 func (c *ScanCursor) decode(bi int) (*Batch, error) {
 	s, plan, st, bufs := c.s, c.plan, &c.st, c.bufs
@@ -800,7 +832,9 @@ func (c *ScanCursor) decode(bi int) (*Batch, error) {
 	out.Reset()
 	rows := s.sealed[0][bi].rows
 	var match []int
-	if c.pred != nil {
+	if c.index {
+		match = *c.scratch // cut left the block's selection there
+	} else if c.pred != nil {
 		data := s.sealed[plan.predIdx][bi].data
 		st.BytesRead += len(data)
 		m, handled, err := MatchBlockCompressed(data, c.pred, *c.scratch)
@@ -826,9 +860,10 @@ func (c *ScanCursor) decode(bi int) (*Batch, error) {
 		if len(m) == 0 {
 			return out, nil
 		}
-		if len(m) < rows {
-			match = m
-		}
+		match = m
+	}
+	if len(match) == rows {
+		match = nil
 	}
 	for i, ci := range plan.colIdx {
 		data := s.sealed[ci][bi].data
@@ -848,33 +883,6 @@ func (c *ScanCursor) decode(bi int) (*Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	return out, nil
-}
-
-func filterProject(b *Batch, colIdx []int, outSchema Schema, predIdx int, pred *Pred, scratch *[]int) (*Batch, error) {
-	var matchIdx []int
-	if pred != nil {
-		var err error
-		matchIdx, err = pred.matchRowsInto(b.Cols[predIdx], *scratch)
-		if err != nil {
-			return nil, err
-		}
-		*scratch = matchIdx
-	}
-	out := &Batch{Schema: outSchema, Cols: make([]*Vector, len(colIdx))}
-	for i, ci := range colIdx {
-		v := b.Cols[ci]
-		if matchIdx != nil {
-			v = v.Gather(matchIdx)
-		} else {
-			// No predicate: deliver a [0, len) view of the tail column.
-			// Tail storage is append-only (new rows land past the view),
-			// and scan consumers never mutate delivered batches, so the
-			// view stays stable without copying the whole tail per scan.
-			v = v.Slice(0, v.Len())
-		}
-		out.Cols[i] = v
 	}
 	return out, nil
 }

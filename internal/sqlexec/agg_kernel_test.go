@@ -232,7 +232,7 @@ func TestGroupKeysWithSeparatorBytesStayDistinct(t *testing.T) {
 }
 
 // TestRunAwareProfileBooksFoldUnderAggregate: on a sealed table the run-aware
-// path folds inside the scan callback, and PROFILE must book that time under
+// path folds each block as it reads it, and PROFILE must book that time under
 // the aggregate operator. On a clock that advances one tick per read the
 // fold of each block costs exactly one tick (two reads per block).
 func TestRunAwareProfileBooksFoldUnderAggregate(t *testing.T) {

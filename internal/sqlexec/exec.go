@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -367,34 +368,34 @@ func aggItemPlans(sel *sqlparse.Select) ([]aggItemPlan, error) {
 
 // aggregatePartial executes an Aggregate plan node up to, not including,
 // finalization — the one partial-producing kernel under local execution and
-// cluster peers alike. When the plan says Runs it folds encoded runs straight
-// off the segments; otherwise it folds fixed-size row chunks of the node's
-// input as the input streams (walk.go). The "aggregate" operator is left open
-// for the caller to end with its output row count.
+// cluster peers alike. It folds fixed-size row chunks of the node's input as
+// the input streams (walk.go) or, when the plan says Runs, the encoded runs
+// of the leaf's blocks (foldRuns). The "aggregate" operator is left open for
+// the caller to end with its output row count.
 func aggregatePartial(ctx context.Context, db Database, agg *plan.Node, sel *sqlparse.Select, prof *Profile) (*aggPartialAcc, error) {
 	plans, err := aggItemPlans(sel)
 	if err != nil {
 		return nil, err
 	}
-	in := agg.Children[0]
-	if agg.Runs {
-		return aggregateRuns(ctx, db, in.Table, sel, plans, prof)
-	}
-	input, err := openInput(ctx, db, in, sel, prof)
+	in, err := openInput(ctx, db, agg.Children[0], sel, prof)
 	if err != nil {
 		return nil, err
 	}
-	f := newAggFold(input, sel, plans)
-	if err := input.walk(f); err != nil {
-		return nil, err
+	f := newAggFold(in, sel, plans)
+	if agg.Runs {
+		err = f.foldRuns()
+	} else {
+		err = in.walk(f)
 	}
-	if input.pending != nil {
-		return nil, input.pending
+	if err = cmp.Or(err, in.pending); err != nil {
+		return nil, err
 	}
 	part := f.part
 	part.op = startOp(ctx, prof, "aggregate")
-	part.op.Parallel = parallel.Default().Degree()
-	part.op.extra = input.finishOps()
+	if !agg.Runs {
+		part.op.Parallel = parallel.Default().Degree()
+	}
+	part.op.extra = in.finishOps()
 	return part, nil
 }
 

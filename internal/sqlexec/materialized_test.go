@@ -105,7 +105,7 @@ func refData(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Selec
 	}
 	var data *colstore.Batch
 	if n.Op == plan.OpIndexScan {
-		data, err = scanIndex(ctx, segs, scanSchema, scanCols, cols, n.Access, prof)
+		data, err = refIndex(ctx, segs, scanSchema, scanCols, cols, n.Access, prof)
 	} else {
 		data, err = refScan(ctx, segs, scanSchema, scanCols, cols, n.Access, prof)
 	}
@@ -118,6 +118,31 @@ func refData(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Selec
 	return data, nil
 }
 
+// scanSeg drains one cursor over the whole of seg's scan through fn, adding
+// what it read to st when st is non-nil.
+func scanSeg(ctx context.Context, seg *colstore.Segment, cols []string, pred *colstore.Pred, zone []colstore.Pred, st *colstore.ScanStats, fn func(*colstore.Batch) error) error {
+	curs, err := seg.ScanCursors(cols, pred, zone, 1)
+	if err != nil {
+		return err
+	}
+	c := curs[0]
+	defer func() {
+		c.Close()
+		if st != nil {
+			st.Add(c.Stats())
+		}
+	}()
+	for {
+		b, err := c.Next(ctx)
+		if err != nil || b == nil {
+			return err
+		}
+		if err := fn(b); err != nil {
+			return err
+		}
+	}
+}
+
 // refScan scans every segment whole, in segment order, applying the residual
 // to each batch, and concatenates what survives.
 func refScan(ctx context.Context, segs []*colstore.Segment, schema colstore.Schema, cols, outCols []string, acc *plan.Access, prof *Profile) (*colstore.Batch, error) {
@@ -126,7 +151,7 @@ func refScan(ctx context.Context, segs []*colstore.Segment, schema colstore.Sche
 	var st colstore.ScanStats
 	var idx []int
 	for _, seg := range segs {
-		err := seg.ScanZoneWithStatsCtx(ctx, cols, acc.Primary, acc.Zone, &st, func(b *colstore.Batch) error {
+		err := scanSeg(ctx, seg, cols, acc.Primary, acc.Zone, &st, func(b *colstore.Batch) error {
 			if acc.Residual == nil {
 				return out.AppendBatch(b)
 			}
@@ -143,6 +168,54 @@ func refScan(ctx context.Context, segs []*colstore.Segment, schema colstore.Sche
 	scanDone.doneScan(st, int64(st.RowsOut), "")
 	if acc.Residual != nil {
 		filterDone := startOp(ctx, prof, "filter")
+		filterDone.Done(int64(out.Len()), "")
+	}
+	return out.Project(outCols)
+}
+
+// refIndex serves an index scan without the index cursor: each segment is
+// read whole and the rows IndexLookup (IndexLookupRange) names are picked out
+// of it, since row positions are scan order; a segment without the index is
+// scanned under the probe predicates. The residual then filters everything
+// gathered at once.
+func refIndex(ctx context.Context, segs []*colstore.Segment, schema colstore.Schema, cols, outCols []string, acc *plan.Access, prof *Profile) (*colstore.Batch, error) {
+	scanDone := startOp(ctx, prof, "scan")
+	out := colstore.NewBatch(schema)
+	for _, seg := range segs {
+		rowids, handled := seg.IndexLookup(acc.Primary)
+		if acc.Primary2 != nil {
+			rowids, handled = seg.IndexLookupRange(acc.Primary, acc.Primary2)
+		}
+		if !handled {
+			var zone []colstore.Pred
+			if acc.Primary2 != nil {
+				zone = []colstore.Pred{*acc.Primary2}
+			}
+			if err := scanSeg(ctx, seg, cols, acc.Primary, zone, nil, out.AppendBatch); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		all, err := seg.ReadAll(cols)
+		if err != nil {
+			return nil, err
+		}
+		pos := make([]int, len(rowids))
+		for i, r := range rowids {
+			pos[i] = int(r)
+		}
+		if err := out.AppendGather(all, pos); err != nil {
+			return nil, err
+		}
+	}
+	scanDone.Done(int64(out.Len()), "")
+	if acc.Residual != nil {
+		filterDone := startOp(ctx, prof, "filter")
+		idx, err := filterRows(acc.Residual, out, nil)
+		if err != nil {
+			return nil, err
+		}
+		out = out.Gather(idx)
 		filterDone.Done(int64(out.Len()), "")
 	}
 	return out.Project(outCols)

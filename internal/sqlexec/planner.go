@@ -7,7 +7,6 @@ import (
 	"verticadr/internal/colstore"
 	"verticadr/internal/plan"
 	"verticadr/internal/sqlparse"
-	"verticadr/internal/verr"
 )
 
 // The plan walker: runSelect, RunExplainCtx and RunPartialAggregate lower a
@@ -122,107 +121,42 @@ func filterRows(where sqlparse.Expr, b *colstore.Batch, idx []int) ([]int, error
 	return idx, nil
 }
 
-// scanDetail describes a sequential scan for its operator: what it read and
-// what it pushed to storage.
-func scanDetail(segs int, st colstore.ScanStats, acc *plan.Access) string {
-	detail := fmt.Sprintf("%d segments, %d blocks scanned, %d skipped by zone maps, %d KB",
-		segs, st.BlocksScanned, st.BlocksSkipped, st.BytesRead/1024)
-	if st.BlocksCompressed > 0 {
-		detail += fmt.Sprintf(", %d evaluated compressed", st.BlocksCompressed)
+// scanDetail describes the leaf's scan for its operator: what it read and
+// what it pushed to storage. An index scan's names the blocks of its
+// segments with a match it decoded and left untouched, and the segments that
+// lacked the index (possible mid-DDL or mid-recovery) and were scanned.
+func (in *input) scanDetail(st colstore.ScanStats) string {
+	acc, kb := in.leaf.Access, st.BytesRead/1024
+	var detail string
+	switch {
+	case in.runs:
+		detail = fmt.Sprintf("%d segments, %d blocks scanned, %d evaluated compressed, %d KB, run-aware",
+			in.segs, st.BlocksScanned, st.BlocksCompressed, kb)
+	case in.leaf.Op == plan.OpIndexScan:
+		detail = fmt.Sprintf("index(%s) %s %v", acc.IndexCol, acc.Primary.Op, acc.Primary.Val)
+		if p := acc.Primary2; p != nil {
+			detail += fmt.Sprintf(" AND %s %v", p.Op, p.Val)
+		}
+		detail += fmt.Sprintf(", %d segments, %d blocks decoded, %d untouched, %d KB",
+			in.segs, st.BlocksScanned, st.BlocksSkipped, kb)
+	default:
+		detail = fmt.Sprintf("%d segments, %d blocks scanned, %d skipped by zone maps, %d KB",
+			in.segs, st.BlocksScanned, st.BlocksSkipped, kb)
+		if st.BlocksCompressed > 0 {
+			detail += fmt.Sprintf(", %d evaluated compressed", st.BlocksCompressed)
+		}
 	}
 	if st.TailRows > 0 {
 		detail += fmt.Sprintf(", %d tail rows", st.TailRows)
 	}
-	return detail + accessDetail(acc)
-}
-
-// accessDetail names the predicates a sequential scan pushed to storage.
-func accessDetail(acc *plan.Access) string {
-	var detail string
-	if p := acc.Primary; p != nil {
+	if in.fellBack > 0 {
+		detail += fmt.Sprintf(", %d segments without index scanned", in.fellBack)
+	}
+	if p := acc.Primary; p != nil && in.leaf.Op == plan.OpSeqScan {
 		detail += fmt.Sprintf(", pushdown %s %s %v", p.Col, p.Op, p.Val)
 	}
 	if len(acc.Zone) > 0 {
 		detail += fmt.Sprintf(", %d zone predicates", len(acc.Zone))
 	}
 	return detail
-}
-
-// scanIndex serves a table scan through a B-tree secondary index: per
-// segment, Lookup yields matching row positions in scan order and GatherRows
-// decodes only the blocks holding them — O(log n + k) against the full
-// scan's O(n). Segments missing the index (possible mid-DDL or mid-recovery)
-// fall back to a full pushdown scan; row order per segment is identical
-// either way, so results match the sequential path bitwise. cols (of schema)
-// are read, outCols of them returned.
-func scanIndex(ctx context.Context, segs []*colstore.Segment, schema colstore.Schema, cols, outCols []string, acc *plan.Access, prof *Profile) (*colstore.Batch, error) {
-	scanDone := startOp(ctx, prof, "scan")
-	gathered := colstore.NewBatch(schema)
-	var merged colstore.ScanStats
-	fellBack := 0
-	for _, seg := range segs {
-		if err := verr.Canceled(ctx.Err()); err != nil {
-			return nil, err
-		}
-		var st colstore.ScanStats
-		var rowids []uint32
-		var handled bool
-		if acc.Primary2 != nil {
-			rowids, handled = seg.IndexLookupRange(acc.Primary, acc.Primary2)
-		} else {
-			rowids, handled = seg.IndexLookup(acc.Primary)
-		}
-		if !handled {
-			fellBack++
-			var zone []colstore.Pred
-			if acc.Primary2 != nil {
-				// The upper bound prunes blocks here; its conjunct in
-				// Residual keeps the rows exact.
-				zone = []colstore.Pred{*acc.Primary2}
-			}
-			err := seg.ScanZoneWithStatsCtx(ctx, cols, acc.Primary, zone, &st, gathered.AppendBatch)
-			if err != nil {
-				return nil, err
-			}
-			merged.Add(st)
-			continue
-		}
-		b, err := seg.GatherRows(cols, rowids, &st)
-		if err != nil {
-			return nil, err
-		}
-		if err := gathered.AppendBatch(b); err != nil {
-			return nil, err
-		}
-		merged.Add(st)
-	}
-	probe := fmt.Sprintf("%s %v", acc.Primary.Op, acc.Primary.Val)
-	if acc.Primary2 != nil {
-		probe += fmt.Sprintf(" AND %s %v", acc.Primary2.Op, acc.Primary2.Val)
-	}
-	detail := fmt.Sprintf("index(%s) %s, %d segments, %d blocks decoded, %d untouched, %d KB",
-		acc.IndexCol, probe,
-		len(segs), merged.BlocksScanned, merged.BlocksSkipped, merged.BytesRead/1024)
-	if merged.TailRows > 0 {
-		detail += fmt.Sprintf(", %d tail rows", merged.TailRows)
-	}
-	if fellBack > 0 {
-		detail += fmt.Sprintf(", %d segments without index scanned", fellBack)
-	}
-	scanDone.Parallel = 1
-	scanDone.doneScan(merged, int64(gathered.Len()), detail)
-	out := gathered
-	if acc.Residual != nil {
-		filterDone := startOp(ctx, prof, "filter")
-		idx, err := filterRows(acc.Residual, gathered, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = colstore.NewBatch(schema)
-		if err := out.AppendGather(gathered, idx); err != nil {
-			return nil, err
-		}
-		filterDone.Done(int64(out.Len()), fmt.Sprintf("residual WHERE %s", acc.Residual.String()))
-	}
-	return out.Project(outCols)
 }

@@ -81,9 +81,9 @@ type opTimer struct {
 	t0   time.Duration
 	span *telemetry.Span
 	// extra is added to the measured wall time: an operator whose work ran
-	// inside another's interval (the run-aware fold inside the scan callback,
-	// a streamed UDTF's scan inside the function instances) takes that time
-	// from it, and a fused operator's time is all extra (charge).
+	// inside another's interval (a streamed UDTF's scan inside the function
+	// instances) takes that time from it, and a fused operator's time is all
+	// extra (charge).
 	extra time.Duration
 	// end, when stopped is set, is where the operator's own interval ended:
 	// Done measures to it instead of reading the clock (an operator reported

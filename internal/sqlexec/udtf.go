@@ -114,7 +114,8 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 	}
 
 	scanDone := startOp(ctx, prof, "scan")
-	finishScan := func(st colstore.ScanStats, rows int64) { scanDone.doneScan(st, rows, scanDetail(len(segs), st, acc)) }
+	leaf := &input{leaf: n.Children[0], segs: len(segs)}
+	finishScan := func(st colstore.ScanStats, rows int64) { scanDone.doneScan(st, rows, leaf.scanDetail(st)) }
 	var parts []partition
 	var streams []*blockStream // PARTITION BEST: every cursor, partition or not
 	if best {

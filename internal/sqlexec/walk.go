@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -53,12 +54,13 @@ type input struct {
 	ctx  context.Context
 	prof *Profile
 
-	// The leaf: a sequential scan's cursor ranges in (segment, block) order
-	// and its residual, or an index scan's rows, filtered by scanIndex.
+	// The leaf: its cursor ranges in (segment, block) order and its residual.
 	leaf     *plan.Node
 	segs     int
 	ranges   []*colstore.ScanCursor
-	rows     *colstore.Batch
+	idle     colstore.ScanStats // what cursors kept out of ranges read: an index's segments without a match
+	fellBack int                // an index scan's segments without the index
+	runs     bool               // the ranges feed foldRuns, not the walk
 	residual sqlparse.Expr
 	cols     []string        // the leaf's columns asked for
 	view     colstore.Schema // a leaf batch under the stream's names
@@ -272,14 +274,17 @@ func (in *input) topStage() int     { return stageJoins + len(in.joins) }
 func (in *input) consumeStage() int { return stageJoins + len(in.joins) + 1 }
 
 // openLeaf opens the scan n over segs for cols, plus what its residual
-// reads: a sequential scan as cursor ranges of about rangeBlocks surviving
-// blocks; an index scan by reading its rows (scanIndex books its own
-// operators).
+// reads, as cursor ranges: a sequential scan's of about rangeBlocks
+// surviving blocks each; an index scan's one per segment with a match, a
+// segment without the index scanned sequentially under the probe
+// predicates, the upper bound pruning blocks only (its conjunct in the
+// residual keeps the rows exact).
 func (in *input) openLeaf(def *catalog.TableDef, segs []*colstore.Segment, n *plan.Node, cols []string) error {
 	cols = scanColumns(cols, def.Schema)
 	scanCols := cols
-	if n.Access.Residual != nil {
-		extra, err := collectCols(&sqlparse.Select{Where: n.Access.Residual}, def.Schema)
+	acc := n.Access
+	if acc.Residual != nil {
+		extra, err := collectCols(&sqlparse.Select{Where: acc.Residual}, def.Schema)
 		if err != nil {
 			return err
 		}
@@ -289,37 +294,52 @@ func (in *input) openLeaf(def *catalog.TableDef, segs []*colstore.Segment, n *pl
 	if err != nil {
 		return err
 	}
-	in.leaf, in.segs, in.cols, in.view = n, len(segs), cols, schema
+	in.leaf, in.segs, in.cols, in.view, in.residual = n, len(segs), cols, schema, acc.Residual
 	if n.Alias != "" {
 		in.view = qualify(schema, n.Alias)
 	}
-	if n.Op == plan.OpIndexScan {
-		if in.rows, err = scanIndex(in.ctx, segs, schema, scanCols, cols, n.Access, in.prof); err != nil {
-			return err
+	zone := acc.Zone
+	if acc.Primary2 != nil { // an index range: its upper bound prunes a fallback scan
+		zone = []colstore.Pred{*acc.Primary2}
+	}
+	// The residual meets an index scan's rows whatever the index finds, so
+	// its errors do not depend on the data.
+	if n.Op == plan.OpIndexScan && acc.Residual != nil {
+		if _, err := filterRows(acc.Residual, colstore.NewBatch(schema), nil); err != nil {
+			in.fail(stageFilter, err)
 		}
-		in.view = in.view[:len(cols)] // scanIndex returns cols, first of scanCols
-		in.rows = &colstore.Batch{Schema: in.view, Cols: in.rows.Cols}
-		return nil
 	}
 	for _, seg := range segs {
-		curs, err := seg.ScanCursors(scanCols, n.Access.Primary, n.Access.Zone, max(1, (seg.Blocks()+rangeBlocks-1)/rangeBlocks))
+		if n.Op == plan.OpIndexScan {
+			cur, handled, err := seg.IndexCursor(scanCols, acc.Primary, acc.Primary2)
+			switch {
+			case err != nil:
+				return err
+			case handled && cur.MaxRows() == 0: // no match: its blocks untouched, no range
+				cur.Close()
+				in.idle.Add(cur.Stats())
+				continue
+			case handled:
+				in.ranges = append(in.ranges, cur)
+				continue
+			}
+			in.fellBack++
+		}
+		curs, err := seg.ScanCursors(scanCols, acc.Primary, zone, max(1, (seg.Blocks()+rangeBlocks-1)/rangeBlocks))
 		if err != nil {
 			return err
 		}
 		in.ranges = append(in.ranges, curs...)
 	}
-	in.residual = n.Access.Residual
 	return nil
 }
 
-// startLeafOps starts a sequential leaf's scan operator and, under a
-// residual, its filter operator.
+// startLeafOps starts the leaf's scan operator and, under a residual, its
+// filter operator.
 func (in *input) startLeafOps() {
-	if in.rows == nil {
-		in.scanOp = startOp(in.ctx, in.prof, "scan")
-		if in.residual != nil {
-			in.filterOp = startOp(in.ctx, in.prof, "filter")
-		}
+	in.scanOp = startOp(in.ctx, in.prof, "scan")
+	if in.residual != nil {
+		in.filterOp = startOp(in.ctx, in.prof, "filter")
 	}
 }
 
@@ -335,12 +355,12 @@ func readScan(ctx context.Context, db Database, n *plan.Node, cols []string, pro
 		return nil, err
 	}
 	in := &input{ctx: ctx, prof: prof, limit: math.MaxInt}
-	if err := in.openLeaf(def, segs, n, cols); err != nil || in.rows != nil {
-		return in.rows, err
+	if err := in.openLeaf(def, segs, n, cols); err != nil {
+		return nil, err
 	}
 	in.startLeafOps()
 	rows, err := in.collect()
-	if err == nil {
+	if err = cmp.Or(err, in.pending); err == nil {
 		in.finishOps()
 	}
 	return rows, err
@@ -361,9 +381,6 @@ func (in *input) collect() (*colstore.Batch, error) {
 // ranges, in order, to c.
 func (in *input) walk(c consumer) error {
 	n := len(in.ranges)
-	if in.rows != nil {
-		n = 1
-	}
 	in.busy, in.outRows = make([]atomic.Int64, in.consumeStage()+1), make([]atomic.Int64, in.consumeStage()+1)
 	pool := parallel.Default()
 	ahead := 2 * pool.Degree()
@@ -438,24 +455,15 @@ func (in *input) recycle(r *rangeBuf) {
 // when it consumes, appends the consumer's columns of the surviving rows to
 // r.rows.
 func (in *input) walkRange(i int, r *rangeBuf, consume bool) error {
-	rows := in.rows // an index leaf is one range: its rows, once
-	next := func() (*colstore.Batch, error) {
-		b := rows
-		rows = nil
-		return b, nil
+	cur := in.ranges[i]
+	defer cur.Close()
+	if r.cur != nil {
+		r.cur.Pass(cur)
 	}
-	if in.rows == nil {
-		cur := in.ranges[i]
-		defer cur.Close()
-		if r.cur != nil {
-			r.cur.Pass(cur)
-		}
-		r.cur = cur
-		next = func() (*colstore.Batch, error) { return cur.Next(in.ctx) }
-	}
+	r.cur = cur
 	t := in.prof.now()
 	for {
-		b, err := next()
+		b, err := cur.Next(in.ctx)
 		t = in.lap(stageScan, t, 0)
 		if err != nil || b == nil {
 			return err
@@ -571,12 +579,13 @@ func (in *input) finishOps() time.Duration {
 		}
 		return time.Duration(float64(in.wall) * float64(in.busy[stage].Load()) / float64(total))
 	}
-	if op := in.scanOp; op != nil {
-		st := in.stats()
-		op.Parallel = max(1, min(parallel.Default().Degree(), len(in.ranges)))
-		op.charge(share(stageScan))
-		op.doneScan(st, int64(st.RowsOut), scanDetail(in.segs, st, in.leaf.Access))
+	op, st := in.scanOp, in.stats()
+	op.Parallel = max(1, min(parallel.Default().Degree(), len(in.ranges)))
+	if in.runs {
+		op.Parallel = 1
 	}
+	op.charge(share(stageScan))
+	op.doneScan(st, int64(st.RowsOut), in.scanDetail(st))
 	if op := in.filterOp; op != nil {
 		op.charge(share(stageFilter))
 		op.Done(in.outRows[stageFilter].Load(), fmt.Sprintf("residual WHERE %s", in.residual.String()))
@@ -593,7 +602,8 @@ func (in *input) finishOps() time.Duration {
 }
 
 // stats sums what the leaf's cursors read.
-func (in *input) stats() (st colstore.ScanStats) {
+func (in *input) stats() colstore.ScanStats {
+	st := in.idle
 	for _, c := range in.ranges {
 		st.Add(c.Stats())
 	}
@@ -773,6 +783,62 @@ func (f *aggFold) finish() error {
 	part.how = fmt.Sprintf("%d chunks", f.chunks)
 	f.part = part
 	return err
+}
+
+// foldRuns is the run-aware fold, in place of the walk when the Aggregate
+// says Runs (no WHERE, no join, every argument a bare column): it drains the
+// leaf's ranges serially, in (segment, block) order, through NextBlock and
+// folds each block into the one partial — encoded runs where every column is
+// RLE or dictionary encoded, so such blocks fold in O(runs). Each group's
+// floats add in row order, as the chunked fold's do (foldSum documents why
+// folding a run equals iterating it). A block's columns are the consumer's,
+// in order.
+func (f *aggFold) foldRuns() error {
+	in := f.in
+	defer func() {
+		for _, cur := range in.ranges {
+			cur.Close()
+		}
+	}()
+	if in.pending != nil {
+		return in.pending
+	}
+	in.runs = true
+	in.busy, in.outRows = make([]atomic.Int64, in.consumeStage()+1), make([]atomic.Int64, in.consumeStage()+1)
+	f.part = newAggPartialAcc(f.plans, f.keyTypes, f.outTypes)
+	b := &aggBlock{keys: make([]colstore.BlockCol, len(f.keys)), args: make([]colstore.BlockCol, len(f.args))}
+	runs := 0
+	t0 := in.prof.now()
+	t := t0
+	for i, cur := range in.ranges {
+		if i > 0 {
+			in.ranges[i-1].Pass(cur)
+		}
+		blk, err := cur.NextBlock(in.ctx)
+		for ; blk != nil; blk, err = cur.NextBlock(in.ctx) {
+			t = in.lap(stageScan, t, 0)
+			b.n, b.runs = blk.Len(), blk.Runs
+			runs += b.n
+			for k, c := range f.keys {
+				b.keys[k] = blk.Cols[c]
+			}
+			for pi, arg := range f.args {
+				if arg != nil {
+					b.args[pi] = blk.Cols[in.out.ColIndex(arg.(*sqlparse.ColRef).Name)]
+				}
+			}
+			if err := f.part.fold(b); err != nil {
+				return err
+			}
+			t = in.lap(in.consumeStage(), t, 0)
+		}
+		if t = in.lap(stageScan, t, 0); err != nil {
+			return err
+		}
+	}
+	in.wall = in.prof.now() - t0
+	f.part.how = fmt.Sprintf("%d runs (run-aware)", runs)
+	return nil
 }
 
 // joinTable is a hash join's build side, read once: its rows and the typed

@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -166,7 +167,8 @@ func newWalkDB(t testing.TB, seed int64, factRows, nsegs, blockRows, tail int) *
 // reject nothing, everything and every other row; pushed predicates with and
 // without a residual; index leaves; INTEGER, FLOAT (NaN, ±0) and mixed join
 // keys; a top join residual; a chain of two joins; projections with and
-// without a sort; and statements whose errors depend on the rows.
+// without a sort; statements whose errors depend on the rows, and one whose
+// error must not.
 var streamQueries = []string{
 	"SELECT g, count(*), sum(x), avg(x), min(x), max(x) FROM f WHERE y * 1 >= -1000 GROUP BY g",
 	"SELECT g, count(*), sum(x) FROM f WHERE y * 1 > 10000 GROUP BY g",
@@ -191,6 +193,7 @@ var streamQueries = []string{
 	"SELECT sum(s) FROM f WHERE par * 1 = 0",
 	"SELECT count(*) FROM f WHERE s < 1",
 	"SELECT count(*) FROM f JOIN d ON f.k = d.id WHERE f.s < d.grp",
+	"SELECT count(*) FROM f WHERE id = -5 AND y + 1", // an index finding nothing under a residual that cannot run
 }
 
 // checkStreamed runs sql through the engine and through materializedRef,
@@ -311,6 +314,56 @@ func TestScanTelemetryCountsEachRowOnce(t *testing.T) {
 	}
 }
 
+// TestIndexLeafFallsBackPerSegment: a plan made while every segment had the
+// index runs after one of three segments lost it (mid-DDL or mid-recovery).
+// That segment is scanned under the probe predicates, the others read
+// through their index, and each statement returns to the bit what it returns
+// once the index is gone everywhere and the planner picks a sequential scan.
+func TestIndexLeafFallsBackPerSegment(t *testing.T) {
+	leafOp := func(p *plan.Plan) string { return coreNode(p).Children[0].Op }
+	for _, sql := range []string{
+		"SELECT id, x, s FROM f WHERE id = 4321",
+		"SELECT id, x, y FROM f WHERE id >= 1000 AND id < 1400",
+		"SELECT g, count(*), sum(x), min(s) FROM f WHERE id < 3000 GROUP BY g",
+	} {
+		db := newWalkDB(t, 11, 20_000, 3, 64, 10) // seed 11: no empty segment
+		p, err := plan.Build(selStmt(t, sql), db)
+		if err != nil || leafOp(p) != plan.OpIndexScan {
+			t.Fatalf("%s: not an index scan (%v)", sql, err)
+		}
+		segs := db.segs["f"]
+		segs[1].DropIndex("id")
+		prof := NewProfile("")
+		got, err := execPlan(context.Background(), db, p, prof)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		var scan OpProfile
+		for _, op := range prof.Ops() {
+			if op.Op == "scan" {
+				scan = op
+			}
+		}
+		if !strings.Contains(scan.Detail, "1 segments without index scanned") {
+			t.Fatalf("%s: scan detail %q", sql, scan.Detail)
+		}
+		for _, seg := range segs {
+			seg.DropIndex("id")
+		}
+		if p, err := plan.Build(selStmt(t, sql), db); err != nil || leafOp(p) != plan.OpSeqScan {
+			t.Fatalf("%s: not a sequential scan without the index (%v)", sql, err)
+		}
+		want, err := RunSelectCtx(context.Background(), db, selStmt(t, sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() == 0 {
+			t.Fatalf("%s: no rows", sql)
+		}
+		resultsIdentical(t, sql, got, want)
+	}
+}
+
 // bytesPerQuery is what one execution of sql allocates, the least of three.
 func bytesPerQuery(t *testing.T, db Database, sql string) uint64 {
 	t.Helper()
@@ -349,7 +402,12 @@ func resultBytes(res *Result) uint64 {
 // fold had too — where the materializing walk allocated 66 MB for a
 // WHERE-aggregate and 21.7 MB for a join-aggregate over 250k rows. At degree
 // 2 a walk holds at most six range buffers, recycled range after range, and
-// the join's build side is the same 10k rows.
+// the join's build side is the same 10k rows. An index leaf streams its
+// segment's selected rows block by block into one range buffer of the
+// consumer's columns, where it used to gather every column it read before the
+// walk: 16 bytes a selected row, beside the row positions IndexLookup grows
+// to (about 20 bytes a row allocated), so an eighth of each 4096-row block
+// stays inside the per-block budget.
 func TestSelectAllocsIndependentOfRows(t *testing.T) {
 	if raceDetector {
 		t.Skip("under -race sync.Pool drops a quarter of what is put back")
@@ -358,14 +416,28 @@ func TestSelectAllocsIndependentOfRows(t *testing.T) {
 	parallel.SetDefaultDegree(2)
 	const smallRows, largeRows = 100_000, 400_000
 	small, large := newEventsDB(t, smallRows, 10_000), newEventsDB(t, largeRows, 10_000)
+	// An index leaf: an eighth of the table, under the planner's index
+	// threshold, so the index range grows with the table.
+	indexSQL := func(rows int) string {
+		return fmt.Sprintf("SELECT grp, count(*) AS n, sum(x0) AS s FROM events WHERE id < %d GROUP BY grp ORDER BY grp", rows/8)
+	}
+	for _, db := range []*tablesDB{small, large} {
+		if err := db.tables["events"].seg.BuildIndex("id"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p, err := plan.Build(selStmt(t, indexSQL(largeRows)), large); err != nil || coreNode(p).Children[0].Op != plan.OpIndexScan {
+		t.Fatalf("%s: not an index scan (%v)", indexSQL(largeRows), err)
+	}
 	for _, tc := range []struct {
-		name, sql string
+		name, sql, largeSQL string // largeSQL: the statement at 400k rows, if not sql
 	}{
-		{"where, aggregate", groupByWhereSQL},
-		{"join, aggregate", hashJoinAggSQL},
-		{"join, project", "SELECT events.x0, d.grp FROM events JOIN dim d ON events.dim_id = d.id"},
+		{name: "where, aggregate", sql: groupByWhereSQL},
+		{name: "join, aggregate", sql: hashJoinAggSQL},
+		{name: "join, project", sql: "SELECT events.x0, d.grp FROM events JOIN dim d ON events.dim_id = d.id"},
+		{name: "index range, aggregate", sql: indexSQL(smallRows), largeSQL: indexSQL(largeRows)},
 	} {
-		a, b := bytesPerQuery(t, small, tc.sql), bytesPerQuery(t, large, tc.sql)
+		a, b := bytesPerQuery(t, small, tc.sql), bytesPerQuery(t, large, cmp.Or(tc.largeSQL, tc.sql))
 		t.Logf("%s: %d KB at 100k rows, %d KB at 400k (results aside)", tc.name, a>>10, b>>10)
 		// How many range buffers a walk makes is the scheduler's to decide
 		// (at most six here): two of 4 blocks x 4 columns x 8 bytes may differ.
@@ -393,12 +465,21 @@ func TestStreamedWalkCancels(t *testing.T) {
 
 // TestChaosStreamedWalkFaults: every cursor range is a pool task and passes
 // the parallel.task fault site — an injected failure fails the statement, and
-// stragglers change no bit of the result.
+// stragglers change no bit of the result. The index statement reads one
+// index range from each of three segments.
 func TestChaosStreamedWalkFaults(t *testing.T) {
 	defer parallel.SetDefaultDegree(0)
 	parallel.SetDefaultDegree(4)
-	db := newWalkDB(t, 8, 20_000, 3, 64, 10)
-	for _, sql := range []string{streamQueries[0], streamQueries[7], streamQueries[14]} {
+	db, full := newWalkDB(t, 8, 20_000, 3, 64, 10), newWalkDB(t, 11, 20_000, 3, 64, 10) // seed 11: no empty segment
+	const indexSQL = "SELECT g, count(*), sum(x), min(s) FROM f WHERE id < 3000 GROUP BY g"
+	if p, err := plan.Build(selStmt(t, indexSQL), full); err != nil || coreNode(p).Children[0].Op != plan.OpIndexScan {
+		t.Fatalf("%s: not an index scan (%v)", indexSQL, err)
+	}
+	for _, tc := range []struct {
+		db  Database
+		sql string
+	}{{db, streamQueries[0]}, {db, streamQueries[7]}, {db, streamQueries[14]}, {full, indexSQL}} {
+		db, sql := tc.db, tc.sql
 		want, err := RunSelectCtx(context.Background(), db, selStmt(t, sql))
 		if err != nil {
 			t.Fatal(err)
