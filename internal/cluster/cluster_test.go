@@ -354,11 +354,13 @@ func TestSelectErrorsLocalAndRouted(t *testing.T) {
 	tc := startCluster(t, 3, 3, 2)
 	base := startBaseline(t, 3)
 	ctx := context.Background()
-	ddl := fmt.Sprintf(testDDL, "t", "HASH(id)")
-	if err := base.ExecContext(ctx, ddl); err != nil {
-		t.Fatal(err)
+	for _, table := range []string{"t", "e"} { // e stays empty
+		ddl := fmt.Sprintf(testDDL, table, "HASH(id)")
+		if err := base.ExecContext(ctx, ddl); err != nil {
+			t.Fatal(err)
+		}
+		tc.exec(ddl)
 	}
-	tc.exec(ddl)
 	ins := `INSERT INTO t VALUES (1, 2, 3, 1.5, -2.5, 'red', true), (2, -4, 5, 0.5, 7.5, 'blue', false), (3, 0, 1, 2.5, 0.5, 'red', true)`
 	if err := base.ExecContext(ctx, ins); err != nil {
 		t.Fatal(err)
@@ -384,6 +386,13 @@ func TestSelectErrorsLocalAndRouted(t *testing.T) {
 		{"star with aggregation", `SELECT *, count(*) FROM t`, nil, "SELECT * not allowed with aggregation"},
 		{"non-boolean WHERE", `SELECT id FROM t WHERE id`, nil, "WHERE clause is not boolean"},
 		{"non-boolean WHERE, aggregate", `SELECT count(*) FROM t WHERE id + 1`, nil, "WHERE clause is not boolean"},
+		// A literal that does not compare with its column fails whatever the
+		// table holds: rows, no row past the other conjunct, no row at all.
+		{"uncomparable literal", `SELECT count(*) FROM t WHERE s > 3`, nil, "colstore: cannot compare string with int64"},
+		{"uncomparable literal, pruned", `SELECT count(*) FROM t WHERE id > 100 AND s > 3`, nil, "colstore: cannot compare string with int64"},
+		{"uncomparable literal, empty", `SELECT count(*) FROM e WHERE s > 3`, nil, "colstore: cannot compare string with int64"},
+		{"uncomparable literal, projection", `SELECT id FROM t WHERE id > 100 AND flag = 1`, nil, "colstore: cannot compare bool with int64"},
+		{"uncomparable literal, empty projection", `SELECT id FROM e WHERE x = 'red'`, nil, "colstore: cannot compare float64 with string"},
 	}
 	for _, c := range cases {
 		_, localErr := base.QueryContext(ctx, c.sql)

@@ -30,7 +30,7 @@ func TestScanCancelStopsWithinOneBlock(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	delivered := 0
-	err := pushScan(ctx, seg, []string{"x"}, nil, nil, nil, func(batch *Batch) error {
+	err := pushScan(ctx, seg, []string{"x"}, nil, nil, func(batch *Batch) error {
 		delivered++
 		cancel() // cancel during the first delivery
 		return nil
@@ -89,7 +89,7 @@ func TestParScanCancelReturnsTypedError(t *testing.T) {
 // nothing and returns the typed error.
 func TestCursorCancelStopsWithinOneBlock(t *testing.T) {
 	seg := randomSegment(t, 11, 64*40, 64)
-	curs, err := seg.ScanCursors([]string{"v"}, nil, nil, 2)
+	curs, err := seg.ScanCursors([]string{"v"}, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func splitBlockHeader(data []byte) (typ Type, enc Encoding, n int, payload []byt
 // the matching row indexes (appended into scratch[:0], ascending). handled is
 // false when the block's encoding has no compressed evaluation (PLAIN, DELTA,
 // or a malformed header) — the caller then decodes eagerly and filters with
-// Pred.matchRowsInto; both routes accept and reject exactly the same blocks.
+// Pred.selectRows; both routes accept and reject exactly the same blocks.
 func MatchBlockCompressed(data []byte, pred *Pred, scratch []int) (idx []int, handled bool, err error) {
 	typ, enc, n, rest, ok := splitBlockHeader(data)
 	if !ok {
@@ -76,7 +76,7 @@ func MatchBlockCompressed(data []byte, pred *Pred, scratch []int) (idx []int, ha
 
 // matchRLERuns walks (runlen, value) pairs, comparing each distinct value
 // once. Validation mirrors decodeRLE exactly: same checks, same errors. The
-// boxed comparison reproduces matchRowsInto's semantics — int/float widening,
+// boxed comparison reproduces selectRows' semantics — int/float widening,
 // NaN incomparable (compares equal to everything), and the same
 // cannot-compare error on mixed types, raised only when the block has rows.
 func matchRLERuns(typ Type, rest []byte, n int, pred *Pred, scratch []int) ([]int, error) {
@@ -123,7 +123,7 @@ func matchRLERuns(typ Type, rest []byte, n int, pred *Pred, scratch []int) ([]in
 		if err != nil {
 			return nil, err
 		}
-		if opMatch(pred.Op, c) {
+		if pred.Op.Match(c) {
 			for r := total; r < total+int(run); r++ {
 				idx = append(idx, r)
 			}
@@ -168,7 +168,7 @@ func matchDictCodes(rest []byte, n int, pred *Pred, scratch []int) ([]int, error
 		if err != nil {
 			return nil, err
 		}
-		if opMatch(pred.Op, c) {
+		if pred.Op.Match(c) {
 			matched[i] = true
 		}
 	}

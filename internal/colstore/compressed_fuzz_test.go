@@ -96,7 +96,7 @@ func FuzzCompressedScanEquivalence(f *testing.F) {
 		var refIdx []int
 		refErr := refDecErr
 		if refErr == nil {
-			refIdx, refErr = pred.matchRowsInto(refV, nil)
+			refIdx, refErr = pred.selectRows(refV, nil, nil)
 		}
 
 		gotIdx, handled, gotErr := MatchBlockCompressed(blk, pred, nil)

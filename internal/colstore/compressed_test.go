@@ -87,7 +87,7 @@ func TestMatchBlockCompressedMatchesEager(t *testing.T) {
 					if err != nil {
 						return nil, err
 					}
-					return pred.matchRowsInto(v, nil)
+					return pred.selectRows(v, nil, nil)
 				}()
 				gotIdx, handled, gotErr := MatchBlockCompressed(data, pred, nil)
 				if enc == EncRLE && !handled {
@@ -277,7 +277,7 @@ func expandBlock(t *testing.T, dst *Batch, b *Block) {
 // scanBlocks drains cols of seg through the NextBlock of k cursors, one after
 // another, handing fn each block and the stats so far.
 func scanBlocks(seg *Segment, cols []string, k int, fn func(*Block, ScanStats)) (ScanStats, error) {
-	curs, err := seg.ScanCursors(cols, nil, nil, k)
+	curs, err := seg.ScanCursors(cols, nil, k)
 	var st ScanStats
 	for i := 0; err == nil && i < len(curs); i++ {
 		c := curs[i]

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"sync/atomic"
 
 	"verticadr/internal/atomicfile"
 )
@@ -218,6 +219,7 @@ func OpenSegment(path string) (*Segment, error) {
 		blockRows: DefaultBlockRows,
 		sealed:    sealed,
 		tail:      NewBatch(schema),
+		claim:     new(atomic.Int64),
 		rows:      int(totalRows),
 	}
 	return seg, nil

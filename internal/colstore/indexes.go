@@ -132,30 +132,32 @@ func (s *Segment) IndexLookupRange(lo, hi *Pred) (rows []uint32, handled bool) {
 	return tree.LookupRange(index.Op(lo.Op), lo.Val, index.Op(hi.Op), hi.Val)
 }
 
-// IndexCursor serves the predicate lo — with hi, the bounded range lo AND hi
-// over one column — from that column's index: a cursor over the named
-// columns (nil = all) of exactly the rows, in exactly the order, a scan under
-// the predicates delivers. It decodes only the selected rows of the sealed
-// blocks that hold any — the O(log n + k) access path — and gathers the
-// selected tail rows; untouched blocks count as skipped, touched ones as
-// scanned. A segment without a match yields a cursor with nothing to deliver
-// whose blocks all count as skipped already. handled is false when
-// IndexLookup (IndexLookupRange) cannot serve the predicates.
-func (s *Segment) IndexCursor(cols []string, lo, hi *Pred) (c *ScanCursor, handled bool, err error) {
+// IndexCursor serves the conjunction preds through the index of its probe:
+// preds[0] — with preds[1] when probe is 2, the bounded range preds[0] AND
+// preds[1] over one column — from that column's index. The result is a
+// cursor over the named columns (nil = all) of exactly the rows, in exactly
+// the order, a scan under preds delivers. It decodes the selected rows of
+// the sealed blocks that hold any — the O(log n + k) access path — and the
+// selected tail rows, refined by the predicates after the probe as a scan
+// refines its first predicate's selection; untouched blocks count as skipped,
+// touched ones as scanned. A segment without a match yields a cursor with
+// nothing to deliver whose blocks all count as skipped already. handled is
+// false when IndexLookup (IndexLookupRange) cannot serve the probe.
+func (s *Segment) IndexCursor(cols []string, preds []Pred, probe int) (c *ScanCursor, handled bool, err error) {
 	var rowids []uint32
-	if hi != nil {
-		rowids, handled = s.IndexLookupRange(lo, hi)
+	if probe == 2 {
+		rowids, handled = s.IndexLookupRange(&preds[0], &preds[1])
 	} else {
-		rowids, handled = s.IndexLookup(lo)
+		rowids, handled = s.IndexLookup(&preds[0])
 	}
 	if !handled {
 		return nil, false, nil
 	}
-	plan, err := s.planScan(cols, nil, nil)
+	plan, err := s.planScan(cols, preds[probe:])
 	if err != nil {
 		return nil, true, err
 	}
-	c = s.newCursor(plan, nil, 0, plan.nblocks, true)
+	c = s.newCursor(plan, 0, plan.nblocks, true)
 	c.index, c.rowids = true, rowids
 	if len(rowids) == 0 {
 		c.bi, c.tail, c.st.BlocksSkipped = c.hi, false, c.hi

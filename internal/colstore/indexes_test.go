@@ -57,7 +57,7 @@ func scanFiltered(t *testing.T, seg *Segment, cols []string, pred *Pred) *Batch 
 // indexScan drains an index cursor over cols under pred into one batch.
 func indexScan(t *testing.T, seg *Segment, cols []string, pred *Pred) (*Batch, ScanStats) {
 	t.Helper()
-	c, handled, err := seg.IndexCursor(cols, pred, nil)
+	c, handled, err := seg.IndexCursor(cols, []Pred{*pred}, 1)
 	if err != nil || !handled {
 		t.Fatalf("pred %+v: handled %v, err %v", *pred, handled, err)
 	}
@@ -217,9 +217,9 @@ func TestIndexSurvivesAppendAndClone(t *testing.T) {
 	}
 }
 
-// TestZonePredScansEquivalent: auxiliary zone predicates only skip blocks
-// all of whose rows fail them, so a scan with (pred, zone) equals a scan
-// with pred alone filtered by the zone conjuncts row-wise — and must skip
+// TestZonePredScansEquivalent: a later predicate of a conjunction skips the
+// blocks its zone map rules out, so a scan under (pred, second) equals a scan
+// under pred alone filtered by the second conjunct row-wise — and skips
 // strictly more blocks on clustered data.
 func TestZonePredScansEquivalent(t *testing.T) {
 	schema := Schema{{Name: "a", Type: TypeInt64}, {Name: "b", Type: TypeInt64}}
@@ -232,10 +232,10 @@ func TestZonePredScansEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := &Pred{Col: "a", Op: OpGE, Val: int64(0)} // matches everything
-	zone := []Pred{{Col: "b", Op: OpEQ, Val: int64(2)}}
+	second := Pred{Col: "b", Op: OpEQ, Val: int64(2)}
 	var zst ScanStats
 	var got []int64
-	err := pushScan(context.Background(), seg, []string{"a", "b"}, pred, zone, &zst, func(batch *Batch) error {
+	err := pushScan(context.Background(), seg, []string{"a", "b"}, []Pred{*pred, second}, &zst, func(batch *Batch) error {
 		for i := 0; i < batch.Len(); i++ {
 			if batch.Cols[1].Ints[i] == 2 {
 				got = append(got, batch.Cols[0].Ints[i])
@@ -247,10 +247,10 @@ func TestZonePredScansEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if zst.BlocksSkipped == 0 {
-		t.Fatal("zone predicates skipped nothing on clustered data")
+		t.Fatal("the second predicate skipped nothing on clustered data")
 	}
 	if len(got) != 1000 || got[0] != 2000 || got[999] != 2999 {
-		t.Fatalf("zone scan rows: %d first %v", len(got), got[0])
+		t.Fatalf("conjunction scan rows: %d first %v", len(got), got[0])
 	}
 }
 

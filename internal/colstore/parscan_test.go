@@ -52,7 +52,7 @@ func randomSegment(t testing.TB, seed int64, rows, blockRows int) *Segment {
 // delivered, then handed to fn in range order — checking for cancellation
 // before each delivery. Stats sum the cursors'.
 func parScan(ctx context.Context, seg *Segment, cols []string, pred *Pred, deg int, st *ScanStats, fn func(*Batch) error) error {
-	curs, err := seg.ScanCursors(cols, pred, nil, max(1, seg.Blocks()/2))
+	curs, err := seg.ScanCursors(cols, predList(pred), max(1, seg.Blocks()/2))
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"verticadr/internal/telemetry"
 	"verticadr/internal/verr"
@@ -41,8 +43,14 @@ type Segment struct {
 	schema    Schema
 	blockRows int
 	sealed    [][]blockRef // per column
-	tail      *Batch
-	rows      int
+	// tail holds the unsealed rows. It is append-only — scans read it as
+	// [0, len) views — so clones share its backing arrays, and claim, the
+	// length of the arrays' written prefix, shared too. An Append writes in
+	// place only when its tail ends where that prefix does and it can move
+	// the claim; otherwise it copies into a tail of its own.
+	tail  *Batch
+	claim *atomic.Int64
+	rows  int
 	// indexes holds the attached secondary B-tree indexes by column name.
 	// Trees are copy-on-write (see internal/colstore/index): Clone shares
 	// them, and Append republishes extended trees into this map only.
@@ -72,6 +80,7 @@ func NewSegment(schema Schema, blockRows int) *Segment {
 		blockRows: blockRows,
 		sealed:    make([][]blockRef, len(schema)),
 		tail:      NewBatch(schema),
+		claim:     new(atomic.Int64),
 	}
 }
 
@@ -89,18 +98,39 @@ func (s *Segment) Append(b *Batch) error {
 	if !b.Schema.Equal(s.schema) {
 		return fmt.Errorf("colstore: segment append schema mismatch")
 	}
-	if err := s.tail.AppendBatch(b); err != nil {
-		return err
-	}
+	s.appendTail(b)
 	s.invalidateStats()
 	base := s.rows
 	s.rows += b.Len()
-	for s.tail.Len() >= s.blockRows {
-		if err := s.sealPrefix(s.blockRows); err != nil {
+	if full := s.tail.Len() / s.blockRows * s.blockRows; full > 0 {
+		if err := s.sealPrefix(full); err != nil {
 			return err
 		}
 	}
 	return s.maintainIndexes(b, base)
+}
+
+// appendTail appends b's rows to the tail: in place when the backing arrays
+// have room and no clone has written past this tail, else into a fresh tail
+// of twice the rows (of just the rows when they fill a block and are about to
+// be sealed) with a claim of its own.
+func (s *Segment) appendTail(b *Batch) {
+	n, m := s.tail.Len(), s.tail.Len()+b.Len()
+	room := true
+	for _, c := range s.tail.Cols {
+		room = room && cap(c.Ints)+cap(c.Floats)+cap(c.Strs)+cap(c.Bools) >= m
+	}
+	if !room || !s.claim.CompareAndSwap(int64(n), int64(m)) {
+		size := 2 * m
+		if m >= s.blockRows {
+			size = m
+		}
+		nt := NewBatchCap(s.schema, size)
+		_ = nt.AppendBatch(s.tail) // one schema
+		s.tail, s.claim = nt, new(atomic.Int64)
+		s.claim.Store(int64(m))
+	}
+	_ = s.tail.AppendBatch(b) // the caller checked the schema
 }
 
 // Seal flushes the open tail into sealed blocks.
@@ -112,26 +142,25 @@ func (s *Segment) Seal() error {
 	return s.sealPrefix(s.tail.Len())
 }
 
+// sealPrefix encodes the tail's first n rows as blocks of blockRows rows (the
+// last one shorter when n is not a multiple) and leaves the rest of the rows
+// in a fresh tail with a claim of its own.
 func (s *Segment) sealPrefix(n int) error {
-	head := s.tail.Slice(0, n)
-	rest := s.tail.Slice(n, s.tail.Len())
-	for i, col := range head.Cols {
-		enc := BestEncoding(col)
-		data, err := EncodeBlock(col, enc)
-		if err != nil {
-			return err
+	for lo := 0; lo < n; lo += s.blockRows {
+		for i, col := range s.tail.Slice(lo, min(lo+s.blockRows, n)).Cols {
+			data, err := EncodeBlock(col, BestEncoding(col))
+			if err != nil {
+				return err
+			}
+			ref := blockRef{data: data, rows: col.Len()}
+			ref.hasStats, ref.min, ref.max = vectorStats(col)
+			s.sealed[i] = append(s.sealed[i], ref)
 		}
-		ref := blockRef{data: data, rows: col.Len()}
-		ref.hasStats, ref.min, ref.max = vectorStats(col)
-		s.sealed[i] = append(s.sealed[i], ref)
 	}
-	// Copy the remainder into a fresh tail so the sealed blocks do not share
-	// backing arrays with future appends.
 	nt := NewBatch(s.schema)
-	if err := nt.AppendBatch(rest); err != nil {
-		return err
-	}
-	s.tail = nt
+	_ = nt.AppendBatch(s.tail.Slice(n, s.tail.Len())) // one schema
+	s.tail, s.claim = nt, new(atomic.Int64)
+	s.claim.Store(int64(nt.Len()))
 	return nil
 }
 
@@ -173,47 +202,10 @@ func vectorStats(v *Vector) (ok bool, min, max float64) {
 	return false, 0, 0
 }
 
-// CompareOp is a comparison operator for pushed-down predicates.
-type CompareOp uint8
-
-// Comparison operators.
-const (
-	OpEQ CompareOp = iota
-	OpNE
-	OpLT
-	OpLE
-	OpGT
-	OpGE
-)
-
-// String returns the SQL spelling of the operator.
-func (op CompareOp) String() string {
-	switch op {
-	case OpEQ:
-		return "="
-	case OpNE:
-		return "<>"
-	case OpLT:
-		return "<"
-	case OpLE:
-		return "<="
-	case OpGT:
-		return ">"
-	case OpGE:
-		return ">="
-	}
-	return "?"
-}
-
-// Pred is a single-column comparison predicate that scans can push down to
-// skip blocks via zone maps and filter rows without materializing them.
-type Pred struct {
-	Col string
-	Op  CompareOp
-	Val any // int64, float64, string or bool
-}
-
 // blockMayMatch consults the zone map; returning true means "cannot rule out".
+// A NaN literal compares equal to every value, and an INTEGER literal past
+// 2^53 rounds onto the stats' neighbouring integers, so neither rules out a
+// block.
 func (p *Pred) blockMayMatch(ref blockRef) bool {
 	if !ref.hasStats {
 		return true
@@ -221,8 +213,14 @@ func (p *Pred) blockMayMatch(ref blockRef) bool {
 	var v float64
 	switch x := p.Val.(type) {
 	case int64:
+		if x > 1<<53 || x < -1<<53 {
+			return true
+		}
 		v = float64(x)
 	case float64:
+		if math.IsNaN(x) {
+			return true
+		}
 		v = x
 	default:
 		return true
@@ -240,179 +238,6 @@ func (p *Pred) blockMayMatch(ref blockRef) bool {
 		return ref.max >= v
 	default: // OpNE cannot be excluded by a min/max range in general
 		return true
-	}
-}
-
-// matchRows evaluates the predicate over a vector, returning matching indexes.
-func (p *Pred) matchRows(v *Vector) ([]int, error) {
-	return p.matchRowsInto(v, nil)
-}
-
-// opMatch folds a three-way comparison through the operator.
-func opMatch(op CompareOp, c int) bool {
-	switch op {
-	case OpEQ:
-		return c == 0
-	case OpNE:
-		return c != 0
-	case OpLT:
-		return c < 0
-	case OpLE:
-		return c <= 0
-	case OpGT:
-		return c > 0
-	case OpGE:
-		return c >= 0
-	}
-	return false
-}
-
-// matchRowsInto evaluates the predicate over a vector, appending matching
-// indexes into scratch[:0] (callers reuse one scratch slice across blocks so
-// a scan performs no per-block index allocation once warm). The returned
-// slice aliases scratch; it is valid until the next call with the same
-// scratch. Typed inner loops avoid boxing every row through CompareValues.
-func (p *Pred) matchRowsInto(v *Vector, scratch []int) ([]int, error) {
-	idx := scratch[:0]
-	op := p.Op
-	switch v.Type {
-	case TypeInt64:
-		switch val := p.Val.(type) {
-		case int64:
-			for i, x := range v.Ints {
-				if opMatch(op, cmpOrdered(x, val)) {
-					idx = append(idx, i)
-				}
-			}
-			return idx, nil
-		case float64:
-			for i, x := range v.Ints {
-				if opMatch(op, cmpOrdered(float64(x), val)) {
-					idx = append(idx, i)
-				}
-			}
-			return idx, nil
-		}
-	case TypeFloat64:
-		switch val := p.Val.(type) {
-		case float64:
-			for i, x := range v.Floats {
-				if opMatch(op, cmpOrdered(x, val)) {
-					idx = append(idx, i)
-				}
-			}
-			return idx, nil
-		case int64:
-			fv := float64(val)
-			for i, x := range v.Floats {
-				if opMatch(op, cmpOrdered(x, fv)) {
-					idx = append(idx, i)
-				}
-			}
-			return idx, nil
-		}
-	case TypeString:
-		if val, ok := p.Val.(string); ok {
-			for i, x := range v.Strs {
-				if opMatch(op, cmpOrdered(x, val)) {
-					idx = append(idx, i)
-				}
-			}
-			return idx, nil
-		}
-	case TypeBool:
-		if val, ok := p.Val.(bool); ok {
-			vi := 0
-			if val {
-				vi = 1
-			}
-			for i, x := range v.Bools {
-				xi := 0
-				if x {
-					xi = 1
-				}
-				if opMatch(op, cmpOrdered(xi, vi)) {
-					idx = append(idx, i)
-				}
-			}
-			return idx, nil
-		}
-	}
-	// Mixed-type fallback (e.g. comparing a bool column with an int literal):
-	// box row values through the general comparison for its error reporting.
-	for i := 0; i < v.Len(); i++ {
-		c, err := CompareValues(v.Value(i), p.Val)
-		if err != nil {
-			return nil, err
-		}
-		if opMatch(op, c) {
-			idx = append(idx, i)
-		}
-	}
-	return idx, nil
-}
-
-// CompareValues compares two boxed values with SQL numeric widening
-// (INTEGER vs FLOAT compares numerically). Returns -1, 0 or 1.
-func CompareValues(a, b any) (int, error) {
-	switch x := a.(type) {
-	case int64:
-		switch y := b.(type) {
-		case int64:
-			return cmpOrdered(x, y), nil
-		case float64:
-			return cmpOrdered(float64(x), y), nil
-		}
-	case float64:
-		switch y := b.(type) {
-		case int64:
-			return cmpOrdered(x, float64(y)), nil
-		case float64:
-			return cmpOrdered(x, y), nil
-		}
-	case string:
-		if y, ok := b.(string); ok {
-			return cmpOrdered(x, y), nil
-		}
-	case bool:
-		if y, ok := b.(bool); ok {
-			return cmpOrdered(boolInt(x), boolInt(y)), nil
-		}
-	}
-	return 0, fmt.Errorf("colstore: cannot compare %T with %T", a, b)
-}
-
-// CompareAt compares v[i] with o[j] — two vectors of one type — in
-// CompareValues' order, without boxing either value.
-func (v *Vector) CompareAt(i int, o *Vector, j int) int {
-	switch v.Type {
-	case TypeInt64:
-		return cmpOrdered(v.Ints[i], o.Ints[j])
-	case TypeFloat64:
-		return cmpOrdered(v.Floats[i], o.Floats[j])
-	case TypeString:
-		return cmpOrdered(v.Strs[i], o.Strs[j])
-	case TypeBool:
-		return cmpOrdered(boolInt(v.Bools[i]), boolInt(o.Bools[j]))
-	}
-	return 0
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func cmpOrdered[T int | int64 | float64 | string](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
 	}
 }
 
@@ -450,39 +275,32 @@ var idxScratch = sync.Pool{New: func() any {
 	return &s
 }}
 
-// scanPlan is the resolved form of a scan request, shared by the serial and
-// parallel paths.
+// scanPlan is the resolved form of a scan request, shared by every cursor
+// over it.
 type scanPlan struct {
 	colIdx    []int
 	outSchema Schema
-	predIdx   int
 	nblocks   int
-	// zone carries auxiliary zone-map-only predicates: each can skip sealed
-	// blocks via min/max stats but never filters rows (the executor keeps
-	// them as residual filters, so skipping is a pure optimization).
-	zone []zonePred
+	// preds is the exact conjunction the scan applies, in evaluation order;
+	// predCol[j] is preds[j]'s column and predBuf[j] the decode buffer it
+	// reads, shared by the predicates on one column.
+	preds   []Pred
+	predCol []int
+	predBuf []int
 }
 
-type zonePred struct {
-	pred   Pred
-	colIdx int
-}
-
-// blockSkipped reports whether sealed block bi is excluded by the primary
-// predicate's zone map or by any auxiliary zone predicate.
-func (p *scanPlan) blockSkipped(s *Segment, pred *Pred, bi int) bool {
-	if pred != nil && p.predIdx >= 0 && !pred.blockMayMatch(s.sealed[p.predIdx][bi]) {
-		return true
-	}
-	for i := range p.zone {
-		if !p.zone[i].pred.blockMayMatch(s.sealed[p.zone[i].colIdx][bi]) {
+// blockSkipped reports whether a predicate's zone map excludes sealed block
+// bi.
+func (p *scanPlan) blockSkipped(s *Segment, bi int) bool {
+	for j := range p.preds {
+		if !p.preds[j].blockMayMatch(s.sealed[p.predCol[j]][bi]) {
 			return true
 		}
 	}
 	return false
 }
 
-func (s *Segment) planScan(cols []string, pred *Pred, zone []Pred) (*scanPlan, error) {
+func (s *Segment) planScan(cols []string, preds []Pred) (*scanPlan, error) {
 	if cols == nil {
 		cols = make([]string, len(s.schema))
 		for i, c := range s.schema {
@@ -493,29 +311,22 @@ func (s *Segment) planScan(cols []string, pred *Pred, zone []Pred) (*scanPlan, e
 	if err != nil {
 		return nil, err
 	}
-	predIdx := -1
-	if pred != nil {
-		predIdx = s.schema.ColIndex(pred.Col)
-		if predIdx < 0 {
-			return nil, fmt.Errorf("colstore: predicate on unknown column %q", pred.Col)
-		}
-	}
 	colIdx := make([]int, len(cols))
 	for i, n := range cols {
 		colIdx[i] = s.schema.ColIndex(n)
 	}
 	// Sealed blocks: every column has the same block boundaries.
-	nblocks := 0
-	if len(s.sealed) > 0 {
-		nblocks = len(s.sealed[0])
-	}
-	plan := &scanPlan{colIdx: colIdx, outSchema: outSchema, predIdx: predIdx, nblocks: nblocks}
-	for _, zp := range zone {
-		ci := s.schema.ColIndex(zp.Col)
+	plan := &scanPlan{colIdx: colIdx, outSchema: outSchema, nblocks: s.Blocks(), preds: preds}
+	for _, p := range preds {
+		ci := s.schema.ColIndex(p.Col)
 		if ci < 0 {
-			return nil, fmt.Errorf("colstore: zone predicate on unknown column %q", zp.Col)
+			return nil, fmt.Errorf("colstore: predicate on unknown column %q", p.Col)
 		}
-		plan.zone = append(plan.zone, zonePred{pred: zp, colIdx: ci})
+		buf := slices.Index(plan.predCol, ci)
+		if buf < 0 {
+			buf = len(plan.predCol)
+		}
+		plan.predCol, plan.predBuf = append(plan.predCol, ci), append(plan.predBuf, buf)
 	}
 	return plan, nil
 }
@@ -541,11 +352,15 @@ func (s *Segment) Scan(cols []string, pred *Pred, fn func(*Batch) error) error {
 // what the scan touched is added to it. Global telemetry counters are
 // recorded either way. It drains one cursor over every block.
 func (s *Segment) ScanWithStats(cols []string, pred *Pred, st *ScanStats, fn func(*Batch) error) error {
-	plan, err := s.planScan(cols, pred, nil)
+	var preds []Pred
+	if pred != nil {
+		preds = []Pred{*pred}
+	}
+	plan, err := s.planScan(cols, preds)
 	if err != nil {
 		return err
 	}
-	c := s.newCursor(plan, pred, 0, plan.nblocks, true)
+	c := s.newCursor(plan, 0, plan.nblocks, true)
 	defer func() {
 		c.Close()
 		if st != nil {
@@ -574,7 +389,6 @@ func (s *Segment) ScanWithStats(cols []string, pred *Pred, st *ScanStats, fn fun
 type ScanCursor struct {
 	s       *Segment
 	plan    *scanPlan
-	pred    *Pred
 	bi, hi  int  // next sealed block, end of the range
 	tail    bool // the tail is still to be delivered after the blocks
 	scratch *[]int
@@ -589,10 +403,11 @@ type ScanCursor struct {
 }
 
 // decodeBufs are a cursor's decode buffers, reused block over block: the
-// batch it delivers, the predicate column and NextBlock's reader.
+// batch it delivers, the predicates' columns (by scanPlan.predBuf) and
+// NextBlock's reader.
 type decodeBufs struct {
 	out    *Batch
-	pred   *Vector
+	preds  []*Vector
 	blocks *blockReader
 }
 
@@ -605,29 +420,28 @@ func (c *ScanCursor) Pass(next *ScanCursor) {
 	}
 }
 
-func (s *Segment) newCursor(plan *scanPlan, pred *Pred, lo, hi int, tail bool) *ScanCursor {
-	return &ScanCursor{s: s, plan: plan, pred: pred, bi: lo, hi: hi, tail: tail}
+func (s *Segment) newCursor(plan *scanPlan, lo, hi int, tail bool) *ScanCursor {
+	return &ScanCursor{s: s, plan: plan, bi: lo, hi: hi, tail: tail}
 }
 
-// ScanCursors plans one scan — the named columns (nil = all), the optional
-// exact predicate and auxiliary zone-map-only predicates — and cuts it into
-// cursors whose outputs, concatenated in order, are exactly that scan's
-// output. A zone predicate may exclude sealed blocks via min/max stats but
-// never filters surviving rows: callers keep those conjuncts as residual
-// filters, so passing them here only prunes I/O. A header-only zone-map pass
-// (serial, deterministic) finds the surviving blocks; they are divided into
-// min(k, survivors) contiguous runs of near-equal block count, each cursor
-// taking the block range that holds its run, the last one the tail as well.
-// There is always at least one cursor, so the skipped-block accounting of a
-// fully pruned segment is not lost.
-func (s *Segment) ScanCursors(cols []string, pred *Pred, zone []Pred, k int) ([]*ScanCursor, error) {
-	plan, err := s.planScan(cols, pred, zone)
+// ScanCursors plans one scan — the named columns (nil = all) of the rows that
+// satisfy every predicate of preds, a conjunction evaluated in the order
+// given (most selective first serves best) — and cuts it into cursors whose
+// outputs, concatenated in order, are exactly that scan's output. A
+// header-only pass over every predicate's zone maps (serial, deterministic)
+// finds the surviving blocks; they are divided into min(k, survivors)
+// contiguous runs of near-equal block count, each cursor taking the block
+// range that holds its run, the last one the tail as well. There is always at
+// least one cursor, so the skipped-block accounting of a fully pruned segment
+// is not lost.
+func (s *Segment) ScanCursors(cols []string, preds []Pred, k int) ([]*ScanCursor, error) {
+	plan, err := s.planScan(cols, preds)
 	if err != nil {
 		return nil, err
 	}
 	survivors := make([]int, 0, plan.nblocks)
 	for bi := 0; bi < plan.nblocks; bi++ {
-		if !plan.blockSkipped(s, pred, bi) {
+		if !plan.blockSkipped(s, bi) {
 			survivors = append(survivors, bi)
 		}
 	}
@@ -639,22 +453,22 @@ func (s *Segment) ScanCursors(cols []string, pred *Pred, zone []Pred, k int) ([]
 		if i < n-1 {
 			hi = survivors[(i+1)*len(survivors)/n]
 		}
-		out[i] = s.newCursor(plan, pred, lo, hi, i == n-1)
+		out[i] = s.newCursor(plan, lo, hi, i == n-1)
 		lo = hi
 	}
 	return out, nil
 }
 
 // MaxRows bounds the rows the cursor has yet to deliver: the rows of its
-// remaining blocks that survive the zone maps, plus the tail's. Without an
-// exact predicate the bound is the count, and so it is under an index.
+// remaining blocks that survive the zone maps, plus the tail's, or under an
+// index the rows it selected. Without predicates the bound is the count.
 func (c *ScanCursor) MaxRows() int {
 	if c.index {
 		return len(c.rowids)
 	}
 	n := 0
 	for bi := c.bi; bi < c.hi; bi++ {
-		if !c.plan.blockSkipped(c.s, c.pred, bi) {
+		if !c.plan.blockSkipped(c.s, bi) {
 			n += c.s.sealed[0][bi].rows
 		}
 	}
@@ -701,7 +515,7 @@ func (c *ScanCursor) NextStored(ctx context.Context, maxRows int) (blocks [][]by
 			continue
 		}
 		c.st.BlocksScanned++
-		if n := c.s.sealed[0][bi].rows; c.pred == nil && !c.index && n <= maxRows {
+		if n := c.s.sealed[0][bi].rows; len(c.plan.preds) == 0 && !c.index && n <= maxRows {
 			c.stored = c.stored[:0]
 			for _, ci := range c.plan.colIdx {
 				data := c.s.sealed[ci][bi].data
@@ -738,7 +552,7 @@ func (c *ScanCursor) untouched(bi int) bool {
 	if c.index {
 		return len(c.cut(c.at+c.s.sealed[0][bi].rows)) == 0
 	}
-	return c.plan.blockSkipped(c.s, c.pred, bi)
+	return c.plan.blockSkipped(c.s, bi)
 }
 
 // cut moves an index cursor's selected rows below segment row end off rowids
@@ -770,31 +584,33 @@ func (c *ScanCursor) Close() {
 	}
 }
 
-// scanTail projects the unsealed tail rows the cursor selects — those
-// matching its exact predicate, those its index names, or, as views of the
-// tail, all of them — gathered into a fresh batch. It returns nil when no tail
-// row survives. Under an index only the selected tail rows count as
-// examined.
+// scanTail projects the unsealed tail rows the cursor selects — those its
+// index names and its predicates keep, or, as views of the tail, all of them
+// — gathered into a fresh batch. It returns nil when no tail row survives.
+// Under an index only the selected tail rows count as examined.
 func (c *ScanCursor) scanTail() (*Batch, error) {
-	tail := c.s.tail
-	var match []int // nil: every row
+	tail, n := c.s.tail, c.s.tail.Len()
+	var match []int // the selected rows, when selected is set
+	selected := c.index || len(c.plan.preds) > 0
 	if c.index {
-		if match = c.cut(c.at + tail.Len()); len(c.rowids) > 0 {
+		if match = c.cut(c.at + n); len(c.rowids) > 0 {
 			return nil, fmt.Errorf("colstore: index row %d out of range (%d rows)", c.rowids[0], c.s.rows)
 		}
 		c.st.TailRows += len(match)
-	} else if tail.Len() > 0 {
-		c.st.TailRows += tail.Len()
-		if c.pred != nil {
-			m, err := c.pred.matchRowsInto(tail.Cols[c.plan.predIdx], *c.scratch)
-			if err != nil {
-				return nil, err
-			}
-			match, *c.scratch = m, m
-		}
+	} else {
+		c.st.TailRows += n
 	}
-	n := tail.Len()
-	if match != nil {
+	for j := range c.plan.preds {
+		if n == 0 || (j > 0 || c.index) && len(match) == 0 {
+			break
+		}
+		m, err := c.plan.preds[j].selectRows(tail.Cols[c.plan.predCol[j]], match, *c.scratch)
+		if err != nil {
+			return nil, err
+		}
+		match, *c.scratch = m, m
+	}
+	if selected {
 		n = len(match)
 	}
 	if n == 0 {
@@ -803,7 +619,7 @@ func (c *ScanCursor) scanTail() (*Batch, error) {
 	out := &Batch{Schema: c.plan.outSchema, Cols: make([]*Vector, len(c.plan.colIdx))}
 	for i, ci := range c.plan.colIdx {
 		v := tail.Cols[ci]
-		if match != nil {
+		if selected {
 			v = v.Gather(match)
 		} else {
 			// A [0, len) view: tail storage is append-only (new rows land
@@ -818,13 +634,13 @@ func (c *ScanCursor) scanTail() (*Batch, error) {
 }
 
 // decode reads sealed block row bi into the cursor's batch, reused block
-// over block: every projected column whole, or the rows the exact predicate
-// matches or the index selects. A block whose rows are all selected decodes
-// as if there were no selection; one where few are decodes only those rows
-// (late materialization: DecodeBlockSel touches only the selected rows,
-// where the bulk decoder streams the whole payload, and its edge is gone well
-// before half the block survives, so the strategy flips at a quarter); the
-// rest decode whole and keep the selected rows in place. All three produce
+// over block: every projected column whole, or the rows the index selects
+// and the predicates keep. A block whose rows are all selected decodes as if
+// there were no selection; one where few are decodes only those rows (late
+// materialization: DecodeBlockSel touches only the selected rows, where the
+// bulk decoder streams the whole payload, and its edge is gone well before
+// half the block survives, so the strategy flips at a quarter); the rest
+// decode whole and keep the selected rows in place. All three produce
 // identical bytes.
 func (c *ScanCursor) decode(bi int) (*Batch, error) {
 	s, plan, st, bufs := c.s, c.plan, &c.st, c.bufs
@@ -834,29 +650,12 @@ func (c *ScanCursor) decode(bi int) (*Batch, error) {
 	var match []int
 	if c.index {
 		match = *c.scratch // cut left the block's selection there
-	} else if c.pred != nil {
-		data := s.sealed[plan.predIdx][bi].data
-		st.BytesRead += len(data)
-		m, handled, err := MatchBlockCompressed(data, c.pred, *c.scratch)
+	}
+	if len(plan.preds) > 0 {
+		m, err := c.match(bi, match)
 		if err != nil {
 			return nil, err
 		}
-		if handled {
-			st.BlocksCompressed++
-		} else {
-			// PLAIN/DELTA blocks have no compressed evaluation: decode first.
-			if typ := s.schema[plan.predIdx].Type; bufs.pred == nil || bufs.pred.Type != typ {
-				bufs.pred = NewVector(typ, 0)
-			}
-			bufs.pred.Reset()
-			if err := DecodeBlockInto(bufs.pred, data); err != nil {
-				return nil, err
-			}
-			if m, err = c.pred.matchRowsInto(bufs.pred, *c.scratch); err != nil {
-				return nil, err
-			}
-		}
-		*c.scratch = m // keep any growth for the next block
 		if len(m) == 0 {
 			return out, nil
 		}
@@ -885,6 +684,63 @@ func (c *ScanCursor) decode(bi int) (*Batch, error) {
 		}
 	}
 	return out, nil
+}
+
+// match evaluates the cursor's predicates over sealed block bi in order: the
+// first over every row — on the encoded form when the block's encoding allows
+// it — or, under an index, over the rows sel selects; each later one over the
+// rows still selected, refining the selection in place. A column several
+// predicates name is read, and decoded, once per block. The selection lives
+// in the cursor's scratch.
+func (c *ScanCursor) match(bi int, sel []int) ([]int, error) {
+	plan := c.plan
+	compressed := false // the first predicate ran encoded: its column is not decoded
+	for j := range plan.preds {
+		if (j > 0 || c.index) && len(sel) == 0 {
+			break
+		}
+		p, k := &plan.preds[j], plan.predBuf[j]
+		data := c.s.sealed[plan.predCol[j]][bi].data
+		if k == j {
+			c.st.BytesRead += len(data)
+		}
+		if j == 0 && !c.index {
+			m, handled, err := MatchBlockCompressed(data, p, *c.scratch)
+			if err != nil {
+				return nil, err
+			}
+			if handled {
+				c.st.BlocksCompressed++
+				sel, *c.scratch, compressed = m, m, true
+				continue
+			}
+		}
+		v := c.bufs.predVec(k, c.s.schema[plan.predCol[j]].Type)
+		if k == j || k == 0 && compressed {
+			v.Reset()
+			if err := DecodeBlockInto(v, data); err != nil {
+				return nil, err
+			}
+			compressed = compressed && k != 0
+		}
+		m, err := p.selectRows(v, sel, *c.scratch)
+		if err != nil {
+			return nil, err
+		}
+		sel, *c.scratch = m, m
+	}
+	return sel, nil
+}
+
+// predVec is the decode buffer k of the predicates' columns, of type typ.
+func (b *decodeBufs) predVec(k int, typ Type) *Vector {
+	for len(b.preds) <= k {
+		b.preds = append(b.preds, nil)
+	}
+	if b.preds[k] == nil || b.preds[k].Type != typ {
+		b.preds[k] = NewVector(typ, 0)
+	}
+	return b.preds[k]
 }
 
 // ReadAll materializes the whole segment (projection cols, nil = all) into
@@ -917,22 +773,21 @@ func (s *Segment) ReadAll(cols []string) (*Batch, error) {
 // publication: sealed block data is immutable after Seal, so clones share it
 // (the per-column blockRef slices are copied with capacity capped at their
 // length, forcing any later append — on either side — to reallocate rather
-// than clobber the shared backing array), while the open tail is deep-copied
-// because Append mutates it in place. After a clone, appending to one
-// segment is invisible to the other.
+// than clobber the shared backing array), and the tail is append-only, so
+// clones share its arrays and claim as well (see Segment.tail). After a
+// clone, appending to one segment is invisible to the other.
 func (s *Segment) Clone() *Segment {
 	out := &Segment{
 		schema:    s.schema,
 		blockRows: s.blockRows,
 		sealed:    make([][]blockRef, len(s.sealed)),
+		tail:      s.tail.Slice(0, s.tail.Len()),
+		claim:     s.claim,
 		rows:      s.rows,
 	}
 	for i, col := range s.sealed {
 		out.sealed[i] = col[:len(col):len(col)]
 	}
-	out.tail = NewBatch(s.schema)
-	// Same schema by construction, so this append cannot fail.
-	_ = out.tail.AppendBatch(s.tail)
 	if len(s.indexes) > 0 {
 		// Trees are copy-on-write: share them, copy only the map, so an
 		// Append on either side republishes into its own map.

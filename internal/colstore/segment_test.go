@@ -1,9 +1,11 @@
 package colstore
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -341,5 +343,104 @@ func TestQuickPersistRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// intsBatch is a one-column INTEGER batch of vals.
+func intsBatch(vals ...int64) *Batch {
+	return &Batch{Schema: Schema{{Name: "x", Type: TypeInt64}}, Cols: []*Vector{IntVector(vals)}}
+}
+
+// readInts reads a one-column INTEGER segment whole.
+func readInts(t *testing.T, seg *Segment) []int64 {
+	t.Helper()
+	b, err := seg.ReadAll(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Cols[0].Ints
+}
+
+// TestCloneSharesTail: a clone shares its version's tail arrays, so a commit
+// appends to them in place instead of copying the tail — and the version it
+// was cloned from keeps its rows and length. A second clone of that version
+// finds the arrays written past its tail and copies; both stay exact.
+func TestCloneSharesTail(t *testing.T) {
+	base := NewSegment(Schema{{Name: "x", Type: TypeInt64}}, 64)
+	if err := base.Append(intsBatch(1, 2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := base.Append(intsBatch(4)); err != nil { // leaves room past the tail
+		t.Fatal(err)
+	}
+	a, b := base.Clone(), base.Clone()
+	if err := a.Append(intsBatch(5, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if &a.tail.Cols[0].Ints[0] != &base.tail.Cols[0].Ints[0] {
+		t.Fatal("the first clone's append copied the tail")
+	}
+	if err := b.Append(intsBatch(7)); err != nil {
+		t.Fatal(err)
+	}
+	if &b.tail.Cols[0].Ints[0] == &base.tail.Cols[0].Ints[0] {
+		t.Fatal("the second clone appended over the first one's rows")
+	}
+	for _, c := range []struct {
+		seg  *Segment
+		want []int64
+	}{{base, []int64{1, 2, 3, 4}}, {a, []int64{1, 2, 3, 4, 5, 6}}, {b, []int64{1, 2, 3, 4, 7}}} {
+		if got := readInts(t, c.seg); !slices.Equal(got, c.want) || c.seg.Rows() != len(c.want) {
+			t.Fatalf("rows %v (%d), want %v", got, c.seg.Rows(), c.want)
+		}
+	}
+	// Sealing leaves the rest of the rows in a tail with a claim of its own:
+	// the sealed version and its clone stay exact.
+	if err := a.Append(intsBatch(make([]int64, 60)...)); err != nil {
+		t.Fatal(err)
+	}
+	c := a.Clone()
+	if err := c.Append(intsBatch(9)); err != nil {
+		t.Fatal(err)
+	}
+	if a.Rows() != 66 || c.Rows() != 67 || len(readInts(t, a)) != 66 || readInts(t, c)[66] != 9 {
+		t.Fatalf("after a seal: %d and %d rows", a.Rows(), c.Rows())
+	}
+}
+
+// TestCloneScanDuringAppend: scans of a version run while the next versions
+// append to the tail arrays it shares (run under -race).
+func TestCloneScanDuringAppend(t *testing.T) {
+	cur := NewSegment(Schema{{Name: "x", Type: TypeInt64}}, 1<<20)
+	if err := cur.Append(intsBatch(0, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	old := cur
+	done := make(chan error)
+	go func() {
+		for i := 0; i < 200; i++ {
+			b, err := old.ReadAll(nil)
+			if err == nil && !slices.Equal(b.Cols[0].Ints, []int64{0, 1, 2}) {
+				err = fmt.Errorf("scan %d read %v", i, b.Cols[0].Ints)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := int64(3); i < 500; i++ {
+		next := cur.Clone()
+		if err := next.Append(intsBatch(i)); err != nil {
+			t.Fatal(err)
+		}
+		cur = next
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := readInts(t, cur); len(got) != 500 || got[499] != 499 {
+		t.Fatalf("%d rows, last %d", len(got), got[len(got)-1])
 	}
 }

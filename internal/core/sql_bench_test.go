@@ -6,15 +6,17 @@ import (
 	"math"
 	"testing"
 
+	"verticadr/internal/algos"
 	"verticadr/internal/colstore"
 )
 
-// The repository benchmark's join and read statements, verbatim but for
-// read's placeholder, bound here to the value the benchmark binds: every
-// preloaded row of events_in.
+// The repository benchmark's join, read and score statements, verbatim but
+// for their placeholders: read's bound here to the value the benchmark binds,
+// every preloaded row of events_in; score's to a 256-id window.
 const (
-	joinSQL = `SELECT d.grp, count(*) AS n, sum(events.x0) AS s FROM events JOIN dim d ON events.dim_id = d.id GROUP BY d.grp ORDER BY d.grp`
-	readSQL = `SELECT grp, count(*) AS n, sum(x0) AS s, min(x1) AS m FROM events_in WHERE id < %d GROUP BY grp ORDER BY grp`
+	joinSQL  = `SELECT d.grp, count(*) AS n, sum(events.x0) AS s FROM events JOIN dim d ON events.dim_id = d.id GROUP BY d.grp ORDER BY d.grp`
+	readSQL  = `SELECT grp, count(*) AS n, sum(x0) AS s, min(x1) AS m FROM events_in WHERE id < %d GROUP BY grp ORDER BY grp`
+	scoreSQL = `SELECT GlmPredict(x0, x1, x2, x3 USING PARAMETERS model='m4') OVER (PARTITION BEST) FROM events WHERE id >= %d AND id < %d`
 )
 
 // serveSession builds the repository benchmark's serve_single deployment for
@@ -109,4 +111,32 @@ func BenchmarkJoinSQL(b *testing.B) {
 func BenchmarkReadSQL(b *testing.B) {
 	const inRows = 50_000
 	benchSQL(b, serveSession(b, 250_000, inRows), fmt.Sprintf(readSQL, inRows), inRows)
+}
+
+// BenchmarkScoreSQL is the benchmark's score statement in process
+// (score_p50_ms without the wire): the serving model m4 over a 256-id window
+// of events that moves every call, as the benchmark's windows do.
+func BenchmarkScoreSQL(b *testing.B) {
+	const eventsRows, window = 250_000, 256
+	s := serveSession(b, eventsRows, 50_000)
+	m4 := &algos.GLMModel{Family: algos.Binomial, Converged: true, Coefficients: []float64{0.1, 0.8, -0.6, 0.4, -0.2}}
+	if err := s.DeployModel("m4", "bench", "serving model", m4); err != nil {
+		b.Fatal(err)
+	}
+	score := func(i int) {
+		lo := i * 7919 % (eventsRows - window)
+		res, err := s.QueryContext(context.Background(), fmt.Sprintf(scoreSQL, lo, lo+window))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Len() != window {
+			b.Fatalf("window at %d scored %d rows", lo, res.Len())
+		}
+	}
+	score(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		score(i + 1)
+	}
 }

@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
@@ -27,9 +29,10 @@ const (
 
 // tableStats aggregates per-segment statistics for one table.
 type tableStats struct {
-	rows  int
-	segs  []*colstore.Segment
-	cache map[string]colstore.ColumnStats
+	rows   int
+	schema colstore.Schema
+	segs   []*colstore.Segment
+	cache  map[string]colstore.ColumnStats
 }
 
 func gatherStats(src Source, table string, def *catalog.TableDef) (*tableStats, error) {
@@ -37,7 +40,7 @@ func gatherStats(src Source, table string, def *catalog.TableDef) (*tableStats, 
 	if err != nil {
 		return nil, err
 	}
-	ts := &tableStats{segs: segs, cache: map[string]colstore.ColumnStats{}}
+	ts := &tableStats{schema: def.Schema, segs: segs, cache: map[string]colstore.ColumnStats{}}
 	for _, s := range segs {
 		ts.rows += s.Rows()
 	}
@@ -105,17 +108,12 @@ func predFromExpr(e sqlparse.Expr) *colstore.Pred {
 	if !ok {
 		return nil
 	}
-	opMap := map[string]colstore.CompareOp{
-		"=": colstore.OpEQ, "<>": colstore.OpNE,
-		"<": colstore.OpLT, "<=": colstore.OpLE,
-		">": colstore.OpGT, ">=": colstore.OpGE,
-	}
 	mirror := map[colstore.CompareOp]colstore.CompareOp{
 		colstore.OpEQ: colstore.OpEQ, colstore.OpNE: colstore.OpNE,
 		colstore.OpLT: colstore.OpGT, colstore.OpLE: colstore.OpGE,
 		colstore.OpGT: colstore.OpLT, colstore.OpGE: colstore.OpLE,
 	}
-	op, ok := opMap[bin.Op]
+	op, ok := colstore.ParseCompareOp(bin.Op)
 	if !ok {
 		return nil
 	}
@@ -234,14 +232,19 @@ type conj struct {
 	sel  float64
 }
 
+// analyzeConjuncts pushes a `col OP literal` conjunct only when its literal
+// compares with the column: one that does not stays in the residual, whose
+// evaluation over no rows fails the statement whatever the table holds.
 func analyzeConjuncts(where sqlparse.Expr, ts *tableStats) []conj {
 	exprs := flattenAnd(where)
 	out := make([]conj, 0, len(exprs))
 	for _, e := range exprs {
 		c := conj{expr: e, sel: defaultSel}
 		if p := predFromExpr(e); p != nil {
-			c.pred = p
-			c.sel = predSelectivity(p, ts.colStats(p.Col))
+			if i := ts.schema.ColIndex(p.Col); i >= 0 && colstore.CheckComparable(ts.schema[i].Type, colstore.ValueType(p.Val)) == nil {
+				c.pred = p
+				c.sel = predSelectivity(p, ts.colStats(p.Col))
+			}
 		}
 		out = append(out, c)
 	}
@@ -249,128 +252,119 @@ func analyzeConjuncts(where sqlparse.Expr, ts *tableStats) []conj {
 }
 
 // chooseAccess picks the access path for one table given its conjuncts:
-// a B-tree index scan when the most selective index-eligible predicate keeps
-// under indexSelThreshold of the rows, else a sequential scan with the most
-// selective pushable conjunct as the exact primary predicate and every other
-// pushable conjunct as a zone-map pruning predicate. The combined
-// selectivity of all conjuncts is returned for cardinality estimation.
+// every pushable conjunct goes to storage, most selective first, behind the
+// probe of a B-tree index scan when the most selective index-eligible
+// predicate (or bounded range) keeps under indexSelThreshold of the rows.
+// The rest is the residual. The combined selectivity of all conjuncts is
+// returned for cardinality estimation.
 func chooseAccess(conjs []conj, ts *tableStats, noIndex bool) (*Access, float64) {
 	combined := 1.0
-	for _, c := range conjs {
-		combined *= c.sel
-	}
-	residualExcept := func(skip int) sqlparse.Expr {
-		var rest []sqlparse.Expr
-		for i, c := range conjs {
-			if i != skip {
-				rest = append(rest, c.expr)
-			}
-		}
-		return rebuildAnd(rest)
-	}
-	if !noIndex {
-		best := -1
-		for i, c := range conjs {
-			if c.pred == nil || c.pred.Op == colstore.OpNE || !ts.indexed(c.pred.Col) {
-				continue
-			}
-			if c.sel > indexSelThreshold {
-				continue
-			}
-			if best < 0 || c.sel < conjs[best].sel {
-				best = i
-			}
-		}
-		// Bounded ranges: a lower and an upper bound on the same indexed
-		// column combine into one index range probe, sized by the interval's
-		// overlap with the zone-map range — two individually unselective
-		// half-ranges (a >= lo AND a < hi) often pin a narrow window.
-		bestLo, bestHi, bestRangeSel := -1, -1, 0.0
-		lower := map[string]int{}
-		upper := map[string]int{}
-		for i, c := range conjs {
-			if c.pred == nil || !ts.indexed(c.pred.Col) {
-				continue
-			}
-			switch c.pred.Op {
-			case colstore.OpGT, colstore.OpGE:
-				if j, ok := lower[c.pred.Col]; !ok || c.sel < conjs[j].sel {
-					lower[c.pred.Col] = i
-				}
-			case colstore.OpLT, colstore.OpLE:
-				if j, ok := upper[c.pred.Col]; !ok || c.sel < conjs[j].sel {
-					upper[c.pred.Col] = i
-				}
-			}
-		}
-		for i, c := range conjs { // conjunct order, not map order: plans must be deterministic
-			if c.pred == nil {
-				continue
-			}
-			col := c.pred.Col
-			if li, ok := lower[col]; !ok || li != i {
-				continue
-			}
-			ui, ok := upper[col]
-			if !ok {
-				continue
-			}
-			sel := rangeSelectivity(conjs[i].pred, conjs[ui].pred, ts.colStats(col))
-			if sel > indexSelThreshold {
-				continue
-			}
-			if bestLo < 0 || sel < bestRangeSel {
-				bestLo, bestHi, bestRangeSel = i, ui, sel
-			}
-		}
-		if bestLo >= 0 && (best < 0 || bestRangeSel < conjs[best].sel) {
-			// Cardinality: the interval estimate replaces the two bounds'
-			// independent products — `x >= lo AND x < hi` is one window, not
-			// two coin flips.
-			pairCombined := bestRangeSel
-			for i, c := range conjs {
-				if i != bestLo && i != bestHi {
-					pairCombined *= c.sel
-				}
-			}
-			// The upper bound's conjunct stays in Residual: the index probe
-			// already satisfies it (a cheap re-check over k rows), and the
-			// no-index fallback scan needs it for exactness.
-			return &Access{
-				Primary:  conjs[bestLo].pred,
-				Primary2: conjs[bestHi].pred,
-				Residual: residualExcept(bestLo),
-				IndexCol: conjs[bestLo].pred.Col,
-			}, clampSel(pairCombined)
-		}
-		if best >= 0 {
-			return &Access{
-				Primary:  conjs[best].pred,
-				Residual: residualExcept(best),
-				IndexCol: conjs[best].pred.Col,
-			}, combined
-		}
-	}
-	acc := &Access{}
-	prim := -1
+	var pushed []int
+	var rest []sqlparse.Expr
 	for i, c := range conjs {
+		combined *= c.sel
+		if c.pred != nil {
+			pushed = append(pushed, i)
+		} else {
+			rest = append(rest, c.expr)
+		}
+	}
+	// Stable: among equal estimates conjunct order decides, so plans are
+	// deterministic.
+	slices.SortStableFunc(pushed, func(a, b int) int { return cmp.Compare(conjs[a].sel, conjs[b].sel) })
+	acc := &Access{Residual: rebuildAnd(rest)}
+	var probe []int
+	if !noIndex {
+		if probe, combined = indexProbe(conjs, ts, combined); len(probe) > 0 {
+			acc.IndexCol, acc.Probe = conjs[probe[0]].pred.Col, len(probe)
+		}
+	}
+	for _, i := range probe {
+		acc.Preds = append(acc.Preds, *conjs[i].pred)
+	}
+	for _, i := range pushed {
+		if !slices.Contains(probe, i) {
+			acc.Preds = append(acc.Preds, *conjs[i].pred)
+		}
+	}
+	return acc, combined
+}
+
+// indexProbe picks the conjuncts an index scan would probe with — the most
+// selective index-eligible one, or a lower and an upper bound on one indexed
+// column — or none when no probe keeps under indexSelThreshold of the rows.
+// It returns them with the combined selectivity the choice implies.
+func indexProbe(conjs []conj, ts *tableStats, combined float64) ([]int, float64) {
+	best := -1
+	for i, c := range conjs {
+		if c.pred == nil || c.pred.Op == colstore.OpNE || !ts.indexed(c.pred.Col) {
+			continue
+		}
+		if c.sel > indexSelThreshold {
+			continue
+		}
+		if best < 0 || c.sel < conjs[best].sel {
+			best = i
+		}
+	}
+	// Bounded ranges: a lower and an upper bound on the same indexed column
+	// combine into one index range probe, sized by the interval's overlap
+	// with the zone-map range — two individually unselective half-ranges
+	// (a >= lo AND a < hi) often pin a narrow window.
+	bestLo, bestHi, bestRangeSel := -1, -1, 0.0
+	lower := map[string]int{}
+	upper := map[string]int{}
+	for i, c := range conjs {
+		if c.pred == nil || !ts.indexed(c.pred.Col) {
+			continue
+		}
+		switch c.pred.Op {
+		case colstore.OpGT, colstore.OpGE:
+			if j, ok := lower[c.pred.Col]; !ok || c.sel < conjs[j].sel {
+				lower[c.pred.Col] = i
+			}
+		case colstore.OpLT, colstore.OpLE:
+			if j, ok := upper[c.pred.Col]; !ok || c.sel < conjs[j].sel {
+				upper[c.pred.Col] = i
+			}
+		}
+	}
+	for i, c := range conjs { // conjunct order, not map order: plans must be deterministic
 		if c.pred == nil {
 			continue
 		}
-		if prim < 0 || c.sel < conjs[prim].sel {
-			prim = i
+		col := c.pred.Col
+		if li, ok := lower[col]; !ok || li != i {
+			continue
+		}
+		ui, ok := upper[col]
+		if !ok {
+			continue
+		}
+		sel := rangeSelectivity(conjs[i].pred, conjs[ui].pred, ts.colStats(col))
+		if sel > indexSelThreshold {
+			continue
+		}
+		if bestLo < 0 || sel < bestRangeSel {
+			bestLo, bestHi, bestRangeSel = i, ui, sel
 		}
 	}
-	if prim >= 0 {
-		acc.Primary = conjs[prim].pred
+	if bestLo >= 0 && (best < 0 || bestRangeSel < conjs[best].sel) {
+		// Cardinality: the interval estimate replaces the two bounds'
+		// independent products — `x >= lo AND x < hi` is one window, not
+		// two coin flips.
+		pairCombined := bestRangeSel
 		for i, c := range conjs {
-			if i != prim && c.pred != nil {
-				acc.Zone = append(acc.Zone, *c.pred)
+			if i != bestLo && i != bestHi {
+				pairCombined *= c.sel
 			}
 		}
+		return []int{bestLo, bestHi}, clampSel(pairCombined)
 	}
-	acc.Residual = residualExcept(prim)
-	return acc, combined
+	if best >= 0 {
+		return []int{best}, combined
+	}
+	return nil, combined
 }
 
 // estimateRows converts a selectivity into an output-row estimate, never

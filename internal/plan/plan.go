@@ -2,9 +2,10 @@
 // into a tree of physical operators, estimating cardinalities from colstore
 // block statistics (zone-map ranges, row counts, NDV from dictionary and RLE
 // headers, exact NDV from attached B-tree indexes) and choosing among access
-// paths — full segment scan with multi-conjunct zone pruning, B-tree index
-// scan (O(log n + k) for selective point/range predicates), hash join for
-// equi-joins, and a dot-product join for PREDICT over sharded models.
+// paths — full segment scan under a conjunction of pushed-down predicates,
+// B-tree index scan (O(log n + k) for selective point/range predicates), hash
+// join for equi-joins, and a dot-product join for PREDICT over sharded
+// models.
 //
 // The planner never executes anything: internal/sqlexec walks the tree, and
 // the tree is the only thing it walks — every SELECT, on the local node and
@@ -58,22 +59,32 @@ const (
 	OpConst          = "Const"
 )
 
-// Access is a table scan's resolved access path. Primary is filtered exactly
-// by the storage layer (row-level match for scans, index lookup for index
-// scans); Zone predicates only skip sealed blocks whose zone maps rule every
-// row out, so their conjuncts stay in Residual; Residual is the row filter
-// evaluated over scanned batches.
+// Access is a table scan's resolved access path. Preds is the conjunction the
+// storage layer filters exactly — every zone map prunes blocks, the first
+// predicate selects rows, each later one refines the selection — holding
+// every column-vs-literal conjunct whose literal compares with its column,
+// most selective first. Residual is what storage cannot evaluate, filtered
+// over the scanned batches.
 type Access struct {
-	Primary  *colstore.Pred
-	Zone     []colstore.Pred
+	Preds    []colstore.Pred
 	Residual sqlparse.Expr
-	// IndexCol non-empty selects the B-tree index scan on that column;
-	// Primary is then the index probe predicate. Primary2, when set, is the
-	// upper bound of a bounded index range probe (Primary the lower bound);
-	// its conjunct also stays in Residual so a segment missing the index
-	// (mid-DDL, mid-recovery) still filters exactly after its pushdown scan.
-	Primary2 *colstore.Pred
+	// IndexCol non-empty selects the B-tree index scan on that column:
+	// Preds[:Probe] is the index probe — one predicate, or a bounded range's
+	// lower and upper bound — and the predicates after it refine the rows
+	// the probe selects. A segment missing the index (mid-DDL,
+	// mid-recovery) scans under all of Preds.
 	IndexCol string
+	Probe    int
+}
+
+// Pushdown renders the predicates storage evaluates beyond an index probe,
+// "" when there are none.
+func (a *Access) Pushdown() string {
+	parts := make([]string, 0, len(a.Preds))
+	for _, p := range a.Preds[a.Probe:] {
+		parts = append(parts, p.String())
+	}
+	return strings.Join(parts, " AND ")
 }
 
 // Node is one physical operator. EstRows is the planner's output-cardinality
@@ -255,34 +266,23 @@ func (b *builder) buildSingle(sel *sqlparse.Select) (*Plan, error) {
 func (b *builder) scanNode(table, alias string, def *catalog.TableDef, ts *tableStats, where sqlparse.Expr, noIndex bool) *Node {
 	conjs := analyzeConjuncts(where, ts)
 	acc, estSel := chooseAccess(conjs, ts, noIndex)
-	var n *Node
+	var parts []string
+	n := b.node(OpSeqScan)
 	if acc.IndexCol != "" {
-		n = b.node(OpIndexScan)
-		n.Detail = fmt.Sprintf("index(%s) %s", acc.IndexCol, predString(acc.Primary))
-		if acc.Primary2 != nil {
-			n.Detail += " AND " + predString(acc.Primary2)
+		n.Op = OpIndexScan
+		probe := make([]string, acc.Probe)
+		for i, p := range acc.Preds[:acc.Probe] {
+			probe[i] = p.String()
 		}
-	} else {
-		n = b.node(OpSeqScan)
-		var parts []string
-		if acc.Primary != nil {
-			parts = append(parts, "pushdown "+predString(acc.Primary))
-		}
-		if len(acc.Zone) > 0 {
-			zs := make([]string, len(acc.Zone))
-			for i := range acc.Zone {
-				zs[i] = predString(&acc.Zone[i])
-			}
-			parts = append(parts, "zone "+strings.Join(zs, " AND "))
-		}
-		n.Detail = strings.Join(parts, ", ")
+		parts = append(parts, fmt.Sprintf("index(%s) %s", acc.IndexCol, strings.Join(probe, " AND ")))
+	}
+	if pd := acc.Pushdown(); pd != "" {
+		parts = append(parts, "pushdown "+pd)
 	}
 	if acc.Residual != nil {
-		if n.Detail != "" {
-			n.Detail += ", "
-		}
-		n.Detail += "filter " + acc.Residual.String()
+		parts = append(parts, "filter "+acc.Residual.String())
 	}
+	n.Detail = strings.Join(parts, ", ")
 	n.Table = table
 	n.Alias = alias
 	n.Access = acc
@@ -438,8 +438,4 @@ func min64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-func predString(p *colstore.Pred) string {
-	return fmt.Sprintf("%s %s %v", p.Col, p.Op, p.Val)
 }

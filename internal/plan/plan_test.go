@@ -114,7 +114,7 @@ func TestIndexScanChosenWhenSelective(t *testing.T) {
 	for len(scan.Children) > 0 {
 		scan = scan.Children[0]
 	}
-	if scan.Op != OpSeqScan || scan.Access.Primary == nil {
+	if scan.Op != OpSeqScan || len(scan.Access.Preds) == 0 {
 		t.Fatalf("expected SeqScan with pushdown, got %s %+v", scan.Op, scan.Access)
 	}
 }
@@ -127,23 +127,21 @@ func TestMultiConjunctZonePreds(t *testing.T) {
 	}
 	scan := p.Root.Children[0]
 	acc := scan.Access
-	if acc.Primary == nil {
-		t.Fatal("no primary predicate")
+	// Selectivities: a = 3 -> 1/NDV(a) = 1/50 = 0.02; id >= 3900 ->
+	// (3999-3900)/3999 ~ 0.025; x > 1 -> ~0.998. Every conjunct is exact in
+	// storage, most selective first, and none is filtered again.
+	var got []string
+	for _, p := range acc.Preds {
+		got = append(got, p.Col)
 	}
-	// id >= 3900 keeps ~2.5% of rows, far under a = 3's 1/50 * ... pick:
-	// selectivities: a = 3 -> 1/NDV(a)=1/50=0.02; id >= 3900 -> (4000-3900)/3999 ~ 0.025.
-	if acc.Primary.Col != "a" {
-		t.Fatalf("primary should be the most selective conjunct, got %s", acc.Primary.Col)
+	if strings.Join(got, ",") != "a,id,x" {
+		t.Fatalf("pushed predicates on %v, want a, id, x", got)
 	}
-	if len(acc.Zone) != 2 {
-		t.Fatalf("want 2 zone predicates, got %v", acc.Zone)
+	if acc.Residual != nil {
+		t.Fatalf("pushed conjuncts must not be re-filtered: %v", acc.Residual)
 	}
-	if acc.Residual == nil || !strings.Contains(acc.Residual.String(), ">=") {
-		t.Fatalf("zone conjuncts must stay in residual: %v", acc.Residual)
-	}
-	// The exactly-served primary must NOT be in the residual.
-	if strings.Contains(acc.Residual.String(), "= 3)") {
-		t.Fatalf("primary conjunct should not be re-filtered: %v", acc.Residual)
+	if scan.Detail != "pushdown a = 3 AND id >= 3900 AND x > 1" {
+		t.Fatalf("scan detail %q", scan.Detail)
 	}
 }
 
@@ -169,10 +167,10 @@ func TestJoinPlanShape(t *testing.T) {
 		t.Fatalf("scan tables: %s, %s", lt.Table, rt.Table)
 	}
 	// Single-table conjuncts pushed into the scans with bare names.
-	if lt.Access.Primary == nil || lt.Access.Primary.Col != "a" {
+	if len(lt.Access.Preds) != 1 || lt.Access.Preds[0].Col != "a" {
 		t.Fatalf("t-side pushdown missing: %+v", lt.Access)
 	}
-	if rt.Access.Primary == nil || rt.Access.Primary.Col != "b" {
+	if len(rt.Access.Preds) != 1 || rt.Access.Preds[0].Col != "b" {
 		t.Fatalf("u-side pushdown missing: %+v", rt.Access)
 	}
 	// Normalized projection references are canonical dotted names.
@@ -296,9 +294,15 @@ func TestPredFromExpr(t *testing.T) {
 }
 
 // TestChooseAccessConjuncts pins how a WHERE clause splits into the exact
-// primary predicate and the residual, wherever the pushable conjunct sits.
+// conjunction storage evaluates and the residual, wherever the pushable
+// conjuncts sit.
 func TestChooseAccessConjuncts(t *testing.T) {
-	ts := &tableStats{cache: map[string]colstore.ColumnStats{}}
+	ts := &tableStats{cache: map[string]colstore.ColumnStats{}, schema: colstore.Schema{
+		{Name: "i", Type: colstore.TypeInt64},
+		{Name: "f", Type: colstore.TypeFloat64},
+		{Name: "b", Type: colstore.TypeBool},
+		{Name: "s", Type: colstore.TypeString},
+	}}
 	access := func(where string) *Access {
 		var e sqlparse.Expr
 		if where != "" {
@@ -307,34 +311,42 @@ func TestChooseAccessConjuncts(t *testing.T) {
 		acc, _ := chooseAccess(analyzeConjuncts(e, ts), ts, false)
 		return acc
 	}
+	cols := func(acc *Access) string {
+		var out []string
+		for _, p := range acc.Preds {
+			out = append(out, p.String())
+		}
+		return strings.Join(out, ", ")
+	}
 	// Whole clause pushable: no residual.
-	if acc := access("i > 5"); acc.Primary == nil || acc.Residual != nil {
+	if acc := access("i > 5"); cols(acc) != "i > 5" || acc.Residual != nil {
 		t.Fatalf("single comparison: %+v", acc)
 	}
-	// Without statistics to rank them the first pushable conjunct is the
-	// primary; the other prunes by zone map and stays in the residual with
-	// the unpushable one.
+	// Without statistics to rank them every pushable conjunct goes to
+	// storage in conjunct order; only the unpushable one stays behind.
 	acc := access("i > 5 AND f < 2.0 AND b")
-	if acc.Primary == nil || acc.Primary.Col != "i" || acc.Primary.Op != colstore.OpGT {
-		t.Fatalf("AND chain pushdown = %+v", acc.Primary)
+	if cols(acc) != "i > 5, f < 2" {
+		t.Fatalf("AND chain pushdown = %s", cols(acc))
 	}
-	if len(acc.Zone) != 1 || acc.Zone[0].Col != "f" {
-		t.Fatalf("zone = %+v, want the f < 2.0 conjunct", acc.Zone)
-	}
-	if acc.Residual == nil || !strings.Contains(acc.Residual.String(), "f") || !strings.Contains(acc.Residual.String(), "b") ||
-		strings.Contains(acc.Residual.String(), "i") {
-		t.Fatalf("residual = %v, want the remaining conjuncts", acc.Residual)
+	if acc.Residual == nil || acc.Residual.String() != "b" {
+		t.Fatalf("residual = %v, want the unpushable conjunct", acc.Residual)
 	}
 	// Pushable conjunct in the middle.
 	acc = access("b AND i = 3 AND NOT b")
-	if acc.Primary == nil || acc.Primary.Col != "i" || acc.Residual == nil {
+	if cols(acc) != "i = 3" || acc.Residual == nil {
 		t.Fatalf("middle conjunct: %+v", acc)
 	}
+	// A literal that does not compare with its column is not pushed: the
+	// residual rejects it over no rows as over any.
+	acc = access("s > 3 AND i > 5 AND b = 1 AND f < 'x' AND f > 2")
+	if cols(acc) != "i > 5, f > 2" || acc.Residual == nil || acc.Residual.String() != "(((s > 3) AND (b = 1)) AND (f < 'x'))" {
+		t.Fatalf("mismatched literals: %s, residual %v", cols(acc), acc.Residual)
+	}
 	// Nothing pushable: WHERE passes through whole.
-	if acc = access("b OR i > 5"); acc.Primary != nil || acc.Residual == nil || !strings.Contains(acc.Residual.String(), "OR") {
+	if acc = access("b OR i > 5"); len(acc.Preds) != 0 || acc.Residual == nil || !strings.Contains(acc.Residual.String(), "OR") {
 		t.Fatalf("OR clause: %+v", acc)
 	}
-	if acc = access(""); acc.Primary != nil || acc.Residual != nil || acc.Zone != nil {
+	if acc = access(""); len(acc.Preds) != 0 || acc.Residual != nil {
 		t.Fatalf("no WHERE: %+v", acc)
 	}
 }
@@ -373,16 +385,13 @@ func TestIndexRangeScanChosenForBoundedPair(t *testing.T) {
 		t.Fatalf("expected bounded IndexScan on id, got %s %+v", scan.Op, scan.Access)
 	}
 	acc := scan.Access
-	if acc.Primary == nil || acc.Primary.Op != colstore.OpGE {
-		t.Fatalf("lower bound should be the primary probe: %+v", acc.Primary)
+	if acc.Probe != 2 || len(acc.Preds) != 2 || acc.Preds[0].Op != colstore.OpGE || acc.Preds[1].Op != colstore.OpLT {
+		t.Fatalf("the probe should be the lower then the upper bound: %+v", acc)
 	}
-	if acc.Primary2 == nil || acc.Primary2.Op != colstore.OpLT {
-		t.Fatalf("upper bound should be the secondary probe: %+v", acc.Primary2)
-	}
-	// The upper bound stays in the residual so the no-index fallback scan
-	// remains exact.
-	if acc.Residual == nil || !strings.Contains(acc.Residual.String(), "<") {
-		t.Fatalf("upper bound must stay in residual: %v", acc.Residual)
+	// Both bounds are exact in storage — in the probe, and in the scan of a
+	// segment that lacks the index — so neither is filtered again.
+	if acc.Residual != nil {
+		t.Fatalf("no residual expected: %v", acc.Residual)
 	}
 	if scan.EstRows <= 0 || scan.EstRows > 100 {
 		t.Fatalf("bounded-range estimate = %d (want ~40)", scan.EstRows)
@@ -401,7 +410,7 @@ func TestIndexRangeScanChosenForBoundedPair(t *testing.T) {
 	for len(scan.Children) > 0 {
 		scan = scan.Children[0]
 	}
-	if scan.Op != OpIndexScan || scan.Access.IndexCol != "a" || scan.Access.Primary2 != nil {
+	if scan.Op != OpIndexScan || scan.Access.IndexCol != "a" || scan.Access.Probe != 1 {
 		t.Fatalf("equality should beat a near-full range, got %s %+v", scan.Op, scan.Access)
 	}
 }

@@ -254,8 +254,8 @@ func (g *Gen) indexableConjunct(nrows int) sqlparse.Expr {
 }
 
 // indexableWhere ANDs 1-3 indexable conjuncts at the top level, the shape
-// the planner's conjunct analysis splits into primary/zone/residual and the
-// index chooser feeds on.
+// the planner's conjunct analysis pushes to storage as one conjunction and
+// the index chooser feeds on.
 func (g *Gen) indexableWhere(nrows int) sqlparse.Expr {
 	w := g.indexableConjunct(nrows)
 	for n := g.rng.Intn(3); n > 0; n-- {

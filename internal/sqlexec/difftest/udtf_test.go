@@ -184,7 +184,7 @@ func udtfReference(db *FakeDB, where sqlparse.Expr, args []sqlparse.Expr) (kept 
 // a row-wise one under PARTITION BEST — every instance pulling its own block
 // range — against the row-serial reference, bitwise, over the adversarial
 // generator's RLE / dictionary / NaN / -0.0 shapes x WHERE shapes (none,
-// pushed primary, primary + zone-only conjuncts, residual only) x block
+// one pushed predicate, a pushed conjunction, residual only) x block
 // sizes x instance counts x storage layouts (tail only, sealed only, both, a
 // short block mid-segment, empty nodes, more instances than blocks). Where
 // PARTITION BEST cuts is the planner's choice; a row-wise function's answer
@@ -206,7 +206,7 @@ func TestDifferentialUDTFStream(t *testing.T) {
 		instances = []int{1, 4, 7}
 	}
 	argLists := []string{"id, a, x, s, flag", "x", "a + b, x * 2, y"}
-	var queries, nonEmpty, withZone, residualOnly, tailOnly, multiRange int
+	var queries, nonEmpty, withConj, residualOnly, tailOnly, multiRange int
 	for _, nrows := range sizes {
 		for _, blockRows := range blockSizes {
 			rows := gen.adversarialRows(nrows, blockRows)
@@ -307,10 +307,10 @@ func TestDifferentialUDTFStream(t *testing.T) {
 							t.Fatalf("%q: plan: %v", sql, err)
 						}
 						acc := p.Root.Children[0].Access
-						if len(acc.Zone) > 0 {
-							withZone++
+						if len(acc.Preds) > 1 {
+							withConj++
 						}
-						if acc.Primary == nil && acc.Residual != nil {
+						if len(acc.Preds) == 0 && acc.Residual != nil {
 							residualOnly++
 						}
 						assertProfileIsPlan(t, db, sel)
@@ -319,10 +319,10 @@ func TestDifferentialUDTFStream(t *testing.T) {
 			}
 		}
 	}
-	if nonEmpty == 0 || withZone == 0 || residualOnly == 0 || tailOnly == 0 || multiRange == 0 {
-		t.Fatalf("coverage hole: %d non-empty, %d with zone predicates, %d residual-only, %d tail-only, %d with several ranges a node",
-			nonEmpty, withZone, residualOnly, tailOnly, multiRange)
+	if nonEmpty == 0 || withConj == 0 || residualOnly == 0 || tailOnly == 0 || multiRange == 0 {
+		t.Fatalf("coverage hole: %d non-empty, %d with a pushed conjunction, %d residual-only, %d tail-only, %d with several ranges a node",
+			nonEmpty, withConj, residualOnly, tailOnly, multiRange)
 	}
-	t.Logf("ran %d statements: %d non-empty, %d plans with zone predicates, %d residual-only, %d tail-only scans, %d with several ranges a node",
-		queries, nonEmpty, withZone, residualOnly, tailOnly, multiRange)
+	t.Logf("ran %d statements: %d non-empty, %d plans with a pushed conjunction, %d residual-only, %d tail-only scans, %d with several ranges a node",
+		queries, nonEmpty, withConj, residualOnly, tailOnly, multiRange)
 }

@@ -184,31 +184,21 @@ func evalArith(op string, l, r *colstore.Vector) (*colstore.Vector, error) {
 	return colstore.FloatVector(out), nil
 }
 
+// evalCompare compares two vectors row by row, through colstore's typed
+// kernels: CompareValues' order and widening, and its error for types that do
+// not compare, whatever the row count.
 func evalCompare(op string, l, r *colstore.Vector) (*colstore.Vector, error) {
 	n := l.Len()
 	if r.Len() != n {
 		return nil, fmt.Errorf("sqlexec: comparison length mismatch")
 	}
+	cop, ok := colstore.ParseCompareOp(op)
+	if !ok {
+		return nil, fmt.Errorf("sqlexec: unknown comparison %q", op)
+	}
 	out := make([]bool, n)
-	for i := 0; i < n; i++ {
-		c, err := colstore.CompareValues(l.Value(i), r.Value(i))
-		if err != nil {
-			return nil, err
-		}
-		switch op {
-		case "=":
-			out[i] = c == 0
-		case "<>":
-			out[i] = c != 0
-		case "<":
-			out[i] = c < 0
-		case "<=":
-			out[i] = c <= 0
-		case ">":
-			out[i] = c > 0
-		case ">=":
-			out[i] = c >= 0
-		}
+	if err := colstore.CompareVectors(cop, l, r, out); err != nil {
+		return nil, err
 	}
 	return colstore.BoolVector(out), nil
 }

@@ -107,6 +107,63 @@ func TestEvalComparisonsAndLogic(t *testing.T) {
 	}
 }
 
+// TestEvalCompareMatchesCompareValues: evalCompare's typed kernels agree with
+// the boxed CompareValues row for row, for every operator and every pair of
+// column types — NaN (equal to everything), ±0, ±Inf, INTEGERs past 2^53
+// widened to FLOAT exactly as CompareValues widens them, int64 extremes — and
+// a pair that does not compare fails with CompareValues' error, over no rows
+// as over many.
+func TestEvalCompareMatchesCompareValues(t *testing.T) {
+	pools := []*colstore.Vector{
+		colstore.IntVector([]int64{math.MinInt64, math.MinInt64 + 1, -1<<53 - 1, -1 << 53, -1, 0, 1, 1 << 53, 1<<53 + 1, math.MaxInt64 - 1, math.MaxInt64}),
+		colstore.FloatVector([]float64{math.NaN(), math.Float64frombits(0x7ff8deadbeef0001), math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0,
+			-1 << 53, 1 << 53, 1<<53 + 2, 1 << 63, -1 << 63, 0.5, -1.5, 1, math.MaxFloat64, math.SmallestNonzeroFloat64}),
+		colstore.StringVector([]string{"", "a", "B", "a\x00b", "ab"}),
+		colstore.BoolVector([]bool{false, true}),
+	}
+	ops := []string{"=", "<>", "<", "<=", ">", ">="}
+	for _, a := range pools {
+		for _, b := range pools {
+			// Every pair of values: l[i] against r[i].
+			l, r := colstore.NewVector(a.Type, 0), colstore.NewVector(b.Type, 0)
+			for i := 0; i < a.Len(); i++ {
+				for j := 0; j < b.Len(); j++ {
+					if err := l.AppendValue(a.Value(i)); err != nil {
+						t.Fatal(err)
+					}
+					if err := r.AppendValue(b.Value(j)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, op := range ops {
+				cop, _ := colstore.ParseCompareOp(op)
+				got, err := evalCompare(op, l, r)
+				_, wantErr := colstore.CompareValues(a.Value(0), b.Value(0))
+				if wantErr != nil {
+					if err == nil || err.Error() != wantErr.Error() {
+						t.Fatalf("%v %s %v: error %v, CompareValues %v", a.Type, op, b.Type, err, wantErr)
+					}
+					empty := colstore.NewVector(a.Type, 0)
+					if _, err := evalCompare(op, empty, colstore.NewVector(b.Type, 0)); err == nil || err.Error() != wantErr.Error() {
+						t.Fatalf("%v %s %v over no rows: error %v, want %v", a.Type, op, b.Type, err, wantErr)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%v %s %v: %v", a.Type, op, b.Type, err)
+				}
+				for i := 0; i < l.Len(); i++ {
+					c, _ := colstore.CompareValues(l.Value(i), r.Value(i))
+					if got.Bools[i] != cop.Match(c) {
+						t.Fatalf("%v %s %v is %v, CompareValues says %d", l.Value(i), op, r.Value(i), got.Bools[i], c)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestEvalScalarFunctions(t *testing.T) {
 	if v := evalOne(t, "abs(f)"); v.Floats[1] != 1.5 {
 		t.Fatal("abs")

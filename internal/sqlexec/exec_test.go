@@ -117,7 +117,7 @@ func TestProfileNotCollectedWithoutKeyword(t *testing.T) {
 }
 
 // The bugfix-sweep check: a conjunctive WHERE still consults segment min/max
-// stats for its pushable conjunct, and the residual conjunct is applied.
+// stats, and both conjuncts are evaluated exactly in storage.
 func TestConjunctionPushdownSkipsBlocks(t *testing.T) {
 	db := newFakeDB(t, 1000)
 	res, err := RunSelectCtx(context.Background(), db, selStmt(t, "PROFILE SELECT x FROM t WHERE x >= 900 AND y = 3"))
@@ -141,16 +141,14 @@ func TestConjunctionPushdownSkipsBlocks(t *testing.T) {
 	if !strings.Contains(got["scan"].Detail, "9 skipped") {
 		t.Fatalf("AND pushdown should still skip 9 blocks; scan detail %q", got["scan"].Detail)
 	}
-	if !strings.Contains(got["scan"].Detail, "pushdown ") {
-		t.Fatalf("scan detail %q should name the pushed predicate", got["scan"].Detail)
+	if d := got["scan"].Detail; !strings.Contains(d, "pushdown ") || !strings.Contains(d, "x >= 900") || !strings.Contains(d, "y = 3") {
+		t.Fatalf("scan detail %q should name both pushed conjuncts", d)
 	}
-	if _, ok := got["filter"]; !ok {
-		t.Fatal("residual conjunct should record a filter operator")
+	if got["scan"].Rows != int64(want) {
+		t.Fatalf("scan rows = %d, want %d: both conjuncts exact in storage", got["scan"].Rows, want)
 	}
-	// The planner pushes the most selective conjunct and re-filters the
-	// other; whichever it picked, the residual names the remaining column.
-	if !strings.Contains(got["filter"].Detail, "y") && !strings.Contains(got["filter"].Detail, "x") {
-		t.Fatalf("filter detail %q should reference the residual conjunct", got["filter"].Detail)
+	if _, ok := got["filter"]; ok {
+		t.Fatal("no conjunct is left to a filter operator")
 	}
 }
 
@@ -159,9 +157,10 @@ func TestConjunctionPushdownSkipsBlocks(t *testing.T) {
 func TestTracedSelectEndsEverySpan(t *testing.T) {
 	db := newFakeDB(t, 1000)
 	for sql, wantFilter := range map[string]bool{
-		"SELECT x FROM t WHERE x >= 900":           false,
-		"SELECT x FROM t WHERE x >= 900 AND y = 3": true,
-		"SELECT y, count(*) FROM t GROUP BY y":     false,
+		"SELECT x FROM t WHERE x >= 900":               false,
+		"SELECT x FROM t WHERE x >= 900 AND y = 3":     false,
+		"SELECT x FROM t WHERE x >= 900 AND x + y > 3": true,
+		"SELECT y, count(*) FROM t GROUP BY y":         false,
 	} {
 		log := telemetry.NewSpanLog(nil)
 		root := log.StartSpan("query")

@@ -103,6 +103,11 @@ func refData(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Selec
 	if err != nil {
 		return nil, err
 	}
+	if n.Access.Residual != nil {
+		if _, err := filterRows(n.Access.Residual, colstore.NewBatch(scanSchema), nil); err != nil {
+			return nil, err
+		}
+	}
 	var data *colstore.Batch
 	if n.Op == plan.OpIndexScan {
 		data, err = refIndex(ctx, segs, scanSchema, scanCols, cols, n.Access, prof)
@@ -120,8 +125,8 @@ func refData(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Selec
 
 // scanSeg drains one cursor over the whole of seg's scan through fn, adding
 // what it read to st when st is non-nil.
-func scanSeg(ctx context.Context, seg *colstore.Segment, cols []string, pred *colstore.Pred, zone []colstore.Pred, st *colstore.ScanStats, fn func(*colstore.Batch) error) error {
-	curs, err := seg.ScanCursors(cols, pred, zone, 1)
+func scanSeg(ctx context.Context, seg *colstore.Segment, cols []string, preds []colstore.Pred, st *colstore.ScanStats, fn func(*colstore.Batch) error) error {
+	curs, err := seg.ScanCursors(cols, preds, 1)
 	if err != nil {
 		return err
 	}
@@ -151,7 +156,7 @@ func refScan(ctx context.Context, segs []*colstore.Segment, schema colstore.Sche
 	var st colstore.ScanStats
 	var idx []int
 	for _, seg := range segs {
-		err := scanSeg(ctx, seg, cols, acc.Primary, acc.Zone, &st, func(b *colstore.Batch) error {
+		err := scanSeg(ctx, seg, cols, acc.Preds, &st, func(b *colstore.Batch) error {
 			if acc.Residual == nil {
 				return out.AppendBatch(b)
 			}
@@ -175,36 +180,47 @@ func refScan(ctx context.Context, segs []*colstore.Segment, schema colstore.Sche
 
 // refIndex serves an index scan without the index cursor: each segment is
 // read whole and the rows IndexLookup (IndexLookupRange) names are picked out
-// of it, since row positions are scan order; a segment without the index is
-// scanned under the probe predicates. The residual then filters everything
+// of it, since row positions are scan order, then kept where every predicate
+// after the probe holds under CompareValues; a segment without the index is
+// scanned under all the predicates. The residual then filters everything
 // gathered at once.
 func refIndex(ctx context.Context, segs []*colstore.Segment, schema colstore.Schema, cols, outCols []string, acc *plan.Access, prof *Profile) (*colstore.Batch, error) {
 	scanDone := startOp(ctx, prof, "scan")
 	out := colstore.NewBatch(schema)
 	for _, seg := range segs {
-		rowids, handled := seg.IndexLookup(acc.Primary)
-		if acc.Primary2 != nil {
-			rowids, handled = seg.IndexLookupRange(acc.Primary, acc.Primary2)
+		rowids, handled := seg.IndexLookup(&acc.Preds[0])
+		if acc.Probe == 2 {
+			rowids, handled = seg.IndexLookupRange(&acc.Preds[0], &acc.Preds[1])
 		}
 		if !handled {
-			var zone []colstore.Pred
-			if acc.Primary2 != nil {
-				zone = []colstore.Pred{*acc.Primary2}
-			}
-			if err := scanSeg(ctx, seg, cols, acc.Primary, zone, nil, out.AppendBatch); err != nil {
+			if err := scanSeg(ctx, seg, cols, acc.Preds, nil, out.AppendBatch); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		all, err := seg.ReadAll(cols)
+		all, err := seg.ReadAll(nil)
 		if err != nil {
 			return nil, err
 		}
-		pos := make([]int, len(rowids))
-		for i, r := range rowids {
-			pos[i] = int(r)
+		var pos []int
+		for _, r := range rowids {
+			keep := true
+			for _, p := range acc.Preds[acc.Probe:] {
+				c, err := colstore.CompareValues(all.Cols[all.Schema.ColIndex(p.Col)].Value(int(r)), p.Val)
+				if err != nil {
+					return nil, err
+				}
+				keep = keep && p.Op.Match(c)
+			}
+			if keep {
+				pos = append(pos, int(r))
+			}
 		}
-		if err := out.AppendGather(all, pos); err != nil {
+		rows, err := all.Gather(pos).Project(cols)
+		if err != nil {
+			return nil, err
+		}
+		if err := out.AppendBatch(rows); err != nil {
 			return nil, err
 		}
 	}

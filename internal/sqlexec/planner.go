@@ -133,9 +133,12 @@ func (in *input) scanDetail(st colstore.ScanStats) string {
 		detail = fmt.Sprintf("%d segments, %d blocks scanned, %d evaluated compressed, %d KB, run-aware",
 			in.segs, st.BlocksScanned, st.BlocksCompressed, kb)
 	case in.leaf.Op == plan.OpIndexScan:
-		detail = fmt.Sprintf("index(%s) %s %v", acc.IndexCol, acc.Primary.Op, acc.Primary.Val)
-		if p := acc.Primary2; p != nil {
-			detail += fmt.Sprintf(" AND %s %v", p.Op, p.Val)
+		detail = fmt.Sprintf("index(%s)", acc.IndexCol)
+		for i, p := range acc.Preds[:acc.Probe] {
+			if i > 0 {
+				detail += " AND"
+			}
+			detail += fmt.Sprintf(" %s %v", p.Op, p.Val)
 		}
 		detail += fmt.Sprintf(", %d segments, %d blocks decoded, %d untouched, %d KB",
 			in.segs, st.BlocksScanned, st.BlocksSkipped, kb)
@@ -152,11 +155,8 @@ func (in *input) scanDetail(st colstore.ScanStats) string {
 	if in.fellBack > 0 {
 		detail += fmt.Sprintf(", %d segments without index scanned", in.fellBack)
 	}
-	if p := acc.Primary; p != nil && in.leaf.Op == plan.OpSeqScan {
-		detail += fmt.Sprintf(", pushdown %s %s %v", p.Col, p.Op, p.Val)
-	}
-	if len(acc.Zone) > 0 {
-		detail += fmt.Sprintf(", %d zone predicates", len(acc.Zone))
+	if pd := acc.Pushdown(); pd != "" {
+		detail += ", pushdown " + pd
 	}
 	return detail
 }

@@ -70,9 +70,8 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 		return nil, err
 	}
 	// WHERE filters the UDTF's input rows before partitioning, through the
-	// input scan's access path: the most selective pushable conjunct exactly
-	// at the storage scan (zone-map skipping + compressed evaluation), every
-	// other pushable conjunct as a zone-map-only pruning predicate, the rest
+	// input scan's access path: the pushable conjuncts exactly at the storage
+	// scan (zone-map skipping, compressed evaluation, refinement), the rest
 	// as a residual over each scanned batch.
 	acc := n.Children[0].Access
 	if sel.Where != nil {
@@ -132,7 +131,7 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 		}
 		k := max(db.UDFInstancesPerNode(), 1)
 		for node, seg := range segs {
-			curs, err := seg.ScanCursors(need, acc.Primary, acc.Zone, k)
+			curs, err := seg.ScanCursors(need, acc.Preds, k)
 			if err != nil {
 				return nil, err
 			}

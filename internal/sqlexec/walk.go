@@ -276,9 +276,7 @@ func (in *input) consumeStage() int { return stageJoins + len(in.joins) + 1 }
 // openLeaf opens the scan n over segs for cols, plus what its residual
 // reads, as cursor ranges: a sequential scan's of about rangeBlocks
 // surviving blocks each; an index scan's one per segment with a match, a
-// segment without the index scanned sequentially under the probe
-// predicates, the upper bound pruning blocks only (its conjunct in the
-// residual keeps the rows exact).
+// segment without the index scanned sequentially under the same predicates.
 func (in *input) openLeaf(def *catalog.TableDef, segs []*colstore.Segment, n *plan.Node, cols []string) error {
 	cols = scanColumns(cols, def.Schema)
 	scanCols := cols
@@ -298,20 +296,15 @@ func (in *input) openLeaf(def *catalog.TableDef, segs []*colstore.Segment, n *pl
 	if n.Alias != "" {
 		in.view = qualify(schema, n.Alias)
 	}
-	zone := acc.Zone
-	if acc.Primary2 != nil { // an index range: its upper bound prunes a fallback scan
-		zone = []colstore.Pred{*acc.Primary2}
-	}
-	// The residual meets an index scan's rows whatever the index finds, so
-	// its errors do not depend on the data.
-	if n.Op == plan.OpIndexScan && acc.Residual != nil {
+	// The residual's errors do not depend on what storage finds.
+	if acc.Residual != nil {
 		if _, err := filterRows(acc.Residual, colstore.NewBatch(schema), nil); err != nil {
 			in.fail(stageFilter, err)
 		}
 	}
 	for _, seg := range segs {
 		if n.Op == plan.OpIndexScan {
-			cur, handled, err := seg.IndexCursor(scanCols, acc.Primary, acc.Primary2)
+			cur, handled, err := seg.IndexCursor(scanCols, acc.Preds, acc.Probe)
 			switch {
 			case err != nil:
 				return err
@@ -325,7 +318,7 @@ func (in *input) openLeaf(def *catalog.TableDef, segs []*colstore.Segment, n *pl
 			}
 			in.fellBack++
 		}
-		curs, err := seg.ScanCursors(scanCols, acc.Primary, zone, max(1, (seg.Blocks()+rangeBlocks-1)/rangeBlocks))
+		curs, err := seg.ScanCursors(scanCols, acc.Preds, max(1, (seg.Blocks()+rangeBlocks-1)/rangeBlocks))
 		if err != nil {
 			return err
 		}

@@ -57,7 +57,7 @@ func storedRun(schema colstore.Schema, n, blockRows int) []byte {
 	if err := seg.Seal(); err != nil {
 		panic(err)
 	}
-	curs, err := seg.ScanCursors(nil, nil, nil, 1)
+	curs, err := seg.ScanCursors(nil, nil, 1)
 	if err != nil {
 		panic(err)
 	}

@@ -220,7 +220,7 @@ func TestExportForwardsStoredBlocks(t *testing.T) {
 			t.Fatalf("psize %d: sink saw %d messages, stats count %d", psize, len(msgs), stats.Chunks)
 		}
 		for node, seg := range segs {
-			curs, err := seg.ScanCursors(nil, nil, nil, 1)
+			curs, err := seg.ScanCursors(nil, nil, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
