@@ -14,7 +14,7 @@ GO ?= go
 #
 # Targets: check (= lint build test race difftest-short fuzz-smoke), vet,
 # bench (benchmark/run.sh over the BENCHMARK.json workloads), bench-figures,
-# chaos, recover, fuzz.
+# chaos, recover, fuzz, loc.
 .PHONY: check
 check: lint build test race difftest-short fuzz-smoke
 
@@ -110,6 +110,14 @@ bench:
 	for w in $$(sed -n '/"workloads"/,/\]/s/.*"name": *"\([a-z_]*\)".*/\1/p' BENCHMARK.json); do \
 		bash benchmark/run.sh --workload $$w --seed 1 --seconds $$secs --trace 0; \
 	done
+
+# Code size: non-test Go lines (wc -l) per package under internal/, one line
+# each, then the total — the count a change that deletes code reports.
+.PHONY: loc
+loc:
+	@for d in $$(find internal -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		printf '%7d  %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
+	done | awk '{ print; n += $$1 } END { printf "%7d  total\n", n }'
 
 # Paper-figure benchmark series (Figs. 12-20 shapes).
 .PHONY: bench-figures

@@ -393,6 +393,12 @@ func TestSelectErrorsLocalAndRouted(t *testing.T) {
 		{"uncomparable literal, empty", `SELECT count(*) FROM e WHERE s > 3`, nil, "colstore: cannot compare string with int64"},
 		{"uncomparable literal, projection", `SELECT id FROM t WHERE id > 100 AND flag = 1`, nil, "colstore: cannot compare bool with int64"},
 		{"uncomparable literal, empty projection", `SELECT id FROM e WHERE x = 'red'`, nil, "colstore: cannot compare float64 with string"},
+		// A function argument fails before any instance runs — one would fail
+		// on the model nobody deployed — whatever the table holds.
+		{"unknown column in UDTF argument", `SELECT GlmPredict(x, nosuch USING PARAMETERS model='absent') OVER (PARTITION BEST) FROM t`, verr.ErrUnknownColumn, "nosuch"},
+		{"unknown column in UDTF argument, empty", `SELECT GlmPredict(x, nosuch USING PARAMETERS model='absent') OVER (PARTITION BEST) FROM e`, verr.ErrUnknownColumn, "nosuch"},
+		{"UDTF argument that cannot evaluate", `SELECT GlmPredict(x, ABS(s) USING PARAMETERS model='absent') OVER (PARTITION BEST) FROM t`, nil, "expected numeric column"},
+		{"UDTF argument that cannot evaluate, empty", `SELECT GlmPredict(x, ABS(s) USING PARAMETERS model='absent') OVER (PARTITION BEST) FROM e`, nil, "expected numeric column"},
 	}
 	for _, c := range cases {
 		_, localErr := base.QueryContext(ctx, c.sql)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"verticadr/internal/colstore"
@@ -248,6 +249,10 @@ func TestDifferentialUDTFStream(t *testing.T) {
 					sel := stmt.(*sqlparse.Select)
 					fc := sel.Items[0].Expr.(*sqlparse.FuncCall)
 					kept, refErr := udtfReference(db, sel.Where, fc.Args)
+					p, planErr := plan.Build(sel, db)
+					if refErr == nil && planErr != nil {
+						t.Fatalf("%q: plan: %v", sql, planErr)
+					}
 					for _, k := range instances {
 						db.Instances = k
 						id := fmt.Sprintf("%s rows=%d block=%d k=%d %q", layout.name, nrows, blockRows, k, sql)
@@ -282,8 +287,20 @@ func TestDifferentialUDTFStream(t *testing.T) {
 						if len(want) > 0 {
 							nonEmpty++
 						}
+						// A residual is the leaf's filter stage: its line
+						// sits between the scan and the function.
+						wantOps := "scan udtf"
+						if p.Root.Children[0].Access.Residual != nil {
+							wantOps = "scan filter udtf"
+						}
+						var ops []string
 						for _, op := range res.Profile.Ops() {
+							ops = append(ops, op.Op)
 							switch op.Op {
+							case "filter":
+								if op.Rows != int64(len(kept)) {
+									t.Fatalf("%s: filter operator reports %d rows, reference kept %d", id, op.Rows, len(kept))
+								}
 							case "scan":
 								if op.Rows != int64(len(kept)) {
 									t.Fatalf("%s: scan operator reports %d rows, reference kept %d", id, op.Rows, len(kept))
@@ -300,12 +317,11 @@ func TestDifferentialUDTFStream(t *testing.T) {
 								}
 							}
 						}
+						if got := strings.Join(ops, " "); got != wantOps {
+							t.Fatalf("%s: operators %s, want %s", id, got, wantOps)
+						}
 					}
 					if refErr == nil {
-						p, err := plan.Build(sel, db)
-						if err != nil {
-							t.Fatalf("%q: plan: %v", sql, err)
-						}
 						acc := p.Root.Children[0].Access
 						if len(acc.Preds) > 1 {
 							withConj++

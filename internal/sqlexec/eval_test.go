@@ -236,33 +236,6 @@ func TestLiteral(t *testing.T) {
 	}
 }
 
-func TestExprTypeInference(t *testing.T) {
-	schema := testBatch().Schema
-	cases := map[string]colstore.Type{
-		"i":        colstore.TypeInt64,
-		"f":        colstore.TypeFloat64,
-		"s":        colstore.TypeString,
-		"b":        colstore.TypeBool,
-		"i + 1":    colstore.TypeInt64,
-		"i + f":    colstore.TypeFloat64,
-		"i / 2":    colstore.TypeFloat64,
-		"i > 2":    colstore.TypeBool,
-		"NOT b":    colstore.TypeBool,
-		"-f":       colstore.TypeFloat64,
-		"upper(s)": colstore.TypeString,
-		"abs(f)":   colstore.TypeFloat64,
-	}
-	for s, want := range cases {
-		got, err := exprType(expr(t, s), schema)
-		if err != nil || got != want {
-			t.Fatalf("exprType(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := exprType(expr(t, "zzz"), schema); err == nil {
-		t.Fatal("unknown column should fail")
-	}
-}
-
 // Property: evaluating `i + C` always adds C to every row of any int column.
 func TestQuickEvalAddConstant(t *testing.T) {
 	f := func(vals []int64, c int16) bool {

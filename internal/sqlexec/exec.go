@@ -190,14 +190,6 @@ func union(a, b []string) []string {
 	return out
 }
 
-func mustProject(s colstore.Schema, cols []string) colstore.Schema {
-	p, err := s.Project(cols)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // runProject evaluates a Project over its input as the input streams: each
 // range's rows are projected beside the other ranges', and the outputs append
 // to the result in range order — reserved up front when the zone maps bound
@@ -268,38 +260,15 @@ func projectItems(sel *sqlparse.Select, starSchema colstore.Schema, data *colsto
 func finishSelect(ctx context.Context, out *colstore.Batch, sel *sqlparse.Select, prof *Profile) (*Result, error) {
 	if len(sel.OrderBy) > 0 {
 		sortDone := startOp(ctx, prof, "sort")
-		keys := make([]int, len(sel.OrderBy))
-		for i, o := range sel.OrderBy {
-			ci := out.Schema.ColIndex(o.Col)
-			if ci < 0 {
-				return nil, fmt.Errorf("sqlexec: ORDER BY column %q not in output", o.Col)
-			}
-			keys[i] = ci
+		keys, err := orderKeys(sel, out.Schema)
+		if err != nil {
+			return nil, err
 		}
 		idx := make([]int, out.Len())
 		for i := range idx {
 			idx[i] = i
 		}
-		var sortErr error
-		sort.SliceStable(idx, func(a, b int) bool {
-			for k, ci := range keys {
-				c, err := colstore.CompareValues(out.Cols[ci].Value(idx[a]), out.Cols[ci].Value(idx[b]))
-				if err != nil {
-					sortErr = err
-					return false
-				}
-				if c != 0 {
-					if sel.OrderBy[k].Desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
-		if sortErr != nil {
-			return nil, sortErr
-		}
+		sort.SliceStable(idx, func(a, b int) bool { return orderLess(sel, keys, out, idx[a], out, idx[b]) })
 		out = out.Gather(idx)
 		sortDone.Done(int64(out.Len()), fmt.Sprintf("%d sort keys", len(keys)))
 	}
@@ -309,6 +278,28 @@ func finishSelect(ctx context.Context, out *colstore.Batch, sel *sqlparse.Select
 		limitDone.Done(int64(out.Len()), fmt.Sprintf("LIMIT %d", sel.Limit))
 	}
 	return &Result{Batch: out}, nil
+}
+
+// orderKeys resolves ORDER BY's columns in an output schema.
+func orderKeys(sel *sqlparse.Select, schema colstore.Schema) ([]int, error) {
+	keys := make([]int, len(sel.OrderBy))
+	for i, o := range sel.OrderBy {
+		if keys[i] = schema.ColIndex(o.Col); keys[i] < 0 {
+			return nil, fmt.Errorf("sqlexec: ORDER BY column %q not in output", o.Col)
+		}
+	}
+	return keys, nil
+}
+
+// orderLess reports whether row i of a sorts strictly before row j of b — two
+// batches of one schema — under ORDER BY's key columns keys, compared typed.
+func orderLess(sel *sqlparse.Select, keys []int, a *colstore.Batch, i int, b *colstore.Batch, j int) bool {
+	for k, ci := range keys {
+		if c := a.Cols[ci].CompareAt(i, b.Cols[ci], j); c != 0 {
+			return (c < 0) != sel.OrderBy[k].Desc
+		}
+	}
+	return false
 }
 
 // aggChunkRows is the fixed partial-aggregation chunk size. Chunk boundaries

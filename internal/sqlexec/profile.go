@@ -80,16 +80,12 @@ type opTimer struct {
 	slot int // the operator's place in p.ops
 	t0   time.Duration
 	span *telemetry.Span
-	// extra is added to the measured wall time: an operator whose work ran
-	// inside another's interval (a streamed UDTF's scan inside the function
-	// instances) takes that time from it, and a fused operator's time is all
-	// extra (charge).
+	// extra is added to the measured wall time: an operator above a streamed
+	// input takes the share of the input's walk its stage was busy. A fused
+	// operator — one of the walk's own stages — has no interval of its own:
+	// its time is all extra (charge).
 	extra time.Duration
-	// end, when stopped is set, is where the operator's own interval ended:
-	// Done measures to it instead of reading the clock (an operator reported
-	// only after the one that follows it has run).
-	end     time.Duration
-	stopped bool
+	fused bool
 
 	Blocks           int64
 	BlocksSkipped    int64
@@ -140,11 +136,10 @@ func (t *opTimer) Done(rows int64, detail string) {
 	if t.p == nil {
 		return
 	}
-	end := t.end
-	if !t.stopped {
-		end = t.p.clock.Now()
+	elapsed := t.extra
+	if !t.fused {
+		elapsed += t.p.clock.Now() - t.t0
 	}
-	elapsed := end - t.t0 + t.extra
 	telemetry.Default().Counter("sqlexec_op_nanos_total", telemetry.L("op", t.op)).AddDuration(elapsed)
 	t.p.mu.Lock()
 	t.p.ops[t.slot] = &OpProfile{
@@ -159,7 +154,7 @@ func (t *opTimer) Done(rows int64, detail string) {
 // charge books d to an operator fused into a loop with others: its time is
 // what it is charged, not the interval since it started.
 func (t *opTimer) charge(d time.Duration) {
-	t.end, t.stopped = t.t0, true
+	t.fused = true
 	t.extra += d
 }
 

@@ -50,27 +50,15 @@ func MergeShardRows(ctx context.Context, sel *sqlparse.Select, batches []*colsto
 		}
 		return &Result{Batch: out}, nil
 	}
-	keys := make([]int, len(sel.OrderBy))
-	for i, o := range sel.OrderBy {
-		ci := schema.ColIndex(o.Col)
-		if ci < 0 {
-			return nil, fmt.Errorf("sqlexec: ORDER BY column %q not in output", o.Col)
-		}
-		keys[i] = ci
+	keys, err := orderKeys(sel, schema)
+	if err != nil {
+		return nil, err
 	}
 	heads := make([]int, len(batches))
 	// less reports whether shard a's head row sorts strictly before shard
-	// b's, comparing the typed key columns; on equal keys neither does, and
-	// the scan below prefers the lowest shard index, which is the stable
-	// tie-break.
-	less := func(a, b int) bool {
-		for k, ci := range keys {
-			if c := batches[a].Cols[ci].CompareAt(heads[a], batches[b].Cols[ci], heads[b]); c != 0 {
-				return (c < 0) != sel.OrderBy[k].Desc
-			}
-		}
-		return false
-	}
+	// b's; on equal keys neither does, and the scan below prefers the lowest
+	// shard index, which is the stable tie-break.
+	less := func(a, b int) bool { return orderLess(sel, keys, batches[a], heads[a], batches[b], heads[b]) }
 	// Consecutive picks from one shard are consecutive rows of it, so the
 	// output is emitted a run at a time — rows [lo, heads[run]) of shard run
 	// are picked and not yet appended — column by column, never row by row.

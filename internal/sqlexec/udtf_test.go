@@ -8,9 +8,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
+	"verticadr/internal/plan"
 	"verticadr/internal/telemetry"
 	"verticadr/internal/udf"
 	"verticadr/internal/verr"
@@ -203,6 +205,88 @@ func TestUDTFStreamProfile(t *testing.T) {
 	for _, op := range res.Profile.Ops() {
 		if op.Op == "udtf" && (op.Partitions != 20 || op.Detail != "PARTSUM over 20 partitions") {
 			t.Fatalf("PARTITION BY udtf profile %+v, want 20 partitions (10 keys x 2 nodes)", op)
+		}
+	}
+}
+
+// A WHERE storage cannot take — columns compared with each other, arithmetic —
+// is the leaf's residual, under either partitioning: PROFILE lists scan,
+// filter, udtf, the scan and the filter naming the rows the function reads,
+// the three within the statement's time and every one a plan operator's.
+func TestUDTFResidualProfile(t *testing.T) {
+	schema := colstore.Schema{
+		{Name: "id", Type: colstore.TypeInt64},
+		{Name: "g", Type: colstore.TypeInt64},
+		{Name: "x0", Type: colstore.TypeFloat64},
+		{Name: "x1", Type: colstore.TypeFloat64},
+	}
+	var rows [][]any
+	for i := 0; i < 3000; i++ {
+		rows = append(rows, []any{int64(i), int64(i % 5), float64(i%17) / 4, float64(i%13) / 4})
+	}
+	db := &segsDB{reg: udf.NewRegistry()}
+	db.add(t, "ev", schema, rows, 3, 64, 10, -1)
+	if err := db.reg.Register("PartSum", func() udf.Transform { return sumTransform{} }); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		where, over string
+		keep        func(x0, x1 float64) bool
+	}{
+		{"x0 > x1", "PARTITION BEST", func(x0, x1 float64) bool { return x0 > x1 }},
+		{"x0 * 2 > 1", "PARTITION BEST", func(x0, _ float64) bool { return x0*2 > 1 }},
+		{"x0 > x1", "PARTITION BY g", func(x0, x1 float64) bool { return x0 > x1 }},
+	} {
+		kept, want := 0, 0.0
+		for _, r := range rows {
+			if x0 := r[2].(float64); c.keep(x0, r[3].(float64)) {
+				kept, want = kept+1, want+x0
+			}
+		}
+		sql := "SELECT PartSum(x0) OVER (" + c.over + ") FROM ev WHERE " + c.where
+		sel := selStmt(t, "PROFILE "+sql)
+		res, err := RunSelectCtx(context.Background(), db, sel)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		got := 0.0
+		for _, v := range res.Batch.Cols[0].Floats {
+			got += v
+		}
+		if got != want {
+			t.Fatalf("%s: partition sums total %v, want %v", sql, got, want)
+		}
+		ops := res.Profile.Ops()
+		var names []string
+		var sum time.Duration
+		var stats []plan.OpStat
+		for _, op := range ops {
+			names = append(names, op.Op)
+			if op.Elapsed < 0 {
+				t.Fatalf("%s: %s took %v", sql, op.Op, op.Elapsed)
+			}
+			sum += op.Elapsed
+			stats = append(stats, plan.OpStat{Op: op.Op, Rows: op.Rows})
+		}
+		if strings.Join(names, " ") != "scan filter udtf" {
+			t.Fatalf("%s: operators %v, want scan, filter, udtf", sql, names)
+		}
+		scan, filter, fn := ops[0], ops[1], ops[2]
+		if scan.Rows != int64(kept) || filter.Rows != int64(kept) || scan.Blocks == 0 || !strings.HasPrefix(filter.Detail, "residual WHERE ") {
+			t.Fatalf("%s: scan %+v, filter %+v, want %d rows each past the residual", sql, scan, filter, kept)
+		}
+		if fn.Rows != int64(res.Len()) || fn.Partitions < 1 {
+			t.Fatalf("%s: udtf %+v, want %d rows", sql, fn, res.Len())
+		}
+		if sum > res.Profile.Total {
+			t.Fatalf("%s: operators sum to %v, the statement took %v", sql, sum, res.Profile.Total)
+		}
+		p, err := plan.Build(selStmt(t, sql), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, unmatched := p.MatchActuals(stats); len(unmatched) > 0 {
+			t.Fatalf("%s: operators %v outside the plan", sql, unmatched)
 		}
 	}
 }

@@ -35,7 +35,9 @@ import (
 // a range beside other ranges' work. Partials merge in chunk order into
 // parallel.Reduce's tree, so per group the additions and their order are the
 // whole-input fold's at every degree. A projection appends range outputs to
-// its result in range order.
+// its result in range order. A UDTF's input is the same leaf: under
+// PARTITION BEST each range is read inside its function instance through
+// pull (udtf.go).
 
 // rangeBlocks is a cursor range's share of a segment, in sealed blocks.
 const rangeBlocks = 4
@@ -49,18 +51,25 @@ const (
 	stageJoins
 )
 
-// input is an Aggregate's or Project's input, planned and ready to walk.
+// input is an Aggregate's, Project's or UDTF's input, planned and ready to
+// walk.
 type input struct {
 	ctx  context.Context
 	prof *Profile
 
-	// The leaf: its cursor ranges in (segment, block) order and its residual.
+	// The leaf: its cursor ranges in (segment, block) order, each range's
+	// node (its segment's place) and its residual.
 	leaf     *plan.Node
 	segs     int
 	ranges   []*colstore.ScanCursor
+	nodes    []int
 	idle     colstore.ScanStats // what cursors kept out of ranges read: an index's segments without a match
 	fellBack int                // an index scan's segments without the index
 	runs     bool               // the ranges feed foldRuns, not the walk
+	degree   int                // the scan line's parallel: what the ranges ran at
+	// scanKept makes the scan line count the rows past the residual: a
+	// function's input, whose scan names the rows the function reads.
+	scanKept bool
 	residual sqlparse.Expr
 	cols     []string        // the leaf's columns asked for
 	view     colstore.Schema // a leaf batch under the stream's names
@@ -104,6 +113,7 @@ type consumer interface {
 type rangeBuf struct {
 	rows, out *colstore.Batch
 	cur       *colstore.ScanCursor // the last range's: it passes on its decode buffers
+	t         time.Duration        // where the booking of the range's time stands (lap)
 	view      colstore.Batch       // a leaf batch under the stream's names
 	mid       []*colstore.Batch
 	idx, seq  []int
@@ -121,6 +131,12 @@ func (in *input) lap(stage int, t time.Duration, rows int) time.Duration {
 	now := in.prof.now()
 	in.busy[stage].Add(int64(now - t))
 	return now
+}
+
+// openBooks zeroes what lap books, for a walk through every stage.
+func (in *input) openBooks() {
+	n := in.consumeStage() + 1
+	in.busy, in.outRows = make([]atomic.Int64, n), make([]atomic.Int64, n)
 }
 
 // inputSchema is what the statement's columns resolve against: the table's
@@ -215,7 +231,7 @@ func openInput(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Sel
 	if err != nil {
 		return nil, err
 	}
-	if err := in.openLeaf(def, segs, n, cols); err != nil {
+	if err := in.openLeaf(def, segs, n, cols, blockRanges); err != nil {
 		return nil, err
 	}
 	in.startLeafOps()
@@ -273,11 +289,18 @@ func (in *input) fail(stage int, err error) {
 func (in *input) topStage() int     { return stageJoins + len(in.joins) }
 func (in *input) consumeStage() int { return stageJoins + len(in.joins) + 1 }
 
+// blockRanges is the walk's cut of a segment: ranges of about rangeBlocks
+// surviving blocks each.
+func blockRanges(seg *colstore.Segment) int {
+	return max(1, (seg.Blocks()+rangeBlocks-1)/rangeBlocks)
+}
+
 // openLeaf opens the scan n over segs for cols, plus what its residual
-// reads, as cursor ranges: a sequential scan's of about rangeBlocks
-// surviving blocks each; an index scan's one per segment with a match, a
-// segment without the index scanned sequentially under the same predicates.
-func (in *input) openLeaf(def *catalog.TableDef, segs []*colstore.Segment, n *plan.Node, cols []string) error {
+// reads, as cursor ranges: a sequential scan's cut(seg) ranges of each
+// segment's surviving blocks (ScanCursors); an index scan's one per segment
+// with a match, a segment without the index scanned sequentially under the
+// same predicates.
+func (in *input) openLeaf(def *catalog.TableDef, segs []*colstore.Segment, n *plan.Node, cols []string, cut func(*colstore.Segment) int) error {
 	cols = scanColumns(cols, def.Schema)
 	scanCols := cols
 	acc := n.Access
@@ -302,7 +325,12 @@ func (in *input) openLeaf(def *catalog.TableDef, segs []*colstore.Segment, n *pl
 			in.fail(stageFilter, err)
 		}
 	}
-	for _, seg := range segs {
+	add := func(node int, curs ...*colstore.ScanCursor) {
+		for _, cur := range curs {
+			in.ranges, in.nodes = append(in.ranges, cur), append(in.nodes, node)
+		}
+	}
+	for node, seg := range segs {
 		if n.Op == plan.OpIndexScan {
 			cur, handled, err := seg.IndexCursor(scanCols, acc.Preds, acc.Probe)
 			switch {
@@ -313,16 +341,16 @@ func (in *input) openLeaf(def *catalog.TableDef, segs []*colstore.Segment, n *pl
 				in.idle.Add(cur.Stats())
 				continue
 			case handled:
-				in.ranges = append(in.ranges, cur)
+				add(node, cur)
 				continue
 			}
 			in.fellBack++
 		}
-		curs, err := seg.ScanCursors(scanCols, acc.Preds, max(1, (seg.Blocks()+rangeBlocks-1)/rangeBlocks))
+		curs, err := seg.ScanCursors(scanCols, acc.Preds, cut(seg))
 		if err != nil {
 			return err
 		}
-		in.ranges = append(in.ranges, curs...)
+		add(node, curs...)
 	}
 	return nil
 }
@@ -348,34 +376,34 @@ func readScan(ctx context.Context, db Database, n *plan.Node, cols []string, pro
 		return nil, err
 	}
 	in := &input{ctx: ctx, prof: prof, limit: math.MaxInt}
-	if err := in.openLeaf(def, segs, n, cols); err != nil {
+	if err := in.openLeaf(def, segs, n, cols, blockRanges); err != nil {
 		return nil, err
 	}
 	in.startLeafOps()
-	rows, err := in.collect()
+	in.keepLeaf()
+	c := &collector{in: in, out: colstore.NewBatch(in.out)}
+	err = in.walk(c) // may replace c.out as it grows
 	if err = cmp.Or(err, in.pending); err == nil {
 		in.finishOps()
 	}
-	return rows, err
+	return c.out, err
 }
 
-// collect walks a leaf alone for the columns asked for.
-func (in *input) collect() (*colstore.Batch, error) {
+// keepLeaf makes the columns asked for a range buffer's: a leaf walked alone.
+func (in *input) keepLeaf() {
 	in.out = in.view[:len(in.cols)] // cols come first among the scanned
 	for i := range in.out {
 		in.keep = append(in.keep, i)
 	}
-	c := &collector{in: in, out: colstore.NewBatch(in.out)}
-	err := in.walk(c) // may replace c.out as it grows
-	return c.out, err
 }
 
 // walk runs every range through the stages on the process pool and hands the
 // ranges, in order, to c.
 func (in *input) walk(c consumer) error {
 	n := len(in.ranges)
-	in.busy, in.outRows = make([]atomic.Int64, in.consumeStage()+1), make([]atomic.Int64, in.consumeStage()+1)
+	in.openBooks()
 	pool := parallel.Default()
+	in.degree = max(1, min(pool.Degree(), n))
 	ahead := 2 * pool.Degree()
 	// The free list holds every buffer the window lets exist at once: the
 	// ranges running and those ahead of the oldest one.
@@ -454,25 +482,11 @@ func (in *input) walkRange(i int, r *rangeBuf, consume bool) error {
 		r.cur.Pass(cur)
 	}
 	r.cur = cur
-	t := in.prof.now()
+	r.t = in.prof.now()
 	for {
-		b, err := cur.Next(in.ctx)
-		t = in.lap(stageScan, t, 0)
+		_, _, b, sel, err := in.pull(r, 0)
 		if err != nil || b == nil {
 			return err
-		}
-		var sel []int
-		if in.residual != nil {
-			if r.idx, err = filterRows(in.residual, b, r.idx); err != nil {
-				return err
-			}
-			t = in.lap(stageFilter, t, len(r.idx))
-			if len(r.idx) == 0 {
-				continue
-			}
-			if len(r.idx) < b.Len() {
-				sel = r.idx
-			}
 		}
 		r.view.Cols = b.Cols
 		cur := &r.view
@@ -489,7 +503,7 @@ func (in *input) walkRange(i int, r *rangeBuf, consume bool) error {
 				dst.Reset()
 			}
 			n, err := j.probe(in.ctx, cur, sel, dst, r)
-			t = in.lap(stageJoins+k, t, n)
+			r.t = in.lap(stageJoins+k, r.t, n)
 			if err != nil {
 				return err
 			}
@@ -502,7 +516,7 @@ func (in *input) walkRange(i int, r *rangeBuf, consume bool) error {
 			if r.idx, err = filterRows(in.filter, cur, r.idx); err != nil {
 				return err
 			}
-			t = in.lap(in.topStage(), t, len(r.idx))
+			r.t = in.lap(in.topStage(), r.t, len(r.idx))
 			if sel = r.idx; len(sel) == 0 {
 				continue
 			}
@@ -520,7 +534,33 @@ func (in *input) walkRange(i int, r *rangeBuf, consume bool) error {
 				return err
 			}
 		}
-		t = in.lap(in.consumeStage(), t, 0)
+		r.t = in.lap(in.consumeStage(), r.t, 0)
+	}
+}
+
+// pull is a range's scan→residual step: r.cur's next batch holding a row the
+// residual keeps, with the kept rows' positions (nil when it keeps them all),
+// or nil at the range's end. With maxRows > 0 — only where nothing filters —
+// a block row the cursor can hand over stored comes back as its blocks
+// instead (ScanCursor.NextStored). The scan and the filter are booked from
+// r.t on.
+func (in *input) pull(r *rangeBuf, maxRows int) (blocks [][]byte, rows int, b *colstore.Batch, sel []int, err error) {
+	for {
+		blocks, rows, b, err = r.cur.NextStored(in.ctx, maxRows)
+		r.t = in.lap(stageScan, r.t, 0)
+		if err != nil || b == nil || in.residual == nil {
+			return blocks, rows, b, nil, err
+		}
+		if r.idx, err = filterRows(in.residual, b, r.idx); err != nil {
+			return nil, 0, nil, nil, err
+		}
+		r.t = in.lap(stageFilter, r.t, len(r.idx))
+		if len(r.idx) == b.Len() {
+			return nil, 0, b, nil, nil
+		}
+		if len(r.idx) > 0 {
+			return nil, 0, b, r.idx, nil
+		}
 	}
 }
 
@@ -559,8 +599,8 @@ func (in *input) publish(i int, r *rangeBuf, c consumer, consume bool) error {
 
 // finishOps ends the leaf's, the joins' and the top filter's operators with
 // their rows and their shares of the walk: each stage's time summed over the
-// ranges, scaled to the walk's wall time, so the fused operators still sum
-// to it. It returns the consumer's share.
+// ranges (or a function's instances), scaled to the walk's wall time, so the
+// fused operators still sum to it. It returns the consumer's share.
 func (in *input) finishOps() time.Duration {
 	var total int64
 	for i := range in.busy {
@@ -573,12 +613,13 @@ func (in *input) finishOps() time.Duration {
 		return time.Duration(float64(in.wall) * float64(in.busy[stage].Load()) / float64(total))
 	}
 	op, st := in.scanOp, in.stats()
-	op.Parallel = max(1, min(parallel.Default().Degree(), len(in.ranges)))
-	if in.runs {
-		op.Parallel = 1
+	rows := int64(st.RowsOut)
+	if in.scanKept && in.residual != nil {
+		rows = in.outRows[stageFilter].Load()
 	}
+	op.Parallel = in.degree
 	op.charge(share(stageScan))
-	op.doneScan(st, int64(st.RowsOut), in.scanDetail(st))
+	op.doneScan(st, rows, in.scanDetail(st))
 	if op := in.filterOp; op != nil {
 		op.charge(share(stageFilter))
 		op.Done(in.outRows[stageFilter].Load(), fmt.Sprintf("residual WHERE %s", in.residual.String()))
@@ -796,8 +837,8 @@ func (f *aggFold) foldRuns() error {
 	if in.pending != nil {
 		return in.pending
 	}
-	in.runs = true
-	in.busy, in.outRows = make([]atomic.Int64, in.consumeStage()+1), make([]atomic.Int64, in.consumeStage()+1)
+	in.runs, in.degree = true, 1
+	in.openBooks()
 	f.part = newAggPartialAcc(f.plans, f.keyTypes, f.outTypes)
 	b := &aggBlock{keys: make([]colstore.BlockCol, len(f.keys)), args: make([]colstore.BlockCol, len(f.args))}
 	runs := 0

@@ -479,7 +479,9 @@ func TestStreamedWalkCancels(t *testing.T) {
 // TestChaosStreamedWalkFaults: every cursor range is a pool task and passes
 // the parallel.task fault site — an injected failure fails the statement, and
 // stragglers change no bit of the result. The index statement reads one
-// index range from each of three segments.
+// index range from each of three segments; the PARTITION BEST statement's
+// tasks are its twelve function instances, each pulling its own block range
+// through the residual.
 func TestChaosStreamedWalkFaults(t *testing.T) {
 	defer parallel.SetDefaultDegree(0)
 	parallel.SetDefaultDegree(4)
@@ -488,10 +490,15 @@ func TestChaosStreamedWalkFaults(t *testing.T) {
 	if p, err := plan.Build(selStmt(t, indexSQL), full); err != nil || coreNode(p).Children[0].Op != plan.OpIndexScan {
 		t.Fatalf("%s: not an index scan (%v)", indexSQL, err)
 	}
+	fn := newStreamDB(t, []int{3000, 3000, 3000}, 64, 4)
+	if err := fn.reg.Register("PartSum", func() udf.Transform { return sumTransform{} }); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		db  Database
 		sql string
-	}{{db, streamQueries[0]}, {db, streamQueries[7]}, {db, streamQueries[14]}, {full, indexSQL}} {
+	}{{db, streamQueries[0]}, {db, streamQueries[7]}, {db, streamQueries[14]}, {full, indexSQL},
+		{fn, "SELECT PartSum(w) OVER (PARTITION BEST) FROM t WHERE x * 1 >= 100"}} {
 		db, sql := tc.db, tc.sql
 		want, err := RunSelectCtx(context.Background(), db, selStmt(t, sql))
 		if err != nil {
