@@ -16,7 +16,7 @@ import (
 func AppendChunk(dst, scratch []byte, b *Batch) (chunk, grown []byte, err error) {
 	dst = binary.AppendUvarint(dst, uint64(len(b.Cols)))
 	for _, col := range b.Cols {
-		blk, err := AppendBlock(scratch[:0], col, BestEncoding(col))
+		blk, _, err := appendColumn(scratch[:0], col, false)
 		if err != nil {
 			return nil, scratch, err
 		}
@@ -25,6 +25,65 @@ func AppendChunk(dst, scratch []byte, b *Batch) (chunk, grown []byte, err error)
 		dst = append(dst, blk...)
 	}
 	return dst, scratch, nil
+}
+
+// ChunkParts returns byte slices that concatenate to exactly the chunk
+// AppendChunk writes for b, without copying the values a block can be
+// written from in place: a PLAIN INTEGER or FLOAT block's payload on a
+// little-endian host is a part of its own, the vector's memory. Everything
+// else — the column count, block lengths and headers, every other encoding —
+// is appended to buf, whose grown form is returned for the caller's next
+// call, on errors too. The parts alias b and buf: they are valid while
+// neither is written.
+func ChunkParts(buf []byte, b *Batch) (parts [][]byte, grown []byte, err error) {
+	from := len(buf)
+	buf = binary.AppendUvarint(buf, uint64(len(b.Cols)))
+	var cuts []int      // per part of values: where buf's bytes before it end
+	var values [][]byte // those parts
+	for _, col := range b.Cols {
+		start := len(buf)
+		blk, vals, err := appendColumn(buf, col, true)
+		if err != nil {
+			return nil, buf, err
+		}
+		buf = insertUvarint(blk, start, uint64(len(blk)-start+len(vals)))
+		if len(vals) > 0 {
+			cuts, values = append(cuts, len(buf)), append(values, vals)
+		}
+	}
+	for i, cut := range cuts {
+		parts = append(parts, buf[from:cut:cut], values[i])
+		from = cut
+	}
+	if from < len(buf) {
+		parts = append(parts, buf[from:])
+	}
+	return parts, buf, nil
+}
+
+// appendColumn is a chunk's per-column step: col's block, in its best
+// encoding, appended to buf. With byRef, a block whose payload is the
+// vector's own memory (plainWords) stops after its header, and the payload
+// is returned as values instead of copied.
+func appendColumn(buf []byte, col *Vector, byRef bool) (out, values []byte, err error) {
+	enc := BestEncoding(col)
+	if byRef && enc == EncPlain {
+		if values = plainWords(col); values != nil {
+			return appendBlockHeader(buf, col, enc), values, nil
+		}
+	}
+	out, err = AppendBlock(buf, col, enc)
+	return out, nil, err
+}
+
+// insertUvarint inserts x, as a uvarint, at buf[at], shifting what follows.
+func insertUvarint(buf []byte, at int, x uint64) []byte {
+	var enc [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(enc[:], x)
+	buf = append(buf, enc[:n]...)
+	copy(buf[at+n:], buf[at:])
+	copy(buf[at:], enc[:n])
+	return buf
 }
 
 // AppendStoredChunk appends to dst the chunk whose columns are the given

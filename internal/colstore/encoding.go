@@ -51,8 +51,7 @@ func EncodeBlock(v *Vector, enc Encoding) ([]byte, error) {
 // slice. With a buf of sufficient capacity the encode allocates nothing; this
 // is the form the pooled transfer path uses.
 func AppendBlock(buf []byte, v *Vector, enc Encoding) ([]byte, error) {
-	buf = append(buf, byte(v.Type), byte(enc))
-	buf = binary.AppendUvarint(buf, uint64(v.Len()))
+	buf = appendBlockHeader(buf, v, enc)
 	var err error
 	switch enc {
 	case EncPlain:
@@ -70,6 +69,11 @@ func AppendBlock(buf []byte, v *Vector, enc Encoding) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+func appendBlockHeader(buf []byte, v *Vector, enc Encoding) []byte {
+	buf = append(buf, byte(v.Type), byte(enc))
+	return binary.AppendUvarint(buf, uint64(v.Len()))
 }
 
 // BestEncoding picks an encoding for the vector by inspecting its contents:
@@ -175,19 +179,51 @@ func wordBytes[T int64 | float64](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 8*len(s))
 }
 
-func encodePlain(buf []byte, v *Vector) ([]byte, error) {
+// plainWords is a PLAIN INTEGER or FLOAT payload as the vector's own memory,
+// on a host where that memory already is the payload; nil otherwise.
+func plainWords(v *Vector) []byte {
+	if !hostLittleEndian {
+		return nil
+	}
 	switch v.Type {
 	case TypeInt64:
-		if hostLittleEndian {
-			return append(buf, wordBytes(v.Ints)...), nil
-		}
+		return wordBytes(v.Ints)
+	case TypeFloat64:
+		return wordBytes(v.Floats)
+	}
+	return nil
+}
+
+// Box stores vs[i] in dst[i*stride], boxed without an allocation: each
+// interface's data word points at vs[i] itself, where a conversion to any
+// would point at a fresh copy. The interfaces alias vs, so vs must never be
+// written again — Go treats what an interface holds as immutable. The layout
+// written here (a type word, then a data word pointing at the value) is the
+// runtime's own; the boxing-safety test in internal/server fails if it ever
+// changes.
+func Box[T float64 | string](dst []any, stride int, vs []T) {
+	var zero any = *new(T)
+	typ := (*eface)(unsafe.Pointer(&zero)).typ
+	for i := range vs {
+		*(*eface)(unsafe.Pointer(&dst[i*stride])) = eface{typ: typ, data: unsafe.Pointer(&vs[i])}
+	}
+}
+
+// eface is the runtime's layout of an empty interface.
+type eface struct {
+	typ, data unsafe.Pointer
+}
+
+func encodePlain(buf []byte, v *Vector) ([]byte, error) {
+	if words := plainWords(v); words != nil {
+		return append(buf, words...), nil
+	}
+	switch v.Type {
+	case TypeInt64:
 		for _, x := range v.Ints {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
 		}
 	case TypeFloat64:
-		if hostLittleEndian {
-			return append(buf, wordBytes(v.Floats)...), nil
-		}
 		for _, x := range v.Floats {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
 		}

@@ -23,6 +23,9 @@ import (
 // Ownership: a decoded body aliases the connection's read buffer. On the
 // server it is valid until the handler returns, on the client until the next
 // call on that Client — decode before you return, the contract Hub.Send has.
+// An outgoing body may alias what it was written from — a result's body is
+// the result's own columns where they are the chunk's bytes — so what a
+// frame holds is not written until the frame is sent.
 
 // keepBufBytes is the largest frame buffer a connection keeps between
 // frames: it reuses one buffer across its small requests without pinning the
@@ -38,8 +41,9 @@ func kept(buf []byte) []byte {
 }
 
 // outFrame is a connection's outgoing frame: parts is the head — header
-// length, then header — followed by the bodies; head is the buffer the
-// connection's next head reuses.
+// length, then header — followed by the bodies' bytes, one part a body or a
+// body in several parts; head is the buffer the connection's next head
+// reuses.
 type outFrame struct {
 	parts [][]byte
 	head  []byte
@@ -52,6 +56,23 @@ func (f *outFrame) set(header any, lens *[]int, bodies [][]byte) error {
 	for _, b := range bodies {
 		*lens = append(*lens, len(b))
 	}
+	return f.frame(header, bodies)
+}
+
+// setBody makes header and one body the frame, the body given as parts that
+// concatenate to it — a result's chunk written from the result's own columns
+// (colstore.ChunkParts) — and *lens set to its one length first.
+func (f *outFrame) setBody(header any, lens *[]int, parts [][]byte) error {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	*lens = []int{n}
+	return f.frame(header, parts)
+}
+
+// frame makes header, then the bodies' bytes, the frame.
+func (f *outFrame) frame(header any, bodies [][]byte) error {
 	hdr, err := json.Marshal(header)
 	if err != nil {
 		return err

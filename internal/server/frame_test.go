@@ -62,6 +62,11 @@ func TestOversizedResponseIsAnErrorFrame(t *testing.T) {
 	if !strings.Contains(err.Error(), "exceeds the 16384-byte frame limit") || !strings.Contains(err.Error(), "response of 4") {
 		t.Fatalf("error does not name the size and the limit: %v", err)
 	}
+	// A second FLOAT column is a second part written from its column: the
+	// limit counts every part.
+	if _, err = c.Query(ctx, `SELECT x, x + 1 AS y FROM big`); err == nil || !strings.Contains(err.Error(), "exceeds the 16384-byte frame limit") || !strings.Contains(err.Error(), "response of 8") {
+		t.Fatalf("an 80 KB result of two FLOAT columns against a 16 KB frame limit: %v", err)
+	}
 	rows, err := c.Query(ctx, `SELECT count(*) FROM big`)
 	if err != nil {
 		t.Fatalf("connection unusable after an oversized response: %v", err)

@@ -263,20 +263,27 @@ func (t *TCPServer) handle(conn net.Conn) {
 	}
 }
 
-// response is one connection's outgoing frame and the buffer a result's
-// chunk is encoded into, both reused by the connection's next response.
+// response is one connection's outgoing frame and the buffer for what of a
+// result's chunk is not written from the result itself, both reused by the
+// connection's next response.
 type response struct {
 	outFrame
 	chunk []byte
 }
 
-// respond frames h and bodies as the response. What cannot be framed — a
-// reply that does not marshal, a frame over the limit — becomes the error
-// frame saying so: the connection stays in step, and the client gets a coded
-// error instead of a dead socket, which it would answer by re-running the
-// statement on every other node.
-func (r *response) respond(maxFrame int, h protoResponse, bodies [][]byte) {
-	err := r.set(&h, &h.Bodies, bodies)
+// respond frames h and bodies as the response — with one, bodies are the
+// parts of a single body. What cannot be framed — a reply that does not
+// marshal, a frame over the limit — becomes the error frame saying so: the
+// connection stays in step, and the client gets a coded error instead of a
+// dead socket, which it would answer by re-running the statement on every
+// other node.
+func (r *response) respond(maxFrame int, h protoResponse, bodies [][]byte, one bool) {
+	var err error
+	if one {
+		err = r.setBody(&h, &h.Bodies, bodies)
+	} else {
+		err = r.set(&h, &h.Bodies, bodies)
+	}
 	if size := r.size(); err == nil && size > maxFrame {
 		err = fmt.Errorf("server: response of %d bytes exceeds the %d-byte frame limit", size, maxFrame)
 	}
@@ -295,7 +302,7 @@ func (t *TCPServer) serve(frame []byte, out *response) {
 	var req protoRequest
 	bodies, err := decodeFrame(frame, &req, &req.Bodies)
 	if err != nil {
-		out.respond(t.maxFrame, errResponse(fmt.Errorf("bad request: %v", err)), nil)
+		out.respond(t.maxFrame, errResponse(fmt.Errorf("bad request: %v", err)), nil, false)
 		return
 	}
 	ctx := context.Background()
@@ -320,18 +327,21 @@ func (t *TCPServer) serve(frame []byte, out *response) {
 	if err == nil && reply != nil {
 		resp.Ext, err = json.Marshal(reply)
 	}
+	// A result is the one body, written from its own columns where their
+	// memory is the chunk's bytes: the frame holds the batch until it is sent.
+	one := false
 	if err == nil && res != nil && res.Batch != nil && len(res.Batch.Schema) > 0 {
 		resp.Schema, resp.Profile = res.Batch.Schema, res.Profile.Export()
-		out.chunk, err = vft.EncodeChunkInto(out.chunk[:0], res.Batch)
-		bodies = [][]byte{out.chunk}
+		bodies, out.chunk, err = colstore.ChunkParts(out.chunk[:0], res.Batch)
+		one = true
 		if enc != nil {
 			enc.SetAttr("rows", strconv.Itoa(res.Batch.Len()))
 		}
 	}
 	if err != nil {
-		resp, bodies = errResponse(err), nil
+		resp, bodies, one = errResponse(err), nil, false
 	}
-	out.respond(t.maxFrame, resp, bodies)
+	out.respond(t.maxFrame, resp, bodies, one)
 	if enc != nil {
 		enc.SetAttr("bytes", strconv.Itoa(out.size()))
 		enc.End()
@@ -501,9 +511,12 @@ func (c *Client) roundTrip(ctx context.Context, req protoRequest, bodies [][]byt
 //
 // Values arrive typed by their column: FLOAT as float64, bit-exact (NaN
 // payloads, ±Inf and -0.0 included), VARCHAR as string, byte-exact, BOOLEAN
-// as bool — and INTEGER as float64 too, exact only to 2^53: the form clients
-// have always been handed, kept until the benchmark's checks stop reading
-// counts as float64.
+// as bool — and INTEGER as float64 too, exact only to 2^53 (rounded as
+// float64(v) rounds): the form clients have always been handed, kept until
+// the benchmark's checks stop reading counts as float64. Boxing a value does
+// not allocate: a cell points into the column the response decoded into, so
+// the rows of one result share a few large allocations, held until the last
+// cell is dropped.
 type Rows struct {
 	Cols    []string
 	Rows    [][]any
@@ -546,38 +559,42 @@ func (resp *protoResponse) batch(bodies [][]byte) (*colstore.Batch, error) {
 	return vft.DecodeChunk(bodies[0], resp.Schema)
 }
 
-// boxRows turns a result batch into boxed rows a column at a time: one typed
-// loop per column, every row a window of one slab.
+// boxRows turns a result batch into boxed rows a column at a time, every row
+// a window of one slab, without an allocation per value: FLOAT and VARCHAR
+// cells point into b's own columns (colstore.Box; b is the batch the client
+// just decoded, never written again), INTEGER cells into one float64
+// conversion of their column, and a BOOLEAN boxes without allocating anyway.
 func boxRows(b *colstore.Batch) (cols []string, rows [][]any) {
 	n, w := b.Len(), len(b.Cols)
 	cols = make([]string, w)
+	for j := range cols {
+		cols[j] = b.Schema[j].Name
+	}
+	if n == 0 {
+		return cols, nil
+	}
 	slab := make([]any, n*w)
 	for j, col := range b.Cols {
-		cols[j] = b.Schema[j].Name
 		switch col.Type {
 		case colstore.TypeInt64:
+			fs := make([]float64, n)
 			for i, v := range col.Ints {
-				slab[i*w+j] = float64(v)
+				fs[i] = float64(v)
 			}
+			colstore.Box(slab[j:], w, fs)
 		case colstore.TypeFloat64:
-			for i, v := range col.Floats {
-				slab[i*w+j] = v
-			}
+			colstore.Box(slab[j:], w, col.Floats)
 		case colstore.TypeString:
-			for i, v := range col.Strs {
-				slab[i*w+j] = v
-			}
+			colstore.Box(slab[j:], w, col.Strs)
 		case colstore.TypeBool:
 			for i, v := range col.Bools {
 				slab[i*w+j] = v
 			}
 		}
 	}
-	if n > 0 {
-		rows = make([][]any, n)
-		for i := range rows {
-			rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
-		}
+	rows = make([][]any, n)
+	for i := range rows {
+		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
 	}
 	return cols, rows
 }

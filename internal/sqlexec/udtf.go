@@ -187,14 +187,14 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 	rows := 0
 	var stored, decoded int // what instances that asked for stored blocks were handed
 	for _, p := range parts {
-		rows += p.out.Out.Len()
+		rows += p.out.Rows()
 		if s, ok := p.in.(*blockStream); ok {
 			stored, decoded = stored+s.stored, decoded+s.decoded
 		}
 	}
 	merged := colstore.NewBatchCap(outSchema, rows)
 	for _, p := range parts {
-		if err := merged.AppendBatch(p.out.Out); err != nil {
+		if err := p.out.AppendTo(merged); err != nil {
 			return nil, err
 		}
 	}

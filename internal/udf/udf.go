@@ -210,17 +210,20 @@ func (s *SliceReader) Next() (*colstore.Batch, error) {
 	return b, nil
 }
 
-// AppendWriter accumulates written rows by value into one owned batch. Not
-// safe for concurrent use: give each partition its own AppendWriter and
-// merge the results in partition order for deterministic output.
+// AppendWriter keeps written rows by value: each written batch becomes one
+// exact-size copy, and AppendTo concatenates the copies once, into a batch
+// its caller sized from Rows — nothing grows by doubling. Not safe for
+// concurrent use: give each partition its own AppendWriter and append their
+// rows in partition order for deterministic output.
 type AppendWriter struct {
-	Out *colstore.Batch
+	schema colstore.Schema
+	parts  []*colstore.Batch
+	rows   int
 }
 
-// NewAppendWriter returns a writer accumulating into an empty batch of the
-// given schema.
+// NewAppendWriter returns a writer of rows of the given schema.
 func NewAppendWriter(schema colstore.Schema) *AppendWriter {
-	return &AppendWriter{Out: colstore.NewBatch(schema)}
+	return &AppendWriter{schema: schema}
 }
 
 // Write implements BatchWriter; the batch is copied, never retained.
@@ -228,5 +231,25 @@ func (a *AppendWriter) Write(b *colstore.Batch) error {
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("udf: output batch invalid: %w", err)
 	}
-	return a.Out.AppendBatch(b)
+	part := colstore.NewBatchCap(a.schema, b.Len())
+	if err := part.AppendBatch(b); err != nil {
+		return err
+	}
+	if n := part.Len(); n > 0 {
+		a.parts, a.rows = append(a.parts, part), a.rows+n
+	}
+	return nil
+}
+
+// Rows is the number of rows written so far.
+func (a *AppendWriter) Rows() int { return a.rows }
+
+// AppendTo appends every written row to dst, in write order.
+func (a *AppendWriter) AppendTo(dst *colstore.Batch) error {
+	for _, p := range a.parts {
+		if err := dst.AppendBatch(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }

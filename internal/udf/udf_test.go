@@ -73,7 +73,10 @@ func TestTransformEndToEnd(t *testing.T) {
 	if err := d.ProcessPartition(&Ctx{}, NewSliceReader(b1, b2), w); err != nil {
 		t.Fatal(err)
 	}
-	res := w.Out
+	res := colstore.NewBatch(outSchema)
+	if err := w.AppendTo(res); err != nil {
+		t.Fatal(err)
+	}
 	want := []float64{2, 4, 6}
 	if res.Len() != 3 {
 		t.Fatalf("got %d rows", res.Len())
@@ -155,12 +158,16 @@ func TestAppendWriterCopiesAndReuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []float64{1.5, 2.5, -7, -8}
-	if w.Out.Len() != len(want) {
-		t.Fatalf("accumulated %d rows, want %d", w.Out.Len(), len(want))
+	out := colstore.NewBatch(schema)
+	if err := w.AppendTo(out); err != nil {
+		t.Fatal(err)
+	}
+	if w.Rows() != len(want) || out.Len() != len(want) {
+		t.Fatalf("accumulated %d rows (Rows says %d), want %d", out.Len(), w.Rows(), len(want))
 	}
 	for i, v := range want {
-		if w.Out.Cols[0].Floats[i] != v {
-			t.Fatalf("row %d = %v, want %v", i, w.Out.Cols[0].Floats[i], v)
+		if out.Cols[0].Floats[i] != v {
+			t.Fatalf("row %d = %v, want %v", i, out.Cols[0].Floats[i], v)
 		}
 	}
 	// Invalid batches are rejected.
