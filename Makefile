@@ -37,7 +37,8 @@ difftest-short:
 # the SQL parser (the planner consumes whatever the parser yields,
 # so parse robustness is tier-1), the router's import of shard partials, the
 # peer's decode of a join's broadcast build tables, the serving frame
-# decoder on both ends of a connection, the block decoder and the transfer
+# decoder on both ends of a connection (internal/wire's codec, driven
+# through the server's listener), the block decoder and the transfer
 # hub's decode of a message, a run of chunks (bytes off a socket, all five),
 # and the fit kernels bitwise against the row loops they replaced; enough to
 # replay each corpus and explore a little.
@@ -80,7 +81,9 @@ test:
 	$(GO) test ./...
 
 # Race-check the packages with real shared-state concurrency: the
-# telemetry registry, the vft staging hub + pooled export pipeline, the dr
+# telemetry registry, the one TCP transport (wire: listener, pooled clients,
+# the shared frame-buffer pool), the vft staging hub + pooled export
+# pipeline, the dr
 # scheduler, the yarn resource manager, the simulated network, the fault
 # injector, the intra-node parallel execution engine (worker pool, cursor
 # ranges walked as pool tasks with their in-order hand-off, chunked
@@ -100,7 +103,7 @@ race:
 		./internal/udf/... ./internal/darray/... ./internal/catalog/... \
 		./internal/server/... ./internal/core/... \
 		./internal/wal/... ./internal/txn/... ./internal/vertica/... \
-		./internal/cluster/...
+		./internal/cluster/... ./internal/wire/...
 
 # The one performance harness (benchmark/README.md): one fixed-seed run of
 # every workload BENCHMARK.json names, at the run length it declares.
@@ -126,14 +129,16 @@ bench-figures:
 
 # Chaos suite: the recovery-path tests (fault injection, retransmission,
 # dedup, worker failover, session reaping, stalled and failing cursor-range
-# tasks of a streamed query) under the race detector. Seeds are fixed inside
+# tasks of a streamed query, round trips cut short by their context) under
+# the race detector. Seeds are fixed inside
 # the tests, so failures reproduce exactly.
 .PHONY: chaos
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Recover|Injected|Fault|Retr|Abort|Reap|FailWorker|Idempotent|Timeout|Survives|Failover' \
+	$(GO) test -race -count=1 -run 'Chaos|Recover|Injected|Fault|Retr|Abort|Reap|FailWorker|Idempotent|Timeout|Deadline|Silent|Survives|Failover' \
 		./internal/faults/... ./internal/vft/... ./internal/dr/... ./internal/yarn/... ./internal/odbc/... \
 		./internal/parallel/... ./internal/colstore/... ./internal/sqlexec/... ./internal/models/... \
-		./internal/udf/... ./internal/server/... ./internal/wal/... ./internal/vertica/... ./internal/cluster/...
+		./internal/udf/... ./internal/server/... ./internal/wal/... ./internal/vertica/... ./internal/cluster/... \
+		./internal/wire/...
 
 # Crash-recovery suite: injected crashes at the WAL append/fsync/checkpoint
 # boundaries, torn-tail handling, checkpoint replay, MVCC snapshot isolation

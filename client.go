@@ -13,6 +13,7 @@ import (
 	"verticadr/internal/server"
 	"verticadr/internal/sqlparse"
 	"verticadr/internal/verr"
+	"verticadr/internal/wire"
 )
 
 // ClusterConfig describes the vdr-serve endpoints a Client talks to. One
@@ -131,7 +132,7 @@ func transportFailure(err error) bool {
 // do runs fn over the active connection. Idempotent calls retry on the
 // next node after a transport failure, up to once per configured address.
 // Non-idempotent calls retry only when the failure happened before the
-// request reached the node (server.RequestNotSent) — re-running is then
+// request reached the node (wire.RequestNotSent) — re-running is then
 // provably safe; any later failure leaves the outcome unknown and must
 // surface to the caller.
 func (c *Client) do(ctx context.Context, idempotent bool, fn func(*server.Client) error) error {
@@ -155,7 +156,7 @@ func (c *Client) do(ctx context.Context, idempotent bool, fn func(*server.Client
 		c.conn = nil
 		c.at = (c.at + 1) % len(c.cfg.Addrs)
 		lastErr = err
-		if !idempotent && !server.RequestNotSent(err) {
+		if !idempotent && !wire.RequestNotSent(err) {
 			return err
 		}
 	}

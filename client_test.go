@@ -14,7 +14,7 @@ import (
 	"verticadr/internal/cluster"
 	"verticadr/internal/core"
 	"verticadr/internal/server"
-	"verticadr/internal/vft"
+	"verticadr/internal/wire"
 )
 
 // An in-process 2-node cluster behind the public API: Dial with several
@@ -186,7 +186,7 @@ func startReplyLossNode(t *testing.T) string {
 				defer conn.Close()
 				var buf []byte
 				for {
-					frame, err := vft.ReadFrame(conn, buf)
+					frame, err := wire.ReadFrame(conn, buf)
 					if err != nil {
 						return
 					}
@@ -200,7 +200,7 @@ func startReplyLossNode(t *testing.T) string {
 						return // drop the connection: outcome unknown
 					}
 					resp, _ := json.Marshal(map[string]string{"code": "ok"})
-					if vft.WriteFrame(conn, binary.LittleEndian.AppendUint32(nil, uint32(len(resp))), resp) != nil {
+					if wire.WriteFrame(conn, binary.LittleEndian.AppendUint32(nil, uint32(len(resp))), resp) != nil {
 						return
 					}
 				}

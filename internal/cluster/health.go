@@ -4,7 +4,7 @@ import (
 	"context"
 	"time"
 
-	"verticadr/internal/server"
+	"verticadr/internal/wire"
 )
 
 // ProbeHealth dials each address directly and collects its self-report:
@@ -15,16 +15,9 @@ func ProbeHealth(ctx context.Context, addrs []string, dialTimeout time.Duration)
 	out := make([]NodeHealth, len(addrs))
 	for i, addr := range addrs {
 		out[i] = NodeHealth{Node: i, Addr: addr}
-		c, err := server.DialTimeout(addr, dialTimeout)
-		if err != nil {
-			continue
+		if rep, err := askHealth(ctx, addr, dialTimeout); err == nil {
+			out[i].Up, out[i].Shards = true, rep.Shards
 		}
-		var rep healthReply
-		if _, err := c.Call(ctx, opHealth, struct{}{}, nil, &rep); err == nil {
-			out[i].Up = true
-			out[i].Shards = rep.Shards
-		}
-		_ = c.Close()
 	}
 	return out
 }
@@ -37,16 +30,20 @@ func ProbeHealth(ctx context.Context, addrs []string, dialTimeout time.Duration)
 // are probed as-is.
 func DiscoverHealth(ctx context.Context, addrs []string, dialTimeout time.Duration) []NodeHealth {
 	for _, addr := range addrs {
-		c, err := server.DialTimeout(addr, dialTimeout)
-		if err != nil {
-			continue
-		}
-		var rep healthReply
-		_, err = c.Call(ctx, opHealth, struct{}{}, nil, &rep)
-		_ = c.Close()
-		if err == nil && len(rep.Peers) > 0 {
+		if rep, err := askHealth(ctx, addr, dialTimeout); err == nil && len(rep.Peers) > 0 {
 			return ProbeHealth(ctx, rep.Peers, dialTimeout)
 		}
 	}
 	return ProbeHealth(ctx, addrs, dialTimeout)
+}
+
+// askHealth makes one cl.health round trip on a fresh connection.
+func askHealth(ctx context.Context, addr string, dialTimeout time.Duration) (rep healthReply, err error) {
+	c, err := wire.Dial(addr, dialTimeout)
+	if err != nil {
+		return rep, err
+	}
+	defer c.Close()
+	_, err = c.Call(ctx, opHealth, struct{}{}, nil, &rep)
+	return rep, err
 }

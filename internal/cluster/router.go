@@ -17,6 +17,7 @@ import (
 	"verticadr/internal/telemetry"
 	"verticadr/internal/verr"
 	"verticadr/internal/vertica"
+	"verticadr/internal/wire"
 )
 
 var (
@@ -66,7 +67,7 @@ type Config struct {
 type Router struct {
 	topo  Topology
 	cfg   Config
-	pools []*pool
+	pools []*wire.Pool
 
 	// buildLimit is maxJoinBuildBytes (a field so tests can lower it).
 	buildLimit int
@@ -123,7 +124,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		probeStop:  make(chan struct{}),
 	}
 	for i, addr := range topo.Addrs {
-		r.pools = append(r.pools, &pool{addr: addr, dialTimeout: cfg.DialTimeout})
+		r.pools = append(r.pools, wire.NewPool(addr, cfg.DialTimeout))
 		r.stale[i] = make([]bool, topo.Shards)
 		r.epochs[i] = -1
 		gPeerUp(i).Set(1)
@@ -150,7 +151,7 @@ func (r *Router) Close() {
 	close(r.probeStop)
 	r.probeWG.Wait()
 	for _, p := range r.pools {
-		p.closeAll()
+		p.Flush()
 	}
 }
 
@@ -195,7 +196,7 @@ func (r *Router) markDown(peer int) {
 	if !was {
 		// Idle connections to a dead peer are dead too; drop them so the
 		// restored peer starts from fresh dials instead of failing calls.
-		r.pools[peer].flush()
+		r.pools[peer].Flush()
 		gPeerUp(peer).Set(0)
 		mFailovers.Inc()
 	}
@@ -247,10 +248,10 @@ func (r *Router) probeLoop() {
 			// Probe over a fresh dial: any idle connection to a peer that
 			// was marked down predates the outage and proves nothing.
 			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.DialTimeout)
-			c, err := r.pools[peer].dial()
+			c, err := r.pools[peer].Dial()
 			if err == nil {
 				if err = c.Ping(ctx); err == nil {
-					r.pools[peer].put(c)
+					r.pools[peer].Put(c)
 					r.markUp(peer)
 				} else {
 					_ = c.Close()
@@ -293,7 +294,7 @@ type rpc struct {
 	recv       func(bodies [][]byte) error
 }
 
-func (call *rpc) on(ctx context.Context, c *server.Client) error {
+func (call *rpc) on(ctx context.Context, c *wire.Client) error {
 	out, err := c.Call(ctx, call.op, call.payload, call.bodies, call.reply)
 	if err == nil && call.recv != nil {
 		err = call.recv(out)
@@ -309,21 +310,21 @@ func (call *rpc) on(ctx context.Context, c *server.Client) error {
 // down. So when a *pooled* connection fails, the call retries once on a
 // freshly dialed connection (flushing the idle siblings, which predate the
 // same restart): always when the request provably never reached the peer
-// (server.RequestNotSent), and on any connection-level failure when the op
+// (wire.RequestNotSent), and on any connection-level failure when the op
 // is idempotent. Only the fresh connection's verdict classifies the peer.
 func (r *Router) peerCall(ctx context.Context, peer int, call rpc) error {
-	c, pooled, err := r.pools[peer].get()
+	c, pooled, err := r.pools[peer].Get()
 	if err != nil {
 		return err
 	}
 	err = call.on(ctx, c)
 	if err != nil {
 		_ = c.Close()
-		if !pooled || !(server.RequestNotSent(err) || (call.idempotent && connFailure(err))) {
+		if !pooled || !(wire.RequestNotSent(err) || (call.idempotent && connFailure(err))) {
 			return err
 		}
-		r.pools[peer].flush()
-		if c, err = r.pools[peer].dial(); err != nil {
+		r.pools[peer].Flush()
+		if c, err = r.pools[peer].Dial(); err != nil {
 			return err
 		}
 		if err = call.on(ctx, c); err != nil {
@@ -331,7 +332,7 @@ func (r *Router) peerCall(ctx context.Context, peer int, call rpc) error {
 			return err
 		}
 	}
-	r.pools[peer].put(c)
+	r.pools[peer].Put(c)
 	r.sawReply(peer, call.reply)
 	return nil
 }

@@ -13,7 +13,7 @@ import (
 	"verticadr/internal/colstore"
 	"verticadr/internal/server"
 	"verticadr/internal/verr"
-	"verticadr/internal/vft"
+	"verticadr/internal/wire"
 )
 
 // Regression tests for the router's failure classification: which errors
@@ -158,7 +158,7 @@ func startSheddingPeer(t *testing.T) string {
 				defer conn.Close()
 				var buf []byte
 				for {
-					frame, err := vft.ReadFrame(conn, buf)
+					frame, err := wire.ReadFrame(conn, buf)
 					if err != nil {
 						return
 					}
@@ -166,7 +166,7 @@ func startSheddingPeer(t *testing.T) string {
 					resp, _ := json.Marshal(map[string]string{
 						"code": verr.CodeOverloaded, "msg": "admission shed",
 					})
-					if vft.WriteFrame(conn, binary.LittleEndian.AppendUint32(nil, uint32(len(resp))), resp) != nil {
+					if wire.WriteFrame(conn, binary.LittleEndian.AppendUint32(nil, uint32(len(resp))), resp) != nil {
 						return
 					}
 				}
@@ -237,54 +237,4 @@ func TestPooledConnSurvivesPeerRestart(t *testing.T) {
 			t.Fatalf("restarted peer marked down: %+v", h)
 		}
 	}
-}
-
-// The idle pool is bounded and ages connections out.
-func TestPoolCapAndTTL(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			_ = conn
-		}
-	}()
-	p := &pool{addr: l.Addr().String(), dialTimeout: time.Second}
-	for i := 0; i < poolMaxIdle+3; i++ {
-		c, err := p.dial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.put(c)
-	}
-	if got := len(p.idle); got != poolMaxIdle {
-		t.Fatalf("idle after overfill = %d, want cap %d", got, poolMaxIdle)
-	}
-	c, pooled, err := p.get()
-	if err != nil || !pooled {
-		t.Fatalf("get from warm pool = (pooled=%v, err=%v), want pooled", pooled, err)
-	}
-	p.put(c)
-	// Age every idle connection past the TTL: the next get must discard
-	// them all and dial fresh.
-	p.mu.Lock()
-	for i := range p.idle {
-		p.idle[i].since = time.Now().Add(-poolIdleTTL - time.Minute)
-	}
-	p.mu.Unlock()
-	c, pooled, err = p.get()
-	if err != nil || pooled {
-		t.Fatalf("get over expired pool = (pooled=%v, err=%v), want fresh dial", pooled, err)
-	}
-	_ = c.Close()
-	if got := len(p.idle); got != 0 {
-		t.Fatalf("idle after TTL sweep = %d, want 0", got)
-	}
-	p.closeAll()
 }

@@ -7,12 +7,14 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net"
 	"testing"
 
 	"verticadr/internal/colstore"
 	"verticadr/internal/sqlexec"
 	"verticadr/internal/verr"
 	"verticadr/internal/vft"
+	"verticadr/internal/wire"
 )
 
 // fuzzFront answers the SQL ops without an engine: a fixed two-row result of
@@ -41,7 +43,8 @@ func (fuzzExt) ServeExt(_ context.Context, _ string, _ json.RawMessage, bodies [
 }
 
 // FuzzDecodeFrame feeds arbitrary bytes to both ends of a connection — as a
-// request frame to the server, as a response frame to the client's decoder:
+// request frame to a listening server, as a response frame to the client's
+// decoder:
 // a header length past the frame, body lengths that are negative, overrun the
 // frame or leave bytes over, a schema its chunk disagrees with, a schema of
 // no storable type, a result announced with no body. None may panic; decoded
@@ -68,15 +71,19 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	frame := func(header any, lens *[]int, bodies ...[]byte) []byte {
-		var out outFrame
-		if err := out.set(header, lens, bodies); err != nil {
+		w, err := encodeFrame(header, lens, bodies)
+		if err != nil {
 			f.Fatal(err)
 		}
-		return bytes.Join(out.parts, nil)
+		return w
+	}
+	profile, err := json.Marshal(sqlexec.ProfileExport{Query: "q", TotalNS: 7})
+	if err != nil {
+		f.Fatal(err)
 	}
 	// The encoder's own frames must re-encode to themselves, byte for byte.
 	var lens []int
-	for _, req := range []protoRequest{
+	for _, req := range []wire.Request{
 		{Op: "ping"},
 		{Op: "query", SQL: "SELECT 1 < 2", TimeoutMS: 50, Trace: "1f", Span: "2a"},
 		{Op: "execute", Name: "p", Args: []json.RawMessage{[]byte(`1`), []byte(`"a"`), []byte(`true`), []byte(`0.5`)}},
@@ -87,16 +94,16 @@ func FuzzDecodeFrame(f *testing.F) {
 			bodies = append(bodies, chunk[:n])
 		}
 		w := frame(&req, &req.Bodies, bodies...)
-		var got protoRequest
-		if bodies, err := decodeFrame(w, &got, &got.Bodies); err != nil || !bytes.Equal(frame(&got, &got.Bodies, bodies...), w) {
+		var got wire.Request
+		if bodies, err := wire.DecodeFrame(w, &got, &got.Bodies); err != nil || !bytes.Equal(frame(&got, &got.Bodies, bodies...), w) {
 			f.Fatalf("request frame %q does not re-encode to itself: %v", w, err)
 		}
 		f.Add(w)
 	}
-	for _, resp := range []protoResponse{
+	for _, resp := range []wire.Response{
 		{Code: verr.CodeOK},
 		{Code: verr.CodeOverloaded, Msg: "admission shed"},
-		{Code: verr.CodeOK, Schema: schema, Profile: &sqlexec.ProfileExport{Query: "q", TotalNS: 7}, Bodies: []int{len(chunk)}},
+		{Code: verr.CodeOK, Schema: schema, Profile: profile, Bodies: []int{len(chunk)}},
 		{Code: verr.CodeOK, Ext: json.RawMessage(`{"epoch":3}`), Bodies: []int{len(chunk)}},
 	} {
 		var bodies [][]byte
@@ -104,57 +111,71 @@ func FuzzDecodeFrame(f *testing.F) {
 			bodies = append(bodies, chunk[:n])
 		}
 		w := frame(&resp, &resp.Bodies, bodies...)
-		var got protoResponse
-		if bodies, err := decodeFrame(w, &got, &got.Bodies); err != nil || !bytes.Equal(frame(&got, &got.Bodies, bodies...), w) {
+		var got wire.Response
+		if bodies, err := wire.DecodeFrame(w, &got, &got.Bodies); err != nil || !bytes.Equal(frame(&got, &got.Bodies, bodies...), w) {
 			f.Fatalf("response frame %q does not re-encode to itself: %v", w, err)
 		}
 		f.Add(w)
 	}
-	f.Add(frame(&protoResponse{Code: verr.CodeOK, Schema: schema[:2]}, &lens, chunk)) // chunk wider than the schema
+	f.Add(frame(&wire.Response{Code: verr.CodeOK, Schema: schema[:2]}, &lens, chunk)) // chunk wider than the schema
 	empty, err := vft.EncodeChunk(colstore.NewBatch(schema))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(frame(&protoResponse{Code: verr.CodeOK, Schema: schema}, &lens, empty))                // no rows
-	f.Add(frame(&protoResponse{Code: verr.CodeOK, Schema: schema}, &lens))                       // a result and no body
-	f.Add(frame(&protoResponse{Code: verr.CodeOK, Schema: schema}, &lens, chunk[:len(chunk)-2])) // truncated chunk
+	f.Add(frame(&wire.Response{Code: verr.CodeOK, Schema: schema}, &lens, empty))                // no rows
+	f.Add(frame(&wire.Response{Code: verr.CodeOK, Schema: schema}, &lens))                       // a result and no body
+	f.Add(frame(&wire.Response{Code: verr.CodeOK, Schema: schema}, &lens, chunk[:len(chunk)-2])) // truncated chunk
 
-	srv := &TCPServer{front: fuzzFront{res: &sqlexec.Result{Batch: b}}, ext: fuzzExt{}, maxFrame: vft.MaxFrameBytes}
+	tcp, err := Listen(nil, "127.0.0.1:0", WithFrontend(fuzzFront{res: &sqlexec.Result{Batch: b}}), WithExtension(fuzzExt{}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = tcp.Close() })
+	var conn net.Conn
+	var in []byte
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req protoRequest
-		if bodies, err := decodeFrame(data, &req, &req.Bodies); err == nil {
-			checkCanonical(t, data, bodies, &req, &req.Bodies, func() (any, *[]int) { r := new(protoRequest); return r, &r.Bodies })
+		var req wire.Request
+		if bodies, err := wire.DecodeFrame(data, &req, &req.Bodies); err == nil {
+			checkCanonical(t, data, bodies, &req, &req.Bodies, func() (any, *[]int) { r := new(wire.Request); return r, &r.Bodies })
 		}
-		var out response
-		srv.serve(data, &out)
-		var answer protoResponse
-		if _, err := decodeFrame(bytes.Join(out.parts, nil), &answer, &answer.Bodies); err != nil || answer.Code == "" {
+		if conn == nil {
+			if conn, err = net.Dial("tcp", tcp.Addr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		answer, err := roundTripRaw(conn, data, in)
+		if err != nil {
+			t.Fatalf("the server answered %q with no frame: %v", data, err)
+		}
+		in = answer
+		var got wire.Response
+		if _, err := wire.DecodeFrame(answer, &got, &got.Bodies); err != nil || got.Code == "" {
 			t.Fatalf("the server answered %q with a malformed frame: %v", data, err)
 		}
 
-		var resp protoResponse
-		bodies, err := decodeFrame(data, &resp, &resp.Bodies)
+		var resp wire.Response
+		bodies, err := wire.DecodeFrame(data, &resp, &resp.Bodies)
 		if err != nil {
 			return
 		}
-		checkCanonical(t, data, bodies, &resp, &resp.Bodies, func() (any, *[]int) { r := new(protoResponse); return r, &r.Bodies })
-		got, err := resp.batch(bodies)
-		if err != nil || got == nil {
+		checkCanonical(t, data, bodies, &resp, &resp.Bodies, func() (any, *[]int) { r := new(wire.Response); return r, &r.Bodies })
+		batch, err := resultBatch(&resp, bodies)
+		if err != nil || batch == nil {
 			return
 		}
-		if err := got.Validate(); err != nil || !got.Schema.Equal(resp.Schema) {
+		if err := batch.Validate(); err != nil || !batch.Schema.Equal(resp.Schema) {
 			t.Fatalf("decoded an invalid result: %v", err)
 		}
-		if got.Len() > 4096 {
+		if batch.Len() > 4096 {
 			return // a run-length bomb: decoded without incident, too big to box here
 		}
-		cols, rows := boxRows(got)
-		if len(cols) != len(resp.Schema) || len(rows) != got.Len() {
-			t.Fatalf("boxed %d columns x %d rows of a %d x %d result", len(cols), len(rows), len(resp.Schema), got.Len())
+		cols, rows := boxRows(batch)
+		if len(cols) != len(resp.Schema) || len(rows) != batch.Len() {
+			t.Fatalf("boxed %d columns x %d rows of a %d x %d result", len(cols), len(rows), len(resp.Schema), batch.Len())
 		}
 		for i, row := range rows {
 			for j, v := range row {
-				if want := got.Cols[j].Value(i); !sameCell(v, want) {
+				if want := batch.Cols[j].Value(i); !sameCell(v, want) {
 					t.Fatalf("row %d column %d boxed as %#v, the batch holds %#v", i, j, v, want)
 				}
 			}
@@ -177,13 +198,12 @@ func checkCanonical(t *testing.T, data []byte, bodies [][]byte, header any, lens
 	if off != 4+int(binary.LittleEndian.Uint32(data)) {
 		t.Fatalf("bodies start at %d, the header ends at %d", off, 4+binary.LittleEndian.Uint32(data))
 	}
-	var out outFrame
-	if err := out.set(header, lens, bodies); err != nil {
+	canon, err := encodeFrame(header, lens, bodies)
+	if err != nil {
 		t.Fatalf("a decoded frame does not re-encode: %v", err)
 	}
-	canon := bytes.Join(out.parts, nil)
 	again, againLens := fresh()
-	bodies2, err := decodeFrame(canon, again, againLens)
+	bodies2, err := wire.DecodeFrame(canon, again, againLens)
 	if err != nil || len(bodies2) != len(bodies) {
 		t.Fatalf("canonical frame %q: %d bodies, %v", canon, len(bodies2), err)
 	}
@@ -192,9 +212,33 @@ func checkCanonical(t *testing.T, data []byte, bodies [][]byte, header any, lens
 			t.Fatalf("body %d changed across a re-encode", i)
 		}
 	}
-	if err := out.set(again, againLens, bodies2); err != nil || !bytes.Equal(bytes.Join(out.parts, nil), canon) {
-		t.Fatalf("canonical frame %q re-encodes to %q (%v)", canon, bytes.Join(out.parts, nil), err)
+	if w, err := encodeFrame(again, againLens, bodies2); err != nil || !bytes.Equal(w, canon) {
+		t.Fatalf("canonical frame %q re-encodes to %q (%v)", canon, w, err)
 	}
+}
+
+// encodeFrame lays out a frame's payload as the wire does: *lens — the
+// header's "bodies" field — set to the bodies' lengths, the header's length,
+// the header's JSON, the bodies.
+func encodeFrame(header any, lens *[]int, bodies [][]byte) ([]byte, error) {
+	*lens = nil
+	for _, b := range bodies {
+		*lens = append(*lens, len(b))
+	}
+	hdr, err := json.Marshal(header)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Join(append([][]byte{binary.LittleEndian.AppendUint32(nil, uint32(len(hdr))), hdr}, bodies...), nil), nil
+}
+
+// roundTripRaw sends payload as one frame on conn and reads the one frame
+// that answers it into buf.
+func roundTripRaw(conn net.Conn, payload, buf []byte) ([]byte, error) {
+	if err := wire.WriteFrame(conn, payload); err != nil {
+		return nil, err
+	}
+	return wire.ReadFrame(conn, buf)
 }
 
 // sameCell: a boxed cell against the batch's value — INTEGERs box as float64,

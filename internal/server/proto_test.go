@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -184,5 +186,65 @@ func TestProtoConcurrentClients(t *testing.T) {
 	}
 	if _, err := srv.Query(context.Background(), `SELECT count(*) FROM px`); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A peer that accepts a connection and never answers must not hold a caller
+// past its context: the deadline reaches the socket, and a cancel without one
+// aborts the blocked read. The router's prober, peer calls, health probes
+// and the library client all make their round trips this way.
+func TestRoundTripHonoursContextOnSilentPeer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() { _, _ = io.Copy(io.Discard, conn) }() // read everything, answer nothing
+		}
+	}()
+	timed := func() (context.Context, context.CancelFunc) {
+		return context.WithTimeout(context.Background(), 50*time.Millisecond)
+	}
+	canceled := func() (context.Context, context.CancelFunc) {
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(50*time.Millisecond, cancel)
+		return ctx, cancel
+	}
+	for name, call := range map[string]func(context.Context, *Client) error{
+		"ping": func(ctx context.Context, c *Client) error { return c.Ping(ctx) },
+		"call": func(ctx context.Context, c *Client) error {
+			_, err := c.Call(ctx, "cl.health", struct{}{}, nil, nil)
+			return err
+		},
+	} {
+		for kind, ctxFor := range map[string]func() (context.Context, context.CancelFunc){"deadline": timed, "cancel": canceled} {
+			c, err := DialTimeout(ln.Addr().String(), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := ctxFor()
+			done := make(chan error, 1)
+			start := time.Now()
+			go func() { done <- call(ctx, c) }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, verr.ErrCanceled) {
+					t.Errorf("%s under a %s: err = %v, want verr.ErrCanceled", name, kind, err)
+				}
+				if d := time.Since(start); d > time.Second {
+					t.Errorf("%s under a %s returned after %v", name, kind, d)
+				}
+			case <-time.After(2 * time.Second):
+				t.Errorf("%s under a %s still blocked after 2s on a silent peer", name, kind)
+			}
+			cancel()
+			_ = c.Close()
+		}
 	}
 }

@@ -64,6 +64,37 @@ func BenchmarkLoad(b *testing.B) {
 	b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
+// BenchmarkLoadTCP is BenchmarkLoad across loopback sockets: ServeTCP's
+// worker listeners and LoadTCPContext's sender. 600k rows over 8 export
+// instances with a partition-size hint above an instance's share, so each
+// instance sends one message of about 1.2 MB (mb/msg reports the mean) — the
+// size class of the benchmark's own transfer messages, above any per-request
+// buffer a connection keeps.
+func BenchmarkLoadTCP(b *testing.B) {
+	const rows = 600_000
+	db, c, hub := benchSetup(b, rows)
+	svc, err := ServeTCP(hub, c.NumWorkers())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { svc.Close() })
+	var st *Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var frame interface{ Rows() int }
+		frame, st, err = LoadTCPContext(context.Background(), db, c, hub, svc, "bt", []string{"id", "a", "b"}, PolicyLocality, 1<<17)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if frame.Rows() != rows {
+			b.Fatal("row loss")
+		}
+	}
+	b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+	b.ReportMetric(float64(st.Bytes)/float64(st.Chunks)/(1<<20), "mb/msg")
+}
+
 func benchChunk(b *testing.B, rows int) (*colstore.Batch, []byte) {
 	b.Helper()
 	schema := colstore.Schema{

@@ -50,10 +50,10 @@ type message struct {
 // appends into a pooled buffer while a sender goroutine drains the bounded
 // channel and pushes messages to the sink, so the DB-side work genuinely
 // overlaps the network/staging leg (the paper's concurrent read-and-send,
-// §3.1). Message buffers return to the pool after their Send completes —
-// Send implementations never retain msg, and all retransmission happens
-// inside Send while the sender still owns the buffer, so a retransmit can
-// never observe a recycled one. Stored blocks are only ever copied from.
+// §3.1). Message buffers return to the pool once the message is sent or
+// given up on — Send implementations never retain msg, and every
+// retransmission is made before then, so a retransmit can never observe a
+// recycled buffer. Stored blocks are only ever copied from.
 type exportUDF struct{}
 
 // OutputSchema: one summary row per instance (node, rows, bytes).
@@ -120,10 +120,9 @@ func (exportUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.Batc
 		defer wg.Done()
 		for m := range sendCh {
 			if sendErr == nil {
-				// Retransmit on failure: the hub dedups by (part, seq), so
-				// resending after a lost acknowledgement is safe. The TCP
-				// sink retries internally as well; this loop also covers
-				// the in-process path.
+				// Retransmit on failure — the one retry of either path: the
+				// hub dedups by (part, seq), so resending after a lost
+				// acknowledgement is safe.
 				var err error
 				for attempt := 0; attempt < sendRetries; attempt++ {
 					if attempt > 0 {

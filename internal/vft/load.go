@@ -21,15 +21,12 @@ type DB interface {
 }
 
 // LoadTCPContext is LoadContext with a data plane that crosses real TCP
-// sockets: worker listeners (svc) receive framed chunks from the
-// database-side UDF instances, exactly as when the database and Distributed
-// R run on different machines. The TCP sender belongs to this transfer
-// alone, so concurrent loads never share (or close) each other's
-// connections.
+// sockets: worker listeners (svc) receive the database-side UDF instances'
+// messages over the serving transport, exactly as when the database and
+// Distributed R run on different machines. Concurrent loads through one svc
+// never share a connection in flight, nor close each other's.
 func LoadTCPContext(ctx context.Context, db DB, c *dr.Cluster, hub *Hub, svc *TCPService, table string, cols []string, policy string, psize int) (*darray.DFrame, *Stats, error) {
-	client := NewTCPClient(svc.Addrs())
-	defer client.Close()
-	return load(ctx, db, c, hub, client, table, cols, policy, psize)
+	return load(ctx, db, c, hub, svc.sender, table, cols, policy, psize)
 }
 
 // LoadContext performs one complete fast transfer (the db2darray internals
@@ -51,7 +48,7 @@ func LoadContext(ctx context.Context, db DB, c *dr.Cluster, hub *Hub, table stri
 }
 
 // load runs one transfer whose export instances push chunks to sink (the
-// hub itself in-process, a TCPClient over sockets).
+// hub itself in-process, a transfer's TCP sender over sockets).
 func load(ctx context.Context, db DB, c *dr.Cluster, hub *Hub, sink ChunkSink, table string, cols []string, policy string, psize int) (*darray.DFrame, *Stats, error) {
 	def, err := db.TableDef(table)
 	if err != nil {

@@ -5,19 +5,22 @@ import (
 
 	"verticadr/internal/colstore"
 	"verticadr/internal/telemetry"
+	"verticadr/internal/wire"
 )
 
 // Buffer and batch pools for the zero-steady-state-allocation transfer path.
-// Message buffers, TCP receive buffers and decoded staging batches all cycle
-// through here; the hit/miss counters make reuse observable (a healthy
-// steady-state transfer shows hits dominating misses after warm-up).
+// Message buffers and decoded staging batches cycle through here — message
+// buffers through the transport's own pool (wire.GetBuf), which the worker
+// listeners read their messages into as well — and the hit/miss counters
+// make reuse observable (a healthy steady-state transfer shows hits
+// dominating misses after warm-up).
 //
 // Ownership contract: whoever takes a buffer or batch from the pool owns it
 // until the explicit return point. ChunkSink.Send implementations must not
-// retain msg past the call (the hub decodes eagerly, the TCP client has
+// retain msg past the call (the hub decodes eagerly, the TCP sender has
 // written it out), which is what lets senders recycle message buffers the
-// moment Send returns — retransmissions inside Send reuse the still-owned
-// buffer and can never observe a recycled one. Only buffers that came from
+// moment Send returns — a retransmission reuses the still-owned buffer and
+// can never observe a recycled one. Only buffers that came from
 // getBuf/getBufCap go back: a stored block a message was copied from belongs
 // to its segment and is never pooled.
 var (
@@ -25,42 +28,26 @@ var (
 	mPoolMiss = telemetry.Default().Counter("vft_pool_miss_total")
 )
 
-// maxPooledBuf caps the byte buffers kept for reuse so one oversized chunk
-// cannot pin arbitrary memory in the pool.
-const maxPooledBuf = 8 << 20
-
 // initialBufCap sizes fresh buffers for a default-psize chunk of a few
 // numeric columns, so typical transfers never regrow.
 const initialBufCap = 64 << 10
-
-var bufPool sync.Pool // stores *[]byte
 
 // getBuf returns an empty byte buffer from the pool (or a fresh one).
 func getBuf() []byte { return getBufCap(0) }
 
 // getBufCap returns an empty byte buffer of at least n bytes' capacity, for a
-// caller that knows how much it is about to append. A pooled buffer that is
-// too small goes straight back: it still fits someone else.
+// caller that knows how much it is about to append.
 func getBufCap(n int) []byte {
-	if p, ok := bufPool.Get().(*[]byte); ok {
-		if cap(*p) >= n {
-			mPoolHit.Inc()
-			return (*p)[:0]
-		}
-		bufPool.Put(p)
+	if b := wire.GetBuf(n); b != nil {
+		mPoolHit.Inc()
+		return b
 	}
 	mPoolMiss.Inc()
 	return make([]byte, 0, max(n, initialBufCap))
 }
 
 // putBuf returns a buffer to the pool. The caller must not use b afterwards.
-func putBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuf {
-		return
-	}
-	b = b[:0]
-	bufPool.Put(&b)
-}
+func putBuf(b []byte) { wire.PutBuf(b) }
 
 var batchPool sync.Pool // stores *colstore.Batch
 

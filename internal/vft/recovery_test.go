@@ -2,14 +2,18 @@ package vft
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"verticadr/internal/colstore"
 	"verticadr/internal/faults"
 	"verticadr/internal/telemetry"
+	"verticadr/internal/verr"
+	"verticadr/internal/wire"
 )
 
 func idSchema() colstore.Schema {
@@ -129,7 +133,8 @@ func TestCorruptChunkRejectedAtSend(t *testing.T) {
 // A message is a run of chunks and carries its sender's row count, which
 // Stats.Rows trusts: a run that decodes to another count, or stops inside a
 // chunk, is refused at arrival — in process and over a socket — with nothing
-// staged or counted, and the session and the listener carry on.
+// staged or counted, and the session and the listener carry on. So is a
+// vft.send that is not one message under a readable header.
 func TestMiscountedMessageRejectedAtSend(t *testing.T) {
 	_, c, hub := setup(t, 2, 2)
 	frame, _ := newFrameForTest(c, 2)
@@ -139,9 +144,8 @@ func TestMiscountedMessageRejectedAtSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	client := NewTCPClient(svc.Addrs())
-	client.Attempts = 1
-	defer client.Close()
+	sender := newTCPSender(svc.Addrs())
+	defer sender.Close()
 
 	run := append(encodeIDs(t, 1, 2), encodeIDs(t, 3)...) // two chunks, three rows
 	for name, bad := range map[string]struct {
@@ -154,15 +158,41 @@ func TestMiscountedMessageRejectedAtSend(t *testing.T) {
 		"a stray byte after a run": {append(append([]byte(nil), run...), 1), 3},
 		"no chunk at all":          {nil, 0},
 	} {
-		for _, sink := range []ChunkSink{hub, client} {
+		for _, sink := range []ChunkSink{hub, sender} {
 			if err := sink.Send(id, 0, OrderKey(0, 0, 0), bad.msg, bad.rows, 0); err == nil {
 				t.Fatalf("%s: %T accepted the message", name, sink)
 			}
 		}
 	}
-	// Nothing of the refused messages was staged under their (part, seq), and
-	// the connection pool's next dial finds the listener serving.
-	if err := client.Send(id, 0, OrderKey(0, 0, 0), run, 3, 0); err != nil {
+	// Malformed requests on one connection: each is answered with a coded
+	// error and the connection keeps serving.
+	conn, err := wire.Dial(svc.Addrs()[0], time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ctx := context.Background()
+	header := sendHeader{Session: id, Part: 0, Seq: OrderKey(0, 0, 0), Rows: 3}
+	for name, bad := range map[string]struct {
+		payload any
+		bodies  [][]byte
+	}{
+		"no body":    {header, nil},
+		"two bodies": {header, [][]byte{run[:len(run)/2], run[len(run)/2:]}},
+		"bad header": {map[string]string{"part": "zero"}, [][]byte{run}},
+	} {
+		_, err := conn.Call(ctx, opSend, bad.payload, bad.bodies, nil)
+		if err == nil || verr.Code(err) != verr.CodeInternal || errors.Is(err, verr.ErrNodeDown) || errors.Is(err, verr.ErrClosed) {
+			t.Fatalf("%s: err = %v, want a coded refusal", name, err)
+		}
+	}
+	// Nothing of the refused messages was staged under their (part, seq):
+	// the well-formed message is, over the same connection, and a pooled
+	// sender's retransmission of it is absorbed.
+	if _, err := conn.Call(ctx, opSend, header, [][]byte{run}, nil); err != nil {
+		t.Fatalf("connection unusable after the refusals: %v", err)
+	}
+	if err := sender.Send(id, 0, OrderKey(0, 0, 0), run, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := hub.Send(id, 1, OrderKey(1, 0, 0), encodeIDs(t, 8), 1, 0); err != nil {
@@ -311,9 +341,9 @@ func TestInjectedSendFaultRecovered(t *testing.T) {
 }
 
 // TestLoadTCPRecoversFromSendFaults is the same chaos over real sockets: the
-// injected post-staging failure travels back as a remote error reply, the
-// TCP client retransmits on a fresh connection, and dedup keeps the frame
-// exact.
+// injected post-staging failure travels back as a coded error reply, the
+// export's send loop retransmits on a fresh connection, and dedup keeps the
+// frame exact.
 func TestLoadTCPRecoversFromSendFaults(t *testing.T) {
 	in := faults.New(5)
 	in.MustArm(faults.Rule{Site: faults.SiteVFTSend, Kind: faults.Error, EveryN: 4})
@@ -348,7 +378,7 @@ func TestLoadTCPRecoversFromSendFaults(t *testing.T) {
 
 func TestTCPClientDeadline(t *testing.T) {
 	// A listener that accepts and then goes silent: the ack never arrives,
-	// so the per-attempt deadline must bound the send.
+	// so the send's context must bound it.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -371,17 +401,14 @@ func TestTCPClientDeadline(t *testing.T) {
 		}
 	}()
 
-	client := NewTCPClient([]string{ln.Addr().String()})
-	client.Attempts = 1
-	client.Timeout = 30 * time.Millisecond
+	sender := newTCPSender([]string{ln.Addr().String()})
+	defer sender.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	err = client.Send("s", 0, 0, []byte("x"), 1, 0)
-	if err == nil {
-		t.Fatal("send to a silent receiver should time out")
-	}
-	var nerr net.Error
-	if !errors.As(err, &nerr) || !nerr.Timeout() {
-		t.Fatalf("expected a timeout error, got %v", err)
+	err = sender.send(ctx, sendHeader{Session: "s", Rows: 1}, []byte("x"))
+	if !errors.Is(err, verr.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("send to a silent receiver: err = %v, want a canceled deadline", err)
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("deadline did not bound the send: %v", d)
@@ -389,8 +416,8 @@ func TestTCPClientDeadline(t *testing.T) {
 }
 
 func TestTCPClientNeverPoolsFailedConns(t *testing.T) {
-	// First exchange fails (no ack); the connection must be closed, not
-	// pooled, so the next attempt dials fresh.
+	// Each exchange fails (no ack); the connection must be closed, not
+	// pooled, so the next send dials fresh.
 	accepts := make(chan net.Conn, 4)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -409,25 +436,63 @@ func TestTCPClientNeverPoolsFailedConns(t *testing.T) {
 		}
 	}()
 
-	client := NewTCPClient([]string{ln.Addr().String()})
-	client.Attempts = 2
-	client.Backoff = time.Millisecond
-	client.Timeout = 100 * time.Millisecond
-	if err := client.Send("s", 0, 0, []byte("x"), 1, 0); err == nil {
-		t.Fatal("send against a closing receiver should fail")
+	sender := newTCPSender([]string{ln.Addr().String()})
+	defer sender.Close()
+	for i := 0; i < 2; i++ {
+		if err := sender.Send("s", 0, 0, []byte("x"), 1, 0); err == nil {
+			t.Fatal("send against a closing receiver should fail")
+		}
 	}
-	client.mu.Lock()
-	pooled := 0
-	for _, conns := range client.pool {
-		pooled += len(conns)
-	}
-	client.mu.Unlock()
-	if pooled != 0 {
-		t.Fatalf("%d failed connections were pooled", pooled)
-	}
-	// Both attempts dialed a fresh connection.
 	if got := len(accepts); got != 2 {
-		t.Fatalf("receiver saw %d connections, want 2 (one per attempt)", got)
+		t.Fatalf("receiver saw %d connections, want 2 (one per send)", got)
+	}
+}
+
+// The export's send loop is the only retry: a receiver that refuses every
+// vft.send is offered each message exactly sendRetries times, and every
+// offer after the first counts as a retransmission.
+func TestSendRetriedOnlyByExportLoop(t *testing.T) {
+	db, c, hub := setup(t, 2, 2)
+	loadTestTable(t, db, 200)
+	var mu sync.Mutex
+	offers := map[uint64]int{}
+	svc := &TCPService{}
+	defer svc.Close()
+	for i := 0; i < 2; i++ {
+		l, err := wire.Listen("127.0.0.1:0", func(_ context.Context, req *wire.Request, _ [][]byte, _ *wire.Reply) error {
+			var m sendHeader
+			if err := json.Unmarshal(req.Ext, &m); err == nil {
+				mu.Lock()
+				offers[m.Seq]++
+				mu.Unlock()
+			}
+			return errors.New("refused")
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.listeners = append(svc.listeners, l)
+	}
+	svc.sender = newTCPSender(svc.Addrs())
+	retrans0 := mRetransmits.Value()
+	if _, _, err := LoadTCPContext(context.Background(), db, c, hub, svc, "mytable", []string{"id"}, PolicyLocality, 64); err == nil {
+		t.Fatal("a load into a refusing receiver succeeded")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(offers) == 0 {
+		t.Fatal("no message reached the receiver")
+	}
+	for seq, n := range offers {
+		if n != sendRetries {
+			t.Fatalf("message %x offered %d times, want %d", seq, n, sendRetries)
+		}
+	}
+	if got, want := mRetransmits.Value()-retrans0, int64((sendRetries-1)*len(offers)); got != want {
+		t.Fatalf("vft_retransmits_total moved by %d for %d messages, want %d", got, len(offers), want)
+	}
+	if hub.Sessions() != 0 {
+		t.Fatal("failed load leaked a session")
 	}
 }
 

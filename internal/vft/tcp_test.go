@@ -74,10 +74,10 @@ func TestTCPClientErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	client := NewTCPClient(svc.Addrs())
+	client := newTCPSender(svc.Addrs())
 	defer client.Close()
 
-	// Unknown session propagates the remote error through the ack channel.
+	// Unknown session propagates the remote error through the coded reply.
 	err = client.Send("no-such-session", 0, 0, []byte("x"), 1, time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "unknown session") {
 		t.Fatalf("want remote unknown-session error, got %v", err)
@@ -87,7 +87,7 @@ func TestTCPClientErrors(t *testing.T) {
 		t.Fatal("bad partition should fail")
 	}
 	// Dead address fails to dial.
-	dead := NewTCPClient([]string{"127.0.0.1:1"})
+	dead := newTCPSender([]string{"127.0.0.1:1"})
 	defer dead.Close()
 	if err := dead.Send("s", 0, 0, []byte("x"), 1, 0); err == nil {
 		t.Fatal("dial to dead address should fail")
@@ -116,8 +116,8 @@ func TestTCPConnectionReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	// Two consecutive loads through the same service: pool reuse must not
-	// corrupt framing.
+	// Two consecutive loads through the same service: connection reuse must
+	// not corrupt framing.
 	for i := 0; i < 2; i++ {
 		frame, _, err := LoadTCPContext(context.Background(), db, c, hub, svc, "mytable", nil, PolicyLocality, 64)
 		if err != nil {

@@ -120,7 +120,7 @@ type session struct {
 	schema colstore.Schema
 	policy string
 	// sink is where this transfer's export instances push chunks: the hub
-	// itself, or the TCP sender LoadTCPContext opened for this transfer.
+	// itself, or the sender of the TCPService LoadTCPContext was given.
 	sink ChunkSink
 
 	mu     sync.Mutex
