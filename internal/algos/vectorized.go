@@ -14,19 +14,38 @@ import "math"
 // PredictBlock is the block form of GLMModel.Predict. cols must hold
 // len(Coefficients)-1 feature columns, each with at least len(out) rows.
 func (m *GLMModel) PredictBlock(cols [][]float64, out []float64) {
-	n := len(out)
 	for i := range out {
 		out[i] = m.Coefficients[0]
 	}
-	// Accumulate the linear response coefficient by coefficient: row i sees
-	// additions in the same j order as the row scorer's dot product.
-	for j, col := range cols {
-		c := m.Coefficients[j+1]
-		for i, v := range col[:n] {
+	AddTerms(out, m.Coefficients[1:], cols)
+	LinkBlock(m.Family, out)
+}
+
+// AddTerms adds coef[j] * cols[j][i] to out[i] for every column j, four
+// columns a pass over out and then one at a time: row i sees its additions in
+// ascending j, the order of the row scorer's dot product. Every column must
+// hold at least len(out) rows.
+func AddTerms(out, coef []float64, cols [][]float64) {
+	j := 0
+	for ; j+4 <= len(cols); j += 4 {
+		c0, c1, c2, c3 := coef[j], coef[j+1], coef[j+2], coef[j+3]
+		x0, x1, x2, x3 := cols[j][:len(out)], cols[j+1][:len(out)], cols[j+2][:len(out)], cols[j+3][:len(out)]
+		for i := range out {
+			out[i] = out[i] + c0*x0[i] + c1*x1[i] + c2*x2[i] + c3*x3[i]
+		}
+	}
+	for ; j < len(cols); j++ {
+		c := coef[j]
+		for i, v := range cols[j][:len(out)] {
 			out[i] += c * v
 		}
 	}
-	switch m.Family {
+}
+
+// LinkBlock replaces every linear response in out by the family's mean, in
+// a pass of its own.
+func LinkBlock(f Family, out []float64) {
+	switch f {
 	case Binomial:
 		for i, eta := range out {
 			out[i] = 1 / (1 + math.Exp(-eta))

@@ -420,6 +420,7 @@ func (b *Block) Len() int {
 // runs: lens[i] rows hold vals[i] (RLE) or dictionary entry codes[i].
 type colRuns struct {
 	vals  *Vector
+	view  Vector   // a PLAIN block in place (viewOrDecode), apart from vals
 	codes []uint32 // nil unless the block is dictionary encoded
 	lens  []int32
 	sel   []int    // as a cut column: the source run each entry comes from
@@ -449,6 +450,7 @@ func newBlockReader(schema Schema) *blockReader {
 	r.blk.Cols = make([]BlockCol, len(schema))
 	for i, c := range schema {
 		r.cols[i].vals = NewVector(c.Type, 0)
+		r.cols[i].view.Type = c.Type
 		r.out[i].vals = NewVector(c.Type, 0)
 	}
 	return r
@@ -502,7 +504,8 @@ func decodeDictCodes(dict *Vector, codes []uint32, rest []byte, n int) ([]uint32
 // are the intersection of the columns' own, with equal neighbouring
 // dictionary codes coalesced, so an entry is constant in every column. One
 // column of any other encoding makes every entry a row: dictionary columns
-// still arrive as codes, the rest through the eager decoder. Validation and
+// still arrive as codes, PLAIN INTEGER and FLOAT columns as views of the
+// block in place, the rest through the eager decoder. Validation and
 // error strings are the eager decoder's on both routes. st counts the block
 // as scanned, and as compressed when it stays in runs.
 func (r *blockReader) read(s *Segment, plan *scanPlan, bi int, st *ScanStats) (*Block, error) {
@@ -534,6 +537,7 @@ func (r *blockReader) read(s *Segment, plan *scanPlan, bi int, st *ScanStats) (*
 		c := &r.cols[i]
 		c.vals.Reset()
 		c.codes, c.lens = nil, c.lens[:0]
+		vals := c.vals
 		var err error
 		switch {
 		case typ != c.vals.Type:
@@ -547,7 +551,7 @@ func (r *blockReader) read(s *Segment, plan *scanPlan, bi int, st *ScanStats) (*
 		case enc == EncRLE && compressed:
 			c.lens, err = decodeRLERuns(c.vals, c.lens, rest, n)
 		default:
-			err = DecodeBlockInto(c.vals, data)
+			vals, err = viewOrDecode(c.vals, &c.view, data)
 		}
 		if err != nil {
 			return nil, err
@@ -555,7 +559,7 @@ func (r *blockReader) read(s *Segment, plan *scanPlan, bi int, st *ScanStats) (*
 		if compressed && enc == EncDict {
 			c.coalesce()
 		}
-		r.blk.Cols[i] = BlockCol{Vals: c.vals, Codes: c.codes}
+		r.blk.Cols[i] = BlockCol{Vals: vals, Codes: c.codes}
 	}
 	r.blk.Rows, r.blk.Runs = rows, nil
 	st.RowsOut += rows
@@ -635,7 +639,8 @@ func (r *blockReader) intersect(rows int) {
 // Blocks whose projected columns are all RLE or dictionary encoded arrive as
 // runs without being expanded, so consumers that multiply by run length
 // (aggregates) do O(runs) work; the tail arrives as views, one row per entry.
-// The Block and everything it points to is valid until the next call.
+// The Block and everything it points to is valid until the next call, and
+// read-only: like Next's batches, its values may be segment storage.
 // Stats: BlocksCompressed counts the blocks delivered as runs.
 func (c *ScanCursor) NextBlock(ctx context.Context) (*Block, error) {
 	if err := verr.Canceled(ctx.Err()); err != nil {

@@ -42,9 +42,11 @@ func (e Encoding) String() string {
 
 // Block header layout: [type byte][encoding byte][uvarint row count][payload].
 
-// EncodeBlock serializes a vector with the chosen encoding.
+// EncodeBlock serializes a vector with the chosen encoding into a buffer of
+// its own, a PLAIN numeric payload 8-byte aligned (alignedBlockBuf): the form
+// a sealed block takes.
 func EncodeBlock(v *Vector, enc Encoding) ([]byte, error) {
-	return AppendBlock(make([]byte, 0, 16+v.Len()*8), v, enc)
+	return AppendBlock(alignedBlockBuf(v.Len(), 16+v.Len()*8), v, enc)
 }
 
 // AppendBlock appends the block encoding of v to buf and returns the extended
@@ -168,15 +170,68 @@ func valueEq(v *Vector, i, j int) bool {
 }
 
 // hostLittleEndian reports whether an int64 or float64 in memory already is
-// its PLAIN encoding, so a PLAIN numeric payload moves with one copy.
+// its PLAIN encoding, so a PLAIN numeric payload moves with one copy, or is
+// read in place (plainView).
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// wordBytes views a numeric slice as its bytes. The view always goes this
-// way — typed memory read or written as bytes, never payload bytes read as
-// words — so it needs no alignment and no length a checked pointer
-// conversion could reject.
+// wordBytes views a numeric slice as its bytes: typed memory read or written
+// as bytes, which needs no alignment and no length a checked pointer
+// conversion could reject. The other way — payload bytes read as words — is
+// plainView's, and only over an aligned payload.
 func wordBytes[T int64 | float64](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 8*len(s))
+}
+
+// alignedBlockBuf returns an empty buffer of capacity size in which a block of
+// rows rows, appended from the start, has its payload — the bytes after the
+// type, encoding and row-count header — 8-byte aligned, so that plainView can
+// read a PLAIN numeric payload in place. Sealed blocks are made in such
+// buffers (EncodeBlock, OpenSegment); their bytes are the same as in any
+// other.
+func alignedBlockBuf(rows, size int) []byte {
+	var uv [binary.MaxVarintLen64]byte
+	header := 2 + binary.PutUvarint(uv[:], uint64(rows))
+	buf := make([]byte, size+7)
+	pad := -(int(uintptr(unsafe.Pointer(unsafe.SliceData(buf)))) + header) & 7
+	return buf[pad : pad : pad+size]
+}
+
+// plainView points v at data's payload in place, and reports whether it did,
+// when data is a PLAIN block of v's type — INTEGER or FLOAT — whose payload is
+// 8-byte aligned and holds the rows its header claims, on a host where that
+// payload already is the values' memory. Any other block is left to
+// DecodeBlockInto. The view is the block's storage: its cap equals its len,
+// so an append to it copies, and it must never be written. v must not be a
+// decode buffer, which a Reset and an append would then write through.
+func plainView(v *Vector, data []byte) bool {
+	typ, enc, n, rest, ok := splitBlockHeader(data)
+	if !ok || !hostLittleEndian || typ != v.Type || enc != EncPlain || n == 0 || len(rest) < 8*n {
+		return false
+	}
+	p := unsafe.Pointer(unsafe.SliceData(rest))
+	if uintptr(p)%8 != 0 {
+		return false
+	}
+	switch typ {
+	case TypeInt64:
+		v.Ints = unsafe.Slice((*int64)(p), n)
+	case TypeFloat64:
+		v.Floats = unsafe.Slice((*float64)(p), n)
+	default:
+		return false
+	}
+	return true
+}
+
+// viewOrDecode reads a whole block: as view, pointed at the block in place
+// (plainView), or else decoded into own, the caller's decode buffer. It
+// returns the vector that holds the block.
+func viewOrDecode(own, view *Vector, data []byte) (*Vector, error) {
+	if plainView(view, data) {
+		return view, nil
+	}
+	own.Reset()
+	return own, DecodeBlockInto(own, data)
 }
 
 // plainWords is a PLAIN INTEGER or FLOAT payload as the vector's own memory,

@@ -201,7 +201,7 @@ func OpenSegment(path string) (*Segment, error) {
 				return nil, fmt.Errorf("colstore: block checksum mismatch in %q (col %d block %d)", path, c, b)
 			}
 			refs = append(refs, blockRef{
-				data:     append([]byte(nil), blk...),
+				data:     append(alignedBlockBuf(int(rows), len(blk)), blk...),
 				rows:     int(rows),
 				hasStats: statB == 1,
 				min:      minV,

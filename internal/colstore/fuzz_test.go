@@ -3,6 +3,7 @@ package colstore
 import (
 	"encoding/binary"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -87,15 +88,18 @@ func FuzzEncodingRoundTrip(f *testing.F) {
 func FuzzDecodeBlock(f *testing.F) {
 	// Seed with valid blocks so the fuzzer starts from the interesting region.
 	iv := &Vector{Type: TypeInt64, Ints: []int64{1, 1, 1, 5, -9}}
+	fv := &Vector{Type: TypeFloat64, Floats: []float64{math.NaN(), math.Copysign(0, -1), 2.5}}
 	sv := &Vector{Type: TypeString, Strs: []string{"x", "x", "yy", ""}}
-	for _, seed := range [][2]any{{iv, EncPlain}, {iv, EncRLE}, {iv, EncDelta}, {sv, EncDict}} {
+	for _, seed := range [][2]any{{iv, EncPlain}, {iv, EncRLE}, {iv, EncDelta}, {fv, EncPlain}, {sv, EncDict}} {
 		if blk, err := EncodeBlock(seed[0].(*Vector), seed[1].(Encoding)); err == nil {
 			f.Add(blk)
 		}
 	}
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{byte(TypeString), byte(EncDict), 0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte{byte(TypeFloat64), byte(EncPlain), 0x80, 0x80, 0x80, 0x80, 0x08, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkPlainView(t, data)
 		v, err := DecodeBlock(data)
 		if err != nil {
 			return
@@ -109,4 +113,41 @@ func FuzzDecodeBlock(f *testing.F) {
 			t.Fatalf("header claims %d rows, decoded %d", count, v.Len())
 		}
 	})
+}
+
+// checkPlainView places data as a sealed block is placed, then one byte off,
+// and holds plainView to DecodeBlockInto for both numeric types: a view must
+// be the decoded values bit for bit, over the input's own payload, with cap
+// equal to len; a PLAIN block of the type that decodes, its payload aligned,
+// must be viewed; a misaligned payload, or input the decoder rejects, never.
+func checkPlainView(t *testing.T, data []byte) {
+	rows, header := 0, 0
+	if len(data) > 2 {
+		if count, m := binary.Uvarint(data[2:]); m > 0 && count <= MaxBlockRows {
+			rows, header = int(count), 2+m
+		}
+	}
+	for _, typ := range []Type{TypeInt64, TypeFloat64} {
+		for _, skew := range []int{0, 1} {
+			blk := append(alignedBlockBuf(rows, skew+len(data))[:skew], data...)[skew:]
+			payload := reflect.ValueOf(blk).Pointer() + uintptr(header)
+			aligned := header > 0 && payload%8 == 0
+			view := Vector{Type: typ}
+			viewed := plainView(&view, blk)
+			want := NewVector(typ, 0)
+			err := DecodeBlockInto(want, blk)
+			switch {
+			case viewed && err != nil:
+				t.Fatalf("%v skew %d: viewed a block the decoder rejects: %v", typ, skew, err)
+			case viewed && !aligned:
+				t.Fatalf("%v skew %d: viewed a misaligned payload", typ, skew)
+			case viewed && (vecAddr(&view) != payload || cap(view.Ints)+cap(view.Floats) != view.Len()):
+				t.Fatalf("%v skew %d: the view is not the block's payload in place", typ, skew)
+			case viewed && !vectorsEqual(&view, want):
+				t.Fatalf("%v skew %d: the view differs from the decoded block", typ, skew)
+			case !viewed && aligned && err == nil && hostLittleEndian && rows > 0 && Encoding(data[1]) == EncPlain:
+				t.Fatalf("%v skew %d: an aligned PLAIN block of %d rows was not viewed", typ, skew, rows)
+			}
+		}
+	}
 }

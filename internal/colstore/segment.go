@@ -342,8 +342,9 @@ func (s *Segment) Blocks() int {
 // Scan streams the named columns (nil = all) through fn in batches, applying
 // the optional predicate. The predicate column need not be in the projection.
 // Delivered batches are only valid during the fn call: the scanner reuses
-// decode buffers across blocks, and tail batches are views of live segment
-// storage. fn must copy (not mutate) whatever it keeps.
+// decode buffers across blocks, and batches may be views of segment storage,
+// sealed or tail (see ScanCursor.Next). fn must copy (not mutate) whatever it
+// keeps.
 func (s *Segment) Scan(cols []string, pred *Pred, fn func(*Batch) error) error {
 	return s.ScanWithStats(cols, pred, nil, fn)
 }
@@ -403,12 +404,26 @@ type ScanCursor struct {
 }
 
 // decodeBufs are a cursor's decode buffers, reused block over block: the
-// batch it delivers, the predicates' columns (by scanPlan.predBuf) and
-// NextBlock's reader.
+// batch it delivers, whose columns are each either the column's own decode
+// buffer or its view of a PLAIN block in place (viewOrDecode), the predicates'
+// columns (by scanPlan.predBuf) and NextBlock's reader. Views and decode
+// buffers are separate vectors, so the Reset and appends that refill a decode
+// buffer never reach storage.
 type decodeBufs struct {
-	out    *Batch
-	preds  []*Vector
+	out *Batch
+	// vecs back out's columns: first the decode buffers, then the views.
+	vecs   []Vector
+	preds  []*predBuf
 	blocks *blockReader
+}
+
+// newDecodeBufs makes the buffers of a cursor delivering schema's columns.
+func newDecodeBufs(schema Schema) *decodeBufs {
+	b := &decodeBufs{out: &Batch{Schema: schema, Cols: make([]*Vector, len(schema))}, vecs: make([]Vector, 2*len(schema))}
+	for i, c := range schema {
+		b.vecs[i].Type, b.vecs[len(schema)+i].Type = c.Type, c.Type
+	}
+	return b
 }
 
 // Pass hands c's decode buffers to next, a cursor over another range of the
@@ -480,7 +495,9 @@ func (c *ScanCursor) MaxRows() int {
 
 // Next returns the next non-empty batch of the range, or nil at its end.
 // The batch is valid until the next call: decode buffers are reused across
-// blocks, and a tail batch is a view of segment storage. Cancellation is
+// blocks. It may alias segment storage — a PLAIN INTEGER or FLOAT column read
+// whole is a view of its sealed block, a tail batch a view of the tail — so
+// consumers read it and never write it, not even after a Reset. Cancellation is
 // checked before every block decode (and before the tail), so a canceled
 // query stops within one storage block; the error wraps verr.ErrCanceled.
 func (c *ScanCursor) Next(ctx context.Context) (*Batch, error) {
@@ -501,7 +518,7 @@ func (c *ScanCursor) NextStored(ctx context.Context, maxRows int) (blocks [][]by
 	if c.scratch == nil {
 		c.scratch = idxScratch.Get().(*[]int)
 		if c.bufs == nil {
-			c.bufs = &decodeBufs{out: NewBatch(c.plan.outSchema)}
+			c.bufs = newDecodeBufs(c.plan.outSchema)
 		}
 	}
 	for c.bi < c.hi {
@@ -636,15 +653,20 @@ func (c *ScanCursor) scanTail() (*Batch, error) {
 // decode reads sealed block row bi into the cursor's batch, reused block
 // over block: every projected column whole, or the rows the index selects
 // and the predicates keep. A block whose rows are all selected decodes as if
-// there were no selection; one where few are decodes only those rows (late
-// materialization: DecodeBlockSel touches only the selected rows, where the
-// bulk decoder streams the whole payload, and its edge is gone well before
-// half the block survives, so the strategy flips at a quarter); the rest
-// decode whole and keep the selected rows in place. All three produce
-// identical bytes.
+// there were no selection — a PLAIN INTEGER or FLOAT column as a view of the
+// block in place; one where few are, or any PLAIN INTEGER or FLOAT block,
+// decodes only those rows (late materialization: DecodeBlockSel touches only
+// the selected rows, where the bulk decoder streams the whole payload, and
+// its edge is gone well before half the block survives, so the strategy
+// flips at a quarter — except on a fixed-width PLAIN payload, which it reads
+// by random access); the rest decode whole and keep the selected rows in
+// place. All of them produce identical values.
 func (c *ScanCursor) decode(bi int) (*Batch, error) {
 	s, plan, st, bufs := c.s, c.plan, &c.st, c.bufs
 	out := bufs.out
+	for i := range out.Cols {
+		out.Cols[i] = &bufs.vecs[i]
+	}
 	out.Reset()
 	rows := s.sealed[0][bi].rows
 	var match []int
@@ -667,16 +689,17 @@ func (c *ScanCursor) decode(bi int) (*Batch, error) {
 	for i, ci := range plan.colIdx {
 		data := s.sealed[ci][bi].data
 		st.BytesRead += len(data)
+		own := out.Cols[i]
 		var err error
 		switch {
 		case match == nil:
-			err = DecodeBlockInto(out.Cols[i], data)
-		case len(match)*4 < rows:
-			out.Cols[i].reserve(len(match))
-			err = DecodeBlockSel(out.Cols[i], data, match)
+			out.Cols[i], err = viewOrDecode(own, &bufs.vecs[len(out.Cols)+i], data)
+		case len(match)*4 < rows || plainNumeric(data):
+			own.reserve(len(match))
+			err = DecodeBlockSel(own, data, match)
 		default:
-			if err = DecodeBlockInto(out.Cols[i], data); err == nil {
-				out.Cols[i].keep(match)
+			if err = DecodeBlockInto(own, data); err == nil {
+				own.keep(match)
 			}
 		}
 		if err != nil {
@@ -684,6 +707,13 @@ func (c *ScanCursor) decode(bi int) (*Batch, error) {
 		}
 	}
 	return out, nil
+}
+
+// plainNumeric reports whether data is a PLAIN INTEGER or FLOAT block, whose
+// selected rows DecodeBlockSel reads by random access.
+func plainNumeric(data []byte) bool {
+	typ, enc, _, _, ok := splitBlockHeader(data)
+	return ok && enc == EncPlain && (typ == TypeInt64 || typ == TypeFloat64)
 }
 
 // match evaluates the cursor's predicates over sealed block bi in order: the
@@ -715,15 +745,15 @@ func (c *ScanCursor) match(bi int, sel []int) ([]int, error) {
 				continue
 			}
 		}
-		v := c.bufs.predVec(k, c.s.schema[plan.predCol[j]].Type)
+		pb := c.bufs.pred(k, c.s.schema[plan.predCol[j]].Type)
 		if k == j || k == 0 && compressed {
-			v.Reset()
-			if err := DecodeBlockInto(v, data); err != nil {
+			var err error
+			if pb.cur, err = viewOrDecode(&pb.own, &pb.view, data); err != nil {
 				return nil, err
 			}
 			compressed = compressed && k != 0
 		}
-		m, err := p.selectRows(v, sel, *c.scratch)
+		m, err := p.selectRows(pb.cur, sel, *c.scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -732,13 +762,21 @@ func (c *ScanCursor) match(bi int, sel []int) ([]int, error) {
 	return sel, nil
 }
 
-// predVec is the decode buffer k of the predicates' columns, of type typ.
-func (b *decodeBufs) predVec(k int, typ Type) *Vector {
+// predBuf is one predicate column's decode buffer and view; cur is the one
+// holding the block last read (viewOrDecode), which a later predicate on the
+// same column reads again.
+type predBuf struct {
+	own, view Vector
+	cur       *Vector
+}
+
+// pred is the decode buffer k of the predicates' columns, of type typ.
+func (b *decodeBufs) pred(k int, typ Type) *predBuf {
 	for len(b.preds) <= k {
 		b.preds = append(b.preds, nil)
 	}
-	if b.preds[k] == nil || b.preds[k].Type != typ {
-		b.preds[k] = NewVector(typ, 0)
+	if b.preds[k] == nil || b.preds[k].own.Type != typ {
+		b.preds[k] = &predBuf{own: Vector{Type: typ}, view: Vector{Type: typ}}
 	}
 	return b.preds[k]
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
-	"math"
 
 	"verticadr/internal/algos"
 	"verticadr/internal/verr"
@@ -47,29 +46,15 @@ type ShardedGLM struct {
 // feature j ascending — so sharded and dense deployments of the same model
 // produce bit-identical predictions.
 func (m *ShardedGLM) PredictBlock(cols [][]float64, out []float64) {
-	n := len(out)
 	for i := range out {
 		out[i] = m.Meta.Intercept
 	}
 	j := 0
 	for _, shard := range m.Coef {
-		for _, c := range shard {
-			for i, v := range cols[j][:n] {
-				out[i] += c * v
-			}
-			j++
-		}
+		algos.AddTerms(out, shard, cols[j:j+len(shard)])
+		j += len(shard)
 	}
-	switch m.Meta.Family {
-	case algos.Binomial:
-		for i, eta := range out {
-			out[i] = 1 / (1 + math.Exp(-eta))
-		}
-	case algos.Poisson:
-		for i, eta := range out {
-			out[i] = math.Exp(eta)
-		}
-	}
+	algos.LinkBlock(m.Meta.Family, out)
 }
 
 func shardPath(name string, k int) string { return fmt.Sprintf("models/%s.shard%04d", name, k) }
