@@ -82,8 +82,10 @@ test:
 
 # Race-check the packages with real shared-state concurrency: the
 # telemetry registry, the one TCP transport (wire: listener, pooled clients,
-# the shared frame-buffer pool), the vft staging hub + pooled export
-# pipeline, the dr
+# the shared frame-buffer pool), the vft staging hub (each message decoded at
+# arrival into the batch its frame partition keeps) + pooled export
+# pipeline, the frame's readers and writers beside it (the ODBC loader fills
+# partitions from concurrent connections, Spark tasks read them), the dr
 # scheduler, the yarn resource manager, the simulated network, the fault
 # injector, the intra-node parallel execution engine (worker pool, cursor
 # ranges walked as pool tasks with their in-order hand-off, chunked
@@ -103,7 +105,8 @@ race:
 		./internal/udf/... ./internal/darray/... ./internal/catalog/... \
 		./internal/server/... ./internal/core/... \
 		./internal/wal/... ./internal/txn/... ./internal/vertica/... \
-		./internal/cluster/... ./internal/wire/...
+		./internal/cluster/... ./internal/wire/... \
+		./internal/odbc/... ./internal/spark/...
 
 # The one performance harness (benchmark/README.md): one fixed-seed run of
 # every workload BENCHMARK.json names, at the run length it declares.

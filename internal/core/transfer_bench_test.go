@@ -121,12 +121,13 @@ func BenchmarkTransfer9(b *testing.B) {
 	b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// One transfer allocates a small multiple of the data it moves: the frame
-// partitions and the two arrays are the data twice over, and what is left is
-// message buffers and staged messages, which the pools hand back. A staging
-// batch of psize rows zeroed by every export instance, scan and hub decodes
-// grown by appending, and message buffers regrown from 64 KiB made it more
-// than six times the data before PR 24.
+// One transfer allocates little beyond the data it moves: the frame
+// partitions — the batches the hub decoded each message into — and the two
+// arrays are the data twice over, and what is left is message buffers, which
+// the pool hands back. Copying pooled staging batches into fresh partitions
+// made it 2.1-2.3 times the data; per-instance staging batches, hub decodes
+// grown by appending and message buffers regrown from 64 KiB once made it
+// more than six.
 func TestTransferAllocationStaysNearData(t *testing.T) {
 	if raceDetector {
 		t.Skip("under -race sync.Pool drops a quarter of what is put back")
@@ -143,12 +144,12 @@ func TestTransferAllocationStaysNearData(t *testing.T) {
 	}
 	run() // warm the pools
 	// A collection in mid-transfer empties the pools at a moment of its own
-	// choosing, and a pooled batch may meet a larger message than its last;
+	// choosing, and a pooled buffer may be too small for the next message;
 	// both only ever add, so the least of three runs is the transfer's own
 	// appetite.
 	got, data := min(run(), run(), run()), uint64(rows*9*8)
-	if got > 3*data {
-		t.Fatalf("one transfer of %d rows x 9 columns allocated %d MB, more than 3x its %d MB of data", rows, got>>20, data>>20)
+	if got > 22*data/10 {
+		t.Fatalf("one transfer of %d rows x 9 columns allocated %d MB, more than 2.2x its %d MB of data", rows, got>>20, data>>20)
 	}
 	t.Logf("one transfer of %d rows x 9 columns: %d MB allocated for %d MB of data (%.1fx)", rows, got>>20, data>>20, float64(got)/float64(data))
 }

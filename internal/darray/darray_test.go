@@ -439,6 +439,118 @@ func TestAsDArrayMatchesColumnAtATime(t *testing.T) {
 	}
 }
 
+// A partition filled with several chunks reads as their concatenation: Part
+// concatenates in order, the sizes and schema agree with the chunks, and
+// AsDArray lays out exactly what it lays out over the concatenation — over
+// a zero-row chunk, an INTEGER column and chunk boundaries that are not
+// multiples of the 512-row tile.
+func TestDFrameMultiChunkPartitions(t *testing.T) {
+	c := cluster(t, 2)
+	schema := colstore.Schema{
+		{Name: "x", Type: colstore.TypeFloat64},
+		{Name: "n", Type: colstore.TypeInt64},
+		{Name: "s", Type: colstore.TypeString},
+		{Name: "y", Type: colstore.TypeFloat64},
+	}
+	next := uint64(7)
+	gen := func(rows int) *colstore.Batch {
+		b := colstore.NewBatch(schema)
+		for i := 0; i < rows; i++ {
+			next = next*6364136223846793005 + 1442695040888963407
+			x := math.Float64frombits(next)
+			if err := b.AppendRow(x, int64(next>>3)-1<<60, string(rune('a'+next>>60)), -x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
+	}
+	layout := [][]int{{700, 0, 513, 1}, {1000}, {0}, {3, 4097, 511}}
+	multi, err := NewFrame(c, len(layout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := NewFrame(c, len(layout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for p, sizes := range layout {
+		var chunks []*colstore.Batch
+		cat := colstore.NewBatch(schema)
+		for _, n := range sizes {
+			b := gen(n)
+			if err := cat.AppendBatch(b); err != nil {
+				t.Fatal(err)
+			}
+			chunks = append(chunks, b)
+			rows += n
+		}
+		if err := multi.Fill(p, chunks...); err != nil {
+			t.Fatal(err)
+		}
+		if err := whole.Fill(p, cat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if multi.Rows() != rows || !multi.Schema().Equal(schema) {
+		t.Fatalf("frame holds %d rows of %v, its chunks %d of %v", multi.Rows(), multi.Schema(), rows, schema)
+	}
+	for p := range layout {
+		got, err := multi.Part(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := whole.Part(p)
+		r, cols, _ := multi.PartitionSize(p)
+		if r != want.Len() || cols != len(schema) || got.Len() != want.Len() || !got.Schema.Equal(schema) {
+			t.Fatalf("partition %d: size %dx%d, Part %d rows, chunks %d rows", p, r, cols, got.Len(), want.Len())
+		}
+		for j, col := range got.Cols {
+			w := want.Cols[j]
+			for i := 0; i < got.Len(); i++ {
+				if col.Type == colstore.TypeFloat64 && math.Float64bits(col.Floats[i]) != math.Float64bits(w.Floats[i]) ||
+					col.Type != colstore.TypeFloat64 && col.Value(i) != w.Value(i) {
+					t.Fatalf("partition %d column %s row %d: %v, want %v", p, schema[j].Name, i, col.Value(i), w.Value(i))
+				}
+			}
+		}
+	}
+	for _, cols := range [][]string{{"x", "n", "y"}, {"n"}, {"y", "x"}} {
+		a, err := multi.AsDArray(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := whole.AsDArray(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range layout {
+			ma, _ := a.Part(p)
+			mb, _ := b.Part(p)
+			if ma.Rows != mb.Rows || ma.Cols != mb.Cols {
+				t.Fatalf("%v partition %d: %dx%d over the chunks, %dx%d over their concatenation", cols, p, ma.Rows, ma.Cols, mb.Rows, mb.Cols)
+			}
+			for i, v := range mb.Data {
+				if math.Float64bits(ma.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("%v partition %d: element %d is %x over the chunks, %x over their concatenation", cols, p, i, math.Float64bits(ma.Data[i]), math.Float64bits(v))
+				}
+			}
+		}
+	}
+	// Chunks must agree on the schema, and a partition needs at least one.
+	fresh, _ := NewFrame(c, 1)
+	other := colstore.NewBatch(colstore.Schema{{Name: "x", Type: colstore.TypeFloat64}})
+	if err := fresh.Fill(0, gen(2), other); err == nil {
+		t.Fatal("chunks of different schemas filled one partition")
+	}
+	if err := fresh.Fill(0); err == nil {
+		t.Fatal("a partition filled with no chunks")
+	}
+	if fresh.Schema() != nil || fresh.Rows() != 0 {
+		t.Fatal("a refused fill left the frame filled")
+	}
+}
+
 func TestDList(t *testing.T) {
 	c := cluster(t, 2)
 	l, err := NewList(c, 3)

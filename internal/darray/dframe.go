@@ -60,17 +60,24 @@ func (f *DFrame) SetWorker(i, worker int) error {
 	return nil
 }
 
-// Fill stores a batch as partition i; all partitions must share a schema
-// (the data-frame conformity check).
+// Fill stores chunks, in order, as partition i; all chunks and partitions
+// must share a schema (the data-frame conformity check).
 //
-// Fill takes ownership of b: the batch becomes the partition's backing
-// storage without a copy, so the caller must not modify, reuse or recycle it
-// (or its column slices) afterwards. Pooled batches flowing through the vft
-// transfer are therefore copied into a fresh exact-capacity batch before
-// Fill, and only the pooled staging copies return to their pool.
-func (f *DFrame) Fill(i int, b *colstore.Batch) error {
-	if err := b.Validate(); err != nil {
-		return err
+// Fill takes ownership of the chunks: they become the partition's backing
+// storage without a copy, so the caller must not modify, reuse or recycle
+// them (or their column slices) afterwards. A vft transfer fills a partition
+// with the batches its hub decoded the partition's messages into.
+func (f *DFrame) Fill(i int, chunks ...*colstore.Batch) error {
+	if len(chunks) == 0 {
+		return fmt.Errorf("darray: partition %d filled with no chunks", i)
+	}
+	for _, b := range chunks {
+		if err := b.Validate(); err != nil {
+			return err
+		}
+		if !b.Schema.Equal(chunks[0].Schema) {
+			return fmt.Errorf("darray: partition %d chunks differ in schema", i)
+		}
 	}
 	f.mu.Lock()
 	if i < 0 || i >= len(f.part) {
@@ -78,13 +85,13 @@ func (f *DFrame) Fill(i int, b *colstore.Batch) error {
 		return fmt.Errorf("darray: no partition %d", i)
 	}
 	if f.sch == nil {
-		f.sch = b.Schema
-	} else if !f.sch.Equal(b.Schema) {
+		f.sch = chunks[0].Schema
+	} else if !f.sch.Equal(chunks[0].Schema) {
 		f.mu.Unlock()
 		return fmt.Errorf("darray: partition %d schema differs from frame schema", i)
 	}
 	meta := &f.part[i]
-	meta.rows, meta.cols, meta.filled = b.Len(), len(b.Schema), true
+	meta.rows, meta.cols, meta.filled = rowsOf(chunks), len(f.sch), true
 	worker, key := meta.worker, meta.key
 	f.mu.Unlock()
 
@@ -92,7 +99,7 @@ func (f *DFrame) Fill(i int, b *colstore.Batch) error {
 	if err != nil {
 		return err
 	}
-	w.Put(key, b)
+	w.Put(key, chunks)
 	return nil
 }
 
@@ -124,8 +131,27 @@ func (f *DFrame) Rows() int {
 	return n
 }
 
-// Part fetches partition i's batch.
+// Part fetches partition i's batch: its one chunk, or else its chunks
+// concatenated into a new batch.
 func (f *DFrame) Part(i int) (*colstore.Batch, error) {
+	chunks, err := f.chunks(i)
+	if err != nil {
+		return nil, err
+	}
+	if len(chunks) == 1 {
+		return chunks[0], nil
+	}
+	out := colstore.NewBatchCap(chunks[0].Schema, rowsOf(chunks))
+	for _, b := range chunks {
+		if err := out.AppendBatch(b); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// chunks fetches partition i's chunks from its worker.
+func (f *DFrame) chunks(i int) ([]*colstore.Batch, error) {
 	f.mu.RLock()
 	if i < 0 || i >= len(f.part) {
 		f.mu.RUnlock()
@@ -144,7 +170,16 @@ func (f *DFrame) Part(i int) (*colstore.Batch, error) {
 	if !ok {
 		return nil, fmt.Errorf("darray: partition %d missing from worker %d", i, meta.worker)
 	}
-	return v.(*colstore.Batch), nil
+	return v.([]*colstore.Batch), nil
+}
+
+// rowsOf counts the rows of a partition's chunks.
+func rowsOf(chunks []*colstore.Batch) int {
+	n := 0
+	for _, b := range chunks {
+		n += b.Len()
+	}
+	return n
 }
 
 // AsDArray converts numeric columns (in schema order, or the named subset)
@@ -181,11 +216,16 @@ func (f *DFrame) AsDArray(cols []string) (*DArray, error) {
 		}
 	}
 	err = parallel.Default().ForEach(f.NPartitions(), func(i int) error {
-		b, err := f.Part(i)
+		chunks, err := f.chunks(i)
 		if err != nil {
 			return err
 		}
-		return a.Fill(i, rowMajor(b, idx))
+		m, at := NewMat(rowsOf(chunks), len(idx)), 0
+		for _, b := range chunks {
+			rowMajor(m, at, b, idx)
+			at += b.Len()
+		}
+		return a.Fill(i, m)
 	})
 	if err != nil {
 		return nil, err
@@ -193,19 +233,18 @@ func (f *DFrame) AsDArray(cols []string) (*DArray, error) {
 	return a, nil
 }
 
-// rowMajor lays the numeric columns idx of b out as a row-major matrix. The
-// sources are column-major, so a whole column at a time would touch every
-// cache line of the matrix once per column; instead the rows go in tiles
-// small enough that a tile of the matrix stays in cache while each column in
-// turn is written into it.
-func rowMajor(b *colstore.Batch, idx []int) *Mat {
-	m := NewMat(b.Len(), len(idx))
+// rowMajor lays the numeric columns idx of b out in the row-major matrix m,
+// from row at on. The sources are column-major, so a whole column at a time
+// would touch every cache line of the matrix once per column; instead the
+// rows go in tiles small enough that a tile of the matrix stays in cache
+// while each column in turn is written into it.
+func rowMajor(m *Mat, at int, b *colstore.Batch, idx []int) {
 	stride := len(idx)
 	tile := max(32, 4096/max(stride, 1)) // about 32 KiB of matrix
-	for lo := 0; lo < m.Rows; lo += tile {
-		hi := min(lo+tile, m.Rows)
+	for lo := 0; lo < b.Len(); lo += tile {
+		hi := min(lo+tile, b.Len())
 		for j, ci := range idx {
-			dst := m.Data[lo*stride+j:]
+			dst := m.Data[(at+lo)*stride+j:]
 			if col := b.Cols[ci]; col.Type == colstore.TypeFloat64 {
 				for r, v := range col.Floats[lo:hi] {
 					dst[r*stride] = v
@@ -217,7 +256,6 @@ func rowMajor(b *colstore.Batch, idx []int) *Mat {
 			}
 		}
 	}
-	return m
 }
 
 // DList is a distributed list: each partition holds an arbitrary []any

@@ -66,7 +66,7 @@ func Listen(srv *Server, addr string, opts ...ListenOption) (*TCPServer, error) 
 	for _, o := range opts {
 		o(t)
 	}
-	l, err := wire.Listen(addr, t.serve)
+	l, err := wire.Listen(addr, "server", t.serve)
 	if err != nil {
 		return nil, err
 	}

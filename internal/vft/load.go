@@ -37,7 +37,8 @@ func LoadTCPContext(ctx context.Context, db DB, c *dr.Cluster, hub *Hub, svc *TC
 //  3. The master issues ONE SQL query invoking ExportToDistributedR with the
 //     worker/network metadata, partition-size hint and policy (Fig. 4).
 //  4. Vertica fans out UDF instances per node that stream encoded chunks.
-//  5. Finalize converts staged chunks into frame partitions on the workers.
+//  5. Finalize fills the frame partitions with the staged batches, in
+//     order, on the workers.
 //
 // With PolicyLocality the frame has one partition per database node,
 // co-numbered with workers (requires equal counts); with PolicyUniform one

@@ -2,10 +2,15 @@ package vft
 
 import (
 	"context"
+	"errors"
 	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"verticadr/internal/colstore"
+	"verticadr/internal/darray"
 	"verticadr/internal/faults"
 )
 
@@ -19,7 +24,7 @@ func abSchema() colstore.Schema {
 }
 
 // TestChaosPooledTransferByteExact loads the same table twice — once clean,
-// once with 5% of sends dropping their ack — with buffer/batch pooling live
+// once with 5% of sends dropping their ack — with buffer pooling live
 // on both paths. A retransmission must never observe a recycled buffer, so
 // the two frames must agree bit for bit, partition by partition.
 func TestChaosPooledTransferByteExact(t *testing.T) {
@@ -153,8 +158,8 @@ func TestSendDoesNotRetainMsg(t *testing.T) {
 	}
 }
 
-// TestPoolHitTelemetry checks that repeated loads actually recycle buffers
-// and batches: the second load must record pool hits.
+// TestPoolHitTelemetry checks that repeated loads actually recycle message
+// buffers: the second load must record pool hits.
 func TestPoolHitTelemetry(t *testing.T) {
 	db, c, hub := setup(t, 2, 2)
 	loadTestTable(t, db, 600)
@@ -168,4 +173,95 @@ func TestPoolHitTelemetry(t *testing.T) {
 	if mPoolHit.Value() == hits0 {
 		t.Fatal("second load recorded no pool hits; pooling is not wired in")
 	}
+}
+
+// columnBits checksums each column of a frame, partitions in order, by its
+// values' bits — Float64bits for FLOAT, the two's complement for INTEGER —
+// in an order-sensitive sum, so rows that moved between or within
+// partitions change it.
+func columnBits(t *testing.T, frame *darray.DFrame) []uint64 {
+	t.Helper()
+	var sums []uint64
+	for p := 0; p < frame.NPartitions(); p++ {
+		b, err := frame.Part(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sums == nil {
+			sums = make([]uint64, len(b.Cols))
+		}
+		for j, col := range b.Cols {
+			for _, v := range col.Floats {
+				sums[j] = sums[j]*31 + math.Float64bits(v)
+			}
+			for _, v := range col.Ints {
+				sums[j] = sums[j]*31 + uint64(v)
+			}
+		}
+	}
+	return sums
+}
+
+// failingSink stages a transfer's first n messages through the hub and
+// refuses every later one, so the export fails with batches decoded.
+type failingSink struct {
+	hub *Hub
+	n   atomic.Int32
+}
+
+func (s *failingSink) Send(id string, part int, seq uint64, msg []byte, rows int, dbTime time.Duration) error {
+	if s.n.Add(-1) < 0 {
+		return errors.New("refused")
+	}
+	return s.hub.Send(id, part, seq, msg, rows, dbTime)
+}
+
+// A frame's partitions are the batches the hub decoded its messages into, so
+// nothing may hand those batches to another transfer: later loads of the
+// same table — in process, over TCP, and one aborted with messages staged —
+// must leave the first frame's bits as they were.
+func TestFramesNeverShareStorage(t *testing.T) {
+	db, c, hub := setup(t, 2, 2)
+	loadTestTable(t, db, 2000)
+	svc, err := ServeTCP(hub, c.NumWorkers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	first, _, err := LoadContext(ctx, db, c, hub, "mytable", nil, PolicyLocality, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := columnBits(t, first)
+	check := func(step string) {
+		t.Helper()
+		if got := columnBits(t, first); !slices.Equal(got, want) {
+			t.Fatalf("after %s the first frame's column bits are %x, were %x", step, got, want)
+		}
+	}
+	second, _, err := LoadContext(ctx, db, c, hub, "mytable", nil, PolicyLocality, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("a second in-process load")
+	overTCP, _, err := LoadTCPContext(ctx, db, c, hub, svc, "mytable", nil, PolicyLocality, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("a load over TCP")
+	for name, f := range map[string]*darray.DFrame{"second": second, "TCP": overTCP} {
+		if got := columnBits(t, f); !slices.Equal(got, want) {
+			t.Fatalf("the %s load's column bits are %x, the first's %x", name, got, want)
+		}
+	}
+	sink := &failingSink{hub: hub}
+	sink.n.Store(5)
+	if _, _, err := load(ctx, db, c, hub, sink, "mytable", nil, PolicyLocality, 64); err == nil {
+		t.Fatal("a load whose sink refused its sixth message succeeded")
+	}
+	if hub.Sessions() != 0 {
+		t.Fatalf("the aborted load left %d sessions", hub.Sessions())
+	}
+	check("an aborted load")
 }

@@ -1,26 +1,23 @@
 package vft
 
 import (
-	"sync"
-
-	"verticadr/internal/colstore"
 	"verticadr/internal/telemetry"
 	"verticadr/internal/wire"
 )
 
-// Buffer and batch pools for the zero-steady-state-allocation transfer path.
-// Message buffers and decoded staging batches cycle through here — message
-// buffers through the transport's own pool (wire.GetBuf), which the worker
-// listeners read their messages into as well — and the hit/miss counters
-// make reuse observable (a healthy steady-state transfer shows hits
-// dominating misses after warm-up).
+// The buffer pool of the zero-steady-state-allocation transfer path: message
+// buffers cycle through the transport's own pool (wire.GetBuf), which the
+// worker listeners read their messages into as well, and the hit/miss
+// counters make reuse observable (a healthy steady-state transfer shows hits
+// dominating misses after warm-up). Decoded batches are not pooled: each is
+// a partition's storage for the life of its frame.
 //
-// Ownership contract: whoever takes a buffer or batch from the pool owns it
-// until the explicit return point. ChunkSink.Send implementations must not
-// retain msg past the call (the hub decodes eagerly, the TCP sender has
-// written it out), which is what lets senders recycle message buffers the
-// moment Send returns — a retransmission reuses the still-owned buffer and
-// can never observe a recycled one. Only buffers that came from
+// Ownership contract: whoever takes a buffer from the pool owns it until the
+// explicit return point. ChunkSink.Send implementations must not retain msg
+// past the call (the hub decodes eagerly, the TCP sender has written it
+// out), which is what lets senders recycle message buffers the moment Send
+// returns — a retransmission reuses the still-owned buffer and can never
+// observe a recycled one. Only buffers that came from
 // getBuf/getBufCap go back: a stored block a message was copied from belongs
 // to its segment and is never pooled.
 var (
@@ -48,28 +45,3 @@ func getBufCap(n int) []byte {
 
 // putBuf returns a buffer to the pool. The caller must not use b afterwards.
 func putBuf(b []byte) { wire.PutBuf(b) }
-
-var batchPool sync.Pool // stores *colstore.Batch
-
-// getBatch returns an empty batch with the given schema, reusing pooled
-// column storage when the pooled batch's schema matches (the common case:
-// one table shape per transfer). A schema mismatch falls back to a fresh
-// allocation — with room for rows rows, so filling it does not regrow it —
-// rather than rebuilding columns in place.
-func getBatch(schema colstore.Schema, rows int) *colstore.Batch {
-	if b, ok := batchPool.Get().(*colstore.Batch); ok && b.Schema.Equal(schema) {
-		mPoolHit.Inc()
-		b.Reset()
-		return b
-	}
-	mPoolMiss.Inc()
-	return colstore.NewBatchCap(schema, rows)
-}
-
-// putBatch returns a batch to the pool. The caller must not use b afterwards.
-func putBatch(b *colstore.Batch) {
-	if b == nil {
-		return
-	}
-	batchPool.Put(b)
-}

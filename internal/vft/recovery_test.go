@@ -459,7 +459,7 @@ func TestSendRetriedOnlyByExportLoop(t *testing.T) {
 	svc := &TCPService{}
 	defer svc.Close()
 	for i := 0; i < 2; i++ {
-		l, err := wire.Listen("127.0.0.1:0", func(_ context.Context, req *wire.Request, _ [][]byte, _ *wire.Reply) error {
+		l, err := wire.Listen("127.0.0.1:0", "vft", func(_ context.Context, req *wire.Request, _ [][]byte, _ *wire.Reply) error {
 			var m sendHeader
 			if err := json.Unmarshal(req.Ext, &m); err == nil {
 				mu.Lock()

@@ -50,14 +50,16 @@ type TCPService struct {
 	sender    tcpSender
 }
 
-// ServeTCP starts `workers` loopback listeners feeding the hub.
+// ServeTCP starts `workers` loopback listeners feeding the hub. They count
+// into their own series — vft_conns, vft_proto_requests_total and
+// vft_wire_bytes_total{dir} — not the serving protocol's server_* ones.
 func ServeTCP(hub *Hub, workers int) (*TCPService, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("vft: need at least one worker listener")
 	}
 	s := &TCPService{}
 	for i := 0; i < workers; i++ {
-		l, err := wire.Listen("127.0.0.1:0", hub.serveSend)
+		l, err := wire.Listen("127.0.0.1:0", "vft", hub.serveSend)
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("vft: listen: %w", err)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"verticadr/internal/telemetry"
 )
 
 func TestLoadOverTCPLocality(t *testing.T) {
@@ -126,5 +128,45 @@ func TestTCPConnectionReuse(t *testing.T) {
 		if frame.Rows() != 600 {
 			t.Fatalf("load %d rows = %d", i, frame.Rows())
 		}
+	}
+}
+
+// The DR worker listeners count into series of their own: a transfer over
+// TCP moves vft_wire_bytes_total and vft_proto_requests_total by at least its
+// messages, and leaves the serving protocol's server_* series as they were.
+func TestTCPTransferCountsIntoItsOwnSeries(t *testing.T) {
+	db, c, hub := setup(t, 2, 2)
+	loadTestTable(t, db, 600)
+	svc, err := ServeTCP(hub, c.NumWorkers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	reg := telemetry.Default()
+	counters := []*telemetry.Counter{
+		reg.Counter("server_wire_bytes_total", telemetry.L("dir", "in")),
+		reg.Counter("server_wire_bytes_total", telemetry.L("dir", "out")),
+		reg.Counter("server_proto_requests_total"),
+		reg.Counter("vft_wire_bytes_total", telemetry.L("dir", "in")),
+		reg.Counter("vft_proto_requests_total"),
+	}
+	before := make([]int64, len(counters))
+	for i, m := range counters {
+		before[i] = m.Value()
+	}
+	_, stats, err := LoadTCPContext(context.Background(), db, c, hub, svc, "mytable", nil, PolicyLocality, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := make([]int64, len(counters))
+	for i, m := range counters {
+		moved[i] = m.Value() - before[i]
+	}
+	if moved[0] != 0 || moved[1] != 0 || moved[2] != 0 {
+		t.Fatalf("a TCP transfer moved server_wire_bytes_total by in %d, out %d and server_proto_requests_total by %d", moved[0], moved[1], moved[2])
+	}
+	if moved[3] < int64(stats.Bytes) || moved[4] < int64(stats.Chunks) {
+		t.Fatalf("a TCP transfer of %d messages, %d bytes moved vft_wire_bytes_total{dir=\"in\"} by %d and vft_proto_requests_total by %d",
+			stats.Chunks, stats.Bytes, moved[3], moved[4])
 	}
 }

@@ -5,9 +5,11 @@
 // chunks directly to Distributed R workers. Two distribution policies are
 // supported (§3.2): locality-preserving (node i → worker i, partition sizes
 // mirror the possibly-skewed segmentation) and uniform (round-robin chunks,
-// even partitions). Received chunks are staged as in-memory byte files on
-// the workers (the paper's /dev/shm staging) and converted to data-frame
-// partitions once transfer completes (§3.3).
+// even partitions). The paper stages received chunks as in-memory byte
+// files on the workers (/dev/shm) and converts them to data-frame partitions
+// once the transfer completes (§3.3). Here the hub decodes each message at
+// arrival into a batch of its own, and those batches, put in order, are the
+// partitions: the conversion after the export is a sort.
 package vft
 
 import (
@@ -23,7 +25,6 @@ import (
 	"verticadr/internal/darray"
 	"verticadr/internal/dr"
 	"verticadr/internal/faults"
-	"verticadr/internal/parallel"
 	"verticadr/internal/telemetry"
 )
 
@@ -76,8 +77,10 @@ const FuncName = "ExportToDistributedR"
 // session's telemetry counters when the transfer finalizes. DBSide covers
 // reading, encoding and sending inside database UDF instances; Network is
 // time spent pulling chunk bytes off sockets (zero on the in-process path);
-// RSide covers staging and conversion to R objects on the workers — the
-// phase bars of Fig. 6 / Fig. 14.
+// RSide covers conversion to R objects on the workers — the hub's decode of
+// each message at arrival, which is the partition's storage, plus finalize
+// putting each partition's messages in order — the phase bars of Fig. 6 /
+// Fig. 14.
 type Stats struct {
 	Rows        int
 	Bytes       int
@@ -259,8 +262,8 @@ func (h *Hub) get(id string) (*session, error) {
 // sequence number) so that partition assembly does not depend on goroutine
 // or network interleaving: under the locality policy a partition reassembles
 // in exact segment order, making repeated loads of the same table
-// row-aligned. The batch comes from the vft batch pool and is recycled once
-// finalize has copied it into the partition.
+// row-aligned. The batch is what the message decoded into, and becomes part
+// of the partition as it is.
 type chunkMsg struct {
 	seq   uint64
 	batch *colstore.Batch
@@ -287,11 +290,11 @@ func OrderKey(node, instance, localSeq int) uint64 {
 // a failed or lost acknowledgement without corrupting the partition.
 //
 // msg is only read for the duration of the call: its chunks are decoded into
-// one pooled batch before Send returns, so the sender may recycle or
-// overwrite the buffer immediately afterwards. A message that is corrupt,
-// ends inside a chunk, or decodes to another row count than the sender
-// declared is rejected here, at arrival, with nothing staged or counted,
-// rather than poisoning the session at finalize time.
+// one new batch, the partition's storage from then on, before Send returns,
+// so the sender may recycle or overwrite the buffer immediately afterwards. A
+// message that is corrupt, ends inside a chunk, or decodes to another row
+// count than the sender declared is rejected here, at arrival, with nothing
+// staged or counted, rather than poisoning the session at finalize time.
 func (h *Hub) Send(sessionID string, part int, seq uint64, msg []byte, rows int, dbTime time.Duration) error {
 	s, err := h.get(sessionID)
 	if err != nil {
@@ -316,9 +319,8 @@ func (h *Hub) Send(sessionID string, part int, seq uint64, msg []byte, rows int,
 	start := time.Now()
 	// A fresh batch is sized for the rows the sender declares, as far as the
 	// bytes it actually delivered vouch for them: at most a word a byte.
-	batch := getBatch(s.schema, max(0, min(rows, len(msg)/8)))
+	batch := colstore.NewBatchCap(s.schema, max(0, min(rows, len(msg)/8)))
 	if err := decodeRun(batch, msg, rows); err != nil {
-		putBatch(batch)
 		return err
 	}
 	conv := time.Since(start)
@@ -326,7 +328,6 @@ func (h *Hub) Send(sessionID string, part int, seq uint64, msg []byte, rows int,
 	if _, dup := s.seen[key]; dup {
 		// A retransmission raced our decode; keep the first copy.
 		s.mu.Unlock()
-		putBatch(batch)
 		mDupChunks.Inc()
 		return nil
 	}
@@ -370,15 +371,11 @@ func (h *Hub) addNet(sessionID string, d time.Duration) {
 	}
 }
 
-// finalize assembles each partition's staged (already decoded) chunks into a
-// typed batch and fills the distributed frame (§3.3 step two: "in-memory
-// files are converted into R objects and assembled into partitions").
-// Decoding itself happened at arrival, overlapped with the export; what
-// remains here is the ordered copy into exact-capacity partition batches,
-// which runs on the owning workers in parallel with a column-parallel inner
-// loop. Staged pooled batches are recycled only after every task has
-// succeeded, so a task re-run on a recovered worker never reads a recycled
-// batch.
+// finalize fills each partition of the distributed frame with its staged
+// batches (§3.3 step two: "in-memory files are converted into R objects and
+// assembled into partitions"). Decoding happened at arrival, overlapped with
+// the export, into batches that are the partition's storage; what remains
+// here is putting them in order, on the owning workers in parallel.
 func (h *Hub) finalize(ctx context.Context, id string, c *dr.Cluster) (st *Stats, err error) {
 	s, err := h.get(id)
 	if err != nil {
@@ -399,7 +396,6 @@ func (h *Hub) finalize(ctx context.Context, id string, c *dr.Cluster) (st *Stats
 	nparts := s.frame.NPartitions()
 	var rMu sync.Mutex
 	var rTime time.Duration
-	pool := parallel.Default()
 	tasks := map[int][]dr.TaskSpec{}
 	for part := 0; part < nparts; part++ {
 		part := part
@@ -410,25 +406,14 @@ func (h *Hub) finalize(ctx context.Context, id string, c *dr.Cluster) (st *Stats
 				start := time.Now()
 				// Deterministic assembly: order by (node, instance, sequence).
 				sort.Slice(chunks, func(a, b int) bool { return chunks[a].seq < chunks[b].seq })
-				rows := 0
+				batches := make([]*colstore.Batch, 0, len(chunks)+1)
 				for _, c := range chunks {
-					rows += c.batch.Len()
+					batches = append(batches, c.batch)
 				}
-				// Exact-capacity partition batch: the copy below never regrows.
-				batch := colstore.NewBatchCap(s.schema, rows)
-				// Columns are independent, so the ordered copy fans out over
-				// the worker pool without changing the row order.
-				if err := pool.ForEach(len(batch.Cols), func(j int) error {
-					for _, c := range chunks {
-						if err := batch.Cols[j].AppendVector(c.batch.Cols[j]); err != nil {
-							return err
-						}
-					}
-					return nil
-				}); err != nil {
-					return err
+				if len(batches) == 0 { // an empty partition still has the schema
+					batches = append(batches, colstore.NewBatch(s.schema))
 				}
-				if err := s.frame.Fill(part, batch); err != nil {
+				if err := s.frame.Fill(part, batches...); err != nil {
 					return err
 				}
 				rMu.Lock()
@@ -436,10 +421,10 @@ func (h *Hub) finalize(ctx context.Context, id string, c *dr.Cluster) (st *Stats
 				rMu.Unlock()
 				return nil
 			},
-			// Failover: the staged chunks live on the master, so recovering
+			// Failover: the staged batches live on the master, so recovering
 			// a dead worker's partition only needs re-pointing it at the
-			// survivor before the conversion task re-runs there (the paper's
-			// partition re-fetch on task re-execution).
+			// survivor before the task re-runs there (the paper's partition
+			// re-fetch on task re-execution).
 			Rebuild: func(nw *dr.Worker) error {
 				return s.frame.SetWorker(part, nw.ID())
 			},
@@ -447,14 +432,6 @@ func (h *Hub) finalize(ctx context.Context, id string, c *dr.Cluster) (st *Stats
 	}
 	if err := c.RunAllSpecsCtx(ctx, tasks, dr.RunOpts{Retries: c.TaskRetries()}); err != nil {
 		return nil, err
-	}
-	// All partitions assembled; the staged pooled batches are dead now (no
-	// task can re-run) and go back to the pool. Error paths skip this and
-	// let the GC take them — an aborted session must never race a recycle.
-	for _, chunks := range staged {
-		for _, c := range chunks {
-			putBatch(c.batch)
-		}
 	}
 	sizes := make([]int, nparts)
 	for i := range sizes {

@@ -12,14 +12,23 @@ import (
 	"verticadr/internal/verr"
 )
 
-var (
-	gConns     = telemetry.Default().Gauge("server_conns")
-	mRequests  = telemetry.Default().Counter("server_proto_requests_total")
-	mWireBytes = func(dir string) *telemetry.Counter {
-		return telemetry.Default().Counter("server_wire_bytes_total", telemetry.L("dir", dir))
+// meters are the series a listener counts into — its open connections, the
+// requests it served and the frame bytes each way — named after what it
+// serves, so the serving protocol and the DR worker endpoints read apart.
+type meters struct {
+	conns             *telemetry.Gauge
+	requests, in, out *telemetry.Counter
+}
+
+func newMeters(series string) meters {
+	reg := telemetry.Default()
+	return meters{
+		conns:    reg.Gauge(series + "_conns"),
+		requests: reg.Counter(series + "_proto_requests_total"),
+		in:       reg.Counter(series+"_wire_bytes_total", telemetry.L("dir", "in")),
+		out:      reg.Counter(series+"_wire_bytes_total", telemetry.L("dir", "out")),
 	}
-	mWireIn, mWireOut = mWireBytes("in"), mWireBytes("out")
-)
+}
 
 // Handler answers one request: req is its header and bodies the bodies
 // behind it, both valid until the handler returns. A handler either frames
@@ -86,6 +95,7 @@ func (r *Reply) ReadTime() time.Duration { return r.took }
 type Listener struct {
 	lis    net.Listener
 	handle Handler
+	m      meters
 
 	mu      sync.Mutex
 	conns   map[net.Conn]bool // conn -> currently serving a request
@@ -93,13 +103,15 @@ type Listener struct {
 	wg      sync.WaitGroup
 }
 
-// Listen starts serving h on addr (host:port; port 0 picks a free port).
-func Listen(addr string, h Handler) (*Listener, error) {
+// Listen starts serving h on addr (host:port; port 0 picks a free port),
+// counting into the series named series_conns,
+// series_proto_requests_total and series_wire_bytes_total{dir}.
+func Listen(addr, series string, h Handler) (*Listener, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	l := &Listener{lis: lis, handle: h, conns: map[net.Conn]bool{}}
+	l := &Listener{lis: lis, handle: h, m: newMeters(series), conns: map[net.Conn]bool{}}
 	l.wg.Add(1)
 	go l.acceptLoop()
 	return l, nil
@@ -189,9 +201,9 @@ func (l *Listener) serveConn(conn net.Conn) {
 		delete(l.conns, conn)
 		l.mu.Unlock()
 		_ = conn.Close()
-		gConns.Add(-1)
+		l.m.conns.Add(-1)
 	}()
-	gConns.Add(1)
+	l.m.conns.Add(1)
 	rd := &reader{r: conn}
 	defer rd.shed()
 	out := &Reply{}
@@ -203,11 +215,11 @@ func (l *Listener) serveConn(conn net.Conn) {
 		l.mu.Lock()
 		l.conns[conn] = true // busy: a drain lets this request finish
 		l.mu.Unlock()
-		mRequests.Inc()
-		mWireIn.Add(int64(len(frame)))
+		l.m.requests.Inc()
+		l.m.in.Add(int64(len(frame)))
 		out.took = rd.took
 		l.serve(frame, out)
-		mWireOut.Add(int64(out.Size()))
+		l.m.out.Add(int64(out.Size()))
 		werr := out.frame.writeTo(conn)
 		rd.shed() // a large request's buffer does not idle with the connection
 		if cap(out.chunk) > keepBufBytes {

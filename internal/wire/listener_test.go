@@ -16,7 +16,7 @@ import (
 // coded overload) and "sink" (a bare ok), and refuses anything else.
 func echoListener(t *testing.T) *Listener {
 	t.Helper()
-	l, err := Listen("127.0.0.1:0", func(_ context.Context, req *Request, bodies [][]byte, out *Reply) error {
+	l, err := Listen("127.0.0.1:0", "test", func(_ context.Context, req *Request, bodies [][]byte, out *Reply) error {
 		switch req.Op {
 		case "echo":
 			out.Respond(MaxFrameBytes, Response{Code: verr.CodeOK}, bodies)
@@ -154,7 +154,7 @@ func TestLargeRequestsReadWithoutAllocating(t *testing.T) {
 // call on it fails as a transport error instead of reading a stale reply,
 // and the listener goes on serving fresh connections.
 func TestDeadlineAbortClosesConn(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", func(ctx context.Context, req *Request, _ [][]byte, _ *Reply) error {
+	l, err := Listen("127.0.0.1:0", "test", func(ctx context.Context, req *Request, _ [][]byte, _ *Reply) error {
 		if req.Op == "slow" {
 			time.Sleep(100 * time.Millisecond)
 		}
