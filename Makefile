@@ -6,11 +6,11 @@ GO ?= go
 # the tree must be lint-clean (the block codec for a big-endian host too: its
 # PLAIN fallback compiles nowhere else), the bounded differential suites
 # (compressed execution, single-table, hash join, streamed UDTF) must agree
-# bitwise, and the eleven fuzz-smoke targets (parser, four equivalence
+# bitwise, and the twelve fuzz-smoke targets (parser, four equivalence
 # targets, shard-partial import, broadcast-build decode, serving frame
-# decode, block decode, transfer message decode, the IRLS and Lloyd kernels
-# against their row-at-a-time references) get a short run so the harness
-# runs on every pass.
+# decode, frame header codec, block decode, transfer message decode, the
+# IRLS and Lloyd kernels against their row-at-a-time references) get a short
+# run so the harness runs on every pass.
 #
 # Targets: check (= lint build test race difftest-short fuzz-smoke), vet,
 # bench (benchmark/run.sh over the BENCHMARK.json workloads), bench-figures,
@@ -38,7 +38,9 @@ difftest-short:
 # so parse robustness is tier-1), the router's import of shard partials, the
 # peer's decode of a join's broadcast build tables, the serving frame
 # decoder on both ends of a connection (internal/wire's codec, driven
-# through the server's listener), the block decoder and the transfer
+# through the server's listener), the binary frame header on its own (any
+# bytes decode without panicking, a decoded header re-encodes to itself),
+# the block decoder and the transfer
 # hub's decode of a message, a run of chunks (bytes off a socket, all five),
 # and the fit kernels bitwise against the row loops they replaced; enough to
 # replay each corpus and explore a little.
@@ -52,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzHashJoinEquivalence -fuzztime=10s ./internal/sqlexec/difftest/
 	$(GO) test -run='^$$' -fuzz=FuzzShardRequestBuilds -fuzztime=10s ./internal/cluster/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzHeader -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/colstore/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeChunk -fuzztime=10s ./internal/vft/
 	$(GO) test -run='^$$' -fuzz=FuzzFitKernels -fuzztime=10s ./internal/algos/
@@ -169,6 +172,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzHashJoinEquivalence -fuzztime=$(FUZZTIME) ./internal/sqlexec/difftest/
 	$(GO) test -run='^$$' -fuzz=FuzzShardRequestBuilds -fuzztime=$(FUZZTIME) ./internal/cluster/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzHeader -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeChunk -fuzztime=$(FUZZTIME) ./internal/vft/
 	$(GO) test -run='^$$' -fuzz=FuzzFitKernels -fuzztime=$(FUZZTIME) ./internal/algos/
 	$(GO) test -run='^$$' -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./internal/wal/

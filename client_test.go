@@ -2,8 +2,6 @@ package verticadr
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -191,16 +189,11 @@ func startReplyLossNode(t *testing.T) string {
 						return
 					}
 					buf = frame
-					// A serving frame: u32 header length, the JSON header, no
-					// bodies on anything this node answers.
-					var req struct {
-						Op string `json:"op"`
-					}
-					if json.Unmarshal(frame[4:4+binary.LittleEndian.Uint32(frame)], &req) == nil && req.Op == "query" {
+					var req wire.Request
+					if _, err := wire.DecodeFrame(frame, &req); err == nil && req.Op == "query" {
 						return // drop the connection: outcome unknown
 					}
-					resp, _ := json.Marshal(map[string]string{"code": "ok"})
-					if wire.WriteFrame(conn, binary.LittleEndian.AppendUint32(nil, uint32(len(resp))), resp) != nil {
+					if wire.WriteFrame(conn, wire.AppendFrame(nil, &wire.Response{Code: "ok"})) != nil {
 						return
 					}
 				}

@@ -268,8 +268,8 @@ func TestRouterFailoverOnReplicaDeath(t *testing.T) {
 	}
 }
 
-// TestRouterPrepareExecute binds a router-side prepared statement; no peer
-// ever sees the unbound template.
+// TestRouterPrepareExecute binds a router-side prepared statement: the
+// peers need no prepared name, only the template and its arguments.
 func TestRouterPrepareExecute(t *testing.T) {
 	tc := startCluster(t, 2, 2, 1)
 	ctx := context.Background()
@@ -455,7 +455,7 @@ func opScanAttrs(t *testing.T, tc *testCluster, sql string) map[string]int64 {
 	ctx := telemetry.ContextWithSpan(context.Background(), root)
 	for shard := 0; shard < tc.topo.Shards; shard++ {
 		peer := tc.nodes[tc.topo.Owners(shard)[0]].peer
-		if _, _, err := peer.serveShards(ctx, opAgg, shardRequest{SQL: sql, Shards: []int{shard}}); err != nil {
+		if _, _, _, err := peer.serveShards(ctx, opAgg, shardRequest{SQL: sql, Shards: []int{shard}}); err != nil {
 			t.Fatalf("cl.agg shard %d %q: %v", shard, sql, err)
 		}
 	}

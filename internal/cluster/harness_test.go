@@ -25,7 +25,7 @@ const testDDL = `CREATE TABLE %s (id INTEGER, a INTEGER, b INTEGER, x FLOAT, y F
 // freeAddrs reserves n distinct loopback ports by binding and immediately
 // releasing them. The tiny window before the harness rebinds is an
 // accepted test-only race.
-func freeAddrs(t *testing.T, n int) []string {
+func freeAddrs(t testing.TB, n int) []string {
 	t.Helper()
 	lis := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -55,7 +55,7 @@ type testNode struct {
 }
 
 type testCluster struct {
-	t     *testing.T
+	t     testing.TB
 	topo  Topology
 	nodes []*testNode
 }
@@ -70,7 +70,7 @@ func nodeConfig(shards int) core.Config {
 
 // startCluster brings up peers nodes serving shards shards at replication
 // factor replicas, each with its own router frontend.
-func startCluster(t *testing.T, peers, shards, replicas int) *testCluster {
+func startCluster(t testing.TB, peers, shards, replicas int) *testCluster {
 	t.Helper()
 	addrs := freeAddrs(t, peers)
 	topo, err := Topology{Addrs: addrs, Shards: shards, Replicas: replicas}.Normalize()
@@ -123,7 +123,7 @@ func (tc *testCluster) exec(sql string) {
 
 // startBaseline is the single-process reference: same node count as the
 // cluster has shards, same block size and parallelism.
-func startBaseline(t *testing.T, shards int) *core.Session {
+func startBaseline(t testing.TB, shards int) *core.Session {
 	t.Helper()
 	sess, err := core.Start(nodeConfig(shards))
 	if err != nil {
@@ -135,7 +135,7 @@ func startBaseline(t *testing.T, shards int) *core.Session {
 
 // buildBatch boxes rows into a fresh batch. Each side of a comparison gets
 // its own batch: loads consume them.
-func buildBatch(t *testing.T, schema colstore.Schema, rows [][]any) *colstore.Batch {
+func buildBatch(t testing.TB, schema colstore.Schema, rows [][]any) *colstore.Batch {
 	t.Helper()
 	b := colstore.NewBatchCap(schema, len(rows))
 	for _, r := range rows {

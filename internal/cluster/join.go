@@ -156,11 +156,11 @@ func (r *Router) fetchBuild(ctx context.Context, join int, in plan.JoinInput) (*
 	}
 	// The shards' raw chunks, copied off their connections: their sum is
 	// checked before anything decodes, and they then decode into one batch.
-	replies := make([]*shardReply, r.topo.Shards)
+	schemas := make([]colstore.Schema, r.topo.Shards)
 	chunks := make([][]byte, r.topo.Shards)
 	err := r.eachShard(ctx, opSelect, shardRequest{SQL: buildSQL(in), BuildLimit: r.buildLimit},
-		func(shard int, rep *shardReply, chunk []byte) error {
-			replies[shard], chunks[shard] = rep, append([]byte(nil), chunk...)
+		func(shard int, schema colstore.Schema, chunk []byte) error {
+			schemas[shard], chunks[shard] = schema, append([]byte(nil), chunk...)
 			return nil
 		})
 	if err != nil {
@@ -178,9 +178,9 @@ func (r *Router) fetchBuild(ctx context.Context, join int, in plan.JoinInput) (*
 		return nil, 0, err
 	}
 	rows := colstore.NewBatch(schema)
-	for shard, rep := range replies {
-		if !rep.Schema.Equal(schema) {
-			return nil, 0, fmt.Errorf("cluster: shard %d answered for %q with columns %v, the catalog has %v", shard, in.Table, rep.Schema, schema)
+	for shard, got := range schemas {
+		if !got.Equal(schema) {
+			return nil, 0, fmt.Errorf("cluster: shard %d answered for %q with columns %v, the catalog has %v", shard, in.Table, got, schema)
 		}
 		if err := vft.DecodeChunkInto(rows, chunks[shard]); err != nil {
 			return nil, 0, fmt.Errorf("cluster: shard %d build reply: %w", shard, err)
@@ -219,7 +219,7 @@ func (r *Router) joinSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexec
 		jp, err := r.prepareJoin(ctx, sel)
 		var res *sqlexec.Result
 		if err == nil {
-			res, err = r.scatter(ctx, jp.sel, plan.IsAggregate(jp.sel), jp.builds)
+			res, err = r.scatter(ctx, jp.sel, plan.IsAggregate(jp.sel), shardRequest{SQL: shardSQL(jp.sel), Builds: jp.builds})
 		}
 		if attempt == 0 && jp != nil && r.tableGen() != jp.gen {
 			continue

@@ -184,7 +184,7 @@ func TestJoinFailoverBetweenBuildAndProbe(t *testing.T) {
 		}
 		// kill -9 of node 1 (idempotent: the second statement finds it dead).
 		_ = tc.nodes[1].tcp.Close()
-		got, err := r.scatter(ctx, jp.sel, plan.IsAggregate(jp.sel), jp.builds)
+		got, err := r.scatter(ctx, jp.sel, plan.IsAggregate(jp.sel), shardRequest{SQL: shardSQL(jp.sel), Builds: jp.builds})
 		if err != nil {
 			t.Fatalf("%q: probe round did not survive the kill: %v", sql, err)
 		}

@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 
 	"verticadr/internal/colstore"
 	"verticadr/internal/server"
+	"verticadr/internal/wire"
 )
 
 // nodeExt is the protocol extension a clustered vdr-serve registers: the
@@ -25,21 +25,22 @@ type nodeExt struct {
 // a clustered node.
 func NodeExtension(p *Peer, r *Router) server.Extension { return &nodeExt{peer: p, router: r} }
 
-func (n *nodeExt) ServeExt(ctx context.Context, op string, payload json.RawMessage, bodies [][]byte) (any, [][]byte, error) {
+func (n *nodeExt) ServeExt(ctx context.Context, wreq *wire.Request, bodies [][]byte) (server.ExtReply, error) {
+	op := wreq.Op
 	if op != opLoad {
-		return n.peer.ServeExt(ctx, op, payload, bodies)
+		return n.peer.ServeExt(ctx, wreq, bodies)
 	}
 	var req loadRequest
-	if err := decodeRequest(op, payload, &req); err != nil {
-		return nil, nil, err
+	if err := decodeRequest(op, wreq.Ext, &req); err != nil {
+		return server.ExtReply{}, err
 	}
 	if err := wantBodies(op, bodies, 1); err != nil {
-		return nil, nil, err
+		return server.ExtReply{}, err
 	}
 	mPeerOps(op).Inc()
 	if req.Shard != -1 {
 		rep, err := n.peer.serveLoad(ctx, req, bodies[0])
-		return rep, nil, err
+		return server.ExtReply{Payload: rep}, err
 	}
 	var b *colstore.Batch
 	err := n.router.withTable(ctx, req.Table, func(rt *routedTable) (err error) {
@@ -47,10 +48,10 @@ func (n *nodeExt) ServeExt(ctx context.Context, op string, payload json.RawMessa
 		return err
 	})
 	if err != nil {
-		return nil, nil, err
+		return server.ExtReply{}, err
 	}
 	if err := n.router.Load(ctx, req.Table, b); err != nil {
-		return nil, nil, err
+		return server.ExtReply{}, err
 	}
-	return &loadReply{Rows: b.Len()}, nil, nil
+	return server.ExtReply{Payload: &loadReply{Rows: b.Len()}}, nil
 }

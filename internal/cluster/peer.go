@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"verticadr/internal/catalog"
@@ -13,6 +12,7 @@ import (
 	"verticadr/internal/telemetry"
 	"verticadr/internal/verr"
 	"verticadr/internal/vertica"
+	"verticadr/internal/wire"
 )
 
 var (
@@ -51,51 +51,56 @@ func NewPeer(srv *server.Server, topo Topology, node int) *Peer {
 var _ server.Extension = (*Peer)(nil)
 
 // ServeExt dispatches one cluster op.
-func (p *Peer) ServeExt(ctx context.Context, op string, payload json.RawMessage, bodies [][]byte) (any, [][]byte, error) {
+func (p *Peer) ServeExt(ctx context.Context, wreq *wire.Request, bodies [][]byte) (server.ExtReply, error) {
+	op := wreq.Op
 	mPeerOps(op).Inc()
 	switch op {
 	case opSelect, opAgg:
 		var req shardRequest
-		if err := decodeRequest(op, payload, &req); err != nil {
-			return nil, nil, err
+		if err := decodeRequest(op, wreq.Ext, &req); err != nil {
+			return server.ExtReply{}, err
 		}
+		req.SQL, req.Args = wreq.SQL, wreq.Args
 		if err := req.setBodies(op, bodies); err != nil {
-			return nil, nil, err
+			return server.ExtReply{}, err
 		}
-		rep, chunk, err := p.serveShards(ctx, op, req)
-		return rep, [][]byte{chunk}, err
+		rep, schema, chunk, err := p.serveShards(ctx, op, req)
+		if err != nil {
+			return server.ExtReply{}, err
+		}
+		return server.ExtReply{Payload: rep, Schema: schema, Bodies: [][]byte{chunk}}, nil
 	case opLoad:
 		var req loadRequest
-		if err := decodeRequest(op, payload, &req); err != nil {
-			return nil, nil, err
+		if err := decodeRequest(op, wreq.Ext, &req); err != nil {
+			return server.ExtReply{}, err
 		}
 		if err := wantBodies(op, bodies, 1); err != nil {
-			return nil, nil, err
+			return server.ExtReply{}, err
 		}
 		rep, err := p.serveLoad(ctx, req, bodies[0])
-		return rep, nil, err
+		return server.ExtReply{Payload: rep}, err
 	case opExec:
 		var req execRequest
-		if err := decodeRequest(op, payload, &req); err != nil {
-			return nil, nil, err
+		if err := decodeRequest(op, wreq.Ext, &req); err != nil {
+			return server.ExtReply{}, err
 		}
 		rep, err := p.serveExec(ctx, req)
-		return rep, nil, err
+		return server.ExtReply{Payload: rep}, err
 	case opTableDef:
 		var req tableDefRequest
-		if err := decodeRequest(op, payload, &req); err != nil {
-			return nil, nil, err
+		if err := decodeRequest(op, wreq.Ext, &req); err != nil {
+			return server.ExtReply{}, err
 		}
 		rep := &tableDefReply{Epoch: p.db.CatalogEpoch()}
 		def, err := p.db.TableDef(req.Table)
 		if err != nil {
-			return nil, nil, err
+			return server.ExtReply{}, err
 		}
 		rep.TableDef = *def
-		return rep, nil, nil
+		return server.ExtReply{Payload: rep}, nil
 	case opHealth:
 		h := p.srv.Health()
-		return healthReply{
+		return server.ExtReply{Payload: healthReply{
 			Node:      p.node,
 			Shards:    p.topo.OwnedShards(p.node),
 			Peers:     p.topo.Addrs,
@@ -103,9 +108,9 @@ func (p *Peer) ServeExt(ctx context.Context, op string, payload json.RawMessage,
 			Inflight:  int(h.Inflight),
 			Queued:    int(h.Queued),
 			Saturated: h.Saturated,
-		}, nil, nil
+		}}, nil
 	}
-	return nil, nil, fmt.Errorf("cluster: unknown op %q", op)
+	return server.ExtReply{}, fmt.Errorf("cluster: unknown op %q", op)
 }
 
 // checkShards validates a requested shard list against this peer's
@@ -160,27 +165,34 @@ func runShards(ctx context.Context, op string, view sqlexec.Database, stmt sqlpa
 	return res.Batch, nil
 }
 
-// serveShards answers the read ops: the statement runs under admission
-// control over one snapshot view restricted to the requested shards — with
-// a join's broadcast build sides overlaid — and its batch ships as one vft
-// chunk. The view pins its own snapshot; the shards of one routed query are
-// separate requests and may observe different commit timestamps, exactly as
-// separate nodes of a real cluster answer from their own commit horizons.
-func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*shardReply, []byte, error) {
+// serveShards answers the read ops: the statement — resolved through the
+// serving layer's plan cache and bound to its arguments — runs under
+// admission control over one snapshot view restricted to the requested
+// shards, with a join's broadcast build sides overlaid, and its batch ships
+// as one vft chunk under the schema returned beside it. The view pins its own
+// snapshot; the shards of one routed query are separate requests and may
+// observe different commit timestamps, exactly as separate nodes of a real
+// cluster answer from their own commit horizons.
+func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*shardReply, colstore.Schema, []byte, error) {
 	if err := p.checkShards(req.Shards); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	stmt, err := sqlparse.Parse(req.SQL)
+	args, err := decodeArgs(req.Args)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
+	}
+	stmt, fingerprint, err := p.srv.Statement(ctx, req.SQL, args)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	builds, err := overlayBuilds(ctx, stmt, req.Builds)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	reply := &shardReply{Epoch: p.db.CatalogEpoch()}
+	var schema colstore.Schema
 	var chunk []byte
-	_, err = p.srv.Admit(ctx, req.SQL, func(ctx context.Context) (*sqlexec.Result, error) {
+	_, err = p.srv.Admit(ctx, fingerprint, func(ctx context.Context) (*sqlexec.Result, error) {
 		view, release := p.db.ShardView(req.Shards)
 		defer release()
 		if builds != nil {
@@ -190,7 +202,7 @@ func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*s
 		if err != nil {
 			return nil, err
 		}
-		reply.Schema = b.Schema
+		schema = b.Schema
 		if chunk, err = encodeChunk(ctx, b); err != nil {
 			return nil, err
 		}
@@ -202,9 +214,9 @@ func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*s
 		return nil, nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return reply, chunk, nil
+	return reply, schema, chunk, nil
 }
 
 // maxJoinBuildBytes bounds a join's broadcast build side, as the chunk bytes

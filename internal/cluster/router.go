@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -83,7 +84,7 @@ type Router struct {
 	tables    map[string]*routedTable
 	epochs    []int64
 	tablesGen uint64
-	prepared  map[string]*sqlparse.Select
+	prepared  map[string]*preparedSelect
 	closed    bool
 
 	probeWG   sync.WaitGroup
@@ -120,7 +121,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		stale:      make([][]bool, len(topo.Addrs)),
 		tables:     map[string]*routedTable{},
 		epochs:     make([]int64, len(topo.Addrs)),
-		prepared:   map[string]*sqlparse.Select{},
+		prepared:   map[string]*preparedSelect{},
 		probeStop:  make(chan struct{}),
 	}
 	for i, addr := range topo.Addrs {
@@ -280,26 +281,48 @@ func connFailure(err error) bool {
 	return errors.Is(err, verr.ErrNodeDown) || errors.Is(err, verr.ErrClosed)
 }
 
-// rpc is one extension round trip with a peer: the op, its request payload
-// and the bodies behind it, where the reply payload decodes, and recv, which
-// takes the reply's bodies. Those alias the connection's read buffer, so recv
-// runs — decodes or copies them — before the connection goes back to the
-// pool.
+// rpc is one extension round trip with a peer: the op, the statement a read
+// op carries in the frame header (sql, args), its request payload and the
+// bodies behind it, where the reply payload decodes, and recv, which takes
+// the reply's schema and bodies. The bodies alias the connection's read
+// buffer, so recv runs — decodes or copies them — before the connection goes
+// back to the pool.
 type rpc struct {
 	op         string
 	idempotent bool
+	sql        string
+	args       []json.RawMessage
 	payload    any
 	bodies     [][]byte
 	reply      any
-	recv       func(bodies [][]byte) error
+	recv       func(schema colstore.Schema, bodies [][]byte) error
 }
 
 func (call *rpc) on(ctx context.Context, c *wire.Client) error {
-	out, err := c.Call(ctx, call.op, call.payload, call.bodies, call.reply)
-	if err == nil && call.recv != nil {
-		err = call.recv(out)
+	req := wire.Request{Op: call.op, SQL: call.sql, Args: call.args}
+	if call.payload != nil {
+		var err error
+		if req.Ext, err = json.Marshal(call.payload); err != nil {
+			return fmt.Errorf("cluster: %s payload: %w", call.op, err)
+		}
 	}
-	return err
+	return c.RoundTrip(ctx, req, call.bodies, func(resp *wire.Response, bodies [][]byte, _ *telemetry.Span) error {
+		var err error
+		switch reply := call.reply.(type) {
+		case nil:
+		case interface{ decodeExt([]byte) error }:
+			err = reply.decodeExt(resp.Ext)
+		default:
+			err = json.Unmarshal(resp.Ext, reply)
+		}
+		if err != nil {
+			return fmt.Errorf("cluster: bad %s reply: %w", call.op, err)
+		}
+		if call.recv == nil {
+			return nil
+		}
+		return call.recv(resp.Schema, bodies)
+	})
 }
 
 // peerCall makes one round trip with one peer over a pooled connection. A
@@ -428,46 +451,48 @@ func (r *Router) shardCall(ctx context.Context, shard int, call rpc) error {
 	return fmt.Errorf("cluster: shard %d: %w: %v", shard, verr.ErrNodeDown, lastErr)
 }
 
-// fanOut runs fn for every shard concurrently and returns the first error.
+// fanOut runs fn for every shard concurrently and returns their errors
+// joined in shard order. Shard 0 runs on the caller's goroutine, whose stack
+// has long grown to what a peer call takes; a fresh goroutine grows its stack
+// on every call.
 func (r *Router) fanOut(ctx context.Context, fn func(shard int) error) error {
 	errs := make([]error, r.topo.Shards)
 	var wg sync.WaitGroup
-	for s := 0; s < r.topo.Shards; s++ {
+	for s := 1; s < r.topo.Shards; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
 			errs[s] = fn(s)
 		}(s)
 	}
+	errs[0] = fn(0)
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
 // eachShard runs req under op on every shard concurrently — each shard on
-// the first of its replicas that answers — and hands each reply and its chunk
-// to fn on the shard's own goroutine, so the shards' chunks decode side by
-// side. The chunk is the connection's: fn decodes or copies it.
-func (r *Router) eachShard(ctx context.Context, op string, req shardRequest, fn func(shard int, rep *shardReply, chunk []byte) error) error {
-	bodies := req.bodies()
+// the first of its replicas that answers — and hands each reply's schema and
+// chunk to fn as the shard's call returns, so the shards' chunks decode side
+// by side. The chunk is the connection's: fn decodes or copies it.
+func (r *Router) eachShard(ctx context.Context, op string, req shardRequest, fn func(shard int, schema colstore.Schema, chunk []byte) error) error {
 	return r.fanOut(ctx, func(shard int) error {
 		req := req
 		req.Shards = []int{shard}
 		var rep shardReply
-		return r.shardCall(ctx, shard, rpc{op: op, payload: req, bodies: bodies, reply: &rep,
-			recv: func(out [][]byte) error {
-				if err := wantBodies(op, out, 1); err != nil {
-					return err
-				}
-				return fn(shard, &rep, out[0])
-			}})
+		return r.shardCall(ctx, shard, req.rpc(op, &rep, func(schema colstore.Schema, out [][]byte) error {
+			if err := wantBodies(op, out, 1); err != nil {
+				return err
+			}
+			return fn(shard, schema, out[0])
+		}))
 	})
 }
 
 // fetch is eachShard decoded: the shards' batches in shard order.
 func (r *Router) fetch(ctx context.Context, op string, req shardRequest) ([]*colstore.Batch, error) {
 	batches := make([]*colstore.Batch, r.topo.Shards)
-	err := r.eachShard(ctx, op, req, func(shard int, rep *shardReply, chunk []byte) error {
-		b, err := decodeChunk(ctx, chunk, rep.Schema)
+	err := r.eachShard(ctx, op, req, func(shard int, schema colstore.Schema, chunk []byte) error {
+		b, err := decodeChunk(ctx, chunk, schema)
 		if err != nil {
 			return fmt.Errorf("cluster: shard %d %s reply: %w", shard, op, err)
 		}
@@ -516,9 +541,22 @@ func (r *Router) Query(ctx context.Context, sql string) (*sqlexec.Result, error)
 	}
 }
 
+// preparedSelect is a prepared SELECT as the router runs it. A single-table
+// statement is normalized and rendered for the peers once, here: every
+// execution ships the same text with its arguments, which each peer parses
+// once into its plan cache. A join or a constant SELECT binds sel and routes
+// like a one-shot statement.
+type preparedSelect struct {
+	sel  *sqlparse.Select
+	norm *sqlparse.Select // plan.Normalize(sel); nil unless sent as a template
+	text string           // shardSQL(norm)
+	agg  bool
+}
+
 // Prepare parses and stores a SELECT template locally; Execute binds and
-// routes it. Preparation is router-side (each peer re-parses the bound
-// SQL), so prepared names need not exist on any peer.
+// routes it. Preparation is router-side — a peer meets the template with
+// the first execution that reaches it — so prepared names need not exist on
+// any peer.
 func (r *Router) Prepare(name, sql string) error {
 	if name == "" {
 		return fmt.Errorf("cluster: empty statement name")
@@ -527,25 +565,64 @@ func (r *Router) Prepare(name, sql string) error {
 	if err != nil {
 		return err
 	}
+	ps := &preparedSelect{sel: sel}
+	if kind := plan.KindOf(sel); kind != plan.KindJoin && kind != plan.KindConst {
+		// A template that does not normalize fails each execution instead,
+		// as routeSelect reports it.
+		if norm, err := plan.Normalize(sel); err == nil && sendsAsTemplate(norm) {
+			ps.norm, ps.text, ps.agg = norm, shardSQL(norm), kind == plan.KindAggregate
+		}
+	}
 	r.mu.Lock()
-	r.prepared[name] = sel
+	r.prepared[name] = ps
 	r.mu.Unlock()
 	return nil
 }
 
-// Execute binds args to a prepared SELECT and routes it.
+// sendsAsTemplate reports whether norm's text binds on a peer as norm binds
+// here: rendering must keep its placeholders in their order (a USING
+// PARAMETERS list renders sorted by name, so one that is not could swap
+// them). Binding both to distinct numbers and comparing the texts shows it.
+func sendsAsTemplate(norm *sqlparse.Select) bool {
+	sent, err := parseSelect(shardSQL(norm))
+	if err != nil || sent.NumParams != norm.NumParams {
+		return false
+	}
+	marks := make([]any, norm.NumParams)
+	for i := range marks {
+		marks[i] = int64(i + 1)
+	}
+	here, err1 := sqlparse.BindSelect(norm, marks)
+	there, err2 := sqlparse.BindSelect(sent, marks)
+	return err1 == nil && err2 == nil && shardSQL(here) == shardSQL(there)
+}
+
+// Execute binds args to a prepared SELECT and routes it: a single-table
+// statement as its template and arguments, merged against the bound
+// statement the peers will run.
 func (r *Router) Execute(ctx context.Context, name string, args ...any) (*sqlexec.Result, error) {
 	r.mu.Lock()
-	sel := r.prepared[name]
+	ps := r.prepared[name]
 	r.mu.Unlock()
-	if sel == nil {
+	if ps == nil {
 		return nil, fmt.Errorf("cluster: no prepared statement %q", name)
 	}
-	bound, err := sqlparse.BindSelect(sel, args)
+	if ps.norm == nil {
+		bound, err := sqlparse.BindSelect(ps.sel, args)
+		if err != nil {
+			return nil, err
+		}
+		return r.routeSelect(ctx, bound)
+	}
+	bound, err := sqlparse.BindSelect(ps.norm, args)
 	if err != nil {
 		return nil, err
 	}
-	return r.routeSelect(ctx, bound)
+	enc, err := encodeArgs(args)
+	if err != nil {
+		return nil, err
+	}
+	return r.routeSingle(ctx, bound, ps.agg, shardRequest{SQL: ps.text, Args: enc})
 }
 
 // shardSQL renders the statement sent to peers: identical to the client's
@@ -578,18 +655,25 @@ func (r *Router) routeSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexe
 	if err != nil {
 		return nil, err
 	}
-	agg, name := kind == plan.KindAggregate, "rows"
+	return r.routeSingle(ctx, sel, kind == plan.KindAggregate, shardRequest{SQL: shardSQL(sel)})
+}
+
+// routeSingle scatters a normalized single-table statement as req and merges
+// the answers against sel, the statement the peers run.
+func (r *Router) routeSingle(ctx context.Context, sel *sqlparse.Select, agg bool, req shardRequest) (*sqlexec.Result, error) {
+	name := "rows"
 	if agg {
 		name = "aggregate"
 	}
 	mRouterRouted(name).Inc()
 	ctx, span := telemetry.StartChildCtx(ctx, "router."+name)
 	defer span.End()
-	return r.scatter(ctx, sel, agg, nil)
+	return r.scatter(ctx, sel, agg, req)
 }
 
-// scatter runs a normalized statement on every shard — a join's broadcast
-// build sides riding along — and merges the answers deterministically.
+// scatter runs a normalized statement on every shard — req, with a join's
+// broadcast build sides riding along — and merges the answers
+// deterministically against sel, the statement the peers run.
 //
 // A projection / UDTF statement runs whole on each shard (including its
 // ORDER BY and LIMIT, which are sound to apply per shard and are re-applied
@@ -598,8 +682,7 @@ func (r *Router) routeSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexe
 // aggregate stops at its partial batch on each shard; the router folds the
 // partials in shard order — the distributed continuation of the engine's
 // chunk-merge tree — and finalizes (AVG division, ORDER BY, LIMIT) once.
-func (r *Router) scatter(ctx context.Context, sel *sqlparse.Select, agg bool, builds []buildTable) (*sqlexec.Result, error) {
-	req := shardRequest{SQL: shardSQL(sel), Builds: builds}
+func (r *Router) scatter(ctx context.Context, sel *sqlparse.Select, agg bool, req shardRequest) (*sqlexec.Result, error) {
 	if agg {
 		parts, err := r.fetch(ctx, opAgg, req)
 		if err != nil {
@@ -633,7 +716,6 @@ func (r *Router) routeExplain(ctx context.Context, sql string, ex *sqlparse.Expl
 		}
 		req.Builds, joins = jp.builds, jp.notes
 	}
-	var rep shardReply
 	var out *colstore.Batch
 	peerUsed := -1
 	var lastErr error
@@ -644,13 +726,12 @@ func (r *Router) routeExplain(ctx context.Context, sql string, ex *sqlparse.Expl
 		if req.Shards = r.topo.OwnedShards(peer); len(req.Shards) == 0 {
 			continue
 		}
-		err := r.peerCall(ctx, peer, rpc{op: opSelect, idempotent: true, payload: req, bodies: req.bodies(), reply: &rep,
-			recv: func(bodies [][]byte) (err error) {
-				if err = wantBodies(opSelect, bodies, 1); err == nil {
-					out, err = decodeChunk(ctx, bodies[0], rep.Schema)
-				}
-				return err
-			}})
+		err := r.peerCall(ctx, peer, req.rpc(opSelect, &shardReply{}, func(schema colstore.Schema, bodies [][]byte) (err error) {
+			if err = wantBodies(opSelect, bodies, 1); err == nil {
+				out, err = decodeChunk(ctx, bodies[0], schema)
+			}
+			return err
+		}))
 		if err == nil {
 			peerUsed = peer
 			break

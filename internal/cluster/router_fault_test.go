@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -163,10 +161,8 @@ func startSheddingPeer(t *testing.T) string {
 						return
 					}
 					buf = frame
-					resp, _ := json.Marshal(map[string]string{
-						"code": verr.CodeOverloaded, "msg": "admission shed",
-					})
-					if wire.WriteFrame(conn, binary.LittleEndian.AppendUint32(nil, uint32(len(resp))), resp) != nil {
+					resp := wire.AppendFrame(nil, &wire.Response{Code: verr.CodeOverloaded, Msg: "admission shed"})
+					if wire.WriteFrame(conn, resp) != nil {
 						return
 					}
 				}

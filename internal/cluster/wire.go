@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 
 	"verticadr/internal/catalog"
@@ -20,7 +23,8 @@ import (
 // its vft chunk, raw, so float bits, NaN payloads included, survive the hop
 // exactly and nothing is base64. A body aliases the connection's read buffer:
 // whoever receives one decodes (or copies) it before the connection's next
-// frame.
+// frame. A read op's statement travels in the frame header (SQL, Args) and
+// the schema of its answer too (Schema), so neither passes through JSON.
 
 // Extension op names.
 const (
@@ -36,9 +40,15 @@ const (
 // restricted to the listed shards, all of which it must own: cl.select runs
 // a SELECT to its finished rows or an EXPLAIN to its plan lines, cl.agg an
 // aggregate SELECT to its partial batch (sqlexec.RunPartialAggregate).
+//
+// SQL and Args are the statement: a prepared statement's template and its
+// arguments (encodeArgs), or a statement's whole text and none. On the wire
+// they ride in the frame header's SQL and Args (rpc), never in the payload;
+// the peer resolves the text through its plan cache and binds the arguments.
 type shardRequest struct {
-	SQL    string `json:"sql"`
-	Shards []int  `json:"shards"`
+	SQL    string            `json:"sql,omitempty"`
+	Args   []json.RawMessage `json:"-"`
+	Shards []int             `json:"shards"`
 	// Builds are a join statement's broadcast build sides: the peer reads
 	// each named JOIN's table from the shipped batch instead of its shards.
 	Builds []buildTable `json:"builds,omitempty"`
@@ -67,6 +77,14 @@ func (req *shardRequest) bodies() [][]byte {
 	return out
 }
 
+// rpc is the read call that sends req under op: the statement in the frame
+// header, the rest as the payload, the build tables' chunks as the bodies.
+func (req shardRequest) rpc(op string, reply *shardReply, recv func(schema colstore.Schema, bodies [][]byte) error) rpc {
+	sql := req.SQL
+	req.SQL = ""
+	return rpc{op: op, idempotent: true, sql: sql, args: req.Args, payload: req, bodies: req.bodies(), reply: reply, recv: recv}
+}
+
 // setBodies is bodies reversed, on the receiving side.
 func (req *shardRequest) setBodies(op string, bodies [][]byte) error {
 	if err := wantBodies(op, bodies, len(req.Builds)); err != nil {
@@ -83,14 +101,28 @@ func (req *shardRequest) setBodies(op string, bodies [][]byte) error {
 // the router cached under means DDL went through another node's router.
 type epochReply interface{ catalogEpoch() uint64 }
 
-// shardReply is the answer to every shardRequest: the schema to decode the
-// reply's one body under, a batch as a vft chunk.
+// shardReply is the answer to every shardRequest. The reply's one body is a
+// batch as a vft chunk, under the schema in the response header.
 type shardReply struct {
-	Schema colstore.Schema `json:"schema"`
-	Epoch  uint64          `json:"epoch"`
+	Epoch uint64 `json:"epoch"`
 }
 
 func (r *shardReply) catalogEpoch() uint64 { return r.Epoch }
+
+// decodeExt reads the payload a peer's encoding/json wrote, {"epoch":N},
+// without reflection: one arrives per shard of every routed read. Any other
+// spelling goes through encoding/json.
+func (r *shardReply) decodeExt(b []byte) error {
+	if digits, ok := bytes.CutPrefix(b, []byte(`{"epoch":`)); ok {
+		if digits, ok = bytes.CutSuffix(digits, []byte("}")); ok {
+			if n, err := strconv.ParseUint(string(digits), 10, 64); err == nil {
+				r.Epoch = n
+				return nil
+			}
+		}
+	}
+	return json.Unmarshal(b, r)
+}
 
 // decodeRequest unmarshals an op's request payload.
 func decodeRequest(op string, payload json.RawMessage, req any) error {
@@ -98,6 +130,72 @@ func decodeRequest(op string, payload json.RawMessage, req any) error {
 		return fmt.Errorf("cluster: bad %s request: %w", op, err)
 	}
 	return nil
+}
+
+// A shard statement's arguments, one header Args entry each, are typed and
+// exact: a tag byte, then for 'i' an int64 as a zigzag varint, for 'f' a
+// float64's eight little-endian bytes, for 's' a string's bytes, for 'b' a
+// bool's one byte, 0 or 1. Whatever BindSelect accepts crosses unchanged — a
+// whole float stays a float; NaN payloads and bytes that are not UTF-8 stay
+// as they were.
+func encodeArgs(args []any) ([]json.RawMessage, error) {
+	if len(args) == 0 {
+		return nil, nil
+	}
+	out := make([]json.RawMessage, len(args))
+	for i, a := range args {
+		switch v := a.(type) {
+		case int:
+			out[i] = binary.AppendVarint([]byte{'i'}, int64(v))
+		case int64:
+			out[i] = binary.AppendVarint([]byte{'i'}, v)
+		case float64:
+			out[i] = binary.LittleEndian.AppendUint64([]byte{'f'}, math.Float64bits(v))
+		case string:
+			out[i] = append([]byte{'s'}, v...)
+		case bool:
+			b := byte(0)
+			if v {
+				b = 1
+			}
+			out[i] = []byte{'b', b}
+		default:
+			return nil, fmt.Errorf("cluster: argument %d: unsupported type %T", i, a)
+		}
+	}
+	return out, nil
+}
+
+// decodeArgs is encodeArgs reversed. The bytes came off a wire: an unknown
+// tag or a value of the wrong length is an error.
+func decodeArgs(raw []json.RawMessage) ([]any, error) {
+	if len(raw) == 0 {
+		return nil, nil
+	}
+	args := make([]any, len(raw))
+	for i, r := range raw {
+		var ok bool
+		if len(r) > 0 {
+			v := r[1:]
+			switch r[0] {
+			case 'i':
+				n, k := binary.Varint(v)
+				args[i], ok = n, k > 0 && k == len(v)
+			case 'f':
+				if ok = len(v) == 8; ok {
+					args[i] = math.Float64frombits(binary.LittleEndian.Uint64(v))
+				}
+			case 's':
+				args[i], ok = string(v), true
+			case 'b':
+				args[i], ok = len(v) == 1 && v[0] == 1, len(v) == 1 && v[0] <= 1
+			}
+		}
+		if !ok {
+			return nil, fmt.Errorf("cluster: argument %d: malformed value %q", i, r)
+		}
+	}
+	return args, nil
 }
 
 // encodeChunk is vft.EncodeChunk, and decodeChunk vft.DecodeChunk, under a

@@ -38,20 +38,21 @@ func (f fuzzFront) Execute(_ context.Context, _ string, args ...any) (*sqlexec.R
 // fuzzExt sends a request's bodies straight back.
 type fuzzExt struct{}
 
-func (fuzzExt) ServeExt(_ context.Context, _ string, _ json.RawMessage, bodies [][]byte) (any, [][]byte, error) {
-	return map[string]int{"bodies": len(bodies)}, bodies, nil
+func (fuzzExt) ServeExt(_ context.Context, _ *wire.Request, bodies [][]byte) (ExtReply, error) {
+	return ExtReply{Payload: map[string]int{"bodies": len(bodies)}, Bodies: bodies}, nil
 }
 
 // FuzzDecodeFrame feeds arbitrary bytes to both ends of a connection — as a
 // request frame to a listening server, as a response frame to the client's
 // decoder:
-// a header length past the frame, body lengths that are negative, overrun the
-// frame or leave bytes over, a schema its chunk disagrees with, a schema of
-// no storable type, a result announced with no body. None may panic; decoded
+// a header length past the frame, a header varint truncated or in a long
+// form, a field, a list or trailing bytes past the header's end, body lengths
+// that would read as negative, overrun the frame or leave bytes over, a
+// schema its chunk disagrees with, a schema of no storable type, a result
+// announced with no body. None may panic; decoded
 // bodies alias the frame (nothing is copied or allocated per body byte); a
-// frame that decodes re-encodes to a canonical frame that decodes to the same
-// parts and re-encodes to itself; and whatever a request holds, the server
-// answers it with a well-formed response frame.
+// frame that decodes re-encodes to itself, byte for byte; and whatever a
+// request holds, the server answers it with a well-formed response frame.
 func FuzzDecodeFrame(f *testing.F) {
 	schema := colstore.Schema{
 		{Name: "id", Type: colstore.TypeInt64}, {Name: "x", Type: colstore.TypeFloat64},
@@ -70,19 +71,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	frame := func(header any, lens *[]int, bodies ...[]byte) []byte {
-		w, err := encodeFrame(header, lens, bodies)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return w
-	}
+	frame := func(h wire.Header, bodies ...[]byte) []byte { return wire.AppendFrame(nil, h, bodies...) }
 	profile, err := json.Marshal(sqlexec.ProfileExport{Query: "q", TotalNS: 7})
 	if err != nil {
 		f.Fatal(err)
 	}
 	// The encoder's own frames must re-encode to themselves, byte for byte.
-	var lens []int
 	for _, req := range []wire.Request{
 		{Op: "ping"},
 		{Op: "query", SQL: "SELECT 1 < 2", TimeoutMS: 50, Trace: "1f", Span: "2a"},
@@ -93,9 +87,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		for _, n := range req.Bodies {
 			bodies = append(bodies, chunk[:n])
 		}
-		w := frame(&req, &req.Bodies, bodies...)
+		w := frame(&req, bodies...)
 		var got wire.Request
-		if bodies, err := wire.DecodeFrame(w, &got, &got.Bodies); err != nil || !bytes.Equal(frame(&got, &got.Bodies, bodies...), w) {
+		if bodies, err := wire.DecodeFrame(w, &got); err != nil || !bytes.Equal(frame(&got, bodies...), w) {
 			f.Fatalf("request frame %q does not re-encode to itself: %v", w, err)
 		}
 		f.Add(w)
@@ -110,21 +104,21 @@ func FuzzDecodeFrame(f *testing.F) {
 		for _, n := range resp.Bodies {
 			bodies = append(bodies, chunk[:n])
 		}
-		w := frame(&resp, &resp.Bodies, bodies...)
+		w := frame(&resp, bodies...)
 		var got wire.Response
-		if bodies, err := wire.DecodeFrame(w, &got, &got.Bodies); err != nil || !bytes.Equal(frame(&got, &got.Bodies, bodies...), w) {
+		if bodies, err := wire.DecodeFrame(w, &got); err != nil || !bytes.Equal(frame(&got, bodies...), w) {
 			f.Fatalf("response frame %q does not re-encode to itself: %v", w, err)
 		}
 		f.Add(w)
 	}
-	f.Add(frame(&wire.Response{Code: verr.CodeOK, Schema: schema[:2]}, &lens, chunk)) // chunk wider than the schema
+	f.Add(frame(&wire.Response{Code: verr.CodeOK, Schema: schema[:2]}, chunk)) // chunk wider than the schema
 	empty, err := vft.EncodeChunk(colstore.NewBatch(schema))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(frame(&wire.Response{Code: verr.CodeOK, Schema: schema}, &lens, empty))                // no rows
-	f.Add(frame(&wire.Response{Code: verr.CodeOK, Schema: schema}, &lens))                       // a result and no body
-	f.Add(frame(&wire.Response{Code: verr.CodeOK, Schema: schema}, &lens, chunk[:len(chunk)-2])) // truncated chunk
+	f.Add(frame(&wire.Response{Code: verr.CodeOK, Schema: schema}, empty))                // no rows
+	f.Add(frame(&wire.Response{Code: verr.CodeOK, Schema: schema}))                       // a result and no body
+	f.Add(frame(&wire.Response{Code: verr.CodeOK, Schema: schema}, chunk[:len(chunk)-2])) // truncated chunk
 
 	tcp, err := Listen(nil, "127.0.0.1:0", WithFrontend(fuzzFront{res: &sqlexec.Result{Batch: b}}), WithExtension(fuzzExt{}))
 	if err != nil {
@@ -135,8 +129,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	var in []byte
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req wire.Request
-		if bodies, err := wire.DecodeFrame(data, &req, &req.Bodies); err == nil {
-			checkCanonical(t, data, bodies, &req, &req.Bodies, func() (any, *[]int) { r := new(wire.Request); return r, &r.Bodies })
+		if bodies, err := wire.DecodeFrame(data, &req); err == nil {
+			checkCanonical(t, data, bodies, &req, new(wire.Request))
 		}
 		if conn == nil {
 			if conn, err = net.Dial("tcp", tcp.Addr()); err != nil {
@@ -149,16 +143,16 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		in = answer
 		var got wire.Response
-		if _, err := wire.DecodeFrame(answer, &got, &got.Bodies); err != nil || got.Code == "" {
+		if _, err := wire.DecodeFrame(answer, &got); err != nil || got.Code == "" {
 			t.Fatalf("the server answered %q with a malformed frame: %v", data, err)
 		}
 
 		var resp wire.Response
-		bodies, err := wire.DecodeFrame(data, &resp, &resp.Bodies)
+		bodies, err := wire.DecodeFrame(data, &resp)
 		if err != nil {
 			return
 		}
-		checkCanonical(t, data, bodies, &resp, &resp.Bodies, func() (any, *[]int) { r := new(wire.Response); return r, &r.Bodies })
+		checkCanonical(t, data, bodies, &resp, new(wire.Response))
 		batch, err := resultBatch(&resp, bodies)
 		if err != nil || batch == nil {
 			return
@@ -183,10 +177,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// checkCanonical: bodies alias data and tile its tail; the decoded frame
-// re-encodes to a frame that decodes to the same bodies and re-encodes to
-// itself.
-func checkCanonical(t *testing.T, data []byte, bodies [][]byte, header any, lens *[]int, fresh func() (any, *[]int)) {
+// checkCanonical: bodies alias data and tile its tail, and the decoded
+// frame re-encodes to data itself — the header has one encoding — and
+// decodes again, into again, to the same bodies.
+func checkCanonical(t *testing.T, data []byte, bodies [][]byte, header, again wire.Header) {
 	t.Helper()
 	off := len(data)
 	for i := len(bodies) - 1; i >= 0; i-- {
@@ -198,38 +192,19 @@ func checkCanonical(t *testing.T, data []byte, bodies [][]byte, header any, lens
 	if off != 4+int(binary.LittleEndian.Uint32(data)) {
 		t.Fatalf("bodies start at %d, the header ends at %d", off, 4+binary.LittleEndian.Uint32(data))
 	}
-	canon, err := encodeFrame(header, lens, bodies)
-	if err != nil {
-		t.Fatalf("a decoded frame does not re-encode: %v", err)
+	canon := wire.AppendFrame(nil, header, bodies...)
+	if !bytes.Equal(canon, data) {
+		t.Fatalf("frame %q re-encodes to %q", data, canon)
 	}
-	again, againLens := fresh()
-	bodies2, err := wire.DecodeFrame(canon, again, againLens)
+	bodies2, err := wire.DecodeFrame(canon, again)
 	if err != nil || len(bodies2) != len(bodies) {
-		t.Fatalf("canonical frame %q: %d bodies, %v", canon, len(bodies2), err)
+		t.Fatalf("re-encoded frame %q: %d bodies, %v", canon, len(bodies2), err)
 	}
 	for i := range bodies {
 		if !bytes.Equal(bodies[i], bodies2[i]) {
 			t.Fatalf("body %d changed across a re-encode", i)
 		}
 	}
-	if w, err := encodeFrame(again, againLens, bodies2); err != nil || !bytes.Equal(w, canon) {
-		t.Fatalf("canonical frame %q re-encodes to %q (%v)", canon, w, err)
-	}
-}
-
-// encodeFrame lays out a frame's payload as the wire does: *lens — the
-// header's "bodies" field — set to the bodies' lengths, the header's length,
-// the header's JSON, the bodies.
-func encodeFrame(header any, lens *[]int, bodies [][]byte) ([]byte, error) {
-	*lens = nil
-	for _, b := range bodies {
-		*lens = append(*lens, len(b))
-	}
-	hdr, err := json.Marshal(header)
-	if err != nil {
-		return nil, err
-	}
-	return bytes.Join(append([][]byte{binary.LittleEndian.AppendUint32(nil, uint32(len(hdr))), hdr}, bodies...), nil), nil
 }
 
 // roundTripRaw sends payload as one frame on conn and reads the one frame

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -282,6 +284,59 @@ func TestStmtStatsBoundedEviction(t *testing.T) {
 	}
 	if !kept["q3"] || kept["q4"] {
 		t.Fatalf("LRU order wrong after refresh; kept %v", kept)
+	}
+}
+
+// cap+N distinct statements leave exactly the last cap, and under any
+// sequence of executions the survivors and the eviction count are what the
+// definition gives: the victim is always the entry executed longest ago.
+func TestStmtStatsEvictsLeastRecentlyExecuted(t *testing.T) {
+	const capacity, extra = 8, 5
+	st := newStmtStats(capacity)
+	for i := range capacity + extra {
+		st.Record(fmt.Sprintf("q%d", i), time.Millisecond, nil)
+	}
+	want := map[string]bool{}
+	for i := extra; i < capacity+extra; i++ {
+		want[fmt.Sprintf("q%d", i)] = true
+	}
+	sameKept(t, st, want, extra)
+
+	// A reference over a seeded mix of new and repeated statements: last
+	// execution times, the oldest evicted when a new one would exceed the cap.
+	st = newStmtStats(capacity)
+	last, evicted := map[string]int{}, int64(0)
+	rng := rand.New(rand.NewSource(3))
+	for step := range 400 {
+		sql := fmt.Sprintf("q%d", rng.Intn(3*capacity))
+		if _, ok := last[sql]; !ok && len(last) >= capacity {
+			victim := ""
+			for k, at := range last {
+				if victim == "" || at < last[victim] {
+					victim = k
+				}
+			}
+			delete(last, victim)
+			evicted++
+		}
+		last[sql] = step
+		st.Record(sql, time.Millisecond, nil)
+	}
+	want = map[string]bool{}
+	for k := range last {
+		want[k] = true
+	}
+	sameKept(t, st, want, evicted)
+}
+
+func sameKept(t *testing.T, st *StmtStats, want map[string]bool, evicted int64) {
+	t.Helper()
+	kept := map[string]bool{}
+	for _, sn := range st.Snapshot() {
+		kept[sn.SQL] = true
+	}
+	if !maps.Equal(kept, want) || st.Len() != len(want) || st.Evicted() != evicted {
+		t.Fatalf("kept %v (len %d), evicted %d; want %v, evicted %d", kept, st.Len(), st.Evicted(), want, evicted)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -31,14 +32,24 @@ type Frontend interface {
 }
 
 // Extension handles protocol ops outside the built-in set ("query",
-// "prepare", "execute", "ping"). It gets the request's small JSON payload and
-// the bodies behind it, and returns the op's reply payload — marshaled into
-// the response's Ext field — with the bodies to ship behind that; errors map
-// to wire codes like any other op. The request payload and bodies alias the
-// connection's read buffer: they are valid until ServeExt returns. The
-// cluster peer protocol is an Extension.
+// "prepare", "execute", "ping"). It gets the request's header — the op, its
+// small JSON payload in Ext, and the SQL and Args of an op that carries a
+// statement — and the bodies behind it, and returns the op's reply; errors
+// map to wire codes like any other op. The header's byte fields and the
+// bodies alias the connection's read buffer: they are valid until ServeExt
+// returns. The cluster peer protocol is an Extension.
 type Extension interface {
-	ServeExt(ctx context.Context, op string, payload json.RawMessage, bodies [][]byte) (reply any, out [][]byte, err error)
+	ServeExt(ctx context.Context, req *wire.Request, bodies [][]byte) (ExtReply, error)
+}
+
+// ExtReply is an extension op's answer: Payload marshals into the response's
+// Ext field, Bodies ride behind it, and Schema, when the one body is a
+// batch's chunk, is the schema to decode it under — in the header's Schema
+// field, where a query result's schema goes.
+type ExtReply struct {
+	Payload any
+	Schema  colstore.Schema
+	Bodies  [][]byte
 }
 
 // TCPServer exposes a Server on a wire.Listener (Addr, Close and Shutdown
@@ -77,15 +88,15 @@ func Listen(srv *Server, addr string, opts ...ListenOption) (*TCPServer, error) 
 // serve answers one request: the op runs, then its result — the one body —
 // or its extension reply is framed into out. An error goes back coded.
 func (t *TCPServer) serve(ctx context.Context, req *wire.Request, bodies [][]byte, out *wire.Reply) error {
-	res, reply, bodies, err := t.dispatch(ctx, req, bodies)
+	res, ext, err := t.dispatch(ctx, req, bodies)
 	if err != nil {
 		return err
 	}
 	enc := telemetry.SpanFromContext(ctx).StartChild("wire.encode")
 	defer enc.End()
-	resp := wire.Response{Code: verr.CodeOK}
-	if reply != nil {
-		if resp.Ext, err = json.Marshal(reply); err != nil {
+	resp := wire.Response{Code: verr.CodeOK, Schema: ext.Schema}
+	if ext.Payload != nil {
+		if resp.Ext, err = json.Marshal(ext.Payload); err != nil {
 			return err
 		}
 	}
@@ -101,7 +112,7 @@ func (t *TCPServer) serve(ctx context.Context, req *wire.Request, bodies [][]byt
 		}
 		out.RespondBatch(t.maxFrame, resp, res.Batch)
 	} else {
-		out.Respond(t.maxFrame, resp, bodies)
+		out.Respond(t.maxFrame, resp, ext.Bodies)
 	}
 	if enc != nil {
 		enc.SetAttr("bytes", strconv.Itoa(out.Size()))
@@ -110,8 +121,8 @@ func (t *TCPServer) serve(ctx context.Context, req *wire.Request, bodies [][]byt
 }
 
 // dispatch runs one decoded request to what its response carries: the result
-// of a SQL op, or an extension op's reply payload and bodies.
-func (t *TCPServer) dispatch(ctx context.Context, req *wire.Request, bodies [][]byte) (res *sqlexec.Result, reply any, out [][]byte, err error) {
+// of a SQL op, or an extension op's reply.
+func (t *TCPServer) dispatch(ctx context.Context, req *wire.Request, bodies [][]byte) (res *sqlexec.Result, ext ExtReply, err error) {
 	switch req.Op {
 	case "ping":
 	case "prepare":
@@ -125,43 +136,54 @@ func (t *TCPServer) dispatch(ctx context.Context, req *wire.Request, bodies [][]
 		res, err = t.front.Query(ctx, req.SQL)
 	default:
 		if t.ext == nil {
-			return nil, nil, nil, fmt.Errorf("unknown op %q", req.Op)
+			return nil, ext, fmt.Errorf("unknown op %q", req.Op)
 		}
-		reply, out, err = t.ext.ServeExt(ctx, req.Op, req.Ext, bodies)
+		ext, err = t.ext.ServeExt(ctx, req, bodies)
 	}
-	return res, reply, out, err
+	return res, ext, err
 }
 
 // decodeArgs converts JSON argument values into the Go types BindSelect
 // accepts: integral numbers become int64, other numbers float64, plus
-// string and bool.
+// string and bool (a JSON null binds as the empty string).
 func decodeArgs(raw []json.RawMessage) ([]any, error) {
 	args := make([]any, len(raw))
 	for i, r := range raw {
-		var s string
-		if err := json.Unmarshal(r, &s); err == nil {
-			args[i] = s
-			continue
+		v, err := decodeArg(r)
+		if err != nil {
+			return nil, fmt.Errorf("server: argument %d: unsupported JSON value %s", i, r)
 		}
-		var b bool
-		if err := json.Unmarshal(r, &b); err == nil {
-			args[i] = b
-			continue
-		}
-		var n json.Number
-		if err := json.Unmarshal(r, &n); err == nil {
-			if iv, err := n.Int64(); err == nil {
-				args[i] = iv
-				continue
-			}
-			if fv, err := n.Float64(); err == nil {
-				args[i] = fv
-				continue
-			}
-		}
-		return nil, fmt.Errorf("server: argument %d: unsupported JSON value %s", i, r)
+		args[i] = v
 	}
 	return args, nil
+}
+
+// decodeArg decodes one argument as the kind of JSON value its first byte
+// starts: a string (or null), a boolean, else a number — an int64 when its
+// literal is one, else a float64.
+func decodeArg(r json.RawMessage) (any, error) {
+	var first byte
+	if t := bytes.TrimLeft(r, " \t\r\n"); len(t) > 0 {
+		first = t[0]
+	}
+	switch first {
+	case '"', 'n':
+		var s string
+		err := json.Unmarshal(r, &s)
+		return s, err
+	case 't', 'f':
+		var b bool
+		err := json.Unmarshal(r, &b)
+		return b, err
+	}
+	var n json.Number
+	if err := json.Unmarshal(r, &n); err != nil {
+		return nil, err
+	}
+	if iv, err := n.Int64(); err == nil {
+		return iv, nil
+	}
+	return n.Float64()
 }
 
 // Client is the serving protocol's client: a wire.Client (Ping, Call,

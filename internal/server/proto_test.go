@@ -2,9 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -245,6 +248,26 @@ func TestRoundTripHonoursContextOnSilentPeer(t *testing.T) {
 			}
 			cancel()
 			_ = c.Close()
+		}
+	}
+}
+
+// An execute's arguments decode as the JSON values they are: integral
+// literals as int64, other numbers as float64, strings (null as ""), booleans.
+func TestDecodeArgsByKind(t *testing.T) {
+	raw := []json.RawMessage{[]byte(`1`), []byte(`"a"`), []byte(`true`), []byte(`0.5`), []byte(`2.0`),
+		[]byte(`-0`), []byte(`null`), []byte(` 7`), []byte(`-9223372036854775808`), []byte(`1e3`)}
+	got, err := decodeArgs(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []any{int64(1), "a", true, 0.5, 2.0, int64(0), "", int64(7), int64(math.MinInt64), 1000.0}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %#v, want %#v", got, want)
+	}
+	for _, bad := range []string{``, `[1]`, `{}`, `"abc`, `1e400`, `tru`, `0x10`, `01`} {
+		if _, err := decodeArgs([]json.RawMessage{[]byte(bad)}); err == nil {
+			t.Fatalf("%q decoded", bad)
 		}
 	}
 }

@@ -17,6 +17,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -167,7 +168,7 @@ func (s *Server) cacheKey(normalized string) string {
 	if s.sess.DB != nil {
 		epoch = s.sess.DB.CatalogEpoch()
 	}
-	return fmt.Sprintf("%d|%s", epoch, normalized)
+	return strconv.FormatUint(epoch, 10) + "|" + normalized
 }
 
 // acquire implements admission control. It returns a release func once the
@@ -326,28 +327,50 @@ func (s *Server) Execute(ctx context.Context, name string, args ...any) (*sqlexe
 	})
 }
 
-// Query runs one-shot SQL under admission control. SELECT parses are served
-// from (and inserted into) the LRU plan cache, so a repeated query skips
-// parsing and validation; statements with placeholders must go through
-// Prepare/Execute.
-func (s *Server) Query(ctx context.Context, sql string) (*sqlexec.Result, error) {
-	key := normalize(sql)
-	ck := s.cacheKey(key)
-	if sel, ok := s.plans.get(ck); ok {
+// Statement resolves sql through the LRU plan cache and binds args to it,
+// as Execute binds: a SELECT — placeholders and all — is parsed and
+// validated once per catalog epoch and text, and what comes back is the
+// caller's own copy (BindSelect deep-copies), free to rewrite. Anything else
+// — or a template given no arguments, which then fails to plan — is parsed
+// afresh and takes no arguments. The fingerprint is the normalized text, the
+// key the statement's executions are recorded under. Query resolves every
+// one-shot statement here, and a cluster peer every shard statement.
+func (s *Server) Statement(ctx context.Context, sql string, args []any) (stmt sqlparse.Statement, fingerprint string, err error) {
+	fingerprint = normalize(sql)
+	ck := s.cacheKey(fingerprint)
+	sel, ok := s.plans.get(ck)
+	unbound := func() bool { return len(args) == 0 && sel.NumParams > 0 }
+	if ok && !unbound() {
 		telemetry.SpanFromContext(ctx).SetAttr("plan_cache", "hit")
-		return s.run(ctx, key, func(ctx context.Context) (*sqlexec.Result, error) {
-			return s.sess.RunStatementContext(ctx, sel, sql)
-		})
+	} else {
+		telemetry.SpanFromContext(ctx).SetAttr("plan_cache", "miss")
+		if stmt, err = sqlparse.Parse(sql); err != nil {
+			return nil, fingerprint, err
+		}
+		if sel, ok = stmt.(*sqlparse.Select); !ok || unbound() {
+			if len(args) > 0 {
+				return nil, fingerprint, fmt.Errorf("server: a %T takes no arguments", stmt)
+			}
+			return stmt, fingerprint, nil
+		}
+		s.plans.put(ck, sel)
 	}
-	telemetry.SpanFromContext(ctx).SetAttr("plan_cache", "miss")
-	stmt, err := sqlparse.Parse(sql)
+	bound, err := sqlparse.BindSelect(sel, args)
+	if err != nil {
+		return nil, fingerprint, err
+	}
+	return bound, fingerprint, nil
+}
+
+// Query runs one-shot SQL under admission control, resolved through the plan
+// cache (Statement), so a repeated query skips parsing and validation;
+// statements with placeholders must go through Prepare/Execute.
+func (s *Server) Query(ctx context.Context, sql string) (*sqlexec.Result, error) {
+	stmt, fingerprint, err := s.Statement(ctx, sql, nil)
 	if err != nil {
 		return nil, err
 	}
-	if sel, ok := stmt.(*sqlparse.Select); ok && sel.NumParams == 0 {
-		s.plans.put(ck, sel)
-	}
-	return s.run(ctx, key, func(ctx context.Context) (*sqlexec.Result, error) {
+	return s.run(ctx, fingerprint, func(ctx context.Context) (*sqlexec.Result, error) {
 		return s.sess.RunStatementContext(ctx, stmt, sql)
 	})
 }

@@ -15,12 +15,14 @@ import (
 // stats row line up). Retention is bounded: at most `cap` fingerprints are
 // tracked, evicting the least-recently-executed when a new statement would
 // exceed the bound — a long-running server with pathological query diversity
-// stays at O(cap) memory, and the evictions are counted.
+// stays at O(cap) memory, and the evictions are counted. The entries form a
+// list in execution order, most recent first, so an eviction takes the tail
+// in O(1).
 type StmtStats struct {
 	mu      sync.Mutex
 	entries map[string]*stmtEntry
+	lru     stmtEntry // the list's sentinel: lru.next is the most recent
 	cap     int
-	seq     uint64
 	evicted int64
 }
 
@@ -31,7 +33,7 @@ type stmtEntry struct {
 	errCodes   map[string]int64
 	totalNanos int64
 	hist       *telemetry.Histogram
-	lastSeq    uint64
+	prev, next *stmtEntry
 }
 
 // defaultStmtStatsCap bounds distinct fingerprints tracked per server.
@@ -41,7 +43,14 @@ func newStmtStats(capacity int) *StmtStats {
 	if capacity <= 0 {
 		capacity = defaultStmtStatsCap
 	}
-	return &StmtStats{entries: map[string]*stmtEntry{}, cap: capacity}
+	s := &StmtStats{cap: capacity}
+	s.resetLocked()
+	return s
+}
+
+func (s *StmtStats) resetLocked() {
+	s.entries = map[string]*stmtEntry{}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
 }
 
 // Record folds one execution into the statement's row. err == nil counts a
@@ -49,15 +58,17 @@ func newStmtStats(capacity int) *StmtStats {
 func (s *StmtStats) Record(sql string, d time.Duration, err error) {
 	s.mu.Lock()
 	e, ok := s.entries[sql]
-	if !ok {
+	if ok {
+		e.unlink()
+	} else {
 		if len(s.entries) >= s.cap {
 			s.evictLocked()
 		}
 		e = &stmtEntry{sql: sql, errCodes: map[string]int64{}, hist: telemetry.NewHistogram(nil)}
 		s.entries[sql] = e
 	}
-	s.seq++
-	e.lastSeq = s.seq
+	e.prev, e.next = &s.lru, s.lru.next
+	e.prev.next, e.next.prev = e, e
 	e.calls++
 	e.totalNanos += int64(d)
 	if err != nil {
@@ -70,20 +81,17 @@ func (s *StmtStats) Record(sql string, d time.Duration, err error) {
 	hist.ObserveDuration(d)
 }
 
-// evictLocked removes the least-recently-executed entry.
+func (e *stmtEntry) unlink() { e.prev.next, e.next.prev = e.next, e.prev }
+
+// evictLocked removes the least-recently-executed entry: the list's tail.
 func (s *StmtStats) evictLocked() {
-	var victim string
-	var oldest uint64
-	first := true
-	for k, e := range s.entries {
-		if first || e.lastSeq < oldest {
-			victim, oldest, first = k, e.lastSeq, false
-		}
+	victim := s.lru.prev
+	if victim == &s.lru {
+		return
 	}
-	if !first {
-		delete(s.entries, victim)
-		s.evicted++
-	}
+	victim.unlink()
+	delete(s.entries, victim.sql)
+	s.evicted++
 }
 
 // Evicted reports how many fingerprints retention has dropped.
@@ -104,7 +112,7 @@ func (s *StmtStats) Len() int {
 func (s *StmtStats) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries = map[string]*stmtEntry{}
+	s.resetLocked()
 	s.evicted = 0
 }
 

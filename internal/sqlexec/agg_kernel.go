@@ -315,7 +315,7 @@ func newAggPartialAcc(plans []aggItemPlan, keyTypes, outTypes []colstore.Type) *
 
 // done ends the aggregate operator, reporting rows output rows.
 func (p *aggPartialAcc) done(rows int) {
-	p.op.Done(int64(rows), fmt.Sprintf("%d groups, %d aggregates, %s", rows, len(p.plans), p.how))
+	p.op.done(int64(rows), func() string { return fmt.Sprintf("%d groups, %d aggregates, %s", rows, len(p.plans), p.how) })
 }
 
 // aggBlock is one block of kernel input: n entries, entry i standing for

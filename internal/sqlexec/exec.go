@@ -224,7 +224,7 @@ func runProject(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Se
 	}
 	projDone := startOp(ctx, prof, "project")
 	projDone.extra = in.finishOps()
-	projDone.Done(int64(c.out.Len()), fmt.Sprintf("%d output columns", len(c.out.Schema)))
+	projDone.done(int64(c.out.Len()), func() string { return fmt.Sprintf("%d output columns", len(c.out.Schema)) })
 	return finishSelect(ctx, c.out, sel, prof)
 }
 
@@ -270,12 +270,12 @@ func finishSelect(ctx context.Context, out *colstore.Batch, sel *sqlparse.Select
 		}
 		sort.SliceStable(idx, func(a, b int) bool { return orderLess(sel, keys, out, idx[a], out, idx[b]) })
 		out = out.Gather(idx)
-		sortDone.Done(int64(out.Len()), fmt.Sprintf("%d sort keys", len(keys)))
+		sortDone.done(int64(out.Len()), func() string { return fmt.Sprintf("%d sort keys", len(keys)) })
 	}
 	if sel.Limit >= 0 && out.Len() > sel.Limit {
 		limitDone := startOp(ctx, prof, "limit")
 		out = out.Slice(0, sel.Limit)
-		limitDone.Done(int64(out.Len()), fmt.Sprintf("LIMIT %d", sel.Limit))
+		limitDone.done(int64(out.Len()), func() string { return fmt.Sprintf("LIMIT %d", sel.Limit) })
 	}
 	return &Result{Batch: out}, nil
 }

@@ -170,7 +170,7 @@ func refScan(ctx context.Context, segs []*colstore.Segment, schema colstore.Sche
 			return nil, err
 		}
 	}
-	scanDone.doneScan(st, int64(st.RowsOut), "")
+	scanDone.doneScan(st, int64(st.RowsOut), func() string { return "" })
 	if acc.Residual != nil {
 		filterDone := startOp(ctx, prof, "filter")
 		filterDone.Done(int64(out.Len()), "")

@@ -112,7 +112,11 @@ func startOp(ctx context.Context, p *Profile, op string) *opTimer {
 }
 
 // Done records the operator with the rows produced and a detail string.
-func (t *opTimer) Done(rows int64, detail string) {
+func (t *opTimer) Done(rows int64, detail string) { t.done(rows, func() string { return detail }) }
+
+// done is Done with the detail formatted only when the profile keeps it: an
+// operator of a query that is not PROFILE'd spends nothing on its text.
+func (t *opTimer) done(rows int64, detail func() string) {
 	telemetry.Default().Counter("sqlexec_op_rows_total", telemetry.L("op", t.op)).Add(rows)
 	if t.span != nil {
 		t.span.SetAttr("rows", strconv.FormatInt(rows, 10))
@@ -141,12 +145,13 @@ func (t *opTimer) Done(rows int64, detail string) {
 		elapsed += t.p.clock.Now() - t.t0
 	}
 	telemetry.Default().Counter("sqlexec_op_nanos_total", telemetry.L("op", t.op)).AddDuration(elapsed)
+	text := detail()
 	t.p.mu.Lock()
 	t.p.ops[t.slot] = &OpProfile{
 		Op: t.op, Rows: rows, Elapsed: elapsed,
 		Blocks: t.Blocks, BlocksSkipped: t.BlocksSkipped,
 		BlocksCompressed: t.BlocksCompressed, Bytes: t.Bytes,
-		Parallel: t.Parallel, Partitions: t.Partitions, Detail: detail,
+		Parallel: t.Parallel, Partitions: t.Partitions, Detail: text,
 	}
 	t.p.mu.Unlock()
 }
@@ -159,12 +164,12 @@ func (t *opTimer) charge(d time.Duration) {
 }
 
 // doneScan ends a scan operator with the storage layer's block accounting.
-func (t *opTimer) doneScan(st colstore.ScanStats, rows int64, detail string) {
+func (t *opTimer) doneScan(st colstore.ScanStats, rows int64, detail func() string) {
 	t.Blocks = int64(st.BlocksScanned)
 	t.BlocksSkipped = int64(st.BlocksSkipped)
 	t.BlocksCompressed = int64(st.BlocksCompressed)
 	t.Bytes = int64(st.BytesRead)
-	t.Done(rows, detail)
+	t.done(rows, detail)
 }
 
 // now reads the profile's clock; a nil profile reads 0 at no cost.

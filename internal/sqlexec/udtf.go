@@ -204,11 +204,13 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 	if best {
 		unit = "block ranges"
 	}
-	detail := fmt.Sprintf("%s over %d %s", fc.Name, len(parts), unit)
-	if stored+decoded > 0 {
-		detail += fmt.Sprintf(", %d block rows forwarded stored, %d batches decoded", stored, decoded)
-	}
-	udtfDone.Done(int64(merged.Len()), detail)
+	udtfDone.done(int64(merged.Len()), func() string {
+		detail := fmt.Sprintf("%s over %d %s", fc.Name, len(parts), unit)
+		if stored+decoded > 0 {
+			detail += fmt.Sprintf(", %d block rows forwarded stored, %d batches decoded", stored, decoded)
+		}
+		return detail
+	})
 	return finishSelect(ctx, merged, sel, prof)
 }
 

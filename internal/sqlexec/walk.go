@@ -619,18 +619,20 @@ func (in *input) finishOps() time.Duration {
 	}
 	op.Parallel = in.degree
 	op.charge(share(stageScan))
-	op.doneScan(st, rows, in.scanDetail(st))
+	op.doneScan(st, rows, func() string { return in.scanDetail(st) })
 	if op := in.filterOp; op != nil {
 		op.charge(share(stageFilter))
-		op.Done(in.outRows[stageFilter].Load(), fmt.Sprintf("residual WHERE %s", in.residual.String()))
+		op.done(in.outRows[stageFilter].Load(), func() string { return "residual WHERE " + in.residual.String() })
 	}
 	for k, j := range in.joins {
 		j.op.charge(share(stageJoins + k))
-		j.op.Done(in.outRows[stageJoins+k].Load(), fmt.Sprintf("%s = %s, %d build rows", j.node.LeftKey, j.node.RightKey, j.rows.Len()))
+		j.op.done(in.outRows[stageJoins+k].Load(), func() string {
+			return fmt.Sprintf("%s = %s, %d build rows", j.node.LeftKey, j.node.RightKey, j.rows.Len())
+		})
 	}
 	if op := in.topOp; op != nil {
 		op.charge(share(in.topStage()))
-		op.Done(in.outRows[in.topStage()].Load(), fmt.Sprintf("join filter %s", in.filter.String()))
+		op.done(in.outRows[in.topStage()].Load(), func() string { return "join filter " + in.filter.String() })
 	}
 	return share(in.consumeStage())
 }

@@ -230,7 +230,9 @@ func (h *Histogram) Buckets() ([]float64, []int64) {
 
 // Registry holds named metric series. Lookup methods are idempotent: the
 // same name+labels always returns the same child, so packages may resolve
-// their series once into vars or on every call.
+// their series once into vars or on every call. A series of at most one
+// label is found again by its parts (quick), without rendering its ID: such
+// a lookup neither formats, sorts nor allocates.
 type Registry struct {
 	mu       sync.RWMutex
 	clock    Clock
@@ -238,7 +240,65 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	meta     map[string]seriesMeta
+	quick    quickSeries
 	spans    *SpanLog
+}
+
+// quickKey identifies a series of at most one label by its parts.
+type quickKey struct {
+	name, key, value string
+	labeled          bool
+}
+
+type quickSeries struct {
+	counters map[quickKey]*Counter
+	gauges   map[quickKey]*Gauge
+	hists    map[quickKey]*Histogram
+}
+
+// quickKeyOf is the series' quick key, when it has one.
+func quickKeyOf(name string, labels []Label) (quickKey, bool) {
+	switch len(labels) {
+	case 0:
+		return quickKey{name: name}, true
+	case 1:
+		return quickKey{name: name, key: labels[0].Key, value: labels[0].Value, labeled: true}, true
+	}
+	return quickKey{}, false
+}
+
+// series returns the series name{labels} of one kind — byID and quick are
+// its maps — creating it with mk, which gets the series ID, if needed.
+func series[T any](r *Registry, byID map[string]*T, quick map[quickKey]*T, name string, labels []Label, mk func(id string) *T) *T {
+	q, isQuick := quickKeyOf(name, labels)
+	var id string
+	var sorted []Label
+	r.mu.RLock()
+	var s *T
+	if isQuick {
+		s = quick[q]
+	} else {
+		id, sorted = seriesKey(name, labels)
+		s = byID[id]
+	}
+	r.mu.RUnlock()
+	if s != nil {
+		return s
+	}
+	if isQuick {
+		id, sorted = seriesKey(name, labels)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s = byID[id]; s == nil {
+		s = mk(id)
+		byID[id] = s
+		r.meta[id] = seriesMeta{name: name, labels: sorted}
+	}
+	if isQuick {
+		quick[q] = s
+	}
+	return s
 }
 
 // seriesMeta is the structured identity behind a series ID: the base metric
@@ -257,6 +317,11 @@ func NewRegistry() *Registry {
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 		meta:     map[string]seriesMeta{},
+		quick: quickSeries{
+			counters: map[quickKey]*Counter{},
+			gauges:   map[quickKey]*Gauge{},
+			hists:    map[quickKey]*Histogram{},
+		},
 	}
 	r.spans = NewSpanLog(nil)
 	r.spans.clockFn = r.Clock // spans follow registry clock swaps
@@ -298,71 +363,28 @@ func (r *Registry) Spans() *SpanLog { return r.spans }
 
 // Counter returns (creating if needed) the counter series name{labels}.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	id, sorted := seriesKey(name, labels)
-	r.mu.RLock()
-	c, ok := r.counters[id]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok = r.counters[id]; ok {
-		return c
-	}
-	c = &Counter{}
-	r.counters[id] = c
-	r.meta[id] = seriesMeta{name: name, labels: sorted}
-	return c
+	return series(r, r.counters, r.quick.counters, name, labels, func(string) *Counter { return &Counter{} })
 }
 
 // Gauge returns (creating if needed) the gauge series name{labels}.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	id, sorted := seriesKey(name, labels)
-	r.mu.RLock()
-	g, ok := r.gauges[id]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[id]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[id] = g
-	r.meta[id] = seriesMeta{name: name, labels: sorted}
-	return g
+	return series(r, r.gauges, r.quick.gauges, name, labels, func(string) *Gauge { return &Gauge{} })
 }
 
 // Histogram returns (creating if needed) the histogram series name{labels}.
 // buckets are ascending upper bounds; nil selects DefaultDurationBuckets.
 // The bucket layout is fixed by the first caller.
 func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *Histogram {
-	id, sorted := seriesKey(name, labels)
-	r.mu.RLock()
-	h, ok := r.hists[id]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok = r.hists[id]; ok {
-		return h
-	}
-	if buckets == nil {
-		buckets = DefaultDurationBuckets
-	}
-	bounds := append([]float64(nil), buckets...)
-	if !sort.Float64sAreSorted(bounds) {
-		panic(fmt.Sprintf("telemetry: histogram %q buckets not ascending", id))
-	}
-	h = &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
-	r.hists[id] = h
-	r.meta[id] = seriesMeta{name: name, labels: sorted}
-	return h
+	return series(r, r.hists, r.quick.hists, name, labels, func(id string) *Histogram {
+		if buckets == nil {
+			buckets = DefaultDurationBuckets
+		}
+		bounds := append([]float64(nil), buckets...)
+		if !sort.Float64sAreSorted(bounds) {
+			panic(fmt.Sprintf("telemetry: histogram %q buckets not ascending", id))
+		}
+		return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
+	})
 }
 
 // Reset zeroes every series in place. Existing Counter/Gauge/Histogram

@@ -176,3 +176,67 @@ func TestConcurrentSpans(t *testing.T) {
 		t.Fatalf("span count = %d", got)
 	}
 }
+
+// Looking up an existing series of at most one label returns the series
+// every other spelling of it returns, and costs no allocation: no ID is
+// rendered. What the registry exposes is exactly what a series created with
+// its labels in any order would expose.
+func TestQuickLookupSamePointerNoAllocs(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("ops_total", L("op", "scan"))
+	g := r.Gauge("inflight")
+	h := r.Histogram("wait_seconds", []float64{1, 2}, L("kind", "q"))
+	multi := r.Counter("x_total", L("b", "2"), L("a", "1"))
+	if r.Counter("ops_total", L("op", "scan")) != c || r.Gauge("inflight") != g ||
+		r.Histogram("wait_seconds", nil, L("kind", "q")) != h || r.Counter("x_total", L("a", "1"), L("b", "2")) != multi {
+		t.Fatal("a lookup returned a different series")
+	}
+	op := "scan"
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.Counter("ops_total", L("op", op)).Inc()
+		r.Gauge("inflight").Add(1)
+		r.Histogram("wait_seconds", nil, L("kind", "q")).Observe(1.5)
+	})
+	if allocs != 0 {
+		t.Fatalf("quick lookups: %v allocs/op, want 0", allocs)
+	}
+	g.Set(-3)
+	want := strings.Join([]string{
+		`inflight -3`,
+		`ops_total{op="scan"} 1001`,
+		`telemetry_spans_dropped 0`,
+		`wait_seconds{kind="q"}_count 1001`,
+		`wait_seconds{kind="q"}_sum 1501.5`,
+		`wait_seconds{kind="q"}_bucket{le="1"} 0`,
+		`wait_seconds{kind="q"}_bucket{le="2"} 1001`,
+		`wait_seconds{kind="q"}_bucket{le="+Inf"} 1001`,
+		`x_total{a="1",b="2"} 0`,
+	}, "\n") + "\n"
+	if got := r.Dump(); got != want {
+		t.Fatalf("dump:\n%s\nwant:\n%s", got, want)
+	}
+	// SnapshotJSON cannot carry a histogram's +Inf bound: a registry of the
+	// other two kinds.
+	r = NewRegistry()
+	r.Counter("ops_total", L("op", "scan")).Add(2)
+	r.Counter("ops_total", L("op", op)).Inc()
+	js, err := r.SnapshotJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON := `[
+  {
+    "name": "ops_total{op=\"scan\"}",
+    "kind": "counter",
+    "value": 3
+  },
+  {
+    "name": "telemetry_spans_dropped",
+    "kind": "counter",
+    "value": 0
+  }
+]`
+	if string(js) != wantJSON {
+		t.Fatalf("snapshot JSON:\n%s\nwant:\n%s", js, wantJSON)
+	}
+}

@@ -89,13 +89,10 @@ func (c *Client) RoundTrip(ctx context.Context, req Request, bodies [][]byte, re
 	lens := c.req.Bodies[:0]
 	c.req, c.req.Bodies = req, lens
 	enc := span.StartChild("wire.encode")
-	err := c.out.set(&c.req, &c.req.Bodies, bodies, false)
+	c.out.set(&c.req, bodies, false)
 	if enc != nil {
 		enc.SetAttr("bytes", strconv.Itoa(c.out.size()))
 		enc.End()
-	}
-	if err != nil {
-		return err
 	}
 
 	var stop func() bool
@@ -120,8 +117,7 @@ func (c *Client) RoundTrip(ctx context.Context, req Request, bodies [][]byte, re
 	if dec != nil {
 		dec.SetAttr("bytes", strconv.Itoa(len(frame)))
 	}
-	c.resp = Response{}
-	if bodies, err = DecodeFrame(frame, &c.resp, &c.resp.Bodies); err != nil {
+	if bodies, err = DecodeFrame(frame, &c.resp); err != nil {
 		return fmt.Errorf("wire: bad response: %w", err)
 	}
 	if c.resp.Code != verr.CodeOK {

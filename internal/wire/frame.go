@@ -6,26 +6,40 @@
 //
 // A frame is a u32 little-endian payload length, then the payload:
 //
-//	u32 header length | JSON header | body 0 | body 1 | ...
+//	u32 header length | header | body 0 | body 1 | ...
 //
-// The header (a Request or a Response) names each body's length in "bodies";
+// The header (a Request or a Response) names each body's length in Bodies;
 // the bodies tile the rest of the frame exactly. A body is raw bytes, today
 // always a vft chunk: every batch that crosses a socket rides in one, so no
-// float, NaN payload or NUL byte ever passes through JSON, and nothing is
-// base64.
+// float, NaN payload or NUL byte is ever re-encoded on the way.
 //
-// Ownership: a decoded body aliases the connection's read buffer. On the
-// listener it is valid until the handler returns, on a client until its next
-// call or until it goes back to a Pool — decode before you return, the
-// contract Hub.Send has. An outgoing body may alias what it was written from
-// — a result's body is the result's own columns where they are the chunk's
-// bytes — so what a frame holds is not written until the frame is sent.
+// The header is binary, its fields in a fixed order with no names or tags:
+//
+//	Request:  op | sql | name | args | timeout_ms | trace | span | ext | bodies
+//	Response: code | msg | schema | profile | ext | bodies
+//
+// A string or byte field is a uvarint length and that many bytes; args is a
+// uvarint count of such byte strings; timeout_ms is a zigzag varint; schema
+// is a uvarint count of columns, each a name string and a one-byte
+// colstore.Type; bodies is a uvarint count of uvarint lengths. Every varint
+// is in its shortest form and the header ends where its last field does, so
+// a header has one encoding: a decoded header re-encodes to its own bytes.
+// What the fields hold — Ext's payload, Args, Profile — is the op's
+// business; the transport carries them as opaque bytes.
+//
+// Ownership: a decoded body — and a decoded header's byte fields, Ext, Args
+// and Profile — aliases the connection's read buffer. On the listener it is
+// valid until the handler returns, on a client until its next call or until
+// it goes back to a Pool — decode before you return, the contract Hub.Send
+// has. An outgoing body may alias what it was written from — a result's body
+// is the result's own columns where they are the chunk's bytes — so what a
+// frame holds is not written until the frame is sent.
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -43,33 +57,237 @@ const MaxFrameBytes = 1 << 30
 // Request heads every request frame. Op names the operation: the serving
 // protocol's SQL ops ("query", "prepare", "execute"), "ping", or an extension
 // op ("cl.*" between cluster peers, "vft.send" to a transfer's worker
-// listener), whose small payload rides in Ext. SQL, Name and Args belong to
-// the SQL ops; they are here because one header is decoded for every op.
+// listener), whose small payload rides in Ext. SQL and Args also carry a
+// cluster peer's statement (its text and bound arguments); Name belongs to
+// the SQL ops. They are all here because one header is decoded for every op.
 type Request struct {
-	Op        string            `json:"op"`
-	SQL       string            `json:"sql,omitempty"`
-	Name      string            `json:"name,omitempty"`
-	Args      []json.RawMessage `json:"args,omitempty"`
-	TimeoutMS int64             `json:"timeout_ms,omitempty"`
+	Op        string
+	SQL       string
+	Name      string
+	Args      []json.RawMessage
+	TimeoutMS int64
 	// Trace/Span carry the client's trace context (hex span IDs): the
 	// handler's spans attach under the client's request span, so one request
 	// yields one trace across both processes.
-	Trace  string          `json:"trace,omitempty"`
-	Span   string          `json:"span,omitempty"`
-	Ext    json.RawMessage `json:"ext,omitempty"`
-	Bodies []int           `json:"bodies,omitempty"`
+	Trace  string
+	Span   string
+	Ext    json.RawMessage
+	Bodies []int
 }
 
 // Response heads every response frame: a verr code and message, then what
 // the op returns — a result's Schema and Profile with the result as the one
-// body, or an extension op's Ext payload and bodies.
+// body, or an extension op's Ext payload and bodies (a batch-valued body
+// under Schema).
 type Response struct {
-	Code    string          `json:"code"`
-	Msg     string          `json:"msg,omitempty"`
-	Schema  colstore.Schema `json:"schema,omitempty"`
-	Profile json.RawMessage `json:"profile,omitempty"`
-	Ext     json.RawMessage `json:"ext,omitempty"`
-	Bodies  []int           `json:"bodies,omitempty"`
+	Code    string
+	Msg     string
+	Schema  colstore.Schema
+	Profile json.RawMessage
+	Ext     json.RawMessage
+	Bodies  []int
+}
+
+// Header is a frame's header: a *Request or a *Response.
+type Header interface {
+	appendTo(b []byte) []byte
+	decode(b []byte) error
+	lens() *[]int
+}
+
+func (r *Request) lens() *[]int  { return &r.Bodies }
+func (r *Response) lens() *[]int { return &r.Bodies }
+
+func (r *Request) appendTo(b []byte) []byte {
+	b = appendString(b, r.Op)
+	b = appendString(b, r.SQL)
+	b = appendString(b, r.Name)
+	b = binary.AppendUvarint(b, uint64(len(r.Args)))
+	for _, a := range r.Args {
+		b = appendBytes(b, a)
+	}
+	b = binary.AppendVarint(b, r.TimeoutMS)
+	b = appendString(b, r.Trace)
+	b = appendString(b, r.Span)
+	b = appendBytes(b, r.Ext)
+	return appendLens(b, r.Bodies)
+}
+
+func (r *Request) decode(b []byte) error {
+	d := decoder{b: b}
+	r.Op = d.string()
+	r.SQL = d.string()
+	r.Name = d.string()
+	r.Args = r.Args[:0]
+	for n := d.count(1); n > 0; n-- {
+		r.Args = append(r.Args, d.bytes())
+	}
+	r.TimeoutMS = d.varint()
+	r.Trace = d.string()
+	r.Span = d.string()
+	r.Ext = d.bytes()
+	d.lens(&r.Bodies)
+	return d.end()
+}
+
+func (r *Response) appendTo(b []byte) []byte {
+	b = appendString(b, r.Code)
+	b = appendString(b, r.Msg)
+	b = binary.AppendUvarint(b, uint64(len(r.Schema)))
+	for _, c := range r.Schema {
+		b = append(appendString(b, c.Name), byte(c.Type))
+	}
+	b = appendBytes(b, r.Profile)
+	b = appendBytes(b, r.Ext)
+	return appendLens(b, r.Bodies)
+}
+
+func (r *Response) decode(b []byte) error {
+	d := decoder{b: b}
+	if code := d.bytes(); string(code) == verr.CodeOK {
+		r.Code = verr.CodeOK // a success's code, without an allocation
+	} else {
+		r.Code = string(code)
+	}
+	r.Msg = d.string()
+	// The schema is never reused: a decoded batch keeps it.
+	r.Schema = nil
+	if n := d.count(2); n > 0 {
+		r.Schema = make(colstore.Schema, n)
+		for i := range r.Schema {
+			r.Schema[i] = colstore.ColumnSchema{Name: d.string(), Type: colstore.Type(d.byte())}
+		}
+	}
+	r.Profile = d.bytes()
+	r.Ext = d.bytes()
+	d.lens(&r.Bodies)
+	return d.end()
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendBytes(b, s []byte) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendLens(b []byte, lens []int) []byte {
+	b = binary.AppendUvarint(b, uint64(len(lens)))
+	for _, l := range lens {
+		b = binary.AppendUvarint(b, uint64(l))
+	}
+	return b
+}
+
+// decoder reads a header's fields in order. Everything here came off a
+// wire: a varint that is truncated, overflows or is not in its shortest
+// form, a length past the bytes left, a count of more elements than bytes
+// left, a body longer than a frame and bytes after the last field are all
+// errors. The first error sticks; later reads return zero values.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+var errHeader = errors.New("wire: bad header")
+
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: "+format, append([]any{errHeader}, args...)...)
+	}
+	d.b = nil
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b)
+	switch {
+	case n == 0:
+		d.fail("truncated varint")
+		return 0
+	case n < 0:
+		d.fail("varint overflows 64 bits")
+		return 0
+	case n > 1 && d.b[n-1] == 0:
+		d.fail("varint not in its shortest form")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// varint is a zigzag varint: the shortest-form check is uvarint's.
+func (d *decoder) varint() int64 {
+	u := d.uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	return v
+}
+
+func (d *decoder) byte() byte {
+	if d.err == nil && len(d.b) == 0 {
+		d.fail("truncated header")
+	}
+	if d.err != nil {
+		return 0
+	}
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c
+}
+
+// bytes is a length-prefixed field, aliasing the header; nil when empty.
+func (d *decoder) bytes() []byte {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.fail("a %d-byte field with %d bytes left", n, len(d.b))
+	}
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	s := d.b[:n:n]
+	d.b = d.b[n:]
+	return s
+}
+
+func (d *decoder) string() string { return string(d.bytes()) }
+
+// count is a list's length, each of whose elements takes at least min bytes:
+// a count the bytes left cannot hold is an error, so a list never allocates
+// more than its header's size.
+func (d *decoder) count(min int) int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)/min) {
+		d.fail("a list of %d with %d bytes left", n, len(d.b))
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// lens decodes the bodies' lengths into *lens, reusing its array.
+func (d *decoder) lens(lens *[]int) {
+	*lens = (*lens)[:0]
+	for n := d.count(1); n > 0; n-- {
+		l := d.uvarint()
+		if l > MaxFrameBytes {
+			d.fail("a body of %d bytes", l)
+		}
+		*lens = append(*lens, int(l))
+	}
+}
+
+func (d *decoder) end() error {
+	if d.err == nil && len(d.b) != 0 {
+		d.fail("%d bytes after the last field", len(d.b))
+	}
+	return d.err
 }
 
 // errResponse is the response reporting err.
@@ -80,8 +298,8 @@ func errResponse(err error) Response {
 // WriteFrame writes one frame whose payload is the concatenation of parts.
 func WriteFrame(w io.Writer, parts ...[]byte) error {
 	var f frame
-	f.head.Write(make([]byte, 4))
-	f.parts = append([][]byte{f.head.Bytes()}, parts...)
+	f.head = make([]byte, 4)
+	f.parts = append([][]byte{f.head}, parts...)
 	return f.writeTo(w)
 }
 
@@ -93,24 +311,23 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return rd.next()
 }
 
-// frame is a connection's outgoing frame: parts is the head — the frame's
-// length prefix, the header's length, the header — followed by the bodies'
-// bytes, one part a body or a body in several parts. The head, the JSON
-// encoder writing into it and the vector the parts go out in are reused by
-// the connection's next frame.
-type frame struct {
-	parts [][]byte
-	head  bytes.Buffer
-	enc   *json.Encoder
-	vec   net.Buffers
-	out   net.Buffers
+// AppendFrame appends a frame's payload to dst — the header's length, h with
+// its Bodies set to the bodies' lengths, the bodies — as DecodeFrame reads it
+// and WriteFrame sends it.
+func AppendFrame(dst []byte, h Header, bodies ...[]byte) []byte {
+	setLens(h.lens(), bodies, false)
+	at := len(dst)
+	dst = h.appendTo(append(dst, 0, 0, 0, 0))
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	for _, b := range bodies {
+		dst = append(dst, b...)
+	}
+	return dst
 }
 
-// set makes header, then the bodies' bytes, the frame, *lens — the header's
-// "bodies" field — set to the bodies' lengths first. With one, bodies are
-// the parts of a single body: a result's chunk written from the result's own
-// columns (colstore.ChunkParts).
-func (f *frame) set(header any, lens *[]int, bodies [][]byte, one bool) error {
+// setLens sets *lens to the bodies' lengths — with one, to the one length of
+// a body sent in several parts.
+func setLens(lens *[]int, bodies [][]byte, one bool) {
 	*lens = (*lens)[:0]
 	if one {
 		*lens = append(*lens, 0)
@@ -122,25 +339,28 @@ func (f *frame) set(header any, lens *[]int, bodies [][]byte, one bool) error {
 			*lens = append(*lens, len(b))
 		}
 	}
-	return f.encode(header, bodies)
 }
 
-func (f *frame) encode(header any, bodies [][]byte) error {
-	if f.enc == nil {
-		f.enc = json.NewEncoder(&f.head)
-	}
+// frame is a connection's outgoing frame: parts is the head — the frame's
+// length prefix, the header's length, the header — followed by the bodies'
+// bytes, one part a body or a body in several parts. The head and the vector
+// the parts go out in are reused by the connection's next frame.
+type frame struct {
+	parts [][]byte
+	head  []byte
+	vec   net.Buffers
+	out   net.Buffers
+}
+
+// set makes h, then the bodies' bytes, the frame, h's Bodies set to the
+// bodies' lengths first. With one, bodies are the parts of a single body: a
+// result's chunk written from the result's own columns (colstore.ChunkParts).
+func (f *frame) set(h Header, bodies [][]byte, one bool) {
+	setLens(h.lens(), bodies, one)
 	var prefixes [8]byte // the frame's length, then the header's
-	f.head.Reset()
-	f.head.Write(prefixes[:])
-	if err := f.enc.Encode(header); err != nil {
-		f.parts = f.parts[:0]
-		return err
-	}
-	f.head.Truncate(f.head.Len() - 1) // the Encoder's newline
-	head := f.head.Bytes()
-	binary.LittleEndian.PutUint32(head[4:], uint32(len(head)-8))
-	f.parts = append(append(f.parts[:0], head), bodies...)
-	return nil
+	f.head = h.appendTo(append(f.head[:0], prefixes[:]...))
+	binary.LittleEndian.PutUint32(f.head[4:], uint32(len(f.head)-8))
+	f.parts = append(append(f.parts[:0], f.head), bodies...)
 }
 
 // size is the frame's payload length.
@@ -171,26 +391,26 @@ func (f *frame) writeTo(w io.Writer) error {
 	var err error
 	if n <= coalesceBytes {
 		for _, p := range f.parts[1:] {
-			f.head.Write(p)
+			f.head = append(f.head, p...)
 		}
-		_, err = w.Write(f.head.Bytes())
+		_, err = w.Write(f.head)
 	} else {
 		f.vec = append(f.vec[:0], f.parts...)
 		f.out = f.vec
 		_, err = f.out.WriteTo(w)
 		clear(f.vec)
 	}
-	if f.head.Cap() > keepBufBytes {
-		f.head = bytes.Buffer{}
+	if cap(f.head) > keepBufBytes {
+		f.head = nil
 	}
 	return err
 }
 
-// DecodeFrame unmarshals a frame's header — lens points at its "bodies"
-// field — and cuts the bodies it announces out of the frame, uncopied.
-// Everything here came off a wire: a header length past the frame, a negative
-// body length, bodies that overrun the frame or leave bytes over are errors.
-func DecodeFrame(frame []byte, header any, lens *[]int) ([][]byte, error) {
+// DecodeFrame decodes a frame's header into h and cuts the bodies its Bodies
+// announce out of the frame, uncopied. Everything here came off a wire: a
+// header length past the frame, a malformed header, bodies that overrun the
+// frame or leave bytes over are errors.
+func DecodeFrame(frame []byte, h Header) ([][]byte, error) {
 	if len(frame) < 4 {
 		return nil, fmt.Errorf("frame of %d bytes has no header length", len(frame))
 	}
@@ -199,13 +419,13 @@ func DecodeFrame(frame []byte, header any, lens *[]int) ([][]byte, error) {
 	if uint64(n) > uint64(len(rest)) {
 		return nil, fmt.Errorf("header of %d bytes in a frame of %d", n, len(frame))
 	}
-	if err := json.Unmarshal(rest[:n], header); err != nil {
+	if err := h.decode(rest[:n]); err != nil {
 		return nil, err
 	}
 	rest = rest[n:]
 	var bodies [][]byte
-	for i, l := range *lens {
-		if l < 0 || l > len(rest) {
+	for i, l := range *h.lens() {
+		if l > len(rest) {
 			return nil, fmt.Errorf("body %d of %d bytes, %d left in the frame", i, l, len(rest))
 		}
 		bodies = append(bodies, rest[:l:l])

@@ -3,10 +3,15 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
 	"runtime"
 	"testing"
+
+	"verticadr/internal/colstore"
 )
 
 // A length prefix is four bytes from anyone who can connect: it must not
@@ -89,4 +94,80 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 	if allocs != 1 { // the length prefix's four bytes, which escape through io.Reader
 		t.Fatalf("ReadFrame into a sufficient buffer: %v allocs/op, want 1", allocs)
 	}
+}
+
+// headerSeeds are headers with every field set, and with none.
+func headerSeeds() []Header {
+	return []Header{
+		&Request{},
+		&Request{Op: "ping"},
+		&Request{
+			Op: "cl.select", SQL: "SELECT x FROM t WHERE k = ?", Name: "p",
+			Args:      []json.RawMessage{[]byte("i\x07"), nil, []byte(`"a"`)},
+			TimeoutMS: -300, Trace: "1f", Span: "2a", Ext: []byte(`{"shards":[0]}`),
+			Bodies: []int{0, 3, 1 << 20},
+		},
+		&Response{},
+		&Response{Code: "ok"},
+		&Response{
+			Code: "overloaded", Msg: "admission shed",
+			Schema:  colstore.Schema{{Name: "id", Type: colstore.TypeInt64}, {Name: "", Type: 9}},
+			Profile: []byte(`{"total_ns":7}`), Ext: []byte(`{"epoch":3}`), Bodies: []int{5},
+		},
+	}
+}
+
+// A header survives the codec field for field, and its encoding is the only
+// one its decoder accepts: a varint in a longer form, a field or a list past
+// the bytes left, a body longer than a frame and trailing bytes all fail.
+func TestHeaderRoundTrip(t *testing.T) {
+	for _, h := range headerSeeds() {
+		enc := h.appendTo(nil)
+		got := reflect.New(reflect.TypeOf(h).Elem()).Interface().(Header)
+		if err := got.decode(enc); err != nil {
+			t.Fatalf("%+v: %v", h, err)
+		}
+		if !bytes.Equal(got.appendTo(nil), enc) || fmt.Sprint(got) != fmt.Sprint(h) {
+			t.Fatalf("%+v decoded as %+v", h, got)
+		}
+		for cut := range len(enc) {
+			if err := got.decode(enc[:cut]); !errors.Is(err, errHeader) {
+				t.Fatalf("%+v cut to %d of %d bytes: err = %v", h, cut, len(enc), err)
+			}
+		}
+		if err := got.decode(append(enc, 0)); !errors.Is(err, errHeader) {
+			t.Fatalf("%+v with a byte over: err = %v", h, err)
+		}
+	}
+	var req Request
+	for name, bad := range map[string][]byte{
+		"long-form varint": {0x81, 0x00},
+		"varint overflow":  bytes.Repeat([]byte{0xff}, 11),
+		"field past end":   {0x05, 'p', 'i'},
+		"list past end":    append([]byte{0, 0, 0, 0x7f}, make([]byte, 8)...),
+		"body past frame":  append(make([]byte, 8), 1, 0x80, 0x80, 0x80, 0x80, 0x08),
+	} {
+		if err := req.decode(bad); !errors.Is(err, errHeader) {
+			t.Fatalf("%s: err = %v", name, err)
+		}
+	}
+}
+
+// FuzzHeader: any bytes decode as a Request and as a Response without
+// panicking, and a header that decodes re-encodes to exactly its bytes.
+func FuzzHeader(f *testing.F) {
+	for _, h := range headerSeeds() {
+		f.Add(h.appendTo(nil))
+	}
+	f.Add([]byte{0x81, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, h := range []Header{new(Request), new(Response)} {
+			if h.decode(data) != nil {
+				continue
+			}
+			if enc := h.appendTo(nil); !bytes.Equal(enc, data) {
+				t.Fatalf("%q decodes as %+v, which encodes as %q", data, h, enc)
+			}
+		}
+	})
 }

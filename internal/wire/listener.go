@@ -48,11 +48,10 @@ type Reply struct {
 	took     time.Duration
 }
 
-// Respond frames h and bodies as the response. What cannot be framed — a
-// header that does not marshal, a frame over limit — becomes the error frame
-// saying so: the connection stays in step, and the client gets a coded error
-// instead of a dead socket, which it would answer by re-running the
-// statement on every other node.
+// Respond frames h and bodies as the response. A frame over limit becomes
+// the error frame saying so: the connection stays in step, and the client
+// gets a coded error instead of a dead socket, which it would answer by
+// re-running the statement on every other node.
 func (r *Reply) Respond(limit int, h Response, bodies [][]byte) { r.respond(limit, h, bodies, false) }
 
 // RespondBatch frames h with b as its one body, a chunk written from b's own
@@ -72,13 +71,11 @@ func (r *Reply) respond(limit int, h Response, bodies [][]byte, one bool) {
 	r.answered = true
 	lens := r.resp.Bodies[:0]
 	r.resp, r.resp.Bodies = h, lens
-	err := r.frame.set(&r.resp, &r.resp.Bodies, bodies, one)
-	if size := r.frame.size(); err == nil && size > limit {
-		err = fmt.Errorf("wire: response of %d bytes exceeds the %d-byte frame limit", size, limit)
-	}
-	if err != nil {
+	r.frame.set(&r.resp, bodies, one)
+	if size := r.frame.size(); size > limit {
+		err := fmt.Errorf("wire: response of %d bytes exceeds the %d-byte frame limit", size, limit)
 		r.resp, r.resp.Bodies = errResponse(err), lens
-		_ = r.frame.set(&r.resp, &r.resp.Bodies, nil, false) // a code and a message always marshal
+		r.frame.set(&r.resp, nil, false)
 	}
 }
 
@@ -239,8 +236,7 @@ func (l *Listener) serveConn(conn net.Conn) {
 func (l *Listener) serve(frame []byte, out *Reply) {
 	out.answered = false
 	req := &out.req
-	*req = Request{Ext: req.Ext[:0], Bodies: req.Bodies[:0]}
-	bodies, err := DecodeFrame(frame, req, &req.Bodies)
+	bodies, err := DecodeFrame(frame, req)
 	if err != nil {
 		out.Respond(MaxFrameBytes, errResponse(fmt.Errorf("bad request: %v", err)), nil)
 		return

@@ -89,9 +89,9 @@ func TestClientBuffersReusedSmallReleasedLarge(t *testing.T) {
 	}
 	echo(small)
 	echo(small)
-	in, head := c.rd.buf[:1], c.out.head.Bytes()[:1]
+	in, head := c.rd.buf[:1], c.out.head[:1]
 	echo(small)
-	if &c.rd.buf[:1][0] != &in[0] || &c.out.head.Bytes()[:1][0] != &head[0] {
+	if &c.rd.buf[:1][0] != &in[0] || &c.out.head[:1][0] != &head[0] {
 		t.Fatal("small round trips did not reuse the client's frame buffers")
 	}
 	echo(large)
