@@ -99,17 +99,17 @@ func (r *Request) lens() *[]int  { return &r.Bodies }
 func (r *Response) lens() *[]int { return &r.Bodies }
 
 func (r *Request) appendTo(b []byte) []byte {
-	b = appendString(b, r.Op)
-	b = appendString(b, r.SQL)
-	b = appendString(b, r.Name)
+	b = appendField(b, r.Op)
+	b = appendField(b, r.SQL)
+	b = appendField(b, r.Name)
 	b = binary.AppendUvarint(b, uint64(len(r.Args)))
 	for _, a := range r.Args {
-		b = appendBytes(b, a)
+		b = appendField(b, a)
 	}
 	b = binary.AppendVarint(b, r.TimeoutMS)
-	b = appendString(b, r.Trace)
-	b = appendString(b, r.Span)
-	b = appendBytes(b, r.Ext)
+	b = appendField(b, r.Trace)
+	b = appendField(b, r.Span)
+	b = appendField(b, r.Ext)
 	return appendLens(b, r.Bodies)
 }
 
@@ -131,14 +131,14 @@ func (r *Request) decode(b []byte) error {
 }
 
 func (r *Response) appendTo(b []byte) []byte {
-	b = appendString(b, r.Code)
-	b = appendString(b, r.Msg)
+	b = appendField(b, r.Code)
+	b = appendField(b, r.Msg)
 	b = binary.AppendUvarint(b, uint64(len(r.Schema)))
 	for _, c := range r.Schema {
-		b = append(appendString(b, c.Name), byte(c.Type))
+		b = append(appendField(b, c.Name), byte(c.Type))
 	}
-	b = appendBytes(b, r.Profile)
-	b = appendBytes(b, r.Ext)
+	b = appendField(b, r.Profile)
+	b = appendField(b, r.Ext)
 	return appendLens(b, r.Bodies)
 }
 
@@ -164,11 +164,8 @@ func (r *Response) decode(b []byte) error {
 	return d.end()
 }
 
-func appendString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-func appendBytes(b, s []byte) []byte {
+// appendField appends a string or byte field: its length, then its bytes.
+func appendField[T ~string | ~[]byte](b []byte, s T) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
