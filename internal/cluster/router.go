@@ -300,24 +300,7 @@ type rpc struct {
 
 func (call *rpc) on(ctx context.Context, c *wire.Client) error {
 	req := wire.Request{Op: call.op, SQL: call.sql, Args: call.args}
-	if call.payload != nil {
-		var err error
-		if req.Ext, err = json.Marshal(call.payload); err != nil {
-			return fmt.Errorf("cluster: %s payload: %w", call.op, err)
-		}
-	}
-	return c.RoundTrip(ctx, req, call.bodies, func(resp *wire.Response, bodies [][]byte, _ *telemetry.Span) error {
-		var err error
-		switch reply := call.reply.(type) {
-		case nil:
-		case interface{ decodeExt([]byte) error }:
-			err = reply.decodeExt(resp.Ext)
-		default:
-			err = json.Unmarshal(resp.Ext, reply)
-		}
-		if err != nil {
-			return fmt.Errorf("cluster: bad %s reply: %w", call.op, err)
-		}
+	return c.CallRequest(ctx, req, call.payload, call.bodies, call.reply, func(resp *wire.Response, bodies [][]byte) error {
 		if call.recv == nil {
 			return nil
 		}

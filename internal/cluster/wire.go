@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -108,21 +107,6 @@ type shardReply struct {
 }
 
 func (r *shardReply) catalogEpoch() uint64 { return r.Epoch }
-
-// decodeExt reads the payload a peer's encoding/json wrote, {"epoch":N},
-// without reflection: one arrives per shard of every routed read. Any other
-// spelling goes through encoding/json.
-func (r *shardReply) decodeExt(b []byte) error {
-	if digits, ok := bytes.CutPrefix(b, []byte(`{"epoch":`)); ok {
-		if digits, ok = bytes.CutSuffix(digits, []byte("}")); ok {
-			if n, err := strconv.ParseUint(string(digits), 10, 64); err == nil {
-				r.Epoch = n
-				return nil
-			}
-		}
-	}
-	return json.Unmarshal(b, r)
-}
 
 // decodeRequest unmarshals an op's request payload.
 func decodeRequest(op string, payload json.RawMessage, req any) error {

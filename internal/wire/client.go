@@ -157,21 +157,36 @@ func (c *Client) Ping(ctx context.Context) error {
 // decode them before the next call on c. Errors carry verr identity like
 // every other op.
 func (c *Client) Call(ctx context.Context, op string, payload any, bodies [][]byte, reply any) (out [][]byte, err error) {
-	req := Request{Op: op}
-	if payload != nil {
-		if req.Ext, err = json.Marshal(payload); err != nil {
-			return nil, fmt.Errorf("wire: %s payload: %w", op, err)
-		}
-	}
-	err = c.RoundTrip(ctx, req, bodies, func(resp *Response, bodies [][]byte, _ *telemetry.Span) error {
+	err = c.CallRequest(ctx, Request{Op: op}, payload, bodies, reply, func(_ *Response, bodies [][]byte) error {
 		out = bodies
-		if reply == nil {
-			return nil
-		}
-		if len(resp.Ext) == 0 {
-			return fmt.Errorf("wire: %s: empty extension reply", op)
-		}
-		return json.Unmarshal(resp.Ext, reply)
+		return nil
 	})
 	return out, err
+}
+
+// CallRequest is Call from a request header the caller fills — a statement's
+// SQL and Args beside the op — with recv, when not nil, taking the whole
+// response (its Schema among the rest) and the reply's bodies, under the
+// same aliasing rule.
+func (c *Client) CallRequest(ctx context.Context, req Request, payload any, bodies [][]byte, reply any, recv func(resp *Response, bodies [][]byte) error) error {
+	if payload != nil {
+		var err error
+		if req.Ext, err = json.Marshal(payload); err != nil {
+			return fmt.Errorf("wire: %s payload: %w", req.Op, err)
+		}
+	}
+	return c.RoundTrip(ctx, req, bodies, func(resp *Response, bodies [][]byte, _ *telemetry.Span) error {
+		if reply != nil {
+			if len(resp.Ext) == 0 {
+				return fmt.Errorf("wire: %s: empty extension reply", req.Op)
+			}
+			if err := json.Unmarshal(resp.Ext, reply); err != nil {
+				return fmt.Errorf("wire: bad %s reply: %w", req.Op, err)
+			}
+		}
+		if recv == nil {
+			return nil
+		}
+		return recv(resp, bodies)
+	})
 }
