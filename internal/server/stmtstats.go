@@ -1,6 +1,7 @@
 package server
 
 import (
+	"container/list"
 	"sort"
 	"sync"
 	"time"
@@ -15,13 +16,13 @@ import (
 // stats row line up). Retention is bounded: at most `cap` fingerprints are
 // tracked, evicting the least-recently-executed when a new statement would
 // exceed the bound — a long-running server with pathological query diversity
-// stays at O(cap) memory, and the evictions are counted. The entries form a
-// list in execution order, most recent first, so an eviction takes the tail
-// in O(1).
+// stays at O(cap) memory, and the evictions are counted. As in planCache,
+// the entries form a list in execution order, most recent first, so an
+// eviction takes the back in O(1).
 type StmtStats struct {
 	mu      sync.Mutex
-	entries map[string]*stmtEntry
-	lru     stmtEntry // the list's sentinel: lru.next is the most recent
+	entries map[string]*list.Element
+	ll      *list.List // front = most recently executed
 	cap     int
 	evicted int64
 }
@@ -33,7 +34,6 @@ type stmtEntry struct {
 	errCodes   map[string]int64
 	totalNanos int64
 	hist       *telemetry.Histogram
-	prev, next *stmtEntry
 }
 
 // defaultStmtStatsCap bounds distinct fingerprints tracked per server.
@@ -43,32 +43,24 @@ func newStmtStats(capacity int) *StmtStats {
 	if capacity <= 0 {
 		capacity = defaultStmtStatsCap
 	}
-	s := &StmtStats{cap: capacity}
-	s.resetLocked()
-	return s
-}
-
-func (s *StmtStats) resetLocked() {
-	s.entries = map[string]*stmtEntry{}
-	s.lru.prev, s.lru.next = &s.lru, &s.lru
+	return &StmtStats{cap: capacity, ll: list.New(), entries: map[string]*list.Element{}}
 }
 
 // Record folds one execution into the statement's row. err == nil counts a
 // success; otherwise the verr wire code buckets the failure.
 func (s *StmtStats) Record(sql string, d time.Duration, err error) {
 	s.mu.Lock()
-	e, ok := s.entries[sql]
+	el, ok := s.entries[sql]
 	if ok {
-		e.unlink()
+		s.ll.MoveToFront(el)
 	} else {
-		if len(s.entries) >= s.cap {
+		if s.ll.Len() >= s.cap {
 			s.evictLocked()
 		}
-		e = &stmtEntry{sql: sql, errCodes: map[string]int64{}, hist: telemetry.NewHistogram(nil)}
-		s.entries[sql] = e
+		el = s.ll.PushFront(&stmtEntry{sql: sql, errCodes: map[string]int64{}, hist: telemetry.NewHistogram(nil)})
+		s.entries[sql] = el
 	}
-	e.prev, e.next = &s.lru, s.lru.next
-	e.prev.next, e.next.prev = e, e
+	e := el.Value.(*stmtEntry)
 	e.calls++
 	e.totalNanos += int64(d)
 	if err != nil {
@@ -81,16 +73,14 @@ func (s *StmtStats) Record(sql string, d time.Duration, err error) {
 	hist.ObserveDuration(d)
 }
 
-func (e *stmtEntry) unlink() { e.prev.next, e.next.prev = e.next, e.prev }
-
-// evictLocked removes the least-recently-executed entry: the list's tail.
+// evictLocked removes the least-recently-executed entry: the list's back.
 func (s *StmtStats) evictLocked() {
-	victim := s.lru.prev
-	if victim == &s.lru {
+	victim := s.ll.Back()
+	if victim == nil {
 		return
 	}
-	victim.unlink()
-	delete(s.entries, victim.sql)
+	s.ll.Remove(victim)
+	delete(s.entries, victim.Value.(*stmtEntry).sql)
 	s.evicted++
 }
 
@@ -112,7 +102,8 @@ func (s *StmtStats) Len() int {
 func (s *StmtStats) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.resetLocked()
+	s.entries = map[string]*list.Element{}
+	s.ll.Init()
 	s.evicted = 0
 }
 
@@ -133,9 +124,9 @@ type StmtSnapshot struct {
 // (the "what is this server spending its life on" view).
 func (s *StmtStats) Snapshot() []StmtSnapshot {
 	s.mu.Lock()
-	entries := make([]*stmtEntry, 0, len(s.entries))
-	for _, e := range s.entries {
-		entries = append(entries, e)
+	entries := make([]*stmtEntry, 0, s.ll.Len())
+	for el := s.ll.Front(); el != nil; el = el.Next() {
+		entries = append(entries, el.Value.(*stmtEntry))
 	}
 	snaps := make([]StmtSnapshot, len(entries))
 	for i, e := range entries {
