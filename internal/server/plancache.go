@@ -37,17 +37,17 @@ func newPlanCache(capacity int) *planCache {
 	return &planCache{cap: capacity, ll: list.New(), items: map[string]*list.Element{}}
 }
 
-// get returns the cached plan for key, refreshing its recency.
+// get returns the cached plan for key, refreshing its recency. Its caller
+// counts the hit or miss: a template found for a run with no arguments is
+// no hit.
 func (c *planCache) get(key string) (*sqlparse.Select, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		mPlanMisses.Inc()
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	mPlanHits.Inc()
 	return el.Value.(*planEntry).sel, true
 }
 

@@ -341,8 +341,10 @@ func (s *Server) Statement(ctx context.Context, sql string, args []any) (stmt sq
 	sel, ok := s.plans.get(ck)
 	unbound := func() bool { return len(args) == 0 && sel.NumParams > 0 }
 	if ok && !unbound() {
+		mPlanHits.Inc()
 		telemetry.SpanFromContext(ctx).SetAttr("plan_cache", "hit")
 	} else {
+		mPlanMisses.Inc()
 		telemetry.SpanFromContext(ctx).SetAttr("plan_cache", "miss")
 		if stmt, err = sqlparse.Parse(sql); err != nil {
 			return nil, fingerprint, err

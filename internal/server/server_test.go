@@ -13,6 +13,7 @@ import (
 	"verticadr/internal/algos"
 	"verticadr/internal/core"
 	"verticadr/internal/faults"
+	"verticadr/internal/telemetry"
 	"verticadr/internal/verr"
 )
 
@@ -57,6 +58,40 @@ func TestServerQueryUsesPlanCache(t *testing.T) {
 	if srv.PlanCacheLen() != 1 {
 		t.Fatalf("plan cache len = %d, want 1 (repeats must share one plan)", srv.PlanCacheLen())
 	}
+}
+
+// A template in the plan cache serves only a run that binds it: the same
+// text run with no arguments is parsed afresh, and server_plan_cache_total
+// and the span count it as the miss it is, not as a hit.
+func TestStatementUnboundTemplateIsAMiss(t *testing.T) {
+	srv := New(testSession(t, 16, 1), Config{})
+	const q = `SELECT count(*) FROM px WHERE x >= ?`
+	hits := telemetry.Default().Counter("server_plan_cache_total", telemetry.L("result", "hit"))
+	misses := telemetry.Default().Counter("server_plan_cache_total", telemetry.L("result", "miss"))
+	run := func(args []any, wantHit bool) {
+		t.Helper()
+		h0, m0 := hits.Value(), misses.Value()
+		reg := telemetry.NewRegistry()
+		ctx, span := reg.StartTrace(context.Background(), "test")
+		_, _, _ = srv.Statement(ctx, q, args)
+		span.End()
+		want := "miss"
+		if wantHit {
+			want = "hit"
+		}
+		got := ""
+		for _, a := range reg.Spans().Export()[0].Attrs {
+			if a.Key == "plan_cache" {
+				got = a.Value
+			}
+		}
+		if dh, dm := hits.Value()-h0, misses.Value()-m0; got != want || dh+dm != 1 || (dh == 1) != wantHit {
+			t.Fatalf("args %v: span says %q, %d hits and %d misses counted; want one %s", args, got, dh, dm, want)
+		}
+	}
+	run([]any{0.0}, false)
+	run([]any{0.5}, true)
+	run(nil, false)
 }
 
 // DDL bumps the catalog epoch, which is part of the plan-cache key: a query
