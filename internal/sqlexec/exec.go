@@ -93,7 +93,7 @@ func runSelect(ctx context.Context, db Database, sel *sqlparse.Select, prof *Pro
 
 func runConstSelect(ctx context.Context, sel *sqlparse.Select, prof *Profile) (*Result, error) {
 	done := startOp(ctx, prof, "const")
-	defer func() { done.Done(1, "table-less SELECT") }()
+	defer done.done(1, func() string { return "table-less SELECT" })
 	dummy := &colstore.Batch{
 		Schema: colstore.Schema{{Name: "$dummy", Type: colstore.TypeInt64}},
 		Cols:   []*colstore.Vector{colstore.IntVector([]int64{0})},

@@ -57,7 +57,7 @@ func materializedRef(ctx context.Context, db Database, p *plan.Plan, prof *Profi
 		if err != nil {
 			return nil, err
 		}
-		projDone.Done(int64(out.Len()), "")
+		projDone.done(int64(out.Len()), func() string { return "" })
 		return finishSelect(ctx, out, sel, prof)
 	}
 	return execPlan(ctx, db, p, prof)
@@ -173,7 +173,7 @@ func refScan(ctx context.Context, segs []*colstore.Segment, schema colstore.Sche
 	scanDone.doneScan(st, int64(st.RowsOut), func() string { return "" })
 	if acc.Residual != nil {
 		filterDone := startOp(ctx, prof, "filter")
-		filterDone.Done(int64(out.Len()), "")
+		filterDone.done(int64(out.Len()), func() string { return "" })
 	}
 	return out.Project(outCols)
 }
@@ -224,7 +224,7 @@ func refIndex(ctx context.Context, segs []*colstore.Segment, schema colstore.Sch
 			return nil, err
 		}
 	}
-	scanDone.Done(int64(out.Len()), "")
+	scanDone.done(int64(out.Len()), func() string { return "" })
 	if acc.Residual != nil {
 		filterDone := startOp(ctx, prof, "filter")
 		idx, err := filterRows(acc.Residual, out, nil)
@@ -232,7 +232,7 @@ func refIndex(ctx context.Context, segs []*colstore.Segment, schema colstore.Sch
 			return nil, err
 		}
 		out = out.Gather(idx)
-		filterDone.Done(int64(out.Len()), "")
+		filterDone.done(int64(out.Len()), func() string { return "" })
 	}
 	return out.Project(outCols)
 }
@@ -330,7 +330,9 @@ func hashJoin(ctx context.Context, left, right *colstore.Batch, n *plan.Node, pr
 		Schema: append(append(colstore.Schema{}, lg.Schema...), rg.Schema...),
 		Cols:   append(append([]*colstore.Vector{}, lg.Cols...), rg.Cols...),
 	}
-	joinDone.Done(int64(out.Len()), fmt.Sprintf("%s = %s, %d build rows", n.LeftKey, n.RightKey, right.Len()))
+	joinDone.done(int64(out.Len()), func() string {
+		return fmt.Sprintf("%s = %s, %d build rows", n.LeftKey, n.RightKey, right.Len())
+	})
 	if n.Residual != nil {
 		filterDone := startOp(ctx, prof, "filter")
 		idx, err := filterRows(n.Residual, out, nil)
@@ -338,7 +340,7 @@ func hashJoin(ctx context.Context, left, right *colstore.Batch, n *plan.Node, pr
 			return nil, err
 		}
 		out = out.Gather(idx)
-		filterDone.Done(int64(out.Len()), fmt.Sprintf("join filter %s", n.Residual.String()))
+		filterDone.done(int64(out.Len()), func() string { return fmt.Sprintf("join filter %s", n.Residual.String()) })
 	}
 	return out, nil
 }

@@ -111,11 +111,9 @@ func startOp(ctx context.Context, p *Profile, op string) *opTimer {
 	return t
 }
 
-// Done records the operator with the rows produced and a detail string.
-func (t *opTimer) Done(rows int64, detail string) { t.done(rows, func() string { return detail }) }
-
-// done is Done with the detail formatted only when the profile keeps it: an
-// operator of a query that is not PROFILE'd spends nothing on its text.
+// done records the operator with the rows produced and its detail, which is
+// formatted only when the profile keeps it: an operator of a query that is
+// not PROFILE'd spends nothing on its text.
 func (t *opTimer) done(rows int64, detail func() string) {
 	telemetry.Default().Counter("sqlexec_op_rows_total", telemetry.L("op", t.op)).Add(rows)
 	if t.span != nil {
