@@ -121,12 +121,17 @@ bench:
 	done
 
 # Code size: non-test Go lines (wc -l) per package under internal/, one line
-# each, then the total — the count a change that deletes code reports.
+# each, then their total; then the root package (.) and cmd/ (all its
+# commands), a line each, and the total over all three — the counts a change
+# that deletes code reports.
 .PHONY: loc
 loc:
-	@for d in $$(find internal -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+	@{ for d in $$(find internal -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
 		printf '%7d  %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
-	done | awk '{ print; n += $$1 } END { printf "%7d  total\n", n }'
+	done | awk '{ print; n += $$1 } END { printf "%7d  total\n", n }'; \
+	printf '%7d  .\n' $$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	printf '%7d  cmd\n' $$(find cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); } | \
+	awk '{ print } $$2 == "total" || $$2 == "." || $$2 == "cmd" { n += $$1 } END { printf "%7d  total with . and cmd\n", n }'
 
 # Paper-figure benchmark series (Figs. 12-20 shapes).
 .PHONY: bench-figures

@@ -36,7 +36,7 @@ func TestJoinNormalizedRoundTrips(t *testing.T) {
 		stmts = append(stmts, gen.JoinQuery(90, 70).String())
 	}
 	for _, sql := range stmts {
-		sel, err := parseSelect(sql)
+		sel, err := sqlparse.ParseSelect(sql)
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
@@ -45,7 +45,7 @@ func TestJoinNormalizedRoundTrips(t *testing.T) {
 			t.Fatalf("%q: %v", sql, err)
 		}
 		shipped := shardSQL(norm)
-		back, err := parseSelect(shipped)
+		back, err := sqlparse.ParseSelect(shipped)
 		if err != nil {
 			t.Fatalf("%q ships as %q, which does not parse: %v", sql, shipped, err)
 		}
@@ -171,7 +171,7 @@ func TestJoinFailoverBetweenBuildAndProbe(t *testing.T) {
 
 	r := tc.router(0)
 	for _, sql := range []string{joinFixtureSQL, rowsSQL} {
-		sel, err := parseSelect(sql)
+		sel, err := sqlparse.ParseSelect(sql)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -130,18 +130,6 @@ func (p *Peer) checkShards(shards []int) error {
 	return nil
 }
 
-func parseSelect(sql string) (*sqlparse.Select, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*sqlparse.Select)
-	if !ok {
-		return nil, fmt.Errorf("cluster: expected SELECT, got %T", stmt)
-	}
-	return sel, nil
-}
-
 // runShards is what a read op runs over the shard view, down to the batch
 // the peer ships back: a SELECT to its finished rows — or, under cl.agg, to
 // its partial aggregation state — and an EXPLAIN to its plan lines.
@@ -177,11 +165,7 @@ func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*s
 	if err := p.checkShards(req.Shards); err != nil {
 		return nil, nil, nil, err
 	}
-	args, err := decodeArgs(req.Args)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	stmt, fingerprint, err := p.srv.Statement(ctx, req.SQL, args)
+	stmt, fingerprint, err := p.srv.Statement(ctx, req.SQL, req.Args)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -291,7 +290,7 @@ type rpc struct {
 	op         string
 	idempotent bool
 	sql        string
-	args       []json.RawMessage
+	args       []any
 	payload    any
 	bodies     [][]byte
 	reply      any
@@ -544,7 +543,7 @@ func (r *Router) Prepare(name, sql string) error {
 	if name == "" {
 		return fmt.Errorf("cluster: empty statement name")
 	}
-	sel, err := parseSelect(sql)
+	sel, err := sqlparse.ParseSelect(sql)
 	if err != nil {
 		return err
 	}
@@ -567,7 +566,7 @@ func (r *Router) Prepare(name, sql string) error {
 // PARAMETERS list renders sorted by name, so one that is not could swap
 // them). Binding both to distinct numbers and comparing the texts shows it.
 func sendsAsTemplate(norm *sqlparse.Select) bool {
-	sent, err := parseSelect(shardSQL(norm))
+	sent, err := sqlparse.ParseSelect(shardSQL(norm))
 	if err != nil || sent.NumParams != norm.NumParams {
 		return false
 	}
@@ -601,11 +600,7 @@ func (r *Router) Execute(ctx context.Context, name string, args ...any) (*sqlexe
 	if err != nil {
 		return nil, err
 	}
-	enc, err := encodeArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	return r.routeSingle(ctx, bound, ps.agg, shardRequest{SQL: ps.text, Args: enc})
+	return r.routeSingle(ctx, bound, ps.agg, shardRequest{SQL: ps.text, Args: args})
 }
 
 // shardSQL renders the statement sent to peers: identical to the client's

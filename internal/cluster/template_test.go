@@ -2,14 +2,15 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"verticadr/internal/plan"
 	"verticadr/internal/server"
 	"verticadr/internal/sqlexec/difftest"
+	"verticadr/internal/sqlparse"
 	"verticadr/internal/telemetry"
 )
 
@@ -49,7 +50,7 @@ func TestPreparedReadsShipTheTemplate(t *testing.T) {
 	texts := map[string]int64{} // template -> shard reads
 	hits := telemetry.Default().Counter("server_plan_cache_total", telemetry.L("result", "hit"))
 	misses := telemetry.Default().Counter("server_plan_cache_total", telemetry.L("result", "miss"))
-	hits0, misses0 := hits.Value(), misses.Value()
+	var dh, dm int64 // the routed executions' lookups, not the reference's
 	reads := 0
 	for i, st := range stmts {
 		name := fmt.Sprintf("s%d", i)
@@ -64,10 +65,12 @@ func TestPreparedReadsShipTheTemplate(t *testing.T) {
 			t.Fatalf("%q is not sent as a template", st.sql)
 		}
 		for _, args := range st.args {
+			hits0, misses0 := hits.Value(), misses.Value()
 			got, err := r.Execute(ctx, name, args...)
 			if err != nil {
 				t.Fatalf("%q %v: %v", st.sql, args, err)
 			}
+			dh, dm = dh+hits.Value()-hits0, dm+misses.Value()-misses0
 			ref, err := local.Execute(ctx, name, args...)
 			if err != nil {
 				t.Fatal(err)
@@ -91,7 +94,6 @@ func TestPreparedReadsShipTheTemplate(t *testing.T) {
 			t.Fatalf("%q: %d shard reads recorded, want %d", text, calls[text], want)
 		}
 	}
-	dh, dm := hits.Value()-hits0, misses.Value()-misses0
 	if dh+dm != int64(reads) || dm > int64(len(tc.nodes)*len(stmts)) {
 		t.Fatalf("%d shard reads: %d plan-cache hits, %d misses", reads, dh, dm)
 	}
@@ -105,7 +107,7 @@ func TestTemplateKeepsPlaceholderOrder(t *testing.T) {
 		`SELECT GlmPredict(x, y USING PARAMETERS zz=?, model=?) OVER (PARTITION BEST) FROM t WHERE id > ?`: false,
 		`SELECT GlmPredict(x, y USING PARAMETERS model=?, zz=?) OVER (PARTITION BEST) FROM t WHERE id > ?`: true,
 	} {
-		sel, err := parseSelect(sql)
+		sel, err := sqlparse.ParseSelect(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,41 +121,74 @@ func TestTemplateKeepsPlaceholderOrder(t *testing.T) {
 	}
 }
 
-// Shard arguments cross typed and exact, and a malformed one is an error.
-func TestShardArgsCrossExactly(t *testing.T) {
+// TestExecuteArgsCrossExactly (internal/server) through a cluster node: a
+// client's execute reaches the node's router in the frame header's typed
+// arguments, the router ships the template and the same arguments to every
+// peer, and each answers what one server's Server.Execute answers, bit for
+// bit through Rows' boxing.
+func TestExecuteArgsCrossExactly(t *testing.T) {
+	tc := startCluster(t, 3, 3, 2)
+	base := startBaseline(t, 3)
+	ctx := context.Background()
+	ddl := fmt.Sprintf(testDDL, "t", "HASH(id)")
+	tc.exec(ddl)
+	if err := base.ExecContext(ctx, ddl); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]any, 12)
+	for i := range rows {
+		rows[i] = []any{int64(i), int64(i % 7), int64(i % 3), float64(i) / 2, float64(i) * 1.5, "s", i%2 == 0}
+	}
+	loadBoth(t, base, tc, "t", difftest.TableSchema(), rows)
+	local := server.New(base, server.Config{})
+	c, err := server.DialTimeout(tc.nodes[0].addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stmts := map[string]string{
+		"num": `SELECT id, ? AS v, x * ? AS y, ? * 4611686018427387904 AS w FROM t WHERE id < 3 ORDER BY id`,
+		"any": `SELECT id, ? AS v FROM t WHERE id < 3 ORDER BY id`,
+	}
+	for name, sql := range stmts {
+		if err := c.Prepare(ctx, name, sql); err != nil {
+			t.Fatal(err)
+		}
+		if err := local.Prepare(name, sql); err != nil {
+			t.Fatal(err)
+		}
+	}
 	nan := math.Float64frombits(0x7ff8deadbeef0001)
-	in := []any{int(-7), int64(math.MinInt64), int64(math.MaxInt64), float64(2), nan, math.Copysign(0, -1),
-		math.Inf(1), "a\x00\xff", "", true, false}
-	raw, err := encodeArgs(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := decodeArgs(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range in {
-		want := v
-		if n, ok := v.(int); ok {
-			want = int64(n)
+	for _, a := range []any{nan, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 2.0,
+		int64(math.MinInt64), int64(math.MaxInt64), "a\x00\xff", true, false} {
+		runs := map[string][]any{"any": {a}}
+		switch a.(type) {
+		case int64, float64:
+			runs["num"] = []any{a, a, a}
 		}
-		switch w := want.(type) {
-		case float64:
-			if g, ok := out[i].(float64); !ok || math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("argument %d: %#v came back as %#v", i, v, out[i])
+		for name, args := range runs {
+			ref, err := local.Execute(ctx, name, args...)
+			if err != nil {
+				t.Fatalf("%s %#v in process: %v", name, a, err)
 			}
-		default:
-			if out[i] != want {
-				t.Fatalf("argument %d: %#v came back as %#v", i, v, out[i])
+			got, err := c.Execute(ctx, name, args...)
+			if err != nil {
+				t.Fatalf("%s %#v through node 0: %v", name, a, err)
+			}
+			want := ref.Rows()
+			if len(got.Rows) != len(want) || len(want) != 3 {
+				t.Fatalf("%s %#v: %d rows through node 0, %d in process", name, a, len(got.Rows), len(want))
+			}
+			for i, row := range want {
+				for j, v := range row {
+					if n, ok := v.(int64); ok {
+						v = float64(n) // Rows box an INTEGER as float64
+					}
+					if !bitIdentical(got.Rows[i][j], v) {
+						t.Fatalf("%s %#v: row %d column %d is %#v through node 0, %#v in process", name, a, i, j, got.Rows[i][j], v)
+					}
+				}
 			}
 		}
-	}
-	for _, bad := range []string{"", "x", "i", "i\x02\x00", "f\x00", "b", "b\x02", "b\x01\x01"} {
-		if _, err := decodeArgs([]json.RawMessage{[]byte(bad)}); err == nil {
-			t.Fatalf("%q decoded", bad)
-		}
-	}
-	if _, err := encodeArgs([]any{uint8(1)}); err == nil {
-		t.Fatal("a uint8 argument encoded")
 	}
 }

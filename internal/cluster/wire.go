@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"strconv"
 
 	"verticadr/internal/catalog"
@@ -41,13 +39,13 @@ const (
 // aggregate SELECT to its partial batch (sqlexec.RunPartialAggregate).
 //
 // SQL and Args are the statement: a prepared statement's template and its
-// arguments (encodeArgs), or a statement's whole text and none. On the wire
-// they ride in the frame header's SQL and Args (rpc), never in the payload;
-// the peer resolves the text through its plan cache and binds the arguments.
+// arguments, or a statement's whole text and none. On the wire they ride in
+// the frame header's SQL and typed Args (rpc), never in the payload; the
+// peer resolves the text through its plan cache and binds the arguments.
 type shardRequest struct {
-	SQL    string            `json:"sql,omitempty"`
-	Args   []json.RawMessage `json:"-"`
-	Shards []int             `json:"shards"`
+	SQL    string `json:"sql,omitempty"`
+	Args   []any  `json:"-"`
+	Shards []int  `json:"shards"`
 	// Builds are a join statement's broadcast build sides: the peer reads
 	// each named JOIN's table from the shipped batch instead of its shards.
 	Builds []buildTable `json:"builds,omitempty"`
@@ -114,72 +112,6 @@ func decodeRequest(op string, payload json.RawMessage, req any) error {
 		return fmt.Errorf("cluster: bad %s request: %w", op, err)
 	}
 	return nil
-}
-
-// A shard statement's arguments, one header Args entry each, are typed and
-// exact: a tag byte, then for 'i' an int64 as a zigzag varint, for 'f' a
-// float64's eight little-endian bytes, for 's' a string's bytes, for 'b' a
-// bool's one byte, 0 or 1. Whatever BindSelect accepts crosses unchanged — a
-// whole float stays a float; NaN payloads and bytes that are not UTF-8 stay
-// as they were.
-func encodeArgs(args []any) ([]json.RawMessage, error) {
-	if len(args) == 0 {
-		return nil, nil
-	}
-	out := make([]json.RawMessage, len(args))
-	for i, a := range args {
-		switch v := a.(type) {
-		case int:
-			out[i] = binary.AppendVarint([]byte{'i'}, int64(v))
-		case int64:
-			out[i] = binary.AppendVarint([]byte{'i'}, v)
-		case float64:
-			out[i] = binary.LittleEndian.AppendUint64([]byte{'f'}, math.Float64bits(v))
-		case string:
-			out[i] = append([]byte{'s'}, v...)
-		case bool:
-			b := byte(0)
-			if v {
-				b = 1
-			}
-			out[i] = []byte{'b', b}
-		default:
-			return nil, fmt.Errorf("cluster: argument %d: unsupported type %T", i, a)
-		}
-	}
-	return out, nil
-}
-
-// decodeArgs is encodeArgs reversed. The bytes came off a wire: an unknown
-// tag or a value of the wrong length is an error.
-func decodeArgs(raw []json.RawMessage) ([]any, error) {
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	args := make([]any, len(raw))
-	for i, r := range raw {
-		var ok bool
-		if len(r) > 0 {
-			v := r[1:]
-			switch r[0] {
-			case 'i':
-				n, k := binary.Varint(v)
-				args[i], ok = n, k > 0 && k == len(v)
-			case 'f':
-				if ok = len(v) == 8; ok {
-					args[i] = math.Float64frombits(binary.LittleEndian.Uint64(v))
-				}
-			case 's':
-				args[i], ok = string(v), true
-			case 'b':
-				args[i], ok = len(v) == 1 && v[0] == 1, len(v) == 1 && v[0] <= 1
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("cluster: argument %d: malformed value %q", i, r)
-		}
-	}
-	return args, nil
 }
 
 // encodeChunk is vft.EncodeChunk, and decodeChunk vft.DecodeChunk, under a

@@ -118,46 +118,16 @@ func predFromExpr(e sqlparse.Expr) *colstore.Pred {
 		return nil
 	}
 	if col, okc := bin.L.(*sqlparse.ColRef); okc && col.Table == "" {
-		if v, okl := literalValue(bin.R); okl {
+		if v, okl := sqlparse.Literal(bin.R); okl {
 			return &colstore.Pred{Col: col.Name, Op: op, Val: v}
 		}
 	}
 	if col, okc := bin.R.(*sqlparse.ColRef); okc && col.Table == "" {
-		if v, okl := literalValue(bin.L); okl {
+		if v, okl := sqlparse.Literal(bin.L); okl {
 			return &colstore.Pred{Col: col.Name, Op: mirror[op], Val: v}
 		}
 	}
 	return nil
-}
-
-func literalValue(e sqlparse.Expr) (any, bool) {
-	switch x := e.(type) {
-	case *sqlparse.NumberLit:
-		if x.IsInt {
-			return x.Int, true
-		}
-		return x.Float, true
-	case *sqlparse.StringLit:
-		return x.Val, true
-	case *sqlparse.BoolLit:
-		return x.Val, true
-	case *sqlparse.Unary:
-		if x.Op != "-" {
-			return nil, false
-		}
-		v, ok := literalValue(x.X)
-		if !ok {
-			return nil, false
-		}
-		switch n := v.(type) {
-		case int64:
-			return -n, true
-		case float64:
-			return -n, true
-		}
-		return nil, false
-	}
-	return nil, false
 }
 
 func numericVal(v any) (float64, bool) {

@@ -46,7 +46,8 @@ func (fuzzExt) ServeExt(_ context.Context, _ *wire.Request, bodies [][]byte) (Ex
 // request frame to a listening server, as a response frame to the client's
 // decoder:
 // a header length past the frame, a header varint truncated or in a long
-// form, a field, a list or trailing bytes past the header's end, body lengths
+// form, a field, a list or trailing bytes past the header's end, an
+// argument of no type, cut short or a BOOLEAN past 1, body lengths
 // that would read as negative, overrun the frame or leave bytes over, a
 // schema its chunk disagrees with, a schema of no storable type, a result
 // announced with no body. None may panic; decoded
@@ -80,7 +81,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, req := range []wire.Request{
 		{Op: "ping"},
 		{Op: "query", SQL: "SELECT 1 < 2", TimeoutMS: 50, Trace: "1f", Span: "2a"},
-		{Op: "execute", Name: "p", Args: []json.RawMessage{[]byte(`1`), []byte(`"a"`), []byte(`true`), []byte(`0.5`)}},
+		{Op: "execute", Name: "p", Args: []any{int64(1), "a", true, 0.5, math.Float64frombits(0x7ff8deadbeef0001), math.Copysign(0, -1)}},
 		{Op: "cl.select", Ext: json.RawMessage(`{"sql":"SELECT 1","shards":[0]}`), Bodies: []int{len(chunk), 0, 3}},
 	} {
 		var bodies [][]byte

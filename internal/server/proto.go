@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -128,10 +127,7 @@ func (t *TCPServer) dispatch(ctx context.Context, req *wire.Request, bodies [][]
 	case "prepare":
 		err = t.front.Prepare(req.Name, req.SQL)
 	case "execute":
-		var args []any
-		if args, err = decodeArgs(req.Args); err == nil {
-			res, err = t.front.Execute(ctx, req.Name, args...)
-		}
+		res, err = t.front.Execute(ctx, req.Name, req.Args...)
 	case "query":
 		res, err = t.front.Query(ctx, req.SQL)
 	default:
@@ -141,49 +137,6 @@ func (t *TCPServer) dispatch(ctx context.Context, req *wire.Request, bodies [][]
 		ext, err = t.ext.ServeExt(ctx, req, bodies)
 	}
 	return res, ext, err
-}
-
-// decodeArgs converts JSON argument values into the Go types BindSelect
-// accepts: integral numbers become int64, other numbers float64, plus
-// string and bool (a JSON null binds as the empty string).
-func decodeArgs(raw []json.RawMessage) ([]any, error) {
-	args := make([]any, len(raw))
-	for i, r := range raw {
-		v, err := decodeArg(r)
-		if err != nil {
-			return nil, fmt.Errorf("server: argument %d: unsupported JSON value %s", i, r)
-		}
-		args[i] = v
-	}
-	return args, nil
-}
-
-// decodeArg decodes one argument as the kind of JSON value its first byte
-// starts: a string (or null), a boolean, else a number — an int64 when its
-// literal is one, else a float64.
-func decodeArg(r json.RawMessage) (any, error) {
-	var first byte
-	if t := bytes.TrimLeft(r, " \t\r\n"); len(t) > 0 {
-		first = t[0]
-	}
-	switch first {
-	case '"', 'n':
-		var s string
-		err := json.Unmarshal(r, &s)
-		return s, err
-	case 't', 'f':
-		var b bool
-		err := json.Unmarshal(r, &b)
-		return b, err
-	}
-	var n json.Number
-	if err := json.Unmarshal(r, &n); err != nil {
-		return nil, err
-	}
-	if iv, err := n.Int64(); err == nil {
-		return iv, nil
-	}
-	return n.Float64()
 }
 
 // Client is the serving protocol's client: a wire.Client (Ping, Call,
@@ -312,15 +265,10 @@ func (c *Client) Prepare(ctx context.Context, name, sql string) error {
 	return c.RoundTrip(ctx, wire.Request{Op: "prepare", Name: name, SQL: sql}, nil, nil)
 }
 
-// Execute binds args to a previously prepared statement and runs it.
+// Execute binds args to a previously prepared statement and runs it. The
+// arguments cross typed in the frame header, exactly as they bind in
+// process (wire.Request); one of a type BindSelect does not take — nil
+// among them — is refused before anything is sent.
 func (c *Client) Execute(ctx context.Context, name string, args ...any) (*Rows, error) {
-	raw := make([]json.RawMessage, len(args))
-	for i, a := range args {
-		b, err := json.Marshal(a)
-		if err != nil {
-			return nil, fmt.Errorf("server: argument %d: %w", i, err)
-		}
-		raw[i] = b
-	}
-	return c.result(ctx, wire.Request{Op: "execute", Name: name, Args: raw})
+	return c.result(ctx, wire.Request{Op: "execute", Name: name, Args: args})
 }

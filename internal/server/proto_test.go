@@ -2,12 +2,11 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"math"
 	"net"
-	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -252,22 +251,70 @@ func TestRoundTripHonoursContextOnSilentPeer(t *testing.T) {
 	}
 }
 
-// An execute's arguments decode as the JSON values they are: integral
-// literals as int64, other numbers as float64, strings (null as ""), booleans.
-func TestDecodeArgsByKind(t *testing.T) {
-	raw := []json.RawMessage{[]byte(`1`), []byte(`"a"`), []byte(`true`), []byte(`0.5`), []byte(`2.0`),
-		[]byte(`-0`), []byte(`null`), []byte(` 7`), []byte(`-9223372036854775808`), []byte(`1e3`)}
-	got, err := decodeArgs(raw)
+// An execute's arguments cross the wire exactly as they bind in process:
+// each of the values a text encoding loses or refuses answers over TCP what
+// Server.Execute answers, bit for
+// bit through Rows' boxing — a NaN keeps its payload, -0.0 its sign, and 2.0
+// stays a FLOAT (times 2^62 it does not wrap as an INTEGER would). An
+// argument of a type BindSelect does not take is refused before anything is
+// sent, and the connection goes on serving.
+func TestExecuteArgsCrossExactly(t *testing.T) {
+	srv := New(testSession(t, 3, 1), Config{})
+	tcp, err := Listen(srv, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []any{int64(1), "a", true, 0.5, 2.0, int64(0), "", int64(7), int64(math.MinInt64), 1000.0}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded %#v, want %#v", got, want)
+	t.Cleanup(func() { _ = tcp.Close() })
+	c, err := DialTimeout(tcp.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range []string{``, `[1]`, `{}`, `"abc`, `1e400`, `tru`, `0x10`, `01`} {
-		if _, err := decodeArgs([]json.RawMessage{[]byte(bad)}); err == nil {
-			t.Fatalf("%q decoded", bad)
+	defer c.Close()
+	ctx := context.Background()
+	stmts := map[string]string{
+		"num": `SELECT x, ? AS v, x * ? AS y, ? * 4611686018427387904 AS w FROM px`,
+		"any": `SELECT x, ? AS v FROM px`,
+	}
+	for name, sql := range stmts {
+		if err := c.Prepare(ctx, name, sql); err != nil {
+			t.Fatal(err)
 		}
+	}
+	for _, a := range []any{math.Float64frombits(0x7ff8deadbeef0001), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		2.0, int64(math.MinInt64), int64(math.MaxInt64), "a\x00\xff", true, false} {
+		runs := map[string][]any{"any": {a}}
+		switch a.(type) {
+		case int64, float64:
+			runs["num"] = []any{a, a, a}
+		}
+		for name, args := range runs {
+			ref, err := srv.Execute(ctx, name, args...)
+			if err != nil {
+				t.Fatalf("%s %#v in process: %v", name, a, err)
+			}
+			got, err := c.Execute(ctx, name, args...)
+			if err != nil {
+				t.Fatalf("%s %#v over TCP: %v", name, a, err)
+			}
+			_, want := boxRows(ref.Batch)
+			if len(got.Rows) != len(want) || len(want) != 3 {
+				t.Fatalf("%s %#v: %d rows over TCP, %d in process", name, a, len(got.Rows), len(want))
+			}
+			for i, row := range want {
+				for j, v := range row {
+					if !sameCell(got.Rows[i][j], v) {
+						t.Fatalf("%s %#v: row %d column %d is %#v over TCP, %#v in process", name, a, i, j, got.Rows[i][j], v)
+					}
+				}
+			}
+		}
+	}
+	for _, bad := range []any{nil, uint8(1), []byte("a")} {
+		if _, err := c.Execute(ctx, "any", bad); err == nil || !strings.Contains(err.Error(), "argument 0") {
+			t.Fatalf("%#v: err = %v, want a refusal naming argument 0", bad, err)
+		}
+	}
+	if _, err := c.Execute(ctx, "any", "after"); err != nil {
+		t.Fatalf("the connection after a refused argument: %v", err)
 	}
 }

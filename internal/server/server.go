@@ -3,8 +3,10 @@
 // many clients issuing PREDICT queries against deployed models at once. It
 // adds what a single-user session lacks:
 //
-//   - prepared statements with a bounded LRU plan cache (parse/validate once,
-//     bind ? placeholders per execution),
+//   - a bounded LRU plan cache (parse/validate once, bind ? placeholders per
+//     execution), the one template store: a one-shot query, a named prepared
+//     statement (kept as its text) and a cluster peer's shard statement all
+//     resolve their text through it,
 //   - a shared deserialized-model cache (internal/models) so concurrent
 //     predictions stop paying one gob decode per UDF instance per query,
 //   - admission control: a concurrency limiter plus a bounded wait queue
@@ -54,7 +56,7 @@ type Config struct {
 	// QueryTimeout, when positive, caps each query's execution time; the
 	// engine observes the deadline at block boundaries (default: none).
 	QueryTimeout time.Duration
-	// PlanCacheSize bounds the one-shot plan LRU (default 128).
+	// PlanCacheSize bounds the plan LRU (default 128).
 	PlanCacheSize int
 	// StmtStatsSize bounds how many distinct statement fingerprints the
 	// per-statement statistics track before evicting the least recently
@@ -87,16 +89,9 @@ type Server struct {
 	stmts *StmtStats
 
 	mu       sync.Mutex
-	prepared map[string]preparedStmt
+	prepared map[string]string // name -> text; the plan cache holds its parse
 
 	closed atomic.Bool
-}
-
-// preparedStmt pairs the immutable plan template with the SQL it was
-// prepared from (the statement-statistics fingerprint for its executions).
-type preparedStmt struct {
-	sel *sqlparse.Select
-	sql string
 }
 
 // New builds a serving layer over sess.
@@ -108,7 +103,7 @@ func New(sess *core.Session, cfg Config) *Server {
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		plans:    newPlanCache(cfg.PlanCacheSize),
 		stmts:    newStmtStats(cfg.StmtStatsSize),
-		prepared: map[string]preparedStmt{},
+		prepared: map[string]string{},
 	}
 }
 
@@ -286,7 +281,10 @@ func (s *Server) Admit(ctx context.Context, fingerprint string, fn func(ctx cont
 }
 
 // Prepare parses and validates sql (a SELECT, possibly with ? placeholders)
-// and registers it under name. Re-preparing a name replaces its statement.
+// and registers its text under name; the parse goes into the plan cache,
+// where Execute finds it as Query and every cluster peer find theirs, so
+// prepared executions count in server_plan_cache_total too. Re-preparing a
+// name replaces its statement.
 func (s *Server) Prepare(name, sql string) error {
 	if s.closed.Load() {
 		return fmt.Errorf("server: %w", verr.ErrClosed)
@@ -294,47 +292,46 @@ func (s *Server) Prepare(name, sql string) error {
 	if name == "" {
 		return fmt.Errorf("server: empty statement name")
 	}
-	stmt, err := sqlparse.Parse(sql)
+	sel, err := sqlparse.ParseSelect(sql)
 	if err != nil {
 		return err
 	}
-	sel, ok := stmt.(*sqlparse.Select)
-	if !ok {
-		return fmt.Errorf("server: PREPARE requires a SELECT, got %T", stmt)
-	}
+	s.plans.put(s.cacheKey(normalize(sql)), sel)
 	s.mu.Lock()
-	s.prepared[name] = preparedStmt{sel: sel, sql: normalize(sql)}
+	s.prepared[name] = sql
 	s.mu.Unlock()
 	return nil
 }
 
-// Execute binds args to the named prepared statement and runs it. The cached
-// template is never mutated: binding deep-copies, so any number of
-// executions (with different arguments) can run concurrently.
+// Execute binds args to the named prepared statement, resolved through the
+// plan cache (Statement), and runs it. The cached template is never mutated:
+// binding deep-copies, so any number of executions (with different
+// arguments) can run concurrently.
 func (s *Server) Execute(ctx context.Context, name string, args ...any) (*sqlexec.Result, error) {
 	s.mu.Lock()
-	ps, ok := s.prepared[name]
+	sql, ok := s.prepared[name]
 	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("server: no prepared statement %q", name)
 	}
-	bound, err := sqlparse.BindSelect(ps.sel, args)
+	stmt, fingerprint, err := s.Statement(ctx, sql, args)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, ps.sql, func(ctx context.Context) (*sqlexec.Result, error) {
-		return s.sess.RunStatementContext(ctx, bound, "")
+	return s.run(ctx, fingerprint, func(ctx context.Context) (*sqlexec.Result, error) {
+		return s.sess.RunStatementContext(ctx, stmt, "")
 	})
 }
 
-// Statement resolves sql through the LRU plan cache and binds args to it,
-// as Execute binds: a SELECT — placeholders and all — is parsed and
-// validated once per catalog epoch and text, and what comes back is the
-// caller's own copy (BindSelect deep-copies), free to rewrite. Anything else
-// — or a template given no arguments, which then fails to plan — is parsed
-// afresh and takes no arguments. The fingerprint is the normalized text, the
-// key the statement's executions are recorded under. Query resolves every
-// one-shot statement here, and a cluster peer every shard statement.
+// Statement resolves sql through the LRU plan cache and binds args to it: a
+// SELECT — placeholders and all — is parsed and validated once per catalog
+// epoch and text, and what comes back is the caller's own copy (BindSelect
+// deep-copies), free to rewrite. Anything else — or a template given no
+// arguments, which then fails to plan — is parsed afresh and takes no
+// arguments. The fingerprint is the normalized text, the key the statement's
+// executions are recorded under. Query resolves every one-shot statement
+// here, Execute every prepared one, and a cluster peer every shard
+// statement.
 func (s *Server) Statement(ctx context.Context, sql string, args []any) (stmt sqlparse.Statement, fingerprint string, err error) {
 	fingerprint = normalize(sql)
 	ck := s.cacheKey(fingerprint)

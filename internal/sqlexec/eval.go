@@ -287,37 +287,3 @@ func exprName(e sqlparse.Expr, pos int) string {
 		return fmt.Sprintf("col%d", pos)
 	}
 }
-
-// Literal evaluates a constant expression: plain literals plus unary minus
-// over numbers. Used by INSERT ... VALUES and parameter resolution.
-func Literal(e sqlparse.Expr) (any, bool) {
-	if u, ok := e.(*sqlparse.Unary); ok && u.Op == "-" {
-		v, ok := Literal(u.X)
-		if !ok {
-			return nil, false
-		}
-		switch x := v.(type) {
-		case int64:
-			return -x, true
-		case float64:
-			return -x, true
-		}
-		return nil, false
-	}
-	return literalValue(e)
-}
-
-func literalValue(e sqlparse.Expr) (any, bool) {
-	switch x := e.(type) {
-	case *sqlparse.NumberLit:
-		if x.IsInt {
-			return x.Int, true
-		}
-		return x.Float, true
-	case *sqlparse.StringLit:
-		return x.Val, true
-	case *sqlparse.BoolLit:
-		return x.Val, true
-	}
-	return nil, false
-}

@@ -212,30 +212,6 @@ func TestEvalErrors(t *testing.T) {
 	}
 }
 
-func TestLiteral(t *testing.T) {
-	if v, ok := Literal(expr(t, "42")); !ok || v != int64(42) {
-		t.Fatal("int literal")
-	}
-	if v, ok := Literal(expr(t, "-42")); !ok || v != int64(-42) {
-		t.Fatal("negative int literal")
-	}
-	if v, ok := Literal(expr(t, "-1.5")); !ok || v != -1.5 {
-		t.Fatal("negative float literal")
-	}
-	if v, ok := Literal(expr(t, "'hi'")); !ok || v != "hi" {
-		t.Fatal("string literal")
-	}
-	if v, ok := Literal(expr(t, "FALSE")); !ok || v != false {
-		t.Fatal("bool literal")
-	}
-	if _, ok := Literal(expr(t, "1 + 1")); ok {
-		t.Fatal("expression is not a literal")
-	}
-	if _, ok := Literal(expr(t, "-'x'")); ok {
-		t.Fatal("minus string is not a literal")
-	}
-}
-
 // Property: evaluating `i + C` always adds C to every row of any int column.
 func TestQuickEvalAddConstant(t *testing.T) {
 	f := func(vals []int64, c int16) bool {

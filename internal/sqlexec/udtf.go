@@ -401,7 +401,7 @@ func evalArgs(args []sqlparse.Expr, raw *colstore.Batch, inSchema colstore.Schem
 func evalParams(in map[string]sqlparse.Expr) (udf.Params, error) {
 	out := udf.Params{}
 	for k, e := range in {
-		v, ok := literalValue(e)
+		v, ok := sqlparse.Literal(e)
 		if !ok {
 			return nil, fmt.Errorf("sqlexec: parameter %q must be a literal", k)
 		}

@@ -138,6 +138,28 @@ func TestUDTFRunsOneInstanceOverNothing(t *testing.T) {
 	}
 }
 
+// USING PARAMETERS values are literals as INSERT and WHERE read them: a
+// negative number is one, a computed value is not.
+func TestUDTFParametersTakeNegativeLiterals(t *testing.T) {
+	db := newStreamDB(t, []int{10}, 100, 1)
+	var mu sync.Mutex
+	var calls []udf.Ctx
+	if err := db.reg.Register("Probe", func() udf.Transform { return probeTransform{mu: &mu, calls: &calls} }); err != nil {
+		t.Fatal(err)
+	}
+	sql := "SELECT Probe(w USING PARAMETERS model='m', k=-1, f=-2.5, n=- -3) OVER (PARTITION BEST) FROM t"
+	if _, err := RunSelectCtx(context.Background(), db, selStmt(t, sql)); err != nil {
+		t.Fatal(err)
+	}
+	want := udf.Params{"model": "m", "k": int64(-1), "f": -2.5, "n": int64(3)}
+	if len(calls) != 1 || fmt.Sprint(calls[0].Params) != fmt.Sprint(want) {
+		t.Fatalf("instances saw %v, want one with %v", calls, want)
+	}
+	if _, err := RunSelectCtx(context.Background(), db, selStmt(t, "SELECT Probe(w USING PARAMETERS k=1+1) OVER (PARTITION BEST) FROM t")); err == nil || !strings.Contains(err.Error(), `parameter "k" must be a literal`) {
+		t.Fatalf("k=1+1: err = %v", err)
+	}
+}
+
 // A streamed UDTF keeps its scan accounting — rows, blocks, skips, bytes
 // merged over the instances' cursors — names its partitions, and its two
 // operators still sum to (at most) the statement.

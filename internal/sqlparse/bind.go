@@ -109,3 +109,33 @@ func bindExpr(e Expr, lits []Expr) Expr {
 		return e
 	}
 }
+
+// Literal evaluates a constant expression — a literal, or unary minus over a
+// numeric one — to the Go value BindSelect would bind for it: int64,
+// float64, string or bool. Anything else is not a literal. INSERT ... VALUES
+// rows, USING PARAMETERS values and the planner's storage predicates all
+// read their constants through it.
+func Literal(e Expr) (any, bool) {
+	switch x := e.(type) {
+	case *NumberLit:
+		if x.IsInt {
+			return x.Int, true
+		}
+		return x.Float, true
+	case *StringLit:
+		return x.Val, true
+	case *BoolLit:
+		return x.Val, true
+	case *Unary:
+		if x.Op != "-" {
+			return nil, false
+		}
+		switch v, _ := Literal(x.X); n := v.(type) {
+		case int64:
+			return -n, true
+		case float64:
+			return -n, true
+		}
+	}
+	return nil, false
+}

@@ -92,3 +92,31 @@ func TestBindSelectParamsInUDTFCall(t *testing.T) {
 		t.Fatalf("parameter not bound: %s", bound.String())
 	}
 }
+
+// Literal reads a constant as BindSelect binds one: a literal, or unary
+// minus over a number, however deep; nothing else is a literal.
+func TestLiteral(t *testing.T) {
+	for src, want := range map[string]any{
+		"42": int64(42), "-42": int64(-42), "- -7": int64(7), "-1.5": -1.5, "'hi'": "hi", "FALSE": false,
+	} {
+		if v, ok := Literal(mustSelect(t, "SELECT "+src).Items[0].Expr); !ok || v != want {
+			t.Fatalf("%s: %#v, %v; want %#v", src, v, ok, want)
+		}
+	}
+	for _, src := range []string{"1 + 1", "-'x'", "-TRUE", "NOT TRUE", "a", "?"} {
+		if v, ok := Literal(mustSelect(t, "SELECT "+src).Items[0].Expr); ok {
+			t.Fatalf("%s is no literal, read as %#v", src, v)
+		}
+	}
+}
+
+func TestParseSelectRequiresSelect(t *testing.T) {
+	if sel, err := ParseSelect(`SELECT a FROM t WHERE a = ?`); err != nil || sel.NumParams != 1 {
+		t.Fatalf("%v, %v", sel, err)
+	}
+	for _, sql := range []string{`DROP TABLE t`, `EXPLAIN SELECT a FROM t`, `SELECT`} {
+		if _, err := ParseSelect(sql); err == nil {
+			t.Fatalf("%q parsed as a SELECT", sql)
+		}
+	}
+}

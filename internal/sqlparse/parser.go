@@ -30,6 +30,20 @@ func Parse(input string) (Statement, error) {
 	return stmt, nil
 }
 
+// ParseSelect parses a statement that must be a SELECT: what a prepared
+// statement's text is.
+func ParseSelect(input string) (*Select, error) {
+	stmt, err := Parse(input)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := stmt.(*Select)
+	if !ok {
+		return nil, fmt.Errorf("sqlparse: expected a SELECT, got %T", stmt)
+	}
+	return sel, nil
+}
+
 type parser struct {
 	toks   []Token
 	pos    int

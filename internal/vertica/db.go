@@ -617,7 +617,7 @@ func InsertBatch(def *catalog.TableDef, s *sqlparse.Insert) (*colstore.Batch, er
 		}
 		vals := make([]any, len(def.Schema))
 		for ti := range def.Schema {
-			v, ok := sqlexec.Literal(row[pos[ti]])
+			v, ok := sqlparse.Literal(row[pos[ti]])
 			if !ok {
 				return nil, fmt.Errorf("vertica: INSERT values must be literals (row %d)", ri)
 			}

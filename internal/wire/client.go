@@ -72,6 +72,9 @@ func (c *Client) RoundTrip(ctx context.Context, req Request, bodies [][]byte, re
 	if err := verr.Canceled(ctx.Err()); err != nil {
 		return err
 	}
+	if err := checkArgs(req.Args); err != nil {
+		return err
+	}
 	// A traced context gets a client-side request span whose IDs ride the
 	// wire, letting the listener attach its spans to the same trace.
 	var span *telemetry.Span

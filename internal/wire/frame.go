@@ -18,17 +18,21 @@
 //	Request:  op | sql | name | args | timeout_ms | trace | span | ext | bodies
 //	Response: code | msg | schema | profile | ext | bodies
 //
-// A string or byte field is a uvarint length and that many bytes; args is a
-// uvarint count of such byte strings; timeout_ms is a zigzag varint; schema
-// is a uvarint count of columns, each a name string and a one-byte
-// colstore.Type; bodies is a uvarint count of uvarint lengths. Every varint
-// is in its shortest form and the header ends where its last field does, so
-// a header has one encoding: a decoded header re-encodes to its own bytes.
-// What the fields hold — Ext's payload, Args, Profile — is the op's
+// A string or byte field is a uvarint length and that many bytes;
+// timeout_ms is a zigzag varint; schema is a uvarint count of columns, each a
+// name string and a one-byte colstore.Type; bodies is a uvarint count of
+// uvarint lengths. args is a uvarint count of a statement's arguments, each
+// its colstore.Type byte and then its value: an INTEGER a zigzag varint, a
+// FLOAT its eight little-endian bytes, a VARCHAR a string field, a BOOLEAN
+// one byte, 0 or 1. So an argument crosses exactly as it was bound — a whole
+// float stays a float, NaN payloads, -0.0 and bytes that are not UTF-8 stay
+// as they were. Every varint is in its shortest form and the header ends
+// where its last field does, so a header has one encoding: a decoded header
+// re-encodes to its own bytes. What Ext and Profile hold is the op's
 // business; the transport carries them as opaque bytes.
 //
-// Ownership: a decoded body — and a decoded header's byte fields, Ext, Args
-// and Profile — aliases the connection's read buffer. On the listener it is
+// Ownership: a decoded body — and a decoded header's byte fields, Ext and
+// Profile — aliases the connection's read buffer. On the listener it is
 // valid until the handler returns, on a client until its next call or until
 // it goes back to a Pool — decode before you return, the contract Hub.Send
 // has. An outgoing body may alias what it was written from — a result's body
@@ -42,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -60,11 +65,14 @@ const MaxFrameBytes = 1 << 30
 // listener), whose small payload rides in Ext. SQL and Args also carry a
 // cluster peer's statement (its text and bound arguments); Name belongs to
 // the SQL ops. They are all here because one header is decoded for every op.
+// An argument is what sqlparse.BindSelect binds: an int or int64 (decoded as
+// int64), a float64, a string or a bool; a client refuses any other before
+// sending (checkArgs).
 type Request struct {
 	Op        string
 	SQL       string
 	Name      string
-	Args      []json.RawMessage
+	Args      []any
 	TimeoutMS int64
 	// Trace/Span carry the client's trace context (hex span IDs): the
 	// handler's spans attach under the client's request span, so one request
@@ -104,7 +112,7 @@ func (r *Request) appendTo(b []byte) []byte {
 	b = appendField(b, r.Name)
 	b = binary.AppendUvarint(b, uint64(len(r.Args)))
 	for _, a := range r.Args {
-		b = appendField(b, a)
+		b = appendArg(b, a)
 	}
 	b = binary.AppendVarint(b, r.TimeoutMS)
 	b = appendField(b, r.Trace)
@@ -119,8 +127,8 @@ func (r *Request) decode(b []byte) error {
 	r.SQL = d.string()
 	r.Name = d.string()
 	r.Args = r.Args[:0]
-	for n := d.count(1); n > 0; n-- {
-		r.Args = append(r.Args, d.bytes())
+	for n := d.count(2); n > 0; n-- {
+		r.Args = append(r.Args, d.arg())
 	}
 	r.TimeoutMS = d.varint()
 	r.Trace = d.string()
@@ -167,6 +175,38 @@ func (r *Response) decode(b []byte) error {
 // appendField appends a string or byte field: its length, then its bytes.
 func appendField[T ~string | ~[]byte](b []byte, s T) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// appendArg appends a statement argument: its type byte, then its value.
+func appendArg(b []byte, a any) []byte {
+	switch v := a.(type) {
+	case int:
+		return binary.AppendVarint(append(b, byte(colstore.TypeInt64)), int64(v))
+	case int64:
+		return binary.AppendVarint(append(b, byte(colstore.TypeInt64)), v)
+	case float64:
+		return binary.LittleEndian.AppendUint64(append(b, byte(colstore.TypeFloat64)), math.Float64bits(v))
+	case string:
+		return appendField(append(b, byte(colstore.TypeString)), v)
+	case bool:
+		if v {
+			return append(b, byte(colstore.TypeBool), 1)
+		}
+		return append(b, byte(colstore.TypeBool), 0)
+	}
+	panic(fmt.Sprintf("wire: argument of type %T", a)) // checkArgs refuses it first
+}
+
+// checkArgs refuses, by index, an argument appendArg cannot encode.
+func checkArgs(args []any) error {
+	for i, a := range args {
+		switch a.(type) {
+		case int, int64, float64, string, bool:
+		default:
+			return fmt.Errorf("wire: argument %d: unsupported type %T", i, a)
+		}
+	}
+	return nil
 }
 
 func appendLens(b []byte, lens []int) []byte {
@@ -253,6 +293,32 @@ func (d *decoder) bytes() []byte {
 }
 
 func (d *decoder) string() string { return string(d.bytes()) }
+
+// arg is appendArg reversed: an unknown type byte, a BOOLEAN byte past 1 or a
+// FLOAT cut short is an error.
+func (d *decoder) arg() any {
+	switch t := colstore.Type(d.byte()); t {
+	case colstore.TypeInt64:
+		return d.varint()
+	case colstore.TypeFloat64:
+		if len(d.b) >= 8 {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
+			d.b = d.b[8:]
+			return v
+		}
+		d.fail("a FLOAT argument of %d bytes", len(d.b))
+	case colstore.TypeString:
+		return d.string()
+	case colstore.TypeBool:
+		if c := d.byte(); c <= 1 {
+			return c == 1
+		}
+		d.fail("a BOOLEAN argument that is not 0 or 1")
+	default:
+		d.fail("an argument of type %d", t)
+	}
+	return nil
+}
 
 // count is a list's length, each of whose elements takes at least min bytes:
 // a count the bytes left cannot hold is an error, so a list never allocates

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"verticadr/internal/colstore"
@@ -103,10 +105,12 @@ func headerSeeds() []Header {
 		&Request{Op: "ping"},
 		&Request{
 			Op: "cl.select", SQL: "SELECT x FROM t WHERE k = ?", Name: "p",
-			Args:      []json.RawMessage{[]byte("i\x07"), nil, []byte(`"a"`)},
+			Args:      []any{int64(-7), 0.5, "a\x00\xff", "", true, false, int64(math.MinInt64)},
 			TimeoutMS: -300, Trace: "1f", Span: "2a", Ext: []byte(`{"shards":[0]}`),
 			Bodies: []int{0, 3, 1 << 20},
 		},
+		&Request{Op: "execute", Name: "p", Args: []any{math.Float64frombits(0x7ff8deadbeef0001), math.Inf(-1),
+			math.Copysign(0, -1), 2.0, int64(math.MaxInt64), "\xff"}},
 		&Response{},
 		&Response{Code: "ok"},
 		&Response{
@@ -119,7 +123,8 @@ func headerSeeds() []Header {
 
 // A header survives the codec field for field, and its encoding is the only
 // one its decoder accepts: a varint in a longer form, a field or a list past
-// the bytes left, a body longer than a frame and trailing bytes all fail.
+// the bytes left, a body longer than a frame, an argument of no type or cut
+// short, a BOOLEAN past 1 and trailing bytes all fail.
 func TestHeaderRoundTrip(t *testing.T) {
 	for _, h := range headerSeeds() {
 		enc := h.appendTo(nil)
@@ -146,11 +151,60 @@ func TestHeaderRoundTrip(t *testing.T) {
 		"field past end":   {0x05, 'p', 'i'},
 		"list past end":    append([]byte{0, 0, 0, 0x7f}, make([]byte, 8)...),
 		"body past frame":  append(make([]byte, 8), 1, 0x80, 0x80, 0x80, 0x80, 0x08),
+		// One argument, op/sql/name before it and timeout/trace/span/ext/bodies
+		// after it all empty.
+		"arg unknown type":          arg(5, 1),
+		"arg invalid type":          arg(0, 1),
+		"arg long-form varint":      arg(byte(colstore.TypeInt64), 0x80, 0x00),
+		"arg varint overflow":       arg(append([]byte{byte(colstore.TypeInt64)}, bytes.Repeat([]byte{0xff}, 10)...)...),
+		"arg float short":           arg(byte(colstore.TypeFloat64), 1, 2, 3),
+		"arg string past end":       arg(byte(colstore.TypeString), 0x7f, 'a'),
+		"arg bool 2":                arg(byte(colstore.TypeBool), 2),
+		"arg count past end":        {0, 0, 0, 3, byte(colstore.TypeBool), 1, 0, 0, 0, 0, 0},
+		"arg bool then a byte over": append(arg(byte(colstore.TypeBool), 1), 0),
 	} {
 		if err := req.decode(bad); !errors.Is(err, errHeader) {
 			t.Fatalf("%s: err = %v", name, err)
 		}
 	}
+
+	// Every argument type crosses exactly — an int as the int64 it is, a
+	// float's bits, NaN payload and sign of zero included, a string's bytes —
+	// and an argument of any other type, nil included, is refused by index.
+	nan := math.Float64frombits(0x7ff8deadbeef0001)
+	in := []any{int(-7), int64(math.MinInt64), int64(math.MaxInt64), float64(2), nan, math.Copysign(0, -1),
+		math.Inf(1), math.Inf(-1), "a\x00\xff", "", true, false}
+	var got Request
+	if err := got.decode((&Request{Args: in}).appendTo(nil)); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range in {
+		want := v
+		if n, ok := v.(int); ok {
+			want = int64(n)
+		}
+		if w, ok := want.(float64); ok {
+			if g, ok := got.Args[i].(float64); !ok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("argument %d: %#v came back as %#v", i, v, got.Args[i])
+			}
+		} else if got.Args[i] != want {
+			t.Fatalf("argument %d: %#v came back as %#v", i, v, got.Args[i])
+		}
+	}
+	if err := checkArgs(in); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []any{nil, uint8(1), float32(1), []byte("a"), json.RawMessage(`1`)} {
+		if err := checkArgs([]any{1, bad}); err == nil || !strings.Contains(err.Error(), "argument 1") {
+			t.Fatalf("%#v: err = %v", bad, err)
+		}
+	}
+}
+
+// arg is a request header whose one field set is args, holding one argument
+// encoded as b.
+func arg(b ...byte) []byte {
+	return append(append([]byte{0, 0, 0, 1}, b...), 0, 0, 0, 0, 0)
 }
 
 // FuzzHeader: any bytes decode as a Request and as a Response without
