@@ -56,12 +56,8 @@ func (p *Peer) ServeExt(ctx context.Context, wreq *wire.Request, bodies [][]byte
 	mPeerOps(op).Inc()
 	switch op {
 	case opSelect, opAgg:
-		var req shardRequest
-		if err := decodeRequest(op, wreq.Ext, &req); err != nil {
-			return server.ExtReply{}, err
-		}
-		req.SQL, req.Args = wreq.SQL, wreq.Args
-		if err := req.setBodies(op, bodies); err != nil {
+		req, err := readShardRequest(wreq, bodies)
+		if err != nil {
 			return server.ExtReply{}, err
 		}
 		rep, schema, chunk, err := p.serveShards(ctx, op, req)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"verticadr/internal/sqlexec/difftest"
 	"verticadr/internal/sqlparse"
 	"verticadr/internal/telemetry"
+	"verticadr/internal/wire"
 )
 
 // A prepared single-table read reaches the peers as its template and its
@@ -118,6 +120,86 @@ func TestTemplateKeepsPlaceholderOrder(t *testing.T) {
 		if got := sendsAsTemplate(norm); got != want {
 			t.Fatalf("%q: sent as a template %v, want %v", sql, got, want)
 		}
+	}
+}
+
+// shardCapture is a peer that only records the shard requests it reads.
+type shardCapture struct{ got []shardRequest }
+
+func (c *shardCapture) ServeExt(_ context.Context, wreq *wire.Request, bodies [][]byte) (server.ExtReply, error) {
+	req, err := readShardRequest(wreq, bodies)
+	if err != nil {
+		return server.ExtReply{}, err
+	}
+	req.SQL = strings.Clone(req.SQL) // the header aliases the read buffer
+	for i, a := range req.Args {
+		if s, ok := a.(string); ok {
+			req.Args[i] = strings.Clone(s)
+		}
+	}
+	c.got = append(c.got, req)
+	return server.ExtReply{Payload: shardReply{}}, nil
+}
+
+// A shard read's arguments reach the peer exactly as the router holds them:
+// an int as the int64 it is, a float's bits — NaN payload and sign of zero
+// included — and a string's bytes. A router never sends an argument the
+// frame header cannot carry: the call fails before the peer sees it.
+func TestShardArgsCrossExactly(t *testing.T) {
+	sess := startBaseline(t, 1)
+	peer := &shardCapture{}
+	tcp, err := server.Listen(server.New(sess, server.Config{}), "127.0.0.1:0", server.WithExtension(peer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	c, err := wire.Dial(tcp.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+
+	nan := math.Float64frombits(0x7ff8deadbeef0001)
+	in := []any{int(-7), int64(math.MinInt64), int64(math.MaxInt64), float64(2), nan, math.Copysign(0, -1),
+		math.Inf(1), math.Inf(-1), "a\x00\xff", "", true, false}
+	const sql = `SELECT id FROM t WHERE a = ?`
+	call := shardRequest{SQL: sql, Args: in, Shards: []int{0, 2}}.rpc(opSelect, &shardReply{}, nil)
+	if err := call.on(ctx, c); err != nil {
+		t.Fatal(err)
+	}
+	if len(peer.got) != 1 {
+		t.Fatalf("the peer read %d requests, want 1", len(peer.got))
+	}
+	got := peer.got[0]
+	if got.SQL != sql || fmt.Sprint(got.Shards) != "[0 2]" || len(got.Args) != len(in) {
+		t.Fatalf("the peer read %q over shards %v with %d arguments", got.SQL, got.Shards, len(got.Args))
+	}
+	for i, v := range in {
+		want := v
+		if n, ok := v.(int); ok {
+			want = int64(n)
+		}
+		if w, ok := want.(float64); ok {
+			if g, ok := got.Args[i].(float64); !ok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("argument %d: %#v came back as %#v", i, v, got.Args[i])
+			}
+		} else if got.Args[i] != want {
+			t.Fatalf("argument %d: %#v came back as %#v", i, v, got.Args[i])
+		}
+	}
+
+	for _, bad := range []any{uint8(1), nil} {
+		call := shardRequest{SQL: sql, Args: []any{int64(1), bad}, Shards: []int{0}}.rpc(opSelect, &shardReply{}, nil)
+		if err := call.on(ctx, c); err == nil || !strings.Contains(err.Error(), "argument 1") {
+			t.Fatalf("a %#v argument: err = %v", bad, err)
+		}
+	}
+	if err := c.Ping(ctx); err != nil {
+		t.Fatalf("the connection after a refused call: %v", err)
+	}
+	if len(peer.got) != 1 {
+		t.Fatalf("the peer read %d requests, want 1", len(peer.got))
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"verticadr/internal/colstore"
 	"verticadr/internal/telemetry"
 	"verticadr/internal/vft"
+	"verticadr/internal/wire"
 )
 
 // The peer protocol rides the serving protocol's extension hook: one request
@@ -80,6 +81,21 @@ func (req shardRequest) rpc(op string, reply *shardReply, recv func(schema colst
 	sql := req.SQL
 	req.SQL = ""
 	return rpc{op: op, idempotent: true, sql: sql, args: req.Args, payload: req, bodies: req.bodies(), reply: reply, recv: recv}
+}
+
+// readShardRequest is rpc reversed, on the receiving side: the shard request
+// wreq carries, its statement from the frame header and its build tables'
+// chunks from bodies.
+func readShardRequest(wreq *wire.Request, bodies [][]byte) (shardRequest, error) {
+	var req shardRequest
+	if err := decodeRequest(wreq.Op, wreq.Ext, &req); err != nil {
+		return shardRequest{}, err
+	}
+	req.SQL, req.Args = wreq.SQL, wreq.Args
+	if err := req.setBodies(wreq.Op, bodies); err != nil {
+		return shardRequest{}, err
+	}
+	return req, nil
 }
 
 // setBodies is bodies reversed, on the receiving side.
