@@ -199,7 +199,7 @@ func serve(ctx context.Context, addr, adminAddr, dataDir string, drainWait time.
 		_ = admin.Close()
 	}
 	fmt.Fprintln(os.Stderr, "vdr-serve: final metrics")
-	fmt.Fprint(os.Stderr, telemetry.Default().Dump())
+	fmt.Fprint(os.Stderr, telemetry.Default().PromText())
 	if snaps := srv.Statements().Snapshot(); len(snaps) > 0 {
 		if js, err := json.MarshalIndent(snaps, "", "  "); err == nil {
 			fmt.Fprintln(os.Stderr, "vdr-serve: statement statistics")

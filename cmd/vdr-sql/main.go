@@ -112,7 +112,7 @@ func main() {
 			explainAll = !explainAll
 			fmt.Printf("explain mode %v\n", map[bool]string{true: "on", false: "off"}[explainAll])
 		case line == "\\metrics":
-			fmt.Print(telemetry.Default().Dump())
+			fmt.Print(telemetry.Default().PromText())
 		case line == "\\recover":
 			printRecovery(s)
 		case line == "\\checkpoint":

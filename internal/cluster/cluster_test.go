@@ -268,8 +268,9 @@ func TestRouterFailoverOnReplicaDeath(t *testing.T) {
 	}
 }
 
-// TestRouterPrepareExecute binds a router-side prepared statement: the
-// peers need no prepared name, only the template and its arguments.
+// TestRouterPrepareExecute prepares through a node's router, which keeps the
+// name in its node's server: the peers need no prepared name, only the text
+// and its arguments.
 func TestRouterPrepareExecute(t *testing.T) {
 	tc := startCluster(t, 2, 2, 1)
 	ctx := context.Background()
@@ -293,6 +294,33 @@ func TestRouterPrepareExecute(t *testing.T) {
 	}
 	if err := r.Prepare("", `SELECT 1`); err == nil {
 		t.Fatal("empty statement name prepared")
+	}
+}
+
+// A routed PROFILE statement ships as the client wrote it, so each peer
+// profiles its shard work; the routed answer is the statement's own rows and
+// carries no profile (the router's merge is no operator pipeline).
+func TestRoutedProfileAnswersLikeItsStatement(t *testing.T) {
+	tc := startCluster(t, 2, 2, 1)
+	ctx := context.Background()
+	tc.exec(fmt.Sprintf(testDDL, "t", "HASH(id)"))
+	tc.exec(`INSERT INTO t VALUES (1, 5, 0, 1.0, 0.0, 'red', true), (2, -5, 0, 2.0, 0.0, 'blue', false), (3, 9, 0, 3.0, 0.0, 'red', true)`)
+	for _, sql := range []string{
+		`SELECT id, a FROM t WHERE a > 0 ORDER BY id`,
+		`SELECT s, count(*) AS n, sum(x) AS sx FROM t GROUP BY s ORDER BY s`,
+	} {
+		ref, err := tc.router(0).Query(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tc.router(1).Query(ctx, "PROFILE "+sql)
+		if err != nil {
+			t.Fatalf("PROFILE %s: %v", sql, err)
+		}
+		sameResult(t, "PROFILE "+sql, ref, got)
+		if got.Profile != nil {
+			t.Fatalf("PROFILE %s: a routed result carries a profile", sql)
+		}
 	}
 }
 

@@ -49,8 +49,8 @@ const (
 
 // joinPlan is a routed join resolved against the router's catalog cache.
 type joinPlan struct {
-	// sel is the normalized statement: the peers run it, the router merges
-	// by it.
+	// sel is the normalized statement the router merges by; the peers
+	// normalize the client's text to the same.
 	sel    *sqlparse.Select
 	inputs []plan.JoinInput
 	// local[i]: on every shard, the rows of inputs[i] in the join are that
@@ -207,19 +207,20 @@ func (r *Router) prepareJoin(ctx context.Context, sel *sqlparse.Select) (*joinPl
 	return jp, r.fetchBuilds(ctx, jp)
 }
 
-// joinSelect runs a join in two rounds — build sides in, statement out — and
-// merges. When a reply along the way revealed that the definitions the join
+// joinSelect runs a join in two rounds — build sides in, req out with them —
+// and merges. When a reply along the way revealed that the definitions the join
 // was resolved against are stale (the cache generation moved), its answer
 // may rest on a strategy the catalog no longer supports: it is discarded and
 // the join runs once more on fresh definitions.
-func (r *Router) joinSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexec.Result, error) {
+func (r *Router) joinSelect(ctx context.Context, sel *sqlparse.Select, req shardRequest) (*sqlexec.Result, error) {
 	ctx, span := telemetry.StartChildCtx(ctx, "router.join")
 	defer span.End()
 	for attempt := 0; ; attempt++ {
 		jp, err := r.prepareJoin(ctx, sel)
 		var res *sqlexec.Result
 		if err == nil {
-			res, err = r.scatter(ctx, jp.sel, plan.IsAggregate(jp.sel), shardRequest{SQL: shardSQL(jp.sel), Builds: jp.builds})
+			req.Builds = jp.builds
+			res, err = r.scatter(ctx, jp.sel, plan.IsAggregate(jp.sel), req)
 		}
 		if attempt == 0 && jp != nil && r.tableGen() != jp.gen {
 			continue

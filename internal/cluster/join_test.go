@@ -19,9 +19,12 @@ import (
 	"verticadr/internal/vft"
 )
 
-// TestJoinNormalizedRoundTrips: a routed join reaches its peers as the SQL
-// text of the normalized statement, so that text must parse back to the
-// statement the router merges by, and normalize to itself on the peer.
+// TestJoinNormalizedRoundTrips: the router renders what it normalized onto
+// the wire — a broadcast build side's read (buildSQL) names the joined
+// table's columns and conjuncts as the normalized join holds them — so a
+// normalized join's text must parse back to the statement the router merges
+// by and normalize to itself, and each build read's text must parse back to
+// itself.
 func TestJoinNormalizedRoundTrips(t *testing.T) {
 	def := func(name string) (*catalog.TableDef, error) {
 		return &catalog.TableDef{Name: name, Schema: difftest.TableSchema()}, nil
@@ -40,11 +43,17 @@ func TestJoinNormalizedRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
-		norm, _, err := plan.NormalizeJoin(sel, def)
+		norm, inputs, err := plan.NormalizeJoin(sel, def)
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
-		shipped := shardSQL(norm)
+		for _, in := range inputs[1:] {
+			build := buildSQL(in)
+			if back, err := sqlparse.ParseSelect(build); err != nil || back.String() != build {
+				t.Fatalf("%q reads a build side with %q, which parses to %v (%v)", sql, build, back, err)
+			}
+		}
+		shipped := norm.String()
 		back, err := sqlparse.ParseSelect(shipped)
 		if err != nil {
 			t.Fatalf("%q ships as %q, which does not parse: %v", sql, shipped, err)
@@ -184,7 +193,7 @@ func TestJoinFailoverBetweenBuildAndProbe(t *testing.T) {
 		}
 		// kill -9 of node 1 (idempotent: the second statement finds it dead).
 		_ = tc.nodes[1].tcp.Close()
-		got, err := r.scatter(ctx, jp.sel, plan.IsAggregate(jp.sel), shardRequest{SQL: shardSQL(jp.sel), Builds: jp.builds})
+		got, err := r.scatter(ctx, jp.sel, plan.IsAggregate(jp.sel), shardRequest{SQL: sql, Builds: jp.builds})
 		if err != nil {
 			t.Fatalf("%q: probe round did not survive the kill: %v", sql, err)
 		}

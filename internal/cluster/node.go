@@ -22,8 +22,15 @@ type nodeExt struct {
 }
 
 // NodeExtension bundles a Peer and a Router into the extension handler of
-// a clustered node.
-func NodeExtension(p *Peer, r *Router) server.Extension { return &nodeExt{peer: p, router: r} }
+// a clustered node, and binds the router to the node: its prepared
+// statements live in p's server. Binding again to the same peer (a restarted
+// listener) changes nothing.
+func NodeExtension(p *Peer, r *Router) server.Extension {
+	r.mu.Lock()
+	r.node = p
+	r.mu.Unlock()
+	return &nodeExt{peer: p, router: r}
+}
 
 func (n *nodeExt) ServeExt(ctx context.Context, wreq *wire.Request, bodies [][]byte) (server.ExtReply, error) {
 	op := wreq.Op

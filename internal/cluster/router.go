@@ -83,8 +83,10 @@ type Router struct {
 	tables    map[string]*routedTable
 	epochs    []int64
 	tablesGen uint64
-	prepared  map[string]*preparedSelect
-	closed    bool
+	// node is the peer of the node this router fronts (NodeExtension binds
+	// it): its server keeps the node's prepared statements.
+	node   *Peer
+	closed bool
 
 	probeWG   sync.WaitGroup
 	probeStop chan struct{}
@@ -120,7 +122,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		stale:      make([][]bool, len(topo.Addrs)),
 		tables:     map[string]*routedTable{},
 		epochs:     make([]int64, len(topo.Addrs)),
-		prepared:   map[string]*preparedSelect{},
 		probeStop:  make(chan struct{}),
 	}
 	for i, addr := range topo.Addrs {
@@ -507,7 +508,7 @@ func (r *Router) Query(ctx context.Context, sql string) (*sqlexec.Result, error)
 	}
 	switch s := stmt.(type) {
 	case *sqlparse.Select:
-		return r.routeSelect(ctx, s)
+		return r.routeSelect(ctx, s, shardRequest{SQL: sql})
 	case *sqlparse.Explain:
 		return r.routeExplain(ctx, sql, s)
 	case *sqlparse.Insert:
@@ -523,96 +524,51 @@ func (r *Router) Query(ctx context.Context, sql string) (*sqlexec.Result, error)
 	}
 }
 
-// preparedSelect is a prepared SELECT as the router runs it. A single-table
-// statement is normalized and rendered for the peers once, here: every
-// execution ships the same text with its arguments, which each peer parses
-// once into its plan cache. A join or a constant SELECT binds sel and routes
-// like a one-shot statement.
-type preparedSelect struct {
-	sel  *sqlparse.Select
-	norm *sqlparse.Select // plan.Normalize(sel); nil unless sent as a template
-	text string           // shardSQL(norm)
-	agg  bool
+// nodeServer is the serving layer of the node the router fronts.
+func (r *Router) nodeServer() (*server.Server, error) {
+	r.mu.Lock()
+	node := r.node
+	r.mu.Unlock()
+	if node == nil {
+		return nil, fmt.Errorf("cluster: the router fronts no node to keep prepared statements")
+	}
+	return node.srv, nil
 }
 
-// Prepare parses and stores a SELECT template locally; Execute binds and
-// routes it. Preparation is router-side — a peer meets the template with
-// the first execution that reaches it — so prepared names need not exist on
-// any peer.
+// Prepare registers a SELECT under name in the server of the node the router
+// fronts (Server.Prepare), the one place a node keeps statements. No peer
+// learns the name: each execution ships the statement's text.
 func (r *Router) Prepare(name, sql string) error {
-	if name == "" {
-		return fmt.Errorf("cluster: empty statement name")
-	}
-	sel, err := sqlparse.ParseSelect(sql)
+	srv, err := r.nodeServer()
 	if err != nil {
 		return err
 	}
-	ps := &preparedSelect{sel: sel}
-	if kind := plan.KindOf(sel); kind != plan.KindJoin && kind != plan.KindConst {
-		// A template that does not normalize fails each execution instead,
-		// as routeSelect reports it.
-		if norm, err := plan.Normalize(sel); err == nil && sendsAsTemplate(norm) {
-			ps.norm, ps.text, ps.agg = norm, shardSQL(norm), kind == plan.KindAggregate
-		}
-	}
-	r.mu.Lock()
-	r.prepared[name] = ps
-	r.mu.Unlock()
-	return nil
+	return srv.Prepare(name, sql)
 }
 
-// sendsAsTemplate reports whether norm's text binds on a peer as norm binds
-// here: rendering must keep its placeholders in their order (a USING
-// PARAMETERS list renders sorted by name, so one that is not could swap
-// them). Binding both to distinct numbers and comparing the texts shows it.
-func sendsAsTemplate(norm *sqlparse.Select) bool {
-	sent, err := sqlparse.ParseSelect(shardSQL(norm))
-	if err != nil || sent.NumParams != norm.NumParams {
-		return false
-	}
-	marks := make([]any, norm.NumParams)
-	for i := range marks {
-		marks[i] = int64(i + 1)
-	}
-	here, err1 := sqlparse.BindSelect(norm, marks)
-	there, err2 := sqlparse.BindSelect(sent, marks)
-	return err1 == nil && err2 == nil && shardSQL(here) == shardSQL(there)
-}
-
-// Execute binds args to a prepared SELECT and routes it: a single-table
-// statement as its template and arguments, merged against the bound
-// statement the peers will run.
+// Execute resolves a prepared statement and binds args through the node's
+// server (Server.Prepared) and routes it: the peers get its text and args.
 func (r *Router) Execute(ctx context.Context, name string, args ...any) (*sqlexec.Result, error) {
-	r.mu.Lock()
-	ps := r.prepared[name]
-	r.mu.Unlock()
-	if ps == nil {
-		return nil, fmt.Errorf("cluster: no prepared statement %q", name)
-	}
-	if ps.norm == nil {
-		bound, err := sqlparse.BindSelect(ps.sel, args)
-		if err != nil {
-			return nil, err
-		}
-		return r.routeSelect(ctx, bound)
-	}
-	bound, err := sqlparse.BindSelect(ps.norm, args)
+	srv, err := r.nodeServer()
 	if err != nil {
 		return nil, err
 	}
-	return r.routeSingle(ctx, bound, ps.agg, shardRequest{SQL: ps.text, Args: args})
+	stmt, text, err := srv.Prepared(ctx, name, args)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := stmt.(*sqlparse.Select)
+	if !ok {
+		return nil, fmt.Errorf("cluster: prepared statement %q is a %T", name, stmt)
+	}
+	return r.routeSelect(ctx, sel, shardRequest{SQL: text, Args: args})
 }
 
-// shardSQL renders the statement sent to peers: identical to the client's
-// statement minus PROFILE (profiles are per-process; the router's merge is
-// not an engine operator pipeline).
-func shardSQL(sel *sqlparse.Select) string {
-	cp := *sel
-	cp.Profile = false
-	return cp.String()
-}
-
-func (r *Router) routeSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexec.Result, error) {
+// routeSelect routes sel, the bound statement, as req: every peer runs the
+// text and arguments the client sent, so its placeholders bind in source
+// order there as here. The router binds and normalizes only for itself: to
+// merge, and to read a join's build sides.
+func (r *Router) routeSelect(ctx context.Context, sel *sqlparse.Select, req shardRequest) (*sqlexec.Result, error) {
 	kind := plan.KindOf(sel)
 	switch kind {
 	case plan.KindJoin:
@@ -621,25 +577,19 @@ func (r *Router) routeSelect(ctx context.Context, sel *sqlparse.Select) (*sqlexe
 		// cluster.shard_calls_per_query. cluster_join_total{strategy} says
 		// how each joined table actually met the probe side.
 		mRouterRouted("gather").Inc()
-		return r.joinSelect(ctx, sel)
+		return r.joinSelect(ctx, sel, req)
 	case plan.KindConst:
 		// Constant SELECT: no table, evaluated at the router.
 		mRouterRouted("const").Inc()
 		return sqlexec.RunSelectCtx(ctx, nil, sel)
 	}
-	// A single-table statement is merged against what the peers executed:
-	// normalized once here, shipped in that form.
+	// A single-table statement merges against itself normalized, as each
+	// peer normalizes it.
 	sel, err := plan.Normalize(sel)
 	if err != nil {
 		return nil, err
 	}
-	return r.routeSingle(ctx, sel, kind == plan.KindAggregate, shardRequest{SQL: shardSQL(sel)})
-}
-
-// routeSingle scatters a normalized single-table statement as req and merges
-// the answers against sel, the statement the peers run.
-func (r *Router) routeSingle(ctx context.Context, sel *sqlparse.Select, agg bool, req shardRequest) (*sqlexec.Result, error) {
-	name := "rows"
+	agg, name := kind == plan.KindAggregate, "rows"
 	if agg {
 		name = "aggregate"
 	}
@@ -695,34 +645,19 @@ func (r *Router) routeExplain(ctx context.Context, sql string, ex *sqlparse.Expl
 		req.Builds, joins = jp.builds, jp.notes
 	}
 	var out *colstore.Batch
-	peerUsed := -1
-	var lastErr error
-	for peer := range r.pools {
-		if r.isDown(peer) {
-			continue
-		}
+	peerUsed, err := r.livePeer(ctx, "explain", func(peer int) (rpc, bool) {
 		if req.Shards = r.topo.OwnedShards(peer); len(req.Shards) == 0 {
-			continue
+			return rpc{}, false
 		}
-		err := r.peerCall(ctx, peer, req.rpc(opSelect, &shardReply{}, func(schema colstore.Schema, bodies [][]byte) (err error) {
+		return req.rpc(opSelect, &shardReply{}, func(schema colstore.Schema, bodies [][]byte) (err error) {
 			if err = wantBodies(opSelect, bodies, 1); err == nil {
 				out, err = decodeChunk(ctx, bodies[0], schema)
 			}
 			return err
-		}))
-		if err == nil {
-			peerUsed = peer
-			break
-		}
-		lastErr = err
-		if connFailure(err) {
-			r.markDown(peer)
-			continue
-		}
+		}), true
+	})
+	if err != nil {
 		return nil, err
-	}
-	if peerUsed < 0 {
-		return nil, fmt.Errorf("cluster: explain: %w: %v", verr.ErrNodeDown, lastErr)
 	}
 	if len(out.Cols) != 1 || out.Cols[0].Type != colstore.TypeString {
 		return nil, fmt.Errorf("cluster: malformed explain reply from node %d", peerUsed)
@@ -739,6 +674,34 @@ func (r *Router) routeExplain(ctx context.Context, sql string, ex *sqlparse.Expl
 	return &sqlexec.Result{Batch: out}, nil
 }
 
+// livePeer makes one call with the first peer, in order, that answers it:
+// peers marked down are skipped, and so is a peer call declines to make. A
+// connection failure marks its peer down and moves on; any other error
+// returns. When no peer answered, the error is verr.ErrNodeDown, naming
+// what failed and the last peer's error.
+func (r *Router) livePeer(ctx context.Context, what string, call func(peer int) (rpc, bool)) (int, error) {
+	var lastErr error
+	for peer := range r.pools {
+		if r.isDown(peer) {
+			continue
+		}
+		c, ok := call(peer)
+		if !ok {
+			continue
+		}
+		err := r.peerCall(ctx, peer, c)
+		if err == nil {
+			return peer, nil
+		}
+		lastErr = err
+		if !connFailure(err) {
+			return -1, err
+		}
+		r.markDown(peer)
+	}
+	return -1, fmt.Errorf("cluster: %s: %w: %v", what, verr.ErrNodeDown, lastErr)
+}
+
 // ---- Writes ----
 
 // table resolves (and caches) a table's definition and splitter. The
@@ -752,26 +715,11 @@ func (r *Router) table(ctx context.Context, name string) (*routedTable, error) {
 		return rt, nil
 	}
 	var rep tableDefReply
-	var lastErr error
-	from := -1
-	for peer := range r.pools {
-		if r.isDown(peer) {
-			continue
-		}
-		err := r.peerCall(ctx, peer, rpc{op: opTableDef, idempotent: true, payload: tableDefRequest{Table: name}, reply: &rep})
-		if err == nil {
-			from = peer
-			break
-		}
-		lastErr = err
-		if connFailure(err) {
-			r.markDown(peer)
-			continue
-		}
+	from, err := r.livePeer(ctx, fmt.Sprintf("tabledef %q", name), func(int) (rpc, bool) {
+		return rpc{op: opTableDef, idempotent: true, payload: tableDefRequest{Table: name}, reply: &rep}, true
+	})
+	if err != nil {
 		return nil, err
-	}
-	if from < 0 {
-		return nil, fmt.Errorf("cluster: tabledef %q: %w: %v", name, verr.ErrNodeDown, lastErr)
 	}
 	def := &rep.TableDef
 	split, err := catalog.NewSplitter(def.Seg, def.Schema, r.topo.Shards)

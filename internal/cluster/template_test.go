@@ -8,18 +8,19 @@ import (
 	"testing"
 	"time"
 
-	"verticadr/internal/plan"
+	"verticadr/internal/algos"
+	"verticadr/internal/core"
 	"verticadr/internal/server"
 	"verticadr/internal/sqlexec/difftest"
-	"verticadr/internal/sqlparse"
 	"verticadr/internal/telemetry"
 	"verticadr/internal/wire"
 )
 
-// A prepared single-table read reaches the peers as its template and its
-// arguments: every execution lands on the template's one fingerprint in the
-// peers' statement statistics, all but a peer's first execution of a
-// template resolve from its plan cache, and the answers are what one server
+// A prepared single-table read reaches the peers as the text the client
+// prepared and its arguments: every execution lands on that one fingerprint
+// in the peers' statement statistics, all but a node's first lookup of a
+// template resolve from its plan cache — the router's lookup in its node's
+// server among them, one per execution — and the answers are what one server
 // answers — bit for bit, a whole float argument binding as a float and a
 // string argument with bytes that are not UTF-8 as those bytes.
 func TestPreparedReadsShipTheTemplate(t *testing.T) {
@@ -49,11 +50,11 @@ func TestPreparedReadsShipTheTemplate(t *testing.T) {
 		{`SELECT id FROM t WHERE flag = ? AND x > ? ORDER BY id LIMIT 5`, [][]any{{true, float64(3)}, {false, int64(40)}, {true, 1e300}}},
 	}
 	r := tc.router(0)
-	texts := map[string]int64{} // template -> shard reads
+	texts := map[string]int64{} // client text -> shard reads
 	hits := telemetry.Default().Counter("server_plan_cache_total", telemetry.L("result", "hit"))
 	misses := telemetry.Default().Counter("server_plan_cache_total", telemetry.L("result", "miss"))
 	var dh, dm int64 // the routed executions' lookups, not the reference's
-	reads := 0
+	reads, executions := 0, 0
 	for i, st := range stmts {
 		name := fmt.Sprintf("s%d", i)
 		if err := r.Prepare(name, st.sql); err != nil {
@@ -61,10 +62,6 @@ func TestPreparedReadsShipTheTemplate(t *testing.T) {
 		}
 		if err := local.Prepare(name, st.sql); err != nil {
 			t.Fatal(err)
-		}
-		ps := r.prepared[name]
-		if ps.norm == nil {
-			t.Fatalf("%q is not sent as a template", st.sql)
 		}
 		for _, args := range st.args {
 			hits0, misses0 := hits.Value(), misses.Value()
@@ -78,15 +75,16 @@ func TestPreparedReadsShipTheTemplate(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameResult(t, fmt.Sprintf("%q %v", st.sql, args), ref, got)
-			texts[ps.text] += int64(tc.topo.Shards)
+			texts[st.sql] += int64(tc.topo.Shards)
 			reads += tc.topo.Shards
+			executions++
 		}
 	}
 	calls := map[string]int64{}
 	for _, n := range tc.nodes {
 		for _, sn := range n.srv.Statements().Snapshot() {
 			if _, ok := texts[sn.SQL]; !ok {
-				t.Fatalf("a peer recorded %q, not a template", sn.SQL)
+				t.Fatalf("a peer recorded %q, not a client's text", sn.SQL)
 			}
 			calls[sn.SQL] += sn.Calls
 		}
@@ -96,30 +94,112 @@ func TestPreparedReadsShipTheTemplate(t *testing.T) {
 			t.Fatalf("%q: %d shard reads recorded, want %d", text, calls[text], want)
 		}
 	}
-	if dh+dm != int64(reads) || dm > int64(len(tc.nodes)*len(stmts)) {
-		t.Fatalf("%d shard reads: %d plan-cache hits, %d misses", reads, dh, dm)
+	if dh+dm != int64(reads+executions) || dm > int64(len(tc.nodes)*len(stmts)) {
+		t.Fatalf("%d shard reads and %d router lookups: %d plan-cache hits, %d misses", reads, executions, dh, dm)
 	}
 }
 
-// A template whose text would bind its placeholders in another order — a
-// USING PARAMETERS list renders sorted by name — is not sent as one.
-func TestTemplateKeepsPlaceholderOrder(t *testing.T) {
-	for sql, want := range map[string]bool{
-		`SELECT id FROM t WHERE a = ? AND x > ?`:                                                           true,
-		`SELECT GlmPredict(x, y USING PARAMETERS zz=?, model=?) OVER (PARTITION BEST) FROM t WHERE id > ?`: false,
-		`SELECT GlmPredict(x, y USING PARAMETERS model=?, zz=?) OVER (PARTITION BEST) FROM t WHERE id > ?`: true,
-	} {
-		sel, err := sqlparse.ParseSelect(sql)
-		if err != nil {
+// Statements whose rendering would move their placeholders — a USING
+// PARAMETERS list renders sorted by key, so user=?, model=? swaps — and
+// joins, whose build sides the router reads itself, still reach the peers
+// as the client's text and arguments: each execution answers what one
+// server answers, bit for bit, and every peer records its shard reads under
+// the text the client prepared.
+func TestPreparedStatementsShipTheClientText(t *testing.T) {
+	tc := startCluster(t, 3, 3, 2)
+	base := startBaseline(t, 3)
+	ctx := context.Background()
+	ddl := fmt.Sprintf(testDDL, "t", "HASH(id)")
+	tc.exec(ddl)
+	if err := base.ExecContext(ctx, ddl); err != nil {
+		t.Fatal(err)
+	}
+	fdb, err := difftest.NewGen(0x5eed).Table(240)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadBoth(t, base, tc, "t", difftest.TableSchema(), fdb.SrcRows)
+	joinFixture(t, tc, base, 600, 40)
+	model := &algos.GLMModel{Family: algos.Gaussian, Coefficients: []float64{0.25, 1.5, -2.25}, Converged: true}
+	for _, s := range []*core.Session{base, tc.nodes[0].sess, tc.nodes[1].sess, tc.nodes[2].sess} {
+		if err := s.DeployModel("m", "alice", "", model); err != nil {
 			t.Fatal(err)
 		}
-		norm, err := plan.Normalize(sel)
-		if err != nil {
+	}
+	local := server.New(base, server.Config{})
+
+	stmts := []struct {
+		sql  string
+		args [][]any
+	}{
+		{`SELECT GlmPredict(x, y USING PARAMETERS user=?, model=?) OVER (PARTITION BEST) FROM t`, [][]any{{"alice", "m"}, {"alice", "m"}}},
+		{`SELECT d.grp, count(*) AS n, sum(events.x0) AS s FROM events JOIN dim d ON events.dim_id = d.id WHERE d.grp < ? AND events.x0 > ? GROUP BY d.grp ORDER BY d.grp`,
+			[][]any{{int64(5), 1.5}, {int64(3), float64(0)}}},
+	}
+	c, err := server.DialTimeout(tc.nodes[0].addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i, st := range stmts {
+		name := fmt.Sprintf("s%d", i)
+		if err := c.Prepare(ctx, name, st.sql); err != nil {
 			t.Fatal(err)
 		}
-		if got := sendsAsTemplate(norm); got != want {
-			t.Fatalf("%q: sent as a template %v, want %v", sql, got, want)
+		if err := local.Prepare(name, st.sql); err != nil {
+			t.Fatal(err)
 		}
+		for _, args := range st.args {
+			ref, err := local.Execute(ctx, name, args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tc.router(0).Execute(ctx, name, args...)
+			if err != nil {
+				t.Fatalf("%q %v: %v", st.sql, args, err)
+			}
+			sameResult(t, fmt.Sprintf("%q %v", st.sql, args), ref, got)
+		}
+		calls := make([]int64, len(tc.nodes))
+		var total int64
+		for i, n := range tc.nodes {
+			for _, sn := range n.srv.Statements().Snapshot() {
+				if sn.SQL == st.sql {
+					calls[i] += sn.Calls
+					total += sn.Calls
+				}
+			}
+		}
+		for node, n := range calls {
+			if n == 0 {
+				t.Fatalf("%q: node %d recorded no shard read under the client's text (per node: %v)", st.sql, node, calls)
+			}
+		}
+		if want := int64(len(st.args) * tc.topo.Shards); total != want {
+			t.Fatalf("%q: %d shard reads recorded under the client's text, want %d", st.sql, total, want)
+		}
+	}
+}
+
+// A router that fronts no node has no server to keep statements in: it
+// refuses to prepare or execute one, and still routes one-shot statements.
+func TestRouterWithoutNodeRefusesPrepare(t *testing.T) {
+	tc := startCluster(t, 2, 2, 1)
+	tc.exec(fmt.Sprintf(testDDL, "t", "HASH(id)"))
+	r, err := NewRouter(Config{Addrs: tc.topo.Addrs, Shards: tc.topo.Shards, Replicas: tc.topo.Replicas, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	if err := r.Prepare("p", `SELECT id FROM t WHERE a = ?`); err == nil || !strings.Contains(err.Error(), "fronts no node") {
+		t.Fatalf("prepare on a router without a node: err = %v", err)
+	}
+	ctx := context.Background()
+	if _, err := r.Execute(ctx, "p", int64(1)); err == nil || !strings.Contains(err.Error(), "fronts no node") {
+		t.Fatalf("execute on a router without a node: err = %v", err)
+	}
+	if _, err := r.Query(ctx, `SELECT count(*) AS n FROM t`); err != nil {
+		t.Fatalf("one-shot query on a router without a node: %v", err)
 	}
 }
 
@@ -205,8 +285,8 @@ func TestShardArgsCrossExactly(t *testing.T) {
 
 // TestExecuteArgsCrossExactly (internal/server) through a cluster node: a
 // client's execute reaches the node's router in the frame header's typed
-// arguments, the router ships the template and the same arguments to every
-// peer, and each answers what one server's Server.Execute answers, bit for
+// arguments, the router ships the prepared text and the same arguments to
+// every peer, and each answers what one server's Server.Execute answers, bit for
 // bit through Rows' boxing.
 func TestExecuteArgsCrossExactly(t *testing.T) {
 	tc := startCluster(t, 3, 3, 2)

@@ -39,10 +39,11 @@ const (
 // a SELECT to its finished rows or an EXPLAIN to its plan lines, cl.agg an
 // aggregate SELECT to its partial batch (sqlexec.RunPartialAggregate).
 //
-// SQL and Args are the statement: a prepared statement's template and its
-// arguments, or a statement's whole text and none. On the wire they ride in
-// the frame header's SQL and typed Args (rpc), never in the payload; the
-// peer resolves the text through its plan cache and binds the arguments.
+// SQL and Args are the statement: the text a client sent and its arguments
+// (none for a one-shot statement), or the router's read of a join's build
+// side. On the wire they ride in the frame header's SQL and typed Args (rpc),
+// never in the payload; the peer resolves the text through its plan cache and
+// binds the arguments.
 type shardRequest struct {
 	SQL    string `json:"sql,omitempty"`
 	Args   []any  `json:"-"`

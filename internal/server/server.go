@@ -5,8 +5,9 @@
 //
 //   - a bounded LRU plan cache (parse/validate once, bind ? placeholders per
 //     execution), the one template store: a one-shot query, a named prepared
-//     statement (kept as its text) and a cluster peer's shard statement all
-//     resolve their text through it,
+//     statement (kept as its text, also when a clustered node's router
+//     takes the prepare) and a cluster peer's shard statement (the text the
+//     client sent) all resolve their text through it,
 //   - a shared deserialized-model cache (internal/models) so concurrent
 //     predictions stop paying one gob decode per UDF instance per query,
 //   - admission control: a concurrency limiter plus a bounded wait queue
@@ -282,9 +283,9 @@ func (s *Server) Admit(ctx context.Context, fingerprint string, fn func(ctx cont
 
 // Prepare parses and validates sql (a SELECT, possibly with ? placeholders)
 // and registers its text under name; the parse goes into the plan cache,
-// where Execute finds it as Query and every cluster peer find theirs, so
-// prepared executions count in server_plan_cache_total too. Re-preparing a
-// name replaces its statement.
+// where Prepared finds it as Query does and every cluster peer finds the
+// same text, so prepared executions count in server_plan_cache_total too.
+// Re-preparing a name replaces its statement.
 func (s *Server) Prepare(name, sql string) error {
 	if s.closed.Load() {
 		return fmt.Errorf("server: %w", verr.ErrClosed)
@@ -303,24 +304,31 @@ func (s *Server) Prepare(name, sql string) error {
 	return nil
 }
 
-// Execute binds args to the named prepared statement, resolved through the
-// plan cache (Statement), and runs it. The cached template is never mutated:
-// binding deep-copies, so any number of executions (with different
-// arguments) can run concurrently.
+// Execute binds args to the named prepared statement (Prepared) and runs it.
+// The cached template is never mutated: binding deep-copies, so any number
+// of executions (with different arguments) can run concurrently.
 func (s *Server) Execute(ctx context.Context, name string, args ...any) (*sqlexec.Result, error) {
-	s.mu.Lock()
-	sql, ok := s.prepared[name]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("server: no prepared statement %q", name)
-	}
-	stmt, fingerprint, err := s.Statement(ctx, sql, args)
+	stmt, fingerprint, err := s.Prepared(ctx, name, args)
 	if err != nil {
 		return nil, err
 	}
 	return s.run(ctx, fingerprint, func(ctx context.Context) (*sqlexec.Result, error) {
 		return s.sess.RunStatementContext(ctx, stmt, "")
 	})
+}
+
+// Prepared resolves the named prepared statement's text through the plan
+// cache (Statement) and binds args to it. The fingerprint is the text as
+// Statement normalizes it: a cluster router that fronts this server ships
+// it, with args, to the peers.
+func (s *Server) Prepared(ctx context.Context, name string, args []any) (stmt sqlparse.Statement, fingerprint string, err error) {
+	s.mu.Lock()
+	sql, ok := s.prepared[name]
+	s.mu.Unlock()
+	if !ok {
+		return nil, "", fmt.Errorf("server: no prepared statement %q", name)
+	}
+	return s.Statement(ctx, sql, args)
 }
 
 // Statement resolves sql through the LRU plan cache and binds args to it: a
@@ -330,7 +338,7 @@ func (s *Server) Execute(ctx context.Context, name string, args ...any) (*sqlexe
 // arguments, which then fails to plan — is parsed afresh and takes no
 // arguments. The fingerprint is the normalized text, the key the statement's
 // executions are recorded under. Query resolves every one-shot statement
-// here, Execute every prepared one, and a cluster peer every shard
+// here, Prepared every prepared one, and a cluster peer every shard
 // statement.
 func (s *Server) Statement(ctx context.Context, sql string, args []any) (stmt sqlparse.Statement, fingerprint string, err error) {
 	fingerprint = normalize(sql)

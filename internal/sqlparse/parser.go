@@ -680,11 +680,15 @@ func (p *parser) parseFuncCall(name string) (Expr, error) {
 			if _, err := p.expect(TokSymbol, "="); err != nil {
 				return nil, err
 			}
+			k = strings.ToLower(k)
+			if _, dup := fc.Params[k]; dup {
+				return nil, p.errf("USING PARAMETERS names %q twice", k)
+			}
 			v, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			fc.Params[strings.ToLower(k)] = v
+			fc.Params[k] = v
 			if !p.accept(TokSymbol, ",") {
 				break
 			}

@@ -147,6 +147,21 @@ func TestParsePaperFigure3Query(t *testing.T) {
 	}
 }
 
+// A USING PARAMETERS key names one parameter once: a second value for it —
+// keys compare lower-cased — is an error, not a silent replacement of the
+// first, which for two placeholders would leave one argument unbound.
+func TestParseRejectsDuplicateParameter(t *testing.T) {
+	for _, params := range []string{`model='a', model='b'`, `model=?, model=?`, `MODEL='a', user='u', model='b'`} {
+		q := `SELECT GlmPredict(a, b USING PARAMETERS ` + params + `) OVER (PARTITION BEST) FROM t`
+		if _, err := Parse(q); err == nil || !strings.Contains(err.Error(), `"model" twice`) {
+			t.Fatalf("%s: err = %v, want the duplicate named", params, err)
+		}
+	}
+	if _, err := Parse(`SELECT GlmPredict(a, b USING PARAMETERS model=?, user=?) OVER (PARTITION BEST) FROM t`); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestParsePaperFigure4Query(t *testing.T) {
 	// The ExportToDistributedR invocation of Figure 4 (simplified args).
 	q := `SELECT ExportToDistributedR(a, b USING PARAMETERS hosts='h1:9090,h2:9090', psize=1000, policy='locality') OVER (PARTITION BEST) FROM mytable`

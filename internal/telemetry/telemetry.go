@@ -8,13 +8,12 @@
 //
 // All time measurement goes through a pluggable Clock so the same
 // instrumentation reports virtual time when driven under internal/simnet and
-// wall time otherwise. Exposition is text (Dump), JSON (SnapshotJSON) or an
-// expvar hook (PublishExpvar).
+// wall time otherwise. Exposition is Prometheus text (PromText) or JSON
+// (SnapshotJSON).
 package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"math"
 	"sort"
@@ -444,38 +443,4 @@ func (r *Registry) Snapshot() []SeriesSnapshot {
 // SnapshotJSON marshals Snapshot as indented JSON.
 func (r *Registry) SnapshotJSON() ([]byte, error) {
 	return json.MarshalIndent(r.Snapshot(), "", "  ")
-}
-
-// Dump renders every series as one `name value` line, sorted — the text
-// exposition format.
-func (r *Registry) Dump() string {
-	var sb strings.Builder
-	for _, s := range r.Snapshot() {
-		switch s.Kind {
-		case "histogram":
-			fmt.Fprintf(&sb, "%s_count %d\n", s.Name, s.Count)
-			fmt.Fprintf(&sb, "%s_sum %g\n", s.Name, s.Value)
-			for i, b := range s.Buckets {
-				le := "+Inf"
-				if !math.IsInf(b, 1) {
-					le = fmt.Sprintf("%g", b)
-				}
-				fmt.Fprintf(&sb, "%s_bucket{le=%q} %d\n", s.Name, le, s.Counts[i])
-			}
-		default:
-			fmt.Fprintf(&sb, "%s %g\n", s.Name, s.Value)
-		}
-	}
-	return sb.String()
-}
-
-var expvarPublished sync.Map // name -> struct{}
-
-// PublishExpvar exposes the registry under the given expvar name (idempotent
-// per name; expvar itself panics on duplicates).
-func (r *Registry) PublishExpvar(name string) {
-	if _, loaded := expvarPublished.LoadOrStore(name, struct{}{}); loaded {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

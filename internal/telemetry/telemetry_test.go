@@ -55,12 +55,6 @@ func TestSeriesIdentityAndDump(t *testing.T) {
 	}
 	a.Add(7)
 	r.Gauge("g").Set(-3)
-	dump := r.Dump()
-	for _, want := range []string{`x_total{a="1",b="2"} 7`, "g -3"} {
-		if !strings.Contains(dump, want) {
-			t.Fatalf("dump missing %q:\n%s", want, dump)
-		}
-	}
 	js, err := r.SnapshotJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -179,8 +173,7 @@ func TestConcurrentSpans(t *testing.T) {
 
 // Looking up an existing series of at most one label returns the series
 // every other spelling of it returns, and costs no allocation: no ID is
-// rendered. What the registry exposes is exactly what a series created with
-// its labels in any order would expose.
+// rendered. The snapshot holds such a series once, under its one name.
 func TestQuickLookupSamePointerNoAllocs(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops_total", L("op", "scan"))
@@ -200,23 +193,8 @@ func TestQuickLookupSamePointerNoAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("quick lookups: %v allocs/op, want 0", allocs)
 	}
-	g.Set(-3)
-	want := strings.Join([]string{
-		`inflight -3`,
-		`ops_total{op="scan"} 1001`,
-		`telemetry_spans_dropped 0`,
-		`wait_seconds{kind="q"}_count 1001`,
-		`wait_seconds{kind="q"}_sum 1501.5`,
-		`wait_seconds{kind="q"}_bucket{le="1"} 0`,
-		`wait_seconds{kind="q"}_bucket{le="2"} 1001`,
-		`wait_seconds{kind="q"}_bucket{le="+Inf"} 1001`,
-		`x_total{a="1",b="2"} 0`,
-	}, "\n") + "\n"
-	if got := r.Dump(); got != want {
-		t.Fatalf("dump:\n%s\nwant:\n%s", got, want)
-	}
-	// SnapshotJSON cannot carry a histogram's +Inf bound: a registry of the
-	// other two kinds.
+	// SnapshotJSON cannot carry a histogram's +Inf bound: a registry of
+	// counters.
 	r = NewRegistry()
 	r.Counter("ops_total", L("op", "scan")).Add(2)
 	r.Counter("ops_total", L("op", op)).Inc()

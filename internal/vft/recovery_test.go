@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -254,50 +255,55 @@ func TestLoadAbortsSessionOnExportFailure(t *testing.T) {
 	}
 }
 
-func TestReapIdle(t *testing.T) {
-	_, c, hub := setup(t, 2, 2)
-	frame, _ := newFrameForTest(c, 2)
-	idOld := hub.open(frame, idSchema(), PolicyLocality, hub)
-	idFresh := hub.open(frame, idSchema(), PolicyLocality, hub)
-	// Backdate the first session past the idle horizon.
-	s, err := hub.get(idOld)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.lastTouch.Store(time.Now().Add(-time.Hour).UnixNano())
-
-	reaped := hub.ReapIdle(time.Minute)
-	if len(reaped) != 1 || reaped[0] != idOld {
-		t.Fatalf("reaped = %v, want [%s]", reaped, idOld)
-	}
-	if hub.Sessions() != 1 {
-		t.Fatalf("sessions = %d, want the fresh one to survive", hub.Sessions())
-	}
-	if _, err := hub.get(idFresh); err != nil {
-		t.Fatalf("fresh session reaped: %v", err)
-	}
-	_ = c
+// cancelingSink cancels its load's context at the first message, then
+// stages it like the hub.
+type cancelingSink struct {
+	*Hub
+	cancel context.CancelFunc
 }
 
-func TestStartReaper(t *testing.T) {
-	_, c, hub := setup(t, 2, 2)
-	frame, _ := newFrameForTest(c, 2)
-	id := hub.open(frame, idSchema(), PolicyLocality, hub)
-	s, _ := hub.get(id)
-	s.lastTouch.Store(time.Now().Add(-time.Hour).UnixNano())
+func (s cancelingSink) Send(id string, part int, seq uint64, msg []byte, rows int, dbTime time.Duration) error {
+	s.cancel()
+	return s.Hub.Send(id, part, seq, msg, rows, dbTime)
+}
 
-	stop := hub.StartReaper(2*time.Millisecond, time.Minute)
-	defer stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for hub.Sessions() > 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
+// cancelAfterExport is a database whose export query succeeds, then cancels
+// its load's context before the load finalizes.
+type cancelAfterExport struct {
+	DB
+	cancel context.CancelFunc
+}
+
+func (d cancelAfterExport) ExecContext(ctx context.Context, sql string) error {
+	err := d.DB.ExecContext(ctx, sql)
+	d.cancel()
+	return err
+}
+
+// A load owns its transfer session from open to end: canceled while the
+// export streams or while the workers finalize, it fails and leaves the hub
+// holding no session, so nothing needs reaping later.
+func TestCanceledLoadLeavesNoSession(t *testing.T) {
+	db, c, hub := setup(t, 2, 2)
+	loadTestTable(t, db, 20000)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	_, _, err := load(ctx, db, c, hub, cancelingSink{hub, cancel}, "mytable", nil, PolicyLocality, 256)
+	if err == nil || !strings.Contains(err.Error(), "export query failed") {
+		t.Fatalf("a load canceled during its export: err = %v, want the export's failure", err)
 	}
-	if hub.Sessions() != 0 {
-		t.Fatal("reaper never collected the idle session")
+	if n := hub.Sessions(); n != 0 {
+		t.Fatalf("a load canceled during its export left %d sessions", n)
 	}
-	stop()
-	stop() // idempotent
-	_ = c
+
+	ctx, cancel = context.WithCancel(context.Background())
+	_, _, err = load(ctx, cancelAfterExport{db, cancel}, c, hub, hub, "mytable", nil, PolicyLocality, 256)
+	if err == nil || !errors.Is(err, context.Canceled) && !errors.Is(err, verr.ErrCanceled) {
+		t.Fatalf("a load canceled before finalize: err = %v, want a cancellation", err)
+	}
+	if n := hub.Sessions(); n != 0 {
+		t.Fatalf("a load canceled before finalize left %d sessions", n)
+	}
 }
 
 // TestInjectedSendFaultRecovered drives the in-process path with vft.send

@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"verticadr/internal/colstore"
@@ -47,7 +46,7 @@ var (
 	mConvNanos    = telemetry.Default().Counter("vft_conv_nanos_total")
 	// Recovery activity: chunks resent after a failed send, duplicates the
 	// hub absorbed thanks to (part, seq) dedup, and sessions torn down
-	// without finalizing (explicit aborts, failed exports, idle reaping).
+	// without finalizing (a failed or canceled export or finalize).
 	mRetransmits = telemetry.Default().Counter("vft_retransmits_total")
 	mDupChunks   = telemetry.Default().Counter("vft_dup_chunks_total")
 	mAborted     = telemetry.Default().Counter("vft_sessions_aborted_total")
@@ -133,17 +132,11 @@ type session struct {
 	// staged twice.
 	seen map[chunkKey]struct{}
 
-	// lastTouch is the wall-clock nanos of the last send/open, read by the
-	// idle-session reaper.
-	lastTouch atomic.Int64
-
 	rows, bytes         *telemetry.Counter
 	chunks, localChunks *telemetry.Counter
 	dbTime, netTime     *telemetry.Counter
 	convTime            *telemetry.Counter
 }
-
-func (s *session) touch() { s.lastTouch.Store(time.Now().UnixNano()) }
 
 // Hub is the Distributed R side of VFT: it owns worker "listeners" (staging
 // areas) and finalizes received data into distributed data frames. It is
@@ -179,7 +172,6 @@ func (h *Hub) open(frame *darray.DFrame, schema colstore.Schema, policy string, 
 		netTime:     telemetry.NewCounter(),
 		convTime:    telemetry.NewCounter(),
 	}
-	s.touch()
 	h.sessions[id] = s
 	return id
 }
@@ -204,47 +196,6 @@ func (h *Hub) Abort(id string) bool {
 		mAborted.Inc()
 	}
 	return ok
-}
-
-// ReapIdle aborts sessions that have not seen a send for longer than
-// maxIdle, returning their ids sorted. Called periodically by StartReaper so
-// a sender that died mid-transfer cannot pin staged chunks indefinitely.
-func (h *Hub) ReapIdle(maxIdle time.Duration) []string {
-	now := time.Now().UnixNano()
-	var ids []string
-	h.mu.Lock()
-	for id, s := range h.sessions {
-		if now-s.lastTouch.Load() > int64(maxIdle) {
-			ids = append(ids, id)
-			delete(h.sessions, id)
-		}
-	}
-	h.mu.Unlock()
-	for range ids {
-		mAborted.Inc()
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// StartReaper scans for idle sessions every interval until the returned stop
-// function is called (idempotent).
-func (h *Hub) StartReaper(interval, maxIdle time.Duration) (stop func()) {
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				h.ReapIdle(maxIdle)
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
 }
 
 func (h *Hub) get(id string) (*session, error) {
@@ -300,7 +251,6 @@ func (h *Hub) Send(sessionID string, part int, seq uint64, msg []byte, rows int,
 	if err != nil {
 		return err
 	}
-	s.touch()
 	if part < 0 || part >= s.frame.NPartitions() {
 		return fmt.Errorf("vft: partition %d out of range", part)
 	}

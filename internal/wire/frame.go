@@ -612,9 +612,35 @@ func GetBuf(n int) []byte {
 // PutBuf returns b to the pool. The caller must not use b afterwards.
 func PutBuf(b []byte) { putBox(nil, b) }
 
-// getBox takes a pooled buffer with room for n bytes, looking at two at
-// most: one too small goes back, it still fits someone else.
+// spare holds the buffer last pooled while it was empty, where a Get on any
+// P finds it. A sync.Pool keeps a Put in the putting P's private slot, which
+// a Get on another P never sees, and a listener's connection sheds its large
+// buffer before it blocks for the next frame, after which its goroutine may
+// run on another P. One spare lets the two buffers of a connection's large
+// round trips cycle without a miss; it pins at most one pooled buffer.
+var spare struct {
+	sync.Mutex
+	p *[]byte
+}
+
+// getBox takes a pooled buffer with room for n bytes: from the pool, else
+// the spare.
 func getBox(n int) *[]byte {
+	if p := poolBox(n); p != nil {
+		return p
+	}
+	spare.Lock()
+	defer spare.Unlock()
+	if p := spare.p; p != nil && cap(*p) >= n {
+		spare.p = nil
+		return p
+	}
+	return nil
+}
+
+// poolBox takes a buffer with room for n bytes from the pool, looking at two
+// at most: one too small goes back, it still fits someone else.
+func poolBox(n int) *[]byte {
 	var short *[]byte
 	for range 2 {
 		p, _ := bufPool.Get().(*[]byte)
@@ -630,7 +656,8 @@ func getBox(n int) *[]byte {
 	return nil
 }
 
-// putBox pools b, emptied, in the box p (a new one when p is nil).
+// putBox pools b, emptied, in the box p (a new one when p is nil): as the
+// spare when there is none, else in the pool.
 func putBox(p *[]byte, b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooledBytes {
 		return
@@ -639,5 +666,12 @@ func putBox(p *[]byte, b []byte) {
 		p = new([]byte)
 	}
 	*p = b[:0]
-	bufPool.Put(p)
+	spare.Lock()
+	if spare.p == nil {
+		spare.p, p = p, nil
+	}
+	spare.Unlock()
+	if p != nil {
+		bufPool.Put(p)
+	}
 }
