@@ -14,7 +14,7 @@ GO ?= go
 #
 # Targets: check (= lint build test race difftest-short fuzz-smoke), vet,
 # bench (benchmark/run.sh over the BENCHMARK.json workloads),
-# bench-placement, bench-figures, chaos, recover, fuzz, loc.
+# bench-placement, bench-point, bench-figures, chaos, recover, fuzz, loc.
 .PHONY: check
 check: lint build test race difftest-short fuzz-smoke
 
@@ -146,6 +146,15 @@ bench-placement:
 	addr=$$($(GO) tool nm $$b/benchmark | awk '$$3 == "main.(*hostKernel).sample" { print $$1 }'); \
 	test -n "$$addr" || { echo "bench-placement: no main.(*hostKernel).sample in $$b/benchmark" >&2; exit 1; }; \
 	echo "main.(*hostKernel).sample at 0x$$addr, mod 64 = $$((0x$$addr % 64))"
+
+# The benchmark's point read (`SELECT x0, x1 FROM events WHERE k = ?`) through
+# a serving-protocol client, on node 0 of a 3-peer cluster (3 shards x 2
+# replicas) and on one server over the same rows: the routed/single ratio and
+# each side's allocations in one run. BENCHTIME sets -benchtime.
+BENCHTIME ?= 3s
+.PHONY: bench-point
+bench-point:
+	$(GO) test -run='^$$' -bench='BenchmarkRoutedPoint|BenchmarkSinglePoint' -benchtime=$(BENCHTIME) -benchmem ./internal/cluster/
 
 # Paper-figure benchmark series (Figs. 12-20 shapes).
 .PHONY: bench-figures

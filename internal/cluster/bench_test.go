@@ -13,9 +13,10 @@ import (
 // The benchmark's point read — `SELECT x0, x1 FROM events WHERE k = ?`, one
 // row through an index on k — as a serving-protocol client runs it:
 // BenchmarkRoutedPoint against node 0 of a three-peer cluster with 3 shards
-// x 2 replicas (the cluster_routed shape: client → router → one peer per
-// shard → merge), BenchmarkSinglePoint against one server over the same rows
-// (serve_single's shape). Profile a read with
+// x 2 replicas (the cluster_routed shape: client → router → shards 0 and 2
+// read on node 0 in process, shard 1 on node 1 over the wire → merge),
+// BenchmarkSinglePoint against one server over the same rows (serve_single's
+// shape). `make bench-point` runs both with -benchmem. Profile a read with
 //
 //	go test -run '^$' -bench RoutedPoint -benchtime 3s -cpuprofile cpu.out ./internal/cluster/
 const (
@@ -28,18 +29,18 @@ var pointDDL = []string{
 	`CREATE INDEX events_k ON events (k)`,
 }
 
-// pointEvents is the table's rows: k a permutation of id (7919 is prime and
-// does not divide pointRows), so zone maps cannot answer for the index.
-func pointEvents(b *testing.B) *colstore.Batch {
+// pointEvents is the table's n rows: k a permutation of id (7919 is prime
+// and divides no n used here), so zone maps cannot answer for the index.
+func pointEvents(tb testing.TB, n int) *colstore.Batch {
 	schema := colstore.Schema{
 		{Name: "id", Type: colstore.TypeInt64}, {Name: "k", Type: colstore.TypeInt64},
 		{Name: "x0", Type: colstore.TypeFloat64}, {Name: "x1", Type: colstore.TypeFloat64},
 	}
-	rows := make([][]any, pointRows)
+	rows := make([][]any, n)
 	for i := range rows {
-		rows[i] = []any{int64(i), int64(i * 7919 % pointRows), float64(i) / 8, float64(i) / 16}
+		rows[i] = []any{int64(i), int64(i * 7919 % n), float64(i) / 8, float64(i) / 16}
 	}
-	return buildBatch(b, schema, rows)
+	return buildBatch(tb, schema, rows)
 }
 
 func BenchmarkRoutedPoint(b *testing.B) {
@@ -47,7 +48,7 @@ func BenchmarkRoutedPoint(b *testing.B) {
 	for _, ddl := range pointDDL {
 		tc.exec(ddl)
 	}
-	if err := tc.router(0).Load(context.Background(), "events", pointEvents(b)); err != nil {
+	if err := tc.router(0).Load(context.Background(), "events", pointEvents(b, pointRows)); err != nil {
 		b.Fatal(err)
 	}
 	benchPoint(b, tc.nodes[0].addr)
@@ -60,7 +61,7 @@ func BenchmarkSinglePoint(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if err := sess.Load("events", pointEvents(b)); err != nil {
+	if err := sess.Load("events", pointEvents(b, pointRows)); err != nil {
 		b.Fatal(err)
 	}
 	tcp, err := server.Listen(server.New(sess, server.Config{}), "127.0.0.1:0")

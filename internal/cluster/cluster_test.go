@@ -225,12 +225,14 @@ func TestRetryableClassification(t *testing.T) {
 	}
 }
 
-// TestRouterFailoverOnReplicaDeath kills one peer of a replicated 2-node
-// cluster and requires reads to keep answering from the survivor, the
-// health view to record the death, and the prober to resurrect the peer
-// when its listener returns.
+// TestRouterFailoverOnReplicaDeath kills one peer of a replicated cluster
+// and requires reads to keep answering from the survivors, the health view
+// to record the death, and the prober to resurrect the peer when its
+// listener returns. The reads enter through node 0, which holds shards 0 and
+// 2 and reads them in process; the victim, node 1, is the first owner of
+// shard 1, so every read tries it before shard 1's other replica.
 func TestRouterFailoverOnReplicaDeath(t *testing.T) {
-	tc := startCluster(t, 2, 2, 2)
+	tc := startCluster(t, 3, 3, 2)
 	ctx := context.Background()
 	tc.exec(fmt.Sprintf(testDDL, "t", "HASH(id)"))
 	tc.exec(`INSERT INTO t VALUES (1, 2, 3, 1.5, 2.5, 'red', true), (2, 3, 4, -0.5, 0.5, 'blue', false)`)

@@ -104,14 +104,18 @@ func joinFixture(t *testing.T, tc *testCluster, base *core.Session, events, dim 
 // TestJoinShipsBuildRowsAndPartialsOnly: over one benchmark-shaped join the
 // peers ship the build side's rows once and one partial group per group per
 // shard — not one row of the probe table reaches the router — and the trace
-// shows the two rounds as the children of router.join.
+// shows the two rounds as the children of router.join: one shard read per
+// shard in each, a cl.select span under router.join.build and a cl.agg span
+// under router.join, whether the router's node served it in process or a
+// peer over the wire (its span then hangs under the call's client and server
+// spans, in the same trace).
 func TestJoinShipsBuildRowsAndPartialsOnly(t *testing.T) {
 	const events, dim, groups = 3000, 100, 8
 	tc := startCluster(t, 3, 3, 2)
 	base := startBaseline(t, 3)
 	joinFixture(t, tc, base, events, dim)
 
-	log := telemetry.NewSpanLog(nil)
+	log := telemetry.Default().Spans() // where the peers' spans go too
 	root := log.StartSpan("test")
 	ctx := telemetry.ContextWithSpan(context.Background(), root)
 	shipped, broadcasts, gathers := mPeerShardRows.Value(), mJoins(strategyBroadcast).Value(), mRouterRouted("gather").Value()
@@ -132,28 +136,49 @@ func TestJoinShipsBuildRowsAndPartialsOnly(t *testing.T) {
 	}
 	sameResult(t, joinFixtureSQL, ref, got)
 
-	spans := log.Export()
+	var spans []telemetry.SpanRecord
 	byID := map[int64]telemetry.SpanRecord{}
-	for _, sp := range spans {
-		byID[sp.ID] = sp
+	for _, sp := range log.Export() {
+		if sp.Trace == telemetry.FormatID(root.TraceID()) {
+			spans = append(spans, sp)
+			byID[sp.ID] = sp
+		}
 	}
-	under := map[string]int{} // "parent>child" → count
+	// routerParent is the nearest router.* or test span above sp: a shard
+	// read's span sits under its client and server spans when it crossed the
+	// wire, directly under the router's when it did not.
+	routerParent := func(sp telemetry.SpanRecord) string {
+		for p, ok := byID[sp.Parent]; ok; p, ok = byID[p.Parent] {
+			if p.Name == "test" || strings.HasPrefix(p.Name, "router.") {
+				return p.Name
+			}
+		}
+		return ""
+	}
+	under := map[string]int{} // "router parent>span" → count
 	var build telemetry.SpanRecord
 	for _, sp := range spans {
 		if !sp.Ended {
 			t.Fatalf("span %s was never ended", sp.Name)
 		}
-		under[byID[sp.Parent].Name+">"+sp.Name]++
-		if sp.Name == "router.join.build" {
+		switch sp.Name {
+		case "router.join.build":
 			build = sp
+			fallthrough
+		case "router.join", opSelect, opAgg:
+			under[routerParent(sp)+">"+sp.Name]++
 		}
 	}
-	for edge, want := range map[string]int{
-		"test>router.join":                   1,
-		"router.join>router.join.build":      1,
-		"router.join.build>client.cl.select": 3,
-		"router.join>client.cl.agg":          3,
-	} {
+	edges := map[string]int{
+		"test>router.join":              1,
+		"router.join>router.join.build": 1,
+		"router.join.build>cl.select":   3,
+		"router.join>cl.agg":            3,
+	}
+	if len(under) != len(edges) {
+		t.Fatalf("trace has edges %v, want only %v", under, edges)
+	}
+	for edge, want := range edges {
 		if under[edge] != want {
 			t.Fatalf("trace has %d %s edges, want %d (all: %v)", under[edge], edge, want, under)
 		}

@@ -23,8 +23,9 @@ type nodeExt struct {
 
 // NodeExtension bundles a Peer and a Router into the extension handler of
 // a clustered node, and binds the router to the node: its prepared
-// statements live in p's server. Binding again to the same peer (a restarted
-// listener) changes nothing.
+// statements live in p's server, and its reads of the shards p holds run on
+// p in process. Binding again to the same peer (a restarted listener)
+// changes nothing.
 func NodeExtension(p *Peer, r *Router) server.Extension {
 	r.mu.Lock()
 	r.node = p

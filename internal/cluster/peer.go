@@ -53,9 +53,7 @@ var _ server.Extension = (*Peer)(nil)
 // ServeExt dispatches one cluster op.
 func (p *Peer) ServeExt(ctx context.Context, wreq *wire.Request, bodies [][]byte) (server.ExtReply, error) {
 	op := wreq.Op
-	mPeerOps(op).Inc()
-	switch op {
-	case opSelect, opAgg:
+	if op == opSelect || op == opAgg {
 		req, err := readShardRequest(wreq, bodies)
 		if err != nil {
 			return server.ExtReply{}, err
@@ -65,6 +63,9 @@ func (p *Peer) ServeExt(ctx context.Context, wreq *wire.Request, bodies [][]byte
 			return server.ExtReply{}, err
 		}
 		return server.ExtReply{Payload: rep, Schema: schema, Bodies: [][]byte{chunk}}, nil
+	}
+	mPeerOps(op).Inc()
+	switch op {
 	case opLoad:
 		var req loadRequest
 		if err := decodeRequest(op, wreq.Ext, &req); err != nil {
@@ -157,7 +158,14 @@ func runShards(ctx context.Context, op string, view sqlexec.Database, stmt sqlpa
 // snapshot; the shards of one routed query are separate requests and may
 // observe different commit timestamps, exactly as separate nodes of a real
 // cluster answer from their own commit horizons.
+//
+// A read reaches it over the wire (ServeExt) or in process from the router
+// of the peer's own node (Router.localCall), and both count alike: under
+// cluster_peer_ops_total{op} and, traced, as one span named op.
 func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*shardReply, colstore.Schema, []byte, error) {
+	mPeerOps(op).Inc()
+	ctx, span := telemetry.StartChildCtx(ctx, op)
+	defer span.End()
 	if err := p.checkShards(req.Shards); err != nil {
 		return nil, nil, nil, err
 	}

@@ -34,6 +34,10 @@ var (
 	mJoins = func(strategy string) *telemetry.Counter {
 		return telemetry.Default().Counter("cluster_join_total", telemetry.L("strategy", strategy))
 	}
+	// mShardCallsLocal counts the shard calls answered in process by the
+	// router's own node; each also counts under cluster_shard_calls_total
+	// {outcome="ok"}, which counts every answered shard call.
+	mShardCallsLocal = telemetry.Default().Counter("cluster_shard_calls_local_total")
 )
 
 func gPeerUp(node int) *telemetry.Gauge {
@@ -58,12 +62,15 @@ type Config struct {
 // its own TCP listener: any node of the cluster then answers any query
 // with cluster-wide results.
 //
-// Reads (SELECT / PREDICT / EXPLAIN) are idempotent: a shard read that
-// fails on one replica — connection torn down, peer draining, admission
-// shed with verr.ErrOverloaded — retries on the shard's next replica, and
-// only when every replica is unusable does the query fail, with
-// verr.ErrNodeDown. Writes (COPY / INSERT / DDL) go to every replica; a
-// replica that misses a write is marked stale and never read again.
+// Reads (SELECT / PREDICT / EXPLAIN) are idempotent. A router bound to its
+// node (NodeExtension) reads the shards that node holds in process, through
+// the peer's own serveShards and its admission, and the rest over the wire;
+// a shard read that fails on one replica — connection torn down, peer
+// draining, admission shed with verr.ErrOverloaded — retries on the shard's
+// next replica in ring order, and only when every replica is unusable does
+// the query fail, with verr.ErrNodeDown. Writes (COPY / INSERT / DDL) go to
+// every replica over the wire; a replica that misses a write is marked stale
+// and never read again.
 type Router struct {
 	topo  Topology
 	cfg   Config
@@ -84,7 +91,8 @@ type Router struct {
 	epochs    []int64
 	tablesGen uint64
 	// node is the peer of the node this router fronts (NodeExtension binds
-	// it): its server keeps the node's prepared statements.
+	// it): its server keeps the node's prepared statements, and it serves
+	// the node's own shard replicas in process.
 	node   *Peer
 	closed bool
 
@@ -385,27 +393,57 @@ func (r *Router) tableGen() uint64 {
 	return r.tablesGen
 }
 
-// shardCall runs an idempotent read against shard's replicas in ring
-// order, failing over on retryable errors. Peers marked down or stale for
-// this shard are skipped up front.
-func (r *Router) shardCall(ctx context.Context, shard int, call rpc) error {
-	call.idempotent = true
+// replicas returns the replicas to try for a read of shard, in order: the
+// owners not marked down or stale for it, the one on the router's own node
+// first — local, that node's peer, is then non-nil — and the rest in ring
+// order. One lock covers the whole snapshot.
+func (r *Router) replicas(shard int) (order []int, local *Peer) {
+	owners := r.topo.Owners(shard)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	order = owners[:0] // filtered in place: it never grows past the owner read
+	for _, peer := range owners {
+		if r.down[peer] || r.stale[peer][shard] {
+			continue
+		}
+		order = append(order, peer)
+		if r.node != nil && peer == r.node.node {
+			copy(order[1:], order[:len(order)-1])
+			order[0], local = peer, r.node
+		}
+	}
+	return order, local
+}
+
+// shardCall runs req, an idempotent read of one shard (req.Shards), on the
+// first of the shard's replicas that answers, and hands the reply's schema
+// and bodies to recv. A replica on the router's own node goes first and runs
+// in process (localCall); the other owners follow in ring order over the
+// network. Peers marked down or stale for the shard are skipped up front,
+// and a retryable failure, local or remote, moves on to the next replica.
+func (r *Router) shardCall(ctx context.Context, op string, req shardRequest, recv func(schema colstore.Schema, bodies [][]byte) error) error {
+	shard := req.Shards[0]
+	order, local := r.replicas(shard)
+	var rep shardReply
+	call := req.rpc(op, &rep, recv)
 	var lastErr error
-	tried, sawConnFailure := 0, false
-	for _, peer := range r.topo.Owners(shard) {
-		if r.isStale(peer, shard) {
-			continue
-		}
-		if r.isDown(peer) {
-			continue
-		}
-		if tried > 0 {
+	sawConnFailure := false
+	for i, peer := range order {
+		if i > 0 {
 			mRetries.Inc()
 		}
-		tried++
-		err := r.peerCall(ctx, peer, call)
+		inProcess := i == 0 && local != nil
+		var err error
+		if inProcess {
+			err = r.localCall(ctx, local, op, req, recv)
+		} else {
+			err = r.peerCall(ctx, peer, call)
+		}
 		if err == nil {
 			mShardCalls("ok").Inc()
+			if inProcess {
+				mShardCallsLocal.Inc()
+			}
 			return nil
 		}
 		lastErr = err
@@ -434,6 +472,22 @@ func (r *Router) shardCall(ctx context.Context, shard int, call rpc) error {
 	return fmt.Errorf("cluster: shard %d: %w: %v", shard, verr.ErrNodeDown, lastErr)
 }
 
+// localCall is peerCall without the network, for a read of the router's own
+// node: req runs through node.serveShards, the function a remote request
+// reaches (admission, plan cache, shard view, a join's build overlay), and
+// its encoded reply goes through the same recv and sawReply.
+func (r *Router) localCall(ctx context.Context, node *Peer, op string, req shardRequest, recv func(schema colstore.Schema, bodies [][]byte) error) error {
+	rep, schema, chunk, err := node.serveShards(ctx, op, req)
+	if err != nil {
+		return err
+	}
+	if err := recv(schema, [][]byte{chunk}); err != nil {
+		return err
+	}
+	r.sawReply(node.node, rep)
+	return nil
+}
+
 // fanOut runs fn for every shard concurrently and returns their errors
 // joined in shard order. Shard 0 runs on the caller's goroutine, whose stack
 // has long grown to what a peer call takes; a fresh goroutine grows its stack
@@ -456,18 +510,18 @@ func (r *Router) fanOut(ctx context.Context, fn func(shard int) error) error {
 // eachShard runs req under op on every shard concurrently — each shard on
 // the first of its replicas that answers — and hands each reply's schema and
 // chunk to fn as the shard's call returns, so the shards' chunks decode side
-// by side. The chunk is the connection's: fn decodes or copies it.
+// by side. The chunk may be a connection's read buffer: fn decodes or copies
+// it.
 func (r *Router) eachShard(ctx context.Context, op string, req shardRequest, fn func(shard int, schema colstore.Schema, chunk []byte) error) error {
 	return r.fanOut(ctx, func(shard int) error {
 		req := req
 		req.Shards = []int{shard}
-		var rep shardReply
-		return r.shardCall(ctx, shard, req.rpc(op, &rep, func(schema colstore.Schema, out [][]byte) error {
+		return r.shardCall(ctx, op, req, func(schema colstore.Schema, out [][]byte) error {
 			if err := wantBodies(op, out, 1); err != nil {
 				return err
 			}
 			return fn(shard, schema, out[0])
-		}))
+		})
 	})
 }
 

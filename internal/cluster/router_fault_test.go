@@ -234,3 +234,41 @@ func TestPooledConnSurvivesPeerRestart(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledConnSurvivesPeerRestart's router reads its one peer in process,
+// so its pool meets the restart only through writes. Here the restarted peer
+// holds a shard the reading node does not: the read crosses the stranded
+// pooled connection, retries over a fresh dial, and nobody is marked down.
+func TestPooledConnSurvivesRemotePeerRestart(t *testing.T) {
+	tc := startCluster(t, 2, 2, 1)
+	tc.exec(`CREATE TABLE px (id INTEGER, x FLOAT) SEGMENTED BY HASH(id)`)
+	r := tc.router(0)
+	if err := r.Load(context.Background(), "px", buildBatch(t, smallSchema(), smallRows(16, 0))); err != nil {
+		t.Fatalf("seed load: %v", err)
+	}
+	if got := clusterCount(t, r, "px"); got != 16 {
+		t.Fatalf("count = %v, want 16", got)
+	}
+
+	n := tc.nodes[1]
+	_ = n.tcp.Close()
+	tcp, err := server.Listen(n.srv, n.addr,
+		server.WithFrontend(n.router),
+		server.WithExtension(NodeExtension(n.peer, n.router)))
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	n.tcp = tcp
+	t.Cleanup(func() { _ = tcp.Close() })
+
+	ok0, local0 := shardCallCounts()
+	if got := clusterCount(t, r, "px"); got != 16 {
+		t.Fatalf("count after restart = %v, want 16", got)
+	}
+	wantShardCalls(t, "count after restart", ok0, local0, 1, 1)
+	for _, h := range r.Health() {
+		if !h.Up {
+			t.Fatalf("restarted peer marked down: %+v", h)
+		}
+	}
+}

@@ -136,15 +136,26 @@ func TestPreparedStatementsShipTheClientText(t *testing.T) {
 		{`SELECT d.grp, count(*) AS n, sum(events.x0) AS s FROM events JOIN dim d ON events.dim_id = d.id WHERE d.grp < ? AND events.x0 > ? GROUP BY d.grp ORDER BY d.grp`,
 			[][]any{{int64(5), 1.5}, {int64(3), float64(0)}}},
 	}
-	c, err := server.DialTimeout(tc.nodes[0].addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
+	// Each node's client prepares every statement, and the executions rotate
+	// over the nodes' routers: a router reads its own node's shards in
+	// process and only the rest over the wire, so one initiator alone would
+	// leave a node without a read.
+	var clients []*server.Client
+	for _, n := range tc.nodes {
+		c, err := server.DialTimeout(n.addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients = append(clients, c)
 	}
-	defer c.Close()
+	initiator := 0
 	for i, st := range stmts {
 		name := fmt.Sprintf("s%d", i)
-		if err := c.Prepare(ctx, name, st.sql); err != nil {
-			t.Fatal(err)
+		for _, c := range clients {
+			if err := c.Prepare(ctx, name, st.sql); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := local.Prepare(name, st.sql); err != nil {
 			t.Fatal(err)
@@ -154,7 +165,8 @@ func TestPreparedStatementsShipTheClientText(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := tc.router(0).Execute(ctx, name, args...)
+			got, err := tc.router(initiator).Execute(ctx, name, args...)
+			initiator++
 			if err != nil {
 				t.Fatalf("%q %v: %v", st.sql, args, err)
 			}
