@@ -150,11 +150,10 @@ bench-placement:
 # The benchmark's point read (`SELECT x0, x1 FROM events WHERE k = ?`) through
 # a serving-protocol client, on node 0 of a 3-peer cluster (3 shards x 2
 # replicas) and on one server over the same rows: the routed/single ratio and
-# each side's allocations in one run. BENCHTIME sets -benchtime.
-BENCHTIME ?= 3s
+# each side's allocations in one run.
 .PHONY: bench-point
 bench-point:
-	$(GO) test -run='^$$' -bench='BenchmarkRoutedPoint|BenchmarkSinglePoint' -benchtime=$(BENCHTIME) -benchmem ./internal/cluster/
+	$(GO) test -run='^$$' -bench='BenchmarkRoutedPoint|BenchmarkSinglePoint' -benchtime=3s -benchmem ./internal/cluster/
 
 # Paper-figure benchmark series (Figs. 12-20 shapes).
 .PHONY: bench-figures
