@@ -6,11 +6,12 @@ GO ?= go
 # the tree must be lint-clean (the block codec for a big-endian host too: its
 # PLAIN fallback compiles nowhere else), the bounded differential suites
 # (compressed execution, single-table, hash join, streamed UDTF) must agree
-# bitwise, and the twelve fuzz-smoke targets (parser, four equivalence
+# bitwise, and the thirteen fuzz-smoke targets (parser, four equivalence
 # targets, shard-partial import, broadcast-build decode, serving frame
 # decode, frame header codec, block decode, transfer message decode, the
-# IRLS and Lloyd kernels against their row-at-a-time references) get a short
-# run so the harness runs on every pass.
+# IRLS and Lloyd kernels against their row-at-a-time references, index
+# probes against a filtered scan) get a short run so the harness runs on
+# every pass.
 #
 # Targets: check (= lint build test race difftest-short fuzz-smoke), vet,
 # bench (benchmark/run.sh over the BENCHMARK.json workloads),
@@ -42,8 +43,9 @@ difftest-short:
 # bytes decode without panicking, a decoded header re-encodes to itself),
 # the block decoder and the transfer
 # hub's decode of a message, a run of chunks (bytes off a socket, all five),
-# and the fit kernels bitwise against the row loops they replaced; enough to
-# replay each corpus and explore a little.
+# the fit kernels bitwise against the row loops they replaced, and the
+# secondary index's probes (bulk-built, insert-built and decoded trees)
+# against a filtered scan; enough to replay each corpus and explore a little.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSelect -fuzztime=10s ./internal/sqlparse/
@@ -58,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/colstore/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeChunk -fuzztime=10s ./internal/vft/
 	$(GO) test -run='^$$' -fuzz=FuzzFitKernels -fuzztime=10s ./internal/algos/
+	$(GO) test -run='^$$' -fuzz=FuzzIndexLookup -fuzztime=10s ./internal/colstore/index/
 
 # Lint: go vet plus gofmt enforcement (gofmt -l output fails the build).
 .PHONY: lint
@@ -150,10 +153,13 @@ bench-placement:
 # The benchmark's point read (`SELECT x0, x1 FROM events WHERE k = ?`) through
 # a serving-protocol client, on node 0 of a 3-peer cluster (3 shards x 2
 # replicas) and on one server over the same rows: the routed/single ratio and
-# each side's allocations in one run.
+# each side's allocations in one run. Then the read's index probe alone: an
+# equality and a 256-key range over one segment's 62,500 keys, bulk-built
+# and insert-built.
 .PHONY: bench-point
 bench-point:
 	$(GO) test -run='^$$' -bench='BenchmarkRoutedPoint|BenchmarkSinglePoint' -benchtime=3s -benchmem ./internal/cluster/
+	$(GO) test -run='^$$' -bench='BenchmarkLookup' -benchtime=3s -benchmem ./internal/colstore/index/
 
 # Paper-figure benchmark series (Figs. 12-20 shapes).
 .PHONY: bench-figures
@@ -202,5 +208,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzHeader -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeChunk -fuzztime=$(FUZZTIME) ./internal/vft/
 	$(GO) test -run='^$$' -fuzz=FuzzFitKernels -fuzztime=$(FUZZTIME) ./internal/algos/
+	$(GO) test -run='^$$' -fuzz=FuzzIndexLookup -fuzztime=$(FUZZTIME) ./internal/colstore/index/
 	$(GO) test -run='^$$' -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzWALRecordStream -fuzztime=$(FUZZTIME) ./internal/wal/

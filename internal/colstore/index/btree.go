@@ -5,6 +5,10 @@
 // gather reproduces a filtered full scan byte for byte — the property the
 // planner's differential tests pin.
 //
+// Every key of one tree has one kind (the column's type), and each node
+// holds its keys unboxed in one slice of that kind, so a probe bisects a
+// node's keys instead of comparing boxed values one by one.
+//
 // The tree is immutable once published: Insert path-copies from the root, so
 // a cloned segment can keep reading the old tree while the owner of a new
 // version extends it. Float NaN keys are held in a side list rather than the
@@ -14,6 +18,7 @@
 package index
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -41,23 +46,44 @@ const (
 // appends before the first split.
 const fanout = 64
 
-// entry is one distinct key and the ascending row positions holding it.
-type entry struct {
-	key  any
-	rows []uint32
+// Key kinds. Every non-NaN key of one tree has the same kind, and Encode
+// tags each key with it.
+const (
+	kindInt byte = iota + 1
+	kindFloat
+	kindString
+	kindBool
+)
+
+var kindName = [...]string{kindInt: "int64", kindFloat: "float64", kindString: "string", kindBool: "bool"}
+
+// Key is a column value an index can hold, fed unboxed through AddKeys and
+// InsertKeys.
+type Key interface {
+	int64 | float64 | string | bool
 }
 
-type node struct {
-	leaf    bool
-	entries []entry // leaf payload
-	keys    []any   // internal separators: keys[i] = min key of children[i+1]
-	childs  []*node
+// stored is what a node keeps: INTEGER keys and bools (as 0/1) in int64,
+// FLOAT keys in float64, VARCHAR keys in string.
+type stored interface{ int64 | float64 | string }
+
+// node is one tree node. Its keys ascend and are distinct: a leaf's are the
+// indexed keys, an internal node's are separators, keys[i] the minimum key
+// of childs[i+1], so child i holds the keys in [keys[i-1], keys[i]).
+type node[K stored] struct {
+	keys   []K
+	rows   [][]uint32 // leaf only: rows[i] are keys[i]'s rows, ascending
+	childs []*node[K] // internal only
 }
 
 // Tree is one column's secondary index. The zero value is not usable; build
 // with a Builder or DecodeTree.
 type Tree struct {
-	root *node
+	kind byte // of every non-NaN key; 0 while there is none
+	// root is the root node of the kind's stored type: *node[int64] for
+	// kindInt and kindBool, *node[float64] or *node[string]; nil while
+	// kind is 0.
+	root any
 	nan  []uint32 // rows whose float key is NaN, ascending
 	rows int      // total rows indexed, NaN rows included
 	keys int      // distinct non-NaN keys
@@ -70,236 +96,287 @@ func (t *Tree) Rows() int { return t.rows }
 // planner uses for equality selectivity.
 func (t *Tree) DistinctKeys() int { return t.keys }
 
-// cmpKey totally orders key values with the engine's numeric widening
-// (INTEGER and FLOAT compare numerically, bools order false < true). The
-// second result is false for incomparable types. NaN never reaches here as a
-// stored key; a NaN probe is handled by Lookup before descending.
-func cmpKey(a, b any) (int, bool) {
-	switch x := a.(type) {
-	case int64:
-		switch y := b.(type) {
-		case int64:
-			return cmp3(x, y), true
-		case float64:
-			return cmp3(float64(x), y), true
-		}
-	case float64:
-		switch y := b.(type) {
-		case int64:
-			return cmp3(x, float64(y)), true
-		case float64:
-			return cmp3(x, y), true
-		}
-	case string:
-		if y, ok := b.(string); ok {
-			return cmp3(x, y), true
-		}
-	case bool:
-		if y, ok := b.(bool); ok {
-			xi, yi := 0, 0
-			if x {
-				xi = 1
-			}
-			if y {
-				yi = 1
-			}
-			return cmp3(xi, yi), true
-		}
-	}
-	return 0, false
-}
-
-func cmp3[T int | int64 | float64 | string](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
 func isNaN(key any) bool {
 	f, ok := key.(float64)
 	return ok && math.IsNaN(f)
+}
+
+func boolKey(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func boolKeys(bs []bool) []int64 {
+	out := make([]int64, len(bs))
+	for i, b := range bs {
+		out[i] = boolKey(b)
+	}
+	return out
+}
+
+func mismatch(have, got byte) error {
+	return fmt.Errorf("index: cannot compare %s with %s", kindName[have], kindName[got])
 }
 
 // Builder accumulates (key, row) pairs and bulk-builds a packed tree.
 // Rows must be added in ascending row order (the natural order when
 // indexing a segment front to back).
 type Builder struct {
-	pairs []entry // one row per entry pre-sort; grouped during Build
-	nan   []uint32
+	kind   byte
+	ints   []int64 // keys of a kindInt or kindBool build, in the order added
+	floats []float64
+	strs   []string
+	rows   []uint32 // the row of each non-NaN key, in the order added
+	nan    []uint32
+	err    error
 }
 
 // Add records one row's key.
 func (b *Builder) Add(key any, row uint32) {
-	if isNaN(key) {
-		b.nan = append(b.nan, row)
-		return
+	switch k := key.(type) {
+	case int64:
+		AddKeys(b, []int64{k}, row)
+	case float64:
+		AddKeys(b, []float64{k}, row)
+	case string:
+		AddKeys(b, []string{k}, row)
+	case bool:
+		AddKeys(b, []bool{k}, row)
+	default:
+		if b.err == nil {
+			b.err = fmt.Errorf("index: cannot index a %T key", key)
+		}
 	}
-	b.pairs = append(b.pairs, entry{key: key, rows: []uint32{row}})
+}
+
+// AddKeys records keys[i] as row first+i: a column's values, added without
+// boxing each one.
+func AddKeys[K Key](b *Builder, keys []K, first uint32) {
+	switch ks := any(keys).(type) {
+	case []int64:
+		addAll(b, kindInt, &b.ints, ks, first)
+	case []float64:
+		addAll(b, kindFloat, &b.floats, ks, first)
+	case []string:
+		addAll(b, kindString, &b.strs, ks, first)
+	case []bool:
+		addAll(b, kindBool, &b.ints, boolKeys(ks), first)
+	}
+}
+
+func addAll[K stored](b *Builder, kind byte, dst *[]K, keys []K, first uint32) {
+	for i, k := range keys {
+		row := first + uint32(i)
+		if k != k { // NaN
+			b.nan = append(b.nan, row)
+			continue
+		}
+		if b.kind == 0 {
+			b.kind = kind
+		}
+		if b.kind != kind {
+			if b.err == nil {
+				b.err = mismatch(b.kind, kind)
+			}
+			return
+		}
+		*dst = append(*dst, k)
+		b.rows = append(b.rows, row)
+	}
 }
 
 // Build sorts, groups and packs the accumulated pairs into a tree. Keys must
-// be mutually comparable (one column's values always are); incomparable keys
-// make the build fail.
+// all have one kind (one column's values always do); mixed kinds make the
+// build fail.
 func (b *Builder) Build() (*Tree, error) {
-	var badCmp error
-	sort.SliceStable(b.pairs, func(i, j int) bool {
-		c, ok := cmpKey(b.pairs[i].key, b.pairs[j].key)
-		if !ok && badCmp == nil {
-			badCmp = fmt.Errorf("index: cannot compare %T with %T", b.pairs[i].key, b.pairs[j].key)
-		}
-		return c < 0
-	})
-	if badCmp != nil {
-		return nil, badCmp
+	if b.err != nil {
+		return nil, b.err
 	}
-	// Group equal adjacent keys. The sort is stable and each input pair holds
-	// one row added in ascending row order, so grouped rows stay ascending.
-	var entries []entry
-	for _, p := range b.pairs {
-		if n := len(entries); n > 0 {
-			if c, _ := cmpKey(entries[n-1].key, p.key); c == 0 {
-				entries[n-1].rows = append(entries[n-1].rows, p.rows[0])
-				continue
-			}
-		}
-		entries = append(entries, p)
-	}
-	t := &Tree{nan: b.nan, keys: len(entries)}
-	for _, e := range entries {
-		t.rows += len(e.rows)
-	}
-	t.rows += len(b.nan)
-	// Pack leaves at the build fanout, then stack internal levels.
-	var leaves []*node
-	for len(entries) > 0 {
-		n := min(fanout, len(entries))
-		leaves = append(leaves, &node{leaf: true, entries: entries[:n:n]})
-		entries = entries[n:]
-	}
-	if len(leaves) == 0 {
-		t.root = &node{leaf: true}
+	t := &Tree{nan: b.nan, rows: len(b.rows) + len(b.nan)}
+	if len(b.rows) == 0 {
 		return t, nil
 	}
-	level := leaves
-	for len(level) > 1 {
-		var up []*node
-		for len(level) > 0 {
-			n := min(fanout, len(level))
-			in := &node{childs: level[:n:n]}
-			for _, c := range in.childs[1:] {
-				in.keys = append(in.keys, minKey(c))
-			}
-			up = append(up, in)
-			level = level[n:]
-		}
-		level = up
+	t.kind = b.kind
+	switch b.kind {
+	case kindInt, kindBool:
+		t.root, t.keys = build(b.ints, b.rows)
+	case kindFloat:
+		t.root, t.keys = build(b.floats, b.rows)
+	case kindString:
+		t.root, t.keys = build(b.strs, b.rows)
 	}
-	t.root = level[0]
 	return t, nil
 }
 
-func minKey(n *node) any {
-	for !n.leaf {
-		n = n.childs[0]
+type pair[K stored] struct {
+	key K
+	row uint32
+}
+
+// build sorts keys with their rows, groups equal keys (the first row's key
+// stands for the group: -0.0 or +0.0, whichever came first) and packs the
+// groups into leaves of fanout keys, then stacks internal levels. It returns
+// the root and the number of distinct keys; keys must not be empty.
+func build[K stored](keys []K, rows []uint32) (*node[K], int) {
+	ps := make([]pair[K], len(keys))
+	for i, k := range keys {
+		ps[i] = pair[K]{k, rows[i]}
 	}
-	return n.entries[0].key
+	// Rows ascend in add order, so ordering ties by row is a stable sort.
+	slices.SortFunc(ps, func(a, b pair[K]) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.row, b.row)
+	})
+	ks := make([]K, 0, len(ps))
+	flat := make([]uint32, len(ps))
+	var lists [][]uint32
+	start := 0
+	for i, p := range ps {
+		flat[i] = p.row
+		if i > 0 && p.key == ps[i-1].key {
+			continue
+		}
+		if i > 0 {
+			lists = append(lists, flat[start:i:i])
+		}
+		ks, start = append(ks, p.key), i
+	}
+	lists = append(lists, flat[start:])
+	var level []*node[K]
+	var mins []K
+	for i := 0; i < len(ks); i += fanout {
+		j := min(i+fanout, len(ks))
+		level = append(level, &node[K]{keys: ks[i:j:j], rows: lists[i:j:j]})
+		mins = append(mins, ks[i])
+	}
+	for len(level) > 1 {
+		var up []*node[K]
+		var upMins []K
+		for i := 0; i < len(level); i += fanout {
+			j := min(i+fanout, len(level))
+			up = append(up, &node[K]{keys: mins[i+1 : j : j], childs: level[i:j:j]})
+			upMins = append(upMins, mins[i])
+		}
+		level, mins = up, upMins
+	}
+	return level[0], len(ks)
 }
 
 // Insert returns a new tree containing (key, row); the receiver is
 // unchanged. row must exceed every row already indexed for the stored
 // per-key row lists to stay ascending (segment appends guarantee this).
 func (t *Tree) Insert(key any, row uint32) (*Tree, error) {
-	out := &Tree{nan: t.nan, rows: t.rows + 1, keys: t.keys}
-	if isNaN(key) {
-		out.nan = append(t.nan[:len(t.nan):len(t.nan)], row)
-		out.root = t.root
-		return out, nil
+	switch k := key.(type) {
+	case int64:
+		return InsertKeys(t, []int64{k}, row)
+	case float64:
+		return InsertKeys(t, []float64{k}, row)
+	case string:
+		return InsertKeys(t, []string{k}, row)
+	case bool:
+		return InsertKeys(t, []bool{k}, row)
 	}
-	root, sib, sepKey, added, err := insertNode(t.root, key, row)
+	return nil, fmt.Errorf("index: cannot index a %T key", key)
+}
+
+// InsertKeys returns a new tree holding keys[i] at row first+i, the keys
+// added without boxing each one; t is unchanged. first must exceed every
+// row already indexed, as for Insert.
+func InsertKeys[K Key](t *Tree, keys []K, first uint32) (*Tree, error) {
+	out := *t
+	out.nan = slices.Clip(t.nan)
+	var err error
+	switch ks := any(keys).(type) {
+	case []int64:
+		err = insertAll(&out, kindInt, ks, first)
+	case []float64:
+		err = insertAll(&out, kindFloat, ks, first)
+	case []string:
+		err = insertAll(&out, kindString, ks, first)
+	case []bool:
+		err = insertAll(&out, kindBool, boolKeys(ks), first)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if added {
-		out.keys++
-	}
-	if sib != nil {
-		root = &node{keys: []any{sepKey}, childs: []*node{root, sib}}
-	}
-	out.root = root
-	return out, nil
+	return &out, nil
 }
 
-// insertNode path-copies n with (key, row) inserted. When the copy splits it
+// insertAll adds keys to t, a private copy of a published tree: each key
+// path-copies the nodes it changes, so the published tree never moves.
+func insertAll[K stored](t *Tree, kind byte, keys []K, first uint32) error {
+	for i, k := range keys {
+		row := first + uint32(i)
+		t.rows++
+		if k != k { // NaN
+			t.nan = append(t.nan, row)
+			continue
+		}
+		if t.kind == 0 {
+			t.kind, t.root = kind, &node[K]{}
+		}
+		if t.kind != kind {
+			return mismatch(t.kind, kind)
+		}
+		root, sib, sep, added := insertNode(t.root.(*node[K]), k, row)
+		if sib != nil {
+			root = &node[K]{keys: []K{sep}, childs: []*node[K]{root, sib}}
+		}
+		t.root = root
+		if added {
+			t.keys++
+		}
+	}
+	return nil
+}
+
+// insertNode path-copies n with (k, row) inserted. When the copy splits it
 // returns the right sibling and its separator key. added reports whether the
 // key is new to the tree.
-func insertNode(n *node, key any, row uint32) (cp, sib *node, sepKey any, added bool, err error) {
-	if n.leaf {
-		i := 0
-		for ; i < len(n.entries); i++ {
-			c, ok := cmpKey(key, n.entries[i].key)
-			if !ok {
-				return nil, nil, nil, false, fmt.Errorf("index: cannot compare %T with %T", key, n.entries[i].key)
-			}
-			if c == 0 {
-				cp = &node{leaf: true, entries: slices.Clone(n.entries)}
-				e := &cp.entries[i]
-				e.rows = append(e.rows[:len(e.rows):len(e.rows)], row)
-				return cp, nil, nil, false, nil
-			}
-			if c < 0 {
-				break
-			}
+func insertNode[K stored](n *node[K], k K, row uint32) (cp, sib *node[K], sep K, added bool) {
+	i, found := slices.BinarySearch(n.keys, k)
+	if n.childs == nil {
+		if found {
+			cp = &node[K]{keys: n.keys, rows: slices.Clone(n.rows)}
+			cp.rows[i] = append(slices.Clip(cp.rows[i]), row)
+			return cp, nil, sep, false
 		}
-		cp = &node{leaf: true, entries: make([]entry, 0, len(n.entries)+1)}
-		cp.entries = append(cp.entries, n.entries[:i]...)
-		cp.entries = append(cp.entries, entry{key: key, rows: []uint32{row}})
-		cp.entries = append(cp.entries, n.entries[i:]...)
-		if len(cp.entries) > 2*fanout {
-			h := len(cp.entries) / 2
-			sib = &node{leaf: true, entries: cp.entries[h:len(cp.entries):len(cp.entries)]}
-			cp.entries = cp.entries[:h:h]
-			return cp, sib, sib.entries[0].key, true, nil
+		cp = &node[K]{
+			keys: slices.Insert(slices.Clip(n.keys), i, k),
+			rows: slices.Insert(slices.Clip(n.rows), i, []uint32{row}),
 		}
-		return cp, nil, nil, true, nil
+		if len(cp.keys) > 2*fanout {
+			h := len(cp.keys) / 2
+			sib = &node[K]{keys: slices.Clip(cp.keys[h:]), rows: slices.Clip(cp.rows[h:])}
+			cp.keys, cp.rows = cp.keys[:h:h], cp.rows[:h:h]
+			return cp, sib, sib.keys[0], true
+		}
+		return cp, nil, sep, true
 	}
-	ci := 0
-	for ci < len(n.keys) {
-		c, ok := cmpKey(key, n.keys[ci])
-		if !ok {
-			return nil, nil, nil, false, fmt.Errorf("index: cannot compare %T with %T", key, n.keys[ci])
-		}
-		if c < 0 {
-			break
-		}
-		ci++
+	// A key equal to separator i is child i+1's minimum.
+	if found {
+		i++
 	}
-	child, csib, csep, added, err := insertNode(n.childs[ci], key, row)
-	if err != nil {
-		return nil, nil, nil, false, err
+	child, csib, csep, added := insertNode(n.childs[i], k, row)
+	cp = &node[K]{keys: n.keys, childs: slices.Clone(n.childs)}
+	cp.childs[i] = child
+	if csib == nil {
+		return cp, nil, sep, added
 	}
-	cp = &node{keys: slices.Clone(n.keys), childs: slices.Clone(n.childs)}
-	cp.childs[ci] = child
-	if csib != nil {
-		cp.keys = slices.Insert(cp.keys, ci, csep)
-		cp.childs = slices.Insert(cp.childs, ci+1, csib)
-		if len(cp.childs) > 2*fanout {
-			h := len(cp.childs) / 2
-			sepKey = cp.keys[h-1]
-			sib = &node{
-				keys:   cp.keys[h:len(cp.keys):len(cp.keys)],
-				childs: cp.childs[h:len(cp.childs):len(cp.childs)],
-			}
-			cp.keys = cp.keys[: h-1 : h-1]
-			cp.childs = cp.childs[:h:h]
-			return cp, sib, sepKey, added, nil
-		}
+	cp.keys = slices.Insert(slices.Clip(cp.keys), i, csep)
+	cp.childs = slices.Insert(cp.childs, i+1, csib)
+	if len(cp.childs) > 2*fanout {
+		h := len(cp.childs) / 2
+		sep = cp.keys[h-1]
+		sib = &node[K]{keys: slices.Clip(cp.keys[h:]), childs: slices.Clip(cp.childs[h:])}
+		cp.keys, cp.childs = cp.keys[:h-1:h-1], cp.childs[:h:h]
+		return cp, sib, sep, added
 	}
-	return cp, nil, nil, added, nil
+	return cp, nil, sep, added
 }
 
 // Lookup returns the rows matching `column op val`, sorted ascending —
@@ -311,34 +388,22 @@ func (t *Tree) Lookup(op Op, val any) (rows []uint32, handled bool) {
 	if op == OpNE {
 		return nil, false
 	}
-	switch val.(type) {
-	case int64, float64, string, bool:
-	default:
-		return nil, false
-	}
 	if isNaN(val) {
 		// Every stored key compares "equal" to a NaN probe.
-		switch op {
-		case OpEQ, OpLE, OpGE:
-			rows = t.allRows()
+		if op == OpEQ || op == OpLE || op == OpGE {
+			rows, _ = t.lookup(nil, nil)
 		}
 		return rows, true
 	}
-	// Comparability probe: any stored key stands in for all of them.
-	if t.keys > 0 {
-		if _, ok := cmpKey(minKey(t.root), val); !ok {
-			return nil, false
-		}
+	b := bound{op, val}
+	switch op {
+	case OpEQ:
+		return t.lookup(&bound{OpGE, val}, &bound{OpLE, val})
+	case OpLT, OpLE:
+		return t.lookup(nil, &b)
+	default:
+		return t.lookup(&b, nil)
 	}
-	out := make([]uint32, 0, 16)
-	visit(t.root, op, val, func(e *entry) {
-		out = append(out, e.rows...)
-	})
-	if op == OpEQ || op == OpLE || op == OpGE {
-		out = append(out, t.nan...)
-	}
-	slices.Sort(out)
-	return out, true
 }
 
 // LookupRange returns the rows satisfying `lo AND hi` — a lower bound (> or
@@ -354,144 +419,155 @@ func (t *Tree) LookupRange(loOp Op, lo any, hiOp Op, hi any) (rows []uint32, han
 	if hiOp != OpLT && hiOp != OpLE {
 		return nil, false
 	}
-	for _, v := range [2]any{lo, hi} {
-		switch v.(type) {
-		case int64, float64, string, bool:
-		default:
-			return nil, false
-		}
-		if isNaN(v) {
-			// A NaN bound degenerates ("equal to everything"): not worth a
-			// range walk, and unreachable from parsed SQL anyway.
-			return nil, false
-		}
+	if isNaN(lo) || isNaN(hi) {
+		// A NaN bound degenerates ("equal to everything"): not worth a
+		// range walk, and unreachable from parsed SQL anyway.
+		return nil, false
 	}
-	if t.keys > 0 {
-		mk := minKey(t.root)
-		if _, ok := cmpKey(mk, lo); !ok {
+	return t.lookup(&bound{loOp, lo}, &bound{hiOp, hi})
+}
+
+// bound is one side of a probe, `column op val`: a lower bound (OpGT,
+// OpGE) or an upper one (OpLT, OpLE).
+type bound struct {
+	op  Op
+	val any
+}
+
+// edge is a bound resolved against a tree's keys, in the field of their
+// stored type; keys below it are those under val (at or under it when
+// past). wide marks an INTEGER tree probed with a FLOAT: each key then
+// compares as float64(k) with f, CompareValues' widening.
+type edge struct {
+	i    int64
+	f    float64
+	s    string
+	past bool
+	wide bool
+}
+
+// resolve maps b onto the tree's key kind; ok is false when b's value does
+// not compare with the keys. A tree without keys serves any value.
+func (t *Tree) resolve(b *bound) (e edge, ok bool) {
+	// A lower bound's keys start at val, or past it for >; an upper bound's
+	// stop at val, or past it for <=.
+	e.past = b.op == OpGT || b.op == OpLE
+	switch v := b.val.(type) {
+	case int64:
+		e.i, e.f = v, float64(v)
+		ok = t.kind == kindInt || t.kind == kindFloat
+	case float64:
+		e.f, e.wide = v, t.kind == kindInt
+		ok = t.kind == kindInt || t.kind == kindFloat
+	case string:
+		e.s, ok = v, t.kind == kindString
+	case bool:
+		e.i, ok = boolKey(v), t.kind == kindBool
+	default:
+		return e, false
+	}
+	return e, ok || t.kind == 0
+}
+
+// lookup collects the rows between lo and hi (nil: unbounded), NaN rows
+// included where both bounds accept equality, sorted ascending.
+func (t *Tree) lookup(lo, hi *bound) ([]uint32, bool) {
+	var loE, hiE *edge
+	if lo != nil {
+		e, ok := t.resolve(lo)
+		if !ok {
 			return nil, false
 		}
-		if _, ok := cmpKey(mk, hi); !ok {
+		loE = &e
+	}
+	if hi != nil {
+		e, ok := t.resolve(hi)
+		if !ok {
 			return nil, false
 		}
+		hiE = &e
 	}
 	out := make([]uint32, 0, 16)
-	visitRange(t.root, loOp, lo, hiOp, hi, func(e *entry) {
-		out = append(out, e.rows...)
-	})
-	// A NaN key compares equal to both bounds, so it passes exactly when
-	// both operators accept equality.
-	if loOp == OpGE && hiOp == OpLE {
+	switch r := t.root.(type) {
+	case *node[int64]:
+		out = walk(r, loE, hiE, out)
+	case *node[float64]:
+		out = walk(r, loE, hiE, out)
+	case *node[string]:
+		out = walk(r, loE, hiE, out)
+	}
+	// A NaN key compares equal to any bound, so it passes exactly when
+	// every bound accepts equality.
+	if (lo == nil || lo.op == OpGE) && (hi == nil || hi.op == OpLE) {
 		out = append(out, t.nan...)
 	}
 	slices.Sort(out)
 	return out, true
 }
 
-// visitRange walks the entries inside [lo, hi] in key order, pruning
-// subtrees below the lower bound and stopping past the upper one. The
-// separator invariants match visit's: child ci holds keys in
-// [keys[ci-1], keys[ci]).
-func visitRange(n *node, loOp Op, lo any, hiOp Op, hi any, fn func(*entry)) {
-	if n.leaf {
-		for i := range n.entries {
-			cl, _ := cmpKey(n.entries[i].key, lo)
-			ch, _ := cmpKey(n.entries[i].key, hi)
-			if opMatch(loOp, cl) && opMatch(hiOp, ch) {
-				fn(&n.entries[i])
-			}
-		}
-		return
+// walk appends the rows of n's keys between lo and hi (nil: unbounded) in
+// key order, bisecting each node's keys for the span it visits.
+func walk[K stored](n *node[K], lo, hi *edge, out []uint32) []uint32 {
+	a, b := 0, len(n.keys)
+	if hi != nil {
+		b = cut(n.keys, hi, hi.past)
 	}
-	for ci, child := range n.childs {
-		if ci > 0 {
-			// Keys in this child are >= keys[ci-1]: once that floor passes
-			// the upper bound, this child and all later ones are out.
-			if c, _ := cmpKey(n.keys[ci-1], hi); c > 0 || (c == 0 && hiOp == OpLT) {
-				return
-			}
+	if n.childs == nil {
+		if lo != nil {
+			a = cut(n.keys, lo, lo.past)
 		}
-		if ci < len(n.keys) {
-			// Keys in this child are strictly below keys[ci]: a separator at
-			// or under the lower bound rules the whole child out.
-			if c, _ := cmpKey(n.keys[ci], lo); c <= 0 {
-				continue
-			}
+		for _, rows := range n.rows[a:max(a, b)] {
+			out = append(out, rows...)
 		}
-		visitRange(child, loOp, lo, hiOp, hi, fn)
+		return out
 	}
-}
-
-func (t *Tree) allRows() []uint32 {
-	out := make([]uint32, 0, t.rows)
-	visitAll(t.root, func(e *entry) { out = append(out, e.rows...) })
-	out = append(out, t.nan...)
-	slices.Sort(out)
+	// Every key of child i lies below separator i, so a separator below lo
+	// rules its child out. One equal to lo does too when comparison is
+	// exact, but not under widening: 2^53 and 2^53+1 both compare equal to
+	// the FLOAT 2^53. Children past b start at a separator past hi.
+	if lo != nil {
+		a = cut(n.keys, lo, lo.past || !lo.wide)
+	}
+	for _, c := range n.childs[a:max(a, b+1)] {
+		out = walk(c, lo, hi, out)
+	}
 	return out
 }
 
-func visitAll(n *node, fn func(*entry)) {
-	if n.leaf {
-		for i := range n.entries {
-			fn(&n.entries[i])
+// cut returns how many of keys lie below e: the first i with keys[i] >= e,
+// or keys[i] > e when past.
+func cut[K stored](keys []K, e *edge, past bool) int {
+	switch ks := any(keys).(type) {
+	case []int64:
+		if e.wide {
+			// float64 is monotone on int64, so the keys below still form
+			// a prefix.
+			return sort.Search(len(ks), func(i int) bool {
+				k := float64(ks[i])
+				return k > e.f || !past && k == e.f
+			})
 		}
-		return
+		return search(ks, e.i, past)
+	case []float64:
+		return search(ks, e.f, past)
+	case []string:
+		return search(ks, e.s, past)
 	}
-	for _, c := range n.childs {
-		visitAll(c, fn)
-	}
+	return 0
 }
 
-// visit walks the entries satisfying `key op val` in key order, pruning
-// subtrees through the separator keys. Comparability was established by the
-// caller, so cmpKey results are trusted here.
-func visit(n *node, op Op, val any, fn func(*entry)) {
-	if n.leaf {
-		for i := range n.entries {
-			c, _ := cmpKey(n.entries[i].key, val)
-			if opMatch(op, c) {
-				fn(&n.entries[i])
-			}
+// search returns the first i with keys[i] >= v, or keys[i] > v when past.
+func search[K stored](keys []K, v K, past bool) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if keys[m] < v || past && keys[m] == v {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		return
 	}
-	for ci, child := range n.childs {
-		// Child ci holds keys in [keys[ci-1], keys[ci]): separators are the
-		// next child's minimum and keys are distinct, so every key in child
-		// ci is strictly below keys[ci] and at least keys[ci-1].
-		if ci > 0 && (op == OpEQ || op == OpLT || op == OpLE) {
-			c, _ := cmpKey(n.keys[ci-1], val)
-			if c > 0 || (c == 0 && op == OpLT) {
-				return // this child and all later ones start past the range
-			}
-		}
-		if ci < len(n.keys) && (op == OpEQ || op == OpGT || op == OpGE) {
-			// keys[ci] <= val means everything in child ci is < val (strictly
-			// below the separator), so no =, > or >= match lives there.
-			if c, _ := cmpKey(n.keys[ci], val); c <= 0 {
-				continue
-			}
-		}
-		visit(child, op, val, fn)
-	}
-}
-
-func opMatch(op Op, c int) bool {
-	switch op {
-	case OpEQ:
-		return c == 0
-	case OpNE:
-		return c != 0
-	case OpLT:
-		return c < 0
-	case OpLE:
-		return c <= 0
-	case OpGT:
-		return c > 0
-	case OpGE:
-		return c >= 0
-	}
-	return false
+	return lo
 }
 
 // Encode serializes the tree as a flat (key, rows) dump with delta-encoded
@@ -500,40 +576,40 @@ func opMatch(op Op, c int) bool {
 func (t *Tree) Encode() []byte {
 	out := []byte{1} // version
 	out = binary.AppendUvarint(out, uint64(t.keys))
-	visitAll(t.root, func(e *entry) {
-		out = appendKey(out, e.key)
-		out = appendRows(out, e.rows)
-	})
-	out = appendRows(out, t.nan)
-	return out
+	switch r := t.root.(type) {
+	case *node[int64]:
+		out = encode(out, t.kind, r)
+	case *node[float64]:
+		out = encode(out, t.kind, r)
+	case *node[string]:
+		out = encode(out, t.kind, r)
+	}
+	return appendRows(out, t.nan)
 }
 
-const (
-	kindInt byte = iota + 1
-	kindFloat
-	kindString
-	kindBool
-)
-
-func appendKey(out []byte, key any) []byte {
-	switch k := key.(type) {
-	case int64:
-		out = append(out, kindInt)
-		out = binary.LittleEndian.AppendUint64(out, uint64(k))
-	case float64:
-		out = append(out, kindFloat)
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(k))
-	case string:
-		out = append(out, kindString)
-		out = binary.AppendUvarint(out, uint64(len(k)))
-		out = append(out, k...)
-	case bool:
-		out = append(out, kindBool)
-		if k {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
+func encode[K stored](out []byte, kind byte, n *node[K]) []byte {
+	if n.childs != nil {
+		for _, c := range n.childs {
+			out = encode(out, kind, c)
 		}
+		return out
+	}
+	for i, k := range n.keys {
+		out = append(out, kind)
+		switch k := any(k).(type) {
+		case int64:
+			if kind == kindBool {
+				out = append(out, byte(k))
+			} else {
+				out = binary.LittleEndian.AppendUint64(out, uint64(k))
+			}
+		case float64:
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(k))
+		case string:
+			out = binary.AppendUvarint(out, uint64(len(k)))
+			out = append(out, k...)
+		}
+		out = appendRows(out, n.rows[i])
 	}
 	return out
 }

@@ -55,6 +55,35 @@ func refLookup(keys []any, op Op, val any) []uint32 {
 	return out
 }
 
+func cmp3[T int | int64 | float64 | string](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
+	}
+}
+
+func opMatch(op Op, c int) bool {
+	switch op {
+	case OpEQ:
+		return c == 0
+	case OpNE:
+		return c != 0
+	case OpLT:
+		return c < 0
+	case OpLE:
+		return c <= 0
+	case OpGT:
+		return c > 0
+	case OpGE:
+		return c >= 0
+	}
+	return false
+}
+
 func buildFrom(t *testing.T, keys []any) *Tree {
 	t.Helper()
 	var b Builder
@@ -340,4 +369,24 @@ func TestLookupRangeUnsupported(t *testing.T) {
 	if _, handled := tr.LookupRange(OpGE, "a", OpLT, "z"); handled {
 		t.Fatal("string bounds against int keys must fall back")
 	}
+}
+
+// TestLookupWidenedAround2p53 probes INTEGER keys 2^53-63 … 2^53+64 with
+// FLOATs. 2^53 and 2^53+1 both widen to the FLOAT 2^53, and the bulk build
+// puts a separator between them (2^53 ends the first leaf), so =, >= and a
+// range's lower bound must descend on the left of a separator that compares
+// equal to the probe.
+func TestLookupWidenedAround2p53(t *testing.T) {
+	const p53 = 1 << 53
+	keys := make([]any, 128)
+	for i := range keys {
+		keys[i] = int64(p53 - 63 + i)
+	}
+	tr := buildFrom(t, keys)
+	checkAllOps(t, tr, keys, []any{float64(p53), float64(p53 + 2), float64(p53 - 2), int64(p53)})
+	checkRanges(t, tr, keys, [][2]any{
+		{float64(p53), float64(p53)},
+		{float64(p53), float64(p53 + 64)},
+		{float64(p53 - 64), float64(p53)},
+	})
 }

@@ -20,7 +20,7 @@ type indexTree = index.Tree
 
 // BuildIndex scans column col front to back and attaches a B-tree index
 // over it, replacing any previous index on the same column. The tree covers
-// every current row, sealed and tail alike.
+// every current row, sealed and tail alike; keys reach it unboxed.
 func (s *Segment) BuildIndex(col string) error {
 	if s.schema.ColIndex(col) < 0 {
 		return fmt.Errorf("colstore: index on unknown column %q", col)
@@ -28,11 +28,17 @@ func (s *Segment) BuildIndex(col string) error {
 	var b index.Builder
 	row := uint32(0)
 	err := s.Scan([]string{col}, nil, func(batch *Batch) error {
-		v := batch.Cols[0]
-		for i, n := 0, v.Len(); i < n; i++ {
-			b.Add(v.Value(i), row)
-			row++
+		switch v := batch.Cols[0]; v.Type {
+		case TypeInt64:
+			index.AddKeys(&b, v.Ints, row)
+		case TypeFloat64:
+			index.AddKeys(&b, v.Floats, row)
+		case TypeString:
+			index.AddKeys(&b, v.Strs, row)
+		case TypeBool:
+			index.AddKeys(&b, v.Bools, row)
 		}
+		row += uint32(batch.Len())
 		return nil
 	})
 	if err != nil {
@@ -88,18 +94,23 @@ func (s *Segment) IndexedColumns() []string {
 }
 
 // maintainIndexes inserts a just-appended batch's rows into every attached
-// tree. base is the segment's row count before the append. Insert is
-// copy-on-write, so clones sharing the old trees keep their view.
+// tree, keys unboxed. base is the segment's row count before the append.
+// Insert is copy-on-write, so clones sharing the old trees keep their view.
 func (s *Segment) maintainIndexes(b *Batch, base int) error {
 	for col, tree := range s.indexes {
-		ci := s.schema.ColIndex(col)
-		v := b.Cols[ci]
-		for i, n := 0, v.Len(); i < n; i++ {
-			var err error
-			tree, err = tree.Insert(v.Value(i), uint32(base+i))
-			if err != nil {
-				return err
-			}
+		var err error
+		switch v, first := b.Cols[s.schema.ColIndex(col)], uint32(base); v.Type {
+		case TypeInt64:
+			tree, err = index.InsertKeys(tree, v.Ints, first)
+		case TypeFloat64:
+			tree, err = index.InsertKeys(tree, v.Floats, first)
+		case TypeString:
+			tree, err = index.InsertKeys(tree, v.Strs, first)
+		case TypeBool:
+			tree, err = index.InsertKeys(tree, v.Bools, first)
+		}
+		if err != nil {
+			return err
 		}
 		s.indexes[col] = tree
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"verticadr/internal/parallel"
 	"verticadr/internal/plan"
 	"verticadr/internal/sqlparse"
+	"verticadr/internal/telemetry"
 	"verticadr/internal/verr"
 )
 
@@ -332,7 +334,7 @@ func (in *input) openLeaf(def *catalog.TableDef, segs []*colstore.Segment, n *pl
 	}
 	for node, seg := range segs {
 		if n.Op == plan.OpIndexScan {
-			cur, handled, err := seg.IndexCursor(scanCols, acc.Preds, acc.Probe)
+			cur, handled, err := in.probeIndex(seg, scanCols, acc)
 			switch {
 			case err != nil:
 				return err
@@ -353,6 +355,22 @@ func (in *input) openLeaf(def *catalog.TableDef, segs []*colstore.Segment, n *pl
 		add(node, curs...)
 	}
 	return nil
+}
+
+// probeIndex opens seg's index cursor under an index.probe span that carries
+// the rows the probe matched (0 when the segment cannot serve it).
+func (in *input) probeIndex(seg *colstore.Segment, cols []string, acc *plan.Access) (*colstore.ScanCursor, bool, error) {
+	span := telemetry.SpanFromContext(in.ctx).StartChild("index.probe")
+	cur, handled, err := seg.IndexCursor(cols, acc.Preds, acc.Probe)
+	if span != nil {
+		rows := 0
+		if handled && err == nil {
+			rows = cur.MaxRows()
+		}
+		span.SetAttr("rows", strconv.Itoa(rows))
+		span.End()
+	}
+	return cur, handled, err
 }
 
 // startLeafOps starts the leaf's scan operator and, under a residual, its

@@ -364,6 +364,58 @@ func TestIndexLeafFallsBackPerSegment(t *testing.T) {
 	}
 }
 
+// TestIndexProbeSpans: a traced index scan opens one index.probe span per
+// segment under the query, each carrying the rows its probe matched; a
+// segment that cannot serve the probe reports 0.
+func TestIndexProbeSpans(t *testing.T) {
+	db := newWalkDB(t, 11, 20_000, 3, 64, 10)
+	sql := "SELECT id, x, y FROM f WHERE id >= 1000 AND id < 1400"
+	p, err := plan.Build(selStmt(t, sql), db)
+	if err != nil || coreNode(p).Children[0].Op != plan.OpIndexScan {
+		t.Fatalf("%s: not an index scan (%v)", sql, err)
+	}
+	segs := db.segs["f"]
+	segs[1].DropIndex("id")
+	log := telemetry.NewSpanLog(nil)
+	root := log.StartSpan("query")
+	res, err := execPlan(telemetry.ContextWithSpan(context.Background(), root), db, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	var rows []string
+	for _, sp := range log.Export() {
+		if sp.Name != "index.probe" {
+			continue
+		}
+		if !sp.Ended || sp.Parent != root.ID() {
+			t.Fatalf("index.probe span %+v: want ended, child of the query", sp)
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == "rows" {
+				rows = append(rows, a.Value)
+			}
+		}
+	}
+	want := []string{"", "0", ""}
+	for i, seg := range segs {
+		if i == 1 {
+			continue
+		}
+		ids, ok := seg.IndexLookupRange(&colstore.Pred{Col: "id", Op: colstore.OpGE, Val: int64(1000)}, &colstore.Pred{Col: "id", Op: colstore.OpLT, Val: int64(1400)})
+		if !ok || len(ids) == 0 {
+			t.Fatalf("segment %d: %d rows from its index (handled %v)", i, len(ids), ok)
+		}
+		want[i] = fmt.Sprint(len(ids))
+	}
+	if fmt.Sprint(rows) != fmt.Sprint(want) {
+		t.Fatalf("index.probe rows %v, want %v (segment 1 has no index)", rows, want)
+	}
+	if res.Len() != 400 {
+		t.Fatalf("%d rows, want 400", res.Len())
+	}
+}
+
 // bytesPerQuery is what one execution of sql allocates, the least of three.
 func bytesPerQuery(t *testing.T, db Database, sql string) uint64 {
 	t.Helper()
