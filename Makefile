@@ -15,7 +15,8 @@ GO ?= go
 #
 # Targets: check (= lint build test race difftest-short fuzz-smoke), vet,
 # bench (benchmark/run.sh over the BENCHMARK.json workloads),
-# bench-placement, bench-point, bench-figures, chaos, recover, fuzz, loc.
+# bench-placement, bench-point, bench-scan, bench-figures, chaos, recover,
+# fuzz, loc.
 .PHONY: check
 check: lint build test race difftest-short fuzz-smoke
 
@@ -160,6 +161,15 @@ bench-placement:
 bench-point:
 	$(GO) test -run='^$$' -bench='BenchmarkRoutedPoint|BenchmarkSinglePoint' -benchtime=3s -benchmem ./internal/cluster/
 	$(GO) test -run='^$$' -bench='BenchmarkLookup' -benchtime=3s -benchmem ./internal/colstore/index/
+
+# The scan's decode: one DELTA block of 4096 rows at 1-, 2- and 3-byte
+# deltas, then the benchmark's read, score and join statements on
+# serve_single's 4-node deployment, where every INTEGER column they read is
+# DELTA encoded.
+.PHONY: bench-scan
+bench-scan:
+	$(GO) test -run='^$$' -bench='BenchmarkDecodeDelta' -benchmem ./internal/colstore/
+	$(GO) test -run='^$$' -bench='BenchmarkReadSQL|BenchmarkScoreSQL|BenchmarkJoinSQL' -benchmem ./internal/core/
 
 # Paper-figure benchmark series (Figs. 12-20 shapes).
 .PHONY: bench-figures

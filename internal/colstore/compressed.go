@@ -227,7 +227,12 @@ func DecodeBlockSel(v *Vector, data []byte, sel []int) error {
 	case EncRLE:
 		return decodeRLESel(v, rest, n, sel)
 	case EncDelta:
-		return decodeDeltaSel(v, rest, n, sel)
+		// Delta is a prefix sum: every varint decodes, only selected rows
+		// land — none for a nil sel, which decodeDelta reads as every row.
+		if sel == nil {
+			sel = []int{}
+		}
+		return decodeDelta(v, rest, n, sel)
 	case EncDict:
 		return decodeDictSel(v, rest, n, sel)
 	default:
@@ -338,28 +343,6 @@ func decodeRLESel(v *Vector, rest []byte, n int, sel []int) error {
 	}
 	if total != n {
 		return fmt.Errorf("colstore: RLE block decoded %d rows, want %d", total, n)
-	}
-	return nil
-}
-
-func decodeDeltaSel(v *Vector, rest []byte, n int, sel []int) error {
-	if v.Type != TypeInt64 {
-		return fmt.Errorf("colstore: DELTA block with type %v", v.Type)
-	}
-	// Delta is a prefix sum: every varint decodes, only selected rows append.
-	prev := int64(0)
-	si := 0
-	for i := 0; i < n; i++ {
-		d, m := binary.Varint(rest)
-		if m <= 0 {
-			return fmt.Errorf("colstore: truncated delta block")
-		}
-		rest = rest[m:]
-		prev += d
-		for si < len(sel) && sel[si] == i {
-			v.Ints = append(v.Ints, prev)
-			si++
-		}
 	}
 	return nil
 }

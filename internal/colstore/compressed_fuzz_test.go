@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func fuzzPred(typ Type, sel uint8) *Pred {
 	var vals []any
 	switch typ {
 	case TypeInt64:
-		vals = []any{int64(0), int64(7), int64(-20), int64(math.MaxInt64), 1.5, "zz"}
+		vals = []any{int64(0), int64(7), int64(-20), int64(math.MaxInt64), 1.5, "zz", int64(1 << 53), int64(-1 << 53)}
 	case TypeFloat64:
 		vals = []any{0.0, math.Copysign(0, -1), math.NaN(), 2.5, math.Inf(1), int64(3), true}
 	case TypeString:
@@ -58,6 +59,12 @@ func FuzzCompressedScanEquivalence(f *testing.F) {
 		f.Add(uint8(2), uint8(0), uint8(12), true, blk)
 	}
 	f.Add(uint8(0), uint8(0), uint8(0), true, []byte{byte(TypeString), byte(EncDict), 0xff, 0xff, 0xff, 0x7f})
+	// INTEGER stats past 2^53 round: 2^53+1 is recorded as 2^53, so neither
+	// > 2^53 nor, mirrored, < -2^53 may rule the block out.
+	big := []byte{0, 0x20, 0, 0, 0, 0, 0, 1}
+	f.Add(uint8(0), uint8(1), uint8(40), false, slices.Concat(big, big, big, big))
+	small := []byte{0xff, 0xdf, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+	f.Add(uint8(0), uint8(3), uint8(44), false, slices.Concat(small, small, small, small))
 
 	f.Fuzz(func(t *testing.T, typSel, encSel, predSel uint8, rawMode bool, data []byte) {
 		typ := []Type{TypeInt64, TypeFloat64, TypeString, TypeBool}[typSel%4]
@@ -97,6 +104,20 @@ func FuzzCompressedScanEquivalence(f *testing.F) {
 		refErr := refDecErr
 		if refErr == nil {
 			refIdx, refErr = pred.selectRows(refV, nil, nil)
+		}
+
+		// The zone map's verdicts on the block's stats, as Seal records
+		// them: a block it rules out has no matching row, and one it decides
+		// has every row match.
+		if refErr == nil {
+			ref := blockRef{data: blk, rows: refV.Len()}
+			ref.hasStats, ref.min, ref.max = vectorStats(refV)
+			if !pred.blockMayMatch(ref) && len(refIdx) > 0 {
+				t.Fatalf("zone map [%v, %v] rules out %+v, which %d rows match", ref.min, ref.max, pred, len(refIdx))
+			}
+			if pred.blockAllMatch(ref) && len(refIdx) != refV.Len() {
+				t.Fatalf("zone map [%v, %v] decides %+v, which %d of %d rows match", ref.min, ref.max, pred, len(refIdx), refV.Len())
+			}
 		}
 
 		gotIdx, handled, gotErr := MatchBlockCompressed(blk, pred, nil)

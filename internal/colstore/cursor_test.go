@@ -339,6 +339,11 @@ func TestCursorPredicateDecodeMatchesReference(t *testing.T) {
 		{{Col: "f", Op: OpEQ, Val: float64(0)}},     // RLE runs of NaN, -0 and +0
 		{{Col: "v", Op: OpLE, Val: nan}},            // a NaN literal: every row
 		{{Col: "id", Op: OpGE, Val: int64(300)}, {Col: "id", Op: OpLT, Val: int64(700)}},
+		// One column's two bounds, each the one the zone map decides where
+		// the other is read: the second must never read the first's buffer
+		// left over from an earlier block.
+		{{Col: "id", Op: OpGT, Val: int64(100)}, {Col: "id", Op: OpLT, Val: int64(650)}},
+		{{Col: "id", Op: OpLT, Val: int64(650)}, {Col: "id", Op: OpGT, Val: int64(100)}},
 		{{Col: "id", Op: OpGE, Val: int64(700)}, {Col: "id", Op: OpLT, Val: int64(300)}}, // inverted: empty
 		{{Col: "id", Op: OpGE, Val: int64(500)}, {Col: "id", Op: OpLT, Val: int64(500)}}, // empty
 		{{Col: "id", Op: OpGT, Val: float64(1000.5)}, {Col: "id", Op: OpLE, Val: float64(1290)}},

@@ -438,7 +438,7 @@ func DecodeBlockInto(v *Vector, data []byte) error {
 	case EncRLE:
 		_, err = decodeRLE(v, rest, n)
 	case EncDelta:
-		_, err = decodeDelta(v, rest, n)
+		err = decodeDelta(v, rest, n, nil)
 	case EncDict:
 		_, err = decodeDict(v, rest, n)
 	default:
@@ -563,21 +563,80 @@ func decodeOneRepeated(v *Vector, rest []byte, run int) ([]byte, error) {
 	return rest, nil
 }
 
-func decodeDelta(v *Vector, rest []byte, n int) (*Vector, error) {
+// decodeDelta appends to v the values of a DELTA payload of n rows: all of
+// them when sel is nil, else those of the rows sel lists. The destination is
+// sized once, and only after the header is known not to promise more rows
+// than the payload has bytes (every value takes at least one).
+func decodeDelta(v *Vector, rest []byte, n int, sel []int) error {
 	if v.Type != TypeInt64 {
-		return nil, fmt.Errorf("colstore: DELTA block with type %v", v.Type)
+		return fmt.Errorf("colstore: DELTA block with type %v", v.Type)
 	}
-	prev := int64(0)
-	for i := 0; i < n; i++ {
-		d, m := binary.Varint(rest)
-		if m <= 0 {
-			return nil, fmt.Errorf("colstore: truncated delta block")
+	k := n
+	if sel != nil {
+		k = len(sel)
+	}
+	base := len(v.Ints)
+	if n <= len(rest) {
+		v.Ints = grown(v.Ints, k)[:base+k]
+		if deltaSum(v.Ints[base:], rest, n, sel) {
+			return nil
 		}
-		rest = rest[m:]
-		prev += d
-		v.Ints = append(v.Ints, prev)
 	}
-	return v, nil
+	v.Ints = v.Ints[:base]
+	return fmt.Errorf("colstore: truncated delta block")
+}
+
+// deltaSum is the DELTA decode loop: the prefix sum of n zig-zag varints,
+// each value stored in dst[i] (sel nil) or in dst[j] for every j with
+// sel[j] = i. A varint of up to three bytes is read in a straight line (each
+// case reached only when the bytes before its last have the continuation
+// bit), a wider one byte by byte; together they accept and reject exactly
+// what binary.Varint does — a payload cut short, an 11th byte or a 10th byte
+// above 1 fail — so the caller reports one error for all three. Every varint
+// is read whatever sel selects: a corrupt block fails the same way under any
+// selection.
+func deltaSum(dst []int64, rest []byte, n int, sel []int) bool {
+	prev, p, si := int64(0), 0, 0
+	for i := 0; i < n; i++ {
+		var u uint64
+		switch {
+		case p < len(rest) && rest[p] < 0x80:
+			u = uint64(rest[p])
+			p++
+		case p+1 < len(rest) && rest[p+1] < 0x80:
+			u = uint64(rest[p]&0x7f) | uint64(rest[p+1])<<7
+			p += 2
+		case p+2 < len(rest) && rest[p+2] < 0x80:
+			u = uint64(rest[p]&0x7f) | uint64(rest[p+1]&0x7f)<<7 | uint64(rest[p+2])<<14
+			p += 3
+		default:
+			for s := uint(0); ; s += 7 {
+				if p >= len(rest) || s == 70 {
+					return false
+				}
+				b := rest[p]
+				p++
+				if b < 0x80 {
+					if s == 63 && b > 1 {
+						return false
+					}
+					u |= uint64(b) << s
+					break
+				}
+				u |= uint64(b&0x7f) << s
+			}
+		}
+		prev += int64(u>>1) ^ -int64(u&1)
+		if sel == nil {
+			dst[i] = prev
+			continue
+		}
+		for si < len(sel) && sel[si] == i {
+			dst[si] = prev
+			si++
+		}
+	}
+	return true
 }
 
 // readDict appends a dictionary payload's entries to dict and returns the

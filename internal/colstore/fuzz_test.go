@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -98,8 +99,24 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{byte(TypeString), byte(EncDict), 0xff, 0xff, 0xff, 0x7f})
 	f.Add([]byte{byte(TypeFloat64), byte(EncPlain), 0x80, 0x80, 0x80, 0x80, 0x08, 1, 2, 3, 4, 5, 6, 7, 8})
+	// DELTA blocks of 1-, 2-, 3- and 10-byte deltas, one cut at its last
+	// byte, and the varints binary.Varint reads or rejects at the edges: a
+	// non-canonical zero, an 11th byte, a 10th byte above 1 and one of 1.
+	for _, step := range []int64{1, -100, 100_000, math.MaxInt64} {
+		xs := []int64{0, step, 2 * step, step, 0}
+		if blk, err := EncodeBlock(IntVector(xs), EncDelta); err == nil {
+			f.Add(blk)
+			f.Add(blk[:len(blk)-1])
+		}
+	}
+	delta := []byte{byte(TypeInt64), byte(EncDelta), 1}
+	f.Add(append(delta, 0x80, 0x00))
+	f.Add(append(delta, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00))
+	f.Add(append(delta, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02))
+	f.Add(append(delta, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkPlainView(t, data)
+		checkDeltaDecode(t, data)
 		v, err := DecodeBlock(data)
 		if err != nil {
 			return
@@ -150,4 +167,57 @@ func checkPlainView(t *testing.T, data []byte) {
 			}
 		}
 	}
+}
+
+// checkDeltaDecode holds DecodeBlock and DecodeBlockSel on a DELTA block to
+// refDeltaValues: both accept exactly what it accepts, with the values it
+// reads, and reject the rest with the one truncation error.
+func checkDeltaDecode(t *testing.T, data []byte) {
+	if len(data) < 3 || Type(data[0]) != TypeInt64 || Encoding(data[1]) != EncDelta {
+		return
+	}
+	count, m := binary.Uvarint(data[2:])
+	if m <= 0 || count > MaxBlockRows {
+		return
+	}
+	want, ok := refDeltaValues(data[2+m:], int(count))
+	var sel []int // every third row, the first twice
+	for i := 0; i < len(want); i += 3 {
+		sel = append(sel, i)
+	}
+	if len(sel) > 0 {
+		sel = append([]int{0}, sel...)
+	}
+	got, err := DecodeBlock(data)
+	gotSel := NewVector(TypeInt64, 0)
+	selErr := DecodeBlockSel(gotSel, data, sel)
+	switch {
+	case !ok && (err == nil || selErr == nil):
+		t.Fatalf("block %x: the reference rejects it, DecodeBlock err %v, DecodeBlockSel err %v", data, err, selErr)
+	case !ok && (err.Error() != "colstore: truncated delta block" || selErr.Error() != err.Error()):
+		t.Fatalf("block %x: errors %q and %q", data, err, selErr)
+	case ok && (err != nil || selErr != nil):
+		t.Fatalf("block %x: the reference reads it, DecodeBlock err %v, DecodeBlockSel err %v", data, err, selErr)
+	case ok && !slices.Equal(got.Ints, want):
+		t.Fatalf("block %x: decoded %v, reference %v", data, got.Ints, want)
+	case ok && !vectorsEqual(gotSel, IntVector(want).Gather(sel)):
+		t.Fatalf("block %x: selected %v, reference %v at %v", data, gotSel.Ints, want, sel)
+	}
+}
+
+// refDeltaValues reads a DELTA payload of n rows one binary.Varint call at a
+// time, as the decoder did before its loop was written inline; ok is false
+// where that rejects the payload.
+func refDeltaValues(rest []byte, n int) (vals []int64, ok bool) {
+	prev := int64(0)
+	for i := 0; i < n; i++ {
+		d, m := binary.Varint(rest)
+		if m <= 0 {
+			return nil, false
+		}
+		rest = rest[m:]
+		prev += d
+		vals = append(vals, prev)
+	}
+	return vals, true
 }

@@ -80,3 +80,41 @@ func BenchmarkSegmentParScan(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDecodeDelta decodes one DELTA block of DefaultBlockRows rows whose
+// zig-zag varint deltas are 1, 2 or 3 bytes wide (an id column, a
+// scattered key, a wide-ranging one), into a reused vector.
+func BenchmarkDecodeDelta(b *testing.B) {
+	for _, tc := range []struct {
+		bytes int
+		step  int64
+	}{{1, 1}, {2, 1000}, {3, 100_000}} {
+		b.Run(fmt.Sprintf("bytes=%d", tc.bytes), func(b *testing.B) {
+			xs := make([]int64, DefaultBlockRows)
+			for i := 1; i < len(xs); i++ {
+				d := tc.step
+				if i%3 == 0 {
+					d = -d
+				}
+				xs[i] = xs[i-1] + d
+			}
+			blk, err := EncodeBlock(IntVector(xs), EncDelta)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if per := (len(blk) - 4 + len(xs) - 1) / len(xs); per != tc.bytes {
+				b.Fatalf("%d bytes a delta, want %d", per, tc.bytes)
+			}
+			v := NewVector(TypeInt64, DefaultBlockRows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.Reset()
+				if err := DecodeBlockInto(v, blk); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "ns/row")
+		})
+	}
+}

@@ -22,6 +22,9 @@ var (
 	// Blocks whose predicate was evaluated on the encoded form (a subset of
 	// the scanned count, never of the skipped count).
 	mBlocksCompressed = telemetry.Default().Counter("colstore_scan_blocks_total", telemetry.L("result", "compressed"))
+	// Blocks whose every predicate the zone maps decided (a subset of the
+	// scanned count): read as if the scan had no predicate.
+	mBlocksAllMatch = telemetry.Default().Counter("colstore_scan_blocks_total", telemetry.L("result", "all_match"))
 )
 
 // DefaultBlockRows is the number of rows per sealed block when not overridden.
@@ -202,27 +205,26 @@ func vectorStats(v *Vector) (ok bool, min, max float64) {
 	return false, 0, 0
 }
 
-// blockMayMatch consults the zone map; returning true means "cannot rule out".
-// A NaN literal compares equal to every value, and an INTEGER literal past
-// 2^53 rounds onto the stats' neighbouring integers, so neither rules out a
-// block.
-func (p *Pred) blockMayMatch(ref blockRef) bool {
-	if !ref.hasStats {
-		return true
-	}
-	var v float64
+// zoneLiteral is a predicate's literal as the zone maps compare it, ok when
+// they may: a float literal that is not NaN (a NaN compares equal to every
+// value), or an int literal strictly inside ±2^53. INTEGER stats are
+// float64(x), so 2^53+1 is recorded as 2^53; against a literal inside that
+// range a rounded stat still orders exactly as the integer does, and a float
+// literal of an INTEGER column compares widened, as selectRows does.
+func (p *Pred) zoneLiteral() (v float64, ok bool) {
 	switch x := p.Val.(type) {
 	case int64:
-		if x > 1<<53 || x < -1<<53 {
-			return true
-		}
-		v = float64(x)
+		return float64(x), x < 1<<53 && x > -(1<<53)
 	case float64:
-		if math.IsNaN(x) {
-			return true
-		}
-		v = x
-	default:
+		return x, !math.IsNaN(x)
+	}
+	return 0, false
+}
+
+// blockMayMatch consults the zone map; returning true means "cannot rule out".
+func (p *Pred) blockMayMatch(ref blockRef) bool {
+	v, ok := p.zoneLiteral()
+	if !ref.hasStats || !ok {
 		return true
 	}
 	switch p.Op {
@@ -241,6 +243,29 @@ func (p *Pred) blockMayMatch(ref blockRef) bool {
 	}
 }
 
+// blockAllMatch is blockMayMatch's mirror: true when the zone map proves
+// every row of the block satisfies a range predicate, so it need not be
+// evaluated. = and <> are always evaluated: an RLE or dictionary block
+// answers them on its encoded form.
+func (p *Pred) blockAllMatch(ref blockRef) bool {
+	v, ok := p.zoneLiteral()
+	if !ref.hasStats || !ok {
+		return false
+	}
+	switch p.Op {
+	case OpLT:
+		return ref.max < v
+	case OpLE:
+		return ref.max <= v
+	case OpGT:
+		return ref.min > v
+	case OpGE:
+		return ref.min >= v
+	default:
+		return false
+	}
+}
+
 // ScanStats reports what one scan touched: blocks decoded vs. skipped by
 // zone maps, encoded bytes decoded, and rows delivered past the predicate.
 type ScanStats struct {
@@ -251,9 +276,13 @@ type ScanStats struct {
 	// full decode. Always a subset of BlocksScanned, disjoint from
 	// BlocksSkipped: a zone-map skip touches no payload at all.
 	BlocksCompressed int
-	TailRows         int // unsealed tail rows examined
-	RowsOut          int // rows delivered to the callback
-	BytesRead        int // encoded bytes of the blocks decoded
+	// BlocksAllMatch counts scanned blocks whose every predicate the zone
+	// maps decided true (blockAllMatch): no predicate was evaluated and the
+	// block decoded as if unfiltered. A subset of BlocksScanned.
+	BlocksAllMatch int
+	TailRows       int // unsealed tail rows examined
+	RowsOut        int // rows delivered to the callback
+	BytesRead      int // encoded bytes of the blocks decoded
 }
 
 // Add accumulates another scan's stats (per-segment parallel scans merge
@@ -262,6 +291,7 @@ func (st *ScanStats) Add(o ScanStats) {
 	st.BlocksScanned += o.BlocksScanned
 	st.BlocksSkipped += o.BlocksSkipped
 	st.BlocksCompressed += o.BlocksCompressed
+	st.BlocksAllMatch += o.BlocksAllMatch
 	st.TailRows += o.TailRows
 	st.RowsOut += o.RowsOut
 	st.BytesRead += o.BytesRead
@@ -415,6 +445,7 @@ type decodeBufs struct {
 	vecs   []Vector
 	preds  []*predBuf
 	blocks *blockReader
+	stamp  uint64 // counts the blocks match has read into preds
 }
 
 // newDecodeBufs makes the buffers of a cursor delivering schema's columns.
@@ -595,6 +626,7 @@ func (c *ScanCursor) Close() {
 	mBlocksScanned.Add(int64(c.st.BlocksScanned))
 	mBlocksSkipped.Add(int64(c.st.BlocksSkipped))
 	mBlocksCompressed.Add(int64(c.st.BlocksCompressed))
+	mBlocksAllMatch.Add(int64(c.st.BlocksAllMatch))
 	if c.scratch != nil {
 		idxScratch.Put(c.scratch)
 		c.scratch = nil
@@ -674,14 +706,16 @@ func (c *ScanCursor) decode(bi int) (*Batch, error) {
 		match = *c.scratch // cut left the block's selection there
 	}
 	if len(plan.preds) > 0 {
-		m, err := c.match(bi, match)
+		m, all, err := c.match(bi, match)
 		if err != nil {
 			return nil, err
 		}
-		if len(m) == 0 {
-			return out, nil
+		if !all {
+			if len(m) == 0 {
+				return out, nil
+			}
+			match = m
 		}
-		match = m
 	}
 	if len(match) == rows {
 		match = nil
@@ -716,58 +750,74 @@ func plainNumeric(data []byte) bool {
 	return ok && enc == EncPlain && (typ == TypeInt64 || typ == TypeFloat64)
 }
 
-// match evaluates the cursor's predicates over sealed block bi in order: the
-// first over every row — on the encoded form when the block's encoding allows
-// it — or, under an index, over the rows sel selects; each later one over the
-// rows still selected, refining the selection in place. A column several
-// predicates name is read, and decoded, once per block. The selection lives
-// in the cursor's scratch.
-func (c *ScanCursor) match(bi int, sel []int) ([]int, error) {
-	plan := c.plan
-	compressed := false // the first predicate ran encoded: its column is not decoded
+// match evaluates the cursor's predicates over sealed block bi in order and
+// returns the rows that satisfy them all; all is true when that is every row
+// of the block. Outside an index, a predicate the block's zone map decides
+// (blockAllMatch) is not evaluated, and when every one is, no predicate
+// column is read. The first predicate evaluated runs over every row — on the
+// encoded form when the block's encoding allows it — or, under an index,
+// over the rows sel selects; each later one over the rows still selected,
+// refining the selection in place. A column several predicates name is read,
+// and decoded, once per block. The selection lives in the cursor's scratch.
+func (c *ScanCursor) match(bi int, sel []int) (_ []int, all bool, err error) {
+	plan, bufs := c.plan, c.bufs
+	bufs.stamp++ // a predicate buffer holds block bi once it carries this stamp
+	first, all := !c.index, !c.index
 	for j := range plan.preds {
-		if (j > 0 || c.index) && len(sel) == 0 {
+		p, ci := &plan.preds[j], plan.predCol[j]
+		ref := c.s.sealed[ci][bi]
+		if !c.index && p.blockAllMatch(ref) {
+			continue
+		}
+		all = false
+		if !first && len(sel) == 0 {
 			break
 		}
-		p, k := &plan.preds[j], plan.predBuf[j]
-		data := c.s.sealed[plan.predCol[j]][bi].data
-		if k == j {
-			c.st.BytesRead += len(data)
+		pb := bufs.pred(plan.predBuf[j], c.s.schema[ci].Type)
+		if pb.read != bufs.stamp {
+			pb.read = bufs.stamp
+			c.st.BytesRead += len(ref.data)
 		}
-		if j == 0 && !c.index {
-			m, handled, err := MatchBlockCompressed(data, p, *c.scratch)
+		if first {
+			first = false
+			m, handled, err := MatchBlockCompressed(ref.data, p, *c.scratch)
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			if handled {
 				c.st.BlocksCompressed++
-				sel, *c.scratch, compressed = m, m, true
+				sel, *c.scratch = m, m
 				continue
 			}
 		}
-		pb := c.bufs.pred(k, c.s.schema[plan.predCol[j]].Type)
-		if k == j || k == 0 && compressed {
-			var err error
-			if pb.cur, err = viewOrDecode(&pb.own, &pb.view, data); err != nil {
-				return nil, err
+		if pb.decoded != bufs.stamp {
+			if pb.cur, err = viewOrDecode(&pb.own, &pb.view, ref.data); err != nil {
+				return nil, false, err
 			}
-			compressed = compressed && k != 0
+			pb.decoded = bufs.stamp
 		}
 		m, err := p.selectRows(pb.cur, sel, *c.scratch)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		sel, *c.scratch = m, m
 	}
-	return sel, nil
+	if all {
+		c.st.BlocksAllMatch++
+	}
+	return sel, all, nil
 }
 
 // predBuf is one predicate column's decode buffer and view; cur is the one
-// holding the block last read (viewOrDecode), which a later predicate on the
-// same column reads again.
+// holding the block last decoded (viewOrDecode), which a later predicate on
+// the same column reads again. read and decoded are the stamps of the block
+// whose bytes were last counted and decoded: a predicate the zone map decides
+// or one answered on the encoded form leaves the buffer holding an earlier
+// block, which a later predicate on the column must not read.
 type predBuf struct {
-	own, view Vector
-	cur       *Vector
+	own, view     Vector
+	cur           *Vector
+	read, decoded uint64
 }
 
 // pred is the decode buffer k of the predicates' columns, of type typ.

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -263,6 +264,69 @@ func TestSegmentZoneMapSkipping(t *testing.T) {
 	}
 	if rows != 500 || st.BlocksScanned != 5 || st.BlocksSkipped != 5 {
 		t.Fatalf("range scan: rows=%d scanned=%d skipped=%d", rows, st.BlocksScanned, st.BlocksSkipped)
+	}
+
+	// INTEGER stats are float64(x): a block of 2^53+1 records max 2^53 and
+	// one of -2^53-1 min -2^53, so a literal of ±2^53 must not rule either
+	// out.
+	big := NewSegment(Schema{{Name: "k", Type: TypeInt64}}, 4)
+	b = NewBatch(big.Schema())
+	for _, x := range []int64{1<<53 + 1, -1<<53 - 1} {
+		for i := 0; i < 4; i++ {
+			_ = b.AppendRow(x)
+		}
+	}
+	_ = big.Append(b)
+	for _, pred := range []*Pred{{Col: "k", Op: OpGT, Val: int64(1 << 53)}, {Col: "k", Op: OpLT, Val: int64(-1 << 53)}} {
+		st = ScanStats{}
+		rows = 0
+		if err := big.ScanWithStats(nil, pred, &st, func(b *Batch) error { rows += b.Len(); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if rows != 4 || st.BlocksSkipped != 0 {
+			t.Fatalf("%v: rows=%d stats %+v, want 4 rows, no block skipped", pred, rows, st)
+		}
+	}
+}
+
+// TestScanStatsCountAllMatch: over ten blocks of ascending ids, id < 550
+// holds for every row of the first five by their zone maps, is evaluated on
+// the sixth and rules out the last four. A decided block is scanned, counted
+// all-match, and reads only the projected columns; a conjunction counts a
+// block all-match only when the zone maps decide each of its predicates.
+func TestScanStatsCountAllMatch(t *testing.T) {
+	schema := Schema{{Name: "id", Type: TypeInt64}, {Name: "x", Type: TypeFloat64}}
+	seg := NewSegment(schema, 100)
+	b := NewBatch(schema)
+	for i := 0; i < 1000; i++ {
+		_ = b.AppendRow(int64(i), float64(i%7))
+	}
+	_ = seg.Append(b)
+	xBytes, idBytes := len(seg.sealed[1][0].data), len(seg.sealed[0][5].data)
+	before := mBlocksAllMatch.Value()
+	for _, tc := range []struct {
+		preds     []Pred
+		rows, all int
+		bytes     int
+	}{
+		{[]Pred{{Col: "id", Op: OpLT, Val: int64(550)}}, 550, 5, 6*xBytes + idBytes},
+		{[]Pred{{Col: "id", Op: OpLT, Val: int64(550)}, {Col: "x", Op: OpGE, Val: int64(0)}}, 550, 5, 6*xBytes + idBytes},
+		{[]Pred{{Col: "id", Op: OpLT, Val: int64(550)}, {Col: "x", Op: OpLT, Val: int64(3)}}, 237, 0, 0},
+	} {
+		var st ScanStats
+		rows := 0
+		if err := pushScan(context.Background(), seg, []string{"x"}, tc.preds, &st, func(b *Batch) error { rows += b.Len(); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if rows != tc.rows || st.BlocksScanned != 6 || st.BlocksSkipped != 4 || st.BlocksAllMatch != tc.all {
+			t.Fatalf("%v: rows=%d stats %+v, want %d rows, 6 scanned / 4 skipped / %d all-match", tc.preds, rows, st, tc.rows, tc.all)
+		}
+		if tc.all > 0 && st.BytesRead != tc.bytes {
+			t.Fatalf("%v: read %d bytes, want %d: a decided block reads no predicate column", tc.preds, st.BytesRead, tc.bytes)
+		}
+	}
+	if got := mBlocksAllMatch.Value() - before; got < 10 {
+		t.Fatalf(`colstore_scan_blocks_total{result="all_match"} rose by %d, want at least 10`, got)
 	}
 }
 

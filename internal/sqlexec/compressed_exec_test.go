@@ -11,6 +11,7 @@ import (
 	"verticadr/internal/colstore"
 	"verticadr/internal/plan"
 	"verticadr/internal/sqlparse"
+	"verticadr/internal/telemetry"
 	"verticadr/internal/udf"
 )
 
@@ -233,6 +234,52 @@ func TestProfileDistinguishesSkippedAndCompressed(t *testing.T) {
 	rows := res.Rows()
 	if rows[0][0] != int64(1000) || rows[0][1] != float64(4500) || rows[0][2] != int64(0) || rows[0][3] != int64(9) {
 		t.Fatalf("run-aware aggregate results = %v", rows[0])
+	}
+}
+
+// TestProfileReportsAllMatchBlocks: over ten blocks of ascending x, x < 550
+// holds for the first five by their zone maps alone; PROFILE reports them
+// after the zone-map skips, still among the blocks scanned.
+func TestProfileReportsAllMatchBlocks(t *testing.T) {
+	schema := colstore.Schema{{Name: "x", Type: colstore.TypeInt64}}
+	seg := colstore.NewSegment(schema, 100)
+	xs := make([]int64, 1000)
+	for i := range xs {
+		xs[i] = int64(i)
+	}
+	if err := seg.Append(&colstore.Batch{Schema: schema, Cols: []*colstore.Vector{colstore.IntVector(xs)}}); err != nil {
+		t.Fatal(err)
+	}
+	db := &fakeDB{def: &catalog.TableDef{Name: "t", Schema: schema}, seg: seg}
+	log := telemetry.NewSpanLog(nil)
+	root := log.StartSpan("query")
+	res, err := RunSelectCtx(telemetry.ContextWithSpan(context.Background(), root), db, selStmt(t, "PROFILE SELECT x FROM t WHERE x < 550"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	if res.Len() != 550 {
+		t.Fatalf("rows = %d, want 550", res.Len())
+	}
+	var scan OpProfile
+	for _, op := range res.Profile.Ops() {
+		if op.Op == "scan" {
+			scan = op
+		}
+	}
+	if scan.Blocks != 6 || scan.BlocksSkipped != 4 || !strings.Contains(scan.Detail, "4 skipped by zone maps, 5 passed whole by zone maps") {
+		t.Fatalf("scan profile %+v, want 6 blocks, 4 skipped, 5 passed whole", scan)
+	}
+	attr := ""
+	for _, sp := range log.Export() {
+		for _, a := range sp.Attrs {
+			if sp.Name == "op:scan" && a.Key == "blocks_all_match" {
+				attr = a.Value
+			}
+		}
+	}
+	if attr != "5" {
+		t.Fatalf("op:scan span's blocks_all_match = %q, want 5", attr)
 	}
 }
 

@@ -143,8 +143,11 @@ func (in *input) scanDetail(st colstore.ScanStats) string {
 		detail += fmt.Sprintf(", %d segments, %d blocks decoded, %d untouched, %d KB",
 			in.segs, st.BlocksScanned, st.BlocksSkipped, kb)
 	default:
-		detail = fmt.Sprintf("%d segments, %d blocks scanned, %d skipped by zone maps, %d KB",
-			in.segs, st.BlocksScanned, st.BlocksSkipped, kb)
+		detail = fmt.Sprintf("%d segments, %d blocks scanned, %d skipped by zone maps", in.segs, st.BlocksScanned, st.BlocksSkipped)
+		if st.BlocksAllMatch > 0 {
+			detail += fmt.Sprintf(", %d passed whole by zone maps", st.BlocksAllMatch)
+		}
+		detail += fmt.Sprintf(", %d KB", kb)
 		if st.BlocksCompressed > 0 {
 			detail += fmt.Sprintf(", %d evaluated compressed", st.BlocksCompressed)
 		}

@@ -90,6 +90,7 @@ type opTimer struct {
 	Blocks           int64
 	BlocksSkipped    int64
 	BlocksCompressed int64
+	BlocksAllMatch   int64 // a span attribute only
 	Bytes            int64
 	Parallel         int
 	Partitions       int
@@ -126,6 +127,9 @@ func (t *opTimer) done(rows int64, detail func() string) {
 		}
 		if t.BlocksCompressed > 0 {
 			t.span.SetAttr("blocks_compressed", strconv.FormatInt(t.BlocksCompressed, 10))
+		}
+		if t.BlocksAllMatch > 0 {
+			t.span.SetAttr("blocks_all_match", strconv.FormatInt(t.BlocksAllMatch, 10))
 		}
 		if t.Parallel > 0 {
 			t.span.SetAttr("parallel", strconv.Itoa(t.Parallel))
@@ -166,6 +170,7 @@ func (t *opTimer) doneScan(st colstore.ScanStats, rows int64, detail func() stri
 	t.Blocks = int64(st.BlocksScanned)
 	t.BlocksSkipped = int64(st.BlocksSkipped)
 	t.BlocksCompressed = int64(st.BlocksCompressed)
+	t.BlocksAllMatch = int64(st.BlocksAllMatch)
 	t.Bytes = int64(st.BytesRead)
 	t.done(rows, detail)
 }
