@@ -15,8 +15,8 @@ GO ?= go
 #
 # Targets: check (= lint build test race difftest-short fuzz-smoke), vet,
 # bench (benchmark/run.sh over the BENCHMARK.json workloads),
-# bench-placement, bench-point, bench-scan, bench-figures, chaos, recover,
-# fuzz, loc.
+# bench-placement, bench-point, bench-scan, bench-transfer, bench-figures,
+# chaos, recover, fuzz, loc.
 .PHONY: check
 check: lint build test race difftest-short fuzz-smoke
 
@@ -90,8 +90,8 @@ test:
 # Race-check the packages with real shared-state concurrency: the
 # telemetry registry, the one TCP transport (wire: listener, pooled clients,
 # the shared frame-buffer pool), the vft staging hub (each message decoded at
-# arrival into the batch its frame partition keeps) + pooled export
-# pipeline, the frame's readers and writers beside it (the ODBC loader fills
+# arrival into the batch its frame partition keeps) + the export instances
+# that fill it from pooled buffers, the frame's readers and writers beside it (the ODBC loader fills
 # partitions from concurrent connections, Spark tasks read them), the dr
 # scheduler, the yarn resource manager, the simulated network, the fault
 # injector, the intra-node parallel execution engine (worker pool, cursor
@@ -170,6 +170,17 @@ bench-point:
 bench-scan:
 	$(GO) test -run='^$$' -bench='BenchmarkDecodeDelta' -benchmem ./internal/colstore/
 	$(GO) test -run='^$$' -bench='BenchmarkReadSQL|BenchmarkScoreSQL|BenchmarkJoinSQL' -benchmem ./internal/core/
+
+# The transfer path and the task dispatch under it: the in-process and TCP
+# loads (BenchmarkLoad's psize of 2048 gives each export instance a few
+# messages), paper_pipeline's transfer phase (500k rows x 9 FLOAT columns,
+# 4 nodes to 4 workers), and one no-op task through Cluster.Run (the
+# benchmark's dr.dispatch_us probe).
+.PHONY: bench-transfer
+bench-transfer:
+	$(GO) test -run='^$$' -bench='BenchmarkLoad$$|BenchmarkLoadTCP' -benchtime=200x -benchmem ./internal/vft/
+	$(GO) test -run='^$$' -bench='BenchmarkTransfer9' -benchtime=20x -benchmem ./internal/core/
+	$(GO) test -run='^$$' -bench='BenchmarkDispatch' -benchmem ./internal/dr/
 
 # Paper-figure benchmark series (Figs. 12-20 shapes).
 .PHONY: bench-figures

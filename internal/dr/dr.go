@@ -1,6 +1,7 @@
 // Package dr implements the Distributed R substitute: a master/worker
-// runtime with per-worker in-memory partition stores and a bounded task
-// executor per worker (the paper's "R instances per node"). Distributed
+// runtime with per-worker in-memory partition stores and a bounded number
+// of executor slots per worker (the paper's "R instances per node"). A task
+// runs on the goroutine that waits for it, once it holds a slot. Distributed
 // data structures (internal/darray) and the parallel ML algorithms
 // (internal/algos) run on top of this substrate; the transfer paths
 // (internal/odbc, internal/vft) deliver data into worker stores.
@@ -12,11 +13,12 @@
 //
 // Failure handling mirrors Distributed R's "re-execute failed tasks on
 // surviving workers": FailWorker (or an injected faults.ErrCrash from a
-// running task) marks a worker's executor dead, after which queued and new
-// submissions are rejected with ErrWorkerDead and RunAllSpecsCtx re-targets
-// the dead worker's tasks to survivors, invoking each task's Rebuild hook so
-// the caller can re-fetch lost partitions first. Non-fatal task errors are
-// retried in place up to a configurable cap.
+// running task) marks a worker's executor dead, after which tasks waiting
+// for a slot and new ones are rejected with ErrWorkerDead and
+// RunAllSpecsCtx re-targets the dead worker's tasks to survivors, invoking
+// each task's Rebuild hook so the caller can re-fetch lost partitions
+// first. Non-fatal task errors are retried in place up to a configurable
+// cap.
 package dr
 
 import (
@@ -26,6 +28,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"verticadr/internal/faults"
 	"verticadr/internal/telemetry"
@@ -110,9 +113,6 @@ func (c *Cluster) NumWorkers() int { return len(c.workers) }
 // InstancesPerWorker returns the per-worker executor width.
 func (c *Cluster) InstancesPerWorker() int { return c.cfg.InstancesPerWorker }
 
-// TaskRetries returns the configured in-place retry cap.
-func (c *Cluster) TaskRetries() int { return c.cfg.TaskRetries }
-
 // Worker returns worker i.
 func (c *Cluster) Worker(i int) (*Worker, error) {
 	if i < 0 || i >= len(c.workers) {
@@ -122,8 +122,9 @@ func (c *Cluster) Worker(i int) (*Worker, error) {
 }
 
 // FailWorker marks worker i's executor dead — the crash mode used by fault
-// injection and chaos tests. Queued and future submissions are rejected with
-// ErrWorkerDead; RunAllSpecsCtx re-executes the worker's tasks on survivors.
+// injection and chaos tests. Tasks waiting for a slot and new ones are
+// rejected with ErrWorkerDead; RunAllSpecsCtx re-executes the worker's
+// tasks on survivors.
 // The worker's partition store stays readable: an executor crash models a
 // wedged R process, while the data survives the way Vertica's k-safe buddy
 // projections keep segments available through node loss.
@@ -184,13 +185,7 @@ type TaskSpec struct {
 	Rebuild func(replacement *Worker) error
 }
 
-// RunOpts tunes RunAllSpecsCtx recovery.
-type RunOpts struct {
-	// Retries caps in-place re-executions after non-fatal task errors.
-	Retries int
-}
-
-// Run submits one task to worker i and waits for it (a running task is not
+// Run runs one task on worker i and waits for it (a running task is not
 // interrupted — tasks are the unit of cancellation, see RunAllSpecsCtx).
 func (c *Cluster) Run(i int, t Task) error {
 	w, err := c.Worker(i)
@@ -200,22 +195,19 @@ func (c *Cluster) Run(i int, t Task) error {
 	return runOnce(w, t)
 }
 
-// runOnce executes t on w through the bounded executor and waits, surfacing
-// late rejections (shutdown or death while queued) and injected faults.
+// runOnce takes one of w's executor slots and runs t on the calling
+// goroutine, surfacing rejections (shutdown or death before the task held a
+// slot) and injected faults.
 func runOnce(w *Worker, t Task) error {
-	errCh := make(chan error, 1)
-	w.submit(func(rejected error) {
-		if rejected != nil {
-			errCh <- rejected
-			return
-		}
-		if err := faults.Check(faults.SiteDRTask); err != nil {
-			errCh <- err
-			return
-		}
-		errCh <- t(w)
-	})
-	return <-errCh
+	start, err := w.acquire()
+	if err != nil {
+		return err
+	}
+	defer w.release(start)
+	if err := faults.Check(faults.SiteDRTask); err != nil {
+		return err
+	}
+	return t(w)
 }
 
 // RunAllCtx executes, for each worker, a list of tasks. Tasks assigned to
@@ -231,14 +223,15 @@ func (c *Cluster) RunAllCtx(ctx context.Context, tasks map[int][]Task) error {
 			specs[wid] = append(specs[wid], TaskSpec{Run: t})
 		}
 	}
-	return c.RunAllSpecsCtx(ctx, specs, RunOpts{Retries: c.cfg.TaskRetries})
+	return c.RunAllSpecsCtx(ctx, specs)
 }
 
-// RunAllSpecsCtx is RunAllCtx with explicit per-task failover hooks and
-// recovery options. Cancellation is observed at task boundaries: tasks not
-// yet submitted are refused, and retries/failovers of already-failed tasks
-// stop. In-flight task bodies run to completion.
-func (c *Cluster) RunAllSpecsCtx(ctx context.Context, tasks map[int][]TaskSpec, opts RunOpts) error {
+// RunAllSpecsCtx is RunAllCtx with explicit per-task failover hooks; failed
+// tasks are retried up to the cluster's TaskRetries cap. Cancellation is
+// observed at task boundaries: tasks not yet started are refused, and
+// retries/failovers of already-failed tasks stop. In-flight task bodies run
+// to completion.
+func (c *Cluster) RunAllSpecsCtx(ctx context.Context, tasks map[int][]TaskSpec) error {
 	for wid := range tasks {
 		if _, err := c.Worker(wid); err != nil {
 			return err
@@ -263,7 +256,7 @@ func (c *Cluster) RunAllSpecsCtx(ctx context.Context, tasks map[int][]TaskSpec, 
 			wid, spec := wid, spec
 			go func() {
 				defer wg.Done()
-				record(c.runSpec(ctx, wid, spec, opts.Retries))
+				record(c.runSpec(ctx, wid, spec))
 			}()
 		}
 	}
@@ -273,7 +266,7 @@ func (c *Cluster) RunAllSpecsCtx(ctx context.Context, tasks map[int][]TaskSpec, 
 
 // runSpec drives one task to completion: in-place retries for ordinary
 // errors, failover to survivors (with rebuild) on worker death.
-func (c *Cluster) runSpec(ctx context.Context, wid int, spec TaskSpec, retries int) error {
+func (c *Cluster) runSpec(ctx context.Context, wid int, spec TaskSpec) error {
 	attempts := 0
 	moves := 0
 	for {
@@ -309,7 +302,7 @@ func (c *Cluster) runSpec(ctx context.Context, wid int, spec TaskSpec, retries i
 			wid = next
 			continue
 		}
-		if attempts < retries {
+		if attempts < c.cfg.TaskRetries {
 			attempts++
 			mRetries.Inc()
 			continue
@@ -366,70 +359,61 @@ func (w *Worker) Dead() bool {
 	}
 }
 
-// rejectErr names why a submission was turned away.
-func (w *Worker) rejectErr() error {
+// reject counts a turned-away task and names why it was turned away.
+func (w *Worker) reject() error {
+	mTasksRejected.Inc()
 	if w.Dead() {
 		return fmt.Errorf("dr: worker %d: %w", w.id, ErrWorkerDead)
 	}
 	return fmt.Errorf("dr: worker %d is shut down", w.id)
 }
 
-// submit schedules fn on the worker's bounded executor. fn is called exactly
-// once: with nil once the task holds an executor slot, or with a rejection
-// error if the worker shut down or died first. Liveness is re-checked while
-// queued for a slot and again after acquiring one, so a task that passed the
-// initial check can never start running after Shutdown or FailWorker — the
-// shutdown race the pre-recovery implementation had.
-func (w *Worker) submit(fn func(rejected error)) {
+// acquire takes an executor slot for a task about to run on the caller's
+// goroutine, returning when it started to run (for release), or a rejection
+// if the worker shut down or died first. Liveness is re-checked while queued
+// for a slot and again after winning one, so a task that passed the initial
+// check can never start running after Shutdown or FailWorker — the shutdown
+// race the pre-recovery implementation had.
+func (w *Worker) acquire() (time.Duration, error) {
 	select {
 	case <-w.done:
-		mTasksRejected.Inc()
-		fn(w.rejectErr())
-		return
+		return 0, w.reject()
 	case <-w.dead:
-		mTasksRejected.Inc()
-		fn(w.rejectErr())
-		return
+		return 0, w.reject()
 	default:
 	}
 	mTasksSubmitted.Inc()
 	queued := telemetry.Default().Now()
-	go func() {
-		select {
-		case <-w.done:
-			mTasksRejected.Inc()
-			fn(w.rejectErr())
-			return
-		case <-w.dead:
-			mTasksRejected.Inc()
-			fn(w.rejectErr())
-			return
-		case w.sem <- struct{}{}:
-		}
-		defer func() { <-w.sem }()
-		// The slot may have been won in a race with close(done)/close(dead);
-		// re-check so no task launches on a stopped worker.
-		select {
-		case <-w.done:
-			mTasksRejected.Inc()
-			fn(w.rejectErr())
-			return
-		case <-w.dead:
-			mTasksRejected.Inc()
-			fn(w.rejectErr())
-			return
-		default:
-		}
-		start := telemetry.Default().Now()
-		mWaitNs.AddDuration(start - queued)
-		gActive.Add(1)
-		defer func() {
-			gActive.Add(-1)
-			mRunNs.AddDuration(telemetry.Default().Now() - start)
-			mTasksRun.Inc()
-		}()
-		fn(nil)
-	}()
+	select {
+	case <-w.done:
+		return 0, w.reject()
+	case <-w.dead:
+		return 0, w.reject()
+	case w.sem <- struct{}{}:
+	}
+	// The slot may have been won in a race with close(done)/close(dead);
+	// re-check so no task launches on a stopped worker.
+	select {
+	case <-w.done:
+		<-w.sem
+		return 0, w.reject()
+	case <-w.dead:
+		<-w.sem
+		return 0, w.reject()
+	default:
+	}
+	start := telemetry.Default().Now()
+	mWaitNs.AddDuration(start - queued)
+	gActive.Add(1)
+	return start, nil
+}
+
+// release gives back the executor slot a task took at start.
+func (w *Worker) release(start time.Duration) {
+	gActive.Add(-1)
+	mRunNs.AddDuration(telemetry.Default().Now() - start)
+	mTasksRun.Inc()
+	<-w.sem
 }
 
 // Put stores a partition value under key.

@@ -158,7 +158,7 @@ func TestShutdownRejectsNewWork(t *testing.T) {
 }
 
 // TestShutdownRejectsQueuedWork pins the shutdown race fix: a task that
-// passed submit's fast liveness check but is still waiting for an executor
+// passed acquire's fast liveness check but is still waiting for an executor
 // slot must be rejected — never run — once Shutdown lands.
 func TestShutdownRejectsQueuedWork(t *testing.T) {
 	c, _ := Start(Config{Workers: 1, InstancesPerWorker: 1})
@@ -231,11 +231,70 @@ func TestFailWorkerRejectsAndFailsOver(t *testing.T) {
 			},
 		}},
 	}
-	if err := c.RunAllSpecsCtx(context.Background(), specs, RunOpts{}); err != nil {
+	if err := c.RunAllSpecsCtx(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
 	if rebuiltOn.Load() != 2 || ranOn.Load() != 2 {
 		t.Fatalf("failover went to rebuild=%d run=%d, want worker 2", rebuiltOn.Load(), ranOn.Load())
+	}
+}
+
+// A task waiting for an executor slot on a worker that then fails is
+// rejected without running there: it fails over to the survivor, whose
+// rebuild hook runs first, while the task holding the slot completes.
+func TestFailWorkerRejectsQueuedWork(t *testing.T) {
+	c, _ := Start(Config{Workers: 2, InstancesPerWorker: 1})
+	defer c.Shutdown()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	firstDone := make(chan error, 1)
+	go func() {
+		firstDone <- c.Run(0, func(*Worker) error {
+			close(started)
+			<-release
+			return nil
+		})
+	}()
+	<-started
+
+	submitted0, rejected0 := mTasksSubmitted.Value(), mTasksRejected.Value()
+	var rebuiltOn, ranOn atomic.Int32
+	rebuiltOn.Store(-1)
+	ranOn.Store(-1)
+	secondDone := make(chan error, 1)
+	go func() {
+		secondDone <- c.RunAllSpecsCtx(context.Background(), map[int][]TaskSpec{0: {{
+			Run: func(w *Worker) error {
+				ranOn.Store(int32(w.ID()))
+				return nil
+			},
+			Rebuild: func(w *Worker) error {
+				rebuiltOn.Store(int32(w.ID()))
+				return nil
+			},
+		}}})
+	}()
+	// Fail the worker once the second task has passed the fast check and
+	// waits for the slot.
+	for mTasksSubmitted.Value() == submitted0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := c.FailWorker(0); err != nil {
+		t.Fatal(err)
+	}
+	// The slot is still held: the queued task must leave without it.
+	if err := <-secondDone; err != nil {
+		t.Fatalf("queued task did not fail over: %v", err)
+	}
+	if ranOn.Load() != 1 || rebuiltOn.Load() != 1 {
+		t.Fatalf("queued task ran on %d after a rebuild on %d, want worker 1 for both", ranOn.Load(), rebuiltOn.Load())
+	}
+	if got := mTasksRejected.Value() - rejected0; got != 1 {
+		t.Fatalf("dr_tasks_total{state=rejected} moved by %d, want 1", got)
+	}
+	close(release)
+	if err := <-firstDone; err != nil {
+		t.Fatalf("running task interrupted: %v", err)
 	}
 }
 
@@ -283,7 +342,7 @@ func TestInjectedCrashKillsWorker(t *testing.T) {
 	err := c.RunAllSpecsCtx(context.Background(), map[int][]TaskSpec{0: {{Run: func(w *Worker) error {
 		ranOn.Store(int32(w.ID()))
 		return nil
-	}}}}, RunOpts{})
+	}}}})
 	if err != nil {
 		t.Fatalf("crash should be recovered: %v", err)
 	}
@@ -346,5 +405,22 @@ func TestGenNameConcurrent(t *testing.T) {
 			t.Fatalf("duplicate concurrent name %q", n)
 		}
 		seen[n] = true
+	}
+}
+
+// BenchmarkDispatch is one no-op task through Cluster.Run: the scheduling
+// cost every task pays.
+func BenchmarkDispatch(b *testing.B) {
+	c, err := Start(Config{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Shutdown()
+	noop := func(*Worker) error { return nil }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := c.Run(0, noop); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

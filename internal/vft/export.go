@@ -2,34 +2,16 @@ package vft
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"verticadr/internal/colstore"
 	"verticadr/internal/udf"
 )
 
-// sendRetries caps how many times the sender offers one message to the sink;
-// the receiver's (part, seq) dedup makes every retransmission idempotent.
+// sendRetries caps how many times an export instance offers one message to
+// the sink; the receiver's (part, seq) dedup makes every retransmission
+// idempotent.
 const sendRetries = 3
-
-// pipeDepth bounds the message channel between the scan+encode stage and the
-// send stage of each export instance: double buffering, so one message is
-// built while the previous one is on the wire, without letting a slow
-// receiver pile up unbounded messages.
-const pipeDepth = 2
-
-// message is one unit of work handed from the scan+encode stage to the send
-// stage: a run of chunks holding rows rows. msg is a pooled buffer owned by
-// the message until the sender returns it.
-type message struct {
-	target int
-	seq    uint64
-	rows   int
-	msg    []byte
-	dbTime time.Duration
-}
 
 // exportUDF is the ExportToDistributedR transform function (Fig. 4). One
 // instance runs per node-local block range under OVER (PARTITION BEST); each
@@ -46,14 +28,13 @@ type message struct {
 // it crosses a message boundary. Message boundaries never depend on which
 // form the rows took.
 //
-// Each instance is a two-stage pipeline: the main goroutine reads and
-// appends into a pooled buffer while a sender goroutine drains the bounded
-// channel and pushes messages to the sink, so the DB-side work genuinely
-// overlaps the network/staging leg (the paper's concurrent read-and-send,
-// §3.1). Message buffers return to the pool once the message is sent or
-// given up on — Send implementations never retain msg, and every
-// retransmission is made before then, so a retransmit can never observe a
-// recycled buffer. Stored blocks are only ever copied from.
+// Each instance is one loop: it reads, appends into a pooled buffer and sends
+// each full message itself. The concurrent read-and-send of §3.1 comes from
+// the many instances running side by side, one per node-local block range.
+// A message buffer returns to the pool once the message is sent or given up
+// on — Send implementations never retain msg, and every retransmission is
+// made before then, so a retransmit can never observe a recycled buffer.
+// Stored blocks are only ever copied from.
 type exportUDF struct{}
 
 // OutputSchema: one summary row per instance (node, rows, bytes).
@@ -106,46 +87,6 @@ func (exportUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.Batc
 		psize = 4096
 	}
 
-	// Send stage: drains messages, retransmitting on failure. The first
-	// error is latched and later messages are drained (and their buffers
-	// recycled) without sending, so the producer can never block forever on
-	// a dead sender.
-	sendCh := make(chan message, pipeDepth)
-	var sendFailed atomic.Bool
-	var sendErr error // written only by the sender; read after wg.Wait
-	var totalRows, totalBytes atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for m := range sendCh {
-			if sendErr == nil {
-				// Retransmit on failure — the one retry of either path: the
-				// hub dedups by (part, seq), so resending after a lost
-				// acknowledgement is safe.
-				var err error
-				for attempt := 0; attempt < sendRetries; attempt++ {
-					if attempt > 0 {
-						mRetransmits.Inc()
-					}
-					if err = sink.Send(sessionID, m.target, m.seq, m.msg, m.rows, m.dbTime); err == nil {
-						break
-					}
-				}
-				if err != nil {
-					sendErr = err
-					sendFailed.Store(true)
-				} else {
-					totalRows.Add(int64(m.rows))
-					totalBytes.Add(int64(len(m.msg)))
-				}
-			}
-			// The sink has decoded or written out the message; the buffer is
-			// ours again and returns to the pool here.
-			putBuf(m.msg)
-		}
-	}()
-
 	// The reader says how many rows are to come when it can also hand them
 	// over stored; a message buffer is then sized once, for the rows it will
 	// hold, instead of regrown as they arrive.
@@ -160,13 +101,15 @@ func (exportUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.Batc
 	}
 
 	var (
-		msg      []byte        // the message being built; nil between messages
-		rows     int           // rows in msg
-		dbTime   time.Duration // spent appending to msg
-		localSeq int
-		scratch  []byte // AppendChunk's block scratch, pooled on first use
-		nStored  int64  // chunks made of stored blocks
-		nEncoded int64  // chunks encoded from batches
+		msg        []byte        // the message being built; nil between messages
+		rows       int           // rows in msg
+		dbTime     time.Duration // spent appending to msg
+		localSeq   int
+		scratch    []byte // AppendChunk's block scratch, pooled on first use
+		nStored    int64  // chunks made of stored blocks
+		nEncoded   int64  // chunks encoded from batches
+		totalRows  int64  // rows sent
+		totalBytes int64  // message bytes sent
 	)
 	defer func() {
 		putBuf(msg)
@@ -178,7 +121,12 @@ func (exportUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.Batc
 	// so concurrent instances do not all start at worker 0.
 	rr := ctx.NodeID + ctx.Instance
 
-	flush := func() {
+	// flush sends the message, retransmitting on failure — the one retry of
+	// either path: the hub dedups by (part, seq), so resending after a lost
+	// acknowledgement is safe. The sink has decoded or written out the
+	// message when Send returns, so the buffer goes back to the pool here; a
+	// message given up on goes back through the deferred putBuf.
+	flush := func() (err error) {
 		// Node i's data goes to partition i (= worker i) under the locality
 		// policy, Fig. 5.
 		target := ctx.NodeID
@@ -186,12 +134,27 @@ func (exportUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.Batc
 			target = rr % workers
 			rr++
 		}
-		sendCh <- message{target: target, seq: OrderKey(ctx.NodeID, ctx.Instance, localSeq), rows: rows, msg: msg, dbTime: dbTime}
+		seq := OrderKey(ctx.NodeID, ctx.Instance, localSeq)
+		for attempt := 0; attempt < sendRetries; attempt++ {
+			if attempt > 0 {
+				mRetransmits.Inc()
+			}
+			if err = sink.Send(sessionID, target, seq, msg, rows, dbTime); err == nil {
+				break
+			}
+		}
+		if err != nil {
+			return err
+		}
+		totalRows += int64(rows)
+		totalBytes += int64(len(msg))
+		putBuf(msg)
 		localSeq++
 		if left >= 0 {
 			left = max(left-rows, 0)
 		}
 		msg, rows, dbTime = nil, 0, 0
+		return nil
 	}
 	// add appends one chunk of n rows to the message — a block row's stored
 	// blocks copied as they are, or else a batch encoded — opening a message
@@ -221,60 +184,50 @@ func (exportUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.Batc
 		rows += n
 		dbTime += time.Since(start)
 		if rows == psize {
-			flush()
+			return flush()
 		}
 		return nil
 	}
 
-	produce := func() error {
-		for !sendFailed.Load() { // a latched sendErr surfaces below
-			var (
-				blocks [][]byte
-				n      int
-				b      *colstore.Batch
-				err    error
-			)
-			if stored != nil {
-				blocks, n, b, err = stored.NextStored(psize - rows)
-			} else {
-				b, err = in.Next()
-			}
-			if err != nil {
+	for {
+		var (
+			blocks [][]byte
+			n      int
+			b      *colstore.Batch
+		)
+		if stored != nil {
+			blocks, n, b, err = stored.NextStored(psize - rows)
+		} else {
+			b, err = in.Next()
+		}
+		if err != nil {
+			return err
+		}
+		if blocks == nil && b == nil {
+			break
+		}
+		if blocks != nil {
+			if err := add(n, blocks, nil); err != nil {
 				return err
 			}
-			if blocks == nil && b == nil {
-				break
-			}
-			if blocks != nil {
-				if err := add(n, blocks, nil); err != nil {
-					return err
-				}
-				continue
-			}
-			// A batch is cut where it crosses a message boundary.
-			for off := 0; off < b.Len(); {
-				part, take := b, min(psize-rows, b.Len()-off)
-				if take < b.Len() {
-					part = b.Slice(off, off+take)
-				}
-				if err := add(take, nil, part); err != nil {
-					return err
-				}
-				off += take
-			}
+			continue
 		}
-		if rows > 0 {
-			flush()
+		// A batch is cut where it crosses a message boundary.
+		for off := 0; off < b.Len(); {
+			part, take := b, min(psize-rows, b.Len()-off)
+			if take < b.Len() {
+				part = b.Slice(off, off+take)
+			}
+			if err := add(take, nil, part); err != nil {
+				return err
+			}
+			off += take
 		}
-		return nil
 	}
-
-	produceErr := sendErrClose(produce, sendCh, &wg)
-	if sendErr != nil {
-		return sendErr
-	}
-	if produceErr != nil {
-		return produceErr
+	if rows > 0 {
+		if err := flush(); err != nil {
+			return err
+		}
 	}
 
 	summary := colstore.NewBatch(colstore.Schema{
@@ -282,7 +235,7 @@ func (exportUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.Batc
 		{Name: "rows", Type: colstore.TypeInt64},
 		{Name: "bytes", Type: colstore.TypeInt64},
 	})
-	if err := summary.AppendRow(int64(ctx.NodeID), totalRows.Load(), totalBytes.Load()); err != nil {
+	if err := summary.AppendRow(int64(ctx.NodeID), totalRows, totalBytes); err != nil {
 		return err
 	}
 	return out.Write(summary)
@@ -298,15 +251,6 @@ func valueBytes(t colstore.Type) int {
 		return 16
 	}
 	return 8
-}
-
-// sendErrClose runs the producer, then closes the channel and waits for the
-// sender to drain — the join point of the two pipeline stages.
-func sendErrClose(produce func() error, ch chan message, wg *sync.WaitGroup) error {
-	err := produce()
-	close(ch)
-	wg.Wait()
-	return err
 }
 
 // Register installs the export UDF and the hub service into a database.

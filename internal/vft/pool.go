@@ -15,9 +15,9 @@ import (
 // Ownership contract: whoever takes a buffer from the pool owns it until the
 // explicit return point. ChunkSink.Send implementations must not retain msg
 // past the call (the hub decodes eagerly, the TCP sender has written it
-// out), which is what lets senders recycle message buffers the moment Send
-// returns — a retransmission reuses the still-owned buffer and can never
-// observe a recycled one. Only buffers that came from
+// out), which is what lets an export instance recycle a message buffer the
+// moment Send returns — a retransmission reuses the still-owned buffer and
+// can never observe a recycled one. Only buffers that came from
 // getBuf/getBufCap go back: a stored block a message was copied from belongs
 // to its segment and is never pooled.
 var (

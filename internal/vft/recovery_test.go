@@ -502,6 +502,58 @@ func TestSendRetriedOnlyByExportLoop(t *testing.T) {
 	}
 }
 
+// refusingSink refuses every message, counting each offer by its order key.
+// It pauses first, so an export that read on while a send was failing would
+// show it in the block rows it read.
+type refusingSink struct {
+	mu     sync.Mutex
+	offers map[uint64]int
+}
+
+var errRefused = errors.New("refused")
+
+func (r *refusingSink) Send(_ string, _ int, seq uint64, _ []byte, _ int, _ time.Duration) error {
+	time.Sleep(time.Millisecond)
+	r.mu.Lock()
+	r.offers[seq]++
+	r.mu.Unlock()
+	return errRefused
+}
+
+// An instance stops at its first message the sink refuses for good: it
+// offers that message sendRetries times, reads no block row past it, and
+// the load fails with the sink's error.
+func TestFailedSendStopsTheInstance(t *testing.T) {
+	// Blocks of 64 rows, 12 block rows a node in 3 instances, 2 block rows a
+	// message: each instance has several messages to send.
+	db, c, hub, _ := mixDB(t, 12*mixBlockRows, 12*mixBlockRows)
+	sink := &refusingSink{offers: map[uint64]int{}}
+	stored0 := mBlocksStored.Value()
+	_, _, err := load(context.Background(), db, c, hub, sink, "mix", nil, PolicyLocality, 2*mixBlockRows)
+	if !errors.Is(err, errRefused) {
+		t.Fatalf("a load into a refusing sink: err = %v, want the sink's error", err)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.offers) != 2*3 {
+		t.Fatalf("%d instances offered a message, want 6", len(sink.offers))
+	}
+	for seq, n := range sink.offers {
+		if local := seq & (1<<28 - 1); local != 0 {
+			t.Fatalf("message %x offered: an instance went past its first message", seq)
+		}
+		if n != sendRetries {
+			t.Fatalf("message %x offered %d times, want %d", seq, n, sendRetries)
+		}
+	}
+	if got, want := mBlocksStored.Value()-stored0, int64(2*len(sink.offers)); got != want {
+		t.Fatalf("instances read %d block rows, want %d: 2 each, the rows of the refused message", got, want)
+	}
+	if hub.Sessions() != 0 {
+		t.Fatal("failed load leaked a session")
+	}
+}
+
 func TestTCPSendRetriesCountTelemetry(t *testing.T) {
 	// End-to-end happy path over TCP still pools connections after clean
 	// exchanges.

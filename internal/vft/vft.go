@@ -262,10 +262,9 @@ func (h *Hub) Send(sessionID string, part int, seq uint64, msg []byte, rows int,
 		return nil
 	}
 	s.mu.Unlock()
-	// Decode outside the staging lock: conversion of this chunk overlaps
-	// both concurrent sends and the database-side scan+encode of later
-	// chunks — the R-side leg of the transfer pipeline runs during the
-	// transfer, not after it.
+	// Decode outside the staging lock: conversion of this message overlaps
+	// the other instances' sends and their database-side scan+encode — the
+	// R-side leg of the transfer runs during the transfer, not after it.
 	start := time.Now()
 	// A fresh batch is sized for the rows the sender declares, as far as the
 	// bytes it actually delivered vouch for them: at most a word a byte.
@@ -380,7 +379,7 @@ func (h *Hub) finalize(ctx context.Context, id string, c *dr.Cluster) (st *Stats
 			},
 		})
 	}
-	if err := c.RunAllSpecsCtx(ctx, tasks, dr.RunOpts{Retries: c.TaskRetries()}); err != nil {
+	if err := c.RunAllSpecsCtx(ctx, tasks); err != nil {
 		return nil, err
 	}
 	sizes := make([]int, nparts)
