@@ -15,8 +15,8 @@ GO ?= go
 #
 # Targets: check (= lint build test race difftest-short fuzz-smoke), vet,
 # bench (benchmark/run.sh over the BENCHMARK.json workloads),
-# bench-placement, bench-point, bench-scan, bench-transfer, bench-figures,
-# chaos, recover, fuzz, loc.
+# bench-placement, bench-point, bench-scan, bench-transfer, bench-keys,
+# bench-figures, chaos, recover, fuzz, loc.
 .PHONY: check
 check: lint build test race difftest-short fuzz-smoke
 
@@ -181,6 +181,15 @@ bench-transfer:
 	$(GO) test -run='^$$' -bench='BenchmarkLoad$$|BenchmarkLoadTCP' -benchtime=200x -benchmem ./internal/vft/
 	$(GO) test -run='^$$' -bench='BenchmarkTransfer9' -benchtime=20x -benchmem ./internal/core/
 	$(GO) test -run='^$$' -bench='BenchmarkDispatch' -benchmem ./internal/dr/
+
+# Group and join keys: GROUP BY over INTEGER keys a dense span covers (grp,
+# 64 values; dim_id, 10k values at about 2.4 slots a row), over unique keys
+# that fall back to the hash (id), and the hash join over dim.id; then the
+# benchmark's read and join statements on serve_single's 4-node deployment.
+.PHONY: bench-keys
+bench-keys:
+	$(GO) test -run='^$$' -bench='BenchmarkGroupByInt$$|BenchmarkGroupByWhere$$|BenchmarkGroupByWideInt|BenchmarkGroupByUniqueInt|BenchmarkHashJoinAgg' -benchmem ./internal/sqlexec/
+	$(GO) test -run='^$$' -bench='BenchmarkReadSQL|BenchmarkJoinSQL' -benchmem ./internal/core/
 
 # Paper-figure benchmark series (Figs. 12-20 shapes).
 .PHONY: bench-figures

@@ -9,6 +9,7 @@ import (
 
 	"verticadr/internal/algos"
 	"verticadr/internal/core"
+	"verticadr/internal/parallel"
 	"verticadr/internal/sqlexec/difftest"
 )
 
@@ -213,6 +214,55 @@ func TestClusterDifftestJoins(t *testing.T) {
 					t.Fatalf("case %d %q: EXPLAIN names %v, want %v", i, c.sql, got, c.want)
 				}
 			}
+		}
+	}
+}
+
+// TestClusterDifftestKeySpanWidening is the routed twin of difftest's
+// widening suite: t and u are each loaded in two COPY batches, the second
+// widening the INTEGER keys below and above the first, with every shard over
+// two 4096-row chunks. The dense key span a shard's chunk or a join's build
+// side takes from its first block, and the one the router's merge takes from
+// the first shard's partial, miss later keys on both sides; every answer
+// must still match the single-process session bit for bit, group order
+// included, through each node's router at degrees 1, 2 and 4.
+func TestClusterDifftestKeySpanWidening(t *testing.T) {
+	defer parallel.SetDefaultDegree(0)
+	tc := startCluster(t, 3, 3, 2)
+	base := startBaseline(t, 3)
+	ctx := context.Background()
+	gen := difftest.NewGen(0x51de)
+	schema := difftest.TableSchema()
+	for _, tb := range []struct {
+		name          string
+		first, second int
+	}{{"t", 9000, 16000}, {"u", 150, 250}} {
+		ddl := fmt.Sprintf(testDDL, tb.name, "HASH(id)")
+		if err := base.ExecContext(ctx, ddl); err != nil {
+			t.Fatal(err)
+		}
+		tc.exec(ddl)
+		for _, rows := range gen.WideningLoads(tb.first, tb.second) {
+			loadBoth(t, base, tc, tb.name, schema, rows)
+		}
+	}
+	for _, deg := range []int{1, 2, 4} {
+		parallel.SetDefaultDegree(deg)
+		for i, sql := range difftest.WideningQueries {
+			r := tc.router(i + deg)
+			label := fmt.Sprintf("degree %d via router %d: %q", deg, (i+deg)%len(tc.nodes), sql)
+			ref, err := base.QueryContext(ctx, sql)
+			if err != nil {
+				t.Fatalf("%s: baseline: %v", label, err)
+			}
+			got, err := r.Query(ctx, sql)
+			if err != nil {
+				t.Fatalf("%s: routed: %v", label, err)
+			}
+			if len(ref.Rows()) == 0 {
+				t.Fatalf("%s: no rows", label)
+			}
+			sameResult(t, label, ref, got)
 		}
 	}
 }

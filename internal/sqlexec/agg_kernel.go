@@ -51,7 +51,10 @@ func (t *u64Table) find(k uint64) int32 {
 }
 
 // intern returns k's ID, handing out the next one when k is new.
-func (t *u64Table) intern(k uint64) int32 {
+func (t *u64Table) intern(k uint64) int32 { return t.put(k, t.n) }
+
+// put returns k's ID, giving it next when k is new.
+func (t *u64Table) put(k uint64, next int32) int32 {
 	if int(t.n)*2 >= len(t.keys) {
 		t.grow()
 	}
@@ -60,8 +63,8 @@ func (t *u64Table) intern(k uint64) int32 {
 		switch id := t.ids[i]; {
 		case id == 0:
 			t.n++
-			t.keys[i], t.ids[i] = k, t.n
-			return t.n - 1
+			t.keys[i], t.ids[i] = k, next+1
+			return next
 		case t.keys[i] == k:
 			return id - 1
 		}
@@ -94,6 +97,14 @@ var nanKey = math.Float64bits(math.NaN())
 // keyInterner maps one key column's values to dense IDs, handed out in
 // first-appearance order. A column has one type, so only one of the typed
 // tables is ever populated.
+//
+// INTEGER keys under exact identity — every GROUP BY column, INTEGER =
+// INTEGER join keys — meet a direct-offset array before the hash: the first
+// INTEGER block the interner inserts fixes the span [base, base+len(dense))
+// to that block's [min, max] when it is narrow enough (takeSpan), and a key
+// inside it is a bounds check and a load. Any other key takes the hash
+// table. Both hand out IDs from one counter, so an ID is the key's rank in
+// first-appearance order whichever way the key went.
 type keyInterner struct {
 	// join selects join-key equality for numeric columns — integers widen
 	// to float64, -0.0 and +0.0 coincide, NaN gets idNaN — in place of
@@ -101,21 +112,75 @@ type keyInterner struct {
 	// are distinct keys (what rendering the key with %v distinguished).
 	join bool
 
-	words   u64Table // INTEGER values, FLOAT bit patterns
+	spanned bool    // the first INTEGER block was inserted: the span is decided
+	base    int64   // the key in dense[0]
+	dense   []int32 // ID+1 of key base+i; 0 marks a key not yet seen
+	n       int32   // IDs handed out to INTEGER and FLOAT keys, dense and hashed
+
+	words   u64Table // INTEGER values outside the span, FLOAT bit patterns
 	strs    map[string]int32
 	bools   [2]int32 // ID+1 of false and of true
 	nbools  int32
 	codeIDs []int32 // scratch: one dictionary block's code → ID
 }
 
+// A block of n INTEGER keys over [lo, hi] gets a dense array when its
+// hi-lo+1 slots are at most denseSlotsPerKey*n + denseSlack and at most
+// denseMaxSlots: never much larger than the hash table the keys would fill.
+const (
+	denseSlotsPerKey = 4
+	denseSlack       = 64
+	denseMaxSlots    = 64 << 10
+)
+
 // len returns the number of IDs handed out.
-func (t *keyInterner) len() int { return int(t.words.n) + len(t.strs) + int(t.nbools) }
+func (t *keyInterner) len() int { return int(t.n) + len(t.strs) + int(t.nbools) }
 
 func (t *keyInterner) word(k uint64, insert bool) int32 {
-	if insert {
-		return t.words.intern(k)
+	if !insert {
+		return t.words.find(k)
 	}
-	return t.words.find(k)
+	id := t.words.put(k, t.n)
+	if id == t.n {
+		t.n++
+	}
+	return id
+}
+
+// takeSpan decides the span from the first non-empty INTEGER block inserted.
+// hi-lo is computed in uint64, where it cannot overflow.
+func (t *keyInterner) takeSpan(xs []int64) {
+	t.spanned = true
+	lo, hi := xs[0], xs[0]
+	for _, x := range xs[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	if limit := min(denseSlotsPerKey*len(xs)+denseSlack, denseMaxSlots); uint64(hi)-uint64(lo) < uint64(limit) {
+		t.base, t.dense = lo, make([]int32, uint64(hi)-uint64(lo)+1)
+	}
+}
+
+// ints writes the IDs of INTEGER keys under exact identity. x-base wraps, so
+// no key outside the span, MinInt64 and MaxInt64 included, lands in it.
+func (t *keyInterner) ints(xs []int64, out []int32, insert bool) {
+	if !t.spanned && insert && len(xs) > 0 {
+		t.takeSpan(xs)
+	}
+	dense, base := t.dense, t.base
+	for i, x := range xs {
+		switch o := uint64(x - base); {
+		case o >= uint64(len(dense)):
+			out[i] = t.word(uint64(x), insert)
+		case dense[o] != 0:
+			out[i] = dense[o] - 1
+		case insert:
+			t.n++
+			dense[o] = t.n
+			out[i] = t.n - 1
+		default:
+			out[i] = idAbsent
+		}
+	}
 }
 
 func (t *keyInterner) str(s string, insert bool) int32 {
@@ -183,9 +248,7 @@ func (t *keyInterner) ids(col colstore.BlockCol, out []int32, insert bool) {
 			out[i] = t.flag(b, insert)
 		}
 	case v.Type == colstore.TypeInt64 && !t.join:
-		for i, x := range v.Ints {
-			out[i] = t.word(uint64(x), insert)
-		}
+		t.ints(v.Ints, out, insert)
 	case v.Type == colstore.TypeInt64:
 		for i, x := range v.Ints {
 			out[i] = t.word(math.Float64bits(float64(x)), insert)
@@ -261,6 +324,22 @@ func (t *groupTable) assign(keys []colstore.BlockCol, n int, sc *aggScratch) []i
 		t.n = int(pairs.n)
 	}
 	return gid
+}
+
+// keySpan returns the slots of the first key column's dense span, 0 for none.
+func (t *groupTable) keySpan() int {
+	if len(t.cols) == 0 {
+		return 0
+	}
+	return len(t.cols[0].dense)
+}
+
+// spanText names a key path for PROFILE: "dense span N", or "hashed".
+func spanText(slots int) string {
+	if slots == 0 {
+		return "hashed"
+	}
+	return fmt.Sprintf("dense span %d", slots)
 }
 
 // aggItemAcc is one projection item's dense per-group state.

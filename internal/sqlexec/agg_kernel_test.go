@@ -386,6 +386,11 @@ const (
 	// A column-vs-column WHERE storage cannot take: the residual's compare.
 	groupByResidualSQL = "SELECT grp, count(*) AS n, sum(x0) AS s, min(x1) AS m FROM events WHERE x0 < x1 GROUP BY grp ORDER BY grp"
 	hashJoinAggSQL     = "SELECT d.grp, count(*) AS n, sum(events.x0) AS s FROM events JOIN dim d ON events.dim_id = d.id GROUP BY d.grp ORDER BY d.grp"
+	// 10k groups over 4096-row chunks: about 2.4 slots a row, still dense.
+	groupByWideIntSQL = "SELECT dim_id, count(*) AS n, sum(x0) AS s, min(x1) AS m FROM events WHERE id < 1000000 GROUP BY dim_id ORDER BY dim_id"
+	// Unique keys: every block after the first falls outside its span, so
+	// all but 4096 keys take the hash.
+	groupByUniqueIntSQL = "SELECT id, count(*) AS n, sum(x0) AS s FROM events GROUP BY id"
 )
 
 func queryAllocs(t *testing.T, db Database, sql string) float64 {
@@ -458,3 +463,122 @@ func BenchmarkGroupByDict(b *testing.B)          { benchQuery(b, groupByDictSQL)
 func BenchmarkGroupByWhere(b *testing.B)         { benchQuery(b, groupByWhereSQL) }
 func BenchmarkGroupByWhereResidual(b *testing.B) { benchQuery(b, groupByResidualSQL) }
 func BenchmarkHashJoinAgg(b *testing.B)          { benchQuery(b, hashJoinAggSQL) }
+func BenchmarkGroupByWideInt(b *testing.B)       { benchQuery(b, groupByWideIntSQL) }
+func BenchmarkGroupByUniqueInt(b *testing.B)     { benchQuery(b, groupByUniqueIntSQL) }
+
+// TestDenseSpanMatchesHash holds the dense span to the hash table it stands
+// in front of: each key sequence goes through an interner that takes its span
+// from its first non-empty block and through one forced to the hash, and both
+// hand out the same IDs, inserting and probing. An in-span key never enters
+// the hash, and probing one never inserted finds it absent.
+func TestDenseSpanMatchesHash(t *testing.T) {
+	seq := func(n int, last int64) []int64 {
+		xs := make([]int64, n)
+		for i := range xs {
+			xs[i] = int64(i)
+		}
+		xs[n-1] = last
+		return xs
+	}
+	for _, tc := range []struct {
+		name   string
+		blocks [][]int64 // inserted in order
+		span   int       // the dense array's slots; 0 for none
+		probe  []int64
+	}{
+		{"negative base", [][]int64{{-70, -10, -40, -70}, {-11, -71, -9, 5}}, 61,
+			[]int64{-70, -69, -10, -9, -71, 5, 6, -41}},
+		// Keys 2^32 off the span alias it in a 32-bit offset.
+		{"int64 extremes beside a small span", [][]int64{{3, 9, 4}, {math.MinInt64, 3, math.MaxInt64, 10, 3 + 1<<32, 2, math.MinInt64, 5 - 1<<32}}, 7,
+			[]int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1, 5, 3, 9, 3 + 1<<32, 4 + 1<<32, 5 - 1<<32}},
+		{"keys at base-1 and base+len", [][]int64{{100, 163}, {99, 164, 100, 163, 99}}, 64,
+			[]int64{99, 164, 100, 130, 163, 98, 165}},
+		{"one-row first block", [][]int64{{42}, {41, 42, 43, 42}}, 1, []int64{41, 42, 43, 44}},
+		{"empty first block", [][]int64{{}, {7, 1, 7, 3}, {0, 8}}, 7, []int64{0, 1, 2, 3, 4, 7, 8, 9}},
+		{"first block at the per-row cap", [][]int64{{0, 71}, {1, 71, 0}}, 72, []int64{0, 1, 2, 71, 72}},
+		{"first block just over the per-row cap", [][]int64{{0, 72}, {1, 72, 0}}, 0, []int64{0, 1, 2, 72}},
+		{"first block at 64 Ki slots", [][]int64{seq(20_000, 65_535), {65_536, -1, 3}}, 65_536, []int64{-1, 0, 30_000, 65_535, 65_536}},
+		{"first block just over 64 Ki slots", [][]int64{seq(20_000, 65_536), {65_537, -1, 3}}, 0, []int64{-1, 0, 30_000, 65_535, 65_536}},
+		{"later block straddling both edges", [][]int64{{10, 12, 15, 11}, {8, 9, 10, 16, 17, 13, 9, 8, 15}}, 6,
+			[]int64{7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(k *keyInterner) (ins, probe []int32) {
+				for _, b := range tc.blocks {
+					out := make([]int32, len(b))
+					k.ids(colstore.BlockCol{Vals: colstore.IntVector(b)}, out, true)
+					ins = append(ins, out...)
+				}
+				probe = make([]int32, len(tc.probe))
+				k.ids(colstore.BlockCol{Vals: colstore.IntVector(tc.probe)}, probe, false)
+				return ins, probe
+			}
+			dense, hashed := &keyInterner{}, &keyInterner{spanned: true}
+			dIns, dProbe := run(dense)
+			hIns, hProbe := run(hashed)
+			if len(dense.dense) != tc.span || hashed.dense != nil {
+				t.Fatalf("span %d slots, want %d (forced: %d)", len(dense.dense), tc.span, len(hashed.dense))
+			}
+			if fmt.Sprint(dIns) != fmt.Sprint(hIns) || dense.len() != hashed.len() {
+				t.Fatalf("inserted IDs %v (%d), hashed %v (%d)", dIns, dense.len(), hIns, hashed.len())
+			}
+			if fmt.Sprint(dProbe) != fmt.Sprint(hProbe) {
+				t.Fatalf("probed IDs %v, hashed %v", dProbe, hProbe)
+			}
+			seen, outside := map[int64]bool{}, map[int64]bool{}
+			inSpan := func(x int64) bool { return uint64(x-dense.base) < uint64(len(dense.dense)) }
+			for _, b := range tc.blocks {
+				for _, x := range b {
+					seen[x] = true
+					if !inSpan(x) {
+						outside[x] = true
+					}
+				}
+			}
+			if int(dense.words.n) != len(outside) {
+				t.Fatalf("%d keys in the hash, %d distinct keys outside the span", dense.words.n, len(outside))
+			}
+			for i, x := range tc.probe {
+				if inSpan(x) && !seen[x] && dProbe[i] != idAbsent {
+					t.Fatalf("probe of %d, in the span and never inserted: ID %d", x, dProbe[i])
+				}
+			}
+		})
+	}
+}
+
+// TestProfileNamesKeyPath pins what PROFILE says of the key path: the join's
+// build span or "hashed", and how many aggregate chunks had a dense first key
+// column — dense keys (the serving join over dim.id, GROUP BY d.grp) and
+// keys too wide for any span (40-bit k).
+func TestProfileNamesKeyPath(t *testing.T) {
+	details := func(db Database, sql string) map[string]string {
+		t.Helper()
+		res, err := RunSelectCtx(context.Background(), db, selStmt(t, "PROFILE "+sql))
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		got := map[string]string{}
+		for _, op := range res.Profile.Ops() {
+			got[op.Op] = op.Detail
+		}
+		return got
+	}
+	events := newEventsDB(t, 20_000, 10_000)
+	wide := newKernelDB(t, 10_000, colstore.DefaultBlockRows, 0, func(i int) string { return "" },
+		func(i int) int64 { return int64(uint64(i) * 0x9E3779B97F4A7C15 >> 24) }, func(i int) float64 { return 0 })
+	for _, c := range []struct {
+		db            Database
+		sql, op, want string
+	}{
+		{events, hashJoinAggSQL, "join", "events.dim_id = d.id, 10000 build rows, dense span 10000"},
+		{events, hashJoinAggSQL, "aggregate", "50 groups, 3 aggregates, 5 chunks, 5 with a dense key span"},
+		{wide, "SELECT k, count(*) FROM t WHERE seq >= 0 GROUP BY k", "aggregate", "10000 groups, 2 aggregates, 3 chunks, 0 with a dense key span"},
+		{wide, "SELECT k, count(*) FROM t GROUP BY k", "aggregate", "10000 groups, 2 aggregates, 10000 runs (run-aware), key hashed"},
+		{wide, "SELECT count(*) FROM t JOIN t r ON t.k = r.k", "join", "t.k = r.k, 10000 build rows, hashed"},
+	} {
+		if got := details(c.db, c.sql)[c.op]; got != c.want {
+			t.Errorf("%s: %s detail %q, want %q", c.sql, c.op, got, c.want)
+		}
+	}
+}

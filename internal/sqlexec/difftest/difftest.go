@@ -37,28 +37,31 @@ type FakeDB struct {
 // NewFakeDB splits rows into nsegs contiguous segments with small blocks
 // (so multi-block parallel scans actually happen).
 func NewFakeDB(name string, schema colstore.Schema, rows [][]any, nsegs, blockRows int) (*FakeDB, error) {
+	return fakeDBLoads(name, schema, [][][]any{rows}, nsegs, blockRows)
+}
+
+// fakeDBLoads stores loads the way successive COPYs fill a table's segments:
+// segment i receives the i-th contiguous part of each load in turn, each
+// appended as one batch. SrcRows follows the segments, so the scan order is
+// the source order.
+func fakeDBLoads(name string, schema colstore.Schema, loads [][][]any, nsegs, blockRows int) (*FakeDB, error) {
 	if nsegs < 1 {
 		nsegs = 1
 	}
 	db := &FakeDB{
-		Def:     &catalog.TableDef{Name: name, Schema: schema},
-		SrcRows: rows,
-		reg:     udf.NewRegistry(),
+		Def: &catalog.TableDef{Name: name, Schema: schema},
+		reg: udf.NewRegistry(),
 	}
-	per := (len(rows) + nsegs - 1) / nsegs
 	for i := 0; i < nsegs; i++ {
 		seg := colstore.NewSegment(schema, blockRows)
-		lo := i * per
-		hi := lo + per
-		if lo > len(rows) {
-			lo = len(rows)
-		}
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		if lo < hi {
+		for _, rows := range loads {
+			per := (len(rows) + nsegs - 1) / nsegs
+			part := rows[min(i*per, len(rows)):min((i+1)*per, len(rows))]
+			if len(part) == 0 {
+				continue
+			}
 			batch := colstore.NewBatch(schema)
-			for _, r := range rows[lo:hi] {
+			for _, r := range part {
 				if err := batch.AppendRow(r...); err != nil {
 					return nil, err
 				}
@@ -66,6 +69,7 @@ func NewFakeDB(name string, schema colstore.Schema, rows [][]any, nsegs, blockRo
 			if err := seg.Append(batch); err != nil {
 				return nil, err
 			}
+			db.SrcRows = append(db.SrcRows, part...)
 		}
 		db.Segs = append(db.Segs, seg)
 	}

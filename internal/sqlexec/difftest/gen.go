@@ -105,6 +105,52 @@ func (g *Gen) genRows(nrows int) [][]any {
 	return rows
 }
 
+// WideningLoads generates two loads of TableSchema rows, first and second
+// rows long, ids sequential across both, whose INTEGER keys the second load
+// widens: a is in [100, 164) and b in [0, 300) throughout the first load; in
+// the second each is drawn from that range, below it, above it (up to three
+// widths off) or, one time in 32, from the int64 extremes. A dense key span
+// taken from the first load's blocks misses the second's keys on both sides.
+func (g *Gen) WideningLoads(first, second int) [][][]any {
+	wide := func(lo, n int64) int64 {
+		switch k := g.rng.Intn(64); {
+		case k == 0:
+			return math.MinInt64
+		case k == 1:
+			return math.MaxInt64
+		case k < 22:
+			return lo - 1 - g.rng.Int63n(3*n)
+		case k < 43:
+			return lo + n + g.rng.Int63n(3*n)
+		default:
+			return lo + g.rng.Int63n(n)
+		}
+	}
+	rows := g.genRows(first + second)
+	for i, r := range rows {
+		if i < first {
+			r[1], r[2] = 100+g.rng.Int63n(64), g.rng.Int63n(300)
+		} else {
+			r[1], r[2] = wide(100, 64), wide(0, 300)
+		}
+	}
+	return [][][]any{rows[:first], rows[first:]}
+}
+
+// WideningQueries are GROUP BY and join statements over two tables t and u
+// of WideningLoads rows: one and two INTEGER key columns, run-aware and
+// chunked folds, and INTEGER join keys from both loads on either side.
+var WideningQueries = []string{
+	"SELECT a, count(*) AS n, sum(x) AS sx, min(y) AS my FROM t GROUP BY a",
+	"SELECT a, count(*) AS n, sum(x) AS sx, max(s) AS ms FROM t WHERE id >= 0 GROUP BY a",
+	"SELECT b, a, count(*) AS n, sum(y) AS sy FROM t GROUP BY b, a",
+	"SELECT a, b, count(*) AS n, avg(x) AS ax FROM t WHERE x > -40 GROUP BY a, b",
+	"SELECT t.id, u.id AS uid, u.b FROM t JOIN u ON t.a = u.a",
+	"SELECT u.b, count(*) AS n, sum(t.x) AS sx FROM t JOIN u ON t.a = u.a GROUP BY u.b",
+	"SELECT t.a, count(*) AS n, min(u.y) AS my FROM t JOIN u ON t.b = u.b WHERE u.id < 300 GROUP BY t.a",
+	"SELECT u.id, t.id AS tid FROM u JOIN t ON u.b = t.a WHERE t.x > 0",
+}
+
 // AdversarialTable generates a FakeDB whose storage is encoding-adversarial
 // for the compressed execution path:
 //

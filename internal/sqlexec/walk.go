@@ -645,7 +645,7 @@ func (in *input) finishOps() time.Duration {
 	for k, j := range in.joins {
 		j.op.charge(share(stageJoins + k))
 		j.op.done(in.outRows[stageJoins+k].Load(), func() string {
-			return fmt.Sprintf("%s = %s, %d build rows", j.node.LeftKey, j.node.RightKey, j.rows.Len())
+			return fmt.Sprintf("%s = %s, %d build rows, %s", j.node.LeftKey, j.node.RightKey, j.rows.Len(), spanText(len(j.keys.dense)))
 		})
 	}
 	if op := in.topOp; op != nil {
@@ -696,6 +696,7 @@ type aggFold struct {
 	open   *aggPartialAcc // the chunk the ranges taken so far end inside
 	filled int            // its rows
 	chunks int            // chunks begun
+	dense  int            // chunks done whose first key column got a dense span
 	folded map[int]*aggPartialAcc
 	merged int // chunks in the tree
 	tree   parallel.Tree[*aggPartialAcc]
@@ -814,6 +815,9 @@ func (f *aggFold) foldRows(p *aggPartialAcc, rows *colstore.Batch, i, j int) err
 // come into the tree. Called under the walk's lock.
 func (f *aggFold) done(c int, p *aggPartialAcc) error {
 	f.folded[c] = p
+	if p.table.keySpan() > 0 {
+		f.dense++
+	}
 	for p, ok := f.folded[f.merged]; ok; p, ok = f.folded[f.merged] {
 		delete(f.folded, f.merged)
 		if err := f.tree.Push(p); err != nil {
@@ -835,6 +839,9 @@ func (f *aggFold) finish() error {
 		part = newAggPartialAcc(f.plans, f.keyTypes, f.outTypes)
 	}
 	part.how = fmt.Sprintf("%d chunks", f.chunks)
+	if len(f.keys) > 0 {
+		part.how += fmt.Sprintf(", %d with a dense key span", f.dense)
+	}
 	f.part = part
 	return err
 }
@@ -892,6 +899,9 @@ func (f *aggFold) foldRuns() error {
 	}
 	in.wall = in.prof.now() - t0
 	f.part.how = fmt.Sprintf("%d runs (run-aware)", runs)
+	if len(f.keys) > 0 {
+		f.part.how += ", key " + spanText(f.part.table.keySpan())
+	}
 	return nil
 }
 
