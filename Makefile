@@ -15,8 +15,9 @@ GO ?= go
 #
 # Targets: check (= lint build test race difftest-short fuzz-smoke), vet,
 # bench (benchmark/run.sh over the BENCHMARK.json workloads),
-# bench-placement, bench-point, bench-scan, bench-transfer, bench-keys,
-# bench-figures, chaos, recover, fuzz, loc.
+# bench-placement, bench-point, bench-scan (the block parse paths:
+# BenchmarkDecodeDelta, BenchmarkDecodeBlock, BenchmarkMatchCompressed),
+# bench-transfer, bench-keys, bench-figures, chaos, recover, fuzz, loc.
 .PHONY: check
 check: lint build test race difftest-short fuzz-smoke
 
@@ -163,12 +164,14 @@ bench-point:
 	$(GO) test -run='^$$' -bench='BenchmarkLookup' -benchtime=3s -benchmem ./internal/colstore/index/
 
 # The scan's decode: one DELTA block of 4096 rows at 1-, 2- and 3-byte
-# deltas, then the benchmark's read, score and join statements on
-# serve_single's 4-node deployment, where every INTEGER column they read is
-# DELTA encoded.
+# deltas; PLAIN INTEGER, FLOAT and VARCHAR, RLE and DICT blocks of 4096 rows,
+# each decoded whole and one row in 64; an equality matched on the RLE and
+# DICT blocks' encoded form; then the benchmark's read, score and join
+# statements on serve_single's 4-node deployment, where every INTEGER column
+# they read is DELTA encoded.
 .PHONY: bench-scan
 bench-scan:
-	$(GO) test -run='^$$' -bench='BenchmarkDecodeDelta' -benchmem ./internal/colstore/
+	$(GO) test -run='^$$' -bench='BenchmarkDecodeDelta|BenchmarkDecodeBlock|BenchmarkMatchCompressed' -benchmem ./internal/colstore/
 	$(GO) test -run='^$$' -bench='BenchmarkReadSQL|BenchmarkScoreSQL|BenchmarkJoinSQL' -benchmem ./internal/core/
 
 # The transfer path and the task dispatch under it: the in-process and TCP

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -204,8 +205,10 @@ func TestDecodeBlockSelMatchesGather(t *testing.T) {
 	}
 }
 
-// TestCompressedErrorParity: corrupt blocks are rejected with the eager
-// decoder's exact error, even when the corruption lies outside the selection.
+// TestCompressedErrorParity: a corrupt block is rejected with one error by
+// every reader — DecodeBlockInto, DecodeBlockSel, MatchBlockCompressed and a
+// NextBlock cursor — even when the corruption lies outside the selection; and
+// a selection out of the block's range names the offending index.
 func TestCompressedErrorParity(t *testing.T) {
 	v := IntVector([]int64{5, 5, 5, 5, 9, 9, 9, 9})
 	data, err := EncodeBlock(v, EncRLE)
@@ -217,30 +220,74 @@ func TestCompressedErrorParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupt := [][]byte{
-		data[:len(data)-3],   // truncated RLE value
-		data[:4],             // truncated mid-header/run
-		sdata[:len(sdata)-1], // truncated dict codes
-		sdata[:5],            // truncated dict entries
+	with := func(b []byte, at int, to ...byte) []byte {
+		return append(append(append([]byte{}, b[:at]...), to...), b[at+len(to):]...)
 	}
-	for i, blk := range corrupt {
-		_, wantErr := DecodeBlock(blk)
+	tooMany := binary.AppendUvarint([]byte{byte(TypeInt64), byte(EncRLE)}, MaxBlockRows+1)
+	for i, tc := range []struct {
+		typ  Type
+		data []byte
+		sel  []int  // DecodeBlockSel alone, of a sound block
+		want string // the error; empty: DecodeBlockInto's
+	}{
+		{TypeInt64, data[:len(data)-3], nil, ""}, // truncated RLE value
+		{TypeInt64, data[:4], nil, ""},           // truncated mid-header/run
+		{TypeString, sdata[:len(sdata)-1], nil, ""},
+		{TypeString, sdata[:5], nil, ""},
+		{TypeInt64, with(data, 0, 9), nil, "colstore: unknown type byte 9"},
+		{TypeInt64, with(data, 1, 9), nil, "colstore: unknown encoding byte 9"},
+		{TypeInt64, append(tooMany, data[3:]...), nil, "colstore: block claims 16777217 rows (max 16777216)"},
+		{TypeInt64, with(data, 3, 0), nil, "colstore: RLE run 0 exceeds remaining 8 rows"},
+		{TypeString, with(sdata, len(sdata)-1, 7), nil, "colstore: dict code 7 out of range 2"},
+		{TypeInt64, data[:2], nil, "colstore: block too short (2 bytes)"},
+		{TypeInt64, data, []int{-1, 2}, "colstore: selection index -1 out of range 8 rows"},
+		{TypeInt64, data, []int{2, 8}, "colstore: selection index 8 out of range 8 rows"},
+	} {
+		same := func(route string, err error) {
+			t.Helper()
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("corrupt[%d]: %s err %v, want %q", i, route, err, tc.want)
+			}
+		}
+		if tc.sel != nil {
+			same("DecodeBlockSel", DecodeBlockSel(NewVector(tc.typ, 0), tc.data, tc.sel))
+			continue
+		}
+		wantErr := DecodeBlockInto(NewVector(tc.typ, 0), tc.data)
 		if wantErr == nil {
 			t.Fatalf("corrupt[%d]: eager decode accepted it", i)
 		}
+		if tc.want == "" {
+			tc.want = wantErr.Error()
+		}
+		same("DecodeBlockInto", wantErr)
+		same("DecodeBlockSel", DecodeBlockSel(NewVector(tc.typ, 0), tc.data, nil))
 		pred := &Pred{Col: "c", Op: OpEQ, Val: int64(5)}
-		if blk[0] == byte(TypeString) {
+		if tc.typ == TypeString {
 			pred = &Pred{Col: "c", Op: OpEQ, Val: "x"}
 		}
-		_, handled, gotErr := MatchBlockCompressed(blk, pred, nil)
-		if handled {
-			if gotErr == nil || gotErr.Error() != wantErr.Error() {
-				t.Fatalf("corrupt[%d]: match err %v, want %v", i, gotErr, wantErr)
-			}
+		_, handled, gotErr := MatchBlockCompressed(tc.data, pred, nil)
+		if !handled {
+			t.Fatalf("corrupt[%d]: MatchBlockCompressed left it to the eager route", i)
 		}
-		selErr := DecodeBlockSel(NewVector(Type(blk[0]), 0), blk, nil)
-		if selErr == nil || selErr.Error() != wantErr.Error() {
-			t.Fatalf("corrupt[%d]: DecodeBlockSel err %v, want %v", i, selErr, wantErr)
+		same("MatchBlockCompressed", gotErr)
+		schema := Schema{{Name: "c", Type: tc.typ}}
+		rows := v
+		if tc.typ == TypeString {
+			rows = sv
+		}
+		seg := NewSegment(schema, rows.Len())
+		if err := seg.Append(&Batch{Schema: schema, Cols: []*Vector{rows}}); err != nil {
+			t.Fatal(err)
+		}
+		seg.sealed[0][0].data = tc.data
+		_, err := scanBlocks(seg, []string{"c"}, 1, func(*Block, ScanStats) {})
+		same("NextBlock", err)
+	}
+	// A vector of no type takes no block.
+	for _, err := range []error{DecodeBlockInto(&Vector{}, data), DecodeBlockSel(&Vector{}, data, nil)} {
+		if err == nil || err.Error() != "colstore: decode INTEGER block into INVALID(0) vector" {
+			t.Fatalf("typeless vector: err %v", err)
 		}
 	}
 }

@@ -204,15 +204,15 @@ func alignedBlockBuf(rows, size int) []byte {
 // so an append to it copies, and it must never be written. v must not be a
 // decode buffer, which a Reset and an append would then write through.
 func plainView(v *Vector, data []byte) bool {
-	typ, enc, n, rest, ok := splitBlockHeader(data)
-	if !ok || !hostLittleEndian || typ != v.Type || enc != EncPlain || n == 0 || len(rest) < 8*n {
+	_, enc, n, rest, err := blockHeader(data, v.Type)
+	if err != nil || !hostLittleEndian || enc != EncPlain || n == 0 || len(rest) < 8*n {
 		return false
 	}
 	p := unsafe.Pointer(unsafe.SliceData(rest))
 	if uintptr(p)%8 != 0 {
 		return false
 	}
-	switch typ {
+	switch v.Type {
 	case TypeInt64:
 		v.Ints = unsafe.Slice((*int64)(p), n)
 	case TypeFloat64:
@@ -383,15 +383,49 @@ func encodeDict(buf []byte, v *Vector) ([]byte, error) {
 // (blocks arrive over the transfer wire, not only from our own encoder).
 const MaxBlockRows = 1 << 24
 
+// anyType is blockHeader's want for a reader that takes a block of whatever
+// type its header names. No type byte is anyType.
+const anyType = Type(0xff)
+
+// blockHeader parses a block's [type][encoding][uvarint rows] header and
+// returns the payload after it. want is the type of the vector the block is
+// read into, or anyType. Every reader reports a bad header through here, so
+// all of them fail alike, in one order: too short, unknown type byte, type
+// mismatch, corrupt header, too many rows. An unknown encoding byte is the
+// caller's to report.
+func blockHeader(data []byte, want Type) (typ Type, enc Encoding, n int, payload []byte, err error) {
+	if len(data) < 3 {
+		return 0, 0, 0, nil, fmt.Errorf("colstore: block too short (%d bytes)", len(data))
+	}
+	typ, enc = Type(data[0]), Encoding(data[1])
+	switch typ {
+	case TypeInt64, TypeFloat64, TypeString, TypeBool:
+	default:
+		return 0, 0, 0, nil, fmt.Errorf("colstore: unknown type byte %d", data[0])
+	}
+	if want != anyType && typ != want {
+		return 0, 0, 0, nil, fmt.Errorf("colstore: decode %v block into %v vector", typ, want)
+	}
+	count, m := binary.Uvarint(data[2:])
+	if m <= 0 {
+		return 0, 0, 0, nil, fmt.Errorf("colstore: corrupt block header")
+	}
+	if count > MaxBlockRows {
+		return 0, 0, 0, nil, fmt.Errorf("colstore: block claims %d rows (max %d)", count, MaxBlockRows)
+	}
+	return typ, enc, int(count), data[2+m:], nil
+}
+
 // DecodeBlock deserializes a block produced by EncodeBlock. Corrupt input —
 // truncated payloads, unknown type or encoding bytes, row counts beyond
 // MaxBlockRows, run lengths or dictionary codes that disagree with the
 // header — returns an error, never a panic.
 func DecodeBlock(data []byte) (*Vector, error) {
-	if len(data) < 3 {
-		return nil, fmt.Errorf("colstore: block too short (%d bytes)", len(data))
+	typ, _, _, _, err := blockHeader(data, anyType)
+	if err != nil {
+		return nil, err
 	}
-	v := &Vector{Type: Type(data[0])} // an unknown type byte fails below
+	v := &Vector{Type: typ}
 	if err := DecodeBlockInto(v, data); err != nil {
 		return nil, err
 	}
@@ -403,164 +437,221 @@ func DecodeBlock(data []byte) (*Vector, error) {
 // match v.Type. This is the reuse form of DecodeBlock: with a vector of
 // sufficient capacity the decode allocates nothing beyond string payloads.
 // The same corruption guarantees apply — errors, never panics.
-func DecodeBlockInto(v *Vector, data []byte) error {
-	if len(data) < 3 {
-		return fmt.Errorf("colstore: block too short (%d bytes)", len(data))
+func DecodeBlockInto(v *Vector, data []byte) error { return decodeBlock(v, data, nil) }
+
+// DecodeBlockSel decodes only the rows selected by sel (ascending block-row
+// indexes, duplicates allowed) and appends them to v — the late-
+// materialization form of DecodeBlockInto; a nil sel selects no row. It
+// validates the entire block exactly as the full decoder does, so corrupt
+// input is rejected with the same error even when the corruption lies past
+// the last selected row; only the materialization (value appends, string
+// allocation) is skipped.
+func DecodeBlockSel(v *Vector, data []byte, sel []int) error {
+	if sel == nil {
+		sel = []int{}
 	}
-	typ := Type(data[0])
-	switch typ {
-	case TypeInt64, TypeFloat64, TypeString, TypeBool:
-	default:
-		return fmt.Errorf("colstore: unknown type byte %d", data[0])
+	return decodeBlock(v, data, sel)
+}
+
+// decodeBlock appends to v the rows of a block: every row when sel is nil,
+// else the rows sel lists. Each encoding's payload has one decoder, which
+// reads the whole payload whatever sel selects.
+func decodeBlock(v *Vector, data []byte, sel []int) error {
+	_, enc, n, rest, err := blockHeader(data, v.Type)
+	if err != nil {
+		return err
 	}
-	if typ != v.Type {
-		return fmt.Errorf("colstore: decode %v block into %v vector", typ, v.Type)
+	k := n
+	if sel != nil {
+		k = len(sel)
+		if k > 0 && (sel[0] < 0 || sel[k-1] >= n) {
+			bad := sel[k-1]
+			if sel[0] < 0 {
+				bad = sel[0]
+			}
+			return fmt.Errorf("colstore: selection index %d out of range %d rows", bad, n)
+		}
 	}
-	enc := Encoding(data[1])
-	rest := data[2:]
-	count, m := binary.Uvarint(rest)
-	if m <= 0 {
-		return fmt.Errorf("colstore: corrupt block header")
-	}
-	if count > MaxBlockRows {
-		return fmt.Errorf("colstore: block claims %d rows (max %d)", count, MaxBlockRows)
-	}
-	rest = rest[m:]
-	n := int(count)
 	// Reserve what the header promises, clamped: appends grow as needed, and
 	// a header may not commit the decoder to a huge allocation before its
 	// payload is validated.
-	v.reserve(min(n, DefaultBlockRows))
-	var err error
+	v.reserve(min(k, DefaultBlockRows))
 	switch enc {
 	case EncPlain:
-		_, err = decodePlain(v, rest, n)
+		return decodePlain(v, rest, n, sel)
 	case EncRLE:
-		_, err = decodeRLE(v, rest, n)
+		return decodeRLE(v, rest, n, sel)
 	case EncDelta:
-		err = decodeDelta(v, rest, n, nil)
+		return decodeDelta(v, rest, n, sel)
 	case EncDict:
-		_, err = decodeDict(v, rest, n)
-	default:
-		err = fmt.Errorf("colstore: unknown encoding byte %d", data[1])
+		return decodeDict(v, rest, n, sel)
 	}
-	return err
+	return fmt.Errorf("colstore: unknown encoding byte %d", data[1])
 }
 
-func decodePlain(v *Vector, rest []byte, n int) (*Vector, error) {
+// decodePlain appends to v the values of a PLAIN payload of n rows: all of
+// them when sel is nil, else those of the rows sel lists. A fixed-width
+// payload is checked for its length once, then read whole or at the
+// selected rows alone; a VARCHAR payload is walked to its end.
+func decodePlain(v *Vector, rest []byte, n int, sel []int) error {
 	switch v.Type {
 	case TypeInt64:
 		if len(rest) < 8*n {
-			return nil, fmt.Errorf("colstore: truncated plain block")
+			return fmt.Errorf("colstore: truncated plain block")
 		}
-		v.Ints = grown(v.Ints, n)[:len(v.Ints)+n]
-		dst := v.Ints[len(v.Ints)-n:]
-		if hostLittleEndian {
-			copy(wordBytes(dst), rest)
-			break
-		}
-		for i := range dst {
-			dst[i] = int64(binary.LittleEndian.Uint64(rest[i*8:]))
-		}
+		v.Ints = appendWords(v.Ints, rest, n, sel)
 	case TypeFloat64:
 		if len(rest) < 8*n {
-			return nil, fmt.Errorf("colstore: truncated plain block")
+			return fmt.Errorf("colstore: truncated plain block")
 		}
-		v.Floats = grown(v.Floats, n)[:len(v.Floats)+n]
-		dst := v.Floats[len(v.Floats)-n:]
-		if hostLittleEndian {
-			copy(wordBytes(dst), rest)
-			break
-		}
-		for i := range dst {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[i*8:]))
-		}
+		v.Floats = appendWords(v.Floats, rest, n, sel)
 	case TypeString:
+		si := 0
 		for i := 0; i < n; i++ {
 			l, m := binary.Uvarint(rest)
 			if m <= 0 || uint64(len(rest)-m) < l {
-				return nil, fmt.Errorf("colstore: truncated string block")
+				return fmt.Errorf("colstore: truncated string block")
 			}
 			rest = rest[m:]
-			v.Strs = append(v.Strs, string(rest[:l]))
+			if sel == nil {
+				v.Strs = append(v.Strs, string(rest[:l]))
+			}
+			for ; si < len(sel) && sel[si] == i; si++ {
+				v.Strs = append(v.Strs, string(rest[:l]))
+			}
 			rest = rest[l:]
 		}
 	case TypeBool:
 		if len(rest) < n {
-			return nil, fmt.Errorf("colstore: truncated bool block")
+			return fmt.Errorf("colstore: truncated bool block")
 		}
-		for i := 0; i < n; i++ {
-			v.Bools = append(v.Bools, rest[i] != 0)
-		}
-	default:
-		return nil, fmt.Errorf("colstore: decode invalid type %v", v.Type)
-	}
-	return v, nil
-}
-
-func decodeRLE(v *Vector, rest []byte, n int) (*Vector, error) {
-	total := 0
-	for total < n {
-		run, m := binary.Uvarint(rest)
-		if m <= 0 {
-			return nil, fmt.Errorf("colstore: truncated RLE block")
-		}
-		if run == 0 || run > uint64(n-total) {
-			return nil, fmt.Errorf("colstore: RLE run %d exceeds remaining %d rows", run, n-total)
-		}
-		rest = rest[m:]
-		var err error
-		rest, err = decodeOneRepeated(v, rest, int(run))
-		if err != nil {
-			return nil, err
-		}
-		total += int(run)
-	}
-	if total != n {
-		return nil, fmt.Errorf("colstore: RLE block decoded %d rows, want %d", total, n)
-	}
-	return v, nil
-}
-
-func decodeOneRepeated(v *Vector, rest []byte, run int) ([]byte, error) {
-	switch v.Type {
-	case TypeInt64, TypeFloat64:
-		if len(rest) < 8 {
-			return nil, fmt.Errorf("colstore: truncated RLE value")
-		}
-		u := binary.LittleEndian.Uint64(rest)
-		rest = rest[8:]
-		for i := 0; i < run; i++ {
-			if v.Type == TypeInt64 {
-				v.Ints = append(v.Ints, int64(u))
-			} else {
-				v.Floats = append(v.Floats, math.Float64frombits(u))
+		if sel == nil {
+			for _, b := range rest[:n] {
+				v.Bools = append(v.Bools, b != 0)
 			}
 		}
+		for _, i := range sel {
+			v.Bools = append(v.Bools, rest[i] != 0)
+		}
+	}
+	return nil
+}
+
+// appendWords appends to dst the n values of a PLAIN INTEGER or FLOAT
+// payload, as one copy on a host whose memory already is that payload, or
+// else the values of the rows sel lists, each read where it lies.
+func appendWords[T int64 | float64](dst []T, rest []byte, n int, sel []int) []T {
+	if sel != nil {
+		for _, i := range sel {
+			dst = append(dst, fromBits[T](binary.LittleEndian.Uint64(rest[8*i:])))
+		}
+		return dst
+	}
+	base := len(dst)
+	dst = grown(dst, n)[:base+n]
+	if hostLittleEndian {
+		copy(wordBytes(dst[base:]), rest)
+		return dst
+	}
+	for i := range dst[base:] {
+		dst[base+i] = fromBits[T](binary.LittleEndian.Uint64(rest[8*i:]))
+	}
+	return dst
+}
+
+// fromBits is the INTEGER or FLOAT whose 64 bits are u.
+func fromBits[T int64 | float64](u uint64) T { return *(*T)(unsafe.Pointer(&u)) }
+
+// rleRun reads the run at the head of an RLE payload of a typ column with
+// left rows still to come: its length, its value's encoded bytes (8 for a
+// number, a string's own, one for a bool) and the payload after it. It is the
+// one reader of the RLE layout; every run walk goes through it.
+func rleRun(typ Type, rest []byte, left int) (run int, val, after []byte, err error) {
+	r, m := binary.Uvarint(rest)
+	if m <= 0 {
+		return 0, nil, nil, fmt.Errorf("colstore: truncated RLE block")
+	}
+	if r == 0 || r > uint64(left) {
+		return 0, nil, nil, fmt.Errorf("colstore: RLE run %d exceeds remaining %d rows", r, left)
+	}
+	rest = rest[m:]
+	switch typ {
+	case TypeInt64, TypeFloat64:
+		if len(rest) < 8 {
+			return 0, nil, nil, fmt.Errorf("colstore: truncated RLE value")
+		}
+		return int(r), rest[:8], rest[8:], nil
 	case TypeString:
 		l, m := binary.Uvarint(rest)
 		if m <= 0 || uint64(len(rest)-m) < l {
-			return nil, fmt.Errorf("colstore: truncated RLE string")
+			return 0, nil, nil, fmt.Errorf("colstore: truncated RLE string")
 		}
-		rest = rest[m:]
-		s := string(rest[:l])
-		rest = rest[l:]
-		for i := 0; i < run; i++ {
-			v.Strs = append(v.Strs, s)
-		}
-	case TypeBool:
-		if len(rest) < 1 {
-			return nil, fmt.Errorf("colstore: truncated RLE bool")
-		}
-		b := rest[0] != 0
-		rest = rest[1:]
-		for i := 0; i < run; i++ {
-			v.Bools = append(v.Bools, b)
-		}
-	default:
-		return nil, fmt.Errorf("colstore: decode invalid type %v", v.Type)
+		return int(r), rest[m : m+int(l)], rest[m+int(l):], nil
 	}
-	return rest, nil
+	if len(rest) < 1 { // TypeBool: blockHeader admits no other type
+		return 0, nil, nil, fmt.Errorf("colstore: truncated RLE bool")
+	}
+	return int(r), rest[:1], rest[1:], nil
+}
+
+// appendRun appends k copies of an RLE run's value, given as its encoded
+// bytes (rleRun), to v.
+func appendRun(v *Vector, val []byte, k int) {
+	switch v.Type {
+	case TypeInt64:
+		v.Ints = appendCopies(v.Ints, fromBits[int64](binary.LittleEndian.Uint64(val)), k)
+	case TypeFloat64:
+		v.Floats = appendCopies(v.Floats, fromBits[float64](binary.LittleEndian.Uint64(val)), k)
+	case TypeString:
+		v.Strs = appendCopies(v.Strs, string(val), k)
+	case TypeBool:
+		v.Bools = appendCopies(v.Bools, val[0] != 0, k)
+	}
+}
+
+func appendCopies[T any](s []T, x T, k int) []T {
+	for ; k > 0; k-- {
+		s = append(s, x)
+	}
+	return s
+}
+
+// decodeRLE appends to v the values of an RLE payload of n rows: all of them
+// when sel is nil, else those of the rows sel lists. A run no row selects is
+// stepped over, its string never made.
+func decodeRLE(v *Vector, rest []byte, n int, sel []int) error {
+	for row, si := 0, 0; row < n; {
+		run, val, after, err := rleRun(v.Type, rest, n-row)
+		if err != nil {
+			return err
+		}
+		rest, row = after, row+run
+		k := run
+		if sel != nil {
+			for k = 0; si < len(sel) && sel[si] < row; si++ {
+				k++
+			}
+		}
+		if k > 0 {
+			appendRun(v, val, k)
+		}
+	}
+	return nil
+}
+
+// decodeRLERuns is an RLE payload of n rows in its native form: each run's
+// value appended to v once and its length to lens.
+func decodeRLERuns(v *Vector, lens []int32, rest []byte, n int) ([]int32, error) {
+	for row := 0; row < n; {
+		run, val, after, err := rleRun(v.Type, rest, n-row)
+		if err != nil {
+			return nil, err
+		}
+		appendRun(v, val, 1)
+		lens = append(lens, int32(run))
+		rest, row = after, row+run
+	}
+	return lens, nil
 }
 
 // decodeDelta appends to v the values of a DELTA payload of n rows: all of
@@ -639,50 +730,80 @@ func deltaSum(dst []int64, rest []byte, n int, sel []int) bool {
 	return true
 }
 
-// readDict appends a dictionary payload's entries to dict and returns the
-// bytes that follow them (the row codes).
-func readDict(dict []string, rest []byte) ([]string, []byte, error) {
+// dictHeader reads a DICT payload's entry count, which cannot exceed the
+// bytes after it (every entry takes at least one), and returns those bytes:
+// the entries, then the row codes.
+func dictHeader(rest []byte) (int, []byte, error) {
 	dn, m := binary.Uvarint(rest)
 	if m <= 0 {
-		return nil, nil, fmt.Errorf("colstore: truncated dict header")
+		return 0, nil, fmt.Errorf("colstore: truncated dict header")
 	}
 	rest = rest[m:]
-	// Every dictionary entry needs at least one header byte, so the entry
-	// count cannot exceed the remaining payload.
 	if dn > uint64(len(rest)) {
-		return nil, nil, fmt.Errorf("colstore: dict claims %d entries in %d bytes", dn, len(rest))
+		return 0, nil, fmt.Errorf("colstore: dict claims %d entries in %d bytes", dn, len(rest))
 	}
-	dict = slices.Grow(dict, int(dn))
-	for i := uint64(0); i < dn; i++ {
-		l, m := binary.Uvarint(rest)
-		if m <= 0 || uint64(len(rest)-m) < l {
-			return nil, nil, fmt.Errorf("colstore: truncated dict entry")
-		}
-		rest = rest[m:]
-		dict = append(dict, string(rest[:l]))
-		rest = rest[l:]
-	}
-	return dict, rest, nil
+	return int(dn), rest, nil
 }
 
-func decodeDict(v *Vector, rest []byte, n int) (*Vector, error) {
-	if v.Type != TypeString {
-		return nil, fmt.Errorf("colstore: DICT block with type %v", v.Type)
+// decodeDictCodes is a DICT payload of n rows in its native form: its
+// entries appended to dict, an empty vector, and each row's code, checked
+// against them, to codes. It is the one reader of the layout after the
+// entry count.
+func decodeDictCodes(dict *Vector, codes []uint32, rest []byte, n int) ([]uint32, error) {
+	if dict.Type != TypeString {
+		return nil, fmt.Errorf("colstore: DICT block with type %v", dict.Type)
 	}
-	dict, rest, err := readDict(nil, rest)
+	dn, rest, err := dictHeader(rest)
 	if err != nil {
 		return nil, err
 	}
+	dict.Strs = slices.Grow(dict.Strs, dn)
+	for i := 0; i < dn; i++ {
+		l, m := binary.Uvarint(rest)
+		if m <= 0 || uint64(len(rest)-m) < l {
+			return nil, fmt.Errorf("colstore: truncated dict entry")
+		}
+		dict.Strs = append(dict.Strs, string(rest[m:m+int(l)]))
+		rest = rest[m+int(l):]
+	}
+	codes = slices.Grow(codes, min(n, len(rest))) // a code takes a byte at least
 	for i := 0; i < n; i++ {
-		c, m := binary.Uvarint(rest)
-		if m <= 0 {
+		// A code below 128, as every code of a small dictionary, is its byte.
+		c, m := uint64(0), 1
+		if len(rest) > 0 && rest[0] < 0x80 {
+			c = uint64(rest[0])
+		} else if c, m = binary.Uvarint(rest); m <= 0 {
 			return nil, fmt.Errorf("colstore: truncated dict codes")
 		}
 		rest = rest[m:]
-		if c >= uint64(len(dict)) {
-			return nil, fmt.Errorf("colstore: dict code %d out of range %d", c, len(dict))
+		if c >= uint64(dn) {
+			return nil, fmt.Errorf("colstore: dict code %d out of range %d", c, dn)
 		}
-		v.Strs = append(v.Strs, dict[c])
+		codes = append(codes, uint32(c))
 	}
-	return v, nil
+	return codes, nil
+}
+
+// decodeDict appends to v the values of a DICT payload of n rows: all of
+// them when sel is nil, else those of the rows sel lists, each its code's
+// entry. A block of up to DefaultBlockRows rows keeps its codes on the
+// stack.
+func decodeDict(v *Vector, rest []byte, n int, sel []int) error {
+	dict := Vector{Type: v.Type}
+	var buf [DefaultBlockRows]uint32
+	codes, err := decodeDictCodes(&dict, buf[:0], rest, n)
+	if err != nil {
+		return err
+	}
+	strs, entries := v.Strs, dict.Strs
+	if sel == nil {
+		for _, c := range codes {
+			strs = append(strs, entries[c])
+		}
+	}
+	for _, i := range sel {
+		strs = append(strs, entries[codes[i]])
+	}
+	v.Strs = strs
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
-	"slices"
 	"testing"
 )
 
@@ -91,7 +90,9 @@ func FuzzDecodeBlock(f *testing.F) {
 	iv := &Vector{Type: TypeInt64, Ints: []int64{1, 1, 1, 5, -9}}
 	fv := &Vector{Type: TypeFloat64, Floats: []float64{math.NaN(), math.Copysign(0, -1), 2.5}}
 	sv := &Vector{Type: TypeString, Strs: []string{"x", "x", "yy", ""}}
-	for _, seed := range [][2]any{{iv, EncPlain}, {iv, EncRLE}, {iv, EncDelta}, {fv, EncPlain}, {sv, EncDict}} {
+	bv := &Vector{Type: TypeBool, Bools: []bool{true, true, false}}
+	for _, seed := range [][2]any{{iv, EncPlain}, {iv, EncRLE}, {iv, EncDelta}, {fv, EncPlain}, {sv, EncDict},
+		{fv, EncRLE}, {sv, EncRLE}, {bv, EncRLE}, {bv, EncPlain}} {
 		if blk, err := EncodeBlock(seed[0].(*Vector), seed[1].(Encoding)); err == nil {
 			f.Add(blk)
 		}
@@ -109,6 +110,14 @@ func FuzzDecodeBlock(f *testing.F) {
 			f.Add(blk[:len(blk)-1])
 		}
 	}
+	// RLE and DICT blocks the references reject: a run of 0, a run past the
+	// rows left, a string run cut short, a dictionary claiming more entries
+	// than bytes, and a code past the dictionary.
+	f.Add([]byte{byte(TypeInt64), byte(EncRLE), 2, 0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{byte(TypeBool), byte(EncRLE), 2, 3, 1})
+	f.Add([]byte{byte(TypeString), byte(EncRLE), 2, 2, 5, 'a', 'b'})
+	f.Add([]byte{byte(TypeString), byte(EncDict), 1, 9, 1, 'a', 0})
+	f.Add([]byte{byte(TypeString), byte(EncDict), 2, 1, 1, 'a', 0, 1})
 	delta := []byte{byte(TypeInt64), byte(EncDelta), 1}
 	f.Add(append(delta, 0x80, 0x00))
 	f.Add(append(delta, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00))
@@ -116,7 +125,7 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add(append(delta, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkPlainView(t, data)
-		checkDeltaDecode(t, data)
+		checkReferenceDecode(t, data)
 		v, err := DecodeBlock(data)
 		if err != nil {
 			return
@@ -169,40 +178,132 @@ func checkPlainView(t *testing.T, data []byte) {
 	}
 }
 
-// checkDeltaDecode holds DecodeBlock and DecodeBlockSel on a DELTA block to
-// refDeltaValues: both accept exactly what it accepts, with the values it
-// reads, and reject the rest with the one truncation error.
-func checkDeltaDecode(t *testing.T, data []byte) {
-	if len(data) < 3 || Type(data[0]) != TypeInt64 || Encoding(data[1]) != EncDelta {
+// checkReferenceDecode holds DecodeBlock and DecodeBlockSel on a DELTA, RLE
+// or DICT block to that encoding's reference below, written from the layout
+// alone: both accept exactly what it accepts, with the values it reads, and
+// reject the rest with one error between them — for DELTA, the one
+// truncation error. The selective decode is held to the reference, not to
+// the whole decode, since the two share their payload walk.
+func checkReferenceDecode(t *testing.T, data []byte) {
+	if len(data) < 3 || Type(data[0]) < TypeInt64 || Type(data[0]) > TypeBool {
 		return
 	}
 	count, m := binary.Uvarint(data[2:])
 	if m <= 0 || count > MaxBlockRows {
 		return
 	}
-	want, ok := refDeltaValues(data[2+m:], int(count))
+	typ, enc, rest, n := Type(data[0]), Encoding(data[1]), data[2+m:], int(count)
+	var want *Vector
+	ok := false
+	switch {
+	case enc == EncDelta && typ == TypeInt64:
+		var xs []int64
+		xs, ok = refDeltaValues(rest, n)
+		want = IntVector(xs)
+	case enc == EncRLE:
+		want, ok = refRLEValues(typ, rest, n)
+	case enc == EncDict && typ == TypeString:
+		want, ok = refDictValues(rest, n)
+	default:
+		return
+	}
 	var sel []int // every third row, the first twice
-	for i := 0; i < len(want); i += 3 {
+	for i := 0; ok && i < want.Len(); i += 3 {
 		sel = append(sel, i)
 	}
 	if len(sel) > 0 {
 		sel = append([]int{0}, sel...)
 	}
 	got, err := DecodeBlock(data)
-	gotSel := NewVector(TypeInt64, 0)
+	gotSel := NewVector(typ, 0)
 	selErr := DecodeBlockSel(gotSel, data, sel)
 	switch {
 	case !ok && (err == nil || selErr == nil):
-		t.Fatalf("block %x: the reference rejects it, DecodeBlock err %v, DecodeBlockSel err %v", data, err, selErr)
-	case !ok && (err.Error() != "colstore: truncated delta block" || selErr.Error() != err.Error()):
-		t.Fatalf("block %x: errors %q and %q", data, err, selErr)
+		t.Fatalf("%v block %x: the reference rejects it, DecodeBlock err %v, DecodeBlockSel err %v", enc, data, err, selErr)
+	case !ok && selErr.Error() != err.Error():
+		t.Fatalf("%v block %x: errors %q and %q", enc, data, err, selErr)
+	case !ok && enc == EncDelta && err.Error() != "colstore: truncated delta block":
+		t.Fatalf("block %x: error %q", data, err)
 	case ok && (err != nil || selErr != nil):
-		t.Fatalf("block %x: the reference reads it, DecodeBlock err %v, DecodeBlockSel err %v", data, err, selErr)
-	case ok && !slices.Equal(got.Ints, want):
-		t.Fatalf("block %x: decoded %v, reference %v", data, got.Ints, want)
-	case ok && !vectorsEqual(gotSel, IntVector(want).Gather(sel)):
-		t.Fatalf("block %x: selected %v, reference %v at %v", data, gotSel.Ints, want, sel)
+		t.Fatalf("%v block %x: the reference reads it, DecodeBlock err %v, DecodeBlockSel err %v", enc, data, err, selErr)
+	case ok && !vectorsEqual(got, want):
+		t.Fatalf("%v block %x: decoded %d rows unlike the reference's %d", enc, data, got.Len(), want.Len())
+	case ok && !vectorsEqual(gotSel, want.Gather(sel)):
+		t.Fatalf("%v block %x: selected rows %v unlike the reference's", enc, data, sel)
 	}
+}
+
+// refRLEValues reads an RLE payload of n rows of a typ column one pair at a
+// time: a uvarint run length, from 1 to the rows left, then the value — 8
+// little-endian bytes for a number, a uvarint length and that many bytes for
+// a string, one byte for a bool. ok is false where a pair is cut short.
+func refRLEValues(typ Type, rest []byte, n int) (v *Vector, ok bool) {
+	v = NewVector(typ, 0)
+	for v.Len() < n {
+		run, m := binary.Uvarint(rest)
+		if m <= 0 || run == 0 || run > uint64(n-v.Len()) {
+			return nil, false
+		}
+		rest = rest[m:]
+		var val any
+		switch typ {
+		case TypeInt64, TypeFloat64:
+			if len(rest) < 8 {
+				return nil, false
+			}
+			val = int64(binary.LittleEndian.Uint64(rest))
+			if typ == TypeFloat64 {
+				val = math.Float64frombits(binary.LittleEndian.Uint64(rest))
+			}
+			rest = rest[8:]
+		case TypeString:
+			l, m := binary.Uvarint(rest)
+			if m <= 0 || l > uint64(len(rest)-m) {
+				return nil, false
+			}
+			val, rest = string(rest[m:m+int(l)]), rest[m+int(l):]
+		case TypeBool:
+			if len(rest) == 0 {
+				return nil, false
+			}
+			val, rest = rest[0] != 0, rest[1:]
+		}
+		for ; run > 0; run-- {
+			if v.AppendValue(val) != nil {
+				return nil, false
+			}
+		}
+	}
+	return v, true
+}
+
+// refDictValues reads a DICT payload of n rows: a uvarint entry count, each
+// entry a uvarint length and that many bytes, then one uvarint code a row,
+// below the entry count. ok is false where the payload is cut short or a
+// code names no entry.
+func refDictValues(rest []byte, n int) (v *Vector, ok bool) {
+	dn, m := binary.Uvarint(rest)
+	if m <= 0 || dn > uint64(len(rest)) {
+		return nil, false
+	}
+	rest = rest[m:]
+	var dict []string
+	for ; dn > 0; dn-- {
+		l, m := binary.Uvarint(rest)
+		if m <= 0 || l > uint64(len(rest)-m) {
+			return nil, false
+		}
+		dict, rest = append(dict, string(rest[m:m+int(l)])), rest[m+int(l):]
+	}
+	v = NewVector(TypeString, 0)
+	for i := 0; i < n; i++ {
+		c, m := binary.Uvarint(rest)
+		if m <= 0 || c >= uint64(len(dict)) {
+			return nil, false
+		}
+		v.Strs, rest = append(v.Strs, dict[c]), rest[m:]
+	}
+	return v, true
 }
 
 // refDeltaValues reads a DELTA payload of n rows one binary.Varint call at a

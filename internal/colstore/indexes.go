@@ -1,7 +1,6 @@
 package colstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -330,55 +329,26 @@ func tailDistinct(v *Vector) int {
 
 // blockNDV estimates one block's distinct count from its header: exact-ish
 // for dictionary blocks (dict size) and RLE (run count bounds distinct),
-// the row count otherwise.
+// the row count otherwise. It steps over the runs (rleRun) without making a
+// value.
 func blockNDV(ref blockRef) int {
-	typ, enc, n, payload, ok := splitBlockHeader(ref.data)
-	if !ok {
-		return ref.rows
-	}
-	switch enc {
-	case EncDict:
-		dictLen, m := binary.Uvarint(payload)
-		if m <= 0 {
-			return ref.rows
+	typ, enc, n, rest, err := blockHeader(ref.data, anyType)
+	switch {
+	case err != nil:
+	case enc == EncDict:
+		if dn, _, err := dictHeader(rest); err == nil {
+			return dn
 		}
-		return int(dictLen)
-	case EncRLE:
+	case enc == EncRLE:
 		runs := 0
-		rest := payload
-		rows := 0
-		for rows < n && len(rest) > 0 {
-			runLen, m := binary.Uvarint(rest)
-			if m <= 0 {
+		for row := 0; row < n; runs++ {
+			run, _, after, err := rleRun(typ, rest, n-row)
+			if err != nil {
 				return ref.rows
 			}
-			rest = rest[m:]
-			// Skip the run's value.
-			switch typ {
-			case TypeInt64, TypeFloat64:
-				if len(rest) < 8 {
-					return ref.rows
-				}
-				rest = rest[8:]
-			case TypeString:
-				sl, sm := binary.Uvarint(rest)
-				if sm <= 0 || uint64(len(rest)-sm) < sl {
-					return ref.rows
-				}
-				rest = rest[sm+int(sl):]
-			case TypeBool:
-				if len(rest) < 1 {
-					return ref.rows
-				}
-				rest = rest[1:]
-			default:
-				return ref.rows
-			}
-			rows += int(runLen)
-			runs++
+			rest, row = after, row+run
 		}
 		return runs
-	default:
-		return ref.rows
 	}
+	return ref.rows
 }

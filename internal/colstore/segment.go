@@ -445,7 +445,8 @@ type decodeBufs struct {
 	vecs   []Vector
 	preds  []*predBuf
 	blocks *blockReader
-	stamp  uint64 // counts the blocks match has read into preds
+	runs   runMatch // the first predicate's block, decoded to its runs or codes
+	stamp  uint64   // counts the blocks match has read into preds
 }
 
 // newDecodeBufs makes the buffers of a cursor delivering schema's columns.
@@ -746,8 +747,8 @@ func (c *ScanCursor) decode(bi int) (*Batch, error) {
 // plainNumeric reports whether data is a PLAIN INTEGER or FLOAT block, whose
 // selected rows DecodeBlockSel reads by random access.
 func plainNumeric(data []byte) bool {
-	typ, enc, _, _, ok := splitBlockHeader(data)
-	return ok && enc == EncPlain && (typ == TypeInt64 || typ == TypeFloat64)
+	typ, enc, _, _, err := blockHeader(data, anyType)
+	return err == nil && enc == EncPlain && (typ == TypeInt64 || typ == TypeFloat64)
 }
 
 // match evaluates the cursor's predicates over sealed block bi in order and
@@ -780,7 +781,7 @@ func (c *ScanCursor) match(bi int, sel []int) (_ []int, all bool, err error) {
 		}
 		if first {
 			first = false
-			m, handled, err := MatchBlockCompressed(ref.data, p, *c.scratch)
+			m, handled, err := bufs.runs.match(ref.data, c.s.schema[ci].Type, p, *c.scratch)
 			if err != nil {
 				return nil, false, err
 			}

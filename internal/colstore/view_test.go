@@ -33,8 +33,8 @@ func viewRows(rng *rand.Rand, base, n int) *Batch {
 // payloadAddr is the address of a PLAIN INTEGER or FLOAT block's payload, or
 // false for any other block.
 func payloadAddr(data []byte) (uintptr, bool) {
-	typ, enc, n, rest, ok := splitBlockHeader(data)
-	if !ok || enc != EncPlain || n == 0 || typ != TypeInt64 && typ != TypeFloat64 {
+	typ, enc, n, rest, err := blockHeader(data, anyType)
+	if err != nil || enc != EncPlain || n == 0 || typ != TypeInt64 && typ != TypeFloat64 {
 		return 0, false
 	}
 	return reflect.ValueOf(rest).Pointer(), true

@@ -100,11 +100,12 @@ var nanKey = math.Float64bits(math.NaN())
 //
 // INTEGER keys under exact identity — every GROUP BY column, INTEGER =
 // INTEGER join keys — meet a direct-offset array before the hash: the first
-// INTEGER block the interner inserts fixes the span [base, base+len(dense))
+// INTEGER block the interner inserts sets the span [base, base+len(dense))
 // to that block's [min, max] when it is narrow enough (takeSpan), and a key
-// inside it is a bounds check and a load. Any other key takes the hash
-// table. Both hand out IDs from one counter, so an ID is the key's rank in
-// first-appearance order whichever way the key went.
+// inside it is a bounds check and a load. A key inserted outside the span
+// widens it while no key has been hashed yet (widen); any other key takes
+// the hash table. Both hand out IDs from one counter, so an ID is the key's
+// rank in first-appearance order whichever way the key went.
 type keyInterner struct {
 	// join selects join-key equality for numeric columns — integers widen
 	// to float64, -0.0 and +0.0 coincide, NaN gets idNaN — in place of
@@ -116,6 +117,7 @@ type keyInterner struct {
 	base    int64   // the key in dense[0]
 	dense   []int32 // ID+1 of key base+i; 0 marks a key not yet seen
 	n       int32   // IDs handed out to INTEGER and FLOAT keys, dense and hashed
+	seen    int     // INTEGER keys inserted, the rows of every block
 
 	words   u64Table // INTEGER values outside the span, FLOAT bit patterns
 	strs    map[string]int32
@@ -124,9 +126,9 @@ type keyInterner struct {
 	codeIDs []int32 // scratch: one dictionary block's code → ID
 }
 
-// A block of n INTEGER keys over [lo, hi] gets a dense array when its
-// hi-lo+1 slots are at most denseSlotsPerKey*n + denseSlack and at most
-// denseMaxSlots: never much larger than the hash table the keys would fill.
+// n INTEGER keys over [lo, hi] get a dense array when its hi-lo+1 slots are
+// at most denseSlotsPerKey*n + denseSlack and at most denseMaxSlots: never
+// much larger than the hash table the keys would fill.
 const (
 	denseSlotsPerKey = 4
 	denseSlack       = 64
@@ -147,6 +149,11 @@ func (t *keyInterner) word(k uint64, insert bool) int32 {
 	return id
 }
 
+// spanLimit is the most slots a dense array may have for the keys seen.
+func (t *keyInterner) spanLimit() uint64 {
+	return uint64(min(denseSlotsPerKey*t.seen+denseSlack, denseMaxSlots))
+}
+
 // takeSpan decides the span from the first non-empty INTEGER block inserted.
 // hi-lo is computed in uint64, where it cannot overflow.
 func (t *keyInterner) takeSpan(xs []int64) {
@@ -155,20 +162,56 @@ func (t *keyInterner) takeSpan(xs []int64) {
 	for _, x := range xs[1:] {
 		lo, hi = min(lo, x), max(hi, x)
 	}
-	if limit := min(denseSlotsPerKey*len(xs)+denseSlack, denseMaxSlots); uint64(hi)-uint64(lo) < uint64(limit) {
+	if uint64(hi)-uint64(lo) < t.spanLimit() {
 		t.base, t.dense = lo, make([]int32, uint64(hi)-uint64(lo)+1)
 	}
+}
+
+// widen moves the span's edge on x's side past x, a key being inserted
+// outside it, as far as spanLimit allows, and reports whether it did. ints
+// calls it only while no key has been hashed, so that every ID handed out
+// stays in the span. The span at least doubles, up to that limit, so keys
+// arriving one past an edge widen it a logarithmic number of times. Offsets
+// wrap as in ints: the distances above and below hold at either end of
+// int64. IDs stay where they are.
+func (t *keyInterner) widen(x int64) bool {
+	if len(t.dense) == 0 {
+		return false
+	}
+	s, limit := uint64(len(t.dense)), t.spanLimit()
+	up, down := uint64(x-t.base)-s+1, uint64(t.base-x)
+	if s+min(up, down) > limit {
+		return false
+	}
+	size := min(limit, max(s+min(up, down), 2*s))
+	dense := make([]int32, size)
+	if up <= down {
+		copy(dense, t.dense)
+	} else {
+		t.base -= int64(size - s)
+		copy(dense[size-s:], t.dense)
+	}
+	t.dense = dense
+	return true
 }
 
 // ints writes the IDs of INTEGER keys under exact identity. x-base wraps, so
 // no key outside the span, MinInt64 and MaxInt64 included, lands in it.
 func (t *keyInterner) ints(xs []int64, out []int32, insert bool) {
-	if !t.spanned && insert && len(xs) > 0 {
-		t.takeSpan(xs)
+	if insert && len(xs) > 0 {
+		t.seen += len(xs)
+		if !t.spanned {
+			t.takeSpan(xs)
+		}
 	}
 	dense, base := t.dense, t.base
 	for i, x := range xs {
-		switch o := uint64(x - base); {
+		o := uint64(x - base)
+		if o >= uint64(len(dense)) && insert && t.words.n == 0 && t.widen(x) {
+			dense, base = t.dense, t.base
+			o = uint64(x - base)
+		}
+		switch {
 		case o >= uint64(len(dense)):
 			out[i] = t.word(uint64(x), insert)
 		case dense[o] != 0:

@@ -468,9 +468,10 @@ func BenchmarkGroupByUniqueInt(b *testing.B)     { benchQuery(b, groupByUniqueIn
 
 // TestDenseSpanMatchesHash holds the dense span to the hash table it stands
 // in front of: each key sequence goes through an interner that takes its span
-// from its first non-empty block and through one forced to the hash, and both
-// hand out the same IDs, inserting and probing. An in-span key never enters
-// the hash, and probing one never inserted finds it absent.
+// from its first non-empty block, widening it until a key is hashed, and
+// through one forced to the hash, and both hand out the same IDs, inserting
+// and probing. An in-span key never enters the hash, and probing one never
+// inserted finds it absent.
 func TestDenseSpanMatchesHash(t *testing.T) {
 	seq := func(n int, last int64) []int64 {
 		xs := make([]int64, n)
@@ -486,20 +487,24 @@ func TestDenseSpanMatchesHash(t *testing.T) {
 		span   int       // the dense array's slots; 0 for none
 		probe  []int64
 	}{
-		{"negative base", [][]int64{{-70, -10, -40, -70}, {-11, -71, -9, 5}}, 61,
+		{"negative base", [][]int64{{-70, -10, -40, -70}, {-11, -71, -9, 5}}, 96,
 			[]int64{-70, -69, -10, -9, -71, 5, 6, -41}},
 		// Keys 2^32 off the span alias it in a 32-bit offset.
 		{"int64 extremes beside a small span", [][]int64{{3, 9, 4}, {math.MinInt64, 3, math.MaxInt64, 10, 3 + 1<<32, 2, math.MinInt64, 5 - 1<<32}}, 7,
 			[]int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1, 5, 3, 9, 3 + 1<<32, 4 + 1<<32, 5 - 1<<32}},
-		{"keys at base-1 and base+len", [][]int64{{100, 163}, {99, 164, 100, 163, 99}}, 64,
+		// 99 widens the span downward to the limit of 7 keys, 92 slots; 164
+		// would take a 93rd and is hashed.
+		{"keys at base-1 and base+len", [][]int64{{100, 163}, {99, 164, 100, 163, 99}}, 92,
 			[]int64{99, 164, 100, 130, 163, 98, 165}},
-		{"one-row first block", [][]int64{{42}, {41, 42, 43, 42}}, 1, []int64{41, 42, 43, 44}},
-		{"empty first block", [][]int64{{}, {7, 1, 7, 3}, {0, 8}}, 7, []int64{0, 1, 2, 3, 4, 7, 8, 9}},
+		{"one-row first block", [][]int64{{42}, {41, 42, 43, 42}}, 4, []int64{40, 41, 42, 43, 44, 45}},
+		{"one-row first block, the next key past it", [][]int64{{2}, {3, 2}}, 2, []int64{1, 2, 3, 4}},
+		{"one-row first block, then ascending keys", [][]int64{{0}, seq(4096, 4095)}, 4096, []int64{-1, 0, 2048, 4095, 4096}},
+		{"empty first block", [][]int64{{}, {7, 1, 7, 3}, {0, 8}}, 28, []int64{-7, -6, 0, 1, 2, 3, 4, 7, 8, 9, 21, 22}},
 		{"first block at the per-row cap", [][]int64{{0, 71}, {1, 71, 0}}, 72, []int64{0, 1, 2, 71, 72}},
 		{"first block just over the per-row cap", [][]int64{{0, 72}, {1, 72, 0}}, 0, []int64{0, 1, 2, 72}},
 		{"first block at 64 Ki slots", [][]int64{seq(20_000, 65_535), {65_536, -1, 3}}, 65_536, []int64{-1, 0, 30_000, 65_535, 65_536}},
 		{"first block just over 64 Ki slots", [][]int64{seq(20_000, 65_536), {65_537, -1, 3}}, 0, []int64{-1, 0, 30_000, 65_535, 65_536}},
-		{"later block straddling both edges", [][]int64{{10, 12, 15, 11}, {8, 9, 10, 16, 17, 13, 9, 8, 15}}, 6,
+		{"later block straddling both edges", [][]int64{{10, 12, 15, 11}, {8, 9, 10, 16, 17, 13, 9, 8, 15}}, 24,
 			[]int64{7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -549,8 +554,9 @@ func TestDenseSpanMatchesHash(t *testing.T) {
 
 // TestProfileNamesKeyPath pins what PROFILE says of the key path: the join's
 // build span or "hashed", and how many aggregate chunks had a dense first key
-// column — dense keys (the serving join over dim.id, GROUP BY d.grp) and
-// keys too wide for any span (40-bit k).
+// column — dense keys (the serving join over dim.id, GROUP BY d.grp), keys
+// too wide for any span (40-bit k), and a span widened past the one-row
+// block it was taken from.
 func TestProfileNamesKeyPath(t *testing.T) {
 	details := func(db Database, sql string) map[string]string {
 		t.Helper()
@@ -567,6 +573,11 @@ func TestProfileNamesKeyPath(t *testing.T) {
 	events := newEventsDB(t, 20_000, 10_000)
 	wide := newKernelDB(t, 10_000, colstore.DefaultBlockRows, 0, func(i int) string { return "" },
 		func(i int) int64 { return int64(uint64(i) * 0x9E3779B97F4A7C15 >> 24) }, func(i int) float64 { return 0 })
+	// The shell's three rows over three segments' tails: the first block the
+	// key interner meets holds one row, and the key past it widens the span.
+	tiny := &segsDB{}
+	tiny.add(t, "t", colstore.Schema{{Name: "id", Type: colstore.TypeInt64}, {Name: "g", Type: colstore.TypeInt64}},
+		[][]any{{int64(1), int64(2)}, {int64(2), int64(3)}, {int64(3), int64(2)}}, 3, 16, 1, -1)
 	for _, c := range []struct {
 		db            Database
 		sql, op, want string
@@ -576,6 +587,7 @@ func TestProfileNamesKeyPath(t *testing.T) {
 		{wide, "SELECT k, count(*) FROM t WHERE seq >= 0 GROUP BY k", "aggregate", "10000 groups, 2 aggregates, 3 chunks, 0 with a dense key span"},
 		{wide, "SELECT k, count(*) FROM t GROUP BY k", "aggregate", "10000 groups, 2 aggregates, 10000 runs (run-aware), key hashed"},
 		{wide, "SELECT count(*) FROM t JOIN t r ON t.k = r.k", "join", "t.k = r.k, 10000 build rows, hashed"},
+		{tiny, "SELECT g, count(*) FROM t GROUP BY g", "aggregate", "2 groups, 2 aggregates, 3 runs (run-aware), key dense span 2"},
 	} {
 		if got := details(c.db, c.sql)[c.op]; got != c.want {
 			t.Errorf("%s: %s detail %q, want %q", c.sql, c.op, got, c.want)
