@@ -276,6 +276,38 @@ func TestCrossValidate(t *testing.T) {
 	}
 }
 
+// Every array splitFold makes is co-located with x, also when x's
+// partitions sit off the default round-robin workers.
+func TestSplitFoldCoLocated(t *testing.T) {
+	c := cluster(t, 3)
+	x, _ := darray.New(c, 4)
+	y, _ := darray.New(c, 4)
+	for i := 0; i < 4; i++ {
+		for _, a := range []*darray.DArray{x, y} {
+			if err := a.SetWorker(i, (i+1)%3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := x.Fill(i, darray.NewMat(5+i, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := y.Fill(i, darray.NewMat(5+i, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx, ty, sx, sy, err := splitFold(x, y, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, a := range []*darray.DArray{tx, ty, sx, sy} {
+		for i := 0; i < 4; i++ {
+			if a.WorkerOf(i) != x.WorkerOf(i) {
+				t.Fatalf("fold array %d: partition %d on worker %d, x's on %d", k, i, a.WorkerOf(i), x.WorkerOf(i))
+			}
+		}
+	}
+}
+
 func TestRandomForestRegression(t *testing.T) {
 	c := cluster(t, 2)
 	// y = step function of x0: easy for trees, hard for linear models.

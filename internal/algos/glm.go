@@ -238,28 +238,16 @@ func CrossValidate(x, y *darray.DArray, opts GLMOpts, folds int) (*CVResult, err
 // folds inside each partition, preserving co-partitioning.
 func splitFold(x, y *darray.DArray, folds, f int) (tx, ty, sx, sy *darray.DArray, err error) {
 	nparts := x.NPartitions()
-	mk := func() (*darray.DArray, error) {
-		a, err := darray.New(x.Cluster(), nparts)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < nparts; i++ {
-			if err := a.SetWorker(i, x.WorkerOf(i)); err != nil {
-				return nil, err
-			}
-		}
-		return a, nil
-	}
-	if tx, err = mk(); err != nil {
+	if tx, err = darray.NewLike(x); err != nil {
 		return
 	}
-	if ty, err = mk(); err != nil {
+	if ty, err = darray.NewLike(x); err != nil {
 		return
 	}
-	if sx, err = mk(); err != nil {
+	if sx, err = darray.NewLike(x); err != nil {
 		return
 	}
-	if sy, err = mk(); err != nil {
+	if sy, err = darray.NewLike(x); err != nil {
 		return
 	}
 	for i := 0; i < nparts; i++ {

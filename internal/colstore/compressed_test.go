@@ -560,3 +560,69 @@ func TestScanStatsDistinguishSkippedAndCompressed(t *testing.T) {
 		t.Fatalf("delta column: rows=%d stats=%+v, want 100 rows, 1/9/0", rows, dec)
 	}
 }
+
+// TestRLEVarcharRunsAreViews: a run-aware read of RLE VARCHAR blocks —
+// NextBlock's runs, or a cursor's compressed match under a predicate on the
+// column — takes each run's value as a view of the sealed block, so a block
+// read costs the same allocations whatever the block's run count: twelve
+// more blocks of 512 runs allocate no more than twelve more of 8.
+func TestRLEVarcharRunsAreViews(t *testing.T) {
+	if raceDetector {
+		t.Skip("under -race sync.Pool drops a quarter of what is put back")
+	}
+	regions := []string{"amer", "apac", "emea", "latam", "mena", "nordic", "oceania", "ssa"}
+	schema := Schema{{Name: "region", Type: TypeString}, {Name: "x", Type: TypeInt64}}
+	segOf := func(runLen, blocks int) *Segment {
+		seg := NewSegment(schema, DefaultBlockRows)
+		b := NewBatch(schema)
+		for i := 0; i < blocks*DefaultBlockRows; i++ {
+			if err := b.AppendRow(regions[(i/runLen)%len(regions)], int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := seg.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := seg.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if enc := Encoding(seg.sealed[0][0].data[1]); enc != EncRLE {
+			t.Fatalf("runs of %d rows sealed as encoding %d", runLen, enc)
+		}
+		return seg
+	}
+	reads := map[string]func(*Segment){
+		"NextBlock": func(seg *Segment) {
+			if _, err := scanBlocks(seg, []string{"region"}, 1, func(*Block, ScanStats) {}); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"compressed match": func(seg *Segment) {
+			curs, err := seg.ScanCursors([]string{"x"}, []Pred{{Col: "region", Op: OpEQ, Val: "emea"}}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				b, err := curs[0].Next(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+			}
+			curs[0].Close()
+		},
+	}
+	for name, read := range reads {
+		more := func(runLen int) float64 { // the allocations of 12 more blocks
+			short, long := segOf(runLen, 4), segOf(runLen, 16)
+			return testing.AllocsPerRun(5, func() { read(long) }) - testing.AllocsPerRun(5, func() { read(short) })
+		}
+		// Runs of 512 rows put one run of each region in a block, runs of 8
+		// rows 64: either way a block holds 512 'emea' rows.
+		if few, many := more(512), more(8); many > few {
+			t.Errorf("%s: 12 more blocks of 8 runs allocate %.0f more times, of 512 runs %.0f", name, few, many)
+		}
+	}
+}

@@ -640,14 +640,25 @@ func decodeRLE(v *Vector, rest []byte, n int, sel []int) error {
 }
 
 // decodeRLERuns is an RLE payload of n rows in its native form: each run's
-// value appended to v once and its length to lens.
+// value appended to v once and its length to lens. Its callers read sealed
+// blocks, which are never written, so a VARCHAR run's value is a view of the
+// block's bytes, as plainView's numbers are, not a copy. A run takes two
+// bytes at least, which bounds the runs to size the buffers for at once.
 func decodeRLERuns(v *Vector, lens []int32, rest []byte, n int) ([]int32, error) {
+	lens = slices.Grow(lens, min(n, len(rest)/2))
+	if v.Type == TypeString {
+		v.Strs = slices.Grow(v.Strs, min(n, len(rest)/2))
+	}
 	for row := 0; row < n; {
 		run, val, after, err := rleRun(v.Type, rest, n-row)
 		if err != nil {
 			return nil, err
 		}
-		appendRun(v, val, 1)
+		if v.Type == TypeString {
+			v.Strs = append(v.Strs, unsafe.String(unsafe.SliceData(val), len(val)))
+		} else {
+			appendRun(v, val, 1)
+		}
 		lens = append(lens, int32(run))
 		rest, row = after, row+run
 	}

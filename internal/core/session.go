@@ -63,9 +63,6 @@ type Config struct {
 	// 196000, the paper's testbed).
 	CoresPerNode    int
 	MemoryMBPerNode int
-	// TaskRetries caps in-place re-execution of failed Distributed R tasks
-	// (default 0: fail fast; the chaos profile raises it).
-	TaskRetries int
 	// Parallelism pins the process-wide intra-node execution degree for
 	// scans, aggregation and IRLS (default 0: use GOMAXPROCS). Results are
 	// bit-identical at every degree; this only trades latency for cores.
@@ -180,7 +177,7 @@ func Start(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	drc, err := dr.Start(dr.Config{Workers: cfg.DRWorkers, InstancesPerWorker: cfg.InstancesPerWorker, TaskRetries: cfg.TaskRetries})
+	drc, err := dr.Start(dr.Config{Workers: cfg.DRWorkers, InstancesPerWorker: cfg.InstancesPerWorker})
 	if err != nil {
 		return nil, err
 	}

@@ -2,15 +2,17 @@
 // Table 1 of the paper: distributed arrays, data frames and lists declared
 // with only a partition count (darray(npartitions=)), supporting *different
 // partition sizes* that become known only when data arrives from Vertica.
-// The master (the metadata in each D* struct, guarded by its mutex) plays
-// the role of the paper's "memory manager [that] tracks the location and
-// meta-data of each partition"; partition payloads live in worker stores.
+// The master plays the role of the paper's "memory manager [that] tracks the
+// location and meta-data of each partition": one partition table (parts,
+// guarded by its lock) embedded in each D* type records every partition's
+// worker, store key, shape and fill state, and moves payloads to and from
+// the worker stores; each type adds only its own conformity check and views.
 package darray
 
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 
 	"verticadr/internal/dr"
 )
@@ -35,68 +37,26 @@ func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view of row i.
 func (m *Mat) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// partMeta is the master-side record for one partition.
-type partMeta struct {
-	worker int
-	key    string
-	rows   int
-	cols   int
-	filled bool
-}
-
 // DArray is a distributed dense matrix partitioned by rows. Declared with
 // only a partition count; partition shapes are recorded as data is filled in
 // (possibly unevenly, Fig. 8). Adjacent partitions must agree on the column
 // count (the conformity check of §4).
-type DArray struct {
-	c    *dr.Cluster
-	name string
-	mu   sync.RWMutex
-	part []partMeta
-}
+type DArray struct{ parts[*Mat] }
 
 // New declares a distributed array with npartitions empty partitions. No
 // worker memory is reserved: only master metadata is created (per §4).
-func New(c *dr.Cluster, npartitions int) (*DArray, error) {
-	if npartitions <= 0 {
-		return nil, fmt.Errorf("darray: npartitions must be >= 1")
-	}
-	a := &DArray{c: c, name: c.GenName("darray"), part: make([]partMeta, npartitions)}
-	for i := range a.part {
-		a.part[i].worker = i % c.NumWorkers()
-		a.part[i].key = fmt.Sprintf("%s/p%d", a.name, i)
+func New(c *dr.Cluster, npartitions int) (*DArray, error) { return newArray(c, npartitions, nil) }
+
+// NewLike declares an empty array co-located with like: the same partition
+// count, each partition on the worker of like's (Zip's requirement).
+func NewLike(like *DArray) (*DArray, error) { return newArray(like.c, like.NPartitions(), like) }
+
+func newArray(c *dr.Cluster, npartitions int, like placement) (*DArray, error) {
+	a := new(DArray)
+	if err := a.declare(c, "darray", npartitions, like); err != nil {
+		return nil, err
 	}
 	return a, nil
-}
-
-// Name returns the array's symbol-table name.
-func (a *DArray) Name() string { return a.name }
-
-// Cluster returns the session the array lives in.
-func (a *DArray) Cluster() *dr.Cluster { return a.c }
-
-// NPartitions returns the declared partition count.
-func (a *DArray) NPartitions() int { return len(a.part) }
-
-// WorkerOf returns the worker holding partition i.
-func (a *DArray) WorkerOf(i int) int { return a.part[i].worker }
-
-// SetWorker reassigns an *unfilled* partition to a worker (used by transfer
-// policies to co-locate partitions with table segments).
-func (a *DArray) SetWorker(i, worker int) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if i < 0 || i >= len(a.part) {
-		return fmt.Errorf("darray: no partition %d", i)
-	}
-	if a.part[i].filled {
-		return fmt.Errorf("darray: partition %d already filled", i)
-	}
-	if worker < 0 || worker >= a.c.NumWorkers() {
-		return fmt.Errorf("darray: no worker %d", worker)
-	}
-	a.part[i].worker = worker
-	return nil
 }
 
 // Fill stores matrix m as partition i on its assigned worker, checking
@@ -105,28 +65,14 @@ func (a *DArray) Fill(i int, m *Mat) error {
 	if m == nil || len(m.Data) != m.Rows*m.Cols {
 		return fmt.Errorf("darray: malformed matrix for partition %d", i)
 	}
-	a.mu.Lock()
-	if i < 0 || i >= len(a.part) {
-		a.mu.Unlock()
-		return fmt.Errorf("darray: no partition %d", i)
-	}
-	for j := range a.part {
-		if j != i && a.part[j].filled && a.part[j].cols != m.Cols {
-			a.mu.Unlock()
-			return fmt.Errorf("darray: partition %d has %d cols, conflicting with partition %d (%d cols)", i, m.Cols, j, a.part[j].cols)
+	return a.fill(i, m, m.Rows, m.Cols, func() error {
+		for j, p := range a.part {
+			if j != i && p.filled && p.cols != m.Cols {
+				return fmt.Errorf("darray: partition %d has %d cols, conflicting with partition %d (%d cols)", i, m.Cols, j, p.cols)
+			}
 		}
-	}
-	meta := &a.part[i]
-	meta.rows, meta.cols, meta.filled = m.Rows, m.Cols, true
-	worker, key := meta.worker, meta.key
-	a.mu.Unlock()
-
-	w, err := a.c.Worker(worker)
-	if err != nil {
-		return err
-	}
-	w.Put(key, m)
-	return nil
+		return nil
+	})
 }
 
 // Filled reports whether every partition has data.
@@ -141,16 +87,6 @@ func (a *DArray) Filled() bool {
 	return true
 }
 
-// PartitionSize returns the shape of partition i (Table 1: partitionsize(A,i)).
-func (a *DArray) PartitionSize(i int) (rows, cols int, err error) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if i < 0 || i >= len(a.part) {
-		return 0, 0, fmt.Errorf("darray: no partition %d", i)
-	}
-	return a.part[i].rows, a.part[i].cols, nil
-}
-
 // PartitionSizes returns all partition shapes (partitionsize(A) with i
 // missing).
 func (a *DArray) PartitionSizes() [][2]int {
@@ -161,17 +97,6 @@ func (a *DArray) PartitionSizes() [][2]int {
 		out[i] = [2]int{p.rows, p.cols}
 	}
 	return out
-}
-
-// Rows returns the total row count over filled partitions.
-func (a *DArray) Rows() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	n := 0
-	for _, p := range a.part {
-		n += p.rows
-	}
-	return n
 }
 
 // Cols returns the column count (0 if nothing is filled yet).
@@ -194,51 +119,24 @@ func (a *DArray) Clone(ncol int) (*DArray, error) {
 		return nil, fmt.Errorf("darray: clone ncol must be >= 1")
 	}
 	a.mu.RLock()
-	metas := append([]partMeta(nil), a.part...)
+	metas := slices.Clone(a.part)
 	a.mu.RUnlock()
-	out, err := New(a.c, len(metas))
-	if err != nil {
-		return nil, err
-	}
 	for i, p := range metas {
 		if !p.filled {
 			return nil, fmt.Errorf("darray: clone of array with unfilled partition %d", i)
 		}
-		if err := out.SetWorker(i, p.worker); err != nil {
-			return nil, err
-		}
+	}
+	// Filled partitions cannot move, so NewLike places them as metas has.
+	out, err := NewLike(a)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range metas {
 		if err := out.Fill(i, NewMat(p.rows, ncol)); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// Part fetches partition i's payload from its worker store.
-func (a *DArray) Part(i int) (*Mat, error) {
-	a.mu.RLock()
-	if i < 0 || i >= len(a.part) {
-		a.mu.RUnlock()
-		return nil, fmt.Errorf("darray: no partition %d", i)
-	}
-	meta := a.part[i]
-	a.mu.RUnlock()
-	if !meta.filled {
-		return nil, fmt.Errorf("darray: partition %d not filled", i)
-	}
-	w, err := a.c.Worker(meta.worker)
-	if err != nil {
-		return nil, err
-	}
-	v, ok := w.Get(meta.key)
-	if !ok {
-		return nil, fmt.Errorf("darray: partition %d missing from worker %d store", i, meta.worker)
-	}
-	m, ok := v.(*Mat)
-	if !ok {
-		return nil, fmt.Errorf("darray: partition %d holds %T, not *Mat", i, v)
-	}
-	return m, nil
 }
 
 // Foreach runs fn for every partition on its owning worker, in parallel
@@ -247,19 +145,17 @@ func (a *DArray) Part(i int) (*Mat, error) {
 func (a *DArray) Foreach(fn func(part int, m *Mat) error) error {
 	tasks := map[int][]dr.Task{}
 	a.mu.RLock()
-	for i := range a.part {
-		i := i
-		meta := a.part[i]
+	for i, meta := range a.part {
 		if !meta.filled {
 			a.mu.RUnlock()
 			return fmt.Errorf("darray: foreach over unfilled partition %d", i)
 		}
 		tasks[meta.worker] = append(tasks[meta.worker], func(w *dr.Worker) error {
-			v, ok := w.Get(meta.key)
-			if !ok {
-				return fmt.Errorf("darray: partition %d missing on worker %d", i, w.ID())
+			m, err := a.get(w, i, meta.key)
+			if err != nil {
+				return err
 			}
-			return fn(i, v.(*Mat))
+			return fn(i, m)
 		})
 	}
 	a.mu.RUnlock()

@@ -584,3 +584,99 @@ func TestDList(t *testing.T) {
 		t.Fatal("round-robin placement expected")
 	}
 }
+
+// partitioned is the partition table DArray, DFrame and DList share.
+type partitioned interface {
+	Name() string
+	NPartitions() int
+	WorkerOf(i int) int
+	SetWorker(i, worker int) error
+}
+
+// TestPartitionTable runs the three distributed objects through the behaviour
+// their one partition table gives them all: declaration, round-robin
+// placement, bounds, fetching an unfilled partition, moving a filled one, a
+// store holding the wrong payload type, and placement read beside SetWorker.
+func TestPartitionTable(t *testing.T) {
+	schema := colstore.Schema{{Name: "x", Type: colstore.TypeFloat64}}
+	for _, tc := range []struct {
+		name    string
+		declare func(c *dr.Cluster, n int) (partitioned, error)
+		fill    func(o partitioned, i int) error
+		part    func(o partitioned, i int) error
+	}{
+		{
+			"darray",
+			func(c *dr.Cluster, n int) (partitioned, error) { return New(c, n) },
+			func(o partitioned, i int) error { return o.(*DArray).Fill(i, NewMat(2, 1)) },
+			func(o partitioned, i int) error { _, err := o.(*DArray).Part(i); return err },
+		},
+		{
+			"dframe",
+			func(c *dr.Cluster, n int) (partitioned, error) { return NewFrame(c, n) },
+			func(o partitioned, i int) error { return o.(*DFrame).Fill(i, colstore.NewBatch(schema)) },
+			func(o partitioned, i int) error { _, err := o.(*DFrame).Part(i); return err },
+		},
+		{
+			"dlist",
+			func(c *dr.Cluster, n int) (partitioned, error) { return NewList(c, n) },
+			func(o partitioned, i int) error { return o.(*DList).Fill(i, []any{1, 2}) },
+			func(o partitioned, i int) error { _, err := o.(*DList).Part(i); return err },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cluster(t, 3)
+			if _, err := tc.declare(c, 0); err == nil {
+				t.Fatal("0 partitions declared")
+			}
+			o, err := tc.declare(c, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < o.NPartitions(); i++ {
+				if o.WorkerOf(i) != i%3 {
+					t.Fatalf("partition %d on worker %d, want round-robin %d", i, o.WorkerOf(i), i%3)
+				}
+			}
+			for _, i := range []int{-1, 7} {
+				if tc.fill(o, i) == nil || tc.part(o, i) == nil {
+					t.Fatalf("partition %d of 7 filled or fetched", i)
+				}
+			}
+			if tc.part(o, 0) == nil {
+				t.Fatal("unfilled partition fetched")
+			}
+			if err := tc.fill(o, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.part(o, 0); err != nil {
+				t.Fatal(err)
+			}
+			if o.SetWorker(0, 1) == nil || o.WorkerOf(0) != 0 {
+				t.Fatal("a filled partition moved")
+			}
+			// A store holding another type is an error, not a panic.
+			if err := tc.fill(o, 1); err != nil {
+				t.Fatal(err)
+			}
+			w, _ := c.Worker(o.WorkerOf(1))
+			w.Put(o.Name()+"/p1", "not a payload")
+			if tc.part(o, 1) == nil {
+				t.Fatal("a payload of the wrong type fetched")
+			}
+			// Placement is read under the lock SetWorker writes it under.
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < 100; k++ {
+					_ = o.SetWorker(2+k%5, k%3)
+				}
+			}()
+			for k := 0; k < 100; k++ {
+				_ = o.WorkerOf(2 + k%5)
+			}
+			wg.Wait()
+		})
+	}
+}

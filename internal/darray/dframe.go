@@ -2,7 +2,6 @@ package darray
 
 import (
 	"fmt"
-	"sync"
 
 	"verticadr/internal/colstore"
 	"verticadr/internal/dr"
@@ -14,50 +13,17 @@ import (
 // dframe(npartitions=)); partitions may have different row counts but must
 // agree on schema.
 type DFrame struct {
-	c    *dr.Cluster
-	name string
-	mu   sync.RWMutex
-	part []partMeta
-	sch  colstore.Schema // established by the first fill
+	parts[[]*colstore.Batch]
+	sch colstore.Schema // established by the first fill, under mu
 }
 
 // NewFrame declares a distributed data frame with empty partitions.
 func NewFrame(c *dr.Cluster, npartitions int) (*DFrame, error) {
-	if npartitions <= 0 {
-		return nil, fmt.Errorf("darray: npartitions must be >= 1")
-	}
-	f := &DFrame{c: c, name: c.GenName("dframe"), part: make([]partMeta, npartitions)}
-	for i := range f.part {
-		f.part[i].worker = i % c.NumWorkers()
-		f.part[i].key = fmt.Sprintf("%s/p%d", f.name, i)
+	f := new(DFrame)
+	if err := f.declare(c, "dframe", npartitions, nil); err != nil {
+		return nil, err
 	}
 	return f, nil
-}
-
-// Name returns the frame's symbol-table name.
-func (f *DFrame) Name() string { return f.name }
-
-// NPartitions returns the partition count.
-func (f *DFrame) NPartitions() int { return len(f.part) }
-
-// WorkerOf returns the worker holding partition i.
-func (f *DFrame) WorkerOf(i int) int { return f.part[i].worker }
-
-// SetWorker reassigns an unfilled partition.
-func (f *DFrame) SetWorker(i, worker int) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if i < 0 || i >= len(f.part) {
-		return fmt.Errorf("darray: no partition %d", i)
-	}
-	if f.part[i].filled {
-		return fmt.Errorf("darray: partition %d already filled", i)
-	}
-	if worker < 0 || worker >= f.c.NumWorkers() {
-		return fmt.Errorf("darray: no worker %d", worker)
-	}
-	f.part[i].worker = worker
-	return nil
 }
 
 // Fill stores chunks, in order, as partition i; all chunks and partitions
@@ -71,36 +37,23 @@ func (f *DFrame) Fill(i int, chunks ...*colstore.Batch) error {
 	if len(chunks) == 0 {
 		return fmt.Errorf("darray: partition %d filled with no chunks", i)
 	}
+	sch := chunks[0].Schema
 	for _, b := range chunks {
 		if err := b.Validate(); err != nil {
 			return err
 		}
-		if !b.Schema.Equal(chunks[0].Schema) {
+		if !b.Schema.Equal(sch) {
 			return fmt.Errorf("darray: partition %d chunks differ in schema", i)
 		}
 	}
-	f.mu.Lock()
-	if i < 0 || i >= len(f.part) {
-		f.mu.Unlock()
-		return fmt.Errorf("darray: no partition %d", i)
-	}
-	if f.sch == nil {
-		f.sch = chunks[0].Schema
-	} else if !f.sch.Equal(chunks[0].Schema) {
-		f.mu.Unlock()
-		return fmt.Errorf("darray: partition %d schema differs from frame schema", i)
-	}
-	meta := &f.part[i]
-	meta.rows, meta.cols, meta.filled = rowsOf(chunks), len(f.sch), true
-	worker, key := meta.worker, meta.key
-	f.mu.Unlock()
-
-	w, err := f.c.Worker(worker)
-	if err != nil {
-		return err
-	}
-	w.Put(key, chunks)
-	return nil
+	return f.fill(i, chunks, rowsOf(chunks), len(sch), func() error {
+		if f.sch == nil {
+			f.sch = sch
+		} else if !f.sch.Equal(sch) {
+			return fmt.Errorf("darray: partition %d schema differs from frame schema", i)
+		}
+		return nil
+	})
 }
 
 // Schema returns the frame schema (nil until the first fill).
@@ -110,31 +63,10 @@ func (f *DFrame) Schema() colstore.Schema {
 	return f.sch
 }
 
-// PartitionSize returns (rows, cols) of partition i.
-func (f *DFrame) PartitionSize(i int) (int, int, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if i < 0 || i >= len(f.part) {
-		return 0, 0, fmt.Errorf("darray: no partition %d", i)
-	}
-	return f.part[i].rows, f.part[i].cols, nil
-}
-
-// Rows returns the total row count.
-func (f *DFrame) Rows() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	n := 0
-	for _, p := range f.part {
-		n += p.rows
-	}
-	return n
-}
-
 // Part fetches partition i's batch: its one chunk, or else its chunks
 // concatenated into a new batch.
 func (f *DFrame) Part(i int) (*colstore.Batch, error) {
-	chunks, err := f.chunks(i)
+	chunks, err := f.parts.Part(i)
 	if err != nil {
 		return nil, err
 	}
@@ -148,29 +80,6 @@ func (f *DFrame) Part(i int) (*colstore.Batch, error) {
 		}
 	}
 	return out, nil
-}
-
-// chunks fetches partition i's chunks from its worker.
-func (f *DFrame) chunks(i int) ([]*colstore.Batch, error) {
-	f.mu.RLock()
-	if i < 0 || i >= len(f.part) {
-		f.mu.RUnlock()
-		return nil, fmt.Errorf("darray: no partition %d", i)
-	}
-	meta := f.part[i]
-	f.mu.RUnlock()
-	if !meta.filled {
-		return nil, fmt.Errorf("darray: partition %d not filled", i)
-	}
-	w, err := f.c.Worker(meta.worker)
-	if err != nil {
-		return nil, err
-	}
-	v, ok := w.Get(meta.key)
-	if !ok {
-		return nil, fmt.Errorf("darray: partition %d missing from worker %d", i, meta.worker)
-	}
-	return v.([]*colstore.Batch), nil
 }
 
 // rowsOf counts the rows of a partition's chunks.
@@ -206,17 +115,12 @@ func (f *DFrame) AsDArray(cols []string) (*DArray, error) {
 			return nil, fmt.Errorf("darray: column %q is %v, not numeric", name, t)
 		}
 	}
-	a, err := New(f.c, f.NPartitions())
+	a, err := newArray(f.c, f.NPartitions(), f)
 	if err != nil {
 		return nil, err
 	}
-	for i := range f.part {
-		if err := a.SetWorker(i, f.WorkerOf(i)); err != nil {
-			return nil, err
-		}
-	}
 	err = parallel.Default().ForEach(f.NPartitions(), func(i int) error {
-		chunks, err := f.chunks(i)
+		chunks, err := f.parts.Part(i)
 		if err != nil {
 			return err
 		}
@@ -260,82 +164,24 @@ func rowMajor(m *Mat, at int, b *colstore.Batch, idx []int) {
 
 // DList is a distributed list: each partition holds an arbitrary []any
 // (Table 1: dlist(npartitions=)).
-type DList struct {
-	c    *dr.Cluster
-	name string
-	mu   sync.RWMutex
-	part []partMeta
-}
+type DList struct{ parts[[]any] }
 
 // NewList declares a distributed list with empty partitions.
 func NewList(c *dr.Cluster, npartitions int) (*DList, error) {
-	if npartitions <= 0 {
-		return nil, fmt.Errorf("darray: npartitions must be >= 1")
-	}
-	l := &DList{c: c, name: c.GenName("dlist"), part: make([]partMeta, npartitions)}
-	for i := range l.part {
-		l.part[i].worker = i % c.NumWorkers()
-		l.part[i].key = fmt.Sprintf("%s/p%d", l.name, i)
+	l := new(DList)
+	if err := l.declare(c, "dlist", npartitions, nil); err != nil {
+		return nil, err
 	}
 	return l, nil
 }
 
-// NPartitions returns the partition count.
-func (l *DList) NPartitions() int { return len(l.part) }
-
-// WorkerOf returns the worker holding partition i.
-func (l *DList) WorkerOf(i int) int { return l.part[i].worker }
-
 // Fill stores items as partition i.
-func (l *DList) Fill(i int, items []any) error {
-	l.mu.Lock()
-	if i < 0 || i >= len(l.part) {
-		l.mu.Unlock()
-		return fmt.Errorf("darray: no partition %d", i)
-	}
-	meta := &l.part[i]
-	meta.rows, meta.filled = len(items), true
-	worker, key := meta.worker, meta.key
-	l.mu.Unlock()
-	w, err := l.c.Worker(worker)
-	if err != nil {
-		return err
-	}
-	w.Put(key, items)
-	return nil
-}
+func (l *DList) Fill(i int, items []any) error { return l.fill(i, items, len(items), 0, nil) }
 
 // PartitionSize returns the element count of partition i.
 func (l *DList) PartitionSize(i int) (int, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if i < 0 || i >= len(l.part) {
-		return 0, fmt.Errorf("darray: no partition %d", i)
-	}
-	return l.part[i].rows, nil
-}
-
-// Part fetches partition i.
-func (l *DList) Part(i int) ([]any, error) {
-	l.mu.RLock()
-	if i < 0 || i >= len(l.part) {
-		l.mu.RUnlock()
-		return nil, fmt.Errorf("darray: no partition %d", i)
-	}
-	meta := l.part[i]
-	l.mu.RUnlock()
-	if !meta.filled {
-		return nil, fmt.Errorf("darray: partition %d not filled", i)
-	}
-	w, err := l.c.Worker(meta.worker)
-	if err != nil {
-		return nil, err
-	}
-	v, ok := w.Get(meta.key)
-	if !ok {
-		return nil, fmt.Errorf("darray: partition %d missing from worker %d", i, meta.worker)
-	}
-	return v.([]any), nil
+	n, _, err := l.parts.PartitionSize(i)
+	return n, err
 }
 
 // Collect gathers all elements in partition order.

@@ -16,6 +16,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"regexp"
+	"sync"
 
 	"verticadr/internal/algos"
 	"verticadr/internal/dfs"
@@ -117,6 +118,11 @@ type Manager struct {
 	db    Database
 	acl   *acl
 	cache *modelCache
+	// mu serializes the R_Models writers (Deploy, DeployGLMSharded,
+	// Redeploy, Drop): a deploy checks the name is free before inserting,
+	// and Drop rebuilds the table from a read of its rows, so an
+	// interleaved writer would duplicate or lose a row. Load takes no lock.
+	mu sync.Mutex
 }
 
 // NewManager creates the R_Models metadata table, registers the manager as
@@ -154,6 +160,8 @@ func blobPath(name string) string { return "models/" + name }
 // Deploy serializes a model, stores the blob in DFS (replicated) and records
 // metadata in R_Models — the server half of deploy.model (Fig. 3 line 9).
 func (m *Manager) Deploy(ctx context.Context, name, owner, description string, model any) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if !nameRE.MatchString(name) {
 		return fmt.Errorf("models: invalid model name %q", name)
 	}
@@ -170,7 +178,7 @@ func (m *Manager) Deploy(ctx context.Context, name, owner, description string, m
 	// layout transparently: same name, same prediction results, multiple
 	// blobs under the message budget.
 	if glm, ok := model.(*algos.GLMModel); ok && len(data) > MaxBlobBytes {
-		return m.DeployGLMSharded(ctx, name, owner, description, glm, MaxBlobBytes)
+		return m.deployGLMSharded(ctx, name, owner, description, glm, MaxBlobBytes)
 	}
 	if err := m.db.JournalBlobPut(blobPath(name), data); err != nil {
 		return err
@@ -196,6 +204,8 @@ func (m *Manager) Deploy(ctx context.Context, name, owner, description string, m
 // invalidated, so after Redeploy returns no prediction can score with the
 // old parameters.
 func (m *Manager) Redeploy(ctx context.Context, name, owner string, model any) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if exists, err := m.exists(ctx, name); err != nil {
 		return err
 	} else if !exists {
@@ -288,6 +298,8 @@ func (m *Manager) Load(name string, node int) (any, string, error) {
 
 // Drop removes a model's blob and metadata.
 func (m *Manager) Drop(ctx context.Context, name string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	exists, err := m.exists(ctx, name)
 	if err != nil {
 		return err

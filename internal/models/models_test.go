@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"verticadr/internal/algos"
@@ -128,6 +129,58 @@ func TestDeployListDrop(t *testing.T) {
 	}
 	if err := mgr.Drop(context.Background(), "model1"); err == nil {
 		t.Fatal("double drop should fail")
+	}
+}
+
+// Concurrent deploys of one name are serialized: exactly one succeeds and
+// R_Models holds one row for it.
+func TestConcurrentDeploySameName(t *testing.T) {
+	_, mgr := setup(t, 2)
+	const n = 8
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() { errs <- mgr.Deploy(context.Background(), "m", "X", "", kmeansModel()) }()
+	}
+	ok := 0
+	for i := 0; i < n; i++ {
+		if <-errs == nil {
+			ok++
+		}
+	}
+	rows, err := mgr.List(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok != 1 || len(rows) != 1 {
+		t.Fatalf("%d of %d concurrent deploys of one name succeeded, R_Models holds %d rows", ok, n, len(rows))
+	}
+}
+
+// A deploy beside a drop keeps its row: Drop rebuilds R_Models from a read
+// of its rows, which must not miss a row inserted meanwhile.
+func TestDeployBesideDropKeepsRow(t *testing.T) {
+	ctx := context.Background()
+	for trial := 0; trial < 20; trial++ {
+		_, mgr := setup(t, 2)
+		if err := mgr.Deploy(ctx, "b", "X", "", kmeansModel()); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		var deployErr, dropErr error
+		wg.Add(2)
+		go func() { defer wg.Done(); deployErr = mgr.Deploy(ctx, "a", "X", "", kmeansModel()) }()
+		go func() { defer wg.Done(); dropErr = mgr.Drop(ctx, "b") }()
+		wg.Wait()
+		if deployErr != nil || dropErr != nil {
+			t.Fatalf("trial %d: deploy %v, drop %v", trial, deployErr, dropErr)
+		}
+		rows, err := mgr.List(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 || rows[0][0] != "a" {
+			t.Fatalf("trial %d: R_Models after deploy a beside drop b = %v", trial, rows)
+		}
 	}
 }
 

@@ -81,6 +81,12 @@ func decodeShard(data []byte) ([]float64, error) {
 // blob, then the R_Models row. The write order means a reader that can see
 // the metadata blob always finds every shard it references.
 func (m *Manager) DeployGLMSharded(ctx context.Context, name, owner, description string, model *algos.GLMModel, maxShardBytes int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.deployGLMSharded(ctx, name, owner, description, model, maxShardBytes)
+}
+
+func (m *Manager) deployGLMSharded(ctx context.Context, name, owner, description string, model *algos.GLMModel, maxShardBytes int) error {
 	if !nameRE.MatchString(name) {
 		return fmt.Errorf("models: invalid model name %q", name)
 	}

@@ -82,14 +82,11 @@ func load(ctx context.Context, db DB, c *dr.Cluster, hub *Hub, sink ChunkSink, t
 		// the number of receiving R instances, and used as buffering hints.
 		psize = 4096
 	}
+	// NewFrame puts partition i on worker i mod workers, so under the
+	// locality policy node i's segment lands on worker i.
 	frame, err := darray.NewFrame(c, nparts)
 	if err != nil {
 		return nil, nil, err
-	}
-	for i := 0; i < nparts; i++ {
-		if err := frame.SetWorker(i, i%workers); err != nil {
-			return nil, nil, err
-		}
 	}
 	sessionID := hub.open(frame, schema, policy, sink)
 	// Spans and the total use the telemetry clock, so a simulation-driven
