@@ -6,16 +6,17 @@ GO ?= go
 # the tree must be lint-clean (the block codec for a big-endian host too: its
 # PLAIN fallback compiles nowhere else), the bounded differential suites
 # (compressed execution, single-table, hash join, streamed UDTF) must agree
-# bitwise, and the thirteen fuzz-smoke targets (parser, four equivalence
-# targets, shard-partial import, broadcast-build decode, serving frame
-# decode, frame header codec, block decode, transfer message decode, the
-# IRLS and Lloyd kernels against their row-at-a-time references, index
-# probes against a filtered scan) get a short run so the harness runs on
-# every pass.
+# bitwise, and the fourteen fuzz-smoke targets (parser, statement
+# immutability under binding and planning, four equivalence targets,
+# shard-partial import, broadcast-build decode, serving frame decode, frame
+# header codec, block decode, transfer message decode, the IRLS and Lloyd
+# kernels against their row-at-a-time references, index probes against a
+# filtered scan) get a short run so the harness runs on every pass.
 #
 # Targets: check (= lint build test race difftest-short fuzz-smoke), vet,
 # bench (benchmark/run.sh over the BENCHMARK.json workloads),
-# bench-placement, bench-point, bench-scan (the block parse paths:
+# bench-placement, bench-point (the point read end to end, then statement
+# preparation and the index probe alone), bench-scan (the block parse paths:
 # BenchmarkDecodeDelta, BenchmarkDecodeBlock, BenchmarkMatchCompressed),
 # bench-transfer, bench-keys, bench-figures, chaos, recover, fuzz, loc.
 .PHONY: check
@@ -38,7 +39,9 @@ difftest-short:
 # equivalence targets (the last holds the pipelined scan/probe/aggregate to
 # the materializing walk it replaced, bit for bit, over fuzz-shaped tables),
 # the SQL parser (the planner consumes whatever the parser yields,
-# so parse robustness is tier-1), the router's import of shard partials, the
+# so parse robustness is tier-1), the statement a cached template is (binding
+# and planning leave every parsed SELECT as it was), the router's import of
+# shard partials, the
 # peer's decode of a join's broadcast build tables, the serving frame
 # decoder on both ends of a connection (internal/wire's codec, driven
 # through the server's listener), the binary frame header on its own (any
@@ -51,6 +54,7 @@ difftest-short:
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSelect -fuzztime=10s ./internal/sqlparse/
+	$(GO) test -run='^$$' -fuzz=FuzzRewriteLeavesInput -fuzztime=10s ./internal/plan/
 	$(GO) test -run='^$$' -fuzz=FuzzCompressedScanEquivalence -fuzztime=10s ./internal/colstore/
 	$(GO) test -run='^$$' -fuzz=FuzzCompressedAggregateEquivalence -fuzztime=10s ./internal/sqlexec/
 	$(GO) test -run='^$$' -fuzz=FuzzMergeAggPartials -fuzztime=10s ./internal/sqlexec/
@@ -155,12 +159,15 @@ bench-placement:
 # The benchmark's point read (`SELECT x0, x1 FROM events WHERE k = ?`) through
 # a serving-protocol client, on node 0 of a 3-peer cluster (3 shards x 2
 # replicas) and on one server over the same rows: the routed/single ratio and
-# each side's allocations in one run. Then the read's index probe alone: an
-# equality and a 256-key range over one segment's 62,500 keys, bulk-built
-# and insert-built.
+# each side's allocations in one run. Then statement preparation alone:
+# BindSelect on a cached template and plan.Build, for the benchmark's point,
+# score and read statements. Then the read's index probe alone: an equality
+# and a 256-key range over one segment's 62,500 keys, bulk-built and
+# insert-built.
 .PHONY: bench-point
 bench-point:
 	$(GO) test -run='^$$' -bench='BenchmarkRoutedPoint|BenchmarkSinglePoint' -benchtime=3s -benchmem ./internal/cluster/
+	$(GO) test -run='^$$' -bench='BenchmarkBindPlan' -benchmem ./internal/plan/
 	$(GO) test -run='^$$' -bench='BenchmarkLookup' -benchtime=3s -benchmem ./internal/colstore/index/
 
 # The scan's decode: one DELTA block of 4096 rows at 1-, 2- and 3-byte
@@ -229,6 +236,7 @@ FUZZTIME ?= 10s
 .PHONY: fuzz
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSelect -fuzztime=$(FUZZTIME) ./internal/sqlparse/
+	$(GO) test -run='^$$' -fuzz=FuzzRewriteLeavesInput -fuzztime=$(FUZZTIME) ./internal/plan/
 	$(GO) test -run='^$$' -fuzz=FuzzEncodingRoundTrip -fuzztime=$(FUZZTIME) ./internal/colstore/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME) ./internal/colstore/
 	$(GO) test -run='^$$' -fuzz=FuzzCompressedScanEquivalence -fuzztime=$(FUZZTIME) ./internal/colstore/

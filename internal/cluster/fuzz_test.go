@@ -96,7 +96,7 @@ func FuzzShardRequestBuilds(f *testing.F) {
 		if err != nil {
 			return
 		}
-		tables, err := overlayBuilds(ctx, stmt, got.Builds)
+		stmt, tables, err := overlayBuilds(ctx, stmt, got.Builds)
 		if err != nil {
 			return
 		}

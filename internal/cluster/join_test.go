@@ -361,19 +361,24 @@ func TestOverlayBuildsRejectsMalformedRequests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		_, err = overlayBuilds(context.Background(), stmt, c.builds)
+		_, _, err = overlayBuilds(context.Background(), stmt, c.builds)
 		if err == nil || (c.is != nil && !errors.Is(err, c.is)) {
 			t.Fatalf("%s: overlayBuilds error %v, want %v", name, err, c.is)
 		}
 	}
 	// The well-formed request, and a self-join at that: FROM t stays the
-	// stored table, JOIN t u reads the shipped rows.
+	// stored table, JOIN t u reads the shipped rows. The statement given,
+	// which may be a cached template, is left as it was.
 	stmt, _ := sqlparse.Parse(sql)
-	tables, err := overlayBuilds(context.Background(), stmt, []buildTable{ok})
+	before := stmt.(*sqlparse.Select).String()
+	overlaid, tables, err := overlayBuilds(context.Background(), stmt, []buildTable{ok})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := stmt.(*sqlparse.Select)
+	if got := stmt.(*sqlparse.Select).String(); got != before {
+		t.Fatalf("overlay wrote to the statement it was given: %s", got)
+	}
+	sel := overlaid.(*sqlparse.Select)
 	if sel.From != "t" || sel.Joins[0].Table != "t#0" || sel.Joins[0].Alias != "u" || tables["t#0"].seg.Rows() != 1 {
 		t.Fatalf("overlay rewrote the statement to %s over %v", sel, tables)
 	}

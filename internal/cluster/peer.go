@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
@@ -173,7 +175,7 @@ func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*s
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	builds, err := overlayBuilds(ctx, stmt, req.Builds)
+	stmt, builds, err := overlayBuilds(ctx, stmt, req.Builds)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -242,22 +244,24 @@ func (v *overlayView) Segments(name string) ([]*colstore.Segment, error) {
 
 var _ sqlexec.Database = (*overlayView)(nil)
 
-// overlayBuilds decodes a request's broadcast build sides and points the
-// statement's JOINs at them: the table at JOIN position i is renamed
-// "table#i" — distinct per position, so a self-join's two sides stay apart —
-// keeping its alias, which is all the rest of the statement refers to.
+// overlayBuilds decodes a request's broadcast build sides and returns the
+// statement with its JOINs pointed at them: the table at JOIN position i is
+// renamed "table#i" — distinct per position, so a self-join's two sides stay
+// apart — keeping its alias, which is all the rest of the statement refers
+// to. The statement itself may be a cached template and is left as it is.
 // Everything here came off a wire: any mismatch is an error. No builds, no
 // overlay.
-func overlayBuilds(ctx context.Context, stmt sqlparse.Statement, builds []buildTable) (map[string]overlayTable, error) {
+func overlayBuilds(ctx context.Context, stmt sqlparse.Statement, builds []buildTable) (sqlparse.Statement, map[string]overlayTable, error) {
 	if len(builds) == 0 {
-		return nil, nil
+		return stmt, nil, nil
 	}
 	sel, _ := stmt.(*sqlparse.Select)
-	if ex, ok := stmt.(*sqlparse.Explain); ok {
+	ex, explain := stmt.(*sqlparse.Explain)
+	if explain {
 		sel = ex.Stmt
 	}
 	if sel == nil {
-		return nil, fmt.Errorf("cluster: build tables shipped with a %T", stmt)
+		return nil, nil, fmt.Errorf("cluster: build tables shipped with a %T", stmt)
 	}
 	// The names the statement itself spells: an overlay may shadow none.
 	stored := map[string]bool{sel.From: true}
@@ -266,44 +270,47 @@ func overlayBuilds(ctx context.Context, stmt sqlparse.Statement, builds []buildT
 	}
 	tables := make(map[string]overlayTable, len(builds))
 	seen := make([]bool, len(sel.Joins))
+	joins := slices.Clone(sel.Joins)
 	for _, b := range builds {
 		if b.Join < 0 || b.Join >= len(sel.Joins) {
-			return nil, fmt.Errorf("cluster: build table for JOIN %d of a statement with %d", b.Join, len(sel.Joins))
+			return nil, nil, fmt.Errorf("cluster: build table for JOIN %d of a statement with %d", b.Join, len(sel.Joins))
 		}
 		if seen[b.Join] {
-			return nil, fmt.Errorf("cluster: two build tables for JOIN %d", b.Join)
+			return nil, nil, fmt.Errorf("cluster: two build tables for JOIN %d", b.Join)
 		}
 		seen[b.Join] = true
-		j := &sel.Joins[b.Join]
+		j := sel.Joins[b.Join]
 		name := fmt.Sprintf("%s#%d", j.Table, b.Join)
 		if stored[name] {
-			return nil, fmt.Errorf("cluster: build table name %q is taken by the statement", name)
+			return nil, nil, fmt.Errorf("cluster: build table name %q is taken by the statement", name)
 		}
 		if len(b.chunk) > maxJoinBuildBytes {
-			return nil, fmt.Errorf("cluster: %w: build table %q is %d KB (limit %d KB)",
+			return nil, nil, fmt.Errorf("cluster: %w: build table %q is %d KB (limit %d KB)",
 				verr.ErrJoinTooLarge, j.Table, len(b.chunk)>>10, maxJoinBuildBytes>>10)
 		}
 		def := &catalog.TableDef{Name: name, Schema: b.Schema}
 		if err := catalog.ValidateShape(def); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rows, err := decodeChunk(ctx, b.chunk, b.Schema)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: build table %q: %w", j.Table, err)
+			return nil, nil, fmt.Errorf("cluster: build table %q: %w", j.Table, err)
 		}
 		// One unsealed block: sealing would encode rows the join decodes
 		// straight back.
 		seg := colstore.NewSegment(b.Schema, rows.Len()+1)
 		if err := seg.Append(rows); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		tables[name] = overlayTable{def: def, seg: seg}
-		if j.Alias == "" {
-			j.Alias = j.Table
-		}
-		j.Table = name
+		joins[b.Join] = sqlparse.Join{Table: name, Alias: cmp.Or(j.Alias, j.Table), On: j.On}
 	}
-	return tables, nil
+	overlaid := *sel
+	overlaid.Joins = joins
+	if explain {
+		return &sqlparse.Explain{FormatJSON: ex.FormatJSON, Stmt: &overlaid}, tables, nil
+	}
+	return &overlaid, tables, nil
 }
 
 // serveLoad appends a router-split batch to one shard (or, with Shard ==

@@ -3,6 +3,7 @@ package colstore
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -623,6 +624,74 @@ func TestRLEVarcharRunsAreViews(t *testing.T) {
 		// rows 64: either way a block holds 512 'emea' rows.
 		if few, many := more(512), more(8); many > few {
 			t.Errorf("%s: 12 more blocks of 8 runs allocate %.0f more times, of 512 runs %.0f", name, few, many)
+		}
+	}
+}
+
+// TestDictVarcharEntriesAreViews: a read of DICT VARCHAR blocks in their
+// native form — NextBlock's entries and codes, or a cursor's compressed
+// match under a predicate on the column — takes each dictionary entry as a
+// view of the sealed block, so a block read costs the same allocations
+// whatever the block's entry count: twelve more blocks of 512 entries
+// allocate no more than twelve more of 8.
+func TestDictVarcharEntriesAreViews(t *testing.T) {
+	if raceDetector {
+		t.Skip("under -race sync.Pool drops a quarter of what is put back")
+	}
+	schema := Schema{{Name: "region", Type: TypeString}, {Name: "x", Type: TypeInt64}}
+	segOf := func(entries, blocks int) *Segment {
+		names := []string{"emea"}
+		for len(names) < entries {
+			names = append(names, fmt.Sprintf("region-%03d", len(names)))
+		}
+		seg := NewSegment(schema, DefaultBlockRows)
+		b := NewBatch(schema)
+		for i := 0; i < blocks*DefaultBlockRows; i++ {
+			if err := b.AppendRow(names[i%entries], int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := seg.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := seg.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if enc := Encoding(seg.sealed[0][0].data[1]); enc != EncDict {
+			t.Fatalf("%d entries sealed as encoding %d", entries, enc)
+		}
+		return seg
+	}
+	reads := map[string]func(*Segment){
+		"NextBlock": func(seg *Segment) {
+			if _, err := scanBlocks(seg, []string{"region"}, 1, func(*Block, ScanStats) {}); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"compressed match": func(seg *Segment) {
+			curs, err := seg.ScanCursors([]string{"x"}, []Pred{{Col: "region", Op: OpEQ, Val: "emea"}}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				b, err := curs[0].Next(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+			}
+			curs[0].Close()
+		},
+	}
+	for name, read := range reads {
+		more := func(entries int) float64 { // the allocations of 12 more blocks
+			short, long := segOf(entries, 4), segOf(entries, 16)
+			return testing.AllocsPerRun(5, func() { read(long) }) - testing.AllocsPerRun(5, func() { read(short) })
+		}
+		if few, many := more(8), more(512); many > few {
+			t.Errorf("%s: 12 more blocks of 8 entries allocate %.0f more times, of 512 entries %.0f", name, few, many)
 		}
 	}
 }

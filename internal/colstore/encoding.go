@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"unsafe"
 )
 
@@ -759,7 +760,9 @@ func dictHeader(rest []byte) (int, []byte, error) {
 // decodeDictCodes is a DICT payload of n rows in its native form: its
 // entries appended to dict, an empty vector, and each row's code, checked
 // against them, to codes. It is the one reader of the layout after the
-// entry count.
+// entry count. An entry is a view of the payload's bytes, as decodeRLERuns'
+// run values are: the match and NextBlock read sealed blocks, which are
+// never written, and decodeDict copies what it hands out.
 func decodeDictCodes(dict *Vector, codes []uint32, rest []byte, n int) ([]uint32, error) {
 	if dict.Type != TypeString {
 		return nil, fmt.Errorf("colstore: DICT block with type %v", dict.Type)
@@ -774,7 +777,8 @@ func decodeDictCodes(dict *Vector, codes []uint32, rest []byte, n int) ([]uint32
 		if m <= 0 || uint64(len(rest)-m) < l {
 			return nil, fmt.Errorf("colstore: truncated dict entry")
 		}
-		dict.Strs = append(dict.Strs, string(rest[m:m+int(l)]))
+		e := rest[m : m+int(l)]
+		dict.Strs = append(dict.Strs, unsafe.String(unsafe.SliceData(e), len(e)))
 		rest = rest[m+int(l):]
 	}
 	codes = slices.Grow(codes, min(n, len(rest))) // a code takes a byte at least
@@ -797,8 +801,9 @@ func decodeDictCodes(dict *Vector, codes []uint32, rest []byte, n int) ([]uint32
 
 // decodeDict appends to v the values of a DICT payload of n rows: all of
 // them when sel is nil, else those of the rows sel lists, each its code's
-// entry. A block of up to DefaultBlockRows rows keeps its codes on the
-// stack.
+// entry. The payload may be a buffer that is recycled (a transfer message's
+// is pooled), so each entry is copied, once. A block of up to
+// DefaultBlockRows rows keeps its codes on the stack.
 func decodeDict(v *Vector, rest []byte, n int, sel []int) error {
 	dict := Vector{Type: v.Type}
 	var buf [DefaultBlockRows]uint32
@@ -807,6 +812,9 @@ func decodeDict(v *Vector, rest []byte, n int, sel []int) error {
 		return err
 	}
 	strs, entries := v.Strs, dict.Strs
+	for i, e := range entries {
+		entries[i] = strings.Clone(e)
+	}
 	if sel == nil {
 		for _, c := range codes {
 			strs = append(strs, entries[c])

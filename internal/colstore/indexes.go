@@ -2,7 +2,6 @@ package colstore
 
 import (
 	"fmt"
-	"sort"
 
 	"verticadr/internal/colstore/index"
 )
@@ -80,16 +79,6 @@ func (s *Segment) SetIndex(col string, tree *index.Tree) error {
 func (s *Segment) DropIndex(col string) {
 	delete(s.indexes, col)
 	s.invalidateStats()
-}
-
-// IndexedColumns lists the indexed columns in name order.
-func (s *Segment) IndexedColumns() []string {
-	out := make([]string, 0, len(s.indexes))
-	for c := range s.indexes {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // maintainIndexes inserts a just-appended batch's rows into every attached

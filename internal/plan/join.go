@@ -9,28 +9,24 @@ import (
 )
 
 // NormalizeJoin returns a join statement as Build hands it to the executor —
-// a deep copy with every column reference rewritten to its canonical
-// "alias.column" form — together with its inputs: per table the columns the
-// statement needs, the WHERE conjuncts that filter it alone, and its join
-// keys. It reads table definitions only, so a cluster router resolves a join
-// from its catalog cache, ships the normalized statement to its peers and
-// merges their answers against the statement they ran.
+// every column reference rewritten to its canonical "alias.column" form —
+// together with its inputs: per table the columns the statement needs, the
+// WHERE conjuncts that filter it alone, and its join keys. It reads table
+// definitions only, so a cluster router resolves a join from its catalog
+// cache, ships the normalized statement to its peers and merges their
+// answers against the statement they ran.
 func NormalizeJoin(sel *sqlparse.Select, tableDef func(name string) (*catalog.TableDef, error)) (*sqlparse.Select, []JoinInput, error) {
-	sel = cloneSelect(sel)
-	inputs, _, err := resolveJoin(sel, tableDef)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sel, inputs, nil
+	sel, inputs, _, err := resolveJoin(sel, tableDef)
+	return sel, inputs, err
 }
 
-// resolveJoin normalizes sel in place against the catalog and splits it by
-// table: every input's needed columns, pushed-down conjuncts and join keys,
-// plus the conjuncts spanning tables, which stay as a residual filter on the
+// resolveJoin normalizes sel against the catalog and splits it by table:
+// every input's needed columns, pushed-down conjuncts and join keys, plus
+// the conjuncts spanning tables, which stay as a residual filter on the
 // topmost join.
-func resolveJoin(sel *sqlparse.Select, tableDef func(name string) (*catalog.TableDef, error)) (inputs []JoinInput, residual []sqlparse.Expr, err error) {
+func resolveJoin(sel *sqlparse.Select, tableDef func(name string) (*catalog.TableDef, error)) (norm *sqlparse.Select, inputs []JoinInput, residual []sqlparse.Expr, err error) {
 	if udtfCall(sel) != nil {
-		return nil, nil, fmt.Errorf("plan: UDTF over a join is not supported")
+		return nil, nil, nil, fmt.Errorf("plan: UDTF over a join is not supported")
 	}
 	inputs = make([]JoinInput, 0, len(sel.Joins)+1)
 	addInput := func(table, alias string) error {
@@ -50,21 +46,21 @@ func resolveJoin(sel *sqlparse.Select, tableDef func(name string) (*catalog.Tabl
 		return nil
 	}
 	if err := addInput(sel.From, sel.FromAlias); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	for _, j := range sel.Joins {
 		if err := addInput(j.Table, j.Alias); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
-	if err := normalizeJoin(sel, inputs); err != nil {
-		return nil, nil, err
+	if norm, err = normalizeJoin(sel, inputs); err != nil {
+		return nil, nil, nil, err
 	}
 
 	// Classify WHERE conjuncts: single-table ones push into that table's
 	// scan (rewritten to bare column names), the rest filter the join output.
 	perTable := map[string][]sqlparse.Expr{}
-	for _, c := range flattenAnd(sel.Where) {
+	for _, c := range flattenAnd(norm.Where) {
 		als := exprAliases(c)
 		if len(als) == 1 {
 			var a string
@@ -76,19 +72,19 @@ func resolveJoin(sel *sqlparse.Select, tableDef func(name string) (*catalog.Tabl
 			residual = append(residual, c)
 		}
 	}
-	needed := neededCols(sel, inputs)
+	needed := neededCols(norm, inputs)
 	for i := range inputs {
 		in := &inputs[i]
 		in.Cols = needed[in.Alias]
 		in.Where = rebuildAnd(perTable[in.Alias])
 		if i > 0 {
-			in.ProbeKey, in.BuildKey, err = joinKeys(sel.Joins[i-1].On, inputs[:i], *in)
+			in.ProbeKey, in.BuildKey, err = joinKeys(norm.Joins[i-1].On, inputs[:i], *in)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 		}
 	}
-	return inputs, residual, nil
+	return norm, inputs, residual, nil
 }
 
 // buildJoin plans a multi-table statement as a left-deep chain of hash
@@ -97,7 +93,7 @@ func resolveJoin(sel *sqlparse.Select, tableDef func(name string) (*catalog.Tabl
 // the owning table's scan (index or sequential, chosen by cost); conjuncts
 // spanning tables stay as a residual filter on the topmost join.
 func (b *builder) buildJoin(sel *sqlparse.Select) (*Plan, error) {
-	inputs, topResidual, err := resolveJoin(sel, b.src.TableDef)
+	sel, inputs, topResidual, err := resolveJoin(sel, b.src.TableDef)
 	if err != nil {
 		return nil, err
 	}
@@ -176,11 +172,14 @@ func joinKeys(on sqlparse.Expr, left []JoinInput, right JoinInput) (string, stri
 // exprAliases collects the table aliases an expression references.
 func exprAliases(e sqlparse.Expr) map[string]bool {
 	out := map[string]bool{}
-	_ = walkColRefs(e, func(c *sqlparse.ColRef) error {
-		if a := aliasPrefix(c.Name); a != "" {
-			out[a] = true
+	// A walk that returns every node as it is: no copy, no error.
+	_, _ = sqlparse.Rewrite(e, func(x sqlparse.Expr) (sqlparse.Expr, error) {
+		if c, ok := x.(*sqlparse.ColRef); ok {
+			if a := aliasPrefix(c.Name); a != "" {
+				out[a] = true
+			}
 		}
-		return nil
+		return x, nil
 	})
 	return out
 }
@@ -194,38 +193,23 @@ func neededCols(sel *sqlparse.Select, refs []JoinInput) map[string][]string {
 		want[r.Alias] = map[string]bool{}
 	}
 	star := false
-	add := func(c *sqlparse.ColRef) error {
-		a := aliasPrefix(c.Name)
-		if m, ok := want[a]; ok {
-			m[c.Name[len(a)+1:]] = true
-		}
-		return nil
-	}
-	for _, it := range sel.Items {
-		if it.Star {
-			star = true
-			continue
-		}
-		_ = walkColRefs(it.Expr, add)
-	}
-	if sel.Where != nil {
-		_ = walkColRefs(sel.Where, add)
-	}
-	for i := range sel.Joins {
-		_ = walkColRefs(sel.Joins[i].On, add)
-	}
-	addName := func(s string) {
+	addName := func(s string) (string, error) {
 		a := aliasPrefix(s)
 		if m, ok := want[a]; ok {
 			m[s[len(a)+1:]] = true
 		}
+		return s, nil
 	}
-	for _, g := range sel.GroupBy {
-		addName(g)
+	for _, it := range sel.Items {
+		star = star || it.Star
 	}
-	for _, o := range sel.OrderBy {
-		addName(o.Col)
-	}
+	// A walk that returns every node and name as it is: no copy, no error.
+	_, _ = sqlparse.RewriteSelect(sel, func(e sqlparse.Expr) (sqlparse.Expr, error) {
+		if c, ok := e.(*sqlparse.ColRef); ok {
+			addName(c.Name)
+		}
+		return e, nil
+	}, addName)
 	out := map[string][]string{}
 	for _, r := range refs {
 		var cols []string

@@ -8,160 +8,36 @@ import (
 	"verticadr/internal/sqlparse"
 )
 
-// The planner owns a deep copy of every statement it plans: column
-// references are resolved and rewritten in place (qualifiers stripped for
-// single-table statements, rewritten to "alias.column" names under a join),
-// and the executor walks the rewritten copy. The caller's AST is never
-// touched — plans may be cached and shared.
-
-func cloneSelect(sel *sqlparse.Select) *sqlparse.Select {
-	out := *sel
-	out.Items = make([]sqlparse.SelectItem, len(sel.Items))
-	for i, it := range sel.Items {
-		out.Items[i] = sqlparse.SelectItem{Star: it.Star, Expr: copyExpr(it.Expr), Alias: it.Alias}
-	}
-	if len(sel.Joins) > 0 {
-		out.Joins = make([]sqlparse.Join, len(sel.Joins))
-		for i, j := range sel.Joins {
-			out.Joins[i] = sqlparse.Join{Table: j.Table, Alias: j.Alias, On: copyExpr(j.On)}
-		}
-	}
-	out.Where = copyExpr(sel.Where)
-	out.GroupBy = append([]string(nil), sel.GroupBy...)
-	out.OrderBy = append([]sqlparse.OrderItem(nil), sel.OrderBy...)
-	return &out
-}
-
-func copyExpr(e sqlparse.Expr) sqlparse.Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *sqlparse.ColRef:
-		c := *x
-		return &c
-	case *sqlparse.NumberLit:
-		c := *x
-		return &c
-	case *sqlparse.StringLit:
-		c := *x
-		return &c
-	case *sqlparse.BoolLit:
-		c := *x
-		return &c
-	case *sqlparse.Placeholder:
-		c := *x
-		return &c
-	case *sqlparse.Unary:
-		return &sqlparse.Unary{Op: x.Op, X: copyExpr(x.X)}
-	case *sqlparse.Binary:
-		return &sqlparse.Binary{Op: x.Op, L: copyExpr(x.L), R: copyExpr(x.R)}
-	case *sqlparse.FuncCall:
-		c := &sqlparse.FuncCall{Name: x.Name, Star: x.Star}
-		for _, a := range x.Args {
-			c.Args = append(c.Args, copyExpr(a))
-		}
-		if x.Params != nil {
-			c.Params = make(map[string]sqlparse.Expr, len(x.Params))
-			for k, v := range x.Params {
-				c.Params[k] = copyExpr(v)
-			}
-		}
-		if x.Over != nil {
-			o := *x.Over
-			o.PartitionBy = append([]string(nil), x.Over.PartitionBy...)
-			c.Over = &o
-		}
-		return c
-	default:
-		// Unknown node kinds flow through unchanged; the executor rejects
-		// anything it cannot evaluate.
-		return e
-	}
-}
-
-// walkColRefs visits every column reference in the expression, allowing the
-// visitor to rewrite it in place.
-func walkColRefs(e sqlparse.Expr, f func(*sqlparse.ColRef) error) error {
-	switch x := e.(type) {
-	case *sqlparse.ColRef:
-		return f(x)
-	case *sqlparse.Unary:
-		return walkColRefs(x.X, f)
-	case *sqlparse.Binary:
-		if err := walkColRefs(x.L, f); err != nil {
-			return err
-		}
-		return walkColRefs(x.R, f)
-	case *sqlparse.FuncCall:
-		for _, a := range x.Args {
-			if err := walkColRefs(a, f); err != nil {
-				return err
-			}
-		}
-		for _, v := range x.Params {
-			if err := walkColRefs(v, f); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+// The planner never writes to a statement. It hands the executor a
+// normalized one — qualifiers stripped for single-table statements, column
+// references rewritten to "alias.column" names under a join — made by
+// sqlparse.RewriteSelect, which copies only the paths down to the references
+// it changed and shares every other node with the caller's statement. Plans
+// may be cached and shared, and a statement without qualifiers is not copied
+// at all.
 
 // Normalize returns a single-table statement as Build hands it to the
-// executor: a deep copy with its table qualifiers stripped. That needs no
-// catalog, so a cluster router normalizes once, ships the result to its
-// peers and merges their answers against the statement they ran.
+// executor: its table qualifiers stripped, rejecting any that name anything
+// but the FROM table (or its alias). That needs no catalog, so a cluster
+// router normalizes once, ships the result to its peers and merges their
+// answers against the statement they ran.
 func Normalize(sel *sqlparse.Select) (*sqlparse.Select, error) {
-	sel = cloneSelect(sel)
-	if err := normalizeSingle(sel); err != nil {
-		return nil, err
-	}
-	return sel, nil
-}
-
-// normalizeSingle strips table qualifiers from a single-table statement,
-// rejecting qualifiers that name anything but the FROM table (or its alias).
-func normalizeSingle(sel *sqlparse.Select) error {
-	quals := map[string]bool{sel.From: true}
-	if sel.FromAlias != "" {
-		quals[sel.FromAlias] = true
-	}
-	strip := func(c *sqlparse.ColRef) error {
-		if c.Table == "" {
-			return nil
+	qual := func(t string) bool { return t == sel.From || t == sel.FromAlias }
+	return sqlparse.RewriteSelect(sel, func(e sqlparse.Expr) (sqlparse.Expr, error) {
+		c, ok := e.(*sqlparse.ColRef)
+		if !ok || c.Table == "" {
+			return e, nil
 		}
-		if !quals[c.Table] {
-			return fmt.Errorf("plan: unknown table %q in reference %s", c.Table, c.String())
+		if !qual(c.Table) {
+			return nil, fmt.Errorf("plan: unknown table %q in reference %s", c.Table, c.String())
 		}
-		c.Table = ""
-		return nil
-	}
-	for _, it := range sel.Items {
-		if it.Star {
-			continue
+		return &sqlparse.ColRef{Name: c.Name}, nil
+	}, func(s string) (string, error) {
+		if i := strings.IndexByte(s, '.'); i > 0 && qual(s[:i]) {
+			return s[i+1:], nil
 		}
-		if err := walkColRefs(it.Expr, strip); err != nil {
-			return err
-		}
-	}
-	if sel.Where != nil {
-		if err := walkColRefs(sel.Where, strip); err != nil {
-			return err
-		}
-	}
-	stripName := func(s string) string {
-		if i := strings.IndexByte(s, '.'); i > 0 && quals[s[:i]] {
-			return s[i+1:]
-		}
-		return s
-	}
-	for i, g := range sel.GroupBy {
-		sel.GroupBy[i] = stripName(g)
-	}
-	for i, o := range sel.OrderBy {
-		sel.OrderBy[i].Col = stripName(o.Col)
-	}
-	return nil
+		return s, nil
+	})
 }
 
 // JoinInput is one table of a join statement as the statement uses it:
@@ -186,40 +62,54 @@ type JoinInput struct {
 	ProbeKey, BuildKey string
 }
 
-// resolveRef rewrites one column reference to its canonical "alias.column"
-// name against the given scope.
-func resolveRef(c *sqlparse.ColRef, scope []JoinInput) error {
-	if c.Table != "" {
+// resolveRef returns the canonical "alias.column" name of the column
+// reference table.name (table "" when unqualified) against the given scope.
+func resolveRef(table, name string, scope []JoinInput) (string, error) {
+	if table != "" {
 		for _, r := range scope {
-			if r.Alias == c.Table {
-				if r.Def.Schema.ColIndex(c.Name) < 0 {
-					return fmt.Errorf("plan: unknown column %q in table %q", c.Name, r.Alias)
+			if r.Alias == table {
+				if r.Def.Schema.ColIndex(name) < 0 {
+					return "", fmt.Errorf("plan: unknown column %q in table %q", name, r.Alias)
 				}
-				c.Name = r.Alias + "." + c.Name
-				c.Table = ""
-				return nil
+				return r.Alias + "." + name, nil
 			}
 		}
-		return fmt.Errorf("plan: unknown table %q in reference %s", c.Table, c.String())
+		c := sqlparse.ColRef{Table: table, Name: name}
+		return "", fmt.Errorf("plan: unknown table %q in reference %s", table, c.String())
 	}
-	if strings.IndexByte(c.Name, '.') > 0 {
+	if strings.IndexByte(name, '.') > 0 {
 		// Already canonical (re-planning a normalized statement).
-		return nil
+		return name, nil
 	}
 	found := -1
 	for i, r := range scope {
-		if r.Def.Schema.ColIndex(c.Name) >= 0 {
+		if r.Def.Schema.ColIndex(name) >= 0 {
 			if found >= 0 {
-				return fmt.Errorf("plan: ambiguous column %q (in %q and %q)", c.Name, scope[found].Alias, r.Alias)
+				return "", fmt.Errorf("plan: ambiguous column %q (in %q and %q)", name, scope[found].Alias, r.Alias)
 			}
 			found = i
 		}
 	}
 	if found < 0 {
-		return fmt.Errorf("plan: unknown column %q", c.Name)
+		return "", fmt.Errorf("plan: unknown column %q", name)
 	}
-	c.Name = scope[found].Alias + "." + c.Name
-	return nil
+	return scope[found].Alias + "." + name, nil
+}
+
+// resolveCols is the rewrite that puts every column reference of an
+// expression in its canonical form against scope.
+func resolveCols(scope []JoinInput) func(sqlparse.Expr) (sqlparse.Expr, error) {
+	return func(e sqlparse.Expr) (sqlparse.Expr, error) {
+		c, ok := e.(*sqlparse.ColRef)
+		if !ok {
+			return e, nil
+		}
+		n, err := resolveRef(c.Table, c.Name, scope)
+		if err != nil || n == c.Name {
+			return e, err
+		}
+		return &sqlparse.ColRef{Name: n}, nil
+	}
 }
 
 // resolveName canonicalizes a GROUP BY / ORDER BY name the same way.
@@ -237,56 +127,28 @@ func resolveName(s string, scope []JoinInput) (string, error) {
 		}
 		return "", fmt.Errorf("plan: unknown table %q in reference %q", s[:i], s)
 	}
-	c := &sqlparse.ColRef{Name: s}
-	if err := resolveRef(c, scope); err != nil {
-		return "", err
-	}
-	return c.Name, nil
+	return resolveRef("", s, scope)
 }
 
-// normalizeJoin rewrites every column reference in a join statement to its
-// canonical "alias.column" form. ON clauses resolve against the tables in
-// scope at that join (the base table plus all earlier joins, plus the joined
-// table itself).
-func normalizeJoin(sel *sqlparse.Select, refs []JoinInput) error {
-	full := func(c *sqlparse.ColRef) error { return resolveRef(c, refs) }
-	for _, it := range sel.Items {
-		if it.Star {
-			continue
-		}
-		if err := walkColRefs(it.Expr, full); err != nil {
-			return err
-		}
-	}
-	if sel.Where != nil {
-		if err := walkColRefs(sel.Where, full); err != nil {
-			return err
-		}
-	}
-	for i := range sel.Joins {
-		scope := refs[:i+2]
-		if err := walkColRefs(sel.Joins[i].On, func(c *sqlparse.ColRef) error {
-			return resolveRef(c, scope)
-		}); err != nil {
-			return err
-		}
-	}
-	for i, g := range sel.GroupBy {
-		n, err := resolveName(g, refs)
+// normalizeJoin returns a join statement with every column reference in its
+// canonical "alias.column" form. Each ON clause resolves against the tables
+// in scope at its join (the base table, all earlier joins and the joined
+// table itself), the rest of the statement against all of them; an ORDER BY
+// name that resolves nowhere may be an output alias and is left for the
+// executor.
+func normalizeJoin(sel *sqlparse.Select, refs []JoinInput) (*sqlparse.Select, error) {
+	scoped := *sel
+	scoped.Joins = make([]sqlparse.Join, len(sel.Joins))
+	for i, j := range sel.Joins {
+		on, err := sqlparse.Rewrite(j.On, resolveCols(refs[:i+2]))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		sel.GroupBy[i] = n
+		scoped.Joins[i] = sqlparse.Join{Table: j.Table, Alias: j.Alias, On: on}
 	}
-	for i, o := range sel.OrderBy {
-		n, err := resolveName(o.Col, refs)
-		if err != nil {
-			// ORDER BY may name an output alias; leave it for the executor.
-			continue
-		}
-		sel.OrderBy[i].Col = n
-	}
-	return nil
+	return sqlparse.RewriteSelect(&scoped, resolveCols(refs), func(s string) (string, error) {
+		return resolveName(s, refs)
+	})
 }
 
 // flattenAnd splits a WHERE clause into its top-level AND conjuncts.
@@ -321,16 +183,16 @@ func aliasPrefix(name string) string {
 	return ""
 }
 
-// stripAliasExpr deep-copies the expression rewriting this alias's columns
-// to bare names, producing a filter evaluable against the table's own scan
-// batches (before join renaming).
+// stripAliasExpr rewrites this alias's columns to bare names, producing a
+// filter evaluable against the table's own scan batches (before join
+// renaming).
 func stripAliasExpr(e sqlparse.Expr, alias string) sqlparse.Expr {
-	out := copyExpr(e)
-	_ = walkColRefs(out, func(c *sqlparse.ColRef) error {
-		if strings.HasPrefix(c.Name, alias+".") {
-			c.Name = c.Name[len(alias)+1:]
+	prefix := alias + "."
+	out, _ := sqlparse.Rewrite(e, func(x sqlparse.Expr) (sqlparse.Expr, error) { // it cannot fail
+		if c, ok := x.(*sqlparse.ColRef); ok && strings.HasPrefix(c.Name, prefix) {
+			return &sqlparse.ColRef{Table: c.Table, Name: c.Name[len(prefix):]}, nil
 		}
-		return nil
+		return x, nil
 	})
 	return out
 }

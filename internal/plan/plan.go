@@ -108,9 +108,11 @@ type Node struct {
 }
 
 // Plan is a planned statement: the physical operator tree plus the
-// normalized SELECT the executor walks it with (deep-copied; column
-// references resolved, qualifiers stripped for single-table statements and
-// rewritten to "alias.column" for joins).
+// normalized SELECT the executor walks it with (column references resolved,
+// qualifiers stripped for single-table statements and rewritten to
+// "alias.column" for joins). Sel shares every node the normalization did
+// not change with the statement Build was given — a cached template among
+// them — which is safe because no code writes to a statement after Parse.
 type Plan struct {
 	Root *Node
 	Sel  *sqlparse.Select
@@ -164,7 +166,6 @@ func Build(sel *sqlparse.Select, src Source) (*Plan, error) {
 	if sel.NumParams > 0 {
 		return nil, fmt.Errorf("plan: %d unbound placeholder(s) (prepare and execute with arguments)", sel.NumParams)
 	}
-	sel = cloneSelect(sel)
 	b := &builder{src: src}
 	switch KindOf(sel) {
 	case KindConst:
@@ -203,23 +204,26 @@ func IsAggregateFunc(name string) bool {
 	return false
 }
 
+// hasAggregate reports whether e calls an aggregate. A call's USING
+// PARAMETERS values are constants handed to the function, so an aggregate
+// there does not count. The walk returns every node as it is: no copy, no
+// error.
 func hasAggregate(e sqlparse.Expr) bool {
-	switch x := e.(type) {
-	case *sqlparse.FuncCall:
-		if IsAggregateFunc(x.Name) {
-			return true
+	found := false
+	var visit func(sqlparse.Expr) (sqlparse.Expr, error)
+	visit = func(x sqlparse.Expr) (sqlparse.Expr, error) {
+		fc, ok := x.(*sqlparse.FuncCall)
+		if !ok {
+			return x, nil
 		}
-		for _, a := range x.Args {
-			if hasAggregate(a) {
-				return true
-			}
+		found = found || IsAggregateFunc(fc.Name)
+		for _, a := range fc.Args {
+			_, _ = sqlparse.Rewrite(a, visit)
 		}
-	case *sqlparse.Binary:
-		return hasAggregate(x.L) || hasAggregate(x.R)
-	case *sqlparse.Unary:
-		return hasAggregate(x.X)
+		return x, sqlparse.SkipChildren
 	}
-	return false
+	_, _ = sqlparse.Rewrite(e, visit)
+	return found
 }
 
 // IsAggregate reports whether the statement aggregates: it has a GROUP BY or
@@ -241,7 +245,7 @@ func (b *builder) buildSingle(sel *sqlparse.Select) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := normalizeSingle(sel); err != nil {
+	if sel, err = Normalize(sel); err != nil {
 		return nil, err
 	}
 	ts, err := gatherStats(b.src, sel.From, def)

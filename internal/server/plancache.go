@@ -16,8 +16,9 @@ var (
 
 // planCache is a bounded LRU of parsed (and therefore validated) SELECT
 // statements, keyed on normalized SQL text. Cached *Select values are shared
-// by concurrent executions: execution never mutates the AST, and parameter
-// binding deep-copies it (sqlparse.BindSelect), so sharing is safe.
+// by concurrent executions, and by the statements binding and planning make
+// of them: nothing writes to a tree after Parse, binding and normalizing
+// copy only the paths they change (sqlparse.Rewrite), so sharing is safe.
 type planCache struct {
 	mu    sync.Mutex
 	cap   int

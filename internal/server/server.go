@@ -305,8 +305,9 @@ func (s *Server) Prepare(name, sql string) error {
 }
 
 // Execute binds args to the named prepared statement (Prepared) and runs it.
-// The cached template is never mutated: binding deep-copies, so any number
-// of executions (with different arguments) can run concurrently.
+// The cached template is never written to — binding copies the paths down
+// to its placeholders and shares the rest — so any number of executions
+// (with different arguments) can run concurrently.
 func (s *Server) Execute(ctx context.Context, name string, args ...any) (*sqlexec.Result, error) {
 	stmt, fingerprint, err := s.Prepared(ctx, name, args)
 	if err != nil {
@@ -333,10 +334,11 @@ func (s *Server) Prepared(ctx context.Context, name string, args []any) (stmt sq
 
 // Statement resolves sql through the LRU plan cache and binds args to it: a
 // SELECT — placeholders and all — is parsed and validated once per catalog
-// epoch and text, and what comes back is the caller's own copy (BindSelect
-// deep-copies), free to rewrite. Anything else — or a template given no
-// arguments, which then fails to plan — is parsed afresh and takes no
-// arguments. The fingerprint is the normalized text, the key the statement's
+// epoch and text, and what comes back shares its nodes with the cached
+// template (the template itself when there is nothing to bind), so the
+// caller rewrites it only into a copy of its own (sqlparse.Rewrite), never
+// in place. Anything else — or a template given no arguments, which then
+// fails to plan — is parsed afresh and takes no arguments. The fingerprint is the normalized text, the key the statement's
 // executions are recorded under. Query resolves every one-shot statement
 // here, Prepared every prepared one, and a cluster peer every shard
 // statement.

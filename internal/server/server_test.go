@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"verticadr/internal/algos"
 	"verticadr/internal/core"
 	"verticadr/internal/faults"
+	"verticadr/internal/sqlexec"
 	"verticadr/internal/telemetry"
 	"verticadr/internal/verr"
 )
@@ -184,6 +186,87 @@ func TestPrepareExecuteBindsPlaceholders(t *testing.T) {
 	// Unbound placeholders cannot sneak through the one-shot path.
 	if _, err := srv.Query(ctx, `SELECT x FROM px WHERE x > ?`); err == nil {
 		t.Fatal("one-shot query with unbound placeholder executed")
+	}
+}
+
+// One cached template serves every execution at once: plans share its
+// nodes, and nothing writes to them. Goroutines execute a prepared
+// statement with distinct arguments while others run its text one-shot and
+// a statement with no placeholders (whose plan is the template itself, its
+// qualifiers stripped on a copy); every answer is right, and both templates
+// render as they did.
+func TestSharedTemplateConcurrentExecuteAndQuery(t *testing.T) {
+	s, err := core.Start(core.Config{DBNodes: 2, DRWorkers: 1, InstancesPerWorker: 1, BlockRows: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ctx := context.Background()
+	if err := s.ExecContext(ctx, `CREATE TABLE t (x FLOAT) SEGMENTED BY ROUND ROBIN`); err != nil {
+		t.Fatal(err)
+	}
+	xs := make([]float64, 100)
+	for i := range xs {
+		xs[i] = float64(i)
+	}
+	if err := s.DB.LoadColumns("t", [][]float64{xs}); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(s, Config{MaxConcurrent: 8})
+	const prepared = `SELECT count(*) AS n FROM t WHERE t.x < ? AND x >= ?`
+	const literal = `SELECT count(*) AS n FROM t AS u WHERE u.x < 50`
+	if err := srv.Prepare("below", prepared); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Query(ctx, literal); err != nil {
+		t.Fatal(err)
+	}
+	template := func(sql string) string {
+		sel, ok := srv.plans.get(srv.cacheKey(normalize(sql)))
+		if !ok {
+			t.Fatalf("no cached template for %q", sql)
+		}
+		return sel.String()
+	}
+	before := map[string]string{prepared: template(prepared), literal: template(literal)}
+	count := func(res *sqlexec.Result, err error) int64 {
+		if err != nil {
+			return -1
+		}
+		return res.Rows()[0][0].(int64)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				switch hi, lo := (g*7+i)%100+1, i%10; g % 3 {
+				case 0, 1:
+					if n := count(srv.Execute(ctx, "below", float64(hi), int64(lo))); n != int64(max(hi-lo, 0)) {
+						errs <- fmt.Errorf("x in [%d, %d) counted %d", lo, hi, n)
+					}
+				case 2:
+					if _, err := srv.Query(ctx, prepared); err == nil || !strings.Contains(err.Error(), "unbound placeholder") {
+						errs <- fmt.Errorf("the template run one-shot: %v", err)
+					}
+					if n := count(srv.Query(ctx, literal)); n != 50 {
+						errs <- fmt.Errorf("x < 50 counted %d", n)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for sql, want := range before {
+		if got := template(sql); got != want {
+			t.Errorf("the cached template of %q renders as %q, was %q", sql, got, want)
+		}
 	}
 }
 

@@ -292,24 +292,25 @@ func Kmeans(r *RDD, k, maxIter int, seed int64) (*KmeansModel, error) {
 		if err != nil {
 			return nil, err
 		}
-		sums := make([][]float64, k)
-		counts := make([]int, k)
-		for i := range sums {
-			sums[i] = make([]float64, d)
+		// Each partition folds into its own slot, and the slots into the
+		// totals in partition order, whatever order the tasks finish in:
+		// floating-point sums depend on their order, so this keeps a fit
+		// bit-reproducible.
+		type partial struct {
+			sums   [][]float64
+			counts []int
+			obj    float64
 		}
-		var obj float64
-		var mu sync.Mutex
-		err = r.foreachPartition(func(_ int, rows [][]float64) error {
+		parts := make([]partial, r.nparts)
+		err = r.foreachPartition(func(pi int, rows [][]float64) error {
 			var local [][]float64
 			if err := bc.value(&local); err != nil {
 				return err
 			}
-			ls := make([][]float64, k)
-			lc := make([]int, k)
-			for i := range ls {
-				ls[i] = make([]float64, d)
+			p := partial{sums: make([][]float64, k), counts: make([]int, k)}
+			for i := range p.sums {
+				p.sums[i] = make([]float64, d)
 			}
-			var lobj float64
 			for _, row := range rows {
 				best, bestD := 0, math.Inf(1)
 				for ci, c := range local {
@@ -317,25 +318,32 @@ func Kmeans(r *RDD, k, maxIter int, seed int64) (*KmeansModel, error) {
 						best, bestD = ci, dd
 					}
 				}
-				lc[best]++
-				lobj += bestD
+				p.counts[best]++
+				p.obj += bestD
 				for j, v := range row {
-					ls[best][j] += v
+					p.sums[best][j] += v
 				}
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			obj += lobj
-			for ci := range sums {
-				counts[ci] += lc[ci]
-				for j := range sums[ci] {
-					sums[ci][j] += ls[ci][j]
-				}
-			}
+			parts[pi] = p
 			return nil
 		})
 		if err != nil {
 			return nil, err
+		}
+		sums := make([][]float64, k)
+		counts := make([]int, k)
+		for i := range sums {
+			sums[i] = make([]float64, d)
+		}
+		var obj float64
+		for _, p := range parts {
+			obj += p.obj
+			for ci := range sums {
+				counts[ci] += p.counts[ci]
+				for j := range sums[ci] {
+					sums[ci][j] += p.sums[ci][j]
+				}
+			}
 		}
 		var moved float64
 		for ci := range centers {

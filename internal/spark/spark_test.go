@@ -2,6 +2,7 @@ package spark
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"verticadr/internal/hdfs"
@@ -117,6 +118,40 @@ func TestKmeansConverges(t *testing.T) {
 		}
 		if math.Sqrt(best) > 1 {
 			t.Fatalf("planted center missed by %v", math.Sqrt(best))
+		}
+	}
+}
+
+// TestKmeansIsBitReproducible: the partitions' partials fold in partition
+// order, whatever order their tasks finish in, so repeated fits of one RDD
+// return the same objective and centers to the bit.
+func TestKmeansIsBitReproducible(t *testing.T) {
+	fs := newFS(t, 2, 1024)
+	ctx, _ := NewContext(fs, 4)
+	data := workload.GenKmeans(11, 20000, 3, 5, 0.5)
+	rdd, err := ctx.Parallelize(data.Points, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func(m *KmeansModel) []uint64 {
+		out := []uint64{math.Float64bits(m.Objective)}
+		for _, c := range m.Centers {
+			for _, v := range c {
+				out = append(out, math.Float64bits(v))
+			}
+		}
+		return out
+	}
+	var first []uint64
+	for fit := 0; fit < 20; fit++ {
+		model, err := Kmeans(rdd, 5, 10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bits(model); first == nil {
+			first = got
+		} else if !slices.Equal(got, first) {
+			t.Fatalf("fit %d: objective %v, centers %v differ in their bits from the first fit's", fit, model.Objective, model.Centers)
 		}
 	}
 }

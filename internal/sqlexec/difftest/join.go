@@ -85,9 +85,6 @@ func (db *FakeDB) BuildIndexes(cols ...string) error {
 // The WHERE clause evaluates over the joined rows; the engine pushes
 // single-table conjuncts below the join instead, which commutes because
 // filters are row-local and order-preserving.
-//
-// Note: join statements canonicalize column references in sel in place —
-// callers should pass an AST they own (the harness parses a private copy).
 func (m *MultiDB) RunReference(sel *sqlparse.Select) (*RefResult, error) {
 	if len(sel.Joins) == 0 {
 		db, err := m.table(sel.From)
@@ -151,7 +148,8 @@ func (m *MultiDB) RunReference(sel *sqlparse.Select) (*RefResult, error) {
 		schema = append(append(colstore.Schema{}, schema...), rschema...)
 		rows = joined
 	}
-	if err := refCanonicalize(sel, schema); err != nil {
+	sel, err := refCanonicalize(sel, schema)
+	if err != nil {
 		return nil, err
 	}
 	if sel.Where != nil {
@@ -178,7 +176,6 @@ func (m *MultiDB) RunReference(sel *sqlparse.Select) (*RefResult, error) {
 		}
 	}
 	var out *RefResult
-	var err error
 	if agg {
 		out, err = refAggregate(schema, rows, sel)
 	} else {
@@ -221,113 +218,65 @@ func refJoinKeys(on sqlparse.Expr, left, right colstore.Schema) (int, int, error
 		return 0, 0, fmt.Errorf("difftest: unsupported join condition %s", on.String())
 	}
 	combined := append(append(colstore.Schema{}, left...), right...)
-	if err := refResolveCol(lc, combined); err != nil {
+	ln, err := refResolveCol(lc.Table, lc.Name, combined)
+	if err != nil {
 		return 0, 0, err
 	}
-	if err := refResolveCol(rc, combined); err != nil {
+	rn, err := refResolveCol(rc.Table, rc.Name, combined)
+	if err != nil {
 		return 0, 0, err
 	}
-	if li, ri := left.ColIndex(lc.Name), right.ColIndex(rc.Name); li >= 0 && ri >= 0 {
+	if li, ri := left.ColIndex(ln), right.ColIndex(rn); li >= 0 && ri >= 0 {
 		return li, ri, nil
 	}
-	if li, ri := left.ColIndex(rc.Name), right.ColIndex(lc.Name); li >= 0 && ri >= 0 {
+	if li, ri := left.ColIndex(rn), right.ColIndex(ln); li >= 0 && ri >= 0 {
 		return li, ri, nil
 	}
 	return 0, 0, fmt.Errorf("difftest: join condition %s must reference both sides", on.String())
 }
 
-// refCanonicalize rewrites every column reference in the statement to the
+// refCanonicalize returns the statement with every column reference in the
 // joined schema's canonical "alias.column" names, mirroring the planner's
 // normalizeJoin — including its unknown-name and ambiguity errors.
 // Unresolvable ORDER BY names may be output aliases and are left alone.
-func refCanonicalize(sel *sqlparse.Select, schema colstore.Schema) error {
-	res := func(c *sqlparse.ColRef) error { return refResolveCol(c, schema) }
-	for _, it := range sel.Items {
-		if it.Star {
-			continue
+func refCanonicalize(sel *sqlparse.Select, schema colstore.Schema) (*sqlparse.Select, error) {
+	return sqlparse.RewriteSelect(sel, func(e sqlparse.Expr) (sqlparse.Expr, error) {
+		c, ok := e.(*sqlparse.ColRef)
+		if !ok {
+			return e, nil
 		}
-		if err := refWalk(it.Expr, res); err != nil {
-			return err
+		n, err := refResolveCol(c.Table, c.Name, schema)
+		if err != nil || n == c.Name && c.Table == "" {
+			return e, err
 		}
-	}
-	if sel.Where != nil {
-		if err := refWalk(sel.Where, res); err != nil {
-			return err
-		}
-	}
-	for i, g := range sel.GroupBy {
-		n, err := refResolveName(g, schema)
-		if err != nil {
-			return err
-		}
-		sel.GroupBy[i] = n
-	}
-	for i, o := range sel.OrderBy {
-		n, err := refResolveName(o.Col, schema)
-		if err != nil {
-			continue
-		}
-		sel.OrderBy[i].Col = n
-	}
-	return nil
+		return &sqlparse.ColRef{Name: n}, nil
+	}, func(s string) (string, error) { return refResolveCol("", s, schema) })
 }
 
 // refResolveCol canonicalizes one column reference against the joined
 // schema: explicit qualifiers must name a known alias.column; bare names
 // must match exactly one table.
-func refResolveCol(c *sqlparse.ColRef, schema colstore.Schema) error {
-	if c.Table != "" {
-		c.Name = c.Table + "." + c.Name
-		c.Table = ""
+func refResolveCol(table, name string, schema colstore.Schema) (string, error) {
+	if table != "" {
+		name = table + "." + name
 	}
-	if schema.ColIndex(c.Name) >= 0 {
-		return nil
+	if schema.ColIndex(name) >= 0 {
+		return name, nil
 	}
-	if strings.IndexByte(c.Name, '.') > 0 {
-		return fmt.Errorf("difftest: unknown column %q", c.Name)
+	if strings.IndexByte(name, '.') > 0 {
+		return "", fmt.Errorf("difftest: unknown column %q", name)
 	}
 	found := ""
 	for _, cs := range schema {
-		if strings.HasSuffix(cs.Name, "."+c.Name) {
+		if strings.HasSuffix(cs.Name, "."+name) {
 			if found != "" {
-				return fmt.Errorf("difftest: ambiguous column %q", c.Name)
+				return "", fmt.Errorf("difftest: ambiguous column %q", name)
 			}
 			found = cs.Name
 		}
 	}
 	if found == "" {
-		return fmt.Errorf("difftest: unknown column %q", c.Name)
+		return "", fmt.Errorf("difftest: unknown column %q", name)
 	}
-	c.Name = found
-	return nil
-}
-
-func refResolveName(s string, schema colstore.Schema) (string, error) {
-	c := &sqlparse.ColRef{Name: s}
-	if err := refResolveCol(c, schema); err != nil {
-		return "", err
-	}
-	return c.Name, nil
-}
-
-// refWalk visits every column reference in the expression.
-func refWalk(e sqlparse.Expr, f func(*sqlparse.ColRef) error) error {
-	switch x := e.(type) {
-	case *sqlparse.ColRef:
-		return f(x)
-	case *sqlparse.Unary:
-		return refWalk(x.X, f)
-	case *sqlparse.Binary:
-		if err := refWalk(x.L, f); err != nil {
-			return err
-		}
-		return refWalk(x.R, f)
-	case *sqlparse.FuncCall:
-		for _, a := range x.Args {
-			if err := refWalk(a, f); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return found, nil
 }

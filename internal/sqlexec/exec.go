@@ -127,11 +127,6 @@ func collectCols(sel *sqlparse.Select, schema colstore.Schema) ([]string, error)
 			names = append(names, n)
 		}
 	}
-	walk := func(e sqlparse.Expr) {
-		for _, n := range colRefs(e, nil) {
-			add(n)
-		}
-	}
 	for _, item := range sel.Items {
 		if item.Star {
 			for _, c := range schema {
@@ -139,11 +134,9 @@ func collectCols(sel *sqlparse.Select, schema colstore.Schema) ([]string, error)
 			}
 			continue
 		}
-		walk(item.Expr)
+		readCols(item.Expr, add)
 	}
-	if sel.Where != nil {
-		walk(sel.Where)
-	}
+	readCols(sel.Where, add)
 	for _, g := range sel.GroupBy {
 		add(g)
 	}
@@ -161,21 +154,24 @@ func collectCols(sel *sqlparse.Select, schema colstore.Schema) ([]string, error)
 	return names, nil
 }
 
-// colRefs appends the names of the columns e references to names.
-func colRefs(e sqlparse.Expr, names []string) []string {
-	switch x := e.(type) {
-	case *sqlparse.ColRef:
-		names = append(names, x.Name)
-	case *sqlparse.Binary:
-		names = colRefs(x.R, colRefs(x.L, names))
-	case *sqlparse.Unary:
-		names = colRefs(x.X, names)
-	case *sqlparse.FuncCall:
-		for _, a := range x.Args {
-			names = colRefs(a, names)
+// readCols calls add with the name of every column e reads. A call's USING
+// PARAMETERS values are constants handed to the function, not reads. The
+// walk returns every node as it is: no copy, no error.
+func readCols(e sqlparse.Expr, add func(string)) {
+	var visit func(sqlparse.Expr) (sqlparse.Expr, error)
+	visit = func(x sqlparse.Expr) (sqlparse.Expr, error) {
+		switch x := x.(type) {
+		case *sqlparse.ColRef:
+			add(x.Name)
+		case *sqlparse.FuncCall:
+			for _, a := range x.Args {
+				_, _ = sqlparse.Rewrite(a, visit)
+			}
+			return x, sqlparse.SkipChildren
 		}
+		return x, nil
 	}
-	return names
+	_, _ = sqlparse.Rewrite(e, visit)
 }
 
 func union(a, b []string) []string {

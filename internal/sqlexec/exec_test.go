@@ -66,6 +66,27 @@ func selStmt(t testing.TB, sql string) *sqlparse.Select {
 	return stmt.(*sqlparse.Select)
 }
 
+// A call's USING PARAMETERS values are constants handed to the function:
+// the executor reads no column for them, and an aggregate there does not
+// make the statement aggregate; the planner still checks a qualifier there
+// as it checks every other.
+func TestUsingParametersAreNotColumnReads(t *testing.T) {
+	db := newFakeDB(t, 1000)
+	for _, sql := range []string{
+		"SELECT ABS(x USING PARAMETERS p=nosuch) FROM t WHERE x < 3",
+		"SELECT ABS(x USING PARAMETERS p=SUM(y)) FROM t WHERE x < 3",
+	} {
+		res, err := RunSelectCtx(context.Background(), db, selStmt(t, sql))
+		if err != nil || res.Len() != 3 {
+			t.Fatalf("%s: %v, %v; want 3 rows", sql, res, err)
+		}
+	}
+	sql := "SELECT ABS(x USING PARAMETERS p=zz.y) FROM t"
+	if _, err := RunSelectCtx(context.Background(), db, selStmt(t, sql)); err == nil || !strings.Contains(err.Error(), `unknown table "zz"`) {
+		t.Fatalf("%s: err = %v", sql, err)
+	}
+}
+
 func TestProfileSelectRecordsOperators(t *testing.T) {
 	db := newFakeDB(t, 1000)
 	res, err := RunSelectCtx(context.Background(), db, selStmt(t, "PROFILE SELECT x, y FROM t WHERE x >= 900 ORDER BY x DESC LIMIT 5"))

@@ -212,7 +212,8 @@ func openInput(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Sel
 	carry := make([]map[string]bool, len(joins)+1)
 	top := need
 	if len(joins) > 0 {
-		top = colRefs(joins[len(joins)-1].Residual, slices.Clone(need))
+		top = slices.Clone(need)
+		readCols(joins[len(joins)-1].Residual, func(c string) { top = append(top, c) })
 	}
 	for k := len(joins); k >= 0; k-- {
 		carry[k] = map[string]bool{}

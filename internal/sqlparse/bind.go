@@ -2,16 +2,20 @@ package sqlparse
 
 import "fmt"
 
-// BindSelect returns a deep copy of sel with every `?` placeholder replaced
-// by the corresponding argument, converted to a literal node. The template is
-// never mutated, so one cached parse can serve any number of concurrent
-// executions. len(args) must equal sel.NumParams.
+// BindSelect returns sel with every `?` placeholder replaced by the
+// corresponding argument, converted to a literal node: a rewrite (Rewrite)
+// that copies only the paths down to the placeholders and shares the rest
+// with sel, which stays as it was, so one cached parse can serve any number
+// of concurrent executions. len(args) must equal sel.NumParams.
 //
 // Supported argument types mirror the literal grammar: integers (int,
 // int64), float64, string and bool.
 func BindSelect(sel *Select, args []any) (*Select, error) {
 	if len(args) != sel.NumParams {
 		return nil, fmt.Errorf("sqlparse: statement has %d placeholders, got %d arguments", sel.NumParams, len(args))
+	}
+	if len(args) == 0 {
+		return sel, nil
 	}
 	lits := make([]Expr, len(args))
 	for i, a := range args {
@@ -21,35 +25,19 @@ func BindSelect(sel *Select, args []any) (*Select, error) {
 		}
 		lits[i] = l
 	}
-	out := &Select{
-		From:      sel.From,
-		FromAlias: sel.FromAlias,
-		Limit:     sel.Limit,
-		Profile:   sel.Profile,
-		NumParams: 0, // fully bound
-	}
-	if len(sel.Joins) > 0 {
-		out.Joins = make([]Join, len(sel.Joins))
-		for i, j := range sel.Joins {
-			out.Joins[i] = Join{Table: j.Table, Alias: j.Alias}
-			if j.On != nil {
-				out.Joins[i].On = bindExpr(j.On, lits)
-			}
+	bound, _ := RewriteSelect(sel, func(e Expr) (Expr, error) { // it cannot fail
+		// A placeholder out of range is left for the evaluator to reject.
+		if p, ok := e.(*Placeholder); ok && p.Idx >= 0 && p.Idx < len(lits) {
+			return lits[p.Idx], nil
 		}
+		return e, nil
+	}, nil)
+	if bound == sel { // a hand-built count with no placeholder behind it
+		c := *sel
+		bound = &c
 	}
-	out.Items = make([]SelectItem, len(sel.Items))
-	for i, it := range sel.Items {
-		out.Items[i] = SelectItem{Star: it.Star, Alias: it.Alias}
-		if it.Expr != nil {
-			out.Items[i].Expr = bindExpr(it.Expr, lits)
-		}
-	}
-	if sel.Where != nil {
-		out.Where = bindExpr(sel.Where, lits)
-	}
-	out.GroupBy = append([]string(nil), sel.GroupBy...)
-	out.OrderBy = append([]OrderItem(nil), sel.OrderBy...)
-	return out, nil
+	bound.NumParams = 0 // a copy of sel's made here, not yet shared
+	return bound, nil
 }
 
 func literalFor(a any) (Expr, error) {
@@ -68,45 +56,6 @@ func literalFor(a any) (Expr, error) {
 		return &BoolLit{Val: v}, nil
 	default:
 		return nil, fmt.Errorf("unsupported argument type %T", a)
-	}
-}
-
-// bindExpr deep-copies e, substituting lits[i] for Placeholder{Idx: i}.
-// Literal leaves are immutable and shared rather than copied.
-func bindExpr(e Expr, lits []Expr) Expr {
-	switch x := e.(type) {
-	case *Placeholder:
-		if x.Idx >= 0 && x.Idx < len(lits) {
-			return lits[x.Idx]
-		}
-		return x // out of range: left for the evaluator to reject
-	case *Binary:
-		return &Binary{Op: x.Op, L: bindExpr(x.L, lits), R: bindExpr(x.R, lits)}
-	case *Unary:
-		return &Unary{Op: x.Op, X: bindExpr(x.X, lits)}
-	case *FuncCall:
-		out := &FuncCall{Name: x.Name, Star: x.Star}
-		if len(x.Args) > 0 {
-			out.Args = make([]Expr, len(x.Args))
-			for i, a := range x.Args {
-				out.Args[i] = bindExpr(a, lits)
-			}
-		}
-		if x.Params != nil {
-			out.Params = make(map[string]Expr, len(x.Params))
-			for k, v := range x.Params {
-				out.Params[k] = bindExpr(v, lits)
-			}
-		}
-		if x.Over != nil {
-			ov := &Over{PartitionBest: x.Over.PartitionBest}
-			ov.PartitionBy = append([]string(nil), x.Over.PartitionBy...)
-			out.Over = ov
-		}
-		return out
-	default:
-		// ColRef, NumberLit, StringLit, BoolLit: immutable leaves.
-		return e
 	}
 }
 

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -295,11 +294,6 @@ func (l *SpanLog) Export() []SpanRecord {
 		}
 	}
 	return out
-}
-
-// ExportJSON marshals Export as indented JSON.
-func (l *SpanLog) ExportJSON() ([]byte, error) {
-	return json.MarshalIndent(l.Export(), "", "  ")
 }
 
 // TraceRecord is one trace's retained spans, in start order.

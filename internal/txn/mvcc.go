@@ -110,13 +110,6 @@ func (s *Store) Latest(name string) ([]*colstore.Segment, bool) {
 	return head.segs, true
 }
 
-// CommitTS returns the current (latest committed) timestamp.
-func (s *Store) CommitTS() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.commitTS
-}
-
 // Snap is a pinned snapshot: reads through it see the store exactly as of
 // its timestamp. Release it when the query finishes so GC can advance.
 type Snap struct {
@@ -135,9 +128,6 @@ func (s *Store) Snapshot() *Snap {
 	gActiveSnaps.Add(1)
 	return &Snap{store: s, ts: s.commitTS}
 }
-
-// TS returns the snapshot's pinned commit timestamp.
-func (sn *Snap) TS() uint64 { return sn.ts }
 
 // Segments returns the table's segments as of the snapshot, or ok=false if
 // the table did not exist (or was dropped) at that instant. The returned
