@@ -18,7 +18,9 @@ GO ?= go
 # bench-placement, bench-point (the point read end to end, then statement
 # preparation and the index probe alone), bench-scan (the block parse paths:
 # BenchmarkDecodeDelta, BenchmarkDecodeBlock, BenchmarkMatchCompressed),
-# bench-transfer, bench-keys, bench-figures, chaos, recover, fuzz, loc.
+# bench-transfer, bench-keys, bench-figures, chaos (the recovery paths, a
+# clustered node's front door under overload and QueryTimeout among them),
+# recover, fuzz, loc.
 .PHONY: check
 check: lint build test race difftest-short fuzz-smoke
 
@@ -159,7 +161,9 @@ bench-placement:
 # The benchmark's point read (`SELECT x0, x1 FROM events WHERE k = ?`) through
 # a serving-protocol client, on node 0 of a 3-peer cluster (3 shards x 2
 # replicas) and on one server over the same rows: the routed/single ratio and
-# each side's allocations in one run. Then statement preparation alone:
+# each side's allocations in one run. Both pass the front door's admission,
+# plan cache and statement statistics in the node's Server; the routed read
+# then goes through the router, its shard reads through the shard gate. Then statement preparation alone:
 # BindSelect on a cached template and plan.Build, for the benchmark's point,
 # score and read statements. Then the read's index probe alone: an equality
 # and a 256-key range over one segment's 62,500 keys, bulk-built and
@@ -208,12 +212,13 @@ bench-figures:
 
 # Chaos suite: the recovery-path tests (fault injection, retransmission,
 # dedup, worker failover, stalled and failing cursor-range
-# tasks of a streamed query, round trips cut short by their context) under
-# the race detector. Seeds are fixed inside
+# tasks of a streamed query, round trips cut short by their context, routed
+# reads through one-slot front doors and a routed statement past its
+# QueryTimeout) under the race detector. Seeds are fixed inside
 # the tests, so failures reproduce exactly.
 .PHONY: chaos
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Recover|Injected|Fault|Retr|Abort|FailWorker|Idempotent|Timeout|Deadline|Silent|Survives|Failover' \
+	$(GO) test -race -count=1 -run 'Chaos|Recover|Injected|Fault|Retr|Abort|FailWorker|Idempotent|Timeout|Deadline|Silent|Survives|Failover|FrontDoor' \
 		./internal/faults/... ./internal/vft/... ./internal/dr/... ./internal/yarn/... ./internal/odbc/... \
 		./internal/parallel/... ./internal/colstore/... ./internal/sqlexec/... ./internal/models/... \
 		./internal/udf/... ./internal/server/... ./internal/wal/... ./internal/vertica/... ./internal/cluster/... \

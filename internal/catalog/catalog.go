@@ -6,8 +6,8 @@ package catalog
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -152,13 +152,9 @@ func (c *Catalog) List() []string {
 
 // Splitter assigns each row of a batch to one of n nodes according to a
 // segmentation scheme. It carries round-robin state across batches so that a
-// multi-batch load stays balanced.
-//
-// The per-destination index lists and output batches are owned by the
-// splitter and reused across Split calls, so a multi-batch load allocates
-// per-destination builders once instead of once per batch. A mutex guards
-// the shared state, making concurrent loads into the same table safe (they
-// serialize through Split).
+// multi-batch load stays balanced. A mutex guards that state and the
+// per-destination index lists it reuses, making concurrent loads into the
+// same table safe (they serialize through SplitOwned).
 type Splitter struct {
 	seg    Segmentation
 	nodes  int
@@ -166,8 +162,8 @@ type Splitter struct {
 
 	mu   sync.Mutex
 	next int     // round-robin cursor
+	dest []int32 // each row's destination, reused across calls
 	idxs [][]int // per-destination row indices, reused across calls
-	outs []*colstore.Batch
 }
 
 // NewSplitter builds a splitter for the segmentation over the given schema.
@@ -175,7 +171,7 @@ func NewSplitter(seg Segmentation, schema colstore.Schema, nodes int) (*Splitter
 	if nodes <= 0 {
 		return nil, fmt.Errorf("catalog: splitter needs >=1 node, got %d", nodes)
 	}
-	s := &Splitter{seg: seg, nodes: nodes, colIdx: -1}
+	s := &Splitter{seg: seg, nodes: nodes, colIdx: -1, idxs: make([][]int, nodes)}
 	if seg.Kind == SegHash {
 		s.colIdx = schema.ColIndex(seg.Column)
 		if s.colIdx < 0 {
@@ -185,114 +181,87 @@ func NewSplitter(seg Segmentation, schema colstore.Schema, nodes int) (*Splitter
 	return s, nil
 }
 
-// Split partitions the batch into one (possibly empty) batch per node.
-//
-// The returned batches are reused by the next Split call: callers must copy
-// what they keep (Segment.Append does) before splitting the next batch —
-// including a next call from a concurrent loader. Callers that hold on to
-// the batches past their own Split call must use SplitOwned instead.
-func (s *Splitter) Split(b *colstore.Batch) ([]*colstore.Batch, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.split(b)
-}
-
-// SplitOwned partitions like Split but returns batches the caller owns: deep
-// copies taken before the splitter lock is released, so no concurrent or
-// later Split can recycle them out from under the caller. The write-ahead
-// commit path needs this — a load's batches are read twice (WAL encode, then
-// apply) well after Split returns. Empty destinations are nil.
+// SplitOwned partitions the batch into one batch per node, each the caller's
+// own: every destination's rows are gathered once, straight into a batch of
+// exactly their size, so nothing is shared with the splitter or a later
+// split. The write-ahead commit path needs this — a load's batches are read
+// twice (WAL encode, then apply) well after SplitOwned returns. Empty
+// destinations are nil.
 func (s *Splitter) SplitOwned(b *colstore.Batch) ([]*colstore.Batch, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	outs, err := s.split(b)
-	if err != nil {
-		return nil, err
-	}
-	owned := make([]*colstore.Batch, len(outs))
-	for i, p := range outs {
-		if p == nil || p.Len() == 0 {
-			continue
-		}
-		cp := colstore.NewBatch(p.Schema)
-		if err := cp.AppendBatch(p); err != nil {
-			return nil, err
-		}
-		owned[i] = cp
-	}
-	return owned, nil
-}
-
-// split is the partitioning core; the caller holds s.mu.
-func (s *Splitter) split(b *colstore.Batch) ([]*colstore.Batch, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	if s.idxs == nil {
-		s.idxs = make([][]int, s.nodes)
-		s.outs = make([]*colstore.Batch, s.nodes)
-	}
-	for node := range s.idxs {
-		s.idxs[node] = s.idxs[node][:0]
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := b.Len()
+	s.dest = slices.Grow(s.dest[:0], n)[:n]
+	counts := make([]int, s.nodes)
 	switch s.seg.Kind {
 	case SegRoundRobin:
-		for i := 0; i < n; i++ {
-			node := s.next % s.nodes
+		for i := range s.dest {
+			s.dest[i] = int32(s.next % s.nodes)
 			s.next++
-			s.idxs[node] = append(s.idxs[node], i)
+			counts[s.dest[i]]++
 		}
 	case SegHash:
 		col := b.Cols[s.colIdx]
-		for i := 0; i < n; i++ {
-			node := int(hashValue(col, i) % uint64(s.nodes))
-			s.idxs[node] = append(s.idxs[node], i)
+		for i := range s.dest {
+			s.dest[i] = int32(hashValue(col, i) % uint64(s.nodes))
+			counts[s.dest[i]]++
 		}
 	default:
 		return nil, fmt.Errorf("catalog: unknown segmentation kind %d", s.seg.Kind)
 	}
+	for node := range s.idxs {
+		s.idxs[node] = slices.Grow(s.idxs[node][:0], counts[node])
+	}
+	for i, node := range s.dest {
+		s.idxs[node] = append(s.idxs[node], i)
+	}
+	out := make([]*colstore.Batch, s.nodes)
 	for node, idx := range s.idxs {
-		// The builders persist across calls unless the batch shape changes
-		// (different column subsets of the same table may load in turn).
-		if s.outs[node] == nil || !s.outs[node].Schema.Equal(b.Schema) {
-			s.outs[node] = colstore.NewBatch(b.Schema)
-		} else {
-			s.outs[node].Reset()
+		if len(idx) == 0 {
+			continue
 		}
+		p := colstore.NewBatchCap(b.Schema, len(idx))
 		for c, col := range b.Cols {
-			if err := s.outs[node].Cols[c].AppendGather(col, idx); err != nil {
+			if err := p.Cols[c].AppendGather(col, idx); err != nil {
 				return nil, err
 			}
 		}
+		out[node] = p
 	}
-	return s.outs, nil
+	return out, nil
 }
 
+// hashValue is FNV-1a (64-bit) over row i's value: an INTEGER's or a
+// FLOAT's bits as 8 little-endian bytes, a VARCHAR's bytes, a BOOLEAN as one
+// byte. It is hash/fnv's New64a, written out so a row hashes without a
+// hasher.
 func hashValue(v *colstore.Vector, i int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	switch v.Type {
-	case colstore.TypeInt64:
-		putU64(buf[:], uint64(v.Ints[i]))
-		h.Write(buf[:])
-	case colstore.TypeFloat64:
-		putU64(buf[:], math.Float64bits(v.Floats[i]))
-		h.Write(buf[:])
-	case colstore.TypeString:
-		h.Write([]byte(v.Strs[i]))
-	case colstore.TypeBool:
-		if v.Bools[i] {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	word := func(x uint64) {
+		for k := 0; k < 8; k++ {
+			h = (h ^ x&0xff) * prime
+			x >>= 8
 		}
 	}
-	return h.Sum64()
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+	switch v.Type {
+	case colstore.TypeInt64:
+		word(uint64(v.Ints[i]))
+	case colstore.TypeFloat64:
+		word(math.Float64bits(v.Floats[i]))
+	case colstore.TypeString:
+		for _, c := range []byte(v.Strs[i]) {
+			h = (h ^ uint64(c)) * prime
+		}
+	case colstore.TypeBool:
+		if v.Bools[i] {
+			h = (h ^ 1) * prime
+		} else {
+			h *= prime
+		}
 	}
+	return h
 }

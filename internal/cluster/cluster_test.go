@@ -270,17 +270,17 @@ func TestRouterFailoverOnReplicaDeath(t *testing.T) {
 	}
 }
 
-// TestRouterPrepareExecute prepares through a node's router, which keeps the
-// name in its node's server: the peers need no prepared name, only the text
-// and its arguments.
+// TestRouterPrepareExecute prepares in a node's server, which keeps the name:
+// the node's router executes it there, and the peers need no prepared name,
+// only the text and its arguments.
 func TestRouterPrepareExecute(t *testing.T) {
 	tc := startCluster(t, 2, 2, 1)
 	ctx := context.Background()
 	tc.exec(fmt.Sprintf(testDDL, "t", "HASH(id)"))
 	tc.exec(`INSERT INTO t VALUES (1, 5, 0, 1.0, 0.0, 'red', true), (2, -5, 0, 2.0, 0.0, 'blue', false), (3, 9, 0, 3.0, 0.0, 'red', true)`)
 
-	r := tc.router(0)
-	if err := r.Prepare("above", `SELECT id, a FROM t WHERE a > ? ORDER BY id`); err != nil {
+	r, srv := tc.router(0), tc.nodes[0].srv
+	if err := srv.Prepare("above", `SELECT id, a FROM t WHERE a > ? ORDER BY id`); err != nil {
 		t.Fatal(err)
 	}
 	res, err := r.Execute(ctx, "above", int64(0))
@@ -294,7 +294,7 @@ func TestRouterPrepareExecute(t *testing.T) {
 	if _, err := r.Execute(ctx, "missing"); err == nil {
 		t.Fatal("execute of unknown statement succeeded")
 	}
-	if err := r.Prepare("", `SELECT 1`); err == nil {
+	if err := srv.Prepare("", `SELECT 1`); err == nil {
 		t.Fatal("empty statement name prepared")
 	}
 }

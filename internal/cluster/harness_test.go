@@ -72,6 +72,12 @@ func nodeConfig(shards int) core.Config {
 // factor replicas, each with its own router frontend.
 func startCluster(t testing.TB, peers, shards, replicas int) *testCluster {
 	t.Helper()
+	return startClusterWith(t, peers, shards, replicas, server.Config{MaxConcurrent: 8, MaxQueue: 64})
+}
+
+// startClusterWith is startCluster with every node's server under cfg.
+func startClusterWith(t testing.TB, peers, shards, replicas int, cfg server.Config) *testCluster {
+	t.Helper()
 	addrs := freeAddrs(t, peers)
 	topo, err := Topology{Addrs: addrs, Shards: shards, Replicas: replicas}.Normalize()
 	if err != nil {
@@ -84,7 +90,7 @@ func startCluster(t testing.TB, peers, shards, replicas int) *testCluster {
 			t.Fatal(err)
 		}
 		t.Cleanup(sess.Close)
-		srv := server.New(sess, server.Config{MaxConcurrent: 8, MaxQueue: 64})
+		srv := server.New(sess, cfg)
 		router, err := NewRouter(Config{
 			Addrs:         addrs,
 			Shards:        topo.Shards,

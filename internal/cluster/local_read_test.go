@@ -47,7 +47,7 @@ func TestPointReadMakesOneNetworkCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := tc.router(0)
-	if err := r.Prepare("point", pointSQL); err != nil {
+	if err := tc.nodes[0].srv.Prepare("point", pointSQL); err != nil {
 		t.Fatal(err)
 	}
 	log := telemetry.Default().Spans()
@@ -162,7 +162,7 @@ func TestSheddingLocalReplicaFailsOver(t *testing.T) {
 	held, release := make(chan struct{}), make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := n.srv.Admit(ctx, "", func(context.Context) (*sqlexec.Result, error) {
+		_, err := n.srv.Admit(ctx, func(context.Context) (*sqlexec.Result, error) {
 			close(held)
 			<-release
 			return nil, nil

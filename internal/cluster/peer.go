@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
@@ -31,16 +32,24 @@ var (
 // cluster's shard layout (the database opens with Topology.Shards nodes
 // and only the shards placed on this peer ever receive rows).
 //
-// Read ops run under the serving layer's admission control (Server.Admit),
-// so a saturated peer sheds shard work with verr.ErrOverloaded and the
-// router retries the shard on a replica. Write ops (cl.load) bypass
-// admission: a shed write would falsely mark the replica stale, and the
-// WAL group commit already paces concurrent loads.
+// Read ops run under the serving layer's shard gate (Server.Admit), so a
+// saturated peer sheds shard work with verr.ErrOverloaded and the router
+// retries the shard on a replica. Write ops (cl.load) bypass admission: a
+// shed write would falsely mark the replica stale, and the WAL group commit
+// already paces concurrent loads.
+//
+// A front-door COPY — cl.load with Shard == -1, "ingest this batch as if
+// COPY'd at this node" — goes through the router bound to the peer
+// (NodeExtension), so rows land on their owning shards cluster-wide; a peer
+// with no router (a plain, non-clustered server) loads it through the local
+// segmentation. The client cannot tell the difference, which is what makes
+// one client API serve both shapes.
 type Peer struct {
-	srv  *server.Server
-	db   *vertica.DB
-	topo Topology
-	node int
+	srv    *server.Server
+	db     *vertica.DB
+	topo   Topology
+	node   int
+	router atomic.Pointer[Router]
 }
 
 // NewPeer wraps srv as cluster peer node of topo (not validated against
@@ -51,6 +60,19 @@ func NewPeer(srv *server.Server, topo Topology, node int) *Peer {
 }
 
 var _ server.Extension = (*Peer)(nil)
+
+// NodeExtension binds p and r, a clustered node's two roles, to each other
+// and returns p, the node's extension handler: r keeps its prepared
+// statements in p's server and reads the shards p holds in process, and p
+// sends a front-door COPY through r. Binding again to the same peer (a
+// restarted listener) changes nothing.
+func NodeExtension(p *Peer, r *Router) server.Extension {
+	r.mu.Lock()
+	r.node = p
+	r.mu.Unlock()
+	p.router.Store(r)
+	return p
+}
 
 // ServeExt dispatches one cluster op.
 func (p *Peer) ServeExt(ctx context.Context, wreq *wire.Request, bodies [][]byte) (server.ExtReply, error) {
@@ -75,6 +97,10 @@ func (p *Peer) ServeExt(ctx context.Context, wreq *wire.Request, bodies [][]byte
 		}
 		if err := wantBodies(op, bodies, 1); err != nil {
 			return server.ExtReply{}, err
+		}
+		if r := p.router.Load(); r != nil && req.Shard == -1 {
+			rep, err := routeLoad(ctx, r, req.Table, bodies[0])
+			return server.ExtReply{Payload: rep}, err
 		}
 		rep, err := p.serveLoad(ctx, req, bodies[0])
 		return server.ExtReply{Payload: rep}, err
@@ -171,7 +197,7 @@ func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*s
 	if err := p.checkShards(req.Shards); err != nil {
 		return nil, nil, nil, err
 	}
-	stmt, fingerprint, err := p.srv.Statement(ctx, req.SQL, req.Args)
+	stmt, _, err := p.srv.Statement(ctx, req.SQL, req.Args)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -182,7 +208,7 @@ func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*s
 	reply := &shardReply{Epoch: p.db.CatalogEpoch()}
 	var schema colstore.Schema
 	var chunk []byte
-	_, err = p.srv.Admit(ctx, fingerprint, func(ctx context.Context) (*sqlexec.Result, error) {
+	_, err = p.srv.Admit(ctx, func(ctx context.Context) (*sqlexec.Result, error) {
 		view, release := p.db.ShardView(req.Shards)
 		defer release()
 		if builds != nil {
@@ -344,6 +370,23 @@ func (p *Peer) serveLoad(ctx context.Context, req loadRequest, chunk []byte) (*l
 	}
 	mPeerLoadRows.Add(int64(b.Len()))
 	return &loadReply{Rows: b.Len(), Epoch: epoch}, nil
+}
+
+// routeLoad is a front-door COPY on a clustered node: chunk, decoded under
+// the table's definition as r knows it, loads through r (Router.Load).
+func routeLoad(ctx context.Context, r *Router, table string, chunk []byte) (*loadReply, error) {
+	var b *colstore.Batch
+	err := r.withTable(ctx, table, func(rt *routedTable) (err error) {
+		b, err = decodeChunk(ctx, chunk, rt.def.Schema)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Load(ctx, table, b); err != nil {
+		return nil, err
+	}
+	return &loadReply{Rows: b.Len()}, nil
 }
 
 // serveExec runs a broadcast DDL statement locally. INSERT and SELECT are

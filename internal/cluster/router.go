@@ -57,10 +57,10 @@ type Config struct {
 	DialTimeout time.Duration
 }
 
-// Router owns the cluster topology and fans queries out to the peers. It
-// implements server.Frontend, so a vdr-serve peer can put it in front of
-// its own TCP listener: any node of the cluster then answers any query
-// with cluster-wide results.
+// Router owns the cluster topology and fans queries out to the peers. It is
+// a server.Frontend: bound to a node's Server (server.WithFrontend), it
+// executes every statement that Server admits, so any node of the cluster
+// answers any query with cluster-wide results.
 //
 // Reads (SELECT / PREDICT / EXPLAIN) are idempotent. A router bound to its
 // node (NodeExtension) reads the shards that node holds in process, through
@@ -91,8 +91,8 @@ type Router struct {
 	epochs    []int64
 	tablesGen uint64
 	// node is the peer of the node this router fronts (NodeExtension binds
-	// it): its server keeps the node's prepared statements, and it serves
-	// the node's own shard replicas in process.
+	// it): its server keeps the node's prepared statements (Execute), and it
+	// serves the node's own shard replicas in process.
 	node   *Peer
 	closed bool
 
@@ -549,20 +549,28 @@ func emptyResult() *sqlexec.Result {
 
 var _ server.Frontend = (*Router)(nil)
 
-// Query parses and routes one SQL statement: SELECTs fan out over the
-// shards and merge deterministically, INSERTs split by the table's
-// segmentation, DDL broadcasts to every peer.
+// Query parses sql and routes it (Run), for a caller that holds only a
+// router: on a node, clients' statements reach Run through the node's
+// Server, which resolves them through its plan cache and admits them.
 func (r *Router) Query(ctx context.Context, sql string) (*sqlexec.Result, error) {
-	if err := verrCanceled(ctx); err != nil {
-		return nil, err
-	}
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
+	return r.Run(ctx, stmt, sql, nil)
+}
+
+// Run routes stmt, which is sql parsed (a SELECT bound to args): SELECTs fan
+// out over the shards — every peer gets sql and args — and merge
+// deterministically, INSERTs split by the table's segmentation, DDL
+// broadcasts to every peer.
+func (r *Router) Run(ctx context.Context, stmt sqlparse.Statement, sql string, args []any) (*sqlexec.Result, error) {
+	if err := verrCanceled(ctx); err != nil {
+		return nil, err
+	}
 	switch s := stmt.(type) {
 	case *sqlparse.Select:
-		return r.routeSelect(ctx, s, shardRequest{SQL: sql})
+		return r.routeSelect(ctx, s, shardRequest{SQL: sql, Args: args})
 	case *sqlparse.Explain:
 		return r.routeExplain(ctx, sql, s)
 	case *sqlparse.Insert:
@@ -578,44 +586,16 @@ func (r *Router) Query(ctx context.Context, sql string) (*sqlexec.Result, error)
 	}
 }
 
-// nodeServer is the serving layer of the node the router fronts.
-func (r *Router) nodeServer() (*server.Server, error) {
+// Execute runs the named statement prepared on the node the router is bound
+// to, through that node's Server (Server.Execute), which routes it here.
+func (r *Router) Execute(ctx context.Context, name string, args ...any) (*sqlexec.Result, error) {
 	r.mu.Lock()
 	node := r.node
 	r.mu.Unlock()
 	if node == nil {
 		return nil, fmt.Errorf("cluster: the router fronts no node to keep prepared statements")
 	}
-	return node.srv, nil
-}
-
-// Prepare registers a SELECT under name in the server of the node the router
-// fronts (Server.Prepare), the one place a node keeps statements. No peer
-// learns the name: each execution ships the statement's text.
-func (r *Router) Prepare(name, sql string) error {
-	srv, err := r.nodeServer()
-	if err != nil {
-		return err
-	}
-	return srv.Prepare(name, sql)
-}
-
-// Execute resolves a prepared statement and binds args through the node's
-// server (Server.Prepared) and routes it: the peers get its text and args.
-func (r *Router) Execute(ctx context.Context, name string, args ...any) (*sqlexec.Result, error) {
-	srv, err := r.nodeServer()
-	if err != nil {
-		return nil, err
-	}
-	stmt, text, err := srv.Prepared(ctx, name, args)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*sqlparse.Select)
-	if !ok {
-		return nil, fmt.Errorf("cluster: prepared statement %q is a %T", name, stmt)
-	}
-	return r.routeSelect(ctx, sel, shardRequest{SQL: text, Args: args})
+	return node.srv.Execute(ctx, name, args...)
 }
 
 // routeSelect routes sel, the bound statement, as req: every peer runs the

@@ -8,6 +8,7 @@ package colstore
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Type enumerates the column types supported by the engine.
@@ -303,24 +304,7 @@ func (v *Vector) SliceInto(dst *Vector, i, j int) {
 // Gather returns a new vector of the rows selected by idx, in idx order.
 func (v *Vector) Gather(idx []int) *Vector {
 	out := NewVector(v.Type, len(idx))
-	switch v.Type {
-	case TypeInt64:
-		for _, i := range idx {
-			out.Ints = append(out.Ints, v.Ints[i])
-		}
-	case TypeFloat64:
-		for _, i := range idx {
-			out.Floats = append(out.Floats, v.Floats[i])
-		}
-	case TypeString:
-		for _, i := range idx {
-			out.Strs = append(out.Strs, v.Strs[i])
-		}
-	case TypeBool:
-		for _, i := range idx {
-			out.Bools = append(out.Bools, v.Bools[i])
-		}
-	}
+	_ = out.AppendGather(v, idx) // out has v's type
 	return out
 }
 
@@ -333,23 +317,27 @@ func (v *Vector) AppendGather(src *Vector, idx []int) error {
 	}
 	switch v.Type {
 	case TypeInt64:
-		for _, i := range idx {
-			v.Ints = append(v.Ints, src.Ints[i])
-		}
+		v.Ints = appendGather(v.Ints, src.Ints, idx)
 	case TypeFloat64:
-		for _, i := range idx {
-			v.Floats = append(v.Floats, src.Floats[i])
-		}
+		v.Floats = appendGather(v.Floats, src.Floats, idx)
 	case TypeString:
-		for _, i := range idx {
-			v.Strs = append(v.Strs, src.Strs[i])
-		}
+		v.Strs = appendGather(v.Strs, src.Strs, idx)
 	case TypeBool:
-		for _, i := range idx {
-			v.Bools = append(v.Bools, src.Bools[i])
-		}
+		v.Bools = appendGather(v.Bools, src.Bools, idx)
 	}
 	return nil
+}
+
+// appendGather appends src[i] for each i of idx to dst, growing dst at most
+// once and writing each row in place rather than appending it.
+func appendGather[T any](dst, src []T, idx []int) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(idx))[:n+len(idx)]
+	out := dst[n:]
+	for j, i := range idx {
+		out[j] = src[i]
+	}
+	return dst
 }
 
 // keep compacts v, in place, to the rows idx selects. idx must ascend, so

@@ -414,3 +414,18 @@ func TestIndexRangeScanChosenForBoundedPair(t *testing.T) {
 		t.Fatalf("equality should beat a near-full range, got %s %+v", scan.Op, scan.Access)
 	}
 }
+
+// USING PARAMETERS values are visited in key order, so the error a statement
+// reports does not depend on map iteration: of two unknown qualifiers, the
+// one under the first key is named every time.
+func TestNormalizeVisitsParamsInKeyOrder(t *testing.T) {
+	sel, err := sqlparse.ParseSelect(`SELECT f(x USING PARAMETERS a=zz.y, b=qq.y) FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := Normalize(sel); err == nil || !strings.Contains(err.Error(), `unknown table "zz"`) {
+			t.Fatalf("run %d: err = %v, want unknown table \"zz\"", i, err)
+		}
+	}
+}

@@ -5,34 +5,41 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"math"
 	"net"
 	"testing"
 
 	"verticadr/internal/colstore"
+	"verticadr/internal/core"
 	"verticadr/internal/sqlexec"
+	"verticadr/internal/sqlparse"
 	"verticadr/internal/verr"
 	"verticadr/internal/vft"
 	"verticadr/internal/wire"
 )
 
-// fuzzFront answers the SQL ops without an engine: a fixed two-row result of
-// every column type, an error for empty SQL.
+// fuzzFront executes every statement a server resolved without an engine:
+// a fixed two-row result of every column type.
 type fuzzFront struct{ res *sqlexec.Result }
 
-func (f fuzzFront) Query(_ context.Context, sql string) (*sqlexec.Result, error) {
-	if sql == "" {
-		return nil, errors.New("empty statement")
-	}
+func (f fuzzFront) Run(context.Context, sqlparse.Statement, string, []any) (*sqlexec.Result, error) {
 	return f.res, nil
 }
-func (f fuzzFront) Prepare(string, string) error { return nil }
-func (f fuzzFront) Execute(_ context.Context, _ string, args ...any) (*sqlexec.Result, error) {
-	if len(args) == 0 {
-		return nil, verr.ErrOverloaded
+
+// listenFront serves a Server over an empty session, fronted by f, until
+// stop.
+func listenFront(tb testing.TB, f Frontend, opts ...ListenOption) (tcp *TCPServer, stop func()) {
+	tb.Helper()
+	sess, err := core.Start(core.Config{DBNodes: 1, DRWorkers: 1, InstancesPerWorker: 1})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return f.res, nil
+	tcp, err = Listen(New(sess, Config{}), "127.0.0.1:0", append(opts, WithFrontend(f))...)
+	if err != nil {
+		sess.Close()
+		tb.Fatal(err)
+	}
+	return tcp, func() { _ = tcp.Close(); sess.Close() }
 }
 
 // fuzzExt sends a request's bodies straight back.
@@ -121,11 +128,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frame(&wire.Response{Code: verr.CodeOK, Schema: schema}))                       // a result and no body
 	f.Add(frame(&wire.Response{Code: verr.CodeOK, Schema: schema}, chunk[:len(chunk)-2])) // truncated chunk
 
-	tcp, err := Listen(nil, "127.0.0.1:0", WithFrontend(fuzzFront{res: &sqlexec.Result{Batch: b}}), WithExtension(fuzzExt{}))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { _ = tcp.Close() })
+	tcp, stop := listenFront(f, fuzzFront{res: &sqlexec.Result{Batch: b}}, WithExtension(fuzzExt{}))
+	f.Cleanup(stop)
 	var conn net.Conn
 	var in []byte
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -9,6 +9,7 @@ import (
 
 	"verticadr/internal/colstore"
 	"verticadr/internal/sqlexec"
+	"verticadr/internal/sqlparse"
 	"verticadr/internal/telemetry"
 	"verticadr/internal/verr"
 	"verticadr/internal/vft"
@@ -17,17 +18,17 @@ import (
 
 // The serving protocol's SQL ops on both ends of the one transport
 // (internal/wire): the listener's handler, and the Client's query, prepare
-// and execute. Admission control in the Server bounds how many requests
-// execute at once.
+// and execute. The handler hands every SQL op to its Server, whose
+// admission control bounds how many run at once.
 
-// Frontend serves the protocol's SQL ops. A plain server fronts its own
-// Server; a cluster peer fronts the router instead, so any node answers any
-// query with cluster-wide results (the MPP "every node is an initiator"
-// shape).
+// Frontend executes a statement the Server resolved and admitted in place of
+// the Server's own session: stmt is sql parsed (a SELECT bound to args), and
+// args are the arguments a prepared statement's execution brought (none for
+// a one-shot statement). A clustered node's router is one, so any node
+// answers any statement with cluster-wide results (the MPP "every node is an
+// initiator" shape).
 type Frontend interface {
-	Query(ctx context.Context, sql string) (*sqlexec.Result, error)
-	Prepare(name, sql string) error
-	Execute(ctx context.Context, name string, args ...any) (*sqlexec.Result, error)
+	Run(ctx context.Context, stmt sqlparse.Statement, sql string, args []any) (*sqlexec.Result, error)
 }
 
 // Extension handles protocol ops outside the built-in set ("query",
@@ -55,8 +56,8 @@ type ExtReply struct {
 // are the listener's).
 type TCPServer struct {
 	*wire.Listener
-	front Frontend
-	ext   Extension
+	srv *Server
+	ext Extension
 	// maxFrame is wire.MaxFrameBytes (a field so tests can lower it).
 	maxFrame int
 }
@@ -64,15 +65,20 @@ type TCPServer struct {
 // ListenOption customizes a TCPServer before it starts accepting.
 type ListenOption func(*TCPServer)
 
-// WithFrontend routes the SQL ops through f instead of the Server itself.
-func WithFrontend(f Frontend) ListenOption { return func(t *TCPServer) { t.front = f } }
+// WithFrontend binds f to the listener's Server: from then on every
+// statement the Server admits — over any listener or in process — executes
+// through f. Binding again replaces f; a statement already running keeps
+// the frontend it started with.
+func WithFrontend(f Frontend) ListenOption {
+	return func(t *TCPServer) { t.srv.routing.Store(&f) }
+}
 
 // WithExtension registers a handler for protocol-extension ops.
 func WithExtension(e Extension) ListenOption { return func(t *TCPServer) { t.ext = e } }
 
 // Listen starts serving srv on addr (host:port; port 0 picks a free port).
 func Listen(srv *Server, addr string, opts ...ListenOption) (*TCPServer, error) {
-	t := &TCPServer{front: srv, maxFrame: wire.MaxFrameBytes}
+	t := &TCPServer{srv: srv, maxFrame: wire.MaxFrameBytes}
 	for _, o := range opts {
 		o(t)
 	}
@@ -125,11 +131,11 @@ func (t *TCPServer) dispatch(ctx context.Context, req *wire.Request, bodies [][]
 	switch req.Op {
 	case "ping":
 	case "prepare":
-		err = t.front.Prepare(req.Name, req.SQL)
+		err = t.srv.Prepare(req.Name, req.SQL)
 	case "execute":
-		res, err = t.front.Execute(ctx, req.Name, req.Args...)
+		res, err = t.srv.Execute(ctx, req.Name, req.Args...)
 	case "query":
-		res, err = t.front.Query(ctx, req.SQL)
+		res, err = t.srv.Query(ctx, req.SQL)
 	default:
 		if t.ext == nil {
 			return nil, ext, fmt.Errorf("unknown op %q", req.Op)

@@ -5,14 +5,14 @@
 //
 //   - a bounded LRU plan cache (parse/validate once, bind ? placeholders per
 //     execution), the one template store: a one-shot query, a named prepared
-//     statement (kept as its text, also when a clustered node's router
-//     takes the prepare) and a cluster peer's shard statement (the text the
-//     client sent) all resolve their text through it,
+//     statement (kept as its text) and a cluster peer's shard statement (the
+//     text the client sent) all resolve their text through it,
 //   - a shared deserialized-model cache (internal/models) so concurrent
 //     predictions stop paying one gob decode per UDF instance per query,
 //   - admission control: a concurrency limiter plus a bounded wait queue
 //     with a queue-wait deadline, shedding load with verr.ErrOverloaded
-//     instead of collapsing under it,
+//     instead of collapsing under it — one for the statements clients send,
+//     routed or not, and one for the shard reads a cluster peer serves,
 //   - per-query cancellation and deadlines, honored at scan-block and
 //     aggregation-chunk boundaries inside the engine.
 package server
@@ -77,38 +77,43 @@ func (c *Config) fill() {
 	}
 }
 
-// Server serves concurrent queries over one session.
+// Server serves concurrent queries over one session. Every SQL statement a
+// client sends runs through its Query or Execute, under the front door's
+// admission (the embedded gate); a clustered node's router executes what
+// they resolved (WithFrontend). Shard reads a cluster peer serves take the
+// other gate (Admit).
 type Server struct {
 	sess *core.Session
 	cfg  Config
 
-	sem     chan struct{}
-	queued  atomic.Int64
-	running atomic.Int64
+	gate         // the front door: Query and Execute
+	shards  gate // shard reads: Admit
+	closed  atomic.Bool
+	routing atomic.Pointer[Frontend] // bound by WithFrontend
 
 	plans *planCache
 	stmts *StmtStats
 
 	mu       sync.Mutex
 	prepared map[string]string // name -> text; the plan cache holds its parse
-
-	closed atomic.Bool
 }
 
 // New builds a serving layer over sess.
 func New(sess *core.Session, cfg Config) *Server {
 	cfg.fill()
-	return &Server{
+	s := &Server{
 		sess:     sess,
 		cfg:      cfg,
-		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		plans:    newPlanCache(cfg.PlanCacheSize),
 		stmts:    newStmtStats(cfg.StmtStatsSize),
 		prepared: map[string]string{},
 	}
+	s.gate.init(cfg, &s.closed)
+	s.shards.init(cfg, &s.closed)
+	return s
 }
 
-// Session exposes the underlying session (benchmarks toggle its caches).
+// Session exposes the underlying session.
 func (s *Server) Session() *core.Session { return s.sess }
 
 // PlanCacheLen reports the one-shot plan cache's current size.
@@ -118,7 +123,7 @@ func (s *Server) PlanCacheLen() int { return s.plans.len() }
 // latency quantiles per normalized SQL fingerprint).
 func (s *Server) Statements() *StmtStats { return s.stmts }
 
-// Health is an instantaneous admission-control reading.
+// Health is an instantaneous admission-control reading of the front door.
 type Health struct {
 	Closed        bool  `json:"closed"`
 	Inflight      int64 `json:"inflight"`
@@ -130,7 +135,8 @@ type Health struct {
 	Saturated bool `json:"saturated"`
 }
 
-// Health reports whether the server can currently admit work.
+// Health reports whether the server can currently admit a client's
+// statement.
 func (s *Server) Health() Health {
 	h := Health{
 		Closed:        s.closed.Load(),
@@ -167,13 +173,32 @@ func (s *Server) cacheKey(normalized string) string {
 	return strconv.FormatUint(epoch, 10) + "|" + normalized
 }
 
-// acquire implements admission control. It returns a release func once the
-// caller holds an execution slot, or a typed error: verr.ErrOverloaded when
-// the queue is full or the queue-wait deadline passes, verr.ErrCanceled when
-// ctx ends first, verr.ErrClosed after Close.
-func (s *Server) acquire(ctx context.Context) (func(), error) {
+// gate is one admission queue: at most MaxConcurrent holders at once and at
+// most MaxQueue waiting, each for at most QueueWait. A server has two, sized
+// alike: a client's statement holds a front-door slot while the router reads
+// shards under the shard gate, so no slot ever waits on a slot of its own
+// kind and a node routing to itself cannot deadlock.
+type gate struct {
+	sem      chan struct{}
+	queued   atomic.Int64
+	running  atomic.Int64
+	maxQueue int
+	wait     time.Duration
+	closed   *atomic.Bool
+}
+
+func (g *gate) init(cfg Config, closed *atomic.Bool) {
+	g.sem = make(chan struct{}, cfg.MaxConcurrent)
+	g.maxQueue, g.wait, g.closed = cfg.MaxQueue, cfg.QueueWait, closed
+}
+
+// acquire returns a release func once the caller holds a slot, or a typed
+// error: verr.ErrOverloaded when the queue is full or the queue-wait
+// deadline passes, verr.ErrCanceled when ctx ends first, verr.ErrClosed
+// after Close. A traced context gets a server.admit span.
+func (g *gate) acquire(ctx context.Context) (func(), error) {
 	admit := telemetry.SpanFromContext(ctx).StartChild("server.admit")
-	if s.closed.Load() {
+	if g.closed.Load() {
 		admit.SetAttr("outcome", "closed")
 		admit.End()
 		return nil, fmt.Errorf("server: %w", verr.ErrClosed)
@@ -182,45 +207,45 @@ func (s *Server) acquire(ctx context.Context) (func(), error) {
 		admit.SetAttr("outcome", "ok")
 		admit.End()
 		gInflight.Add(1)
-		s.running.Add(1)
+		g.running.Add(1)
 		return func() {
 			gInflight.Add(-1)
-			s.running.Add(-1)
-			<-s.sem
+			g.running.Add(-1)
+			<-g.sem
 		}
 	}
 	// Fast path: free slot, no queueing.
 	select {
-	case s.sem <- struct{}{}:
+	case g.sem <- struct{}{}:
 		return grant(), nil
 	default:
 	}
 	// Bounded wait queue: refuse immediately when full.
-	if s.queued.Add(1) > int64(s.cfg.MaxQueue) {
-		s.queued.Add(-1)
+	if g.queued.Add(1) > int64(g.maxQueue) {
+		g.queued.Add(-1)
 		mOutcome("overloaded").Inc()
 		admit.SetAttr("outcome", "queue_full")
 		admit.End()
-		return nil, fmt.Errorf("server: wait queue full (%d): %w", s.cfg.MaxQueue, verr.ErrOverloaded)
+		return nil, fmt.Errorf("server: wait queue full (%d): %w", g.maxQueue, verr.ErrOverloaded)
 	}
 	admit.SetAttr("queued", "true")
 	gQueueDepth.Add(1)
 	start := time.Now()
 	defer func() {
 		gQueueDepth.Add(-1)
-		s.queued.Add(-1)
+		g.queued.Add(-1)
 		hWait.Observe(time.Since(start).Seconds())
 	}()
-	timer := time.NewTimer(s.cfg.QueueWait)
+	timer := time.NewTimer(g.wait)
 	defer timer.Stop()
 	select {
-	case s.sem <- struct{}{}:
+	case g.sem <- struct{}{}:
 		return grant(), nil
 	case <-timer.C:
 		mOutcome("overloaded").Inc()
 		admit.SetAttr("outcome", "queue_wait_exceeded")
 		admit.End()
-		return nil, fmt.Errorf("server: queue wait exceeded %v: %w", s.cfg.QueueWait, verr.ErrOverloaded)
+		return nil, fmt.Errorf("server: queue wait exceeded %v: %w", g.wait, verr.ErrOverloaded)
 	case <-ctx.Done():
 		mOutcome("canceled").Inc()
 		admit.SetAttr("outcome", "canceled")
@@ -229,12 +254,13 @@ func (s *Server) acquire(ctx context.Context) (func(), error) {
 	}
 }
 
-// run executes fn under admission control, the configured query timeout,
-// outcome accounting and per-statement statistics (keyed on fingerprint, the
-// normalized SQL). A traced context gets server.admit and server.exec child
-// spans; the engine hangs per-operator spans under the latter.
-func (s *Server) run(ctx context.Context, fingerprint string, fn func(ctx context.Context) (*sqlexec.Result, error)) (*sqlexec.Result, error) {
-	release, err := s.acquire(ctx)
+// run executes fn under one of the server's gates, the configured query
+// timeout, outcome accounting and, when fingerprint is not empty, the
+// per-statement statistics. A traced context gets server.admit and
+// server.exec child spans; the engine and the router hang theirs under the
+// latter.
+func (s *Server) run(ctx context.Context, g *gate, fingerprint string, fn func(ctx context.Context) (*sqlexec.Result, error)) (*sqlexec.Result, error) {
+	release, err := g.acquire(ctx)
 	if err != nil {
 		if fingerprint != "" {
 			s.stmts.Record(fingerprint, 0, err)
@@ -267,23 +293,20 @@ func (s *Server) run(ctx context.Context, fingerprint string, fn func(ctx contex
 	return res, err
 }
 
-// Admit runs fn under the server's admission control — the concurrency
-// limiter, bounded wait queue, queue-wait deadline and query timeout — and
-// records it in the per-statement statistics under fingerprint (which may
-// be empty to skip stats). Protocol extensions (the cluster peer ops) use
-// it so shard work on a peer queues and sheds exactly like local queries:
-// a saturated peer answers verr.ErrOverloaded and the router retries the
-// shard on a replica.
-func (s *Server) Admit(ctx context.Context, fingerprint string, fn func(ctx context.Context) (*sqlexec.Result, error)) (*sqlexec.Result, error) {
-	if s.closed.Load() {
-		return nil, fmt.Errorf("server: %w", verr.ErrClosed)
-	}
-	return s.run(ctx, fingerprint, fn)
+// Admit runs fn under the shard gate — its own slots and queue, sized like
+// the front door's, with the same queue-wait deadline and query timeout.
+// Protocol extensions (the cluster peer's shard reads) use it, so shard work
+// queues and sheds like a client's statement: a saturated peer answers
+// verr.ErrOverloaded and the router retries the shard on a replica. It
+// records nothing in the per-statement statistics: the statement a shard
+// read serves is recorded once, by the node that took it from its client.
+func (s *Server) Admit(ctx context.Context, fn func(ctx context.Context) (*sqlexec.Result, error)) (*sqlexec.Result, error) {
+	return s.run(ctx, &s.shards, "", fn)
 }
 
 // Prepare parses and validates sql (a SELECT, possibly with ? placeholders)
 // and registers its text under name; the parse goes into the plan cache,
-// where Prepared finds it as Query does and every cluster peer finds the
+// where Execute finds it as Query does and every cluster peer finds the
 // same text, so prepared executions count in server_plan_cache_total too.
 // Re-preparing a name replaces its statement.
 func (s *Server) Prepare(name, sql string) error {
@@ -304,44 +327,31 @@ func (s *Server) Prepare(name, sql string) error {
 	return nil
 }
 
-// Execute binds args to the named prepared statement (Prepared) and runs it.
-// The cached template is never written to — binding copies the paths down
-// to its placeholders and shares the rest — so any number of executions
-// (with different arguments) can run concurrently.
+// Execute resolves the named prepared statement's text through the plan
+// cache (Statement), binds args to it and runs it through the front door.
+// The cached template is never written to — binding copies the paths down to
+// its placeholders and shares the rest — so any number of executions (with
+// different arguments) can run concurrently.
 func (s *Server) Execute(ctx context.Context, name string, args ...any) (*sqlexec.Result, error) {
-	stmt, fingerprint, err := s.Prepared(ctx, name, args)
-	if err != nil {
-		return nil, err
-	}
-	return s.run(ctx, fingerprint, func(ctx context.Context) (*sqlexec.Result, error) {
-		return s.sess.RunStatementContext(ctx, stmt, "")
-	})
-}
-
-// Prepared resolves the named prepared statement's text through the plan
-// cache (Statement) and binds args to it. The fingerprint is the text as
-// Statement normalizes it: a cluster router that fronts this server ships
-// it, with args, to the peers.
-func (s *Server) Prepared(ctx context.Context, name string, args []any) (stmt sqlparse.Statement, fingerprint string, err error) {
 	s.mu.Lock()
 	sql, ok := s.prepared[name]
 	s.mu.Unlock()
 	if !ok {
-		return nil, "", fmt.Errorf("server: no prepared statement %q", name)
+		return nil, fmt.Errorf("server: no prepared statement %q", name)
 	}
-	return s.Statement(ctx, sql, args)
+	return s.serve(ctx, sql, args)
 }
 
-// Statement resolves sql through the LRU plan cache and binds args to it: a
-// SELECT — placeholders and all — is parsed and validated once per catalog
-// epoch and text, and what comes back shares its nodes with the cached
-// template (the template itself when there is nothing to bind), so the
-// caller rewrites it only into a copy of its own (sqlparse.Rewrite), never
-// in place. Anything else — or a template given no arguments, which then
-// fails to plan — is parsed afresh and takes no arguments. The fingerprint is the normalized text, the key the statement's
-// executions are recorded under. Query resolves every one-shot statement
-// here, Prepared every prepared one, and a cluster peer every shard
-// statement.
+// Statement resolves sql through the LRU plan cache and binds args to it. A
+// SELECT, placeholders and all, is parsed and validated once per catalog
+// epoch and text. What comes back shares its nodes with the cached template
+// (the template itself when there is nothing to bind), so the caller
+// rewrites it only into a copy of its own (sqlparse.Rewrite), never in
+// place. Anything else, or a template given no arguments (which then fails
+// to plan), is parsed afresh and takes no arguments. The fingerprint is the
+// normalized text, the key the statement's executions are recorded under.
+// Query and Execute resolve every client statement here, and a cluster peer
+// every shard statement.
 func (s *Server) Statement(ctx context.Context, sql string, args []any) (stmt sqlparse.Statement, fingerprint string, err error) {
 	fingerprint = normalize(sql)
 	ck := s.cacheKey(fingerprint)
@@ -371,15 +381,25 @@ func (s *Server) Statement(ctx context.Context, sql string, args []any) (stmt sq
 	return bound, fingerprint, nil
 }
 
-// Query runs one-shot SQL under admission control, resolved through the plan
+// Query runs one-shot SQL through the front door, resolved through the plan
 // cache (Statement), so a repeated query skips parsing and validation;
 // statements with placeholders must go through Prepare/Execute.
 func (s *Server) Query(ctx context.Context, sql string) (*sqlexec.Result, error) {
-	stmt, fingerprint, err := s.Statement(ctx, sql, nil)
+	return s.serve(ctx, sql, nil)
+}
+
+// serve is the front door: sql, resolved and bound to args (Statement),
+// runs under the front-door gate and is recorded under its fingerprint. The
+// frontend WithFrontend bound executes it, or else the session.
+func (s *Server) serve(ctx context.Context, sql string, args []any) (*sqlexec.Result, error) {
+	stmt, fingerprint, err := s.Statement(ctx, sql, args)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, fingerprint, func(ctx context.Context) (*sqlexec.Result, error) {
+	return s.run(ctx, &s.gate, fingerprint, func(ctx context.Context) (*sqlexec.Result, error) {
+		if f := s.routing.Load(); f != nil {
+			return (*f).Run(ctx, stmt, sql, args)
+		}
 		return s.sess.RunStatementContext(ctx, stmt, sql)
 	})
 }

@@ -40,7 +40,7 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 	if err != nil {
 		return nil, err
 	}
-	params, err := evalParams(fc.Params)
+	params, err := evalParams(fc)
 	if err != nil {
 		return nil, err
 	}
@@ -397,11 +397,12 @@ func evalArgs(args []sqlparse.Expr, raw *colstore.Batch, inSchema colstore.Schem
 	return out, nil
 }
 
-// evalParams resolves USING PARAMETERS values; they must be literals.
-func evalParams(in map[string]sqlparse.Expr) (udf.Params, error) {
+// evalParams resolves USING PARAMETERS values, in key order; they must be
+// literals.
+func evalParams(fc *sqlparse.FuncCall) (udf.Params, error) {
 	out := udf.Params{}
-	for k, e := range in {
-		v, ok := sqlparse.Literal(e)
+	for _, k := range fc.AppendParamKeys(nil) {
+		v, ok := sqlparse.Literal(fc.Params[k])
 		if !ok {
 			return nil, fmt.Errorf("sqlexec: parameter %q must be a literal", k)
 		}

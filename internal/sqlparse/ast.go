@@ -2,7 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -254,6 +254,19 @@ type FuncCall struct {
 
 func (*FuncCall) exprNode() {}
 
+// AppendParamKeys appends the USING PARAMETERS keys to dst in sorted order,
+// the order String renders them in and every walk visits them, so that what
+// a walk reports first does not depend on map order. A caller that passes a
+// slice of a local array keeps the walk free of allocation.
+func (f *FuncCall) AppendParamKeys(dst []string) []string {
+	n := len(dst)
+	for k := range f.Params {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst[n:])
+	return dst
+}
+
 // String formats the call so it re-parses to the same statement: parameters
 // render as the full USING PARAMETERS list in sorted key order.
 func (f *FuncCall) String() string {
@@ -274,12 +287,7 @@ func (f *FuncCall) String() string {
 			sb.WriteByte(' ')
 		}
 		sb.WriteString("USING PARAMETERS ")
-		keys := make([]string, 0, len(f.Params))
-		for k := range f.Params {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for i, k := range keys {
+		for i, k := range f.AppendParamKeys(nil) {
 			if i > 0 {
 				sb.WriteString(", ")
 			}

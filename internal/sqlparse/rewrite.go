@@ -14,7 +14,8 @@ var SkipChildren = errors.New("sqlparse: skip children")
 // tree once Parse returns it: a rewrite is a copy. Rewrite calls f on e
 // before e's children, and f returns the node to stand in e's place. When
 // that is e itself, Rewrite goes on into e's children — an operator's
-// operands, a call's arguments, then its USING PARAMETERS values — and copies
+// operands, a call's arguments, then its USING PARAMETERS values in key
+// order — and copies
 // e only if one of them changed; any other node f returns is taken as it is.
 // A rewrite therefore allocates only the path down to what it changed, and
 // one that changes nothing returns e without allocating, which makes Rewrite
@@ -53,7 +54,9 @@ func Rewrite(e Expr, f func(Expr) (Expr, error)) (Expr, error) {
 			return e, err
 		}
 		var params map[string]Expr
-		for k, v := range x.Params {
+		var keys [8]string
+		for _, k := range x.AppendParamKeys(keys[:0]) {
+			v := x.Params[k]
 			w, err := Rewrite(v, f)
 			if err != nil {
 				return e, err

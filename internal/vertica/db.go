@@ -254,11 +254,9 @@ func (db *DB) Load(table string, b *colstore.Batch) error {
 	if sp == nil {
 		return fmt.Errorf("vertica: table %q does not exist", table)
 	}
-	// SplitOwned (not Split): the commit path reads the per-node batches
-	// twice — WAL encode, then the deferred apply — after Split would have
-	// released the splitter lock, and a concurrent Load into the same table
-	// recycles Split's reused builders mid-read. Owned deep copies are taken
-	// while the splitter lock is still held.
+	// The per-node batches are the load's own: the commit path reads them
+	// twice — WAL encode, then the deferred apply — long after the split,
+	// beside concurrent Loads into the same table.
 	parts, err := sp.SplitOwned(b)
 	if err != nil {
 		return err
