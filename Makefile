@@ -6,10 +6,10 @@ GO ?= go
 # the tree must be lint-clean (the block codec for a big-endian host too: its
 # PLAIN fallback compiles nowhere else), the bounded differential suites
 # (compressed execution, single-table, hash join, streamed UDTF) must agree
-# bitwise, and the fourteen fuzz-smoke targets (parser, statement
+# bitwise, and the fifteen fuzz-smoke targets (parser, statement
 # immutability under binding and planning, four equivalence targets,
-# shard-partial import, broadcast-build decode, serving frame decode, frame
-# header codec, block decode, transfer message decode, the IRLS and Lloyd
+# shard-partial import, broadcast-build decode, the peer ops' binary
+# payloads, serving frame decode, frame header codec, block decode, transfer message decode, the IRLS and Lloyd
 # kernels against their row-at-a-time references, index probes against a
 # filtered scan) get a short run so the harness runs on every pass.
 #
@@ -19,7 +19,8 @@ GO ?= go
 # preparation and the index probe alone), bench-scan (the block parse paths:
 # BenchmarkDecodeDelta, BenchmarkDecodeBlock, BenchmarkMatchCompressed),
 # bench-transfer, bench-keys, bench-figures, chaos (the recovery paths, a
-# clustered node's front door under overload and QueryTimeout among them),
+# clustered node's front door under overload and QueryTimeout, and a routed
+# read whose peer dies between its request and its reply, among them),
 # recover, fuzz, loc.
 .PHONY: check
 check: lint build test race difftest-short fuzz-smoke
@@ -44,7 +45,9 @@ difftest-short:
 # so parse robustness is tier-1), the statement a cached template is (binding
 # and planning leave every parsed SELECT as it was), the router's import of
 # shard partials, the
-# peer's decode of a join's broadcast build tables, the serving frame
+# peer's decode of a join's broadcast build tables, the cl.* payload and
+# reply decoders (any bytes decode without panicking, a decoded payload
+# re-encodes to itself), the serving frame
 # decoder on both ends of a connection (internal/wire's codec, driven
 # through the server's listener), the binary frame header on its own (any
 # bytes decode without panicking, a decoded header re-encodes to itself),
@@ -63,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzStreamedAggregate -fuzztime=10s ./internal/sqlexec/
 	$(GO) test -run='^$$' -fuzz=FuzzHashJoinEquivalence -fuzztime=10s ./internal/sqlexec/difftest/
 	$(GO) test -run='^$$' -fuzz=FuzzShardRequestBuilds -fuzztime=10s ./internal/cluster/
+	$(GO) test -run='^$$' -fuzz=FuzzPeerPayloads -fuzztime=10s ./internal/cluster/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzHeader -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/colstore/
@@ -163,14 +167,18 @@ bench-placement:
 # replicas) and on one server over the same rows: the routed/single ratio and
 # each side's allocations in one run. Both pass the front door's admission,
 # plan cache and statement statistics in the node's Server; the routed read
-# then goes through the router, its shard reads through the shard gate. Then statement preparation alone:
+# then goes through the router, which sends shard 1's read to node 1 before
+# it reads shards 0 and 2 in process, each through the shard gate, and only
+# then reads node 1's reply. BenchmarkRoutedAgg is the wide read on the same
+# shape: the benchmark's agg_grp statement over 160k rows, node 0's two local
+# shards side by side. Then statement preparation alone:
 # BindSelect on a cached template and plan.Build, for the benchmark's point,
 # score and read statements. Then the read's index probe alone: an equality
 # and a 256-key range over one segment's 62,500 keys, bulk-built and
 # insert-built.
 .PHONY: bench-point
 bench-point:
-	$(GO) test -run='^$$' -bench='BenchmarkRoutedPoint|BenchmarkSinglePoint' -benchtime=3s -benchmem ./internal/cluster/
+	$(GO) test -run='^$$' -bench='BenchmarkRoutedPoint|BenchmarkSinglePoint|BenchmarkRoutedAgg' -benchtime=3s -benchmem ./internal/cluster/
 	$(GO) test -run='^$$' -bench='BenchmarkBindPlan' -benchmem ./internal/plan/
 	$(GO) test -run='^$$' -bench='BenchmarkLookup' -benchtime=3s -benchmem ./internal/colstore/index/
 

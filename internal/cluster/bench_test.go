@@ -16,12 +16,22 @@ import (
 // x 2 replicas (the cluster_routed shape: client → router → shards 0 and 2
 // read on node 0 in process, shard 1 on node 1 over the wire → merge),
 // BenchmarkSinglePoint against one server over the same rows (serve_single's
-// shape). `make bench-point` runs both with -benchmem. Profile a read with
+// shape). BenchmarkRoutedAgg is the wide read on the routed shape: the
+// benchmark's agg_grp statement over every row, where node 0's two local
+// shards run side by side while shard 1 answers over the wire. `make
+// bench-point` runs all three with -benchmem. Profile a read with
 //
 //	go test -run '^$' -bench RoutedPoint -benchtime 3s -cpuprofile cpu.out ./internal/cluster/
 const (
 	pointSQL  = `SELECT x0, x1 FROM events WHERE k = ?`
 	pointRows = 30_000
+)
+
+// The benchmark's agg_grp statement over aggRows rows in 64 groups.
+const (
+	aggSQL  = `SELECT grp, count(*) AS n, sum(x0) AS s, min(x1) AS m FROM events GROUP BY grp ORDER BY grp`
+	aggRows = 160_000
+	aggDDL  = `CREATE TABLE events (id INTEGER, grp INTEGER, x0 FLOAT, x1 FLOAT) SEGMENTED BY HASH(id)`
 )
 
 var pointDDL = []string{
@@ -52,6 +62,40 @@ func BenchmarkRoutedPoint(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchPoint(b, tc.nodes[0].addr)
+}
+
+func BenchmarkRoutedAgg(b *testing.B) {
+	tc := startCluster(b, 3, 3, 2)
+	tc.exec(aggDDL)
+	schema := colstore.Schema{
+		{Name: "id", Type: colstore.TypeInt64}, {Name: "grp", Type: colstore.TypeInt64},
+		{Name: "x0", Type: colstore.TypeFloat64}, {Name: "x1", Type: colstore.TypeFloat64},
+	}
+	rows := make([][]any, aggRows)
+	for i := range rows {
+		rows[i] = []any{int64(i), int64(i % 64), float64(i) / 8, float64(i%1000) / 16}
+	}
+	if err := tc.router(0).Load(context.Background(), "events", buildBatch(b, schema, rows)); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	c, err := server.DialTimeout(tc.nodes[0].addr, time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = c.Close() })
+	if err := c.Prepare(ctx, "agg", aggSQL); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("read", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			rows, err := c.Execute(ctx, "agg")
+			if err != nil || len(rows.Rows) != 64 {
+				b.Fatal(fmt.Sprintf("%v groups, %v", rows, err))
+			}
+		}
+	})
 }
 
 func BenchmarkSinglePoint(b *testing.B) {

@@ -6,6 +6,7 @@ import (
 	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
 	"verticadr/internal/server"
+	"verticadr/internal/wire"
 )
 
 // Client-side wrappers over the cl.* ops, for the unified verticadr.Client:
@@ -15,11 +16,11 @@ import (
 
 // ClientTableDef fetches a table's definition over an open connection.
 func ClientTableDef(ctx context.Context, c *server.Client, table string) (*catalog.TableDef, error) {
-	var def catalog.TableDef
-	if _, err := c.Call(ctx, opTableDef, tableDefRequest{Table: table}, nil, &def); err != nil {
+	var rep tableDefReply
+	if err := clientCall(ctx, c.Client, opTableDef, &tableDefRequest{Table: table}, nil, &rep); err != nil {
 		return nil, err
 	}
-	return &def, nil
+	return &rep.TableDef, nil
 }
 
 // ClientLoad COPYs a batch through a connection's front door (cl.load with
@@ -30,7 +31,20 @@ func ClientLoad(ctx context.Context, c *server.Client, table string, b *colstore
 	if err != nil {
 		return err
 	}
-	var rep loadReply
-	_, err = c.Call(ctx, opLoad, loadRequest{Table: table, Shard: -1}, [][]byte{chunk}, &rep)
-	return err
+	return clientCall(ctx, c.Client, opLoad, &loadRequest{Table: table, Shard: -1}, [][]byte{chunk}, &loadReply{})
+}
+
+// clientCall makes one cl.* call over c, a connection of its own: req's
+// payload (none when nil) and the bodies go out, and the reply decodes into
+// rep.
+func clientCall(ctx context.Context, c *wire.Client, op string, req payload, bodies [][]byte, rep payload) error {
+	var ext []byte
+	if req != nil {
+		ext = req.appendTo(nil)
+	}
+	ext, _, err := c.Call(ctx, op, ext, bodies)
+	if err != nil {
+		return err
+	}
+	return decodePayload(op, "reply", ext, rep)
 }

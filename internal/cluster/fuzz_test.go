@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
+	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
 	"verticadr/internal/core"
 	"verticadr/internal/sqlparse"
@@ -75,17 +79,16 @@ func FuzzShardRequestBuilds(f *testing.F) {
 		if len(chunk2) > 0 {
 			req.Builds = append(req.Builds, buildTable{Join: int(join2), Schema: schemas[int(sel2)%len(schemas)], chunk: chunk2})
 		}
-		// Through the wire form, as the peer receives it: the payload as
-		// JSON, the chunks as the frame's bodies.
-		payload, err := json.Marshal(req)
-		if err != nil {
-			t.Skip()
-		}
+		// Through the wire form, as the peer receives it: the statement in
+		// the frame header, the rest as the binary payload, the chunks as
+		// the frame's bodies.
+		payload := req.appendTo(nil)
 		bodies := req.bodies()
 		var got shardRequest
-		if err := decodeRequest(opSelect, payload, &got); err != nil {
-			t.Fatalf("a marshaled request does not decode: %v", err)
+		if err := decodePayload(opSelect, "request", payload, &got); err != nil {
+			t.Fatalf("an encoded request does not decode: %v", err)
 		}
+		got.SQL = req.SQL
 		if got.setBodies(opSelect, bodies[1:]) == nil || got.setBodies(opSelect, append(bodies, nil)) == nil {
 			t.Fatal("a frame with a body too few or too many was accepted")
 		}
@@ -115,6 +118,101 @@ func FuzzShardRequestBuilds(f *testing.F) {
 				if err := b.Validate(); err != nil {
 					t.Fatalf("%s of %q answered an invalid batch: %v", op, sql, err)
 				}
+			}
+		}
+	})
+}
+
+// peerPayloads are a fresh value of every cl.* op's payload and reply type,
+// by name; cl.health's request has no payload.
+func peerPayloads() []struct {
+	name string
+	p    payload
+} {
+	return []struct {
+		name string
+		p    payload
+	}{
+		{"shardRequest", &shardRequest{}}, {"shardReply", &shardReply{}},
+		{"loadRequest", &loadRequest{}}, {"loadReply", &loadReply{}},
+		{"execRequest", &execRequest{}}, {"execReply", &execReply{}},
+		{"tableDefRequest", &tableDefRequest{}}, {"tableDefReply", &tableDefReply{}},
+		{"healthReply", &healthReply{}},
+	}
+}
+
+// everyType is a schema with a column of every type.
+var everyType = colstore.Schema{
+	{Name: "i", Type: colstore.TypeInt64}, {Name: "f", Type: colstore.TypeFloat64},
+	{Name: "s", Type: colstore.TypeString}, {Name: "b", Type: colstore.TypeBool},
+}
+
+// payloadValues are payloads at the edges of their fields: shard and hash
+// column -1, empty and long names, the largest epoch, a build of every
+// column type and one of none.
+func payloadValues() []payload {
+	long := strings.Repeat("n", 300)
+	const top = math.MaxUint64
+	return []payload{
+		&shardRequest{Shards: []int{0, 2, -1}, BuildLimit: 64 << 20,
+			Builds: []buildTable{{Join: 0, Schema: everyType}, {Join: 2, Schema: nil}}},
+		&shardRequest{},
+		&shardReply{Epoch: top},
+		&loadRequest{Table: "", Shard: -1, HashCol: -1},
+		&loadRequest{Table: long, Shard: math.MaxInt64, HashCol: math.MinInt64},
+		&loadReply{Rows: 12, Refused: true, Epoch: top},
+		&loadReply{},
+		&execRequest{SQL: "CREATE TABLE " + long + " (id INTEGER)"},
+		&execReply{Epoch: top},
+		&tableDefRequest{Table: long},
+		&tableDefReply{TableDef: catalog.TableDef{Name: long, Schema: everyType,
+			Seg: catalog.Segmentation{Kind: catalog.SegHash, Column: "i"}}, Epoch: top},
+		&tableDefReply{},
+		&healthReply{Node: 2, Shards: []int{0, 2}, Peers: []string{"127.0.0.1:1", "", long},
+			Epoch: top, Inflight: 3, Queued: -1, Saturated: true},
+		&healthReply{},
+	}
+}
+
+// Every payload decodes to the value it was encoded from.
+func TestPeerPayloadsRoundTrip(t *testing.T) {
+	for _, want := range payloadValues() {
+		enc := want.appendTo(nil)
+		got := reflect.New(reflect.TypeOf(want).Elem()).Interface().(payload)
+		if err := decodePayload("op", "payload", enc, got); err != nil {
+			t.Fatalf("%#v: %v", want, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%#v came back as %#v", want, got)
+		}
+		if len(enc) > 0 {
+			if err := decodePayload("op", "payload", enc[:len(enc)-1], got); err == nil {
+				t.Fatalf("%#v cut short by a byte decoded", want)
+			}
+		}
+		if err := decodePayload("op", "payload", append(enc, 0), got); err == nil {
+			t.Fatalf("%#v with a byte after its last field decoded", want)
+		}
+	}
+}
+
+// FuzzPeerPayloads feeds any bytes to every op's payload and reply decoder:
+// each gives an error or a value, never a panic, and a value re-encodes to
+// the bytes it was decoded from — a payload has one encoding.
+func FuzzPeerPayloads(f *testing.F) {
+	for _, p := range payloadValues() {
+		f.Add(p.appendTo(nil))
+	}
+	f.Add([]byte{0x80})       // a truncated varint
+	f.Add([]byte{0x80, 0x00}) // a varint not in its shortest form
+	f.Add([]byte{0x02, 0x00, 0x00, 0x02})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, c := range peerPayloads() {
+			if err := decodePayload(c.name, "payload", b, c.p); err != nil {
+				continue
+			}
+			if enc := c.p.appendTo(nil); !bytes.Equal(enc, b) {
+				t.Fatalf("%s %x decoded to %#v, which encodes to %x", c.name, b, c.p, enc)
 			}
 		}
 	})

@@ -44,6 +44,6 @@ func askHealth(ctx context.Context, addr string, dialTimeout time.Duration) (rep
 		return rep, err
 	}
 	defer c.Close()
-	_, err = c.Call(ctx, opHealth, struct{}{}, nil, &rep)
+	err = clientCall(ctx, c, opHealth, nil, nil, &rep)
 	return rep, err
 }

@@ -86,46 +86,44 @@ func (p *Peer) ServeExt(ctx context.Context, wreq *wire.Request, bodies [][]byte
 		if err != nil {
 			return server.ExtReply{}, err
 		}
-		return server.ExtReply{Payload: rep, Schema: schema, Bodies: [][]byte{chunk}}, nil
+		return server.ExtReply{Ext: rep.appendTo(nil), Schema: schema, Bodies: [][]byte{chunk}}, nil
 	}
 	mPeerOps(op).Inc()
+	var rep payload
+	var err error
 	switch op {
 	case opLoad:
 		var req loadRequest
-		if err := decodeRequest(op, wreq.Ext, &req); err != nil {
+		if err := decodePayload(op, "request", wreq.Ext, &req); err != nil {
 			return server.ExtReply{}, err
 		}
 		if err := wantBodies(op, bodies, 1); err != nil {
 			return server.ExtReply{}, err
 		}
 		if r := p.router.Load(); r != nil && req.Shard == -1 {
-			rep, err := routeLoad(ctx, r, req.Table, bodies[0])
-			return server.ExtReply{Payload: rep}, err
+			rep, err = routeLoad(ctx, r, req.Table, bodies[0])
+		} else {
+			rep, err = p.serveLoad(ctx, req, bodies[0])
 		}
-		rep, err := p.serveLoad(ctx, req, bodies[0])
-		return server.ExtReply{Payload: rep}, err
 	case opExec:
 		var req execRequest
-		if err := decodeRequest(op, wreq.Ext, &req); err != nil {
+		if err := decodePayload(op, "request", wreq.Ext, &req); err != nil {
 			return server.ExtReply{}, err
 		}
-		rep, err := p.serveExec(ctx, req)
-		return server.ExtReply{Payload: rep}, err
+		rep, err = p.serveExec(ctx, req)
 	case opTableDef:
 		var req tableDefRequest
-		if err := decodeRequest(op, wreq.Ext, &req); err != nil {
+		if err := decodePayload(op, "request", wreq.Ext, &req); err != nil {
 			return server.ExtReply{}, err
 		}
-		rep := &tableDefReply{Epoch: p.db.CatalogEpoch()}
-		def, err := p.db.TableDef(req.Table)
-		if err != nil {
-			return server.ExtReply{}, err
+		epoch := p.db.CatalogEpoch()
+		var def *catalog.TableDef
+		if def, err = p.db.TableDef(req.Table); err == nil {
+			rep = &tableDefReply{TableDef: *def, Epoch: epoch}
 		}
-		rep.TableDef = *def
-		return server.ExtReply{Payload: rep}, nil
 	case opHealth:
 		h := p.srv.Health()
-		return server.ExtReply{Payload: healthReply{
+		rep = &healthReply{
 			Node:      p.node,
 			Shards:    p.topo.OwnedShards(p.node),
 			Peers:     p.topo.Addrs,
@@ -133,9 +131,14 @@ func (p *Peer) ServeExt(ctx context.Context, wreq *wire.Request, bodies [][]byte
 			Inflight:  int(h.Inflight),
 			Queued:    int(h.Queued),
 			Saturated: h.Saturated,
-		}}, nil
+		}
+	default:
+		return server.ExtReply{}, fmt.Errorf("cluster: unknown op %q", op)
 	}
-	return server.ExtReply{}, fmt.Errorf("cluster: unknown op %q", op)
+	if err != nil {
+		return server.ExtReply{}, err
+	}
+	return server.ExtReply{Ext: rep.appendTo(nil)}, nil
 }
 
 // checkShards validates a requested shard list against this peer's

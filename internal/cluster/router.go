@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"verticadr/internal/catalog"
@@ -96,8 +96,12 @@ type Router struct {
 	node   *Peer
 	closed bool
 
-	probeWG   sync.WaitGroup
+	// wg waits for the prober and the spare goroutines, which probeStop
+	// stops.
+	wg        sync.WaitGroup
 	probeStop chan struct{}
+	// spares hands a local shard read to an idle spare goroutine.
+	spares chan func()
 }
 
 // routedTable caches a table's definition and its stateful splitter (the
@@ -131,6 +135,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		tables:     map[string]*routedTable{},
 		epochs:     make([]int64, len(topo.Addrs)),
 		probeStop:  make(chan struct{}),
+		spares:     make(chan func()),
 	}
 	for i, addr := range topo.Addrs {
 		r.pools = append(r.pools, wire.NewPool(addr, cfg.DialTimeout))
@@ -139,7 +144,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		gPeerUp(i).Set(1)
 	}
 	if cfg.ProbeInterval > 0 {
-		r.probeWG.Add(1)
+		r.wg.Add(1)
 		go r.probeLoop()
 	}
 	return r, nil
@@ -148,7 +153,8 @@ func NewRouter(cfg Config) (*Router, error) {
 // Topology returns the router's normalized topology.
 func (r *Router) Topology() Topology { return r.topo }
 
-// Close stops the prober and closes pooled connections.
+// Close stops the prober and the spare goroutines, waits for them, and
+// closes pooled connections.
 func (r *Router) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -158,7 +164,7 @@ func (r *Router) Close() {
 	r.closed = true
 	r.mu.Unlock()
 	close(r.probeStop)
-	r.probeWG.Wait()
+	r.wg.Wait()
 	for _, p := range r.pools {
 		p.Flush()
 	}
@@ -241,7 +247,7 @@ func (r *Router) isStale(peer, shard int) bool {
 // A restored peer serves only the shards it never missed a write for
 // (stale flags survive the bounce).
 func (r *Router) probeLoop() {
-	defer r.probeWG.Done()
+	defer r.wg.Done()
 	ticker := time.NewTicker(r.cfg.ProbeInterval)
 	defer ticker.Stop()
 	for {
@@ -290,25 +296,34 @@ func connFailure(err error) bool {
 }
 
 // rpc is one extension round trip with a peer: the op, the statement a read
-// op carries in the frame header (sql, args), its request payload and the
-// bodies behind it, where the reply payload decodes, and recv, which takes
-// the reply's schema and bodies. The bodies alias the connection's read
-// buffer, so recv runs — decodes or copies them — before the connection goes
-// back to the pool.
+// op carries in the frame header (sql, args), its encoded request payload
+// and the bodies behind it, where the reply payload decodes (nothing when
+// reply is nil), and recv, which takes the reply's schema and bodies. The
+// bodies alias the connection's read buffer, so recv runs — decodes or
+// copies them — before the connection goes back to the pool.
 type rpc struct {
 	op         string
 	idempotent bool
 	sql        string
 	args       []any
-	payload    any
+	payload    []byte
 	bodies     [][]byte
-	reply      any
+	reply      payload
 	recv       func(schema colstore.Schema, bodies [][]byte) error
 }
 
-func (call *rpc) on(ctx context.Context, c *wire.Client) error {
-	req := wire.Request{Op: call.op, SQL: call.sql, Args: call.args}
-	return c.CallRequest(ctx, req, call.payload, call.bodies, call.reply, func(resp *wire.Response, bodies [][]byte) error {
+// send writes the call's request on c; wait reads its reply.
+func (call *rpc) send(ctx context.Context, c *wire.Client) error {
+	return c.Send(ctx, wire.Request{Op: call.op, SQL: call.sql, Args: call.args, Ext: call.payload}, call.bodies)
+}
+
+func (call *rpc) wait(c *wire.Client) error {
+	return c.Wait(func(resp *wire.Response, bodies [][]byte, _ *telemetry.Span) error {
+		if call.reply != nil {
+			if err := decodePayload(call.op, "reply", resp.Ext, call.reply); err != nil {
+				return err
+			}
+		}
 		if call.recv == nil {
 			return nil
 		}
@@ -316,8 +331,29 @@ func (call *rpc) on(ctx context.Context, c *wire.Client) error {
 	})
 }
 
-// peerCall makes one round trip with one peer over a pooled connection. A
-// failed connection is dropped, not reused.
+// sent is a call to one peer whose request is written — over c, from the
+// pool when pooled — and whose reply is unread, or the failure to send it.
+// Router.wait reads the reply; abandon drops it unread.
+type sent struct {
+	peer   int
+	call   *rpc
+	c      *wire.Client
+	pooled bool
+	err    error
+}
+
+// send writes call's request to peer over a pooled connection and returns
+// without reading the reply, so a caller can write every request of a
+// fan-out before it waits for any.
+func (r *Router) send(ctx context.Context, peer int, call *rpc) sent {
+	s := sent{peer: peer, call: call}
+	if s.c, s.pooled, s.err = r.pools[peer].Get(); s.err == nil {
+		s.err = call.send(ctx, s.c)
+	}
+	return s
+}
+
+// wait reads the reply to s. A failed connection is dropped, not reused.
 //
 // A pooled connection can be long dead — the peer restarted since it went
 // idle — and failing the call on it would misclassify a healthy peer as
@@ -326,29 +362,48 @@ func (call *rpc) on(ctx context.Context, c *wire.Client) error {
 // same restart): always when the request provably never reached the peer
 // (wire.RequestNotSent), and on any connection-level failure when the op
 // is idempotent. Only the fresh connection's verdict classifies the peer.
-func (r *Router) peerCall(ctx context.Context, peer int, call rpc) error {
-	c, pooled, err := r.pools[peer].Get()
-	if err != nil {
-		return err
+func (r *Router) wait(ctx context.Context, s *sent) error {
+	err := s.err
+	if err == nil {
+		err = s.call.wait(s.c)
 	}
-	err = call.on(ctx, c)
 	if err != nil {
-		_ = c.Close()
-		if !pooled || !(wire.RequestNotSent(err) || (call.idempotent && connFailure(err))) {
+		s.abandon()
+		if !s.pooled || !(wire.RequestNotSent(err) || (s.call.idempotent && connFailure(err))) {
 			return err
 		}
-		r.pools[peer].Flush()
-		if c, err = r.pools[peer].Dial(); err != nil {
+		r.pools[s.peer].Flush()
+		if s.c, err = r.pools[s.peer].Dial(); err != nil {
 			return err
 		}
-		if err = call.on(ctx, c); err != nil {
-			_ = c.Close()
+		if err = s.call.send(ctx, s.c); err == nil {
+			err = s.call.wait(s.c)
+		}
+		if err != nil {
+			s.abandon()
 			return err
 		}
 	}
-	r.pools[peer].Put(c)
-	r.sawReply(peer, call.reply)
+	r.pools[s.peer].Put(s.c)
+	s.c = nil
+	r.sawReply(s.peer, s.call.reply)
 	return nil
+}
+
+// abandon closes the connection of a call whose reply is not to be read: a
+// connection with a reply in flight never goes back to the pool.
+func (s *sent) abandon() {
+	if s.c != nil {
+		_ = s.c.Close()
+		s.c = nil
+	}
+}
+
+// peerCall makes one round trip with one peer over a pooled connection
+// (send, then wait).
+func (r *Router) peerCall(ctx context.Context, peer int, call rpc) error {
+	s := r.send(ctx, peer, &call)
+	return r.wait(ctx, &s)
 }
 
 // sawReply records the catalog epoch a peer's reply carries. One newer than
@@ -415,29 +470,42 @@ func (r *Router) replicas(shard int) (order []int, local *Peer) {
 	return order, local
 }
 
-// shardCall runs req, an idempotent read of one shard (req.Shards), on the
-// first of the shard's replicas that answers, and hands the reply's schema
-// and bodies to recv. A replica on the router's own node goes first and runs
-// in process (localCall); the other owners follow in ring order over the
-// network. Peers marked down or stale for the shard are skipped up front,
-// and a retryable failure, local or remote, moves on to the next replica.
-func (r *Router) shardCall(ctx context.Context, op string, req shardRequest, recv func(schema colstore.Schema, bodies [][]byte) error) error {
-	shard := req.Shards[0]
-	order, local := r.replicas(shard)
-	var rep shardReply
-	call := req.rpc(op, &rep, recv)
+// shardRead is an idempotent read of one shard (req.Shards): the shard's
+// replicas in the order they are tried (replicas) — local, when not nil, the
+// peer of the first — the call a remote one gets, and first, that call to
+// order[0] when it was sent before the read is finished.
+type shardRead struct {
+	req   shardRequest
+	order []int
+	local *Peer
+	call  rpc
+	rep   shardReply
+	first sent
+}
+
+// finish runs the read on the first of the shard's replicas that answers and
+// hands the reply's schema and bodies to recv. A replica on the router's own
+// node goes first and runs in process (localCall); the other owners follow
+// in ring order over the network, the first of them through the call
+// already sent, if any. Peers marked down or stale for the shard are skipped up front, and a
+// retryable failure, local or remote, moves on to the next replica.
+func (r *Router) finish(ctx context.Context, sr *shardRead) error {
+	shard := sr.req.Shards[0]
 	var lastErr error
 	sawConnFailure := false
-	for i, peer := range order {
+	for i, peer := range sr.order {
 		if i > 0 {
 			mRetries.Inc()
 		}
-		inProcess := i == 0 && local != nil
+		inProcess := i == 0 && sr.local != nil
 		var err error
-		if inProcess {
-			err = r.localCall(ctx, local, op, req, recv)
-		} else {
-			err = r.peerCall(ctx, peer, call)
+		switch {
+		case inProcess:
+			err = r.localCall(ctx, sr.local, sr.call.op, sr.req, sr.call.recv)
+		case i == 0 && sr.first.call != nil:
+			err = r.wait(ctx, &sr.first)
+		default:
+			err = r.peerCall(ctx, peer, sr.call)
 		}
 		if err == nil {
 			mShardCalls("ok").Inc()
@@ -488,41 +556,108 @@ func (r *Router) localCall(ctx context.Context, node *Peer, op string, req shard
 	return nil
 }
 
-// fanOut runs fn for every shard concurrently and returns their errors
-// joined in shard order. Shard 0 runs on the caller's goroutine, whose stack
-// has long grown to what a peer call takes; a fresh goroutine grows its stack
-// on every call.
-func (r *Router) fanOut(ctx context.Context, fn func(shard int) error) error {
-	errs := make([]error, r.topo.Shards)
-	var wg sync.WaitGroup
-	for s := 1; s < r.topo.Shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = fn(s)
-		}(s)
-	}
-	errs[0] = fn(0)
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// eachShard runs req under op on every shard concurrently — each shard on
-// the first of its replicas that answers — and hands each reply's schema and
-// chunk to fn as the shard's call returns, so the shards' chunks decode side
-// by side. The chunk may be a connection's read buffer: fn decodes or copies
-// it.
+// eachShard runs req under op on every shard — each on the first of its
+// replicas that answers — and hands each reply's schema and chunk to fn,
+// which may run for several shards at once. The chunk may be a connection's
+// read buffer: fn decodes or copies it.
+//
+// A read costs its shards' work and one network round trip: every shard
+// whose first replica is remote is sent first; then the router's own node
+// reads its shards in process, the first on the caller and each further one
+// beside it on a spare goroutine; then the remote replies are read in shard
+// order. A peer's reply that waits unread holds none of its shard slots:
+// serveShards leaves admission before the listener writes. Once a shard has
+// failed for good, the replies still unread are abandoned with their
+// connections. The errors are joined in shard order.
 func (r *Router) eachShard(ctx context.Context, op string, req shardRequest, fn func(shard int, schema colstore.Schema, chunk []byte) error) error {
-	return r.fanOut(ctx, func(shard int) error {
-		req := req
-		req.Shards = []int{shard}
-		return r.shardCall(ctx, op, req, func(schema colstore.Schema, out [][]byte) error {
+	reads := make([]shardRead, r.topo.Shards)
+	var local []*shardRead
+	for s := range reads {
+		sr := &reads[s]
+		sr.req = req
+		sr.req.Shards = []int{s}
+		sr.order, sr.local = r.replicas(s)
+		sr.call = sr.req.rpc(op, &sr.rep, func(schema colstore.Schema, out [][]byte) error {
 			if err := wantBodies(op, out, 1); err != nil {
 				return err
 			}
-			return fn(shard, schema, out[0])
+			return fn(s, schema, out[0])
 		})
-	})
+		if sr.local != nil {
+			local = append(local, sr)
+		} else if len(sr.order) > 0 {
+			sr.first = r.send(ctx, sr.order[0], &sr.call)
+		}
+	}
+	errs := make([]error, len(reads))
+	if len(local) > 0 {
+		var wg sync.WaitGroup
+		for _, sr := range local[1:] {
+			wg.Add(1)
+			r.spare(func() {
+				defer wg.Done()
+				errs[sr.req.Shards[0]] = r.finish(ctx, sr)
+			})
+		}
+		errs[local[0].req.Shards[0]] = r.finish(ctx, local[0])
+		wg.Wait()
+	}
+	failed := slices.ContainsFunc(errs, func(err error) bool { return err != nil })
+	for s := range reads {
+		switch sr := &reads[s]; {
+		case sr.local != nil:
+		case failed:
+			sr.first.abandon()
+		default:
+			errs[s] = r.finish(ctx, sr)
+			failed = errs[s] != nil
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// spareIdle is how long a spare goroutine waits for another local shard read
+// before it exits.
+const spareIdle = time.Second
+
+// spare runs fn, a local shard read, on a goroutine beside the caller: an
+// idle one an earlier read left waiting, whose stack has already grown to
+// what a shard read takes, or else a new one. A spare waits spareIdle for
+// the next read, then exits; Close stops the waiting ones and waits for
+// them. A closed router starts none: fn runs on the caller.
+func (r *Router) spare(fn func()) {
+	select {
+	case r.spares <- fn:
+		return
+	default:
+	}
+	r.mu.Lock()
+	closed := r.closed
+	if !closed {
+		r.wg.Add(1) // before Close's Wait: Close marks the router closed first
+	}
+	r.mu.Unlock()
+	if closed {
+		fn()
+		return
+	}
+	go r.runSpare(fn)
+}
+
+func (r *Router) runSpare(fn func()) {
+	defer r.wg.Done()
+	idle := time.NewTimer(spareIdle)
+	defer idle.Stop()
+	for fn != nil {
+		fn()
+		fn = nil // an idle spare holds nothing of the read it ran
+		idle.Reset(spareIdle)
+		select {
+		case fn = <-r.spares:
+		case <-idle.C:
+		case <-r.probeStop:
+		}
+	}
 }
 
 // fetch is eachShard decoded: the shards' batches in shard order.
@@ -750,7 +885,7 @@ func (r *Router) table(ctx context.Context, name string) (*routedTable, error) {
 	}
 	var rep tableDefReply
 	from, err := r.livePeer(ctx, fmt.Sprintf("tabledef %q", name), func(int) (rpc, bool) {
-		return rpc{op: opTableDef, idempotent: true, payload: tableDefRequest{Table: name}, reply: &rep}, true
+		return rpc{op: opTableDef, idempotent: true, payload: (&tableDefRequest{Table: name}).appendTo(nil), reply: &rep}, true
 	})
 	if err != nil {
 		return nil, err
@@ -820,7 +955,10 @@ func (r *Router) Load(ctx context.Context, table string, b *colstore.Batch) erro
 }
 
 // loadOnce is one attempt of Load; it also reports how many replica writes
-// were applied and how many refused.
+// were applied and how many refused. Every write goes out before any reply
+// is read: a shard's part is encoded and sent to each of its current
+// owners, then the next shard's; then the replies are read in the same
+// order.
 func (r *Router) loadOnce(ctx context.Context, table string, b *colstore.Batch) (applied, refused int64, err error) {
 	rt, err := r.table(ctx, table)
 	if err != nil {
@@ -832,55 +970,54 @@ func (r *Router) loadOnce(ctx context.Context, table string, b *colstore.Batch) 
 	if err != nil {
 		return 0, 0, err
 	}
-	var nApplied, nRefused atomic.Int64
-	err = r.fanOut(ctx, func(shard int) error {
-		part := parts[shard]
+	errs := make([]error, len(parts))
+	writes := make([][]*replicaWrite, len(parts))
+	for shard, part := range parts {
 		if part == nil || part.Len() == 0 {
-			return nil
+			continue
 		}
 		chunk, err := encodeChunk(ctx, part)
 		if err != nil {
-			return err
+			errs[shard] = err
+			continue
 		}
 		req := loadRequest{Table: table, Shard: shard, HashCol: hashCol(rt.def)}
-		owners := r.topo.Owners(shard)
-		okCount := 0
+		call := rpc{op: opLoad, payload: req.appendTo(nil), bodies: [][]byte{chunk}}
+		writes[shard] = []*replicaWrite{} // a part to write, whether or not a replica is current
+		for _, peer := range r.topo.Owners(shard) {
+			if !r.isStale(peer, shard) {
+				w := &replicaWrite{peer: peer, call: call}
+				w.call.reply = &w.rep
+				w.sent = r.send(ctx, peer, &w.call)
+				writes[shard] = append(writes[shard], w)
+			}
+		}
+	}
+	for shard, ws := range writes {
+		if ws == nil {
+			continue
+		}
+		ok := 0
+		for _, w := range ws {
+			if w.err = r.wait(ctx, &w.sent); w.err == nil && w.rep.Refused {
+				w.err = errRefused
+				refused++
+			}
+			if w.err == nil {
+				ok++
+			}
+		}
+		applied += int64(ok)
 		var lastErr error
-		var wg sync.WaitGroup
-		results := make([]error, len(owners))
-		for i, peer := range owners {
-			if r.isStale(peer, shard) {
-				results[i] = fmt.Errorf("stale")
+		for _, w := range ws {
+			if w.err == nil || r.isStale(w.peer, shard) {
 				continue
 			}
-			wg.Add(1)
-			go func(i, peer int) {
-				defer wg.Done()
-				var rep loadReply
-				results[i] = r.peerCall(ctx, peer, rpc{op: opLoad, payload: req, bodies: [][]byte{chunk}, reply: &rep})
-				if results[i] == nil && rep.Refused {
-					results[i] = errRefused
-					nRefused.Add(1)
-				}
-			}(i, peer)
-		}
-		wg.Wait()
-		for _, err := range results {
-			if err == nil {
-				okCount++
+			lastErr = w.err
+			if connFailure(w.err) {
+				r.markDown(w.peer)
 			}
-		}
-		nApplied.Add(int64(okCount))
-		for i, peer := range owners {
-			err := results[i]
-			if err == nil || r.isStale(peer, shard) {
-				continue
-			}
-			lastErr = err
-			if connFailure(err) {
-				r.markDown(peer)
-			}
-			if okCount == 0 {
+			if ok == 0 {
 				// No replica applied the batch — a canceled or failed-
 				// everywhere load leaves the replicas mutually consistent.
 				// The caller gets the error below; retiring every replica
@@ -891,21 +1028,31 @@ func (r *Router) loadOnce(ctx context.Context, table string, b *colstore.Batch) 
 			// its outcome is unknown) — even ErrCanceled counts, since the
 			// cancellation raced a sibling's success: reading this replica
 			// could serve short results, so retire it.
-			r.markStale(peer, shard)
+			r.markStale(w.peer, shard)
 		}
-		if okCount == 0 {
-			if lastErr != nil && errors.Is(lastErr, verr.ErrCanceled) {
-				return fmt.Errorf("cluster: load shard %d of %q: %w", shard, table, lastErr)
-			}
+		switch {
+		case ok > 0:
+		case lastErr != nil && errors.Is(lastErr, verr.ErrCanceled):
+			errs[shard] = fmt.Errorf("cluster: load shard %d of %q: %w", shard, table, lastErr)
+		default:
 			if lastErr == nil {
 				lastErr = fmt.Errorf("no usable replica")
 			}
-			return fmt.Errorf("cluster: load shard %d of %q: every replica failed: %w: %v",
+			errs[shard] = fmt.Errorf("cluster: load shard %d of %q: every replica failed: %w: %v",
 				shard, table, verr.ErrNodeDown, lastErr)
 		}
-		return nil
-	})
-	return nApplied.Load(), nRefused.Load(), err
+	}
+	return applied, refused, errors.Join(errs...)
+}
+
+// replicaWrite is one replica's write of a shard's part: its call, the call
+// as sent, the reply and its outcome.
+type replicaWrite struct {
+	peer int
+	call rpc
+	sent sent
+	rep  loadReply
+	err  error
 }
 
 // routeInsert splits INSERT rows exactly like Load.
@@ -930,17 +1077,18 @@ func (r *Router) broadcastExec(ctx context.Context, sql string, stmt sqlparse.St
 	ctx, span := telemetry.StartChildCtx(ctx, "router.ddl")
 	defer span.End()
 	mRouterRouted("ddl").Inc()
-	errs := make([]error, len(r.pools))
-	var wg sync.WaitGroup
+	payload := (&execRequest{SQL: sql}).appendTo(nil)
+	calls := make([]rpc, len(r.pools))
+	reps := make([]execReply, len(r.pools))
+	sends := make([]sent, len(r.pools))
 	for peer := range r.pools {
-		wg.Add(1)
-		go func(peer int) {
-			defer wg.Done()
-			var rep execReply
-			errs[peer] = r.peerCall(ctx, peer, rpc{op: opExec, payload: execRequest{SQL: sql}, reply: &rep})
-		}(peer)
+		calls[peer] = rpc{op: opExec, payload: payload, reply: &reps[peer]}
+		sends[peer] = r.send(ctx, peer, &calls[peer])
 	}
-	wg.Wait()
+	errs := make([]error, len(r.pools))
+	for peer := range sends {
+		errs[peer] = r.wait(ctx, &sends[peer])
+	}
 	// DDL invalidates cached definitions and splitters.
 	r.mu.Lock()
 	r.dropTablesLocked()

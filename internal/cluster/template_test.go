@@ -229,7 +229,15 @@ func (c *shardCapture) ServeExt(_ context.Context, wreq *wire.Request, bodies []
 		}
 	}
 	c.got = append(c.got, req)
-	return server.ExtReply{Payload: shardReply{}}, nil
+	return server.ExtReply{Ext: (&shardReply{}).appendTo(nil)}, nil
+}
+
+// roundTrip makes call on c: its request sent, then its reply read.
+func roundTrip(ctx context.Context, call rpc, c *wire.Client) error {
+	if err := call.send(ctx, c); err != nil {
+		return err
+	}
+	return call.wait(c)
 }
 
 // A shard read's arguments reach the peer exactly as the router holds them:
@@ -256,7 +264,7 @@ func TestShardArgsCrossExactly(t *testing.T) {
 		math.Inf(1), math.Inf(-1), "a\x00\xff", "", true, false}
 	const sql = `SELECT id FROM t WHERE a = ?`
 	call := shardRequest{SQL: sql, Args: in, Shards: []int{0, 2}}.rpc(opSelect, &shardReply{}, nil)
-	if err := call.on(ctx, c); err != nil {
+	if err := roundTrip(ctx, call, c); err != nil {
 		t.Fatal(err)
 	}
 	if len(peer.got) != 1 {
@@ -282,7 +290,7 @@ func TestShardArgsCrossExactly(t *testing.T) {
 
 	for _, bad := range []any{uint8(1), nil} {
 		call := shardRequest{SQL: sql, Args: []any{int64(1), bad}, Shards: []int{0}}.rpc(opSelect, &shardReply{}, nil)
-		if err := call.on(ctx, c); err == nil || !strings.Contains(err.Error(), "argument 1") {
+		if err := roundTrip(ctx, call, c); err == nil || !strings.Contains(err.Error(), "argument 1") {
 			t.Fatalf("a %#v argument: err = %v", bad, err)
 		}
 	}

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 
@@ -16,13 +16,16 @@ import (
 // The peer protocol rides the serving protocol's extension hook: one request
 // frame, one response frame, over the same connection and framing as
 // ordinary queries, with errors carried as verr wire codes. The structs below
-// are the small JSON payloads; every batch — rows, aggregate partials, plan
-// text, COPY parts, a join's build sides — crosses as a frame body holding
-// its vft chunk, raw, so float bits, NaN payloads included, survive the hop
-// exactly and nothing is base64. A body aliases the connection's read buffer:
+// are the small payloads, each encoded in the frame header's Ext field in the
+// wire package's field codec (wire.AppendField, wire.Decoder): its fields in
+// a fixed order, with no names or tags, so a payload has one encoding and a
+// decoded one re-encodes to its own bytes. Every batch — rows, aggregate
+// partials, plan text, COPY parts, a join's build sides — crosses as a frame
+// body holding its vft chunk, raw, so float bits, NaN payloads included,
+// survive the hop exactly. A body aliases the connection's read buffer:
 // whoever receives one decodes (or copies) it before the connection's next
 // frame. A read op's statement travels in the frame header (SQL, Args) and
-// the schema of its answer too (Schema), so neither passes through JSON.
+// the schema of its answer too (Schema).
 
 // Extension op names.
 const (
@@ -34,6 +37,49 @@ const (
 	opHealth   = "cl.health"
 )
 
+// payload is an op's request or reply payload: appendTo writes its fields
+// in order, decode reads them back.
+type payload interface {
+	appendTo(b []byte) []byte
+	decode(d *wire.Decoder)
+}
+
+// decodePayload decodes ext, op's request or reply (kind) payload, into p: a
+// malformed field or bytes after the last one is an error naming both.
+func decodePayload(op, kind string, ext []byte, p payload) error {
+	d := wire.NewDecoder(ext)
+	p.decode(&d)
+	if err := d.End(); err != nil {
+		return fmt.Errorf("cluster: bad %s %s: %w", op, kind, err)
+	}
+	return nil
+}
+
+// appendInt appends an int as a zigzag varint, which Decoder.Int reads.
+func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
+
+// appendInts appends a list of ints: its count, then each one.
+func appendInts(b []byte, vs []int) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = appendInt(b, v)
+	}
+	return b
+}
+
+// decodeInts is appendInts reversed; nil when the list is empty.
+func decodeInts(d *wire.Decoder) []int {
+	n := d.Count(1)
+	if n == 0 {
+		return nil
+	}
+	vs := make([]int, n)
+	for i := range vs {
+		vs[i] = d.Int()
+	}
+	return vs
+}
+
 // shardRequest asks a peer to run one read statement over a snapshot view
 // restricted to the listed shards, all of which it must own: cl.select runs
 // a SELECT to its finished rows or an EXPLAIN to its plan lines, cl.agg an
@@ -43,28 +89,50 @@ const (
 // (none for a one-shot statement), or the router's read of a join's build
 // side. On the wire they ride in the frame header's SQL and typed Args (rpc),
 // never in the payload; the peer resolves the text through its plan cache and
-// binds the arguments.
+// binds the arguments. The payload is shards | builds | build_limit.
 type shardRequest struct {
-	SQL    string `json:"sql,omitempty"`
-	Args   []any  `json:"-"`
-	Shards []int  `json:"shards"`
+	SQL    string
+	Args   []any
+	Shards []int
 	// Builds are a join statement's broadcast build sides: the peer reads
 	// each named JOIN's table from the shipped batch instead of its shards.
-	Builds []buildTable `json:"builds,omitempty"`
+	Builds []buildTable
 	// BuildLimit > 0 marks the fetch of a build side: the peer answers
 	// verr.ErrJoinTooLarge instead of shipping a chunk over that many bytes.
-	BuildLimit int `json:"build_limit,omitempty"`
+	BuildLimit int
 }
 
 // buildTable is one broadcast build side: the rows of the table at JOIN
 // position Join (0-based, so `t JOIN t u` can ship u without touching t) —
 // the columns the statement needs, already filtered, all shards concatenated
 // in shard order — as a vft chunk with the schema to decode it under. The
-// chunk of Builds[i] is the request's body i.
+// chunk of Builds[i] is the request's body i; on the wire a build is join |
+// schema.
 type buildTable struct {
-	Join   int             `json:"join"`
-	Schema colstore.Schema `json:"schema"`
+	Join   int
+	Schema colstore.Schema
 	chunk  []byte
+}
+
+func (req *shardRequest) appendTo(b []byte) []byte {
+	b = appendInts(b, req.Shards)
+	b = binary.AppendUvarint(b, uint64(len(req.Builds)))
+	for _, bt := range req.Builds {
+		b = wire.AppendSchema(appendInt(b, bt.Join), bt.Schema)
+	}
+	return appendInt(b, req.BuildLimit)
+}
+
+func (req *shardRequest) decode(d *wire.Decoder) {
+	req.Shards = decodeInts(d)
+	req.Builds = nil
+	if n := d.Count(2); n > 0 {
+		req.Builds = make([]buildTable, n)
+		for i := range req.Builds {
+			req.Builds[i] = buildTable{Join: d.Int(), Schema: d.Schema()}
+		}
+	}
+	req.BuildLimit = d.Int()
 }
 
 // bodies are the request's frame bodies: its build tables' chunks, in order.
@@ -79,9 +147,7 @@ func (req *shardRequest) bodies() [][]byte {
 // rpc is the read call that sends req under op: the statement in the frame
 // header, the rest as the payload, the build tables' chunks as the bodies.
 func (req shardRequest) rpc(op string, reply *shardReply, recv func(schema colstore.Schema, bodies [][]byte) error) rpc {
-	sql := req.SQL
-	req.SQL = ""
-	return rpc{op: op, idempotent: true, sql: sql, args: req.Args, payload: req, bodies: req.bodies(), reply: reply, recv: recv}
+	return rpc{op: op, idempotent: true, sql: req.SQL, args: req.Args, payload: req.appendTo(nil), bodies: req.bodies(), reply: reply, recv: recv}
 }
 
 // readShardRequest is rpc reversed, on the receiving side: the shard request
@@ -89,7 +155,7 @@ func (req shardRequest) rpc(op string, reply *shardReply, recv func(schema colst
 // chunks from bodies.
 func readShardRequest(wreq *wire.Request, bodies [][]byte) (shardRequest, error) {
 	var req shardRequest
-	if err := decodeRequest(wreq.Op, wreq.Ext, &req); err != nil {
+	if err := decodePayload(wreq.Op, "request", wreq.Ext, &req); err != nil {
 		return shardRequest{}, err
 	}
 	req.SQL, req.Args = wreq.SQL, wreq.Args
@@ -115,21 +181,16 @@ func (req *shardRequest) setBodies(op string, bodies [][]byte) error {
 // the router cached under means DDL went through another node's router.
 type epochReply interface{ catalogEpoch() uint64 }
 
-// shardReply is the answer to every shardRequest. The reply's one body is a
-// batch as a vft chunk, under the schema in the response header.
+// shardReply is the answer to every shardRequest: epoch. The reply's one
+// body is a batch as a vft chunk, under the schema in the response header.
 type shardReply struct {
-	Epoch uint64 `json:"epoch"`
+	Epoch uint64
 }
 
 func (r *shardReply) catalogEpoch() uint64 { return r.Epoch }
 
-// decodeRequest unmarshals an op's request payload.
-func decodeRequest(op string, payload json.RawMessage, req any) error {
-	if err := json.Unmarshal(payload, req); err != nil {
-		return fmt.Errorf("cluster: bad %s request: %w", op, err)
-	}
-	return nil
-}
+func (r *shardReply) appendTo(b []byte) []byte { return binary.AppendUvarint(b, r.Epoch) }
+func (r *shardReply) decode(d *wire.Decoder)   { r.Epoch = d.Uvarint() }
 
 // encodeChunk is vft.EncodeChunk, and decodeChunk vft.DecodeChunk, under a
 // wire.encode / wire.decode span of the caller's trace: every batch the
@@ -170,13 +231,21 @@ func wantBodies(op string, bodies [][]byte, n int) error {
 // loadRequest appends a pre-split batch — the request's one body, a vft
 // chunk under the table's schema — to one shard's segment (COPY). A Shard of
 // -1 loads through the peer's own segmentation instead (the single-node
-// passthrough path).
+// passthrough path). The payload is table | shard | hash_col.
 type loadRequest struct {
-	Table string `json:"table"`
-	Shard int    `json:"shard"`
+	Table string
+	Shard int
 	// HashCol is hashCol of the definition a router split the batch under;
 	// unused with Shard == -1.
-	HashCol int `json:"hash_col"`
+	HashCol int
+}
+
+func (r *loadRequest) appendTo(b []byte) []byte {
+	return appendInt(appendInt(wire.AppendField(b, r.Table), r.Shard), r.HashCol)
+}
+
+func (r *loadRequest) decode(d *wire.Decoder) {
+	r.Table, r.Shard, r.HashCol = d.Str(), d.Int(), d.Int()
 }
 
 // hashCol is what a table's row placement turns on: the index of the column
@@ -190,48 +259,102 @@ func hashCol(def *catalog.TableDef) int {
 
 // loadReply reports the rows applied — or Refused, with nothing applied: the
 // request's HashCol is not the table's, so its rows may sit on the wrong
-// shard.
+// shard. The payload is rows | refused | epoch.
 type loadReply struct {
-	Rows    int    `json:"rows"`
-	Refused bool   `json:"refused,omitempty"`
-	Epoch   uint64 `json:"epoch"`
+	Rows    int
+	Refused bool
+	Epoch   uint64
 }
 
 func (r *loadReply) catalogEpoch() uint64 { return r.Epoch }
 
-// execRequest runs a broadcast statement (DDL) on the peer.
-type execRequest struct {
-	SQL string `json:"sql"`
+func (r *loadReply) appendTo(b []byte) []byte {
+	return binary.AppendUvarint(wire.AppendBool(appendInt(b, r.Rows), r.Refused), r.Epoch)
 }
 
+func (r *loadReply) decode(d *wire.Decoder) {
+	r.Rows, r.Refused, r.Epoch = d.Int(), d.Bool(), d.Uvarint()
+}
+
+// execRequest runs a broadcast statement (DDL) on the peer: sql.
+type execRequest struct {
+	SQL string
+}
+
+func (r *execRequest) appendTo(b []byte) []byte { return wire.AppendField(b, r.SQL) }
+func (r *execRequest) decode(d *wire.Decoder)   { r.SQL = d.Str() }
+
+// execReply is the peer's catalog epoch after the statement applied.
 type execReply struct {
-	Epoch uint64 `json:"epoch"` // after the statement applied
+	Epoch uint64
 }
 
 func (r *execReply) catalogEpoch() uint64 { return r.Epoch }
 
+func (r *execReply) appendTo(b []byte) []byte { return binary.AppendUvarint(b, r.Epoch) }
+func (r *execReply) decode(d *wire.Decoder)   { r.Epoch = d.Uvarint() }
+
+// tableDefRequest asks for a table's definition: table.
 type tableDefRequest struct {
-	Table string `json:"table"`
+	Table string
 }
 
-// tableDefReply is the definition's own JSON object plus the epoch, so a
-// client that wants only the definition decodes it as a catalog.TableDef.
+func (r *tableDefRequest) appendTo(b []byte) []byte { return wire.AppendField(b, r.Table) }
+func (r *tableDefRequest) decode(d *wire.Decoder)   { r.Table = d.Str() }
+
+// tableDefReply is a table's definition and the epoch it was read at: name |
+// schema | segmentation kind byte | segmentation column | epoch.
 type tableDefReply struct {
 	catalog.TableDef
-	Epoch uint64 `json:"epoch"`
+	Epoch uint64
 }
 
 func (r *tableDefReply) catalogEpoch() uint64 { return r.Epoch }
 
+func (r *tableDefReply) appendTo(b []byte) []byte {
+	b = wire.AppendSchema(wire.AppendField(b, r.Name), r.Schema)
+	b = wire.AppendField(append(b, byte(r.Seg.Kind)), r.Seg.Column)
+	return binary.AppendUvarint(b, r.Epoch)
+}
+
+func (r *tableDefReply) decode(d *wire.Decoder) {
+	r.Name, r.Schema = d.Str(), d.Schema()
+	r.Seg = catalog.Segmentation{Kind: catalog.SegKind(d.Byte()), Column: d.Str()}
+	r.Epoch = d.Uvarint()
+}
+
 // healthReply is a peer's self-report for the router's health surface. Peers
 // carries the full cluster address list so a client dialed at one node can
-// discover the rest (DiscoverHealth).
+// discover the rest (DiscoverHealth). The payload is node | shards | peers |
+// epoch | inflight | queued | saturated; cl.health's request has none.
 type healthReply struct {
-	Node      int      `json:"node"`
-	Shards    []int    `json:"shards"`
-	Peers     []string `json:"peers,omitempty"`
-	Epoch     uint64   `json:"epoch"`
-	Inflight  int      `json:"inflight"`
-	Queued    int      `json:"queued"`
-	Saturated bool     `json:"saturated"`
+	Node      int
+	Shards    []int
+	Peers     []string
+	Epoch     uint64
+	Inflight  int
+	Queued    int
+	Saturated bool
+}
+
+func (r *healthReply) appendTo(b []byte) []byte {
+	b = appendInts(appendInt(b, r.Node), r.Shards)
+	b = binary.AppendUvarint(b, uint64(len(r.Peers)))
+	for _, p := range r.Peers {
+		b = wire.AppendField(b, p)
+	}
+	b = binary.AppendUvarint(b, r.Epoch)
+	return wire.AppendBool(appendInt(appendInt(b, r.Inflight), r.Queued), r.Saturated)
+}
+
+func (r *healthReply) decode(d *wire.Decoder) {
+	r.Node, r.Shards = d.Int(), decodeInts(d)
+	r.Peers = nil
+	if n := d.Count(1); n > 0 {
+		r.Peers = make([]string, n)
+		for i := range r.Peers {
+			r.Peers[i] = d.Str()
+		}
+	}
+	r.Epoch, r.Inflight, r.Queued, r.Saturated = d.Uvarint(), d.Int(), d.Int(), d.Bool()
 }

@@ -46,7 +46,7 @@ func listenFront(tb testing.TB, f Frontend, opts ...ListenOption) (tcp *TCPServe
 type fuzzExt struct{}
 
 func (fuzzExt) ServeExt(_ context.Context, _ *wire.Request, bodies [][]byte) (ExtReply, error) {
-	return ExtReply{Payload: map[string]int{"bodies": len(bodies)}, Bodies: bodies}, nil
+	return ExtReply{Ext: []byte{byte(len(bodies))}, Bodies: bodies}, nil
 }
 
 // FuzzDecodeFrame feeds arbitrary bytes to both ends of a connection — as a
@@ -89,7 +89,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Op: "ping"},
 		{Op: "query", SQL: "SELECT 1 < 2", TimeoutMS: 50, Trace: "1f", Span: "2a"},
 		{Op: "execute", Name: "p", Args: []any{int64(1), "a", true, 0.5, math.Float64frombits(0x7ff8deadbeef0001), math.Copysign(0, -1)}},
-		{Op: "cl.select", Ext: json.RawMessage(`{"sql":"SELECT 1","shards":[0]}`), Bodies: []int{len(chunk), 0, 3}},
+		{Op: "cl.select", SQL: "SELECT 1", Ext: []byte{1, 0, 0, 0}, Bodies: []int{len(chunk), 0, 3}},
 	} {
 		var bodies [][]byte
 		for _, n := range req.Bodies {
@@ -106,7 +106,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Code: verr.CodeOK},
 		{Code: verr.CodeOverloaded, Msg: "admission shed"},
 		{Code: verr.CodeOK, Schema: schema, Profile: profile, Bodies: []int{len(chunk)}},
-		{Code: verr.CodeOK, Ext: json.RawMessage(`{"epoch":3}`), Bodies: []int{len(chunk)}},
+		{Code: verr.CodeOK, Ext: []byte{3}, Bodies: []int{len(chunk)}},
 	} {
 		var bodies [][]byte
 		for _, n := range resp.Bodies {

@@ -33,7 +33,7 @@ type Frontend interface {
 
 // Extension handles protocol ops outside the built-in set ("query",
 // "prepare", "execute", "ping"). It gets the request's header — the op, its
-// small JSON payload in Ext, and the SQL and Args of an op that carries a
+// small binary payload in Ext, and the SQL and Args of an op that carries a
 // statement — and the bodies behind it, and returns the op's reply; errors
 // map to wire codes like any other op. The header's byte fields and the
 // bodies alias the connection's read buffer: they are valid until ServeExt
@@ -42,14 +42,14 @@ type Extension interface {
 	ServeExt(ctx context.Context, req *wire.Request, bodies [][]byte) (ExtReply, error)
 }
 
-// ExtReply is an extension op's answer: Payload marshals into the response's
-// Ext field, Bodies ride behind it, and Schema, when the one body is a
-// batch's chunk, is the schema to decode it under — in the header's Schema
-// field, where a query result's schema goes.
+// ExtReply is an extension op's answer: Ext is the response's Ext field,
+// the op's encoded reply payload, Bodies ride behind it, and Schema, when the
+// one body is a batch's chunk, is the schema to decode it under — in the
+// header's Schema field, where a query result's schema goes.
 type ExtReply struct {
-	Payload any
-	Schema  colstore.Schema
-	Bodies  [][]byte
+	Ext    []byte
+	Schema colstore.Schema
+	Bodies [][]byte
 }
 
 // TCPServer exposes a Server on a wire.Listener (Addr, Close and Shutdown
@@ -99,12 +99,7 @@ func (t *TCPServer) serve(ctx context.Context, req *wire.Request, bodies [][]byt
 	}
 	enc := telemetry.SpanFromContext(ctx).StartChild("wire.encode")
 	defer enc.End()
-	resp := wire.Response{Code: verr.CodeOK, Schema: ext.Schema}
-	if ext.Payload != nil {
-		if resp.Ext, err = json.Marshal(ext.Payload); err != nil {
-			return err
-		}
-	}
+	resp := wire.Response{Code: verr.CodeOK, Schema: ext.Schema, Ext: ext.Ext}
 	if res != nil && res.Batch != nil && len(res.Batch.Schema) > 0 {
 		resp.Schema = res.Batch.Schema
 		if p := res.Profile.Export(); p != nil {

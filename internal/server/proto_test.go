@@ -221,7 +221,7 @@ func TestRoundTripHonoursContextOnSilentPeer(t *testing.T) {
 	for name, call := range map[string]func(context.Context, *Client) error{
 		"ping": func(ctx context.Context, c *Client) error { return c.Ping(ctx) },
 		"call": func(ctx context.Context, c *Client) error {
-			_, err := c.Call(ctx, "cl.health", struct{}{}, nil, nil)
+			_, _, err := c.Call(ctx, "cl.health", nil, nil)
 			return err
 		},
 	} {

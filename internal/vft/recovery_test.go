@@ -2,7 +2,6 @@ package vft
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"strings"
@@ -175,14 +174,14 @@ func TestMiscountedMessageRejectedAtSend(t *testing.T) {
 	ctx := context.Background()
 	header := sendHeader{Session: id, Part: 0, Seq: OrderKey(0, 0, 0), Rows: 3}
 	for name, bad := range map[string]struct {
-		payload any
+		payload []byte
 		bodies  [][]byte
 	}{
-		"no body":    {header, nil},
-		"two bodies": {header, [][]byte{run[:len(run)/2], run[len(run)/2:]}},
-		"bad header": {map[string]string{"part": "zero"}, [][]byte{run}},
+		"no body":    {header.appendTo(nil), nil},
+		"two bodies": {header.appendTo(nil), [][]byte{run[:len(run)/2], run[len(run)/2:]}},
+		"bad header": {[]byte(`{"part":"zero"}`), [][]byte{run}},
 	} {
-		_, err := conn.Call(ctx, opSend, bad.payload, bad.bodies, nil)
+		_, _, err := conn.Call(ctx, opSend, bad.payload, bad.bodies)
 		if err == nil || verr.Code(err) != verr.CodeInternal || errors.Is(err, verr.ErrNodeDown) || errors.Is(err, verr.ErrClosed) {
 			t.Fatalf("%s: err = %v, want a coded refusal", name, err)
 		}
@@ -190,7 +189,7 @@ func TestMiscountedMessageRejectedAtSend(t *testing.T) {
 	// Nothing of the refused messages was staged under their (part, seq):
 	// the well-formed message is, over the same connection, and a pooled
 	// sender's retransmission of it is absorbed.
-	if _, err := conn.Call(ctx, opSend, header, [][]byte{run}, nil); err != nil {
+	if _, _, err := conn.Call(ctx, opSend, header.appendTo(nil), [][]byte{run}); err != nil {
 		t.Fatalf("connection unusable after the refusals: %v", err)
 	}
 	if err := sender.Send(id, 0, OrderKey(0, 0, 0), run, 3, 0); err != nil {
@@ -467,7 +466,7 @@ func TestSendRetriedOnlyByExportLoop(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		l, err := wire.Listen("127.0.0.1:0", "vft", func(_ context.Context, req *wire.Request, _ [][]byte, _ *wire.Reply) error {
 			var m sendHeader
-			if err := json.Unmarshal(req.Ext, &m); err == nil {
+			if err := m.decode(req.Ext); err == nil {
 				mu.Lock()
 				offers[m.Seq]++
 				mu.Unlock()

@@ -2,7 +2,7 @@ package vft
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -27,16 +27,38 @@ type ChunkSink interface {
 var _ ChunkSink = (*Hub)(nil)
 
 // opSend is the one op a worker listener serves: a message for a
-// partition's staging area. The header is a sendHeader, the message the one
-// body, and the reply a bare ok or the Hub's error, coded.
+// partition's staging area. The request's Ext is a sendHeader, the message
+// the one body, and the reply a bare ok or the Hub's error, coded.
 const opSend = "vft.send"
 
+// sendHeader says where a message goes. On the wire it is the request's Ext,
+// its fields in order in the wire package's field codec: session | part |
+// seq | rows | db_ns, the session a string field, seq a uvarint and the rest
+// zigzag varints.
 type sendHeader struct {
-	Session string `json:"session"`
-	Part    int    `json:"part"`
-	Seq     uint64 `json:"seq"`
-	Rows    int    `json:"rows"`
-	DBNanos int64  `json:"db_ns"`
+	Session string
+	Part    int
+	Seq     uint64
+	Rows    int
+	DBNanos int64
+}
+
+func (m *sendHeader) appendTo(b []byte) []byte {
+	b = wire.AppendField(b, m.Session)
+	b = binary.AppendVarint(b, int64(m.Part))
+	b = binary.AppendUvarint(b, m.Seq)
+	b = binary.AppendVarint(b, int64(m.Rows))
+	return binary.AppendVarint(b, m.DBNanos)
+}
+
+func (m *sendHeader) decode(ext []byte) error {
+	d := wire.NewDecoder(ext)
+	m.Session = d.Str()
+	m.Part = d.Int()
+	m.Seq = d.Uvarint()
+	m.Rows = d.Int()
+	m.DBNanos = d.Varint()
+	return d.End()
 }
 
 // TCPService runs one listener of the serving transport per Distributed R
@@ -98,7 +120,7 @@ func (h *Hub) serveSend(_ context.Context, req *wire.Request, bodies [][]byte, o
 		return fmt.Errorf("vft: unknown op %q", req.Op)
 	}
 	var m sendHeader
-	if err := json.Unmarshal(req.Ext, &m); err != nil {
+	if err := m.decode(req.Ext); err != nil {
 		return fmt.Errorf("vft: bad %s header: %w", opSend, err)
 	}
 	if len(bodies) != 1 {
@@ -149,7 +171,7 @@ func (s tcpSender) send(ctx context.Context, m sendHeader, msg []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := c.Call(ctx, opSend, m, [][]byte{msg}, nil); err != nil {
+	if _, _, err := c.Call(ctx, opSend, m.appendTo(nil), [][]byte{msg}); err != nil {
 		_ = c.Close()
 		return err
 	}

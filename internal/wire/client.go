@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,7 +15,9 @@ import (
 )
 
 // Client is one connection to a Listener. It is safe for sequential use;
-// open one Client per concurrent request stream.
+// open one Client per concurrent request stream. A round trip is a Send and
+// a Wait, so a caller can write requests on several connections before it
+// reads any reply.
 type Client struct {
 	mu    sync.Mutex
 	conn  net.Conn
@@ -25,6 +26,15 @@ type Client struct {
 	out   frame
 	req   Request
 	resp  Response
+	sent  sent // the request in flight between Send and Wait
+}
+
+// sent is what Send leaves to its Wait: the request's context, its
+// client-side span, and the hook that aborts the socket when ctx ends.
+type sent struct {
+	ctx  context.Context
+	span *telemetry.Span
+	stop func() bool
 }
 
 // Dial connects to a Listener with a dial deadline (none when d is zero).
@@ -38,8 +48,26 @@ func Dial(addr string, d time.Duration) (*Client, error) {
 	return &Client{conn: conn, abort: abort, rd: reader{r: conn}}, nil
 }
 
-// Close tears down the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close tears down the connection, unblocking a Send or Wait in progress. A
+// request sent and not waited for is abandoned: its reply is never read.
+func (c *Client) Close() error {
+	err := c.conn.Close()
+	c.mu.Lock()
+	c.finish()
+	c.mu.Unlock()
+	return err
+}
+
+// finish ends the request in flight, if any: its span ends and ctx no
+// longer reaches the socket. It reports whether ctx ended while the request
+// was in flight, in which case the socket's deadline is, or is about to
+// be, in the past.
+func (c *Client) finish() (ctxEnded bool) {
+	s := c.sent
+	c.sent = sent{}
+	s.span.End()
+	return s.stop != nil && !s.stop()
+}
 
 // errNotSent marks a transport failure that happened before the request
 // frame reached the connection (or left it truncated, which the listener
@@ -56,31 +84,39 @@ func RequestNotSent(err error) bool { return errors.Is(err, errNotSent) }
 // aLongTimeAgo is the deadline that aborts a connection's blocked I/O at once.
 var aLongTimeAgo = time.Unix(1, 0)
 
-// RoundTrip sends one request with its bodies and decodes one response,
-// mapping error codes back to the verr vocabulary. recv, when not nil, takes
-// what the response carries: the bodies it is handed alias the connection's
-// read buffer and are valid until the next call on c.
-//
-// ctx bounds the exchange on the socket: its end — deadline or cancel —
-// sets a deadline in the past on the connection, which aborts a blocked
-// write or read with verr.ErrCanceled; its deadline also reaches the handler
-// as timeout_ms. A transport failure — the peer unreachable, the connection
-// torn down, ctx ending mid-exchange — leaves the stream out of step, so the
-// connection is closed; a connection that goes back to a pool never carries
-// a deadline.
+// RoundTrip sends one request with its bodies and waits for its response
+// (Send, then Wait).
 func (c *Client) RoundTrip(ctx context.Context, req Request, bodies [][]byte, recv func(resp *Response, bodies [][]byte, span *telemetry.Span) error) error {
+	if err := c.Send(ctx, req, bodies); err != nil {
+		return err
+	}
+	return c.Wait(recv)
+}
+
+// Send writes one request with its bodies; Wait reads its response. Until
+// then the request is in flight: the caller may do other work — send on
+// other connections — but makes no other call on c before Wait, or Close.
+// The bodies are written before Send returns.
+//
+// ctx bounds the exchange on the socket from Send to the end of Wait: its
+// end — deadline or cancel — sets a deadline in the past on the connection,
+// which aborts a blocked write or read with verr.ErrCanceled; its deadline
+// also reaches the handler as timeout_ms. A transport failure — the peer
+// unreachable, the connection torn down, ctx ending mid-exchange — leaves
+// the stream out of step, so the connection is closed; a connection that
+// goes back to a pool never carries a deadline. A traced ctx gets a
+// client-side span for the exchange, whose IDs ride the wire so the
+// listener attaches its spans to the same trace.
+func (c *Client) Send(ctx context.Context, req Request, bodies [][]byte) error {
 	if err := verr.Canceled(ctx.Err()); err != nil {
 		return err
 	}
 	if err := checkArgs(req.Args); err != nil {
 		return err
 	}
-	// A traced context gets a client-side request span whose IDs ride the
-	// wire, letting the listener attach its spans to the same trace.
 	var span *telemetry.Span
 	if parent := telemetry.SpanFromContext(ctx); parent != nil {
 		span = parent.StartChild("client." + req.Op)
-		defer span.End()
 		req.Trace = telemetry.FormatID(span.TraceID())
 		req.Span = telemetry.FormatID(span.ID())
 	}
@@ -97,15 +133,43 @@ func (c *Client) RoundTrip(ctx context.Context, req Request, bodies [][]byte, re
 		enc.SetAttr("bytes", strconv.Itoa(c.out.size()))
 		enc.End()
 	}
-
-	var stop func() bool
+	c.sent = sent{ctx: ctx, span: span}
 	if ctx.Done() != nil {
-		stop = context.AfterFunc(ctx, c.abort)
+		c.sent.stop = context.AfterFunc(ctx, c.abort)
 	}
-	frame, err := c.exchange()
-	if stop != nil && !stop() {
-		// ctx ended during the exchange: whatever came of it, the
-		// connection's deadline is (or is about to be) in the past.
+	if err := c.out.writeTo(c.conn); err != nil {
+		_ = c.conn.Close()
+		if c.finish() {
+			return verr.Canceled(ctx.Err())
+		}
+		return fmt.Errorf("wire: %w: %w: %v", verr.ErrNodeDown, errNotSent, err)
+	}
+	return nil
+}
+
+// Wait reads the response to the request Send wrote, mapping error codes
+// back to the verr vocabulary. recv, when not nil, takes what the response
+// carries: the bodies it is handed alias the connection's read buffer and
+// are valid until the next call on c. A transport failure reading the
+// response wraps verr.ErrNodeDown (or verr.ErrClosed when the peer closed
+// the connection): the remote never produced a coded reply, which is exactly
+// the condition a router retries on a replica.
+func (c *Client) Wait(recv func(resp *Response, bodies [][]byte, span *telemetry.Span) error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ctx, span := c.sent.ctx, c.sent.span
+	if ctx == nil {
+		return errors.New("wire: wait without a request in flight")
+	}
+	frame, err := c.rd.next()
+	if errors.Is(err, io.EOF) {
+		err = fmt.Errorf("wire: connection closed: %w", verr.ErrClosed)
+	} else if err != nil {
+		err = fmt.Errorf("wire: %w: recv: %v", verr.ErrNodeDown, err)
+	}
+	c.sent.span = nil // ended below, after the decode
+	defer span.End()
+	if c.finish() {
 		_ = c.conn.Close()
 		if err != nil {
 			return verr.Canceled(ctx.Err())
@@ -120,7 +184,8 @@ func (c *Client) RoundTrip(ctx context.Context, req Request, bodies [][]byte, re
 	if dec != nil {
 		dec.SetAttr("bytes", strconv.Itoa(len(frame)))
 	}
-	if bodies, err = DecodeFrame(frame, &c.resp); err != nil {
+	bodies, err := DecodeFrame(frame, &c.resp)
+	if err != nil {
 		return fmt.Errorf("wire: bad response: %w", err)
 	}
 	if c.resp.Code != verr.CodeOK {
@@ -132,64 +197,20 @@ func (c *Client) RoundTrip(ctx context.Context, req Request, bodies [][]byte, re
 	return recv(&c.resp, bodies, dec)
 }
 
-// exchange writes the request frame and reads the response frame. Transport
-// failures wrap verr.ErrNodeDown: the remote never produced a (coded) reply,
-// which is exactly the condition a router retries on a replica.
-func (c *Client) exchange() ([]byte, error) {
-	if err := c.out.writeTo(c.conn); err != nil {
-		return nil, fmt.Errorf("wire: %w: %w: %v", verr.ErrNodeDown, errNotSent, err)
-	}
-	frame, err := c.rd.next()
-	if errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("wire: connection closed: %w", verr.ErrClosed)
-	} else if err != nil {
-		return nil, fmt.Errorf("wire: %w: recv: %v", verr.ErrNodeDown, err)
-	}
-	return frame, nil
-}
-
 // Ping round-trips an empty request.
 func (c *Client) Ping(ctx context.Context) error {
 	return c.RoundTrip(ctx, Request{Op: "ping"}, nil, nil)
 }
 
-// Call round-trips an extension op: payload marshals into the request's Ext
-// field and bodies ride behind it, the listener's handler answers them, the
-// reply's Ext unmarshals into reply (skipped when reply is nil) and the
-// reply's bodies are returned — aliasing the connection's read buffer:
-// decode them before the next call on c. Errors carry verr identity like
-// every other op.
-func (c *Client) Call(ctx context.Context, op string, payload any, bodies [][]byte, reply any) (out [][]byte, err error) {
-	err = c.CallRequest(ctx, Request{Op: op}, payload, bodies, reply, func(_ *Response, bodies [][]byte) error {
-		out = bodies
+// Call round-trips an extension op: ext is its payload, in the request's
+// Ext field, and bodies ride behind it. The listener's handler answers them,
+// and the reply's Ext and bodies are returned — aliasing the connection's
+// read buffer: decode them before the next call on c. Errors carry verr
+// identity like every other op.
+func (c *Client) Call(ctx context.Context, op string, ext []byte, bodies [][]byte) (rext []byte, out [][]byte, err error) {
+	err = c.RoundTrip(ctx, Request{Op: op, Ext: ext}, bodies, func(resp *Response, bodies [][]byte, _ *telemetry.Span) error {
+		rext, out = resp.Ext, bodies
 		return nil
 	})
-	return out, err
-}
-
-// CallRequest is Call from a request header the caller fills — a statement's
-// SQL and Args beside the op — with recv, when not nil, taking the whole
-// response (its Schema among the rest) and the reply's bodies, under the
-// same aliasing rule.
-func (c *Client) CallRequest(ctx context.Context, req Request, payload any, bodies [][]byte, reply any, recv func(resp *Response, bodies [][]byte) error) error {
-	if payload != nil {
-		var err error
-		if req.Ext, err = json.Marshal(payload); err != nil {
-			return fmt.Errorf("wire: %s payload: %w", req.Op, err)
-		}
-	}
-	return c.RoundTrip(ctx, req, bodies, func(resp *Response, bodies [][]byte, _ *telemetry.Span) error {
-		if reply != nil {
-			if len(resp.Ext) == 0 {
-				return fmt.Errorf("wire: %s: empty extension reply", req.Op)
-			}
-			if err := json.Unmarshal(resp.Ext, reply); err != nil {
-				return fmt.Errorf("wire: bad %s reply: %w", req.Op, err)
-			}
-		}
-		if recv == nil {
-			return nil
-		}
-		return recv(resp, bodies)
-	})
+	return rext, out, err
 }

@@ -2,7 +2,9 @@
 // (internal/server), the cluster's peer calls (internal/cluster) and the
 // transfer's data plane (internal/vft) all speak it. A Listener answers every
 // request frame with one verr-coded response frame; a Client makes one round
-// trip at a time under its context; a Pool keeps idle Clients to one address.
+// trip at a time under its context, as a Send and a Wait, so a caller can
+// write requests on several connections before it reads any reply; a Pool
+// keeps idle Clients to one address.
 //
 // A frame is a u32 little-endian payload length, then the payload:
 //
@@ -28,8 +30,15 @@
 // float stays a float, NaN payloads, -0.0 and bytes that are not UTF-8 stay
 // as they were. Every varint is in its shortest form and the header ends
 // where its last field does, so a header has one encoding: a decoded header
-// re-encodes to its own bytes. What Ext and Profile hold is the op's
-// business; the transport carries them as opaque bytes.
+// re-encodes to its own bytes.
+//
+// Ext is an extension op's payload and Profile a PROFILE result's
+// measurements; the transport carries both as opaque bytes. The field codec
+// the header is written in is exported — AppendField, AppendBool,
+// AppendSchema and binary's varints to write, a Decoder to read — and every
+// extension payload (the cluster's cl.* ops, the transfer's vft.send) is
+// written in it too, so there is one reader of varints and lengths. Only
+// Profile holds JSON.
 //
 // Ownership: a decoded body — and a decoded header's byte fields, Ext and
 // Profile — aliases the connection's read buffer. On the listener it is
@@ -42,7 +51,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -62,7 +70,7 @@ const MaxFrameBytes = 1 << 30
 // Request heads every request frame. Op names the operation: the serving
 // protocol's SQL ops ("query", "prepare", "execute"), "ping", or an extension
 // op ("cl.*" between cluster peers, "vft.send" to a transfer's worker
-// listener), whose small payload rides in Ext. SQL and Args also carry a
+// listener), whose small binary payload rides in Ext. SQL and Args also carry a
 // cluster peer's statement (its text and bound arguments); Name belongs to
 // the SQL ops. They are all here because one header is decoded for every op.
 // An argument is what sqlparse.BindSelect binds: an int or int64 (decoded as
@@ -79,7 +87,7 @@ type Request struct {
 	// yields one trace across both processes.
 	Trace  string
 	Span   string
-	Ext    json.RawMessage
+	Ext    []byte
 	Bodies []int
 }
 
@@ -91,8 +99,8 @@ type Response struct {
 	Code    string
 	Msg     string
 	Schema  colstore.Schema
-	Profile json.RawMessage
-	Ext     json.RawMessage
+	Profile []byte // a PROFILE's measurements, as JSON
+	Ext     []byte
 	Bodies  []int
 }
 
@@ -107,74 +115,85 @@ func (r *Request) lens() *[]int  { return &r.Bodies }
 func (r *Response) lens() *[]int { return &r.Bodies }
 
 func (r *Request) appendTo(b []byte) []byte {
-	b = appendField(b, r.Op)
-	b = appendField(b, r.SQL)
-	b = appendField(b, r.Name)
+	b = AppendField(b, r.Op)
+	b = AppendField(b, r.SQL)
+	b = AppendField(b, r.Name)
 	b = binary.AppendUvarint(b, uint64(len(r.Args)))
 	for _, a := range r.Args {
 		b = appendArg(b, a)
 	}
 	b = binary.AppendVarint(b, r.TimeoutMS)
-	b = appendField(b, r.Trace)
-	b = appendField(b, r.Span)
-	b = appendField(b, r.Ext)
+	b = AppendField(b, r.Trace)
+	b = AppendField(b, r.Span)
+	b = AppendField(b, r.Ext)
 	return appendLens(b, r.Bodies)
 }
 
 func (r *Request) decode(b []byte) error {
-	d := decoder{b: b}
-	r.Op = d.string()
-	r.SQL = d.string()
-	r.Name = d.string()
+	d := NewDecoder(b)
+	r.Op = d.Str()
+	r.SQL = d.Str()
+	r.Name = d.Str()
 	r.Args = r.Args[:0]
-	for n := d.count(2); n > 0; n-- {
+	for n := d.Count(2); n > 0; n-- {
 		r.Args = append(r.Args, d.arg())
 	}
-	r.TimeoutMS = d.varint()
-	r.Trace = d.string()
-	r.Span = d.string()
+	r.TimeoutMS = d.Varint()
+	r.Trace = d.Str()
+	r.Span = d.Str()
 	r.Ext = d.bytes()
 	d.lens(&r.Bodies)
-	return d.end()
+	return d.End()
 }
 
 func (r *Response) appendTo(b []byte) []byte {
-	b = appendField(b, r.Code)
-	b = appendField(b, r.Msg)
-	b = binary.AppendUvarint(b, uint64(len(r.Schema)))
-	for _, c := range r.Schema {
-		b = append(appendField(b, c.Name), byte(c.Type))
-	}
-	b = appendField(b, r.Profile)
-	b = appendField(b, r.Ext)
+	b = AppendField(b, r.Code)
+	b = AppendField(b, r.Msg)
+	b = AppendSchema(b, r.Schema)
+	b = AppendField(b, r.Profile)
+	b = AppendField(b, r.Ext)
 	return appendLens(b, r.Bodies)
 }
 
 func (r *Response) decode(b []byte) error {
-	d := decoder{b: b}
+	d := NewDecoder(b)
 	if code := d.bytes(); string(code) == verr.CodeOK {
 		r.Code = verr.CodeOK // a success's code, without an allocation
 	} else {
 		r.Code = string(code)
 	}
-	r.Msg = d.string()
-	// The schema is never reused: a decoded batch keeps it.
-	r.Schema = nil
-	if n := d.count(2); n > 0 {
-		r.Schema = make(colstore.Schema, n)
-		for i := range r.Schema {
-			r.Schema[i] = colstore.ColumnSchema{Name: d.string(), Type: colstore.Type(d.byte())}
-		}
-	}
+	r.Msg = d.Str()
+	r.Schema = d.Schema() // never reused: a decoded batch keeps it
 	r.Profile = d.bytes()
 	r.Ext = d.bytes()
 	d.lens(&r.Bodies)
-	return d.end()
+	return d.End()
 }
 
-// appendField appends a string or byte field: its length, then its bytes.
-func appendField[T ~string | ~[]byte](b []byte, s T) []byte {
+// AppendField appends a string or byte field: its length, then its bytes.
+// With binary.AppendUvarint and binary.AppendVarint (a zigzag varint),
+// AppendBool and AppendSchema it is the one field codec every header and
+// extension payload is written in; a Decoder reads them back.
+func AppendField[T ~string | ~[]byte](b []byte, s T) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// AppendBool appends a boolean: one byte, 0 or 1.
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// AppendSchema appends a schema: its column count, then each column's name
+// and its colstore.Type byte.
+func AppendSchema(b []byte, s colstore.Schema) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	for _, c := range s {
+		b = append(AppendField(b, c.Name), byte(c.Type))
+	}
+	return b
 }
 
 // appendArg appends a statement argument: its type byte, then its value.
@@ -187,12 +206,9 @@ func appendArg(b []byte, a any) []byte {
 	case float64:
 		return binary.LittleEndian.AppendUint64(append(b, byte(colstore.TypeFloat64)), math.Float64bits(v))
 	case string:
-		return appendField(append(b, byte(colstore.TypeString)), v)
+		return AppendField(append(b, byte(colstore.TypeString)), v)
 	case bool:
-		if v {
-			return append(b, byte(colstore.TypeBool), 1)
-		}
-		return append(b, byte(colstore.TypeBool), 0)
+		return AppendBool(append(b, byte(colstore.TypeBool)), v)
 	}
 	panic(fmt.Sprintf("wire: argument of type %T", a)) // checkArgs refuses it first
 }
@@ -217,26 +233,33 @@ func appendLens(b []byte, lens []int) []byte {
 	return b
 }
 
-// decoder reads a header's fields in order. Everything here came off a
-// wire: a varint that is truncated, overflows or is not in its shortest
-// form, a length past the bytes left, a count of more elements than bytes
-// left, a body longer than a frame and bytes after the last field are all
-// errors. The first error sticks; later reads return zero values.
-type decoder struct {
+// Decoder reads fields in the order they were appended: a frame header's,
+// or an extension payload's. Everything here came off a wire: a varint that
+// is truncated, overflows or is not in its shortest form, a length past the
+// bytes left, a count of more elements than bytes left, a boolean byte past
+// 1, a body longer than a frame and bytes after the last field are all
+// errors. So a field list has one encoding: what decodes re-encodes to the
+// same bytes. The first error sticks; later reads return zero values, and
+// End reports it.
+type Decoder struct {
 	b   []byte
 	err error
 }
 
-var errHeader = errors.New("wire: bad header")
+// NewDecoder returns a Decoder over b; byte fields it reads alias b.
+func NewDecoder(b []byte) Decoder { return Decoder{b: b} }
 
-func (d *decoder) fail(format string, args ...any) {
+var errFields = errors.New("wire: malformed fields")
+
+func (d *Decoder) fail(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: "+format, append([]any{errHeader}, args...)...)
+		d.err = fmt.Errorf("%w: "+format, append([]any{errFields}, args...)...)
 	}
 	d.b = nil
 }
 
-func (d *decoder) uvarint() uint64 {
+// Uvarint reads an unsigned varint.
+func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -256,9 +279,9 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-// varint is a zigzag varint: the shortest-form check is uvarint's.
-func (d *decoder) varint() int64 {
-	u := d.uvarint()
+// Varint reads a zigzag varint: the shortest-form check is Uvarint's.
+func (d *Decoder) Varint() int64 {
+	u := d.Uvarint()
 	v := int64(u >> 1)
 	if u&1 != 0 {
 		v = ^v
@@ -266,9 +289,13 @@ func (d *decoder) varint() int64 {
 	return v
 }
 
-func (d *decoder) byte() byte {
+// Int is Varint as an int.
+func (d *Decoder) Int() int { return int(d.Varint()) }
+
+// Byte reads one byte.
+func (d *Decoder) Byte() byte {
 	if d.err == nil && len(d.b) == 0 {
-		d.fail("truncated header")
+		d.fail("truncated fields")
 	}
 	if d.err != nil {
 		return 0
@@ -278,9 +305,19 @@ func (d *decoder) byte() byte {
 	return c
 }
 
-// bytes is a length-prefixed field, aliasing the header; nil when empty.
-func (d *decoder) bytes() []byte {
-	n := d.uvarint()
+// Bool reads AppendBool's byte: one that is not 0 or 1 is an error.
+func (d *Decoder) Bool() bool {
+	c := d.Byte()
+	if c > 1 {
+		d.fail("a boolean byte of %d", c)
+	}
+	return c == 1
+}
+
+// bytes reads a length-prefixed field, aliasing the decoded bytes; nil when
+// empty.
+func (d *Decoder) bytes() []byte {
+	n := d.Uvarint()
 	if n > uint64(len(d.b)) {
 		d.fail("a %d-byte field with %d bytes left", n, len(d.b))
 	}
@@ -292,14 +329,29 @@ func (d *decoder) bytes() []byte {
 	return s
 }
 
-func (d *decoder) string() string { return string(d.bytes()) }
+// Str reads a string field, copied.
+func (d *Decoder) Str() string { return string(d.bytes()) }
+
+// Schema reads AppendSchema's schema, nil when it has no columns. A type
+// byte is taken as it comes: whether it names a type is the reader's check.
+func (d *Decoder) Schema() colstore.Schema {
+	n := d.Count(2)
+	if n == 0 {
+		return nil
+	}
+	s := make(colstore.Schema, n)
+	for i := range s {
+		s[i] = colstore.ColumnSchema{Name: d.Str(), Type: colstore.Type(d.Byte())}
+	}
+	return s
+}
 
 // arg is appendArg reversed: an unknown type byte, a BOOLEAN byte past 1 or a
 // FLOAT cut short is an error.
-func (d *decoder) arg() any {
-	switch t := colstore.Type(d.byte()); t {
+func (d *Decoder) arg() any {
+	switch t := colstore.Type(d.Byte()); t {
 	case colstore.TypeInt64:
-		return d.varint()
+		return d.Varint()
 	case colstore.TypeFloat64:
 		if len(d.b) >= 8 {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
@@ -308,23 +360,20 @@ func (d *decoder) arg() any {
 		}
 		d.fail("a FLOAT argument of %d bytes", len(d.b))
 	case colstore.TypeString:
-		return d.string()
+		return d.Str()
 	case colstore.TypeBool:
-		if c := d.byte(); c <= 1 {
-			return c == 1
-		}
-		d.fail("a BOOLEAN argument that is not 0 or 1")
+		return d.Bool()
 	default:
 		d.fail("an argument of type %d", t)
 	}
 	return nil
 }
 
-// count is a list's length, each of whose elements takes at least min bytes:
-// a count the bytes left cannot hold is an error, so a list never allocates
-// more than its header's size.
-func (d *decoder) count(min int) int {
-	n := d.uvarint()
+// Count reads a list's length, each of whose elements takes at least min
+// bytes: a count the bytes left cannot hold is an error, so a list never
+// allocates more than its encoding's size.
+func (d *Decoder) Count(min int) int {
+	n := d.Uvarint()
 	if n > uint64(len(d.b)/min) {
 		d.fail("a list of %d with %d bytes left", n, len(d.b))
 	}
@@ -335,10 +384,10 @@ func (d *decoder) count(min int) int {
 }
 
 // lens decodes the bodies' lengths into *lens, reusing its array.
-func (d *decoder) lens(lens *[]int) {
+func (d *Decoder) lens(lens *[]int) {
 	*lens = (*lens)[:0]
-	for n := d.count(1); n > 0; n-- {
-		l := d.uvarint()
+	for n := d.Count(1); n > 0; n-- {
+		l := d.Uvarint()
 		if l > MaxFrameBytes {
 			d.fail("a body of %d bytes", l)
 		}
@@ -346,7 +395,8 @@ func (d *decoder) lens(lens *[]int) {
 	}
 }
 
-func (d *decoder) end() error {
+// End reports the first error, or bytes left after the last field.
+func (d *Decoder) End() error {
 	if d.err == nil && len(d.b) != 0 {
 		d.fail("%d bytes after the last field", len(d.b))
 	}

@@ -136,11 +136,11 @@ func TestHeaderRoundTrip(t *testing.T) {
 			t.Fatalf("%+v decoded as %+v", h, got)
 		}
 		for cut := range len(enc) {
-			if err := got.decode(enc[:cut]); !errors.Is(err, errHeader) {
+			if err := got.decode(enc[:cut]); !errors.Is(err, errFields) {
 				t.Fatalf("%+v cut to %d of %d bytes: err = %v", h, cut, len(enc), err)
 			}
 		}
-		if err := got.decode(append(enc, 0)); !errors.Is(err, errHeader) {
+		if err := got.decode(append(enc, 0)); !errors.Is(err, errFields) {
 			t.Fatalf("%+v with a byte over: err = %v", h, err)
 		}
 	}
@@ -163,7 +163,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 		"arg count past end":        {0, 0, 0, 3, byte(colstore.TypeBool), 1, 0, 0, 0, 0, 0},
 		"arg bool then a byte over": append(arg(byte(colstore.TypeBool), 1), 0),
 	} {
-		if err := req.decode(bad); !errors.Is(err, errHeader) {
+		if err := req.decode(bad); !errors.Is(err, errFields) {
 			t.Fatalf("%s: err = %v", name, err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"verticadr/internal/telemetry"
 	"verticadr/internal/verr"
 )
 
@@ -51,17 +52,17 @@ func TestListenerAnswersEveryRequest(t *testing.T) {
 	l := echoListener(t)
 	c := dial(t, l)
 	ctx := context.Background()
-	if _, err := c.Call(ctx, "shed", nil, nil, nil); !errors.Is(err, verr.ErrOverloaded) {
+	if _, _, err := c.Call(ctx, "shed", nil, nil); !errors.Is(err, verr.ErrOverloaded) {
 		t.Fatalf("shed: err = %v, want verr.ErrOverloaded", err)
 	}
-	if _, err := c.Call(ctx, "nosuch", nil, nil, nil); err == nil || verr.Code(err) != verr.CodeInternal {
+	if _, _, err := c.Call(ctx, "nosuch", nil, nil); err == nil || verr.Code(err) != verr.CodeInternal {
 		t.Fatalf("unknown op: err = %v, want an internal-coded error", err)
 	}
-	if _, err := c.Call(ctx, "sink", map[string]int{"n": 1}, [][]byte{[]byte("x")}, nil); err != nil {
+	if _, _, err := c.Call(ctx, "sink", []byte{1}, [][]byte{[]byte("x")}); err != nil {
 		t.Fatalf("sink: %v", err)
 	}
 	in := [][]byte{[]byte("a\x00b"), nil, bytes.Repeat([]byte{7}, 10_000)}
-	out, err := c.Call(ctx, "echo", nil, in, nil)
+	_, out, err := c.Call(ctx, "echo", nil, in)
 	if err != nil || len(out) != len(in) {
 		t.Fatalf("echo: %d bodies, %v", len(out), err)
 	}
@@ -69,6 +70,45 @@ func TestListenerAnswersEveryRequest(t *testing.T) {
 		if !bytes.Equal(out[i], in[i]) {
 			t.Fatalf("echo body %d changed", i)
 		}
+	}
+}
+
+// Requests sent on several connections are each answered to their own
+// Wait, whatever order the waits come in; a Wait with nothing sent is an
+// error that leaves the connection usable; a request abandoned by Close is
+// never read.
+func TestSendBeforeWait(t *testing.T) {
+	l := echoListener(t)
+	ctx := context.Background()
+	cs := []*Client{dial(t, l), dial(t, l), dial(t, l)}
+	for i, c := range cs {
+		if err := c.Send(ctx, Request{Op: "echo"}, [][]byte{{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := len(cs) - 1; i >= 0; i-- {
+		err := cs[i].Wait(func(_ *Response, bodies [][]byte, _ *telemetry.Span) error {
+			if len(bodies) != 1 || !bytes.Equal(bodies[0], []byte{byte(i)}) {
+				return fmt.Errorf("connection %d read %q", i, bodies)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cs[0].Wait(nil); err == nil {
+		t.Fatal("a Wait with no request in flight succeeded")
+	}
+	if _, _, err := cs[0].Call(ctx, "sink", nil, nil); err != nil {
+		t.Fatalf("the connection after a stray Wait: %v", err)
+	}
+	if err := cs[1].Send(ctx, Request{Op: "echo"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	_ = cs[1].Close()
+	if err := cs[1].Wait(nil); err == nil {
+		t.Fatal("a request abandoned by Close was read")
 	}
 }
 
@@ -82,7 +122,7 @@ func TestClientBuffersReusedSmallReleasedLarge(t *testing.T) {
 	small, large := make([]byte, 10), make([]byte, 2<<20)
 	echo := func(body []byte) {
 		t.Helper()
-		out, err := c.Call(ctx, "echo", nil, [][]byte{body}, nil)
+		_, out, err := c.Call(ctx, "echo", nil, [][]byte{body})
 		if err != nil || len(out) != 1 || len(out[0]) != len(body) {
 			t.Fatalf("echo of %d bytes: %v", len(body), err)
 		}
@@ -129,7 +169,7 @@ func TestLargeRequestsReadWithoutAllocating(t *testing.T) {
 	ctx := context.Background()
 	msg := [][]byte{make([]byte, 3<<20)}
 	send := func() {
-		if _, err := c.Call(ctx, "sink", nil, msg, nil); err != nil {
+		if _, _, err := c.Call(ctx, "sink", nil, msg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +207,7 @@ func TestDeadlineAbortClosesConn(t *testing.T) {
 	c := dial(t, l)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := c.Call(ctx, "slow", nil, nil, nil); !errors.Is(err, verr.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := c.Call(ctx, "slow", nil, nil); !errors.Is(err, verr.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("slow call under a 20ms deadline: err = %v", err)
 	}
 	if err := c.Ping(context.Background()); !errors.Is(err, verr.ErrNodeDown) || !RequestNotSent(err) {
