@@ -30,12 +30,13 @@ check: lint build test race difftest-short fuzz-smoke
 # check` exercises the flag path too): the encoding-aware compressed suite
 # and the single-table suite over indexed tables, both against the
 # row-serial reference, the hash-join suite against the nested-loop
-# reference, and the streamed-UDTF leg (PARTITION BEST block ranges against
-# a read-everything, row-at-a-time reference).
+# reference, the streamed-UDTF leg (PARTITION BEST block ranges against
+# a read-everything, row-at-a-time reference), and the single-table suite
+# prepared: its comparison literals as ? arguments into a generic plan.
 .PHONY: difftest-short
 difftest-short:
 	$(GO) test -count=1 \
-		-run='TestCompressedDifferentialAdversarial|TestDifferentialEngineVsReference|TestDifferentialJoinVsReference|TestDifferentialUDTFStream' \
+		-run='TestCompressedDifferentialAdversarial|TestDifferentialEngineVsReference|TestDifferentialJoinVsReference|TestDifferentialUDTFStream|TestDifferentialPreparedVsReference' \
 		./internal/sqlexec/difftest/ -difftest.short
 
 # Short fuzz smoke: the compressed-execution, hash-join and streamed-walker
@@ -169,12 +170,15 @@ bench-placement:
 # plan cache and statement statistics in the node's Server; the routed read
 # then goes through the router, which sends shard 1's read to node 1 before
 # it reads shards 0 and 2 in process, each through the shard gate, and only
-# then reads node 1's reply. BenchmarkRoutedAgg is the wide read on the same
-# shape: the benchmark's agg_grp statement over 160k rows, node 0's two local
-# shards side by side. Then statement preparation alone:
-# BindSelect on a cached template and plan.Build, for the benchmark's point,
-# score and read statements. Then the read's index probe alone: an equality
-# and a 256-key range over one segment's 62,500 keys, bulk-built and
+# then reads node 1's reply. Every execution after the first runs the cached
+# generic plan (the front door's, each shard's) bound to its argument.
+# BenchmarkRoutedAgg is the wide read on the same shape: the benchmark's
+# agg_grp statement over 160k rows, node 0's two local shards side by side.
+# Then statement preparation alone, for the benchmark's point, score and
+# read statements: BindSelect on a cached template and plan.Build (what a
+# custom plan costs), and cached/<stmt>, a cache lookup, Plan.Fits and
+# Plan.Bind (what a generic plan costs). Then the read's index probe alone:
+# an equality and a 256-key range over one segment's 62,500 keys, bulk-built and
 # insert-built.
 .PHONY: bench-point
 bench-point:

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"verticadr/internal/catalog"
 	"verticadr/internal/cluster"
 	"verticadr/internal/colstore"
 	"verticadr/internal/server"
@@ -54,7 +55,17 @@ type Client struct {
 	conn     *server.Client
 	at       int               // index into cfg.Addrs of conn's node
 	prepared map[string]string // name -> SQL, replayed after failover
-	closed   bool
+	// defs caches the definitions Load builds batches under, per table,
+	// with the catalog epoch of the node that read each: a load reply past
+	// that epoch drops it. A new connection starts without any.
+	defs   map[string]tableDef
+	closed bool
+}
+
+// tableDef is a cached table definition and the epoch it was read at.
+type tableDef struct {
+	def   *catalog.TableDef
+	epoch uint64
 }
 
 // Dial connects to the first reachable configured address.
@@ -117,7 +128,7 @@ func (c *Client) connectLocked(ctx context.Context) error {
 		if !ok {
 			continue
 		}
-		c.conn, c.at = conn, at
+		c.conn, c.at, c.defs = conn, at, map[string]tableDef{}
 		return nil
 	}
 	return fmt.Errorf("verticadr: no reachable node: %w: %v", verr.ErrNodeDown, lastErr)
@@ -250,24 +261,52 @@ func (c *Client) Exec(ctx context.Context, sql string) error {
 // must match the column types (int64, float64, string, bool). Load fails
 // over only while the request provably never reached the node; after
 // that, an error means the batch's outcome must be checked, not that it
-// was retried elsewhere.
+// was retried elsewhere. The table's definition is fetched once per
+// connection and kept until a reply shows the node's catalog past it, so a
+// Load is one round trip.
 func (c *Client) Load(ctx context.Context, table string, rows [][]any) error {
 	if len(rows) == 0 {
 		return nil
 	}
 	return c.do(ctx, false, func(conn *server.Client) error {
-		def, err := cluster.ClientTableDef(ctx, conn, table)
-		if err != nil {
-			return err
-		}
-		b := colstore.NewBatchCap(def.Schema, len(rows))
-		for _, row := range rows {
-			if err := b.AppendRow(row...); err != nil {
+		// A cached definition the rows do not fit, or one the node refuses
+		// the batch under (nothing applied), may predate DDL: once, it is
+		// fetched afresh and the batch built and sent again.
+		for retried := false; ; retried = true {
+			d, cached := c.defs[table]
+			if !cached {
+				def, epoch, err := cluster.ClientTableDef(ctx, conn, table)
+				if err != nil {
+					return err
+				}
+				d = tableDef{def: def, epoch: epoch}
+				c.defs[table] = d
+			}
+			b := colstore.NewBatchCap(d.def.Schema, len(rows))
+			var epoch uint64
+			err := appendRows(b, rows)
+			stale := err != nil && cached
+			if err == nil {
+				epoch, err = cluster.ClientCopy(ctx, conn, table, b)
+				stale = errors.Is(err, cluster.ErrDefinitionChanged)
+			}
+			if stale || epoch > d.epoch {
+				delete(c.defs, table)
+			}
+			if !stale || retried {
 				return err
 			}
 		}
-		return cluster.ClientLoad(ctx, conn, table, b)
 	})
+}
+
+func appendRows(b *colstore.Batch, rows [][]any) error {
+	for _, row := range rows {
+		if err := b.AppendRow(row...); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Ping round-trips to the active node, failing over if it is gone.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync/atomic"
 
 	"verticadr/internal/catalog"
@@ -101,7 +102,7 @@ func (p *Peer) ServeExt(ctx context.Context, wreq *wire.Request, bodies [][]byte
 			return server.ExtReply{}, err
 		}
 		if r := p.router.Load(); r != nil && req.Shard == -1 {
-			rep, err = routeLoad(ctx, r, req.Table, bodies[0])
+			rep, err = routeLoad(ctx, r, p.db, req.Table, bodies[0])
 		} else {
 			rep, err = p.serveLoad(ctx, req, bodies[0])
 		}
@@ -182,13 +183,16 @@ func runShards(ctx context.Context, op string, view sqlexec.Database, stmt sqlpa
 }
 
 // serveShards answers the read ops: the statement — resolved through the
-// serving layer's plan cache and bound to its arguments — runs under
-// admission control over one snapshot view restricted to the requested
-// shards, with a join's broadcast build sides overlaid, and its batch ships
-// as one vft chunk under the schema returned beside it. The view pins its own
-// snapshot; the shards of one routed query are separate requests and may
-// observe different commit timestamps, exactly as separate nodes of a real
-// cluster answer from their own commit horizons.
+// serving layer's plan cache — runs under admission control over one
+// snapshot view restricted to the requested shards, with a join's broadcast
+// build sides overlaid, and its batch ships as one vft chunk under the
+// schema returned beside it. A cached SELECT runs its template's plan for
+// that shard set (server.Template.Plan) bound to the request's arguments;
+// an EXPLAIN, or a join with build sides, binds and plans its statement.
+// The view pins its own snapshot; the shards of one routed query are
+// separate requests and may observe different commit timestamps, exactly
+// as separate nodes of a real cluster answer from their own commit
+// horizons.
 //
 // A read reaches it over the wire (ServeExt) or in process from the router
 // of the peer's own node (Router.localCall), and both count alike: under
@@ -200,13 +204,19 @@ func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*s
 	if err := p.checkShards(req.Shards); err != nil {
 		return nil, nil, nil, err
 	}
-	stmt, _, err := p.srv.Statement(ctx, req.SQL, req.Args)
+	q, err := p.srv.Resolve(ctx, req.SQL, req.Args)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	stmt, builds, err := overlayBuilds(ctx, stmt, req.Builds)
-	if err != nil {
-		return nil, nil, nil, err
+	stmt := q.Stmt
+	var builds map[string]overlayTable
+	if q.Template == nil || len(req.Builds) > 0 {
+		if stmt, err = q.Bound(); err == nil {
+			stmt, builds, err = overlayBuilds(ctx, stmt, req.Builds)
+		}
+		if err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	reply := &shardReply{Epoch: p.db.CatalogEpoch()}
 	var schema colstore.Schema
@@ -214,10 +224,16 @@ func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*s
 	_, err = p.srv.Admit(ctx, func(ctx context.Context) (*sqlexec.Result, error) {
 		view, release := p.db.ShardView(req.Shards)
 		defer release()
-		if builds != nil {
-			view = &overlayView{Database: view, tables: builds}
+		var b *colstore.Batch
+		var err error
+		if builds == nil && q.Template != nil {
+			b, err = runPlanned(ctx, op, view, q.Template, shardSet(req.Shards), q.Args)
+		} else {
+			if builds != nil {
+				view = &overlayView{Database: view, tables: builds}
+			}
+			b, err = runShards(ctx, op, view, stmt)
 		}
-		b, err := runShards(ctx, op, view, stmt)
 		if err != nil {
 			return nil, err
 		}
@@ -236,6 +252,40 @@ func (p *Peer) serveShards(ctx context.Context, op string, req shardRequest) (*s
 		return nil, nil, nil, err
 	}
 	return reply, schema, chunk, nil
+}
+
+// runPlanned is runShards of a cached SELECT: its template's plan for the
+// shard set, bound to args, run over the shard view.
+func runPlanned(ctx context.Context, op string, view sqlexec.Database, t *server.Template, set string, args []any) (*colstore.Batch, error) {
+	p, _, err := t.Plan(view, set, args)
+	if err != nil {
+		return nil, err
+	}
+	if op == opAgg {
+		return sqlexec.PartialAggregate(ctx, view, p)
+	}
+	res, err := sqlexec.RunPlanCtx(ctx, view, p)
+	if err != nil {
+		return nil, err
+	}
+	return res.Batch, nil
+}
+
+// shardSet names a shard list, the key a template keeps its plan for the
+// list under: the plan's estimates and index choices read those shards'
+// statistics.
+func shardSet(shards []int) string {
+	if len(shards) == 1 {
+		return strconv.Itoa(shards[0])
+	}
+	b := make([]byte, 0, 4*len(shards))
+	for i, s := range shards {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(s), 10)
+	}
+	return string(b)
 }
 
 // maxJoinBuildBytes bounds a join's broadcast build side, as the chunk bytes
@@ -343,7 +393,9 @@ func overlayBuilds(ctx context.Context, stmt sqlparse.Statement, builds []buildT
 }
 
 // serveLoad appends a router-split batch to one shard (or, with Shard ==
-// -1, through the peer's own segmentation — the single-node passthrough).
+// -1, through the peer's own segmentation — the single-node passthrough). A
+// front-door chunk that does not decode under the table's definition is
+// refused, nothing applied: its sender read the definition before DDL.
 func (p *Peer) serveLoad(ctx context.Context, req loadRequest, chunk []byte) (*loadReply, error) {
 	if err := verrCanceled(ctx); err != nil {
 		return nil, err
@@ -355,6 +407,9 @@ func (p *Peer) serveLoad(ctx context.Context, req loadRequest, chunk []byte) (*l
 	}
 	b, err := decodeChunk(ctx, chunk, def.Schema)
 	if err != nil {
+		if req.Shard == -1 {
+			return &loadReply{Refused: true, Epoch: epoch}, nil
+		}
 		return nil, err
 	}
 	if req.Shard == -1 {
@@ -375,13 +430,26 @@ func (p *Peer) serveLoad(ctx context.Context, req loadRequest, chunk []byte) (*l
 	return &loadReply{Rows: b.Len(), Epoch: epoch}, nil
 }
 
-// routeLoad is a front-door COPY on a clustered node: chunk, decoded under
-// the table's definition as r knows it, loads through r (Router.Load).
-func routeLoad(ctx context.Context, r *Router, table string, chunk []byte) (*loadReply, error) {
-	var b *colstore.Batch
-	err := r.withTable(ctx, table, func(rt *routedTable) (err error) {
-		b, err = decodeChunk(ctx, chunk, rt.def.Schema)
-		return err
+// routeLoad is a front-door COPY on a clustered node, db's: chunk, decoded
+// under the table's definition in db's catalog, loads through r
+// (Router.Load), whose cached definition is fetched afresh when it is not
+// that one. A chunk that does not decode is refused with nothing applied.
+// The reply carries db's catalog epoch.
+func routeLoad(ctx context.Context, r *Router, db *vertica.DB, table string, chunk []byte) (*loadReply, error) {
+	epoch := db.CatalogEpoch()
+	def, err := db.TableDef(table)
+	if err != nil {
+		return nil, err
+	}
+	b, err := decodeChunk(ctx, chunk, def.Schema)
+	if err != nil {
+		return &loadReply{Refused: true, Epoch: epoch}, nil
+	}
+	err = r.withTable(ctx, table, func(rt *routedTable) error {
+		if !rt.def.Schema.Equal(def.Schema) {
+			return fmt.Errorf("cluster: table %q changed during the load", table)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -389,7 +457,7 @@ func routeLoad(ctx context.Context, r *Router, table string, chunk []byte) (*loa
 	if err := r.Load(ctx, table, b); err != nil {
 		return nil, err
 	}
-	return &loadReply{Rows: b.Len()}, nil
+	return &loadReply{Rows: b.Len(), Epoch: epoch}, nil
 }
 
 // serveExec runs a broadcast DDL statement locally. INSERT and SELECT are

@@ -75,6 +75,9 @@ type Router struct {
 	topo  Topology
 	cfg   Config
 	pools []*wire.Pool
+	// owners[s] is Topology.Owners(s), computed once: reads filter it into
+	// a slice of their own and never write it.
+	owners [][]int
 
 	// buildLimit is maxJoinBuildBytes (a field so tests can lower it).
 	buildLimit int
@@ -136,6 +139,9 @@ func NewRouter(cfg Config) (*Router, error) {
 		epochs:     make([]int64, len(topo.Addrs)),
 		probeStop:  make(chan struct{}),
 		spares:     make(chan func()),
+	}
+	for s := range topo.Shards {
+		r.owners = append(r.owners, topo.Owners(s))
 	}
 	for i, addr := range topo.Addrs {
 		r.pools = append(r.pools, wire.NewPool(addr, cfg.DialTimeout))
@@ -451,13 +457,12 @@ func (r *Router) tableGen() uint64 {
 // replicas returns the replicas to try for a read of shard, in order: the
 // owners not marked down or stale for it, the one on the router's own node
 // first — local, that node's peer, is then non-nil — and the rest in ring
-// order. One lock covers the whole snapshot.
-func (r *Router) replicas(shard int) (order []int, local *Peer) {
-	owners := r.topo.Owners(shard)
+// order, appended to dst[:0]. One lock covers the whole snapshot.
+func (r *Router) replicas(shard int, dst []int) (order []int, local *Peer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	order = owners[:0] // filtered in place: it never grows past the owner read
-	for _, peer := range owners {
+	order = dst[:0]
+	for _, peer := range r.owners[shard] {
 		if r.down[peer] || r.stale[peer][shard] {
 			continue
 		}
@@ -477,6 +482,7 @@ func (r *Router) replicas(shard int) (order []int, local *Peer) {
 type shardRead struct {
 	req   shardRequest
 	order []int
+	buf   [4]int // order's storage, up to four replicas
 	local *Peer
 	call  rpc
 	rep   shardReply
@@ -576,7 +582,7 @@ func (r *Router) eachShard(ctx context.Context, op string, req shardRequest, fn 
 		sr := &reads[s]
 		sr.req = req
 		sr.req.Shards = []int{s}
-		sr.order, sr.local = r.replicas(s)
+		sr.order, sr.local = r.replicas(s, sr.buf[:0])
 		sr.call = sr.req.rpc(op, &sr.rep, func(schema colstore.Schema, out [][]byte) error {
 			if err := wantBodies(op, out, 1); err != nil {
 				return err
@@ -692,29 +698,28 @@ func (r *Router) Query(ctx context.Context, sql string) (*sqlexec.Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return r.Run(ctx, stmt, sql, nil)
+	return r.Run(ctx, &server.Query{Stmt: stmt, SQL: sql})
 }
 
-// Run routes stmt, which is sql parsed (a SELECT bound to args): SELECTs fan
-// out over the shards — every peer gets sql and args — and merge
-// deterministically, INSERTs split by the table's segmentation, DDL
-// broadcasts to every peer.
-func (r *Router) Run(ctx context.Context, stmt sqlparse.Statement, sql string, args []any) (*sqlexec.Result, error) {
+// Run routes q: SELECTs fan out over the shards — every peer gets q's text
+// and arguments — and merge deterministically, INSERTs split by the table's
+// segmentation, DDL broadcasts to every peer.
+func (r *Router) Run(ctx context.Context, q *server.Query) (*sqlexec.Result, error) {
 	if err := verrCanceled(ctx); err != nil {
 		return nil, err
 	}
-	switch s := stmt.(type) {
+	switch s := q.Stmt.(type) {
 	case *sqlparse.Select:
-		return r.routeSelect(ctx, s, shardRequest{SQL: sql, Args: args})
+		return r.routeSelect(ctx, q)
 	case *sqlparse.Explain:
-		return r.routeExplain(ctx, sql, s)
+		return r.routeExplain(ctx, q.SQL, s)
 	case *sqlparse.Insert:
 		if err := r.routeInsert(ctx, s); err != nil {
 			return nil, err
 		}
 		return emptyResult(), nil
 	default:
-		if err := r.broadcastExec(ctx, sql, stmt); err != nil {
+		if err := r.broadcastExec(ctx, q.SQL, q.Stmt); err != nil {
 			return nil, err
 		}
 		return emptyResult(), nil
@@ -733,39 +738,93 @@ func (r *Router) Execute(ctx context.Context, name string, args ...any) (*sqlexe
 	return node.srv.Execute(ctx, name, args...)
 }
 
-// routeSelect routes sel, the bound statement, as req: every peer runs the
-// text and arguments the client sent, so its placeholders bind in source
-// order there as here. The router binds and normalizes only for itself: to
-// merge, and to read a join's build sides.
-func (r *Router) routeSelect(ctx context.Context, sel *sqlparse.Select, req shardRequest) (*sqlexec.Result, error) {
-	kind := plan.KindOf(sel)
-	switch kind {
-	case plan.KindJoin:
+// route is how a single-table SELECT's shard answers merge: as partial
+// aggregates or as rows, against sel, the statement normalized as each
+// peer normalizes it. bind marks a template with a `?` outside its WHERE,
+// whose merge needs its arguments: each execution binds and normalizes.
+type route struct {
+	agg  bool
+	sel  *sqlparse.Select
+	bind bool
+}
+
+// routeOf derives a single-table SELECT's route.
+func routeOf(sel *sqlparse.Select) (any, error) {
+	params := 0
+	_, _ = sqlparse.Rewrite(sel.Where, func(e sqlparse.Expr) (sqlparse.Expr, error) { // a walk: it copies nothing
+		if _, ok := e.(*sqlparse.Placeholder); ok {
+			params++
+		}
+		return e, nil
+	})
+	if params < sel.NumParams {
+		return &route{bind: true}, nil
+	}
+	norm, err := plan.Normalize(sel)
+	if err != nil {
+		return nil, err
+	}
+	return &route{agg: plan.KindOf(sel) == plan.KindAggregate, sel: norm}, nil
+}
+
+// routeSelect routes the SELECT q: every peer runs the text and arguments
+// the client sent, so its placeholders bind in source order there as here.
+// The router binds and normalizes only for itself — to merge, and to read a
+// join's build sides — and a cached template's merge (route) is derived
+// once, with the template's plan-cache entry.
+func (r *Router) routeSelect(ctx context.Context, q *server.Query) (*sqlexec.Result, error) {
+	req := shardRequest{SQL: q.SQL, Args: q.Args}
+	q.Plan = server.PlanCustom
+	kind := plan.KindOf(q.Stmt.(*sqlparse.Select))
+	if kind == plan.KindJoin || kind == plan.KindConst {
+		stmt, err := q.Bound()
+		if err != nil {
+			return nil, err
+		}
+		sel := stmt.(*sqlparse.Select)
+		if kind == plan.KindConst {
+			// Constant SELECT: no table, evaluated at the router.
+			mRouterRouted("const").Inc()
+			return sqlexec.RunSelectCtx(ctx, nil, sel)
+		}
 		// Still counted under "gather", the label joins have always had: the
 		// frozen benchmark/stats.go reads that series for
 		// cluster.shard_calls_per_query. cluster_join_total{strategy} says
 		// how each joined table actually met the probe side.
 		mRouterRouted("gather").Inc()
 		return r.joinSelect(ctx, sel, req)
-	case plan.KindConst:
-		// Constant SELECT: no table, evaluated at the router.
-		mRouterRouted("const").Inc()
-		return sqlexec.RunSelectCtx(ctx, nil, sel)
 	}
-	// A single-table statement merges against itself normalized, as each
-	// peer normalizes it.
-	sel, err := plan.Normalize(sel)
-	if err != nil {
-		return nil, err
+	var rt *route
+	if q.Template != nil {
+		v, err := q.Template.Route(routeOf)
+		if err != nil {
+			return nil, err
+		}
+		if rt = v.(*route); !rt.bind {
+			q.Plan = server.PlanGeneric
+		}
 	}
-	agg, name := kind == plan.KindAggregate, "rows"
-	if agg {
+	if rt == nil || rt.bind {
+		// A single-table statement merges against itself normalized, as each
+		// peer normalizes it.
+		stmt, err := q.Bound()
+		if err != nil {
+			return nil, err
+		}
+		sel, err := plan.Normalize(stmt.(*sqlparse.Select))
+		if err != nil {
+			return nil, err
+		}
+		rt = &route{agg: kind == plan.KindAggregate, sel: sel}
+	}
+	name := "rows"
+	if rt.agg {
 		name = "aggregate"
 	}
 	mRouterRouted(name).Inc()
 	ctx, span := telemetry.StartChildCtx(ctx, "router."+name)
 	defer span.End()
-	return r.scatter(ctx, sel, agg, req)
+	return r.scatter(ctx, rt.sel, rt.agg, req)
 }
 
 // scatter runs a normalized statement on every shard — req, with a join's

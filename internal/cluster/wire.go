@@ -257,9 +257,11 @@ func hashCol(def *catalog.TableDef) int {
 	return def.Schema.ColIndex(def.Seg.Column)
 }
 
-// loadReply reports the rows applied — or Refused, with nothing applied: the
-// request's HashCol is not the table's, so its rows may sit on the wrong
-// shard. The payload is rows | refused | epoch.
+// loadReply reports the rows applied — or Refused, with nothing applied: a
+// shard write's HashCol is not the table's, so its rows may sit on the wrong
+// shard, or a front-door COPY's chunk does not decode under the table's
+// definition. Epoch is the replying node's catalog epoch. The payload is
+// rows | refused | epoch.
 type loadReply struct {
 	Rows    int
 	Refused bool

@@ -323,6 +323,20 @@ func (s *Session) RunStatementContext(ctx context.Context, stmt sqlparse.Stateme
 	return s.DB.RunStatement(opCtx, stmt, sql)
 }
 
+// ViewContext runs fn over one pinned MVCC snapshot of the database, under
+// the session's lifecycle tracking like RunStatementContext: the serving
+// layer runs a cached SELECT's plan through it, planning nothing again.
+func (s *Session) ViewContext(ctx context.Context, fn func(ctx context.Context, db sqlexec.Database) (*sqlexec.Result, error)) (*sqlexec.Result, error) {
+	opCtx, done, err := s.begin(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	view, release := s.DB.View()
+	defer release()
+	return fn(opCtx, view)
+}
+
 // ExecContext runs SQL discarding results.
 func (s *Session) ExecContext(ctx context.Context, sql string) error {
 	_, err := s.QueryContext(ctx, sql)

@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"sync"
 	"testing"
 
 	"verticadr/internal/colstore"
@@ -9,11 +10,14 @@ import (
 	"verticadr/internal/sqlparse"
 )
 
-// BenchmarkBindPlan is statement preparation alone, as the server does it
-// for every execution of a prepared statement: BindSelect on the cached
-// template, then plan.Build, for the benchmark's point, score and read
-// statements (benchmark/deploy.go) over 8,192-row events and events_in
-// tables in two segments, k indexed as the benchmark indexes it.
+// BenchmarkBindPlan is statement preparation alone, for the benchmark's
+// point, score and read statements (benchmark/deploy.go) over 8,192-row
+// events and events_in tables in two segments, k indexed as the benchmark
+// indexes it: <stmt> is BindSelect on the template, then plan.Build — what
+// a custom plan costs every execution, and what every execution cost before
+// plans were cached — and cached/<stmt> what the server does for a generic
+// plan: a cache lookup, the plan's Fits check against the tables, and Bind
+// into its argument slots.
 func BenchmarkBindPlan(b *testing.B) {
 	schema := colstore.Schema{
 		{Name: "id", Type: colstore.TypeInt64}, {Name: "k", Type: colstore.TypeInt64},
@@ -61,6 +65,26 @@ func BenchmarkBindPlan(b *testing.B) {
 				}
 				if _, err := plan.Build(bound, db); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+		generic, err := plan.Build(template, db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cache := map[string]*plan.Plan{"1|" + c.sql: generic}
+		var mu sync.Mutex
+		b.Run("cached/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mu.Lock()
+				p := cache["1|"+c.sql]
+				mu.Unlock()
+				if !p.Fits(db) {
+					b.Fatal("the generic plan no longer fits")
+				}
+				if _, ok := p.Bind(c.args); !ok && !p.Custom {
+					b.Fatal("the generic plan takes no arguments")
 				}
 			}
 		})

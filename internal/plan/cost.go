@@ -35,16 +35,27 @@ type tableStats struct {
 	cache  map[string]colstore.ColumnStats
 }
 
-func gatherStats(src Source, table string, def *catalog.TableDef) (*tableStats, error) {
-	segs, err := src.Segments(table)
+// gatherStats reads a table's statistics and records the table among the
+// plan's Tables.
+func (b *builder) gatherStats(table string, def *catalog.TableDef) (*tableStats, error) {
+	segs, err := b.src.Segments(table)
 	if err != nil {
 		return nil, err
 	}
 	ts := &tableStats{schema: def.Schema, segs: segs, cache: map[string]colstore.ColumnStats{}}
-	for _, s := range segs {
-		ts.rows += s.Rows()
+	ts.rows = rowCount(segs)
+	if !slices.ContainsFunc(b.tables, func(t Planned) bool { return t.Name == table }) {
+		b.tables = append(b.tables, Planned{Name: table, Schema: def.Schema, Rows: ts.rows})
 	}
 	return ts, nil
+}
+
+func rowCount(segs []*colstore.Segment) int {
+	rows := 0
+	for _, s := range segs {
+		rows += s.Rows()
+	}
+	return rows
 }
 
 // colStats merges the column's per-segment statistics: rows sum, ranges
@@ -100,34 +111,64 @@ func (ts *tableStats) indexed(col string) bool {
 	return true
 }
 
+// mirror is a comparison with its operands swapped.
+var mirror = map[colstore.CompareOp]colstore.CompareOp{
+	colstore.OpEQ: colstore.OpEQ, colstore.OpNE: colstore.OpNE,
+	colstore.OpLT: colstore.OpGT, colstore.OpLE: colstore.OpGE,
+	colstore.OpGT: colstore.OpLT, colstore.OpGE: colstore.OpLE,
+}
+
 // predFromExpr converts `col OP literal` (or `literal OP col`, mirrored)
 // into a storage predicate; any other shape returns nil and stays a residual
 // filter. Qualifiers must already be stripped.
 func predFromExpr(e sqlparse.Expr) *colstore.Pred {
+	p, _ := comparison(e, sqlparse.Literal)
+	return p
+}
+
+// slotPred converts `col OP ?` (or `? OP col`) into a template's storage
+// predicate: no value, and the placeholder's argument slot. bound reports a
+// `col OP -?`, which only its bound value makes a literal.
+func slotPred(e sqlparse.Expr) (p *colstore.Pred, slot int, bound bool) {
+	p, ph := comparison(e, func(v sqlparse.Expr) (any, bool) {
+		switch x := v.(type) {
+		case *sqlparse.Placeholder:
+			return x, true
+		case *sqlparse.Unary:
+			_, minus := x.X.(*sqlparse.Placeholder)
+			bound = bound || minus && x.Op == "-"
+		}
+		return nil, false
+	})
+	if p == nil {
+		return nil, -1, bound
+	}
+	p.Val = nil
+	return p, ph.(*sqlparse.Placeholder).Idx, false
+}
+
+// comparison converts `col OP v` (or `v OP col`, mirrored) into a storage
+// predicate when value accepts v, returning the value it made of v.
+func comparison(e sqlparse.Expr, value func(sqlparse.Expr) (any, bool)) (*colstore.Pred, any) {
 	bin, ok := e.(*sqlparse.Binary)
 	if !ok {
-		return nil
-	}
-	mirror := map[colstore.CompareOp]colstore.CompareOp{
-		colstore.OpEQ: colstore.OpEQ, colstore.OpNE: colstore.OpNE,
-		colstore.OpLT: colstore.OpGT, colstore.OpLE: colstore.OpGE,
-		colstore.OpGT: colstore.OpLT, colstore.OpGE: colstore.OpLE,
+		return nil, nil
 	}
 	op, ok := colstore.ParseCompareOp(bin.Op)
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	if col, okc := bin.L.(*sqlparse.ColRef); okc && col.Table == "" {
-		if v, okl := sqlparse.Literal(bin.R); okl {
-			return &colstore.Pred{Col: col.Name, Op: op, Val: v}
+		if v, okl := value(bin.R); okl {
+			return &colstore.Pred{Col: col.Name, Op: op, Val: v}, v
 		}
 	}
 	if col, okc := bin.R.(*sqlparse.ColRef); okc && col.Table == "" {
-		if v, okl := sqlparse.Literal(bin.L); okl {
-			return &colstore.Pred{Col: col.Name, Op: mirror[op], Val: v}
+		if v, okl := value(bin.L); okl {
+			return &colstore.Pred{Col: col.Name, Op: mirror[op], Val: v}, v
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 func numericVal(v any) (float64, bool) {
@@ -195,24 +236,36 @@ func rangeSelectivity(lo, hi *colstore.Pred, st colstore.ColumnStats) float64 {
 }
 
 // conj is one analyzed WHERE conjunct: the expression, its storage predicate
-// when pushable, and its estimated selectivity.
+// when pushable — comparing with argument slot, or with a literal when slot
+// is -1 — and its estimated selectivity. bound marks a conjunct only a bound
+// value makes pushable.
 type conj struct {
-	expr sqlparse.Expr
-	pred *colstore.Pred
-	sel  float64
+	expr  sqlparse.Expr
+	pred  *colstore.Pred
+	slot  int
+	typ   colstore.Type
+	bound bool
+	sel   float64
 }
 
 // analyzeConjuncts pushes a `col OP literal` conjunct only when its literal
 // compares with the column: one that does not stays in the residual, whose
-// evaluation over no rows fails the statement whatever the table holds.
+// evaluation over no rows fails the statement whatever the table holds. A
+// template's `col OP ?` is pushed as if its argument will compare, which
+// Plan.Bind checks.
 func analyzeConjuncts(where sqlparse.Expr, ts *tableStats) []conj {
 	exprs := flattenAnd(where)
 	out := make([]conj, 0, len(exprs))
 	for _, e := range exprs {
-		c := conj{expr: e, sel: defaultSel}
-		if p := predFromExpr(e); p != nil {
-			if i := ts.schema.ColIndex(p.Col); i >= 0 && colstore.CheckComparable(ts.schema[i].Type, colstore.ValueType(p.Val)) == nil {
-				c.pred = p
+		c := conj{expr: e, slot: -1, sel: defaultSel}
+		p := predFromExpr(e)
+		slot := -1
+		if p == nil {
+			p, slot, c.bound = slotPred(e)
+		}
+		if p != nil {
+			if i := ts.schema.ColIndex(p.Col); i >= 0 && (slot >= 0 || colstore.CheckComparable(ts.schema[i].Type, colstore.ValueType(p.Val)) == nil) {
+				c.pred, c.slot, c.typ = p, slot, ts.schema[i].Type
 				c.sel = predSelectivity(p, ts.colStats(p.Col))
 			}
 		}
@@ -249,12 +302,19 @@ func chooseAccess(conjs []conj, ts *tableStats, noIndex bool) (*Access, float64)
 			acc.IndexCol, acc.Probe = conjs[probe[0]].pred.Col, len(probe)
 		}
 	}
+	templ := slices.ContainsFunc(conjs, func(c conj) bool { return c.slot >= 0 })
+	add := func(c conj) {
+		acc.Preds = append(acc.Preds, *c.pred)
+		if templ {
+			acc.Slots, acc.types = append(acc.Slots, c.slot), append(acc.types, c.typ)
+		}
+	}
 	for _, i := range probe {
-		acc.Preds = append(acc.Preds, *conjs[i].pred)
+		add(conjs[i])
 	}
 	for _, i := range pushed {
 		if !slices.Contains(probe, i) {
-			acc.Preds = append(acc.Preds, *conjs[i].pred)
+			add(conjs[i])
 		}
 	}
 	return acc, combined

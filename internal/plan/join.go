@@ -100,7 +100,7 @@ func (b *builder) buildJoin(sel *sqlparse.Select) (*Plan, error) {
 	stats := map[string]*tableStats{}
 	scans := make([]*Node, len(inputs))
 	for i, in := range inputs {
-		ts, err := gatherStats(b.src, in.Table, in.Def)
+		ts, err := b.gatherStats(in.Table, in.Def)
 		if err != nil {
 			return nil, err
 		}

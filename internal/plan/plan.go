@@ -66,7 +66,14 @@ const (
 // most selective first. Residual is what storage cannot evaluate, filtered
 // over the scanned batches.
 type Access struct {
-	Preds    []colstore.Pred
+	Preds []colstore.Pred
+	// Slots is nil unless a template's predicate compares with a `?`: then
+	// it runs beside Preds, Slots[i] the argument Preds[i] compares with (-1
+	// for a literal), and such a predicate's Val is unset until Plan.Bind
+	// fills in a copy. types are the predicates' column types, for Bind to
+	// check each argument against.
+	Slots    []int
+	types    []colstore.Type
 	Residual sqlparse.Expr
 	// IndexCol non-empty selects the B-tree index scan on that column:
 	// Preds[:Probe] is the index probe — one predicate, or a bounded range's
@@ -81,10 +88,19 @@ type Access struct {
 // "" when there are none.
 func (a *Access) Pushdown() string {
 	parts := make([]string, 0, len(a.Preds))
-	for _, p := range a.Preds[a.Probe:] {
-		parts = append(parts, p.String())
+	for i := a.Probe; i < len(a.Preds); i++ {
+		parts = append(parts, a.pred(i))
 	}
 	return strings.Join(parts, " AND ")
+}
+
+// pred renders Preds[i], a template's `?` as itself.
+func (a *Access) pred(i int) string {
+	p := a.Preds[i]
+	if a.Slots != nil && a.Slots[i] >= 0 && p.Val == nil {
+		return fmt.Sprintf("%s %s ?", p.Col, p.Op)
+	}
+	return p.String()
 }
 
 // Node is one physical operator. EstRows is the planner's output-cardinality
@@ -103,6 +119,10 @@ type Node struct {
 	Fn       string // UDTF: function name
 	Segs     int    // scan nodes: segments the scan fans out over
 	Detail   string
+	// Memo is the executor's on a walk's input (the child of an Aggregate,
+	// Project or UDTF): what it resolves from the plan and the tables'
+	// definitions alone, once per plan.
+	Memo     *Memo
 	EstRows  int64
 	Children []*Node
 }
@@ -113,14 +133,41 @@ type Node struct {
 // "alias.column" for joins). Sel shares every node the normalization did
 // not change with the statement Build was given — a cached template among
 // them — which is safe because no code writes to a statement after Parse.
+//
+// A plan holds no segment, snapshot or statistics handle: Tables keeps the
+// definitions and row counts it was built against, so a plan can be cached
+// and run on later snapshots (Fits says when it should be rebuilt).
 type Plan struct {
 	Root *Node
 	Sel  *sqlparse.Select
+	// Params is the number of `?` placeholders Sel takes. A plan with
+	// Params > 0 is a template's generic plan: it runs through Bind, once
+	// per execution.
+	Params int
+	// Custom marks a template whose plan would depend on the values bound
+	// to it — a range on `?` over an indexed column, which an index scan may
+	// or may not serve, or a `-?` that is pushed down only once bound — so
+	// each execution plans its bound statement instead.
+	Custom bool
+	Tables []Planned
+	// loose: a `?` outside the storage predicates, which Bind binds in Sel
+	// and in the residuals.
+	loose bool
+}
+
+// Planned is a table as a plan was built against it.
+type Planned struct {
+	Name   string
+	Schema colstore.Schema
+	Rows   int
 }
 
 type builder struct {
 	src    Source
 	nextID int
+	tables []Planned
+	slots  int  // storage predicates on a `?`
+	custom bool // a choice that depends on a bound value
 }
 
 func (b *builder) node(op string) *Node {
@@ -157,16 +204,26 @@ func KindOf(sel *sqlparse.Select) string {
 }
 
 // Build plans a SELECT. There is no other way to execute one, so every
-// error is the user's: an invalid statement, a missing table, or a prepared
-// template that was never bound.
+// error is the user's: an invalid statement or a missing table. A prepared
+// template, placeholders and all, plans too (Params, Custom): an equality on
+// `?` is sized at 1/NDV, a range on one at the default selectivity, and
+// each `?` a column is compared with becomes a storage predicate whose
+// value Bind fills in.
 func Build(sel *sqlparse.Select, src Source) (*Plan, error) {
 	if sel == nil {
 		return nil, fmt.Errorf("plan: nil statement")
 	}
-	if sel.NumParams > 0 {
-		return nil, fmt.Errorf("plan: %d unbound placeholder(s) (prepare and execute with arguments)", sel.NumParams)
-	}
 	b := &builder{src: src}
+	p, err := b.build(sel)
+	if err != nil {
+		return nil, err
+	}
+	p.Params, p.Custom, p.Tables = sel.NumParams, b.custom, b.tables
+	p.loose = b.slots < sel.NumParams
+	return p, nil
+}
+
+func (b *builder) build(sel *sqlparse.Select) (*Plan, error) {
 	switch KindOf(sel) {
 	case KindConst:
 		if len(sel.Joins) > 0 {
@@ -248,7 +305,7 @@ func (b *builder) buildSingle(sel *sqlparse.Select) (*Plan, error) {
 	if sel, err = Normalize(sel); err != nil {
 		return nil, err
 	}
-	ts, err := gatherStats(b.src, sel.From, def)
+	ts, err := b.gatherStats(sel.From, def)
 	if err != nil {
 		return nil, err
 	}
@@ -269,14 +326,22 @@ func (b *builder) buildSingle(sel *sqlparse.Select) (*Plan, error) {
 // path streams segments serially and has no gather step).
 func (b *builder) scanNode(table, alias string, def *catalog.TableDef, ts *tableStats, where sqlparse.Expr, noIndex bool) *Node {
 	conjs := analyzeConjuncts(where, ts)
+	for _, c := range conjs {
+		if c.slot >= 0 {
+			b.slots++
+			// The bound value decides whether the index serves a range.
+			b.custom = b.custom || c.pred.Op != colstore.OpEQ && c.pred.Op != colstore.OpNE && ts.indexed(c.pred.Col)
+		}
+		b.custom = b.custom || c.bound
+	}
 	acc, estSel := chooseAccess(conjs, ts, noIndex)
 	var parts []string
 	n := b.node(OpSeqScan)
 	if acc.IndexCol != "" {
 		n.Op = OpIndexScan
 		probe := make([]string, acc.Probe)
-		for i, p := range acc.Preds[:acc.Probe] {
-			probe[i] = p.String()
+		for i := range probe {
+			probe[i] = acc.pred(i)
 		}
 		parts = append(parts, fmt.Sprintf("index(%s) %s", acc.IndexCol, strings.Join(probe, " AND ")))
 	}
@@ -300,6 +365,7 @@ func (b *builder) scanNode(table, alias string, def *catalog.TableDef, ts *table
 // ndv resolves a group-by column name (dotted under a join) to its NDV.
 func (b *builder) shapeAbove(in *Node, sel *sqlparse.Select, ndv func(col string) int, runsOK bool) (*Node, error) {
 	cur := in
+	in.Memo = new(Memo)
 	if IsAggregate(sel) {
 		n := b.node(OpAggregate)
 		n.Children = []*Node{cur}
@@ -382,6 +448,7 @@ func (b *builder) buildUDTF(sel *sqlparse.Select, fc *sqlparse.FuncCall, def *ca
 		return nil, fmt.Errorf("plan: UDTF queries do not support GROUP BY")
 	}
 	scan := b.scanNode(sel.From, "", def, ts, sel.Where, true)
+	scan.Memo = new(Memo)
 	n := b.node(OpUDTF)
 	n.Fn = fc.Name
 	n.Table = sel.From
@@ -421,6 +488,9 @@ func (b *builder) modelShards(fc *sqlparse.FuncCall) (int, bool) {
 	}
 	lit, ok := mexpr.(*sqlparse.StringLit)
 	if !ok {
+		if _, ok := mexpr.(*sqlparse.Placeholder); ok {
+			b.custom = true // the label waits for the model's name
+		}
 		return 0, false
 	}
 	sv, ok := b.src.(ServiceSource)

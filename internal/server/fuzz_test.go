@@ -12,7 +12,6 @@ import (
 	"verticadr/internal/colstore"
 	"verticadr/internal/core"
 	"verticadr/internal/sqlexec"
-	"verticadr/internal/sqlparse"
 	"verticadr/internal/verr"
 	"verticadr/internal/vft"
 	"verticadr/internal/wire"
@@ -22,7 +21,7 @@ import (
 // a fixed two-row result of every column type.
 type fuzzFront struct{ res *sqlexec.Result }
 
-func (f fuzzFront) Run(context.Context, sqlparse.Statement, string, []any) (*sqlexec.Result, error) {
+func (f fuzzFront) Run(context.Context, *Query) (*sqlexec.Result, error) {
 	return f.res, nil
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"verticadr/internal/colstore"
 	"verticadr/internal/sqlexec"
-	"verticadr/internal/sqlparse"
 	"verticadr/internal/telemetry"
 	"verticadr/internal/verr"
 	"verticadr/internal/vft"
@@ -22,13 +21,13 @@ import (
 // admission control bounds how many run at once.
 
 // Frontend executes a statement the Server resolved and admitted in place of
-// the Server's own session: stmt is sql parsed (a SELECT bound to args), and
-// args are the arguments a prepared statement's execution brought (none for
-// a one-shot statement). A clustered node's router is one, so any node
-// answers any statement with cluster-wide results (the MPP "every node is an
-// initiator" shape).
+// the Server's own session: q carries the statement, its text and the
+// arguments a prepared statement's execution brought (none for a one-shot
+// statement), and a SELECT's plan-cache entry. A clustered node's router is
+// one, so any node answers any statement with cluster-wide results (the MPP
+// "every node is an initiator" shape).
 type Frontend interface {
-	Run(ctx context.Context, stmt sqlparse.Statement, sql string, args []any) (*sqlexec.Result, error)
+	Run(ctx context.Context, q *Query) (*sqlexec.Result, error)
 }
 
 // Extension handles protocol ops outside the built-in set ("query",

@@ -3,10 +3,11 @@
 // many clients issuing PREDICT queries against deployed models at once. It
 // adds what a single-user session lacks:
 //
-//   - a bounded LRU plan cache (parse/validate once, bind ? placeholders per
-//     execution), the one template store: a one-shot query, a named prepared
-//     statement (kept as its text) and a cluster peer's shard statement (the
-//     text the client sent) all resolve their text through it,
+//   - a bounded LRU plan cache (parse, validate and plan once, bind ?
+//     placeholders into the plan per execution), the one template store: a
+//     one-shot query, a named prepared statement (kept as its text) and a
+//     cluster peer's shard statement (the text the client sent) all resolve
+//     their text through it,
 //   - a shared deserialized-model cache (internal/models) so concurrent
 //     predictions stop paying one gob decode per UDF instance per query,
 //   - admission control: a concurrency limiter plus a bounded wait queue
@@ -255,15 +256,15 @@ func (g *gate) acquire(ctx context.Context) (func(), error) {
 }
 
 // run executes fn under one of the server's gates, the configured query
-// timeout, outcome accounting and, when fingerprint is not empty, the
+// timeout, outcome accounting and, for a client's statement q, the
 // per-statement statistics. A traced context gets server.admit and
 // server.exec child spans; the engine and the router hang theirs under the
-// latter.
-func (s *Server) run(ctx context.Context, g *gate, fingerprint string, fn func(ctx context.Context) (*sqlexec.Result, error)) (*sqlexec.Result, error) {
+// latter, which carries how q's plan was had (plan=generic|custom).
+func (s *Server) run(ctx context.Context, g *gate, q *Query, fn func(ctx context.Context) (*sqlexec.Result, error)) (*sqlexec.Result, error) {
 	release, err := g.acquire(ctx)
 	if err != nil {
-		if fingerprint != "" {
-			s.stmts.Record(fingerprint, 0, err)
+		if q != nil {
+			s.stmts.record(q.fingerprint, "", 0, err)
 		}
 		return nil, err
 	}
@@ -277,10 +278,17 @@ func (s *Server) run(ctx context.Context, g *gate, fingerprint string, fn func(c
 	start := time.Now()
 	res, err := fn(execCtx)
 	elapsed := time.Since(start)
+	if q != nil && q.Plan != "" && execSpan != nil {
+		path := q.Plan
+		if path == PlanRebuilt {
+			path = PlanGeneric // what ran is the generic plan, built anew
+		}
+		execSpan.SetAttr("plan", path)
+	}
 	execSpan.End()
 	hQuery.Observe(elapsed.Seconds())
-	if fingerprint != "" {
-		s.stmts.Record(fingerprint, elapsed, err)
+	if q != nil {
+		s.stmts.record(q.fingerprint, q.Plan, elapsed, err)
 	}
 	switch {
 	case err == nil:
@@ -301,7 +309,7 @@ func (s *Server) run(ctx context.Context, g *gate, fingerprint string, fn func(c
 // records nothing in the per-statement statistics: the statement a shard
 // read serves is recorded once, by the node that took it from its client.
 func (s *Server) Admit(ctx context.Context, fn func(ctx context.Context) (*sqlexec.Result, error)) (*sqlexec.Result, error) {
-	return s.run(ctx, &s.shards, "", fn)
+	return s.run(ctx, &s.shards, nil, fn)
 }
 
 // Prepare parses and validates sql (a SELECT, possibly with ? placeholders)
@@ -328,9 +336,9 @@ func (s *Server) Prepare(name, sql string) error {
 }
 
 // Execute resolves the named prepared statement's text through the plan
-// cache (Statement), binds args to it and runs it through the front door.
-// The cached template is never written to — binding copies the paths down to
-// its placeholders and shares the rest — so any number of executions (with
+// cache (Resolve) and runs it with args through the front door. The cached
+// template and its plans are never written to — an execution binds a copy
+// of what its arguments fill in — so any number of executions (with
 // different arguments) can run concurrently.
 func (s *Server) Execute(ctx context.Context, name string, args ...any) (*sqlexec.Result, error) {
 	s.mu.Lock()
@@ -342,65 +350,124 @@ func (s *Server) Execute(ctx context.Context, name string, args ...any) (*sqlexe
 	return s.serve(ctx, sql, args)
 }
 
-// Statement resolves sql through the LRU plan cache and binds args to it. A
-// SELECT, placeholders and all, is parsed and validated once per catalog
-// epoch and text. What comes back shares its nodes with the cached template
-// (the template itself when there is nothing to bind), so the caller
-// rewrites it only into a copy of its own (sqlparse.Rewrite), never in
-// place. Anything else, or a template given no arguments (which then fails
-// to plan), is parsed afresh and takes no arguments. The fingerprint is the
-// normalized text, the key the statement's executions are recorded under.
-// Query and Execute resolve every client statement here, and a cluster peer
-// every shard statement.
-func (s *Server) Statement(ctx context.Context, sql string, args []any) (stmt sqlparse.Statement, fingerprint string, err error) {
-	fingerprint = normalize(sql)
-	ck := s.cacheKey(fingerprint)
-	sel, ok := s.plans.get(ck)
-	unbound := func() bool { return len(args) == 0 && sel.NumParams > 0 }
-	if ok && !unbound() {
+// Query is a client's statement as the Server resolved it (Resolve), for a
+// Frontend to run.
+type Query struct {
+	// Stmt is SQL parsed. A SELECT found in the plan cache is its
+	// template, Template.Sel, with its placeholders unbound (Bound binds
+	// them to Args).
+	Stmt sqlparse.Statement
+	SQL  string
+	Args []any
+	// Template is the SELECT's plan-cache entry, nil for anything else (and
+	// for a template run without arguments, which fails to plan).
+	Template *Template
+	// Plan is how the statement's plan was had (PlanGeneric, PlanCustom,
+	// PlanRebuilt), set by whoever runs it, "" when none was: the
+	// per-statement statistics count it and the server.exec span carries
+	// it.
+	Plan string
+
+	fingerprint string
+}
+
+// Bound returns Stmt with its placeholders bound to Args: a copy of the
+// paths down to them, sharing the rest with the template.
+func (q *Query) Bound() (sqlparse.Statement, error) {
+	if q.Template == nil {
+		return q.Stmt, nil
+	}
+	return sqlparse.BindSelect(q.Template.Sel, q.Args)
+}
+
+// Resolve resolves sql through the LRU plan cache. A SELECT, placeholders
+// and all, is parsed and validated once per catalog epoch and text, and
+// comes back as its cache entry (Query.Template), args checked against it
+// as binding would. Anything else, or a template given no arguments (which
+// then fails to plan), is parsed afresh and takes no arguments. The
+// fingerprint is the normalized text, the key the statement's executions
+// are recorded under. Query and Execute resolve every client statement
+// here, and a cluster peer every shard statement.
+func (s *Server) Resolve(ctx context.Context, sql string, args []any) (*Query, error) {
+	q := &Query{SQL: sql, Args: args, fingerprint: normalize(sql)}
+	ck := s.cacheKey(q.fingerprint)
+	t, ok := s.plans.lookup(ck)
+	unbound := func(sel *sqlparse.Select) bool { return len(args) == 0 && sel.NumParams > 0 }
+	if ok && !unbound(t.Sel) {
 		mPlanHits.Inc()
 		telemetry.SpanFromContext(ctx).SetAttr("plan_cache", "hit")
 	} else {
 		mPlanMisses.Inc()
 		telemetry.SpanFromContext(ctx).SetAttr("plan_cache", "miss")
-		if stmt, err = sqlparse.Parse(sql); err != nil {
-			return nil, fingerprint, err
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			return nil, err
 		}
-		if sel, ok = stmt.(*sqlparse.Select); !ok || unbound() {
+		sel, ok := stmt.(*sqlparse.Select)
+		if !ok || unbound(sel) {
 			if len(args) > 0 {
-				return nil, fingerprint, fmt.Errorf("server: a %T takes no arguments", stmt)
+				return nil, fmt.Errorf("server: a %T takes no arguments", stmt)
 			}
-			return stmt, fingerprint, nil
+			q.Stmt = stmt
+			return q, nil
 		}
-		s.plans.put(ck, sel)
+		t = s.plans.put(ck, sel)
 	}
-	bound, err := sqlparse.BindSelect(sel, args)
+	if err := sqlparse.CheckArgs(t.Sel.NumParams, args); err != nil {
+		return nil, err
+	}
+	q.Stmt, q.Template = t.Sel, t
+	return q, nil
+}
+
+// Statement is Resolve's statement bound to args (Query.Bound). What comes
+// back shares its nodes with the cached template (the template itself when
+// there is nothing to bind), so the caller rewrites it only into a copy of
+// its own (sqlparse.Rewrite), never in place.
+func (s *Server) Statement(ctx context.Context, sql string, args []any) (stmt sqlparse.Statement, fingerprint string, err error) {
+	q, err := s.Resolve(ctx, sql, args)
 	if err != nil {
-		return nil, fingerprint, err
+		return nil, normalize(sql), err
 	}
-	return bound, fingerprint, nil
+	stmt, err = q.Bound()
+	return stmt, q.fingerprint, err
 }
 
 // Query runs one-shot SQL through the front door, resolved through the plan
-// cache (Statement), so a repeated query skips parsing and validation;
-// statements with placeholders must go through Prepare/Execute.
+// cache (Resolve), so a repeated query skips parsing, validation and
+// planning; statements with placeholders must go through Prepare/Execute.
 func (s *Server) Query(ctx context.Context, sql string) (*sqlexec.Result, error) {
 	return s.serve(ctx, sql, nil)
 }
 
-// serve is the front door: sql, resolved and bound to args (Statement),
-// runs under the front-door gate and is recorded under its fingerprint. The
-// frontend WithFrontend bound executes it, or else the session.
+// serve is the front door: sql, resolved (Resolve), runs with args under
+// the front-door gate and is recorded under its fingerprint. The frontend
+// WithFrontend bound executes it, or else the session: a cached SELECT
+// through its template's plan over one snapshot of the whole database.
 func (s *Server) serve(ctx context.Context, sql string, args []any) (*sqlexec.Result, error) {
-	stmt, fingerprint, err := s.Statement(ctx, sql, args)
+	q, err := s.Resolve(ctx, sql, args)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, &s.gate, fingerprint, func(ctx context.Context) (*sqlexec.Result, error) {
+	return s.run(ctx, &s.gate, q, func(ctx context.Context) (*sqlexec.Result, error) {
 		if f := s.routing.Load(); f != nil {
-			return (*f).Run(ctx, stmt, sql, args)
+			return (*f).Run(ctx, q)
 		}
-		return s.sess.RunStatementContext(ctx, stmt, sql)
+		if q.Template == nil {
+			return s.sess.RunStatementContext(ctx, q.Stmt, sql)
+		}
+		return s.sess.ViewContext(ctx, func(ctx context.Context, db sqlexec.Database) (*sqlexec.Result, error) {
+			p, path, err := q.Template.Plan(db, "", args)
+			if err != nil {
+				return nil, err
+			}
+			q.Plan = path
+			res, err := sqlexec.RunPlanCtx(ctx, db, p)
+			if err == nil && res.Profile != nil {
+				res.Profile.Query = strings.TrimRight(strings.TrimSpace(sql), ";")
+			}
+			return res, err
+		})
 	})
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -29,6 +30,7 @@ type StmtStats struct {
 
 type stmtEntry struct {
 	sql        string
+	plans      map[string]int64 // executions by plan path
 	calls      int64
 	errors     int64
 	errCodes   map[string]int64
@@ -48,7 +50,11 @@ func newStmtStats(capacity int) *StmtStats {
 
 // Record folds one execution into the statement's row. err == nil counts a
 // success; otherwise the verr wire code buckets the failure.
-func (s *StmtStats) Record(sql string, d time.Duration, err error) {
+func (s *StmtStats) Record(sql string, d time.Duration, err error) { s.record(sql, "", d, err) }
+
+// record is Record of an execution whose plan was had by path (PlanGeneric,
+// PlanCustom, PlanRebuilt; "" for none).
+func (s *StmtStats) record(sql, path string, d time.Duration, err error) {
 	s.mu.Lock()
 	el, ok := s.entries[sql]
 	if ok {
@@ -63,6 +69,12 @@ func (s *StmtStats) Record(sql string, d time.Duration, err error) {
 	e := el.Value.(*stmtEntry)
 	e.calls++
 	e.totalNanos += int64(d)
+	if path != "" {
+		if e.plans == nil {
+			e.plans = map[string]int64{}
+		}
+		e.plans[path]++
+	}
 	if err != nil {
 		e.errors++
 		e.errCodes[verr.Code(err)]++
@@ -109,10 +121,13 @@ func (s *StmtStats) Reset() {
 
 // StmtSnapshot is one statement's cumulative statistics.
 type StmtSnapshot struct {
-	SQL       string           `json:"sql"`
-	Calls     int64            `json:"calls"`
-	Errors    int64            `json:"errors,omitempty"`
-	ErrCodes  map[string]int64 `json:"error_codes,omitempty"`
+	SQL      string           `json:"sql"`
+	Calls    int64            `json:"calls"`
+	Errors   int64            `json:"errors,omitempty"`
+	ErrCodes map[string]int64 `json:"error_codes,omitempty"`
+	// Plans counts the executions by how their plan was had: "generic",
+	// "custom" or "rebuilt" (the generic plan built anew).
+	Plans     map[string]int64 `json:"plans,omitempty"`
 	TotalSecs float64          `json:"total_seconds"`
 	MeanSecs  float64          `json:"mean_seconds"`
 	P50Secs   float64          `json:"p50_seconds"`
@@ -140,11 +155,10 @@ func (s *StmtStats) Snapshot() []StmtSnapshot {
 			snaps[i].MeanSecs = snaps[i].TotalSecs / float64(e.calls)
 		}
 		if len(e.errCodes) > 0 {
-			codes := make(map[string]int64, len(e.errCodes))
-			for c, n := range e.errCodes {
-				codes[c] = n
-			}
-			snaps[i].ErrCodes = codes
+			snaps[i].ErrCodes = maps.Clone(e.errCodes)
+		}
+		if len(e.plans) > 0 {
+			snaps[i].Plans = maps.Clone(e.plans)
 		}
 	}
 	hists := make([]*telemetry.Histogram, len(entries))

@@ -57,30 +57,11 @@ func (r *Result) Rows() [][]any {
 	return out
 }
 
-// RunSelectCtx executes a SELECT statement. When sel.Profile is set (PROFILE
-// SELECT ...) the result carries per-operator row counts and timings.
-// Cancellation is honored at scan-block and aggregation-chunk boundaries (and
-// between UDTF input batches), so a canceled query stops doing work within
-// one block; the returned error then wraps verr.ErrCanceled.
+// RunSelectCtx executes a SELECT statement: it plans the statement and
+// walks the plan (RunPlanCtx) — there is no other executor. Planning errors
+// (missing table, invalid joins) surface to the user as they are.
 func RunSelectCtx(ctx context.Context, db Database, sel *sqlparse.Select) (*Result, error) {
-	var prof *Profile
-	if sel.Profile {
-		prof = NewProfile("")
-	}
-	res, err := runSelect(ctx, db, sel, prof)
-	if err != nil {
-		return nil, err
-	}
-	prof.finish()
-	res.Profile = prof
-	return res, nil
-}
-
-// runSelect plans the statement and walks the plan: there is no other
-// executor. Planning errors (missing table, unbound placeholders, invalid
-// joins) surface to the user as they are.
-func runSelect(ctx context.Context, db Database, sel *sqlparse.Select, prof *Profile) (*Result, error) {
-	telemetry.Default().Counter("sqlexec_queries_total", telemetry.L("kind", plan.KindOf(sel))).Inc()
+	countQuery(sel)
 	if err := verr.Canceled(ctx.Err()); err != nil {
 		return nil, err
 	}
@@ -88,7 +69,42 @@ func runSelect(ctx context.Context, db Database, sel *sqlparse.Select, prof *Pro
 	if err != nil {
 		return nil, err
 	}
-	return execPlan(ctx, db, p, prof)
+	return runPlan(ctx, db, p)
+}
+
+// RunPlanCtx executes a planned SELECT: a bound statement's plan, or a
+// template's generic plan bound to one execution's arguments (Plan.Bind).
+// db need not be the source the plan was built on — a cached plan runs on
+// each execution's own snapshot, as long as the plan fits it (Plan.Fits).
+// When the statement says PROFILE the result carries per-operator row
+// counts and timings. Cancellation is honored at scan-block and
+// aggregation-chunk boundaries (and between UDTF input batches), so a
+// canceled query stops doing work within one block; the returned error
+// then wraps verr.ErrCanceled.
+func RunPlanCtx(ctx context.Context, db Database, p *plan.Plan) (*Result, error) {
+	countQuery(p.Sel)
+	if err := verr.Canceled(ctx.Err()); err != nil {
+		return nil, err
+	}
+	return runPlan(ctx, db, p)
+}
+
+func countQuery(sel *sqlparse.Select) {
+	telemetry.Default().Counter("sqlexec_queries_total", telemetry.L("kind", plan.KindOf(sel))).Inc()
+}
+
+func runPlan(ctx context.Context, db Database, p *plan.Plan) (*Result, error) {
+	var prof *Profile
+	if p.Sel.Profile {
+		prof = NewProfile("")
+	}
+	res, err := execPlan(ctx, db, p, prof)
+	if err != nil {
+		return nil, err
+	}
+	prof.finish()
+	res.Profile = prof
+	return res, nil
 }
 
 func runConstSelect(ctx context.Context, sel *sqlparse.Select, prof *Profile) (*Result, error) {

@@ -39,6 +39,15 @@ func RunPartialAggregate(ctx context.Context, db Database, sel *sqlparse.Select)
 	if err != nil {
 		return nil, err
 	}
+	return PartialAggregate(ctx, db, p)
+}
+
+// PartialAggregate is RunPartialAggregate of a planned statement: a bound
+// statement's plan, or a generic plan bound to one execution's arguments.
+func PartialAggregate(ctx context.Context, db Database, p *plan.Plan) (*colstore.Batch, error) {
+	if err := p.Executable(); err != nil {
+		return nil, err
+	}
 	agg := coreNode(p)
 	if agg.Op != plan.OpAggregate {
 		return nil, fmt.Errorf("sqlexec: partial aggregation of a non-aggregate statement (plan root %s)", agg.Op)

@@ -9,8 +9,9 @@ import (
 	"verticadr/internal/sqlparse"
 )
 
-// The plan walker: runSelect, RunExplainCtx and RunPartialAggregate lower a
-// statement through internal/plan and this file dispatches the resulting
+// The plan walker: RunSelectCtx, RunExplainCtx and RunPartialAggregate
+// lower a statement through internal/plan (RunPlanCtx and PartialAggregate
+// run a plan given) and this file dispatches the resulting
 // physical tree: an Aggregate's or Project's input streams through walk.go
 // (scans through the plan's access path, joins), and exec.go holds the
 // aggregation, projection, sort and limit kernels above it.
@@ -68,6 +69,9 @@ func coreNode(p *plan.Plan) *plan.Node {
 // execPlan walks a physical plan to a finished result, dispatching on the
 // core operator.
 func execPlan(ctx context.Context, db Database, p *plan.Plan, prof *Profile) (*Result, error) {
+	if err := p.Executable(); err != nil {
+		return nil, err
+	}
 	sel := p.Sel
 	core := coreNode(p)
 	switch core.Op {

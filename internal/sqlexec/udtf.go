@@ -44,21 +44,13 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 	if err != nil {
 		return nil, err
 	}
-	def, err := db.TableDef(sel.From)
+	over := fc.Over
+	scan := n.Children[0]
+	lc, err := resolveUDTFInput(db, sel, fc, scan)
 	if err != nil {
 		return nil, err
 	}
 	segs, err := db.Segments(sel.From)
-	if err != nil {
-		return nil, err
-	}
-	// The columns the arguments and PARTITION BY read.
-	over := fc.Over
-	reads := &sqlparse.Select{GroupBy: over.PartitionBy}
-	for _, a := range fc.Args {
-		reads.Items = append(reads.Items, sqlparse.SelectItem{Expr: a})
-	}
-	need, err := collectCols(reads, def.Schema)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +64,7 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 	// access path: the pushable conjuncts exactly in storage, the rest — a
 	// column it does not know among them — as its residual.
 	in := &input{ctx: ctx, prof: prof, limit: math.MaxInt, scanKept: true}
-	if err := in.openLeaf(def, segs, n.Children[0], need, cut); err != nil {
+	if err := in.openLeaf(lc, segs, scan, cut); err != nil {
 		return nil, err
 	}
 	// The arguments' types are what evaluating them over no rows yields, and
@@ -212,6 +204,32 @@ func runUDTF(ctx context.Context, db Database, sel *sqlparse.Select, n *plan.Nod
 		return detail
 	})
 	return finishSelect(ctx, merged, sel, prof)
+}
+
+// resolveUDTFInput resolves the function's input scan for the columns its
+// arguments and PARTITION BY read, once per plan (the scan's Memo).
+func resolveUDTFInput(db Database, sel *sqlparse.Select, fc *sqlparse.FuncCall, scan *plan.Node) (*leafCols, error) {
+	if lc, ok := scan.Memo.Load().(*leafCols); ok {
+		return lc, nil
+	}
+	def, err := db.TableDef(sel.From)
+	if err != nil {
+		return nil, err
+	}
+	reads := &sqlparse.Select{GroupBy: fc.Over.PartitionBy}
+	for _, a := range fc.Args {
+		reads.Items = append(reads.Items, sqlparse.SelectItem{Expr: a})
+	}
+	need, err := collectCols(reads, def.Schema)
+	if err != nil {
+		return nil, err
+	}
+	lc, err := resolveLeaf(def, scan, need)
+	if err != nil {
+		return nil, err
+	}
+	scan.Memo.Store(lc)
+	return lc, nil
 }
 
 // partition is one function instance: the node it runs on and its place

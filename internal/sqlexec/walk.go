@@ -169,14 +169,39 @@ func qualify(s colstore.Schema, alias string) colstore.Schema {
 	return out
 }
 
-// openInput plans the walk of n: the columns each stage carries (what the
-// consumer reads, the top join's residual, the keys of the joins above), the
-// leaf's ranges and every join's build side, read here. Operators start in
-// plan post-order.
-func openInput(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Select, prof *Profile) (*input, error) {
-	in := &input{ctx: ctx, prof: prof, limit: math.MaxInt}
+// walkCols is what openInput resolves from the plan and the tables'
+// definitions alone — the columns each stage carries and the leaves'
+// column lists — kept in the input node's Memo once resolved without error,
+// so a plan's later executions skip it.
+type walkCols struct {
+	star     colstore.Schema // what SELECT * expands against
+	need     []string        // the consumer's columns
+	carry    []map[string]bool
+	leaf     *leafCols
+	builds   []*leafCols // each join's build side
+	buildErr error       // the first build side's that failed to resolve
+}
+
+// leafCols is a scan's columns: cols, asked for, then what its residual
+// reads beside them (scan), their schema, and that schema under the
+// stream's names (view).
+type leafCols struct {
+	cols   []string
+	scan   []string
+	schema colstore.Schema
+	view   colstore.Schema
+}
+
+// resolveWalk resolves the walk of n, the input of sel's consumer: the
+// columns each stage carries (what the consumer reads, the top join's
+// residual, the keys of the joins above) and each scan's column list.
+func resolveWalk(db Database, n *plan.Node, sel *sqlparse.Select) (*walkCols, error) {
+	if w, ok := n.Memo.Load().(*walkCols); ok {
+		return w, nil
+	}
+	w := &walkCols{}
 	var err error
-	if in.star, err = inputSchema(db, n); err != nil {
+	if w.star, err = inputSchema(db, n); err != nil {
 		return nil, err
 	}
 	var joins []*plan.Node
@@ -187,71 +212,127 @@ func openInput(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Sel
 	if err != nil {
 		return nil, err
 	}
-	leafCols := n.Cols
-	if leafCols == nil { // one table: the columns the statement names
-		if leafCols, err = collectCols(sel, def.Schema); err != nil {
+	names := n.Cols
+	if names == nil { // one table: the columns the statement names
+		if names, err = collectCols(sel, def.Schema); err != nil {
 			return nil, err
 		}
 	}
-	leafCols = scanColumns(leafCols, def.Schema)
+	names = scanColumns(names, def.Schema)
 	name := func(c string) string {
 		if n.Alias == "" {
 			return c
 		}
 		return n.Alias + "." + c
 	}
-	need, err := collectCols(&sqlparse.Select{Items: sel.Items, GroupBy: sel.GroupBy}, in.star)
-	if err != nil {
+	if w.need, err = collectCols(&sqlparse.Select{Items: sel.Items, GroupBy: sel.GroupBy}, w.star); err != nil {
 		return nil, err
 	}
-	if len(need) == 0 { // COUNT(*) still needs the rows
-		need = []string{name(leafCols[0])}
+	if len(w.need) == 0 { // COUNT(*) still needs the rows
+		w.need = []string{name(names[0])}
 	}
 	// carry[k]: the columns entering join k; carry[len(joins)]: leaving the
 	// last one.
-	carry := make([]map[string]bool, len(joins)+1)
-	top := need
+	w.carry = make([]map[string]bool, len(joins)+1)
+	top := w.need
 	if len(joins) > 0 {
-		top = slices.Clone(need)
+		top = slices.Clone(w.need)
 		readCols(joins[len(joins)-1].Residual, func(c string) { top = append(top, c) })
 	}
 	for k := len(joins); k >= 0; k-- {
-		carry[k] = map[string]bool{}
+		w.carry[k] = map[string]bool{}
 		for _, c := range top {
-			carry[k][c] = true
+			w.carry[k][c] = true
 		}
 		if k > 0 {
 			top = append(top, joins[k-1].LeftKey)
 		}
 	}
 	var cols []string
-	for _, c := range leafCols {
-		if carry[0][name(c)] {
+	for _, c := range names {
+		if w.carry[0][name(c)] {
 			cols = append(cols, c)
 		}
+	}
+	if w.leaf, err = resolveLeaf(def, n, cols); err != nil {
+		return nil, err
+	}
+	w.builds = make([]*leafCols, len(joins))
+	for k, jn := range joins {
+		build := jn.Children[1]
+		var bcols []string
+		for _, c := range build.Cols {
+			if q := build.Alias + "." + c; w.carry[k+1][q] || q == jn.RightKey {
+				bcols = append(bcols, c)
+			}
+		}
+		bdef, err := db.TableDef(build.Table)
+		if err == nil {
+			w.builds[k], err = resolveLeaf(bdef, build, bcols)
+		}
+		if err != nil {
+			w.buildErr = err
+			return w, nil
+		}
+	}
+	n.Memo.Store(w)
+	return w, nil
+}
+
+// resolveLeaf resolves the scan n of a table defined by def for cols.
+func resolveLeaf(def *catalog.TableDef, n *plan.Node, cols []string) (*leafCols, error) {
+	lc := &leafCols{cols: scanColumns(cols, def.Schema)}
+	lc.scan = lc.cols
+	if res := n.Access.Residual; res != nil {
+		extra, err := collectCols(&sqlparse.Select{Where: res}, def.Schema)
+		if err != nil {
+			return nil, err
+		}
+		lc.scan = union(lc.cols, extra)
+	}
+	var err error
+	if lc.schema, err = def.Schema.Project(lc.scan); err != nil {
+		return nil, err
+	}
+	lc.view = lc.schema
+	if n.Alias != "" {
+		lc.view = qualify(lc.schema, n.Alias)
+	}
+	return lc, nil
+}
+
+// openInput opens the walk of n (resolveWalk): the leaf's ranges and every
+// join's build side, read here. Operators start in plan post-order.
+func openInput(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Select, prof *Profile) (*input, error) {
+	in := &input{ctx: ctx, prof: prof, limit: math.MaxInt}
+	w, err := resolveWalk(db, n, sel)
+	if err != nil {
+		return nil, err
+	}
+	in.star = w.star
+	var joins []*plan.Node
+	for ; n.Op == plan.OpHashJoin; n = n.Children[0] {
+		joins = append([]*plan.Node{n}, joins...)
 	}
 	segs, err := db.Segments(n.Table)
 	if err != nil {
 		return nil, err
 	}
-	if err := in.openLeaf(def, segs, n, cols, blockRanges); err != nil {
+	if err := in.openLeaf(w.leaf, segs, n, blockRanges); err != nil {
 		return nil, err
 	}
 	in.startLeafOps()
 	schema := in.view
 	for k, jn := range joins {
-		build := jn.Children[1]
-		var bcols []string
-		for _, c := range build.Cols {
-			if q := build.Alias + "." + c; carry[k+1][q] || q == jn.RightKey {
-				bcols = append(bcols, c)
-			}
+		var rows *colstore.Batch
+		err := w.buildErr
+		if w.builds[k] != nil {
+			rows, err = readScan(ctx, db, jn.Children[1], w.builds[k], prof)
 		}
-		rows, err := readScan(ctx, db, build, bcols, prof)
 		t0 := prof.now()
 		var j *joinTable
 		if err == nil {
-			j, err = newJoinTable(jn, schema, rows, carry[k+1])
+			j, err = newJoinTable(jn, schema, rows, w.carry[k+1])
 		}
 		if err != nil {
 			in.fail(stageJoins, err)
@@ -268,7 +349,7 @@ func openInput(ctx context.Context, db Database, n *plan.Node, sel *sqlparse.Sel
 			in.fail(in.topStage(), err)
 		}
 	}
-	in.keepCols(schema, need)
+	in.keepCols(schema, w.need)
 	return in, nil
 }
 
@@ -298,33 +379,16 @@ func blockRanges(seg *colstore.Segment) int {
 	return max(1, (seg.Blocks()+rangeBlocks-1)/rangeBlocks)
 }
 
-// openLeaf opens the scan n over segs for cols, plus what its residual
-// reads, as cursor ranges: a sequential scan's cut(seg) ranges of each
-// segment's surviving blocks (ScanCursors); an index scan's one per segment
-// with a match, a segment without the index scanned sequentially under the
-// same predicates.
-func (in *input) openLeaf(def *catalog.TableDef, segs []*colstore.Segment, n *plan.Node, cols []string, cut func(*colstore.Segment) int) error {
-	cols = scanColumns(cols, def.Schema)
-	scanCols := cols
+// openLeaf opens the scan n over segs for lc's columns as cursor ranges: a
+// sequential scan's cut(seg) ranges of each segment's surviving blocks
+// (ScanCursors); an index scan's one per segment with a match, a segment
+// without the index scanned sequentially under the same predicates.
+func (in *input) openLeaf(lc *leafCols, segs []*colstore.Segment, n *plan.Node, cut func(*colstore.Segment) int) error {
 	acc := n.Access
-	if acc.Residual != nil {
-		extra, err := collectCols(&sqlparse.Select{Where: acc.Residual}, def.Schema)
-		if err != nil {
-			return err
-		}
-		scanCols = union(cols, extra)
-	}
-	schema, err := def.Schema.Project(scanCols)
-	if err != nil {
-		return err
-	}
-	in.leaf, in.segs, in.cols, in.view, in.residual = n, len(segs), cols, schema, acc.Residual
-	if n.Alias != "" {
-		in.view = qualify(schema, n.Alias)
-	}
+	in.leaf, in.segs, in.cols, in.view, in.residual = n, len(segs), lc.cols, lc.view, acc.Residual
 	// The residual's errors do not depend on what storage finds.
 	if acc.Residual != nil {
-		if _, err := filterRows(acc.Residual, colstore.NewBatch(schema), nil); err != nil {
+		if _, err := filterRows(acc.Residual, colstore.NewBatch(lc.schema), nil); err != nil {
 			in.fail(stageFilter, err)
 		}
 	}
@@ -335,7 +399,7 @@ func (in *input) openLeaf(def *catalog.TableDef, segs []*colstore.Segment, n *pl
 	}
 	for node, seg := range segs {
 		if n.Op == plan.OpIndexScan {
-			cur, handled, err := in.probeIndex(seg, scanCols, acc)
+			cur, handled, err := in.probeIndex(seg, lc.scan, acc)
 			switch {
 			case err != nil:
 				return err
@@ -349,7 +413,7 @@ func (in *input) openLeaf(def *catalog.TableDef, segs []*colstore.Segment, n *pl
 			}
 			in.fellBack++
 		}
-		curs, err := seg.ScanCursors(scanCols, acc.Preds, cut(seg))
+		curs, err := seg.ScanCursors(lc.scan, acc.Preds, cut(seg))
 		if err != nil {
 			return err
 		}
@@ -383,19 +447,15 @@ func (in *input) startLeafOps() {
 	}
 }
 
-// readScan reads the scan n whole — cols of its rows, under the names a join
-// sees them by — with its own operators: a join's build side.
-func readScan(ctx context.Context, db Database, n *plan.Node, cols []string, prof *Profile) (*colstore.Batch, error) {
-	def, err := db.TableDef(n.Table)
-	if err != nil {
-		return nil, err
-	}
+// readScan reads the scan n whole — lc's columns of its rows, under the
+// names a join sees them by — with its own operators: a join's build side.
+func readScan(ctx context.Context, db Database, n *plan.Node, lc *leafCols, prof *Profile) (*colstore.Batch, error) {
 	segs, err := db.Segments(n.Table)
 	if err != nil {
 		return nil, err
 	}
 	in := &input{ctx: ctx, prof: prof, limit: math.MaxInt}
-	if err := in.openLeaf(def, segs, n, cols, blockRanges); err != nil {
+	if err := in.openLeaf(lc, segs, n, blockRanges); err != nil {
 		return nil, err
 	}
 	in.startLeafOps()

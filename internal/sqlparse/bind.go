@@ -17,6 +17,59 @@ func BindSelect(sel *Select, args []any) (*Select, error) {
 	if len(args) == 0 {
 		return sel, nil
 	}
+	bind, err := binder(args)
+	if err != nil {
+		return nil, err
+	}
+	bound, _ := RewriteSelect(sel, bind, nil) // it cannot fail
+	if bound == sel {                         // a hand-built count with no placeholder behind it
+		c := *sel
+		bound = &c
+	}
+	bound.NumParams = 0 // a copy of sel's made here, not yet shared
+	return bound, nil
+}
+
+// BindExpr is BindSelect for one expression of a statement: every `?` in e
+// replaced by its argument as a literal, the rest shared with e.
+func BindExpr(e Expr, args []any) (Expr, error) {
+	bind, err := binder(args)
+	if err != nil {
+		return nil, err
+	}
+	return Rewrite(e, bind)
+}
+
+// CheckArgs reports the error BindSelect would return for args bound to a
+// statement with n placeholders, without binding anything.
+func CheckArgs(n int, args []any) error {
+	if len(args) != n {
+		return fmt.Errorf("sqlparse: statement has %d placeholders, got %d arguments", n, len(args))
+	}
+	for i, a := range args {
+		if _, ok := ArgValue(a); !ok {
+			_, err := literalFor(a)
+			return fmt.Errorf("sqlparse: argument %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// ArgValue is the value an argument binds as, the one Literal reads back
+// from its literal: int64, float64, string or bool.
+func ArgValue(a any) (any, bool) {
+	switch v := a.(type) {
+	case int:
+		return int64(v), true
+	case int64, float64, string, bool:
+		return v, true
+	}
+	return nil, false
+}
+
+// binder returns the rewrite that puts each argument, as a literal, in the
+// place of its placeholder.
+func binder(args []any) (func(Expr) (Expr, error), error) {
 	lits := make([]Expr, len(args))
 	for i, a := range args {
 		l, err := literalFor(a)
@@ -25,19 +78,13 @@ func BindSelect(sel *Select, args []any) (*Select, error) {
 		}
 		lits[i] = l
 	}
-	bound, _ := RewriteSelect(sel, func(e Expr) (Expr, error) { // it cannot fail
+	return func(e Expr) (Expr, error) {
 		// A placeholder out of range is left for the evaluator to reject.
 		if p, ok := e.(*Placeholder); ok && p.Idx >= 0 && p.Idx < len(lits) {
 			return lits[p.Idx], nil
 		}
 		return e, nil
-	}, nil)
-	if bound == sel { // a hand-built count with no placeholder behind it
-		c := *sel
-		bound = &c
-	}
-	bound.NumParams = 0 // a copy of sel's made here, not yet shared
-	return bound, nil
+	}, nil
 }
 
 func literalFor(a any) (Expr, error) {

@@ -531,6 +531,14 @@ func (v *shardView) Segments(name string) ([]*colstore.Segment, error) {
 
 var _ sqlexec.Database = (*shardView)(nil)
 
+// View returns an sqlexec.Database over a pinned MVCC snapshot of every
+// node's segments — the view RunStatement runs a SELECT on — plus a release
+// function that must be called when the query finishes.
+func (db *DB) View() (sqlexec.Database, func()) {
+	sv := db.snapshotView()
+	return sv, sv.close
+}
+
 // ShardView returns an sqlexec.Database over a pinned MVCC snapshot
 // restricted to the given node segments, plus a release function that must
 // be called when the query finishes. The view observes the database as of
