@@ -27,12 +27,10 @@ const (
 	PlanRebuilt = "rebuilt"
 )
 
-var mPlans = map[string]*telemetry.Counter{}
-
-func init() {
-	for _, path := range []string{PlanGeneric, PlanCustom, PlanRebuilt} {
-		mPlans[path] = telemetry.Default().Counter("server_plans_total", telemetry.L("plan", path))
-	}
+var mPlans = map[string]*telemetry.Counter{
+	PlanGeneric: telemetry.Default().Counter("server_plans_total", telemetry.L("plan", PlanGeneric)),
+	PlanCustom:  telemetry.Default().Counter("server_plans_total", telemetry.L("plan", PlanCustom)),
+	PlanRebuilt: telemetry.Default().Counter("server_plans_total", telemetry.L("plan", PlanRebuilt)),
 }
 
 // planCache is a bounded LRU of SELECT templates, keyed on catalog epoch
@@ -147,7 +145,7 @@ func (c *planCache) lookup(key string) (*Template, bool) {
 	return el.Value.(*planEntry).t, true
 }
 
-// get is lookup's parse.
+// get is lookup's parse, for Prepare, which keeps a cached template.
 func (c *planCache) get(key string) (*sqlparse.Select, bool) {
 	t, ok := c.lookup(key)
 	if !ok {

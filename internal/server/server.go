@@ -328,7 +328,11 @@ func (s *Server) Prepare(name, sql string) error {
 	if err != nil {
 		return err
 	}
-	s.plans.put(s.cacheKey(normalize(sql)), sel)
+	// A text already cached keeps its template and the plans made of it.
+	ck := s.cacheKey(normalize(sql))
+	if _, ok := s.plans.get(ck); !ok {
+		s.plans.put(ck, sel)
+	}
 	s.mu.Lock()
 	s.prepared[name] = sql
 	s.mu.Unlock()
@@ -418,19 +422,6 @@ func (s *Server) Resolve(ctx context.Context, sql string, args []any) (*Query, e
 	}
 	q.Stmt, q.Template = t.Sel, t
 	return q, nil
-}
-
-// Statement is Resolve's statement bound to args (Query.Bound). What comes
-// back shares its nodes with the cached template (the template itself when
-// there is nothing to bind), so the caller rewrites it only into a copy of
-// its own (sqlparse.Rewrite), never in place.
-func (s *Server) Statement(ctx context.Context, sql string, args []any) (stmt sqlparse.Statement, fingerprint string, err error) {
-	q, err := s.Resolve(ctx, sql, args)
-	if err != nil {
-		return nil, normalize(sql), err
-	}
-	stmt, err = q.Bound()
-	return stmt, q.fingerprint, err
 }
 
 // Query runs one-shot SQL through the front door, resolved through the plan

@@ -75,7 +75,7 @@ func TestStatementUnboundTemplateIsAMiss(t *testing.T) {
 		h0, m0 := hits.Value(), misses.Value()
 		reg := telemetry.NewRegistry()
 		ctx, span := reg.StartTrace(context.Background(), "test")
-		_, _, _ = srv.Statement(ctx, q, args)
+		_, _ = srv.Resolve(ctx, q, args)
 		span.End()
 		want := "miss"
 		if wantHit {
