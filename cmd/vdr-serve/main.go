@@ -220,6 +220,8 @@ func openSession(ctx context.Context, dataDir string, demo bool, nodes, workers 
 	if info := sess.DB.RecoveryInfo(); info != nil {
 		fmt.Printf("vdr-serve: recovery: checkpoint lsn %d, replayed %d records / %d bytes in %v\n",
 			info.CheckpointLSN, info.Replay.Records, info.Replay.Bytes, info.Replay.Elapsed)
+		fmt.Printf("vdr-serve: recovery: image %v, redo %v: log reader %v, waiting on apply %v\n",
+			info.ImageLoad, info.Replay.Elapsed, info.Replay.Elapsed-info.ApplyWait, info.ApplyWait)
 		if info.Replay.Torn {
 			fmt.Println("vdr-serve: recovery: torn final record discarded (crash mid-append)")
 		}

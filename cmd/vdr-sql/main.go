@@ -190,6 +190,8 @@ func printRecovery(s *verticadr.Session) {
 	}
 	fmt.Printf("recovery: replayed %d records / %d bytes in %v (lsn %d..%d)\n",
 		info.Replay.Records, info.Replay.Bytes, info.Replay.Elapsed, info.Replay.Start, info.Replay.End)
+	fmt.Printf("recovery: image %v, redo %v: log reader %v, waiting on apply %v\n",
+		info.ImageLoad, info.Replay.Elapsed, info.Replay.Elapsed-info.ApplyWait, info.ApplyWait)
 	if info.Replay.Torn {
 		fmt.Println("recovery: torn final record discarded (crash mid-append)")
 	}

@@ -99,6 +99,25 @@ func AppendStoredChunk(dst []byte, blocks [][]byte) []byte {
 	return dst
 }
 
+// CutChunk splits the chunk at the head of msg from the bytes after it
+// without decoding it: only the column count and the block lengths are read.
+// What the cut does not check — the schema, the blocks themselves — is
+// DecodeChunkInto's, which the returned chunk is exactly the input of.
+func CutChunk(msg []byte) (chunk, rest []byte, err error) {
+	ncols, off := binary.Uvarint(msg)
+	if off <= 0 {
+		return nil, nil, fmt.Errorf("colstore: corrupt chunk header")
+	}
+	for i := uint64(0); i < ncols; i++ {
+		l, n := binary.Uvarint(msg[off:])
+		if n <= 0 || uint64(len(msg)-off-n) < l {
+			return nil, nil, fmt.Errorf("colstore: truncated chunk column %d", i)
+		}
+		off += n + int(l)
+	}
+	return msg[:off:off], msg[off:], nil
+}
+
 // DecodeChunkInto decodes the chunk at the head of msg into dst, appending
 // to dst's columns (callers reusing a pooled batch Reset it first), and
 // returns the bytes after it. dst's schema is the expected schema; a chunk

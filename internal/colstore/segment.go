@@ -115,8 +115,8 @@ func (s *Segment) Append(b *Batch) error {
 
 // appendTail appends b's rows to the tail: in place when the backing arrays
 // have room and no clone has written past this tail, else into a fresh tail
-// of twice the rows (of just the rows when they fill a block and are about to
-// be sealed) with a claim of its own.
+// with a claim of its own, of twice the rows but at most a block (of just the
+// rows when they fill a block and are about to be sealed).
 func (s *Segment) appendTail(b *Batch) {
 	n, m := s.tail.Len(), s.tail.Len()+b.Len()
 	room := true
@@ -124,11 +124,7 @@ func (s *Segment) appendTail(b *Batch) {
 		room = room && cap(c.Ints)+cap(c.Floats)+cap(c.Strs)+cap(c.Bools) >= m
 	}
 	if !room || !s.claim.CompareAndSwap(int64(n), int64(m)) {
-		size := 2 * m
-		if m >= s.blockRows {
-			size = m
-		}
-		nt := NewBatchCap(s.schema, size)
+		nt := NewBatchCap(s.schema, max(m, min(2*m, s.blockRows)))
 		_ = nt.AppendBatch(s.tail) // one schema
 		s.tail, s.claim = nt, new(atomic.Int64)
 		s.claim.Store(int64(m))
@@ -147,7 +143,10 @@ func (s *Segment) Seal() error {
 
 // sealPrefix encodes the tail's first n rows as blocks of blockRows rows (the
 // last one shorter when n is not a multiple) and leaves the rest of the rows
-// in a fresh tail with a claim of its own.
+// in a fresh tail with a claim of its own. When it cut only full blocks — an
+// Append filled them, and more rows are on their way — that tail has a block's
+// room, so the next block's rows append into it without regrowing; after Seal
+// sealed a short block it holds just the rest.
 func (s *Segment) sealPrefix(n int) error {
 	for lo := 0; lo < n; lo += s.blockRows {
 		for i, col := range s.tail.Slice(lo, min(lo+s.blockRows, n)).Cols {
@@ -160,8 +159,12 @@ func (s *Segment) sealPrefix(n int) error {
 			s.sealed[i] = append(s.sealed[i], ref)
 		}
 	}
-	nt := NewBatch(s.schema)
-	_ = nt.AppendBatch(s.tail.Slice(n, s.tail.Len())) // one schema
+	room := 0
+	if n%s.blockRows == 0 {
+		room = s.blockRows
+	}
+	nt := NewBatchCap(s.schema, room)
+	_ = nt.AppendRange(s.tail, n, s.tail.Len()) // one schema
 	s.tail, s.claim = nt, new(atomic.Int64)
 	s.claim.Store(int64(nt.Len()))
 	return nil

@@ -225,11 +225,16 @@ func (db *DB) JournalBlobDelete(path string) error {
 // --- recovery --------------------------------------------------------------
 
 // RecoveryInfo describes what startup recovery did: the checkpoint image it
-// loaded and the redo pass over the log that followed.
+// loaded and the redo pass over the log that followed. Its times split a
+// reopen: ImageLoad, then Replay.Elapsed, the redo pass to its last applied
+// record, of which ApplyWait is the log reader waiting on the node workers'
+// apply and the rest its own reading, checking and framing.
 type RecoveryInfo struct {
 	CheckpointLSN uint64          // replay horizon (0 = no checkpoint, full log)
 	CheckpointDir string          // snapshot directory loaded, "" if none
+	ImageLoad     time.Duration   // wall time of the checkpoint image load
 	Replay        wal.ReplayStats // redo pass measurements
+	ApplyWait     time.Duration   // of Replay.Elapsed, the reader blocked on the workers
 	DurableLSN    uint64          // log position after recovery
 }
 
@@ -260,17 +265,27 @@ func (db *DB) recoverState() error {
 		return err
 	}
 	if haveCk {
+		t0 := time.Now()
 		if err := db.loadCheckpointImage(filepath.Join(db.cfg.DataDir, ck.Dir)); err != nil {
 			return fmt.Errorf("vertica: load checkpoint %q: %w", ck.Dir, err)
 		}
+		info.ImageLoad = time.Since(t0)
 		info.CheckpointLSN = ck.LSN
 		info.CheckpointDir = ck.Dir
 	}
-	stats, err := wal.Replay(walDir, info.CheckpointLSN, db.applyWALRecord)
+	t0 := time.Now()
+	r := db.startRedo()
+	stats, err := wal.Replay(walDir, info.CheckpointLSN, r.record)
+	// A worker's failure is on a record the reader had already passed.
+	if werr := r.stop(); werr != nil {
+		err = werr
+	}
 	if err != nil {
 		return fmt.Errorf("vertica: redo: %w", err)
 	}
 	info.Replay = *stats
+	info.Replay.Elapsed = time.Since(t0)
+	info.ApplyWait = r.wait
 	w, err := wal.Open(walDir, wal.Options{SegmentBytes: db.cfg.WALSegmentBytes})
 	if err != nil {
 		return err
@@ -281,9 +296,9 @@ func (db *DB) recoverState() error {
 	return nil
 }
 
-// applyWALRecord is the redo interpreter: it applies one log record to
-// in-memory state as the original commit's apply step did — except that a
-// load appends in place (see applyLoad): recovery has no readers to isolate.
+// applyWALRecord is the redo interpreter of every record but a load, which
+// redo cuts and its node workers apply: it applies one log record to
+// in-memory state as the original commit's apply step did.
 func (db *DB) applyWALRecord(lsn uint64, typ byte, body []byte) error {
 	switch typ {
 	case recCreateTable:
@@ -294,18 +309,6 @@ func (db *DB) applyWALRecord(lsn uint64, typ byte, body []byte) error {
 		return db.applyCreate(def)
 	case recDropTable:
 		return db.applyDrop(string(body))
-	case recLoad:
-		table, parts, err := decodeLoad(body, func(t string) (colstore.Schema, error) {
-			def, err := db.cat.Get(t)
-			if err != nil {
-				return nil, err
-			}
-			return def.Schema, nil
-		})
-		if err != nil {
-			return err
-		}
-		return db.applyLoad(table, parts, true)
 	case recCreateIndex:
 		name, table, column, err := decodeIndexDDL(body)
 		if err != nil {
@@ -336,7 +339,9 @@ func (db *DB) applyWALRecord(lsn uint64, typ byte, body []byte) error {
 }
 
 // loadCheckpointImage restores catalog, table segments and DFS blobs from a
-// checkpoint snapshot directory.
+// checkpoint snapshot directory. Each node's segment and index files open on
+// a goroutine of their own, table after table, the per-node split redo uses;
+// a table is published once all its nodes have opened.
 func (db *DB) loadCheckpointImage(dir string) error {
 	data, err := os.ReadFile(filepath.Join(dir, catalogFile))
 	if err != nil {
@@ -349,33 +354,39 @@ func (db *DB) loadCheckpointImage(dir string) error {
 	if pc.Nodes != db.cfg.Nodes {
 		return fmt.Errorf("vertica: cluster size %d does not match checkpointed %d", db.cfg.Nodes, pc.Nodes)
 	}
-	for _, pt := range pc.Tables {
-		def, err := manifestTableDef(pt)
+	defs := make([]*catalog.TableDef, len(pc.Tables))
+	segs := make([][]*colstore.Segment, len(pc.Tables)) // per table, per node
+	for i, pt := range pc.Tables {
+		if defs[i], err = manifestTableDef(pt); err != nil {
+			return err
+		}
+		if err := db.applyCreate(defs[i]); err != nil {
+			return err
+		}
+		segs[i] = make([]*colstore.Segment, db.cfg.Nodes)
+	}
+	errs := make([]error, db.cfg.Nodes)
+	var wg sync.WaitGroup
+	for node := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, def := range defs {
+				if segs[i][node], errs[node] = openImageNode(filepath.Join(dir, "tables", def.Name), def, node, pc.Indexes); errs[node] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
-		if err := db.applyCreate(def); err != nil {
-			return err
-		}
-		segs := make([]*colstore.Segment, db.cfg.Nodes)
-		for node := range segs {
-			path := filepath.Join(dir, "tables", pt.Name, fmt.Sprintf("node%d.vseg", node))
-			seg, err := colstore.OpenSegment(path)
-			if err != nil {
-				return fmt.Errorf("table %q node %d: %w", pt.Name, node, err)
-			}
-			if !seg.Schema().Equal(def.Schema) {
-				return fmt.Errorf("table %q node %d: segment schema drift", pt.Name, node)
-			}
-			segs[node] = seg
-		}
-		// Reattach secondary indexes before publishing: checkpointed .vidx
-		// trees load directly, anything missing or corrupt rebuilds from the
-		// segment data just read.
-		if err := db.restoreIndexes(filepath.Join(dir, "tables", pt.Name), pc.Indexes, pt.Name, segs); err != nil {
-			return err
-		}
-		db.store.Put(pt.Name, segs)
+	}
+	for i, def := range defs {
+		db.registerIndexes(pc.Indexes, def.Name)
+		db.store.Put(def.Name, segs[i])
 	}
 	blobRoot := filepath.Join(dir, "blobs")
 	return filepath.WalkDir(blobRoot, func(path string, d os.DirEntry, err error) error {

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"verticadr/internal/atomicfile"
+	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
 	"verticadr/internal/colstore/index"
 	"verticadr/internal/verr"
@@ -174,7 +175,7 @@ func (db *DB) persistIndexes(dir, table string, segs []*colstore.Segment, idxs [
 				continue
 			}
 			// The tree encoding carries no checksum of its own; the CRC32
-			// trailer lets restoreIndexes tell a damaged file from a tree
+			// trailer lets openImageNode tell a damaged file from a tree
 			// that merely decodes.
 			data := tree.Encode()
 			data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(data))
@@ -204,29 +205,43 @@ func loadTree(path string) *index.Tree {
 	return tree
 }
 
-// restoreIndexes reattaches checkpointed trees to a just-loaded table's
-// segments and registers the catalog entries. A missing, checksum-failing,
-// undecodable or row-count-mismatched .vidx falls back to rebuilding the tree
-// from the segment — the index catalog entry is authoritative, the tree bytes
-// are a cache.
-func (db *DB) restoreIndexes(dir string, idxs []persistedIndex, table string, segs []*colstore.Segment) error {
+// openImageNode opens one node's segment of a checkpointed table and
+// reattaches the node's checkpointed index trees. A missing, checksum-
+// failing, undecodable or row-count-mismatched .vidx falls back to
+// rebuilding the tree from the segment — the index catalog entry is
+// authoritative, the tree bytes are a cache. Errors name the table and node.
+func openImageNode(dir string, def *catalog.TableDef, node int, idxs []persistedIndex) (*colstore.Segment, error) {
+	seg, err := colstore.OpenSegment(filepath.Join(dir, fmt.Sprintf("node%d.vseg", node)))
+	if err != nil {
+		return nil, fmt.Errorf("table %q node %d: %w", def.Name, node, err)
+	}
+	if !seg.Schema().Equal(def.Schema) {
+		return nil, fmt.Errorf("table %q node %d: segment schema drift", def.Name, node)
+	}
+	for _, pi := range idxs {
+		if pi.Table != def.Name {
+			continue
+		}
+		tree := loadTree(filepath.Join(dir, vidxFile(node, pi.Column)))
+		if tree != nil && seg.SetIndex(pi.Column, tree) == nil {
+			continue
+		}
+		if err := seg.BuildIndex(pi.Column); err != nil {
+			return nil, fmt.Errorf("vertica: rebuild index %q on %s(%s) node %d: %w", pi.Name, pi.Table, pi.Column, node, err)
+		}
+	}
+	return seg, nil
+}
+
+// registerIndexes enters a checkpointed table's indexes in the catalog.
+func (db *DB) registerIndexes(idxs []persistedIndex, table string) {
 	for _, pi := range idxs {
 		if pi.Table != table {
 			continue
-		}
-		for node, seg := range segs {
-			tree := loadTree(filepath.Join(dir, vidxFile(node, pi.Column)))
-			if tree != nil && seg.SetIndex(pi.Column, tree) == nil {
-				continue
-			}
-			if err := seg.BuildIndex(pi.Column); err != nil {
-				return fmt.Errorf("vertica: rebuild index %q on %s(%s) node %d: %w", pi.Name, pi.Table, pi.Column, node, err)
-			}
 		}
 		db.mu.Lock()
 		db.indexes[pi.Name] = IndexDef{Name: pi.Name, Table: pi.Table, Column: pi.Column}
 		db.mu.Unlock()
 		db.epoch.Add(1)
 	}
-	return nil
 }

@@ -73,14 +73,37 @@ func encodeLoad(table string, parts []*colstore.Batch) ([]byte, error) {
 	return buf, nil
 }
 
+// decodeLoad decodes a load record whole: the cut, then each node's part.
+// Recovery does the same two steps apart — the cut on the log reader, each
+// part's decode on its node's redo worker.
 func decodeLoad(body []byte, schemaOf func(table string) (colstore.Schema, error)) (string, []*colstore.Batch, error) {
-	table, rest, err := cutString(body)
+	table, chunks, err := cutLoad(body)
 	if err != nil {
-		return "", nil, fmt.Errorf("vertica: wal load record: %w", err)
+		return "", nil, err
 	}
 	schema, err := schemaOf(table)
 	if err != nil {
 		return "", nil, fmt.Errorf("vertica: wal load record for %q: %w", table, err)
+	}
+	parts := make([]*colstore.Batch, len(chunks))
+	for n, chunk := range chunks {
+		if chunk == nil {
+			continue
+		}
+		parts[n] = colstore.NewBatch(schema)
+		if err := decodePart(parts[n], table, chunk); err != nil {
+			return "", nil, err
+		}
+	}
+	return table, parts, nil
+}
+
+// cutLoad splits a load record into its table and per-node chunks, nil for
+// a node the load gave no rows, without decoding any of them.
+func cutLoad(body []byte) (table string, chunks [][]byte, err error) {
+	table, rest, err := cutString(body)
+	if err != nil {
+		return "", nil, fmt.Errorf("vertica: wal load record: %w", err)
 	}
 	nodes, rest, err := cutUvarint(rest)
 	if err != nil {
@@ -89,19 +112,27 @@ func decodeLoad(body []byte, schemaOf func(table string) (colstore.Schema, error
 	if nodes > uint64(len(rest)) { // every node takes at least its zero byte
 		return "", nil, fmt.Errorf("vertica: wal load record: %d nodes in %d bytes", nodes, len(rest))
 	}
-	parts := make([]*colstore.Batch, nodes)
-	for n := range parts {
+	chunks = make([][]byte, nodes)
+	for n := range chunks {
 		if len(rest) > 0 && rest[0] == 0 {
 			rest = rest[1:]
 			continue
 		}
-		b := colstore.NewBatch(schema)
-		if rest, err = colstore.DecodeChunkInto(b, rest); err != nil {
+		if chunks[n], rest, err = colstore.CutChunk(rest); err != nil {
 			return "", nil, fmt.Errorf("vertica: wal load record for %q: %w", table, err)
 		}
-		parts[n] = b
 	}
-	return table, parts, nil
+	return table, chunks, nil
+}
+
+// decodePart decodes one node's chunk of a load record into dst, which it
+// empties first.
+func decodePart(dst *colstore.Batch, table string, chunk []byte) error {
+	dst.Reset()
+	if _, err := colstore.DecodeChunkInto(dst, chunk); err != nil {
+		return fmt.Errorf("vertica: wal load record for %q: %w", table, err)
+	}
+	return nil
 }
 
 // --- index DDL -------------------------------------------------------------

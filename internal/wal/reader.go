@@ -27,6 +27,21 @@ type ReplayStats struct {
 	Elapsed  time.Duration // wall time of the redo pass
 }
 
+// ApplyError is a record the redo callback failed to apply, at its LSN.
+// Replay wraps the callback's error in one, unless the callback returned an
+// ApplyError itself: a callback that applies records behind the reader
+// reports a failure on the record it failed, not the one being read.
+type ApplyError struct {
+	LSN uint64
+	Err error
+}
+
+func (e *ApplyError) Error() string {
+	return fmt.Sprintf("wal: replay apply at lsn %d: %v", e.LSN, e.Err)
+}
+
+func (e *ApplyError) Unwrap() error { return e.Err }
+
 // Replay is the redo pass: it walks the log in dir from LSN `from` (a
 // record boundary — typically the last checkpoint's horizon) and delivers
 // every complete record, in order, to fn. A torn final record is tolerated
@@ -89,7 +104,10 @@ func Replay(dir string, from uint64, fn func(lsn uint64, typ byte, body []byte) 
 			}
 			if fn != nil {
 				if err := fn(segStart+off, typ, body); err != nil {
-					return nil, fmt.Errorf("wal: replay apply at lsn %d: %w", segStart+off, err)
+					if ae := (*ApplyError)(nil); !errors.As(err, &ae) {
+						err = &ApplyError{LSN: segStart + off, Err: err}
+					}
+					return nil, err
 				}
 			}
 			off += n
