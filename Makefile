@@ -18,7 +18,9 @@ GO ?= go
 # bench-placement, bench-point (the point read end to end, then statement
 # preparation and the index probe alone), bench-scan (the block parse paths:
 # BenchmarkDecodeDelta, BenchmarkDecodeBlock, BenchmarkMatchCompressed),
-# bench-transfer, bench-keys, bench-figures, chaos (the recovery paths, a
+# bench-transfer, bench-keys, bench-recover (a durable node's reopen: the
+# checkpoint image, then per-node redo of 700 logged COPYs), bench-figures,
+# chaos (the recovery paths, a
 # clustered node's front door under overload and QueryTimeout, and a routed
 # read whose peer dies between its request and its reply, among them),
 # recover, fuzz, loc.
@@ -216,6 +218,14 @@ bench-transfer:
 bench-keys:
 	$(GO) test -run='^$$' -bench='BenchmarkGroupByInt$$|BenchmarkGroupByWhere$$|BenchmarkGroupByWideInt|BenchmarkGroupByUniqueInt|BenchmarkHashJoinAgg' -benchmem ./internal/sqlexec/
 	$(GO) test -run='^$$' -bench='BenchmarkReadSQL|BenchmarkJoinSQL' -benchmem ./internal/core/
+
+# Recovery: a durable 4-node database shaped like ingest_durable's node — a
+# checkpointed 300k-row events_in, then 700 COPYs of 2,048 rows in the log —
+# reopened; an op is one Open (the image load and the per-node redo), its
+# MB/s the log it replays.
+.PHONY: bench-recover
+bench-recover:
+	$(GO) test -run='^$$' -bench='BenchmarkRecover' -benchtime=10x -benchmem ./internal/vertica/
 
 # Paper-figure benchmark series (Figs. 12-20 shapes).
 .PHONY: bench-figures

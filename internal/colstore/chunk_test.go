@@ -141,3 +141,32 @@ func checkPartsAlias(t *testing.T, name string, b *Batch, parts [][]byte) {
 		}
 	}
 }
+
+// CutChunk finds where AppendChunk's chunk ends among the bytes behind it,
+// and refuses any cut short of a column.
+func TestCutChunkSplitsAtTheChunkEnd(t *testing.T) {
+	b := NewBatch(Schema{{Name: "id", Type: TypeInt64}, {Name: "s", Type: TypeString}})
+	for i := 0; i < 300; i++ {
+		if err := b.AppendRow(int64(i*i), fmt.Sprint(i%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunk, _, err := AppendChunk(nil, nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := append(append([]byte(nil), chunk...), 0, 1, 2)
+	cut, rest, err := CutChunk(msg)
+	if err != nil || !bytes.Equal(cut, chunk) || !bytes.Equal(rest, []byte{0, 1, 2}) {
+		t.Fatalf("cut %d bytes, rest %v, err %v; the chunk is %d bytes", len(cut), rest, err, len(chunk))
+	}
+	got := NewBatch(b.Schema)
+	if rest, err := DecodeChunkInto(got, cut); err != nil || len(rest) != 0 || got.Len() != b.Len() {
+		t.Fatalf("the cut decodes to %d rows, rest %d bytes, err %v", got.Len(), len(rest), err)
+	}
+	for n := 0; n < len(chunk); n++ {
+		if _, _, err := CutChunk(chunk[:n]); err == nil {
+			t.Fatalf("a chunk cut to %d of its %d bytes was accepted", n, len(chunk))
+		}
+	}
+}

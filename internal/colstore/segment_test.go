@@ -3,6 +3,7 @@ package colstore
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -506,5 +507,145 @@ func TestCloneScanDuringAppend(t *testing.T) {
 	}
 	if got := readInts(t, cur); len(got) != 500 || got[499] != 499 {
 		t.Fatalf("%d rows, last %d", len(got), got[len(got)-1])
+	}
+}
+
+// tailCap is the rows the tail's arrays hold room for, the least over its
+// columns.
+func tailCap(s *Segment) int {
+	c := math.MaxInt
+	for _, v := range s.tail.Cols {
+		c = min(c, cap(v.Ints)+cap(v.Floats)+cap(v.Strs)+cap(v.Bools))
+	}
+	return c
+}
+
+// idxBatch is n rows of an INTEGER and a FLOAT column from base on.
+func idxBatch(base, n int) *Batch {
+	b := NewBatchCap(Schema{{Name: "id", Type: TypeInt64}, {Name: "x", Type: TypeFloat64}}, n)
+	for i := base; i < base+n; i++ {
+		b.Cols[0].Ints = append(b.Cols[0].Ints, int64(i))
+		b.Cols[1].Floats = append(b.Cols[1].Floats, math.Sqrt(float64(i)))
+	}
+	return b
+}
+
+// TestTailAllocatedOncePerBlock: once a segment has sealed a block, its tail
+// has a block's room, so 512-row appends fill the next block in place. Eight
+// of them allocate what one 4,096-row append does — the seal and one tail —
+// and an append into the room allocates nothing.
+func TestTailAllocatedOncePerBlock(t *testing.T) {
+	whole := idxBatch(0, 4096)
+	var small [8]*Batch // whole's rows, so both seal the same blocks
+	for i := range small {
+		small[i] = whole.Slice(512*i, 512*(i+1))
+	}
+	steady := func() *Segment {
+		seg := NewSegment(whole.Schema, 4096)
+		if err := seg.Append(whole); err != nil {
+			t.Fatal(err)
+		}
+		if got := tailCap(seg); got != 4096 {
+			t.Fatalf("after a block sealed the tail holds room for %d rows, want 4096", got)
+		}
+		return seg
+	}
+	bySmall, byWhole, room := steady(), steady(), steady()
+	eight := testing.AllocsPerRun(50, func() {
+		for _, b := range small {
+			if err := bySmall.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	one := testing.AllocsPerRun(50, func() {
+		if err := byWhole.Append(whole); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The counts take in the runtime's own allocations, so allow for less
+	// than one more tail.
+	tail := testing.AllocsPerRun(50, func() { _ = NewBatchCap(whole.Schema, 4096) })
+	if eight >= one+tail {
+		t.Fatalf("a block of 512-row appends allocates %v times, one 4,096-row append %v, a tail %v: the tail regrew", eight, one, tail)
+	}
+	if bySmall.Rows() != byWhole.Rows() || bySmall.Blocks() != byWhole.Blocks() {
+		t.Fatalf("%d rows in %d blocks against %d in %d", bySmall.Rows(), bySmall.Blocks(), byWhole.Rows(), byWhole.Blocks())
+	}
+	if n := testing.AllocsPerRun(3, func() { // 4 appends: 2,048 rows, no seal
+		if err := room.Append(small[0]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("an append into the tail's room allocates %v times", n)
+	}
+}
+
+// TestTailGrowsToAtMostOneBlock: a tail regrows to twice its rows but never
+// past a block, so a segment that never filled a block holds no more room
+// than the doubling alone gave it, and after any Append no tail holds more
+// than a block — Seal leaves none at all.
+func TestTailGrowsToAtMostOneBlock(t *testing.T) {
+	const blockRows = 4096
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		seg := NewSegment(idxBatch(0, 0).Schema, blockRows)
+		doubled := 0 // the room doubling alone gives: twice the rows at each regrowth
+		for rows := 0; rows < 3*blockRows; {
+			n := 1 + r.Intn(900)
+			if err := seg.Append(idxBatch(rows, n)); err != nil {
+				t.Fatal(err)
+			}
+			rows += n
+			if rows > doubled {
+				doubled = 2 * rows
+			}
+			got := tailCap(seg)
+			if got > blockRows || seg.Blocks() == 0 && got > doubled {
+				t.Fatalf("trial %d, %d rows: tail room %d (doubling %d, block %d)", trial, rows, got, doubled, blockRows)
+			}
+		}
+		if err := seg.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if got := tailCap(seg); got != 0 {
+			t.Fatalf("trial %d: Seal left a tail with room for %d rows", trial, got)
+		}
+	}
+}
+
+// TestCloneLosingClaimCopiesOnWrite: after a seal the tail has a block's
+// room, which clones share. The first to append claims it and writes in
+// place; a second clone of the same version finds the room claimed and
+// copies, into a tail of at most a block, and every version stays exact.
+func TestCloneLosingClaimCopiesOnWrite(t *testing.T) {
+	base := NewSegment(Schema{{Name: "x", Type: TypeInt64}}, 64)
+	if err := base.Append(intsBatch(make([]int64, 70)...)); err != nil { // a block and 6 tail rows
+		t.Fatal(err)
+	}
+	if got := tailCap(base); got != 64 {
+		t.Fatalf("tail room %d after a seal, want 64", got)
+	}
+	a, b := base.Clone(), base.Clone()
+	if err := a.Append(intsBatch(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if &a.tail.Cols[0].Ints[0] != &base.tail.Cols[0].Ints[0] {
+		t.Fatal("the winning clone copied the tail")
+	}
+	if err := b.Append(intsBatch(9)); err != nil {
+		t.Fatal(err)
+	}
+	if &b.tail.Cols[0].Ints[0] == &base.tail.Cols[0].Ints[0] || tailCap(b) > 64 {
+		t.Fatalf("the losing clone wrote into the shared tail (room %d)", tailCap(b))
+	}
+	for _, c := range []struct {
+		seg  *Segment
+		want []int64
+	}{{base, nil}, {a, []int64{1, 2}}, {b, []int64{9}}} {
+		got := readInts(t, c.seg)
+		if want := append(make([]int64, 70), c.want...); !slices.Equal(got, want) || c.seg.Rows() != len(want) {
+			t.Fatalf("rows %v (%d), want 70 zeros then %v", got[70:], c.seg.Rows(), c.want)
+		}
 	}
 }
