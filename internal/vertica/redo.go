@@ -58,10 +58,13 @@ func (db *DB) startRedo() *redo {
 // worker applies its node's chunks in the order they arrive.
 func (r *redo) worker(in <-chan redoChunk) {
 	defer r.running.Done()
-	batches := make(map[string]*colstore.Batch) // the decode batch of each table
+	var batch *colstore.Batch // the worker's decode batch, made anew only for another schema
 	for c := range in {
 		if f := r.failed.Load(); f == nil || c.lsn < f.LSN {
-			if err := applyChunk(c, batches); err != nil {
+			if batch == nil || !batch.Schema.Equal(c.seg.Schema()) {
+				batch = colstore.NewBatch(c.seg.Schema())
+			}
+			if err := applyChunk(batch, c); err != nil {
 				r.fail(&wal.ApplyError{LSN: c.lsn, Err: err})
 			}
 		}
@@ -69,17 +72,13 @@ func (r *redo) worker(in <-chan redoChunk) {
 	}
 }
 
-// applyChunk decodes c into the worker's batch for its table and appends it.
-func applyChunk(c redoChunk, batches map[string]*colstore.Batch) error {
-	b := batches[c.table]
-	if b == nil || !b.Schema.Equal(c.seg.Schema()) {
-		b = colstore.NewBatch(c.seg.Schema())
-		batches[c.table] = b
-	}
-	if err := decodePart(b, c.table, c.chunk); err != nil {
+// applyChunk decodes c into batch and appends it to c's segment, which
+// copies the rows out.
+func applyChunk(batch *colstore.Batch, c redoChunk) error {
+	if err := decodePart(batch, c.table, c.chunk); err != nil {
 		return err
 	}
-	return c.seg.Append(b)
+	return c.seg.Append(batch)
 }
 
 // fail records e unless a failure at a lower LSN is already recorded.

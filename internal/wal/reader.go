@@ -27,10 +27,9 @@ type ReplayStats struct {
 	Elapsed  time.Duration // wall time of the redo pass
 }
 
-// ApplyError is a record the redo callback failed to apply, at its LSN.
-// Replay wraps the callback's error in one, unless the callback returned an
-// ApplyError itself: a callback that applies records behind the reader
-// reports a failure on the record it failed, not the one being read.
+// ApplyError is a record the redo callback failed to apply, at its LSN. A
+// caller that applies records behind the reader reports its own failures as
+// ApplyErrors on the records they were.
 type ApplyError struct {
 	LSN uint64
 	Err error
@@ -104,10 +103,7 @@ func Replay(dir string, from uint64, fn func(lsn uint64, typ byte, body []byte) 
 			}
 			if fn != nil {
 				if err := fn(segStart+off, typ, body); err != nil {
-					if ae := (*ApplyError)(nil); !errors.As(err, &ae) {
-						err = &ApplyError{LSN: segStart + off, Err: err}
-					}
-					return nil, err
+					return nil, &ApplyError{LSN: segStart + off, Err: err}
 				}
 			}
 			off += n
