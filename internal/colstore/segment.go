@@ -106,7 +106,14 @@ func (s *Segment) Append(b *Batch) error {
 	base := s.rows
 	s.rows += b.Len()
 	if full := s.tail.Len() / s.blockRows * s.blockRows; full > 0 {
-		if err := s.sealPrefix(full); err != nil {
+		// Appends of fewer rows than a block fill the next one in the tail
+		// sealPrefix leaves: it gets the block's room now, so it is allocated
+		// once. A bulk append leaves only its rest there.
+		room := 0
+		if b.Len() < s.blockRows {
+			room = s.blockRows
+		}
+		if err := s.sealPrefix(full, room); err != nil {
 			return err
 		}
 	}
@@ -138,16 +145,13 @@ func (s *Segment) Seal() error {
 		return nil
 	}
 	s.invalidateStats()
-	return s.sealPrefix(s.tail.Len())
+	return s.sealPrefix(s.tail.Len(), 0)
 }
 
 // sealPrefix encodes the tail's first n rows as blocks of blockRows rows (the
 // last one shorter when n is not a multiple) and leaves the rest of the rows
-// in a fresh tail with a claim of its own. When it cut only full blocks — an
-// Append filled them, and more rows are on their way — that tail has a block's
-// room, so the next block's rows append into it without regrowing; after Seal
-// sealed a short block it holds just the rest.
-func (s *Segment) sealPrefix(n int) error {
+// in a fresh tail with a claim of its own and room for at least room rows.
+func (s *Segment) sealPrefix(n, room int) error {
 	for lo := 0; lo < n; lo += s.blockRows {
 		for i, col := range s.tail.Slice(lo, min(lo+s.blockRows, n)).Cols {
 			data, err := EncodeBlock(col, BestEncoding(col))
@@ -158,10 +162,6 @@ func (s *Segment) sealPrefix(n int) error {
 			ref.hasStats, ref.min, ref.max = vectorStats(col)
 			s.sealed[i] = append(s.sealed[i], ref)
 		}
-	}
-	room := 0
-	if n%s.blockRows == 0 {
-		room = s.blockRows
 	}
 	nt := NewBatchCap(s.schema, room)
 	_ = nt.AppendRange(s.tail, n, s.tail.Len()) // one schema

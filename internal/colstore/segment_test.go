@@ -530,44 +530,42 @@ func idxBatch(base, n int) *Batch {
 	return b
 }
 
-// TestTailAllocatedOncePerBlock: once a segment has sealed a block, its tail
-// has a block's room, so 512-row appends fill the next block in place. Eight
-// of them allocate what one 4,096-row append does — the seal and one tail —
-// and an append into the room allocates nothing.
+// TestTailAllocatedOncePerBlock: once appends smaller than a block have
+// sealed one, the tail left behind has the block's room, so 512-row appends
+// fill the next block in place. An append into the room allocates nothing, a
+// block of them allocates fewer times than one bulk append of the block (which
+// allocates a tail for its rows too), and the tail's arrays change once a
+// block.
 func TestTailAllocatedOncePerBlock(t *testing.T) {
 	whole := idxBatch(0, 4096)
-	var small [8]*Batch // whole's rows, so both seal the same blocks
+	var small [8]*Batch // whole's rows, so both ways seal the same blocks
 	for i := range small {
 		small[i] = whole.Slice(512*i, 512*(i+1))
 	}
+	fill := func(seg *Segment) {
+		for _, b := range small {
+			if err := seg.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	steady := func() *Segment {
 		seg := NewSegment(whole.Schema, 4096)
-		if err := seg.Append(whole); err != nil {
-			t.Fatal(err)
-		}
+		fill(seg)
 		if got := tailCap(seg); got != 4096 {
 			t.Fatalf("after a block sealed the tail holds room for %d rows, want 4096", got)
 		}
 		return seg
 	}
-	bySmall, byWhole, room := steady(), steady(), steady()
-	eight := testing.AllocsPerRun(50, func() {
-		for _, b := range small {
-			if err := bySmall.Append(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
+	bySmall, byWhole, room, arrays := steady(), steady(), steady(), steady()
+	eight := testing.AllocsPerRun(50, func() { fill(bySmall) })
 	one := testing.AllocsPerRun(50, func() {
 		if err := byWhole.Append(whole); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// The counts take in the runtime's own allocations, so allow for less
-	// than one more tail.
-	tail := testing.AllocsPerRun(50, func() { _ = NewBatchCap(whole.Schema, 4096) })
-	if eight >= one+tail {
-		t.Fatalf("a block of 512-row appends allocates %v times, one 4,096-row append %v, a tail %v: the tail regrew", eight, one, tail)
+	if eight >= one {
+		t.Fatalf("a block of 512-row appends allocates %v times, one 4,096-row append %v: the tail regrew", eight, one)
 	}
 	if bySmall.Rows() != byWhole.Rows() || bySmall.Blocks() != byWhole.Blocks() {
 		t.Fatalf("%d rows in %d blocks against %d in %d", bySmall.Rows(), bySmall.Blocks(), byWhole.Rows(), byWhole.Blocks())
@@ -579,12 +577,26 @@ func TestTailAllocatedOncePerBlock(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("an append into the tail's room allocates %v times", n)
 	}
+	tails, last := 0, &arrays.tail.Cols[0].Ints[:1][0]
+	for block := 0; block < 4; block++ {
+		for _, b := range small {
+			if err := arrays.Append(b); err != nil {
+				t.Fatal(err)
+			}
+			if p := &arrays.tail.Cols[0].Ints[:1][0]; p != last {
+				tails, last = tails+1, p
+			}
+		}
+	}
+	if tails != 4 {
+		t.Fatalf("4 blocks of 512-row appends made %d tails", tails)
+	}
 }
 
 // TestTailGrowsToAtMostOneBlock: a tail regrows to twice its rows but never
 // past a block, so a segment that never filled a block holds no more room
-// than the doubling alone gave it, and after any Append no tail holds more
-// than a block — Seal leaves none at all.
+// than the doubling alone gave it, and after any Append, small or bulk, no
+// tail holds more than a block — Seal leaves none at all.
 func TestTailGrowsToAtMostOneBlock(t *testing.T) {
 	const blockRows = 4096
 	r := rand.New(rand.NewSource(7))
@@ -593,6 +605,9 @@ func TestTailGrowsToAtMostOneBlock(t *testing.T) {
 		doubled := 0 // the room doubling alone gives: twice the rows at each regrowth
 		for rows := 0; rows < 3*blockRows; {
 			n := 1 + r.Intn(900)
+			if r.Intn(10) == 0 {
+				n = blockRows + r.Intn(2*blockRows) // a bulk append
+			}
 			if err := seg.Append(idxBatch(rows, n)); err != nil {
 				t.Fatal(err)
 			}
@@ -614,14 +629,16 @@ func TestTailGrowsToAtMostOneBlock(t *testing.T) {
 	}
 }
 
-// TestCloneLosingClaimCopiesOnWrite: after a seal the tail has a block's
-// room, which clones share. The first to append claims it and writes in
+// TestCloneLosingClaimCopiesOnWrite: after small appends seal a block the
+// tail has the block's room, which clones share. The first to append claims it and writes in
 // place; a second clone of the same version finds the room claimed and
 // copies, into a tail of at most a block, and every version stays exact.
 func TestCloneLosingClaimCopiesOnWrite(t *testing.T) {
 	base := NewSegment(Schema{{Name: "x", Type: TypeInt64}}, 64)
-	if err := base.Append(intsBatch(make([]int64, 70)...)); err != nil { // a block and 6 tail rows
-		t.Fatal(err)
+	for i := 0; i < 10; i++ { // a block and 6 tail rows
+		if err := base.Append(intsBatch(make([]int64, 7)...)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := tailCap(base); got != 64 {
 		t.Fatalf("tail room %d after a seal, want 64", got)
