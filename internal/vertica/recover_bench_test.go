@@ -3,6 +3,7 @@ package vertica
 import (
 	"context"
 	"testing"
+	"time"
 
 	"verticadr/internal/colstore"
 )
@@ -53,13 +54,24 @@ func BenchmarkRecover(b *testing.B) {
 	}
 	db.Close()
 	b.Run("open", func(b *testing.B) {
+		var image, redo, wait time.Duration
 		for i := 0; i < b.N; i++ {
 			re, err := Open(Config{Nodes: 4, Durable: true, DataDir: dir})
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(re.RecoveryInfo().Replay.Bytes)
+			info := re.RecoveryInfo()
+			b.SetBytes(info.Replay.Bytes)
+			image, redo, wait = image+info.ImageLoad, redo+info.Replay.Elapsed, wait+info.ApplyWait
 			re.Close()
+		}
+		// The split RecoveryInfo reports: the image, the redo pass, and the
+		// part of it the log reader waited on the node workers.
+		for _, m := range []struct {
+			d    time.Duration
+			unit string
+		}{{image, "image-ms/op"}, {redo, "redo-ms/op"}, {wait, "wait-ms/op"}} {
+			b.ReportMetric(float64(m.d.Milliseconds())/float64(b.N), m.unit)
 		}
 	})
 }
