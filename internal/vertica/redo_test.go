@@ -17,7 +17,7 @@ import (
 	"verticadr/internal/wal"
 )
 
-func durable4(t testing.TB, dir string) *DB {
+func durable4(t *testing.T, dir string) *DB {
 	t.Helper()
 	db, err := Open(Config{Nodes: 4, Durable: true, DataDir: dir, BlockRows: 64, WALSegmentBytes: 16 << 10})
 	if err != nil {
@@ -27,7 +27,7 @@ func durable4(t testing.TB, dir string) *DB {
 }
 
 // rowsFor is n rows of schema from base on, every column type filled.
-func rowsFor(t testing.TB, schema colstore.Schema, base, n int) *colstore.Batch {
+func rowsFor(t *testing.T, schema colstore.Schema, base, n int) *colstore.Batch {
 	t.Helper()
 	b := colstore.NewBatch(schema)
 	for i := base; i < base+n; i++ {
@@ -225,29 +225,25 @@ func TestRecoverFailsCleanlyOnCorruptNodeChunk(t *testing.T) {
 	for n := range parts {
 		parts[n] = dBatch(t, 1000*n, 40)
 	}
-	body, err := encodeLoad("m", parts)
+	good, err := encodeLoad("m", parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, chunks, err := cutLoad(body)
+	bad := append([]byte(nil), good...)
+	_, chunks, err := cutLoad(bad)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, n1 := binary.Uvarint(chunks[2])           // the column count
 	_, n2 := binary.Uvarint(chunks[2][n1:])      // the first block's length
-	chunks[2][n1+n2] = byte(colstore.TypeString) // the first block's type byte, in body
+	chunks[2][n1+n2] = byte(colstore.TypeString) // the first block's type byte, in bad
 	w, err := wal.Open(filepath.Join(dir, walSubdir), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := w.DurableLSN()
-	for i, b := range [][]byte{body, nil, nil} {
-		if i > 0 { // good loads behind the bad one
-			if b, err = encodeLoad("m", parts); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := w.AppendCommit(recLoad, b); err != nil {
+	badLSN := w.DurableLSN()
+	for _, body := range [][]byte{bad, good, good} { // good loads behind the bad one
+		if _, err := w.AppendCommit(recLoad, body); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,8 +258,8 @@ func TestRecoverFailsCleanlyOnCorruptNodeChunk(t *testing.T) {
 		t.Fatal("recovery applied a load whose node-2 chunk is corrupt")
 	}
 	var ae *wal.ApplyError
-	if !errors.As(err, &ae) || ae.LSN != bad || !strings.Contains(err.Error(), fmt.Sprintf("wal: replay apply at lsn %d", bad)) {
-		t.Fatalf("Open failed with %v, want the apply of the record at lsn %d", err, bad)
+	if !errors.As(err, &ae) || ae.LSN != badLSN || !strings.Contains(err.Error(), fmt.Sprintf("wal: replay apply at lsn %d", badLSN)) {
+		t.Fatalf("Open failed with %v, want the apply of the record at lsn %d", err, badLSN)
 	}
 	// Open joins its workers before it returns, so there is nothing to wait for.
 	if after := runtime.NumGoroutine(); after > before {
