@@ -19,7 +19,8 @@ GO ?= go
 # preparation and the index probe alone), bench-scan (the block parse paths:
 # BenchmarkDecodeDelta, BenchmarkDecodeBlock, BenchmarkMatchCompressed),
 # bench-transfer, bench-keys, bench-recover (a durable node's reopen: the
-# checkpoint image, then per-node redo of 700 logged COPYs), bench-figures,
+# checkpoint image, then per-node redo of 700 logged COPYs), bench-copy (the
+# same node's durable 2,048-row COPYs, one after another), bench-figures,
 # chaos (the recovery paths, a
 # clustered node's front door under overload and QueryTimeout, and a routed
 # read whose peer dies between its request and its reply, among them),
@@ -226,6 +227,14 @@ bench-keys:
 .PHONY: bench-recover
 bench-recover:
 	$(GO) test -run='^$$' -bench='BenchmarkRecover' -benchtime=10x -benchmem ./internal/vertica/
+
+# Durable COPY: the same node takes 2,048-row COPYs one after another, as the
+# benchmark's client sends them; an op is one Load (split, record encode,
+# WAL append, the build while the record syncs, the publish), and
+# commit-us/op is its mean wal_commit_seconds.
+.PHONY: bench-copy
+bench-copy:
+	$(GO) test -run='^$$' -bench='BenchmarkDurableCopy' -benchtime=2000x -benchmem ./internal/vertica/
 
 # Paper-figure benchmark series (Figs. 12-20 shapes).
 .PHONY: bench-figures

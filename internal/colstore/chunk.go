@@ -34,7 +34,8 @@ func AppendChunk(dst, scratch []byte, b *Batch) (chunk, grown []byte, err error)
 // else — the column count, block lengths and headers, every other encoding —
 // is appended to buf, whose grown form is returned for the caller's next
 // call, on errors too. The parts alias b and buf: they are valid while
-// neither is written.
+// neither is written. ChunkParts itself writes buf only past its length, so
+// the parts of an earlier call on the same buf stay valid.
 func ChunkParts(buf []byte, b *Batch) (parts [][]byte, grown []byte, err error) {
 	from := len(buf)
 	buf = binary.AppendUvarint(buf, uint64(len(b.Cols)))

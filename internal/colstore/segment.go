@@ -101,31 +101,57 @@ func (s *Segment) Append(b *Batch) error {
 	if !b.Schema.Equal(s.schema) {
 		return fmt.Errorf("colstore: segment append schema mismatch")
 	}
-	s.appendTail(b)
 	s.invalidateStats()
 	base := s.rows
 	s.rows += b.Len()
-	if full := s.tail.Len() / s.blockRows * s.blockRows; full > 0 {
-		// Appends of fewer rows than a block fill the next one in the tail
-		// sealPrefix leaves: it gets the block's room now, so it is allocated
-		// once. A bulk append leaves only its rest there.
-		room := 0
-		if b.Len() < s.blockRows {
-			room = s.blockRows
-		}
-		if err := s.sealPrefix(full, room); err != nil {
-			return err
-		}
+	if err := s.appendRows(b); err != nil {
+		return err
 	}
 	return s.maintainIndexes(b, base)
 }
 
-// appendTail appends b's rows to the tail: in place when the backing arrays
-// have room and no clone has written past this tail, else into a fresh tail
-// with a claim of its own, of twice the rows but at most a block (of just the
-// rows when they fill a block and are about to be sealed).
-func (s *Segment) appendTail(b *Batch) {
-	n, m := s.tail.Len(), s.tail.Len()+b.Len()
+// appendRows adds b's rows to the tail while they fit its block. Rows that
+// fill it top the tail up to a block, which is sealed; then every whole
+// block left in b is encoded straight from b, and only the rest is copied,
+// into a fresh tail. The blocks are those a seal of the tail and b in one
+// would cut: the segment's rows in runs of blockRows.
+func (s *Segment) appendRows(b *Batch) error {
+	n := s.tail.Len()
+	if n+b.Len() < s.blockRows {
+		s.appendTail(b, b.Len())
+		return nil
+	}
+	lo := 0
+	if n > 0 {
+		lo = s.blockRows - n
+		s.appendTail(b, lo)
+		if err := s.sealBlocks(s.tail, 0, s.blockRows); err != nil {
+			return err
+		}
+	}
+	hi := lo + (b.Len()-lo)/s.blockRows*s.blockRows
+	if err := s.sealBlocks(b, lo, hi); err != nil {
+		return err
+	}
+	// Appends of fewer rows than a block fill the next one in this tail: it
+	// gets the block's room now, so it is allocated once. A bulk append
+	// leaves only its rest there.
+	room := 0
+	if b.Len() < s.blockRows {
+		room = s.blockRows
+	}
+	nt := NewBatchCap(s.schema, max(room, b.Len()-hi))
+	_ = nt.AppendRange(b, hi, b.Len()) // one schema
+	s.setTail(nt)
+	return nil
+}
+
+// appendTail appends b's first k rows to the tail: in place when the backing
+// arrays have room and no clone has written past this tail, else into a
+// fresh tail with a claim of its own, of twice the rows but at most a block
+// (of just the rows when they fill a block and are about to be sealed).
+func (s *Segment) appendTail(b *Batch, k int) {
+	n, m := s.tail.Len(), s.tail.Len()+k
 	room := true
 	for _, c := range s.tail.Cols {
 		room = room && cap(c.Ints)+cap(c.Floats)+cap(c.Strs)+cap(c.Bools) >= m
@@ -133,10 +159,16 @@ func (s *Segment) appendTail(b *Batch) {
 	if !room || !s.claim.CompareAndSwap(int64(n), int64(m)) {
 		nt := NewBatchCap(s.schema, max(m, min(2*m, s.blockRows)))
 		_ = nt.AppendBatch(s.tail) // one schema
-		s.tail, s.claim = nt, new(atomic.Int64)
+		s.setTail(nt)
 		s.claim.Store(int64(m))
 	}
-	_ = s.tail.AppendBatch(b) // the caller checked the schema
+	_ = s.tail.AppendRange(b, 0, k) // the caller checked the schema
+}
+
+// setTail makes t the tail, with a claim of its own at t's length.
+func (s *Segment) setTail(t *Batch) {
+	s.tail, s.claim = t, new(atomic.Int64)
+	s.claim.Store(int64(t.Len()))
 }
 
 // Seal flushes the open tail into sealed blocks.
@@ -145,15 +177,18 @@ func (s *Segment) Seal() error {
 		return nil
 	}
 	s.invalidateStats()
-	return s.sealPrefix(s.tail.Len(), 0)
+	if err := s.sealBlocks(s.tail, 0, s.tail.Len()); err != nil {
+		return err
+	}
+	s.setTail(NewBatch(s.schema))
+	return nil
 }
 
-// sealPrefix encodes the tail's first n rows as blocks of blockRows rows (the
-// last one shorter when n is not a multiple) and leaves the rest of the rows
-// in a fresh tail with a claim of its own and room for at least room rows.
-func (s *Segment) sealPrefix(n, room int) error {
-	for lo := 0; lo < n; lo += s.blockRows {
-		for i, col := range s.tail.Slice(lo, min(lo+s.blockRows, n)).Cols {
+// sealBlocks encodes b's rows [lo, hi) as blocks of blockRows rows, the last
+// one shorter when hi-lo is not a multiple.
+func (s *Segment) sealBlocks(b *Batch, lo, hi int) error {
+	for ; lo < hi; lo += s.blockRows {
+		for i, col := range b.Slice(lo, min(lo+s.blockRows, hi)).Cols {
 			data, err := EncodeBlock(col, BestEncoding(col))
 			if err != nil {
 				return err
@@ -163,10 +198,6 @@ func (s *Segment) sealPrefix(n, room int) error {
 			s.sealed[i] = append(s.sealed[i], ref)
 		}
 	}
-	nt := NewBatchCap(s.schema, room)
-	_ = nt.AppendRange(s.tail, n, s.tail.Len()) // one schema
-	s.tail, s.claim = nt, new(atomic.Int64)
-	s.claim.Store(int64(nt.Len()))
 	return nil
 }
 

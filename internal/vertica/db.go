@@ -8,16 +8,18 @@
 //
 // Durable mode adds an ingest write-ahead log and MVCC snapshot isolation:
 // every mutation (DDL, COPY/INSERT, model-blob write) appends a redo record,
-// waits for a group-commit fsync, and only then publishes a new immutable
-// table version; SELECT pins a version snapshot for its whole run, so long
+// builds its new immutable table version while the group-commit fsync runs,
+// and only once the record is durable publishes it; SELECT pins a version snapshot for its whole run, so long
 // reads observe one consistent instant regardless of concurrent ingest. On
 // restart, recovery loads the last checkpoint image and replays the log.
 package vertica
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -172,8 +174,9 @@ func (db *DB) Segments(name string) ([]*colstore.Segment, error) {
 
 // CreateTable registers a table and allocates its per-node segments.
 func (db *DB) CreateTable(def *catalog.TableDef) error {
-	return db.commit(def.Name,
-		func(st *streamState, durable bool) (byte, []byte, error) {
+	var segs []*colstore.Segment
+	return db.commit(def.Name, mutation{
+		prepare: func(st *streamState, durable bool) (byte, []byte, error) {
 			db.seedTable(st, def.Name)
 			if st.exists {
 				return 0, nil, fmt.Errorf("catalog: table %q already exists", def.Name)
@@ -184,17 +187,33 @@ func (db *DB) CreateTable(def *catalog.TableDef) error {
 			if _, err := catalog.NewSplitter(def.Seg, def.Schema, db.cfg.Nodes); err != nil {
 				return 0, nil, err
 			}
-			st.exists, st.schema = true, def.Schema
+			segs = db.newSegments(def.Schema)
+			st.exists, st.schema, st.segs = true, def.Schema, segs
 			if !durable {
 				return 0, nil, nil
 			}
 			body, err := encodeCreateTable(def)
 			return recCreateTable, body, err
 		},
-		func() error { return db.applyCreate(def) })
+		publish: func() error { return db.publishCreate(def, segs) },
+	})
 }
 
+// newSegments allocates a table's empty per-node segments.
+func (db *DB) newSegments(schema colstore.Schema) []*colstore.Segment {
+	segs := make([]*colstore.Segment, db.cfg.Nodes)
+	for i := range segs {
+		segs[i] = colstore.NewSegment(schema, db.cfg.BlockRows)
+	}
+	return segs
+}
+
+// applyCreate is CREATE TABLE's redo: the commit's publish over new segments.
 func (db *DB) applyCreate(def *catalog.TableDef) error {
+	return db.publishCreate(def, db.newSegments(def.Schema))
+}
+
+func (db *DB) publishCreate(def *catalog.TableDef, segs []*colstore.Segment) error {
 	if err := db.cat.Create(def); err != nil {
 		return err
 	}
@@ -202,10 +221,6 @@ func (db *DB) applyCreate(def *catalog.TableDef) error {
 	if err != nil {
 		db.cat.Drop(def.Name) //nolint:errcheck // best-effort rollback
 		return err
-	}
-	segs := make([]*colstore.Segment, db.cfg.Nodes)
-	for i := range segs {
-		segs[i] = colstore.NewSegment(def.Schema, db.cfg.BlockRows)
 	}
 	db.mu.Lock()
 	db.split[def.Name] = sp
@@ -218,16 +233,17 @@ func (db *DB) applyCreate(def *catalog.TableDef) error {
 // DropTable removes a table and its storage. Snapshots pinned before the
 // drop keep reading the table until released.
 func (db *DB) DropTable(name string) error {
-	return db.commit(name,
-		func(st *streamState, durable bool) (byte, []byte, error) {
+	return db.commit(name, mutation{
+		prepare: func(st *streamState, durable bool) (byte, []byte, error) {
 			db.seedTable(st, name)
 			if !st.exists {
 				return 0, nil, fmt.Errorf("catalog: %w: %q", verr.ErrTableNotFound, name)
 			}
-			st.exists, st.schema = false, nil
+			st.exists, st.schema, st.segs = false, nil, nil
 			return recDropTable, []byte(name), nil
 		},
-		func() error { return db.applyDrop(name) })
+		publish: func() error { return db.applyDrop(name) },
+	})
 }
 
 func (db *DB) applyDrop(name string) error {
@@ -255,8 +271,8 @@ func (db *DB) Load(table string, b *colstore.Batch) error {
 		return fmt.Errorf("vertica: table %q does not exist", table)
 	}
 	// The per-node batches are the load's own: the commit path reads them
-	// twice — WAL encode, then the deferred apply — long after the split,
-	// beside concurrent Loads into the same table.
+	// twice — WAL encode, then the build — long after the split, beside
+	// concurrent Loads into the same table.
 	parts, err := sp.SplitOwned(b)
 	if err != nil {
 		return err
@@ -287,10 +303,12 @@ func (db *DB) LoadAt(table string, node int, b *colstore.Batch) error {
 }
 
 // loadParts commits post-split per-node batches through the write-ahead
-// protocol.
+// protocol. The build appends them to the log-end segments while the record
+// syncs; the publish makes that the table's new version.
 func (db *DB) loadParts(table string, parts []*colstore.Batch) error {
-	return db.commit(table,
-		func(st *streamState, durable bool) (byte, []byte, error) {
+	var next []*colstore.Segment
+	return db.commit(table, mutation{
+		prepare: func(st *streamState, durable bool) (byte, []byte, error) {
 			db.seedTable(st, table)
 			if !st.exists {
 				return 0, nil, fmt.Errorf("vertica: table %q does not exist", table)
@@ -308,36 +326,60 @@ func (db *DB) loadParts(table string, parts []*colstore.Batch) error {
 			body, err := encodeLoad(table, parts)
 			return recLoad, body, err
 		},
-		func() error { return db.applyLoad(table, parts) })
+		build: func(st *streamState) error {
+			segs, err := appendParts(table, st.segs, parts)
+			if err != nil {
+				return err
+			}
+			next, st.segs = segs, segs
+			return nil
+		},
+		publish: func() error {
+			db.store.Put(table, next)
+			return nil
+		},
+	})
 }
 
-// applyLoad publishes a new table version holding the loaded rows: segments
-// receiving rows are cloned (copy-on-write), appended, and swapped into a
-// fresh per-node list. Published versions are never mutated, which is what
-// lets snapshots and in-flight scans proceed without locks. Recovery's log
-// replay appends in place instead (see redo).
-func (db *DB) applyLoad(table string, parts []*colstore.Batch) error {
-	cur, ok := db.store.Latest(table)
-	if !ok {
-		return fmt.Errorf("vertica: table %q does not exist", table)
-	}
+// appendParts returns the table version with part n's rows appended to node
+// n's segment: a segment receiving rows is cloned (copy-on-write) and
+// appended on a goroutine of its own — on the caller's when it is the only
+// one — and the others are shared. Published versions are never mutated,
+// which is what lets snapshots and in-flight scans proceed without locks.
+// Recovery's redo appends in place instead.
+func appendParts(table string, cur []*colstore.Segment, parts []*colstore.Batch) ([]*colstore.Segment, error) {
 	if len(parts) != len(cur) {
-		return fmt.Errorf("vertica: load parts for %d nodes, table %q has %d", len(parts), table, len(cur))
+		return nil, fmt.Errorf("vertica: load parts for %d nodes, table %q has %d", len(parts), table, len(cur))
 	}
-	next := make([]*colstore.Segment, len(cur))
-	copy(next, cur)
-	for node, part := range parts {
-		if part == nil || part.Len() == 0 {
-			continue
-		}
-		seg := cur[node].Clone()
-		if err := seg.Append(part); err != nil {
-			return err
-		}
-		next[node] = seg
+	next := slices.Clone(cur)
+	errs := make([]error, len(cur))
+	grow := func(n int) {
+		next[n] = cur[n].Clone()
+		errs[n] = next[n].Append(parts[n])
 	}
-	db.store.Put(table, next)
-	return nil
+	var wg sync.WaitGroup
+	first := -1
+	for n, part := range parts {
+		switch {
+		case part == nil || part.Len() == 0:
+		case first < 0:
+			first = n
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				grow(n)
+			}()
+		}
+	}
+	if first >= 0 {
+		grow(first)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return next, nil
 }
 
 // LoadColumns is a convenience bulk loader from float64 column slices.

@@ -26,9 +26,10 @@ const blobStream = "\x00blobs"
 
 // committer orders one stream of commits (one table, or the blob namespace).
 // A ticket is taken while the WAL record is appended — so ticket order equals
-// LSN order — and the in-memory apply runs strictly in ticket order after the
-// record is durable. Between the two, any number of commits from any streams
-// wait on the same group-commit fsync, which is where the batching win lives.
+// LSN order — the mutation's build runs at once, still in ticket order, and
+// its publish runs strictly in ticket order after the record is durable.
+// Between the two, any number of commits from any streams wait on the same
+// group-commit fsync, which is where the batching win lives.
 type committer struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -47,13 +48,19 @@ type committer struct {
 // replay aborts on it and the database refuses to open. Validating at the
 // log end keeps the invariant that every logged record replays cleanly.
 //
+// A table stream's view also holds the segments at the log end: the ones
+// the last build made, published or not. Every build starts from them, so a
+// load queued behind a logged but unpublished CREATE INDEX extends the
+// indexed segments, not the published ones.
+//
 // The view is reset whenever the stream is idle (applied == next), at which
 // point live state is authoritative and re-seeds it lazily.
 type streamState struct {
-	seeded bool            // table streams: exists/schema populated from live state
-	exists bool            // table streams: table exists at the log end
-	schema colstore.Schema // table streams: schema at the log end (nil when !exists)
-	blobs  map[string]bool // blob stream: path -> exists-at-log-end overlay
+	seeded bool                // table streams: exists/schema/segs populated from live state
+	exists bool                // table streams: table exists at the log end
+	schema colstore.Schema     // table streams: schema at the log end (nil when !exists)
+	segs   []*colstore.Segment // table streams: segments at the log end (nil when !exists)
+	blobs  map[string]bool     // blob stream: path -> exists-at-log-end overlay
 }
 
 // seedTable populates the table stream's log-end view from live state the
@@ -66,6 +73,7 @@ func (db *DB) seedTable(st *streamState, table string) {
 	if def, err := db.cat.Get(table); err == nil {
 		st.exists = true
 		st.schema = def.Schema
+		st.segs, _ = db.store.Latest(table)
 	}
 }
 
@@ -87,8 +95,9 @@ func (st *streamState) setBlob(path string, exists bool) {
 }
 
 // clone copies the view so commit can restore it when prepare's intent never
-// makes it into the log (prepare or Append failed). The schema slice is
-// shared — prepares replace it, never mutate it in place.
+// makes it into the log (prepare or Append failed). The schema and segment
+// slices are shared — prepares and builds replace them, never mutate them in
+// place.
 func (st *streamState) clone() streamState {
 	out := *st
 	if st.blobs != nil {
@@ -112,34 +121,43 @@ func (db *DB) committer(stream string) *committer {
 	return c
 }
 
-// commit runs one durable mutation through the write-ahead protocol:
+// A mutation is one commit's work, in the three steps commit runs.
+type mutation struct {
+	// prepare validates against the stream's log-end view, records the
+	// mutation's intent there, and encodes the redo record when durable.
+	prepare func(st *streamState, durable bool) (typ byte, body []byte, err error)
+	// build, if set, makes the segments publish will show, from st.segs,
+	// and advances st.segs to them. What it makes is private until
+	// published: it writes in place only past every published tail's claim
+	// (Segment.Clone).
+	build func(st *streamState) error
+	// publish makes the mutation visible: the MVCC version, the catalog.
+	publish func() error
+}
+
+// commit runs one mutation through the write-ahead protocol:
 //
 //  1. prepare validates against the stream's log-end view and encodes the
 //     redo record (under the stream lock, so validation and log order cannot
 //     be raced by a sibling commit — including one whose record is logged
 //     but not yet applied);
-//  2. the record is appended to the WAL and the stream ticket taken;
-//  3. the committer waits for the record to be durable (group-commit fsync);
-//  4. apply publishes the mutation to in-memory state, in ticket order.
+//  2. the record is appended to the WAL, the stream ticket taken and the
+//     group-commit flush started;
+//  3. build runs while the record is written and fsynced, still under the
+//     stream lock, so builds run in ticket order, each from the last;
+//  4. the committer waits for the record to be durable;
+//  5. publish makes the mutation visible, in ticket order.
 //
 // Nothing is acknowledged before it is durable, and nothing is visible
 // before it is durable — a reader can never observe state that a crash
 // could take back. Without a WAL (in-memory database) prepare is told not
-// to encode and apply runs immediately under the stream lock.
-func (db *DB) commit(stream string, prepare func(st *streamState, durable bool) (byte, []byte, error), apply func() error) error {
+// to encode, and build and publish run at once, all under the stream lock.
+func (db *DB) commit(stream string, m mutation) error {
 	db.ckptMu.RLock()
 	defer db.ckptMu.RUnlock()
 	c := db.committer(stream)
-	if db.wal == nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.state = streamState{} // apply runs under the lock: live state is current
-		if _, _, err := prepare(&c.state, false); err != nil {
-			return err
-		}
-		return apply()
-	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.applied == c.next {
 		// Stream idle: every logged record has applied, so live state is
 		// authoritative again and the log-end view re-seeds from it.
@@ -149,41 +167,46 @@ func (db *DB) commit(stream string, prepare func(st *streamState, durable bool) 
 	// recorded never reached the log and must not be visible to the next
 	// prepare on this stream.
 	prev := c.state.clone()
-	typ, body, err := prepare(&c.state, true)
+	typ, body, err := m.prepare(&c.state, db.wal != nil)
 	if err != nil {
 		c.state = prev
-		c.mu.Unlock()
 		return err
 	}
-	lsn, err := db.wal.Append(typ, body)
-	if err != nil {
-		c.state = prev
-		c.mu.Unlock()
-		return err
+	var wait func() error
+	if db.wal != nil {
+		lsn, err := db.wal.Append(typ, body)
+		if err != nil {
+			c.state = prev
+			return err
+		}
+		wait = db.wal.Flush(lsn)
 	}
 	ticket := c.next
 	c.next++
-	c.mu.Unlock()
-
-	derr := db.wal.Commit(lsn)
-	c.mu.Lock()
+	var berr, derr error
+	if m.build != nil {
+		berr = m.build(&c.state)
+	}
+	if wait != nil {
+		c.mu.Unlock()
+		derr = wait()
+		c.mu.Lock()
+	}
 	for c.applied != ticket {
 		c.cond.Wait()
 	}
-	var aerr error
-	if derr == nil {
-		aerr = apply()
+	if derr == nil && berr == nil {
+		berr = m.publish()
 	}
 	// Advance the ticket even on a durability failure, or every later commit
 	// on the stream (all of which will fail the same way — WAL errors are
 	// sticky) would wait forever.
 	c.applied++
 	c.cond.Broadcast()
-	c.mu.Unlock()
 	if derr != nil {
 		return derr
 	}
-	return aerr
+	return berr
 }
 
 // JournalBlobPut writes a DFS blob through the write-ahead log: the record
@@ -192,21 +215,22 @@ func (db *DB) commit(stream string, prepare func(st *streamState, durable bool) 
 // unrecoverable. On a non-durable database the same commit path applies the
 // write with no log record.
 func (db *DB) JournalBlobPut(path string, data []byte) error {
-	return db.commit(blobStream,
-		func(st *streamState, durable bool) (byte, []byte, error) {
+	return db.commit(blobStream, mutation{
+		prepare: func(st *streamState, durable bool) (byte, []byte, error) {
 			st.setBlob(path, true)
 			if !durable {
 				return 0, nil, nil
 			}
 			return recBlobPut, encodeBlobPut(path, data), nil
 		},
-		func() error { return db.fs.Write(path, data) })
+		publish: func() error { return db.fs.Write(path, data) },
+	})
 }
 
 // JournalBlobDelete removes a DFS blob through the write-ahead log.
 func (db *DB) JournalBlobDelete(path string) error {
-	return db.commit(blobStream,
-		func(st *streamState, durable bool) (byte, []byte, error) {
+	return db.commit(blobStream, mutation{
+		prepare: func(st *streamState, durable bool) (byte, []byte, error) {
 			// Validate against the log end: a sibling delete may be logged
 			// but unapplied, and logging a doomed second delete would abort
 			// replay on restart.
@@ -219,7 +243,8 @@ func (db *DB) JournalBlobDelete(path string) error {
 			}
 			return recBlobDelete, encodeBlobPut(path, nil), nil
 		},
-		func() error { return db.fs.Delete(path) })
+		publish: func() error { return db.fs.Delete(path) },
+	})
 }
 
 // --- recovery --------------------------------------------------------------
@@ -298,7 +323,7 @@ func (db *DB) recoverState() error {
 
 // applyWALRecord is the redo interpreter of every record but a load, which
 // redo cuts and its node workers apply: it applies one log record to
-// in-memory state as the original commit's apply step did.
+// in-memory state as the original commit's build and publish did.
 func (db *DB) applyWALRecord(lsn uint64, typ byte, body []byte) error {
 	switch typ {
 	case recCreateTable:
@@ -425,7 +450,7 @@ func (db *DB) Checkpoint() (uint64, error) {
 	}
 
 	// Quiesce: with the write lock held no commit is between its WAL append
-	// and its in-memory apply, so the durable LSN and the MVCC head describe
+	// and its publish, so the durable LSN and the MVCC head describe
 	// the same state.
 	db.ckptMu.Lock()
 	if err := db.wal.Sync(); err != nil {

@@ -58,8 +58,10 @@ func (db *DB) CatalogEpoch() uint64 { return db.epoch.Load() }
 // CreateIndex builds a B-tree index on table(column) across every node's
 // segment and registers it under name, through the write-ahead protocol.
 func (db *DB) CreateIndex(name, table, column string) error {
-	return db.commit(table,
-		func(st *streamState, durable bool) (byte, []byte, error) {
+	def := IndexDef{Name: name, Table: table, Column: column}
+	var next []*colstore.Segment
+	return db.commit(table, mutation{
+		prepare: func(st *streamState, durable bool) (byte, []byte, error) {
 			db.seedTable(st, table)
 			if !st.exists {
 				return 0, nil, fmt.Errorf("vertica: %w: %q", verr.ErrTableNotFound, table)
@@ -75,33 +77,59 @@ func (db *DB) CreateIndex(name, table, column string) error {
 			}
 			return recCreateIndex, encodeIndexDDL(name, table, column), nil
 		},
-		func() error { return db.applyCreateIndex(name, table, column) })
+		build: func(st *streamState) error {
+			segs, err := withIndex(st.segs, column)
+			if err != nil {
+				return err
+			}
+			next, st.segs = segs, segs
+			return nil
+		},
+		publish: func() error {
+			db.publishCreateIndex(def, next)
+			return nil
+		},
+	})
 }
 
-// applyCreateIndex publishes a new table version whose segments carry the
-// index. The build runs on clones (copy-on-write), so pinned snapshots and
-// in-flight scans keep reading the index-free versions. Re-creating an
-// identical index rebuilds it without error — the tolerance keeps every
-// logged record replayable even if a raced duplicate slipped into the log.
+// withIndex returns clones of segs carrying a tree on column. The build runs
+// on clones (copy-on-write), so pinned snapshots and in-flight scans keep
+// reading the index-free versions.
+func withIndex(segs []*colstore.Segment, column string) ([]*colstore.Segment, error) {
+	next := make([]*colstore.Segment, len(segs))
+	for i, seg := range segs {
+		next[i] = seg.Clone()
+		if err := next[i].BuildIndex(column); err != nil {
+			return nil, err
+		}
+	}
+	return next, nil
+}
+
+// applyCreateIndex is CREATE INDEX's redo. Re-creating an identical index
+// rebuilds it without error — the tolerance keeps every logged record
+// replayable even if a raced duplicate slipped into the log.
 func (db *DB) applyCreateIndex(name, table, column string) error {
 	cur, ok := db.store.Latest(table)
 	if !ok {
 		return fmt.Errorf("vertica: %w: table %q has no storage", verr.ErrTableNotFound, table)
 	}
-	next := make([]*colstore.Segment, len(cur))
-	for i, seg := range cur {
-		c := seg.Clone()
-		if err := c.BuildIndex(column); err != nil {
-			return err
-		}
-		next[i] = c
+	next, err := withIndex(cur, column)
+	if err != nil {
+		return err
 	}
-	db.store.Put(table, next)
+	db.publishCreateIndex(IndexDef{Name: name, Table: table, Column: column}, next)
+	return nil
+}
+
+// publishCreateIndex publishes the table version whose segments carry d's
+// tree, and d in the catalog.
+func (db *DB) publishCreateIndex(d IndexDef, segs []*colstore.Segment) {
+	db.store.Put(d.Table, segs)
 	db.mu.Lock()
-	db.indexes[name] = IndexDef{Name: name, Table: table, Column: column}
+	db.indexes[d.Name] = d
 	db.mu.Unlock()
 	db.epoch.Add(1)
-	return nil
 }
 
 // DropIndex removes the named index from the catalog and from every
@@ -111,35 +139,61 @@ func (db *DB) DropIndex(name string) error {
 	if !ok {
 		return fmt.Errorf("vertica: index %q does not exist", name)
 	}
-	return db.commit(d.Table,
-		func(st *streamState, durable bool) (byte, []byte, error) {
+	var next []*colstore.Segment
+	return db.commit(d.Table, mutation{
+		prepare: func(st *streamState, durable bool) (byte, []byte, error) {
 			db.seedTable(st, d.Table)
 			if !durable {
 				return 0, nil, nil
 			}
 			return recDropIndex, encodeIndexDDL(name, d.Table, d.Column), nil
 		},
-		func() error { return db.applyDropIndex(name, d.Table, d.Column) })
+		build: func(st *streamState) error {
+			next = withoutIndex(st.segs, d.Column)
+			st.segs = next
+			return nil
+		},
+		publish: func() error {
+			db.publishDropIndex(name, d.Table, next)
+			return nil
+		},
+	})
 }
 
-// applyDropIndex detaches the index. Missing tables or already-dropped
+// withoutIndex returns clones of segs without a tree on column; nil when
+// segs is (the table is gone).
+func withoutIndex(segs []*colstore.Segment, column string) []*colstore.Segment {
+	if segs == nil {
+		return nil
+	}
+	next := make([]*colstore.Segment, len(segs))
+	for i, seg := range segs {
+		next[i] = seg.Clone()
+		next[i].DropIndex(column)
+	}
+	return next
+}
+
+// applyDropIndex is DROP INDEX's redo. Missing tables or already-dropped
 // indexes are tolerated so replay never aborts on a record whose table a
 // later record drops.
 func (db *DB) applyDropIndex(name, table, column string) error {
-	if cur, ok := db.store.Latest(table); ok {
-		next := make([]*colstore.Segment, len(cur))
-		for i, seg := range cur {
-			c := seg.Clone()
-			c.DropIndex(column)
-			next[i] = c
-		}
-		db.store.Put(table, next)
+	cur, _ := db.store.Latest(table)
+	db.publishDropIndex(name, table, withoutIndex(cur, column))
+	return nil
+}
+
+// publishDropIndex publishes the table version whose segments lost the
+// index, if the table still exists (segs != nil), and drops the catalog
+// entry.
+func (db *DB) publishDropIndex(name, table string, segs []*colstore.Segment) {
+	if segs != nil {
+		db.store.Put(table, segs)
 	}
 	db.mu.Lock()
 	delete(db.indexes, name)
 	db.mu.Unlock()
 	db.epoch.Add(1)
-	return nil
 }
 
 // dropTableIndexMeta clears index catalog entries for a dropped table

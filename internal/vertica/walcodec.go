@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
@@ -54,24 +55,48 @@ func decodeCreateTable(body []byte) (*catalog.TableDef, error) {
 // encodeLoad frames per-node batches: uvarint len(table), table, uvarint
 // nodes, then per node either a zero byte (no rows for that node) or the
 // batch as a chunk — uvarint ncols, then length-prefixed column blocks in
-// schema order (colstore.AppendChunk, the layout vft ships).
+// schema order (colstore.AppendChunk, the layout vft ships). Each chunk is
+// cut into its parts first (colstore.ChunkParts: PLAIN numeric payloads by
+// reference, the rest in a pooled scratch buffer), so the record is
+// allocated once, at its size, and every payload copied once.
 func encodeLoad(table string, parts []*colstore.Batch) ([]byte, error) {
-	var buf, scratch []byte
+	sp := loadScratch.Get().(*[]byte)
+	defer loadScratch.Put(sp)
+	*sp = (*sp)[:0]
+	chunks := make([][][]byte, len(parts))
+	size := 2*binary.MaxVarintLen64 + len(table)
 	var err error
+	for n, part := range parts {
+		if part == nil || part.Len() == 0 {
+			size++
+			continue
+		}
+		if chunks[n], *sp, err = colstore.ChunkParts(*sp, part); err != nil {
+			return nil, err
+		}
+		for _, c := range chunks[n] {
+			size += len(c)
+		}
+	}
+	buf := make([]byte, 0, size)
 	buf = binary.AppendUvarint(buf, uint64(len(table)))
 	buf = append(buf, table...)
 	buf = binary.AppendUvarint(buf, uint64(len(parts)))
-	for _, part := range parts {
-		if part == nil || part.Len() == 0 {
+	for _, chunk := range chunks {
+		if chunk == nil {
 			buf = binary.AppendUvarint(buf, 0)
 			continue
 		}
-		if buf, scratch, err = colstore.AppendChunk(buf, scratch, part); err != nil {
-			return nil, err
+		for _, c := range chunk {
+			buf = append(buf, c...)
 		}
 	}
 	return buf, nil
 }
+
+// loadScratch holds encodeLoad's chunk headers and encoded blocks between
+// records.
+var loadScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // decodeLoad decodes a load record whole: the cut, then each node's part.
 // Recovery does the same two steps apart — the cut on the log reader, each

@@ -84,8 +84,9 @@ type waiter struct {
 }
 
 // Writer is the append side of the log. Append frames a record into an
-// in-memory buffer and returns its end LSN; Commit blocks until that LSN is
-// durable. A single background syncer drains the buffer: it takes whatever
+// in-memory buffer and returns its end LSN; Flush starts making that LSN
+// durable and returns the wait for it, and Commit is the two in one call. A
+// single background syncer drains the buffer: it takes whatever
 // records and waiters have accumulated, performs ONE write+fsync, and wakes
 // every waiter — the group commit that lets N concurrent committers share
 // one disk flush. Safe for concurrent use.
@@ -98,6 +99,7 @@ type Writer struct {
 	segStart uint64 // LSN of the current file's first byte
 	end      uint64 // next LSN (includes records still in pending)
 	pending  []byte // framed records not yet written+synced
+	spare    []byte // the syncer's: the last flushed buffer, emptied, pending's next
 	waiters  []waiter
 	err      error // sticky: a failed write/fsync poisons the writer
 	closed   bool
@@ -212,25 +214,31 @@ func (w *Writer) Append(typ byte, body []byte) (uint64, error) {
 // Commit blocks until every record at or below lsn is durable (written and
 // fsynced). Concurrent commits are batched: all waiters present when the
 // syncer wakes share a single fsync.
-func (w *Writer) Commit(lsn uint64) error {
+func (w *Writer) Commit(lsn uint64) error { return w.Flush(lsn)() }
+
+// Flush starts making every record at or below lsn durable — it registers
+// the caller's waiter and kicks the syncer — and returns the wait for it,
+// so the caller can work while the write and fsync run. Commit is Flush
+// and its wait.
+func (w *Writer) Flush(lsn uint64) (wait func() error) {
 	if w.durable.Load() >= lsn {
-		return nil
+		return durableNow
 	}
 	w.mu.Lock()
-	if w.err != nil {
+	if err := w.err; err != nil {
 		w.mu.Unlock()
-		return w.err
+		return func() error { return err }
 	}
 	if w.durable.Load() >= lsn {
 		w.mu.Unlock()
-		return nil
+		return durableNow
 	}
 	if w.closed {
 		// Registering a waiter now could outlive the syncer's final drain
 		// and never be woken; fail fast instead (Close documents that racing
 		// commits may receive an error).
 		w.mu.Unlock()
-		return fmt.Errorf("wal: writer closed")
+		return func() error { return fmt.Errorf("wal: writer closed") }
 	}
 	wt := waiter{lsn: lsn, ch: make(chan error, 1), start: time.Now()}
 	w.waiters = append(w.waiters, wt)
@@ -239,10 +247,14 @@ func (w *Writer) Commit(lsn uint64) error {
 	case w.kick <- struct{}{}:
 	default:
 	}
-	err := <-wt.ch
-	hCommitWait.Observe(time.Since(wt.start).Seconds())
-	return err
+	return func() error {
+		err := <-wt.ch
+		hCommitWait.Observe(time.Since(wt.start).Seconds())
+		return err
+	}
 }
+
+func durableNow() error { return nil }
 
 // AppendCommit appends one record and waits for it to be durable — the
 // one-call form every auto-commit statement uses.
@@ -292,13 +304,14 @@ func (w *Writer) flushBatch() {
 	w.mu.Lock()
 	buf := w.pending
 	ws := w.waiters
-	w.pending = nil
+	w.pending, w.spare = w.spare, nil
 	w.waiters = nil
 	target := w.end
 	f := w.f
 	sticky := w.err
 	w.mu.Unlock()
 	if len(buf) == 0 && len(ws) == 0 {
+		w.spare = buf
 		return
 	}
 	err := sticky
@@ -336,10 +349,18 @@ func (w *Writer) flushBatch() {
 	for _, wt := range ws {
 		wt.ch <- err
 	}
+	// The buffer is pending's again at the next flush, so appends stop
+	// regrowing it; one that a large batch grew past keepBufBytes is let go.
+	if cap(buf) <= keepBufBytes {
+		w.spare = buf[:0]
+	}
 	if err == nil {
 		w.maybeRotate(target)
 	}
 }
+
+// keepBufBytes bounds the flushed buffer the syncer keeps for reuse.
+const keepBufBytes = 4 << 20
 
 // maybeRotate starts a new segment once the current file has reached the
 // size threshold. target is the durable end of the just-flushed batch: the

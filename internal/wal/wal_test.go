@@ -478,3 +478,65 @@ func TestCommitRacingCloseNeverHangs(t *testing.T) {
 		t.Fatalf("log holds %d records but %d commits were acknowledged", len(types), acked.Load())
 	}
 }
+
+// TestFlushStartsTheSyncAndWaitEnds: Flush returns while the write and
+// fsync still run — the caller works meanwhile — and its wait returns once
+// the record is durable.
+func TestFlushStartsTheSyncAndWaitEnds(t *testing.T) {
+	w, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	in := faults.New(1)
+	in.MustArm(faults.Rule{Site: faults.SiteWALFsync, Kind: faults.Delay, EveryN: 1, Delay: 50 * time.Millisecond})
+	faults.Install(in)
+	defer faults.Install(nil)
+	lsn, err := w.Append(1, []byte("body"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := w.Flush(lsn)
+	if w.DurableLSN() >= lsn {
+		t.Fatal("Flush waited for the fsync")
+	}
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	if w.DurableLSN() < lsn {
+		t.Fatalf("durable through %d after the wait, want %d", w.DurableLSN(), lsn)
+	}
+}
+
+// TestFlushedBufferKept: the buffer a flush wrote is the one appends fill
+// after the next flush, so they stop regrowing it; one a large batch grew
+// past keepBufBytes is let go.
+func TestFlushedBufferKept(t *testing.T) {
+	w, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	pending := func() int {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return cap(w.pending)
+	}
+	commit := func(n int) {
+		t.Helper()
+		if _, err := w.AppendCommit(1, make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const body = 64 << 10
+	commit(body)
+	commit(body) // its flush hands the first flush's buffer back to pending
+	if got := pending(); got < int(frameSize(body)) {
+		t.Fatalf("pending holds %d bytes of room after two flushes, want a record's %d", got, frameSize(body))
+	}
+	commit(keepBufBytes + 1) // grows that buffer past the bound
+	commit(body)             // pending is the large batch's successor
+	if got := pending(); got > keepBufBytes {
+		t.Fatalf("pending kept a %d-byte buffer, more than %d", got, keepBufBytes)
+	}
+}
