@@ -1,8 +1,12 @@
 GO ?= go
 
 # Tier-1 verify (referenced from ROADMAP.md): everything must build, every
-# test must pass — the root package's TestNoContextTwins among them, which
-# fails when any package declares X beside XContext/XCtx on one receiver —
+# test must pass — the root package's three guards among them:
+# TestNoContextTwins fails when any package declares X beside
+# XContext/XCtx on one receiver, TestEveryExportHasACaller when an exported
+# function of internal/ or the root package has no caller outside tests and
+# no allowlisted reason, and TestDesignNamesExist when DESIGN.md cites a Go
+# name the code lacks —
 # the tree must be lint-clean (the block codec for a big-endian host too: its
 # PLAIN fallback compiles nowhere else), the bounded differential suites
 # (compressed execution, single-table, hash join, streamed UDTF) must agree

@@ -224,7 +224,8 @@ func dot4(w, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 }
 
 // rowEta is the linear predictor of one row: 0 + β₀, then xⱼ·βⱼ₊₁ in
-// feature order — the addition sequence of linalg.Dot over [1, x…]·β.
+// feature order — the addition sequence of a left-to-right dot product over
+// [1, x…]·β.
 func rowEta(row, beta []float64) float64 {
 	eta := 0 + beta[0]
 	coef := beta[1 : len(row)+1]

@@ -64,7 +64,8 @@ type irlsPartialRef struct {
 }
 
 // irlsRowRef is the IRLS chunk loop: one row at a time, copied into xi
-// behind the intercept, η by linalg.Dot, every accumulator in memory.
+// behind the intercept, η summed left to right, every accumulator in
+// memory.
 func irlsRowRef(f Family, mx, my *darray.Mat, lo, hi int, beta []float64) *irlsPartialRef {
 	p := len(beta)
 	lp := &irlsPartialRef{xtwx: linalg.NewMatrix(p, p), xtwz: make([]float64, p)}
@@ -72,7 +73,10 @@ func irlsRowRef(f Family, mx, my *darray.Mat, lo, hi int, beta []float64) *irlsP
 	xi[0] = 1
 	for r := lo; r < hi; r++ {
 		copy(xi[1:], mx.Row(r))
-		eta := linalg.Dot(xi, beta)
+		var eta float64
+		for j, v := range xi {
+			eta += v * beta[j]
+		}
 		_, w, z, d := irlsTermsRef(f, eta, my.At(r, 0))
 		lp.dev += d
 		for a := 0; a < p; a++ {

@@ -39,19 +39,14 @@ type runMatch struct {
 	hit   []bool
 }
 
-// MatchBlockCompressed evaluates pred directly on an encoded block, returning
-// the matching row indexes (appended into scratch[:0], ascending). handled is
-// false when the block's encoding has no compressed evaluation (PLAIN or
-// DELTA) — the caller then decodes eagerly and filters with
-// Pred.selectRows. Any other block, a corrupt one included, is handled, and
-// fails with the eager decoder's error.
-func MatchBlockCompressed(data []byte, pred *Pred, scratch []int) (idx []int, handled bool, err error) {
-	return new(runMatch).match(data, anyType, pred, scratch)
-}
-
-// match is MatchBlockCompressed into m's buffers, of a block read as a want
-// column (anyType: of its own type). An empty block compares nothing, so
-// it raises no comparison error, as the eager route raises none.
+// match evaluates pred directly on an encoded block read as a want column
+// (anyType: of its own type), returning the matching row indexes (appended
+// into scratch[:0], ascending) with the runs and codes in m's buffers. It
+// reports handled=false only for PLAIN and DELTA blocks, which the caller
+// decodes eagerly and filters with Pred.selectRows; any other block, a
+// corrupt one included, is handled and fails with the eager decoder's
+// error. An empty block compares nothing, so it raises no comparison
+// error, as the eager route raises none.
 func (m *runMatch) match(data []byte, want Type, pred *Pred, scratch []int) ([]int, bool, error) {
 	typ, enc, n, rest, err := blockHeader(data, want)
 	if err != nil {

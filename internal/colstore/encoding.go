@@ -417,22 +417,6 @@ func blockHeader(data []byte, want Type) (typ Type, enc Encoding, n int, payload
 	return typ, enc, int(count), data[2+m:], nil
 }
 
-// DecodeBlock deserializes a block produced by EncodeBlock. Corrupt input —
-// truncated payloads, unknown type or encoding bytes, row counts beyond
-// MaxBlockRows, run lengths or dictionary codes that disagree with the
-// header — returns an error, never a panic.
-func DecodeBlock(data []byte) (*Vector, error) {
-	typ, _, _, _, err := blockHeader(data, anyType)
-	if err != nil {
-		return nil, err
-	}
-	v := &Vector{Type: typ}
-	if err := DecodeBlockInto(v, data); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 // DecodeBlockInto decodes a block produced by EncodeBlock, appending the rows
 // to v (which the caller typically Resets first). The block's type byte must
 // match v.Type. This is the reuse form of DecodeBlock: with a vector of

@@ -109,7 +109,12 @@ func (s *Segment) Persist(path string) error {
 }
 
 // OpenSegment reads a segment file written by Persist, verifying checksums.
-func OpenSegment(path string) (*Segment, error) {
+// Rows appended afterwards seal into blocks of blockRows rows, as in
+// NewSegment (<= 0 selects the default).
+func OpenSegment(path string, blockRows int) (*Segment, error) {
+	if blockRows <= 0 {
+		blockRows = DefaultBlockRows
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("colstore: open segment: %w", err)
@@ -216,7 +221,7 @@ func OpenSegment(path string) (*Segment, error) {
 	}
 	seg := &Segment{
 		schema:    schema,
-		blockRows: DefaultBlockRows,
+		blockRows: blockRows,
 		sealed:    sealed,
 		tail:      NewBatch(schema),
 		claim:     new(atomic.Int64),

@@ -921,15 +921,3 @@ func (s *Segment) Clone() *Segment {
 	}
 	return out
 }
-
-// CompressedBytes reports the total size of sealed block data (the on-wire /
-// on-disk footprint before file framing).
-func (s *Segment) CompressedBytes() int {
-	total := 0
-	for _, col := range s.sealed {
-		for _, ref := range col {
-			total += len(ref.data)
-		}
-	}
-	return total
-}

@@ -167,7 +167,7 @@ func TestSegmentPersistOpen(t *testing.T) {
 	if err := seg.Persist(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := OpenSegment(path)
+	got, err := OpenSegment(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,19 +206,19 @@ func TestOpenSegmentCorruption(t *testing.T) {
 	bad[len(segMagic)+10] ^= 0xFF
 	badPath := filepath.Join(dir, "bad.vseg")
 	_ = os.WriteFile(badPath, bad, 0o644)
-	if _, err := OpenSegment(badPath); err == nil {
+	if _, err := OpenSegment(badPath, 0); err == nil {
 		t.Fatal("corrupt block should fail to open")
 	}
 
 	// Truncate → bad end magic.
 	_ = os.WriteFile(badPath, data[:len(data)-3], 0o644)
-	if _, err := OpenSegment(badPath); err == nil {
+	if _, err := OpenSegment(badPath, 0); err == nil {
 		t.Fatal("truncated file should fail to open")
 	}
 
 	// Not a segment file at all.
 	_ = os.WriteFile(badPath, []byte("hello world, definitely not a segment"), 0o644)
-	if _, err := OpenSegment(badPath); err == nil {
+	if _, err := OpenSegment(badPath, 0); err == nil {
 		t.Fatal("bad magic should fail to open")
 	}
 }
@@ -396,7 +396,7 @@ func TestQuickPersistRoundTrip(t *testing.T) {
 		if err := seg.Persist(path); err != nil {
 			return false
 		}
-		re, err := OpenSegment(path)
+		re, err := OpenSegment(path, 0)
 		if err != nil {
 			return false
 		}

@@ -142,7 +142,7 @@ func TestPlainBlocksAlignedOnEveryPath(t *testing.T) {
 	if err := sealed.Clone().Persist(path); err != nil {
 		t.Fatal(err)
 	}
-	image, err := OpenSegment(path)
+	image, err := OpenSegment(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,6 @@ import (
 
 	"verticadr/internal/algos"
 	"verticadr/internal/darray"
-	"verticadr/internal/hdfs"
-	"verticadr/internal/spark"
 	"verticadr/internal/vft"
 )
 
@@ -41,63 +39,6 @@ func TestTCPTransferSession(t *testing.T) {
 		if math.Abs(model.Coefficients[i]-b) > 0.05 {
 			t.Fatalf("coef %d = %v want %v", i, model.Coefficients[i], b)
 		}
-	}
-}
-
-func TestDB2RDDBridge(t *testing.T) {
-	// Vertica → Spark: load via VFT, run the Spark engine's K-means on it.
-	s := startTest(t, Config{DBNodes: 2, DRWorkers: 2, InstancesPerWorker: 2})
-	if err := s.ExecContext(context.Background(), `CREATE TABLE pts (a FLOAT, b FLOAT)`); err != nil {
-		t.Fatal(err)
-	}
-	const n = 600
-	cols := [][]float64{make([]float64, n), make([]float64, n)}
-	for i := 0; i < n; i++ {
-		base := 0.0
-		if i%2 == 1 {
-			base = 50
-		}
-		cols[0][i] = base + float64(i%7)*0.01
-		cols[1][i] = base + float64(i%5)*0.01
-	}
-	if err := s.DB.LoadColumns("pts", cols); err != nil {
-		t.Fatal(err)
-	}
-	fs, err := hdfs.New(hdfs.Config{DataNodes: 2, BlockSize: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, err := spark.NewContext(fs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rdd, stats, err := s.DB2RDDContext(context.Background(), ctx, "pts", nil, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rows != n {
-		t.Fatalf("stats = %+v", stats)
-	}
-	cnt, err := rdd.Count()
-	if err != nil || cnt != n {
-		t.Fatalf("rdd count = %d, %v", cnt, err)
-	}
-	model, err := spark.Kmeans(rdd.Cache(), 2, 30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The two planted blobs at ~0 and ~50 must be recovered.
-	var lo, hi bool
-	for _, c := range model.Centers {
-		if c[0] < 10 {
-			lo = true
-		}
-		if c[0] > 40 {
-			hi = true
-		}
-	}
-	if !lo || !hi {
-		t.Fatalf("centers = %v", model.Centers)
 	}
 }
 

@@ -17,8 +17,8 @@ func tinyGLM(intercept float64) *algos.GLMModel {
 	return &algos.GLMModel{Family: algos.Gaussian, Coefficients: []float64{intercept, 1}, Converged: true}
 }
 
-// TestDeployAfterCloseIsErrClosed: deploy and redeploy are session
-// operations like any other — after Close they fail fast, typed.
+// TestDeployAfterCloseIsErrClosed: deploy is a session operation like any
+// other — after Close it fails fast, typed.
 func TestDeployAfterCloseIsErrClosed(t *testing.T) {
 	s, err := Start(Config{DBNodes: 2, DRWorkers: 2})
 	if err != nil {
@@ -30,9 +30,6 @@ func TestDeployAfterCloseIsErrClosed(t *testing.T) {
 	s.Close()
 	if err := s.DeployModel("late", "me", "", tinyGLM(2)); !errors.Is(err, verr.ErrClosed) {
 		t.Fatalf("DeployModel after Close: %v, want ErrClosed", err)
-	}
-	if err := s.RedeployModel("m", "me", tinyGLM(3)); !errors.Is(err, verr.ErrClosed) {
-		t.Fatalf("RedeployModel after Close: %v, want ErrClosed", err)
 	}
 }
 

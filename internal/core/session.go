@@ -19,7 +19,6 @@ import (
 	"verticadr/internal/models"
 	"verticadr/internal/odbc"
 	"verticadr/internal/parallel"
-	"verticadr/internal/spark"
 	"verticadr/internal/sqlexec"
 	"verticadr/internal/sqlparse"
 	"verticadr/internal/verr"
@@ -407,34 +406,4 @@ func (s *Session) DeployModel(name, owner, description string, model any) error 
 	}
 	defer done()
 	return s.Models.Deploy(opCtx, name, owner, description, model)
-}
-
-// RedeployModel overwrites a deployed model's blob in place (the model
-// refresh a serving deployment performs). The owner must match; cached
-// deserialized copies are invalidated so no later prediction sees the old
-// parameters.
-func (s *Session) RedeployModel(name, owner string, model any) error {
-	opCtx, done, err := s.begin(context.Background())
-	if err != nil {
-		return err
-	}
-	defer done()
-	return s.Models.Redeploy(opCtx, name, owner, model)
-}
-
-// DB2RDDContext loads table columns through Vertica Fast Transfer and
-// exposes them to the Spark comparator as an RDD — the §8 extension showing
-// the transfer mechanism is engine-agnostic. The returned RDD shares the
-// session's worker data (one RDD partition per frame partition); ctx only
-// cancels the transfer, the *spark.Context remains the RDD's owner.
-func (s *Session) DB2RDDContext(ctx context.Context, sc *spark.Context, table string, cols []string, policy string) (*spark.RDD, *vft.Stats, error) {
-	frame, stats, err := s.DB2DFrameContext(ctx, table, cols, policy)
-	if err != nil {
-		return nil, nil, err
-	}
-	rdd, err := spark.FromFrame(sc, frame, cols)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rdd, stats, nil
 }

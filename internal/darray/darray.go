@@ -75,18 +75,6 @@ func (a *DArray) Fill(i int, m *Mat) error {
 	})
 }
 
-// Filled reports whether every partition has data.
-func (a *DArray) Filled() bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	for _, p := range a.part {
-		if !p.filled {
-			return false
-		}
-	}
-	return true
-}
-
 // PartitionSizes returns all partition shapes (partitionsize(A) with i
 // missing).
 func (a *DArray) PartitionSizes() [][2]int {
@@ -196,31 +184,6 @@ func CheckCoPartitioned(a, b *DArray) error {
 		}
 	}
 	return nil
-}
-
-// Collect gathers the whole array to the master as one matrix, partitions in
-// order (used to fetch model-sized data, not bulk data).
-func (a *DArray) Collect() (*Mat, error) {
-	sizes := a.PartitionSizes()
-	cols := a.Cols()
-	total := 0
-	for i, s := range sizes {
-		if s[1] != 0 && s[1] != cols {
-			return nil, fmt.Errorf("darray: inconsistent cols in partition %d", i)
-		}
-		total += s[0]
-	}
-	out := NewMat(total, cols)
-	off := 0
-	for i := range sizes {
-		m, err := a.Part(i)
-		if err != nil {
-			return nil, err
-		}
-		copy(out.Data[off:], m.Data)
-		off += len(m.Data)
-	}
-	return out, nil
 }
 
 // FromMat distributes an in-memory matrix across npartitions with near-equal

@@ -183,16 +183,3 @@ func (l *DList) PartitionSize(i int) (int, error) {
 	n, _, err := l.parts.PartitionSize(i)
 	return n, err
 }
-
-// Collect gathers all elements in partition order.
-func (l *DList) Collect() ([]any, error) {
-	var out []any
-	for i := 0; i < l.NPartitions(); i++ {
-		items, err := l.Part(i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, items...)
-	}
-	return out, nil
-}

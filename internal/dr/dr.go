@@ -140,17 +140,6 @@ func (c *Cluster) FailWorker(i int) error {
 	return nil
 }
 
-// Alive lists the ids of workers that have not failed, sorted.
-func (c *Cluster) Alive() []int {
-	var out []int
-	for _, w := range c.workers {
-		if !w.Dead() {
-			out = append(out, w.id)
-		}
-	}
-	return out
-}
-
 // nextAlive picks the first surviving worker after `from` in ring order, or
 // -1 when every worker is dead.
 func (c *Cluster) nextAlive(from int) int {

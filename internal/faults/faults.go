@@ -191,13 +191,6 @@ func (in *Injector) MustArm(r Rule) {
 	}
 }
 
-// Disarm removes every rule at site.
-func (in *Injector) Disarm(site string) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	delete(in.rules, site)
-}
-
 // Check implements Checker: it advances every rule armed at site and returns
 // the injected error, if any. Delays are served before returning; when a
 // delay rule and an error rule both fire on the same hit the stall happens

@@ -27,22 +27,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices; all rows must have equal length.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("linalg: ragged input: row %d has %d cols, want %d", i, len(r), cols)
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -141,30 +125,6 @@ func (m *Matrix) Mul(other *Matrix) (*Matrix, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// MulVec returns m × v as a new vector.
-func (m *Matrix) MulVec(v []float64) ([]float64, error) {
-	if m.Cols != len(v) {
-		return nil, fmt.Errorf("linalg: mulvec dimension mismatch %dx%d × %d", m.Rows, m.Cols, len(v))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), v)
-	}
-	return out, nil
-}
-
-// Dot returns the inner product of a and b; the slices must have equal length.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }
 
 // Norm2 returns the Euclidean norm of v.
@@ -314,18 +274,6 @@ func QRSolve(a *Matrix, b []float64) ([]float64, error) {
 		x[i] = s / d
 	}
 	return x, nil
-}
-
-// Symmetrize averages m with its transpose in place (guards accumulated
-// floating-point asymmetry before a Cholesky factorization).
-func (m *Matrix) Symmetrize() {
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			v := (m.At(i, j) + m.At(j, i)) / 2
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-	}
 }
 
 // AddRidge adds lambda to the diagonal (Tikhonov regularization; also used to

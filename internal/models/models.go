@@ -116,7 +116,6 @@ var nameRE = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_.-]*$`)
 // Manager deploys models to the database and serves them to prediction UDFs.
 type Manager struct {
 	db    Database
-	acl   *acl
 	cache *modelCache
 	// mu serializes the R_Models writers (Deploy, DeployGLMSharded,
 	// Redeploy, Drop): a deploy checks the name is free before inserting,
@@ -128,15 +127,10 @@ type Manager struct {
 // NewManager creates the R_Models metadata table, registers the manager as
 // a UDF service, and installs the prediction functions. On a recovered
 // durable database the metadata table (and the model blobs it describes)
-// already exist: the manager adopts the surviving rows instead of failing,
-// rebuilding its in-memory ACL from the persisted owner column.
+// already exist: the manager adopts the surviving rows instead of failing.
 func NewManager(ctx context.Context, db Database) (*Manager, error) {
-	m := &Manager{db: db, acl: newACL(), cache: newModelCache()}
-	if res, err := db.QueryContext(ctx, `SELECT model, owner FROM `+MetaTable); err == nil {
-		for _, r := range res.Rows() {
-			m.acl.register(r[0].(string), r[1].(string))
-		}
-	} else {
+	m := &Manager{db: db, cache: newModelCache()}
+	if _, err := db.QueryContext(ctx, `SELECT count(*) AS n FROM `+MetaTable); err != nil {
 		err := db.ExecContext(ctx, `CREATE TABLE `+MetaTable+` (model VARCHAR, owner VARCHAR, type VARCHAR, size INTEGER, description VARCHAR)`)
 		if err != nil {
 			return nil, fmt.Errorf("models: create metadata table: %w", err)
@@ -190,7 +184,6 @@ func (m *Manager) Deploy(ctx context.Context, name, owner, description string, m
 		_ = m.db.JournalBlobDelete(blobPath(name))
 		return err
 	}
-	m.acl.register(name, owner)
 	// A name can be dropped and re-deployed; any cached copy from the old
 	// incarnation must not serve the new one.
 	m.cache.invalidate(name)
@@ -199,20 +192,22 @@ func (m *Manager) Deploy(ctx context.Context, name, owner, description string, m
 
 // Redeploy overwrites a deployed model's blob in place — the refresh a
 // serving deployment performs without taking queries offline. Only the owner
-// (or an administrative caller with empty owner) may replace the model; the
-// metadata row (type, size) is rewritten and cached deserialized copies are
-// invalidated, so after Redeploy returns no prediction can score with the
-// old parameters.
+// R_Models recorded at deploy (or an administrative caller with empty owner)
+// may replace the model; cached deserialized copies are invalidated, so
+// after Redeploy returns no prediction can score with the old parameters.
 func (m *Manager) Redeploy(ctx context.Context, name, owner string, model any) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if exists, err := m.exists(ctx, name); err != nil {
+	res, err := m.db.QueryContext(ctx, fmt.Sprintf(`SELECT owner FROM %s WHERE model = '%s'`, MetaTable, sqlEscape(name)))
+	if err != nil {
 		return err
-	} else if !exists {
+	}
+	rows := res.Rows()
+	if len(rows) == 0 {
 		return fmt.Errorf("models: %w: %q", verr.ErrModelNotFound, name)
 	}
-	if !m.acl.allowed(name, owner, PermModify) {
-		return fmt.Errorf("models: user %q lacks MODIFY on model %q", owner, name)
+	if owner != "" && rows[0][0].(string) != owner {
+		return fmt.Errorf("models: only the owner may redeploy model %q, not %q", name, owner)
 	}
 	data, _, err := Serialize(model)
 	if err != nil {
@@ -331,7 +326,6 @@ func (m *Manager) Drop(ctx context.Context, name string) error {
 	for k := 0; k < shards; k++ {
 		_ = m.db.JournalBlobDelete(shardPath(name, k))
 	}
-	m.acl.forget(name)
 	m.cache.invalidate(name)
 	if err := m.db.ExecContext(ctx, `DROP TABLE `+MetaTable); err != nil {
 		return err

@@ -67,10 +67,8 @@ func (p predictUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.B
 	}
 	// Retrieve from DFS as seen from this database node; deserialize once
 	// per instance (the paper's "retrieve the models from DFS, deserialize
-	// and load them in R"). An optional user parameter enforces the model's
-	// access permissions.
-	user := ctx.Params.StringOr("user", "")
-	model, kind, err := mgr.LoadAs(name, ctx.NodeID, user)
+	// and load them in R").
+	model, kind, err := mgr.Load(name, ctx.NodeID)
 	if err != nil {
 		return err
 	}

@@ -160,7 +160,6 @@ func (m *Manager) deployGLMSharded(ctx context.Context, name, owner, description
 		cleanup(shards)
 		return err
 	}
-	m.acl.register(name, owner)
 	m.cache.invalidate(name)
 	return nil
 }

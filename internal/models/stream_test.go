@@ -11,7 +11,6 @@ import (
 // qualifying row: each names its table state by the WHERE it runs under.
 var dataIndependentErrors = []struct{ call, want string }{
 	{`GlmPredict(a, b USING PARAMETERS model='nosuch')`, "nosuch"},
-	{`GlmPredict(a, b USING PARAMETERS model='reg', user='mallory')`, "READ"},
 	{`GlmPredict(a USING PARAMETERS model='reg')`, "expects 2 features"},
 }
 
@@ -26,9 +25,6 @@ func TestPredictErrorsDoNotDependOnData(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := mgr.Deploy(ctx, "reg", "alice", "", glmModel()); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Restrict("reg", "alice"); err != nil {
 		t.Fatal(err)
 	}
 	for _, from := range []string{
@@ -55,7 +51,7 @@ func TestPredictErrorsDoNotDependOnData(t *testing.T) {
 					t.Fatalf("%s over %q failed with %q, over the populated table with %v", c.call, from, msgs[i], err)
 				}
 			}
-			q := "SELECT GlmPredict(a, b USING PARAMETERS model='reg', user='alice') OVER (" + over + ") FROM " + from
+			q := "SELECT GlmPredict(a, b USING PARAMETERS model='reg') OVER (" + over + ") FROM " + from
 			res, err := db.QueryContext(ctx, q)
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)

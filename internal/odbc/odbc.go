@@ -18,7 +18,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
@@ -57,11 +56,8 @@ type DB interface {
 // Server fronts a database with a bounded connection pool, emulating the
 // contention of many simultaneous ODBC sessions.
 type Server struct {
-	db       DB
-	sem      chan struct{}
-	active   atomic.Int32
-	peak     atomic.Int32
-	rowsSent atomic.Int64
+	db  DB
+	sem chan struct{} // one slot per executing range query
 }
 
 // NewServer wraps db with maxConcurrent query slots (default: 2 per node).
@@ -71,13 +67,6 @@ func NewServer(db DB, maxConcurrent int) *Server {
 	}
 	return &Server{db: db, sem: make(chan struct{}, maxConcurrent)}
 }
-
-// PeakConcurrency reports the highest number of simultaneously executing
-// range queries observed (tests use it to verify queuing happens).
-func (s *Server) PeakConcurrency() int { return int(s.peak.Load()) }
-
-// RowsSent reports the total rows served over all connections.
-func (s *Server) RowsSent() int64 { return s.rowsSent.Load() }
 
 // queryRangeText serves rows [offset, offset+count) of the table in global
 // row order (node 0's segment rows, then node 1's, ...), serialized as
@@ -92,14 +81,6 @@ func (s *Server) queryRangeText(table string, cols []string, offset, count int) 
 	}
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
-	n := s.active.Add(1)
-	defer s.active.Add(-1)
-	for {
-		p := s.peak.Load()
-		if n <= p || s.peak.CompareAndSwap(p, n) {
-			break
-		}
-	}
 	def, err := s.db.TableDef(table)
 	if err != nil {
 		return "", err
@@ -145,7 +126,6 @@ func (s *Server) queryRangeText(table string, cols []string, offset, count int) 
 			return "", err
 		}
 		mSerializeNs.AddDuration(telemetry.Default().Now() - t0)
-		s.rowsSent.Add(int64(take))
 		mRowsSent.Add(int64(take))
 		remaining -= take
 		skip = 0

@@ -117,9 +117,6 @@ func New(sess *core.Session, cfg Config) *Server {
 // Session exposes the underlying session.
 func (s *Server) Session() *core.Session { return s.sess }
 
-// PlanCacheLen reports the one-shot plan cache's current size.
-func (s *Server) PlanCacheLen() int { return s.plans.len() }
-
 // Statements exposes the per-statement statistics (calls, error codes,
 // latency quantiles per normalized SQL fingerprint).
 func (s *Server) Statements() *StmtStats { return s.stmts }

@@ -382,7 +382,7 @@ func TestConcurrentMixedWorkloadWithRedeploy(t *testing.T) {
 		defer wg.Done()
 		for g := 1; g <= redeploys; g++ {
 			model := &algos.GLMModel{Family: algos.Gaussian, Coefficients: []float64{float64(g), 0}, Converged: true}
-			if err := s.RedeployModel("m", "me", model); err != nil {
+			if err := s.Models.Redeploy(context.Background(), "m", "me", model); err != nil {
 				errs <- fmt.Errorf("redeploy %d: %w", g, err)
 				return
 			}

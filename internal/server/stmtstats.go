@@ -48,12 +48,9 @@ func newStmtStats(capacity int) *StmtStats {
 	return &StmtStats{cap: capacity, ll: list.New(), entries: map[string]*list.Element{}}
 }
 
-// Record folds one execution into the statement's row. err == nil counts a
-// success; otherwise the verr wire code buckets the failure.
-func (s *StmtStats) Record(sql string, d time.Duration, err error) { s.record(sql, "", d, err) }
-
-// record is Record of an execution whose plan was had by path (PlanGeneric,
-// PlanCustom, PlanRebuilt; "" for none).
+// record folds one execution into the statement's row: err == nil counts a
+// success, otherwise the verr wire code buckets the failure; path is how its
+// plan was had (PlanGeneric, PlanCustom, PlanRebuilt; "" for none).
 func (s *StmtStats) record(sql, path string, d time.Duration, err error) {
 	s.mu.Lock()
 	el, ok := s.entries[sql]
@@ -94,13 +91,6 @@ func (s *StmtStats) evictLocked() {
 	s.ll.Remove(victim)
 	delete(s.entries, victim.Value.(*stmtEntry).sql)
 	s.evicted++
-}
-
-// Evicted reports how many fingerprints retention has dropped.
-func (s *StmtStats) Evicted() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evicted
 }
 
 // Len reports how many fingerprints are currently tracked.

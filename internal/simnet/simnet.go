@@ -175,10 +175,6 @@ type Resource struct {
 	rate  float64
 	free  int
 	q     []*Proc
-
-	lastT        float64
-	busyIntegral float64
-	served       float64
 }
 
 // NewResource creates a resource with the given parallel slots and per-slot
@@ -190,13 +186,6 @@ func (s *Sim) NewResource(name string, slots int, rate float64) *Resource {
 	return &Resource{sim: s, name: name, slots: slots, rate: rate, free: slots}
 }
 
-func (r *Resource) account() {
-	// Caller holds sim.mu.
-	busy := float64(r.slots - r.free)
-	r.busyIntegral += busy * (r.sim.now - r.lastT)
-	r.lastT = r.sim.now
-}
-
 // Use acquires one server slot (FIFO), holds it for units/rate seconds, and
 // releases it. This is the fundamental "do work on a device" operation.
 func (r *Resource) Use(p *Proc, units float64) {
@@ -206,7 +195,6 @@ func (r *Resource) Use(p *Proc, units float64) {
 	s := r.sim
 	s.mu.Lock()
 	if r.free > 0 {
-		r.account()
 		r.free--
 	} else {
 		r.q = append(r.q, p)
@@ -220,8 +208,6 @@ func (r *Resource) Use(p *Proc, units float64) {
 	p.Sleep(units / r.rate)
 
 	s.mu.Lock()
-	r.account()
-	r.served += units
 	if len(r.q) > 0 {
 		next := r.q[0]
 		r.q = r.q[1:]
@@ -231,24 +217,6 @@ func (r *Resource) Use(p *Proc, units float64) {
 		r.free++
 	}
 	s.mu.Unlock()
-}
-
-// Utilization returns the time-averaged busy fraction over [0, until].
-func (r *Resource) Utilization(until float64) float64 {
-	r.sim.mu.Lock()
-	defer r.sim.mu.Unlock()
-	integ := r.busyIntegral + float64(r.slots-r.free)*(until-r.lastT)
-	if until <= 0 {
-		return 0
-	}
-	return integ / (float64(r.slots) * until)
-}
-
-// Served returns the total units processed.
-func (r *Resource) Served() float64 {
-	r.sim.mu.Lock()
-	defer r.sim.mu.Unlock()
-	return r.served
 }
 
 // Gate is a countdown latch for fork/join.

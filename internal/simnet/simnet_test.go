@@ -52,12 +52,6 @@ func TestResourceSingleSlotSerializes(t *testing.T) {
 	if total := s.Run(); !almost(total, 5) {
 		t.Fatalf("serialized total = %v, want 5", total)
 	}
-	if !almost(r.Served(), 500) {
-		t.Fatalf("served = %v", r.Served())
-	}
-	if u := r.Utilization(5); !almost(u, 1) {
-		t.Fatalf("utilization = %v", u)
-	}
 }
 
 func TestResourceMultiSlotParallelism(t *testing.T) {
@@ -173,21 +167,6 @@ func TestPipelineModel(t *testing.T) {
 	total := s.Run()
 	if total < 20.9 || total > 21.1 {
 		t.Fatalf("pipeline total = %v, want ~21", total)
-	}
-}
-
-func TestUtilizationAccounting(t *testing.T) {
-	s := New()
-	r := s.NewResource("r", 2, 1)
-	s.Go("a", func(p *Proc) { r.Use(p, 4) })
-	s.Go("b", func(p *Proc) { r.Use(p, 2) })
-	total := s.Run()
-	if !almost(total, 4) {
-		t.Fatalf("total = %v", total)
-	}
-	// Busy-slot integral: (2 slots × 2s + 1 slot × 2s) / (2 × 4s) = 0.75.
-	if u := r.Utilization(total); !almost(u, 0.75) {
-		t.Fatalf("utilization = %v", u)
 	}
 }
 

@@ -94,23 +94,6 @@ func parseCSV(data []byte) ([][]float64, error) {
 	return rows, nil
 }
 
-// Parallelize distributes in-memory rows into nparts partitions.
-func (c *Context) Parallelize(rows [][]float64, nparts int) (*RDD, error) {
-	if nparts <= 0 {
-		return nil, fmt.Errorf("spark: need at least one partition")
-	}
-	r := &RDD{ctx: c, nparts: nparts}
-	r.compute = func(part int) ([][]float64, error) {
-		lo := part * len(rows) / nparts
-		hi := (part + 1) * len(rows) / nparts
-		return rows[lo:hi], nil
-	}
-	return r, nil
-}
-
-// NumPartitions returns the partition count.
-func (r *RDD) NumPartitions() int { return r.nparts }
-
 // Cache marks the RDD for in-memory materialization on first computation.
 func (r *RDD) Cache() *RDD {
 	r.doCache = true
@@ -142,23 +125,6 @@ func (r *RDD) part(i int) ([][]float64, error) {
 	return p, nil
 }
 
-// Map returns a new RDD applying fn per row (narrow dependency).
-func (r *RDD) Map(fn func([]float64) []float64) *RDD {
-	out := &RDD{ctx: r.ctx, nparts: r.nparts}
-	out.compute = func(part int) ([][]float64, error) {
-		rows, err := r.part(part)
-		if err != nil {
-			return nil, err
-		}
-		mapped := make([][]float64, len(rows))
-		for i, row := range rows {
-			mapped[i] = fn(row)
-		}
-		return mapped, nil
-	}
-	return out
-}
-
 // Count triggers computation and returns the total row count.
 func (r *RDD) Count() (int, error) {
 	total := 0
@@ -170,23 +136,6 @@ func (r *RDD) Count() (int, error) {
 		return nil
 	})
 	return total, err
-}
-
-// Collect triggers computation and gathers all rows to the driver.
-func (r *RDD) Collect() ([][]float64, error) {
-	parts := make([][][]float64, r.nparts)
-	err := r.foreachPartition(func(i int, rows [][]float64) error {
-		parts[i] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out [][]float64
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
 }
 
 // foreachPartition runs fn over partitions with bounded executor

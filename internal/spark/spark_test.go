@@ -66,28 +66,6 @@ func TestTextFilePartitionsMatchBlocks(t *testing.T) {
 	}
 }
 
-func TestMapAndCache(t *testing.T) {
-	fs := newFS(t, 2, 1024)
-	ctx, _ := NewContext(fs, 2)
-	rdd, err := ctx.Parallelize([][]float64{{1}, {2}, {3}}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doubled := rdd.Map(func(r []float64) []float64 { return []float64{r[0] * 2} }).Cache()
-	got, err := doubled.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0][0] != 2 || got[2][0] != 6 {
-		t.Fatalf("map result = %v", got)
-	}
-	// Second action uses the cache (same values).
-	n, err := doubled.Count()
-	if err != nil || n != 3 {
-		t.Fatalf("count after cache = %d %v", n, err)
-	}
-}
-
 func TestKmeansConverges(t *testing.T) {
 	fs := newFS(t, 3, 4096)
 	data := workload.GenKmeans(7, 500, 3, 3, 0.1)

@@ -48,30 +48,6 @@ func NewSpanLog(c Clock) *SpanLog {
 	return &SpanLog{clock: c, capacity: DefaultSpanCapacity}
 }
 
-// SetCapacity resizes the retention bound (minimum 1). Retained spans are
-// kept up to the new capacity, newest first.
-func (l *SpanLog) SetCapacity(n int) {
-	if n < 1 {
-		n = 1
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	spans := l.snapshotLocked()
-	if len(spans) > n {
-		l.dropLocked(int64(len(spans) - n))
-		spans = spans[len(spans)-n:]
-	}
-	l.capacity = n
-	l.ring = make([]*Span, 0, n)
-	l.ring = append(l.ring, spans...)
-	l.head = 0
-	l.size = len(spans)
-}
-
-// Dropped reports how many spans the ring buffer has evicted since the last
-// Reset.
-func (l *SpanLog) Dropped() int64 { return l.dropped.Load() }
-
 // Len reports how many spans are currently retained.
 func (l *SpanLog) Len() int {
 	l.mu.Lock()

@@ -180,17 +180,6 @@ func (sn *Snap) Release() {
 	})
 }
 
-// ActiveSnapshots reports how many snapshots are currently pinned.
-func (s *Store) ActiveSnapshots() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, c := range s.snaps {
-		n += c
-	}
-	return n
-}
-
 // horizonLocked is the oldest timestamp any reader can still demand: the
 // minimum pinned snapshot timestamp, or the head timestamp when nothing is
 // pinned.
@@ -229,16 +218,4 @@ func (s *Store) gcLocked() {
 			mPruned.Inc()
 		}
 	}
-}
-
-// VersionCount reports the live version-chain length for a table (0 when
-// absent). Test and debugging hook for GC behavior.
-func (s *Store) VersionCount(name string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.tables[name]
-	if t == nil {
-		return 0
-	}
-	return len(t.versions)
 }

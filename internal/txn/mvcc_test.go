@@ -111,7 +111,7 @@ func TestGCPrunesPastOldestSnapshot(t *testing.T) {
 		st.Put("t", []*colstore.Segment{seg(t, int64(i))})
 	}
 	// The pinned snapshot holds version 1 alive, plus the 10 newer ones.
-	if n := st.VersionCount("t"); n != 11 {
+	if n := versionCount(st, "t"); n != 11 {
 		t.Fatalf("with snapshot pinned: %d versions, want 11", n)
 	}
 	sn.Release()
@@ -119,10 +119,10 @@ func TestGCPrunesPastOldestSnapshot(t *testing.T) {
 	// A fresh commit triggers GC with no snapshots: only the head survives
 	// (plus the commit itself).
 	st.Put("t", []*colstore.Segment{seg(t, 99)})
-	if n := st.VersionCount("t"); n != 1 {
+	if n := versionCount(st, "t"); n != 1 {
 		t.Fatalf("after release: %d versions, want 1", n)
 	}
-	if st.ActiveSnapshots() != 0 {
+	if len(st.snaps) != 0 {
 		t.Fatal("refcount leak")
 	}
 }
@@ -132,7 +132,7 @@ func TestDroppedTableFullyCollected(t *testing.T) {
 	st.Put("t", []*colstore.Segment{seg(t, 1)})
 	st.Drop("t")
 	st.Put("other", nil) // advance + GC
-	if n := st.VersionCount("t"); n != 0 {
+	if n := versionCount(st, "t"); n != 0 {
 		t.Fatalf("tombstone not collected: %d versions", n)
 	}
 }
@@ -236,4 +236,15 @@ func TestSnapshotConsistencyUnderConcurrentCommits(t *testing.T) {
 	if got := readIDs(t, segs); len(got) != commits*rowsPer {
 		t.Fatalf("final state has %d rows, want %d", len(got), commits*rowsPer)
 	}
+}
+
+// versionCount is the live version-chain length of table name (0 when
+// absent).
+func versionCount(s *Store, name string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t := s.tables[name]; t != nil {
+		return len(t.versions)
+	}
+	return 0
 }

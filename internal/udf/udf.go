@@ -9,7 +9,6 @@ package udf
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -175,18 +174,6 @@ func (r *Registry) Lookup(name string) (Factory, error) {
 		return nil, fmt.Errorf("udf: unknown function %q", name)
 	}
 	return f, nil
-}
-
-// Names lists registered function names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.funcs))
-	for k := range r.funcs {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SliceReader adapts an in-memory batch list to a BatchReader.

@@ -35,9 +35,6 @@ func TestLoadCSVErrors(t *testing.T) {
 	if _, err := db.LoadCSV("missing", strings.NewReader(""), false); err == nil {
 		t.Fatal("missing table should fail")
 	}
-	if _, err := db.LoadCSVFile("t", "/no/such/file.csv", false); err == nil {
-		t.Fatal("missing file should fail")
-	}
 }
 
 func TestLoadCSVFloatTableWithBadFloat(t *testing.T) {

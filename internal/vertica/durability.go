@@ -397,7 +397,7 @@ func (db *DB) loadCheckpointImage(dir string) error {
 		go func() {
 			defer wg.Done()
 			for i, def := range defs {
-				if segs[i][node], errs[node] = openImageNode(filepath.Join(dir, "tables", def.Name), def, node, pc.Indexes); errs[node] != nil {
+				if segs[i][node], errs[node] = openImageNode(filepath.Join(dir, "tables", def.Name), def, node, pc.Indexes, db.cfg.BlockRows); errs[node] != nil {
 					return
 				}
 			}

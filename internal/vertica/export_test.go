@@ -4,15 +4,14 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 
 	"verticadr/internal/colstore"
 )
 
-// LoadCSV bulk-loads CSV records into a table (the COPY path; also the
-// "data resides as files in the local ext4 filesystem" loading mode of
-// Fig. 21). Fields are parsed according to the table schema; hasHeader
+// LoadCSV bulk-loads CSV records into a table (the "data resides as files in
+// the local ext4 filesystem" loading mode of Fig. 21). No statement or
+// command loads CSV, so it lives beside the tests that hold its parsing. Fields are parsed according to the table schema; hasHeader
 // skips the first record. Rows are routed through the table's segmentation
 // exactly like any other load.
 func (db *DB) LoadCSV(table string, r io.Reader, hasHeader bool) (int, error) {
@@ -84,14 +83,4 @@ func (db *DB) LoadCSV(table string, r io.Reader, hasHeader bool) (int, error) {
 		}
 	}
 	return total, nil
-}
-
-// LoadCSVFile is LoadCSV over a file path.
-func (db *DB) LoadCSVFile(table, path string, hasHeader bool) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("vertica: open CSV: %w", err)
-	}
-	defer f.Close()
-	return db.LoadCSV(table, f, hasHeader)
 }

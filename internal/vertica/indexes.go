@@ -263,9 +263,10 @@ func loadTree(path string) *index.Tree {
 // reattaches the node's checkpointed index trees. A missing, checksum-
 // failing, undecodable or row-count-mismatched .vidx falls back to
 // rebuilding the tree from the segment — the index catalog entry is
-// authoritative, the tree bytes are a cache. Errors name the table and node.
-func openImageNode(dir string, def *catalog.TableDef, node int, idxs []persistedIndex) (*colstore.Segment, error) {
-	seg, err := colstore.OpenSegment(filepath.Join(dir, fmt.Sprintf("node%d.vseg", node)))
+// authoritative, the tree bytes are a cache. Rows appended afterwards seal
+// into blocks of blockRows rows. Errors name the table and node.
+func openImageNode(dir string, def *catalog.TableDef, node int, idxs []persistedIndex, blockRows int) (*colstore.Segment, error) {
+	seg, err := colstore.OpenSegment(filepath.Join(dir, fmt.Sprintf("node%d.vseg", node)), blockRows)
 	if err != nil {
 		return nil, fmt.Errorf("table %q node %d: %w", def.Name, node, err)
 	}

@@ -204,6 +204,73 @@ func TestRecoverPerNodeRedoSameBytes(t *testing.T) {
 			}
 		})
 	}
+	// A reopen from the image keeps Config.BlockRows: 300 rows a node,
+	// appended after a mid-log checkpoint, seal a 256-row block on every node
+	// of the imaged table, and redo rebuilds the same bytes.
+	t.Run("blockRows=256", func(t *testing.T) {
+		dir := t.TempDir()
+		open := func() *DB {
+			t.Helper()
+			db, err := Open(Config{Nodes: 4, Durable: true, DataDir: dir, BlockRows: 256, WALSegmentBytes: 16 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db
+		}
+		db := open()
+		redoWorkload(t, db, 0)
+		if _, err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		redoWorkload(t, db, 1)
+		db.Close()
+		db = open()
+		def, err := db.cat.Get("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := func(db *DB) []int {
+			t.Helper()
+			segs, err := db.Segments("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make([]int, len(segs))
+			for node, seg := range segs {
+				out[node] = seg.Blocks()
+			}
+			return out
+		}
+		before := blocks(db)
+		for node := range before {
+			if err := db.LoadAt("a", node, rowsFor(t, def.Schema, 500000+1000*node, 300)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := blocks(db)
+		want := stateHashes(t, db)
+		db.Close()
+
+		re := open()
+		defer re.Close()
+		if info := re.RecoveryInfo(); info.CheckpointLSN == 0 || info.Replay.Records < 50 {
+			t.Fatalf("recovery %+v: want a replay of the log after a checkpoint", info)
+		}
+		for node := range before {
+			if after[node] == before[node] {
+				t.Fatalf("node %d: 300 rows appended after the reopen sealed no block: the imaged segment forgot BlockRows", node)
+			}
+		}
+		got := stateHashes(t, re)
+		if len(got) != len(want) {
+			t.Fatalf("recovered %d files, the live database %d", len(got), len(want))
+		}
+		for k, h := range want {
+			if got[k] != h {
+				t.Fatalf("%s differs after recovery", k)
+			}
+		}
+	})
 }
 
 // TestRecoverFailsCleanlyOnCorruptNodeChunk: a load record whose node-2

@@ -256,8 +256,7 @@ func (w *Writer) Flush(lsn uint64) (wait func() error) {
 
 func durableNow() error { return nil }
 
-// AppendCommit appends one record and waits for it to be durable — the
-// one-call form every auto-commit statement uses.
+// AppendCommit appends one record and waits for it to be durable.
 func (w *Writer) AppendCommit(typ byte, body []byte) (uint64, error) {
 	lsn, err := w.Append(typ, body)
 	if err != nil {
@@ -276,13 +275,6 @@ func (w *Writer) Sync() error {
 
 // DurableLSN returns the highest fsynced LSN.
 func (w *Writer) DurableLSN() uint64 { return w.durable.Load() }
-
-// EndLSN returns the next append position (includes non-durable records).
-func (w *Writer) EndLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.end
-}
 
 func (w *Writer) syncLoop() {
 	defer close(w.loopDone)

@@ -10,11 +10,9 @@
 package yarn
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"verticadr/internal/faults"
 	"verticadr/internal/telemetry"
@@ -34,16 +32,11 @@ var (
 		return telemetry.Default().Counter("yarn_releases_total", telemetry.L("queue", queue))
 	}
 	mWaits    = telemetry.Default().Counter("yarn_request_waits_total")
-	mTimeouts = telemetry.Default().Counter("yarn_request_timeouts_total")
 	mLocality = func(hit string) *telemetry.Counter {
 		return telemetry.Default().Counter("yarn_locality_total", telemetry.L("preference", hit))
 	}
 	gOutstanding = telemetry.Default().Gauge("yarn_containers_outstanding")
 )
-
-// ErrRequestTimeout marks a blocking request that gave up waiting for
-// resources; callers distinguish it from a plain denial with errors.Is.
-var ErrRequestTimeout = errors.New("yarn: request timed out")
 
 // NodeResources is a node's capacity.
 type NodeResources struct {
@@ -172,22 +165,6 @@ func (rm *ResourceManager) queueHeadroom(queue string) int {
 // With wait=true the call blocks until resources free up; with wait=false it
 // returns an error when the request cannot be satisfied immediately.
 func (a *App) Request(cores, memMB, preferNode int, wait bool) (*Container, error) {
-	return a.request(cores, memMB, preferNode, wait, 0)
-}
-
-// RequestTimeout blocks like Request with wait=true, but gives up after
-// timeout and returns an error wrapping ErrRequestTimeout. This bounds how
-// long a Distributed R session stall can hold up its caller when the cluster
-// is saturated — before it, a blocking request could wait forever on a peer
-// that never released.
-func (a *App) RequestTimeout(cores, memMB, preferNode int, timeout time.Duration) (*Container, error) {
-	if timeout <= 0 {
-		return nil, fmt.Errorf("yarn: timeout must be positive")
-	}
-	return a.request(cores, memMB, preferNode, true, timeout)
-}
-
-func (a *App) request(cores, memMB, preferNode int, wait bool, timeout time.Duration) (*Container, error) {
 	if cores <= 0 || memMB <= 0 {
 		return nil, fmt.Errorf("yarn: container demands must be positive")
 	}
@@ -197,15 +174,6 @@ func (a *App) request(cores, memMB, preferNode int, wait bool, timeout time.Dura
 		return nil, err
 	}
 	rm := a.rm
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-		// cond.Wait has no deadline form; a timer broadcast wakes every
-		// waiter, and the expired one notices its deadline below. Waking the
-		// others is harmless — they re-check their predicates and sleep again.
-		timer := time.AfterFunc(timeout, rm.cond.Broadcast)
-		defer timer.Stop()
-	}
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
 	for {
@@ -230,12 +198,6 @@ func (a *App) request(cores, memMB, preferNode int, wait bool, timeout time.Dura
 		if !wait {
 			mDenials(a.Queue).Inc()
 			return nil, fmt.Errorf("yarn: insufficient resources for %d cores / %d MB in queue %q", cores, memMB, a.Queue)
-		}
-		if timeout > 0 && !time.Now().Before(deadline) {
-			mTimeouts.Inc()
-			mDenials(a.Queue).Inc()
-			return nil, fmt.Errorf("yarn: %d cores / %d MB in queue %q after %v: %w",
-				cores, memMB, a.Queue, timeout, ErrRequestTimeout)
 		}
 		mWaits.Inc()
 		rm.cond.Wait()
@@ -272,24 +234,6 @@ func (a *App) Release(c *Container) error {
 	gOutstanding.Set(int64(len(rm.granted)))
 	rm.cond.Broadcast()
 	return nil
-}
-
-// RequestN requests count identical containers spread across nodes with a
-// locality rotation (container i prefers node i mod nodes) — how a
-// Distributed R session places one worker per node near Vertica segments.
-func (a *App) RequestN(count, cores, memMB int, wait bool) ([]*Container, error) {
-	out := make([]*Container, 0, count)
-	for i := 0; i < count; i++ {
-		c, err := a.Request(cores, memMB, i%len(a.rm.freeC), wait)
-		if err != nil {
-			for _, g := range out {
-				_ = a.Release(g)
-			}
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
 }
 
 // Usage is a point-in-time snapshot.

@@ -25,6 +25,20 @@ func newRM(t *testing.T) *ResourceManager {
 	return rm
 }
 
+// requestShare takes four 2-core containers, alternating over newRM's two
+// nodes: a queue's whole 8-core share.
+func requestShare(app *App) ([]*Container, error) {
+	var out []*Container
+	for i := 0; i < 4; i++ {
+		c, err := app.Request(2, 1000, i%2, false)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, c)
+	}
+	return out, nil
+}
+
 func TestValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("no nodes should fail")
@@ -104,7 +118,7 @@ func TestCapacityProtectsOtherQueues(t *testing.T) {
 	rm := newRM(t)
 	dr, _ := rm.Submit("dr", "analytics")
 	// analytics' share is 8 of 16 cores. It may take its share...
-	if _, err := dr.RequestN(4, 2, 1000, false); err != nil {
+	if _, err := requestShare(dr); err != nil {
 		t.Fatal(err)
 	}
 	// ...but not eat into db's guaranteed half while db is unused? With
@@ -115,34 +129,20 @@ func TestCapacityProtectsOtherQueues(t *testing.T) {
 	}
 	// db can still get its full share immediately.
 	db, _ := rm.Submit("vertica", "db")
-	if _, err := db.RequestN(4, 2, 1000, false); err != nil {
+	if _, err := requestShare(db); err != nil {
 		t.Fatalf("db blocked from its guaranteed share: %v", err)
-	}
-}
-
-func TestRequestNRollsBackOnFailure(t *testing.T) {
-	rm := newRM(t)
-	app, _ := rm.Submit("dr", "analytics")
-	// 5 containers × 2 cores = 10 > its 8-core entitlement → failure, and
-	// nothing should stay allocated.
-	if _, err := app.RequestN(5, 2, 1000, false); err == nil {
-		t.Fatal("over-entitlement should fail")
-	}
-	u := rm.Usage()
-	if u.Outstanding != 0 || u.QueueCores["analytics"] != 0 {
-		t.Fatalf("rollback incomplete: %+v", u)
 	}
 }
 
 func TestWaitingRequestUnblocksOnRelease(t *testing.T) {
 	rm := newRM(t)
 	db, _ := rm.Submit("vertica", "db")
-	held, err := db.RequestN(4, 2, 1000, false)
+	held, err := requestShare(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dr, _ := rm.Submit("dr", "analytics")
-	if _, err := dr.RequestN(4, 2, 1000, false); err != nil {
+	if _, err := requestShare(dr); err != nil {
 		t.Fatal(err)
 	}
 	// The db queue is fully allocated; a second db request should block
@@ -227,84 +227,6 @@ func TestConcurrentRequests(t *testing.T) {
 		if err := app.Release(c); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestRequestTimeoutExpires(t *testing.T) {
-	rm := newRM(t)
-	db, _ := rm.Submit("vertica", "db")
-	if _, err := db.RequestN(4, 2, 1000, false); err != nil {
-		t.Fatal(err)
-	}
-	// The queue is saturated and nothing releases: the bounded request must
-	// give up instead of blocking forever.
-	db2, _ := rm.Submit("etl", "db")
-	t0 := telemetry.Default().Counter("yarn_request_timeouts_total").Value()
-	start := time.Now()
-	_, err := db2.RequestTimeout(2, 1000, -1, 30*time.Millisecond)
-	if !errors.Is(err, ErrRequestTimeout) {
-		t.Fatalf("err = %v, want ErrRequestTimeout", err)
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("timeout not honored: waited %v", d)
-	}
-	if telemetry.Default().Counter("yarn_request_timeouts_total").Value() != t0+1 {
-		t.Fatal("yarn_request_timeouts_total not incremented")
-	}
-	if _, err := db2.RequestTimeout(2, 1000, -1, 0); err == nil {
-		t.Fatal("non-positive timeout should fail")
-	}
-}
-
-func TestRequestTimeoutGrantsWhenFreed(t *testing.T) {
-	rm := newRM(t)
-	db, _ := rm.Submit("vertica", "db")
-	held, err := db.RequestN(4, 2, 1000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db2, _ := rm.Submit("etl", "db")
-	done := make(chan error, 1)
-	go func() {
-		c, err := db2.RequestTimeout(2, 1000, -1, 5*time.Second)
-		if err == nil && c == nil {
-			err = errors.New("nil container without error")
-		}
-		done <- err
-	}()
-	// Give the request time to block, then release.
-	time.Sleep(10 * time.Millisecond)
-	if err := db.Release(held[0]); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("bounded request should have been granted: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("bounded request never returned after release")
-	}
-}
-
-func TestRequestNRollsBackOnNodeExhaustion(t *testing.T) {
-	// Failure caused by per-node memory, not queue shares: three containers
-	// fit core-wise but the second node cannot host the memory demand, so the
-	// partial grant must be fully rolled back.
-	rm, err := New(Config{
-		Nodes:  []NodeResources{{Cores: 8, MemoryMB: 4000}, {Cores: 8, MemoryMB: 500}},
-		Queues: map[string]float64{"q": 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, _ := rm.Submit("x", "q")
-	if _, err := app.RequestN(3, 2, 2000, false); err == nil {
-		t.Fatal("memory exhaustion should fail the batch")
-	}
-	u := rm.Usage()
-	if u.Outstanding != 0 || u.QueueCores["q"] != 0 || u.FreeMemory[0] != 4000 {
-		t.Fatalf("rollback incomplete: %+v", u)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -18,17 +17,8 @@ func TestNoContextTwins(t *testing.T) {
 	type key struct{ dir, recv, name string }
 	declared := map[key]token.Position{}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+	err := walkGoFiles(func(path string) error {
+		if strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -41,14 +31,8 @@ func TestNoContextTwins(t *testing.T) {
 				continue
 			}
 			recv := ""
-			if fn.Recv != nil && len(fn.Recv.List) == 1 {
-				typ := fn.Recv.List[0].Type
-				if star, ok := typ.(*ast.StarExpr); ok {
-					typ = star.X
-				}
-				if id, ok := typ.(*ast.Ident); ok {
-					recv = id.Name
-				}
+			if fn.Recv != nil {
+				recv = recvName(fn.Recv)
 			}
 			declared[key{filepath.Dir(path), recv, fn.Name.Name}] = fset.Position(fn.Pos())
 		}

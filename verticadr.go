@@ -21,13 +21,12 @@
 //
 // Every operation that does real work takes a context.Context first —
 // QueryContext, ExecContext, DB2DArrayContext, DB2DFrameContext,
-// LoadODBCContext, DB2RDDContext — and that is its only spelling: there are
-// no context-less wrappers. Cancellation and deadlines are honored inside
-// the engine at scan-block and aggregation-chunk boundaries, so a canceled
-// query stops within one storage block rather than running to completion.
-// Load, Checkpoint, DeployModel and RedeployModel take no context; they run
-// under the session's lifecycle (Close drains them, and after Close they
-// fail with ErrClosed).
+// LoadODBCContext — and that is its only spelling: there are no
+// context-less wrappers. Cancellation and deadlines are honored inside the
+// engine at scan-block and aggregation-chunk boundaries, so a canceled query
+// stops within one storage block rather than running to completion. Load,
+// Checkpoint and DeployModel take no context; they run under the session's
+// lifecycle (Close drains them, and after Close they fail with ErrClosed).
 //
 // Failures at the public boundaries are typed: errors.Is(err,
 // verticadr.ErrTableNotFound / ErrUnknownColumn / ErrModelNotFound /
@@ -166,10 +165,6 @@ func StartTrace(ctx context.Context, name string) (context.Context, *Span) {
 // RecentTraces returns the most recent n completed or in-flight traces from
 // the default registry's bounded span buffer.
 func RecentTraces(n int) []TraceRecord { return telemetry.Default().Spans().Traces(n) }
-
-// MetricsText renders every telemetry series in Prometheus text exposition
-// format (what the vdr-serve admin endpoint serves at /metrics).
-func MetricsText() string { return telemetry.Default().PromText() }
 
 // AdminHandler is the observability HTTP surface for a Server — /metrics,
 // /statements, /traces/recent, /healthz and /debug/pprof/ — for embedding
