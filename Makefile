@@ -108,19 +108,26 @@ test:
 
 # Race-check the packages with real shared-state concurrency: the
 # telemetry registry, the one TCP transport (wire: listener, pooled clients,
-# the shared frame-buffer pool), the vft staging hub (each message decoded at
+# the pool of frames over 1 MiB), the vft staging hub (each message decoded at
 # arrival into the batch its frame partition keeps) + the export instances
-# that fill it from pooled buffers, the frame's readers and writers beside it (the ODBC loader fills
+# that fill it, each from its own message buffer and stored blocks sent by
+# reference, the frame's readers and writers beside it (the ODBC loader fills
 # partitions from concurrent connections, Spark tasks read them), the dr
 # scheduler, the yarn resource manager, the simulated network, the fault
 # injector, the intra-node parallel execution engine (worker pool, cursor
 # ranges walked as pool tasks with their in-order hand-off, chunked
-# aggregation, parallel IRLS, blocked matrix multiply), the
+# aggregation, parallel IRLS, the streamed Reduce and a fit's free list of
+# partials, blocked matrix multiply), the
 # planner (plan.Build runs on every peer-side query beside concurrent COPY,
 # over the segments' memoized statistics), the
-# pooled scoring/splitting paths (models, udf writers, darray fill,
+# scoring/splitting paths (models, udf writers, darray fill,
 # catalog splitter), and the durability plane (wal group commit, txn MVCC
-# snapshots, the vertica commit/checkpoint protocol).
+# snapshots, the vertica commit/checkpoint protocol and each commit stream's
+# record scratch). The allocation tests that skipped under -race because a
+# sync.Pool drops what is put back run here too, except the six whose
+# scratch is still pooled (sqlexec's aggregate, the IRLS fit, the server's
+# fetch over the transport's pool, three colstore predicate scans over the
+# cursor's index slice).
 .PHONY: race
 race:
 	$(GO) test -race ./internal/telemetry/... ./internal/vft/... ./internal/dr/... \

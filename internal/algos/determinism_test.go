@@ -2,6 +2,7 @@ package algos
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -179,8 +180,8 @@ func TestKmeansBitIdenticalAcrossDegrees(t *testing.T) {
 }
 
 // TestConcurrentFitsBitIdentical runs GLM and K-means fits side by side —
-// their partial slabs and IRLS row scratch come from process-wide pools — and
-// requires each to reproduce its sequential bits.
+// their IRLS row scratch comes from a process-wide pool — and requires each
+// to reproduce its sequential bits.
 func TestConcurrentFitsBitIdentical(t *testing.T) {
 	c := cluster(t, 2)
 	logit := workload.GenLogistic(61, 6000, 3)
@@ -212,5 +213,39 @@ func TestConcurrentFitsBitIdentical(t *testing.T) {
 		}
 		modelsBitIdentical(t, 0, wantG, gots[i])
 		kmeansBitIdentical(t, 0, wantK, gotk[i])
+	}
+}
+
+// TestKmeansAllocatesSameAfterGC: a fit owns its partials' slots, so what a
+// fit allocates does not depend on when the collector last ran: a fit right
+// after two collections allocates what a warm one does. The fit runs on one
+// worker at degree 1; its task dispatch still allocates a few times more now
+// and then, so each side is the least of fifteen fits.
+func TestKmeansAllocatesSameAfterGC(t *testing.T) {
+	defer parallel.SetDefaultDegree(0)
+	parallel.SetDefaultDegree(1)
+	c := cluster(t, 1)
+	data := workload.GenKmeans(23, 20000, 5, 6, 3.0)
+	x := toDArray(t, c, data.Points, 6)
+	least := func(collect bool) uint64 {
+		n := uint64(math.MaxUint64)
+		for range 15 {
+			if collect {
+				runtime.GC()
+				runtime.GC()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Kmeans(x, KmeansOpts{K: 6, Seed: 8, MaxIter: 8, Tol: 1e-300}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			n = min(n, after.Mallocs-before.Mallocs)
+		}
+		return n
+	}
+	least(false)
+	if warm, cold := least(false), least(true); cold != warm {
+		t.Fatalf("a K-means fit allocated at least %d times after two collections, %d times warm", cold, warm)
 	}
 }

@@ -10,11 +10,11 @@ import (
 
 // The fit shape both iterative fits share. A fit reads its partitions from
 // the workers once, cuts them into fixed fitChunkRows-row chunks, and every
-// iteration runs a typed kernel over each chunk into that chunk's own slot
-// of one slab of float64 partials, then folds the slots through
-// parallel.Reduce's pairwise tree. Chunk boundaries are a function of the
-// partition layout alone and the tree a function of the chunk count alone,
-// so every float bit of a fit is the same at every parallel degree.
+// iteration runs a typed kernel over each chunk into a slot of float64
+// partials, folded through parallel.Reduce's pairwise tree as the chunks
+// finish. Chunk boundaries are a function of the partition layout alone and
+// the tree a function of the chunk count alone, so every float bit of a fit
+// is the same at every parallel degree.
 //
 // The kernels reorganise loops, never arithmetic: every accumulator receives
 // the same terms, computed by the same expressions (kept as `acc += t * x`,
@@ -78,48 +78,61 @@ func fitChunks(x, y *darray.DArray) ([]*darray.Mat, []fitChunk, error) {
 	return xs, chunks, nil
 }
 
-// fitPartials is the slab of per-chunk partials a fit folds every
-// iteration: in a fold of stride-float partials, chunk i owns the stride
-// floats at i*stride. Slabs are pooled, so a fit in steady state allocates
-// no partials at all.
+// fitPartials holds the partials a fit folds every iteration: slots of
+// stride floats in one slab, which produce fills and merges use up.
+// parallel.Reduce streams, so a fold holds at most ReduceHeld partials at
+// once, not one a chunk: a slot a merge has added into its neighbour goes
+// back on the free list for the next chunk, and every slot is free again at
+// the next fold. A fit owns one and makes its slab at its first fold, so
+// what a fit allocates does not depend on how its chunks interleave.
 type fitPartials struct {
+	mu   sync.Mutex
 	slab []float64
+	free []int // the slots holding no partial
 }
-
-var fitPartialsPool = sync.Pool{New: func() any { return new(fitPartials) }}
 
 // fold runs produce(i, slot) for every chunk i — produce overwrites its
 // whole slot — and sums the slots element-wise through parallel.Reduce's
 // deterministic tree. The result aliases a slot and is valid until the next
 // fold; with no chunks it is all zeros.
 func (f *fitPartials) fold(chunks, stride int, produce func(i int, out []float64)) ([]float64, error) {
-	if need := max(chunks, 1) * stride; cap(f.slab) < need {
-		f.slab = make([]float64, need)
+	pool := parallel.NewPool(parallel.DefaultDegree())
+	held := pool.ReduceHeld(chunks)
+	if len(f.slab) < held*stride {
+		f.slab = make([]float64, held*stride)
 	}
-	slot := func(i int) []float64 {
-		return f.slab[i*stride : (i+1)*stride : (i+1)*stride]
+	f.free = f.free[:0]
+	for k := range held {
+		f.free = append(f.free, k)
 	}
+	slot := func(k int) []float64 { return f.slab[k*stride : (k+1)*stride : (k+1)*stride] }
 	if chunks == 0 {
-		out := slot(0)
-		clear(out)
-		return out, nil
+		clear(slot(0))
+		return slot(0), nil
 	}
-	i, err := parallel.Reduce(parallel.Default(), chunks,
+	k, err := parallel.Reduce(pool, chunks,
 		func(i int) (int, error) {
-			produce(i, slot(i))
-			return i, nil
+			f.mu.Lock()
+			k := f.free[len(f.free)-1]
+			f.free = f.free[:len(f.free)-1]
+			f.mu.Unlock()
+			produce(i, slot(k))
+			return k, nil
 		},
 		func(a, b int) (int, error) {
-			sa, sb := slot(a), slot(b)
-			for j, v := range sb {
+			sa := slot(a)
+			for j, v := range slot(b) {
 				sa[j] += v
 			}
+			f.mu.Lock()
+			f.free = append(f.free, b)
+			f.mu.Unlock()
 			return a, nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	return slot(i), nil
+	return slot(k), nil
 }
 
 // ---- IRLS kernel ----

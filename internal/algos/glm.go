@@ -72,8 +72,7 @@ func GLM(x, y *darray.DArray, opts GLMOpts) (*GLMModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts := fitPartialsPool.Get().(*fitPartials)
-	defer fitPartialsPool.Put(parts)
+	var parts fitPartials
 	beta := make([]float64, p)
 	model := &GLMModel{Family: opts.Family}
 	for iter := 0; iter < opts.MaxIter; iter++ {

@@ -71,8 +71,7 @@ func Kmeans(x *darray.DArray, opts KmeansOpts) (*KmeansModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts := fitPartialsPool.Get().(*fitPartials)
-	defer fitPartialsPool.Put(parts)
+	var parts fitPartials
 	model := &KmeansModel{K: opts.K}
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		part, err := parts.fold(len(chunks), kmeansStride(opts.K, d), func(i int, out []float64) {

@@ -9,22 +9,19 @@ import (
 // uvarint length and the column's block in its best encoding. A vft wire
 // message and a WAL load record's per-node body are both exactly this.
 
-// AppendChunk appends the chunk encoding of b to dst. Blocks are length-
-// prefixed, so each is encoded into scratch first and then copied behind its
-// length; the (possibly grown) scratch is returned for the caller's next
-// chunk, on errors too, so a pooled buffer finds its way back.
-func AppendChunk(dst, scratch []byte, b *Batch) (chunk, grown []byte, err error) {
+// AppendChunk appends the chunk encoding of b to dst. Each block is encoded
+// in place and its length inserted before it once known, as ChunkParts does.
+func AppendChunk(dst []byte, b *Batch) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(b.Cols)))
 	for _, col := range b.Cols {
-		blk, _, err := appendColumn(scratch[:0], col, false)
+		start := len(dst)
+		blk, _, err := appendColumn(dst, col, false)
 		if err != nil {
-			return nil, scratch, err
+			return nil, err
 		}
-		scratch = blk
-		dst = binary.AppendUvarint(dst, uint64(len(blk)))
-		dst = append(dst, blk...)
+		dst = insertUvarint(blk, start, uint64(len(blk)-start))
 	}
-	return dst, scratch, nil
+	return dst, nil
 }
 
 // ChunkParts returns byte slices that concatenate to exactly the chunk
@@ -87,19 +84,6 @@ func insertUvarint(buf []byte, at int, x uint64) []byte {
 	return buf
 }
 
-// AppendStoredChunk appends to dst the chunk whose columns are the given
-// blocks, already encoded (a sealed block row, as ScanCursor.NextStored hands
-// it out): what AppendChunk writes, without the encoding. The blocks are only
-// read.
-func AppendStoredChunk(dst []byte, blocks [][]byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(blocks)))
-	for _, blk := range blocks {
-		dst = binary.AppendUvarint(dst, uint64(len(blk)))
-		dst = append(dst, blk...)
-	}
-	return dst
-}
-
 // CutChunk splits the chunk at the head of msg from the bytes after it
 // without decoding it: only the column count and the block lengths are read.
 // What the cut does not check — the schema, the blocks themselves — is
@@ -120,35 +104,75 @@ func CutChunk(msg []byte) (chunk, rest []byte, err error) {
 }
 
 // DecodeChunkInto decodes the chunk at the head of msg into dst, appending
-// to dst's columns (callers reusing a pooled batch Reset it first), and
+// to dst's columns (callers reusing a batch Reset it first), and
 // returns the bytes after it. dst's schema is the expected schema; a chunk
 // that disagrees — column count, block types, row counts, or any corruption
 // the block decoder detects — returns an error, never a panic, and never
 // reads past msg.
 func DecodeChunkInto(dst *Batch, msg []byte) (rest []byte, err error) {
-	schema := dst.Schema
-	ncols, n := binary.Uvarint(msg)
+	r := ChunkReader{cur: msg}
+	if err := r.Decode(dst); err != nil {
+		return nil, err
+	}
+	return r.cur, nil
+}
+
+// A ChunkReader decodes a run of chunks given in parts whose bytes, back to
+// back, are the run (an export's message, its stored blocks parts of their
+// own). No uvarint or block may span two parts.
+type ChunkReader struct {
+	parts [][]byte
+	cur   []byte // the part being read, from the next byte on
+}
+
+// NewChunkReader reads the run whose bytes are parts, back to back.
+func NewChunkReader(parts [][]byte) ChunkReader { return ChunkReader{parts: parts} }
+
+// More reports whether bytes are left to decode.
+func (r *ChunkReader) More() bool {
+	r.skip()
+	return len(r.cur) > 0
+}
+
+func (r *ChunkReader) skip() {
+	for len(r.cur) == 0 && len(r.parts) > 0 {
+		r.cur, r.parts = r.parts[0], r.parts[1:]
+	}
+}
+
+func (r *ChunkReader) uvarint() (uint64, bool) {
+	r.skip()
+	x, n := binary.Uvarint(r.cur)
 	if n <= 0 {
-		return nil, fmt.Errorf("colstore: corrupt chunk header")
+		return 0, false
+	}
+	r.cur = r.cur[n:]
+	return x, true
+}
+
+// Decode decodes the next chunk into dst, as DecodeChunkInto does.
+func (r *ChunkReader) Decode(dst *Batch) error {
+	schema := dst.Schema
+	ncols, ok := r.uvarint()
+	if !ok {
+		return fmt.Errorf("colstore: corrupt chunk header")
 	}
 	if ncols != uint64(len(schema)) {
-		return nil, fmt.Errorf("colstore: chunk has %d columns, schema has %d", ncols, len(schema))
+		return fmt.Errorf("colstore: chunk has %d columns, schema has %d", ncols, len(schema))
 	}
-	msg = msg[n:]
 	for i := range schema {
-		l, n := binary.Uvarint(msg)
-		if n <= 0 || uint64(len(msg)-n) < l {
-			return nil, fmt.Errorf("colstore: truncated chunk column %d", i)
+		l, ok := r.uvarint()
+		if r.skip(); !ok || uint64(len(r.cur)) < l {
+			return fmt.Errorf("colstore: truncated chunk column %d", i)
 		}
-		msg = msg[n:]
-		blk := msg[:l]
+		blk := r.cur[:l]
 		if len(blk) > 0 && Type(blk[0]) != schema[i].Type {
-			return nil, fmt.Errorf("colstore: chunk column %d is %v, want %v", i, Type(blk[0]), schema[i].Type)
+			return fmt.Errorf("colstore: chunk column %d is %v, want %v", i, Type(blk[0]), schema[i].Type)
 		}
 		if err := DecodeBlockInto(dst.Cols[i], blk); err != nil {
-			return nil, err
+			return err
 		}
-		msg = msg[l:]
+		r.cur = r.cur[l:]
 	}
-	return msg, dst.Validate()
+	return dst.Validate()
 }

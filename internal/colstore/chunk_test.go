@@ -89,7 +89,7 @@ func testChunkParts(t *testing.T) {
 		}
 		for _, b := range batches {
 			name := fmt.Sprintf("%d columns, %d rows", len(b.Cols), rows)
-			want, _, err := AppendChunk(nil, nil, b)
+			want, err := AppendChunk(nil, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestCutChunkSplitsAtTheChunkEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	chunk, _, err := AppendChunk(nil, nil, b)
+	chunk, err := AppendChunk(nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}

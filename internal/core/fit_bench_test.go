@@ -87,9 +87,10 @@ func BenchmarkFitKmeans8(b *testing.B) {
 	}
 }
 
-// A fit allocates per iteration (the fold's index slice, the solve or the
-// new centers) and at most once per chunk (its partial's slot, pooled across
-// fits) and per worker (pooled row scratch) — never per row or per chunk of
+// A fit allocates per iteration (the fold's run-ahead state, the solve or
+// the new centers), once per fit (one slab of the slots its streamed fold
+// holds partials in) and per worker (pooled row scratch) — never per row or
+// per chunk of
 // rows. The bounds are what the same fits allocated before PR 25, least of
 // three warm runs: 1229 KB for the GLM, which allocated a fresh partial and
 // row vector per chunk per iteration, and 67 KB for K-means.

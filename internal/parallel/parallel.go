@@ -26,6 +26,7 @@
 package parallel
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -190,31 +191,57 @@ func (p *Pool) Window(n, ahead int, fn func(i int) error) error {
 // is a function of n alone, never of scheduling, so floating-point folds
 // produce identical bits at every degree and on every run. merge may mutate
 // and return its first argument. n == 0 returns the zero T.
+//
+// The partials stream: they are produced through Window and pushed into a
+// Tree in index order as they finish, so Reduce holds at most ReduceHeld of
+// them at once, not n.
 func Reduce[T any](p *Pool, n int, produce func(i int) (T, error), merge func(a, b T) (T, error)) (T, error) {
 	var zero T
 	if n <= 0 {
 		return zero, nil
 	}
-	partials := make([]T, n)
-	err := p.ForEach(n, func(i int) error {
+	ahead := p.reduceAhead()
+	var (
+		mu    sync.Mutex
+		ready = make([]T, ahead) // finished and not yet pushed: index i at i % ahead
+		done  = make([]bool, ahead)
+		next  int // the next index to push
+		t     = Tree[T]{Merge: merge}
+	)
+	err := p.Window(n, ahead, func(i int) error {
 		v, err := produce(i)
 		if err != nil {
 			return err
 		}
-		partials[i] = v
+		mu.Lock()
+		defer mu.Unlock()
+		// Window claims i only once every index below i-ahead has finished,
+		// and a task pushes what it can before it returns, so the unpushed
+		// indexes all lie in [next, next+ahead).
+		ready[i%ahead], done[i%ahead] = v, true
+		for ; done[next%ahead]; next++ {
+			k := next % ahead
+			if err := t.Push(ready[k]); err != nil {
+				return err
+			}
+			ready[k], done[k] = zero, false
+		}
 		return nil
 	})
 	if err != nil {
 		return zero, err
 	}
-	t := Tree[T]{Merge: merge}
-	for _, v := range partials {
-		if err := t.Push(v); err != nil {
-			return zero, err
-		}
-	}
 	return t.Result()
 }
+
+// reduceAhead is Reduce's run-ahead: two partials a worker, and four more,
+// so that a worker held up for a few partials does not stall the others.
+func (p *Pool) reduceAhead() int { return 2*p.Degree() + 4 }
+
+// ReduceHeld bounds the partials Reduce over n of them holds at once: those
+// produced or being produced and not yet pushed, all within its run-ahead,
+// and the Tree's pending runs, one a bit of n.
+func (p *Pool) ReduceHeld(n int) int { return p.reduceAhead() + bits.Len(uint(n)) }
 
 // Tree folds partials pushed in index order into Reduce's tree. Reduce
 // merges neighbours level by level, an odd last partial waiting a level; for
@@ -228,36 +255,38 @@ type Tree[T any] struct {
 	// Merge combines two adjacent subtrees, the earlier first; it may mutate
 	// and return its first argument.
 	Merge func(a, b T) (T, error)
-	vals  [64]T   // the pending runs, oldest first
-	sizes [64]int // their leaf counts: powers of two, decreasing
-	n     int
+	// vals are the pending runs, oldest first: one a set bit of pushed,
+	// the largest first.
+	vals   [64]T
+	pushed uint64
 }
 
 // Push adds the next partial.
 func (t *Tree[T]) Push(v T) error {
-	size := 1
-	for t.n > 0 && t.sizes[t.n-1] == size {
-		m, err := t.merge(t.vals[t.n-1], v)
+	runs := bits.OnesCount64(t.pushed)
+	for c := t.pushed; c&1 == 1; c >>= 1 {
+		m, err := t.merge(t.vals[runs-1], v)
 		if err != nil {
 			return err
 		}
-		t.n--
-		t.vals[t.n] = *new(T)
-		v, size = m, 2*size
+		runs--
+		t.vals[runs] = *new(T)
+		v = m
 	}
-	t.vals[t.n], t.sizes[t.n] = v, size
-	t.n++
+	t.vals[runs] = v
+	t.pushed++
 	return nil
 }
 
 // Result is the tree's root: the pending runs folded right to left. With
 // nothing pushed it is the zero T.
 func (t *Tree[T]) Result() (T, error) {
-	if t.n == 0 {
+	runs := bits.OnesCount64(t.pushed)
+	if runs == 0 {
 		return *new(T), nil
 	}
-	v := t.vals[t.n-1]
-	for i := t.n - 2; i >= 0; i-- {
+	v := t.vals[runs-1]
+	for i := runs - 2; i >= 0; i-- {
 		var err error
 		if v, err = t.merge(t.vals[i], v); err != nil {
 			return v, err

@@ -310,8 +310,6 @@ func (s *blockStream) Next() (*colstore.Batch, error) {
 	return b, err
 }
 
-func (s *blockStream) MaxRows() int { return s.r.cur.MaxRows() }
-
 func (s *blockStream) NextStored(maxRows int) ([][]byte, int, *colstore.Batch, error) {
 	if s.argCol == nil {
 		maxRows = 0

@@ -323,7 +323,7 @@ func (storedSumTransform) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out
 		return errors.New("a PARTITION BEST reader is no udf.StoredReader")
 	}
 	last := len(ctx.InSchema) - 1
-	left, total := sr.MaxRows(), 0.0
+	total := 0.0
 	for {
 		blocks, rows, b, err := sr.NextStored(150)
 		if err != nil {
@@ -343,13 +343,9 @@ func (storedSumTransform) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out
 				}
 			}
 		}
-		left -= b.Len()
 		for _, x := range b.Cols[last].Floats {
 			total += x
 		}
-	}
-	if left < 0 {
-		return errors.New("the reader delivered more rows than MaxRows bounded")
 	}
 	return out.Write(&colstore.Batch{
 		Schema: colstore.Schema{{Name: "total", Type: colstore.TypeFloat64}},

@@ -108,8 +108,6 @@ type BatchReader interface {
 // Next.
 type StoredReader interface {
 	BatchReader
-	// MaxRows bounds the rows the reader has yet to deliver.
-	MaxRows() int
 	// NextStored returns the partition's next rows in one of two forms. When
 	// they are a sealed block row of at most maxRows rows that reaches the
 	// function unfiltered, and every argument is a bare column, it returns

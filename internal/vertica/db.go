@@ -176,7 +176,7 @@ func (db *DB) Segments(name string) ([]*colstore.Segment, error) {
 func (db *DB) CreateTable(def *catalog.TableDef) error {
 	var segs []*colstore.Segment
 	return db.commit(def.Name, mutation{
-		prepare: func(st *streamState, durable bool) (byte, []byte, error) {
+		prepare: func(st *streamState, rec *[]byte) (byte, []byte, error) {
 			db.seedTable(st, def.Name)
 			if st.exists {
 				return 0, nil, fmt.Errorf("catalog: table %q already exists", def.Name)
@@ -189,7 +189,7 @@ func (db *DB) CreateTable(def *catalog.TableDef) error {
 			}
 			segs = db.newSegments(def.Schema)
 			st.exists, st.schema, st.segs = true, def.Schema, segs
-			if !durable {
+			if rec == nil {
 				return 0, nil, nil
 			}
 			body, err := encodeCreateTable(def)
@@ -234,7 +234,7 @@ func (db *DB) publishCreate(def *catalog.TableDef, segs []*colstore.Segment) err
 // drop keep reading the table until released.
 func (db *DB) DropTable(name string) error {
 	return db.commit(name, mutation{
-		prepare: func(st *streamState, durable bool) (byte, []byte, error) {
+		prepare: func(st *streamState, rec *[]byte) (byte, []byte, error) {
 			db.seedTable(st, name)
 			if !st.exists {
 				return 0, nil, fmt.Errorf("catalog: %w: %q", verr.ErrTableNotFound, name)
@@ -308,7 +308,7 @@ func (db *DB) LoadAt(table string, node int, b *colstore.Batch) error {
 func (db *DB) loadParts(table string, parts []*colstore.Batch) error {
 	var next []*colstore.Segment
 	return db.commit(table, mutation{
-		prepare: func(st *streamState, durable bool) (byte, []byte, error) {
+		prepare: func(st *streamState, rec *[]byte) (byte, []byte, error) {
 			db.seedTable(st, table)
 			if !st.exists {
 				return 0, nil, fmt.Errorf("vertica: table %q does not exist", table)
@@ -320,10 +320,10 @@ func (db *DB) loadParts(table string, parts []*colstore.Batch) error {
 					return 0, nil, fmt.Errorf("vertica: load batch schema mismatch for %q", table)
 				}
 			}
-			if !durable {
+			if rec == nil {
 				return 0, nil, nil
 			}
-			body, err := encodeLoad(table, parts)
+			body, err := encodeLoadWith(rec, table, parts)
 			return recLoad, body, err
 		},
 		build: func(st *streamState) error {

@@ -36,7 +36,11 @@ type committer struct {
 	next    uint64
 	applied uint64
 	state   streamState
+	rec     []byte // the record scratch prepare encodes from; it outlives state
 }
+
+// keepRecBytes bounds the record scratch a committer keeps, as wal.Writer's.
+const keepRecBytes = 4 << 20
 
 // streamState is the log-end view of one commit stream's logical state: what
 // the stream will look like once every already-appended record has applied.
@@ -124,8 +128,9 @@ func (db *DB) committer(stream string) *committer {
 // A mutation is one commit's work, in the three steps commit runs.
 type mutation struct {
 	// prepare validates against the stream's log-end view, records the
-	// mutation's intent there, and encodes the redo record when durable.
-	prepare func(st *streamState, durable bool) (typ byte, body []byte, err error)
+	// mutation's intent there, and encodes the redo record when durable:
+	// rec is then the stream's record scratch, else nil.
+	prepare func(st *streamState, rec *[]byte) (typ byte, body []byte, err error)
 	// build, if set, makes the segments publish will show, from st.segs,
 	// and advances st.segs to them. What it makes is private until
 	// published: it writes in place only past every published tail's claim
@@ -150,8 +155,9 @@ type mutation struct {
 //
 // Nothing is acknowledged before it is durable, and nothing is visible
 // before it is durable — a reader can never observe state that a crash
-// could take back. Without a WAL (in-memory database) prepare is told not
-// to encode, and build and publish run at once, all under the stream lock.
+// could take back. Without a WAL (in-memory database) prepare is given no
+// record scratch, so it encodes nothing, and build and publish run at once,
+// all under the stream lock.
 func (db *DB) commit(stream string, m mutation) error {
 	db.ckptMu.RLock()
 	defer db.ckptMu.RUnlock()
@@ -167,7 +173,14 @@ func (db *DB) commit(stream string, m mutation) error {
 	// recorded never reached the log and must not be visible to the next
 	// prepare on this stream.
 	prev := c.state.clone()
-	typ, body, err := m.prepare(&c.state, db.wal != nil)
+	var rec *[]byte
+	if db.wal != nil {
+		rec = &c.rec
+	}
+	typ, body, err := m.prepare(&c.state, rec)
+	if cap(c.rec) > keepRecBytes {
+		c.rec = nil
+	}
 	if err != nil {
 		c.state = prev
 		return err
@@ -216,9 +229,9 @@ func (db *DB) commit(stream string, m mutation) error {
 // write with no log record.
 func (db *DB) JournalBlobPut(path string, data []byte) error {
 	return db.commit(blobStream, mutation{
-		prepare: func(st *streamState, durable bool) (byte, []byte, error) {
+		prepare: func(st *streamState, rec *[]byte) (byte, []byte, error) {
 			st.setBlob(path, true)
-			if !durable {
+			if rec == nil {
 				return 0, nil, nil
 			}
 			return recBlobPut, encodeBlobPut(path, data), nil
@@ -230,7 +243,7 @@ func (db *DB) JournalBlobPut(path string, data []byte) error {
 // JournalBlobDelete removes a DFS blob through the write-ahead log.
 func (db *DB) JournalBlobDelete(path string) error {
 	return db.commit(blobStream, mutation{
-		prepare: func(st *streamState, durable bool) (byte, []byte, error) {
+		prepare: func(st *streamState, rec *[]byte) (byte, []byte, error) {
 			// Validate against the log end: a sibling delete may be logged
 			// but unapplied, and logging a doomed second delete would abort
 			// replay on restart.
@@ -238,7 +251,7 @@ func (db *DB) JournalBlobDelete(path string) error {
 				return 0, nil, fmt.Errorf("dfs: file %q does not exist", path)
 			}
 			st.setBlob(path, false)
-			if !durable {
+			if rec == nil {
 				return 0, nil, nil
 			}
 			return recBlobDelete, encodeBlobPut(path, nil), nil

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -436,5 +437,35 @@ func TestNonDurableUnaffected(t *testing.T) {
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadRecordAllocatesSameAfterGC: a commit stream encodes its load
+// records from a scratch it owns, so what encoding two records allocates does
+// not depend on when the collector last ran: a run right after two
+// collections allocates what a warm run does.
+func TestLoadRecordAllocatesSameAfterGC(t *testing.T) {
+	parts := []*colstore.Batch{dBatch(t, 0, 300), nil, dBatch(t, 1000, 200)}
+	var c committer
+	encode := func() {
+		for range 2 {
+			if _, err := encodeLoadWith(&c.rec, "m", parts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mallocs := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		encode()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	encode()
+	warm := mallocs()
+	runtime.GC()
+	runtime.GC()
+	if cold := mallocs(); cold != warm {
+		t.Fatalf("two load records allocated %d times after two collections, %d times warm", cold, warm)
 	}
 }

@@ -84,3 +84,9 @@ func (db *DB) LoadCSV(table string, r io.Reader, hasHeader bool) (int, error) {
 	}
 	return total, nil
 }
+
+// encodeLoad is encodeLoadWith on a record scratch of its own, for tests
+// that encode a record outside a commit stream.
+func encodeLoad(table string, parts []*colstore.Batch) ([]byte, error) {
+	return encodeLoadWith(new([]byte), table, parts)
+}

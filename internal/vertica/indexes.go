@@ -61,7 +61,7 @@ func (db *DB) CreateIndex(name, table, column string) error {
 	def := IndexDef{Name: name, Table: table, Column: column}
 	var next []*colstore.Segment
 	return db.commit(table, mutation{
-		prepare: func(st *streamState, durable bool) (byte, []byte, error) {
+		prepare: func(st *streamState, rec *[]byte) (byte, []byte, error) {
 			db.seedTable(st, table)
 			if !st.exists {
 				return 0, nil, fmt.Errorf("vertica: %w: %q", verr.ErrTableNotFound, table)
@@ -72,7 +72,7 @@ func (db *DB) CreateIndex(name, table, column string) error {
 			if d, ok := db.indexMeta(name); ok && (d.Table != table || d.Column != column) {
 				return 0, nil, fmt.Errorf("vertica: index %q already exists on %s(%s)", name, d.Table, d.Column)
 			}
-			if !durable {
+			if rec == nil {
 				return 0, nil, nil
 			}
 			return recCreateIndex, encodeIndexDDL(name, table, column), nil
@@ -141,9 +141,9 @@ func (db *DB) DropIndex(name string) error {
 	}
 	var next []*colstore.Segment
 	return db.commit(d.Table, mutation{
-		prepare: func(st *streamState, durable bool) (byte, []byte, error) {
+		prepare: func(st *streamState, rec *[]byte) (byte, []byte, error) {
 			db.seedTable(st, d.Table)
-			if !durable {
+			if rec == nil {
 				return 0, nil, nil
 			}
 			return recDropIndex, encodeIndexDDL(name, d.Table, d.Column), nil

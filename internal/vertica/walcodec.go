@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"verticadr/internal/catalog"
 	"verticadr/internal/colstore"
@@ -52,16 +51,15 @@ func decodeCreateTable(body []byte) (*catalog.TableDef, error) {
 
 // --- load ------------------------------------------------------------------
 
-// encodeLoad frames per-node batches: uvarint len(table), table, uvarint
+// encodeLoadWith frames per-node batches: uvarint len(table), table, uvarint
 // nodes, then per node either a zero byte (no rows for that node) or the
 // batch as a chunk — uvarint ncols, then length-prefixed column blocks in
 // schema order (colstore.AppendChunk, the layout vft ships). Each chunk is
 // cut into its parts first (colstore.ChunkParts: PLAIN numeric payloads by
-// reference, the rest in a pooled scratch buffer), so the record is
-// allocated once, at its size, and every payload copied once.
-func encodeLoad(table string, parts []*colstore.Batch) ([]byte, error) {
-	sp := loadScratch.Get().(*[]byte)
-	defer loadScratch.Put(sp)
+// reference, the rest in scratch, the commit stream's, grown as it needs),
+// so the record is allocated once, at its size, and every payload copied
+// once.
+func encodeLoadWith(sp *[]byte, table string, parts []*colstore.Batch) ([]byte, error) {
 	*sp = (*sp)[:0]
 	chunks := make([][][]byte, len(parts))
 	size := 2*binary.MaxVarintLen64 + len(table)
@@ -93,10 +91,6 @@ func encodeLoad(table string, parts []*colstore.Batch) ([]byte, error) {
 	}
 	return buf, nil
 }
-
-// loadScratch holds encodeLoad's chunk headers and encoded blocks between
-// records.
-var loadScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // decodeLoad decodes a load record whole: the cut, then each node's part.
 // Recovery does the same two steps apart — the cut on the log reader, each

@@ -1,10 +1,12 @@
 package vft
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
 	"verticadr/internal/colstore"
+	"verticadr/internal/telemetry"
 	"verticadr/internal/udf"
 )
 
@@ -22,19 +24,23 @@ const sendRetries = 3
 //
 // A block row the reader hands over as stored (udf.StoredReader: bare column
 // arguments, nothing filtered, no more rows than the message has room for)
-// becomes a chunk by copying its blocks behind their length prefixes: no
-// decode, no choice of encoding, no encode. Everything else arrives as a
-// batch and is encoded by colstore.AppendChunk, cut with a Slice view where
-// it crosses a message boundary. Message boundaries never depend on which
-// form the rows took.
+// becomes a chunk without a copy: its column count and block lengths go into
+// the instance's message buffer, and the blocks themselves are parts of the
+// message of their own (message). Everything else arrives as a batch and is
+// encoded by colstore.AppendChunk into the buffer, cut with a Slice view
+// where it crosses a message boundary. Message boundaries never depend on
+// which form the rows took.
 //
-// Each instance is one loop: it reads, appends into a pooled buffer and sends
-// each full message itself. The concurrent read-and-send of §3.1 comes from
-// the many instances running side by side, one per node-local block range.
-// A message buffer returns to the pool once the message is sent or given up
-// on — Send implementations never retain msg, and every retransmission is
-// made before then, so a retransmit can never observe a recycled buffer.
-// Stored blocks are only ever copied from.
+// Each instance is one loop: it reads, appends and sends each full message
+// itself. The concurrency of §3.1 comes from the many instances running
+// side by side, one per node-local block range.
+//
+// Ownership contract: an instance owns its message buffer and reuses it from
+// flush to flush. ChunkSink.Send implementations must not retain msg past
+// the call (the hub decodes eagerly, the TCP sender has written it out), so
+// the buffer is the instance's again the moment Send returns, and a
+// retransmission resends the same parts. Stored blocks belong to their
+// segment: immutable once sealed, they are only ever read.
 type exportUDF struct{}
 
 // OutputSchema: one summary row per instance (node, rows, bytes).
@@ -87,33 +93,17 @@ func (exportUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.Batc
 		psize = 4096
 	}
 
-	// The reader says how many rows are to come when it can also hand them
-	// over stored; a message buffer is then sized once, for the rows it will
-	// hold, instead of regrown as they arrive.
 	stored, _ := in.(udf.StoredReader)
-	left := -1 // rows to come, at most; -1: the reader cannot say
-	if stored != nil {
-		left = stored.MaxRows()
-	}
-	rowBytes := 0
-	for _, c := range ctx.InSchema {
-		rowBytes += valueBytes(c.Type)
-	}
-
 	var (
-		msg        []byte        // the message being built; nil between messages
-		rows       int           // rows in msg
+		msg        message
 		dbTime     time.Duration // spent appending to msg
 		localSeq   int
-		scratch    []byte // AppendChunk's block scratch, pooled on first use
-		nStored    int64  // chunks made of stored blocks
-		nEncoded   int64  // chunks encoded from batches
-		totalRows  int64  // rows sent
-		totalBytes int64  // message bytes sent
+		nStored    int64 // chunks made of stored blocks
+		nEncoded   int64 // chunks encoded from batches
+		totalRows  int64 // rows sent
+		totalBytes int64 // message bytes sent
 	)
 	defer func() {
-		putBuf(msg)
-		putBuf(scratch)
 		mBlocksStored.Add(nStored)
 		mBlocksEncoded.Add(nEncoded)
 	}()
@@ -124,8 +114,7 @@ func (exportUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.Batc
 	// flush sends the message, retransmitting on failure — the one retry of
 	// either path: the hub dedups by (part, seq), so resending after a lost
 	// acknowledgement is safe. The sink has decoded or written out the
-	// message when Send returns, so the buffer goes back to the pool here; a
-	// message given up on goes back through the deferred putBuf.
+	// message when Send returns, so the buffer is free for the next one.
 	flush := func() (err error) {
 		// Node i's data goes to partition i (= worker i) under the locality
 		// policy, Fig. 5.
@@ -135,55 +124,50 @@ func (exportUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.Batc
 			rr++
 		}
 		seq := OrderKey(ctx.NodeID, ctx.Instance, localSeq)
+		msg.cut()
+		parts := msg.parts
 		for attempt := 0; attempt < sendRetries; attempt++ {
 			if attempt > 0 {
 				mRetransmits.Inc()
 			}
-			if err = sink.Send(sessionID, target, seq, msg, rows, dbTime); err == nil {
+			if err = sink.Send(sessionID, target, seq, parts, msg.rows, dbTime); err == nil {
 				break
 			}
 		}
 		if err != nil {
 			return err
 		}
-		totalRows += int64(rows)
-		totalBytes += int64(len(msg))
-		putBuf(msg)
+		totalRows += int64(msg.rows)
+		totalBytes += int64(msgLen(parts))
 		localSeq++
-		if left >= 0 {
-			left = max(left-rows, 0)
-		}
-		msg, rows, dbTime = nil, 0, 0
+		msg.reset()
+		dbTime = 0
 		return nil
 	}
 	// add appends one chunk of n rows to the message — a block row's stored
-	// blocks copied as they are, or else a batch encoded — opening a message
-	// when none is open and sending it once it holds psize rows.
+	// blocks by reference, or else a batch encoded — sending it once it holds
+	// psize rows.
 	add := func(n int, blocks [][]byte, b *colstore.Batch) (err error) {
 		start := time.Now()
-		if msg == nil && left < 0 {
-			msg = getBuf()
-		} else if msg == nil {
-			// Sized for the rows it can come to hold; block and chunk
-			// headers are a few bytes a column a block row.
-			m := min(psize, left)
-			msg = getBufCap(m*rowBytes + m/64 + 4096)
+		if msg.rows == 0 { // a message begins, in the instance's buffer if it has one
+			if cap(msg.buf) > 0 {
+				mPoolHit.Inc()
+			} else {
+				mPoolMiss.Inc()
+			}
 		}
 		if blocks != nil {
 			nStored++
-			msg = colstore.AppendStoredChunk(msg, blocks)
+			msg.addStored(blocks)
 		} else {
-			if scratch == nil {
-				scratch = getBuf()
-			}
 			nEncoded++
-			if msg, scratch, err = colstore.AppendChunk(msg, scratch, b); err != nil {
+			if msg.buf, err = colstore.AppendChunk(msg.buf, b); err != nil {
 				return err
 			}
 		}
-		rows += n
+		msg.rows += n
 		dbTime += time.Since(start)
-		if rows == psize {
+		if msg.rows == psize {
 			return flush()
 		}
 		return nil
@@ -196,7 +180,7 @@ func (exportUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.Batc
 			b      *colstore.Batch
 		)
 		if stored != nil {
-			blocks, n, b, err = stored.NextStored(psize - rows)
+			blocks, n, b, err = stored.NextStored(psize - msg.rows)
 		} else {
 			b, err = in.Next()
 		}
@@ -214,7 +198,7 @@ func (exportUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.Batc
 		}
 		// A batch is cut where it crosses a message boundary.
 		for off := 0; off < b.Len(); {
-			part, take := b, min(psize-rows, b.Len()-off)
+			part, take := b, min(psize-msg.rows, b.Len()-off)
 			if take < b.Len() {
 				part = b.Slice(off, off+take)
 			}
@@ -224,7 +208,7 @@ func (exportUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.Batc
 			off += take
 		}
 	}
-	if rows > 0 {
+	if msg.rows > 0 {
 		if err := flush(); err != nil {
 			return err
 		}
@@ -241,16 +225,58 @@ func (exportUDF) ProcessPartition(ctx *udf.Ctx, in udf.BatchReader, out udf.Batc
 	return out.Write(summary)
 }
 
-// valueBytes is what one value of the type takes in a PLAIN block — for a
-// string, a guess — for sizing message buffers.
-func valueBytes(t colstore.Type) int {
-	switch t {
-	case colstore.TypeBool:
-		return 1
-	case colstore.TypeString:
-		return 16
+// message is an export instance's message being built, in parts whose
+// bytes, back to back, are the message: slices of buf — chunk and block
+// headers, and the chunks encoded from batches — and, between them, stored
+// blocks, uncopied. buf and parts are reused from message to message; buf
+// only grows past a part of it until the message is sent.
+type message struct {
+	buf   []byte
+	parts [][]byte
+	from  int // buf's bytes before from are in parts
+	rows  int
+}
+
+// vft_pool_hit_total counts the messages whose instance reused its buffer,
+// vft_pool_miss_total the ones that allocated it (an instance's first).
+var (
+	mPoolHit  = telemetry.Default().Counter("vft_pool_hit_total")
+	mPoolMiss = telemetry.Default().Counter("vft_pool_miss_total")
+)
+
+// addStored appends the chunk whose columns are the given blocks, already
+// encoded: the column count and each block's length in buf, each block a
+// part of its own.
+func (m *message) addStored(blocks [][]byte) {
+	m.buf = binary.AppendUvarint(m.buf, uint64(len(blocks)))
+	for _, blk := range blocks {
+		m.buf = binary.AppendUvarint(m.buf, uint64(len(blk)))
+		m.cut()
+		m.parts = append(m.parts, blk)
 	}
-	return 8
+}
+
+// cut makes buf's bytes since the last cut a part.
+func (m *message) cut() {
+	if m.from < len(m.buf) {
+		m.parts = append(m.parts, m.buf[m.from:len(m.buf):len(m.buf)])
+		m.from = len(m.buf)
+	}
+}
+
+// reset empties the message for the next one, keeping buf and parts.
+func (m *message) reset() {
+	clear(m.parts)
+	m.buf, m.parts, m.from, m.rows = m.buf[:0], m.parts[:0], 0, 0
+}
+
+// msgLen is the length of the message whose parts are msg.
+func msgLen(msg [][]byte) int {
+	n := 0
+	for _, p := range msg {
+		n += len(p)
+	}
+	return n
 }
 
 // Register installs the export UDF and the hub service into a database.

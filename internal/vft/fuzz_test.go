@@ -1,6 +1,7 @@
 package vft
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -71,7 +72,10 @@ func storedRun(schema colstore.Schema, n, blockRows int) []byte {
 		if blocks == nil {
 			return msg
 		}
-		msg = colstore.AppendStoredChunk(msg, blocks)
+		var m message
+		m.addStored(blocks)
+		m.cut()
+		msg = append(msg, bytes.Join(m.parts, nil)...)
 	}
 }
 
@@ -128,7 +132,7 @@ func FuzzDecodeChunk(f *testing.F) {
 		got := colstore.NewBatch(schema)
 		_ = got.AppendRow(rowOf(schema)...)
 		got.Reset()
-		if err := decodeRun(got, msg, int(rows)); err != nil {
+		if err := decodeRun(got, [][]byte{msg}, int(rows)); err != nil {
 			return
 		}
 		if verr := got.Validate(); verr != nil {

@@ -90,8 +90,8 @@ func TestChaosPooledTransferByteExact(t *testing.T) {
 }
 
 // TestEncodeChunkIntoMatchesEncodeChunk pins the append-into form to the
-// allocating form byte for byte, including when the destination already
-// carries leftover capacity from the pool.
+// allocating form byte for byte, including when the destination is a buffer
+// reused from an earlier chunk.
 func TestEncodeChunkIntoMatchesEncodeChunk(t *testing.T) {
 	schema := abSchema()
 	b := colstore.NewBatch(schema)
@@ -112,15 +112,14 @@ func TestEncodeChunkIntoMatchesEncodeChunk(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatalf("EncodeChunkInto differs from EncodeChunk: %d vs %d bytes", len(got), len(want))
 	}
-	// And through the pool, as the exporter uses it.
-	pooled, err := EncodeChunkInto(getBuf(), b)
+	// And into a buffer reused, as an export instance reuses its own.
+	again, err := EncodeChunkInto(got[:0], b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(pooled) != string(want) {
-		t.Fatal("pooled EncodeChunkInto differs from EncodeChunk")
+	if string(again) != string(want) {
+		t.Fatal("EncodeChunkInto into a reused buffer differs from EncodeChunk")
 	}
-	putBuf(pooled)
 }
 
 // TestSendDoesNotRetainMsg verifies the eager-decode contract that makes
@@ -134,13 +133,13 @@ func TestSendDoesNotRetainMsg(t *testing.T) {
 	}
 	id := hub.open(frame, idSchema(), PolicyLocality, hub)
 	msg := encodeIDs(t, 10, 20, 30)
-	if err := hub.Send(id, 0, OrderKey(0, 0, 0), msg, 3, 0); err != nil {
+	if err := hub.Send(id, 0, OrderKey(0, 0, 0), [][]byte{msg}, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := range msg {
 		msg[i] = 0xAA
 	}
-	if err := hub.Send(id, 1, OrderKey(1, 0, 0), encodeIDs(t, 40), 1, 0); err != nil {
+	if err := hub.Send(id, 1, OrderKey(1, 0, 0), [][]byte{encodeIDs(t, 40)}, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := hub.finalize(context.Background(), id, c); err != nil {
@@ -172,6 +171,35 @@ func TestPoolHitTelemetry(t *testing.T) {
 	}
 	if mPoolHit.Value() == hits0 {
 		t.Fatal("second load recorded no pool hits; pooling is not wired in")
+	}
+}
+
+// TestMessageBufferCounters pins what vft_pool_hit_total and
+// vft_pool_miss_total count: an export instance allocates its message buffer
+// for its first message, a miss, and reuses it for every later one, a hit, so
+// an in-process transfer of N messages over I instances counts I misses and
+// N-I hits.
+func TestMessageBufferCounters(t *testing.T) {
+	db, c, hub := setup(t, 2, 2)
+	loadTestTable(t, db, 600)
+	sink := &recordingSink{hub: hub}
+	hits, misses := mPoolHit.Value(), mPoolMiss.Value()
+	if _, _, err := load(context.Background(), db, c, hub, sink, "mytable", []string{"id", "a"}, PolicyLocality, 64); err != nil {
+		t.Fatal(err)
+	}
+	instances := map[uint64]bool{}
+	for _, m := range sink.sent {
+		instances[m.seq>>28] = true // the order key's node and instance
+	}
+	n, i := int64(len(sink.sent)), int64(len(instances))
+	if n <= i {
+		t.Fatalf("%d messages over %d instances: want instances that send more than one", n, i)
+	}
+	if got := mPoolMiss.Value() - misses; got != i {
+		t.Errorf("%d messages over %d instances counted %d misses, want %d", n, i, got, i)
+	}
+	if got := mPoolHit.Value() - hits; got != n-i {
+		t.Errorf("%d messages over %d instances counted %d hits, want %d", n, i, got, n-i)
 	}
 }
 
@@ -209,7 +237,7 @@ type failingSink struct {
 	n   atomic.Int32
 }
 
-func (s *failingSink) Send(id string, part int, seq uint64, msg []byte, rows int, dbTime time.Duration) error {
+func (s *failingSink) Send(id string, part int, seq uint64, msg [][]byte, rows int, dbTime time.Duration) error {
 	if s.n.Add(-1) < 0 {
 		return errors.New("refused")
 	}

@@ -49,11 +49,11 @@ func TestHubSendIdempotent(t *testing.T) {
 	// Send the same (part, seq) three times — a retransmission after a lost
 	// ack. Only the first is staged; the rest are acknowledged silently.
 	for i := 0; i < 3; i++ {
-		if err := hub.Send(id, 0, seq, msg, 3, 0); err != nil {
+		if err := hub.Send(id, 0, seq, [][]byte{msg}, 3, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := hub.Send(id, 0, OrderKey(0, 0, 1), encodeIDs(t, 4), 1, 0); err != nil {
+	if err := hub.Send(id, 0, OrderKey(0, 0, 1), [][]byte{encodeIDs(t, 4)}, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := mDupChunks.Value() - dups0; got != 2 {
@@ -80,7 +80,7 @@ func TestAbortReleasesSession(t *testing.T) {
 	_, c, hub := setup(t, 2, 2)
 	frame, _ := newFrameForTest(c, 2)
 	id := hub.open(frame, idSchema(), PolicyLocality, hub)
-	if err := hub.Send(id, 0, 0, encodeIDs(t, 1), 1, 0); err != nil {
+	if err := hub.Send(id, 0, 0, [][]byte{encodeIDs(t, 1)}, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	aborted0 := mAborted.Value()
@@ -96,7 +96,7 @@ func TestAbortReleasesSession(t *testing.T) {
 	if hub.Abort(id) {
 		t.Fatal("abort of dead session reported true")
 	}
-	if err := hub.Send(id, 0, 1, encodeIDs(t, 2), 1, 0); err == nil {
+	if err := hub.Send(id, 0, 1, [][]byte{encodeIDs(t, 2)}, 1, 0); err == nil {
 		t.Fatal("send to aborted session should fail")
 	}
 	if got := mAborted.Value() - aborted0; got != 1 {
@@ -111,15 +111,15 @@ func TestCorruptChunkRejectedAtSend(t *testing.T) {
 	// Chunks decode at arrival now, so garbage is rejected by Send itself
 	// (the sender sees the error and can retransmit or fail the export)
 	// instead of poisoning the session until finalize.
-	if err := hub.Send(id, 0, 0, []byte{0xff, 0xee, 0xdd}, 1, 0); err == nil {
+	if err := hub.Send(id, 0, 0, [][]byte{{0xff, 0xee, 0xdd}}, 1, 0); err == nil {
 		t.Fatal("send of a corrupt chunk should fail")
 	}
 	// The rejected chunk is not staged: the same (part, seq) can be resent
 	// with valid bytes and the session finalizes normally.
-	if err := hub.Send(id, 0, 0, encodeIDs(t, 7), 1, 0); err != nil {
+	if err := hub.Send(id, 0, 0, [][]byte{encodeIDs(t, 7)}, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := hub.Send(id, 1, OrderKey(1, 0, 0), encodeIDs(t, 8), 1, 0); err != nil {
+	if err := hub.Send(id, 1, OrderKey(1, 0, 0), [][]byte{encodeIDs(t, 8)}, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := hub.finalize(context.Background(), id, c); err != nil {
@@ -159,7 +159,7 @@ func TestMiscountedMessageRejectedAtSend(t *testing.T) {
 		"no chunk at all":          {nil, 0},
 	} {
 		for _, sink := range []ChunkSink{hub, sender} {
-			if err := sink.Send(id, 0, OrderKey(0, 0, 0), bad.msg, bad.rows, 0); err == nil {
+			if err := sink.Send(id, 0, OrderKey(0, 0, 0), [][]byte{bad.msg}, bad.rows, 0); err == nil {
 				t.Fatalf("%s: %T accepted the message", name, sink)
 			}
 		}
@@ -192,10 +192,10 @@ func TestMiscountedMessageRejectedAtSend(t *testing.T) {
 	if _, _, err := conn.Call(ctx, opSend, header.appendTo(nil), [][]byte{run}); err != nil {
 		t.Fatalf("connection unusable after the refusals: %v", err)
 	}
-	if err := sender.Send(id, 0, OrderKey(0, 0, 0), run, 3, 0); err != nil {
+	if err := sender.Send(id, 0, OrderKey(0, 0, 0), [][]byte{run}, 3, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := hub.Send(id, 1, OrderKey(1, 0, 0), encodeIDs(t, 8), 1, 0); err != nil {
+	if err := hub.Send(id, 1, OrderKey(1, 0, 0), [][]byte{encodeIDs(t, 8)}, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := hub.finalize(context.Background(), id, c)
@@ -228,7 +228,7 @@ func TestFinalizeErrorRemovesSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := hub.open(frame, idSchema(), PolicyLocality, hub)
-	if err := hub.Send(id, 0, 0, encodeIDs(t, 1), 1, 0); err != nil {
+	if err := hub.Send(id, 0, 0, [][]byte{encodeIDs(t, 1)}, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := hub.finalize(context.Background(), id, c); err == nil {
@@ -261,7 +261,7 @@ type cancelingSink struct {
 	cancel context.CancelFunc
 }
 
-func (s cancelingSink) Send(id string, part int, seq uint64, msg []byte, rows int, dbTime time.Duration) error {
+func (s cancelingSink) Send(id string, part int, seq uint64, msg [][]byte, rows int, dbTime time.Duration) error {
 	s.cancel()
 	return s.Hub.Send(id, part, seq, msg, rows, dbTime)
 }
@@ -411,7 +411,7 @@ func TestTCPClientDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = sender.send(ctx, sendHeader{Session: "s", Rows: 1}, []byte("x"))
+	err = sender.send(ctx, sendHeader{Session: "s", Rows: 1}, [][]byte{[]byte("x")})
 	if !errors.Is(err, verr.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("send to a silent receiver: err = %v, want a canceled deadline", err)
 	}
@@ -444,7 +444,7 @@ func TestTCPClientNeverPoolsFailedConns(t *testing.T) {
 	sender := newTCPSender([]string{ln.Addr().String()})
 	defer sender.Close()
 	for i := 0; i < 2; i++ {
-		if err := sender.Send("s", 0, 0, []byte("x"), 1, 0); err == nil {
+		if err := sender.Send("s", 0, 0, [][]byte{[]byte("x")}, 1, 0); err == nil {
 			t.Fatal("send against a closing receiver should fail")
 		}
 	}
@@ -511,7 +511,7 @@ type refusingSink struct {
 
 var errRefused = errors.New("refused")
 
-func (r *refusingSink) Send(_ string, _ int, seq uint64, _ []byte, _ int, _ time.Duration) error {
+func (r *refusingSink) Send(_ string, _ int, seq uint64, _ [][]byte, _ int, _ time.Duration) error {
 	time.Sleep(time.Millisecond)
 	r.mu.Lock()
 	r.offers[seq]++

@@ -1,6 +1,7 @@
 package vft
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -32,9 +33,9 @@ type recordingSink struct {
 	sent []sentMsg
 }
 
-func (r *recordingSink) Send(sessionID string, part int, seq uint64, msg []byte, rows int, dbTime time.Duration) error {
+func (r *recordingSink) Send(sessionID string, part int, seq uint64, msg [][]byte, rows int, dbTime time.Duration) error {
 	r.mu.Lock()
-	r.sent = append(r.sent, sentMsg{part: part, seq: seq, rows: rows, msg: append([]byte(nil), msg...)})
+	r.sent = append(r.sent, sentMsg{part: part, seq: seq, rows: rows, msg: bytes.Join(msg, nil)})
 	r.mu.Unlock()
 	return r.hub.Send(sessionID, part, seq, msg, rows, dbTime)
 }

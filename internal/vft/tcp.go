@@ -17,11 +17,12 @@ import (
 // the database").
 //
 // msg is a run of one or more chunks (colstore.AppendChunk) holding rows rows
-// in all. Implementations must not retain msg past the call: the sender owns
-// the buffer and recycles it once Send returns (the pooled-buffer contract;
-// the Hub decodes eagerly, the TCP sender has written it to the socket).
+// in all, given in parts whose bytes, back to back, are the run. Implementations
+// must not retain msg past the call: the sender owns its buffer and reuses it
+// once Send returns (the Hub decodes eagerly, the TCP sender has written it
+// to the socket).
 type ChunkSink interface {
-	Send(sessionID string, part int, seq uint64, msg []byte, rows int, dbTime time.Duration) error
+	Send(sessionID string, part int, seq uint64, msg [][]byte, rows int, dbTime time.Duration) error
 }
 
 var _ ChunkSink = (*Hub)(nil)
@@ -127,7 +128,7 @@ func (h *Hub) serveSend(_ context.Context, req *wire.Request, bodies [][]byte, o
 		return fmt.Errorf("vft: %s carries %d bodies, want the message alone", opSend, len(bodies))
 	}
 	h.addNet(m.Session, out.ReadTime())
-	return h.Send(m.Session, m.Part, m.Seq, bodies[0], m.Rows, time.Duration(m.DBNanos))
+	return h.Send(m.Session, m.Part, m.Seq, bodies, m.Rows, time.Duration(m.DBNanos))
 }
 
 // sendTimeout bounds one attempt to send a message: a wedged receiver cannot
@@ -153,9 +154,9 @@ func newTCPSender(addrs []string) tcpSender {
 
 var _ ChunkSink = tcpSender(nil)
 
-// Send implements ChunkSink: the message is the body of one vft.send, sent
-// uncopied, under a sendTimeout deadline.
-func (s tcpSender) Send(sessionID string, part int, seq uint64, msg []byte, rows int, dbTime time.Duration) error {
+// Send implements ChunkSink: the message is the one body of a vft.send, its
+// parts written uncopied, under a sendTimeout deadline.
+func (s tcpSender) Send(sessionID string, part int, seq uint64, msg [][]byte, rows int, dbTime time.Duration) error {
 	ctx, cancel := context.WithTimeout(context.Background(), sendTimeout)
 	defer cancel()
 	return s.send(ctx, sendHeader{Session: sessionID, Part: part, Seq: seq, Rows: rows, DBNanos: dbTime.Nanoseconds()}, msg)
@@ -163,7 +164,7 @@ func (s tcpSender) Send(sessionID string, part int, seq uint64, msg []byte, rows
 
 // send makes the one round trip. A connection that saw any error is closed,
 // never pooled, so a later Send cannot inherit a poisoned stream.
-func (s tcpSender) send(ctx context.Context, m sendHeader, msg []byte) error {
+func (s tcpSender) send(ctx context.Context, m sendHeader, msg [][]byte) error {
 	if m.Part < 0 || m.Part >= len(s) {
 		return fmt.Errorf("vft: no listener for partition %d", m.Part)
 	}
@@ -171,7 +172,7 @@ func (s tcpSender) send(ctx context.Context, m sendHeader, msg []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, _, err := c.Call(ctx, opSend, m.appendTo(nil), [][]byte{msg}); err != nil {
+	if _, _, err := c.CallParts(ctx, opSend, m.appendTo(nil), msg); err != nil {
 		_ = c.Close()
 		return err
 	}

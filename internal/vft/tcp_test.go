@@ -80,7 +80,7 @@ func TestTCPClientErrors(t *testing.T) {
 	defer client.Close()
 
 	// Unknown session propagates the remote error through the coded reply.
-	err = client.Send("no-such-session", 0, 0, []byte("x"), 1, time.Millisecond)
+	err = client.Send("no-such-session", 0, 0, [][]byte{[]byte("x")}, 1, time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "unknown session") {
 		t.Fatalf("want remote unknown-session error, got %v", err)
 	}
@@ -91,7 +91,7 @@ func TestTCPClientErrors(t *testing.T) {
 	// Dead address fails to dial.
 	dead := newTCPSender([]string{"127.0.0.1:1"})
 	defer dead.Close()
-	if err := dead.Send("s", 0, 0, []byte("x"), 1, 0); err == nil {
+	if err := dead.Send("s", 0, 0, [][]byte{[]byte("x")}, 1, 0); err == nil {
 		t.Fatal("dial to dead address should fail")
 	}
 }

@@ -240,13 +240,15 @@ func OrderKey(node, instance, localSeq int) uint64 {
 // acknowledged without being staged again, so senders may retransmit after
 // a failed or lost acknowledgement without corrupting the partition.
 //
-// msg is only read for the duration of the call: its chunks are decoded into
-// one new batch, the partition's storage from then on, before Send returns,
-// so the sender may recycle or overwrite the buffer immediately afterwards. A
+// msg is the message in parts, whose bytes, back to back, are the run
+// (message; colstore.ChunkReader). It is only read for the duration of the
+// call: its chunks are decoded into one new batch, the partition's storage
+// from then on, before Send returns, so the sender may reuse or overwrite
+// its buffer immediately afterwards. A
 // message that is corrupt, ends inside a chunk, or decodes to another row
 // count than the sender declared is rejected here, at arrival, with nothing
 // staged or counted, rather than poisoning the session at finalize time.
-func (h *Hub) Send(sessionID string, part int, seq uint64, msg []byte, rows int, dbTime time.Duration) error {
+func (h *Hub) Send(sessionID string, part int, seq uint64, msg [][]byte, rows int, dbTime time.Duration) error {
 	s, err := h.get(sessionID)
 	if err != nil {
 		return err
@@ -268,7 +270,8 @@ func (h *Hub) Send(sessionID string, part int, seq uint64, msg []byte, rows int,
 	start := time.Now()
 	// A fresh batch is sized for the rows the sender declares, as far as the
 	// bytes it actually delivered vouch for them: at most a word a byte.
-	batch := colstore.NewBatchCap(s.schema, max(0, min(rows, len(msg)/8)))
+	size := msgLen(msg)
+	batch := colstore.NewBatchCap(s.schema, max(0, min(rows, size/8)))
 	if err := decodeRun(batch, msg, rows); err != nil {
 		return err
 	}
@@ -286,7 +289,7 @@ func (h *Hub) Send(sessionID string, part int, seq uint64, msg []byte, rows int,
 	s.convTime.AddDuration(conv)
 	mConvNanos.AddDuration(conv)
 	s.rows.Add(int64(rows))
-	s.bytes.Add(int64(len(msg)))
+	s.bytes.Add(int64(size))
 	s.chunks.Inc()
 	s.dbTime.AddDuration(dbTime)
 	// A chunk is "local" when its source node (recoverable from the order
@@ -299,7 +302,7 @@ func (h *Hub) Send(sessionID string, part int, seq uint64, msg []byte, rows int,
 		mChunksRemote.Inc()
 	}
 	mRows.Add(int64(rows))
-	mBytes.Add(int64(len(msg)))
+	mBytes.Add(int64(size))
 	mDBNanos.AddDuration(dbTime)
 	// The injection point sits after staging: an injected failure models a
 	// lost acknowledgement, so the sender retransmits a chunk the hub
@@ -417,13 +420,10 @@ func EncodeChunk(b *colstore.Batch) ([]byte, error) {
 }
 
 // EncodeChunkInto appends the chunk encoding of b to dst and returns the
-// extended slice. With a dst of sufficient capacity (e.g. from the vft
-// buffer pool) the steady-state encode allocates nothing: the per-block
-// scratch is pooled too.
+// extended slice. With a dst of sufficient capacity the encode allocates
+// nothing: each block is encoded in place (colstore.AppendChunk).
 func EncodeChunkInto(dst []byte, b *colstore.Batch) ([]byte, error) {
-	dst, scratch, err := colstore.AppendChunk(dst, getBuf(), b)
-	putBuf(scratch)
-	return dst, err
+	return colstore.AppendChunk(dst, b)
 }
 
 // DecodeChunk reverses EncodeChunk against the expected schema. The schema
@@ -447,24 +447,24 @@ func DecodeChunk(msg []byte, schema colstore.Schema) (*colstore.Batch, error) {
 // It stops at the first chunk that takes the run past that count, so what a
 // hostile run of small, highly compressed chunks can make the hub allocate is
 // bounded by one chunk beyond what its sender owned up to.
-func decodeRun(dst *colstore.Batch, msg []byte, rows int) error {
+func decodeRun(dst *colstore.Batch, msg [][]byte, rows int) error {
+	r := colstore.NewChunkReader(msg)
 	for {
-		rest, err := colstore.DecodeChunkInto(dst, msg)
-		if err != nil {
+		if err := r.Decode(dst); err != nil {
 			return err
 		}
-		if got := dst.Len(); got > rows || (len(rest) == 0 && got != rows) {
+		more := r.More()
+		if got := dst.Len(); got > rows || (!more && got != rows) {
 			return fmt.Errorf("vft: message declares %d rows, its chunks hold %d", rows, got)
 		}
-		if len(rest) == 0 {
+		if !more {
 			return nil
 		}
-		msg = rest
 	}
 }
 
 // DecodeChunkInto decodes a chunk into dst, appending to dst's columns
-// (callers reusing a pooled batch Reset it first). dst's schema is the
+// (callers reusing a batch Reset it first). dst's schema is the
 // expected schema; a chunk that disagrees with it, or is corrupt, returns an
 // error, never a panic (colstore.DecodeChunkInto).
 func DecodeChunkInto(dst *colstore.Batch, msg []byte) error {

@@ -108,6 +108,11 @@ func (c *Client) RoundTrip(ctx context.Context, req Request, bodies [][]byte, re
 // client-side span for the exchange, whose IDs ride the wire so the
 // listener attaches its spans to the same trace.
 func (c *Client) Send(ctx context.Context, req Request, bodies [][]byte) error {
+	return c.send(ctx, req, bodies, false)
+}
+
+// send is Send; with one, bodies are the parts of a single body.
+func (c *Client) send(ctx context.Context, req Request, bodies [][]byte, one bool) error {
 	if err := verr.Canceled(ctx.Err()); err != nil {
 		return err
 	}
@@ -128,7 +133,7 @@ func (c *Client) Send(ctx context.Context, req Request, bodies [][]byte) error {
 	lens := c.req.Bodies[:0]
 	c.req, c.req.Bodies = req, lens
 	enc := span.StartChild("wire.encode")
-	c.out.set(&c.req, bodies, false)
+	c.out.set(&c.req, bodies, one)
 	if enc != nil {
 		enc.SetAttr("bytes", strconv.Itoa(c.out.size()))
 		enc.End()
@@ -208,7 +213,20 @@ func (c *Client) Ping(ctx context.Context) error {
 // read buffer: decode them before the next call on c. Errors carry verr
 // identity like every other op.
 func (c *Client) Call(ctx context.Context, op string, ext []byte, bodies [][]byte) (rext []byte, out [][]byte, err error) {
-	err = c.RoundTrip(ctx, Request{Op: op, Ext: ext}, bodies, func(resp *Response, bodies [][]byte, _ *telemetry.Span) error {
+	return c.call(ctx, op, ext, bodies, false)
+}
+
+// CallParts is Call with one body, sent in parts: the parts' bytes, back to
+// back and uncopied, are the request's one body.
+func (c *Client) CallParts(ctx context.Context, op string, ext []byte, parts [][]byte) (rext []byte, out [][]byte, err error) {
+	return c.call(ctx, op, ext, parts, true)
+}
+
+func (c *Client) call(ctx context.Context, op string, ext []byte, bodies [][]byte, one bool) (rext []byte, out [][]byte, err error) {
+	if err := c.send(ctx, Request{Op: op, Ext: ext}, bodies, one); err != nil {
+		return nil, nil, err
+	}
+	err = c.Wait(func(resp *Response, bodies [][]byte, _ *telemetry.Span) error {
 		rext, out = resp.Ext, bodies
 		return nil
 	})

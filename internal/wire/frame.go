@@ -643,24 +643,11 @@ func midFrame(err error) error {
 }
 
 // bufPool holds byte buffers, each in a *[]byte box, up to maxPooledBytes:
-// the large frames connections read, and what is built to be sent as one — a
-// transfer's messages (vft's message buffers come from here), so a message's
-// buffer, once sent, is what a listener reads a later one into.
+// the frames over keepBufBytes that connections read, each handed back once
+// the frame is done with, so no connection idles on one.
 var bufPool sync.Pool
 
 const maxPooledBytes = 8 << 20
-
-// GetBuf returns an empty pooled buffer with room for n bytes, or nil when
-// the pool has none at hand.
-func GetBuf(n int) []byte {
-	if p := getBox(n); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// PutBuf returns b to the pool. The caller must not use b afterwards.
-func PutBuf(b []byte) { putBox(nil, b) }
 
 // spare holds the buffer last pooled while it was empty, where a Get on any
 // P finds it. A sync.Pool keeps a Put in the putting P's private slot, which

@@ -56,3 +56,73 @@ func TestNoContextTwins(t *testing.T) {
 		}
 	}
 }
+
+// poolAllowlist names the sync.Pools internal/ may still hold, each with the
+// ROADMAP item that retires it (and, where one was measured, the cost that
+// keeps it). A sync.Pool empties at every collection, so
+// what a statement allocates through one depends on when the collector last
+// ran; scratch belongs to the code that uses it.
+var poolAllowlist = map[string]string{
+	"sqlexec.aggScratchPool": "order-independent sums: its second PR changes what the aggregate's scratch holds, then a range task owns it",
+	"algos.irlsScratchPool":  "column-major partitions end to end: the IRLS transpose it holds goes, and what is left a fit owns",
+	"wire.bufPool":           "scratch owned by its caller: a connection owns its read buffer",
+	"colstore.idxScratch":    "scratch owned by its caller: a selection that needs no block-sized index slice, which a cursor's own costs a short range scan 10-30 %",
+}
+
+// TestNoPoolsOutsideAllowlist fails on a sync.Pool in a non-test file of
+// internal/ that poolAllowlist does not name, and on an allowlist entry that
+// names no pool.
+func TestNoPoolsOutsideAllowlist(t *testing.T) {
+	found := map[string]bool{}
+	fset := token.NewFileSet()
+	err := walkGoFiles(func(path string) error {
+		if !strings.HasPrefix(path, "internal/") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			if !usesPool(d) {
+				continue
+			}
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				t.Errorf("%s: a sync.Pool outside a package variable", fset.Position(d.Pos()))
+				continue
+			}
+			for _, spec := range gd.Specs {
+				if vs := spec.(*ast.ValueSpec); usesPool(vs) {
+					name := f.Name.Name + "." + vs.Names[0].Name
+					found[name] = true
+					if poolAllowlist[name] == "" {
+						t.Errorf("%s: %s is a sync.Pool: give its scratch to the code that uses it", fset.Position(vs.Pos()), name)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range poolAllowlist {
+		if !found[name] {
+			t.Errorf("allowlist entry %s names no sync.Pool: drop it", name)
+		}
+	}
+}
+
+// usesPool reports whether n mentions sync.Pool.
+func usesPool(n ast.Node) (found bool) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Pool" {
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "sync" {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
