@@ -21,7 +21,8 @@ GO ?= go
 # bench (benchmark/run.sh over the BENCHMARK.json workloads),
 # bench-placement, bench-point (the point read end to end, then statement
 # preparation and the index probe alone), bench-scan (the block parse paths:
-# BenchmarkDecodeDelta, BenchmarkDecodeBlock, BenchmarkMatchCompressed),
+# BenchmarkDecodeDelta, BenchmarkDecodeBlock, BenchmarkMatchCompressed,
+# BenchmarkScoreWindow: the score statement's 256-id window over one segment),
 # bench-transfer, bench-keys, bench-recover (a durable node's reopen: the
 # checkpoint image, then per-node redo of 700 logged COPYs), bench-copy (the
 # same node's durable 2,048-row COPYs, one after another), bench-figures,
@@ -124,10 +125,9 @@ test:
 # catalog splitter), and the durability plane (wal group commit, txn MVCC
 # snapshots, the vertica commit/checkpoint protocol and each commit stream's
 # record scratch). The allocation tests that skipped under -race because a
-# sync.Pool drops what is put back run here too, except the six whose
+# sync.Pool drops what is put back run here too, except the three whose
 # scratch is still pooled (sqlexec's aggregate, the IRLS fit, the server's
-# fetch over the transport's pool, three colstore predicate scans over the
-# cursor's index slice).
+# fetch over the transport's pool).
 .PHONY: race
 race:
 	$(GO) test -race ./internal/telemetry/... ./internal/vft/... ./internal/dr/... \
@@ -208,7 +208,7 @@ bench-point:
 # they read is DELTA encoded.
 .PHONY: bench-scan
 bench-scan:
-	$(GO) test -run='^$$' -bench='BenchmarkDecodeDelta|BenchmarkDecodeBlock|BenchmarkMatchCompressed' -benchmem ./internal/colstore/
+	$(GO) test -run='^$$' -bench='BenchmarkDecodeDelta|BenchmarkDecodeBlock|BenchmarkMatchCompressed|BenchmarkScoreWindow' -benchmem ./internal/colstore/
 	$(GO) test -run='^$$' -bench='BenchmarkReadSQL|BenchmarkScoreSQL|BenchmarkJoinSQL' -benchmem ./internal/core/
 
 # The transfer path and the task dispatch under it: the in-process and TCP

@@ -1,6 +1,10 @@
 package colstore
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Comparison semantics, shared by pushed-down predicates and the executor's
 // comparisons: INTEGER and FLOAT compare numerically (an INTEGER widened to
@@ -126,156 +130,170 @@ func (op CompareOp) Match(c int) bool {
 
 // selectRows keeps the rows of v that satisfy the predicate — of every row
 // when sel is nil, else of the ascending rows sel lists — appending them to
-// out[:0] (callers reuse one scratch slice across blocks, so a scan allocates
-// no index slice per block once warm). out may share sel's array: a
-// selection refines in place, since a kept row is never written ahead of the
-// row being read. Comparable types run typed loops; a pair that does not
-// compare fails with CompareValues' error, and only when there is a row to
-// compare.
+// out[:0] (callers reuse one slice across blocks, so a scan allocates no
+// index slice per block once warm). out may share sel's array: a selection
+// refines in place, since a kept row is never written ahead of the row being
+// read. It compares row by row: planScan makes an ordered comparison with a
+// literal of its column's own type an interval (interval.selectRows), so
+// what reaches here is <>, a FLOAT literal on an INTEGER column, a BOOLEAN
+// comparison or a pair that does not compare, which fails with
+// CompareValues' error, and only when there is a row to compare.
 func (p *Pred) selectRows(v *Vector, sel, out []int) ([]int, error) {
-	op := p.Op
-	switch v.Type {
-	case TypeInt64:
-		switch val := p.Val.(type) {
-		case int64:
-			return selectOrdered(op, v.Ints, val, sel, out), nil
-		case float64:
-			xs := v.Ints
-			return selectFunc(len(xs), sel, out, func(i int) bool { return op.Match(cmpOrdered(float64(xs[i]), val)) }), nil
+	val := p.Val
+	if x, ok := val.(int64); ok && v.Type == TypeFloat64 {
+		val = float64(x)
+	}
+	var cmp func(i int) int // row i against the literal, as CompareValues orders them
+	switch val := val.(type) {
+	case int64:
+		if v.Type == TypeInt64 {
+			cmp = func(i int) int { return cmpOrdered(v.Ints[i], val) }
 		}
-	case TypeFloat64:
-		switch val := p.Val.(type) {
-		case float64:
-			return selectOrdered(op, v.Floats, val, sel, out), nil
-		case int64:
-			return selectOrdered(op, v.Floats, float64(val), sel, out), nil
+	case float64:
+		switch v.Type {
+		case TypeInt64:
+			cmp = func(i int) int { return cmpOrdered(float64(v.Ints[i]), val) }
+		case TypeFloat64:
+			cmp = func(i int) int { return cmpOrdered(v.Floats[i], val) }
 		}
-	case TypeString:
-		if val, ok := p.Val.(string); ok {
-			return selectOrdered(op, v.Strs, val, sel, out), nil
+	case string:
+		if v.Type == TypeString {
+			cmp = func(i int) int { return cmpOrdered(v.Strs[i], val) }
 		}
-	case TypeBool:
-		if val, ok := p.Val.(bool); ok {
-			xs, vi := v.Bools, boolInt(val)
-			return selectFunc(len(xs), sel, out, func(i int) bool { return op.Match(cmpOrdered(boolInt(xs[i]), vi)) }), nil
+	case bool:
+		if v.Type == TypeBool {
+			cmp = func(i int) int { return cmpOrdered(boolInt(v.Bools[i]), boolInt(val)) }
 		}
 	}
-	// Every row of a vector boxes to one type, so the first row's comparison
-	// fails as every row's would.
-	first := 0
+	out, n := out[:0], v.Len()
 	if sel != nil {
-		if len(sel) == 0 {
-			return out[:0], nil
-		}
-		first = sel[0]
-	} else if v.Len() == 0 {
-		return out[:0], nil
+		n = len(sel)
 	}
-	_, err := CompareValues(v.Value(first), p.Val)
-	return nil, err
-}
-
-// selectFunc is selectRows' form for a per-row test.
-func selectFunc(n int, sel, out []int, match func(i int) bool) []int {
-	out = out[:0]
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if match(i) {
-				out = append(out, i)
-			}
-		}
-		return out
+	if cmp == nil && n > 0 {
+		return nil, CheckComparable(v.Type, ValueType(p.Val))
 	}
-	for _, i := range sel {
-		if match(i) {
+	for k := 0; k < n; k++ {
+		i := k
+		if sel != nil {
+			i = sel[k]
+		}
+		if p.Op.Match(cmp(i)) {
 			out = append(out, i)
 		}
 	}
-	return out
+	return out, nil
 }
 
-// selectOrdered is selectRows' typed kernel: one loop per operator, each
+// An interval is the values x with lo <= x <= hi in cmpOrdered's order, a
+// bound strict unless its incl is set and absent when nil: what planScan
+// folds a column's ordered comparisons into (x = v is [v, v]), and what the
+// zone maps test of any comparison. Its bounds are of one type.
+type interval struct {
+	lo, hi         any
+	loIncl, hiIncl bool
+}
+
+// interval is the comparison as an interval over a column of type typ, ok
+// when it is one: an ordered operator and a literal of an INTEGER, FLOAT or
+// VARCHAR column's own type, an INTEGER literal on a FLOAT column widened.
+// Over its literal's own type it is the interval the zone maps test.
+func (p *Pred) interval(typ Type) (interval, bool) {
+	v := p.Val
+	if x, ok := v.(int64); ok && typ == TypeFloat64 {
+		v = float64(x)
+	}
+	if ValueType(v) != typ || typ == TypeBool {
+		return interval{}, false
+	}
+	switch p.Op {
+	case OpEQ:
+		return interval{lo: v, hi: v, loIncl: true, hiIncl: true}, true
+	case OpGT, OpGE:
+		return interval{lo: v, loIncl: p.Op == OpGE}, true
+	case OpLT, OpLE:
+		return interval{hi: v, hiIncl: p.Op == OpLE}, true
+	}
+	return interval{}, false
+}
+
+// fold narrows iv by o, a bound on a side iv leaves open, or [v, v] when iv
+// is unbounded; it reports false, leaving iv as it is, when a side o bounds
+// is taken.
+func (iv *interval) fold(o interval) bool {
+	if iv.lo != nil && o.lo != nil || iv.hi != nil && o.hi != nil {
+		return false
+	}
+	if o.lo != nil {
+		iv.lo, iv.loIncl = o.lo, o.loIncl
+	}
+	if o.hi != nil {
+		iv.hi, iv.hiIncl = o.hi, o.hiIncl
+	}
+	return true
+}
+
+// selectRows is Pred.selectRows for an interval of v's type, in one pass.
+func (iv *interval) selectRows(v *Vector, sel, out []int) []int {
+	switch v.Type {
+	case TypeInt64:
+		return selectIn(v.Ints, iv, math.MinInt64, math.MaxInt64, true, sel, out)
+	case TypeFloat64:
+		return selectIn(v.Floats, iv, math.Inf(-1), math.Inf(1), true, sel, out)
+	}
+	return selectIn(v.Strs, iv, "", "", false, sel, out)
+}
+
+// selectIn is the interval kernel: one typed loop, one pass over every row
+// of xs or the rows sel lists (and, when out is full, a count of the rows
+// left). An absent bound is T's least or greatest
+// value, included; VARCHAR has no greatest value (hasMax false), so an
+// absent upper bound leaves its interval open. The test is the conjunction
+// !(x < lo) && !(x > hi) && (loIncl || x > lo) && (hiIncl || x < hi),
 // expressed through < and > alone, so NaN and ±0 fall exactly as cmpOrdered
-// orders them.
-func selectOrdered[T int64 | float64 | string](op CompareOp, xs []T, val T, sel, out []int) []int {
+// orders them: a NaN lies inside every inclusive bound, and -0 equals +0.
+// The comparisons come first: a row below the interval is rejected by one,
+// a row above it by two and the open flag, and only a row inside tests the
+// inclusivity flags.
+func selectIn[T int64 | float64 | string](xs []T, iv *interval, least, greatest T, hasMax bool, sel, out []int) []int {
+	lo, loIncl := least, true
+	if iv.lo != nil {
+		lo, loIncl = iv.lo.(T), iv.loIncl
+	}
+	hi, hiIncl := greatest, true
+	if iv.hi != nil {
+		hi, hiIncl = iv.hi.(T), iv.hiIncl
+	}
+	open := iv.hi == nil && !hasMax
+	in := func(x T) bool {
+		return !(x < lo) && (!(x > hi) || open) && (loIncl || x > lo) && (hiIncl || x < hi)
+	}
+	// out grows once, to its exact size: when it is full, the rows left that
+	// the interval keeps are counted first, rather than the slice doubling
+	// its way there.
+	count := func(rest []T) int {
+		n := 0
+		for _, x := range rest {
+			if in(x) {
+				n++
+			}
+		}
+		return n
+	}
 	out = out[:0]
 	if sel == nil {
-		switch op {
-		case OpEQ:
-			for i, x := range xs {
-				if !(x < val || x > val) {
-					out = append(out, i)
+		for i, x := range xs {
+			if in(x) {
+				if len(out) == cap(out) {
+					out = slices.Grow(out, count(xs[i:]))
 				}
-			}
-		case OpNE:
-			for i, x := range xs {
-				if x < val || x > val {
-					out = append(out, i)
-				}
-			}
-		case OpLT:
-			for i, x := range xs {
-				if x < val {
-					out = append(out, i)
-				}
-			}
-		case OpLE:
-			for i, x := range xs {
-				if !(x > val) {
-					out = append(out, i)
-				}
-			}
-		case OpGT:
-			for i, x := range xs {
-				if x > val {
-					out = append(out, i)
-				}
-			}
-		case OpGE:
-			for i, x := range xs {
-				if !(x < val) {
-					out = append(out, i)
-				}
+				out = append(out, i)
 			}
 		}
 		return out
 	}
-	switch op {
-	case OpEQ:
-		for _, i := range sel {
-			if x := xs[i]; !(x < val || x > val) {
-				out = append(out, i)
-			}
-		}
-	case OpNE:
-		for _, i := range sel {
-			if x := xs[i]; x < val || x > val {
-				out = append(out, i)
-			}
-		}
-	case OpLT:
-		for _, i := range sel {
-			if xs[i] < val {
-				out = append(out, i)
-			}
-		}
-	case OpLE:
-		for _, i := range sel {
-			if !(xs[i] > val) {
-				out = append(out, i)
-			}
-		}
-	case OpGT:
-		for _, i := range sel {
-			if xs[i] > val {
-				out = append(out, i)
-			}
-		}
-	case OpGE:
-		for _, i := range sel {
-			if !(xs[i] < val) {
-				out = append(out, i)
-			}
+	for _, i := range sel { // a scan refines sel in place, in out
+		if in(xs[i]) {
+			out = append(out, i)
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package colstore
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"verticadr/internal/verr"
 )
@@ -19,8 +20,9 @@ import (
 // run step and entry walk. Every route therefore accepts and rejects exactly
 // the same blocks, with the same error, wherever the corruption lies.
 //
-//   - An RLE block runs the typed Pred.selectRows once over its run values,
-//     then emits every row of each matching run: O(runs) comparisons.
+//   - An RLE block runs the cond's typed kernel (an interval's one pass, or
+//     Pred.selectRows) once over its run values, then emits every row of
+//     each matching run: O(runs) comparisons.
 //   - A dictionary block runs it once over its entries, then emits the rows
 //     whose code names a matching entry, no row's string made. An equality
 //     probe for a value absent from the dictionary selects nothing after
@@ -39,15 +41,15 @@ type runMatch struct {
 	hit   []bool
 }
 
-// match evaluates pred directly on an encoded block read as a want column
+// match evaluates c directly on an encoded block read as a want column
 // (anyType: of its own type), returning the matching row indexes (appended
 // into scratch[:0], ascending) with the runs and codes in m's buffers. It
 // reports handled=false only for PLAIN and DELTA blocks, which the caller
-// decodes eagerly and filters with Pred.selectRows; any other block, a
+// decodes eagerly and filters with cond.selectRows; any other block, a
 // corrupt one included, is handled and fails with the eager decoder's
 // error. An empty block compares nothing, so it raises no comparison
 // error, as the eager route raises none.
-func (m *runMatch) match(data []byte, want Type, pred *Pred, scratch []int) ([]int, bool, error) {
+func (m *runMatch) match(data []byte, want Type, c *cond, scratch []int) ([]int, bool, error) {
 	typ, enc, n, rest, err := blockHeader(data, want)
 	if err != nil {
 		return nil, true, err
@@ -71,7 +73,7 @@ func (m *runMatch) match(data []byte, want Type, pred *Pred, scratch []int) ([]i
 	if n == 0 {
 		return idx, true, nil
 	}
-	if m.hits, err = pred.selectRows(&m.vals, nil, m.hits); err != nil {
+	if m.hits, err = c.selectRows(&m.vals, nil, m.hits); err != nil {
 		return nil, true, err
 	}
 	k := m.vals.Len()
@@ -81,14 +83,23 @@ func (m *runMatch) match(data []byte, want Type, pred *Pred, scratch []int) ([]i
 		hit[j] = true
 	}
 	m.hit = hit
+	// The selection grows once, to its exact size, as selectIn's does.
 	if enc == EncDict {
 		for i, c := range m.codes {
 			if hit[c] {
+				if len(idx) == cap(idx) {
+					idx = slices.Grow(idx, countHits(m.codes[i:], hit))
+				}
 				idx = append(idx, i)
 			}
 		}
 		return idx, true, nil
 	}
+	rows := 0
+	for _, j := range m.hits {
+		rows += int(m.lens[j])
+	}
+	idx = slices.Grow(idx, rows)
 	row := 0
 	for r, l := range m.lens {
 		if hit[r] {
@@ -99,6 +110,17 @@ func (m *runMatch) match(data []byte, want Type, pred *Pred, scratch []int) ([]i
 		row += int(l)
 	}
 	return idx, true, nil
+}
+
+// countHits counts the codes that name an entry hit marks.
+func countHits(codes []uint32, hit []bool) int {
+	n := 0
+	for _, c := range codes {
+		if hit[c] {
+			n++
+		}
+	}
+	return n
 }
 
 // BlockCol is one column of a Block: one typed value per entry in Vals, or —

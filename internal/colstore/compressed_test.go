@@ -568,9 +568,6 @@ func TestScanStatsDistinguishSkippedAndCompressed(t *testing.T) {
 // read costs the same allocations whatever the block's run count: twelve
 // more blocks of 512 runs allocate no more than twelve more of 8.
 func TestRLEVarcharRunsAreViews(t *testing.T) {
-	if raceDetector {
-		t.Skip("under -race sync.Pool drops a quarter of what is put back")
-	}
 	regions := []string{"amer", "apac", "emea", "latam", "mena", "nordic", "oceania", "ssa"}
 	schema := Schema{{Name: "region", Type: TypeString}, {Name: "x", Type: TypeInt64}}
 	segOf := func(runLen, blocks int) *Segment {
@@ -635,9 +632,6 @@ func TestRLEVarcharRunsAreViews(t *testing.T) {
 // whatever the block's entry count: twelve more blocks of 512 entries
 // allocate no more than twelve more of 8.
 func TestDictVarcharEntriesAreViews(t *testing.T) {
-	if raceDetector {
-		t.Skip("under -race sync.Pool drops a quarter of what is put back")
-	}
 	schema := Schema{{Name: "region", Type: TypeString}, {Name: "x", Type: TypeInt64}}
 	segOf := func(entries, blocks int) *Segment {
 		names := []string{"emea"}

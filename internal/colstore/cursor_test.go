@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -309,13 +311,14 @@ func TestCursorPredicateDecodeMatchesReference(t *testing.T) {
 		{Name: "tag", Type: TypeString}, // five values alternating: dictionary
 		{Name: "r", Type: TypeInt64},    // runs of 50: RLE
 		{Name: "f", Type: TypeFloat64},  // runs of 40 over NaN and ±0: RLE
+		{Name: "p", Type: TypeInt64},    // scattered over the whole range: PLAIN
 	}
 	seg := NewSegment(schema, 64)
 	b := NewBatch(schema)
 	vs := []float64{-3, math.Copysign(0, -1), 0, math.NaN(), 2.5, math.Inf(1), math.Inf(-1)}
 	fs := []float64{0, math.NaN(), math.Copysign(0, -1), 1.5, -2}
 	for i := 0; i < 64*20+17; i++ {
-		if err := b.AppendRow(int64(i), vs[i%7], fmt.Sprintf("t%d", i%5), int64(i/50%4), fs[i/40%5]); err != nil {
+		if err := b.AppendRow(int64(i), vs[i%7], fmt.Sprintf("t%d", i%5), int64(i/50%4), fs[i/40%5], int64(uint64(i)*0x9e3779b97f4a7c15)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -324,6 +327,11 @@ func TestCursorPredicateDecodeMatchesReference(t *testing.T) {
 	}
 	if err := seg.BuildIndex("id"); err != nil {
 		t.Fatal(err)
+	}
+	for i, enc := range []Encoding{EncDelta, EncPlain, EncDict, EncRLE, EncRLE, EncPlain} {
+		if got := Encoding(seg.sealed[i][0].data[1]); got != enc {
+			t.Fatalf("column %s sealed as encoding %d, want %d", schema[i].Name, got, enc)
+		}
 	}
 	all, err := seg.ReadAll(nil)
 	if err != nil {
@@ -353,6 +361,38 @@ func TestCursorPredicateDecodeMatchesReference(t *testing.T) {
 		{{Col: "r", Op: OpEQ, Val: int64(2)}, {Col: "f", Op: OpLE, Val: float64(0)}},
 		{{Col: "f", Op: OpGE, Val: float64(-1)}, {Col: "r", Op: OpNE, Val: float64(1)}, {Col: "id", Op: OpLT, Val: int64(1000)}},
 		{{Col: "r", Op: OpLT, Val: int64(3)}, {Col: "r", Op: OpGT, Val: int64(0)}, {Col: "f", Op: OpEQ, Val: nan}},
+		// Bounded ranges, each one interval: lo == hi under each
+		// inclusivity, and lo > hi.
+		{{Col: "id", Op: OpGE, Val: int64(500)}, {Col: "id", Op: OpLE, Val: int64(500)}},
+		{{Col: "id", Op: OpGT, Val: int64(500)}, {Col: "id", Op: OpLE, Val: int64(500)}},
+		{{Col: "id", Op: OpGT, Val: int64(500)}, {Col: "id", Op: OpLT, Val: int64(500)}},
+		{{Col: "id", Op: OpGT, Val: int64(1290)}, {Col: "id", Op: OpLT, Val: int64(1200)}},
+		{{Col: "r", Op: OpGE, Val: int64(2)}, {Col: "r", Op: OpLE, Val: int64(2)}},
+		{{Col: "r", Op: OpGT, Val: int64(2)}, {Col: "r", Op: OpLT, Val: int64(1)}},
+		// NaN, ±0 and ±Inf bounds, on PLAIN and RLE blocks and the tail.
+		{{Col: "v", Op: OpGE, Val: math.Copysign(0, -1)}, {Col: "v", Op: OpLE, Val: float64(0)}},
+		{{Col: "v", Op: OpGT, Val: float64(0)}, {Col: "v", Op: OpLT, Val: math.Inf(1)}},
+		{{Col: "v", Op: OpGT, Val: math.Inf(-1)}, {Col: "v", Op: OpLE, Val: math.Inf(1)}},
+		{{Col: "v", Op: OpGT, Val: nan}, {Col: "v", Op: OpLT, Val: float64(1)}},
+		{{Col: "f", Op: OpGE, Val: nan}, {Col: "f", Op: OpLE, Val: nan}},
+		{{Col: "f", Op: OpGT, Val: math.Copysign(0, -1)}, {Col: "f", Op: OpLE, Val: int64(2)}},
+		{{Col: "f", Op: OpGE, Val: math.Inf(-1)}, {Col: "f", Op: OpLT, Val: float64(0)}},
+		// INTEGER bounds past ±2^53, on INTEGER and FLOAT columns.
+		{{Col: "p", Op: OpGE, Val: int64(-1 << 60)}, {Col: "p", Op: OpLT, Val: int64(1<<53 + 1)}},
+		{{Col: "p", Op: OpGT, Val: int64(math.MinInt64)}, {Col: "p", Op: OpLE, Val: int64(math.MaxInt64)}},
+		{{Col: "p", Op: OpGT, Val: int64(1 << 62)}, {Col: "id", Op: OpLT, Val: int64(900)}, {Col: "p", Op: OpLT, Val: int64(1<<62 + 1<<61)}},
+		{{Col: "v", Op: OpGT, Val: int64(-1<<53 - 1)}, {Col: "v", Op: OpLT, Val: int64(1<<54 + 1)}},
+		// A FLOAT bound on an INTEGER column stays a comparison of its own.
+		{{Col: "id", Op: OpGE, Val: int64(100)}, {Col: "id", Op: OpLT, Val: float64(650.5)}},
+		{{Col: "p", Op: OpGT, Val: float64(-1 << 62)}, {Col: "p", Op: OpLE, Val: int64(1 << 62)}},
+		// VARCHAR bounds, on dictionary blocks and the tail.
+		{{Col: "tag", Op: OpGT, Val: "t1"}, {Col: "tag", Op: OpLE, Val: "t3"}},
+		{{Col: "tag", Op: OpGE, Val: "t2"}, {Col: "tag", Op: OpLE, Val: "t2"}},
+		{{Col: "tag", Op: OpGT, Val: "t2"}, {Col: "tag", Op: OpLT, Val: "t2"}},
+		{{Col: "tag", Op: OpGE, Val: ""}, {Col: "tag", Op: OpLT, Val: "t"}},
+		// An index probe of one bound, the interval's other refining.
+		{{Col: "id", Op: OpGE, Val: int64(1200)}, {Col: "v", Op: OpNE, Val: float64(0)}, {Col: "id", Op: OpLT, Val: int64(1290)}},
+		{{Col: "id", Op: OpLT, Val: int64(1300)}, {Col: "id", Op: OpGT, Val: int64(40)}, {Col: "id", Op: OpGT, Val: int64(1280)}},
 	} {
 		var keep []int
 		for i := 0; i < all.Len(); i++ {
@@ -415,14 +455,141 @@ func TestCursorPredicateDecodeMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPlanFoldsIntervals: planScan folds a column's ordered comparisons with
+// literals of its own type into one interval in the first one's place, at
+// most one bound a side; <>, a second bound on a side, a FLOAT literal on an
+// INTEGER column and BOOLEAN comparisons stay comparisons of their own, and
+// no bound folds back past a comparison whose types do not compare, so the
+// rows that reached it still reach it and it fails as it did.
+func TestPlanFoldsIntervals(t *testing.T) {
+	seg := NewSegment(Schema{{Name: "id", Type: TypeInt64}, {Name: "v", Type: TypeFloat64}, {Name: "s", Type: TypeString}, {Name: "ok", Type: TypeBool}}, 64)
+	side := func(incl bool, open, closed string) string {
+		if incl {
+			return closed
+		}
+		return open
+	}
+	for _, tc := range []struct {
+		preds []Pred
+		want  string
+	}{
+		{[]Pred{{"id", OpGE, int64(3)}, {"id", OpLT, int64(9)}}, "id[3,9)"},
+		{[]Pred{{"id", OpEQ, int64(5)}}, "id[5,5]"},
+		{[]Pred{{"id", OpGT, int64(3)}, {"v", OpNE, 0.0}, {"id", OpLE, int64(9)}}, "id(3,9] AND v <> 0"},
+		{[]Pred{{"id", OpGT, int64(3)}, {"id", OpGT, int64(5)}, {"id", OpLT, int64(9)}}, "id(3,9) AND id(5,)"},
+		{[]Pred{{"id", OpEQ, int64(5)}, {"id", OpLT, int64(9)}}, "id[5,5] AND id(,9)"},
+		{[]Pred{{"id", OpGE, int64(1)}, {"id", OpLT, 9.5}}, "id[1,) AND id < 9.5"},
+		{[]Pred{{"v", OpGE, int64(1)}, {"v", OpLT, 2.5}}, "v[1,2.5)"},
+		{[]Pred{{"s", OpLT, "m"}, {"ok", OpEQ, true}, {"s", OpGE, "a"}}, "s[a,m) AND ok = true"},
+		{[]Pred{{"id", OpLT, int64(9)}, {"s", OpEQ, "x"}, {"id", OpGT, int64(1)}}, "id(1,9) AND s[x,x]"},
+		{[]Pred{{"id", OpGE, int64(1)}, {"s", OpGT, int64(3)}, {"id", OpLT, int64(9)}}, "id[1,) AND s > 3 AND id(,9)"},
+		{[]Pred{{"id", OpGE, int64(1)}, {"s", OpGT, int64(3)}, {"id", OpLT, int64(9)}, {"id", OpGT, int64(2)}}, "id[1,) AND s > 3 AND id(2,9)"},
+	} {
+		plan, err := seg.planScan(nil, tc.preds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, c := range plan.preds {
+			if c.pred != nil {
+				got = append(got, c.pred.String())
+				continue
+			}
+			lo, hi := "", ""
+			if c.lo != nil {
+				lo = fmt.Sprint(c.lo)
+			}
+			if c.hi != nil {
+				hi = fmt.Sprint(c.hi)
+			}
+			got = append(got, fmt.Sprintf("%s%s%s,%s%s", seg.schema[c.col].Name, side(c.loIncl, "(", "["), lo, hi, side(c.hiIncl, ")", "]")))
+		}
+		if g := strings.Join(got, " AND "); g != tc.want {
+			t.Errorf("%v planned as %s, want %s", tc.preds, g, tc.want)
+		}
+	}
+	// Rows reach s > 3 and fail it, though id < 0 would keep none.
+	b := NewBatch(seg.Schema())
+	for i := 0; i < 3; i++ {
+		if err := b.AppendRow(int64(i), 0.5, "x", true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seg.Append(b); err != nil {
+		t.Fatal(err)
+	}
+	preds := []Pred{{"id", OpGE, int64(1)}, {"s", OpGT, int64(3)}, {"id", OpLT, int64(0)}}
+	if err := pushScan(context.Background(), seg, nil, preds, nil, func(*Batch) error { return nil }); err == nil || err.Error() != "colstore: cannot compare string with int64" {
+		t.Fatalf("%v: error %v, want the comparison's", preds, err)
+	}
+}
+
+// TestScoreWindowAllocatesSameAfterGC: a 256-id window (id >= lo AND id <
+// hi, the score statement's scan) over DELTA blocks and a tail is one
+// interval, evaluated in one pass into the cursor's own selection — so the
+// scan allocates the same warm as after two collections, which empty any
+// pool, and the selection stays near the window's size, far below a block's
+// 4,096 rows.
+func TestScoreWindowAllocatesSameAfterGC(t *testing.T) {
+	schema := Schema{{Name: "id", Type: TypeInt64}, {Name: "x", Type: TypeFloat64}}
+	seg := NewSegment(schema, DefaultBlockRows)
+	b := NewBatch(schema)
+	for i := 0; i < 4*DefaultBlockRows+1000; i++ {
+		if err := b.AppendRow(int64(i), float64(i%97)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seg.Append(b); err != nil {
+		t.Fatal(err)
+	}
+	if enc := Encoding(seg.sealed[0][0].data[1]); enc != EncDelta {
+		t.Fatalf("ids sealed as encoding %d", enc)
+	}
+	lo := int64(DefaultBlockRows + 1000)
+	preds := []Pred{{Col: "id", Op: OpGE, Val: lo}, {Col: "id", Op: OpLT, Val: lo + 256}}
+	var c *ScanCursor
+	scan := func() {
+		curs, err := seg.ScanCursors([]string{"x"}, preds, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c = curs[0]
+		rows := 0
+		for {
+			b, err := c.Next(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			rows += b.Len()
+		}
+		c.Close()
+		if rows != 256 {
+			t.Fatalf("the window scanned %d rows", rows)
+		}
+	}
+	warm := testing.AllocsPerRun(5, scan)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	scan()
+	runtime.ReadMemStats(&after)
+	if cold := float64(after.Mallocs - before.Mallocs); cold != warm {
+		t.Fatalf("the scan allocates %.0f times after two collections, %.0f warm", cold, warm)
+	}
+	if n := cap(c.sel); n > 512 {
+		t.Fatalf("the cursor's selection holds room for %d rows, a 256-row window's scan", n)
+	}
+}
+
 // TestCursorPredicateReusesBuffers: a cursor under a predicate decodes into
 // buffers it keeps block over block, and a block whose rows all match is
 // handed over without a gathered copy — so reading four times the blocks
 // allocates nothing more, whichever way the blocks decode.
 func TestCursorPredicateReusesBuffers(t *testing.T) {
-	if raceDetector {
-		t.Skip("under -race sync.Pool drops a quarter of what is put back")
-	}
 	segOf := func(blocks int) *Segment {
 		seg := NewSegment(Schema{{Name: "id", Type: TypeInt64}, {Name: "v", Type: TypeFloat64}}, 256)
 		b := NewBatch(seg.Schema())

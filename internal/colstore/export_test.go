@@ -17,9 +17,16 @@ func DecodeBlock(data []byte) (*Vector, error) {
 }
 
 // MatchBlockCompressed is runMatch.match into fresh buffers, of a block read
-// as its own type.
+// as its own type, under the one comparison pred as planScan plans it: an
+// interval when it is one over a column of the block's type.
 func MatchBlockCompressed(data []byte, pred *Pred, scratch []int) (idx []int, handled bool, err error) {
-	return new(runMatch).match(data, anyType, pred, scratch)
+	c := cond{pred: pred}
+	if len(data) > 0 {
+		if iv, ok := pred.interval(Type(data[0])); ok {
+			c.interval, c.pred = iv, nil
+		}
+	}
+	return new(runMatch).match(data, anyType, &c, scratch)
 }
 
 // CompressedBytes reports the total size of sealed block data (the on-wire /

@@ -260,3 +260,50 @@ func BenchmarkMatchCompressed(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkScoreWindow is the score statement's scan of one segment: a
+// 256-id window (id >= lo AND id < lo+256) inside one 4,096-row block of a
+// DELTA id column, 16 blocks and a 1,000-row tail, the window moving every
+// call; it projects one PLAIN FLOAT column at the window's rows. A fresh
+// cursor a call, as a statement's cursors are.
+func BenchmarkScoreWindow(b *testing.B) {
+	const blocks, tail, window = 16, 1000, 256
+	schema := Schema{{Name: "id", Type: TypeInt64}, {Name: "x", Type: TypeFloat64}}
+	seg := NewSegment(schema, DefaultBlockRows)
+	batch := NewBatch(schema)
+	for i := 0; i < blocks*DefaultBlockRows+tail; i++ {
+		if err := batch.AppendRow(int64(i), float64(i%1021)/1021); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := seg.Append(batch); err != nil {
+		b.Fatal(err)
+	}
+	if enc := Encoding(seg.sealed[0][0].data[1]); enc != EncDelta {
+		b.Fatalf("ids sealed as encoding %d", enc)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := int64(i%blocks*DefaultBlockRows + i*7919%(DefaultBlockRows-window))
+		curs, err := seg.ScanCursors([]string{"x"}, []Pred{{Col: "id", Op: OpGE, Val: lo}, {Col: "id", Op: OpLT, Val: lo + window}}, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := 0
+		for {
+			out, err := curs[0].Next(context.Background())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if out == nil {
+				break
+			}
+			rows += out.Len()
+		}
+		curs[0].Close()
+		if rows != window {
+			b.Fatalf("the window at %d scanned %d rows", lo, rows)
+		}
+	}
+}

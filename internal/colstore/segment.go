@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -239,14 +238,14 @@ func vectorStats(v *Vector) (ok bool, min, max float64) {
 	return false, 0, 0
 }
 
-// zoneLiteral is a predicate's literal as the zone maps compare it, ok when
-// they may: a float literal that is not NaN (a NaN compares equal to every
-// value), or an int literal strictly inside ±2^53. INTEGER stats are
-// float64(x), so 2^53+1 is recorded as 2^53; against a literal inside that
-// range a rounded stat still orders exactly as the integer does, and a float
-// literal of an INTEGER column compares widened, as selectRows does.
-func (p *Pred) zoneLiteral() (v float64, ok bool) {
-	switch x := p.Val.(type) {
+// zoneValue is an interval bound as the zone maps compare it, ok when they
+// may: a float that is not NaN (a NaN compares equal to every value), or an
+// int strictly inside ±2^53. INTEGER stats are float64(x), so 2^53+1 is
+// recorded as 2^53; against a bound inside that range a rounded stat still
+// orders exactly as the integer does, and a float bound of an INTEGER column
+// compares widened, as selectRows does. Strings and booleans have no stats.
+func zoneValue(b any) (v float64, ok bool) {
+	switch x := b.(type) {
 	case int64:
 		return float64(x), x < 1<<53 && x > -(1<<53)
 	case float64:
@@ -255,49 +254,25 @@ func (p *Pred) zoneLiteral() (v float64, ok bool) {
 	return 0, false
 }
 
-// blockMayMatch consults the zone map; returning true means "cannot rule out".
-func (p *Pred) blockMayMatch(ref blockRef) bool {
-	v, ok := p.zoneLiteral()
-	if !ref.hasStats || !ok {
-		return true
-	}
-	switch p.Op {
-	case OpEQ:
-		return v >= ref.min && v <= ref.max
-	case OpLT:
-		return ref.min < v
-	case OpLE:
-		return ref.min <= v
-	case OpGT:
-		return ref.max > v
-	case OpGE:
-		return ref.max >= v
-	default: // OpNE cannot be excluded by a min/max range in general
-		return true
-	}
+// blockMayMatch consults the zone map; returning true means "cannot rule
+// out". Each bound is tested on its own.
+func (iv *interval) blockMayMatch(ref blockRef) bool {
+	lo, okLo := zoneValue(iv.lo)
+	hi, okHi := zoneValue(iv.hi)
+	return !ref.hasStats || (!okLo || ref.max > lo || iv.loIncl && ref.max == lo) &&
+		(!okHi || ref.min < hi || iv.hiIncl && ref.min == hi)
 }
 
 // blockAllMatch is blockMayMatch's mirror: true when the zone map proves
-// every row of the block satisfies a range predicate, so it need not be
-// evaluated. = and <> are always evaluated: an RLE or dictionary block
-// answers them on its encoded form.
-func (p *Pred) blockAllMatch(ref blockRef) bool {
-	v, ok := p.zoneLiteral()
-	if !ref.hasStats || !ok {
-		return false
-	}
-	switch p.Op {
-	case OpLT:
-		return ref.max < v
-	case OpLE:
-		return ref.max <= v
-	case OpGT:
-		return ref.min > v
-	case OpGE:
-		return ref.min >= v
-	default:
-		return false
-	}
+// every row of the block inside the interval, so it need not be evaluated.
+// A point [v, v] and an interval without bounds (<>) are always evaluated:
+// an RLE or dictionary block answers them on its encoded form.
+func (iv *interval) blockAllMatch(ref blockRef) bool {
+	lo, okLo := zoneValue(iv.lo)
+	hi, okHi := zoneValue(iv.hi)
+	return ref.hasStats && iv.lo != iv.hi &&
+		(iv.lo == nil || okLo && (ref.min > lo || iv.loIncl && ref.min == lo)) &&
+		(iv.hi == nil || okHi && (ref.max < hi || iv.hiIncl && ref.max == hi))
 }
 
 // ScanStats reports what one scan touched: blocks decoded vs. skipped by
@@ -331,33 +306,40 @@ func (st *ScanStats) Add(o ScanStats) {
 	st.BytesRead += o.BytesRead
 }
 
-// idxScratch recycles predicate index slices across blocks and scans: one
-// scratch per concurrently-decoding goroutine instead of one allocation per
-// block, so parallel scans do not multiply allocations per core.
-var idxScratch = sync.Pool{New: func() any {
-	s := make([]int, 0, DefaultBlockRows)
-	return &s
-}}
-
 // scanPlan is the resolved form of a scan request, shared by every cursor
 // over it.
 type scanPlan struct {
 	colIdx    []int
 	outSchema Schema
 	nblocks   int
-	// preds is the exact conjunction the scan applies, in evaluation order;
-	// predCol[j] is preds[j]'s column and predBuf[j] the decode buffer it
-	// reads, shared by the predicates on one column.
-	preds   []Pred
-	predCol []int
-	predBuf []int
+	// preds is the exact conjunction the scan applies, in evaluation order.
+	preds []cond
+}
+
+// A cond is one conjunct of a planned scan: the rows of column col inside
+// its interval — the column's ordered comparisons, folded — or, when pred
+// is set, the rows that comparison keeps, its interval over its literal's
+// type then serving the zone maps alone.
+type cond struct {
+	interval
+	pred *Pred
+	col  int
+}
+
+// selectRows keeps the rows of v, the cond's column, that satisfy it, as
+// Pred.selectRows does.
+func (c *cond) selectRows(v *Vector, sel, out []int) ([]int, error) {
+	if c.pred != nil {
+		return c.pred.selectRows(v, sel, out)
+	}
+	return c.interval.selectRows(v, sel, out), nil
 }
 
 // blockSkipped reports whether a predicate's zone map excludes sealed block
 // bi.
 func (p *scanPlan) blockSkipped(s *Segment, bi int) bool {
 	for j := range p.preds {
-		if !p.preds[j].blockMayMatch(s.sealed[p.predCol[j]][bi]) {
+		if !p.preds[j].blockMayMatch(s.sealed[p.preds[j].col][bi]) {
 			return true
 		}
 	}
@@ -380,17 +362,35 @@ func (s *Segment) planScan(cols []string, preds []Pred) (*scanPlan, error) {
 		colIdx[i] = s.schema.ColIndex(n)
 	}
 	// Sealed blocks: every column has the same block boundaries.
-	plan := &scanPlan{colIdx: colIdx, outSchema: outSchema, nblocks: s.Blocks(), preds: preds}
-	for _, p := range preds {
+	plan := &scanPlan{colIdx: colIdx, outSchema: outSchema, nblocks: s.Blocks()}
+	// Each comparison that is an interval folds into the first interval on
+	// its column that leaves its side open; the rest keep their places. No
+	// bound folds back past a comparison whose types do not compare: the
+	// rows that reach it decide whether it fails.
+	from := 0
+next:
+	for i := range preds {
+		p := &preds[i]
 		ci := s.schema.ColIndex(p.Col)
 		if ci < 0 {
 			return nil, fmt.Errorf("colstore: predicate on unknown column %q", p.Col)
 		}
-		buf := slices.Index(plan.predCol, ci)
-		if buf < 0 {
-			buf = len(plan.predCol)
+		typ := s.schema[ci].Type
+		iv, ok := p.interval(typ)
+		c := cond{interval: iv, col: ci}
+		for j := from; ok && j < len(plan.preds); j++ {
+			if o := &plan.preds[j]; o.col == ci && o.pred == nil && o.fold(iv) {
+				continue next
+			}
 		}
-		plan.predCol, plan.predBuf = append(plan.predCol, ci), append(plan.predBuf, buf)
+		if !ok {
+			c.interval, _ = p.interval(ValueType(p.Val))
+			c.pred = p
+		}
+		plan.preds = append(plan.preds, c)
+		if CheckComparable(typ, ValueType(p.Val)) != nil {
+			from = len(plan.preds)
+		}
 	}
 	return plan, nil
 }
@@ -452,14 +452,16 @@ func (s *Segment) ScanWithStats(cols []string, pred *Pred, st *ScanStats, fn fun
 // segment may run concurrently (sealed blocks are immutable, decode state is
 // per cursor).
 type ScanCursor struct {
-	s       *Segment
-	plan    *scanPlan
-	bi, hi  int  // next sealed block, end of the range
-	tail    bool // the tail is still to be delivered after the blocks
-	scratch *[]int
-	bufs    *decodeBufs
-	stored  [][]byte // NextStored's reused result slice
-	st      ScanStats
+	s      *Segment
+	plan   *scanPlan
+	bi, hi int  // next sealed block, end of the range
+	tail   bool // the tail is still to be delivered after the blocks
+	// sel is the block's selection — what an index cut selects, then what the
+	// predicates keep — refined in place, reused block over block.
+	sel    []int
+	bufs   *decodeBufs
+	stored [][]byte // NextStored's reused result slice
+	st     ScanStats
 	// An index cursor (IndexCursor) delivers the rows at rowids, the selected
 	// positions still ahead of it; at is the segment row block bi starts at.
 	index  bool
@@ -470,7 +472,7 @@ type ScanCursor struct {
 // decodeBufs are a cursor's decode buffers, reused block over block: the
 // batch it delivers, whose columns are each either the column's own decode
 // buffer or its view of a PLAIN block in place (viewOrDecode), the predicates'
-// columns (by scanPlan.predBuf) and NextBlock's reader. Views and decode
+// columns (by column) and NextBlock's reader. Views and decode
 // buffers are separate vectors, so the Reset and appends that refill a decode
 // buffer never reach storage.
 type decodeBufs struct {
@@ -492,12 +494,13 @@ func newDecodeBufs(schema Schema) *decodeBufs {
 	return b
 }
 
-// Pass hands c's decode buffers to next, a cursor over another range of the
-// same scan that has not started: ranges read one after another decode into
-// one set of buffers. c's last batch is invalid from here on.
+// Pass hands c's decode buffers and selection to next, a cursor over another
+// range of the same scan that has not started: ranges read one after another
+// decode into one set of buffers. c's last batch is invalid from here on.
 func (c *ScanCursor) Pass(next *ScanCursor) {
 	if c.bufs != nil && next.bufs == nil && c.plan.outSchema.Equal(next.plan.outSchema) {
 		next.bufs, c.bufs = c.bufs, nil
+		next.sel, c.sel = c.sel, nil
 	}
 }
 
@@ -581,11 +584,8 @@ func (c *ScanCursor) Next(ctx context.Context) (*Batch, error) {
 // holding them is reused by the next call. A block row handed out stored is
 // counted in the cursor's stats as scanned, its bytes as read.
 func (c *ScanCursor) NextStored(ctx context.Context, maxRows int) (blocks [][]byte, rows int, b *Batch, err error) {
-	if c.scratch == nil {
-		c.scratch = idxScratch.Get().(*[]int)
-		if c.bufs == nil {
-			c.bufs = newDecodeBufs(c.plan.outSchema)
-		}
+	if c.bufs == nil {
+		c.bufs = newDecodeBufs(c.plan.outSchema)
 	}
 	for c.bi < c.hi {
 		if err := verr.Canceled(ctx.Err()); err != nil {
@@ -639,22 +639,22 @@ func (c *ScanCursor) untouched(bi int) bool {
 }
 
 // cut moves an index cursor's selected rows below segment row end off rowids
-// into the scratch, as offsets from at, and advances at to end.
+// into its selection, as offsets from at, and advances at to end.
 func (c *ScanCursor) cut(end int) []int {
-	sel := (*c.scratch)[:0]
+	sel := c.sel[:0]
 	for len(c.rowids) > 0 && int(c.rowids[0]) < end {
 		sel = append(sel, int(c.rowids[0])-c.at)
 		c.rowids = c.rowids[1:]
 	}
-	c.at, *c.scratch = end, sel
+	c.at, c.sel = end, sel
 	return sel
 }
 
 // Stats reports what the cursor has touched so far.
 func (c *ScanCursor) Stats() ScanStats { return c.st }
 
-// Close flushes the cursor's stats into the global scan counters and
-// releases its scratch. Call it once, when the cursor is done with.
+// Close flushes the cursor's stats into the global scan counters. Call it
+// once, when the cursor is done with.
 func (c *ScanCursor) Close() {
 	mScanRows.Add(int64(c.st.RowsOut))
 	mScanBytes.Add(int64(c.st.BytesRead))
@@ -662,10 +662,6 @@ func (c *ScanCursor) Close() {
 	mBlocksSkipped.Add(int64(c.st.BlocksSkipped))
 	mBlocksCompressed.Add(int64(c.st.BlocksCompressed))
 	mBlocksAllMatch.Add(int64(c.st.BlocksAllMatch))
-	if c.scratch != nil {
-		idxScratch.Put(c.scratch)
-		c.scratch = nil
-	}
 }
 
 // scanTail projects the unsealed tail rows the cursor selects — those its
@@ -688,11 +684,12 @@ func (c *ScanCursor) scanTail() (*Batch, error) {
 		if n == 0 || (j > 0 || c.index) && len(match) == 0 {
 			break
 		}
-		m, err := c.plan.preds[j].selectRows(tail.Cols[c.plan.predCol[j]], match, *c.scratch)
+		p := &c.plan.preds[j]
+		m, err := p.selectRows(tail.Cols[p.col], match, c.sel)
 		if err != nil {
 			return nil, err
 		}
-		match, *c.scratch = m, m
+		match, c.sel = m, m
 	}
 	if selected {
 		n = len(match)
@@ -738,7 +735,7 @@ func (c *ScanCursor) decode(bi int) (*Batch, error) {
 	rows := s.sealed[0][bi].rows
 	var match []int
 	if c.index {
-		match = *c.scratch // cut left the block's selection there
+		match = c.sel // cut left the block's selection there
 	}
 	if len(plan.preds) > 0 {
 		m, all, err := c.match(bi, match)
@@ -785,22 +782,23 @@ func plainNumeric(data []byte) bool {
 	return err == nil && enc == EncPlain && (typ == TypeInt64 || typ == TypeFloat64)
 }
 
-// match evaluates the cursor's predicates over sealed block bi in order and
+// match evaluates the cursor's conds over sealed block bi in order and
 // returns the rows that satisfy them all; all is true when that is every row
-// of the block. Outside an index, a predicate the block's zone map decides
+// of the block. Outside an index, a cond the block's zone map decides
 // (blockAllMatch) is not evaluated, and when every one is, no predicate
-// column is read. The first predicate evaluated runs over every row — on the
+// column is read. The first cond evaluated runs over every row — on the
 // encoded form when the block's encoding allows it — or, under an index,
 // over the rows sel selects; each later one over the rows still selected,
-// refining the selection in place. A column several predicates name is read,
-// and decoded, once per block. The selection lives in the cursor's scratch.
+// refining the selection in place. An interval is one pass whatever its
+// bounds. A column several conds name is read, and decoded, once per block.
+// The selection lives in the cursor's own slice.
 func (c *ScanCursor) match(bi int, sel []int) (_ []int, all bool, err error) {
 	plan, bufs := c.plan, c.bufs
 	bufs.stamp++ // a predicate buffer holds block bi once it carries this stamp
 	first, all := !c.index, !c.index
 	for j := range plan.preds {
-		p, ci := &plan.preds[j], plan.predCol[j]
-		ref := c.s.sealed[ci][bi]
+		p := &plan.preds[j]
+		ref := c.s.sealed[p.col][bi]
 		if !c.index && p.blockAllMatch(ref) {
 			continue
 		}
@@ -808,20 +806,21 @@ func (c *ScanCursor) match(bi int, sel []int) (_ []int, all bool, err error) {
 		if !first && len(sel) == 0 {
 			break
 		}
-		pb := bufs.pred(plan.predBuf[j], c.s.schema[ci].Type)
+		typ := c.s.schema[p.col].Type
+		pb := bufs.pred(p.col, typ)
 		if pb.read != bufs.stamp {
 			pb.read = bufs.stamp
 			c.st.BytesRead += len(ref.data)
 		}
 		if first {
 			first = false
-			m, handled, err := bufs.runs.match(ref.data, c.s.schema[ci].Type, p, *c.scratch)
+			m, handled, err := bufs.runs.match(ref.data, typ, p, c.sel)
 			if err != nil {
 				return nil, false, err
 			}
 			if handled {
 				c.st.BlocksCompressed++
-				sel, *c.scratch = m, m
+				sel, c.sel = m, m
 				continue
 			}
 		}
@@ -831,11 +830,11 @@ func (c *ScanCursor) match(bi int, sel []int) (_ []int, all bool, err error) {
 			}
 			pb.decoded = bufs.stamp
 		}
-		m, err := p.selectRows(pb.cur, sel, *c.scratch)
+		m, err := p.selectRows(pb.cur, sel, c.sel)
 		if err != nil {
 			return nil, false, err
 		}
-		sel, *c.scratch = m, m
+		sel, c.sel = m, m
 	}
 	if all {
 		c.st.BlocksAllMatch++
@@ -855,7 +854,7 @@ type predBuf struct {
 	read, decoded uint64
 }
 
-// pred is the decode buffer k of the predicates' columns, of type typ.
+// pred is the decode buffer of predicate column k, of type typ.
 func (b *decodeBufs) pred(k int, typ Type) *predBuf {
 	for len(b.preds) <= k {
 		b.preds = append(b.preds, nil)

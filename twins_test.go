@@ -66,7 +66,6 @@ var poolAllowlist = map[string]string{
 	"sqlexec.aggScratchPool": "order-independent sums: its second PR changes what the aggregate's scratch holds, then a range task owns it",
 	"algos.irlsScratchPool":  "column-major partitions end to end: the IRLS transpose it holds goes, and what is left a fit owns",
 	"wire.bufPool":           "scratch owned by its caller: a connection owns its read buffer",
-	"colstore.idxScratch":    "scratch owned by its caller: a selection that needs no block-sized index slice, which a cursor's own costs a short range scan 10-30 %",
 }
 
 // TestNoPoolsOutsideAllowlist fails on a sync.Pool in a non-test file of
