@@ -3,7 +3,6 @@ package colstore
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Comparison semantics, shared by pushed-down predicates and the executor's
@@ -133,11 +132,10 @@ func (op CompareOp) Match(c int) bool {
 // out[:0] (callers reuse one slice across blocks, so a scan allocates no
 // index slice per block once warm). out may share sel's array: a selection
 // refines in place, since a kept row is never written ahead of the row being
-// read. It compares row by row: planScan makes an ordered comparison with a
-// literal of its column's own type an interval (interval.selectRows), so
-// what reaches here is <>, a FLOAT literal on an INTEGER column, a BOOLEAN
-// comparison or a pair that does not compare, which fails with
-// CompareValues' error, and only when there is a row to compare.
+// read. It compares row by row, since planScan makes every ordered
+// comparison with a literal of its column's type an interval: what reaches
+// here is <>, a FLOAT literal on an INTEGER column, a BOOLEAN comparison or
+// a pair that fails with CompareValues' error, when there is a row.
 func (p *Pred) selectRows(v *Vector, sel, out []int) ([]int, error) {
 	val := p.Val
 	if x, ok := val.(int64); ok && v.Type == TypeFloat64 {
@@ -244,8 +242,7 @@ func (iv *interval) selectRows(v *Vector, sel, out []int) []int {
 }
 
 // selectIn is the interval kernel: one typed loop, one pass over every row
-// of xs or the rows sel lists (and, when out is full, a count of the rows
-// left). An absent bound is T's least or greatest
+// of xs or the rows sel lists. An absent bound is T's least or greatest
 // value, included; VARCHAR has no greatest value (hasMax false), so an
 // absent upper bound leaves its interval open. The test is the conjunction
 // !(x < lo) && !(x > hi) && (loIncl || x > lo) && (hiIncl || x < hi),
@@ -267,25 +264,10 @@ func selectIn[T int64 | float64 | string](xs []T, iv *interval, least, greatest 
 	in := func(x T) bool {
 		return !(x < lo) && (!(x > hi) || open) && (loIncl || x > lo) && (hiIncl || x < hi)
 	}
-	// out grows once, to its exact size: when it is full, the rows left that
-	// the interval keeps are counted first, rather than the slice doubling
-	// its way there.
-	count := func(rest []T) int {
-		n := 0
-		for _, x := range rest {
-			if in(x) {
-				n++
-			}
-		}
-		return n
-	}
 	out = out[:0]
 	if sel == nil {
 		for i, x := range xs {
 			if in(x) {
-				if len(out) == cap(out) {
-					out = slices.Grow(out, count(xs[i:]))
-				}
 				out = append(out, i)
 			}
 		}

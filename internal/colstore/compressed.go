@@ -3,7 +3,6 @@ package colstore
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"verticadr/internal/verr"
 )
@@ -20,9 +19,8 @@ import (
 // run step and entry walk. Every route therefore accepts and rejects exactly
 // the same blocks, with the same error, wherever the corruption lies.
 //
-//   - An RLE block runs the cond's typed kernel (an interval's one pass, or
-//     Pred.selectRows) once over its run values, then emits every row of
-//     each matching run: O(runs) comparisons.
+//   - An RLE block runs the cond once over its run values, then emits every
+//     row of each matching run: O(runs) comparisons.
 //   - A dictionary block runs it once over its entries, then emits the rows
 //     whose code names a matching entry, no row's string made. An equality
 //     probe for a value absent from the dictionary selects nothing after
@@ -83,23 +81,14 @@ func (m *runMatch) match(data []byte, want Type, c *cond, scratch []int) ([]int,
 		hit[j] = true
 	}
 	m.hit = hit
-	// The selection grows once, to its exact size, as selectIn's does.
 	if enc == EncDict {
 		for i, c := range m.codes {
 			if hit[c] {
-				if len(idx) == cap(idx) {
-					idx = slices.Grow(idx, countHits(m.codes[i:], hit))
-				}
 				idx = append(idx, i)
 			}
 		}
 		return idx, true, nil
 	}
-	rows := 0
-	for _, j := range m.hits {
-		rows += int(m.lens[j])
-	}
-	idx = slices.Grow(idx, rows)
 	row := 0
 	for r, l := range m.lens {
 		if hit[r] {
@@ -110,17 +99,6 @@ func (m *runMatch) match(data []byte, want Type, c *cond, scratch []int) ([]int,
 		row += int(l)
 	}
 	return idx, true, nil
-}
-
-// countHits counts the codes that name an entry hit marks.
-func countHits(codes []uint32, hit []bool) int {
-	n := 0
-	for _, c := range codes {
-		if hit[c] {
-			n++
-		}
-	}
-	return n
 }
 
 // BlockCol is one column of a Block: one typed value per entry in Vals, or —
